@@ -32,7 +32,7 @@ import os
 # recorded in the report meta so runs are comparable.
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-               "NUMEXPR_NUM_THREADS", "NUMBA_NUM_THREADS")
+               "NUMEXPR_NUM_THREADS")
 for _var in _THREAD_ENV:
     os.environ.setdefault(_var, "1")
 
@@ -44,19 +44,14 @@ from repro.memory import MemoryHierarchy
 from repro.parallel.procpool import ProcPool
 from repro.parallel.spmd import (SPMDLayout, distributed_matvec,
                                  distributed_residual)
-from repro.memory.cache import simulate_trace
 from repro.memory.tlb import tlb_sim
-from repro.memory.trace import (flux_loop_trace, spmv_bsr_trace,
-                                spmv_dedup_bsr_trace)
+from repro.memory.trace import flux_loop_trace, spmv_bsr_trace
 from repro.partition.kway import kway_partition
 from repro.perf import compare_kernels, git_sha, time_kernel, write_report
 from repro.perfmodel.machines import ORIGIN2000_R10K
-from repro.perfmodel.spmv_model import (spmv_dedup_traffic_bytes,
-                                        spmv_traffic_bytes)
 from repro.precond.asm import AdditiveSchwarz, ASMConfig
 from repro.solvers import KrylovWorkspace, gmres, gmres_ref
 from repro.solvers.krylov_base import OperatorFromMatrix
-from repro.sparse.dedup import dedup_bsr
 from repro.sparse.ilu import ilu_bsr, ilu_bsr_ref, ilu_csr, ilu_csr_ref, \
     ilu_symbolic
 
@@ -104,7 +99,7 @@ def run(size: int, repeats: int, out: str | None) -> dict:
         repeats=repeats)
 
     # --- triangular solve / SpMV / residual / assembly ----------------
-    # With a compiled backend present (numba or cffi+cc) each hot
+    # With the compiled backend present (cffi+cc) each hot
     # kernel is timed numpy-oracle vs engine="compiled" and the
     # speedup recorded; on a bare machine (CI bench-smoke) the numpy
     # leg is recorded alone so reports stay diffable.
@@ -112,7 +107,7 @@ def run(size: int, repeats: int, out: str | None) -> dict:
               if capability.resolve_engine("compiled") != "numpy"
               else "numpy")
     if engine == "numpy" and not capability.disabled():
-        # A machine that simply lacks numba/cffi degrades to the
+        # A machine that simply lacks cffi/cc degrades to the
         # numpy-only report (the documented contract), but a backend
         # that *broke* must fail the bench loudly — a silently
         # quarantined C build would otherwise publish numpy medians as
@@ -126,7 +121,7 @@ def run(size: int, repeats: int, out: str | None) -> dict:
             raise RuntimeError(
                 "refusing to record a numpy-only report: a compiled "
                 f"backend is quarantined — {reasons}. Run `python -m "
-                "repro.kernels.capability` for the full report, or "
+                "repro.kernels` for the full report, or "
                 "set REPRO_KERNELS_DISABLE=1 to bench the numpy tier "
                 "deliberately.")
     factor = ilu_bsr(jac, pattern=pat_bsr)
@@ -242,75 +237,6 @@ def run(size: int, repeats: int, out: str | None) -> dict:
     kernels["gmres30_cycle"] = compare_kernels(
         "gmres30_cycle", cycle_ref, cycle_new, repeats=repeats)
 
-    # --- bandwidth round 2: dedup block storage + precision tiers -----
-    # Dense-BSR vs deduplicated storage at the same engine tier: the
-    # dedup legs stream one int32 pool index per block entry instead
-    # of the bs^2 float64 block.  On the jittered wing nearly every
-    # dual-face normal is unique, so the honest dedup ratio is ~1 and
-    # the fp32-pool tier carries the traffic cut; the ratio is
-    # recorded with each row so the trade stays visible.
-    d64 = dedup_bsr(jac_e)
-    df64 = factor_e.dedup_storage()
-    kernels["spmv_bsr_dedup"] = compare_kernels(
-        "spmv_bsr_dedup", lambda: jac_e @ x, lambda: d64 @ x,
-        repeats=repeats)
-    kernels["spmv_bsr_dedup"]["dedup_ratio"] = round(d64.dedup_ratio, 4)
-    kernels["trisolve_bsr_dedup"] = compare_kernels(
-        "trisolve_bsr_dedup", lambda: factor_e.solve(b),
-        lambda: df64.solve(b), repeats=repeats)
-    kernels["trisolve_bsr_dedup"]["dedup_ratio"] = round(
-        df64.dedup_ratio, 4)
-
-    # Mixed-precision GMRES(30) cycle: fp32 Krylov basis, dedup fp32
-    # ASM factors, dedup fp32 operator — vs the fp64 dense cycle
-    # above.  rtol=0 pins both to exactly 30 inner iterations.
-    d32 = d64.astype_pool(np.float32)
-    op_d32 = OperatorFromMatrix(d32)
-    b32 = b.astype(np.float32)
-    cfg_d32 = ASMConfig(overlap=OVERLAP, fill_level=FILL, engine=engine,
-                        storage_dtype=np.float32, dedup=True,
-                        pool_dtype=np.float32)
-    pc_d32 = AdditiveSchwarz(labels, cfg_d32,
-                             graph=mesh.vertex_graph()).setup(jac_e)
-
-    def cycle_dedup_fp32():
-        pc_d32.setup(jac_e)
-        return gmres(op_d32, b32, M=pc_d32, rtol=0.0, restart=GMRES_M,
-                     maxiter=GMRES_M)
-
-    kernels["gmres30_cycle_dedup_fp32"] = compare_kernels(
-        "gmres30_cycle_dedup_fp32", cycle_new, cycle_dedup_fp32,
-        repeats=repeats)
-
-    # Predicted bytes per SpMV at each storage tier, both ways: the
-    # compulsory-traffic model and the exact cache model driven by the
-    # tier's actual address stream (Fig. 3 machinery, L2 misses x
-    # line bytes).
-    nnz_scalar = jac.nnzb * jac.bs * jac.bs
-    l2 = machine.l2
-
-    def _sim_bytes(trace):
-        return int(simulate_trace(trace, l2, engine="fast").misses
-                   * l2.line_bytes)
-
-    predicted = {
-        "dense_model": int(spmv_traffic_bytes(
-            jac.shape[0], nnz_scalar, block_size=jac.bs).total),
-        "dense_sim": _sim_bytes(spmv_trace),
-    }
-    for label, dmat in (("dedup", d64), ("dedup_fp32", d32)):
-        predicted[f"{label}_model"] = int(spmv_dedup_traffic_bytes(
-            jac.shape[0], nnz_scalar, dmat.nuniq, block_size=jac.bs,
-            pool_value_bytes=dmat.pool.dtype.itemsize).total)
-        predicted[f"{label}_sim"] = _sim_bytes(spmv_dedup_bsr_trace(dmat))
-    dedup_meta = {
-        "jacobian_dedup_ratio": round(d64.dedup_ratio, 4),
-        "factor_dedup_ratio": round(df64.dedup_ratio, 4),
-        "nnzb": int(d64.nnzb),
-        "nuniq": int(d64.nuniq),
-        "predicted_bytes_per_spmv": predicted,
-    }
-
     # --- SPMD backends: sequential rank loop vs shm process pool ------
     # One Newton step's distributed work — the GMRES(30) inner loop: a
     # residual evaluation plus 30 Krylov matvecs — on the
@@ -363,7 +289,6 @@ def run(size: int, repeats: int, out: str | None) -> dict:
         "fill_level": FILL,
         "gmres_restart": GMRES_M,
         "asm": {"nparts": NPARTS, "overlap": OVERLAP},
-        "dedup": dedup_meta,
         "spmd": {
             "mesh": spmd_prob.name,
             "num_vertices": int(spmd_prob.mesh.num_vertices),

@@ -10,8 +10,9 @@ The grouping follows the paper's own taxonomy:
 * Krylov parameters -> :class:`KrylovConfig`: forcing tolerance,
   restart dimension, iteration cap, orthogonalisation;
 * Schwarz parameters -> :class:`PreconditionerConfig`: subdomain
-  count, overlap, fill level, (R)ASM variant, factor storage precision;
-* subproblem parameters -> fill level / storage precision (above).
+  count, overlap, fill level, (R)ASM variant;
+* subproblem parameters -> fill level (above) and the factor storage
+  precision, which is ``SolverConfig.policy``'s ``precond_dtype``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 from repro.precond.asm import ASMVariant
 from repro.solvers.gmres import Orthogonalization
 from repro.solvers.ptc import PTCConfig
-from repro.sparse.precision import (PrecisionPolicy, StoragePrecision,
-                                    storage_dtype)
+from repro.sparse.precision import PrecisionPolicy
 
 __all__ = ["KrylovConfig", "PreconditionerConfig", "SolverConfig"]
 
@@ -46,17 +46,11 @@ class PreconditionerConfig:
     overlap: int = 0                 # Schwarz overlap delta (Table 4: 0-2)
     fill_level: int = 1              # ILU(k) (Table 4: 0-2; best often 1)
     variant: ASMVariant = ASMVariant.RESTRICTED
-    precision: StoragePrecision = StoragePrecision.DOUBLE
     partitioner: str = "kway"        # 'kway' | 'pmetis' | 'given'
     labels: np.ndarray | None = None  # used when partitioner == 'given'
 
     def __post_init__(self) -> None:
         self.variant = ASMVariant(self.variant)
-        self.precision = StoragePrecision(self.precision)
-
-    @property
-    def dtype(self):
-        return storage_dtype(self.precision)
 
 
 @dataclass
@@ -85,14 +79,10 @@ class SolverConfig:
                                      # for trisolve/SpMV/residual/
                                      # assembly (repro.kernels; degrades
                                      # to numpy without a backend)
-    dedup: bool = False              # compact ILU factors into unique-
-                                     # block pools (bandwidth round 2;
-                                     # BSR Jacobians only)
     policy: PrecisionPolicy | str = "fp64"  # per-phase precision tier
-                                     # ('fp64' | 'fp32' | 'fp16-pool' or
-                                     # a PrecisionPolicy); non-default
-                                     # tiers override the precond
-                                     # storage precision knob
+                                     # ('fp64' | 'fp32-precond' | 'fp32'
+                                     # or a PrecisionPolicy): Krylov
+                                     # basis + ILU factor storage
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -110,6 +100,3 @@ class SolverConfig:
         if self.engine not in ("numpy", "compiled"):
             raise ValueError("engine must be 'numpy' or 'compiled'")
         self.policy = PrecisionPolicy.named(self.policy)
-        if self.policy.pool_dtype is not None and not self.dedup:
-            # The fp16 pool tier only exists on deduplicated factors.
-            self.dedup = True

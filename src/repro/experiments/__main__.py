@@ -24,8 +24,7 @@ import sys
 import time
 
 from repro.experiments import (run_eq_bounds, run_fig2, run_fig3, run_fig4,
-                               run_fig5, run_table1, run_table2,
-                               run_table2_dedup, run_table3,
+                               run_fig5, run_table1, run_table2, run_table3,
                                run_table3_measured, run_table4, run_table5,
                                run_table5_measured)
 
@@ -69,14 +68,6 @@ def _fig5(a):
     yield result
 
 
-def _table2_dedup(a):
-    # Bandwidth round 2: dedup + per-phase precision tiers, with the
-    # predicted traffic next to measured kernel times.  --smoke is the
-    # CI-sized wing; full size is the 22,680-vertex acceptance mesh.
-    result, _doc = run_table2_dedup(smoke=a.smoke, out=a.out)
-    yield result
-
-
 def _scaling(a):
     # The measured ranks x threads study (paper Table 5 analogue);
     # writes BENCH_scaling.json next to the working directory.
@@ -97,7 +88,6 @@ EXPERIMENTS = {
     "table1": _table1,
     "table2": lambda a: [run_table2(procs=(4, 8, 16), size="medium",
                                     max_steps=4)],
-    "table2-dedup": _table2_dedup,
     "table3": _table3,
     "table3-measured": _table3_measured,
     "table4": lambda a: [run_table4(procs=(4, 8), size="medium",

@@ -65,7 +65,6 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
                          partitioner: str = "kway",
                          labels: np.ndarray | None = None,
                          fill_level: int = 1, overlap: int = 0,
-                         precision: str = "double",
                          max_steps: int = 8, cfl0: float = 10.0,
                          jacobian_lag: int = 2,
                          krylov_rtol: float = 1e-2,
@@ -73,8 +72,7 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
                          krylov_restart: int = 20,
                          matrix_free: bool = True,
                          target_reduction: float = 1e-10, seed: int = 0,
-                         engine: str = "numpy", dedup: bool = False,
-                         policy="fp64"):
+                         engine: str = "numpy", policy="fp64"):
     """One NKS run with a p-way preconditioner partition.
 
     ``max_steps`` is deliberately small and ``target_reduction``
@@ -93,12 +91,10 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
                             restart=krylov_restart),
         precond=PreconditionerConfig(
             nparts=nparts, fill_level=fill_level, overlap=overlap,
-            precision=precision,
             partitioner="given" if labels is not None else partitioner,
             labels=labels),
         seed=seed,
         engine=engine,
-        dedup=dedup,
         policy=policy,
     )
     solver = NKSSolver(prob.disc, cfg)

@@ -1,13 +1,13 @@
-"""Compiled kernel tier: optional JIT/C backends behind the oracles.
+"""Compiled kernel tier: an optional C backend behind the oracles.
 
 The paper's hot paths — triangular solves, flux-residual scatter,
 SpMV, Jacobian-assembly scatter — are memory-bound kernels whose
 numpy formulations pay for gather/scatter index arrays and multi-pass
-temporaries.  This package provides compiled twins (numba ``@njit``
-when importable, a cffi-compiled C library otherwise) selected by the
-``engine="compiled"`` knob that :class:`repro.core.SolverConfig`
-threads through the discretisation, preconditioners, and SPMD
-executors, exactly like ``memory.fastsim``'s ``engine=``.
+temporaries.  This package provides compiled twins (a cffi-compiled C
+library) selected by the ``engine="compiled"`` knob that
+:class:`repro.core.SolverConfig` threads through the discretisation,
+preconditioners, and SPMD executors, exactly like ``memory.fastsim``'s
+``engine=``.
 
 Contract:
 
@@ -15,7 +15,7 @@ Contract:
   scatter/CSR kernels match it **bitwise**, block kernels within a
   few **ULP** (``np.einsum`` uses SIMD pairwise summation the
   compiled loops do not replicate portably);
-* no hard dependency: a missing compiler/numba degrades every
+* no hard dependency: a missing compiler or cffi degrades every
   dispatch below to the numpy path (the functions return ``None`` /
   ``False`` and the caller runs its oracle);
 * ``REPRO_KERNELS_DISABLE=1`` forces the numpy path globally.
@@ -35,9 +35,7 @@ from repro.kernels.capability import resolve_engine
 __all__ = ["backend_for", "resolve_engine", "edge_scatter2", "spmv_csr",
            "spmv_bsr", "gather_spmv_bsr", "lower_solve_csr",
            "upper_solve_csr", "lower_solve_bsr", "upper_solve_bsr",
-           "assemble_scatter", "levels_order", "spmv_bsr_dedup",
-           "gather_spmv_bsr_dedup", "lower_solve_bsr_dedup",
-           "upper_solve_bsr_dedup", "rusanov_scatter"]
+           "assemble_scatter", "levels_order", "rusanov_scatter"]
 
 #: Block-size cap of the compiled BSR kernels (C stack buffers).
 MAX_BS = 32
@@ -52,24 +50,15 @@ def backend_for(engine: str):
         return None
     backend = _BACKENDS.get(name)
     if backend is None:
-        init_exc: Exception | None = None
-        if name == "numba":
-            try:
-                from repro.kernels.nbbackend import NumbaBackend
-                backend = NumbaBackend()
-            except Exception as exc:
-                backend = None
-                init_exc = exc
-        else:
-            from repro.kernels.cbackend import load_cbackend
-            backend = load_cbackend()
+        from repro.kernels.cbackend import load_cbackend
+        backend = load_cbackend()
         if backend is None:
-            # Initialisation failed (broken toolchain, bad numba):
-            # quarantine with the reason, then re-resolve without this
-            # backend.  load_cbackend records its own exception.
-            capability.mark_unavailable(name, exc=init_exc)
+            # The build failed (broken toolchain) and load_cbackend
+            # quarantined the reason: mark the backend broken, then
+            # re-resolve without it.
+            capability.mark_unavailable(name)
             return backend_for(engine)
-        # lint: purity-ok (per-process backend memo: a forked worker must build its own cffi/numba handles)
+        # lint: purity-ok (per-process backend memo: a forked worker must build its own cffi handles)
         _BACKENDS[name] = backend
     return backend
 
@@ -93,21 +82,6 @@ def _factor(a: np.ndarray) -> np.ndarray | None:
 
 def _i64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
-
-
-def _i32(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int32)
-
-
-def _pool(a: np.ndarray) -> np.ndarray | None:
-    """Unique-block pool storage: float64 or float32.  A float16 pool
-    is *storage-only* and has no compiled leg — the dispatcher returns
-    None and the caller widens it in the numpy oracle (fp16 compute is
-    forbidden, and neither portable C nor numba guarantee IEEE fp16
-    arithmetic anyway)."""
-    if a.dtype not in (np.float64, np.float32):
-        return None
-    return np.ascontiguousarray(a)
 
 
 # Concatenated-level solve orders, memoised by list identity (ILU
@@ -248,68 +222,6 @@ def upper_solve_bsr(indptr, indices, data, inv_diag, x, levels, bs,
         return False
     backend.upper_solve_bsr(_i64(indptr), _i64(indices), data, inv_diag,
                             x, levels_order(levels), int(bs))
-    return True
-
-
-def spmv_bsr_dedup(indptr, indices, pool, pidx, x, nbrows, engine):
-    """Deduped block SpMV: stream int32 pool indices into the unique-
-    block pool.  Same arithmetic as :func:`spmv_bsr` on the expanded
-    data (one extra indirection), so it carries the same ULP bound."""
-    backend = backend_for(engine)
-    if backend is None:
-        return None
-    pool = _pool(np.asarray(pool))
-    x = _f64(np.asarray(x))
-    if pool is None or x is None or pool.shape[1] > MAX_BS:
-        return None
-    return backend.spmv_bsr_dedup(_i64(indptr), _i64(indices), pool,
-                                  _i32(pidx), x, int(nbrows))
-
-
-def gather_spmv_bsr_dedup(pool, pidx_rows, cols, seg, x, n_owned, engine):
-    """The SPMD rank SpMV over pre-gathered *pool indices* (the dedup
-    twin of :func:`gather_spmv_bsr`); ULP-bounded."""
-    backend = backend_for(engine)
-    if backend is None:
-        return None
-    pool = _pool(np.asarray(pool))
-    x = _f64(np.asarray(x))
-    if pool is None or x is None or pool.shape[1] > MAX_BS:
-        return None
-    return backend.gather_spmv_bsr_dedup(pool, _i32(pidx_rows), _i64(cols),
-                                         _i64(seg), x, int(n_owned))
-
-
-def lower_solve_bsr_dedup(indptr, indices, pool, pidx, x, levels, bs,
-                          engine) -> bool:
-    """In-place block lower solve streaming pool indices; ULP-bounded
-    vs the einsum oracle (f32 pools widen on load, like the factors)."""
-    backend = backend_for(engine)
-    if backend is None or bs > MAX_BS:
-        return False
-    pool = _pool(np.asarray(pool))
-    if pool is None:
-        return False
-    backend.lower_solve_bsr_dedup(_i64(indptr), _i64(indices), pool,
-                                  _i32(pidx), x, levels_order(levels),
-                                  int(bs))
-    return True
-
-
-def upper_solve_bsr_dedup(indptr, indices, pool, pidx, inv_diag, x,
-                          levels, bs, engine) -> bool:
-    """In-place block upper solve streaming pool indices (the block-
-    diagonal inverses stay dense — they are n blocks, not nnz)."""
-    backend = backend_for(engine)
-    if backend is None or bs > MAX_BS:
-        return False
-    pool = _pool(np.asarray(pool))
-    inv_diag = _pool(np.asarray(inv_diag))
-    if pool is None or inv_diag is None or pool.dtype != inv_diag.dtype:
-        return False
-    backend.upper_solve_bsr_dedup(_i64(indptr), _i64(indices), pool,
-                                  _i32(pidx), inv_diag, x,
-                                  levels_order(levels), int(bs))
     return True
 
 

@@ -1,19 +1,18 @@
 """Capability probe for the compiled kernel tier.
 
 ``engine="compiled"`` is a *request*, not a requirement: this module
-decides at dispatch time which backend — numba ``@njit``, a
-cffi-compiled C library, or plain numpy — will actually serve it.  The
-probes are import-guarded and cached, so environments without numba or
-a C toolchain resolve ``"compiled"`` to ``"numpy"`` and run the oracle
-tier unchanged; nothing in the repo ever hard-imports an optional
-dependency.
+decides at dispatch time whether the cffi-compiled C library or plain
+numpy will actually serve it.  The probe is import-guarded and cached,
+so environments without cffi or a C toolchain resolve ``"compiled"``
+to ``"numpy"`` and run the oracle tier unchanged; nothing in the repo
+ever hard-imports an optional dependency.
 
 The degradation is no longer *silent*: every probe failure and every
 backend-initialisation failure is quarantined with its exception
 (type, message, traceback tail) in :func:`capability_report`, the
 first ``compiled`` -> ``numpy`` fallback caused by a quarantined
-backend emits a ``RuntimeWarning``, and ``python -m
-repro.kernels.capability`` prints the full report.
+backend emits a ``RuntimeWarning``, and ``python -m repro.kernels``
+prints the full report.
 
 Set ``REPRO_KERNELS_DISABLE=1`` to force the numpy resolution even
 when a backend is available (the CI fallback leg, A/B debugging).
@@ -28,9 +27,9 @@ import shutil
 import traceback
 import warnings
 
-__all__ = ["probe_numba", "probe_c", "available_backends",
-           "resolve_engine", "mark_unavailable", "record_quarantine",
-           "broken_backends", "capability_report", "invalidate"]
+__all__ = ["probe_c", "available_backends", "resolve_engine",
+           "mark_unavailable", "record_quarantine", "broken_backends",
+           "capability_report", "invalidate"]
 
 ENGINES = ("numpy", "compiled")
 
@@ -66,24 +65,14 @@ def record_quarantine(backend: str, stage: str, exc: BaseException) -> None:
     }
 
 
-def probe_numba() -> bool:
-    """True when numba is importable (the preferred JIT backend)."""
+def probe_c() -> bool:
+    """True when cffi plus a C compiler are present."""
     try:
-        import numba  # noqa: F401
+        import cffi  # noqa: F401
     except Exception as exc:
         # A plain ModuleNotFoundError is the expected "not installed"
         # outcome; anything else is a broken install worth reporting.
         # Both are recorded — the report distinguishes them by type.
-        record_quarantine("numba", "probe", exc)
-        return False
-    return True
-
-
-def probe_c() -> bool:
-    """True when cffi plus a C compiler are present (the C fallback)."""
-    try:
-        import cffi  # noqa: F401
-    except Exception as exc:
         record_quarantine("c", "probe", exc)
         return False
     if not any(shutil.which(cc) for cc in ("gcc", "cc", "clang")):
@@ -108,25 +97,22 @@ def _cached(name: str, probe) -> bool:
 
 
 def available_backends() -> tuple[str, ...]:
-    """Usable compiled backends in preference order (numba first)."""
+    """Usable compiled backends: ``("c",)`` or ``()``."""
     if disabled():
         return ()
-    out = []
-    if "numba" not in _BROKEN and _cached("numba", probe_numba):
-        out.append("numba")
     if "c" not in _BROKEN and _cached("c", probe_c):
-        out.append("c")
-    return tuple(out)
+        return ("c",)
+    return ()
 
 
 def resolve_engine(engine: str = "compiled") -> str:
     """Map the engine knob to a concrete backend name.
 
-    ``"numpy"`` resolves to itself; ``"compiled"`` resolves to the
-    first available backend (``"numba"`` > ``"c"``) or degrades to
-    ``"numpy"`` when none is usable.  The first degradation caused by
-    a *quarantined* backend (one that failed, as opposed to one that
-    was never installed) warns once with the recorded reason.
+    ``"numpy"`` resolves to itself; ``"compiled"`` resolves to ``"c"``
+    when that backend is usable and degrades to ``"numpy"`` otherwise.
+    The first degradation caused by a *quarantined* backend (one that
+    failed, as opposed to one that was never installed) warns once with
+    the recorded reason.
     """
     if engine == "numpy":
         return "numpy"
@@ -146,7 +132,7 @@ def broken_backends() -> dict[str, dict]:
     A plain not-installed outcome (``ModuleNotFoundError`` from a
     probe, ``FileNotFoundError`` for a missing compiler) is benign and
     excluded; anything else — failed C build, import error inside an
-    installed numba, an init marked broken — is a real failure that
+    installed cffi, an init marked broken — is a real failure that
     callers refusing to degrade silently (the kernel-regression bench)
     should treat as fatal.
     """
@@ -158,9 +144,9 @@ def broken_backends() -> dict[str, dict]:
 def _warn_fallback() -> None:
     """Warn once when compiled -> numpy fallback hides a real failure.
 
-    A machine that simply lacks numba/cffi degrades quietly (that is
-    the documented contract); a backend that *broke* — failed C build,
-    import error inside an installed numba — is surfaced.
+    A machine that simply lacks cffi or a compiler degrades quietly
+    (that is the documented contract); a backend that *broke* — failed
+    C build, import error inside an installed cffi — is surfaced.
     """
     # lint: purity-ok (warn-once latch; warning once per process is the desired behaviour)
     global _WARNED
@@ -175,24 +161,21 @@ def _warn_fallback() -> None:
         for name, rec in sorted(broken.items()))
     warnings.warn(
         "engine='compiled' fell back to the numpy tier because a "
-        f"backend failed — {reasons}. Run `python -m "
-        "repro.kernels.capability` for the full report.",
+        f"backend failed — {reasons}. Run `python -m repro.kernels` "
+        "for the full report.",
         RuntimeWarning, stacklevel=3)
 
 
-def mark_unavailable(backend: str, exc: BaseException | None = None,
-                     stage: str = "init") -> None:
+def mark_unavailable(backend: str) -> None:
     """Record a backend whose initialisation failed so later resolves
     skip it (a broken C toolchain should degrade, not raise again).
-    Pass the exception so the quarantine report can explain why."""
+    The quarantine record of the failure itself, if any, is kept."""
     # lint: purity-ok (per-process breakage record: the process that saw the failure stops retrying)
     _BROKEN.add(backend)
-    if exc is not None:
-        record_quarantine(backend, stage, exc)
-    elif backend not in _QUARANTINE:
+    if backend not in _QUARANTINE:
         # lint: purity-ok (same per-process quarantine record as above)
         _QUARANTINE[backend] = {
-            "stage": stage, "exc_type": None,
+            "stage": "init", "exc_type": None,
             "message": "marked unavailable (no exception recorded)",
             "traceback_tail": [],
         }
@@ -220,13 +203,9 @@ def invalidate() -> None:
 
 
 def main() -> int:
-    """``python -m repro.kernels.capability``: print the report."""
+    """``python -m repro.kernels``: print the report."""
     import json
 
     report = capability_report()
     print(json.dumps(report, indent=2))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -44,10 +44,6 @@ __oracles__ = {
     "lower_solve_bsr": "repro.sparse.trisolve.lower_solve_blocks",
     "upper_solve_bsr": "repro.sparse.trisolve.upper_solve_blocks",
     "scatter_blocks": "repro.sparse.layouts.assemble_bsr",
-    "spmv_bsr_dedup": "repro.sparse.dedup.DedupBSR.matvec",
-    "gather_spmv_bsr_dedup": "repro.parallel.spmd.rank_matvec_dedup",
-    "lower_solve_bsr_dedup": "repro.sparse.trisolve.lower_solve_blocks_dedup",
-    "upper_solve_bsr_dedup": "repro.sparse.trisolve.upper_solve_blocks_dedup",
     "rusanov_scatter": "repro.euler.fluxes.rusanov_flux",
     "load_cbackend": "repro.kernels.capability.resolve_engine",
 }
@@ -98,36 +94,6 @@ void upper_solve_bsr_f32(long long nsolve, long long bs,
 void scatter_blocks_f64(long long nslots, long long bsq,
     const long long *slots, const double *src, double sign,
     double *data);
-void spmv_bsr_dedup_f64(long long nbrows, long long bs,
-    const long long *indptr, const long long *indices,
-    const double *pool, const int32_t *pidx, const double *x,
-    double *y);
-void spmv_bsr_dedup_f32(long long nbrows, long long bs,
-    const long long *indptr, const long long *indices,
-    const float *pool, const int32_t *pidx, const double *x,
-    double *y);
-void gather_spmv_bsr_dedup_f64(long long nblocks, long long bs,
-    const double *pool, const int32_t *pidx, const long long *cols,
-    const long long *seg, const double *x, double *y);
-void gather_spmv_bsr_dedup_f32(long long nblocks, long long bs,
-    const float *pool, const int32_t *pidx, const long long *cols,
-    const long long *seg, const double *x, double *y);
-void lower_solve_bsr_dedup_f64(long long nsolve, long long bs,
-    const long long *order, const long long *indptr,
-    const long long *indices, const double *pool, const int32_t *pidx,
-    double *x);
-void lower_solve_bsr_dedup_f32(long long nsolve, long long bs,
-    const long long *order, const long long *indptr,
-    const long long *indices, const float *pool, const int32_t *pidx,
-    double *x);
-void upper_solve_bsr_dedup_f64(long long nsolve, long long bs,
-    const long long *order, const long long *indptr,
-    const long long *indices, const double *pool, const int32_t *pidx,
-    const double *inv_diag, double *x);
-void upper_solve_bsr_dedup_f32(long long nsolve, long long bs,
-    const long long *order, const long long *indptr,
-    const long long *indices, const float *pool, const int32_t *pidx,
-    const float *inv_diag, double *x);
 void rusanov_scatter_inc(long long ne, const long long *e0,
     const long long *e1, const double *ql, const double *qr,
     const double *s, double beta, double *out_a, double *out_b);
@@ -137,7 +103,6 @@ void rusanov_scatter_comp(long long ne, const long long *e0,
 """
 
 _SOURCE = r"""
-#include <stdint.h>
 #include <math.h>
 
 /* Fused two-target edge scatter.  For each accumulator the additions
@@ -346,121 +311,6 @@ void scatter_blocks_f64(long long nslots, long long bsq,
     }
 }
 
-/* ---- deduplicated BSR kernels ------------------------------------
- * Identical arithmetic to the dense block kernels above with one
- * extra indirection: the block values come from a small unique-block
- * pool addressed by an int32 index stream (the bandwidth win — 4
- * bytes streamed per block instead of bs*bs*8).  The _f32 variants
- * widen each pool value to double before arithmetic, exactly like
- * the float32-storage trisolves. */
-#define SPMV_BSR_DEDUP(NAME, DTYPE)                                     \
-void NAME(long long nbrows, long long bs,                               \
-    const long long *indptr, const long long *indices,                  \
-    const DTYPE *pool, const int32_t *pidx, const double *x,            \
-    double *y)                                                          \
-{                                                                       \
-    for (long long i = 0; i < nbrows; ++i) {                            \
-        double *yi = y + i * bs;                                        \
-        for (long long r = 0; r < bs; ++r)                              \
-            yi[r] = 0.0;                                                \
-        for (long long t = indptr[i]; t < indptr[i + 1]; ++t) {         \
-            const DTYPE *blk = pool + (long long)pidx[t] * bs * bs;     \
-            const double *xj = x + indices[t] * bs;                     \
-            for (long long r = 0; r < bs; ++r) {                        \
-                double p = 0.0;                                         \
-                for (long long c = 0; c < bs; ++c)                      \
-                    p += (double)blk[r * bs + c] * xj[c];               \
-                yi[r] += p;                                             \
-            }                                                           \
-        }                                                               \
-    }                                                                   \
-}
-SPMV_BSR_DEDUP(spmv_bsr_dedup_f64, double)
-SPMV_BSR_DEDUP(spmv_bsr_dedup_f32, float)
-
-#define GATHER_SPMV_BSR_DEDUP(NAME, DTYPE)                              \
-void NAME(long long nblocks, long long bs,                              \
-    const DTYPE *pool, const int32_t *pidx, const long long *cols,      \
-    const long long *seg, const double *x, double *y)                   \
-{                                                                       \
-    for (long long k = 0; k < nblocks; ++k) {                           \
-        const DTYPE *blk = pool + (long long)pidx[k] * bs * bs;         \
-        const double *xj = x + cols[k] * bs;                            \
-        double *yk = y + seg[k] * bs;                                   \
-        for (long long r = 0; r < bs; ++r) {                            \
-            double p = 0.0;                                             \
-            for (long long c = 0; c < bs; ++c)                          \
-                p += (double)blk[r * bs + c] * xj[c];                   \
-            yk[r] += p;                                                 \
-        }                                                               \
-    }                                                                   \
-}
-GATHER_SPMV_BSR_DEDUP(gather_spmv_bsr_dedup_f64, double)
-GATHER_SPMV_BSR_DEDUP(gather_spmv_bsr_dedup_f32, float)
-
-#define LOWER_BSR_DEDUP(NAME, DTYPE)                                    \
-void NAME(long long nsolve, long long bs, const long long *order,       \
-    const long long *indptr, const long long *indices,                  \
-    const DTYPE *pool, const int32_t *pidx, double *x)                  \
-{                                                                       \
-    double acc[MAX_BS];                                                 \
-    for (long long k = 0; k < nsolve; ++k) {                            \
-        long long i = order[k];                                         \
-        for (long long r = 0; r < bs; ++r)                              \
-            acc[r] = 0.0;                                               \
-        for (long long t = indptr[i]; t < indptr[i + 1]; ++t) {         \
-            const DTYPE *blk = pool + (long long)pidx[t] * bs * bs;     \
-            const double *xj = x + indices[t] * bs;                     \
-            for (long long r = 0; r < bs; ++r) {                        \
-                double p = 0.0;                                         \
-                for (long long c = 0; c < bs; ++c)                      \
-                    p += (double)blk[r * bs + c] * xj[c];               \
-                acc[r] += p;                                            \
-            }                                                           \
-        }                                                               \
-        for (long long r = 0; r < bs; ++r)                              \
-            x[i * bs + r] -= acc[r];                                    \
-    }                                                                   \
-}
-LOWER_BSR_DEDUP(lower_solve_bsr_dedup_f64, double)
-LOWER_BSR_DEDUP(lower_solve_bsr_dedup_f32, float)
-
-#define UPPER_BSR_DEDUP(NAME, DTYPE)                                    \
-void NAME(long long nsolve, long long bs, const long long *order,       \
-    const long long *indptr, const long long *indices,                  \
-    const DTYPE *pool, const int32_t *pidx, const DTYPE *inv_diag,      \
-    double *x)                                                          \
-{                                                                       \
-    double acc[MAX_BS];                                                 \
-    double rhs[MAX_BS];                                                 \
-    for (long long k = 0; k < nsolve; ++k) {                            \
-        long long i = order[k];                                         \
-        for (long long r = 0; r < bs; ++r)                              \
-            acc[r] = 0.0;                                               \
-        for (long long t = indptr[i]; t < indptr[i + 1]; ++t) {         \
-            const DTYPE *blk = pool + (long long)pidx[t] * bs * bs;     \
-            const double *xj = x + indices[t] * bs;                     \
-            for (long long r = 0; r < bs; ++r) {                        \
-                double p = 0.0;                                         \
-                for (long long c = 0; c < bs; ++c)                      \
-                    p += (double)blk[r * bs + c] * xj[c];               \
-                acc[r] += p;                                            \
-            }                                                           \
-        }                                                               \
-        for (long long r = 0; r < bs; ++r)                              \
-            rhs[r] = x[i * bs + r] - acc[r];                            \
-        const DTYPE *inv = inv_diag + i * bs * bs;                      \
-        for (long long r = 0; r < bs; ++r) {                            \
-            double p = 0.0;                                             \
-            for (long long c = 0; c < bs; ++c)                          \
-                p += (double)inv[r * bs + c] * rhs[c];                  \
-            x[i * bs + r] = p;                                          \
-        }                                                               \
-    }                                                                   \
-}
-UPPER_BSR_DEDUP(upper_solve_bsr_dedup_f64, double)
-UPPER_BSR_DEDUP(upper_solve_bsr_dedup_f32, float)
-
 /* ---- fused Rusanov flux + two-target edge scatter -----------------
  * F = (F(ql)+F(qr))/2 - lam/2 (qr-ql), lam = max wavespeed, computed
  * per edge and accumulated into both endpoint accumulators in edge
@@ -584,9 +434,6 @@ class CBackend:
     def _pi(self, a):
         return self._ffi.from_buffer("long long[]", a)
 
-    def _pi32(self, a):
-        return self._ffi.from_buffer("int32_t[]", a)
-
     # -- kernels --------------------------------------------------------
     def edge_scatter2(self, e0, e1, wa, wb, n):
         trailing = int(np.prod(wa.shape[1:])) if wa.ndim > 1 else 1
@@ -662,44 +509,6 @@ class CBackend:
         self._lib.scatter_blocks_f64(slots.size, bsq, self._pi(slots),
                                      self._pd(src), float(sign),
                                      self._pdw(data))
-
-    # -- deduplicated BSR kernels --------------------------------------
-    def spmv_bsr_dedup(self, indptr, indices, pool, pidx, x, nbrows):
-        bs = pool.shape[1]
-        y = np.empty(nbrows * bs, dtype=np.float64)
-        fn, pp = ((self._lib.spmv_bsr_dedup_f32, self._pf)
-                  if pool.dtype == np.float32
-                  else (self._lib.spmv_bsr_dedup_f64, self._pd))
-        fn(nbrows, bs, self._pi(indptr), self._pi(indices), pp(pool),
-           self._pi32(pidx), self._pd(x), self._pdw(y))
-        return y
-
-    def gather_spmv_bsr_dedup(self, pool, pidx_rows, cols, seg, x, n_owned):
-        bs = pool.shape[1]
-        y = np.zeros((n_owned, bs), dtype=np.float64)
-        fn, pp = ((self._lib.gather_spmv_bsr_dedup_f32, self._pf)
-                  if pool.dtype == np.float32
-                  else (self._lib.gather_spmv_bsr_dedup_f64, self._pd))
-        fn(pidx_rows.size, bs, pp(pool), self._pi32(pidx_rows),
-           self._pi(cols), self._pi(seg), self._pd(x), self._pdw(y))
-        return y
-
-    def lower_solve_bsr_dedup(self, indptr, indices, pool, pidx, x,
-                              order, bs):
-        fn, pp = ((self._lib.lower_solve_bsr_dedup_f32, self._pf)
-                  if pool.dtype == np.float32
-                  else (self._lib.lower_solve_bsr_dedup_f64, self._pd))
-        fn(order.size, bs, self._pi(order), self._pi(indptr),
-           self._pi(indices), pp(pool), self._pi32(pidx), self._pdw(x))
-
-    def upper_solve_bsr_dedup(self, indptr, indices, pool, pidx,
-                              inv_diag, x, order, bs):
-        fn, pp = ((self._lib.upper_solve_bsr_dedup_f32, self._pf)
-                  if pool.dtype == np.float32
-                  else (self._lib.upper_solve_bsr_dedup_f64, self._pd))
-        fn(order.size, bs, self._pi(order), self._pi(indptr),
-           self._pi(indices), pp(pool), self._pi32(pidx), pp(inv_diag),
-           self._pdw(x))
 
     # -- fused Rusanov flux + scatter ----------------------------------
     def rusanov_scatter(self, e0, e1, ql, qr, s, n, model, param):

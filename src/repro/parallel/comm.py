@@ -129,9 +129,7 @@ class Communicator:
                recorder=NULL_RECORDER,
                threads: int = 1) -> np.ndarray:
         """Distributed y = A x over the transport's exchanged locals."""
-        from repro.parallel.spmd import (gather_structs, rank_matvec,
-                                         rank_matvec_dedup)
-        from repro.sparse.dedup import DedupBSR
+        from repro.parallel.spmd import gather_structs, rank_matvec
 
         layout = self.layout
         bs = a.bs
@@ -139,7 +137,6 @@ class Communicator:
         self.exchange(state, ex)
         y = np.zeros((a.nbrows, bs), dtype=xglobal.dtype)
         per_rank_s = [0.0] * layout.nranks
-        dedup = isinstance(a, DedupBSR)
         # lint: loop-ok (rank loop of the SPMD matvec, O(nranks))
         for rd in layout.ranks:
             with recorder.span("matvec", rank=rd.rank) as sp:
@@ -150,15 +147,10 @@ class Communicator:
                 # layout-level cache across calls.
                 flat, cols, seg = gather_structs(a, layout, rd)
                 local_x = self.local(state, rd.rank)
-                if dedup:
-                    y[rd.owned] = rank_matvec_dedup(
-                        a.pool, a.pidx[flat], cols, seg, local_x,
-                        rd.owned.size, engine=a.engine, threads=threads)
-                else:
-                    y[rd.owned] = rank_matvec(a.data[flat], cols, seg,
-                                              local_x, rd.owned.size,
-                                              engine=a.engine,
-                                              threads=threads)
+                y[rd.owned] = rank_matvec(a.data[flat], cols, seg,
+                                          local_x, rd.owned.size,
+                                          engine=a.engine,
+                                          threads=threads)
             per_rank_s[rd.rank] = sp.elapsed
         recorder.record_wait("matvec", per_rank_s)
         return y.ravel()

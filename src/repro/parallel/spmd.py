@@ -46,14 +46,13 @@ from repro.euler.discretization import EdgeFVDiscretization
 from repro.parallel.threads import chunk_ranges, resolve_threads, run_chunks
 from repro.sanitize.statehash import note as _sanitize_note
 from repro.sparse.bsr import BSRMatrix
-from repro.sparse.dedup import DedupBSR, widen_pool
 from repro.sparse.segsum import concat_ranges, segment_sum
 from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["RankLocalData", "SPMDLayout", "GhostExchange",
            "distributed_residual", "distributed_matvec", "distributed_dot",
-           "rank_residual", "rank_matvec", "rank_matvec_dedup",
-           "rank_matvec_structs", "gather_structs", "tree_reduce_sum"]
+           "rank_residual", "rank_matvec", "rank_matvec_structs",
+           "gather_structs", "tree_reduce_sum"]
 
 
 @dataclass
@@ -444,69 +443,6 @@ def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
     return segment_sum(seg, prods, n_owned)
 
 
-def rank_matvec_dedup(pool: np.ndarray, pidx_rows: np.ndarray,
-                      cols: np.ndarray, seg: np.ndarray,
-                      local_x_r: np.ndarray, n_owned: int,
-                      engine: str = "numpy",
-                      threads: int = 1) -> np.ndarray:
-    """One rank's owned SpMV rows on a deduplicated matrix: the block
-    values live in the unique-block ``pool`` and ``pidx_rows`` streams
-    one int32 pool index per gathered block entry.
-
-    At float64 pool storage ``pool[pidx_rows]`` is bitwise-equal to the
-    dense ``data[flat]`` gather, so this kernel — numpy or compiled —
-    matches :func:`rank_matvec` exactly leg for leg, and seq/proc
-    bitwise identity carries over to the deduplicated form unchanged.
-    Reduced-precision pools widen on load (fp16 -> fp32 -> promotion
-    against ``x``); the compiled leg handles f64/f32 pools and degrades
-    to numpy for fp16 (storage-only).  ``threads>1`` splits the owned
-    rows at segment boundaries exactly like :func:`rank_matvec`.
-    """
-    threads = resolve_threads(threads)
-    if threads > 1 and n_owned > 1:
-        return _rank_matvec_dedup_threaded(pool, pidx_rows, cols, seg,
-                                           local_x_r, n_owned, engine,
-                                           threads)
-    if engine != "numpy":
-        y = _kernels.gather_spmv_bsr_dedup(pool, pidx_rows, cols, seg,
-                                           local_x_r, n_owned, engine)
-        if y is not None:
-            return y
-    prods = np.einsum("kij,kj->ki", widen_pool(pool)[pidx_rows],
-                      local_x_r[cols])
-    return segment_sum(seg, prods, n_owned)
-
-
-def _rank_matvec_dedup_threaded(pool: np.ndarray, pidx_rows: np.ndarray,
-                                cols: np.ndarray, seg: np.ndarray,
-                                local_x_r: np.ndarray, n_owned: int,
-                                engine: str, threads: int) -> np.ndarray:
-    """Row-chunked deduplicated rank SpMV (see
-    :func:`_rank_matvec_threaded`: same chunking, pool-indexed
-    values)."""
-    bs = pool.shape[1]
-    wide = widen_pool(pool)
-    out_dtype = np.result_type(wide, local_x_r)
-    out = np.empty((n_owned, bs), dtype=out_dtype)
-
-    def row_chunk(r0: int, r1: int) -> None:
-        klo, khi = np.searchsorted(seg, (r0, r1))
-        sub_seg = seg[klo:khi] - r0
-        y = None
-        if engine != "numpy":
-            y = _kernels.gather_spmv_bsr_dedup(
-                pool, pidx_rows[klo:khi], cols[klo:khi], sub_seg,
-                local_x_r, r1 - r0, engine)
-        if y is None:
-            prods = np.einsum("kij,kj->ki", wide[pidx_rows[klo:khi]],
-                              local_x_r[cols[klo:khi]])
-            y = segment_sum(sub_seg, prods, r1 - r0)
-        out[r0:r1] = y
-
-    run_chunks(row_chunk, chunk_ranges(n_owned, threads), threads)
-    return out
-
-
 def _rank_matvec_threaded(data_rows: np.ndarray, cols: np.ndarray,
                           seg: np.ndarray, local_x_r: np.ndarray,
                           n_owned: int, engine: str,
@@ -597,7 +533,7 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
     return r
 
 
-def distributed_matvec(a: BSRMatrix | DedupBSR, layout: SPMDLayout,
+def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
                        xglobal: np.ndarray,
                        exchange: GhostExchange | None = None,
                        *, recorder=NULL_RECORDER,
@@ -611,11 +547,6 @@ def distributed_matvec(a: BSRMatrix | DedupBSR, layout: SPMDLayout,
     ``executor`` selects the transport as in
     :func:`distributed_residual`; ``threads`` is the intra-rank team
     size, honoured identically by all executors.
-
-    ``a`` may be a :class:`~repro.sparse.dedup.DedupBSR`: the rank
-    kernels then stream int32 pool indices instead of dense blocks
-    (:func:`rank_matvec_dedup`), bitwise-identical to the dense form at
-    float64 pool storage on every transport.
     """
     from repro.parallel.comm import resolve_communicator
 

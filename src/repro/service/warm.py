@@ -54,8 +54,8 @@ def structure_keys(mesh, config) -> dict:
 
     The partition key folds in only the knobs that shape the
     partition; the preconditioner key folds in everything that shapes
-    the subdomain factors (overlap/fill/variant/precision/dedup and
-    the engine/threads baked into the compiled schedules).
+    the subdomain factors (overlap/fill/variant, the precision policy,
+    and the engine/threads baked into the compiled schedules).
     """
     topo = topology_hash(mesh)
     pc_cfg = config.precond
@@ -64,7 +64,7 @@ def structure_keys(mesh, config) -> dict:
     pc_key = _digest_parts(
         "precond", part_key,
         config_key((pc_cfg, config.policy, config.engine,
-                    config.threads, config.dedup)))
+                    config.threads)))
     # The gather namespace stores the whole SPMDLayout (rank worlds +
     # gather-struct cache).  It is keyed like the preconditioner — not
     # just the partition — so requests that could run concurrently

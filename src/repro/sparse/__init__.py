@@ -31,7 +31,7 @@ from repro.sparse.ilu import (ilu_symbolic, ILUFactorCSR, ILUFactorBSR,
                               ilu_csr, ilu_bsr, ilu_csr_ref, ilu_bsr_ref,
                               EliminationSchedule, compile_elimination_schedule)
 from repro.sparse.trisolve import level_schedule, level_schedule_ref
-from repro.sparse.precision import StoragePrecision
+from repro.sparse.precision import PrecisionPolicy
 
 __all__ = [
     "CSRMatrix",
@@ -58,5 +58,5 @@ __all__ = [
     "ILUFactorBSR",
     "level_schedule",
     "level_schedule_ref",
-    "StoragePrecision",
+    "PrecisionPolicy",
 ]

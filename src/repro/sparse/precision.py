@@ -6,15 +6,13 @@ halves their traffic and nearly doubles the phase's speed — while all
 *arithmetic* stays double precision, so the preconditioned operator is
 essentially unchanged and the iteration count is unaffected.
 
-:class:`StoragePrecision` is that original single knob.
-:class:`PrecisionPolicy` generalises it into the adaptive per-phase
-scheme of bandwidth round 2: the outer Newton loop always runs fp64
-(the nonlinear residual sets the answer's accuracy); the Krylov basis
-and the preconditioner factors may be stored fp32 (they only steer the
-correction); and the deduplicated unique-block pool may drop to fp16
-*storage* with fp32-or-wider compute.  fp16 arithmetic is never
-allowed — reprolint R002 flags it — and each tier's storage roundoff
-is bounded by the ``experiments.eqbounds`` machinery.
+:class:`PrecisionPolicy` is the one precision knob.  The outer Newton
+loop always runs fp64 (the nonlinear residual sets the answer's
+accuracy); the preconditioner factors may be stored fp32 — the paper's
+Table 2 configuration, ``"fp32-precond"`` — and the Krylov basis may
+additionally drop to fp32 (``"fp32"``), since both only steer the
+correction.  Each tier's storage roundoff is bounded by the
+``experiments.eqbounds`` machinery.
 """
 
 from __future__ import annotations
@@ -22,32 +20,12 @@ from __future__ import annotations
 # lint: kernel (fp32 factor storage halves trisolve traffic; Table 2)
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-__all__ = ["StoragePrecision", "storage_dtype", "traffic_ratio",
-           "PrecisionPolicy"]
+__all__ = ["PrecisionPolicy"]
 
-
-class StoragePrecision(str, Enum):
-    DOUBLE = "double"
-    SINGLE = "single"
-
-
-_DTYPES = {
-    StoragePrecision.DOUBLE: np.float64,
-    StoragePrecision.SINGLE: np.float32,
-}
-
-
-def storage_dtype(precision: StoragePrecision | str) -> np.dtype:
-    return np.dtype(_DTYPES[StoragePrecision(precision)])
-
-
-def traffic_ratio(precision: StoragePrecision | str) -> float:
-    """Factor-value traffic relative to double-precision storage."""
-    return storage_dtype(precision).itemsize / np.dtype(np.float64).itemsize
+_WIDE = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 @dataclass(frozen=True)
@@ -57,58 +35,30 @@ class PrecisionPolicy:
     ``krylov_dtype`` is the working precision of the GMRES basis (the
     rhs handed to the linear solve sets it; the Newton update is
     re-widened to fp64 on application).  ``precond_dtype`` is the ILU
-    factor storage (Table 2's knob).  ``pool_dtype`` is the dedup
-    unique-block pool storage; ``None`` means the pool follows
-    ``precond_dtype``.  All three are *storage* precisions: arithmetic
-    runs at fp32 or wider always (fp16 compute is forbidden).
+    factor storage (Table 2's knob); the triangular solves widen the
+    factors on load, so their arithmetic stays double.  Anything
+    narrower than fp32 is rejected.
     """
 
     name: str
     krylov_dtype: np.dtype
     precond_dtype: np.dtype
-    pool_dtype: np.dtype | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "krylov_dtype", np.dtype(self.krylov_dtype))
         object.__setattr__(self, "precond_dtype",
                            np.dtype(self.precond_dtype))
-        if self.pool_dtype is not None:
-            object.__setattr__(self, "pool_dtype", np.dtype(self.pool_dtype))
-        wide = (np.dtype(np.float64), np.dtype(np.float32))
-        if self.krylov_dtype not in wide:
-            raise ValueError("krylov_dtype must be float64 or float32 "
-                             "(fp16 compute is forbidden)")
-        if self.precond_dtype not in wide:
+        if self.krylov_dtype not in _WIDE:
+            raise ValueError("krylov_dtype must be float64 or float32")
+        if self.precond_dtype not in _WIDE:
             raise ValueError("precond_dtype must be float64 or float32")
-        if self.pool_dtype is not None and self.pool_dtype not in (
-                np.dtype(np.float64), np.dtype(np.float32),
-                np.dtype(np.float16)):
-            raise ValueError(f"unsupported pool dtype {self.pool_dtype}")
-
-    @property
-    def is_default(self) -> bool:
-        return (self.krylov_dtype == np.float64
-                and self.precond_dtype == np.float64
-                and self.pool_dtype is None)
-
-    @property
-    def effective_pool_dtype(self) -> np.dtype:
-        """Pool storage after the follow-``precond_dtype`` default."""
-        return (self.precond_dtype if self.pool_dtype is None
-                else self.pool_dtype)
-
-    @property
-    def pool_compute_dtype(self) -> np.dtype:
-        """Narrowest dtype pool arithmetic may run in: at least fp32."""
-        e = self.effective_pool_dtype
-        return np.dtype(np.float32) if e == np.float16 else e
 
     @classmethod
     def named(cls, name: "PrecisionPolicy | str") -> "PrecisionPolicy":
-        """The named tiers of the table2-dedup experiment: ``fp64``
-        (everything double — the default; bitwise-safe), ``fp32``
-        (fp32 Krylov basis + factor/pool storage), ``fp16-pool``
-        (fp32 Krylov/factors, fp16 unique-block pool storage)."""
+        """The named tiers: ``fp64`` (everything double — the default;
+        bitwise-safe), ``fp32-precond`` (fp64 Krylov basis, fp32
+        factor storage — the paper's Table 2 configuration), ``fp32``
+        (fp32 Krylov basis + fp32 factor storage)."""
         if isinstance(name, cls):
             return name
         try:
@@ -121,7 +71,6 @@ class PrecisionPolicy:
 
 _POLICIES = {
     "fp64": PrecisionPolicy("fp64", np.float64, np.float64),
+    "fp32-precond": PrecisionPolicy("fp32-precond", np.float64, np.float32),
     "fp32": PrecisionPolicy("fp32", np.float32, np.float32),
-    "fp16-pool": PrecisionPolicy("fp16-pool", np.float32, np.float32,
-                                 np.float16),
 }

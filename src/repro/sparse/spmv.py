@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.dedup import DedupBSR
 from repro.sparse.segsum import concat_ranges, segment_sum
 
 __all__ = ["spmv_csr_numpy", "spmv_csr", "spmv_csr_ref", "spmv_csr_loop",
@@ -101,28 +100,19 @@ class SpMVCost:
     vector_stores: int     # y stores
     value_bytes: int = 8   # sizeof vector scalar
     index_bytes: int = 4   # sizeof index integer
-    matrix_value_bytes: int | None = None  # sizeof matrix scalar, if distinct
-
-    @property
-    def _matrix_bytes(self) -> int:
-        """Matrix scalar width: reduced-precision storage (Table 2 fp32,
-        the dedup pool tiers) shrinks the matrix stream while the
-        vectors stay at ``value_bytes``."""
-        return (self.value_bytes if self.matrix_value_bytes is None
-                else self.matrix_value_bytes)
 
     @property
     def min_traffic_bytes(self) -> int:
         """Compulsory memory traffic: every matrix word and index once,
         x and y once each (perfect cache for the vector)."""
-        return (self.matrix_words * self._matrix_bytes
+        return (self.matrix_words * self.value_bytes
                 + self.index_words * self.index_bytes
                 + (self.vector_stores * 2) * self.value_bytes)
 
     @property
     def worst_traffic_bytes(self) -> int:
         """No-reuse traffic: every x gather misses."""
-        return (self.matrix_words * self._matrix_bytes
+        return (self.matrix_words * self.value_bytes
                 + self.index_words * self.index_bytes
                 + (self.vector_loads + self.vector_stores) * self.value_bytes)
 
@@ -132,34 +122,9 @@ class SpMVCost:
         return self.flops / max(t, 1)
 
 
-def spmv_cost(a: CSRMatrix | BSRMatrix | DedupBSR, value_bytes: int = 8,
+def spmv_cost(a: CSRMatrix | BSRMatrix, value_bytes: int = 8,
               index_bytes: int = 4) -> SpMVCost:
-    """Operation counts of ``a @ x`` for CSR, BSR, or deduplicated BSR
-    storage.
-
-    For :class:`~repro.sparse.dedup.DedupBSR` the matrix-value traffic
-    is the unique-block *pool* (each unique block is loaded once in the
-    compulsory-traffic model; reuse beyond that is the cache's job,
-    which :mod:`repro.memory.fastsim` measures) while the per-entry
-    streams are indices: block column, pool index, and row pointers.
-    The pool's own itemsize sets ``matrix_value_bytes`` — the
-    precision-policy tiers change traffic through exactly this knob —
-    while the vectors stay at ``value_bytes``.
-    """
-    if isinstance(a, DedupBSR):
-        bs = a.bs
-        flop_nnz = a.nnzb * bs * bs
-        return SpMVCost(
-            flops=2 * flop_nnz,
-            matrix_words=a.nuniq * bs * bs,
-            # block-column + pool index per block, one row ptr per row
-            index_words=2 * a.nnzb + a.nbrows + 1,
-            vector_loads=a.nnzb * bs,
-            vector_stores=a.nbrows * bs,
-            value_bytes=value_bytes,
-            index_bytes=index_bytes,
-            matrix_value_bytes=int(a.pool.dtype.itemsize),
-        )
+    """Operation counts of ``a @ x`` for CSR or BSR storage."""
     if isinstance(a, BSRMatrix):
         bs = a.bs
         nnz = a.nnzb * bs * bs

@@ -18,10 +18,10 @@ class TestCLI:
 
     def test_registry_complete(self):
         """Every paper table/figure has a CLI entry."""
-        expected = {"table1", "table2", "table2-dedup", "table3",
-                    "table3-measured", "table4", "table5",
-                    "table5-measured", "fig1", "fig2", "fig3", "fig4",
-                    "fig5", "eqbounds", "scaling", "service"}
+        expected = {"table1", "table2", "table3", "table3-measured",
+                    "table4", "table5", "table5-measured", "fig1", "fig2",
+                    "fig3", "fig4", "fig5", "eqbounds", "scaling",
+                    "service"}
         assert expected == set(EXPERIMENTS)
 
     def test_run_one(self, capsys):

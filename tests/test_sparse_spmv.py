@@ -6,7 +6,6 @@ import pytest
 from repro.sparse import (CSRMatrix, spmv_bsr_numpy, spmv_cost,
                           spmv_csr, spmv_csr_loop, spmv_csr_numpy,
                           spmv_csr_ref)
-from repro.sparse.precision import StoragePrecision, storage_dtype, traffic_ratio
 
 
 @pytest.fixture(scope="module")
@@ -76,13 +75,3 @@ class TestCost:
         c32 = spmv_cost(matrix, value_bytes=4)
         assert (c32.min_traffic_bytes - c32.index_words * 4) * 2 == \
             (c64.min_traffic_bytes - c64.index_words * 4)
-
-
-class TestPrecision:
-    def test_dtypes(self):
-        assert storage_dtype("double") == np.float64
-        assert storage_dtype(StoragePrecision.SINGLE) == np.float32
-
-    def test_traffic_ratio(self):
-        assert traffic_ratio("single") == 0.5
-        assert traffic_ratio("double") == 1.0
