@@ -6,7 +6,7 @@ The grouping follows the paper's own taxonomy:
   (in :mod:`repro.solvers.ptc`): initial CFL, SER exponent,
   discretisation-order switchover;
 * Newton parameters -> Jacobian/preconditioner refresh frequency
-  (``jacobian_lag``), per-step Newton count;
+  (``jacobian_lag``);
 * Krylov parameters -> :class:`KrylovConfig`: forcing tolerance,
   restart dimension, iteration cap, orthogonalisation;
 * Schwarz parameters -> :class:`PreconditionerConfig`: subdomain
@@ -61,7 +61,6 @@ class SolverConfig:
     max_steps: int = 60              # pseudo-timestep cap
     target_reduction: float = 1e-6   # stop at ||F|| / ||F0|| below this
     absolute_tol: float = 1e-12      # ... or at ||F|| below this floor
-    newton_per_step: int = 1         # Newton iterations per pseudo-timestep
     jacobian_lag: int = 1            # refresh Jacobian/PC every k steps
     matrix_free: bool = False        # FD J*v operator (1st-order J still
                                      # assembled for the preconditioner)

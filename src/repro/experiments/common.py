@@ -14,6 +14,7 @@ from repro.euler.problems import FlowProblem, wing_problem
 from repro.memory import MemoryHierarchy
 from repro.perfmodel.machines import MachineSpec
 from repro.solvers.ptc import PTCConfig
+from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["ExperimentResult", "scaled_hierarchy", "default_wing",
            "measured_linear_iterations", "solve_with_partition"]
@@ -72,13 +73,18 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
                          krylov_restart: int = 20,
                          matrix_free: bool = True,
                          target_reduction: float = 1e-10, seed: int = 0,
-                         engine: str = "numpy", policy="fp64"):
+                         engine: str = "numpy", policy="fp64",
+                         executor: str = "local",
+                         nworkers: int | None = None,
+                         recorder=NULL_RECORDER):
     """One NKS run with a p-way preconditioner partition.
 
     ``max_steps`` is deliberately small and ``target_reduction``
     unreachable: scalability experiments compare a *fixed* number of
     pseudo-timesteps across partition counts, so iteration counts are
-    directly comparable.
+    directly comparable.  ``executor``/``nworkers`` pick the SPMD
+    backend and ``recorder`` instruments the solve (the measured
+    Table 3).
     """
     cfg = SolverConfig(
         ptc=PTCConfig(cfl0=cfl0),
@@ -96,8 +102,10 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
         seed=seed,
         engine=engine,
         policy=policy,
+        executor=executor,
+        nworkers=nworkers,
     )
-    solver = NKSSolver(prob.disc, cfg)
+    solver = NKSSolver(prob.disc, cfg, recorder=recorder)
     report = solver.solve(prob.initial.flat())
     return solver, report
 

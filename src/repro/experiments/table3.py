@@ -7,13 +7,13 @@ implicit-synchronisation waits are *modelled* on the ASCI Red
 parameter sheet from the real partition's work/ghost volumes.
 
 A second, fully **measured** mode (:func:`run_table3_measured`)
-replaces the machine model with telemetry: the same solve pattern is
-replayed on the real SPMD kernels under a
-:class:`repro.telemetry.TraceRecorder`, and the efficiency
-decomposition eta_overall = eta_alg x eta_impl is computed from the
-*recorded* iteration counts and per-rank phase times — so the Table 3
-experiment is validated against the code we actually execute, not
-just against the alpha-beta model.
+replaces the machine model with telemetry: one real
+:class:`~repro.core.NKSSolver` solve per processor count runs on the
+SPMD kernels under a :class:`repro.telemetry.TraceRecorder`, and the
+efficiency decomposition eta_overall = eta_alg x eta_impl is computed
+from that solve's own iteration count and per-rank phase times — so
+the Table 3 experiment is validated against the code we actually
+execute, not just against the alpha-beta model.
 
 Scaling: the paper runs a 2.8 M-vertex mesh on 128-1024 nodes
 (~2,700-22,000 vertices per node).  We shrink both mesh and node
@@ -24,13 +24,15 @@ the block-Jacobi convergence degradation operate as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.euler.problems import FlowProblem
 from repro.experiments.common import (ExperimentResult, default_wing,
-                                      measured_linear_iterations)
+                                      measured_linear_iterations,
+                                      solve_with_partition)
 from repro.parallel.efficiency import EfficiencyRow, efficiency_decomposition
 from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
@@ -39,7 +41,6 @@ from repro.parallel.simulate import ParallelTimeline, simulate_solve
 from repro.perfmodel.machines import ASCI_RED_PPRO, MachineSpec
 from repro.telemetry.recorder import TraceRecorder
 from repro.telemetry.report import MeasuredRow, measured_rows
-from repro.telemetry.spmdrun import replay_spmd_solve
 from repro.telemetry.trace import write_trace
 
 __all__ = ["run_table3", "run_table3_measured", "ScalabilityResult",
@@ -157,11 +158,11 @@ class MeasuredScalabilityResult:
                 round(r.eta_overall, 3), round(r.eta_alg, 3),
                 round(r.eta_impl, 3),
                 round(r.phase_pct.get("ghost_exchange", 0.0), 1),
-                round(r.phase_pct.get("allreduce", 0.0), 1),
+                round(r.phase_pct.get("orthogonalization", 0.0), 1),
                 round(r.wait_pct, 1), round(r.mb_per_it, 3), r.messages,
             ])
         res.notes.append("measured: per-rank phase times recorded by "
-                         "TraceRecorder from the instrumented SPMD replay")
+                         "TraceRecorder from one real SPMD solve per row")
         return res
 
 
@@ -173,40 +174,46 @@ def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
                         ) -> MeasuredScalabilityResult:
     """Measured-mode Table 3: telemetry instead of the machine model.
 
-    For each processor count, the linear-iteration counts of a real
-    p-block run supply eta_alg, and an instrumented replay of that
-    solve on the rank-local SPMD kernels supplies the per-rank phase
-    times that eta_impl and the percentage columns are computed from.
+    For each processor count, one real p-block solve is recorded:
+    assembled and first-order, so every residual and every Krylov
+    matvec runs on the rank-local SPMD kernels.  Its own linear
+    iteration count supplies eta_alg; its per-rank phase times supply
+    eta_impl and the percentage columns (``%red`` is the solve's
+    ``orthogonalization`` span — where the Krylov reductions happen).
     With ``trace_dir`` set, one validated trace JSON per processor
     count is dumped there (``trace_p{p}.json``) for CI diffing.
 
-    ``executor="proc"`` runs the replay's rank kernels concurrently in
+    ``executor="proc"`` runs the rank kernels concurrently in
     ``nworkers`` worker processes over shared memory; the per-rank
-    spans in the resulting traces are then *measured inside the
-    workers* (real concurrency, real waits) rather than recorded from
-    a rank-by-rank in-process loop.
+    spans are then *measured inside the workers* (real concurrency,
+    real waits) rather than recorded from the in-process rank loop.
+    Iteration counts and traffic are identical either way.
     """
     if prob is None:
         prob = default_wing(size, seed=seed)
-    q0 = prob.initial.flat()
+    # The SPMD kernels are first-order; a private first-order view of
+    # the discretisation keeps the caller's problem untouched.
+    disc = copy.copy(prob.disc)
+    disc.second_order = False
+    prob = replace(prob, disc=disc)
     runs = []
     result = MeasuredScalabilityResult(problem_name=prob.name,
                                        num_vertices=prob.mesh.num_vertices)
     for p in procs:
-        its, labels = measured_linear_iterations(
-            prob, p, fill_level=fill_level, max_steps=max_steps, seed=seed)
         rec = TraceRecorder()
-        replay_spmd_solve(prob.disc, labels, its, q0, rec,
-                          fill_level=fill_level, executor=executor,
-                          nworkers=nworkers)
+        _, report = solve_with_partition(
+            prob, p, fill_level=fill_level, max_steps=max_steps, seed=seed,
+            matrix_free=False, executor=executor, nworkers=nworkers,
+            recorder=rec)
+        its = report.total_linear_iterations
         result.traces[p] = rec
-        runs.append((p, sum(its), rec))
+        runs.append((p, its, rec))
         if trace_dir is not None:
             from pathlib import Path
             out = Path(trace_dir) / f"trace_p{p}.json"
             write_trace(out, rec, meta={
                 "experiment": "table3_measured", "nprocs": p,
-                "problem": prob.name, "linear_its": sum(its),
+                "problem": prob.name, "linear_its": its,
                 "max_steps": max_steps, "fill_level": fill_level,
                 "executor": executor,
                 "nworkers": nworkers if nworkers is not None else 0})

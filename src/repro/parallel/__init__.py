@@ -32,17 +32,8 @@ from repro.parallel.spmd import (
     GhostExchange,
     distributed_residual,
     distributed_matvec,
-    distributed_dot,
-    tree_reduce_sum,
 )
 from repro.parallel.procpool import ProcPool, ProcPoolError
-from repro.parallel.comm import (
-    Communicator,
-    SeqCommunicator,
-    ProcCommunicator,
-    SocketCommunicator,
-    resolve_communicator,
-)
 
 __all__ = [
     "GhostExchangePlan",
@@ -62,13 +53,6 @@ __all__ = [
     "GhostExchange",
     "distributed_residual",
     "distributed_matvec",
-    "distributed_dot",
-    "tree_reduce_sum",
     "ProcPool",
     "ProcPoolError",
-    "Communicator",
-    "SeqCommunicator",
-    "ProcCommunicator",
-    "SocketCommunicator",
-    "resolve_communicator",
 ]

@@ -106,9 +106,8 @@ _SLOT_NAMES = {v: k for k, v in list(globals().items())
 _OP_SHUTDOWN = 0
 _OP_RESIDUAL = 1
 _OP_MATVEC = 2
-_OP_DOT = 3
-_OP_LOAD_MATRIX = 4
-_OP_COLLECT = 5
+_OP_LOAD_MATRIX = 3
+_OP_COLLECT = 4
 
 _DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 _NAME_BYTES = 128   # shm segment name region (ASCII, zero-padded)
@@ -316,12 +315,6 @@ class ProcPool:
         off = _align(off + _NAME_BYTES)
         self._off_times = off
         off = _align(off + 2 * self.layout.nranks * 8)
-        self._off_partials = off
-        off = _align(off + self.layout.nranks * 8)
-        self._off_in0 = off
-        off = _align(off + self.n * rowbytes)
-        self._off_in1 = off
-        off = _align(off + self.n * rowbytes)
         self._off_out = off
         off = _align(off + self.n * rowbytes)
         self._off_locals = off
@@ -334,9 +327,6 @@ class ProcPool:
         self._times = np.ndarray((2, self.layout.nranks), dtype=np.float64,
                                  buffer=self._shm.buf,
                                  offset=self._off_times)
-        self._partials = np.ndarray(self.layout.nranks, dtype=np.float64,
-                                    buffer=self._shm.buf,
-                                    offset=self._off_partials)
 
     def _view2d(self, offset: int, rows: int, ncols: int,
                 dtype) -> np.ndarray:
@@ -424,17 +414,6 @@ class ProcPool:
         return "worker operation failed:\n" + "\n".join(msgs) \
             if msgs else "worker operation failed (no traceback captured)"
 
-    def _load_vector(self, offset: int, vec: np.ndarray,
-                     ncomp: int) -> tuple[int, np.dtype]:
-        v = np.asarray(vec)
-        code = _dtype_code(v.dtype)
-        if v.size != self.n * ncomp:
-            raise ValueError(f"vector has {v.size} entries, layout needs "
-                             f"{self.n} x {ncomp}")
-        self._view2d(offset, self.n, ncomp, v.dtype)[:] = \
-            v.reshape(self.n, ncomp)
-        return code, v.dtype
-
     def _scatter_locals(self, vec: np.ndarray,
                         ncomp: int) -> tuple[int, np.dtype]:
         """Scatter every rank's owned input rows into the rank-local
@@ -491,19 +470,6 @@ class ProcPool:
         if exchange is not None:
             exchange.account_refresh(dtype.itemsize)
         return self._view2d(self._off_out, self.n, bs, dtype).copy().ravel()
-
-    def dot_partials(self, xglobal: np.ndarray,
-                     yglobal: np.ndarray) -> np.ndarray:
-        """Per-rank float64 partial sums over owned rows (the caller
-        owns the reduction order — see ``tree_reduce_sum``)."""
-        self._check_open()
-        ncomp = self.ncomp
-        code, _ = self._load_vector(self._off_in0, xglobal, ncomp)
-        code_y, _ = self._load_vector(self._off_in1, yglobal, ncomp)
-        if code != code_y:
-            raise TypeError("x and y dtypes differ")
-        self._run(_OP_DOT, dtype_code=code, ncomp=ncomp)
-        return self._partials[: self.layout.nranks].copy()
 
     def set_matrix(self, a) -> None:
         """Broadcast a BSR matrix; workers cache their rank structures.
@@ -609,7 +575,7 @@ class ProcPool:
             pass
 
     def _release_views(self) -> None:
-        self._hdr = self._times = self._partials = None
+        self._hdr = self._times = None
 
     def close(self) -> None:
         """Shut workers down, join them, and unlink every segment.
@@ -676,8 +642,6 @@ class ProcPool:
                     elif op == _OP_MATVEC:
                         self._w_compute(ranks, rec, record, phase,
                                         mats=state)
-                    elif op == _OP_DOT:
-                        self._w_dot(ranks)
                     elif op == _OP_LOAD_MATRIX:
                         self._w_load_matrix(ranks, state)
                     elif op == _OP_COLLECT:
@@ -781,18 +745,6 @@ class ProcPool:
         return rank_matvec(data_rows, cols, seg, loc, rd.n_owned,
                            workspace=ws, engine=mats["engine"],
                            threads=threads)
-
-    def _w_dot(self, ranks) -> None:
-        hdr = self._hdr
-        dtype = _DTYPES[int(hdr[_H_DTYPE])]
-        ncomp = int(hdr[_H_NCOMP])
-        x = self._view2d(self._off_in0, self.n, ncomp, dtype)
-        y = self._view2d(self._off_in1, self.n, ncomp, dtype)
-        # lint: loop-ok (per-rank partial sums, O(ranks per worker))
-        for r in ranks:
-            rd = self.layout.ranks[r]
-            # Identical expression to the sequential executor's partial.
-            self._partials[r] = float(np.sum(x[rd.owned] * y[rd.owned]))
 
     def _w_load_matrix(self, ranks, state) -> None:
         hdr = self._hdr

@@ -50,9 +50,9 @@ from repro.sparse.segsum import concat_ranges, segment_sum
 from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["RankLocalData", "SPMDLayout", "GhostExchange",
-           "distributed_residual", "distributed_matvec", "distributed_dot",
+           "distributed_residual", "distributed_matvec",
            "rank_residual", "rank_matvec", "rank_matvec_structs",
-           "gather_structs", "tree_reduce_sum"]
+           "gather_structs"]
 
 
 @dataclass
@@ -91,10 +91,7 @@ class SPMDLayout:
 
     ``pool`` is the attach point for a process-parallel executor
     (:class:`repro.parallel.procpool.ProcPool`); the distributed
-    kernels resolve ``executor="proc"`` through it.  ``comm`` is the
-    attach point for a live :class:`repro.parallel.comm.Communicator`
-    (``executor="socket"`` resolves through it).  ``executor`` reports
-    which backend a bare kernel call would use.  ``gather_cache``
+    kernels resolve ``executor="proc"`` through it.  ``gather_cache``
     holds the per-rank SpMV gather structures keyed by matrix pattern
     (see :func:`gather_structs`); it is layout-owned so warm services
     can seed it across solves.
@@ -103,17 +100,12 @@ class SPMDLayout:
     labels: np.ndarray
     ranks: list[RankLocalData] = field(default_factory=list)
     pool: object | None = field(default=None, repr=False, compare=False)
-    comm: object | None = field(default=None, repr=False, compare=False)
     gather_cache: dict = field(default_factory=dict, repr=False,
                                compare=False)
 
     @property
     def nranks(self) -> int:
         return len(self.ranks)
-
-    @property
-    def executor(self) -> str:
-        return "proc" if self.pool is not None else "seq"
 
     @classmethod
     def build(cls, edges: np.ndarray, labels: np.ndarray) -> "SPMDLayout":
@@ -159,9 +151,9 @@ class GhostExchange:
 
     def __init__(self, layout: SPMDLayout, ncomp: int, *,
                  recorder=NULL_RECORDER, executor: str = "seq") -> None:
-        if executor not in ("seq", "proc", "socket"):
+        if executor not in ("seq", "proc"):
             raise ValueError(f"unknown executor {executor!r} "
-                             f"(expected 'seq', 'proc', or 'socket')")
+                             f"(expected 'seq' or 'proc')")
         self.layout = layout
         self.ncomp = ncomp
         self.executor = executor
@@ -200,8 +192,7 @@ class GhostExchange:
             raise RuntimeError(
                 f"refresh() is the in-process exchange; with "
                 f"executor={self.executor!r} the ghosts are refreshed "
-                f"inside the transport (worker-pool barrier protocol or "
-                f"rank-server pulls) and account_refresh books the "
+                f"inside the worker pool and account_refresh books the "
                 f"traffic")
         layout = self.layout
         rec = self.recorder
@@ -420,79 +411,67 @@ def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
 
     ``threads>1`` splits the owned rows into contiguous chunks at
     segment boundaries, one thread per chunk writing its disjoint
-    output rows.  Each row's accumulation order is unchanged, so the
-    threaded result is bitwise-identical to the single-thread kernel of
-    the same engine (``workspace`` is only consulted single-threaded —
-    a shared buffer pair cannot serve concurrent chunks).
+    output rows.  Every chunk runs the same row-range body the
+    single-thread call runs once over ``[0, n_owned)``, and each row's
+    accumulation order is unchanged, so the threaded result is
+    bitwise-identical to the single-thread kernel of the same engine
+    (``workspace`` is only consulted single-threaded — a shared buffer
+    pair cannot serve concurrent chunks).
     """
     threads = resolve_threads(threads)
-    if threads > 1 and n_owned > 1:
-        return _rank_matvec_threaded(data_rows, cols, seg, local_x_r,
-                                     n_owned, engine, threads)
-    if engine != "numpy":
-        y = _kernels.gather_spmv_bsr(data_rows, cols, seg, local_x_r,
-                                     n_owned, engine)
-        if y is not None:
-            return y
-    if workspace is None:
-        prods = np.einsum("kij,kj->ki", data_rows, local_x_r[cols])
-    else:
-        gathered, prods = workspace
-        np.take(local_x_r, cols, axis=0, out=gathered)
-        np.einsum("kij,kj->ki", data_rows, gathered, out=prods)
-    return segment_sum(seg, prods, n_owned)
 
+    def row_range(r0: int, r1: int, ws: tuple | None = None) -> np.ndarray:
+        if r0 == 0 and r1 == n_owned:
+            d, c, sg = data_rows, cols, seg
+        else:
+            # ``seg`` is sorted, so the chunk's block entries are one
+            # contiguous slice; rebase its row ids to the sub-problem.
+            klo, khi = np.searchsorted(seg, (r0, r1))
+            d, c, sg = data_rows[klo:khi], cols[klo:khi], seg[klo:khi] - r0
+        if engine != "numpy":
+            y = _kernels.gather_spmv_bsr(d, c, sg, local_x_r, r1 - r0,
+                                         engine)
+            if y is not None:
+                return y
+        if ws is None:
+            prods = np.einsum("kij,kj->ki", d, local_x_r[c])
+        else:
+            gathered, prods = ws
+            np.take(local_x_r, c, axis=0, out=gathered)
+            np.einsum("kij,kj->ki", d, gathered, out=prods)
+        return segment_sum(sg, prods, r1 - r0)
 
-def _rank_matvec_threaded(data_rows: np.ndarray, cols: np.ndarray,
-                          seg: np.ndarray, local_x_r: np.ndarray,
-                          n_owned: int, engine: str,
-                          threads: int) -> np.ndarray:
-    """Row-chunked rank SpMV (see :func:`rank_matvec`): ``seg`` is
-    sorted, so ``np.searchsorted`` finds each row chunk's block-entry
-    range, and each thread runs the ordinary single-thread kernel on a
-    rebased sub-problem, writing a disjoint output row range."""
-    bs = data_rows.shape[1]
-    out_dtype = np.result_type(data_rows, local_x_r)
-    out = np.empty((n_owned, bs), dtype=out_dtype)
+    if threads == 1 or n_owned <= 1:
+        return row_range(0, n_owned, workspace)
+    out = np.empty((n_owned, data_rows.shape[1]),
+                   dtype=np.result_type(data_rows, local_x_r))
 
     def row_chunk(r0: int, r1: int) -> None:
-        klo, khi = np.searchsorted(seg, (r0, r1))
-        sub_seg = seg[klo:khi] - r0
-        y = None
-        if engine != "numpy":
-            y = _kernels.gather_spmv_bsr(data_rows[klo:khi],
-                                         cols[klo:khi], sub_seg,
-                                         local_x_r, r1 - r0, engine)
-        if y is None:
-            prods = np.einsum("kij,kj->ki", data_rows[klo:khi],
-                              local_x_r[cols[klo:khi]])
-            y = segment_sum(sub_seg, prods, r1 - r0)
-        out[r0:r1] = y
+        out[r0:r1] = row_range(r0, r1)
 
     run_chunks(row_chunk, chunk_ranges(n_owned, threads), threads)
     return out
 
 
-def tree_reduce_sum(values) -> float:
-    """Deterministic pairwise tree reduction (MPI_SUM's usual shape).
-
-    A fixed left-to-right pairing, so the result depends only on the
-    rank order of the partials — never on which executor produced them
-    or in what order workers completed.  This is what makes
-    ``distributed_dot`` bitwise-reproducible across backends.
-    """
-    vals = [float(v) for v in values]
-    if not vals:
-        return 0.0
-    # lint: loop-ok (O(log nranks) reduction tree over scalar partials)
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):   # lint: loop-ok (pairing)
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+def _resolve_pool(layout: SPMDLayout, executor):
+    """Map the ``executor`` knob to a worker pool, or ``None`` for the
+    in-process rank loop: ``None``/"seq" run in-process, "proc" is the
+    pool attached to the layout, a
+    :class:`~repro.parallel.procpool.ProcPool` instance is itself."""
+    if executor is None or executor == "seq":
+        return None
+    if executor == "proc":
+        if layout.pool is None:
+            raise ValueError(
+                "executor='proc' needs a worker pool: create "
+                "repro.parallel.ProcPool(layout, disc) (it attaches "
+                "itself to layout.pool) or pass the pool as executor=")
+        return layout.pool
+    from repro.parallel.procpool import ProcPool    # imports this module
+    if isinstance(executor, ProcPool):
+        return executor
+    raise ValueError(f"unknown executor {executor!r} "
+                     f"(expected 'seq', 'proc', or a ProcPool)")
 
 
 def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
@@ -508,27 +487,38 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
     Must equal ``disc.residual(q, second_order=False)`` exactly.  The
     result dtype follows ``qglobal`` (float32 in, float32 out).
 
-    ``executor`` selects the transport through
-    :func:`repro.parallel.comm.resolve_communicator`: ``"seq"`` replays
-    the ranks in-process, ``"proc"`` (or a
-    :class:`~repro.parallel.procpool.ProcPool` instance) runs the rank
-    kernels in the worker pool over shared memory, ``"socket"`` (or any
-    :class:`~repro.parallel.comm.Communicator` instance) moves the
-    payloads over that transport — all bitwise-identical, because every
-    transport runs the same rank kernels on exact copies.  ``threads``
-    is the intra-rank team size, honoured identically by all
-    executors (the pool forwards it through the shm header), so
-    ``seq(threads=t)`` equals ``proc(threads=t)`` bitwise for any t.
+    ``executor`` selects who runs the rank kernels: ``"seq"`` replays
+    the ranks in-process (the loop below), ``"proc"`` (or a
+    :class:`~repro.parallel.procpool.ProcPool` instance) runs them in
+    the worker pool over shared memory — bitwise-identical, because
+    both run the same rank kernels on exact copies.  ``threads`` is the
+    intra-rank team size, honoured identically by both executors (the
+    pool forwards it through the shm header), so ``seq(threads=t)``
+    equals ``proc(threads=t)`` bitwise for any t.
     """
-    from repro.parallel.comm import resolve_communicator
-
     ncomp = disc.ncomp
     threads = resolve_threads(threads)
     rec = recorder if recorder is not None else NULL_RECORDER
-    comm = resolve_communicator(layout, executor)
-    ex = exchange or GhostExchange(layout, ncomp, recorder=rec,
-                                   executor=comm.name)
-    r = comm.residual(disc, qglobal, ex, recorder=rec, threads=threads)
+    pool = _resolve_pool(layout, executor)
+    if pool is not None:
+        r = pool.residual(qglobal, exchange=exchange, recorder=rec,
+                          threads=threads)
+    else:
+        ex = exchange or GhostExchange(layout, ncomp, recorder=rec)
+        local_q = _scatter_local_state(layout, qglobal, ncomp)
+        ex.refresh(local_q)
+        out = np.zeros((disc.mesh.num_vertices, ncomp),
+                       dtype=qglobal.dtype)
+        per_rank_s = [0.0] * layout.nranks
+        # lint: loop-ok (rank loop of the SPMD residual, O(nranks))
+        for rd in layout.ranks:
+            with rec.span("flux", rank=rd.rank) as sp:
+                r_local = rank_residual(disc, rd, local_q[rd.rank],
+                                        out.dtype, threads=threads)
+                out[rd.owned] = r_local[: rd.n_owned]
+            per_rank_s[rd.rank] = sp.elapsed
+        rec.record_wait("flux", per_rank_s)
+        r = out.ravel()
     _sanitize_note("residual", r)
     return r
 
@@ -544,41 +534,34 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
 
     As in the Krylov solvers, the working precision follows the vector:
     the result and all rank-local arrays take ``xglobal``'s dtype.
-    ``executor`` selects the transport as in
-    :func:`distributed_residual`; ``threads`` is the intra-rank team
-    size, honoured identically by all executors.
+    ``executor`` and ``threads`` are as in :func:`distributed_residual`.
     """
-    from repro.parallel.comm import resolve_communicator
-
     bs = a.bs
     threads = resolve_threads(threads)
     rec = recorder if recorder is not None else NULL_RECORDER
-    comm = resolve_communicator(layout, executor)
-    ex = exchange or GhostExchange(layout, bs, recorder=rec,
-                                   executor=comm.name)
-    y = comm.matvec(a, xglobal, ex, recorder=rec, threads=threads)
+    pool = _resolve_pool(layout, executor)
+    if pool is not None:
+        y = pool.matvec(a, xglobal, exchange=exchange, recorder=rec,
+                        threads=threads)
+    else:
+        ex = exchange or GhostExchange(layout, bs, recorder=rec)
+        local_x = _scatter_local_state(layout, xglobal, bs)
+        ex.refresh(local_x)
+        out = np.zeros((a.nbrows, bs), dtype=xglobal.dtype)
+        per_rank_s = [0.0] * layout.nranks
+        # lint: loop-ok (rank loop of the SPMD matvec, O(nranks))
+        for rd in layout.ranks:
+            with rec.span("matvec", rank=rd.rank) as sp:
+                # All owned block rows as one flat batch; the gather
+                # structure depends only on (pattern, layout), so it is
+                # served from the layout-level cache across calls.
+                flat, cols, seg = gather_structs(a, layout, rd)
+                out[rd.owned] = rank_matvec(a.data[flat], cols, seg,
+                                            local_x[rd.rank], rd.n_owned,
+                                            engine=a.engine,
+                                            threads=threads)
+            per_rank_s[rd.rank] = sp.elapsed
+        rec.record_wait("matvec", per_rank_s)
+        y = out.ravel()
     _sanitize_note("matvec", y)
     return y
-
-
-def distributed_dot(layout: SPMDLayout, xglobal: np.ndarray,
-                    yglobal: np.ndarray, ncomp: int,
-                    *, recorder=NULL_RECORDER, executor="seq") -> float:
-    """Global dot product as partial sums over owned rows + allreduce
-    (the reduction whose latency Table 3 prices).
-
-    The allreduce is a fixed-order pairwise tree over the per-rank
-    float64 partials (:func:`tree_reduce_sum`), so the result is
-    bitwise-identical across executors and independent of worker
-    completion order.
-    """
-    from repro.parallel.comm import resolve_communicator
-
-    rec = recorder if recorder is not None else NULL_RECORDER
-    comm = resolve_communicator(layout, executor)
-    with rec.span("allreduce"):
-        partials = comm.dot_partials(xglobal, yglobal, ncomp)
-        result = comm.reduce(partials)       # the allreduce
-    rec.count("reductions", 1)
-    _sanitize_note("dot", np.array([result], dtype=np.float64))
-    return result

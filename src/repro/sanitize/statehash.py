@@ -2,7 +2,7 @@
 
 The end-to-end equivalence tests assert ``seq == proc`` bitwise at the
 end of a solve; when that assert trips, the interesting question is
-*which phase* diverged first — residual 17?  the dot product after it?
+*which phase* diverged first — residual 17?  the matvec after it?
 This module answers it: each executor run records a
 :class:`HashTrail` of ``(phase, digest)`` steps (the instrumented
 ``distributed_*`` entry points note their results when a capture is

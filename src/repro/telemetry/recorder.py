@@ -38,9 +38,9 @@ KNOWN_PHASES = frozenset({
     "jacobian",          # first-order Jacobian assembly (+ PTC shift)
     "precond_setup",     # subdomain extraction + ILU(k) factorisation
     "trisolve",          # subdomain forward/backward triangular solves
-    "orthogonalization", # Gram-Schmidt in the Krylov loop
+    "orthogonalization", # Gram-Schmidt in the Krylov loop (its dots
+                         # and norms are the solve's global reductions)
     "ghost_exchange",    # the VecScatter: ghost refresh payloads
-    "allreduce",         # global reductions (dots / norms)
     "matvec",            # distributed or operator matrix-vector product
     "krylov",            # the whole linear solve (envelope span)
     "service_queue",     # admission-to-dispatch wait of a service request
@@ -55,7 +55,7 @@ class _Span:
 
     After ``__exit__`` the measured interval is on :attr:`elapsed`
     (seconds), so call sites can both record and locally inspect the
-    same measurement (the SPMD replay uses this for wait accounting).
+    same measurement (the SPMD rank loops use this for wait accounting).
     """
 
     __slots__ = ("_rec", "phase", "rank", "_timer", "elapsed", "_child_s")

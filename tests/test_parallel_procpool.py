@@ -6,7 +6,7 @@ global kernels in test_parallel_spmd.py); the worker pool runs the
 copy and equality is bitwise, not approximate — across dtypes,
 including float32 ghost payloads.
 
-Also covered: the deterministic pairwise-tree reduction, matrix
+Also covered: how the ``executor=`` knob resolves to a pool, matrix
 rebroadcast, worker-side telemetry shards, crash handling, and
 shared-memory cleanup.
 """
@@ -29,8 +29,8 @@ from repro.core.config import PreconditionerConfig, SolverConfig
 from repro.core.driver import NKSSolver
 from repro.euler import wing_problem
 from repro.parallel import (GhostExchange, ProcPool, ProcPoolError,
-                            SPMDLayout, distributed_dot, distributed_matvec,
-                            distributed_residual, tree_reduce_sum)
+                            SPMDLayout, distributed_matvec,
+                            distributed_residual)
 from repro.partition import kway_partition
 from repro.telemetry import TraceRecorder
 
@@ -85,18 +85,6 @@ class TestBitwiseEquivalence:
         assert y_proc.dtype == y_seq.dtype
         assert np.array_equal(y_seq, y_proc)
 
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 1000))
-    def test_dot(self, setup, pool, seed):
-        prob, _, layout, q = setup
-        nc = prob.disc.ncomp
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(q.size)
-        y = rng.standard_normal(q.size)
-        d_seq = distributed_dot(layout, x, y, nc, executor="seq")
-        d_proc = distributed_dot(layout, x, y, nc, executor="proc")
-        assert d_seq == d_proc      # exact: same partials, same tree
-
     def test_residual_matches_global_kernel(self, setup, pool):
         """proc == seq == the plain in-process first-order residual."""
         prob, _, layout, q = setup
@@ -105,39 +93,38 @@ class TestBitwiseEquivalence:
         assert np.array_equal(
             f_proc, prob.disc.residual(q, second_order=False))
 
+    @pytest.mark.parametrize("how", ["attached", "instance"])
+    def test_pool_resolution(self, setup, pool, how):
+        """``executor="proc"`` resolves through ``layout.pool``; a
+        ProcPool instance is the executor itself, attached or not."""
+        prob, labels, layout, q = setup
+        a = prob.disc.assemble_jacobian(q)
+        if how == "attached":
+            assert layout.pool is pool
+            lay, executor = layout, "proc"
+        else:
+            lay = SPMDLayout.build(prob.mesh.edges, labels)
+            assert lay.pool is None
+            executor = pool
+        assert np.array_equal(
+            distributed_residual(prob.disc, lay, q, executor=executor),
+            distributed_residual(prob.disc, lay, q, executor="seq"))
+        assert np.array_equal(
+            distributed_matvec(a, lay, q, executor=executor),
+            distributed_matvec(a, lay, q, executor="seq"))
 
-class TestTreeReduction:
-    def test_fixed_pairwise_order(self):
-        vals = [0.1, 0.2, 0.3, 0.4, 0.5]
-        # ((a+b) + (c+d)) + e — the fixed left-to-right pairwise tree.
-        assert tree_reduce_sum(vals) == (((0.1 + 0.2) + (0.3 + 0.4)) + 0.5)
-
-    def test_singleton_and_empty(self):
-        assert tree_reduce_sum([7.25]) == 7.25
-        assert tree_reduce_sum([]) == 0.0
-
-    def test_dot_is_deterministic(self, setup):
-        prob, _, layout, q = setup
-        nc = prob.disc.ncomp
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(q.size)
-        y = rng.standard_normal(q.size)
-        first = distributed_dot(layout, x, y, nc)
-        assert all(distributed_dot(layout, x, y, nc) == first
-                   for _ in range(5))
-
-    def test_dot_uses_tree_not_np_sum(self, setup):
-        """The reduction is the pairwise tree over per-rank partials."""
-        prob, _, layout, q = setup
-        nc = prob.disc.ncomp
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(q.size)
-        y = rng.standard_normal(q.size)
-        x2, y2 = x.reshape(-1, nc), y.reshape(-1, nc)
-        partials = [float(np.sum(x2[rd.owned] * y2[rd.owned]))
-                    for rd in layout.ranks]
-        assert distributed_dot(layout, x, y, nc) == \
-            tree_reduce_sum(partials)
+    @pytest.mark.parametrize("executor, match", [
+        ("proc", "needs a worker pool"),
+        ("mpi", "unknown executor"),
+    ], ids=["no-pool", "unknown"])
+    def test_bad_executor_rejected(self, setup, executor, match):
+        prob, labels, _, q = setup
+        bare = SPMDLayout.build(prob.mesh.edges, labels)   # no pool
+        a = prob.disc.assemble_jacobian(q)
+        with pytest.raises(ValueError, match=match):
+            distributed_residual(prob.disc, bare, q, executor=executor)
+        with pytest.raises(ValueError, match=match):
+            distributed_matvec(a, bare, q, executor=executor)
 
 
 class TestMatrixRebroadcast:
@@ -170,8 +157,6 @@ class TestWorkerTelemetry:
             a = prob.disc.assemble_jacobian(q)
             distributed_matvec(a, layout, q, recorder=rec,
                                executor="proc")
-            distributed_dot(layout, q, q, prob.disc.ncomp, recorder=rec,
-                            executor="proc")
             # Parent-side envelopes exist already; worker shards only
             # arrive on collect().
             assert rec.phase_calls("flux", rank=1) == 0

@@ -119,14 +119,14 @@ class TestCountersAndWaits:
         rec.record_wait("trisolve", [1.0, 3.0])   # rank 0 waits 2.0
         rec.record_wait("trisolve", [2.0, 1.0])   # rank 1 waits 1.0
         assert rec.phase_wall("trisolve") == pytest.approx(2.0)
-        assert rec.phase_wall("allreduce") == 0.0  # unrecorded
+        assert rec.phase_wall("matvec") == 0.0    # unrecorded
 
     def test_ranks_and_phases_queries(self):
         rec = TraceRecorder()
         with rec.span("flux", rank=2):
             pass
-        rec.record_wait("allreduce", [0.1, 0.2])
-        assert rec.phases() == ["allreduce", "flux"]
+        rec.record_wait("ghost_exchange", [0.1, 0.2])
+        assert rec.phases() == ["flux", "ghost_exchange"]
         assert rec.ranks("flux") == [2]
         assert rec.ranks() == [0, 1, 2]
 
@@ -343,11 +343,11 @@ class TestPhaseDecomposition:
         # A phase whose compute time rounds to zero but whose ranks
         # waited must still appear (wait_fraction 1.0, not a div/0).
         rec = TraceRecorder()
-        rec.record_wait("allreduce", [0.0, 1.0])
+        rec.record_wait("ghost_exchange", [0.0, 1.0])
         out = phase_decomposition(rec)
-        assert out["allreduce"]["total_s"] == 0.0
-        assert out["allreduce"]["wait_s"] == pytest.approx(1.0)
-        assert out["allreduce"]["wait_fraction"] == pytest.approx(1.0)
+        assert out["ghost_exchange"]["total_s"] == 0.0
+        assert out["ghost_exchange"]["wait_s"] == pytest.approx(1.0)
+        assert out["ghost_exchange"]["wait_fraction"] == pytest.approx(1.0)
 
     def test_disagreeing_worker_shards_union(self):
         # Two workers report disjoint phase sets (rank 0 only did
@@ -402,24 +402,42 @@ class TestMeasuredTable3:
             assert abs(row.eta_overall - row.eta_alg * row.eta_impl) < 1e-12
         ref = result.rows[0]
         assert ref.eta_overall == 1.0 and ref.speedup == 1.0
-        # The replayed iteration counts feed eta_alg directly.
+        # The recorded solves' own iteration counts feed eta_alg.
         assert result.rows[1].eta_alg == pytest.approx(
             ref.its / result.rows[1].its)
-        for p in (2, 4):
+        for row in result.rows:
+            p = row.nprocs
             doc = load_trace(tmp_path / f"trace_p{p}.json")
             assert doc["meta"]["nprocs"] == p
+            assert doc["meta"]["linear_its"] == row.its
+            # One solve per row: its iterations are the trace's counter.
+            assert row.its == result.traces[p].counter("linear_iterations")
             assert "ghost_exchange" in doc["phases"]
-            assert len(doc["phases"]["flux"]) == p   # one entry per rank
+            assert "orthogonalization" in doc["phases"]
+            assert row.phase_pct["orthogonalization"] > 0
+            for phase in ("flux", "matvec"):     # one entry per rank
+                assert len(doc["phases"][phase]) == p
         # to_table() renders without error and carries every row.
         table = result.to_table()
         assert len(table.rows) == 2
 
+    def test_executors_agree_on_algorithm_and_traffic(self):
+        """seq and proc record the same solve: identical iteration
+        counts, message counts and payload per iteration."""
+        from repro.experiments import run_table3_measured
+
+        kw = dict(procs=(2, 4), size="small", max_steps=2)
+        seq = run_table3_measured(executor="seq", **kw).rows
+        proc = run_table3_measured(executor="proc", nworkers=2, **kw).rows
+        assert [(r.its, r.messages, r.mb_per_it) for r in seq] \
+            == [(r.its, r.messages, r.mb_per_it) for r in proc]
+
     def test_measured_wall_sums_phase_walls(self):
         rec = TraceRecorder()
         rec.record_wait("flux", [1.0, 2.0])
-        rec.record_wait("allreduce", [0.5, 0.25])
+        rec.record_wait("matvec", [0.5, 0.25])
         assert measured_wall(rec) == pytest.approx(
-            rec.phase_wall("flux") + rec.phase_wall("allreduce"))
+            rec.phase_wall("flux") + rec.phase_wall("matvec"))
 
     def test_measured_rows_reference_normalisation(self):
         # Synthetic traces: pure waits give deterministic walls.
