@@ -31,8 +31,7 @@ from repro.mesh import (Mesh, box_mesh, wing_mesh, bump_mesh,
                         apply_orderings, save_mesh, load_mesh, save_vtk)
 from repro.partition import (kway_partition, pmetis_partition,
                              spectral_partition, partition_quality)
-from repro.solvers import (gmres, fgmres, newton_solve, SERController,
-                           PTCConfig)
+from repro.solvers import gmres, SERController, PTCConfig
 from repro.sparse import CSRMatrix, BSRMatrix, ilu_csr, ilu_bsr
 from repro.precond import (BlockJacobi, AdditiveSchwarz, ASMConfig,
                            TwoLevelASM)
@@ -50,7 +49,7 @@ __all__ = [
     "save_mesh", "load_mesh", "save_vtk",
     "kway_partition", "pmetis_partition", "spectral_partition",
     "partition_quality",
-    "gmres", "fgmres", "newton_solve", "SERController", "PTCConfig",
+    "gmres", "SERController", "PTCConfig",
     "CSRMatrix", "BSRMatrix", "ilu_csr", "ilu_bsr",
     "BlockJacobi", "AdditiveSchwarz", "ASMConfig", "TwoLevelASM",
     "__version__",

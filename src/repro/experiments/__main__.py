@@ -68,22 +68,6 @@ def _fig5(a):
     yield result
 
 
-def _scaling(a):
-    # The measured ranks x threads study (paper Table 5 analogue);
-    # writes BENCH_scaling.json next to the working directory.
-    from repro.parallel.scaling import run_scaling
-    yield run_scaling(smoke=a.smoke, out=a.out or "BENCH_scaling.json")
-
-
-def _service(a):
-    # The solver-service benchmark: cold/warm/jittered request stream
-    # through a live SolverService; writes BENCH_service.json.
-    from repro.experiments.service_bench import run_service_bench
-    yield run_service_bench(smoke=a.smoke,
-                            out=a.out or "BENCH_service.json",
-                            executor=a.executor, nworkers=a.workers)
-
-
 EXPERIMENTS = {
     "table1": _table1,
     "table2": lambda a: [run_table2(procs=(4, 8, 16), size="medium",
@@ -103,8 +87,6 @@ EXPERIMENTS = {
                                 max_steps=4)],
     "fig5": _fig5,
     "eqbounds": lambda a: [run_eq_bounds()],
-    "scaling": _scaling,
-    "service": _service,
 }
 
 
@@ -125,9 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes for --executor proc "
                              "(default 2)")
-    parser.add_argument("--out", default=None,
-                        help="report path for experiments that write "
-                             "one (scaling -> BENCH_scaling.json)")
     args = parser.parse_args(argv)
 
     if args.experiment is None or (args.experiment != "all"

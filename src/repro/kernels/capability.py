@@ -133,8 +133,8 @@ def broken_backends() -> dict[str, dict]:
     probe, ``FileNotFoundError`` for a missing compiler) is benign and
     excluded; anything else — failed C build, import error inside an
     installed cffi, an init marked broken — is a real failure that
-    callers refusing to degrade silently (the kernel-regression bench)
-    should treat as fatal.
+    callers refusing to degrade silently (a benchmark of the compiled
+    tier) should treat as fatal.
     """
     benign = ("ModuleNotFoundError", "FileNotFoundError")  # not installed
     return {name: dict(rec) for name, rec in sorted(_QUARANTINE.items())

@@ -161,7 +161,7 @@ class ProcPool:
     layout:
         The :class:`~repro.parallel.spmd.SPMDLayout` to execute.  The
         pool attaches itself as ``layout.pool`` so ``executor="proc"``
-        resolves to it.
+        resolves to it; a pool already attached there is closed first.
     disc:
         The discretisation whose rank-local residual the pool runs.
     nworkers:
@@ -206,6 +206,11 @@ class ProcPool:
             self.threads = resolve_threads(threads)
         except ValueError as e:
             raise ProcPoolError(str(e)) from None
+        # A layout holds at most one open pool: building a second one
+        # closes the first (live or broken) here, instead of orphaning
+        # its workers and segments to ``__del__`` at interpreter exit.
+        if layout.pool is not None:
+            layout.pool.close()
         self._timeout = float(timeout)
         self._owner_pid = os.getpid()
         self._closed = False

@@ -1,31 +1,22 @@
-"""Kernel-level performance measurement and regression tracking.
+"""The clock and the report plumbing the rest of the package shares.
 
-The paper's performance story is told at the kernel level — flux
-evaluation, Jacobian refactorisation, triangular solves, SpMV, and the
-Krylov cycle are the phases its models price (Table 2, Sec. 3).  This
-package provides the small amount of shared machinery the kernel
-benches need:
+Benchmarking lives outside ``src/``, in ``benchmarks/e2e`` (the
+benchmark of record: time to a converged solve, priced layer by
+layer).  What remains here is exactly what other modules import:
 
-* :mod:`repro.perf.timers` — monotonic wall-clock timing contexts and
-  robust (median-based) aggregation;
-* :mod:`repro.perf.bench` — the repeat/warm-up harness for timing one
-  kernel callable, plus speedup bookkeeping between a reference and an
-  optimised implementation;
-* :mod:`repro.perf.regress` — the JSON report format
-  (``BENCH_kernels.json``) that lets successive commits be compared.
+* :mod:`repro.perf.timers` — :class:`Timer`, the one monotonic
+  wall-clock the telemetry recorder times through (lint rules R005 and
+  R008 send every other module here instead of to :mod:`time`);
+* :mod:`repro.perf.regress` — :func:`git_sha`, which attributes a
+  report to a commit, and :func:`atomic_write_json`, which writes one
+  so a crash never leaves half a document.
 """
 
-from repro.perf.timers import Timer, median
-from repro.perf.bench import BenchResult, time_kernel, compare_kernels
-from repro.perf.regress import git_sha, write_report, load_report
+from repro.perf.timers import Timer
+from repro.perf.regress import atomic_write_json, git_sha
 
 __all__ = [
     "Timer",
-    "median",
-    "BenchResult",
-    "time_kernel",
-    "compare_kernels",
-    "write_report",
-    "load_report",
+    "atomic_write_json",
     "git_sha",
 ]

@@ -1,12 +1,9 @@
-"""The kernel-regression report: ``BENCH_kernels.json``.
+"""Report plumbing: attribute a JSON report to a commit, write it whole.
 
-One JSON document per bench run, holding a ``meta`` block (problem
-size, library versions) and a ``kernels`` map of timing entries — the
-dicts produced by :func:`repro.perf.bench.time_kernel` /
-:func:`repro.perf.bench.compare_kernels`.  Committing the file (or
-diffing it in CI) turns the microbenchmarks into a regression tripwire:
-a kernel that silently falls back to a slow path shows up as a ratio
-change between two reports.
+:func:`git_sha` is recorded in the host facts of every
+``benchmarks/e2e`` report so a row can be traced to the code that
+produced it; :func:`atomic_write_json` is how telemetry traces
+(:mod:`repro.telemetry.trace`) reach disk.
 """
 
 from __future__ import annotations
@@ -17,14 +14,12 @@ import pathlib
 import subprocess
 import tempfile
 
-__all__ = ["write_report", "load_report", "atomic_write_json", "git_sha"]
-
-SCHEMA_VERSION = 1
+__all__ = ["atomic_write_json", "git_sha"]
 
 
 def git_sha(short: bool = True) -> str | None:
     """The repository HEAD commit of the code being benched, so every
-    BENCH_*.json row is attributable to a commit.  Returns ``None``
+    benchmark report is attributable to a commit.  Returns ``None``
     when the tree is not a git checkout (an installed package, a
     tarball CI job); report writers record the ``None`` rather than
     omitting the key, so "unattributable" is visible in the report.
@@ -67,27 +62,3 @@ def atomic_write_json(path, doc: dict) -> pathlib.Path:
             pass
         raise
     return path
-
-
-def write_report(path, kernels: dict, meta: dict | None = None) -> pathlib.Path:
-    """Write the report (atomically); returns the path written.
-
-    ``kernels`` maps kernel name -> timing dict; ``meta`` is free-form
-    (mesh size, dtype, versions).  Keys are sorted so reports diff
-    cleanly.
-    """
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": dict(meta or {}),
-        "kernels": {k: kernels[k] for k in sorted(kernels)},
-    }
-    return atomic_write_json(path, doc)
-
-
-def load_report(path) -> dict:
-    """Read a report back (raises on schema mismatch)."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported bench report schema: {doc.get('schema_version')!r}")
-    return doc

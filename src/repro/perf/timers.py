@@ -1,10 +1,6 @@
-"""Monotonic timing primitives.
-
-Everything here measures wall clock with :func:`time.perf_counter`
-(monotonic, highest available resolution) and aggregates with the
-median: on a shared machine the timing distribution is right-skewed by
-scheduler noise, so the median is the honest "typical run" — the same
-reasoning the paper applies when it reports per-iteration costs.
+"""The monotonic wall clock: :func:`time.perf_counter` (monotonic,
+highest available resolution) behind one context manager, so every
+recorded span is timed the same way.
 """
 
 from __future__ import annotations
@@ -13,7 +9,7 @@ import time
 
 # lint: clock
 
-__all__ = ["Timer", "median"]
+__all__ = ["Timer"]
 
 
 class Timer:
@@ -46,14 +42,3 @@ class Timer:
             return 0.0
         end = self._stop if self._stop is not None else time.perf_counter()
         return end - self._start
-
-
-def median(values) -> float:
-    """Median of a sequence of floats (no numpy needed for 5 numbers)."""
-    xs = sorted(float(v) for v in values)
-    if not xs:
-        raise ValueError("median of empty sequence")
-    mid = len(xs) // 2
-    if len(xs) % 2:
-        return xs[mid]
-    return 0.5 * (xs[mid - 1] + xs[mid])

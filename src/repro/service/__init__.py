@@ -9,8 +9,7 @@ solves.  This package provides the three pieces that turn the one-shot
   matrix pattern, config) that name reusable structures, generalising
   the proc pool's matrix-rebroadcast token;
 * :mod:`repro.service.cache` — the namespaced structure cache with
-  hit/miss/byte telemetry (partition, gather, level_schedule,
-  ilu_symbolic);
+  hit/miss/byte telemetry (partition, gather, ilu_symbolic);
 * :mod:`repro.service.warm` — harvest-after-solve / seed-before-solve
   of warm solver state (layouts, gather structs, preconditioners,
   worker pools);

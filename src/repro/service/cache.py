@@ -12,11 +12,11 @@ namespace                 cached value
                           gather structures (the sequential analogue
                           of the proc workers' struct cache) riding
                           ``SPMDLayout.gather_cache``
-``level_schedule``        the compiled elimination schedules riding
-                          the subdomain ILU patterns
-``ilu_symbolic``          the subdomain symbolic ILU(k) patterns (via
-                          the harvested preconditioner; its refresh
-                          path makes reuse numeric-only)
+``ilu_symbolic``          the subdomain symbolic ILU(k) patterns and
+                          the compiled elimination/level schedules
+                          riding them (via the harvested
+                          preconditioner; its refresh path makes
+                          reuse numeric-only)
 ========================  ============================================
 
 The cache stores live objects, not serialised bytes — it is a warm
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["CacheStats", "ServiceCache"]
 
-NAMESPACES = ("partition", "gather", "level_schedule", "ilu_symbolic")
+NAMESPACES = ("partition", "gather", "ilu_symbolic")
 
 
 @dataclass

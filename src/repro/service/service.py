@@ -357,9 +357,17 @@ class SolverService:
             # labels, so the swap is transparent.
             ctx.solver._layout = layout
             return key
-        self._discard_pool(key)
         from repro.parallel.procpool import ProcPool
         layout = ctx.solver._layout
+        # Layouts are cached by topology, pools by full mesh hash: a
+        # perturbed mesh arrives on a layout still carrying the other
+        # mesh's pool.  A layout holds one pool, so every entry that
+        # points at this layout is retired with the pool it names.
+        with self._cv:
+            # lint: loop-ok (stale warm-pool entries, O(max_pools))
+            for k in [k for k, lay in self._warm_pools.items()
+                      if k == key or lay is layout]:
+                self._discard_pool(k)
         ProcPool(layout, req.disc, nworkers=req.config.nworkers,
                  threads=req.config.threads)   # attaches to layout.pool
         with self._cv:

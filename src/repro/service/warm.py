@@ -11,10 +11,10 @@ seed degrades to a recompute, never to wrong numbers.
 
 Key discipline
 --------------
-* ``partition`` / ``gather`` / ``ilu_symbolic`` / ``level_schedule``
-  are keyed by mesh **topology** (+ the config knobs that shape them),
-  so a jittered mesh — same wing graph, perturbed coordinates — hits
-  all four structural namespaces;
+* ``partition`` / ``gather`` / ``ilu_symbolic`` are keyed by mesh
+  **topology** (+ the config knobs that shape them), so a jittered
+  mesh — same wing graph, perturbed coordinates — hits all three
+  structural namespaces;
 * the worker pool (and the layout it is attached to) is keyed by the
   full **mesh** hash, because the forked workers hold the
   discretisation's geometry; a jittered mesh gets a fresh pool but
@@ -71,7 +71,7 @@ def structure_keys(mesh, config) -> dict:
     # (different compat keys) never share one mutable layout object.
     gather_key = _digest_parts("gather", pc_key)
     return {"partition": part_key, "gather": gather_key,
-            "ilu_symbolic": pc_key, "level_schedule": pc_key}
+            "ilu_symbolic": pc_key}
 
 
 def _layout_nbytes(layout) -> int:
@@ -86,20 +86,18 @@ def _layout_nbytes(layout) -> int:
 
 
 def _pattern_nbytes(pc) -> int:
+    """Resident bytes of the subdomain ILU patterns and of the compiled
+    elimination/level schedules riding them."""
     total = 0
     for sd in pc.subdomains:
         p = sd.factor.pattern
         total += (p.l_indptr.nbytes + p.l_indices.nbytes
                   + p.u_indptr.nbytes + p.u_indices.nbytes)
-    return total
-
-
-def _schedule_nbytes(schedules: list) -> int:
-    total = 0
-    for sch in schedules:
-        total += sch.a_src.nbytes + sch.a_dst.nbytes
-        total += sum(lv.nbytes for lv in sch.l_solve)
-        total += sum(lv.nbytes for lv in sch.u_solve)
+        sch = getattr(p, "_schedule", None)
+        if sch is not None:
+            total += sch.a_src.nbytes + sch.a_dst.nbytes
+            total += sum(lv.nbytes for lv in sch.l_solve)
+            total += sum(lv.nbytes for lv in sch.u_solve)
     return total
 
 
@@ -108,7 +106,7 @@ def seed_solver(cache, disc, config, *,
     """Build an :class:`~repro.core.driver.NKSSolver` seeded with every
     compatible cached structure.
 
-    Probes all four namespaces (each probe books a hit or a miss on
+    Probes all three namespaces (each probe books a hit or a miss on
     the cache): cached labels skip the partitioner, cached gather
     structs pre-fill the layout's gather cache, and a harvested
     preconditioner is injected so its refresh path reuses the symbolic
@@ -127,8 +125,6 @@ def seed_solver(cache, disc, config, *,
     seeded["gather"] = layout is not None
     pc = cache.get("ilu_symbolic", keys["ilu_symbolic"])
     seeded["ilu_symbolic"] = pc is not None
-    schedules = cache.get("level_schedule", keys["level_schedule"])
-    seeded["level_schedule"] = schedules is not None
 
     solver = NKSSolver(disc, config,
                        recorder=recorder,
@@ -142,11 +138,10 @@ def harvest_context(cache, ctx: WarmContext) -> None:
     """Store what the finished solve built back into the cache.
 
     Idempotent per key: re-putting replaces the entry (the objects are
-    usually the very ones a hit handed out).  The level-schedule
-    namespace stores the compiled :class:`EliminationSchedule` objects
-    riding the subdomain patterns — they are reused through the
-    harvested preconditioner, and tracking them as their own namespace
-    reports their hit ratio and resident bytes separately.
+    usually the very ones a hit handed out).  The compiled
+    :class:`EliminationSchedule` objects ride the subdomain patterns
+    inside the harvested preconditioner, so the ``ilu_symbolic`` entry
+    carries them and counts their bytes.
     """
     solver = ctx.solver
     cache.put("partition", ctx.keys["partition"], solver._labels,
@@ -159,10 +154,3 @@ def harvest_context(cache, ctx: WarmContext) -> None:
     if pc is not None and pc.subdomains:
         cache.put("ilu_symbolic", ctx.keys["ilu_symbolic"], pc,
                   nbytes=_pattern_nbytes(pc))
-        schedules = [sd.factor.pattern._schedule
-                     for sd in pc.subdomains
-                     if getattr(sd.factor.pattern, "_schedule", None)
-                     is not None]
-        if schedules:
-            cache.put("level_schedule", ctx.keys["level_schedule"],
-                      schedules, nbytes=_schedule_nbytes(schedules))

@@ -3,8 +3,6 @@
 * :mod:`repro.solvers.gmres` — restarted GMRES with selectable
   orthogonalisation, right preconditioning (so residual norms are true
   residuals), and full iteration accounting.
-* :mod:`repro.solvers.newton` — inexact Newton with backtracking line
-  search (Dembo-Eisenstat-Steihaug forcing).
 * :mod:`repro.solvers.ptc` — pseudo-transient continuation with the
   switched evolution/relaxation (SER) CFL law of Van Leer & Mulder,
   the power-law form tuned in the paper's Sec. 2.4.1.
@@ -12,10 +10,8 @@
 
 from repro.solvers.krylov_base import LinearOperator, as_operator, OperatorFromMatrix
 from repro.solvers.gmres import gmres, GMRESResult, Orthogonalization
-from repro.solvers.fgmres import fgmres
 from repro.solvers.workspace import KrylovWorkspace, solve_dtype
 from repro.solvers._reference import gmres_ref
-from repro.solvers.newton import newton_solve, NewtonResult
 from repro.solvers.ptc import SERController, PTCConfig
 
 __all__ = [
@@ -23,14 +19,11 @@ __all__ = [
     "as_operator",
     "OperatorFromMatrix",
     "gmres",
-    "fgmres",
     "gmres_ref",
     "KrylovWorkspace",
     "solve_dtype",
     "GMRESResult",
     "Orthogonalization",
-    "newton_solve",
-    "NewtonResult",
     "SERController",
     "PTCConfig",
 ]

@@ -5,7 +5,7 @@ as it stood before the :class:`repro.solvers.workspace.KrylovWorkspace`
 refactor: every restart allocates (and zeroes) a fresh Krylov basis and
 Hessenberg, and all arithmetic is hardwired to float64.  It is the
 oracle the property tests compare :func:`repro.solvers.gmres.gmres`
-against, and the baseline leg of the kernel-regression bench.
+against.
 """
 
 from __future__ import annotations

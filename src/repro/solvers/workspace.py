@@ -5,8 +5,8 @@ Hessenberg, and Givens arrays on *every* restart.  In the ΨNKS driver
 that allocation churn recurs every pseudo-timestep even though the
 problem size and restart length never change.  :class:`KrylovWorkspace`
 owns those arrays once per solver lifetime; :func:`repro.solvers.gmres.
-gmres` and :func:`repro.solvers.fgmres.fgmres` take it as an optional
-argument and fall back to a private instance when none is passed.
+gmres` takes it as an optional argument and falls back to a private
+instance when none is passed.
 
 Reuse is bitwise-safe: the small arrays (H, Givens, rhs) are zeroed at
 each restart, and every slot of the basis that an iteration reads has
@@ -35,37 +35,28 @@ def solve_dtype(dtype) -> np.dtype:
 
 
 class KrylovWorkspace:
-    """Reusable (F)GMRES arrays: basis V, Hessenberg H, Givens cs/sn,
-    rotated rhs g, and (for FGMRES) the preconditioned basis Z.
+    """Reusable GMRES arrays: basis V, Hessenberg H, Givens cs/sn and
+    rotated rhs g.
 
-    ``ensure(n, restart, dtype, flexible)`` (re)allocates only when the
+    ``ensure(n, restart, dtype)`` (re)allocates only when the
     requested shape/dtype differs from what is held; ``allocations``
     counts how many times that happened, so tests and benches can
     assert that steady-state solves allocate nothing.
     """
 
     def __init__(self, n: int | None = None, restart: int | None = None,
-                 dtype=np.float64, flexible: bool = False) -> None:
+                 dtype=np.float64) -> None:
         self.allocations = 0
         self._key: tuple | None = None
         self.V = self.H = self.cs = self.sn = self.g = None
-        self.Z = None
         if n is not None and restart is not None:
-            self.ensure(n, restart, dtype=dtype, flexible=flexible)
-
-    @classmethod
-    def for_problem(cls, b: np.ndarray, restart: int,
-                    flexible: bool = False) -> "KrylovWorkspace":
-        """Workspace sized for right-hand side ``b`` and GMRES(restart)."""
-        return cls(b.size, restart, dtype=solve_dtype(b.dtype),
-                   flexible=flexible)
+            self.ensure(n, restart, dtype=dtype)
 
     # ------------------------------------------------------------------
-    def ensure(self, n: int, restart: int, dtype=np.float64,
-               flexible: bool = False) -> "KrylovWorkspace":
+    def ensure(self, n: int, restart: int,
+               dtype=np.float64) -> "KrylovWorkspace":
         """Make the arrays match ``(n, restart, dtype)``; reallocate only
-        on mismatch.  ``flexible`` additionally provisions Z (it can be
-        added to an existing workspace without disturbing the rest)."""
+        on mismatch."""
         dtype = np.dtype(dtype)
         key = (int(n), int(restart), dtype)
         if self._key != key:
@@ -75,17 +66,13 @@ class KrylovWorkspace:
             self.cs = np.zeros(m, dtype=dtype)
             self.sn = np.zeros(m, dtype=dtype)
             self.g = np.zeros(m + 1, dtype=dtype)
-            self.Z = None
             self._key = key
-            self.allocations += 1
-        if flexible and self.Z is None:
-            self.Z = np.empty((int(restart), int(n)), dtype=dtype)
             self.allocations += 1
         return self
 
     def reset(self) -> None:
-        """Zero the small per-restart arrays.  V (and Z) need no
-        clearing: every slot read within a cycle is written first."""
+        """Zero the small per-restart arrays.  V needs no clearing:
+        every slot read within a cycle is written first."""
         self.H[...] = 0
         self.cs[...] = 0
         self.sn[...] = 0
@@ -106,5 +93,5 @@ class KrylovWorkspace:
 
     def nbytes(self) -> int:
         """Total bytes held — the fixed memory cost of reuse."""
-        arrays = [self.V, self.H, self.cs, self.sn, self.g, self.Z]
+        arrays = [self.V, self.H, self.cs, self.sn, self.g]
         return sum(a.nbytes for a in arrays if a is not None)

@@ -19,14 +19,7 @@ from repro.sparse.layouts import (
     interlaced_csr_from_bsr,
     field_split_csr_from_bsr,
 )
-from repro.sparse.spmv import (
-    spmv_csr_numpy,
-    spmv_csr,
-    spmv_csr_ref,
-    spmv_csr_loop,
-    spmv_bsr_numpy,
-    spmv_cost,
-)
+from repro.sparse.spmv import spmv_csr, spmv_csr_ref
 from repro.sparse.ilu import (ilu_symbolic, ILUFactorCSR, ILUFactorBSR,
                               ilu_csr, ilu_bsr, ilu_csr_ref, ilu_bsr_ref,
                               EliminationSchedule, compile_elimination_schedule)
@@ -41,12 +34,8 @@ __all__ = [
     "assemble_bsr",
     "interlaced_csr_from_bsr",
     "field_split_csr_from_bsr",
-    "spmv_csr_numpy",
     "spmv_csr",
     "spmv_csr_ref",
-    "spmv_csr_loop",
-    "spmv_bsr_numpy",
-    "spmv_cost",
     "ilu_symbolic",
     "ilu_csr",
     "ilu_bsr",

@@ -16,7 +16,7 @@ block GEMM against the pivot inverses) and one fancy-indexed update.
 The schedule is cached on the pattern, so repeated Jacobian refreshes
 pay only the array arithmetic.  The original row-by-row loops are kept
 as :func:`ilu_csr_ref` / :func:`ilu_bsr_ref` — the semantics oracle
-for tests and the baseline for the kernel-regression bench.
+for tests.
 
 Level-of-fill rule: original entries have level 0; a fill entry
 created by eliminating column k in row i via u_kj gets level

@@ -1,31 +1,21 @@
-"""Sparse matrix-vector product kernels and their operation counts.
+"""Sparse matrix-vector product: the row-subset kernel and its oracle.
 
 The SpMV is the paper's model kernel (Sec. 2.1.1): its performance is
-set by memory traffic, not flops.  Besides the production numpy
-kernels, this module provides exact per-kernel counts of flops, loads
-of matrix/index/vector data, and stores, which feed the memory-centric
-time model in :mod:`repro.perfmodel`.
+set by memory traffic, not flops.  Whole-matrix products are
+``CSRMatrix.matvec`` / ``BSRMatrix.matvec``; the traffic they are
+priced by is :func:`repro.perfmodel.spmv_model.spmv_traffic_bytes`.
 """
 
 from __future__ import annotations
 
 # lint: kernel (SpMV is the paper's model kernel; Sec. 2.1.1)
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.sparse.bsr import BSRMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.segsum import concat_ranges, segment_sum
 
-__all__ = ["spmv_csr_numpy", "spmv_csr", "spmv_csr_ref", "spmv_csr_loop",
-           "spmv_bsr_numpy", "SpMVCost", "spmv_cost"]
-
-
-def spmv_csr_numpy(a: CSRMatrix, x: np.ndarray) -> np.ndarray:
-    """Vectorised CSR SpMV (gather + segmented sum)."""
-    return a.matvec(x)
+__all__ = ["spmv_csr", "spmv_csr_ref"]
 
 
 def spmv_csr(a: CSRMatrix, x: np.ndarray,
@@ -72,80 +62,3 @@ def spmv_csr_ref(a: CSRMatrix, x: np.ndarray) -> np.ndarray:
             acc += data[t] * x[indices[t]]
         y[i] = acc
     return y
-
-
-# Historical name for the reference oracle.
-spmv_csr_loop = spmv_csr_ref
-
-
-def spmv_bsr_numpy(a: BSRMatrix, x: np.ndarray) -> np.ndarray:
-    """Vectorised BSR SpMV (batched block gemv + segmented sum)."""
-    return a.matvec(x)
-
-
-@dataclass
-class SpMVCost:
-    """Exact operation counts of one SpMV under a given storage format.
-
-    All counts are per single product; bytes assume the stated word
-    sizes.  ``index_loads`` is the count the paper's structural-blocking
-    argument is about: BSR loads one column index per *block*, CSR one
-    per scalar entry.
-    """
-
-    flops: int
-    matrix_words: int      # matrix coefficient loads (each once)
-    index_words: int       # column-index + row-pointer integer loads
-    vector_loads: int      # x-gather loads issued (before caching)
-    vector_stores: int     # y stores
-    value_bytes: int = 8   # sizeof vector scalar
-    index_bytes: int = 4   # sizeof index integer
-
-    @property
-    def min_traffic_bytes(self) -> int:
-        """Compulsory memory traffic: every matrix word and index once,
-        x and y once each (perfect cache for the vector)."""
-        return (self.matrix_words * self.value_bytes
-                + self.index_words * self.index_bytes
-                + (self.vector_stores * 2) * self.value_bytes)
-
-    @property
-    def worst_traffic_bytes(self) -> int:
-        """No-reuse traffic: every x gather misses."""
-        return (self.matrix_words * self.value_bytes
-                + self.index_words * self.index_bytes
-                + (self.vector_loads + self.vector_stores) * self.value_bytes)
-
-    def intensity(self, traffic_bytes: int | None = None) -> float:
-        """Computational intensity, flops per byte."""
-        t = self.min_traffic_bytes if traffic_bytes is None else traffic_bytes
-        return self.flops / max(t, 1)
-
-
-def spmv_cost(a: CSRMatrix | BSRMatrix, value_bytes: int = 8,
-              index_bytes: int = 4) -> SpMVCost:
-    """Operation counts of ``a @ x`` for CSR or BSR storage."""
-    if isinstance(a, BSRMatrix):
-        bs = a.bs
-        nnz = a.nnzb * bs * bs
-        return SpMVCost(
-            flops=2 * nnz,
-            matrix_words=nnz,
-            # one block-column index per block + one row pointer per block row
-            index_words=a.nnzb + a.nbrows + 1,
-            vector_loads=a.nnzb * bs,
-            vector_stores=a.nbrows * bs,
-            value_bytes=value_bytes,
-            index_bytes=index_bytes,
-        )
-    if isinstance(a, CSRMatrix):
-        return SpMVCost(
-            flops=2 * a.nnz,
-            matrix_words=a.nnz,
-            index_words=a.nnz + a.nrows + 1,
-            vector_loads=a.nnz,
-            vector_stores=a.nrows,
-            value_bytes=value_bytes,
-            index_bytes=index_bytes,
-        )
-    raise TypeError(type(a))

@@ -11,7 +11,7 @@ iteration counts and measured phase times):
   phase spans, per-rank counters, max-over-ranks wait accounting) and
   the :data:`NULL_RECORDER` no-op default every hook substitutes;
 * :mod:`repro.telemetry.trace` — the JSON trace document (schema
-  validation, atomic writes, CI-diffable like ``BENCH_kernels.json``);
+  validation, atomic writes, CI-diffable);
 * :mod:`repro.telemetry.report` — the measured efficiency
   decomposition behind the measured Table 3.
 

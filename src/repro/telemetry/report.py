@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.telemetry.recorder import TraceRecorder
 
-__all__ = ["SPMD_PHASES", "MeasuredRow", "measured_wall", "measured_rows",
-           "phase_decomposition"]
+__all__ = ["SPMD_PHASES", "MeasuredRow", "measured_wall", "measured_rows"]
 
 #: The non-overlapping phases of an instrumented SPMD solve; their
 #: walls sum to the run's wall time.  ``orthogonalization`` is where
@@ -59,32 +58,6 @@ class MeasuredRow:
 def measured_wall(rec: TraceRecorder, phases=SPMD_PHASES) -> float:
     """Wall seconds of an instrumented run: sum of bulk-phase walls."""
     return sum(rec.phase_wall(p) for p in phases)
-
-
-def phase_decomposition(rec: TraceRecorder, phases=SPMD_PHASES) -> dict:
-    """Per-phase compute/wait split of an instrumented run.
-
-    For every phase with recorded activity: summed-over-ranks compute
-    seconds (inclusive span time), implicit-synchronisation wait
-    seconds, the phase's wall seconds (``phase_wall``), call count,
-    and the wait fraction ``wait / (compute + wait)`` — the scaling
-    harness's Table-3-style wait decomposition, pulled straight from
-    the merged worker telemetry shards.
-    """
-    out: dict[str, dict] = {}
-    for ph in phases:
-        total = rec.phase_seconds(ph)
-        wait = rec.wait_seconds(ph)
-        if total == 0.0 and wait == 0.0:
-            continue
-        out[ph] = {
-            "total_s": total,
-            "wait_s": wait,
-            "wall_s": rec.phase_wall(ph),
-            "calls": rec.phase_calls(ph),
-            "wait_fraction": wait / (total + wait) if total + wait else 0.0,
-        }
-    return out
 
 
 def measured_rows(runs: list[tuple[int, int, TraceRecorder]],

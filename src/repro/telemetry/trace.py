@@ -1,8 +1,7 @@
 """The JSON trace document: schema, validation, atomic I/O.
 
-Same shape philosophy as :mod:`repro.perf.regress`'s
-``BENCH_kernels.json`` — a ``schema_version``, a free-form ``meta``
-block, and sorted maps so two traces diff cleanly in CI:
+A ``schema_version``, a free-form ``meta`` block, and sorted maps so
+two traces diff cleanly in CI:
 
 .. code-block:: json
 

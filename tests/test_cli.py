@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from repro.experiments.__main__ import EXPERIMENTS, main
 
 
@@ -20,8 +22,7 @@ class TestCLI:
         """Every paper table/figure has a CLI entry."""
         expected = {"table1", "table2", "table3", "table3-measured",
                     "table4", "table5", "table5-measured", "fig1", "fig2",
-                    "fig3", "fig4", "fig5", "eqbounds", "scaling",
-                    "service"}
+                    "fig3", "fig4", "fig5", "eqbounds"}
         assert expected == set(EXPERIMENTS)
 
     def test_run_one(self, capsys):
@@ -35,6 +36,13 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "unknown experiment" in err
         assert "table3" in err       # the listing accompanies the error
+
+    def test_out_flag_rejected(self, capsys):
+        """No experiment writes a report, so there is no ``--out``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["eqbounds", "--out", "report.json"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -106,31 +106,6 @@ class TestFig5:
             assert h.residuals[0] == pytest.approx(1.0)
 
 
-class TestServiceBench:
-    def test_smoke_stream_report(self, tmp_path):
-        from repro.experiments.service_bench import run_service_bench
-
-        out = tmp_path / "BENCH_service.json"
-        res = run_service_bench(smoke=True, out=str(out), repeats=1)
-        doc = res.doc
-        assert out.exists()
-        assert doc["schema_version"] == 1
-        assert doc["meta"]["mesh_hash"].startswith("mesh") is False
-        assert doc["meta"]["mesh_hash"]            # sha1 hex digest
-        assert "git_sha" in doc["meta"]            # None allowed, key not
-        assert all(r["status"] == "completed" for r in doc["requests"])
-        # The repeat request hit every structural namespace.
-        assert doc["warm"]["count"] == 1
-        for ns, st in doc["cache"].items():
-            assert st["hits"] > 0, ns
-        assert doc["warm_speedup"] > 0
-        assert doc["requests_per_sec"] > 0
-        # The rendered table mentions every latency tier.
-        text = res.table()
-        for tier in ("cold", "warm", "jittered"):
-            assert tier in text
-
-
 class TestEqBounds:
     def test_bound_valid(self):
         r = run_eq_bounds(n=1024, bandwidths=(128, 1024, 2048))

@@ -1,4 +1,4 @@
-"""Force integration, flexible GMRES, and grid sequencing."""
+"""Force integration and grid sequencing."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from repro.core.sequencing import (grid_sequenced_solve, interpolate_state,
                                    nearest_vertices)
 from repro.euler import (integrate_wall_forces, pressure_coefficient,
                          wall_pressure, wing_problem)
-from repro.solvers import fgmres, gmres
 from repro.solvers.ptc import PTCConfig
-from repro.sparse import CSRMatrix, ilu_csr
 
 
 @pytest.fixture(scope="module")
@@ -62,48 +60,6 @@ class TestForces:
         with pytest.raises(ValueError):
             integrate_wall_forces(prob.disc, rep.final_state,
                                   lift_axis=fs_dir)
-
-
-class TestFGMRES:
-    def _system(self, n=100, seed=0):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n)) * 0.2 + np.eye(n) * 4
-        return CSRMatrix.from_dense(a), rng.random(n), a
-
-    def test_matches_gmres_for_fixed_pc(self):
-        m, b, a = self._system()
-        pc = ilu_csr(m, 1)
-        r1 = gmres(m, b, M=pc, rtol=1e-10)
-        r2 = fgmres(m, b, M=pc, rtol=1e-10)
-        assert r2.converged
-        assert r1.iterations == r2.iterations
-        assert np.allclose(r1.x, r2.x, atol=1e-8)
-
-    def test_variable_preconditioner(self):
-        """Inner-Krylov preconditioning (changes every application) —
-        the case plain GMRES is not guaranteed to handle."""
-        m, b, a = self._system(seed=1)
-
-        class InnerPC:
-            def solve(self, r):
-                return gmres(m, r, rtol=0.05, maxiter=10).x
-
-        res = fgmres(m, b, M=InnerPC(), rtol=1e-10, maxiter=150)
-        assert res.converged
-        assert np.allclose(a @ res.x, b, atol=1e-6)
-        # Few outer iterations thanks to the strong inner solves.
-        assert res.iterations < 20
-
-    def test_unpreconditioned(self):
-        m, b, a = self._system(seed=2)
-        res = fgmres(m, b, rtol=1e-9)
-        assert res.converged
-
-    def test_residuals_monotone_within_cycle(self):
-        m, b, _ = self._system(seed=3)
-        res = fgmres(m, b, rtol=1e-11, restart=100, maxiter=100)
-        r = np.array(res.residual_norms)
-        assert np.all(np.diff(r) <= 1e-9 * r[:-1] + 1e-14)
 
 
 class TestNearestVertices:

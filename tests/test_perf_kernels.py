@@ -4,7 +4,7 @@ The schedule-driven ILU numeric refactorisation must reproduce the
 row-loop reference (`ilu_csr_ref`/`ilu_bsr_ref`) on arbitrary random
 patterns, `KrylovWorkspace` reuse must not perturb a single iterate,
 and the loop oracles must hold their dtype so fp32 comparisons stay
-meaningful.  Plus unit coverage for the `repro.perf` harness itself.
+meaningful.  Plus `repro.perf.git_sha`, the report attribution key.
 """
 
 import numpy as np
@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf import compare_kernels, load_report, time_kernel, write_report
 from repro.solvers import KrylovWorkspace, gmres, gmres_ref, solve_dtype
 from repro.sparse import CSRMatrix, ilu_csr, ilu_csr_ref
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.ilu import compile_elimination_schedule, ilu_bsr, \
     ilu_bsr_ref, ilu_symbolic
-from repro.sparse.spmv import spmv_csr_loop, spmv_csr_numpy
+from repro.sparse.spmv import spmv_csr_ref
 from repro.sparse.trisolve import _row_dot
 
 
@@ -193,41 +192,14 @@ def test_spmv_loop_oracle_matches_under_fp32():
     a = random_csr(25, 0.3, seed=4)
     a32 = CSRMatrix(a.indptr, a.indices, a.data.astype(np.float32), a.ncols)
     x32 = np.random.default_rng(0).random(25).astype(np.float32)
-    y_loop = spmv_csr_loop(a32, x32)
-    y_vec = spmv_csr_numpy(a32, x32)
+    y_loop = spmv_csr_ref(a32, x32)
+    y_vec = a32.matvec(x32)
     assert y_loop.dtype == np.float32
     assert y_vec.dtype == np.float32
     assert np.allclose(y_loop, y_vec, rtol=1e-5, atol=1e-6)
 
 
-# --- perf harness -----------------------------------------------------
-
-def test_time_kernel_and_compare(tmp_path):
-    calls = {"n": 0}
-
-    def work():
-        calls["n"] += 1
-
-    r = time_kernel("noop", work, repeats=3, warmup=2)
-    assert calls["n"] == 5
-    assert len(r.times) == 3 and r.median_s >= 0.0
-    cmp_ = compare_kernels("pair", work, work, repeats=3)
-    assert cmp_["speedup"] > 0.0
-
-    path = write_report(tmp_path / "BENCH_kernels.json",
-                        {"pair": cmp_, "noop": r.as_dict()},
-                        meta={"mesh": "unit-test"})
-    doc = load_report(path)
-    assert doc["meta"]["mesh"] == "unit-test"
-    assert doc["kernels"]["pair"]["name"] == "pair"
-
-
-def test_load_report_rejects_unknown_schema(tmp_path):
-    p = tmp_path / "bad.json"
-    p.write_text('{"schema_version": 99, "kernels": {}}')
-    with pytest.raises(ValueError):
-        load_report(p)
-
+# --- report attribution ----------------------------------------------
 
 def test_git_sha_attributes_this_checkout():
     """In this repo the helper must resolve HEAD; the short form is a

@@ -9,7 +9,8 @@ from repro.perfmodel import (ASCI_RED_PPRO, CRAY_T3E_600,
                              MACHINES, ORIGIN2000_R10K, conflict_miss_bound,
                              kernel_time_from_counters, predict_kernel_time,
                              roofline_performance, spmv_bandwidth_mflops,
-                             spmv_traffic_bytes, stream_time, tlb_miss_bound)
+                             spmv_traffic_bytes, spmv_transfer_estimate,
+                             stream_time, tlb_miss_bound)
 from repro.perfmodel.roofline import ridge_intensity, roofline_curve
 from repro.perfmodel.stream import measure_stream_triad
 
@@ -82,13 +83,36 @@ class TestSpMVModel:
         t = spmv_traffic_bytes(1000, 15000)
         assert t.matrix_bytes == 15000 * 8
         assert t.index_bytes == 15000 * 4 + 1001 * 4
-        assert t.total > 0
+        assert t.vector_bytes == 3 * 1000 * 8      # x once, y read+write
+        assert t.total == t.matrix_bytes + t.index_bytes + t.vector_bytes
+        # No reuse: every x gather goes to memory, so never less traffic.
+        worst = spmv_traffic_bytes(1000, 15000, x_cached=False)
+        assert worst.vector_bytes == (15000 + 2 * 1000) * 8
+        assert t.total <= worst.total
+        # BSR: one column index per block, one row pointer per block row.
+        tb = spmv_traffic_bytes(1000, 16000, block_size=4)
+        assert tb.matrix_bytes == 16000 * 8
+        assert tb.index_bytes == (1000 + 250 + 1) * 4
+        # Deep in the bandwidth-bound regime even with perfect reuse:
+        # under 0.25 flops per byte.
+        assert spmv_transfer_estimate(1000, 15000) > 4.0
 
     def test_blocking_reduces_traffic(self):
         t1 = spmv_traffic_bytes(1000, 16000, block_size=1)
         t4 = spmv_traffic_bytes(1000, 16000, block_size=4)
         assert t4.index_bytes < t1.index_bytes / 8
         assert t4.total < t1.total
+        # The index-savings invariant at every block size: same values,
+        # strictly less traffic than scalar storage once bs > 1.
+        for bs in (1, 2, 3, 4, 5):
+            n, nnz = 60 * bs, 900 * bs * bs
+            scalar = spmv_traffic_bytes(n, nnz)
+            blocked = spmv_traffic_bytes(n, nnz, block_size=bs)
+            assert blocked.matrix_bytes == scalar.matrix_bytes
+            if bs == 1:
+                assert blocked.total == scalar.total
+            else:
+                assert blocked.total < scalar.total
 
     def test_blocking_raises_mflops(self):
         m1 = spmv_bandwidth_mflops(90708, 90708 * 60, ORIGIN2000_R10K)

@@ -83,29 +83,6 @@ def test_trace_deterministic_and_positive(nx, ny, nz):
     assert t1.min() > 0
 
 
-@settings(deadline=None, max_examples=15)
-@given(st.integers(1, 5), st.integers(10, 60), st.integers(0, 100))
-def test_spmv_cost_traffic_scales_with_values(bs, nb, seed):
-    """BSR min traffic is below CSR min traffic for the same matrix
-    whenever bs > 1 (the index-savings invariant)."""
-    from repro.sparse import BSRMatrix, spmv_cost
-
-    nbrows = max(nb // bs, 2)
-    rng = np.random.default_rng(seed)
-    mask = rng.random((nbrows, nbrows)) < 0.4
-    np.fill_diagonal(mask, True)
-    br, bc = np.nonzero(mask)
-    blocks = rng.standard_normal((br.size, bs, bs))
-    m = BSRMatrix.from_block_coo(br, bc, blocks, (nbrows, nbrows))
-    cb = spmv_cost(m)
-    cs = spmv_cost(m.to_csr())
-    if bs == 1:
-        assert cb.min_traffic_bytes == cs.min_traffic_bytes
-    else:
-        assert cb.min_traffic_bytes < cs.min_traffic_bytes
-    assert cb.flops == cs.flops
-
-
 @settings(deadline=None, max_examples=10)
 @given(st.floats(1.0, 50.0), st.integers(1, 30))
 def test_timestep_shift_positive_any_cfl(cfl, seed):

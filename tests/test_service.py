@@ -8,6 +8,11 @@ deadlines expire requests, batching groups compatible requests, and
 a crashed worker quarantines one request without killing the service.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -20,6 +25,38 @@ from repro.service import (ServiceCache, SolveRequest, SolverService,
                            config_key, mesh_hash, pattern_hash,
                            topology_hash)
 from repro.service.warm import harvest_context, seed_solver
+
+
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+# Wing A, A' (coordinates + 1e-8: same topology hash, so the cached
+# layout is shared; another mesh hash, so another pool key), A again.
+_PERTURBED_PROC_STREAM = r"""
+import json, multiprocessing, os
+import numpy as np
+from repro.core.config import PreconditionerConfig, SolverConfig
+from repro.euler import wing_problem
+from repro.service import ServiceCache, SolveRequest, SolverService
+
+before = set(os.listdir("/dev/shm"))
+cfg = SolverConfig(executor="proc", nworkers=2, max_steps=4,
+                   precond=PreconditionerConfig(nparts=4))
+states = []
+with SolverService(workers=1, cache=ServiceCache(max_entries=2)) as svc:
+    for shift in (0.0, 1e-8, 0.0):
+        prob = wing_problem(7, 5, 4)
+        prob.mesh.coords[:] += shift
+        ticket = svc.submit(SolveRequest(prob.disc, prob.initial.flat(), cfg))
+        states.append(ticket.result(timeout=600).final_state)
+        pools = {id(lay.pool) for lay in svc._warm_pools.values()}
+        assert len(pools) == len(svc._warm_pools) == 1, svc._warm_pools
+    stats = svc.snapshot()["service"]
+print(json.dumps({
+    "bitwise": bool(np.array_equal(states[0], states[2])),
+    "leaked": sorted(set(os.listdir("/dev/shm")) - before),
+    "children": [p.name for p in multiprocessing.active_children()],
+    "stats": stats}))
+"""
 
 
 def small_cfg(**kw):
@@ -95,6 +132,15 @@ class TestWarmSeeding:
         assert not any(ctx1.seeded.values())
         rep1 = ctx1.solver.solve(p1.initial.flat())
         harvest_context(cache, ctx1)
+        assert set(ctx1.seeded) == set(cache.stats()) == {
+            "partition", "gather", "ilu_symbolic"}
+        # The compiled schedules ride the patterns: one entry, and its
+        # resident bytes count both.
+        patterns = [sd.factor.pattern for sd in ctx1.solver._pc.subdomains]
+        assert all(p._schedule is not None for p in patterns)
+        assert cache.stats()["ilu_symbolic"].bytes_stored > sum(
+            p.l_indptr.nbytes + p.l_indices.nbytes
+            + p.u_indptr.nbytes + p.u_indices.nbytes for p in patterns)
 
         p2 = make_prob()
         ctx2 = seed_solver(cache, p2.disc, cfg)
@@ -285,3 +331,22 @@ class TestProcServiceAndQuarantine:
                                          p.initial.flat(), proc_cfg))
             assert t3.result(timeout=600) is not None
             assert t3.status == "completed"
+
+    def test_perturbed_mesh_closes_the_pool_it_replaces(self):
+        """A' lands on A's cached layout (topology-keyed) with A's pool
+        still attached; the pool built for A' must close that one and
+        the service must forget the entry that named it.  At the parent
+        of this fix the first pool was orphaned: exit 139 and two
+        ``/dev/shm/psm_*`` segments left behind."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _PERTURBED_PROC_STREAM],
+            capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": _SRC})
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["bitwise"]
+        assert out["leaked"] == []
+        assert out["children"] == []
+        assert out["stats"]["completed"] == 3
+        assert (out["stats"]["pools_created"],
+                out["stats"]["pools_discarded"]) == (3, 2)

@@ -1,75 +1,10 @@
-"""Inexact Newton and the SER pseudo-transient controller."""
+"""The SER pseudo-transient controller."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.solvers import PTCConfig, SERController, newton_solve
-
-
-def quadratic_system(n, seed):
-    """F(u) = A u + u*u - b with known root."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)) * 0.3 + np.eye(n) * 3
-    u_star = rng.random(n)
-    b = a @ u_star + u_star**2
-
-    def residual(u):
-        return a @ u + u**2 - b
-
-    def solve_linear(u, f):
-        j = a + np.diag(2 * u)
-        return np.linalg.solve(j, -f), 1
-
-    return residual, solve_linear, u_star
-
-
-class TestNewton:
-    def test_converges_quadratically(self):
-        residual, solve_linear, u_star = quadratic_system(10, 0)
-        res = newton_solve(residual, solve_linear, np.zeros(10), rtol=1e-12)
-        assert res.converged
-        assert np.allclose(res.u, u_star, atol=1e-8)
-        # Quadratic tail: few iterations.
-        assert res.iterations <= 10
-
-    def test_respects_max_newton(self):
-        residual, solve_linear, _ = quadratic_system(10, 1)
-        res = newton_solve(residual, solve_linear, np.zeros(10) + 100,
-                           rtol=1e-14, max_newton=2)
-        assert res.iterations <= 2
-
-    def test_line_search_monotone(self):
-        residual, solve_linear, _ = quadratic_system(8, 2)
-        res = newton_solve(residual, solve_linear, np.ones(8) * 3,
-                           rtol=1e-10, line_search=True)
-        r = np.array(res.residual_norms)
-        assert np.all(np.diff(r) <= 1e-9 * r[:-1] + 1e-14)
-
-    def test_already_converged(self):
-        residual, solve_linear, u_star = quadratic_system(6, 3)
-        res = newton_solve(residual, solve_linear, u_star, rtol=1e-6)
-        assert res.converged
-        assert res.iterations == 0
-
-    def test_inexact_solves_still_converge(self):
-        """Loose forcing (noisy linear solve) converges, just slower."""
-        residual, solve_linear, u_star = quadratic_system(10, 4)
-        rng = np.random.default_rng(0)
-
-        def sloppy(u, f):
-            d, its = solve_linear(u, f)
-            return d * (1 + 0.01 * rng.standard_normal(d.size)), its
-
-        res = newton_solve(residual, sloppy, np.zeros(10), rtol=1e-8,
-                           max_newton=50)
-        assert res.converged
-
-    def test_function_eval_accounting(self):
-        residual, solve_linear, _ = quadratic_system(6, 5)
-        res = newton_solve(residual, solve_linear, np.zeros(6), rtol=1e-10)
-        assert res.function_evals >= res.iterations + 1
+from repro.solvers import PTCConfig, SERController
 
 
 class TestSERController:

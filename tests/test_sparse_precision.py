@@ -105,4 +105,7 @@ class TestFp32Storage:
                                  value_bytes=4)
         assert t32.matrix_bytes * 2 == t64.matrix_bytes
         assert t32.index_bytes == t64.index_bytes
+        # ... and the indices it leaves alone are the matrix's own: one
+        # per stored block plus the block-row pointer.
+        assert t64.index_bytes == (jac.nnzb + jac.nbrows + 1) * 4
         assert t32.total < t64.total

@@ -22,7 +22,6 @@ from repro.perf.regress import atomic_write_json
 from repro.telemetry import (KNOWN_PHASES, NULL_RECORDER, NullRecorder,
                              TraceRecorder, load_trace, measured_rows,
                              measured_wall, validate_trace, write_trace)
-from repro.telemetry.report import phase_decomposition
 
 
 def _spin(seconds=2e-4):
@@ -311,83 +310,6 @@ class TestInstrumentedSolveIdentity:
             report.total_linear_iterations
         # orthogonalization nests inside krylov: self < inclusive.
         assert rec.self_seconds("krylov") < rec.phase_seconds("krylov")
-
-
-class TestPhaseDecomposition:
-    """Edge cases of the per-phase compute/wait split."""
-
-    def test_empty_trace_gives_empty_decomposition(self):
-        assert phase_decomposition(TraceRecorder()) == {}
-
-    def test_silent_phases_are_omitted(self):
-        rec = TraceRecorder()
-        with rec.span("flux"):
-            _spin()
-        out = phase_decomposition(rec)
-        assert set(out) == {"flux"}
-        assert out["flux"]["calls"] == 1
-        assert out["flux"]["wait_s"] == 0.0
-
-    def test_single_rank_has_zero_wait(self):
-        # One rank can never wait on itself: record_wait over a
-        # single-element list books max_r t_r - t_own = 0.
-        rec = TraceRecorder()
-        rec.add_span_seconds("matvec", 2.0, rank=0)
-        rec.record_wait("matvec", [2.0])
-        out = phase_decomposition(rec)
-        assert out["matvec"]["total_s"] == pytest.approx(2.0)
-        assert out["matvec"]["wait_s"] == 0.0
-        assert out["matvec"]["wait_fraction"] == 0.0
-
-    def test_wait_only_phase_survives(self):
-        # A phase whose compute time rounds to zero but whose ranks
-        # waited must still appear (wait_fraction 1.0, not a div/0).
-        rec = TraceRecorder()
-        rec.record_wait("ghost_exchange", [0.0, 1.0])
-        out = phase_decomposition(rec)
-        assert out["ghost_exchange"]["total_s"] == 0.0
-        assert out["ghost_exchange"]["wait_s"] == pytest.approx(1.0)
-        assert out["ghost_exchange"]["wait_fraction"] == pytest.approx(1.0)
-
-    def test_disagreeing_worker_shards_union(self):
-        # Two workers report disjoint phase sets (rank 0 only did
-        # flux, rank 1 only matvec); the merged decomposition is the
-        # union with per-phase attribution intact.
-        shard0, shard1 = TraceRecorder(), TraceRecorder()
-        shard0.add_span_seconds("flux", 1.0, rank=0)
-        shard1.add_span_seconds("matvec", 3.0, rank=1)
-        shard1.add_wait_seconds("matvec", 1, 0.5)
-        rec = TraceRecorder()
-        rec.merge_dict(shard0.to_dict())
-        rec.merge_dict(shard1.to_dict())
-        out = phase_decomposition(rec)
-        assert set(out) == {"flux", "matvec"}
-        assert out["flux"]["total_s"] == pytest.approx(1.0)
-        assert out["matvec"]["total_s"] == pytest.approx(3.0)
-        assert out["matvec"]["wait_s"] == pytest.approx(0.5)
-        assert out["matvec"]["wait_fraction"] == pytest.approx(0.5 / 3.5)
-
-    def test_shards_disagreeing_on_same_phase_accumulate(self):
-        # Both workers timed "trisolve" on different ranks with very
-        # different durations — totals sum, calls sum, and the wall
-        # (per-rank max) reflects the slower shard.
-        shard0, shard1 = TraceRecorder(), TraceRecorder()
-        shard0.add_span_seconds("trisolve", 1.0, rank=0)
-        shard1.add_span_seconds("trisolve", 4.0, rank=1)
-        rec = TraceRecorder()
-        rec.merge_dict(shard0.to_dict())
-        rec.merge_dict(shard1.to_dict())
-        out = phase_decomposition(rec)
-        assert out["trisolve"]["total_s"] == pytest.approx(5.0)
-        assert out["trisolve"]["calls"] == 2
-        assert out["trisolve"]["wall_s"] == pytest.approx(4.0)
-
-    def test_restricted_phase_tuple_filters(self):
-        rec = TraceRecorder()
-        rec.add_span_seconds("flux", 1.0)
-        rec.add_span_seconds("matvec", 1.0)
-        out = phase_decomposition(rec, phases=("matvec",))
-        assert set(out) == {"matvec"}
 
 
 class TestMeasuredTable3:
