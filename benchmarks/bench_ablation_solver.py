@@ -10,14 +10,15 @@ from repro.core import NKSSolver, SolverConfig
 from repro.core.config import PreconditionerConfig
 from repro.euler.problems import wing_problem
 from repro.solvers.ptc import PTCConfig
+from repro.telemetry import TraceRecorder
 
 
-def _solve(prob, **kw):
+def _solve(prob, recorder=None, **kw):
     defaults = dict(ptc=PTCConfig(cfl0=10.0), max_steps=30,
                     target_reduction=1e-6)
     defaults.update(kw)
-    return NKSSolver(prob.disc, SolverConfig(**defaults)) \
-        .solve(prob.initial.flat())
+    return NKSSolver(prob.disc, SolverConfig(**defaults),
+                     recorder=recorder).solve(prob.initial.flat())
 
 
 def test_matrix_free_vs_assembled(benchmark, record_table):
@@ -48,8 +49,10 @@ def test_jacobian_lag(benchmark, record_table):
     def sweep():
         out = {}
         for lag in (1, 2, 4):
-            rep = _solve(prob, matrix_free=True, jacobian_lag=lag)
-            setups = sum(1 for s in rep.steps if s.time_pcsetup > 0)
+            rec = TraceRecorder()
+            rep = _solve(prob, recorder=rec, matrix_free=True,
+                         jacobian_lag=lag)
+            setups = rec.phase_calls("precond_setup")
             out[lag] = (rep.num_steps, rep.total_linear_iterations, setups,
                         rep.converged)
         return out

@@ -6,8 +6,7 @@ from repro.experiments.eqbounds import run_eq_bounds
 
 
 def test_eq_bounds(benchmark, record_table):
-    result = run_once(benchmark, run_eq_bounds,
-                      n=4096, bandwidths=(256, 512, 1024, 2048, 4096))
+    result = run_once(benchmark, run_eq_bounds)
     record_table("eq_miss_bounds", result.table())
 
     betas = result.column("beta (words)")

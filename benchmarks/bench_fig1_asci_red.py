@@ -2,13 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments.table3 import run_table3
+from repro.experiments.table3 import run_fig1
 
 
 def test_fig1_asci_red(benchmark, record_table):
-    sc = run_once(benchmark, run_table3, procs=(2, 4, 8, 16, 32, 64),
-                  size="medium", max_steps=5)
-    result = sc.to_fig1_table()
+    result = run_once(benchmark, run_fig1)
     record_table("fig1_asci_red", result.table())
 
     vtx = result.column("Vtx/proc")

@@ -8,8 +8,7 @@ from repro.experiments.fig2 import run_fig2
 
 
 def test_fig2_three_machines(benchmark, record_table):
-    result = run_once(benchmark, run_fig2, procs=(2, 4, 8, 16),
-                      size="medium", max_steps=4)
+    result = run_once(benchmark, run_fig2)
     record_table("fig2_three_machines", result.table())
 
     series = defaultdict(list)

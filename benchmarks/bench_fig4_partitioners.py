@@ -8,8 +8,7 @@ from repro.experiments.fig4 import run_fig4
 
 
 def test_fig4_partitioners(benchmark, record_table):
-    result = run_once(benchmark, run_fig4, procs=(2, 4, 8, 16, 32),
-                      size="medium", max_steps=4)
+    result = run_once(benchmark, run_fig4)
     record_table("fig4_partitioners", result.table())
 
     series = defaultdict(dict)

@@ -6,9 +6,7 @@ from repro.experiments.fig5 import run_fig5
 
 
 def test_fig5_cfl(benchmark, record_table):
-    result, histories = run_once(benchmark, run_fig5,
-                                 cfl0_values=(1.0, 5.0, 10.0, 50.0),
-                                 size="small")
+    result, histories = run_once(benchmark, run_fig5)
     lines = [result.table(), "", "residual histories (||F||/||F0||):"]
     for h in histories:
         lines.append(f"  CFL0={h.cfl0:<6g} " +

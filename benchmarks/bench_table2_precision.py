@@ -6,8 +6,7 @@ from repro.experiments.table2 import run_table2
 
 
 def test_table2_precision(benchmark, record_table):
-    result = run_once(benchmark, run_table2, procs=(4, 8, 16),
-                      size="medium", max_steps=4)
+    result = run_once(benchmark, run_table2)
     record_table("table2_precision", result.table())
 
     tri_ratio = result.column("Tri ratio")

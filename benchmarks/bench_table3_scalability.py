@@ -6,8 +6,7 @@ from repro.experiments.table3 import run_table3
 
 
 def test_table3_scalability(benchmark, record_table):
-    sc = run_once(benchmark, run_table3, procs=(2, 4, 8, 16, 32),
-                  size="medium", max_steps=5)
+    sc = run_once(benchmark, run_table3)
     result = sc.to_table()
     record_table("table3_scalability", result.table())
 

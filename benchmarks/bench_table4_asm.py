@@ -6,8 +6,7 @@ from repro.experiments.table4 import run_table4
 
 
 def test_table4_asm(benchmark, record_table):
-    result = run_once(benchmark, run_table4, procs=(4, 8), fills=(0, 1, 2),
-                      overlaps=(0, 1, 2), size="medium", max_steps=3)
+    result = run_once(benchmark, run_table4)
     record_table("table4_asm", result.table())
 
     cells = {}

@@ -6,8 +6,7 @@ from repro.experiments.table5 import run_table5
 
 
 def test_table5_hybrid(benchmark, record_table):
-    result = run_once(benchmark, run_table5, node_counts=(4, 8, 16, 32),
-                      size="medium")
+    result = run_once(benchmark, run_table5)
     record_table("table5_hybrid", result.table())
 
     t1 = result.column("1 thread(s)")

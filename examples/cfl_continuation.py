@@ -28,8 +28,7 @@ def ascii_curve(residuals: np.ndarray, width: int = 60,
 
 
 def main() -> None:
-    result, histories = run_fig5(cfl0_values=(1.0, 5.0, 10.0, 50.0),
-                                 size="small")
+    result, histories = run_fig5()
     print(result.table())
     for h in histories:
         print(f"\nCFL0 = {h.cfl0:g}  "

@@ -42,10 +42,8 @@ def main() -> None:
     # 4. Inspect.
     print(f"\nconverged: {report.converged} in {report.num_steps} steps, "
           f"{report.total_linear_iterations} linear iterations")
-    times = report.phase_times()
-    total = sum(times.values())
-    print("phase breakdown: " + ", ".join(
-        f"{k} {100 * v / total:.0f}%" for k, v in times.items()))
+    # Where the time went: examples/record_trace.py runs this solve with
+    # a TraceRecorder attached and prints the per-phase breakdown.
 
     q = report.final_state.reshape(-1, prob.disc.ncomp)
     bc = prob.disc.bc

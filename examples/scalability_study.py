@@ -13,7 +13,7 @@ from repro.experiments.table3 import run_table3
 
 
 def main() -> None:
-    sc = run_table3(procs=(2, 4, 8, 16, 32), size="medium", max_steps=5)
+    sc = run_table3()
     print(sc.to_table().table())
     print()
     print(sc.to_fig1_table().table())

@@ -20,37 +20,33 @@ Quickstart::
 """
 
 from repro.core import (NKSSolver, SolverConfig, KrylovConfig,
-                        PreconditionerConfig, SolveReport,
-                        grid_sequenced_solve, work_precision)
+                        PreconditionerConfig, SolveReport)
 from repro.euler import (IncompressibleEuler, CompressibleEuler,
                          wing_problem, duct_problem,
                          transonic_bump_problem, FlowProblem,
                          integrate_wall_forces, pressure_coefficient)
 from repro.mesh import (Mesh, box_mesh, wing_mesh, bump_mesh,
                         unit_cube_mesh, compute_dual_metrics,
-                        apply_orderings, save_mesh, load_mesh, save_vtk)
+                        apply_orderings)
 from repro.partition import (kway_partition, pmetis_partition,
-                             spectral_partition, partition_quality)
+                             partition_quality)
 from repro.solvers import gmres, SERController, PTCConfig
 from repro.sparse import CSRMatrix, BSRMatrix, ilu_csr, ilu_bsr
-from repro.precond import (BlockJacobi, AdditiveSchwarz, ASMConfig,
-                           TwoLevelASM)
+from repro.precond import AdditiveSchwarz, ASMConfig
 
 __version__ = "1.0.0"
 
 __all__ = [
     "NKSSolver", "SolverConfig", "KrylovConfig", "PreconditionerConfig",
-    "SolveReport", "grid_sequenced_solve", "work_precision",
+    "SolveReport",
     "IncompressibleEuler", "CompressibleEuler",
     "wing_problem", "duct_problem", "transonic_bump_problem",
     "FlowProblem", "integrate_wall_forces", "pressure_coefficient",
     "Mesh", "box_mesh", "wing_mesh", "bump_mesh", "unit_cube_mesh",
     "compute_dual_metrics", "apply_orderings",
-    "save_mesh", "load_mesh", "save_vtk",
-    "kway_partition", "pmetis_partition", "spectral_partition",
-    "partition_quality",
+    "kway_partition", "pmetis_partition", "partition_quality",
     "gmres", "SERController", "PTCConfig",
     "CSRMatrix", "BSRMatrix", "ilu_csr", "ilu_bsr",
-    "BlockJacobi", "AdditiveSchwarz", "ASMConfig", "TwoLevelASM",
+    "AdditiveSchwarz", "ASMConfig",
     "__version__",
 ]

@@ -10,10 +10,6 @@ Sec. 2.4 exposed in :class:`~repro.core.config.SolverConfig`.
 from repro.core.config import SolverConfig, PreconditionerConfig, KrylovConfig
 from repro.core.driver import NKSSolver, SolveReport, StepRecord
 from repro.core.reporting import format_table, format_markdown_table
-from repro.core.sequencing import (grid_sequenced_solve, interpolate_state,
-                                   SequencingReport)
-from repro.core.analysis import (convergence_rate, steps_to_reduction,
-                                 work_precision, WorkPrecisionPoint)
 
 __all__ = [
     "SolverConfig",
@@ -24,11 +20,4 @@ __all__ = [
     "StepRecord",
     "format_table",
     "format_markdown_table",
-    "grid_sequenced_solve",
-    "interpolate_state",
-    "SequencingReport",
-    "convergence_rate",
-    "steps_to_reduction",
-    "work_precision",
-    "WorkPrecisionPoint",
 ]

@@ -11,15 +11,12 @@ Each pseudo-timestep:
    loose forcing tolerance (matrix-free operator optional);
 4. update the state (full step; PTC provides the globalisation).
 
-The driver instruments every phase with wall-clock timers *and*
-analytic operation counts, because the reproduction's performance
-claims are made with the paper's own memory-centric models rather than
-with Python wall time.
+Wall time per phase is the recorder's job (``recorder=``, see
+:class:`NKSSolver`); the report carries only the convergence history.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,23 +63,18 @@ class _SPMDOperator(OperatorFromCallable):
                                   threads=self.threads)
 
 
-class _TimedFDOperator(OperatorFromCallable):
-    """Matrix-free Krylov operator that clocks its own applications.
+def _booked_as_flux(matvec, recorder=NULL_RECORDER):
+    """The matrix-free ``J v`` with each application a ``flux`` span.
 
-    Every FD ``J v`` is one nonlinear residual evaluation, so the
-    driver books ``elapsed`` under ``flux`` rather than ``krylov``
-    (it starts at the cost of building ``op``: the base residual).
+    Every finite-difference ``J v`` is one nonlinear residual
+    evaluation.  GMRES applies it inside the driver's ``krylov``
+    envelope, so the nested span moves that time out of ``krylov``
+    self time and into ``flux``, where the residual belongs.
     """
-
-    def __init__(self, op: OperatorFromCallable, build_s: float) -> None:
-        super().__init__(op.matvec, op.shape[0])
-        self.elapsed = build_s
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        t0 = time.perf_counter()
-        y = super().matvec(x)
-        self.elapsed += time.perf_counter() - t0
-        return y
+    def apply(x: np.ndarray) -> np.ndarray:
+        with recorder.span("flux"):
+            return matvec(x)
+    return apply
 
 
 @dataclass
@@ -94,17 +86,11 @@ class StepRecord:
     cfl: float
     linear_iterations: int
     gmres_converged: bool
-    time_flux: float = 0.0        # residual evaluations (incl. the
-                                  # matrix-free operator's FD ones)
-    time_assembly: float = 0.0    # Jacobian assembly
-    time_pcsetup: float = 0.0     # ILU factorisations
-    time_krylov: float = 0.0      # GMRES (incl. preconditioner applies,
-                                  # excl. matrix-free residuals)
 
 
 @dataclass
 class SolveReport:
-    """Full solve history plus phase totals."""
+    """Full solve history."""
 
     converged: bool
     steps: list[StepRecord] = field(default_factory=list)
@@ -127,19 +113,6 @@ class SolveReport:
     def cfl_history(self) -> np.ndarray:
         return np.array([s.cfl for s in self.steps])
 
-    def phase_times(self) -> dict[str, float]:
-        return {
-            "flux": sum(s.time_flux for s in self.steps),
-            "assembly": sum(s.time_assembly for s in self.steps),
-            "pc_setup": sum(s.time_pcsetup for s in self.steps),
-            "krylov": sum(s.time_krylov for s in self.steps),
-        }
-
-    @property
-    def time_per_step(self) -> float:
-        t = self.phase_times()
-        return sum(t.values()) / max(self.num_steps, 1)
-
     @property
     def final_reduction(self) -> float:
         if not self.steps or self.fnorm0 == 0:
@@ -151,7 +124,8 @@ class NKSSolver:
     """Pseudo-transient Newton-Krylov-Schwarz driver.
 
     ``recorder`` (a :class:`repro.telemetry.TraceRecorder`) threads
-    telemetry through the whole stack: the driver records ``flux``,
+    telemetry through the whole stack: the driver records ``flux``
+    (the matrix-free operator's residual evaluations included),
     ``jacobian``, and ``krylov`` envelope spans; the preconditioner
     records ``precond_setup`` / ``trisolve``; GMRES records
     ``orthogonalization`` and the iteration counters.  The default is
@@ -296,7 +270,6 @@ class NKSSolver:
             order = (controller.second_order
                      if cfg.ptc.switch_order_drop is not None else None)
             use2 = self.disc.second_order if order is None else order
-            t0 = time.perf_counter()
             if spmd_exec is not None and not use2:
                 # First-order residuals decompose exactly over the
                 # partition (the SPMD kernels are first-order), so
@@ -312,7 +285,6 @@ class NKSSolver:
             else:
                 with rec.span("flux"):
                     f = self.disc.residual(q, second_order=order)
-            t_flux = time.perf_counter() - t0
             fnorm = float(np.linalg.norm(f))
             if step == 1:
                 report.fnorm0 = fnorm
@@ -322,41 +294,36 @@ class NKSSolver:
                             cfg.absolute_tol):
                 report.steps.append(StepRecord(step=step, fnorm=fnorm,
                                                cfl=cfl, linear_iterations=0,
-                                               gmres_converged=True,
-                                               time_flux=t_flux))
+                                               gmres_converged=True))
                 report.converged = True
                 break
 
             # --- Jacobian + preconditioner refresh ---------------------
-            t_asm = t_pc = 0.0
             if self._steps_since_refresh >= cfg.jacobian_lag or self._pc is None:
-                t0 = time.perf_counter()
                 with rec.span("jacobian"):
                     jac = self.disc.shifted_jacobian(q, cfl)
                 # The hybrid thread knob rides the matrix so the local
                 # (non-SPMD) Krylov matvec is team-parallel too.
                 jac.threads = cfg.threads
-                t_asm = time.perf_counter() - t0
-                t0 = time.perf_counter()
                 # Keep the preconditioner instance across refreshes: the
                 # Jacobian sparsity is fixed, so setup() reuses the
                 # subdomains' symbolic ILU and elimination schedules.
                 if self._pc is None:
                     self._pc = self._make_pc()
                 self._pc.setup(jac)
-                t_pc = time.perf_counter() - t0
                 self._jac = jac
                 self._steps_since_refresh = 0
             self._steps_since_refresh += 1
 
             # --- linear solve -------------------------------------------
-            t0 = time.perf_counter()
             if cfg.matrix_free:
                 shift = self.disc.timestep_shift(q, cfl)
-                t_op = time.perf_counter()
-                op = self.disc.jacobian_operator(q, shift=shift,
-                                                 second_order=order)
-                op = _TimedFDOperator(op, time.perf_counter() - t_op)
+                # Building the operator costs its base residual.
+                with rec.span("flux"):
+                    fd = self.disc.jacobian_operator(q, shift=shift,
+                                                     second_order=order)
+                op = OperatorFromCallable(_booked_as_flux(fd.matvec, rec),
+                                          fd.shape[0])
             elif spmd_exec is not None:
                 op = _SPMDOperator(self._jac, self._layout, spmd_exec,
                                    recorder=rec, threads=cfg.threads)
@@ -377,21 +344,13 @@ class NKSSolver:
                             orthog=cfg.krylov.orthogonalization,
                             workspace=self._ws,
                             recorder=rec)
-            t_kry = time.perf_counter() - t0
-            if cfg.matrix_free:
-                # The FD operator's residual evaluations ran inside
-                # the Krylov window; they are flux time.
-                t_kry -= op.elapsed
-                t_flux += op.elapsed
             rec.count("newton_steps", 1)
 
             q += res.x
             record = StepRecord(
                 step=step, fnorm=fnorm, cfl=cfl,
                 linear_iterations=res.iterations,
-                gmres_converged=res.converged,
-                time_flux=t_flux, time_assembly=t_asm,
-                time_pcsetup=t_pc, time_krylov=t_kry)
+                gmres_converged=res.converged)
             report.steps.append(record)
             if verbose:
                 print(f"step {step:3d}  |F|={fnorm:.3e}  CFL={cfl:9.1f}  "

@@ -29,9 +29,6 @@ from repro.euler.boundary import BoundaryCondition, BoundaryKind, classify_box_b
 from repro.euler.reconstruction import green_gauss_gradients, Limiter
 from repro.euler.incompressible import IncompressibleEuler
 from repro.euler.compressible import CompressibleEuler
-from repro.euler.fd_jacobian import (fd_jacobian, fd_jacobian_colored,
-                                     fd_jacobian_ref,
-                                     distance2_vertex_coloring)
 from repro.euler.forces import (WallForces, integrate_wall_forces,
                                 pressure_coefficient, wall_pressure)
 from repro.euler.problems import (wing_problem, duct_problem,
@@ -63,8 +60,4 @@ __all__ = [
     "integrate_wall_forces",
     "pressure_coefficient",
     "wall_pressure",
-    "fd_jacobian",
-    "fd_jacobian_colored",
-    "fd_jacobian_ref",
-    "distance2_vertex_coloring",
 ]

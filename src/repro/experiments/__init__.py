@@ -16,7 +16,8 @@ from repro.experiments.common import (
 )
 from repro.experiments.table1 import run_table1, Table1Row
 from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import (run_table3, run_table3_measured,
+from repro.experiments.table3 import (run_table3, run_fig1,
+                                      run_table3_measured,
                                       ScalabilityResult,
                                       MeasuredScalabilityResult)
 from repro.experiments.table4 import run_table4
@@ -34,7 +35,7 @@ __all__ = [
     "measured_linear_iterations",
     "run_table1", "Table1Row",
     "run_table2",
-    "run_table3", "run_table3_measured",
+    "run_table3", "run_fig1", "run_table3_measured",
     "ScalabilityResult", "MeasuredScalabilityResult",
     "run_table4",
     "run_table5", "run_table5_measured",

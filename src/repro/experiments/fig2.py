@@ -27,7 +27,7 @@ _MACHINES = (ASCI_RED_PPRO, BLUE_PACIFIC_604E, CRAY_T3E_600)
 
 
 def run_fig2(*, procs=(2, 4, 8, 16), size: str = "medium",
-             max_steps: int = 5, fill_level: int = 1,
+             max_steps: int = 4, fill_level: int = 1,
              seed: int = 0) -> ExperimentResult:
     """Both Fig. 2 panels as one table (a row per machine x node count)."""
     prob = default_wing(size, seed=seed)

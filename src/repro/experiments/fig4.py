@@ -29,7 +29,7 @@ __all__ = ["run_fig4"]
 
 
 def run_fig4(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
-             machine: MachineSpec = CRAY_T3E_600, max_steps: int = 5,
+             machine: MachineSpec = CRAY_T3E_600, max_steps: int = 4,
              fill_level: int = 0, seed: int = 0) -> ExperimentResult:
     """Regenerate the Fig. 4 speedup comparison."""
     prob = default_wing(size, seed=seed)

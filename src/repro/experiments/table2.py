@@ -35,8 +35,8 @@ PAPER_TABLE2 = {
 }
 
 
-def run_table2(*, procs=(4, 8, 16, 32), size: str = "medium",
-               machine: MachineSpec = ORIGIN2000_R10K, max_steps: int = 5,
+def run_table2(*, procs=(4, 8, 16), size: str = "medium",
+               machine: MachineSpec = ORIGIN2000_R10K, max_steps: int = 4,
                fill_level: int = 1, seed: int = 0) -> ExperimentResult:
     """Regenerate Table 2 at scaled processor counts."""
     prob = default_wing(size, seed=seed)

@@ -43,8 +43,9 @@ from repro.telemetry.recorder import TraceRecorder
 from repro.telemetry.report import MeasuredRow, measured_rows
 from repro.telemetry.trace import write_trace
 
-__all__ = ["run_table3", "run_table3_measured", "ScalabilityResult",
-           "ScalabilityPoint", "MeasuredScalabilityResult", "PAPER_TABLE3"]
+__all__ = ["run_table3", "run_fig1", "run_table3_measured",
+           "ScalabilityResult", "ScalabilityPoint",
+           "MeasuredScalabilityResult", "PAPER_TABLE3"]
 
 # Paper Table 3 rows: P -> (its, time_s, eta_overall, eta_alg, eta_impl,
 #                           pct_reductions, pct_sync, pct_scatter, GB/it)
@@ -222,7 +223,7 @@ def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
 
 
 def run_table3(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
-               machine: MachineSpec = ASCI_RED_PPRO, max_steps: int = 6,
+               machine: MachineSpec = ASCI_RED_PPRO, max_steps: int = 5,
                fill_level: int = 1, seed: int = 0,
                prob: FlowProblem | None = None) -> ScalabilityResult:
     """Regenerate the Table 3 analysis at scaled processor counts."""
@@ -248,3 +249,9 @@ def run_table3(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
         runs.append((p, sum(its), tl.total_wall))
     result.efficiency = efficiency_decomposition(runs)
     return result
+
+
+def run_fig1() -> ExperimentResult:
+    """Regenerate Fig. 1: Table 3's runs taken one doubling further,
+    read as the fixed-size scaling metrics."""
+    return run_table3(procs=(2, 4, 8, 16, 32, 64)).to_fig1_table()

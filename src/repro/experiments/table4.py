@@ -39,8 +39,8 @@ PAPER_TABLE4 = {
 }
 
 
-def run_table4(*, procs=(4, 8, 16), fills=(0, 1, 2), overlaps=(0, 1, 2),
-               size: str = "small", machine: MachineSpec = ASCI_RED_PPRO,
+def run_table4(*, procs=(4, 8), fills=(0, 1, 2), overlaps=(0, 1, 2),
+               size: str = "medium", machine: MachineSpec = ASCI_RED_PPRO,
                max_steps: int = 3, cfl0: float = 1000.0,
                krylov_rtol: float = 1e-4, seed: int = 0) -> ExperimentResult:
     """Regenerate Table 4 at scaled processor counts.

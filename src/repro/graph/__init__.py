@@ -16,7 +16,6 @@ from repro.graph.traversal import (
 )
 from repro.graph.rcm import rcm_ordering, cuthill_mckee, bandwidth, profile as envelope_profile
 from repro.graph.coloring import greedy_coloring, distance2_edge_coloring
-from repro.graph.sloan import sloan_ordering
 
 __all__ = [
     "Graph",
@@ -33,5 +32,4 @@ __all__ = [
     "envelope_profile",
     "greedy_coloring",
     "distance2_edge_coloring",
-    "sloan_ordering",
 ]

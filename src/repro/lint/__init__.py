@@ -35,8 +35,7 @@ R009 chunk-writes        ``run_chunks`` kernels only write slices
 R007/R008 are *interprocedural*: per-module facts
 (:mod:`repro.lint.facts`) feed a project call graph
 (:mod:`repro.lint.callgraph`) whose worker-entry reachability decides
-which code runs inside forked workers.  A content-hash per-file cache
-(:mod:`repro.lint.cache`, ``--cache``) keeps the heavier pass fast.
+which code runs inside forked workers.
 
 Run ``python -m repro.lint src/`` (see ``--help``); annotate deliberate
 exceptions with ``# lint:`` pragmas (:mod:`repro.lint.model`); register
@@ -45,15 +44,15 @@ new rules in :mod:`repro.lint.rules`.
 
 from repro.lint.baseline import (filter_findings, load_baseline,
                                  write_baseline)
-from repro.lint.engine import (LintResult, collect_test_names,
-                               discover_files, run_lint, run_lint_ex)
+from repro.lint.engine import (collect_test_names, discover_files,
+                               run_lint)
 from repro.lint.model import Finding, ModuleInfo, parse_module
 from repro.lint.registry import (ProjectInfo, Rule, all_rules,
                                  known_rule_ids, rule)
 
 __all__ = [
-    "Finding", "LintResult", "ModuleInfo", "ProjectInfo", "Rule",
+    "Finding", "ModuleInfo", "ProjectInfo", "Rule",
     "all_rules", "collect_test_names", "discover_files", "filter_findings",
     "known_rule_ids", "load_baseline", "parse_module", "rule", "run_lint",
-    "run_lint_ex", "write_baseline",
+    "write_baseline",
 ]

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from repro.lint.baseline import (filter_findings, load_baseline,
                                  write_baseline)
-from repro.lint.engine import run_lint_ex
+from repro.lint.engine import run_lint
 from repro.lint.model import Finding
 from repro.lint.registry import all_rules, known_rule_ids
 
@@ -38,18 +38,15 @@ def render_text(findings: list[Finding], suppressed: int) -> str:
     return "\n".join(lines)
 
 
-def render_json(findings: list[Finding], suppressed: int,
-                cache_stats: dict | None = None) -> str:
+def render_json(findings: list[Finding], suppressed: int) -> str:
     by_rule: dict[str, int] = {}
     for f in findings:
         by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
     doc = {
-        "schema_version": 2,
+        "schema_version": 3,
         "findings": [f.to_dict() for f in findings],
         "counts": dict(sorted(by_rule.items())),
         "baseline_suppressed": suppressed,
-        "cache": cache_stats if cache_stats is not None
-        else {"enabled": False, "hits": 0, "misses": 0},
     }
     return json.dumps(doc, indent=2)
 
@@ -78,12 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--select", metavar="IDS",
                     help="comma-separated rule ids to run (e.g. R002,R004); "
                          "unknown ids are a usage error (exit 2)")
-    ap.add_argument("--cache", metavar="DIR", nargs="?",
-                    const=".reprolint_cache", default=None,
-                    help="content-hash analysis cache directory (bare "
-                         "--cache uses .reprolint_cache); off by default")
-    ap.add_argument("--jobs", metavar="N", type=int, default=None,
-                    help="per-file analysis parallelism (default: auto)")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule registry and exit")
     return ap
@@ -109,9 +100,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"{', '.join(sorted(known))})", file=sys.stderr)
             return 2
 
-    result = run_lint_ex(args.paths, tests_dir=args.tests, select=select,
-                         cache_dir=args.cache, jobs=args.jobs)
-    findings = result.findings
+    findings = run_lint(args.paths, tests_dir=args.tests, select=select)
 
     if args.write_baseline:
         write_baseline(args.write_baseline, findings)
@@ -132,7 +121,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         findings = kept
 
     if args.format == "json":
-        print(render_json(findings, suppressed, result.cache_stats))
+        print(render_json(findings, suppressed))
     else:
         print(render_text(findings, suppressed))
     return 1 if findings else 0

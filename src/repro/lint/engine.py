@@ -1,4 +1,4 @@
-"""The lint engine: file discovery, the two-tier rule drive, caching.
+"""The lint engine: file discovery and the two-tier rule drive.
 
 Besides the registered rules, the engine itself emits ``R000``
 (pragma/parse errors): a module that does not parse or a pragma with an
@@ -11,35 +11,29 @@ check.
 
 The run is two tiers:
 
-1. **Per-file tier** (parallelizable, cacheable): parse, extract
+1. **Per-file tier**: parse, extract
    :class:`~repro.lint.facts.ModuleFacts`, emit R000 + every
-   module-scope rule's findings.  The (facts, findings) pair is cached
-   by content hash when a cache directory is given.
+   module-scope rule's findings.
 2. **Project tier**: project-scope rules (oracle pairing, the
    shm-header and worker-purity interprocedural rules) run their
-   ``finalize`` over the full facts list — including cache-restored
-   facts, so a warm cache never re-parses a file.
+   ``finalize`` over the full facts list.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.cache import AnalysisCache
-from repro.lint.facts import ModuleFacts, extract_facts
+from repro.lint.facts import extract_facts
 from repro.lint.model import Finding, ModuleInfo, parse_module
 from repro.lint.registry import ProjectInfo, all_rules
 
-__all__ = ["discover_files", "collect_test_names", "run_lint",
-           "run_lint_ex", "LintResult"]
+__all__ = ["discover_files", "collect_test_names", "run_lint"]
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache",
-              "node_modules", ".reprolint_cache"}
+              "node_modules"}
 
 
 def discover_files(paths: Sequence[str | Path]) -> list[Path]:
@@ -119,100 +113,27 @@ def _pragma_findings(module: ModuleInfo) -> Iterable[Finding]:
         yield module.finding("R000", line, 0, msg, counts)
 
 
-@dataclass
-class _FileOutcome:
-    facts: ModuleFacts
-    findings: list[Finding]
-    module: ModuleInfo | None       # None when restored from cache
-    cached: bool
-
-
-@dataclass
-class LintResult:
-    """Findings plus run metadata (cache stats for ``--format json``)."""
-
-    findings: list[Finding]
-    cache_stats: dict = field(default_factory=dict)
-
-
-def _analyse_one(path: Path, rel: str, source: str | None,
-                 wanted: set[str] | None) -> _FileOutcome:
-    """The per-file tier: parse, facts, R000 + module-scope rules."""
-    module = parse_module(path, rel, source=source)
-    facts = extract_facts(module)
-    findings = list(_pragma_findings(module))
-    for rule_obj in all_rules():
-        if rule_obj.scope != "module":
-            continue
-        if wanted is not None and rule_obj.id not in wanted:
-            continue
-        findings.extend(rule_obj.check_module(module))
-    return _FileOutcome(facts=facts, findings=findings,
-                        module=module, cached=False)
-
-
-def run_lint_ex(paths: Sequence[str | Path],
-                tests_dir: str | Path | None = "tests",
-                select: Iterable[str] | None = None,
-                cache_dir: str | Path | None = None,
-                jobs: int | None = None) -> LintResult:
-    """Lint ``paths`` and return findings + run metadata.
+def run_lint(paths: Sequence[str | Path],
+             tests_dir: str | Path | None = "tests",
+             select: Iterable[str] | None = None) -> list[Finding]:
+    """Lint ``paths`` and return the sorted findings.
 
     ``tests_dir`` feeds R001's "exercised by tests" cross-reference;
     pass None (or a missing directory) to relax that requirement.
     ``select`` restricts to the given rule ids (R000 always runs).
-    ``cache_dir`` enables the content-hash analysis cache there;
-    ``jobs`` sets the per-file parallelism (None picks a default).
     """
     wanted = set(select) if select is not None else None
-    select_tag = "all" if wanted is None else ",".join(sorted(wanted))
-    cache = AnalysisCache(cache_dir, select_tag=select_tag)
+    rules = [r for r in all_rules() if wanted is None or r.id in wanted]
 
-    files = [(p, _rel(p)) for p in discover_files(paths)]
-
-    # Read every file once up front: the text is both the cache key and
-    # the parse input.
-    sources: list[str | None] = []
-    for path, _rel_p in files:
-        try:
-            sources.append(path.read_text(encoding="utf-8"))
-        except OSError:
-            sources.append(None)    # parse_module re-raises this as R000
-
-    outcomes: list[_FileOutcome | None] = [None] * len(files)
-    fresh: list[int] = []
-    for i, ((path, rel), source) in enumerate(zip(files, sources)):
-        hit = cache.get(rel, source) if source is not None else None
-        if hit is not None:
-            facts, findings = hit
-            outcomes[i] = _FileOutcome(facts=facts, findings=findings,
-                                       module=None, cached=True)
-        else:
-            fresh.append(i)
-
-    if jobs is None:
-        jobs = min(8, os.cpu_count() or 1)
-    if jobs > 1 and len(fresh) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {i: pool.submit(_analyse_one, files[i][0],
-                                      files[i][1], sources[i], wanted)
-                       for i in fresh}
-            for i, fut in futures.items():
-                outcomes[i] = fut.result()
-    else:
-        for i in fresh:
-            outcomes[i] = _analyse_one(files[i][0], files[i][1],
-                                       sources[i], wanted)
-
-    for i in fresh:
-        if sources[i] is not None:
-            cache.put(files[i][1], sources[i], outcomes[i].facts,
-                      outcomes[i].findings)
-    cache.save()
-
+    modules: list[ModuleInfo] = []
     findings: list[Finding] = []
-    for out in outcomes:
-        findings.extend(out.findings)
+    for path in discover_files(paths):
+        module = parse_module(path, _rel(path))
+        modules.append(module)
+        findings.extend(_pragma_findings(module))
+        for rule_obj in rules:
+            if rule_obj.scope == "module":
+                findings.extend(rule_obj.check_module(module))
 
     tests_seen = False
     test_names: set[str] = set()
@@ -223,24 +144,11 @@ def run_lint_ex(paths: Sequence[str | Path],
             test_names, test_findings = collect_test_names(tdir)
             findings.extend(test_findings)
 
-    project = ProjectInfo(
-        [out.module for out in outcomes if out.module is not None],
-        test_names=test_names, tests_seen=tests_seen,
-        facts=[out.facts for out in outcomes])
-    for rule_obj in all_rules():
-        if wanted is not None and rule_obj.id not in wanted:
-            continue
+    project = ProjectInfo(modules, test_names=test_names,
+                          tests_seen=tests_seen,
+                          facts=[extract_facts(m) for m in modules])
+    for rule_obj in rules:
         findings.extend(rule_obj.finalize(project))
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return LintResult(findings=findings, cache_stats=cache.stats())
-
-
-def run_lint(paths: Sequence[str | Path],
-             tests_dir: str | Path | None = "tests",
-             select: Iterable[str] | None = None,
-             cache_dir: str | Path | None = None,
-             jobs: int | None = None) -> list[Finding]:
-    """Back-compat wrapper over :func:`run_lint_ex` (findings only)."""
-    return run_lint_ex(paths, tests_dir=tests_dir, select=select,
-                       cache_dir=cache_dir, jobs=jobs).findings
+    return findings

@@ -5,10 +5,8 @@ interprocedural rules (R001, R007, R008) instead consume a
 :class:`ModuleFacts` summary extracted once per file: definitions,
 resolved call references, worker entry points, shm-header slot
 accesses, and "impurity" facts (module-state writes, clocks, RNG,
-fork-unsafe resource acquisition).  Facts are plain-data and
-JSON-serializable, which is what makes the content-hash analysis cache
-sound: a cache hit restores the facts without re-parsing, and the
-project-wide pass (call graph + reachability) runs over facts alone.
+fork-unsafe resource acquisition).  The project-wide pass (call graph
++ reachability) runs over facts alone.
 
 Call references are resolved *locally* with a deliberately conservative
 "type-lite" strategy — the only bindings trusted are ones the module
@@ -86,13 +84,6 @@ class CallRef:
     module: str                 # dotted module ("" for local)
     name: str                   # function or "Class.method" qualname
 
-    def to_list(self) -> list:
-        return [self.kind, self.module, self.name]
-
-    @classmethod
-    def from_list(cls, v) -> "CallRef":
-        return cls(kind=v[0], module=v[1], name=v[2])
-
 
 @dataclass
 class FunctionFacts:
@@ -110,34 +101,14 @@ class FunctionFacts:
     slot_reads: list[list] = field(default_factory=list)    # [slot, ln, col]
     slot_writes: list[list] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "qual": self.qual, "name": self.name, "lineno": self.lineno,
-            "col": self.col, "cls": self.cls,
-            "calls": [c.to_list() for c in self.calls],
-            "impurities": self.impurities,
-            "slot_reads": self.slot_reads,
-            "slot_writes": self.slot_writes,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionFacts":
-        return cls(qual=d["qual"], name=d["name"], lineno=d["lineno"],
-                   col=d["col"], cls=d.get("cls"),
-                   calls=[CallRef.from_list(c) for c in d["calls"]],
-                   impurities=[list(i) for i in d["impurities"]],
-                   slot_reads=[list(s) for s in d["slot_reads"]],
-                   slot_writes=[list(s) for s in d["slot_writes"]])
-
 
 @dataclass
 class ModuleFacts:
-    """The serializable per-module summary the project pass runs on.
+    """The per-module summary the project pass runs on.
 
     Mirrors just enough of :class:`~repro.lint.model.ModuleInfo` —
     pragma suppression and fingerprinted finding construction — that a
-    rule emitting findings from facts produces byte-identical output
-    whether the facts came from a fresh parse or the cache.
+    rule can emit findings from facts alone.
     """
 
     rel: str
@@ -175,44 +146,6 @@ class ModuleFacts:
             f"{rule}|{self.rel}|{norm}|{occ}".encode()).hexdigest()[:16]
         return Finding(rule=rule, path=self.rel, line=line, col=col,
                        message=message, fingerprint=digest)
-
-    # -- serialization -------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "rel": self.rel, "module_name": self.module_name,
-            "kind": self.kind,
-            "functions": {q: f.to_dict()
-                          for q, f in sorted(self.functions.items())},
-            "top_defs": self.top_defs,
-            "classes": self.classes,
-            "worker_entries": self.worker_entries,
-            "hdr_consts": self.hdr_consts,
-            "hdr_const_lines": self.hdr_const_lines,
-            "hdr_slots": self.hdr_slots,
-            "suppress": {str(k): sorted(v)
-                         for k, v in sorted(self.suppress.items())},
-            "own_line_pragmas": sorted(self.own_line_pragmas),
-            "line_texts": {str(k): v
-                           for k, v in sorted(self.line_texts.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModuleFacts":
-        return cls(
-            rel=d["rel"], module_name=d["module_name"], kind=d.get("kind"),
-            functions={q: FunctionFacts.from_dict(f)
-                       for q, f in d["functions"].items()},
-            top_defs={k: int(v) for k, v in d["top_defs"].items()},
-            classes={k: list(v) for k, v in d["classes"].items()},
-            worker_entries=list(d["worker_entries"]),
-            hdr_consts={k: int(v) for k, v in d["hdr_consts"].items()},
-            hdr_const_lines={k: int(v)
-                             for k, v in d["hdr_const_lines"].items()},
-            hdr_slots=d.get("hdr_slots"),
-            suppress={int(k): set(v) for k, v in d["suppress"].items()},
-            own_line_pragmas=set(d["own_line_pragmas"]),
-            line_texts={int(k): v for k, v in d["line_texts"].items()},
-        )
 
 
 def module_dotted_name(rel: str) -> str:

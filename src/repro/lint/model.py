@@ -202,8 +202,7 @@ def parse_module(path: Path, rel: str | None = None,
                  source: str | None = None) -> ModuleInfo:
     """Read, tokenize, and AST-parse one module.
 
-    Pass ``source`` to skip the filesystem read (the engine reads each
-    file once up front for cache keying and hands the text through).
+    Pass ``source`` to parse text that is not on disk.
     """
     rel = rel if rel is not None else str(path)
     mod = ModuleInfo(path=path, rel=rel.replace("\\", "/"))

@@ -16,15 +16,12 @@ Every rule declares a ``scope``:
 
 ``"module"``
     ``check_module`` findings depend only on that one file's content.
-    The engine may cache them per-file (content-hashed) and run files
-    in parallel.
 
 ``"project"``
-    Findings depend on cross-module state.  The rule must do all its
+    Findings depend on cross-module state.  The rule does all its
     work in ``finalize`` over :class:`ProjectInfo` — in particular over
-    the serializable per-module :class:`~repro.lint.facts.ModuleFacts`
-    and the derived :class:`~repro.lint.callgraph.CallGraph` — so that
-    cached files never need re-parsing for the project pass.
+    the per-module :class:`~repro.lint.facts.ModuleFacts` and the
+    derived :class:`~repro.lint.callgraph.CallGraph`.
 
 Adding a rule is: subclass :class:`Rule`, decorate, import the module
 from :mod:`repro.lint.rules` (the package ``__init__`` is the plugin
@@ -97,8 +94,7 @@ class ProjectInfo:
                  test_names: set[str] | None = None,
                  tests_seen: bool = False,
                  facts: list | None = None) -> None:
-        #: Parsed modules for files analysed fresh this run.  Cache hits
-        #: do NOT appear here — project-scope rules must use ``facts``.
+        #: One parsed module per analysed file.
         self.modules = modules
         #: Every identifier (names, attributes, imported symbols) that
         #: appears in the discovered test modules.
@@ -107,7 +103,7 @@ class ProjectInfo:
         #: "exercised by tests" requirements rather than flag everything.
         self.tests_seen = tests_seen
         #: One :class:`~repro.lint.facts.ModuleFacts` per analysed file
-        #: (fresh or cache-restored) — the project pass's full view.
+        #: — the project pass's view.
         self.facts = facts if facts is not None else []
         self._callgraph = None
 

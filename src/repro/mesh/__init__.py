@@ -27,8 +27,6 @@ from repro.mesh.orderings import (
     apply_orderings,
 )
 from repro.mesh.metrics import mesh_locality_report, edge_span_stats
-from repro.mesh.io import save_mesh, load_mesh
-from repro.mesh.vtk import save_vtk
 
 __all__ = [
     "Mesh",
@@ -48,7 +46,4 @@ __all__ = [
     "apply_orderings",
     "mesh_locality_report",
     "edge_span_stats",
-    "save_mesh",
-    "load_mesh",
-    "save_vtk",
 ]

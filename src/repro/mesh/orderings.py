@@ -32,7 +32,6 @@ class VertexOrdering(str, Enum):
     NATURAL = "natural"
     RANDOM = "random"
     RCM = "rcm"
-    SLOAN = "sloan"
 
 
 class EdgeOrdering(str, Enum):
@@ -52,9 +51,6 @@ def order_vertices(mesh: Mesh, kind: VertexOrdering | str,
         return np.random.default_rng(seed).permutation(n).astype(np.int64)
     if kind is VertexOrdering.RCM:
         return rcm_ordering(mesh.vertex_graph())
-    if kind is VertexOrdering.SLOAN:
-        from repro.graph.sloan import sloan_ordering
-        return sloan_ordering(mesh.vertex_graph())
     raise ValueError(kind)
 
 

@@ -88,9 +88,12 @@ def box_mesh(nx: int, ny: int, nz: int, *, jitter: float = 0.0,
     ----------
     jitter:
         Relative perturbation (fraction of the local grid spacing, in
-        [0, 0.49)) applied to interior vertices.  0.3 gives a visibly
-        irregular mesh that is still guaranteed valid for the Kuhn
-        subdivision.
+        [0, 0.49)) applied to interior vertices.  Validity is *not*
+        guaranteed: the orientation fix runs after the jitter, so a
+        vertex pushed through a face of one of its tets leaves that tet
+        relabelled positive and the mesh overlapping itself (none seen
+        up to 0.2; 2 of 42,978 tets at 0.25 on 30x20x14 — ROADMAP
+        item 5(a), pinned by ``test_jitter_can_tangle_the_mesh``).
     """
     if min(nx, ny, nz) < 2:
         raise ValueError("need at least 2 vertices per axis")

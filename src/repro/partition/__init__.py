@@ -18,7 +18,6 @@ MeTiS itself is not used.
 
 from repro.partition.kway import kway_partition
 from repro.partition.bisect import pmetis_partition, bisect_level_set
-from repro.partition.spectral import spectral_partition, spectral_bisect, fiedler_vector
 from repro.partition.coarsen import heavy_edge_matching, coarsen_graph
 from repro.partition.refine import fm_refine
 from repro.partition.metrics import (
@@ -34,9 +33,6 @@ __all__ = [
     "kway_partition",
     "pmetis_partition",
     "bisect_level_set",
-    "spectral_partition",
-    "spectral_bisect",
-    "fiedler_vector",
     "heavy_edge_matching",
     "coarsen_graph",
     "fm_refine",

@@ -10,8 +10,6 @@
   the memory-traffic SpMV performance bounds of reference [10].
 * :mod:`time_model` — kernel execution-time prediction from simulated
   miss counters and machine parameters.
-* :mod:`roofline` — the (avant-la-lettre) roofline view the paper's
-  memory-centric analysis anticipates.
 """
 
 from repro.perfmodel.machines import (
@@ -36,14 +34,6 @@ from repro.perfmodel.time_model import (
     predict_kernel_time,
     KernelPrediction,
 )
-from repro.perfmodel.roofline import roofline_performance, roofline_curve
-from repro.perfmodel.flux_model import (
-    KernelOpMix,
-    flux_op_mix,
-    spmv_op_mix,
-    instruction_bound_time,
-    phase_bottleneck,
-)
 
 __all__ = [
     "MachineSpec",
@@ -63,11 +53,4 @@ __all__ = [
     "bandwidth_time",
     "predict_kernel_time",
     "KernelPrediction",
-    "roofline_performance",
-    "roofline_curve",
-    "KernelOpMix",
-    "flux_op_mix",
-    "spmv_op_mix",
-    "instruction_bound_time",
-    "phase_bottleneck",
 ]

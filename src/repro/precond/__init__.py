@@ -5,19 +5,12 @@ overlap) and (restricted) additive Schwarz with configurable overlap,
 each with an ILU(k) subdomain solver — the exact grid of Table 4.
 """
 
-from repro.precond.identity import IdentityPC
 from repro.precond.subdomain import SubdomainSolver
 from repro.precond.asm import AdditiveSchwarz, ASMConfig, ASMVariant
-from repro.precond.block_jacobi import BlockJacobi
-from repro.precond.coarse import TwoLevelASM, CoarseSpace
 
 __all__ = [
-    "IdentityPC",
     "SubdomainSolver",
     "AdditiveSchwarz",
     "ASMConfig",
     "ASMVariant",
-    "BlockJacobi",
-    "TwoLevelASM",
-    "CoarseSpace",
 ]

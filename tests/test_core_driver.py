@@ -9,6 +9,7 @@ from repro.core import NKSSolver, SolverConfig
 from repro.core.config import KrylovConfig, PreconditionerConfig
 from repro.euler import duct_problem, wing_problem
 from repro.solvers.ptc import PTCConfig
+from repro.telemetry import TraceRecorder
 
 
 @pytest.fixture(scope="module")
@@ -16,12 +17,13 @@ def wing():
     return wing_problem(7, 5, 4)
 
 
-def _solve(prob, **kw):
+def _solve(prob, recorder=None, **kw):
     defaults = dict(ptc=PTCConfig(cfl0=10.0), max_steps=30,
                     target_reduction=1e-6, matrix_free=True)
     defaults.update(kw)
     cfg = SolverConfig(**defaults)
-    return NKSSolver(prob.disc, cfg).solve(prob.initial.flat())
+    return NKSSolver(prob.disc, cfg, recorder=recorder) \
+        .solve(prob.initial.flat())
 
 
 class TestConvergence:
@@ -83,32 +85,45 @@ class TestDiagnostics:
         assert cfl[-1] > cfl[0]
 
     def test_phase_times_recorded(self, wing):
-        rep = _solve(wing)
-        times = rep.phase_times()
-        assert times["flux"] > 0
-        assert times["pc_setup"] > 0
-        assert rep.time_per_step > 0
+        rec = TraceRecorder()
+        _solve(wing, recorder=rec)
+        assert rec.phase_seconds("flux") > 0
+        assert rec.phase_seconds("krylov") > 0
+        assert rec.phase_calls("precond_setup") > 0
 
     def test_matrix_free_residuals_booked_as_flux(self):
-        """Every FD ``J v`` is a residual evaluation: ``flux`` must
-        cover the time spent inside ``disc.residual`` (it used to land
-        under ``krylov``)."""
+        """Every FD ``J v`` is a residual evaluation: the recorder's
+        ``flux`` must cover the time spent inside ``disc.residual``
+        (the operator build's base residual included), and ``krylov``
+        self time must not (it used to hold all of it)."""
         prob = wing_problem(9, 6, 5)
         disc = prob.disc
         inner = disc.residual
+        rec = TraceRecorder()
         spent = [0.0]
+        in_krylov = [0.0]       # the share spent under krylov > flux
 
         def timed_residual(*args, **kw):
+            nested = rec.depth >= 2
             t0 = time.perf_counter()
             try:
                 return inner(*args, **kw)
             finally:
-                spent[0] += time.perf_counter() - t0
+                dt = time.perf_counter() - t0
+                spent[0] += dt
+                if nested:
+                    in_krylov[0] += dt
 
         disc.residual = timed_residual
-        rep = _solve(prob, precond=PreconditionerConfig(nparts=2))
-        assert rep.total_linear_iterations > 0
-        assert rep.phase_times()["flux"] >= 0.9 * spent[0]
+        rep = _solve(prob, recorder=rec,
+                     precond=PreconditionerConfig(nparts=2))
+        its = rep.total_linear_iterations
+        assert its > 0
+        assert rec.phase_seconds("flux") >= 0.9 * spent[0]
+        assert rec.phase_calls("flux") >= rep.num_steps + its
+        assert in_krylov[0] > 0.5 * spent[0]
+        assert rec.self_seconds("krylov") \
+            <= rec.phase_seconds("krylov") - in_krylov[0]
 
     def test_higher_initial_cfl_fewer_steps(self, wing):
         """Fig. 5's effect: for smooth flows, a larger initial CFL
@@ -158,11 +173,12 @@ class TestPreconditionerKnobs:
                 == [st.linear_iterations for st in r64.steps])
 
     def test_jacobian_lag(self, wing):
-        rep = _solve(wing, jacobian_lag=3)
+        rec = TraceRecorder()
+        rep = _solve(wing, recorder=rec, jacobian_lag=3)
         assert rep.converged
-        # Lagged refresh: pc_setup happened on fewer steps.
-        setups = sum(1 for s in rep.steps if s.time_pcsetup > 0)
-        assert setups <= (rep.num_steps + 2) // 3 + 1
+        # Lagged refresh: the preconditioner was set up on fewer steps.
+        setups = rec.phase_calls("precond_setup")
+        assert 0 < setups <= (rep.num_steps + 2) // 3 + 1
 
     def test_given_partition(self, wing):
         labels = np.zeros(wing.mesh.num_vertices, dtype=np.int64)

@@ -7,7 +7,6 @@ import pytest
 from repro.memory import CacheConfig
 from repro.memory.hierarchy import HierarchyCounters
 from repro.perfmodel import ORIGIN2000_R10K
-from repro.perfmodel.roofline import roofline_curve
 from repro.solvers import gmres
 from repro.sparse import BSRMatrix, CSRMatrix
 
@@ -24,15 +23,6 @@ class TestHierarchyCounters:
         c = HierarchyCounters(0, 0, 0, 0)
         assert c.l1_miss_rate == 0
         assert c.l2_miss_rate == 0
-
-
-class TestRooflineCurve:
-    def test_custom_intensities(self):
-        xs = np.array([0.01, 1.0, 100.0])
-        ix, perf = roofline_curve(ORIGIN2000_R10K, xs)
-        assert np.array_equal(ix, xs)
-        assert perf[0] == pytest.approx(0.01 * ORIGIN2000_R10K.stream_bw)
-        assert perf[-1] == ORIGIN2000_R10K.peak_flops
 
 
 class TestSparseEdgeCases:

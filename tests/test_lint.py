@@ -283,9 +283,8 @@ class TestCli:
                         str(FIXTURES / "r005_violating.py")])
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["counts"] == {"R005": 4}
-        assert doc["cache"]["enabled"] is False
 
     def test_select_restricts_rules(self, capsys):
         rc = lint_main(["--select", "R002", "--tests", "does-not-exist",
@@ -354,74 +353,3 @@ class TestTestCollection:
         findings = run_lint([pkg], tests_dir=tdir)
         assert [f.rule for f in findings] == ["R000"]
 
-
-class TestCacheAndJobs:
-    def test_cache_second_run_hits(self, tmp_path):
-        from repro.lint import run_lint_ex
-        cdir = tmp_path / "cache"
-        paths = [FIXTURES / "r002_violating.py",
-                 FIXTURES / "r003_violating.py"]
-        first = run_lint_ex(paths, tests_dir=None, cache_dir=cdir)
-        assert first.cache_stats["enabled"] is True
-        assert first.cache_stats["misses"] == 2
-        assert first.cache_stats["hits"] == 0
-        second = run_lint_ex(paths, tests_dir=None, cache_dir=cdir)
-        assert second.cache_stats["hits"] == 2
-        assert second.cache_stats["misses"] == 0
-        assert [f.fingerprint for f in first.findings] \
-            == [f.fingerprint for f in second.findings]
-
-    def test_cache_invalidates_on_content_change(self, tmp_path):
-        from repro.lint import run_lint_ex
-        cdir = tmp_path / "cache"
-        mod = tmp_path / "mod.py"
-        mod.write_text("import numpy as np\n\n\n"
-                       "def acc(out, i, w):\n"
-                       "    np.add.at(out, i, w)\n")
-        run_lint_ex([mod], tests_dir=None, cache_dir=cdir)
-        mod.write_text("def acc(out, i, w):\n    return out\n")
-        res = run_lint_ex([mod], tests_dir=None, cache_dir=cdir)
-        assert res.cache_stats["misses"] == 1
-        assert res.findings == []
-
-    def test_project_rules_fire_from_cached_facts(self, tmp_path):
-        """R007/R008 run in finalize over *cached* facts: a fully
-        cache-hit second run must reproduce interprocedural findings."""
-        from repro.lint import run_lint_ex
-        cdir = tmp_path / "cache"
-        path = [FIXTURES / "r008_violating.py"]
-        first = run_lint_ex(path, tests_dir=None, cache_dir=cdir)
-        second = run_lint_ex(path, tests_dir=None, cache_dir=cdir)
-        assert second.cache_stats["hits"] == 1
-        assert {f.rule for f in second.findings} == {"R008"}
-        assert [f.fingerprint for f in first.findings] \
-            == [f.fingerprint for f in second.findings]
-
-    def test_cache_keyed_by_select(self, tmp_path):
-        """A cached R002-only analysis must not satisfy a full run."""
-        from repro.lint import run_lint_ex
-        cdir = tmp_path / "cache"
-        path = [FIXTURES / "r005_violating.py"]
-        run_lint_ex(path, tests_dir=None, cache_dir=cdir,
-                    select={"R002"})
-        full = run_lint_ex(path, tests_dir=None, cache_dir=cdir)
-        assert full.cache_stats["misses"] == 1
-        assert {f.rule for f in full.findings} == {"R005"}
-
-    def test_parallel_jobs_match_serial(self):
-        from repro.lint import run_lint_ex
-        paths = sorted(FIXTURES.glob("r0*_violating.py"))
-        serial = run_lint_ex(paths, tests_dir=None, jobs=1)
-        threaded = run_lint_ex(paths, tests_dir=None, jobs=4)
-        assert [f.fingerprint for f in serial.findings] \
-            == [f.fingerprint for f in threaded.findings]
-
-    def test_json_reports_cache_stats(self, tmp_path, capsys):
-        rc = lint_main(["--format", "json", "--tests", "does-not-exist",
-                        "--cache", str(tmp_path / "c"),
-                        str(FIXTURES / "r003_violating.py")])
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["cache"]["enabled"] is True
-        assert doc["cache"]["misses"] == 1
-        assert "analysis_version" in doc["cache"]

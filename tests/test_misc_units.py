@@ -136,11 +136,9 @@ class TestSolveReport:
         rep = SolveReport(converged=True, fnorm0=1.0)
         rep.steps = [
             StepRecord(step=1, fnorm=1.0, cfl=10, linear_iterations=5,
-                       gmres_converged=True, time_flux=0.1,
-                       time_krylov=0.3),
+                       gmres_converged=True),
             StepRecord(step=2, fnorm=0.1, cfl=100, linear_iterations=7,
-                       gmres_converged=True, time_flux=0.1,
-                       time_pcsetup=0.2, time_krylov=0.4),
+                       gmres_converged=True),
         ]
         return rep
 
@@ -155,17 +153,9 @@ class TestSolveReport:
         assert rep.residual_history.tolist() == [1.0, 0.1]
         assert rep.cfl_history.tolist() == [10, 100]
 
-    def test_phase_times(self):
-        rep = self._report()
-        t = rep.phase_times()
-        assert t["flux"] == pytest.approx(0.2)
-        assert t["pc_setup"] == pytest.approx(0.2)
-        assert rep.time_per_step == pytest.approx(sum(t.values()) / 2)
-
     def test_empty_report(self):
         rep = SolveReport(converged=False)
         assert rep.final_reduction == 1.0
-        assert rep.time_per_step == 0.0
 
 
 class TestDriverMonitor:

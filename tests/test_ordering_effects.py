@@ -1,10 +1,6 @@
-"""Second-order ordering effects: ILU fill, Sloan-as-ordering, IDW."""
+"""Second-order ordering effects: ILU fill."""
 
-import numpy as np
-
-from repro.euler import wing_problem
-from repro.mesh import (VertexOrdering, apply_orderings, order_vertices,
-                        shuffle_vertices, unit_cube_mesh)
+from repro.mesh import apply_orderings, shuffle_vertices, unit_cube_mesh
 from repro.sparse import ilu_symbolic
 
 
@@ -29,43 +25,3 @@ class TestOrderingAffectsILUFill:
         f1 = self._fill(apply_orderings(base, "random", "sorted"), k=0)
         f2 = self._fill(apply_orderings(base, "rcm", "sorted"), k=0)
         assert f1 == f2     # ILU(0) pattern = matrix pattern, any order
-
-
-class TestSloanOrdering:
-    def test_sloan_in_vertex_ordering_enum(self):
-        assert VertexOrdering("sloan") is VertexOrdering.SLOAN
-
-    def test_sloan_permutation(self, small_mesh):
-        perm = order_vertices(small_mesh, "sloan")
-        assert np.array_equal(np.sort(perm),
-                              np.arange(small_mesh.num_vertices))
-
-    def test_sloan_layout_improves_locality(self):
-        from repro.mesh import mesh_locality_report
-        base = shuffle_vertices(unit_cube_mesh(8, jitter=0.2), seed=4)
-        rep_rand = mesh_locality_report(apply_orderings(base, "random",
-                                                        "sorted"))
-        rep_sloan = mesh_locality_report(apply_orderings(base, "sloan",
-                                                         "sorted"))
-        assert rep_sloan.edge_span["mean"] < rep_rand.edge_span["mean"] / 3
-
-    def test_solver_runs_on_sloan_layout(self):
-        from repro.core import NKSSolver, SolverConfig
-        prob = wing_problem(6, 5, 4, vertex_ordering="sloan")
-        rep = NKSSolver(prob.disc, SolverConfig(
-            matrix_free=True, max_steps=20,
-            target_reduction=1e-5)).solve(prob.initial.flat())
-        assert rep.converged
-
-
-class TestIDWConstants:
-    def test_constant_field_preserved_exactly(self):
-        """IDW weights sum to one, so constants transfer exactly — the
-        conservation sanity of the sequencing transfer."""
-        from repro.core.sequencing import interpolate_state
-        coarse = wing_problem(6, 5, 4, seed=0)
-        fine = wing_problem(9, 7, 5, seed=0)
-        qc = np.full((coarse.mesh.num_vertices, 4),
-                     [3.0, -1.0, 0.5, 2.0])
-        qf = interpolate_state(coarse, fine, qc.ravel()).reshape(-1, 4)
-        assert np.allclose(qf, [3.0, -1.0, 0.5, 2.0], atol=1e-12)

@@ -1,6 +1,5 @@
-"""Performance models: machines, miss bounds, SpMV bounds, roofline."""
+"""Performance models: machines, miss bounds, SpMV bounds."""
 
-import numpy as np
 import pytest
 
 from repro.memory import CacheConfig
@@ -8,10 +7,9 @@ from repro.memory.hierarchy import HierarchyCounters
 from repro.perfmodel import (ASCI_RED_PPRO, CRAY_T3E_600,
                              MACHINES, ORIGIN2000_R10K, conflict_miss_bound,
                              kernel_time_from_counters, predict_kernel_time,
-                             roofline_performance, spmv_bandwidth_mflops,
-                             spmv_traffic_bytes, spmv_transfer_estimate,
+                             spmv_bandwidth_mflops, spmv_traffic_bytes,
+                             spmv_transfer_estimate,
                              stream_time, tlb_miss_bound)
-from repro.perfmodel.roofline import ridge_intensity, roofline_curve
 from repro.perfmodel.stream import measure_stream_triad
 
 
@@ -26,10 +24,10 @@ class TestMachines:
         assert CRAY_T3E_600.peak_flops == 1200e6
 
     def test_all_bandwidth_bound_for_spmv(self):
-        """The paper-era fact: every machine's ridge point is far above
-        SpMV's ~0.15 flops/byte intensity."""
+        """The paper-era fact: every machine's ridge point (peak flops
+        per STREAM byte) is far above SpMV's ~0.15 flops/byte."""
         for m in MACHINES.values():
-            assert ridge_intensity(m) > 1.0
+            assert m.peak_flops / m.stream_bw > 1.0
 
     def test_r10000_geometry_matches_paper(self):
         """Table 1 caption: 32 KB L1 data, 4 MB L2."""
@@ -164,25 +162,6 @@ class TestTimeModel:
         assert stream_time(300e6, 300e6) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             stream_time(1.0, 0.0)
-
-
-class TestRoofline:
-    def test_bandwidth_regime(self):
-        p = roofline_performance(0.1, ORIGIN2000_R10K)
-        assert p == pytest.approx(0.1 * ORIGIN2000_R10K.stream_bw)
-
-    def test_compute_regime(self):
-        p = roofline_performance(100.0, ORIGIN2000_R10K)
-        assert p == ORIGIN2000_R10K.peak_flops
-
-    def test_curve_monotone(self):
-        xs, ys = roofline_curve(CRAY_T3E_600)
-        assert np.all(np.diff(ys) >= 0)
-        assert ys[-1] == CRAY_T3E_600.peak_flops
-
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(ValueError):
-            roofline_performance(-1.0, ORIGIN2000_R10K)
 
 
 class TestStreamMeasurement:

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from repro.partition import kway_partition
-from repro.precond import ASMConfig, AdditiveSchwarz, BlockJacobi
+from repro.precond import ASMConfig, AdditiveSchwarz
 from repro.solvers import gmres
 from repro.sparse import (CSRMatrix, assemble_bsr, block_structure_from_edges,
                           )
+
+
+def block_jacobi(labels, fill_level=0):
+    """Block Jacobi = additive Schwarz with zero overlap."""
+    return AdditiveSchwarz(labels, ASMConfig(overlap=0,
+                                             fill_level=fill_level))
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +34,7 @@ def mesh_matrix(small_mesh, rng):
 class TestSetupStructure:
     def test_single_domain_is_plain_ilu(self, mesh_matrix, rng):
         mesh, a = mesh_matrix
-        pc = BlockJacobi.single_domain(mesh.num_vertices, fill_level=0)
+        pc = block_jacobi(np.zeros(mesh.num_vertices, dtype=np.int64))
         pc.setup(a)
         assert pc.num_subdomains == 1
         r = rng.random(a.shape[0])
@@ -39,7 +45,7 @@ class TestSetupStructure:
     def test_subdomain_counts(self, mesh_matrix):
         mesh, a = mesh_matrix
         labels = kway_partition(mesh.vertex_graph(), 4, seed=0)
-        pc = BlockJacobi(labels, fill_level=0).setup(a)
+        pc = block_jacobi(labels).setup(a)
         assert pc.num_subdomains == 4
         owned = sum(sd.num_owned for sd in pc.subdomains)
         assert owned == mesh.num_vertices
@@ -47,7 +53,7 @@ class TestSetupStructure:
     def test_zero_overlap_no_ghosts(self, mesh_matrix):
         mesh, a = mesh_matrix
         labels = kway_partition(mesh.vertex_graph(), 4, seed=0)
-        pc = BlockJacobi(labels).setup(a)
+        pc = block_jacobi(labels).setup(a)
         assert pc.ghost_rows_total() == 0
         assert pc.overlap_fraction() == 0.0
 
@@ -73,14 +79,14 @@ class TestSetupStructure:
 
     def test_solve_before_setup_raises(self, mesh_matrix):
         mesh, a = mesh_matrix
-        pc = BlockJacobi(np.zeros(mesh.num_vertices, dtype=np.int64))
+        pc = block_jacobi(np.zeros(mesh.num_vertices, dtype=np.int64))
         with pytest.raises(RuntimeError):
             pc.solve(np.ones(a.shape[0]))
 
     def test_bad_label_count_raises(self, mesh_matrix):
         mesh, a = mesh_matrix
         with pytest.raises(ValueError):
-            BlockJacobi(np.zeros(5, dtype=np.int64)).setup(a)
+            block_jacobi(np.zeros(5, dtype=np.int64)).setup(a)
 
 
 class TestConvergenceEffects:
@@ -99,7 +105,7 @@ class TestConvergenceEffects:
         for p in (1, 4, 16):
             labels = (np.zeros(mesh.num_vertices, dtype=np.int64) if p == 1
                       else kway_partition(g, p, seed=0))
-            its.append(self._its(a, BlockJacobi(labels, 0).setup(a), rng))
+            its.append(self._its(a, block_jacobi(labels).setup(a), rng))
         assert its[0] <= its[1] <= its[2]
         assert its[2] > its[0]
 
@@ -148,7 +154,7 @@ class TestScalarMatrix:
         a = rng.standard_normal((n, n)) * 0.2 + np.eye(n) * 4
         m = CSRMatrix.from_dense(a)
         labels = np.repeat(np.arange(4), 15)
-        pc = BlockJacobi(labels, fill_level=0).setup(m)
+        pc = block_jacobi(labels).setup(m)
         b = rng.random(n)
         res = gmres(m, b, M=pc, rtol=1e-9)
         assert res.converged
