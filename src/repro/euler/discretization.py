@@ -91,30 +91,43 @@ class EdgeFVDiscretization:
         e0 = self.mesh.edges[:, 0]
         e1 = self.mesh.edges[:, 1]
         s = self.dual.edge_normals
-        if use2:
-            grad = green_gauss_gradients(self.mesh, self.dual, q)
-            ql, qr = reconstruct_edge_states(self.mesh, self.dual, q, grad,
-                                             self.limiter)
-        else:
-            ql, qr = q[e0], q[e1]
         n = self.mesh.num_vertices
+        model = rusanov_model(self) if self.engine != "numpy" else None
         r = None
-        if self.engine != "numpy":
-            model = rusanov_model(self)
+        if use2:
+            grad = green_gauss_gradients(self.mesh, self.dual, q,
+                                         engine=self.engine)
             if model is not None:
-                # End-to-end compiled interior leg: Rusanov arithmetic
-                # and the scatter run in one pass over the edges (the
-                # previous compiled leg only fused the scatter, leaving
-                # the flux math in numpy).  The numpy path below stays
-                # the oracle; equivalence is normwise (the compiled
-                # kernel's sequential dots re-associate the einsum
-                # reductions).  Exact-type gated by rusanov_model, so
-                # overridden fluxes (Roe) never reach it.
-                fused = _kernels.rusanov_scatter(e0, e1, ql, qr, s, n,
-                                                 model[0], model[1],
-                                                 self.engine)
+                # Second pass of the compiled second-order residual:
+                # reconstruction, limiter, Rusanov flux and scatter in
+                # one loop over the edges, no edge state in between.
+                # Geometry is read now, never memoised: callers may
+                # move mesh.coords in place.  Normwise against the
+                # numpy composition below, like the first-order kernel.
+                fused = _kernels.muscl_rusanov_scatter(
+                    *self.mesh.edge_endpoints(), q, grad, self.mesh.coords,
+                    s, self.limiter.value, model[0], model[1], self.engine)
                 if fused is not None:
                     r = fused[0] - fused[1]
+            if r is None:
+                ql, qr = reconstruct_edge_states(self.mesh, self.dual, q,
+                                                 grad, self.limiter)
+        else:
+            ql, qr = q[e0], q[e1]
+        if r is None and model is not None:
+            # End-to-end compiled interior leg: Rusanov arithmetic
+            # and the scatter run in one pass over the edges (the
+            # previous compiled leg only fused the scatter, leaving
+            # the flux math in numpy).  The numpy path below stays
+            # the oracle; equivalence is normwise (the compiled
+            # kernel's sequential dots re-associate the einsum
+            # reductions).  Exact-type gated by rusanov_model, so
+            # overridden fluxes (Roe) never reach it.
+            fused = _kernels.rusanov_scatter(e0, e1, ql, qr, s, n,
+                                             model[0], model[1],
+                                             self.engine)
+            if fused is not None:
+                r = fused[0] - fused[1]
         if r is None:
             f = self._numerical_flux(ql, qr, s)
             scat = (_kernels.edge_scatter2(e0, e1, f, f, n, self.engine)

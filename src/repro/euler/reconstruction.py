@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from repro import kernels as _kernels
 from repro.mesh.dualmesh import DualMetrics
 from repro.mesh.mesh import Mesh
 from repro.sparse.segsum import segment_sum
@@ -28,15 +29,25 @@ class Limiter(str, Enum):
     MINMOD = "minmod"
 
 
-def green_gauss_gradients(mesh: Mesh, dual: DualMetrics,
-                          q: np.ndarray) -> np.ndarray:
+def green_gauss_gradients(mesh: Mesh, dual: DualMetrics, q: np.ndarray,
+                          engine: str = "numpy") -> np.ndarray:
     """Nodal gradients, shape (n, ncomp, 3).
 
     grad_i = (1/V_i) [ sum_edges s_ij (q_i + q_j)/2 (+/-)
                        + bnd_normal_i q_i ]
     which is exact for linear q on interior vertices thanks to the
     dual-face closure identity.
+
+    ``engine="compiled"`` asks for the one-pass C twin
+    (:func:`repro.kernels.green_gauss`), bitwise equal to the numpy
+    code below, which runs whenever the kernel declines.
     """
+    if engine != "numpy":
+        grad = _kernels.green_gauss(
+            *mesh.edge_endpoints(), q, dual.edge_normals,
+            dual.bnd_vertex_normals, dual.dual_volumes, engine)
+        if grad is not None:
+            return grad
     n, ncomp = q.shape
     e0 = mesh.edges[:, 0]
     e1 = mesh.edges[:, 1]

@@ -12,9 +12,13 @@ preconditioners, and SPMD executors, exactly like ``memory.fastsim``'s
 Contract:
 
 * the numpy implementation is always retained and is the oracle —
-  scatter/CSR kernels match it **bitwise**, block kernels within a
+  scatter/CSR kernels and the Green-Gauss gradients match it
+  **bitwise**, block kernels and the fused flux kernels within a
   few **ULP** (``np.einsum`` uses SIMD pairwise summation the
   compiled loops do not replicate portably);
+* the edge kernels check every endpoint against ``[0, n)`` and
+  *decline* on an offending edge, so the caller's numpy path raises
+  what it raises without a compiled tier;
 * no hard dependency: a missing compiler or cffi degrades every
   dispatch below to the numpy path (the functions return ``None`` /
   ``False`` and the caller runs its oracle);
@@ -35,7 +39,8 @@ from repro.kernels.capability import resolve_engine
 __all__ = ["backend_for", "resolve_engine", "edge_scatter2", "spmv_csr",
            "spmv_bsr", "gather_spmv_bsr", "lower_solve_csr",
            "upper_solve_csr", "lower_solve_bsr", "upper_solve_bsr",
-           "assemble_scatter", "levels_order", "rusanov_scatter"]
+           "assemble_scatter", "levels_order", "rusanov_scatter",
+           "green_gauss", "muscl_rusanov_scatter"]
 
 #: Block-size cap of the compiled BSR kernels (C stack buffers).
 MAX_BS = 32
@@ -121,7 +126,10 @@ def edge_scatter2(e0, e1, wa, wb, n, engine):
     wb = _f64(np.asarray(wb))
     if wa is None or wb is None or wa.shape != wb.shape:
         return None
-    return backend.edge_scatter2(_i64(e0), _i64(e1), wa, wb, int(n))
+    e0, e1 = _i64(e0), _i64(e1)
+    if not e0.shape == e1.shape == wa.shape[:1]:
+        return None
+    return backend.edge_scatter2(e0, e1, wa, wb, int(n))
 
 
 def spmv_csr(indptr, indices, data, x, engine, rows=None):
@@ -255,10 +263,82 @@ def rusanov_scatter(e0, e1, ql, qr, s, n, model, param, engine):
         return None
     if ql.shape != qr.shape or ql.ndim != 2 or ql.shape[1] != ncomp:
         return None
-    if s.shape != (ql.shape[0], 3):
+    e0, e1 = _i64(e0), _i64(e1)
+    if not e0.shape == e1.shape == ql.shape[:1] or s.shape != (e0.size, 3):
         return None
-    return backend.rusanov_scatter(_i64(e0), _i64(e1), ql, qr, s,
-                                   int(n), model, float(param))
+    return backend.rusanov_scatter(e0, e1, ql, qr, s, int(n), model,
+                                   float(param))
+
+
+def green_gauss(e0, e1, q, s, bnd, vol, engine):
+    """Green-Gauss nodal gradients ``(n, ncomp, 3)`` in one edge pass.
+
+    Twin of :func:`repro.euler.reconstruction.green_gauss_gradients`
+    for any ``ncomp``: ``s`` are the dual-face area vectors, ``bnd``
+    the per-vertex boundary area vectors, ``vol`` the dual volumes.
+    Two per-endpoint accumulators fill in edge order and each vertex
+    finishes ``((a - b) + q n_bnd) / V`` in the oracle's operation
+    order, so the result is **bitwise** the oracle's.  None for the
+    numpy path.
+    """
+    backend = backend_for(engine)
+    if backend is None:
+        return None
+    q = _f64(np.asarray(q))
+    s = _f64(np.asarray(s))
+    bnd = _f64(np.asarray(bnd))
+    vol = _f64(np.asarray(vol))
+    if q is None or s is None or bnd is None or vol is None or q.ndim != 2:
+        return None
+    e0, e1 = _i64(e0), _i64(e1)
+    n = q.shape[0]
+    if (e0.shape != e1.shape or s.shape != (e0.size, 3)
+            or bnd.shape != (n, 3) or vol.shape != (n,)):
+        return None
+    return backend.green_gauss(e0, e1, q, s, bnd, vol)
+
+
+#: Limiter name (the values of
+#: :class:`repro.euler.reconstruction.Limiter`) -> its code in the fused
+#: second-order kernel (the ``LIMITER_*`` enum of the C source).
+_LIMITERS = {"none": 0, "van_albada": 1, "minmod": 2}
+
+
+def muscl_rusanov_scatter(e0, e1, q, grad, coords, s, limiter, model,
+                          param, engine):
+    """Fused MUSCL reconstruction + Rusanov flux + two-target scatter.
+
+    Per edge, in one loop: ``dx`` from ``coords``, the central and the
+    two one-sided slopes from ``grad``, the limiter (``"none"``,
+    ``"van_albada"``, ``"minmod"``), the face flux of ``model`` and the
+    scatter — no ``(ne, ...)`` array is formed.  The scalar expression
+    order is :func:`repro.euler.reconstruction.reconstruct_edge_states`'
+    followed by :func:`rusanov_scatter`'s, so the result is ULP-bounded
+    against that numpy composition (sequential length-3 dots where
+    einsum may pair).  Returns ``(acc_a, acc_b)`` — the residual is
+    ``acc_a - acc_b`` — or None for the numpy path.
+    """
+    backend = backend_for(engine)
+    if backend is None:
+        return None
+    ncomp = _RUSANOV_MODELS.get(model)
+    code = _LIMITERS.get(limiter)
+    if ncomp is None or code is None:
+        return None
+    q = _f64(np.asarray(q))
+    grad = _f64(np.asarray(grad))
+    coords = _f64(np.asarray(coords))
+    s = _f64(np.asarray(s))
+    if q is None or grad is None or coords is None or s is None:
+        return None
+    e0, e1 = _i64(e0), _i64(e1)
+    n = coords.shape[0]
+    if (q.shape != (n, ncomp) or grad.shape != (n, ncomp, 3)
+            or coords.shape != (n, 3) or e0.shape != e1.shape
+            or s.shape != (e0.size, 3)):
+        return None
+    return backend.muscl_rusanov_scatter(e0, e1, q, grad, coords, s, code,
+                                         model, float(param))
 
 
 def assemble_scatter(slots, src, sign, data, engine) -> bool:

@@ -52,7 +52,7 @@ SUPPRESS_TOKENS = {
 #: executes inside forked worker processes: every kernel rule applies,
 #: but it may read the wall clock directly (R005's clock check), since
 #: worker-side telemetry cannot call back into the parent's recorder.
-#: ``compiled`` marks an optional compiled-backend module (numba/cffi
+#: ``compiled`` marks an optional compiled-backend module (cffi-C
 #: twins of numpy kernels): the kernel dtype/loop rules do not apply —
 #: its loops are the compiled implementation, not Python hot paths —
 #: but R006 requires the module to declare its numpy oracle map

@@ -1,7 +1,7 @@
 """R006 — compiled-backend declarations.
 
 Repo contract (mirrors R001's oracle pairing, one tier down): a
-``# lint: compiled`` module holds optional numba/cffi twins of numpy
+``# lint: compiled`` module holds optional cffi-C twins of numpy
 kernels.  Because the compiled code itself is opaque to this linter,
 the module must make its equivalence and degradation story explicit:
 

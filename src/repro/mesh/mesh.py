@@ -77,6 +77,16 @@ class Mesh:
             self._cache[key] = flat_segment_index(self.edges[:, end], trailing)
         return self._cache[key]
 
+    def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached contiguous copies of the two columns of ``edges`` —
+        what the compiled edge kernels take as pointers (a strided
+        column view would be copied on every dispatch)."""
+        key = "edge_endpoints"
+        if key not in self._cache:
+            self._cache[key] = (np.ascontiguousarray(self.edges[:, 0]),
+                                np.ascontiguousarray(self.edges[:, 1]))
+        return self._cache[key]
+
     def tet_volumes(self) -> np.ndarray:
         """Signed volumes of all tets (positive for valid orientation)."""
         p = self.coords
