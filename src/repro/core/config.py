@@ -70,10 +70,6 @@ class SolverConfig:
                                      # kernels (seq = in-process rank
                                      # loop, proc = shm worker pool)
     nworkers: int | None = None      # worker processes for 'proc'
-    threads: int = 1                 # intra-rank thread-team size for
-                                     # flux/SpMV/trisolve phases (the
-                                     # hybrid ranks x threads knob;
-                                     # honoured by 'seq' and 'proc')
     engine: str = "numpy"            # 'numpy' | 'compiled': kernel tier
                                      # for trisolve/SpMV/residual/
                                      # assembly (repro.kernels; degrades
@@ -94,8 +90,6 @@ class SolverConfig:
             raise ValueError("executor must be 'local', 'seq', or 'proc'")
         if self.nworkers is not None and self.nworkers < 1:
             raise ValueError("nworkers must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.engine not in ("numpy", "compiled"):
             raise ValueError("engine must be 'numpy' or 'compiled'")
         self.policy = PrecisionPolicy.named(self.policy)

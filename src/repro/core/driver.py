@@ -48,19 +48,17 @@ class _SPMDOperator(OperatorFromCallable):
     """
 
     def __init__(self, matrix, layout: SPMDLayout, executor,
-                 recorder=NULL_RECORDER, threads: int = 1) -> None:
+                 recorder=NULL_RECORDER) -> None:
         super().__init__(self._apply, matrix.shape[0])
         self.matrix = matrix
         self.layout = layout
         self.executor = executor
         self.recorder = recorder
-        self.threads = threads
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return distributed_matvec(self.matrix, self.layout, x,
                                   executor=self.executor,
-                                  recorder=self.recorder,
-                                  threads=self.threads)
+                                  recorder=self.recorder)
 
 
 def _booked_as_flux(matvec, recorder=NULL_RECORDER):
@@ -207,8 +205,7 @@ class NKSSolver:
             ASMConfig(overlap=cfg.overlap, fill_level=cfg.fill_level,
                       variant=cfg.variant,
                       storage_dtype=self.config.policy.precond_dtype,
-                      engine=self.config.engine,
-                      threads=self.config.threads),
+                      engine=self.config.engine),
             graph=self.disc.mesh.vertex_graph(),
             recorder=self.recorder,
         )
@@ -244,8 +241,7 @@ class NKSSolver:
             else:
                 from repro.parallel.procpool import ProcPool
                 pool = ProcPool(self._layout, self.disc,
-                                nworkers=cfg.nworkers,
-                                threads=cfg.threads)
+                                nworkers=cfg.nworkers)
                 own_pool = True
         spmd_exec = pool if pool is not None \
             else ("seq" if cfg.executor == "seq" else None)
@@ -280,8 +276,7 @@ class NKSSolver:
                 # 'proc', merged when the pool is collected).
                 f = distributed_residual(self.disc, self._layout, q,
                                          executor=spmd_exec,
-                                         recorder=rec,
-                                         threads=cfg.threads)
+                                         recorder=rec)
             else:
                 with rec.span("flux"):
                     f = self.disc.residual(q, second_order=order)
@@ -302,9 +297,6 @@ class NKSSolver:
             if self._steps_since_refresh >= cfg.jacobian_lag or self._pc is None:
                 with rec.span("jacobian"):
                     jac = self.disc.shifted_jacobian(q, cfl)
-                # The hybrid thread knob rides the matrix so the local
-                # (non-SPMD) Krylov matvec is team-parallel too.
-                jac.threads = cfg.threads
                 # Keep the preconditioner instance across refreshes: the
                 # Jacobian sparsity is fixed, so setup() reuses the
                 # subdomains' symbolic ILU and elimination schedules.
@@ -326,7 +318,7 @@ class NKSSolver:
                                           fd.shape[0])
             elif spmd_exec is not None:
                 op = _SPMDOperator(self._jac, self._layout, spmd_exec,
-                                   recorder=rec, threads=cfg.threads)
+                                   recorder=rec)
             else:
                 op = OperatorFromMatrix(self._jac)
             # The Krylov basis works at the policy's storage precision:

@@ -28,8 +28,6 @@ R007 shm-header-schema   ``_H_*`` slots have unique offsets; the
 R008 worker-purity       functions reachable from worker entry points
                          do not write module state, open fork-unsafe
                          resources, or use unseeded RNG/clocks
-R009 chunk-writes        ``run_chunks`` kernels only write slices
-                         derived from their chunk arguments
 == =================== ===============================================
 
 R007/R008 are *interprocedural*: per-module facts

@@ -13,9 +13,8 @@ extensions:
   resolution (constructor calls resolve to the class name, which the
   graph expands to its ``__init__`` when one exists);
 * a nested function ``f.<locals>.g`` is treated as reachable whenever
-  ``f`` is — closures run where their definer runs, and the kernels
-  here pass closures into ``run_chunks`` rather than calling them by
-  name.
+  ``f`` is — closures run where their definer runs, and are handed
+  on as callbacks rather than called by name.
 
 Resolution is deliberately an under-approximation (see
 :mod:`repro.lint.facts`): unresolved calls create no edges.  That keeps

@@ -1,6 +1,6 @@
 """Per-module analysis facts — the interprocedural layer's currency.
 
-The per-module rules (R002-R006, R009) walk a live AST; the
+The per-module rules (R002-R006) walk a live AST; the
 interprocedural rules (R001, R007, R008) instead consume a
 :class:`ModuleFacts` summary extracted once per file: definitions,
 resolved call references, worker entry points, shm-header slot
@@ -78,7 +78,7 @@ _WRITE_MODES = re.compile(r"[wax+]")
 @dataclass(frozen=True)
 class CallRef:
     """One resolved call site: ``("local", "Cls.m")`` or
-    ``("import", "repro.parallel.threads", "run_chunks")``."""
+    ``("import", "repro.parallel.spmd", "rank_matvec")``."""
 
     kind: str                   # "local" | "import"
     module: str                 # dotted module ("" for local)

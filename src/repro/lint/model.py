@@ -45,7 +45,6 @@ SUPPRESS_TOKENS = {
     "compiled-ok": "R006",
     "header-ok": "R007",
     "purity-ok": "R008",
-    "chunkwrite-ok": "R009",
 }
 
 #: Module-classification tokens.  ``worker`` is a kernel module that

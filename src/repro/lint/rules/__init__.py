@@ -14,8 +14,7 @@ from repro.lint.rules import (  # noqa: F401
     compiled,
     shmheader,
     purity,
-    chunkwrites,
 )
 
 __all__ = ["oracle", "dtype", "hotloop", "scatter", "telemetry", "compiled",
-           "shmheader", "purity", "chunkwrites"]
+           "shmheader", "purity"]

@@ -70,7 +70,6 @@ import numpy as np
 
 from repro.parallel.spmd import (GhostExchange, SPMDLayout, rank_matvec,
                                  rank_matvec_structs, rank_residual)
-from repro.parallel.threads import resolve_threads
 from repro.sanitize.header import check_header_echo, mask_of, track_slots
 from repro.sanitize.writes import WriteSanitizer
 from repro.sanitize.writes import enabled as _sanitize_enabled
@@ -95,7 +94,6 @@ _H_MAT_NNZB = 6    # block count of the matrix being loaded
 _H_MAT_BS = 7      # block size of the matrix being loaded
 _H_MAT_DTYPE = 8   # data dtype code of the matrix being loaded
 _H_MAT_ENGINE = 9  # kernel tier of the matrix (0 numpy, 1 compiled)
-_H_THREADS = 10    # intra-rank thread-team size of the current command
 _H_SAN_ECHO = 15   # sanitize only: workers echo their read-slot mask
 _HDR_SLOTS = 16
 
@@ -171,13 +169,6 @@ class ProcPool:
         ``os.cpu_count()`` is allowed (the OS time-slices).  Ranks are
         dealt round-robin (worker ``w`` owns ranks
         ``w, w+nworkers, ...``).
-    threads:
-        Default intra-rank thread-team size workers use when an
-        operation does not specify one (see
-        :mod:`repro.parallel.threads`); must be ``>= 1`` (raises
-        :class:`ProcPoolError` otherwise).  The per-operation value
-        rides the shm header the way the matrix engine does, so both
-        executors honour the same knob.
     timeout:
         Seconds the coordinator waits for worker completion before
         declaring the pool broken (a worker died mid-operation).
@@ -190,7 +181,7 @@ class ProcPool:
     """
 
     def __init__(self, layout: SPMDLayout, disc, nworkers: int | None = None,
-                 *, threads: int = 1, timeout: float = 60.0) -> None:
+                 *, timeout: float = 60.0) -> None:
         if layout.nranks == 0:
             raise ValueError("cannot pool an empty layout")
         self.layout = layout
@@ -202,10 +193,6 @@ class ProcPool:
         if int(nworkers) < 1:
             raise ProcPoolError(f"nworkers must be >= 1, got {nworkers!r}")
         self.nworkers = min(int(nworkers), layout.nranks)
-        try:
-            self.threads = resolve_threads(threads)
-        except ValueError as e:
-            raise ProcPoolError(str(e)) from None
         # A layout holds at most one open pool: building a second one
         # closes the first (live or broken) here, instead of orphaning
         # its workers and segments to ``__del__`` at interpreter exit.
@@ -381,14 +368,13 @@ class ProcPool:
                     f"pool is unusable, close() it")
 
     def _run(self, op: int, *, dtype_code: int = 0, ncomp: int = 0,
-             record: bool = False, threads: int = 1) -> None:
+             record: bool = False) -> None:
         self._check_open()
         hdr = self._hdr
         hdr[_H_OP] = op
         hdr[_H_DTYPE] = dtype_code
         hdr[_H_NCOMP] = ncomp
         hdr[_H_RECORD] = int(bool(record))
-        hdr[_H_THREADS] = int(threads)
         hdr[_H_ERR] = 0
         self._post_go()                  # release workers into the op
         self._drain_done()               # wait for completion
@@ -440,18 +426,14 @@ class ProcPool:
     # -- public operations ---------------------------------------------
     def residual(self, qglobal: np.ndarray,
                  exchange: GhostExchange | None = None,
-                 recorder=NULL_RECORDER,
-                 threads: int | None = None) -> np.ndarray:
-        """First-order residual; equals the seq executor bit for bit
-        at every thread count (``threads=None`` uses the pool default).
-        """
+                 recorder=NULL_RECORDER) -> np.ndarray:
+        """First-order residual; equals the seq executor bit for bit."""
         rec = recorder if recorder is not None else NULL_RECORDER
         self._check_open()
         ncomp = self.ncomp
-        t = self.threads if threads is None else resolve_threads(threads)
         code, dtype = self._scatter_locals(qglobal, ncomp)
         self._run(_OP_RESIDUAL, dtype_code=code, ncomp=ncomp,
-                  record=self._recording(rec), threads=t)
+                  record=self._recording(rec))
         if exchange is not None:
             exchange.account_refresh(dtype.itemsize)
         return self._view2d(self._off_out, self.n, ncomp,
@@ -459,19 +441,15 @@ class ProcPool:
 
     def matvec(self, a, xglobal: np.ndarray,
                exchange: GhostExchange | None = None,
-               recorder=NULL_RECORDER,
-               threads: int | None = None) -> np.ndarray:
-        """Distributed y = A x; equals the seq executor bit for bit
-        at every thread count (``threads=None`` uses the pool default).
-        """
+               recorder=NULL_RECORDER) -> np.ndarray:
+        """Distributed y = A x; equals the seq executor bit for bit."""
         rec = recorder if recorder is not None else NULL_RECORDER
         self._check_open()
         self.set_matrix(a)
         bs = int(a.bs)
-        t = self.threads if threads is None else resolve_threads(threads)
         code, dtype = self._scatter_locals(xglobal, bs)
         self._run(_OP_MATVEC, dtype_code=code, ncomp=bs,
-                  record=self._recording(rec), threads=t)
+                  record=self._recording(rec))
         if exchange is not None:
             exchange.account_refresh(dtype.itemsize)
         return self._view2d(self._off_out, self.n, bs, dtype).copy().ravel()
@@ -712,27 +690,22 @@ class ProcPool:
                 locs[lo + rd.n_owned: lo + rd.n_local] = \
                     locs[self._ghost_src[r]]
         # Compute: the shared rank kernels over the rank-local rows.
-        threads = int(hdr[_H_THREADS]) or 1
         # lint: loop-ok (per-rank kernel execution, O(ranks per worker))
         for r in ranks:
             rd = layout.ranks[r]
             loc = locs[row_off[r]: row_off[r] + rd.n_local]
             if record:
                 with rec.span(phase, rank=r) as sp:
-                    rows = self._w_rank_kernel(phase, rd, loc, dtype, mats,
-                                               threads)
+                    rows = self._w_rank_kernel(phase, rd, loc, dtype, mats)
                 self._times[1, r] = sp.elapsed
             else:
-                rows = self._w_rank_kernel(phase, rd, loc, dtype, mats,
-                                           threads)
+                rows = self._w_rank_kernel(phase, rd, loc, dtype, mats)
             out[rd.owned] = rows
 
-    def _w_rank_kernel(self, phase: str, rd, loc, dtype, mats,
-                       threads: int = 1):
+    def _w_rank_kernel(self, phase: str, rd, loc, dtype, mats):
         if phase == "flux":
             r_local = rank_residual(self.disc, rd, loc, dtype,
-                                    edge_normals=self._normals[rd.rank],
-                                    threads=threads)
+                                    edge_normals=self._normals[rd.rank])
             return r_local[: rd.n_owned]
         if mats["token"] != int(self._hdr[_H_MAT_TOKEN]):
             raise ProcPoolError("matvec before matrix load")
@@ -748,8 +721,7 @@ class ProcPool:
                            dtype=np.result_type(data_rows, loc)))
             mats["ws"][key] = ws
         return rank_matvec(data_rows, cols, seg, loc, rd.n_owned,
-                           workspace=ws, engine=mats["engine"],
-                           threads=threads)
+                           workspace=ws, engine=mats["engine"])
 
     def _w_load_matrix(self, ranks, state) -> None:
         hdr = self._hdr

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro import kernels as _kernels
 from repro.euler.discretization import EdgeFVDiscretization
-from repro.parallel.threads import chunk_ranges, resolve_threads, run_chunks
 from repro.sanitize.statehash import note as _sanitize_note
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.segsum import concat_ranges, segment_sum
@@ -124,10 +123,9 @@ class SPMDLayout:
             ghosts = np.setdiff1d(np.unique(le), owned)
             # Global -> local translation table.
             lv = np.concatenate([owned, ghosts])
-            lut = {int(g): i for i, g in enumerate(lv)}
-            local_edges = np.array([[lut[int(a)], lut[int(b)]]
-                                    for a, b in le], dtype=np.int64) \
-                if le.size else np.empty((0, 2), dtype=np.int64)
+            lut = np.full(labels.size, -1, dtype=np.int64)
+            lut[lv] = np.arange(lv.size, dtype=np.int64)
+            local_edges = lut[le]
             layout.ranks.append(RankLocalData(
                 rank=r, owned=owned, ghosts=ghosts, edge_ids=eids,
                 local_edges=local_edges, ghost_owner=labels[ghosts]))
@@ -150,13 +148,9 @@ class GhostExchange:
     """
 
     def __init__(self, layout: SPMDLayout, ncomp: int, *,
-                 recorder=NULL_RECORDER, executor: str = "seq") -> None:
-        if executor not in ("seq", "proc"):
-            raise ValueError(f"unknown executor {executor!r} "
-                             f"(expected 'seq' or 'proc')")
+                 recorder=NULL_RECORDER) -> None:
         self.layout = layout
         self.ncomp = ncomp
-        self.executor = executor
         self.messages = 0
         self.bytes_moved = 0
         self.recorder = recorder if recorder is not None else NULL_RECORDER
@@ -188,12 +182,6 @@ class GhostExchange:
         present in its owner's ``owned`` array — ``np.searchsorted``
         on a stale layout would otherwise silently pick a wrong row.
         """
-        if self.executor != "seq":
-            raise RuntimeError(
-                f"refresh() is the in-process exchange; with "
-                f"executor={self.executor!r} the ghosts are refreshed "
-                f"inside the worker pool and account_refresh books the "
-                f"traffic")
         layout = self.layout
         rec = self.recorder
         per_rank_s = [0.0] * layout.nranks
@@ -253,8 +241,7 @@ def _scatter_local_state(layout: SPMDLayout, qglobal: np.ndarray,
 
 def rank_residual(disc: EdgeFVDiscretization, rd: RankLocalData,
                   local_q_r: np.ndarray, out_dtype,
-                  edge_normals: np.ndarray | None = None,
-                  threads: int = 1) -> np.ndarray:
+                  edge_normals: np.ndarray | None = None) -> np.ndarray:
     """One rank's first-order residual on its local rows.
 
     The single rank-local kernel both executors run: the sequential
@@ -262,20 +249,10 @@ def rank_residual(disc: EdgeFVDiscretization, rd: RankLocalData,
     seq/proc bitwise identity is structural, not empirical.
     ``edge_normals`` may be the pre-gathered per-rank normals (the proc
     backend caches them per worker); values are identical either way.
-
-    ``threads>1`` splits the edge loop across an intra-rank thread
-    team (the paper's OpenMP leg): each thread evaluates the fluxes of
-    a fixed contiguous edge chunk and scatters them into a private
-    accumulator; the partials are summed in chunk order.  The result
-    is deterministic for a given thread count and normwise-equivalent
-    to the single-thread kernel (the per-vertex additions are merely
-    re-associated at chunk boundaries); ``threads=1`` runs the
-    untouched single-thread path — the bitwise oracle.
     """
     from repro.euler.fluxes import rusanov_flux, rusanov_model
 
     ncomp = disc.ncomp
-    threads = resolve_threads(threads)
     if rd.local_edges.size == 0:
         r_local = np.zeros((rd.n_local, ncomp), dtype=out_dtype)
     else:
@@ -288,40 +265,25 @@ def rank_residual(disc: EdgeFVDiscretization, rd: RankLocalData,
         compiled_f64 = (engine != "numpy"
                         and np.dtype(out_dtype) == np.float64)
         model = rusanov_model(disc) if compiled_f64 else None
-
-        def edge_chunk(lo: int, hi: int) -> np.ndarray:
-            ql = local_q_r[e0[lo:hi]]
-            qr = local_q_r[e1[lo:hi]]
-            if model is not None:
-                # End-to-end compiled interior leg: flux arithmetic and
-                # scatter in one pass (satellite of bandwidth round 2 —
-                # previously only the scatter was compiled).  Same
-                # normwise contract as the numpy flux + compiled
-                # scatter; both executors share this kernel, so
-                # seq == proc is preserved structurally.
-                fused = _kernels.rusanov_scatter(
-                    e0[lo:hi], e1[lo:hi], ql, qr, s[lo:hi], rd.n_local,
-                    model[0], model[1], engine)
-                if fused is not None:
-                    return fused[0] - fused[1]
-            f = rusanov_flux(ql, qr, s[lo:hi], disc._flux, disc._wavespeed)
-            scat = (_kernels.edge_scatter2(e0[lo:hi], e1[lo:hi], f, f,
-                                           rd.n_local, engine)
-                    if compiled_f64 else None)
-            if scat is not None:
-                return scat[0] - scat[1]
-            return (segment_sum(e0[lo:hi], f, rd.n_local)
-                    - segment_sum(e1[lo:hi], f, rd.n_local))
-
-        if threads == 1:
-            r_local = edge_chunk(0, int(e0.size))
-        else:
-            parts = run_chunks(edge_chunk, chunk_ranges(e0.size, threads),
-                               threads)
-            r_local = parts[0]
-            # lint: loop-ok (chunk-order partial reduction, O(threads))
-            for p in parts[1:]:
-                r_local += p
+        ql = local_q_r[e0]
+        qr = local_q_r[e1]
+        acc = None      # per-vertex flux sums over (e0, e1) endpoints
+        if model is not None:
+            # End-to-end compiled interior leg: flux arithmetic and
+            # scatter in one pass.  Same normwise contract as the numpy
+            # flux + compiled scatter; both executors share this
+            # kernel, so seq == proc is preserved structurally.
+            acc = _kernels.rusanov_scatter(e0, e1, ql, qr, s, rd.n_local,
+                                           model[0], model[1], engine)
+        if acc is None:
+            f = rusanov_flux(ql, qr, s, disc._flux, disc._wavespeed)
+            if compiled_f64:
+                acc = _kernels.edge_scatter2(e0, e1, f, f, rd.n_local,
+                                             engine)
+            if acc is None:
+                acc = (segment_sum(e0, f, rd.n_local),
+                       segment_sum(e1, f, rd.n_local))
+        r_local = acc[0] - acc[1]
     # Boundary closures on owned boundary vertices.
     bc = disc.bc
     bmask = np.isin(bc.vertices, rd.owned, assume_unique=False)
@@ -394,7 +356,7 @@ def gather_structs(a, layout: SPMDLayout, rd: RankLocalData):
 def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
                 local_x_r: np.ndarray, n_owned: int,
                 workspace: tuple | None = None,
-                engine: str = "numpy", threads: int = 1) -> np.ndarray:
+                engine: str = "numpy") -> np.ndarray:
     """One rank's owned SpMV rows: block-gemv the gathered blocks and
     segment-sum per owned row.  Shared by both executors (see
     :func:`rank_residual`).
@@ -408,49 +370,19 @@ def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
     ``engine="compiled"`` runs the gather + block-gemv + scatter as one
     fused compiled pass (ULP-bounded vs the einsum path; both executors
     pass the same engine, so seq/proc identity is preserved).
-
-    ``threads>1`` splits the owned rows into contiguous chunks at
-    segment boundaries, one thread per chunk writing its disjoint
-    output rows.  Every chunk runs the same row-range body the
-    single-thread call runs once over ``[0, n_owned)``, and each row's
-    accumulation order is unchanged, so the threaded result is
-    bitwise-identical to the single-thread kernel of the same engine
-    (``workspace`` is only consulted single-threaded — a shared buffer
-    pair cannot serve concurrent chunks).
     """
-    threads = resolve_threads(threads)
-
-    def row_range(r0: int, r1: int, ws: tuple | None = None) -> np.ndarray:
-        if r0 == 0 and r1 == n_owned:
-            d, c, sg = data_rows, cols, seg
-        else:
-            # ``seg`` is sorted, so the chunk's block entries are one
-            # contiguous slice; rebase its row ids to the sub-problem.
-            klo, khi = np.searchsorted(seg, (r0, r1))
-            d, c, sg = data_rows[klo:khi], cols[klo:khi], seg[klo:khi] - r0
-        if engine != "numpy":
-            y = _kernels.gather_spmv_bsr(d, c, sg, local_x_r, r1 - r0,
-                                         engine)
-            if y is not None:
-                return y
-        if ws is None:
-            prods = np.einsum("kij,kj->ki", d, local_x_r[c])
-        else:
-            gathered, prods = ws
-            np.take(local_x_r, c, axis=0, out=gathered)
-            np.einsum("kij,kj->ki", d, gathered, out=prods)
-        return segment_sum(sg, prods, r1 - r0)
-
-    if threads == 1 or n_owned <= 1:
-        return row_range(0, n_owned, workspace)
-    out = np.empty((n_owned, data_rows.shape[1]),
-                   dtype=np.result_type(data_rows, local_x_r))
-
-    def row_chunk(r0: int, r1: int) -> None:
-        out[r0:r1] = row_range(r0, r1)
-
-    run_chunks(row_chunk, chunk_ranges(n_owned, threads), threads)
-    return out
+    if engine != "numpy":
+        y = _kernels.gather_spmv_bsr(data_rows, cols, seg, local_x_r,
+                                     n_owned, engine)
+        if y is not None:
+            return y
+    if workspace is None:
+        prods = np.einsum("kij,kj->ki", data_rows, local_x_r[cols])
+    else:
+        gathered, prods = workspace
+        np.take(local_x_r, cols, axis=0, out=gathered)
+        np.einsum("kij,kj->ki", data_rows, gathered, out=prods)
+    return segment_sum(seg, prods, n_owned)
 
 
 def _resolve_pool(layout: SPMDLayout, executor):
@@ -478,7 +410,7 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
                          qglobal: np.ndarray,
                          exchange: GhostExchange | None = None,
                          *, recorder=NULL_RECORDER,
-                         executor="seq", threads: int = 1) -> np.ndarray:
+                         executor="seq") -> np.ndarray:
     """First-order residual computed rank by rank on local data.
 
     Each rank evaluates fluxes on its local edge set with purely local
@@ -491,18 +423,13 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
     the ranks in-process (the loop below), ``"proc"`` (or a
     :class:`~repro.parallel.procpool.ProcPool` instance) runs them in
     the worker pool over shared memory — bitwise-identical, because
-    both run the same rank kernels on exact copies.  ``threads`` is the
-    intra-rank team size, honoured identically by both executors (the
-    pool forwards it through the shm header), so ``seq(threads=t)``
-    equals ``proc(threads=t)`` bitwise for any t.
+    both run the same rank kernels on exact copies.
     """
     ncomp = disc.ncomp
-    threads = resolve_threads(threads)
     rec = recorder if recorder is not None else NULL_RECORDER
     pool = _resolve_pool(layout, executor)
     if pool is not None:
-        r = pool.residual(qglobal, exchange=exchange, recorder=rec,
-                          threads=threads)
+        r = pool.residual(qglobal, exchange=exchange, recorder=rec)
     else:
         ex = exchange or GhostExchange(layout, ncomp, recorder=rec)
         local_q = _scatter_local_state(layout, qglobal, ncomp)
@@ -514,7 +441,7 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
         for rd in layout.ranks:
             with rec.span("flux", rank=rd.rank) as sp:
                 r_local = rank_residual(disc, rd, local_q[rd.rank],
-                                        out.dtype, threads=threads)
+                                        out.dtype)
                 out[rd.owned] = r_local[: rd.n_owned]
             per_rank_s[rd.rank] = sp.elapsed
         rec.record_wait("flux", per_rank_s)
@@ -527,22 +454,20 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
                        xglobal: np.ndarray,
                        exchange: GhostExchange | None = None,
                        *, recorder=NULL_RECORDER,
-                       executor="seq", threads: int = 1) -> np.ndarray:
+                       executor="seq") -> np.ndarray:
     """y = A x computed rank by rank: each rank holds its owned block
     rows (whose columns reach only owned + ghost vertices) and local x;
     one exchange refreshes the ghosts first.
 
     As in the Krylov solvers, the working precision follows the vector:
     the result and all rank-local arrays take ``xglobal``'s dtype.
-    ``executor`` and ``threads`` are as in :func:`distributed_residual`.
+    ``executor`` is as in :func:`distributed_residual`.
     """
     bs = a.bs
-    threads = resolve_threads(threads)
     rec = recorder if recorder is not None else NULL_RECORDER
     pool = _resolve_pool(layout, executor)
     if pool is not None:
-        y = pool.matvec(a, xglobal, exchange=exchange, recorder=rec,
-                        threads=threads)
+        y = pool.matvec(a, xglobal, exchange=exchange, recorder=rec)
     else:
         ex = exchange or GhostExchange(layout, bs, recorder=rec)
         local_x = _scatter_local_state(layout, xglobal, bs)
@@ -558,8 +483,7 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
                 flat, cols, seg = gather_structs(a, layout, rd)
                 out[rd.owned] = rank_matvec(a.data[flat], cols, seg,
                                             local_x[rd.rank], rd.n_owned,
-                                            engine=a.engine,
-                                            threads=threads)
+                                            engine=a.engine)
             per_rank_s[rd.rank] = sp.elapsed
         rec.record_wait("matvec", per_rank_s)
         y = out.ravel()

@@ -43,15 +43,12 @@ class ASMConfig:
     variant: ASMVariant = ASMVariant.RESTRICTED
     storage_dtype: type = np.float64
     engine: str = "numpy"   # kernel tier for the subdomain trisolves
-    threads: int = 1        # intra-rank team size for the trisolves
 
     def __post_init__(self) -> None:
         if self.overlap < 0:
             raise ValueError("overlap must be >= 0")
         if self.fill_level < 0:
             raise ValueError("fill_level must be >= 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         self.variant = ASMVariant(self.variant)
 
 
@@ -129,8 +126,7 @@ class AdditiveSchwarz:
                 self.subdomains.append(SubdomainSolver.build(
                     a, rows, owned, self.config.fill_level,
                     storage_dtype=self.config.storage_dtype,
-                    engine=self.config.engine,
-                    threads=self.config.threads))
+                    engine=self.config.engine))
         return self
 
     # -- application ----------------------------------------------------

@@ -35,8 +35,7 @@ class SubdomainSolver:
               owned: np.ndarray, fill_level: int,
               storage_dtype=np.float64,
               pattern: ILUPattern | None = None,
-              engine: str = "numpy",
-              threads: int = 1) -> "SubdomainSolver":
+              engine: str = "numpy") -> "SubdomainSolver":
         """Extract the overlapped submatrix of ``a`` and factor it.
 
         ``pattern`` is the symbolic ILU(k) pattern from a previous
@@ -49,8 +48,7 @@ class SubdomainSolver:
         sub = a.submatrix(rows)
         ilu = ilu_bsr if isinstance(a, BSRMatrix) else ilu_csr
         factor = ilu(sub, fill_level, pattern=pattern,
-                     storage_dtype=storage_dtype, engine=engine,
-                     threads=threads)
+                     storage_dtype=storage_dtype, engine=engine)
         return cls(rows=rows, owned=np.asarray(owned, dtype=bool),
                    factor=factor, fill_level=fill_level)
 
@@ -61,8 +59,7 @@ class SubdomainSolver:
         return self.build(a, self.rows, self.owned, self.fill_level,
                           storage_dtype=self.factor.storage_dtype,
                           pattern=self.factor.pattern,
-                          engine=self.factor.engine,
-                          threads=self.factor.threads)
+                          engine=self.factor.engine)
 
     @property
     def num_rows(self) -> int:

@@ -1,44 +1,27 @@
 """Write sanitizer: shadow-track written index intervals per owner.
 
-The determinism contract of every parallel leg in this repo reduces to
-one property: concurrent writers touch **disjoint** row sets (threaded
-chunks write only their ``[lo, hi)`` slice, ProcPool ranks write only
-their owned rows).  The end-to-end bitwise tests cannot check this —
-two chunks that race on the same row but happen to store the same
-value pass bitwise.  This module checks the property directly: every
-write claims its target interval under the writing owner, and a claim
+The determinism contract of the parallel executor reduces to one
+property: concurrent writers touch **disjoint** row sets (ProcPool
+ranks write only their owned rows).  The end-to-end bitwise tests
+cannot check this — two ranks that race on the same row but happen to
+store the same value pass bitwise.  :class:`WriteSanitizer` checks the
+property directly: every owner claims the intervals it writes, a claim
 that overlaps another owner's interval raises :class:`SanitizeError`
-at the offending write, naming both owners and the contested rows.
-
-Three pieces:
-
-- :class:`WriteSanitizer` — the interval ledger.  Claims live inside a
-  *region* (one parallel section, e.g. one ``run_chunks`` call); the
-  executor calls :meth:`WriteSanitizer.new_region` at each section
-  start so successive sections may legitimately rewrite the same rows.
-- :func:`chunk_owner` — a context manager the executor wraps around
-  each chunk, establishing the thread-local owner that claims are
-  attributed to.
-- :func:`tracked` — wrap an output array so its ``__setitem__`` claims
-  the written first-axis interval automatically.  Only writes on the
-  tracked array itself are observed (views are untracked — a view's
-  indices are relative to the wrong base).
+naming both owners and the contested rows, and
+:meth:`WriteSanitizer.require_cover` flags rows nobody claimed.
 
 All of it is opt-in via ``REPRO_SANITIZE`` (:func:`enabled`); the
-ledger is per-process, which matches the executors — threads share it,
-forked ProcPool workers check their own copy.
+ledger is per-process.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["SanitizeError", "WriteSanitizer", "GLOBAL", "chunk_owner",
-           "current_owner", "enabled", "tracked"]
+__all__ = ["SanitizeError", "WriteSanitizer", "enabled"]
 
 
 def enabled() -> bool:
@@ -50,52 +33,21 @@ class SanitizeError(RuntimeError):
     """A runtime parallel-safety contract was violated."""
 
 
-#: Thread-local owner attribution for claims (set by :func:`chunk_owner`).
-_OWNER = threading.local()
-
-
-def current_owner():
-    """The owner label claims are attributed to on this thread."""
-    return getattr(_OWNER, "owner", None)
-
-
-@contextmanager
-def chunk_owner(owner):
-    """Attribute writes on this thread to ``owner`` while inside."""
-    prev = current_owner()
-    # lint: purity-ok (thread-local attribution state; per-process debug instrumentation by design)
-    _OWNER.owner = owner
-    try:
-        yield
-    finally:
-        # lint: purity-ok (restores the thread-local attribution on exit)
-        _OWNER.owner = prev
-
-
 class WriteSanitizer:
     """Interval ledger: who wrote which rows of which array.
 
     Claims are keyed by an array identity (``key``) so intervals on
-    different arrays never collide, and scoped to the current region.
-    Same-owner overlap is fine (a chunk may rewrite its own rows);
-    cross-owner overlap raises immediately.
+    different arrays never collide.  Same-owner overlap is fine (an
+    owner may rewrite its own rows); cross-owner overlap raises
+    immediately.
     """
 
     def __init__(self, label: str = "") -> None:
         self.label = label
-        self.region = 0
-        #: key -> list of (lo, hi, owner) claims in the current region
+        #: key -> list of (lo, hi, owner) claims
         self._claims: dict[object, list[tuple[int, int, object]]] = {}
         # lint: purity-ok (lock is created per instance inside the owning process, never crosses fork)
         self._lock = threading.Lock()
-
-    def new_region(self, label: str | None = None) -> None:
-        """Open a new parallel section: prior claims no longer conflict."""
-        with self._lock:
-            self.region += 1
-            if label is not None:
-                self.label = label
-            self._claims.clear()
 
     def claim(self, owner, lo: int, hi: int, key: object = None) -> None:
         """Record that ``owner`` wrote rows ``[lo, hi)`` of array ``key``."""
@@ -110,10 +62,9 @@ class WriteSanitizer:
                     raise SanitizeError(
                         f"overlapping writes{where}: owner {owner!r} wrote "
                         f"rows [{lo}, {hi}) which intersect rows "
-                        f"[{clo}, {chi}) already written by {cowner!r} in "
-                        f"the same parallel region — chunk writes must be "
-                        f"disjoint for the output to be schedule-"
-                        f"independent")
+                        f"[{clo}, {chi}) already written by {cowner!r} — "
+                        f"owners' writes must be disjoint for the output "
+                        f"to be schedule-independent")
             ledger.append((lo, hi, owner))
 
     def claim_indices(self, owner, indices, key: object = None) -> None:
@@ -148,81 +99,4 @@ class WriteSanitizer:
             raise SanitizeError(
                 f"coverage gap{where}: rows [{cursor}, {hi}) were never "
                 f"claimed by any owner — some output rows are not written "
-                f"by any chunk/rank")
-
-
-#: The process-wide ledger the instrumented executors share.
-GLOBAL = WriteSanitizer("global")
-
-
-def _first_axis_intervals(key, n: int):
-    """Intervals of the first axis a ``__setitem__`` key touches.
-
-    Supports the write patterns the kernels use (int, slice, integer
-    or boolean index arrays, tuples thereof); anything unrecognised is
-    treated conservatively as the whole axis — the sanitizer errs on
-    the loud side.
-    """
-    if isinstance(key, tuple):
-        key = key[0] if key else slice(None)
-    if key is Ellipsis or key is None:
-        return [(0, n)]
-    if isinstance(key, (int, np.integer)):
-        i = int(key) % n if n else 0
-        return [(i, i + 1)]
-    if isinstance(key, slice):
-        start, stop, step = key.indices(n)
-        if step == 1:
-            return [(start, stop)]
-        return [(i, i + 1) for i in range(start, stop, step)]
-    if isinstance(key, (list, np.ndarray)):
-        idx = np.asarray(key)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        if idx.size == 0:
-            return []
-        runs = np.sort(idx.astype(np.int64, copy=False).ravel())
-        runs = np.where(runs < 0, runs + n, runs)
-        runs = np.sort(runs)
-        cuts = np.flatnonzero(np.diff(runs) > 1) + 1
-        starts = np.concatenate([[0], cuts])
-        ends = np.concatenate([cuts, [runs.size]])
-        return [(int(runs[s]), int(runs[e - 1]) + 1)
-                for s, e in zip(starts, ends)]
-    return [(0, n)]
-
-
-class _TrackedArray(np.ndarray):
-    """ndarray whose in-place writes claim their first-axis interval."""
-
-    def __array_finalize__(self, obj) -> None:
-        # Derived views are deliberately untracked: their indices are
-        # relative to the view, not the array the ledger knows.
-        self._san = None
-        self._san_key = None
-
-    def __setitem__(self, key, value) -> None:
-        san = self._san
-        owner = current_owner()
-        if san is not None and owner is not None and self.ndim:
-            n = self.shape[0]
-            # lint: loop-ok (per-write interval claims; debug-only path)
-            for lo, hi in _first_axis_intervals(key, n):
-                san.claim(owner, lo, hi, key=self._san_key)
-        super().__setitem__(key, value)
-
-
-def tracked(array: np.ndarray, sanitizer: WriteSanitizer | None = None,
-            key: object = None) -> np.ndarray:
-    """A view of ``array`` whose writes are claimed in the ledger.
-
-    Shares memory with ``array`` (writes land in the original data);
-    ``sanitizer`` defaults to the process-wide :data:`GLOBAL` ledger
-    that the instrumented executors reset per parallel region, and
-    ``key`` defaults to the base array's identity.
-    """
-    base = np.asarray(array)
-    view = base.view(_TrackedArray)
-    view._san = sanitizer if sanitizer is not None else GLOBAL
-    view._san_key = key if key is not None else id(base)
-    return view
+                f"by any rank")

@@ -339,7 +339,7 @@ class SolverService:
         cfg = req.config
         return _digest_parts("pool", mesh_hash(req.disc.mesh),
                              self.compat_key(req), str(cfg.nworkers),
-                             str(cfg.threads), str(cfg.engine))
+                             str(cfg.engine))
 
     def _attach_pool(self, ctx, req: SolveRequest) -> str | None:
         """For proc requests: reuse (or create) the persistent warm
@@ -368,8 +368,8 @@ class SolverService:
             for k in [k for k, lay in self._warm_pools.items()
                       if k == key or lay is layout]:
                 self._discard_pool(k)
-        ProcPool(layout, req.disc, nworkers=req.config.nworkers,
-                 threads=req.config.threads)   # attaches to layout.pool
+        # attaches to layout.pool
+        ProcPool(layout, req.disc, nworkers=req.config.nworkers)
         with self._cv:
             self.stats.pools_created += 1
             self._warm_pools[key] = layout

@@ -55,7 +55,7 @@ def structure_keys(mesh, config) -> dict:
     The partition key folds in only the knobs that shape the
     partition; the preconditioner key folds in everything that shapes
     the subdomain factors (overlap/fill/variant, the precision policy,
-    and the engine/threads baked into the compiled schedules).
+    and the engine baked into the compiled schedules).
     """
     topo = topology_hash(mesh)
     pc_cfg = config.precond
@@ -63,8 +63,7 @@ def structure_keys(mesh, config) -> dict:
                              str(pc_cfg.partitioner), str(config.seed))
     pc_key = _digest_parts(
         "precond", part_key,
-        config_key((pc_cfg, config.policy, config.engine,
-                    config.threads)))
+        config_key((pc_cfg, config.policy, config.engine)))
     # The gather namespace stores the whole SPMDLayout (rank worlds +
     # gather-struct cache).  It is keyed like the preconditioner — not
     # just the partition — so requests that could run concurrently

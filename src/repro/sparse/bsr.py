@@ -35,7 +35,6 @@ class BSRMatrix:
     data: np.ndarray
     nbcols: int
     engine: str = "numpy"   # kernel tier for matvec (see repro.kernels)
-    threads: int = 1        # intra-rank team size for matvec row chunks
 
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -100,14 +99,8 @@ class BSRMatrix:
 
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """y = A @ x with x interlaced (block-contiguous).
-
-        ``threads>1`` splits the block rows across the intra-rank
-        thread team (contiguous chunks, disjoint output rows, per-row
-        accumulation order unchanged — bitwise-identical per engine)."""
+        """y = A @ x with x interlaced (block-contiguous)."""
         bs = self.bs
-        if int(self.threads) > 1 and self.nbrows > 1:
-            return self._matvec_threaded(x, int(self.threads))
         if self.engine != "numpy":
             y = _kernels.spmv_bsr(self.indptr, self.indices, self.data,
                                   np.asarray(x).ravel(), self.nbrows,
@@ -119,34 +112,6 @@ class BSRMatrix:
         prods = np.einsum("kij,kj->ki", self.data, xb[self.indices])
         yb = segment_sum(self.row_of, prods, self.nbrows)
         return yb.ravel().astype(np.result_type(self.data, x), copy=False)
-
-    def _matvec_threaded(self, x: np.ndarray, threads: int) -> np.ndarray:
-        # Lazy import: repro.parallel depends on repro.sparse.
-        from repro.parallel.threads import chunk_ranges, run_chunks
-        bs = self.bs
-        xf = np.asarray(x).ravel()
-        xb = xf.reshape(self.nbcols, bs)
-        indptr, indices, data = self.indptr, self.indices, self.data
-        row_of = self.row_of
-        out = np.empty((self.nbrows, bs), dtype=np.result_type(data, x))
-
-        def row_chunk(r0: int, r1: int) -> None:
-            klo, khi = int(indptr[r0]), int(indptr[r1])
-            y = None
-            if self.engine != "numpy":
-                y = _kernels.spmv_bsr(indptr[r0:r1 + 1] - klo,
-                                      indices[klo:khi], data[klo:khi],
-                                      xf, r1 - r0, self.engine)
-                if y is not None:
-                    y = y.reshape(r1 - r0, bs)
-            if y is None:
-                prods = np.einsum("kij,kj->ki", data[klo:khi],
-                                  xb[indices[klo:khi]])
-                y = segment_sum(row_of[klo:khi] - r0, prods, r1 - r0)
-            out[r0:r1] = y
-
-        run_chunks(row_chunk, chunk_ranges(self.nbrows, threads), threads)
-        return out.ravel()
 
     def diag_blocks(self) -> np.ndarray:
         """The (nbrows, bs, bs) diagonal blocks (zeros where absent)."""
@@ -166,8 +131,7 @@ class BSRMatrix:
         data = self.data.copy()
         data[mask] += np.asarray(dblocks)
         return BSRMatrix(indptr=self.indptr, indices=self.indices,
-                         data=data, nbcols=self.nbcols, engine=self.engine,
-                         threads=self.threads)
+                         data=data, nbcols=self.nbcols, engine=self.engine)
 
     def to_csr(self) -> CSRMatrix:
         """Expand to point CSR in the interlaced (point-block) ordering."""
@@ -182,7 +146,6 @@ class BSRMatrix:
         out = CSRMatrix.from_coo(rows, cols, self.data.ravel(),
                                  (self.nbrows * bs, self.nbcols * bs))
         out.engine = self.engine
-        out.threads = self.threads
         return out
 
     def submatrix(self, brows: np.ndarray) -> "BSRMatrix":
@@ -197,7 +160,6 @@ class BSRMatrix:
                                        self.data[keep],
                                        (brows.size, brows.size))
         out.engine = self.engine
-        out.threads = self.threads
         return out
 
     def permuted(self, perm: np.ndarray) -> "BSRMatrix":
@@ -209,18 +171,17 @@ class BSRMatrix:
         out = BSRMatrix.from_block_coo(inv[row_of], inv[self.indices],
                                        self.data, (self.nbrows, self.nbcols))
         out.engine = self.engine
-        out.threads = self.threads
         return out
 
     def astype(self, dtype) -> "BSRMatrix":
         return BSRMatrix(indptr=self.indptr, indices=self.indices,
                          data=self.data.astype(dtype), nbcols=self.nbcols,
-                         engine=self.engine, threads=self.threads)
+                         engine=self.engine)
 
     def copy(self) -> "BSRMatrix":
         return BSRMatrix(indptr=self.indptr.copy(), indices=self.indices.copy(),
                          data=self.data.copy(), nbcols=self.nbcols,
-                         engine=self.engine, threads=self.threads)
+                         engine=self.engine)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

@@ -27,7 +27,6 @@ class CSRMatrix:
     data: np.ndarray
     ncols: int
     engine: str = "numpy"   # kernel tier for matvec (see repro.kernels)
-    threads: int = 1        # intra-rank team size for matvec row chunks
 
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -103,14 +102,8 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x via gather + segmented reduction (bincount handles
-        empty rows, unlike reduceat).
-
-        ``threads>1`` splits the rows across the intra-rank thread team
-        (contiguous chunks, disjoint output rows, per-row accumulation
-        order unchanged — bitwise-identical per engine)."""
+        empty rows, unlike reduceat)."""
         x = np.asarray(x)
-        if int(self.threads) > 1 and self.nrows > 1:
-            return self._matvec_threaded(x, int(self.threads))
         if self.engine != "numpy":
             y = _kernels.spmv_csr(self.indptr, self.indices, self.data, x,
                                   self.engine)
@@ -119,28 +112,6 @@ class CSRMatrix:
         prods = self.data * x[self.indices]
         y = segment_sum(self.row_of, prods, self.nrows)
         return y.astype(np.result_type(self.data, x), copy=False)
-
-    def _matvec_threaded(self, x: np.ndarray, threads: int) -> np.ndarray:
-        # Lazy import: repro.parallel depends on repro.sparse.
-        from repro.parallel.threads import chunk_ranges, run_chunks
-        indptr, indices, data = self.indptr, self.indices, self.data
-        row_of = self.row_of
-        out = np.empty(self.nrows, dtype=np.result_type(data, x))
-
-        def row_chunk(r0: int, r1: int) -> None:
-            y = None
-            if self.engine != "numpy":
-                y = _kernels.spmv_csr(indptr, indices, data, x, self.engine,
-                                      rows=np.arange(r0, r1,
-                                                     dtype=np.int64))
-            if y is None:
-                klo, khi = int(indptr[r0]), int(indptr[r1])
-                prods = data[klo:khi] * x[indices[klo:khi]]
-                y = segment_sum(row_of[klo:khi] - r0, prods, r1 - r0)
-            out[r0:r1] = y
-
-        run_chunks(row_chunk, chunk_ranges(self.nrows, threads), threads)
-        return out
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
@@ -164,8 +135,7 @@ class CSRMatrix:
         row_of = self.row_of
         return CSRMatrix(indptr=self.indptr, indices=self.indices,
                          data=self.data * np.asarray(s)[row_of],
-                         ncols=self.ncols, engine=self.engine,
-                         threads=self.threads)
+                         ncols=self.ncols, engine=self.engine)
 
     def add_diagonal(self, d: np.ndarray) -> "CSRMatrix":
         """Return A + diag(d); requires the diagonal already structurally
@@ -177,8 +147,7 @@ class CSRMatrix:
         data = self.data.copy()
         data[mask] += np.asarray(d)[row_of[mask]]
         return CSRMatrix(indptr=self.indptr, indices=self.indices,
-                         data=data, ncols=self.ncols, engine=self.engine,
-                         threads=self.threads)
+                         data=data, ncols=self.ncols, engine=self.engine)
 
     def permuted(self, perm: np.ndarray) -> "CSRMatrix":
         """Symmetric permutation P A P^T with new index i = old perm[i]."""
@@ -189,7 +158,6 @@ class CSRMatrix:
         out = CSRMatrix.from_coo(inv[row_of], inv[self.indices], self.data,
                                  self.shape)
         out.engine = self.engine
-        out.threads = self.threads
         return out
 
     def submatrix(self, rows: np.ndarray) -> "CSRMatrix":
@@ -204,18 +172,17 @@ class CSRMatrix:
                                  self.data[keep],
                                  (rows.size, rows.size))
         out.engine = self.engine
-        out.threads = self.threads
         return out
 
     def astype(self, dtype) -> "CSRMatrix":
         return CSRMatrix(indptr=self.indptr, indices=self.indices,
                          data=self.data.astype(dtype), ncols=self.ncols,
-                         engine=self.engine, threads=self.threads)
+                         engine=self.engine)
 
     def copy(self) -> "CSRMatrix":
         return CSRMatrix(indptr=self.indptr.copy(), indices=self.indices.copy(),
                          data=self.data.copy(), ncols=self.ncols,
-                         engine=self.engine, threads=self.threads)
+                         engine=self.engine)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

@@ -375,7 +375,6 @@ class ILUFactorCSR:
     l_levels_sched: list[np.ndarray]
     u_levels_sched: list[np.ndarray]
     engine: str = "numpy"   # kernel tier for the triangular solves
-    threads: int = 1        # intra-rank team size for the solves
 
     @property
     def storage_dtype(self) -> np.dtype:
@@ -391,11 +390,10 @@ class ILUFactorCSR:
         """x = U^{-1} L^{-1} b, computed in float64."""
         p = self.pattern
         y = lower_solve_csr(p.l_indptr, p.l_indices, self.l_data, b,
-                            self.l_levels_sched, engine=self.engine,
-                            threads=self.threads)
+                            self.l_levels_sched, engine=self.engine)
         return upper_solve_csr(p.u_indptr, p.u_indices, self.u_data,
                                self.inv_diag, y, self.u_levels_sched,
-                               engine=self.engine, threads=self.threads)
+                               engine=self.engine)
 
     def astype_storage(self, dtype) -> "ILUFactorCSR":
         return ILUFactorCSR(pattern=self.pattern,
@@ -404,13 +402,12 @@ class ILUFactorCSR:
                             inv_diag=self.inv_diag.astype(dtype),
                             l_levels_sched=self.l_levels_sched,
                             u_levels_sched=self.u_levels_sched,
-                            engine=self.engine, threads=self.threads)
+                            engine=self.engine)
 
 
 def ilu_csr(a: CSRMatrix, fill_level: int = 0,
             pattern: ILUPattern | None = None,
-            storage_dtype=np.float64, engine: str = "numpy",
-            threads: int = 1) -> ILUFactorCSR:
+            storage_dtype=np.float64, engine: str = "numpy") -> ILUFactorCSR:
     """Numeric ILU(k) of a scalar CSR matrix, schedule driven.
 
     With a reused ``pattern`` (the production path: one symbolic phase,
@@ -442,7 +439,7 @@ def ilu_csr(a: CSRMatrix, fill_level: int = 0,
         inv_diag=1.0 / w[off_d:off_u],
         l_levels_sched=sched.l_solve,
         u_levels_sched=sched.u_solve,
-        engine=engine, threads=threads,
+        engine=engine,
     )
     if np.dtype(storage_dtype) != np.float64:
         factor = factor.astype_storage(storage_dtype)
@@ -531,7 +528,6 @@ class ILUFactorBSR:
     l_levels_sched: list[np.ndarray]
     u_levels_sched: list[np.ndarray]
     engine: str = "numpy"       # kernel tier for the triangular solves
-    threads: int = 1            # intra-rank team size for the solves
 
     @property
     def storage_dtype(self) -> np.dtype:
@@ -546,11 +542,10 @@ class ILUFactorBSR:
         p = self.pattern
         y = lower_solve_blocks(p.l_indptr, p.l_indices, self.l_data, b,
                                self.l_levels_sched, self.bs,
-                               engine=self.engine, threads=self.threads)
+                               engine=self.engine)
         return upper_solve_blocks(p.u_indptr, p.u_indices, self.u_data,
                                   self.inv_diag, y, self.u_levels_sched,
-                                  self.bs, engine=self.engine,
-                                  threads=self.threads)
+                                  self.bs, engine=self.engine)
 
     def astype_storage(self, dtype) -> "ILUFactorBSR":
         return ILUFactorBSR(pattern=self.pattern, bs=self.bs,
@@ -559,13 +554,12 @@ class ILUFactorBSR:
                             inv_diag=self.inv_diag.astype(dtype),
                             l_levels_sched=self.l_levels_sched,
                             u_levels_sched=self.u_levels_sched,
-                            engine=self.engine, threads=self.threads)
+                            engine=self.engine)
 
 
 def ilu_bsr(a: BSRMatrix, fill_level: int = 0,
             pattern: ILUPattern | None = None,
-            storage_dtype=np.float64, engine: str = "numpy",
-            threads: int = 1) -> ILUFactorBSR:
+            storage_dtype=np.float64, engine: str = "numpy") -> ILUFactorBSR:
     """Numeric block ILU(k) of a BSR matrix, schedule driven.
 
     Same plan as :func:`ilu_csr` with scalars replaced by ``bs x bs``
@@ -601,7 +595,7 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0,
         inv_diag=inv_diag,
         l_levels_sched=sched.l_solve,
         u_levels_sched=sched.u_solve,
-        engine=engine, threads=threads,
+        engine=engine,
     )
     if np.dtype(storage_dtype) != np.float64:
         factor = factor.astype_storage(storage_dtype)

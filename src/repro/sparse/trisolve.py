@@ -143,34 +143,13 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return concat_ranges(starts, counts)
 
 
-def _level_team(rows: np.ndarray, threads: int):
-    """Row chunks of one dependency level for an intra-rank thread
-    team, or ``None`` to stay on the single-thread path.
-
-    Rows of one level are mutually independent and each row's own
-    update (:func:`_row_dot` + combination) is computed per row, so
-    splitting a level across threads writes disjoint ``x`` rows with
-    unchanged per-row arithmetic — bitwise-identical to the unsplit
-    batch at any thread count.  Imported lazily: ``repro.parallel``
-    depends on this module, not the other way round.
-    """
-    if threads <= 1 or rows.size < 2:
-        return None
-    from repro.parallel.threads import chunk_ranges, run_chunks
-    return [rows[lo:hi] for lo, hi in chunk_ranges(rows.size, threads)], \
-        run_chunks
-
-
 def lower_solve_csr(indptr, indices, data, b, levels,
-                    engine="numpy", threads: int = 1) -> np.ndarray:
+                    engine="numpy") -> np.ndarray:
     """Solve L x = b with L unit lower triangular (strict part stored).
 
     ``engine="compiled"`` runs the dependency-ordered compiled row
     loop (bitwise identical to the level-batched path); it degrades to
-    the numpy batches when no backend is available.  ``threads>1``
-    splits each numpy level batch across the thread team (disjoint
-    rows — bitwise identical; see :func:`_level_team`); the compiled
-    row loop is already dependency-ordered and ignores the knob.
+    the numpy batches when no backend is available.
     """
     x = np.array(b, dtype=np.float64, copy=True)
     if engine != "numpy" and _kernels.lower_solve_csr(
@@ -178,46 +157,22 @@ def lower_solve_csr(indptr, indices, data, b, levels,
         return x
     # lint: loop-ok (one vectorised batch per dependency level, O(levels))
     for rows in levels:
-        team = _level_team(rows, threads)
-        if team is None:
-            x[rows] -= _row_dot(indptr, indices, data, x, rows)
-        else:
-            chunks, run_chunks = team
-
-            def solve_chunk(c: int, _unused: int) -> None:
-                rr = chunks[c]
-                x[rr] -= _row_dot(indptr, indices, data, x, rr)
-
-            run_chunks(solve_chunk, [(c, c + 1) for c in range(len(chunks))],
-                       threads)
+        x[rows] -= _row_dot(indptr, indices, data, x, rows)
     return x
 
 
 def upper_solve_csr(indptr, indices, data, inv_diag, b, levels,
-                    engine="numpy", threads: int = 1) -> np.ndarray:
+                    engine="numpy") -> np.ndarray:
     """Solve U x = b with U upper triangular; ``indices``/``data`` hold
-    the strictly-upper part and ``inv_diag`` the reciprocal diagonal.
-    ``threads`` as in :func:`lower_solve_csr`."""
+    the strictly-upper part and ``inv_diag`` the reciprocal diagonal."""
     x = np.array(b, dtype=np.float64, copy=True)
     if engine != "numpy" and _kernels.upper_solve_csr(
             indptr, indices, data, inv_diag, x, levels, engine):
         return x
     # lint: loop-ok (one vectorised batch per dependency level, O(levels))
     for rows in levels:
-        team = _level_team(rows, threads)
-        if team is None:
-            x[rows] = (x[rows] - _row_dot(indptr, indices, data, x, rows)) \
-                * inv_diag[rows].astype(np.float64, copy=False)
-        else:
-            chunks, run_chunks = team
-
-            def solve_chunk(c: int, _unused: int) -> None:
-                rr = chunks[c]
-                x[rr] = (x[rr] - _row_dot(indptr, indices, data, x, rr)) \
-                    * inv_diag[rr].astype(np.float64, copy=False)
-
-            run_chunks(solve_chunk, [(c, c + 1) for c in range(len(chunks))],
-                       threads)
+        x[rows] = (x[rows] - _row_dot(indptr, indices, data, x, rows)) \
+            * inv_diag[rows].astype(np.float64, copy=False)
     return x
 
 
@@ -235,13 +190,12 @@ def _row_dot_blocks(indptr, indices, data, x, rows, bs):
 
 
 def lower_solve_blocks(indptr, indices, data, b, levels, bs,
-                       engine="numpy", threads: int = 1) -> np.ndarray:
+                       engine="numpy") -> np.ndarray:
     """Block variant of :func:`lower_solve_csr`; b has shape (nbrows*bs,).
 
     The compiled path is ULP-bounded (not bitwise) against the numpy
     batches: ``np.einsum`` sums block columns in SIMD pairwise order,
-    the compiled loop sequentially.  ``threads`` as in
-    :func:`lower_solve_csr` (level batches split row-disjoint).
+    the compiled loop sequentially.
     """
     x = np.array(b, dtype=np.float64, copy=True)
     if engine != "numpy" and _kernels.lower_solve_bsr(
@@ -250,26 +204,14 @@ def lower_solve_blocks(indptr, indices, data, b, levels, bs,
     x = x.reshape(-1, bs)
     # lint: loop-ok (one vectorised batch per dependency level, O(levels))
     for rows in levels:
-        team = _level_team(rows, threads)
-        if team is None:
-            x[rows] -= _row_dot_blocks(indptr, indices, data, x, rows, bs)
-        else:
-            chunks, run_chunks = team
-
-            def solve_chunk(c: int, _unused: int) -> None:
-                rr = chunks[c]
-                x[rr] -= _row_dot_blocks(indptr, indices, data, x, rr, bs)
-
-            run_chunks(solve_chunk, [(c, c + 1) for c in range(len(chunks))],
-                       threads)
+        x[rows] -= _row_dot_blocks(indptr, indices, data, x, rows, bs)
     return x.ravel()
 
 
 def upper_solve_blocks(indptr, indices, data, inv_diag, b, levels, bs,
-                       engine="numpy", threads: int = 1) -> np.ndarray:
+                       engine="numpy") -> np.ndarray:
     """Block variant of :func:`upper_solve_csr`; ``inv_diag`` holds the
-    (nbrows, bs, bs) inverses of the diagonal blocks.  ``threads`` as
-    in :func:`lower_solve_csr`."""
+    (nbrows, bs, bs) inverses of the diagonal blocks."""
     x = np.array(b, dtype=np.float64, copy=True)
     if engine != "numpy" and _kernels.upper_solve_bsr(
             indptr, indices, data, inv_diag, x, levels, bs, engine):
@@ -277,24 +219,7 @@ def upper_solve_blocks(indptr, indices, data, inv_diag, b, levels, bs,
     x = x.reshape(-1, bs)
     # lint: loop-ok (one vectorised batch per dependency level, O(levels))
     for rows in levels:
-        team = _level_team(rows, threads)
-        if team is None:
-            rhs = x[rows] - _row_dot_blocks(indptr, indices, data, x,
-                                            rows, bs)
-            x[rows] = np.einsum(
-                "kij,kj->ki", inv_diag[rows].astype(np.float64, copy=False),
-                rhs)
-        else:
-            chunks, run_chunks = team
-
-            def solve_chunk(c: int, _unused: int) -> None:
-                rr = chunks[c]
-                rhs = x[rr] - _row_dot_blocks(indptr, indices, data, x,
-                                              rr, bs)
-                x[rr] = np.einsum(
-                    "kij,kj->ki",
-                    inv_diag[rr].astype(np.float64, copy=False), rhs)
-
-            run_chunks(solve_chunk, [(c, c + 1) for c in range(len(chunks))],
-                       threads)
+        rhs = x[rows] - _row_dot_blocks(indptr, indices, data, x, rows, bs)
+        x[rows] = np.einsum(
+            "kij,kj->ki", inv_diag[rows].astype(np.float64, copy=False), rhs)
     return x.ravel()

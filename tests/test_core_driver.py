@@ -207,6 +207,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(jacobian_lag=0)
 
+    def test_threads_knob_is_gone(self):
+        # Deleted in PR 20: a loud TypeError, not a silent 1-thread run.
+        with pytest.raises(TypeError):
+            SolverConfig(threads=2)
+
     def test_krylov_enum_coercion(self):
         cfg = KrylovConfig(orthogonalization="cgs")
         from repro.solvers.gmres import Orthogonalization

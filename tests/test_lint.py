@@ -23,7 +23,7 @@ REPO = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 RULES = ["R001", "R002", "R003", "R004", "R005", "R006",
-         "R007", "R008", "R009"]
+         "R007", "R008"]
 
 
 def lint_fixture(name, **kwargs):
@@ -123,14 +123,6 @@ class TestRuleFixtures:
         """Coordinator-side bookkeeping around ``Thread(...)`` stays
         out of the worker partition; the pure loop raises nothing."""
         assert lint_fixture("r008_thread_compliant.py") == []
-
-    def test_r009_flags_only_underived_indices(self):
-        """Chunk-derived slice write passes; constant-index and
-        captured-name writes are each flagged."""
-        findings = lint_fixture("r009_violating.py")
-        assert len(findings) == 2
-        assert all("'OUT'" in f.message for f in findings)
-        assert all("chunk arguments" in f.message for f in findings)
 
     def test_r006_counts_each_missing_declaration(self):
         """Non-dotted oracle path + missing __fallback__ + one

@@ -192,16 +192,9 @@ class TestWorkerTelemetry:
 
 
 class TestExchangeProcMode:
-    def test_refresh_raises_in_proc_mode(self, setup):
-        prob, _, layout, _ = setup
-        ex = GhostExchange(layout, prob.disc.ncomp, executor="proc")
-        with pytest.raises(RuntimeError, match="proc"):
-            ex.refresh([np.zeros((rd.n_local, prob.disc.ncomp))
-                        for rd in layout.ranks])
-
     def test_account_refresh_counts_plan_traffic(self, setup):
         prob, _, layout, _ = setup
-        ex = GhostExchange(layout, prob.disc.ncomp, executor="proc")
+        ex = GhostExchange(layout, prob.disc.ncomp)
         ex.account_refresh(8)
         assert ex.messages == ex.pair_count
         assert ex.bytes_moved == ex.ghost_rows * prob.disc.ncomp * 8
@@ -299,8 +292,8 @@ class TestDriverIntegration:
 
 
 class TestEdgeCases:
-    """Worker/thread counts at and past the host's limits must either
-    work (oversubscription: the OS time-slices) or raise a clear
+    """Worker counts at and past the host's limits must either work
+    (oversubscription: the OS time-slices) or raise a clear
     ProcPoolError — never silently misbehave."""
 
     def test_nworkers_zero_raises(self, setup):
@@ -308,10 +301,12 @@ class TestEdgeCases:
         with pytest.raises(ProcPoolError, match="nworkers"):
             ProcPool(layout, prob.disc, nworkers=0)
 
-    def test_threads_zero_raises(self, setup):
+    def test_threads_keyword_is_gone(self, setup):
+        """The intra-rank thread-team axis was deleted (PR 20): asking
+        for it fails loudly instead of running single-threaded."""
         prob, _, layout, q = setup
-        with pytest.raises(ProcPoolError, match="threads"):
-            ProcPool(layout, prob.disc, nworkers=2, threads=0)
+        with pytest.raises(TypeError):
+            ProcPool(layout, prob.disc, threads=2)
 
     def test_nworkers_beyond_cpu_count(self, setup):
         """Oversubscription past os.cpu_count() works and stays exact."""
@@ -334,23 +329,6 @@ class TestEdgeCases:
             f = pool.residual(q)
         assert np.array_equal(
             f, distributed_residual(prob.disc, layout, q, executor="seq"))
-
-    def test_threads_times_workers_beyond_cpu_count(self, setup):
-        """threads x workers > cpu_count oversubscribes but stays
-        bitwise-equal to the sequential leg at the same thread count."""
-        prob, _, layout, q = setup
-        a = prob.disc.assemble_jacobian(q)
-        x = np.random.default_rng(9).standard_normal(q.size)
-        with ProcPool(layout, prob.disc, nworkers=3, threads=4):
-            fp = distributed_residual(prob.disc, layout, q,
-                                      executor="proc", threads=4)
-            yp = distributed_matvec(a, layout, x,
-                                    executor="proc", threads=4)
-        fs = distributed_residual(prob.disc, layout, q,
-                                  executor="seq", threads=4)
-        ys = distributed_matvec(a, layout, x, executor="seq", threads=4)
-        assert np.array_equal(fp, fs)
-        assert np.array_equal(yp, ys)
 
 
 _KILL_SCRIPT = r"""

@@ -58,6 +58,29 @@ class TestLayout:
         for rd in layout.ranks:
             assert np.intersect1d(rd.owned, rd.ghosts).size == 0
 
+    @pytest.mark.parametrize("labelling", ["kway", "pmetis", "empty-rank"])
+    def test_local_index_world_maps_back_to_global(self, setup, labelling):
+        """Every rank's local numbering, translated back through
+        ``local_vertices``, is the global mesh it was cut from, and
+        each rank owns exactly its label's vertices (so the owned sets
+        partition them)."""
+        prob, labels, _, _ = setup
+        edges = prob.mesh.edges
+        if labelling == "pmetis":
+            labels = pmetis_partition(prob.mesh.vertex_graph(), 4, seed=0)
+        elif labelling == "empty-rank":
+            labels = np.where(labels >= 2, labels + 1, labels)  # no rank 2
+        layout = SPMDLayout.build(edges, labels)
+        assert layout.nranks == int(labels.max()) + 1
+        for rd in layout.ranks:
+            assert rd.local_edges.shape == (rd.edge_ids.size, 2)
+            assert np.array_equal(rd.local_vertices[rd.local_edges],
+                                  edges[rd.edge_ids])
+            assert np.array_equal(rd.ghost_owner, labels[rd.ghosts])
+            assert np.array_equal(rd.owned, np.flatnonzero(labels == rd.rank))
+        if labelling == "empty-rank":
+            assert layout.ranks[2].n_local == 0
+
 
 class TestDistributedKernels:
     def test_residual_exact(self, setup):
@@ -83,6 +106,13 @@ class TestDistributedKernels:
         x = rng.standard_normal(jac.shape[0])
         assert np.allclose(distributed_matvec(jac, layout, x), jac @ x,
                            atol=1e-14)
+
+    def test_threads_keyword_is_gone(self, setup):
+        # Deleted in PR 20: a loud TypeError, not a silent 1-thread run.
+        prob, _, layout, q = setup
+        jac = prob.disc.assemble_jacobian(q)
+        with pytest.raises(TypeError):
+            distributed_matvec(jac, layout, q, threads=2)
 
     def test_single_rank_trivial(self, setup):
         prob, _, _, q = setup

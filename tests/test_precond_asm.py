@@ -88,6 +88,11 @@ class TestSetupStructure:
         with pytest.raises(ValueError):
             block_jacobi(np.zeros(5, dtype=np.int64)).setup(a)
 
+    def test_threads_knob_is_gone(self):
+        # Deleted in PR 20: a loud TypeError, not a silent 1-thread run.
+        with pytest.raises(TypeError):
+            ASMConfig(threads=2)
+
 
 class TestConvergenceEffects:
     """The algorithmic facts the paper's Tables 3-4 rest on."""

@@ -85,3 +85,61 @@ def test_every_module_has_a_caller():
     stale = {pat for pat in ALLOWED
              if not any(fnmatch(m, pat) for m in unreached)}
     assert stale == set(), "allow-list entry no longer needed"
+
+
+#: where a paper artefact, the service, a named problem, an example or a
+#: benchmark chooses solver settings
+SETTERS = [SRC / "repro" / "experiments", SRC / "repro" / "service",
+           SRC / "repro" / "euler" / "problems.py", REPO / "examples",
+           REPO / "benchmarks"]
+
+#: config fields nobody sets on purpose, each with its reason
+UNSET_FIELDS = {
+    "cfl_max": "numerical guard, one value by design",
+    "cfl_min": "numerical guard, one value by design",
+    "absolute_tol": "numerical guard, one value by design",
+    "orthogonalization": "reached as gmres(orthog=) by "
+                         "bench_ablation_kernels.py",
+}
+
+
+def _keywords_set():
+    """Names passed by keyword (``f(x=...)``, ``dict(x=...)``) with a
+    value of the caller's choosing: ``x=cfg.x`` only hands one on."""
+    files = [p for root in SETTERS
+             for p in ([root] if root.is_file() else root.rglob("*.py"))
+             if not p.name.startswith("test_")]
+    calls = [node for p in files for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call)]
+    return {kw.arg for call in calls for kw in call.keywords
+            if kw.arg and not (isinstance(kw.value, ast.Attribute)
+                               and kw.value.attr == kw.arg)}
+
+
+def test_every_config_field_has_a_setter():
+    """A knob stays only while some artefact, service request, example
+    or benchmark turns it; one that only tests reach is a fork nobody
+    runs (``SolverConfig.threads``, deleted in PR 20)."""
+    from dataclasses import fields
+
+    from repro.core.config import (KrylovConfig, PreconditionerConfig,
+                                   SolverConfig)
+    from repro.solvers.ptc import PTCConfig
+
+    knobs = {f.name for cls in (SolverConfig, KrylovConfig,
+                                PreconditionerConfig, PTCConfig)
+             for f in fields(cls)}
+    unset = knobs - _keywords_set()
+    assert unset - set(UNSET_FIELDS) == set()
+    assert set(UNSET_FIELDS) - unset == set(), \
+        "allow-list entry no longer needed"
+
+
+def test_design_inventory_names_every_package():
+    """DESIGN.md section 3 is the map of ``src/repro``; a package it
+    does not name is one a reader cannot find."""
+    design = (REPO / "DESIGN.md").read_text()
+    section = design.split("## 3. Package inventory")[1].split("\n## ")[0]
+    packages = {p.parent.name
+                for p in (SRC / "repro").rglob("__init__.py")} - {"repro"}
+    assert {p for p in packages if f"{p}/" not in section} == set()

@@ -1,97 +1,28 @@
 """The runtime parallel-safety sanitizer (``repro.sanitize``).
 
-The headline test seeds a chunk kernel that races on a shared row but
-stores the *same value* from every chunk — the result is bitwise
-identical to the sequential run, so the end-to-end equivalence tests
-cannot catch it.  The write sanitizer catches it at the offending
-store.  Also covered: declared-chunk overlap, the shm header-slot echo
-(coordinator/worker schema mismatch), interval-ledger unit behaviour,
-state-hash trails, and a live ProcPool under ``REPRO_SANITIZE=1``.
+Covered: interval-ledger unit behaviour (the owned-row partition check
+ProcPool arms), the shm header-slot echo (coordinator/worker schema
+mismatch), state-hash trails, and a live ProcPool under
+``REPRO_SANITIZE=1``.
 """
 
 import numpy as np
 import pytest
 
-from repro.parallel.threads import run_chunks
-from repro.sanitize import (GLOBAL, HashTrail, SanitizeError, SlotTracker,
+from repro.sanitize import (HashTrail, SanitizeError, SlotTracker,
                             WriteSanitizer, capture, check_header_echo,
-                            chunk_owner, current_owner, enabled,
-                            first_divergence, mask_of, note, state_hash,
-                            track_slots, tracked)
+                            enabled, first_divergence, mask_of, note,
+                            state_hash, track_slots)
 
 
 @pytest.fixture
 def sanitize_on(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    GLOBAL.new_region("test")
-    yield
-    GLOBAL.new_region("test-done")
 
 
 @pytest.fixture
 def sanitize_off(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-
-
-def _racy_kernel(out):
-    """Each chunk writes its own slice AND row 0 — with the value row 0
-    would get anyway, so the race is invisible to a bitwise check."""
-    def kernel(lo, hi):
-        out[lo:hi] = np.arange(lo, hi, dtype=np.float64)
-        out[0] = 0.0            # every chunk writes the same value here
-    return kernel
-
-
-class TestSeededOverlappingWrite:
-    """The acceptance scenario: bitwise-clean result, dirty schedule."""
-
-    def test_bitwise_check_alone_misses_the_race(self, sanitize_off):
-        out = np.full(16, -1.0)
-        run_chunks(_racy_kernel(out), [(0, 8), (8, 16)], threads=2)
-        # The end-to-end oracle passes: the race stored identical values.
-        assert np.array_equal(out, np.arange(16, dtype=np.float64))
-
-    def test_sanitizer_catches_the_same_race(self, sanitize_on):
-        out = tracked(np.full(16, -1.0))
-        with pytest.raises(SanitizeError, match="overlapping writes"):
-            run_chunks(_racy_kernel(out), [(0, 8), (8, 16)], threads=1)
-
-    def test_error_names_both_owners_and_rows(self, sanitize_on):
-        out = tracked(np.full(16, -1.0))
-        with pytest.raises(SanitizeError) as exc:
-            run_chunks(_racy_kernel(out), [(0, 8), (8, 16)], threads=1)
-        msg = str(exc.value)
-        assert "chunk0" in msg and "chunk1" in msg
-        assert "[0, 1)" in msg
-
-    def test_disjoint_kernel_passes_and_is_correct(self, sanitize_on):
-        out = tracked(np.full(16, -1.0))
-
-        def kernel(lo, hi):
-            out[lo:hi] = np.arange(lo, hi, dtype=np.float64)
-
-        run_chunks(kernel, [(0, 8), (8, 16)], threads=2)
-        assert np.array_equal(np.asarray(out),
-                              np.arange(16, dtype=np.float64))
-
-    def test_declared_overlapping_chunks_caught_up_front(self, sanitize_on):
-        # The chunk list itself overlaps: flagged before any kernel runs.
-        ran = []
-        with pytest.raises(SanitizeError, match="overlapping writes"):
-            run_chunks(lambda lo, hi: ran.append((lo, hi)),
-                       [(0, 8), (4, 12)], threads=1)
-        assert ran == []
-
-    def test_successive_regions_may_rewrite_rows(self, sanitize_on):
-        # Two sweeps over the same rows (e.g. two solver iterations)
-        # are legitimate: each run_chunks call opens a new region.
-        out = tracked(np.zeros(8))
-
-        def kernel(lo, hi):
-            out[lo:hi] = 1.0
-
-        run_chunks(kernel, [(0, 4), (4, 8)], threads=1)
-        run_chunks(kernel, [(0, 4), (4, 8)], threads=1)
 
 
 class TestWriteSanitizerLedger:
@@ -110,12 +41,6 @@ class TestWriteSanitizerLedger:
         san = WriteSanitizer("x")
         san.claim("a", 0, 8, key="lhs")
         san.claim("b", 0, 8, key="rhs")
-
-    def test_new_region_forgets_prior_claims(self):
-        san = WriteSanitizer("x")
-        san.claim("a", 0, 8)
-        san.new_region()
-        san.claim("b", 0, 8)
 
     def test_empty_interval_is_a_noop(self):
         san = WriteSanitizer("x")
@@ -150,39 +75,6 @@ class TestWriteSanitizerLedger:
         san.claim_indices("r0", [0, 1, 2, 3])
         san.claim_indices("r1", [4, 5, 6, 7])
         san.require_cover(0, 8)
-
-
-class TestTrackedArray:
-    def test_writes_reach_the_underlying_buffer(self, sanitize_on):
-        base = np.zeros(4)
-        t = tracked(base)
-        with chunk_owner("c0"):
-            t[1] = 5.0
-        assert base[1] == 5.0
-
-    def test_no_owner_means_no_claims(self, sanitize_on):
-        san = WriteSanitizer("x")
-        t = tracked(np.zeros(8), sanitizer=san, key="arr")
-        assert current_owner() is None
-        t[0:8] = 1.0            # coordinator-context write: untracked
-        san.claim("other", 0, 8, key="arr")     # no clash: none recorded
-
-    def test_views_are_deliberately_untracked(self, sanitize_on):
-        san = WriteSanitizer("x")
-        t = tracked(np.zeros(8), sanitizer=san, key="arr")
-        view = t[4:]
-        with chunk_owner("c0"):
-            view[0] = 1.0       # index 0 *of the view* => wrong base row
-        san.claim("other", 4, 5, key="arr")     # untracked: no wrong claim
-
-    def test_fancy_index_write_claims_each_run(self):
-        san = WriteSanitizer("x")
-        t = tracked(np.zeros(10), sanitizer=san, key="arr")
-        with chunk_owner("c0"):
-            t[np.array([1, 2, 8])] = 1.0
-        with pytest.raises(SanitizeError):
-            san.claim("c1", 2, 3, key="arr")
-        san.claim("c1", 3, 8, key="arr")    # the inter-run gap stays free
 
 
 class TestHeaderEcho:
