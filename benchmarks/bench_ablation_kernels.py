@@ -65,7 +65,7 @@ class TestTriangularSolve:
             return x
 
         ref = lower_solve_csr(p.l_indptr, p.l_indices, f.l_data, b,
-                              f.l_levels_sched)
+                              f.solve_levels[0])
         assert np.allclose(serial(), ref)
         benchmark(serial)
 

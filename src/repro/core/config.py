@@ -70,10 +70,11 @@ class SolverConfig:
                                      # kernels (seq = in-process rank
                                      # loop, proc = shm worker pool)
     nworkers: int | None = None      # worker processes for 'proc'
-    engine: str = "numpy"            # 'numpy' | 'compiled': kernel tier
-                                     # for trisolve/SpMV/residual/
+    engine: str = "compiled"         # 'compiled' | 'numpy': kernel tier
+                                     # for ILU/trisolve/SpMV/residual/
                                      # assembly (repro.kernels; degrades
-                                     # to numpy without a backend)
+                                     # to numpy without a backend; numpy
+                                     # is the oracle tier)
     policy: PrecisionPolicy | str = "fp64"  # per-phase precision tier
                                      # ('fp64' | 'fp32-precond' | 'fp32'
                                      # or a PrecisionPolicy): Krylov

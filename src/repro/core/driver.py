@@ -136,9 +136,10 @@ class NKSSolver:
     (and brings its gather cache and any attached worker pool along),
     and ``preconditioner`` injects a previously-harvested
     :class:`AdditiveSchwarz` whose refresh path reuses the symbolic
-    ILU and elimination schedules numeric-only.  All three must come
-    from a solve over the same mesh topology and compatible config —
-    the structures assert sparsity compatibility at use time.
+    ILU (and, on the numpy tier, its schedules) numeric-only.  All
+    three must come from a solve over the same mesh topology and
+    compatible config — the structures assert sparsity compatibility
+    at use time.
     """
 
     def __init__(self, disc: EdgeFVDiscretization,
@@ -299,7 +300,7 @@ class NKSSolver:
                     jac = self.disc.shifted_jacobian(q, cfl)
                 # Keep the preconditioner instance across refreshes: the
                 # Jacobian sparsity is fixed, so setup() reuses the
-                # subdomains' symbolic ILU and elimination schedules.
+                # subdomains' symbolic ILU patterns.
                 if self._pc is None:
                     self._pc = self._make_pc()
                 self._pc.setup(jac)

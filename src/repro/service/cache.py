@@ -12,11 +12,11 @@ namespace                 cached value
                           gather structures (the sequential analogue
                           of the proc workers' struct cache) riding
                           ``SPMDLayout.gather_cache``
-``ilu_symbolic``          the subdomain symbolic ILU(k) patterns and
-                          the compiled elimination/level schedules
-                          riding them (via the harvested
-                          preconditioner; its refresh path makes
-                          reuse numeric-only)
+``ilu_symbolic``          the subdomain symbolic ILU(k) patterns,
+                          with the elimination/level schedules of a
+                          numpy-tier solve riding them (via the
+                          harvested preconditioner; its refresh path
+                          makes reuse numeric-only)
 ========================  ============================================
 
 The cache stores live objects, not serialised bytes — it is a warm

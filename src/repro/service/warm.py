@@ -3,11 +3,11 @@
 The service never *predicts* what a solve will build; it harvests what
 a finished solve actually built — the partition labels, the layout's
 SpMV gather structures, and the preconditioner (whose subdomains carry
-the symbolic ILU patterns and their compiled elimination/level
-schedules) — and seeds the next compatible request with them.  The
-structures validate themselves at use time (gather structs compare
-patterns, the preconditioner refresh asserts sparsity), so a stale
-seed degrades to a recompute, never to wrong numbers.
+the symbolic ILU patterns and, on the numpy tier, their elimination
+and level schedules) — and seeds the next compatible request with
+them.  The structures validate themselves at use time (gather structs
+compare patterns, the preconditioner refresh asserts sparsity), so a
+stale seed degrades to a recompute, never to wrong numbers.
 
 Key discipline
 --------------
@@ -55,7 +55,7 @@ def structure_keys(mesh, config) -> dict:
     The partition key folds in only the knobs that shape the
     partition; the preconditioner key folds in everything that shapes
     the subdomain factors (overlap/fill/variant, the precision policy,
-    and the engine baked into the compiled schedules).
+    and the engine, which decides whether schedules ride them).
     """
     topo = topology_hash(mesh)
     pc_cfg = config.precond
@@ -85,8 +85,11 @@ def _layout_nbytes(layout) -> int:
 
 
 def _pattern_nbytes(pc) -> int:
-    """Resident bytes of the subdomain ILU patterns and of the compiled
-    elimination/level schedules riding them."""
+    """Resident bytes of the subdomain ILU patterns and of whatever
+    schedules exist beside them: a numpy-tier pattern carries its
+    elimination schedule (whose level lists its factor shares), a
+    compiled-tier factor has level lists only if a numpy trisolve ever
+    ran on it, and usually nothing."""
     total = 0
     for sd in pc.subdomains:
         p = sd.factor.pattern
@@ -95,8 +98,9 @@ def _pattern_nbytes(pc) -> int:
         sch = getattr(p, "_schedule", None)
         if sch is not None:
             total += sch.a_src.nbytes + sch.a_dst.nbytes
-            total += sum(lv.nbytes for lv in sch.l_solve)
-            total += sum(lv.nbytes for lv in sch.u_solve)
+        levels = sd.factor.solve_levels
+        if levels is not None:
+            total += sum(lv.nbytes for part in levels for lv in part)
     return total
 
 
@@ -109,7 +113,7 @@ def seed_solver(cache, disc, config, *,
     the cache): cached labels skip the partitioner, cached gather
     structs pre-fill the layout's gather cache, and a harvested
     preconditioner is injected so its refresh path reuses the symbolic
-    ILU and the elimination/level schedules numeric-only.
+    ILU (and, on the numpy tier, its schedules) numeric-only.
     """
     from repro.core.driver import NKSSolver
 
@@ -137,10 +141,11 @@ def harvest_context(cache, ctx: WarmContext) -> None:
     """Store what the finished solve built back into the cache.
 
     Idempotent per key: re-putting replaces the entry (the objects are
-    usually the very ones a hit handed out).  The compiled
+    usually the very ones a hit handed out).  On the numpy tier the
     :class:`EliminationSchedule` objects ride the subdomain patterns
     inside the harvested preconditioner, so the ``ilu_symbolic`` entry
-    carries them and counts their bytes.
+    carries them and counts their bytes; a compiled-tier entry holds
+    the patterns alone.
     """
     solver = ctx.solver
     cache.put("partition", ctx.keys["partition"], solver._labels,

@@ -20,9 +20,10 @@ from repro.sparse.layouts import (
     field_split_csr_from_bsr,
 )
 from repro.sparse.spmv import spmv_csr, spmv_csr_ref
-from repro.sparse.ilu import (ilu_symbolic, ILUFactorCSR, ILUFactorBSR,
-                              ilu_csr, ilu_bsr, ilu_csr_ref, ilu_bsr_ref,
-                              EliminationSchedule, compile_elimination_schedule)
+from repro.sparse.ilu import (ilu_symbolic, ilu_symbolic_ref, ILUFactorCSR,
+                              ILUFactorBSR, ilu_csr, ilu_bsr, ilu_csr_ref,
+                              ilu_bsr_ref, EliminationSchedule,
+                              compile_elimination_schedule)
 from repro.sparse.trisolve import level_schedule, level_schedule_ref
 from repro.sparse.precision import PrecisionPolicy
 
@@ -37,6 +38,7 @@ __all__ = [
     "spmv_csr",
     "spmv_csr_ref",
     "ilu_symbolic",
+    "ilu_symbolic_ref",
     "ilu_csr",
     "ilu_bsr",
     "ilu_csr_ref",

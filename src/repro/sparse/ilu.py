@@ -6,17 +6,25 @@ computes the level-of-fill pattern once per sparsity; the numeric
 phase refactors on that fixed pattern each time the Jacobian is
 refreshed — exactly PETSc's split.
 
-The numeric phase is *schedule driven*: the symbolic pattern is
-compiled once into an :class:`EliminationSchedule` — flattened
-gather/scatter index arrays grouped by row-dependency level (the same
-levels that drive the triangular solves) — after which every
-refactorisation is pure batched numpy: one scatter of A's values into
-the working layout, then per elimination step a batched divide (or
-block GEMM against the pivot inverses) and one fancy-indexed update.
-The schedule is cached on the pattern, so repeated Jacobian refreshes
-pay only the array arithmetic.  The original row-by-row loops are kept
-as :func:`ilu_csr_ref` / :func:`ilu_bsr_ref` — the semantics oracle
-for tests.
+Both phases are compiled row loops where a C backend is available, as
+PETSc's are.  With ``engine="compiled"`` the symbolic phase is a C
+level-of-fill loop, integer-exact against the ``heapq`` loop kept as
+:func:`ilu_symbolic_ref` (which the numpy tier runs); the numeric
+phase is the reference IKJ row loop in C (:func:`repro.kernels.
+ilu_numeric`) and builds no schedule of any kind: the compiled
+triangular solves walk rows in natural order.
+
+On the numpy tier the numeric phase is *schedule driven*: the symbolic
+pattern is compiled once into an :class:`EliminationSchedule` —
+flattened gather/scatter index arrays grouped into dependency
+wavefronts, plus the level lists of the triangular solves — after
+which every refactorisation is pure batched numpy: one scatter of A's
+values into the working layout, then per elimination step a batched
+divide (or block GEMM against the pivot inverses) and one
+fancy-indexed update.  The schedule is cached on the pattern, so
+repeated Jacobian refreshes pay only the array arithmetic.  The
+original row-by-row loops are kept as :func:`ilu_csr_ref` /
+:func:`ilu_bsr_ref` — the semantics oracle for both tiers.
 
 Level-of-fill rule: original entries have level 0; a fill entry
 created by eliminating column k in row i via u_kj gets level
@@ -28,10 +36,11 @@ from __future__ import annotations
 # lint: kernel (ILU(k) refactorisation is a per-Newton-step path)
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro import kernels as _kernels
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.trisolve import (
@@ -43,8 +52,8 @@ from repro.sparse.trisolve import (
     upper_solve_csr,
 )
 
-__all__ = ["ILUPattern", "ilu_symbolic", "ILUFactorCSR", "ILUFactorBSR",
-           "ilu_csr", "ilu_bsr", "ilu_csr_ref", "ilu_bsr_ref",
+__all__ = ["ILUPattern", "ilu_symbolic", "ilu_symbolic_ref", "ILUFactorCSR",
+           "ILUFactorBSR", "ilu_csr", "ilu_bsr", "ilu_csr_ref", "ilu_bsr_ref",
            "EliminationSchedule", "compile_elimination_schedule"]
 
 
@@ -76,13 +85,29 @@ class ILUPattern:
 
 
 def ilu_symbolic(indptr: np.ndarray, indices: np.ndarray,
-                 fill_level: int) -> ILUPattern:
+                 fill_level: int, engine: str = "numpy") -> ILUPattern:
     """Symbolic ILU(k) on a square sparsity pattern.
 
     The pattern must contain the full diagonal (standard for PDE
     Jacobians); if a diagonal entry is structurally missing it is
     inserted at level 0, matching PETSc's shift-free behaviour.
+
+    ``engine="compiled"`` runs the C level-of-fill loop, integer-exact
+    against :func:`ilu_symbolic_ref`; the numpy tier (and the compiled
+    tier without a backend, or on a column index outside ``[0, n)``)
+    runs the reference itself.
     """
+    arrays = (_kernels.ilu_symbolic(indptr, indices, fill_level, engine)
+              if engine != "numpy" else None)
+    if arrays is None:
+        return ilu_symbolic_ref(indptr, indices, fill_level)
+    return ILUPattern(len(indptr) - 1, fill_level, *arrays)
+
+
+def ilu_symbolic_ref(indptr: np.ndarray, indices: np.ndarray,
+                     fill_level: int) -> ILUPattern:
+    """Reference symbolic ILU(k): a ``heapq`` pivot loop per row, the
+    semantics oracle of :func:`ilu_symbolic`."""
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     n = indptr.size - 1
@@ -232,6 +257,10 @@ def compile_elimination_schedule(pattern: ILUPattern, a_indptr: np.ndarray,
     off_d, off_u = nnzl, nnzl + n
     a_indptr = np.asarray(a_indptr, dtype=np.int64)
     a_indices = np.asarray(a_indices, dtype=np.int64)
+    if a_indices.size and (a_indices.min() < 0 or a_indices.max() >= n):
+        # a negative column would otherwise wrap around in ``pos`` below
+        raise IndexError(f"column index outside [0, {n}) in the matrix "
+                         f"being factored")
     ucounts = np.diff(u_iptr)
 
     # --- flat per-row pass: A-scatter map + update targets ------------
@@ -354,6 +383,18 @@ def _schedule_for(pattern: ILUPattern, a_indptr: np.ndarray,
     return cached
 
 
+def _solve_levels(factor) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A factor's (L, U) dependency levels, built the first time the
+    numpy trisolve batches need them (the compiled trisolves walk rows
+    in natural order and never ask)."""
+    if factor.solve_levels is None:
+        p = factor.pattern
+        factor.solve_levels = (
+            level_schedule(p.l_indptr, p.l_indices),
+            level_schedule(p.u_indptr, p.u_indices, reverse=True))
+    return factor.solve_levels
+
+
 # ----------------------------------------------------------------------
 # Scalar numeric factorisation
 # ----------------------------------------------------------------------
@@ -372,9 +413,9 @@ class ILUFactorCSR:
     l_data: np.ndarray
     u_data: np.ndarray
     inv_diag: np.ndarray
-    l_levels_sched: list[np.ndarray]
-    u_levels_sched: list[np.ndarray]
     engine: str = "numpy"   # kernel tier for the triangular solves
+    #: (L, U) levels of the numpy trisolve; None until it first runs
+    solve_levels: tuple | None = field(default=None, repr=False)
 
     @property
     def storage_dtype(self) -> np.dtype:
@@ -390,57 +431,56 @@ class ILUFactorCSR:
         """x = U^{-1} L^{-1} b, computed in float64."""
         p = self.pattern
         y = lower_solve_csr(p.l_indptr, p.l_indices, self.l_data, b,
-                            self.l_levels_sched, engine=self.engine)
+                            lambda: _solve_levels(self)[0],
+                            engine=self.engine)
         return upper_solve_csr(p.u_indptr, p.u_indices, self.u_data,
-                               self.inv_diag, y, self.u_levels_sched,
+                               self.inv_diag, y,
+                               lambda: _solve_levels(self)[1],
                                engine=self.engine)
 
     def astype_storage(self, dtype) -> "ILUFactorCSR":
-        return ILUFactorCSR(pattern=self.pattern,
-                            l_data=self.l_data.astype(dtype),
-                            u_data=self.u_data.astype(dtype),
-                            inv_diag=self.inv_diag.astype(dtype),
-                            l_levels_sched=self.l_levels_sched,
-                            u_levels_sched=self.u_levels_sched,
-                            engine=self.engine)
+        return replace(self, l_data=self.l_data.astype(dtype),
+                       u_data=self.u_data.astype(dtype),
+                       inv_diag=self.inv_diag.astype(dtype))
 
 
 def ilu_csr(a: CSRMatrix, fill_level: int = 0,
             pattern: ILUPattern | None = None,
             storage_dtype=np.float64, engine: str = "numpy") -> ILUFactorCSR:
-    """Numeric ILU(k) of a scalar CSR matrix, schedule driven.
+    """Numeric ILU(k) of a scalar CSR matrix.
 
-    With a reused ``pattern`` (the production path: one symbolic phase,
-    many Jacobian refreshes) the entire factorisation is batched numpy
-    on precompiled index arrays; no per-row Python work remains.
+    ``engine="compiled"`` runs the C row loop, bitwise
+    :func:`ilu_csr_ref`, and builds no schedule.  The numpy tier (and
+    the compiled tier without a backend) is schedule driven: with a
+    reused ``pattern`` (the production path: one symbolic phase, many
+    Jacobian refreshes) the entire factorisation is batched numpy on
+    precompiled index arrays; no per-row Python work remains.
     """
     if pattern is None:
-        pattern = ilu_symbolic(a.indptr, a.indices, fill_level)
-    sched = _schedule_for(pattern, a.indptr, a.indices)
-    off_d, off_u = sched.off_diag, sched.off_upper
-    w = np.zeros(sched.nnzl + sched.n + sched.nnzu, dtype=np.float64)
-    w[sched.a_dst] = a.data[sched.a_src]
-    _check_pivots(w, off_d, sched.pre_check)
-    # lint: loop-ok (O(stages) numeric sweep; arithmetic stays fp64 per Table 2)
-    for st in sched.stages:
-        mult = w[st.lpos] / w[off_d + st.piv]
-        w[st.lpos] = mult
-        if st.dst.size:
-            # dst is unique within a stage, so the fancy-indexed
-            # subtract is an exact (unbuffered) scatter.
-            w[st.dst] -= mult[st.rep] * w[off_u + st.src]
-        # Rows finishing here are checked before any later stage can
-        # divide by their diagonal.
-        _check_pivots(w, off_d, st.check_rows)
-    factor = ILUFactorCSR(
-        pattern=pattern,
-        l_data=w[:off_d].copy(),
-        u_data=w[off_u:].copy(),
-        inv_diag=1.0 / w[off_d:off_u],
-        l_levels_sched=sched.l_solve,
-        u_levels_sched=sched.u_solve,
-        engine=engine,
-    )
+        pattern = ilu_symbolic(a.indptr, a.indices, fill_level, engine)
+    out = (_kernels.ilu_numeric(pattern, a.indptr, a.indices, a.data, engine)
+           if engine != "numpy" else None)
+    levels = None
+    if out is None:
+        sched = _schedule_for(pattern, a.indptr, a.indices)
+        off_d, off_u = sched.off_diag, sched.off_upper
+        w = np.zeros(sched.nnzl + sched.n + sched.nnzu, dtype=np.float64)
+        w[sched.a_dst] = a.data[sched.a_src]
+        _check_pivots(w, off_d, sched.pre_check)
+        # lint: loop-ok (O(stages) numeric sweep; arithmetic stays fp64 per Table 2)
+        for st in sched.stages:
+            mult = w[st.lpos] / w[off_d + st.piv]
+            w[st.lpos] = mult
+            if st.dst.size:
+                # dst is unique within a stage, so the fancy-indexed
+                # subtract is an exact (unbuffered) scatter.
+                w[st.dst] -= mult[st.rep] * w[off_u + st.src]
+            # Rows finishing here are checked before any later stage can
+            # divide by their diagonal.
+            _check_pivots(w, off_d, st.check_rows)
+        out = (w[:off_d].copy(), w[off_u:].copy(), 1.0 / w[off_d:off_u])
+        levels = (sched.l_solve, sched.u_solve)
+    factor = ILUFactorCSR(pattern, *out, engine=engine, solve_levels=levels)
     if np.dtype(storage_dtype) != np.float64:
         factor = factor.astype_storage(storage_dtype)
     return factor
@@ -496,15 +536,8 @@ def ilu_csr_ref(a: CSRMatrix, fill_level: int = 0,
         pos[lcols] = -1
         pos[i] = -1
         pos[ucols] = -1
-    factor = ILUFactorCSR(
-        pattern=pattern,
-        l_data=l_data,
-        u_data=u_data,
-        inv_diag=1.0 / diag,
-        l_levels_sched=level_schedule(pattern.l_indptr, pattern.l_indices),
-        u_levels_sched=level_schedule(pattern.u_indptr, pattern.u_indices,
-                                      reverse=True),
-    )
+    factor = ILUFactorCSR(pattern=pattern, l_data=l_data, u_data=u_data,
+                          inv_diag=1.0 / diag)
     if np.dtype(storage_dtype) != np.float64:
         factor = factor.astype_storage(storage_dtype)
     return factor
@@ -525,9 +558,9 @@ class ILUFactorBSR:
     l_data: np.ndarray          # (nnzl, bs, bs)
     u_data: np.ndarray          # (nnzu, bs, bs)
     inv_diag: np.ndarray        # (n, bs, bs)
-    l_levels_sched: list[np.ndarray]
-    u_levels_sched: list[np.ndarray]
     engine: str = "numpy"       # kernel tier for the triangular solves
+    #: (L, U) levels of the numpy trisolve; None until it first runs
+    solve_levels: tuple | None = field(default=None, repr=False)
 
     @property
     def storage_dtype(self) -> np.dtype:
@@ -541,62 +574,63 @@ class ILUFactorBSR:
     def solve(self, b: np.ndarray) -> np.ndarray:
         p = self.pattern
         y = lower_solve_blocks(p.l_indptr, p.l_indices, self.l_data, b,
-                               self.l_levels_sched, self.bs,
+                               lambda: _solve_levels(self)[0], self.bs,
                                engine=self.engine)
         return upper_solve_blocks(p.u_indptr, p.u_indices, self.u_data,
-                                  self.inv_diag, y, self.u_levels_sched,
-                                  self.bs, engine=self.engine)
+                                  self.inv_diag, y,
+                                  lambda: _solve_levels(self)[1], self.bs,
+                                  engine=self.engine)
 
     def astype_storage(self, dtype) -> "ILUFactorBSR":
-        return ILUFactorBSR(pattern=self.pattern, bs=self.bs,
-                            l_data=self.l_data.astype(dtype),
-                            u_data=self.u_data.astype(dtype),
-                            inv_diag=self.inv_diag.astype(dtype),
-                            l_levels_sched=self.l_levels_sched,
-                            u_levels_sched=self.u_levels_sched,
-                            engine=self.engine)
+        return replace(self, l_data=self.l_data.astype(dtype),
+                       u_data=self.u_data.astype(dtype),
+                       inv_diag=self.inv_diag.astype(dtype))
 
 
 def ilu_bsr(a: BSRMatrix, fill_level: int = 0,
             pattern: ILUPattern | None = None,
             storage_dtype=np.float64, engine: str = "numpy") -> ILUFactorBSR:
-    """Numeric block ILU(k) of a BSR matrix, schedule driven.
+    """Numeric block ILU(k) of a BSR matrix.
 
-    Same plan as :func:`ilu_csr` with scalars replaced by ``bs x bs``
-    blocks: divisions become GEMMs against the pivot-block inverses
+    ``engine="compiled"`` runs the C row loop of :func:`ilu_bsr_ref`
+    (bs x bs products and the pivot-block inverse inline, ULP-bounded)
+    and builds no schedule.  The numpy tier follows the plan of
+    :func:`ilu_csr` with scalars replaced by ``bs x bs`` blocks:
+    divisions become GEMMs against the pivot-block inverses
     (``np.matmul`` over stacked blocks) and diagonal inversions are
     batched per dependency level.
     """
     if pattern is None:
-        pattern = ilu_symbolic(a.indptr, a.indices, fill_level)
-    sched = _schedule_for(pattern, a.indptr, a.indices)
+        pattern = ilu_symbolic(a.indptr, a.indices, fill_level, engine)
     bs = a.bs
-    off_d, off_u = sched.off_diag, sched.off_upper
-    w = np.zeros((sched.nnzl + sched.n + sched.nnzu, bs, bs),
-                 dtype=np.float64)
-    w[sched.a_dst] = a.data[sched.a_src]
-    inv_diag = np.empty((sched.n, bs, bs), dtype=np.float64)
-    if sched.pre_check.size:
-        inv_diag[sched.pre_check] = np.linalg.inv(w[off_d + sched.pre_check])
-    # lint: loop-ok (O(stages) numeric sweep; arithmetic stays fp64 per Table 2)
-    for st in sched.stages:
-        mult = np.matmul(w[st.lpos], inv_diag[st.piv])
-        w[st.lpos] = mult
-        if st.dst.size:
-            w[st.dst] -= np.matmul(mult[st.rep], w[off_u + st.src])
-        # Diagonal blocks finishing here are inverted before any later
-        # stage multiplies by them.
-        if st.check_rows.size:
-            inv_diag[st.check_rows] = np.linalg.inv(w[off_d + st.check_rows])
-    factor = ILUFactorBSR(
-        pattern=pattern, bs=bs,
-        l_data=w[:off_d].copy(),
-        u_data=w[off_u:].copy(),
-        inv_diag=inv_diag,
-        l_levels_sched=sched.l_solve,
-        u_levels_sched=sched.u_solve,
-        engine=engine,
-    )
+    out = (_kernels.ilu_numeric(pattern, a.indptr, a.indices, a.data, engine)
+           if engine != "numpy" else None)
+    levels = None
+    if out is None:
+        sched = _schedule_for(pattern, a.indptr, a.indices)
+        off_d, off_u = sched.off_diag, sched.off_upper
+        w = np.zeros((sched.nnzl + sched.n + sched.nnzu, bs, bs),
+                     dtype=np.float64)
+        w[sched.a_dst] = a.data[sched.a_src]
+        inv_diag = np.empty((sched.n, bs, bs), dtype=np.float64)
+        if sched.pre_check.size:
+            inv_diag[sched.pre_check] = np.linalg.inv(
+                w[off_d + sched.pre_check])
+        # lint: loop-ok (O(stages) numeric sweep; arithmetic stays fp64 per Table 2)
+        for st in sched.stages:
+            mult = np.matmul(w[st.lpos], inv_diag[st.piv])
+            w[st.lpos] = mult
+            if st.dst.size:
+                w[st.dst] -= np.matmul(mult[st.rep], w[off_u + st.src])
+            # Diagonal blocks finishing here are inverted before any
+            # later stage multiplies by them.
+            if st.check_rows.size:
+                inv_diag[st.check_rows] = np.linalg.inv(
+                    w[off_d + st.check_rows])
+        out = (w[:off_d].copy(), w[off_u:].copy(), inv_diag)
+        levels = (sched.l_solve, sched.u_solve)
+    factor = ILUFactorBSR(pattern, bs, *out, engine=engine,
+                          solve_levels=levels)
     if np.dtype(storage_dtype) != np.float64:
         factor = factor.astype_storage(storage_dtype)
     return factor
@@ -649,13 +683,8 @@ def ilu_bsr_ref(a: BSRMatrix, fill_level: int = 0,
         pos[lcols] = -1
         pos[i] = -1
         pos[ucols] = -1
-    factor = ILUFactorBSR(
-        pattern=pattern, bs=bs,
-        l_data=l_data, u_data=u_data, inv_diag=inv_diag,
-        l_levels_sched=level_schedule(pattern.l_indptr, pattern.l_indices),
-        u_levels_sched=level_schedule(pattern.u_indptr, pattern.u_indices,
-                                      reverse=True),
-    )
+    factor = ILUFactorBSR(pattern=pattern, bs=bs, l_data=l_data,
+                          u_data=u_data, inv_diag=inv_diag)
     if np.dtype(storage_dtype) != np.float64:
         factor = factor.astype_storage(storage_dtype)
     return factor

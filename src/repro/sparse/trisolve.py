@@ -5,7 +5,11 @@ paper's Table 2 targets.  A row of L (or U) can be solved as soon as
 all rows it references are done; grouping rows into dependency
 *levels* lets each level be processed as one vectorised batch — the
 standard way to expose parallelism in sparse triangular solves, and
-the way we keep the Python implementation fast.
+the way we keep the Python implementation fast.  The compiled tier
+needs no levels: it walks rows in natural order (0..n-1 for L, n-1..0
+for U), which is a topological order of any triangular pattern, so the
+solvers below take ``levels`` either as the list or as a zero-argument
+callable that builds it, called only when the numpy batches run.
 """
 
 from __future__ import annotations
@@ -143,20 +147,25 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return concat_ranges(starts, counts)
 
 
+def _levels(levels) -> list[np.ndarray]:
+    """A level list, built now if the caller passed its builder."""
+    return levels() if callable(levels) else levels
+
+
 def lower_solve_csr(indptr, indices, data, b, levels,
                     engine="numpy") -> np.ndarray:
     """Solve L x = b with L unit lower triangular (strict part stored).
 
-    ``engine="compiled"`` runs the dependency-ordered compiled row
-    loop (bitwise identical to the level-batched path); it degrades to
-    the numpy batches when no backend is available.
+    ``engine="compiled"`` runs the compiled row loop in natural order
+    (bitwise identical to the level-batched path); it degrades to the
+    numpy batches when no backend is available.
     """
     x = np.array(b, dtype=np.float64, copy=True)
     if engine != "numpy" and _kernels.lower_solve_csr(
-            indptr, indices, data, x, levels, engine):
+            indptr, indices, data, x, engine):
         return x
     # lint: loop-ok (one vectorised batch per dependency level, O(levels))
-    for rows in levels:
+    for rows in _levels(levels):
         x[rows] -= _row_dot(indptr, indices, data, x, rows)
     return x
 
@@ -167,10 +176,10 @@ def upper_solve_csr(indptr, indices, data, inv_diag, b, levels,
     the strictly-upper part and ``inv_diag`` the reciprocal diagonal."""
     x = np.array(b, dtype=np.float64, copy=True)
     if engine != "numpy" and _kernels.upper_solve_csr(
-            indptr, indices, data, inv_diag, x, levels, engine):
+            indptr, indices, data, inv_diag, x, engine):
         return x
     # lint: loop-ok (one vectorised batch per dependency level, O(levels))
-    for rows in levels:
+    for rows in _levels(levels):
         x[rows] = (x[rows] - _row_dot(indptr, indices, data, x, rows)) \
             * inv_diag[rows].astype(np.float64, copy=False)
     return x
@@ -199,11 +208,11 @@ def lower_solve_blocks(indptr, indices, data, b, levels, bs,
     """
     x = np.array(b, dtype=np.float64, copy=True)
     if engine != "numpy" and _kernels.lower_solve_bsr(
-            indptr, indices, data, x, levels, bs, engine):
+            indptr, indices, data, x, bs, engine):
         return x
     x = x.reshape(-1, bs)
     # lint: loop-ok (one vectorised batch per dependency level, O(levels))
-    for rows in levels:
+    for rows in _levels(levels):
         x[rows] -= _row_dot_blocks(indptr, indices, data, x, rows, bs)
     return x.ravel()
 
@@ -214,11 +223,11 @@ def upper_solve_blocks(indptr, indices, data, inv_diag, b, levels, bs,
     (nbrows, bs, bs) inverses of the diagonal blocks."""
     x = np.array(b, dtype=np.float64, copy=True)
     if engine != "numpy" and _kernels.upper_solve_bsr(
-            indptr, indices, data, inv_diag, x, levels, bs, engine):
+            indptr, indices, data, inv_diag, x, bs, engine):
         return x
     x = x.reshape(-1, bs)
     # lint: loop-ok (one vectorised batch per dependency level, O(levels))
-    for rows in levels:
+    for rows in _levels(levels):
         rhs = x[rows] - _row_dot_blocks(indptr, indices, data, x, rows, bs)
         x[rows] = np.einsum(
             "kij,kj->ki", inv_diag[rows].astype(np.float64, copy=False), rhs)

@@ -48,7 +48,10 @@ class TestConvergence:
         assert rep.total_linear_iterations == 0
 
     def test_converged_state_has_zero_residual(self, wing):
+        """The (default, compiled) solve's state, re-evaluated on the
+        oracle tier: the solver cannot pass by agreeing with itself."""
         rep = _solve(wing, target_reduction=1e-8)
+        wing.disc.engine = "numpy"
         r = wing.disc.residual(rep.final_state)
         assert np.linalg.norm(r) <= 1e-8 * rep.fnorm0 * 1.01
 

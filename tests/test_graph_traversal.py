@@ -1,10 +1,13 @@
 """Unit tests for BFS, components, peripheral nodes, overlap expansion."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (bfs_levels, bfs_order, connected_components,
                          component_sizes, graph_from_edges,
                          pseudo_peripheral_node)
+from repro.graph.adjacency import Graph
 from repro.graph.traversal import expand_overlap
 
 
@@ -54,6 +57,52 @@ class TestBFS:
         # deg(1)=deg(2)=1 < deg(3)=2, so 3 comes after 1 and 2.
         assert order.tolist()[:1] == [0]
         assert order.tolist().index(3) > order.tolist().index(1)
+
+
+def bfs_order_per_vertex(graph, root, tie_break=None):
+    """The per-vertex formulation: each dequeued vertex sorts its fresh
+    neighbours (unique ids, then a stable sort by ``tie_break``)."""
+    if tie_break is None:
+        tie_break = graph.degrees()
+    visited = np.zeros(graph.num_vertices, dtype=bool)
+    visited[root] = True
+    order = [root]
+    head = 0
+    while head < len(order):
+        nbrs = graph.neighbors(order[head])
+        head += 1
+        fresh = np.unique(nbrs[~visited[nbrs]])
+        fresh = fresh[np.argsort(tie_break[fresh], kind="stable")]
+        visited[fresh] = True
+        order.extend(fresh.tolist())
+    return np.array(order, dtype=np.int64)
+
+
+class TestBFSOrderOracle:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 40), st.floats(0.0, 0.4), st.integers(0, 10_000),
+           st.sampled_from(["degree", "ties", "random"]), st.booleans())
+    def test_matches_per_vertex_sort(self, n, density, seed, tie, repeat):
+        """One (tie_break, id) sort of the whole adjacency enqueues the
+        same order as sorting every vertex's fresh neighbours — with
+        tied keys, disconnected parts and repeated arcs."""
+        rng = np.random.default_rng(seed)
+        mask = np.triu(rng.random((n, n)) < density, 1)
+        edges = np.argwhere(mask)
+        g = graph_from_edges(n, edges)
+        if repeat and g.adjncy.size:
+            # a raw Graph may list an arc twice; the order must not care
+            rows = [g.neighbors(v) for v in range(n)]
+            rows = [np.concatenate([r, r[:1]]) for r in rows]
+            xadj = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum([r.size for r in rows], out=xadj[1:])
+            g = Graph(xadj, np.concatenate(rows))
+        tie_break = {"degree": None,
+                     "ties": rng.integers(0, 3, n),
+                     "random": rng.random(n)}[tie]
+        root = int(rng.integers(n))
+        assert np.array_equal(bfs_order(g, root, tie_break),
+                              bfs_order_per_vertex(g, root, tie_break))
 
 
 class TestComponents:

@@ -136,3 +136,66 @@ def test_jitter_can_tangle_the_mesh():
         int((compute_dual_metrics(m).closure_defect(m.edges) > 1e-11).sum())
         for m in (box, wing)]
     assert open_vertices == [0, 0]      # today [4, 8]
+
+
+#: sha1 of every mesh and dual-metric array of the three wing sizes the
+#: benchmark builds, recorded before the lexsorted boundary-face keys
+#: and the one-sort BFS ordering replaced ``np.unique(axis=0)`` and the
+#: per-vertex neighbour sorts: those rewrites must be bitwise neutral.
+WING_ARRAY_SHA1 = {
+    (30, 20, 14): {
+        "coords": "f4334d3c9b9e1e12af83c1f7f1bfc2d5d23d47b4",
+        "tets": "ebb9d3b068db2e7e9af2876b32ffeebab7e5bce8",
+        "edges": "6c49d70e95b482e0c7605215270c25b5f62a6bca",
+        "edge_normals": "46e1891472550920b3d8048544e903f39f9bd541",
+        "dual_volumes": "c85a8493699ac440db1f8b4e4c4e41b732027c9f",
+        "bnd_faces": "a4b7324deed37a39b516cef33a5a8b0932fc7880",
+        "bnd_vertex_normals": "b375b787561ea793e84b89b0cb8cebca0e7fb2ae",
+    },
+    (22, 14, 10): {
+        "coords": "224fb8eb5a0456bc316f9099ad6d32158639b6e1",
+        "tets": "24e4680242064d444a1e4df881ddb63e3d7a7962",
+        "edges": "230c997380dbd20233dbe4d30507a657f030cb9a",
+        "edge_normals": "6d431fc1f037409a4e3356c8a8fa538b018f5ecf",
+        "dual_volumes": "33d535979599818d00e469fa1bb778f25c4666f3",
+        "bnd_faces": "ac02570c6e04cde1536de88671a465a8bc19baf5",
+        "bnd_vertex_normals": "f004fcdcaa72382a4b81457cdcefd47942f18119",
+    },
+    (13, 9, 7): {
+        "coords": "f048a36dce91e6df6fdedfa08bea51b8f1ddf6f7",
+        "tets": "3175e09142b403a431409843f2fde9234abfa01c",
+        "edges": "0a231b1c5364330c40cde4918eeeda0a3973506e",
+        "edge_normals": "9e9ef899d168f847d00c2a97e6454f6d6842a893",
+        "dual_volumes": "76a3a9ce7b8731431fdbe967acd28fffedabf9d2",
+        "bnd_faces": "02cf45d5e3902f3fb238da2f6358799660cd30ee",
+        "bnd_vertex_normals": "ac60655a39d981547f7ea5c6120f2b6994f63d13",
+    },
+}
+
+
+@pytest.mark.parametrize("dims", sorted(WING_ARRAY_SHA1))
+def test_wing_mesh_arrays_pinned(dims):
+    import hashlib
+
+    from repro import wing_problem
+    prob = wing_problem(*dims)
+    mesh, dual = prob.mesh, prob.disc.dual
+    arrays = {"coords": mesh.coords, "tets": mesh.tets, "edges": mesh.edges,
+              "edge_normals": dual.edge_normals,
+              "dual_volumes": dual.dual_volumes,
+              "bnd_faces": dual.bnd_faces,
+              "bnd_vertex_normals": dual.bnd_vertex_normals}
+    got = {name: hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
+           for name, a in arrays.items()}
+    assert got == WING_ARRAY_SHA1[dims]
+
+
+def test_boundary_faces_exact_for_large_vertex_ids():
+    """The face count compares whole triples, so vertex ids far past
+    any packed-key range give the same faces, shifted."""
+    from repro import wing_problem
+    from repro.mesh.edges import boundary_faces
+    tets = wing_problem(5, 4, 3).mesh.tets
+    shift = 2 ** 40
+    assert np.array_equal(boundary_faces(tets + shift),
+                          boundary_faces(tets) + shift)

@@ -124,6 +124,31 @@ class TestServiceCache:
 
 
 class TestWarmSeeding:
+    @pytest.mark.parametrize("engine", ["numpy", "compiled"])
+    def test_entry_bytes_count_schedules_where_they_exist(self, engine):
+        """A numpy-tier solve leaves an elimination schedule on every
+        pattern and the ``ilu_symbolic`` entry counts it; a compiled
+        solve with a backend builds none, so the entry is the patterns'
+        index arrays alone."""
+        from repro import kernels
+
+        cache = ServiceCache()
+        prob = make_prob()
+        ctx = seed_solver(cache, prob.disc, small_cfg(engine=engine))
+        ctx.solver.solve(prob.initial.flat())
+        harvest_context(cache, ctx)
+        patterns = [sd.factor.pattern for sd in ctx.solver._pc.subdomains]
+        index_bytes = sum(p.l_indptr.nbytes + p.l_indices.nbytes
+                          + p.u_indptr.nbytes + p.u_indices.nbytes
+                          for p in patterns)
+        stored = cache.stats()["ilu_symbolic"].bytes_stored
+        if engine == "compiled" and kernels.backend_for(engine) is not None:
+            assert not any(hasattr(p, "_schedule") for p in patterns)
+            assert stored == index_bytes
+        else:
+            assert all(p._schedule is not None for p in patterns)
+            assert stored > index_bytes
+
     def test_cold_then_warm_bitwise_identical(self):
         cache = ServiceCache()
         cfg = small_cfg()
@@ -134,13 +159,6 @@ class TestWarmSeeding:
         harvest_context(cache, ctx1)
         assert set(ctx1.seeded) == set(cache.stats()) == {
             "partition", "gather", "ilu_symbolic"}
-        # The compiled schedules ride the patterns: one entry, and its
-        # resident bytes count both.
-        patterns = [sd.factor.pattern for sd in ctx1.solver._pc.subdomains]
-        assert all(p._schedule is not None for p in patterns)
-        assert cache.stats()["ilu_symbolic"].bytes_stored > sum(
-            p.l_indptr.nbytes + p.l_indices.nbytes
-            + p.u_indptr.nbytes + p.u_indices.nbytes for p in patterns)
 
         p2 = make_prob()
         ctx2 = seed_solver(cache, p2.disc, cfg)
