@@ -185,7 +185,7 @@ def graph_from_edges(num_vertices: int, edges: np.ndarray,
     order = np.lexsort((dst, src))
     src, dst, aw = src[order], dst[order], aw[order]
     xadj = np.zeros(num_vertices + 1, dtype=np.int64)
-    # lint: scatter-ok (one-shot CSR xadj construction, not a hot path)
+    # One-shot CSR xadj construction, not a hot path.
     np.add.at(xadj, src + 1, 1)
     np.cumsum(xadj, out=xadj)
     return Graph(xadj=xadj, adjncy=dst, vwgt=vwgt, ewgt=aw)

@@ -81,7 +81,7 @@ def profile(graph: Graph, perm: np.ndarray | None = None) -> int:
     rows = np.maximum(edges[:, 0], edges[:, 1])
     cols = np.minimum(edges[:, 0], edges[:, 1])
     first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    # lint: scatter-ok (profile diagnostic, no bincount equivalent for min)
+    # Profile diagnostic; bincount has no equivalent for min.
     np.minimum.at(first, rows, cols)
     present = first < np.iinfo(np.int64).max
     idx = np.arange(n, dtype=np.int64)

@@ -65,7 +65,7 @@ def backend_for(engine: str):
             # re-resolve without it.
             capability.mark_unavailable(name)
             return backend_for(engine)
-        # lint: purity-ok (per-process backend memo: a forked worker must build its own cffi handles)
+        # Per-process memo: a forked worker builds its own cffi handles.
         _BACKENDS[name] = backend
     return backend
 

@@ -20,8 +20,6 @@ when a backend is available (the CI fallback leg, A/B debugging).
 
 from __future__ import annotations
 
-# lint: setup (one-shot probes; no numeric kernels here)
-
 import os
 import shutil
 import traceback
@@ -56,7 +54,7 @@ def record_quarantine(backend: str, stage: str, exc: BaseException) -> None:
     """
     tb = traceback.format_exception(type(exc), exc, exc.__traceback__)
     tail = "".join(tb).rstrip().splitlines()[-_TB_TAIL_LINES:]
-    # lint: purity-ok (per-process diagnostic record: each process probes its own toolchain)
+    # Per-process record: each process probes its own toolchain.
     _QUARANTINE[backend] = {
         "stage": stage,
         "exc_type": type(exc).__name__,
@@ -91,7 +89,7 @@ def disabled() -> bool:
 def _cached(name: str, probe) -> bool:
     hit = _PROBE_CACHE.get(name)
     if hit is None:
-        # lint: purity-ok (per-process probe memo: a worker re-probes its own interpreter by design)
+        # Per-process memo: a worker re-probes its own interpreter.
         hit = _PROBE_CACHE[name] = bool(probe())
     return hit
 
@@ -148,7 +146,7 @@ def _warn_fallback() -> None:
     (that is the documented contract); a backend that *broke* — failed
     C build, import error inside an installed cffi — is surfaced.
     """
-    # lint: purity-ok (warn-once latch; warning once per process is the desired behaviour)
+    # Warn once per process, by design.
     global _WARNED
     if _WARNED or disabled():
         return
@@ -170,10 +168,9 @@ def mark_unavailable(backend: str) -> None:
     """Record a backend whose initialisation failed so later resolves
     skip it (a broken C toolchain should degrade, not raise again).
     The quarantine record of the failure itself, if any, is kept."""
-    # lint: purity-ok (per-process breakage record: the process that saw the failure stops retrying)
+    # Per-process: the process that saw the failure stops retrying.
     _BROKEN.add(backend)
     if backend not in _QUARANTINE:
-        # lint: purity-ok (same per-process quarantine record as above)
         _QUARANTINE[backend] = {
             "stage": "init", "exc_type": None,
             "message": "marked unavailable (no exception recorded)",

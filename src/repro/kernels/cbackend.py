@@ -955,7 +955,7 @@ class CBackend:
         ``fill_level + 1`` and doubles until the pattern fits."""
         n = indptr.size - 1
         cap = (indices.size + n) * (fill_level + 1)
-        # lint: loop-ok (capacity doubling, one or two builds per pattern)
+        # Capacity doubling: one or two builds per pattern.
         while True:
             l_ptr = np.empty(n + 1, dtype=np.int64)
             u_ptr = np.empty(n + 1, dtype=np.int64)

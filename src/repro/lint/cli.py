@@ -1,7 +1,7 @@
 """The reprolint CLI: ``python -m repro.lint [options] paths...``.
 
-Exit codes: 0 clean (no unsuppressed findings), 1 findings, 2 usage or
-I/O error — so a CI job is just the bare invocation.
+Exit codes: 0 clean (no findings), 1 findings, 2 usage error — so a CI
+job is just the bare invocation.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import json
 import sys
 from typing import Sequence
 
-from repro.lint.baseline import (filter_findings, load_baseline,
-                                 write_baseline)
 from repro.lint.engine import run_lint
 from repro.lint.model import Finding
 from repro.lint.registry import all_rules, known_rule_ids
@@ -20,60 +18,46 @@ from repro.lint.registry import all_rules, known_rule_ids
 __all__ = ["main", "render_text", "render_json"]
 
 
-def render_text(findings: list[Finding], suppressed: int) -> str:
-    lines = [f.render() for f in findings]
+def _counts(findings: list[Finding]) -> dict[str, int]:
     by_rule: dict[str, int] = {}
     for f in findings:
         by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
+    return dict(sorted(by_rule.items()))
+
+
+def render_text(findings: list[Finding]) -> str:
+    lines = [f.render() for f in findings]
     if findings:
-        counts = ", ".join(f"{r}: {n}" for r, n in sorted(by_rule.items()))
+        counts = ", ".join(f"{r}: {n}" for r, n in _counts(findings).items())
         lines.append(f"reprolint: {len(findings)} finding"
                      f"{'s' if len(findings) != 1 else ''} ({counts})")
     else:
         lines.append("reprolint: clean")
-    if suppressed:
-        lines.append(f"reprolint: {suppressed} baseline-suppressed "
-                     f"finding{'s' if suppressed != 1 else ''} remaining "
-                     f"(ratchet to zero)")
     return "\n".join(lines)
 
 
-def render_json(findings: list[Finding], suppressed: int) -> str:
-    by_rule: dict[str, int] = {}
-    for f in findings:
-        by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
-    doc = {
-        "schema_version": 3,
-        "findings": [f.to_dict() for f in findings],
-        "counts": dict(sorted(by_rule.items())),
-        "baseline_suppressed": suppressed,
-    }
-    return json.dumps(doc, indent=2)
+def render_json(findings: list[Finding]) -> str:
+    return json.dumps({"schema_version": 4,
+                       "findings": [f.to_dict() for f in findings],
+                       "counts": _counts(findings)}, indent=2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="reprolint: AST checks for this repo's kernel "
-                    "contracts (oracle pairing, dtype discipline, "
-                    "hot-loop/scatter bans, telemetry no-op defaults, "
-                    "parallel-safety: shm header schema, worker purity, "
-                    "chunk-disjoint writes).")
+        description="reprolint: AST checks for this repo's oracle "
+                    "discipline (every *_ref oracle has a tested fast "
+                    "twin; every compiled backend declares its numpy "
+                    "oracles and fallback) and its pragmas.")
     ap.add_argument("paths", nargs="*", default=["src"],
                     help="files or directories to lint (default: src)")
     ap.add_argument("--format", choices=("text", "json"), default="text",
                     help="output format (default: text)")
-    ap.add_argument("--baseline", metavar="FILE",
-                    help="suppress findings whose fingerprints FILE lists "
-                         "(a baseline or a previous --format json report)")
-    ap.add_argument("--write-baseline", metavar="FILE",
-                    help="write the current findings as a baseline and "
-                         "exit 0 (the ratchet starting point)")
     ap.add_argument("--tests", metavar="DIR", default="tests",
                     help="test tree for R001's cross-reference "
                          "(default: tests; missing dir relaxes the check)")
     ap.add_argument("--select", metavar="IDS",
-                    help="comma-separated rule ids to run (e.g. R002,R004); "
+                    help="comma-separated rule ids to run (e.g. R001,R006); "
                          "unknown ids are a usage error (exit 2)")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule registry and exit")
@@ -101,27 +85,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
 
     findings = run_lint(args.paths, tests_dir=args.tests, select=select)
-
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(f"reprolint: wrote {len(findings)} fingerprint"
-              f"{'s' if len(findings) != 1 else ''} to "
-              f"{args.write_baseline}")
-        return 0
-
-    suppressed = 0
-    if args.baseline:
-        try:
-            fps = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"reprolint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-        kept = filter_findings(findings, fps)
-        suppressed = len(findings) - len(kept)
-        findings = kept
-
     if args.format == "json":
-        print(render_json(findings, suppressed))
+        print(render_json(findings))
     else:
-        print(render_text(findings, suppressed))
+        print(render_text(findings))
     return 1 if findings else 0

@@ -1,32 +1,26 @@
-"""The lint engine: file discovery and the two-tier rule drive.
+"""The lint engine: file discovery and the rule drive.
 
 Besides the registered rules, the engine itself emits ``R000``
 (pragma/parse errors): a module that does not parse or a pragma with an
 unknown token cannot be trusted to suppress anything, so both are
-findings rather than silent no-ops — a typo'd ``# lint: lop-ok`` fails
-the build instead of quietly not suppressing.  The same applies to the
-test tree R001 cross-references: an unreadable or unparsable test file
-is an R000 finding, not a silent hole in the "exercised by tests"
-check.
+findings rather than silent no-ops — a typo'd ``# lint: compiled-okk``
+fails the build instead of quietly not suppressing, and so does a
+token of a rule that no longer exists.  The same applies to the test
+tree R001 cross-references: an unreadable or unparsable test file is
+an R000 finding, not a silent hole in the "exercised by tests" check.
 
-The run is two tiers:
-
-1. **Per-file tier**: parse, extract
-   :class:`~repro.lint.facts.ModuleFacts`, emit R000 + every
-   module-scope rule's findings.
-2. **Project tier**: project-scope rules (oracle pairing, the
-   shm-header and worker-purity interprocedural rules) run their
-   ``finalize`` over the full facts list.
+Module-scope rules run per file as it is parsed; project-scope rules
+(R001's oracle pairing) run their ``finalize`` once every module and
+the test tree have been seen.
 """
 
 from __future__ import annotations
 
-import hashlib
+import ast
 import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.facts import extract_facts
 from repro.lint.model import Finding, ModuleInfo, parse_module
 from repro.lint.registry import ProjectInfo, all_rules
 
@@ -61,22 +55,12 @@ def _rel(path: Path) -> str:
         return path.as_posix()
 
 
-def _bare_finding(rule: str, rel: str, message: str) -> Finding:
-    """A finding for a file we could not even read/parse (no line text
-    to fingerprint — matches ModuleInfo.finding with an empty line)."""
-    digest = hashlib.sha1(f"{rule}|{rel}||0".encode()).hexdigest()[:16]
-    return Finding(rule=rule, path=rel, line=1, col=0,
-                   message=message, fingerprint=digest)
-
-
 def collect_test_names(tests_dir: Path) -> tuple[set[str], list[Finding]]:
     """Every identifier appearing in the test tree (names, attributes,
     and imported symbols) — the cross-reference set for R001 — plus an
     R000 finding per test file that could not be read or parsed (a
     broken test file silently shrinks the cross-reference set, which
     would let untested oracle pairs slide)."""
-    import ast
-
     names: set[str] = set()
     findings: list[Finding] = []
     for path in discover_files([tests_dir]):
@@ -84,13 +68,13 @@ def collect_test_names(tests_dir: Path) -> tuple[set[str], list[Finding]]:
         try:
             tree = ast.parse(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
-            findings.append(_bare_finding(
-                "R000", rel, f"unreadable test file: {exc}"))
+            findings.append(Finding("R000", rel, 1, 0,
+                                    f"unreadable test file: {exc}"))
             continue
         except SyntaxError as exc:
-            findings.append(_bare_finding(
-                "R000", rel, f"test file does not parse: {exc.msg} "
-                             f"(line {exc.lineno})"))
+            findings.append(Finding("R000", rel, 1, 0,
+                                    f"test file does not parse: {exc.msg} "
+                                    f"(line {exc.lineno})"))
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -104,13 +88,11 @@ def collect_test_names(tests_dir: Path) -> tuple[set[str], list[Finding]]:
 
 
 def _pragma_findings(module: ModuleInfo) -> Iterable[Finding]:
-    counts: dict = {}
     if module.syntax_error is not None:
         yield module.finding("R000", 1, 0,
-                             f"module does not parse: {module.syntax_error}",
-                             counts)
+                             f"module does not parse: {module.syntax_error}")
     for line, msg in module.bad_pragmas:
-        yield module.finding("R000", line, 0, msg, counts)
+        yield module.finding("R000", line, 0, msg)
 
 
 def run_lint(paths: Sequence[str | Path],
@@ -145,8 +127,7 @@ def run_lint(paths: Sequence[str | Path],
             findings.extend(test_findings)
 
     project = ProjectInfo(modules, test_names=test_names,
-                          tests_seen=tests_seen,
-                          facts=[extract_facts(m) for m in modules])
+                          tests_seen=tests_seen)
     for rule_obj in rules:
         findings.extend(rule_obj.finalize(project))
 

@@ -5,28 +5,18 @@ A rule is a class with a unique ``id`` (``R00x``), registered with the
 once per run and drives two hooks:
 
 ``check_module(module)``
-    Per-module pass; yields :class:`~repro.lint.model.Finding`.
+    Per-module pass (``scope = "module"``); yields
+    :class:`~repro.lint.model.Finding`.
 
 ``finalize(project)``
-    Optional whole-project pass after every module was seen — for
-    cross-module invariants (R001 cross-references ``tests/``; the
-    R007/R008 parallel-safety rules walk the project call graph).
-
-Every rule declares a ``scope``:
-
-``"module"``
-    ``check_module`` findings depend only on that one file's content.
-
-``"project"``
-    Findings depend on cross-module state.  The rule does all its
-    work in ``finalize`` over :class:`ProjectInfo` — in particular over
-    the per-module :class:`~repro.lint.facts.ModuleFacts` and the
-    derived :class:`~repro.lint.callgraph.CallGraph`.
+    Whole-project pass after every module was seen
+    (``scope = "project"``) — for cross-module invariants such as
+    R001's cross-reference of ``tests/``.
 
 Adding a rule is: subclass :class:`Rule`, decorate, import the module
 from :mod:`repro.lint.rules` (the package ``__init__`` is the plugin
-manifest).  Nothing else to wire — the CLI, baseline machinery, and
-``--select`` filtering all iterate the registry.
+manifest).  Nothing else to wire — the CLI and ``--select`` filtering
+iterate the registry.
 """
 
 from __future__ import annotations
@@ -35,8 +25,7 @@ from typing import Iterable, Iterator
 
 from repro.lint.model import Finding, ModuleInfo
 
-__all__ = ["Rule", "rule", "all_rules", "get_rule", "known_rule_ids",
-           "ProjectInfo"]
+__all__ = ["Rule", "rule", "all_rules", "known_rule_ids", "ProjectInfo"]
 
 _REGISTRY: dict[str, type["Rule"]] = {}
 
@@ -76,11 +65,6 @@ def all_rules() -> Iterator[Rule]:
         yield _REGISTRY[rid]()
 
 
-def get_rule(rid: str) -> Rule:
-    from repro.lint import rules as _rules  # noqa: F401
-    return _REGISTRY[rid]()
-
-
 def known_rule_ids() -> list[str]:
     """Registered rule ids plus the engine's own R000, sorted."""
     from repro.lint import rules as _rules  # noqa: F401
@@ -92,8 +76,7 @@ class ProjectInfo:
 
     def __init__(self, modules: list[ModuleInfo],
                  test_names: set[str] | None = None,
-                 tests_seen: bool = False,
-                 facts: list | None = None) -> None:
+                 tests_seen: bool = False) -> None:
         #: One parsed module per analysed file.
         self.modules = modules
         #: Every identifier (names, attributes, imported symbols) that
@@ -102,15 +85,3 @@ class ProjectInfo:
         #: False when no test directory was found/given — rules relax
         #: "exercised by tests" requirements rather than flag everything.
         self.tests_seen = tests_seen
-        #: One :class:`~repro.lint.facts.ModuleFacts` per analysed file
-        #: — the project pass's view.
-        self.facts = facts if facts is not None else []
-        self._callgraph = None
-
-    @property
-    def callgraph(self):
-        """Lazily built project call graph over ``facts``."""
-        if self._callgraph is None:
-            from repro.lint.callgraph import build_call_graph
-            self._callgraph = build_call_graph(self.facts)
-        return self._callgraph

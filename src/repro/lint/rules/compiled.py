@@ -82,7 +82,6 @@ class CompiledDeclarations(Rule):
     def check_module(self, module: ModuleInfo):
         if not module.is_compiled:
             return
-        counts: dict = {}
         tree = module.tree
 
         oracles_node = _module_assign(tree, "__oracles__")
@@ -92,14 +91,14 @@ class CompiledDeclarations(Rule):
                 self.id, 1, 0,
                 "compiled module does not declare '__oracles__' — map "
                 "every public callable to its numpy oracle's dotted "
-                "path", counts)
+                "path")
         else:
             oracles = _literal_str_dict(oracles_node.value)
             if oracles is None:
                 yield module.finding(
                     self.id, oracles_node.lineno, oracles_node.col_offset,
                     "'__oracles__' must be a literal {str: str} dict of "
-                    "callable -> dotted numpy-oracle path", counts)
+                    "callable -> dotted numpy-oracle path")
             else:
                 for key, target in sorted(oracles.items()):
                     if "." not in target:
@@ -107,7 +106,7 @@ class CompiledDeclarations(Rule):
                             self.id, oracles_node.lineno,
                             oracles_node.col_offset,
                             f"__oracles__[{key!r}] = {target!r} is not a "
-                            f"dotted module path", counts)
+                            f"dotted module path")
 
         fb = _module_assign(tree, "__fallback__")
         if (fb is None or not isinstance(fb.value, ast.Constant)
@@ -117,7 +116,7 @@ class CompiledDeclarations(Rule):
                 self.id, fb.lineno if fb is not None else 1, 0,
                 "compiled module does not declare '__fallback__' — a "
                 "non-empty string naming the importable numpy fallback "
-                "path", counts)
+                "path")
 
         if oracles is None:
             return
@@ -128,4 +127,4 @@ class CompiledDeclarations(Rule):
                 self.id, lineno, 0,
                 f"public callable '{name}' has no '__oracles__' entry — "
                 f"declare its numpy oracle or mark the line "
-                f"'compiled-ok'", counts)
+                f"'compiled-ok'")

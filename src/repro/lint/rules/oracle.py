@@ -13,20 +13,19 @@ equivalence claim nobody checks.  For every public top-level
 
 Underscore-private ``_helper_ref`` functions are internal details of a
 reference implementation, not public oracles, and are exempt.
-
-Project-scope: the rule runs entirely over the per-module facts
-(``top_defs`` + the pragma/fingerprint tables), so cache-restored files
-participate without re-parsing.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import PurePosixPath
 
-from repro.lint.facts import ModuleFacts
+from repro.lint.model import ModuleInfo
 from repro.lint.registry import ProjectInfo, Rule, rule
 
 __all__ = ["OraclePairing"]
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 @rule
@@ -38,38 +37,34 @@ class OraclePairing(Rule):
     scope = "project"
 
     def finalize(self, project: ProjectInfo):
-        # package dir -> {function name -> (facts, lineno)}
-        defs: dict[str, dict[str, tuple[ModuleFacts, int]]] = {}
-        for mf in project.facts:
-            pkg = str(PurePosixPath(mf.rel).parent)
-            bucket = defs.setdefault(pkg, {})
-            for name, lineno in mf.top_defs.items():
-                bucket.setdefault(name, (mf, lineno))
+        # package dir -> {top-level function name -> (module, lineno)}
+        defs: dict[str, dict[str, tuple[ModuleInfo, int]]] = {}
+        for mod in project.modules:
+            bucket = defs.setdefault(str(PurePosixPath(mod.rel).parent), {})
+            for node in mod.tree.body if mod.tree is not None else ():
+                if isinstance(node, _DEFS):
+                    bucket.setdefault(node.name, (mod, node.lineno))
 
-        counts_by_rel: dict[str, dict] = {}
         for pkg, bucket in sorted(defs.items()):
-            for name, (mf, lineno) in sorted(bucket.items()):
+            for name, (mod, lineno) in sorted(bucket.items()):
                 if not name.endswith("_ref") or name.startswith("_"):
                     continue
-                if mf.suppressed(self.id, lineno):
-                    continue
                 twin = name[: -len("_ref")]
-                counts = counts_by_rel.setdefault(mf.rel, {})
                 if twin not in bucket:
-                    yield mf.finding(
+                    yield mod.finding(
                         self.id, lineno, 0,
                         f"oracle '{name}' has no fast twin '{twin}' in "
                         f"package '{pkg}' — vectorise it or fold the "
-                        f"oracle into its kernel's module", counts)
+                        f"oracle into its kernel's module")
                     continue
                 if not project.tests_seen:
                     continue
                 missing = [n for n in (name, twin)
                            if n not in project.test_names]
                 if missing:
-                    yield mf.finding(
+                    yield mod.finding(
                         self.id, lineno, 0,
                         f"oracle pair ('{name}', '{twin}') is not "
                         f"exercised by any test module (missing: "
                         f"{', '.join(missing)}) — add an equivalence "
-                        f"test", counts)
+                        f"test")

@@ -19,8 +19,6 @@ which is what makes the edge-based flux loop conservative.
 
 from __future__ import annotations
 
-# lint: setup (median-dual metrics are computed once per mesh)
-
 from dataclasses import dataclass
 
 import numpy as np

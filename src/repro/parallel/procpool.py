@@ -57,8 +57,6 @@ compute overlaps across workers as in the real code.
 
 from __future__ import annotations
 
-# lint: worker (forked rank workers time phases with their own clock)
-
 import multiprocessing as mp
 import os
 import time
@@ -138,7 +136,6 @@ def _cleanup_segments(state: dict) -> None:
     """
     if os.getpid() != state["pid"]:
         return
-    # lint: loop-ok (segment teardown, O(2))
     for seg in state["segs"]:
         try:
             seg.unlink()
@@ -214,7 +211,6 @@ class ProcPool:
             # (the runtime counterpart of the layout's write-disjointness
             # contract — an overlap here is a race on the output rows).
             san = WriteSanitizer("procpool owned-row partition")
-            # lint: loop-ok (one claim set per rank; debug-only path)
             for rd in layout.ranks:
                 san.claim_indices(("rank", rd.rank), rd.owned,
                                   key="owned-rows")
@@ -236,18 +232,14 @@ class ProcPool:
         # Pool construction is coordinator work even when a service
         # dispatch *thread* reaches it (threads share the coordinator's
         # address space; nothing here crosses a fork boundary first).
-        # lint: purity-ok (pool setup runs coordinator-side by contract)
         self._go = [ctx.Semaphore(0) for _ in range(self.nworkers)]
-        # lint: purity-ok (pool setup runs coordinator-side by contract)
         self._done = [ctx.Semaphore(0) for _ in range(self.nworkers)]
         self._res_q = ctx.SimpleQueue()
         self._worker_ranks = [list(range(w, layout.nranks, self.nworkers))
                               for w in range(self.nworkers)]
-        # lint: purity-ok (pool setup runs coordinator-side by contract)
         self._procs = [ctx.Process(target=self._worker_main, args=(w,),
                                    daemon=True, name=f"spmd-worker-{w}")
                        for w in range(self.nworkers)]
-        # lint: loop-ok (worker startup, O(nworkers))
         for p in self._procs:
             p.start()
         layout.pool = self
@@ -266,12 +258,10 @@ class ProcPool:
         # the same stale-layout validation the sequential exchange does.
         self._ghost_src: list[np.ndarray] = []
         self._n_owners = np.zeros(nranks, dtype=np.int64)
-        # lint: loop-ok (per-rank exchange-pattern construction)
         for rd in layout.ranks:
             src = np.empty(rd.ghosts.size, dtype=np.int64)
             owners = np.unique(rd.ghost_owner)
             self._n_owners[rd.rank] = owners.size
-            # lint: loop-ok (neighbour-owner loop, O(neighbour ranks))
             for owner in owners:
                 sel = rd.ghost_owner == owner
                 gids = rd.ghosts[sel]
@@ -311,7 +301,6 @@ class ProcPool:
         off = _align(off + self.n * rowbytes)
         self._off_locals = off
         off = _align(off + max(self.total_local, 1) * rowbytes)
-        # lint: purity-ok (arena creation is coordinator-side; service dispatch threads share its address space)
         self._shm = shared_memory.SharedMemory(create=True, size=off)
         self._hdr = np.ndarray(_HDR_SLOTS, dtype=np.int64,
                                buffer=self._shm.buf, offset=self._off_hdr)
@@ -350,13 +339,11 @@ class ProcPool:
                                 "close() and build a new pool")
 
     def _post_go(self) -> None:
-        # lint: loop-ok (one token per worker, O(nworkers))
         for sem in self._go:
             sem.release()
 
     def _drain_done(self) -> None:
         deadline = time.monotonic() + self._timeout
-        # lint: loop-ok (one token per worker, O(nworkers))
         for sem in self._done:
             if not sem.acquire(timeout=max(0.0, deadline
                                            - time.monotonic())):
@@ -397,7 +384,6 @@ class ProcPool:
 
     def _drain_errors(self) -> str:
         msgs = []
-        # lint: loop-ok (error drain, bounded by worker count)
         while not self._res_q.empty():
             kind, wid, payload = self._res_q.get()
             if kind == "error":
@@ -516,7 +502,6 @@ class ProcPool:
         rec = recorder if recorder is not None else NULL_RECORDER
         self._run(_OP_COLLECT)
         errors = []
-        # lint: loop-ok (one queue item per worker)
         for _ in range(self.nworkers):
             kind, wid, payload = self._res_q.get()
             if kind == "error":
@@ -577,7 +562,6 @@ class ProcPool:
         if self._hdr is not None:
             self._hdr[_H_OP] = _OP_SHUTDOWN
             self._post_go()              # wake idle workers into exit
-        # lint: loop-ok (worker teardown, O(nworkers))
         for p in self._procs:
             p.join(timeout=10.0)
             if p.is_alive():
@@ -609,7 +593,6 @@ class ProcPool:
             # slots this worker actually reads, echo the mask back.
             tracker = self._hdr = track_slots(hdr_raw)
         try:
-            # lint: loop-ok (worker command loop, one pass per op)
             while True:
                 go.acquire()
                 if tracker is not None:
@@ -671,7 +654,6 @@ class ProcPool:
         row_off = self._row_off
         # Ghost gather: pure copies of the owners' owned rows — the
         # barrier-based VecScatter.
-        # lint: loop-ok (per-rank ghost gather, O(ranks per worker))
         for r in ranks:
             rd = layout.ranks[r]
             if rd.ghosts.size == 0:
@@ -690,7 +672,6 @@ class ProcPool:
                 locs[lo + rd.n_owned: lo + rd.n_local] = \
                     locs[self._ghost_src[r]]
         # Compute: the shared rank kernels over the rank-local rows.
-        # lint: loop-ok (per-rank kernel execution, O(ranks per worker))
         for r in ranks:
             rd = layout.ranks[r]
             loc = locs[row_off[r]: row_off[r] + rd.n_local]
@@ -742,7 +723,6 @@ class ProcPool:
             mat = _MatView(indptr=indptr, indices=indices, data=data,
                            nbrows=self.n)
             cache = {}
-            # lint: loop-ok (per-rank gather build, once per broadcast)
             for r in ranks:
                 rd = self.layout.ranks[r]
                 flat, cols, seg_ids = rank_matvec_structs(mat, rd)
@@ -769,7 +749,6 @@ class ProcPool:
         tc = self._times[1, :nranks]
         gmax = float(tg.max())
         cmax = float(tc.max())
-        # lint: loop-ok (per-rank wait deposit, O(ranks per worker))
         for r in ranks:
             if self.total_ghosts:
                 rec.add_wait_seconds("ghost_exchange", r,

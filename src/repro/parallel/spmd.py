@@ -35,8 +35,6 @@ modelled :mod:`repro.parallel.simulate` ledgers.
 
 from __future__ import annotations
 
-# lint: kernel (rank-local residual/matvec/exchange; dtype-preserving)
-
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +112,6 @@ class SPMDLayout:
         layout = cls(labels=labels)
         la = labels[edges[:, 0]]
         lb = labels[edges[:, 1]]
-        # lint: loop-ok (per-rank layout construction, O(nranks))
         for r in range(nranks):
             owned = np.where(labels == r)[0]
             emask = (la == r) | (lb == r)
@@ -186,12 +183,10 @@ class GhostExchange:
         rec = self.recorder
         per_rank_s = [0.0] * layout.nranks
         # Owner-side lookup: global id -> (rank, owned position).
-        # lint: loop-ok (rank loop of the simulated exchange, O(nranks))
         for r, rd in enumerate(layout.ranks):
             if rd.ghosts.size == 0:
                 continue
             with rec.span("ghost_exchange", rank=r) as sp:
-                # lint: loop-ok (neighbour-owner loop, O(neighbour ranks))
                 for owner in np.unique(rd.ghost_owner):
                     sel = rd.ghost_owner == owner
                     gids = rd.ghosts[sel]
@@ -231,7 +226,6 @@ def _scatter_local_state(layout: SPMDLayout, qglobal: np.ndarray,
     """
     q = qglobal.reshape(-1, ncomp)
     out = []
-    # lint: loop-ok (per-rank scatter of owned rows, O(nranks))
     for rd in layout.ranks:
         local = np.full((rd.n_local, ncomp), np.nan, dtype=q.dtype)
         local[: rd.n_owned] = q[rd.owned]
@@ -437,7 +431,6 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
         out = np.zeros((disc.mesh.num_vertices, ncomp),
                        dtype=qglobal.dtype)
         per_rank_s = [0.0] * layout.nranks
-        # lint: loop-ok (rank loop of the SPMD residual, O(nranks))
         for rd in layout.ranks:
             with rec.span("flux", rank=rd.rank) as sp:
                 r_local = rank_residual(disc, rd, local_q[rd.rank],
@@ -474,7 +467,6 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
         ex.refresh(local_x)
         out = np.zeros((a.nbrows, bs), dtype=xglobal.dtype)
         per_rank_s = [0.0] * layout.nranks
-        # lint: loop-ok (rank loop of the SPMD matvec, O(nranks))
         for rd in layout.ranks:
             with rec.span("matvec", rank=rd.rank) as sp:
                 # All owned block rows as one flat batch; the gather

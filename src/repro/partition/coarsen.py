@@ -10,8 +10,6 @@ the projected partition.
 
 from __future__ import annotations
 
-# lint: setup (multilevel coarsening runs at partitioning time only)
-
 from dataclasses import dataclass
 
 import numpy as np

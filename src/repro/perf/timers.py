@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import time
 
-# lint: clock
-
 __all__ = ["Timer"]
 
 

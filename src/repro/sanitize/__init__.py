@@ -1,7 +1,7 @@
 """repro.sanitize — opt-in runtime checks for the parallel contracts.
 
-The static rules R007–R008 (:mod:`repro.lint`) prove the *code* obeys
-the parallel-safety contracts; this package watches the *run*:
+The parallel-safety contracts are checked here, on the *run* (no lint
+rule checks them statically):
 
 - :mod:`repro.sanitize.writes` — a write sanitizer that shadow-tracks
   the index intervals each rank writes and raises
@@ -12,7 +12,7 @@ the parallel-safety contracts; this package watches the *run*:
 - :mod:`repro.sanitize.header` — coordinator/worker header-slot echo
   for the shm protocol: workers report which ``_H_*`` slots they
   actually read and the coordinator verifies every one of them was
-  written (R007's property, per operation).
+  written (checked per operation).
 - :mod:`repro.sanitize.statehash` — a per-phase state-hash trail so
   two executor runs (``seq`` vs ``proc``) can be diffed to the *first*
   divergent phase instead of a run-end bitwise assert.

@@ -1,11 +1,11 @@
 """Runtime shm header-slot echo: did workers read only written slots?
 
-R007 proves statically that the coordinator-written ``_H_*`` slot set
-matches the worker-read set; this is the same invariant checked on a
-live pool.  The coordinator wraps its header view in a
-:class:`SlotTracker` that records every slot it writes over the pool's
-lifetime; each worker wraps its (fork-inherited) view in one that
-records every slot it reads during an operation and echoes the read
+Every ``_H_*`` slot a worker reads must have been written by the
+coordinator; this checks that invariant on a live pool.  The
+coordinator wraps its header view in a :class:`SlotTracker` that
+records every slot it writes over the pool's lifetime; each worker
+wraps its (fork-inherited) view in one that records every slot it
+reads during an operation and echoes the read
 mask back through a spare header slot before releasing its DONE
 token.  After the barrier the coordinator calls
 :func:`check_header_echo`: a slot that was read but never written is
@@ -64,7 +64,6 @@ def track_slots(hdr: np.ndarray) -> SlotTracker:
 def mask_of(slots, exclude=()) -> int:
     """Bitmask of slot indices (bit ``i`` set = slot ``i`` touched)."""
     m = 0
-    # lint: loop-ok (16-slot mask build; debug-only path)
     for s in slots:
         if s not in exclude:
             m |= 1 << int(s)

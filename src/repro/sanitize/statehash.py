@@ -36,7 +36,6 @@ __all__ = ["HashTrail", "capture", "first_divergence", "note", "state_hash"]
 def state_hash(*arrays) -> str:
     """Digest of the given arrays' dtype, shape, and exact bytes."""
     h = hashlib.sha1()
-    # lint: loop-ok (hash accumulation over a handful of arrays)
     for a in arrays:
         a = np.ascontiguousarray(a)
         h.update(str(a.dtype).encode())
@@ -99,7 +98,6 @@ def first_divergence(a: HashTrail, b: HashTrail) -> dict | None:
     digests — enough to say "the 3rd matvec of ``proc`` differs from
     ``seq``" without rerunning anything.
     """
-    # lint: loop-ok (step-by-step trail comparison; debug-only path)
     for i, (sa, sb) in enumerate(zip(a.steps, b.steps)):
         if sa != sb:
             return {"step": i, "phase": sa[0],

@@ -46,7 +46,7 @@ class WriteSanitizer:
         self.label = label
         #: key -> list of (lo, hi, owner) claims
         self._claims: dict[object, list[tuple[int, int, object]]] = {}
-        # lint: purity-ok (lock is created per instance inside the owning process, never crosses fork)
+        # Created per instance inside the owning process; never crosses a fork.
         self._lock = threading.Lock()
 
     def claim(self, owner, lo: int, hi: int, key: object = None) -> None:
@@ -80,7 +80,6 @@ class WriteSanitizer:
         cuts = np.flatnonzero(np.diff(runs) > 1) + 1
         starts = np.concatenate([[0], cuts])
         ends = np.concatenate([cuts, [runs.size]])
-        # lint: loop-ok (one claim per coalesced run; debug-only path)
         for s, e in zip(starts, ends):
             self.claim(owner, int(runs[s]), int(runs[e - 1]) + 1, key=key)
 
@@ -89,7 +88,6 @@ class WriteSanitizer:
         with self._lock:
             ledger = sorted((c[0], c[1]) for c in self._claims.get(key, []))
         cursor = int(lo)
-        # lint: loop-ok (interval sweep over recorded claims; debug-only)
         for clo, chi in ledger:
             if clo > cursor:
                 break

@@ -38,8 +38,6 @@ Request lifecycle::
 
 from __future__ import annotations
 
-# lint: worker (dispatcher threads run the request loop)
-
 import threading
 import time
 from collections import deque
@@ -183,7 +181,6 @@ class SolverService:
             threading.Thread(target=self._worker_loop, daemon=True,
                              name=f"solver-service-{i}")
             for i in range(max(1, int(workers)))]
-        # lint: loop-ok (dispatcher startup, O(workers))
         for t in self._threads:
             t.start()
 
@@ -213,9 +210,7 @@ class SolverService:
     def _take_batch(self) -> list[SolveTicket] | None:
         """Pop the head request plus every queued same-key follower
         (called with the condition held)."""
-        # lint: loop-ok (dispatch wait loop, O(queued requests))
         while True:
-            # lint: loop-ok (condition-variable wait, O(wakeups))
             while not self._queue:
                 if self._closing:
                     return None
@@ -226,7 +221,6 @@ class SolverService:
             batch = [head]
             if len(batch) < self.max_batch:
                 rest = deque()
-                # lint: loop-ok (same-key batch drain, O(max_batch))
                 while self._queue and len(batch) < self.max_batch:
                     t = self._queue.popleft()
                     if self._expire_if_late(t):
@@ -247,10 +241,9 @@ class SolverService:
         return False
 
     def _worker_loop(self) -> None:
-        # The dispatch thread is a lint worker entry: clock reads and
-        # shared queue/stat mutation are its job (annotated in place);
-        # numerics happen inside the solver under the oracle discipline.
-        # lint: loop-ok (service main loop, O(requests served))
+        # The dispatch thread reads clocks and mutates the shared queue
+        # and stats; numerics happen inside the solver under the oracle
+        # discipline.
         while True:
             with self._cv:
                 batch = self._take_batch()
@@ -262,7 +255,6 @@ class SolverService:
                     with self._cv:
                         self.stats.batches += 1
                         self.stats.batched_requests += len(batch) - 1
-                # lint: loop-ok (runs the drained batch, O(max_batch))
                 for i, ticket in enumerate(batch):
                     ticket.batched = i > 0
                     self._run_one(ticket)
@@ -271,7 +263,7 @@ class SolverService:
         with self._cv:
             lock = self._key_locks.get(key)
             if lock is None:
-                # lint: purity-ok (per-key locks are the exclusive-use contract; dispatchers are threads, not forks)
+                # Per-key locks are the exclusive-use contract (dispatchers are threads).
                 lock = self._key_locks[key] = threading.Lock()
             return lock
 
@@ -364,7 +356,6 @@ class SolverService:
         # mesh's pool.  A layout holds one pool, so every entry that
         # points at this layout is retired with the pool it names.
         with self._cv:
-            # lint: loop-ok (stale warm-pool entries, O(max_pools))
             for k in [k for k, lay in self._warm_pools.items()
                       if k == key or lay is layout]:
                 self._discard_pool(k)
@@ -374,7 +365,6 @@ class SolverService:
             self.stats.pools_created += 1
             self._warm_pools[key] = layout
             self._pool_order.append(key)
-            # lint: loop-ok (LRU pool eviction, O(max_pools))
             while len(self._pool_order) > self.max_pools:
                 old = self._pool_order.popleft()
                 if old != key:
@@ -409,17 +399,14 @@ class SolverService:
         with self._cv:
             self._closing = True
             if not drain:
-                # lint: loop-ok (queue flush at shutdown, O(queued))
                 while self._queue:
                     t = self._queue.popleft()
                     self.stats.timeouts += 1
                     t._finish("timeout")
             self._cv.notify_all()
-        # lint: loop-ok (dispatcher join at shutdown, O(workers))
         for t in self._threads:
             t.join(timeout)
         with self._cv:
-            # lint: loop-ok (warm-pool teardown, O(max_pools))
             for key in list(self._warm_pools):
                 self._close_pool_entry(key)
             self._pool_order.clear()

@@ -9,8 +9,6 @@ The SpMV cost model in perfmodel/spmv_model.py quantifies exactly that.
 
 from __future__ import annotations
 
-# lint: kernel (BSR matvec/assembly run inside the solver loop)
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +90,7 @@ class BSRMatrix:
         urows = (uniq // nbcols).astype(np.int64)
         ucols = (uniq % nbcols).astype(np.int64)
         indptr = np.zeros(nbrows + 1, dtype=np.int64)
-        # lint: scatter-ok (one-shot COO->BSR indptr construction)
+        # One-shot COO->BSR indptr construction.
         np.add.at(indptr, urows + 1, 1)
         np.cumsum(indptr, out=indptr)
         return cls(indptr=indptr, indices=ucols, data=summed, nbcols=nbcols)

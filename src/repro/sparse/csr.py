@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-# lint: kernel (CSR matvec/permutation run inside the Krylov loop)
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +80,7 @@ class CSRMatrix:
         urows = (uniq // ncols).astype(np.int64)
         ucols = (uniq % ncols).astype(np.int64)
         indptr = np.zeros(nrows + 1, dtype=np.int64)
-        # lint: scatter-ok (one-shot COO->CSR indptr construction)
+        # One-shot COO->CSR indptr construction.
         np.add.at(indptr, urows + 1, 1)
         np.cumsum(indptr, out=indptr)
         return cls(indptr=indptr, indices=ucols, data=summed, ncols=ncols)

@@ -33,8 +33,6 @@ created by eliminating column k in row i via u_kj gets level
 
 from __future__ import annotations
 
-# lint: kernel (ILU(k) refactorisation is a per-Newton-step path)
-
 import heapq
 from dataclasses import dataclass, field, replace
 
@@ -43,8 +41,8 @@ import numpy as np
 from repro import kernels as _kernels
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.segsum import concat_ranges
 from repro.sparse.trisolve import (
-    _ranges,
     level_schedule,
     lower_solve_blocks,
     lower_solve_csr,
@@ -118,7 +116,7 @@ def ilu_symbolic_ref(indptr: np.ndarray, indices: np.ndarray,
     l_rows_cols: list[np.ndarray] = []
     l_rows_levs: list[np.ndarray] = []
 
-    # lint: loop-ok (symbolic ILU(k) level analysis, once per pattern, memoised)
+    # Level analysis: once per pattern, memoised.
     for i in range(n):
         row = indices[indptr[i] : indptr[i + 1]]
         lev: dict[int, int] = {int(j): 0 for j in row}
@@ -126,7 +124,6 @@ def ilu_symbolic_ref(indptr: np.ndarray, indices: np.ndarray,
         heap = [j for j in lev if j < i]
         heapq.heapify(heap)
         popped: set[int] = set()
-        # lint: loop-ok (pivot heap of the symbolic analysis, once per pattern)
         while heap:
             k = heapq.heappop(heap)
             if k in popped:
@@ -135,7 +132,6 @@ def ilu_symbolic_ref(indptr: np.ndarray, indices: np.ndarray,
             lev_ik = lev[k]
             cols_k = u_cols[k]
             levs_k = u_levs[k]
-            # lint: loop-ok (fill-level merge of the symbolic analysis, once per pattern)
             for t in range(cols_k.size):
                 j = int(cols_k[t])
                 new_lev = lev_ik + int(levs_k[t]) + 1
@@ -274,7 +270,6 @@ def compile_elimination_schedule(pattern: ILUPattern, a_indptr: np.ndarray,
     dst_parts: list[np.ndarray] = []
     src_parts: list[np.ndarray] = []
     kc = np.zeros(nnzl, dtype=np.int64)      # kept updates per elimination
-    # lint: loop-ok (elimination-schedule compilation, once per pattern)
     for i in range(n):
         ls, le = int(l_iptr[i]), int(l_iptr[i + 1])
         us, ue = int(u_iptr[i]), int(u_iptr[i + 1])
@@ -290,7 +285,7 @@ def compile_elimination_schedule(pattern: ILUPattern, a_indptr: np.ndarray,
         a_dst_parts.append(slots[ok])
         if le > ls:
             cnt = ucounts[lc]
-            src = _ranges(u_iptr[lc], cnt)
+            src = concat_ranges(u_iptr[lc], cnt)
             dstc = pos[u_idx[src]]
             keep = dstc >= 0                 # dropped fill, exactly ILU's rule
             dst_parts.append(dstc[keep])
@@ -317,7 +312,6 @@ def compile_elimination_schedule(pattern: ILUPattern, a_indptr: np.ndarray,
     # every pivot has a smaller index.
     stage_of = np.empty(nnzl, dtype=np.int64)
     finish = np.zeros(n, dtype=np.int64)
-    # lint: loop-ok (stage assignment of the schedule, once per pattern)
     for i in range(n):
         s, e = int(l_iptr[i]), int(l_iptr[i + 1])
         if s == e:
@@ -343,12 +337,11 @@ def compile_elimination_schedule(pattern: ILUPattern, a_indptr: np.ndarray,
         sorted_st = stage_of[order]
         estarts = np.concatenate(
             ([0], np.flatnonzero(np.diff(sorted_st)) + 1, [nnzl]))
-        # lint: loop-ok (per-stage gather-list build, once per pattern)
         for gi in range(estarts.size - 1):
             e0, e1 = int(estarts[gi]), int(estarts[gi + 1])
             elims = order[e0:e1]
             kci = kc[elims]
-            idx = _ranges(uoff[elims], kci)
+            idx = concat_ranges(uoff[elims], kci)
             stages.append(EliminationStep(
                 lpos=elims, piv=l_idx[elims],
                 dst=dst_csr[idx], src=src_csr[idx],
@@ -467,7 +460,7 @@ def ilu_csr(a: CSRMatrix, fill_level: int = 0,
         w = np.zeros(sched.nnzl + sched.n + sched.nnzu, dtype=np.float64)
         w[sched.a_dst] = a.data[sched.a_src]
         _check_pivots(w, off_d, sched.pre_check)
-        # lint: loop-ok (O(stages) numeric sweep; arithmetic stays fp64 per Table 2)
+        # O(stages) sweep; the arithmetic stays fp64 (Table 2).
         for st in sched.stages:
             mult = w[st.lpos] / w[off_d + st.piv]
             w[st.lpos] = mult
@@ -616,7 +609,7 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0,
         if sched.pre_check.size:
             inv_diag[sched.pre_check] = np.linalg.inv(
                 w[off_d + sched.pre_check])
-        # lint: loop-ok (O(stages) numeric sweep; arithmetic stays fp64 per Table 2)
+        # O(stages) sweep; the arithmetic stays fp64 (Table 2).
         for st in sched.stages:
             mult = np.matmul(w[st.lpos], inv_diag[st.piv])
             w[st.lpos] = mult

@@ -15,8 +15,6 @@ Jacobian can be stored three ways:
 
 from __future__ import annotations
 
-# lint: kernel (field-interlacing layouts feed the assembly hot path)
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +72,7 @@ def block_structure_from_edges(num_vertices: int, edges: np.ndarray) -> BlockStr
     urows = (sorted_key // num_vertices).astype(np.int64)
     ucols = (sorted_key % num_vertices).astype(np.int64)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    # lint: scatter-ok (one-shot pattern construction from edges)
+    # One-shot pattern construction from edges.
     np.add.at(indptr, urows + 1, 1)
     np.cumsum(indptr, out=indptr)
     n = num_vertices

@@ -17,8 +17,6 @@ correction.  Each tier's storage roundoff is bounded by the
 
 from __future__ import annotations
 
-# lint: kernel (fp32 factor storage halves trisolve traffic; Table 2)
-
 from dataclasses import dataclass
 
 import numpy as np

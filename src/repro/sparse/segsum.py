@@ -16,8 +16,6 @@ connectivity) with :func:`flat_segment_index` and cache it.
 
 from __future__ import annotations
 
-# lint: kernel (the scatter-add kernel every hot path funnels through)
-
 import numpy as np
 
 __all__ = ["segment_sum", "flat_segment_index", "concat_ranges"]

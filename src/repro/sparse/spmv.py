@@ -8,8 +8,6 @@ priced by is :func:`repro.perfmodel.spmv_model.spmv_traffic_bytes`.
 
 from __future__ import annotations
 
-# lint: kernel (SpMV is the paper's model kernel; Sec. 2.1.1)
-
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix

@@ -14,8 +14,6 @@ callable that builds it, called only when the numpy batches run.
 
 from __future__ import annotations
 
-# lint: kernel (bandwidth-bound triangular solves; Table 2)
-
 import hashlib
 
 import numpy as np
@@ -96,7 +94,7 @@ def level_schedule(indptr: np.ndarray, indices: np.ndarray,
     deg = deg.copy()
     levels: list[np.ndarray] = []
     frontier = np.flatnonzero(deg == 0)
-    # lint: loop-ok (Kahn wavefront: one vectorised sweep per level, O(levels))
+    # Kahn wavefront: one vectorised sweep per level.
     while frontier.size:
         levels.append(frontier)
         deg[frontier] = -1           # mark processed
@@ -133,18 +131,9 @@ def _row_dot(indptr, indices, data, x, rows, engine="numpy"):
     if total == 0:
         return np.zeros(rows.size, dtype=x.dtype)
     out_row = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
-    flat = _ranges(starts, counts)
+    flat = concat_ranges(starts, counts)
     prods = data[flat].astype(x.dtype, copy=False) * x[indices[flat]]
     return segment_sum(out_row, prods, rows.size).astype(x.dtype, copy=False)
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + c)`` for each start/count pair.
-
-    Alias of :func:`repro.sparse.segsum.concat_ranges`, kept for the
-    existing trisolve/ILU call sites.
-    """
-    return concat_ranges(starts, counts)
 
 
 def _levels(levels) -> list[np.ndarray]:
@@ -164,7 +153,6 @@ def lower_solve_csr(indptr, indices, data, b, levels,
     if engine != "numpy" and _kernels.lower_solve_csr(
             indptr, indices, data, x, engine):
         return x
-    # lint: loop-ok (one vectorised batch per dependency level, O(levels))
     for rows in _levels(levels):
         x[rows] -= _row_dot(indptr, indices, data, x, rows)
     return x
@@ -178,7 +166,6 @@ def upper_solve_csr(indptr, indices, data, inv_diag, b, levels,
     if engine != "numpy" and _kernels.upper_solve_csr(
             indptr, indices, data, inv_diag, x, engine):
         return x
-    # lint: loop-ok (one vectorised batch per dependency level, O(levels))
     for rows in _levels(levels):
         x[rows] = (x[rows] - _row_dot(indptr, indices, data, x, rows)) \
             * inv_diag[rows].astype(np.float64, copy=False)
@@ -192,7 +179,7 @@ def _row_dot_blocks(indptr, indices, data, x, rows, bs):
     if total == 0:
         return np.zeros((rows.size, bs), dtype=x.dtype)
     out_row = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
-    flat = _ranges(starts, counts)
+    flat = concat_ranges(starts, counts)
     prods = np.einsum("kij,kj->ki", data[flat].astype(x.dtype, copy=False),
                       x[indices[flat]])
     return segment_sum(out_row, prods, rows.size).astype(x.dtype, copy=False)
@@ -211,7 +198,6 @@ def lower_solve_blocks(indptr, indices, data, b, levels, bs,
             indptr, indices, data, x, bs, engine):
         return x
     x = x.reshape(-1, bs)
-    # lint: loop-ok (one vectorised batch per dependency level, O(levels))
     for rows in _levels(levels):
         x[rows] -= _row_dot_blocks(indptr, indices, data, x, rows, bs)
     return x.ravel()
@@ -226,7 +212,6 @@ def upper_solve_blocks(indptr, indices, data, inv_diag, b, levels, bs,
             indptr, indices, data, inv_diag, x, bs, engine):
         return x
     x = x.reshape(-1, bs)
-    # lint: loop-ok (one vectorised batch per dependency level, O(levels))
     for rows in _levels(levels):
         rhs = x[rows] - _row_dot_blocks(indptr, indices, data, x, rows, bs)
         x[rows] = np.einsum(

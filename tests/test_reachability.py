@@ -30,7 +30,6 @@ ALLOWED = {
     "repro.sparse.spmv": "R001 oracle, paired with tests",
     "repro.lint.rules.*": "plugins: the manifest imports them for the "
                           "@rule side effect, which reads no name",
-    "repro.lint.astutil": "helper of the rule plugins",
 }
 
 
