@@ -18,8 +18,9 @@ import numpy as np
 
 from repro import kernels as _kernels
 from repro.euler.boundary import BoundaryCondition
-from repro.euler.fluxes import (rusanov_flux, rusanov_flux_jacobians,
-                                rusanov_model)
+from repro.euler.fluxes import (flux_family, rusanov_flux,
+                                rusanov_flux_jacobians,
+                                rusanov_half_jacobian, rusanov_model)
 from repro.euler.reconstruction import (Limiter, green_gauss_gradients,
                                         reconstruct_edge_states)
 from repro.mesh.dualmesh import DualMetrics, compute_dual_metrics
@@ -168,28 +169,63 @@ class EdgeFVDiscretization:
     def assemble_jacobian(self, qflat: np.ndarray) -> BSRMatrix:
         """First-order point-block Jacobian (the preconditioner matrix;
         the paper always builds it from the first-order scheme)."""
+        return self._jacobian(qflat, None)
+
+    def shifted_jacobian(self, qflat: np.ndarray, cfl: float) -> BSRMatrix:
+        """J(q) + (V/dt) I, the matrix of one PTC step."""
+        return self._jacobian(qflat, cfl)
+
+    def _jacobian(self, qflat: np.ndarray, cfl: float | None) -> BSRMatrix:
+        """J(q), shifted by (V/dt) I of :meth:`timestep_shift` when
+        ``cfl`` is given.
+
+        On the compiled tier one C pass per edge computes both flux
+        Jacobians and the frozen wave speed, writes the two
+        off-diagonal blocks into their slots of the matrix and sums the
+        diagonal blocks and the wave speeds the shift is made of —
+        bitwise the numpy composition below, the oracle.  It gates on
+        the exact flux-Jacobian family, not on the interface flux: a
+        Roe residual's preconditioner matrix is this Rusanov Jacobian
+        too.  The shift is added to the diagonal blocks before they are
+        stored, whole ``shift I`` blocks, zeros included, so every
+        value (signed zeros too) is that of ``J.add_block_diagonal``,
+        without its copy of the data.
+        """
         q = qflat.reshape(self.mesh.num_vertices, self.ncomp)
-        e0 = self.mesh.edges[:, 0]
-        e1 = self.mesh.edges[:, 1]
         s = self.dual.edge_normals
-        jl, jr = rusanov_flux_jacobians(q[e0], q[e1], s,
-                                        self._flux_jacobian, self._wavespeed)
         n = self.mesh.num_vertices
-        nc2 = self.ncomp * self.ncomp
-        # R_i += F_ij  ->  dR_i/dq_i += jl, dR_i/dq_j += jr
-        # R_j -= F_ij  ->  dR_j/dq_j -= jr, dR_j/dq_i -= jl
-        scat = (_kernels.edge_scatter2(e0, e1, jl, jr, n, self.engine)
-                if self.engine != "numpy" else None)
-        if scat is not None:
-            diag = scat[0] - scat[1]
+        st = self.structure
+        family = flux_family(self) if self.engine != "numpy" else None
+        fused = (_kernels.rusanov_jacobian_scatter(
+            *self.mesh.edge_endpoints(), st.edge_ij_slots, st.edge_ji_slots,
+            q, s, st.nnzb, *family, self.engine)
+            if family is not None else None)
+        if fused is not None:
+            data, diag, lam_sum = fused
         else:
+            e0 = self.mesh.edges[:, 0]
+            e1 = self.mesh.edges[:, 1]
+            jl, jr = rusanov_flux_jacobians(q[e0], q[e1], s,
+                                            self._flux_jacobian,
+                                            self._wavespeed)
+            nc2 = self.ncomp * self.ncomp
+            # R_i += F_ij  ->  dR_i/dq_i += jl, dR_i/dq_j += jr
+            # R_j -= F_ij  ->  dR_j/dq_j -= jr, dR_j/dq_i -= jl
             diag = (segment_sum(e0, jl, n,
                                 self.mesh.edge_scatter_index(0, nc2))
                     - segment_sum(e1, jr, n,
                                   self.mesh.edge_scatter_index(1, nc2)))
         self._add_boundary_jacobian(q, diag)
-        return assemble_bsr(self.structure, self.ncomp, diag,
-                            off_ij=jr, off_ji=-jl, engine=self.engine)
+        if cfl is not None:
+            shift = (self.timestep_shift(qflat, cfl) if fused is None
+                     else self._shift_from_edge_sums(q, lam_sum, cfl))
+            diag += shift[:, None, None] * np.eye(self.ncomp)[None]
+        if fused is None:
+            return assemble_bsr(st, self.ncomp, diag, off_ij=jr,
+                                off_ji=-jl, engine=self.engine)
+        data[st.diag_slots] = diag
+        return BSRMatrix(indptr=st.indptr, indices=st.indices, data=data,
+                         nbcols=n, engine=self.engine)
 
     def _add_boundary_jacobian(self, q: np.ndarray, diag: np.ndarray) -> None:
         bc = self.bc
@@ -202,12 +238,14 @@ class EdgeFVDiscretization:
             diag[bc.vertices[wm]] += jw
         fm = bc.farfield_mask
         if fm.any():
+            # the left Jacobian of the Rusanov flux against the frozen
+            # freestream (the freestream side's own Jacobian is unused)
             qi = qb[fm]
             qe = np.broadcast_to(self.farfield_state, qi.shape)
-            jl, _ = rusanov_flux_jacobians(qi, qe, bc.normals[fm],
-                                           self._flux_jacobian,
-                                           self._wavespeed)
-            diag[bc.vertices[fm]] += jl
+            nf = bc.normals[fm]
+            lam = np.maximum(self._wavespeed(qi, nf), self._wavespeed(qe, nf))
+            diag[bc.vertices[fm]] += rusanov_half_jacobian(
+                self._flux_jacobian(qi, nf), lam)
 
     # -- pseudo-transient scaling ------------------------------------------
     def timestep_shift(self, qflat: np.ndarray, cfl: float) -> np.ndarray:
@@ -230,17 +268,16 @@ class EdgeFVDiscretization:
             acc = (segment_sum(e0, lam, n, self.mesh.edge_scatter_index(0, 1))
                    + segment_sum(e1, lam, n,
                                  self.mesh.edge_scatter_index(1, 1)))
+        return self._shift_from_edge_sums(q, acc, cfl)
+
+    def _shift_from_edge_sums(self, q: np.ndarray, acc: np.ndarray,
+                              cfl: float) -> np.ndarray:
+        """:meth:`timestep_shift` from its per-vertex edge sums ``acc``
+        (updated in place): the boundary faces' wave speeds, then 1/CFL."""
         bc = self.bc
         if bc.vertices.size:
             acc[bc.vertices] += self._wavespeed(q[bc.vertices], bc.normals)
         return acc / cfl
-
-    def shifted_jacobian(self, qflat: np.ndarray, cfl: float) -> BSRMatrix:
-        """J(q) + (V/dt) I, the matrix of one PTC step."""
-        jac = self.assemble_jacobian(qflat)
-        shift = self.timestep_shift(qflat, cfl)
-        dblocks = shift[:, None, None] * np.eye(self.ncomp)[None]
-        return jac.add_block_diagonal(dblocks)
 
     # -- matrix-free operator ----------------------------------------------
     def jacobian_operator(self, qflat: np.ndarray, *,

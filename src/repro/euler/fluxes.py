@@ -20,7 +20,8 @@ __all__ = [
     "incompressible_wavespeed",
     "compressible_flux", "compressible_flux_jacobian",
     "compressible_wavespeed",
-    "rusanov_flux", "rusanov_flux_jacobians", "rusanov_model",
+    "rusanov_flux", "rusanov_flux_jacobians", "rusanov_half_jacobian",
+    "rusanov_model", "flux_family",
 ]
 
 # ----------------------------------------------------------------------
@@ -147,15 +148,13 @@ def rusanov_flux(ql: np.ndarray, qr: np.ndarray, s: np.ndarray,
                                                    - np.atleast_2d(ql))
 
 
-def rusanov_model(disc) -> tuple[str, float] | None:
-    """``(model, param)`` for the end-to-end compiled Rusanov scatter
-    kernel (``repro.kernels.rusanov_scatter``), or ``None`` when the
-    discretisation's interior flux is not one the compiled kernel
-    mirrors.
+def flux_family(disc) -> tuple[str, float] | None:
+    """``(model, param)`` of the discretisation's pointwise flux family
+    — the flux, flux Jacobian and wave speed the compiled kernels
+    mirror — or ``None`` when it is not one of them.
 
-    The checks are deliberately exact-type: a subclass may override
-    ``_flux``/``_numerical_flux`` (as ``CompressibleEuler`` does for
-    Roe), and the compiled arithmetic must only replace the flux it was
+    The check is deliberately exact-type: a subclass may override any
+    hook, and the compiled arithmetic must only replace what it was
     written against.  Imported lazily to keep this module free of the
     discretisation dependency cycle.
     """
@@ -164,9 +163,25 @@ def rusanov_model(disc) -> tuple[str, float] | None:
 
     if type(disc) is IncompressibleEuler:
         return "incompressible", float(disc.beta)
-    if type(disc) is CompressibleEuler and disc.flux_scheme == "rusanov":
+    if type(disc) is CompressibleEuler:
         return "compressible", float(disc.gamma)
     return None
+
+
+def rusanov_model(disc) -> tuple[str, float] | None:
+    """``(model, param)`` for the end-to-end compiled Rusanov scatter
+    kernel (``repro.kernels.rusanov_scatter``), or ``None`` when the
+    discretisation's interior flux is not one the compiled kernel
+    mirrors: its :func:`flux_family`, unless the interface flux is Roe
+    (``CompressibleEuler(flux_scheme="roe")``).  The first-order
+    Jacobian differentiates the Rusanov flux whatever the residual
+    runs, so its kernel gates on :func:`flux_family` alone.
+    """
+    family = flux_family(disc)
+    if family is not None and getattr(disc, "flux_scheme",
+                                      "rusanov") != "rusanov":
+        return None
+    return family
 
 
 def rusanov_flux_jacobians(ql: np.ndarray, qr: np.ndarray, s: np.ndarray,
@@ -178,11 +193,13 @@ def rusanov_flux_jacobians(ql: np.ndarray, qr: np.ndarray, s: np.ndarray,
     the paper builds its preconditioner from: dF/dql = (A(ql)+lam I)/2,
     dF/dqr = (A(qr)-lam I)/2.
     """
-    al = flux_jacobian(ql, s, **kw)
-    ar = flux_jacobian(qr, s, **kw)
     lam = np.maximum(wavespeed(ql, s, **kw), wavespeed(qr, s, **kw))
-    ncomp = al.shape[1]
-    eye = np.eye(ncomp)[None]
-    jl = 0.5 * (al + lam[:, None, None] * eye)
-    jr = 0.5 * (ar - lam[:, None, None] * eye)
-    return jl, jr
+    return (rusanov_half_jacobian(flux_jacobian(ql, s, **kw), lam),
+            rusanov_half_jacobian(flux_jacobian(qr, s, **kw), -lam))
+
+
+def rusanov_half_jacobian(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``(A + lam I) / 2`` for a batch of flux Jacobians ``a`` (m, nc,
+    nc): the left-state Rusanov Jacobian, or with ``-lam`` the right
+    one (``a - lam I`` and ``a + (-lam) I`` are the same IEEE sums)."""
+    return 0.5 * (a + lam[:, None, None] * np.eye(a.shape[1])[None])

@@ -1,25 +1,25 @@
 """Compiled kernel tier: an optional C backend behind the oracles.
 
 The paper's hot paths — ILU set-up and triangular solves,
-flux-residual scatter, SpMV, Jacobian-assembly scatter — are kernels whose
-numpy formulations pay for gather/scatter index arrays and multi-pass
-temporaries.  This package provides compiled twins (a cffi-compiled C
-library) selected by the ``engine="compiled"`` knob — the default of
-:class:`repro.core.SolverConfig` — that the solver threads through the
-discretisation, preconditioners, and SPMD executors, exactly like
-``memory.fastsim``'s ``engine=``.
+flux-residual scatter, SpMV, first-order Jacobian assembly — are
+kernels whose numpy formulations pay for gather/scatter index arrays
+and multi-pass temporaries.  This package provides compiled twins (a
+cffi-compiled C library) selected by the ``engine="compiled"`` knob —
+the default of :class:`repro.core.SolverConfig` — that the solver
+threads through the discretisation, preconditioners, and SPMD
+executors, exactly like ``memory.fastsim``'s ``engine=``.
 
 Contract:
 
 * the numpy implementation is always retained and is the oracle —
-  scatter/CSR kernels and the Green-Gauss gradients match it
-  **bitwise**, block kernels and the fused flux kernels within a
-  few **ULP** (``np.einsum`` uses SIMD pairwise summation the
-  compiled loops do not replicate portably);
-* the edge kernels check every endpoint, and the ILU kernels every
-  column of A, against ``[0, n)`` and *decline* on an offending index,
-  so the caller's numpy path raises what it raises without a compiled
-  tier;
+  scatter/CSR kernels, the Green-Gauss gradients and the Jacobian
+  assembly match it **bitwise**, block kernels and the fused flux
+  kernels within a few **ULP** (``np.einsum`` uses SIMD pairwise
+  summation the compiled loops do not replicate portably);
+* every kernel checks each index it dereferences — edge endpoints,
+  columns and row pointers, segment ids, block slots — against the
+  extent it addresses and *declines* on an offending one, so the
+  caller's numpy path raises what it raises without a compiled tier;
 * no hard dependency: a missing compiler or cffi degrades every
   dispatch below to the numpy path (the functions return ``None`` /
   ``False`` and the caller runs its oracle);
@@ -41,7 +41,7 @@ from repro.kernels.cbackend import ILU_OK
 __all__ = ["backend_for", "resolve_engine", "edge_scatter2", "spmv_csr",
            "spmv_bsr", "gather_spmv_bsr", "lower_solve_csr",
            "upper_solve_csr", "lower_solve_bsr", "upper_solve_bsr",
-           "assemble_scatter", "rusanov_scatter", "green_gauss",
+           "rusanov_jacobian_scatter", "rusanov_scatter", "green_gauss",
            "muscl_rusanov_scatter", "ilu_symbolic", "ilu_numeric"]
 
 #: Block-size cap of the compiled BSR kernels (C stack buffers).
@@ -121,12 +121,20 @@ def spmv_csr(indptr, indices, data, x, engine, rows=None):
         return None
     data = _f64(np.asarray(data))
     x = _f64(np.asarray(x))
-    if data is None or x is None:
+    indptr, indices = _i64(indptr), _i64(indices)
+    if data is None or x is None or data.shape != indices.shape:
         return None
     if rows is None:
-        return backend.spmv_csr(_i64(indptr), _i64(indices), data, x)
-    return backend.spmv_csr_rows(_i64(indptr), _i64(indices), data, x,
-                                 _i64(rows))
+        return backend.spmv_csr(indptr, indices, data, x)
+    return backend.spmv_csr_rows(indptr, indices, data, x, _i64(rows))
+
+
+def _blocks_ok(data, nnzb, x) -> bool:
+    """``data`` is ``nnzb`` square blocks the C stack buffers fit, and
+    ``x`` a whole number of block rows."""
+    return (data.ndim == 3 and data.shape[0] == nnzb
+            and 1 <= data.shape[1] == data.shape[2] <= MAX_BS
+            and x.size % data.shape[1] == 0)
 
 
 def spmv_bsr(indptr, indices, data, x, nbrows, engine):
@@ -136,23 +144,44 @@ def spmv_bsr(indptr, indices, data, x, nbrows, engine):
         return None
     data = _f64(np.asarray(data))
     x = _f64(np.asarray(x))
-    if data is None or x is None or data.shape[1] > MAX_BS:
+    indptr, indices = _i64(indptr), _i64(indices)
+    if data is None or x is None or not _blocks_ok(data, indices.size, x):
         return None
-    return backend.spmv_bsr(_i64(indptr), _i64(indices), data, x,
-                            int(nbrows))
+    return backend.spmv_bsr(indptr, indices, data, x, int(nbrows))
 
 
-def gather_spmv_bsr(data_blocks, cols, seg, x, n_owned, engine):
-    """The SPMD rank SpMV on pre-gathered block rows; ULP-bounded."""
+def gather_spmv_bsr(data, cols, seg, x, n_owned, engine, flat=None):
+    """The SPMD rank SpMV, ULP-bounded: ``y[seg[k]] += B_k x[cols[k]]``
+    where block ``B_k`` is ``data[k]`` (pre-gathered rows) or, given
+    ``flat``, ``data[flat[k]]`` read in place from the whole matrix."""
     backend = backend_for(engine)
     if backend is None:
         return None
-    data_blocks = _f64(np.asarray(data_blocks))
+    data = _f64(np.asarray(data))
     x = _f64(np.asarray(x))
-    if data_blocks is None or x is None or data_blocks.shape[1] > MAX_BS:
+    cols, seg = _i64(cols), _i64(seg)
+    if flat is not None:
+        flat = _i64(flat)
+    if (data is None or x is None or seg.shape != cols.shape
+            or (flat is not None and flat.shape != cols.shape)
+            or not _blocks_ok(data, cols.size if flat is None
+                              else data.shape[0], x)):
         return None
-    return backend.gather_spmv_bsr(data_blocks, _i64(cols), _i64(seg), x,
-                                   int(n_owned))
+    return backend.gather_spmv_bsr(data, cols, seg, x, int(n_owned), flat)
+
+
+def _trisolve_ok(indptr, indices, data, x, blk, inv_diag=None) -> bool:
+    """Factor arrays a C trisolve can take: float32/64 values of shape
+    ``blk`` (``()`` scalar, ``(bs, bs)``), one per index, and a float64
+    ``x`` (and ``inv_diag``) sized to the rows."""
+    n = indptr.size - 1
+    width = blk[0] if blk else 1
+    return (data is not None and data.shape == indices.shape + blk
+            and x.dtype == np.float64 and x.flags.c_contiguous
+            and x.size == n * width
+            and (inv_diag is None
+                 or (inv_diag.dtype == data.dtype
+                     and inv_diag.shape == (n,) + blk)))
 
 
 def lower_solve_csr(indptr, indices, data, x, engine) -> bool:
@@ -160,17 +189,19 @@ def lower_solve_csr(indptr, indices, data, x, engine) -> bool:
     (a topological order of any strictly lower pattern); bitwise vs the
     level-batched oracle.
 
-    Returns True when the compiled path ran (``x`` now holds the
-    solution), False when the caller must run the numpy levels loop.
+    Returns True when the compiled path solved every row (``x`` now
+    holds the solution), False when the caller must run the numpy
+    levels loop — on an index out of range after the rows before it
+    were solved in place.
     """
     backend = backend_for(engine)
     if backend is None:
         return False
     data = _factor(np.asarray(data))
-    if data is None:
+    indptr, indices = _i64(indptr), _i64(indices)
+    if not _trisolve_ok(indptr, indices, data, x, ()):
         return False
-    backend.lower_solve_csr(_i64(indptr), _i64(indices), data, x)
-    return True
+    return backend.lower_solve_csr(indptr, indices, data, x)
 
 
 def upper_solve_csr(indptr, indices, data, inv_diag, x, engine) -> bool:
@@ -181,36 +212,38 @@ def upper_solve_csr(indptr, indices, data, inv_diag, x, engine) -> bool:
         return False
     data = _factor(np.asarray(data))
     inv_diag = _factor(np.asarray(inv_diag))
-    if data is None or inv_diag is None or data.dtype != inv_diag.dtype:
+    indptr, indices = _i64(indptr), _i64(indices)
+    if inv_diag is None or not _trisolve_ok(indptr, indices, data, x, (),
+                                            inv_diag):
         return False
-    backend.upper_solve_csr(_i64(indptr), _i64(indices), data, inv_diag, x)
-    return True
+    return backend.upper_solve_csr(indptr, indices, data, inv_diag, x)
 
 
 def lower_solve_bsr(indptr, indices, data, x, bs, engine) -> bool:
     """In-place block lower solve; ULP-bounded vs the einsum oracle."""
     backend = backend_for(engine)
-    if backend is None or bs > MAX_BS:
+    if backend is None or not 1 <= bs <= MAX_BS:
         return False
     data = _factor(np.asarray(data))
-    if data is None:
+    indptr, indices = _i64(indptr), _i64(indices)
+    if not _trisolve_ok(indptr, indices, data, x, (bs, bs)):
         return False
-    backend.lower_solve_bsr(_i64(indptr), _i64(indices), data, x, int(bs))
-    return True
+    return backend.lower_solve_bsr(indptr, indices, data, x, int(bs))
 
 
 def upper_solve_bsr(indptr, indices, data, inv_diag, x, bs, engine) -> bool:
     """In-place block upper solve; ULP-bounded vs the einsum oracle."""
     backend = backend_for(engine)
-    if backend is None or bs > MAX_BS:
+    if backend is None or not 1 <= bs <= MAX_BS:
         return False
     data = _factor(np.asarray(data))
     inv_diag = _factor(np.asarray(inv_diag))
-    if data is None or inv_diag is None or data.dtype != inv_diag.dtype:
+    indptr, indices = _i64(indptr), _i64(indices)
+    if inv_diag is None or not _trisolve_ok(indptr, indices, data, x,
+                                            (bs, bs), inv_diag):
         return False
-    backend.upper_solve_bsr(_i64(indptr), _i64(indices), data, inv_diag,
-                            x, int(bs))
-    return True
+    return backend.upper_solve_bsr(indptr, indices, data, inv_diag, x,
+                                   int(bs))
 
 
 def ilu_symbolic(indptr, indices, fill_level, engine):
@@ -387,14 +420,39 @@ def muscl_rusanov_scatter(e0, e1, q, grad, coords, s, limiter, model,
                                          model, float(param))
 
 
-def assemble_scatter(slots, src, sign, data, engine) -> bool:
-    """``data[slots] = sign * src`` blockwise into the BSR data array;
-    bitwise vs the fancy-indexed assignment (sign is +-1.0)."""
+def rusanov_jacobian_scatter(e0, e1, ij_slots, ji_slots, q, s, nnzb, model,
+                             param, engine):
+    """First-order Rusanov Jacobian of every edge, scattered in one pass.
+
+    Per edge ``(i, j)``: the flux Jacobians ``A(q_i)``, ``A(q_j)`` of
+    ``model`` (``param`` is beta for incompressible, gamma for
+    compressible) and the frozen ``lam``; ``jr`` lands in block
+    ``ij_slots`` and ``-jl`` in block ``ji_slots`` of a fresh
+    ``(nnzb, nc, nc)`` data array, and ``jl`` / ``jr`` / ``lam``
+    accumulate into per-vertex sums in edge order.  Returns ``(data,
+    diag, lam_sum)``: ``diag`` the edge part of the diagonal blocks
+    (``sum_{e0==i} jl - sum_{e1==i} jr``), ``lam_sum`` the edge part of
+    the pseudo-timestep's wave-speed sum (``sum_{e0==i} lam + sum_{e1==i}
+    lam``), each **bitwise** its numpy composition
+    (:func:`repro.euler.fluxes.rusanov_flux_jacobians`, the wave
+    speeds, two ``segment_sum`` per sum, the slot assignments).  None
+    for the numpy path, including on an endpoint outside ``[0, n)`` or
+    a slot outside ``[0, nnzb)``.
+    """
     backend = backend_for(engine)
     if backend is None:
-        return False
-    src = _f64(np.asarray(src))
-    if src is None or data.dtype != np.float64:
-        return False
-    backend.scatter_blocks(_i64(slots), src, sign, data)
-    return True
+        return None
+    ncomp = _RUSANOV_MODELS.get(model)
+    if ncomp is None:
+        return None
+    q = _f64(np.asarray(q))
+    s = _f64(np.asarray(s))
+    if q is None or s is None or q.ndim != 2 or q.shape[1] != ncomp:
+        return None
+    e0, e1 = _i64(e0), _i64(e1)
+    ij_slots, ji_slots = _i64(ij_slots), _i64(ji_slots)
+    if (not e0.shape == e1.shape == ij_slots.shape == ji_slots.shape
+            or s.shape != (e0.size, 3)):
+        return None
+    return backend.rusanov_jacobian_scatter(e0, e1, ij_slots, ji_slots, q, s,
+                                            int(nnzb), model, float(param))

@@ -5,16 +5,21 @@ the equivalence contract is provable, not hoped for:
 
 * scatter/CSR kernels and the Green-Gauss gradient pass replicate
   ``np.bincount``'s per-target sequential accumulation order and are
-  **bitwise** identical;
+  **bitwise** identical; so is the first-order Jacobian assembly, which
+  also copies the lane order of ``np.einsum``'s length-3 dot products;
 * block (bs x bs) kernels keep the oracle's outer order (blocks in
   slot order) but sum the inner ``j`` contraction sequentially where
   ``np.einsum`` may use SIMD pairwise order, so they are **ULP-bounded**
   rather than bitwise; so are the two fused flux kernels (first-order
   Rusanov + scatter, second-order MUSCL + Rusanov + scatter), whose
   length-3 dot products are sequential;
-* every edge kernel checks both endpoints of an edge against
-  ``[0, n)`` before it reads or writes for that edge and reports the
-  first offending edge, so a bad index never leaves a buffer;
+* every kernel checks each index against the extent it addresses
+  before it reads or writes through it — an edge's endpoints, a
+  column, a row pointer, a segment id, a block slot — and reports the
+  first offending edge or row, so a bad index never leaves a buffer;
+* the block triangular solves run their loop with the block size a
+  compile-time constant for bs 4 and 5 (the Euler Jacobians), in the
+  generic loop's order;
 * float32-storage trisolves widen each loaded value to float64 before
   any arithmetic, exactly like the oracle's ``astype(np.float64)``
   (the paper's Table 2: f32 storage, f64 arithmetic);
@@ -60,7 +65,7 @@ __oracles__ = {
     "upper_solve_bsr": "repro.sparse.trisolve.upper_solve_blocks",
     "ilu_symbolic": "repro.sparse.ilu.ilu_symbolic_ref",
     "ilu_numeric": "repro.sparse.ilu.ilu_bsr_ref",
-    "scatter_blocks": "repro.sparse.layouts.assemble_bsr",
+    "rusanov_jacobian_scatter": "repro.euler.fluxes.rusanov_flux_jacobians",
     "rusanov_scatter": "repro.euler.fluxes.rusanov_flux",
     "green_gauss": "repro.euler.reconstruction.green_gauss_gradients",
     "muscl_rusanov_scatter":
@@ -73,38 +78,42 @@ _CDEF = """
 long long edge_scatter2_f64(long long ne, long long n, long long ncomp,
     const long long *e0, const long long *e1,
     const double *wa, const double *wb, double *out_a, double *out_b);
-void spmv_csr_f64(long long nrows, const long long *indptr,
-    const long long *indices, const double *data, const double *x,
-    double *y);
-void spmv_csr_rows_f64(long long nsel, const long long *rows,
-    const long long *indptr, const long long *indices,
-    const double *data, const double *x, double *y);
-void spmv_bsr_f64(long long nbrows, long long bs,
-    const long long *indptr, const long long *indices,
-    const double *data, const double *x, double *y);
-void gather_spmv_bsr_f64(long long nblocks, long long bs,
-    const long long *cols, const long long *seg, const double *data,
+long long spmv_csr_f64(long long nrows, long long ncols, long long nnz,
+    const long long *indptr, const long long *indices, const double *data,
     const double *x, double *y);
-void lower_solve_csr_f64(long long n, const long long *indptr,
-    const long long *indices, const double *data, double *x);
-void lower_solve_csr_f32(long long n, const long long *indptr,
-    const long long *indices, const float *data, double *x);
-void upper_solve_csr_f64(long long n, const long long *indptr,
-    const long long *indices, const double *data, const double *inv_diag,
+long long spmv_csr_rows_f64(long long nsel, long long nrows,
+    long long ncols, long long nnz, const long long *rows,
+    const long long *indptr, const long long *indices,
+    const double *data, const double *x, double *y);
+long long spmv_bsr_f64(long long nbrows, long long bs, long long nbcols,
+    long long nnzb, const long long *indptr, const long long *indices,
+    const double *data, const double *x, double *y);
+long long gather_spmv_bsr_f64(long long nblocks, long long bs,
+    long long ndata, long long nx, long long n_owned,
+    const long long *flat, const long long *cols, const long long *seg,
+    const double *data, const double *x, double *y);
+long long lower_solve_csr_f64(long long n, long long nnz,
+    const long long *indptr, const long long *indices, const double *data,
     double *x);
-void upper_solve_csr_f32(long long n, const long long *indptr,
-    const long long *indices, const float *data, const float *inv_diag,
+long long lower_solve_csr_f32(long long n, long long nnz,
+    const long long *indptr, const long long *indices, const float *data,
     double *x);
-void lower_solve_bsr_f64(long long n, long long bs,
+long long upper_solve_csr_f64(long long n, long long nnz,
+    const long long *indptr, const long long *indices, const double *data,
+    const double *inv_diag, double *x);
+long long upper_solve_csr_f32(long long n, long long nnz,
+    const long long *indptr, const long long *indices, const float *data,
+    const float *inv_diag, double *x);
+long long lower_solve_bsr_f64(long long n, long long bs, long long nnz,
     const long long *indptr, const long long *indices,
     const double *data, double *x);
-void lower_solve_bsr_f32(long long n, long long bs,
+long long lower_solve_bsr_f32(long long n, long long bs, long long nnz,
     const long long *indptr, const long long *indices,
     const float *data, double *x);
-void upper_solve_bsr_f64(long long n, long long bs,
+long long upper_solve_bsr_f64(long long n, long long bs, long long nnz,
     const long long *indptr, const long long *indices,
     const double *data, const double *inv_diag, double *x);
-void upper_solve_bsr_f32(long long n, long long bs,
+long long upper_solve_bsr_f32(long long n, long long bs, long long nnz,
     const long long *indptr, const long long *indices,
     const float *data, const float *inv_diag, double *x);
 long long ilu_symbolic_i64(long long n, long long fill,
@@ -119,9 +128,16 @@ long long ilu_numeric_f64(long long n, long long bs,
     const long long *a_indptr, const long long *a_indices,
     const double *a_data, double *l_data, double *u_data,
     double *inv_diag, long long *pos, double *w);
-void scatter_blocks_f64(long long nslots, long long bsq,
-    const long long *slots, const double *src, double sign,
-    double *data);
+long long rusanov_jacobian_scatter_inc(long long ne, long long n,
+    long long nnzb, const long long *e0, const long long *e1,
+    const long long *ij_slots, const long long *ji_slots, const double *q,
+    const double *s, double beta, double *data, double *acc_a,
+    double *acc_b, double *lam_a, double *lam_b);
+long long rusanov_jacobian_scatter_comp(long long ne, long long n,
+    long long nnzb, const long long *e0, const long long *e1,
+    const long long *ij_slots, const long long *ji_slots, const double *q,
+    const double *s, double gamma, double *data, double *acc_a,
+    double *acc_b, double *lam_a, double *lam_b);
 long long rusanov_scatter_inc(long long ne, long long n,
     const long long *e0, const long long *e1, const double *ql,
     const double *qr, const double *s, double beta,
@@ -152,9 +168,8 @@ _SOURCE = r"""
  * the first offending edge (-1: none).  The outputs are then partial;
  * the wrapper drops them and the dispatcher declines, so the caller's
  * numpy path raises what it raises without a compiled tier. */
-#define ENDPOINTS_IN_RANGE(i, j, n)                                     \
-    ((unsigned long long)(i) < (unsigned long long)(n)                  \
-     && (unsigned long long)(j) < (unsigned long long)(n))
+#define IN_RANGE(k, n) ((unsigned long long)(k) < (unsigned long long)(n))
+#define ENDPOINTS_IN_RANGE(i, j, n) (IN_RANGE(i, n) && IN_RANGE(j, n))
 
 /* Fused two-target edge scatter.  For each accumulator the additions
  * land in edge order m = 0..ne-1, the exact order np.bincount uses,
@@ -179,45 +194,76 @@ long long edge_scatter2_f64(long long ne, long long n, long long ncomp,
     return -1;
 }
 
+/* Every matrix kernel checks each index before it dereferences it —
+ * a row's pointer pair against [0, nnz], a column, a segment id or a
+ * slot against its own extent — and returns the first offending row
+ * (block, for gather_spmv_bsr), -1 when there is none.  One unsigned
+ * compare per stored entry, inside the loop that loads it.  In-place
+ * kernels leave the rows before the offending one solved; the callers
+ * start their fallback from the right-hand side again. */
+#define ROW_IN_RANGE(lo, hi, nnz)                                       \
+    ((unsigned long long)(lo) <= (unsigned long long)(hi)               \
+     && (unsigned long long)(hi) <= (unsigned long long)(nnz))
+
 /* Scalar CSR SpMV: per-row sequential accumulation in entry order ==
  * bincount order of the gather/segment-sum kernel (bitwise). */
-void spmv_csr_f64(long long nrows, const long long *indptr,
-    const long long *indices, const double *data, const double *x,
-    double *y)
+static inline long long csr_row_dot(long long i, long long ncols,
+    long long nnz, const long long *indptr, const long long *indices,
+    const double *data, const double *x, double *out)
 {
-    for (long long i = 0; i < nrows; ++i) {
-        double acc = 0.0;
-        for (long long t = indptr[i]; t < indptr[i + 1]; ++t)
-            acc += data[t] * x[indices[t]];
-        y[i] = acc;
+    long long lo = indptr[i], hi = indptr[i + 1];
+    if (!ROW_IN_RANGE(lo, hi, nnz))
+        return 0;
+    double acc = 0.0;
+    for (long long t = lo; t < hi; ++t) {
+        if (!IN_RANGE(indices[t], ncols))
+            return 0;
+        acc += data[t] * x[indices[t]];
     }
+    *out = acc;
+    return 1;
 }
 
-void spmv_csr_rows_f64(long long nsel, const long long *rows,
+long long spmv_csr_f64(long long nrows, long long ncols, long long nnz,
+    const long long *indptr, const long long *indices, const double *data,
+    const double *x, double *y)
+{
+    for (long long i = 0; i < nrows; ++i)
+        if (!csr_row_dot(i, ncols, nnz, indptr, indices, data, x, y + i))
+            return i;
+    return -1;
+}
+
+long long spmv_csr_rows_f64(long long nsel, long long nrows,
+    long long ncols, long long nnz, const long long *rows,
     const long long *indptr, const long long *indices,
     const double *data, const double *x, double *y)
 {
-    for (long long k = 0; k < nsel; ++k) {
-        long long i = rows[k];
-        double acc = 0.0;
-        for (long long t = indptr[i]; t < indptr[i + 1]; ++t)
-            acc += data[t] * x[indices[t]];
-        y[k] = acc;
-    }
+    for (long long k = 0; k < nsel; ++k)
+        if (!IN_RANGE(rows[k], nrows)
+            || !csr_row_dot(rows[k], ncols, nnz, indptr, indices, data, x,
+                            y + k))
+            return k;
+    return -1;
 }
 
 /* Block SpMV: per-block partial gemv, blocks accumulated in slot
  * order (the bincount order); the inner j-sum is sequential where
  * einsum may pair, so this is ULP-bounded against the oracle. */
-void spmv_bsr_f64(long long nbrows, long long bs,
-    const long long *indptr, const long long *indices,
+long long spmv_bsr_f64(long long nbrows, long long bs, long long nbcols,
+    long long nnzb, const long long *indptr, const long long *indices,
     const double *data, const double *x, double *y)
 {
     for (long long i = 0; i < nbrows; ++i) {
+        long long lo = indptr[i], hi = indptr[i + 1];
+        if (!ROW_IN_RANGE(lo, hi, nnzb))
+            return i;
         double *yi = y + i * bs;
         for (long long r = 0; r < bs; ++r)
             yi[r] = 0.0;
-        for (long long t = indptr[i]; t < indptr[i + 1]; ++t) {
+        for (long long t = lo; t < hi; ++t) {
+            if (!IN_RANGE(indices[t], nbcols))
+                return i;
             const double *blk = data + t * bs * bs;
             const double *xj = x + indices[t] * bs;
             for (long long r = 0; r < bs; ++r) {
@@ -228,16 +274,24 @@ void spmv_bsr_f64(long long nbrows, long long bs,
             }
         }
     }
+    return -1;
 }
 
-/* The SPMD per-rank SpMV: pre-gathered block rows, explicit segment
- * ids.  y must be zeroed by the caller (length n_owned * bs). */
-void gather_spmv_bsr_f64(long long nblocks, long long bs,
-    const long long *cols, const long long *seg, const double *data,
-    const double *x, double *y)
+/* The SPMD per-rank SpMV: explicit segment ids, blocks either
+ * pre-gathered (flat NULL: block k is data[k]) or read in place from
+ * the whole matrix (block k is data[flat[k]], one of ndata).  y must
+ * be zeroed by the caller (length n_owned * bs). */
+long long gather_spmv_bsr_f64(long long nblocks, long long bs,
+    long long ndata, long long nx, long long n_owned,
+    const long long *flat, const long long *cols, const long long *seg,
+    const double *data, const double *x, double *y)
 {
     for (long long k = 0; k < nblocks; ++k) {
-        const double *blk = data + k * bs * bs;
+        long long b = flat ? flat[k] : k;
+        if (!IN_RANGE(b, ndata) || !IN_RANGE(cols[k], nx)
+            || !IN_RANGE(seg[k], n_owned))
+            return k;
+        const double *blk = data + b * bs * bs;
         const double *xj = x + cols[k] * bs;
         double *yk = y + seg[k] * bs;
         for (long long r = 0; r < bs; ++r) {
@@ -247,6 +301,7 @@ void gather_spmv_bsr_f64(long long nblocks, long long bs,
             yk[r] += p;
         }
     }
+    return -1;
 }
 
 /* Triangular solves, rows in natural order: 0..n-1 for L, n-1..0 for
@@ -258,45 +313,73 @@ void gather_spmv_bsr_f64(long long nblocks, long long bs,
  * to double before arithmetic — identical to the oracle's
  * astype(np.float64). */
 #define LOWER_CSR(NAME, DTYPE)                                          \
-void NAME(long long n, const long long *indptr,                         \
+long long NAME(long long n, long long nnz, const long long *indptr,     \
     const long long *indices, const DTYPE *data, double *x)             \
 {                                                                       \
     for (long long i = 0; i < n; ++i) {                                 \
+        long long lo = indptr[i], hi = indptr[i + 1];                   \
+        if (!ROW_IN_RANGE(lo, hi, nnz))                                 \
+            return i;                                                   \
         double acc = 0.0;                                               \
-        for (long long t = indptr[i]; t < indptr[i + 1]; ++t)           \
+        for (long long t = lo; t < hi; ++t) {                           \
+            if (!IN_RANGE(indices[t], n))                               \
+                return i;                                               \
             acc += (double)data[t] * x[indices[t]];                     \
+        }                                                               \
         x[i] -= acc;                                                    \
     }                                                                   \
+    return -1;                                                          \
 }
 LOWER_CSR(lower_solve_csr_f64, double)
 LOWER_CSR(lower_solve_csr_f32, float)
 
 #define UPPER_CSR(NAME, DTYPE)                                          \
-void NAME(long long n, const long long *indptr,                         \
+long long NAME(long long n, long long nnz, const long long *indptr,     \
     const long long *indices, const DTYPE *data, const DTYPE *inv_diag, \
     double *x)                                                          \
 {                                                                       \
     for (long long i = n - 1; i >= 0; --i) {                            \
+        long long lo = indptr[i], hi = indptr[i + 1];                   \
+        if (!ROW_IN_RANGE(lo, hi, nnz))                                 \
+            return i;                                                   \
         double acc = 0.0;                                               \
-        for (long long t = indptr[i]; t < indptr[i + 1]; ++t)           \
+        for (long long t = lo; t < hi; ++t) {                           \
+            if (!IN_RANGE(indices[t], n))                               \
+                return i;                                               \
             acc += (double)data[t] * x[indices[t]];                     \
+        }                                                               \
         x[i] = (x[i] - acc) * (double)inv_diag[i];                      \
     }                                                                   \
+    return -1;                                                          \
 }
 UPPER_CSR(upper_solve_csr_f64, double)
 UPPER_CSR(upper_solve_csr_f32, float)
 
 #define MAX_BS 32
 
+/* Block triangular solves.  Each is one loop body, NAME_n, that its
+ * entry point NAME calls with bs = 5 and bs = 4 as constants (the Euler
+ * Jacobians' block sizes, as block_submul does) and with the runtime bs
+ * otherwise: forced inline, the constant lets the compiler keep a row
+ * of x in registers and unroll the block, with the loop order and
+ * arithmetic of the generic call. */
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
 #define LOWER_BSR(NAME, DTYPE)                                          \
-void NAME(long long n, long long bs, const long long *indptr,           \
-    const long long *indices, const DTYPE *data, double *x)             \
+ALWAYS_INLINE long long NAME##_n(long long n, long long bs,             \
+    long long nnz, const long long *indptr, const long long *indices,   \
+    const DTYPE *data, double *x)                                       \
 {                                                                       \
     double acc[MAX_BS];                                                 \
     for (long long i = 0; i < n; ++i) {                                 \
+        long long lo = indptr[i], hi = indptr[i + 1];                   \
+        if (!ROW_IN_RANGE(lo, hi, nnz))                                 \
+            return i;                                                   \
         for (long long r = 0; r < bs; ++r)                              \
             acc[r] = 0.0;                                               \
-        for (long long t = indptr[i]; t < indptr[i + 1]; ++t) {         \
+        for (long long t = lo; t < hi; ++t) {                           \
+            if (!IN_RANGE(indices[t], n))                               \
+                return i;                                               \
             const DTYPE *blk = data + t * bs * bs;                      \
             const double *xj = x + indices[t] * bs;                     \
             for (long long r = 0; r < bs; ++r) {                        \
@@ -309,21 +392,37 @@ void NAME(long long n, long long bs, const long long *indptr,           \
         for (long long r = 0; r < bs; ++r)                              \
             x[i * bs + r] -= acc[r];                                    \
     }                                                                   \
+    return -1;                                                          \
+}                                                                       \
+long long NAME(long long n, long long bs, long long nnz,                \
+    const long long *indptr, const long long *indices,                  \
+    const DTYPE *data, double *x)                                       \
+{                                                                       \
+    if (bs == 5)                                                        \
+        return NAME##_n(n, 5, nnz, indptr, indices, data, x);           \
+    if (bs == 4)                                                        \
+        return NAME##_n(n, 4, nnz, indptr, indices, data, x);           \
+    return NAME##_n(n, bs, nnz, indptr, indices, data, x);              \
 }
 LOWER_BSR(lower_solve_bsr_f64, double)
 LOWER_BSR(lower_solve_bsr_f32, float)
 
 #define UPPER_BSR(NAME, DTYPE)                                          \
-void NAME(long long n, long long bs, const long long *indptr,           \
-    const long long *indices, const DTYPE *data,                        \
-    const DTYPE *inv_diag, double *x)                                   \
+ALWAYS_INLINE long long NAME##_n(long long n, long long bs,             \
+    long long nnz, const long long *indptr, const long long *indices,   \
+    const DTYPE *data, const DTYPE *inv_diag, double *x)                \
 {                                                                       \
     double acc[MAX_BS];                                                 \
     double rhs[MAX_BS];                                                 \
     for (long long i = n - 1; i >= 0; --i) {                            \
+        long long lo = indptr[i], hi = indptr[i + 1];                   \
+        if (!ROW_IN_RANGE(lo, hi, nnz))                                 \
+            return i;                                                   \
         for (long long r = 0; r < bs; ++r)                              \
             acc[r] = 0.0;                                               \
-        for (long long t = indptr[i]; t < indptr[i + 1]; ++t) {         \
+        for (long long t = lo; t < hi; ++t) {                           \
+            if (!IN_RANGE(indices[t], n))                               \
+                return i;                                               \
             const DTYPE *blk = data + t * bs * bs;                      \
             const double *xj = x + indices[t] * bs;                     \
             for (long long r = 0; r < bs; ++r) {                        \
@@ -343,6 +442,17 @@ void NAME(long long n, long long bs, const long long *indptr,           \
             x[i * bs + r] = p;                                          \
         }                                                               \
     }                                                                   \
+    return -1;                                                          \
+}                                                                       \
+long long NAME(long long n, long long bs, long long nnz,                \
+    const long long *indptr, const long long *indices,                  \
+    const DTYPE *data, const DTYPE *inv_diag, double *x)                \
+{                                                                       \
+    if (bs == 5)                                                        \
+        return NAME##_n(n, 5, nnz, indptr, indices, data, inv_diag, x); \
+    if (bs == 4)                                                        \
+        return NAME##_n(n, 4, nnz, indptr, indices, data, inv_diag, x); \
+    return NAME##_n(n, bs, nnz, indptr, indices, data, inv_diag, x);    \
 }
 UPPER_BSR(upper_solve_bsr_f64, double)
 UPPER_BSR(upper_solve_bsr_f32, float)
@@ -601,21 +711,6 @@ long long ilu_numeric_f64(long long n, long long bs,
     return status;
 }
 
-/* Jacobian slot scatter: data[slots[k]] = sign * src[k] blockwise.
- * sign is +-1.0; both multiplications are exact, so the result is
- * bitwise-identical to the fancy-indexed assignment it replaces. */
-void scatter_blocks_f64(long long nslots, long long bsq,
-    const long long *slots, const double *src, double sign,
-    double *data)
-{
-    for (long long k = 0; k < nslots; ++k) {
-        double *d = data + slots[k] * bsq;
-        const double *s = src + k * bsq;
-        for (long long c = 0; c < bsq; ++c)
-            d[c] = sign * s[c];
-    }
-}
-
 /* ---- Rusanov face flux, once per family -------------------------
  * F = (F(l)+F(r))/2 - lam/2 (r-l), lam = max wavespeed.  Scalar
  * operation order mirrors the numpy expressions in repro.euler.fluxes
@@ -697,6 +792,123 @@ long long NAME(long long ne, long long n, const long long *e0,          \
 }
 RUSANOV_SCATTER(rusanov_scatter_inc, 4, rusanov_face_inc)
 RUSANOV_SCATTER(rusanov_scatter_comp, 5, rusanov_face_comp)
+
+/* ---- first-order Jacobian: flux Jacobians + slot scatter -----------
+ * Twin of EdgeFVDiscretization.assemble_jacobian's numpy path, bitwise:
+ * every scalar is the expression repro.euler.fluxes evaluates, in its
+ * order.  Two numpy idioms are mirrored exactly rather than rewritten:
+ * np.einsum("ij,ij->i") over a length-3 axis, whose SIMD kernel adds
+ * lanes 0 and 2, then lane 1 and the zero-filled tail, then the zeroed
+ * output (dot3_einsum, signed zeros included), and np.maximum, which
+ * keeps a NaN and returns its second operand on a tie (np_maximum). */
+static inline double dot3_einsum(const double *a, const double *b)
+{
+    return 0.0 + ((a[0] * b[0] + a[2] * b[2]) + (a[1] * b[1] + 0.0));
+}
+
+static inline double np_maximum(double a, double b)
+{
+    return (a > b || a != a) ? a : b;
+}
+
+/* A = dF/dq of incompressible_flux_jacobian into a[16]; returns
+ * incompressible_wavespeed of the same state. */
+static inline double flux_jacobian_inc(const double *q, const double *s,
+    double beta, double *a)
+{
+    double un = dot3_einsum(q + 1, s);
+    a[0] = 0.0;
+    for (int c = 0; c < 3; ++c)
+        a[1 + c] = beta * s[c];
+    for (int r = 0; r < 3; ++r) {
+        a[(1 + r) * 4] = s[r];
+        for (int c = 0; c < 3; ++c)
+            a[(1 + r) * 4 + 1 + c] = q[1 + r] * s[c];
+        a[(1 + r) * 4 + 1 + r] += un;
+    }
+    return fabs(un) + sqrt(un * un + beta * dot3_einsum(s, s));
+}
+
+/* A = dF/dq of compressible_flux_jacobian into a[25]; returns
+ * compressible_wavespeed of the same state. */
+static inline double flux_jacobian_comp(const double *q, const double *s,
+    double gamma, double *a)
+{
+    double g1 = gamma - 1.0;
+    double rho = q[0];
+    double v[3] = {q[1] / rho, q[2] / rho, q[3] / rho};
+    double vv = dot3_einsum(v, v);
+    double p = g1 * (q[4] - 0.5 * rho * vv);
+    double un = dot3_einsum(v, s);
+    double phi = 0.5 * g1 * vv;
+    double h = (q[4] + p) / rho;
+    a[0] = 0.0;
+    a[4] = 0.0;
+    for (int c = 0; c < 3; ++c)
+        a[1 + c] = s[c];
+    for (int r = 0; r < 3; ++r) {
+        double *row = a + (1 + r) * 5;
+        row[0] = phi * s[r] - v[r] * un;
+        for (int c = 0; c < 3; ++c)
+            row[1 + c] = v[r] * s[c] - g1 * v[c] * s[r];
+        row[1 + r] += un;
+        row[4] = g1 * s[r];
+    }
+    a[20] = (phi - h) * un;
+    for (int c = 0; c < 3; ++c)
+        a[21 + c] = h * s[c] - g1 * v[c] * un;
+    a[24] = gamma * un;
+    double c2 = gamma * p / rho;
+    return fabs(un) + sqrt(np_maximum(c2, 0.0)) * sqrt(dot3_einsum(s, s));
+}
+
+/* Per edge (i, j): the Rusanov Jacobians with frozen lam,
+ * jl = (A(q_i) + lam I) / 2 and jr = (A(q_j) - lam I) / 2 — the
+ * off-diagonal entries take lam * 0 as the oracle's eye product does —
+ * then jr into block ij_slots[m] and -jl into ji_slots[m] of data, jl
+ * into acc_a[i] and jr into acc_b[j] in edge order (edge_scatter2's
+ * order), and lam into lam_a[i] and lam_b[j] the same way (the edge
+ * sums of timestep_shift).  Endpoints are checked against [0, n) and
+ * slots against [0, nnzb) before anything is written for an edge. */
+#define RUSANOV_JACOBIAN(NAME, NC, JAC)                                 \
+long long NAME(long long ne, long long n, long long nnzb,               \
+    const long long *e0, const long long *e1,                           \
+    const long long *ij_slots, const long long *ji_slots,               \
+    const double *q, const double *s, double param, double *data,       \
+    double *acc_a, double *acc_b, double *lam_a, double *lam_b)         \
+{                                                                       \
+    for (long long m = 0; m < ne; ++m) {                                \
+        long long i = e0[m], j = e1[m];                                 \
+        long long sij = ij_slots[m], sji = ji_slots[m];                 \
+        if (!ENDPOINTS_IN_RANGE(i, j, n)                                \
+            || !ENDPOINTS_IN_RANGE(sij, sji, nnzb))                     \
+            return m;                                                   \
+        double al[NC * NC], ar[NC * NC];                                \
+        double lam = np_maximum(JAC(q + i * NC, s + m * 3, param, al),  \
+                                JAC(q + j * NC, s + m * 3, param, ar)); \
+        double lam0 = lam * 0.0;                                        \
+        lam_a[i] += lam;                                                \
+        lam_b[j] += lam;                                                \
+        double *dij = data + sij * (NC * NC);                           \
+        double *dji = data + sji * (NC * NC);                           \
+        double *pa = acc_a + i * (NC * NC);                             \
+        double *pb = acc_b + j * (NC * NC);                             \
+        for (int r = 0; r < NC; ++r)                                    \
+            for (int c = 0; c < NC; ++c) {                              \
+                int k = r * NC + c;                                     \
+                double e = r == c ? lam : lam0;                         \
+                double jl = 0.5 * (al[k] + e);                          \
+                double jr = 0.5 * (ar[k] - e);                          \
+                dij[k] = jr;                                            \
+                dji[k] = -jl;                                           \
+                pa[k] += jl;                                            \
+                pb[k] += jr;                                            \
+            }                                                           \
+    }                                                                   \
+    return -1;                                                          \
+}
+RUSANOV_JACOBIAN(rusanov_jacobian_scatter_inc, 4, flux_jacobian_inc)
+RUSANOV_JACOBIAN(rusanov_jacobian_scatter_comp, 5, flux_jacobian_comp)
 
 /* ---- second-order residual, pass 1: Green-Gauss gradients ---------
  * Twin of repro.euler.reconstruction.green_gauss_gradients for any
@@ -887,65 +1099,70 @@ class CBackend:
             self._pd(wa), self._pd(wb), self._pdw(out_a), self._pdw(out_b))
         return None if bad >= 0 else (out_a, out_b)
 
+    # The matrix kernels return the first row (block) with an index out
+    # of range, or -1: the SpMVs then drop their partial output and
+    # return None, the in-place trisolves return False.
     def spmv_csr(self, indptr, indices, data, x):
         y = np.empty(indptr.size - 1, dtype=np.float64)
-        self._lib.spmv_csr_f64(indptr.size - 1, self._pi(indptr),
-                               self._pi(indices), self._pd(data),
-                               self._pd(x), self._pdw(y))
-        return y
+        bad = self._lib.spmv_csr_f64(
+            y.size, x.size, indices.size, self._pi(indptr), self._pi(indices),
+            self._pd(data), self._pd(x), self._pdw(y))
+        return None if bad >= 0 else y
 
     def spmv_csr_rows(self, indptr, indices, data, x, rows):
         y = np.empty(rows.size, dtype=np.float64)
-        self._lib.spmv_csr_rows_f64(rows.size, self._pi(rows),
-                                    self._pi(indptr), self._pi(indices),
-                                    self._pd(data), self._pd(x),
-                                    self._pdw(y))
-        return y
+        bad = self._lib.spmv_csr_rows_f64(
+            rows.size, indptr.size - 1, x.size, indices.size, self._pi(rows),
+            self._pi(indptr), self._pi(indices), self._pd(data),
+            self._pd(x), self._pdw(y))
+        return None if bad >= 0 else y
 
     def spmv_bsr(self, indptr, indices, data, x, nbrows):
         bs = data.shape[1]
         y = np.empty(nbrows * bs, dtype=np.float64)
-        self._lib.spmv_bsr_f64(nbrows, bs, self._pi(indptr),
-                               self._pi(indices), self._pd(data),
-                               self._pd(x), self._pdw(y))
-        return y
+        bad = self._lib.spmv_bsr_f64(
+            nbrows, bs, x.size // bs, data.shape[0], self._pi(indptr),
+            self._pi(indices), self._pd(data), self._pd(x), self._pdw(y))
+        return None if bad >= 0 else y
 
-    def gather_spmv_bsr(self, data_blocks, cols, seg, x, n_owned):
-        bs = data_blocks.shape[1]
+    def gather_spmv_bsr(self, data, cols, seg, x, n_owned, flat):
+        bs = data.shape[1]
         y = np.zeros((n_owned, bs), dtype=np.float64)
-        self._lib.gather_spmv_bsr_f64(data_blocks.shape[0], bs,
-                                      self._pi(cols), self._pi(seg),
-                                      self._pd(data_blocks), self._pd(x),
-                                      self._pdw(y))
-        return y
+        bad = self._lib.gather_spmv_bsr_f64(
+            cols.size, bs, data.shape[0], x.size // bs, n_owned,
+            self._ffi.NULL if flat is None else self._pi(flat),
+            self._pi(cols), self._pi(seg), self._pd(data), self._pd(x),
+            self._pdw(y))
+        return None if bad >= 0 else y
+
+    def _factor_fn(self, name, data):
+        """The ``_f32`` or ``_f64`` symbol of ``name`` for the factor
+        dtype, with its pointer helper."""
+        if data.dtype == np.float32:
+            return getattr(self._lib, name + "_f32"), self._pf
+        return getattr(self._lib, name + "_f64"), self._pd
 
     def lower_solve_csr(self, indptr, indices, data, x):
-        fn, pd = ((self._lib.lower_solve_csr_f32, self._pf)
-                  if data.dtype == np.float32
-                  else (self._lib.lower_solve_csr_f64, self._pd))
-        fn(indptr.size - 1, self._pi(indptr), self._pi(indices), pd(data),
-           self._pdw(x))
+        fn, pd = self._factor_fn("lower_solve_csr", data)
+        return fn(indptr.size - 1, indices.size, self._pi(indptr),
+                  self._pi(indices), pd(data), self._pdw(x)) < 0
 
     def upper_solve_csr(self, indptr, indices, data, inv_diag, x):
-        fn, pd = ((self._lib.upper_solve_csr_f32, self._pf)
-                  if data.dtype == np.float32
-                  else (self._lib.upper_solve_csr_f64, self._pd))
-        fn(indptr.size - 1, self._pi(indptr), self._pi(indices), pd(data),
-           pd(inv_diag), self._pdw(x))
+        fn, pd = self._factor_fn("upper_solve_csr", data)
+        return fn(indptr.size - 1, indices.size, self._pi(indptr),
+                  self._pi(indices), pd(data), pd(inv_diag),
+                  self._pdw(x)) < 0
 
     def lower_solve_bsr(self, indptr, indices, data, x, bs):
-        fn, pd = ((self._lib.lower_solve_bsr_f32, self._pf)
-                  if data.dtype == np.float32
-                  else (self._lib.lower_solve_bsr_f64, self._pd))
-        fn(indptr.size - 1, bs, self._pi(indptr), self._pi(indices),
-           pd(data), self._pdw(x))
+        fn, pd = self._factor_fn("lower_solve_bsr", data)
+        return fn(indptr.size - 1, bs, indices.size, self._pi(indptr),
+                  self._pi(indices), pd(data), self._pdw(x)) < 0
 
     def upper_solve_bsr(self, indptr, indices, data, inv_diag, x, bs):
-        fn, pd = ((self._lib.upper_solve_bsr_f32, self._pf)
-                  if data.dtype == np.float32
-                  else (self._lib.upper_solve_bsr_f64, self._pd))
-        fn(indptr.size - 1, bs, self._pi(indptr), self._pi(indices),
-           pd(data), pd(inv_diag), self._pdw(x))
+        fn, pd = self._factor_fn("upper_solve_bsr", data)
+        return fn(indptr.size - 1, bs, indices.size, self._pi(indptr),
+                  self._pi(indices), pd(data), pd(inv_diag),
+                  self._pdw(x)) < 0
 
     # -- ILU(k) ----------------------------------------------------------
     def ilu_symbolic(self, indptr, indices, fill_level):
@@ -996,11 +1213,23 @@ class CBackend:
             self._pdw(inv_diag), self._piw(pos), self._pdw(w))
         return status, l_data, u_data, inv_diag
 
-    def scatter_blocks(self, slots, src, sign, data):
-        bsq = int(np.prod(src.shape[1:])) if src.ndim > 1 else 1
-        self._lib.scatter_blocks_f64(slots.size, bsq, self._pi(slots),
-                                     self._pd(src), float(sign),
-                                     self._pdw(data))
+    # -- first-order Jacobian: flux Jacobians + slot scatter -----------
+    def rusanov_jacobian_scatter(self, e0, e1, ij_slots, ji_slots, q, s,
+                                 nnzb, model, param):
+        n, ncomp = q.shape
+        blk = (ncomp, ncomp)
+        data = np.zeros((nnzb,) + blk, dtype=np.float64)
+        acc_a, acc_b = (np.zeros((n,) + blk, dtype=np.float64)
+                        for _ in range(2))
+        lam_a, lam_b = (np.zeros(n, dtype=np.float64) for _ in range(2))
+        fn = (self._lib.rusanov_jacobian_scatter_inc
+              if model == "incompressible"
+              else self._lib.rusanov_jacobian_scatter_comp)
+        bad = fn(e0.size, n, nnzb, self._pi(e0), self._pi(e1),
+                 self._pi(ij_slots), self._pi(ji_slots), self._pd(q),
+                 self._pd(s), param, self._pdw(data),
+                 *map(self._pdw, (acc_a, acc_b, lam_a, lam_b)))
+        return None if bad >= 0 else (data, acc_a - acc_b, lam_a + lam_b)
 
     # -- fused Rusanov flux + scatter ----------------------------------
     def rusanov_scatter(self, e0, e1, ql, qr, s, n, model, param):

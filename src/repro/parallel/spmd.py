@@ -350,11 +350,18 @@ def gather_structs(a, layout: SPMDLayout, rd: RankLocalData):
 def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
                 local_x_r: np.ndarray, n_owned: int,
                 workspace: tuple | None = None,
-                engine: str = "numpy") -> np.ndarray:
+                engine: str = "numpy",
+                flat: np.ndarray | None = None) -> np.ndarray:
     """One rank's owned SpMV rows: block-gemv the gathered blocks and
     segment-sum per owned row.  Shared by both executors (see
     :func:`rank_residual`).
 
+    ``data_rows`` are the rank's blocks, pre-gathered (the proc
+    workers), or — given ``flat``, the slots of
+    :func:`rank_matvec_structs` — the whole matrix's ``data``, from
+    which the compiled kernel reads each block in place and the numpy
+    path gathers ``data_rows[flat]`` (the ``seq`` loop).  The blocks,
+    and so the results, are the same either way.
     ``workspace`` is an optional ``(gathered, prods)`` buffer pair that
     persistent proc workers reuse across calls — allocating these
     multi-MB temporaries fresh costs a page-fault sweep per matvec.
@@ -367,9 +374,11 @@ def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
     """
     if engine != "numpy":
         y = _kernels.gather_spmv_bsr(data_rows, cols, seg, local_x_r,
-                                     n_owned, engine)
+                                     n_owned, engine, flat=flat)
         if y is not None:
             return y
+    if flat is not None:
+        data_rows = data_rows[flat]
     if workspace is None:
         prods = np.einsum("kij,kj->ki", data_rows, local_x_r[cols])
     else:
@@ -471,11 +480,12 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
             with rec.span("matvec", rank=rd.rank) as sp:
                 # All owned block rows as one flat batch; the gather
                 # structure depends only on (pattern, layout), so it is
-                # served from the layout-level cache across calls.
+                # served from the layout-level cache across calls, and
+                # the blocks are read in place through its slots.
                 flat, cols, seg = gather_structs(a, layout, rd)
-                out[rd.owned] = rank_matvec(a.data[flat], cols, seg,
+                out[rd.owned] = rank_matvec(a.data, cols, seg,
                                             local_x[rd.rank], rd.n_owned,
-                                            engine=a.engine)
+                                            engine=a.engine, flat=flat)
             per_rank_s[rd.rank] = sp.elapsed
         rec.record_wait("matvec", per_rank_s)
         y = out.ravel()

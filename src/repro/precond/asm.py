@@ -85,15 +85,19 @@ class AdditiveSchwarz:
         self.subdomains: list[SubdomainSolver] = []
         self._bs = 1
         self._n = self.labels.size
+        #: (kind, bs, indptr, indices) of the matrix the subdomains were
+        #: cut from; a refresh is numeric-only while it still matches
+        self._pattern: tuple | None = None
 
     # -- setup ----------------------------------------------------------
     def setup(self, a: CSRMatrix | BSRMatrix) -> "AdditiveSchwarz":
         """Extract and factor every (overlapped) subdomain of ``a``.
 
-        Calling ``setup`` again on the same instance assumes ``a`` has
-        the sparsity of the previous matrix (the Newton-refresh case):
-        the partition, overlap expansion, and symbolic ILU are reused
-        and only the numeric factorisation is redone.
+        Calling ``setup`` again on the same instance with a matrix of
+        the previous sparsity (the Newton-refresh case) reuses the
+        partition, overlap expansion, slot maps and symbolic ILU and
+        redoes only the numeric factorisation.  A matrix of any other
+        sparsity is set up cold, exactly as a fresh instance would.
         """
         with self.recorder.span("precond_setup"):
             if isinstance(a, BSRMatrix):
@@ -104,17 +108,17 @@ class AdditiveSchwarz:
                 self._bs = 1
             if nbrows != self._n:
                 raise ValueError("label count does not match matrix rows")
-            if self.subdomains:
+            if self.subdomains and self._same_pattern(a):
                 # Refresh path (same sparsity, new Jacobian values): keep
-                # the subdomain index sets and symbolic ILU patterns — and
-                # with them, on the numpy tier, the elimination schedules
-                # — and redo only the numeric factorisation.
+                # the subdomain index sets, slot maps and symbolic ILU
+                # patterns — and with them, on the numpy tier, the
+                # elimination schedules — and redo only the numeric
+                # factorisation.
                 self.subdomains = [sd.refactor(a) for sd in self.subdomains]
                 return self
             graph = self._graph
             if graph is None:
                 graph = graph_from_csr(a.indptr, a.indices)
-                self._graph = graph
             nparts = int(self.labels.max()) + 1 if self.labels.size else 0
             self.subdomains = []
             for s in range(nparts):
@@ -127,7 +131,20 @@ class AdditiveSchwarz:
                     a, rows, owned, self.config.fill_level,
                     storage_dtype=self.config.storage_dtype,
                     engine=self.config.engine))
+            self._pattern = (type(a), self._bs, a.indptr, a.indices)
         return self
+
+    def _same_pattern(self, a: CSRMatrix | BSRMatrix) -> bool:
+        """Whether ``a`` has the sparsity the subdomains were cut from:
+        an identity fast path on the pattern arrays with an
+        ``np.array_equal`` fallback, as the SPMD gather cache does."""
+        kind, bs, indptr, indices = self._pattern
+        if type(a) is not kind or self._bs != bs:
+            return False
+        if indptr is a.indptr and indices is a.indices:
+            return True
+        return (np.array_equal(indptr, a.indptr)
+                and np.array_equal(indices, a.indices))
 
     # -- application ----------------------------------------------------
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -146,7 +163,7 @@ class AdditiveSchwarz:
             with rec.span("trisolve", rank=s) as sp:
                 local = sd.local_solve(rb[sd.rows].ravel()).reshape(-1, bs)
                 if restricted:
-                    zb[sd.rows[sd.owned]] += local[sd.owned]
+                    zb[sd.owned_rows] += local[sd.owned_local]
                 else:
                     # sd.rows is sorted unique, so a plain fancy-indexed
                     # add is exact (and much faster than np.add.at).

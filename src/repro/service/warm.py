@@ -3,11 +3,14 @@
 The service never *predicts* what a solve will build; it harvests what
 a finished solve actually built — the partition labels, the layout's
 SpMV gather structures, and the preconditioner (whose subdomains carry
-the symbolic ILU patterns and, on the numpy tier, their elimination
-and level schedules) — and seeds the next compatible request with
-them.  The structures validate themselves at use time (gather structs
-compare patterns, the preconditioner refresh asserts sparsity), so a
-stale seed degrades to a recompute, never to wrong numbers.
+their slot maps into the Jacobian, the symbolic ILU patterns and, on
+the numpy tier, their elimination and level schedules) — and seeds
+the next compatible request with them.  The structures validate
+themselves at use time: the gather structs and the preconditioner
+both compare the matrix's sparsity pattern with the one they were
+built on (object identity, then ``np.array_equal``) and rebuild on a
+mismatch, so a stale seed degrades to a recompute, never to wrong
+numbers.
 
 Key discipline
 --------------
@@ -85,16 +88,17 @@ def _layout_nbytes(layout) -> int:
 
 
 def _pattern_nbytes(pc) -> int:
-    """Resident bytes of the subdomain ILU patterns and of whatever
-    schedules exist beside them: a numpy-tier pattern carries its
-    elimination schedule (whose level lists its factor shares), a
-    compiled-tier factor has level lists only if a numpy trisolve ever
-    ran on it, and usually nothing."""
+    """Resident bytes of the subdomain index maps (rows, owned rows,
+    the slot map into the Jacobian and the submatrix pattern), of the
+    ILU patterns and of whatever schedules exist beside them: a
+    numpy-tier pattern carries its elimination schedule (whose level
+    lists its factor shares), a compiled-tier factor has level lists
+    only if a numpy trisolve ever ran on it, and usually nothing."""
     total = 0
     for sd in pc.subdomains:
         p = sd.factor.pattern
-        total += (p.l_indptr.nbytes + p.l_indices.nbytes
-                  + p.u_indptr.nbytes + p.u_indices.nbytes)
+        total += sd.map_nbytes + (p.l_indptr.nbytes + p.l_indices.nbytes
+                                  + p.u_indptr.nbytes + p.u_indices.nbytes)
         sch = getattr(p, "_schedule", None)
         if sch is not None:
             total += sch.a_src.nbytes + sch.a_dst.nbytes
@@ -145,7 +149,7 @@ def harvest_context(cache, ctx: WarmContext) -> None:
     :class:`EliminationSchedule` objects ride the subdomain patterns
     inside the harvested preconditioner, so the ``ilu_symbolic`` entry
     carries them and counts their bytes; a compiled-tier entry holds
-    the patterns alone.
+    the patterns and the subdomains' index maps alone.
     """
     solver = ctx.solver
     cache.put("partition", ctx.keys["partition"], solver._labels,

@@ -46,8 +46,8 @@ from repro.sparse.trisolve import (
     level_schedule,
     lower_solve_blocks,
     lower_solve_csr,
-    upper_solve_blocks,
-    upper_solve_csr,
+    upper_solve_blocks_inplace,
+    upper_solve_csr_inplace,
 )
 
 __all__ = ["ILUPattern", "ilu_symbolic", "ilu_symbolic_ref", "ILUFactorCSR",
@@ -421,15 +421,16 @@ class ILUFactorCSR:
         return (self.l_data.size + self.u_data.size + self.inv_diag.size) * item
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x = U^{-1} L^{-1} b, computed in float64."""
+        """x = U^{-1} L^{-1} b, computed in float64; U is solved in
+        place on L's output, the one copy of ``b``."""
         p = self.pattern
         y = lower_solve_csr(p.l_indptr, p.l_indices, self.l_data, b,
                             lambda: _solve_levels(self)[0],
                             engine=self.engine)
-        return upper_solve_csr(p.u_indptr, p.u_indices, self.u_data,
-                               self.inv_diag, y,
-                               lambda: _solve_levels(self)[1],
-                               engine=self.engine)
+        return upper_solve_csr_inplace(p.u_indptr, p.u_indices, self.u_data,
+                                       self.inv_diag, y,
+                                       lambda: _solve_levels(self)[1],
+                                       engine=self.engine)
 
     def astype_storage(self, dtype) -> "ILUFactorCSR":
         return replace(self, l_data=self.l_data.astype(dtype),
@@ -565,14 +566,14 @@ class ILUFactorBSR:
         return (self.l_data.size + self.u_data.size + self.inv_diag.size) * item
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """As :meth:`ILUFactorCSR.solve`, block by block."""
         p = self.pattern
         y = lower_solve_blocks(p.l_indptr, p.l_indices, self.l_data, b,
                                lambda: _solve_levels(self)[0], self.bs,
                                engine=self.engine)
-        return upper_solve_blocks(p.u_indptr, p.u_indices, self.u_data,
-                                  self.inv_diag, y,
-                                  lambda: _solve_levels(self)[1], self.bs,
-                                  engine=self.engine)
+        return upper_solve_blocks_inplace(
+            p.u_indptr, p.u_indices, self.u_data, self.inv_diag, y,
+            lambda: _solve_levels(self)[1], self.bs, engine=self.engine)
 
     def astype_storage(self, dtype) -> "ILUFactorBSR":
         return replace(self, l_data=self.l_data.astype(dtype),

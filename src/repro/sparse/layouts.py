@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels as _kernels
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -91,23 +90,13 @@ def assemble_bsr(structure: BlockStructure, bs: int,
                  diag: np.ndarray, off_ij: np.ndarray,
                  off_ji: np.ndarray, engine: str = "numpy") -> BSRMatrix:
     """Assemble a BSR matrix from per-vertex diagonal blocks and
-    per-edge off-diagonal blocks (both directions).
-
-    With ``engine="compiled"`` the three slot scatters run in the
-    compiled kernel (bitwise: each writes disjoint slots exactly once)
-    and the matrix carries the engine for its matvecs.
+    per-edge off-diagonal blocks (both directions); the matrix carries
+    ``engine`` for its matvecs.
     """
     data = np.zeros((structure.nnzb, bs, bs), dtype=np.float64)
-    if not (engine != "numpy"
-            and _kernels.assemble_scatter(structure.diag_slots, diag,
-                                          1.0, data, engine)
-            and _kernels.assemble_scatter(structure.edge_ij_slots, off_ij,
-                                          1.0, data, engine)
-            and _kernels.assemble_scatter(structure.edge_ji_slots, off_ji,
-                                          1.0, data, engine)):
-        data[structure.diag_slots] = diag
-        data[structure.edge_ij_slots] = off_ij
-        data[structure.edge_ji_slots] = off_ji
+    data[structure.diag_slots] = diag
+    data[structure.edge_ij_slots] = off_ij
+    data[structure.edge_ji_slots] = off_ji
     return BSRMatrix(indptr=structure.indptr, indices=structure.indices,
                      data=data, nbcols=structure.num_vertices, engine=engine)
 

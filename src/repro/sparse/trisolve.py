@@ -22,7 +22,8 @@ from repro import kernels as _kernels
 from repro.sparse.segsum import concat_ranges, segment_sum
 
 __all__ = ["level_schedule", "level_schedule_ref", "lower_solve_csr",
-           "upper_solve_csr", "lower_solve_blocks", "upper_solve_blocks"]
+           "upper_solve_csr", "upper_solve_csr_inplace", "lower_solve_blocks",
+           "upper_solve_blocks", "upper_solve_blocks_inplace"]
 
 
 def level_schedule_ref(indptr: np.ndarray, indices: np.ndarray,
@@ -141,18 +142,25 @@ def _levels(levels) -> list[np.ndarray]:
     return levels() if callable(levels) else levels
 
 
+def _rhs_copy(b) -> np.ndarray:
+    return np.array(b, dtype=np.float64, copy=True)
+
+
 def lower_solve_csr(indptr, indices, data, b, levels,
                     engine="numpy") -> np.ndarray:
     """Solve L x = b with L unit lower triangular (strict part stored).
 
     ``engine="compiled"`` runs the compiled row loop in natural order
     (bitwise identical to the level-batched path); it degrades to the
-    numpy batches when no backend is available.
+    numpy batches when no backend is available, or when the kernel
+    declines an index out of range (from ``b`` again: a declining
+    kernel has solved the rows before the bad one in place).
     """
-    x = np.array(b, dtype=np.float64, copy=True)
-    if engine != "numpy" and _kernels.lower_solve_csr(
-            indptr, indices, data, x, engine):
-        return x
+    x = _rhs_copy(b)
+    if engine != "numpy":
+        if _kernels.lower_solve_csr(indptr, indices, data, x, engine):
+            return x
+        x = _rhs_copy(b)
     for rows in _levels(levels):
         x[rows] -= _row_dot(indptr, indices, data, x, rows)
     return x
@@ -162,7 +170,24 @@ def upper_solve_csr(indptr, indices, data, inv_diag, b, levels,
                     engine="numpy") -> np.ndarray:
     """Solve U x = b with U upper triangular; ``indices``/``data`` hold
     the strictly-upper part and ``inv_diag`` the reciprocal diagonal."""
-    x = np.array(b, dtype=np.float64, copy=True)
+    x = _rhs_copy(b)
+    if engine != "numpy":
+        if _kernels.upper_solve_csr(indptr, indices, data, inv_diag, x,
+                                    engine):
+            return x
+        x = _rhs_copy(b)
+    return upper_solve_csr_inplace(indptr, indices, data, inv_diag, x,
+                                   levels)
+
+
+def upper_solve_csr_inplace(indptr, indices, data, inv_diag, x, levels,
+                            engine="numpy") -> np.ndarray:
+    """:func:`upper_solve_csr` overwriting the float64 vector ``x``
+    with the solution (the ILU apply's second solve, on the first's
+    output).  If the compiled kernel declines an index out of range,
+    the numpy batches run on the rows it has already solved; building
+    the levels of such a pattern raises, so an ILU factor, whose levels
+    are built on demand, raises as its numpy tier does."""
     if engine != "numpy" and _kernels.upper_solve_csr(
             indptr, indices, data, inv_diag, x, engine):
         return x
@@ -193,10 +218,11 @@ def lower_solve_blocks(indptr, indices, data, b, levels, bs,
     batches: ``np.einsum`` sums block columns in SIMD pairwise order,
     the compiled loop sequentially.
     """
-    x = np.array(b, dtype=np.float64, copy=True)
-    if engine != "numpy" and _kernels.lower_solve_bsr(
-            indptr, indices, data, x, bs, engine):
-        return x
+    x = _rhs_copy(b)
+    if engine != "numpy":
+        if _kernels.lower_solve_bsr(indptr, indices, data, x, bs, engine):
+            return x
+        x = _rhs_copy(b)
     x = x.reshape(-1, bs)
     for rows in _levels(levels):
         x[rows] -= _row_dot_blocks(indptr, indices, data, x, rows, bs)
@@ -207,13 +233,25 @@ def upper_solve_blocks(indptr, indices, data, inv_diag, b, levels, bs,
                        engine="numpy") -> np.ndarray:
     """Block variant of :func:`upper_solve_csr`; ``inv_diag`` holds the
     (nbrows, bs, bs) inverses of the diagonal blocks."""
-    x = np.array(b, dtype=np.float64, copy=True)
+    x = _rhs_copy(b)
+    if engine != "numpy":
+        if _kernels.upper_solve_bsr(indptr, indices, data, inv_diag, x, bs,
+                                    engine):
+            return x
+        x = _rhs_copy(b)
+    return upper_solve_blocks_inplace(indptr, indices, data, inv_diag, x,
+                                      levels, bs)
+
+
+def upper_solve_blocks_inplace(indptr, indices, data, inv_diag, x, levels,
+                               bs, engine="numpy") -> np.ndarray:
+    """Block variant of :func:`upper_solve_csr_inplace`."""
     if engine != "numpy" and _kernels.upper_solve_bsr(
             indptr, indices, data, inv_diag, x, bs, engine):
         return x
-    x = x.reshape(-1, bs)
+    xb = x.reshape(-1, bs)
     for rows in _levels(levels):
-        rhs = x[rows] - _row_dot_blocks(indptr, indices, data, x, rows, bs)
-        x[rows] = np.einsum(
+        rhs = xb[rows] - _row_dot_blocks(indptr, indices, data, xb, rows, bs)
+        xb[rows] = np.einsum(
             "kij,kj->ki", inv_diag[rows].astype(np.float64, copy=False), rhs)
-    return x.ravel()
+    return x

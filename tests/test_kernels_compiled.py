@@ -4,7 +4,7 @@ Equivalence comes in two strengths, and each test pins the right one:
 
 * **bitwise** — the scatter and scalar-CSR kernels (edge_scatter2,
   spmv_csr, scalar ILU and CSR trisolve in both f64 and f32 factor
-  storage, the Jacobian assembly scatter) accumulate in exactly the
+  storage, the first-order Jacobian assembly) accumulate in exactly the
   oracle's order (``np.bincount`` sums sequentially in occurrence
   order, and so do the compiled loops), so ``np.array_equal`` must
   hold;
@@ -49,9 +49,11 @@ from repro.mesh.tetgen import box_mesh
 from repro.parallel import SPMDLayout, distributed_matvec
 from repro.partition import kway_partition
 from repro.solvers.ptc import PTCConfig
+from repro.sparse.bsr import BSRMatrix
 from repro.sparse.ilu import ilu_bsr, ilu_csr
 from repro.sparse.segsum import segment_sum
-from repro.sparse.trisolve import _row_dot, _row_dot_blocks
+from repro.sparse.trisolve import (_row_dot, _row_dot_blocks, level_schedule,
+                                   lower_solve_blocks, upper_solve_blocks)
 
 HAS_BACKEND = capability.available_backends() != ()
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -447,6 +449,413 @@ class TestNormwiseKernels:
         jc.engine = "compiled"
         got = distributed_matvec(jc, layout, x, executor="seq")
         assert_norm_close(got, ref)
+
+
+def _bits(a):
+    """The raw bit patterns, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestJacobianAssembly:
+    """The C first-order assembly (``kernels.rusanov_jacobian_scatter``)
+    against the numpy composition of ``assemble_jacobian`` and
+    ``shifted_jacobian``: bitwise, signed zeros included.  Every test
+    also holds with ``REPRO_KERNELS_DISABLE=1`` (CI runs the class
+    twice): the dispatcher declines and the numpy tier is compared to
+    itself."""
+
+    @staticmethod
+    def _assert_bitwise(disc, q, cfl=25.0):
+        assert disc.engine == "numpy"
+        ref = disc.assemble_jacobian(q), disc.shifted_jacobian(q, cfl)
+        disc.engine = "compiled"
+        try:
+            got = disc.assemble_jacobian(q), disc.shifted_jacobian(q, cfl)
+        finally:
+            disc.engine = "numpy"
+        for r, g in zip(ref, got):
+            assert g.engine == "compiled"
+            assert np.array_equal(g.indptr, r.indptr)
+            assert np.array_equal(g.indices, r.indices)
+            assert np.array_equal(_bits(g.data), _bits(r.data))
+
+    @staticmethod
+    def _perturbed(prob, scale, seed):
+        rng = np.random.default_rng(seed)
+        return prob.initial.flat() * (1.0 + scale * rng.standard_normal(
+            prob.disc.num_unknowns))
+
+    @pytest.mark.parametrize("compressible", [False, True])
+    def test_both_families_on_wing(self, compressible):
+        prob = wing_problem(7, 5, 4, compressible=compressible)
+        self._assert_bitwise(prob.disc, self._perturbed(prob, 0.05, 59))
+
+    @pytest.mark.parametrize("compressible", [False, True])
+    def test_freestream_signed_zeros(self, compressible):
+        """The freestream has exact zero velocity components, so
+        entries of A and the ``lam * 0`` terms are signed zeros."""
+        prob = wing_problem(7, 5, 4, compressible=compressible)
+        self._assert_bitwise(prob.disc, prob.initial.flat())
+
+    def test_roe_preconditioner_is_the_rusanov_jacobian(self, monkeypatch):
+        """A Roe residual's preconditioner matrix differentiates the
+        Rusanov flux too, so the kernel gates on the flux-Jacobian
+        family, not on the interface flux."""
+        prob = wing_problem(7, 5, 4, compressible=True)
+        prob.disc.flux_scheme = "roe"
+        calls = []
+        kernel = kernels.rusanov_jacobian_scatter
+        monkeypatch.setattr(
+            kernels, "rusanov_jacobian_scatter",
+            lambda *a: calls.append(a[-1]) or kernel(*a))
+        self._assert_bitwise(prob.disc, self._perturbed(prob, 0.05, 61))
+        assert calls == ["compiled"] * 2
+
+    def test_subclass_keeps_numpy_assembly(self, monkeypatch):
+        """A subclass may override the flux Jacobian: exact-type gate."""
+        from repro.euler.incompressible import IncompressibleEuler
+
+        class Scaled(IncompressibleEuler):
+            def _flux_jacobian(self, q, s):
+                return 2.0 * super()._flux_jacobian(q, s)
+
+        prob = wing_problem(7, 5, 4)
+        prob.disc.__class__ = Scaled
+        monkeypatch.setattr(
+            kernels, "rusanov_jacobian_scatter",
+            lambda *a: pytest.fail("kernel reached for a subclass"))
+        self._assert_bitwise(prob.disc, self._perturbed(prob, 0.05, 67))
+
+    @pytest.mark.parametrize("compressible", [False, True])
+    def test_boundary_heavy_tiny_box(self, compressible):
+        """3 x 3 x 3 vertices: all but one on the boundary, so the
+        numpy boundary closure lands on nearly every diagonal block."""
+        prob = wing_problem(3, 3, 3, compressible=compressible)
+        assert prob.disc.bc.vertices.size == prob.mesh.num_vertices - 1
+        self._assert_bitwise(prob.disc, self._perturbed(prob, 0.1, 71))
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.booleans(), st.floats(0.0, 0.3), st.integers(0, 2**16),
+           st.sampled_from([0.0, -0.0, None]))
+    def test_drawn_states(self, compressible, scale, seed, zero):
+        """Random states, some velocity components forced to +0 / -0."""
+        prob = _tiny_wing(compressible)
+        q = self._perturbed(prob, scale, seed).reshape(-1, prob.disc.ncomp)
+        if zero is not None:
+            rng = np.random.default_rng(seed)
+            q[:, 1:4][rng.random((q.shape[0], 3)) < 0.3] = zero
+        self._assert_bitwise(prob.disc, q.ravel())
+
+    def test_in_place_shift_equals_the_copy(self, wing):
+        """``shifted_jacobian`` adds whole ``shift I`` blocks in place:
+        bitwise the ``add_block_diagonal`` copy it replaced."""
+        prob, q, jac = wing
+        disc = prob.disc
+        shift = disc.timestep_shift(q, 25.0)
+        ref = jac.add_block_diagonal(shift[:, None, None]
+                                     * np.eye(disc.ncomp)[None])
+        for engine in ("numpy", "compiled"):
+            disc.engine = engine
+            try:
+                got = disc.shifted_jacobian(q, 25.0)
+            finally:
+                disc.engine = "numpy"
+            assert np.array_equal(_bits(got.data), _bits(ref.data))
+
+    @pytest.mark.parametrize("bad", ["endpoint", "slot"])
+    def test_bad_index_declines(self, wing, bad):
+        """An endpoint outside [0, n) or a slot outside [0, nnzb) makes
+        the dispatcher decline; the C symbol names the edge and writes
+        nothing outside its buffers."""
+        prob, q, _ = wing
+        disc = prob.disc
+        st_ = disc.structure
+        e0, e1 = (a.copy() for a in disc.mesh.edge_endpoints())
+        ij, ji = st_.edge_ij_slots.copy(), st_.edge_ji_slots.copy()
+        last = e0.size // 2
+        if bad == "endpoint":
+            e1[last] = disc.mesh.num_vertices
+        else:
+            ji[last] = -1
+        qq = q.reshape(-1, disc.ncomp)
+        s = disc.dual.edge_normals
+        assert kernels.rusanov_jacobian_scatter(
+            e0, e1, ij, ji, qq, s, st_.nnzb, "incompressible", 10.0,
+            "compiled") is None
+        backend = kernels.backend_for("compiled")
+        if backend is None:
+            return
+        n, nnzb, bsq = qq.shape[0], st_.nnzb, 16
+        guard = 16
+        sizes = (nnzb * bsq, n * bsq, n * bsq, n, n)
+        bufs = [np.full(k + 2 * guard, 7.25) for k in sizes]
+        outs = [b[guard:-guard] for b in bufs]
+        for out in outs:
+            out[:] = 0.0
+        code = backend._lib.rusanov_jacobian_scatter_inc(
+            e0.size, n, nnzb, *map(backend._pi, (e0, e1, ij, ji)),
+            backend._pd(qq), backend._pd(s), 10.0, *map(backend._pdw, outs))
+        assert code == last
+        for b in bufs:
+            assert np.all(b[:guard] == 7.25) and np.all(b[-guard:] == 7.25)
+
+
+_TINY_WINGS = {}
+
+
+def _tiny_wing(compressible):
+    """One 4 x 3 x 3 wing per family for the drawn-state test."""
+    if compressible not in _TINY_WINGS:
+        _TINY_WINGS[compressible] = wing_problem(4, 3, 3,
+                                                 compressible=compressible)
+    return _TINY_WINGS[compressible]
+
+
+def _guarded(values, guard=16, fill=7.25):
+    """``values`` copied into the middle of a buffer of guard words:
+    ``(buffer, view)``; the view is what a kernel may touch."""
+    values = np.asarray(values)
+    buf = np.full(values.size + 2 * guard, fill, dtype=values.dtype)
+    view = buf[guard:guard + values.size]
+    view[:] = values.ravel()
+    return buf, view
+
+
+def _guards_intact(buf, guard=16, fill=7.25):
+    return bool(np.all(buf[:guard] == fill) and np.all(buf[-guard:] == fill))
+
+
+class TestIndexGuards:
+    """Matrix kernels range-check every index they dereference — a
+    column, a row pointer, a row id, a segment id, a block slot — with
+    one unsigned compare in the loop that loads it.  On a bad one the
+    dispatcher declines and the numpy path raises what it raises; the C
+    symbol, run on buffers with guard words either side, names the
+    offending row (block) and leaves the guards alone."""
+
+    def test_spmv_bsr_bad_column_raises_like_numpy(self):
+        a = BSRMatrix(indptr=[0, 2, 3], indices=[0, 5, 1],
+                      data=np.ones((3, 4, 4)), nbcols=2, engine="compiled")
+        x = np.arange(8.0)
+        assert kernels.spmv_bsr(a.indptr, a.indices, a.data, x, 2,
+                                "compiled") is None
+        with pytest.raises(IndexError):
+            a.matvec(x)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_lower_solve_bsr_bad_column_raises_like_numpy(self, dtype):
+        indptr, indices = np.array([0, 0, 1]), np.array([7])
+        data = np.ones((1, 4, 4), dtype=dtype)
+        b = np.arange(8.0)
+        x = b.copy()
+        assert kernels.lower_solve_bsr(indptr, indices, data, x, 4,
+                                       "compiled") is False
+        levels = [np.array([0]), np.array([1])]
+        with pytest.raises(IndexError):
+            lower_solve_blocks(indptr, indices, data, b, levels, 4,
+                               engine="compiled")
+
+    def test_trisolve_decline_restarts_from_the_rhs(self, monkeypatch):
+        """A kernel that declines after solving rows in place: the
+        numpy fallback starts from ``b`` again, not from those rows."""
+        n, bs = 3, 2
+        indptr, indices = np.array([0, 0, 1, 2]), np.array([0, 1])
+        data = np.full((2, bs, bs), 0.5)
+        b = np.arange(n * bs, dtype=np.float64)
+        levels = level_schedule(indptr, indices)
+        ref = lower_solve_blocks(indptr, indices, data, b, levels, bs)
+
+        def partial(indptr_, indices_, data_, x, bs_, engine):
+            x[:] = -1.0              # rows solved, then an index declined
+            return False
+
+        monkeypatch.setattr(kernels, "lower_solve_bsr", partial)
+        got = lower_solve_blocks(indptr, indices, data, b, levels, bs,
+                                 engine="compiled")
+        assert np.array_equal(got, ref)
+
+    @staticmethod
+    def _trisolve_case(kind, bad):
+        """``(symbol, args, guarded_buffers, offending_row)`` for one
+        trisolve symbol on 3 rows with one bad index: ``bad`` is a
+        column ``"past_end"`` (3) or ``"negative"`` (-1), or a
+        ``"row_pointer"`` past the entry count."""
+        name, _, bs = kind.partition(":")           # symbol[:bs]
+        bs = int(bs or 1)
+        blk = (bs, bs) if "bsr" in name else ()
+        lower = name.startswith("lower")
+        # L: row 2 holds (0, col); U: row 0 holds (1, col), solved last
+        indptr = [0, 0, 1, 3] if lower else [0, 2, 3, 3]
+        col, row = {"past_end": (3, 2 if lower else 0),
+                    "negative": (-1, 2 if lower else 0),
+                    "row_pointer": (1 if lower else 2, 2)}[bad]
+        if bad == "row_pointer":
+            indptr[-1] = 99
+        indices = [0, 0, col] if lower else [1, col, 2]
+        dtype = np.float32 if name.endswith("f32") else np.float64
+        rng = np.random.default_rng(83)
+        data = rng.standard_normal((3,) + blk).astype(dtype)
+        xbuf, x = _guarded(rng.standard_normal(3 * bs))
+        args = [3] + [bs] * ("bsr" in name) + [
+            3, np.array(indptr, dtype=np.int64),
+            np.array(indices, dtype=np.int64), data]
+        if not lower:
+            args.append(rng.standard_normal((3,) + blk).astype(dtype))
+        return name, args + [x], [xbuf], row
+
+    @staticmethod
+    def _spmv_case(kind, bad):
+        """As :meth:`_trisolve_case` for the SpMV symbols: 2 output rows
+        over 4 columns; the bad index sits in output row 1 (``-rows``:
+        the second row id; ``gather``: block 2 of 3, in ``cols``,
+        ``seg`` or ``flat``)."""
+        rng = np.random.default_rng(89)
+        bs = 3
+        past_end = {"cols": 4, "seg": 2, "flat": 5, "rows": 2}
+        x = rng.standard_normal(4 * bs)
+        indptr = np.array([0, 1, 99 if bad == "row_pointer" else 3])
+        indices = np.array([0, 1, 4 if bad == "past_end" else
+                            -1 if bad == "negative" else 2])
+        if kind.startswith("gather"):
+            which = kind.split("-")[1]
+            index = {"cols": np.array([0, 1, 2]), "seg": np.array([0, 1, 1]),
+                     "flat": np.array([4, 0, 2])}
+            index[which][2] = past_end[which] if bad == "past_end" else -1
+            ybuf, y = _guarded(np.zeros(2 * bs))
+            return "gather_spmv_bsr_f64", [
+                3, bs, 5, 4, 2, index["flat"], index["cols"], index["seg"],
+                rng.standard_normal((5, bs, bs)), x, y], [ybuf], 2
+        if kind == "spmv_bsr_f64":
+            ybuf, y = _guarded(np.zeros(2 * bs))
+            return kind, [2, bs, 4, 3, indptr, indices,
+                          rng.standard_normal((3, bs, bs)), x, y], [ybuf], 1
+        ybuf, y = _guarded(np.zeros(2))
+        args = [indptr, indices, rng.standard_normal(3), x[:4], y]
+        if kind == "spmv_csr_f64":
+            return kind, [2, 4, 3] + args, [ybuf], 1
+        rows = np.array([0, 1])                     # spmv_csr_rows_f64-rows
+        if bad in ("past_end", "negative"):
+            indices[2] = 2
+            rows[1] = past_end["rows"] if bad == "past_end" else -1
+        return "spmv_csr_rows_f64", [2, 2, 4, 3, rows] + args, [ybuf], 1
+
+    TRISOLVES = ([f"{side}_solve_csr_{p}" for side in ("lower", "upper")
+                  for p in ("f64", "f32")]
+                 + [f"{side}_solve_bsr_{p}:{bs}"
+                    for side in ("lower", "upper") for bs in (2, 4, 5)
+                    for p in ("f64", "f32")])
+    ROWWISE = TRISOLVES + ["spmv_csr_f64", "spmv_csr_rows_f64-rows",
+                           "spmv_bsr_f64"]
+    GATHERS = ["gather_spmv_bsr_f64-cols", "gather_spmv_bsr_f64-seg",
+               "gather_spmv_bsr_f64-flat"]
+
+    @needs_backend
+    @pytest.mark.parametrize("kind, bad", [
+        (k, b) for k in ROWWISE for b in ("past_end", "negative",
+                                          "row_pointer")]
+        + [(k, b) for k in GATHERS for b in ("past_end", "negative")])
+    def test_symbol_names_the_row_and_keeps_the_guards(self, kind, bad):
+        name, args, bufs, row = (self._trisolve_case(kind, bad)
+                                 if kind in self.TRISOLVES
+                                 else self._spmv_case(kind, bad))
+        args = [np.asarray(a, dtype=np.int64)
+                if isinstance(a, np.ndarray) and a.dtype.kind == "i" else a
+                for a in args]
+        backend = kernels.backend_for("compiled")
+
+        def ptr(a):
+            if not isinstance(a, np.ndarray):
+                return a
+            if a.dtype == np.int64:
+                return backend._pi(a)
+            return (backend._pf(a) if a.dtype == np.float32
+                    else backend._pdw(a))
+
+        assert getattr(backend._lib, name)(*map(ptr, args)) == row
+        assert all(_guards_intact(b) for b in bufs)
+
+
+def _sequential_lower(indptr, indices, data, b, bs):
+    """The compiled block lower solve's loop in Python floats (IEEE
+    double, no FMA): what every block size must compute bitwise."""
+    x = np.array(b, dtype=np.float64).reshape(-1, bs)
+    for i in range(x.shape[0]):
+        acc = [0.0] * bs
+        for t in range(indptr[i], indptr[i + 1]):
+            blk, xj = data[t], x[indices[t]]
+            for r in range(bs):
+                p = 0.0
+                for c in range(bs):
+                    p += float(blk[r, c]) * float(xj[c])
+                acc[r] += p
+        for r in range(bs):
+            x[i, r] -= acc[r]
+    return x.ravel()
+
+
+def _sequential_upper(indptr, indices, data, inv_diag, b, bs):
+    x = np.array(b, dtype=np.float64).reshape(-1, bs)
+    for i in range(x.shape[0] - 1, -1, -1):
+        acc = [0.0] * bs
+        for t in range(indptr[i], indptr[i + 1]):
+            blk, xj = data[t], x[indices[t]]
+            for r in range(bs):
+                p = 0.0
+                for c in range(bs):
+                    p += float(blk[r, c]) * float(xj[c])
+                acc[r] += p
+        rhs = [float(x[i, r]) - acc[r] for r in range(bs)]
+        for r in range(bs):
+            p = 0.0
+            for c in range(bs):
+                p += float(inv_diag[i][r, c]) * rhs[c]
+            x[i, r] = p
+    return x.ravel()
+
+
+class TestBlockTrisolves:
+    """Block size 4 and 5 run constant-size copies of the trisolve
+    loop, any other size the generic loop (3 and 6 here): every size
+    is normwise the numpy oracle and bitwise the sequential loop."""
+
+    @staticmethod
+    def _triangle(n, bs, dtype, upper, seed):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for i in range(n):
+            pool = np.arange(i + 1, n) if upper else np.arange(i)
+            k = min(pool.size, int(rng.integers(0, 5)))
+            rows.append(np.sort(rng.choice(pool, k, replace=False)))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([r.size for r in rows], out=indptr[1:])
+        indices = np.concatenate(rows).astype(np.int64)
+        data = (0.2 * rng.standard_normal((indices.size, bs, bs))
+                ).astype(dtype)
+        inv = (np.eye(bs) + 0.1 * rng.standard_normal((n, bs, bs))
+               ).astype(dtype)
+        return indptr, indices, data, inv
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bs", [2, 3, 4, 5, 6])
+    def test_lower_and_upper(self, bs, dtype):
+        n = 30
+        b = np.random.default_rng(bs).standard_normal(n * bs)
+        li, lx, ld, _ = self._triangle(n, bs, dtype, False, 97 + bs)
+        ui, ux, ud, inv = self._triangle(n, bs, dtype, True, 101 + bs)
+        lower = [lower_solve_blocks(li, lx, ld, b, level_schedule(li, lx),
+                                    bs, engine=e)
+                 for e in ("numpy", "compiled")]
+        upper = [upper_solve_blocks(ui, ux, ud, inv, b,
+                                    level_schedule(ui, ux, reverse=True),
+                                    bs, engine=e)
+                 for e in ("numpy", "compiled")]
+        for ref, got in (lower, upper):
+            assert_norm_close(got, ref)
+        if HAS_BACKEND:
+            assert np.array_equal(lower[1],
+                                  _sequential_lower(li, lx, ld, b, bs))
+            assert np.array_equal(upper[1],
+                                  _sequential_upper(ui, ux, ud, inv, b, bs))
 
 
 LIMITERS = ("none", "van_albada", "minmod")

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.euler import wing_problem
+from repro.graph.traversal import bfs_levels
 from repro.partition import kway_partition
 from repro.precond import ASMConfig, AdditiveSchwarz
 from repro.solvers import gmres
-from repro.sparse import (CSRMatrix, assemble_bsr, block_structure_from_edges,
-                          )
+from repro.sparse import (BSRMatrix, CSRMatrix, assemble_bsr,
+                          block_structure_from_edges)
 
 
 def block_jacobi(labels, fill_level=0):
@@ -164,3 +166,106 @@ class TestScalarMatrix:
         res = gmres(m, b, M=pc, rtol=1e-9)
         assert res.converged
         assert np.allclose(a @ res.x, b, atol=1e-6)
+
+
+def _grown(a: BSRMatrix, i: int, j: int) -> BSRMatrix:
+    """``a`` with one more coupling block, at (i, j)."""
+    block = np.eye(a.bs)[None] * 0.25
+    rows = np.concatenate([a.row_of, [i]])
+    cols = np.concatenate([a.indices, [j]])
+    out = BSRMatrix.from_block_coo(rows, cols,
+                                   np.concatenate([a.data, block]),
+                                   (a.nbrows, a.nbcols))
+    out.engine = a.engine
+    return out
+
+
+class TestRefresh:
+    """A second ``setup`` is numeric-only for the sparsity the
+    subdomains were cut from — reading the new values through their
+    slot maps — and a cold set-up for any other."""
+
+    @pytest.fixture(scope="class")
+    def wing(self):
+        prob = wing_problem(7, 5, 4)
+        rng = np.random.default_rng(3)
+        q = prob.initial.flat() + 0.02 * rng.standard_normal(
+            prob.disc.num_unknowns)
+        labels = kway_partition(prob.mesh.vertex_graph(), 2, seed=0)
+        return prob, q, labels
+
+    @staticmethod
+    def _cold(labels, a, engine):
+        return AdditiveSchwarz(labels, ASMConfig(
+            overlap=1, fill_level=1, engine=engine)).setup(a)
+
+    @staticmethod
+    def _far_pair(prob, labels):
+        """Two vertices of one part, as far apart in the mesh as the
+        part allows: no ILU(1) fill couples them."""
+        g = prob.mesh.vertex_graph()
+        part = np.flatnonzero(labels == 0)
+        dist = bfs_levels(g, int(part[0]))
+        return int(part[0]), int(part[np.argmax(dist[part])])
+
+    @pytest.mark.parametrize("engine", ["numpy", "compiled"])
+    def test_new_values_refresh_bitwise_a_cold_setup(self, wing, engine):
+        prob, q, labels = wing
+        a1 = prob.disc.shifted_jacobian(q, 10.0)
+        a2 = prob.disc.shifted_jacobian(1.01 * q, 20.0)
+        pc = self._cold(labels, a1, engine)
+        patterns = [sd.factor.pattern for sd in pc.subdomains]
+        pc.setup(a2)
+        assert [sd.factor.pattern for sd in pc.subdomains] == patterns
+        r = np.random.default_rng(5).standard_normal(a2.shape[0])
+        assert np.array_equal(pc.solve(r),
+                              self._cold(labels, a2, engine).solve(r))
+
+    @pytest.mark.parametrize("csr", [False, True])
+    @pytest.mark.parametrize("engine", ["numpy", "compiled"])
+    def test_grown_pattern_refresh_is_a_cold_setup(self, wing, engine, csr):
+        """One extra coupling block, same row count: the refresh must
+        not reuse the old subdomains (they would drop the block)."""
+        prob, q, labels = wing
+        a = prob.disc.shifted_jacobian(q, 10.0)
+        grown = _grown(a, *self._far_pair(prob, labels))
+        if csr:
+            a, grown = a.to_csr(), grown.to_csr()
+            labels = np.repeat(labels, prob.disc.ncomp)
+        pc = self._cold(labels, a, engine)
+        pc.setup(grown)
+        r = np.random.default_rng(7).standard_normal(grown.shape[0])
+        ref = self._cold(labels, grown, engine).solve(r)
+        assert np.array_equal(pc.solve(r), ref)
+        assert not np.array_equal(self._cold(labels, a, engine).solve(r),
+                                  ref)
+
+    @pytest.mark.parametrize("csr", [False, True])
+    def test_slot_map_reads_the_submatrix(self, wing, csr):
+        prob, q, labels = wing
+        a = prob.disc.shifted_jacobian(q, 10.0)
+        if csr:
+            a, labels = a.to_csr(), np.repeat(labels, prob.disc.ncomp)
+        for sd in self._cold(labels, a, "numpy").subdomains:
+            assert sd.slots is not None
+            got, ref = sd.submatrix(a), a.submatrix(sd.rows)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
+
+    def test_duplicate_entries_fall_back_to_extraction(self, wing):
+        """``submatrix`` sums blocks stored twice; a slot map cannot, so
+        such a matrix is extracted on every refresh."""
+        prob, q, labels = wing
+        a = prob.disc.shifted_jacobian(q, 10.0)
+        k = a.indptr[1]                      # block row 0 stores its
+        dup = BSRMatrix(                     # first block twice
+            indptr=np.concatenate([[0], a.indptr[1:] + 1]),
+            indices=np.insert(a.indices, k, a.indices[0]),
+            data=np.insert(a.data, k, a.data[0], axis=0), nbcols=a.nbcols)
+        pc = self._cold(labels, dup, "numpy")
+        assert any(sd.slots is None for sd in pc.subdomains)
+        pc.setup(dup)
+        r = np.random.default_rng(9).standard_normal(a.shape[0])
+        assert np.array_equal(pc.solve(r),
+                              self._cold(labels, dup, "numpy").solve(r))

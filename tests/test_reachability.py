@@ -142,3 +142,34 @@ def test_design_inventory_names_every_package():
     packages = {p.parent.name
                 for p in (SRC / "repro").rglob("__init__.py")} - {"repro"}
     assert {p for p in packages if f"{p}/" not in section} == set()
+
+
+def _attr_calls(path, owners):
+    """Names ``n`` of every call ``owner.n(...)`` in ``path`` whose
+    owner is a plain name in ``owners``."""
+    tree = ast.parse(path.read_text())
+    return {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in owners}
+
+
+def test_every_compiled_kernel_is_reached():
+    """Each entry of the C backend's ``__oracles__`` map is a backend
+    method a ``repro.kernels`` dispatcher calls, and each dispatcher is
+    called from ``src/`` outside the kernels package: a kernel nothing
+    reaches is deleted with its oracle entry, not left compiled."""
+    from repro import kernels
+    from repro.kernels.cbackend import CBackend, __oracles__
+
+    kdir = SRC / "repro" / "kernels"
+    methods = {n for n in vars(CBackend) if not n.startswith("_")}
+    kernel_names = set(__oracles__) - {"load_cbackend"}
+    assert kernel_names <= methods
+    assert _attr_calls(kdir / "__init__.py", {"backend"}) >= kernel_names
+    dispatchers = set(kernels.__all__) - {"backend_for", "resolve_engine"}
+    called = set().union(*(
+        _attr_calls(p, {"_kernels", "kernels"})
+        for p in (SRC / "repro").rglob("*.py") if kdir not in p.parents))
+    assert dispatchers - called == set()

@@ -129,7 +129,8 @@ class TestWarmSeeding:
         """A numpy-tier solve leaves an elimination schedule on every
         pattern and the ``ilu_symbolic`` entry counts it; a compiled
         solve with a backend builds none, so the entry is the patterns'
-        index arrays alone."""
+        and the subdomains' index arrays alone — the slot maps into the
+        Jacobian among them."""
         from repro import kernels
 
         cache = ServiceCache()
@@ -137,10 +138,16 @@ class TestWarmSeeding:
         ctx = seed_solver(cache, prob.disc, small_cfg(engine=engine))
         ctx.solver.solve(prob.initial.flat())
         harvest_context(cache, ctx)
-        patterns = [sd.factor.pattern for sd in ctx.solver._pc.subdomains]
-        index_bytes = sum(p.l_indptr.nbytes + p.l_indices.nbytes
-                          + p.u_indptr.nbytes + p.u_indices.nbytes
-                          for p in patterns)
+        subdomains = ctx.solver._pc.subdomains
+        patterns = [sd.factor.pattern for sd in subdomains]
+        assert all(sd.slots is not None for sd in subdomains)
+        maps = sum(sd.rows.nbytes + sd.owned_local.nbytes
+                   + sd.owned_rows.nbytes + sd.sub_indptr.nbytes
+                   + sd.sub_indices.nbytes + sd.slots.nbytes
+                   for sd in subdomains)
+        index_bytes = maps + sum(p.l_indptr.nbytes + p.l_indices.nbytes
+                                 + p.u_indptr.nbytes + p.u_indices.nbytes
+                                 for p in patterns)
         stored = cache.stats()["ilu_symbolic"].bytes_stored
         if engine == "compiled" and kernels.backend_for(engine) is not None:
             assert not any(hasattr(p, "_schedule") for p in patterns)
