@@ -65,11 +65,9 @@ class SolverConfig:
     matrix_free: bool = False        # FD J*v operator (1st-order J still
                                      # assembled for the preconditioner)
     seed: int = 0
-    executor: str = "local"          # 'local' | 'seq' | 'proc': run the
-                                     # residual/matvec through the SPMD
-                                     # kernels (seq = in-process rank
-                                     # loop, proc = shm worker pool)
-    nworkers: int | None = None      # worker processes for 'proc'
+    executor: str = "local"          # 'local' | 'seq': seq runs the
+                                     # first-order residual and the
+                                     # matvec through the SPMD rank loop
     engine: str = "compiled"         # 'compiled' | 'numpy': kernel tier
                                      # for ILU/trisolve/SpMV/residual/
                                      # assembly (repro.kernels; degrades
@@ -87,10 +85,8 @@ class SolverConfig:
             raise ValueError("target_reduction must be in (0, 1]")
         if self.jacobian_lag < 1:
             raise ValueError("jacobian_lag must be >= 1")
-        if self.executor not in ("local", "seq", "proc"):
-            raise ValueError("executor must be 'local', 'seq', or 'proc'")
-        if self.nworkers is not None and self.nworkers < 1:
-            raise ValueError("nworkers must be >= 1")
+        if self.executor not in ("local", "seq"):
+            raise ValueError("executor must be 'local' or 'seq'")
         if self.engine not in ("numpy", "compiled"):
             raise ValueError("engine must be 'numpy' or 'compiled'")
         self.policy = PrecisionPolicy.named(self.policy)

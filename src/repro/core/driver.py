@@ -41,23 +41,19 @@ __all__ = ["NKSSolver", "SolveReport", "StepRecord"]
 class _SPMDOperator(OperatorFromCallable):
     """Krylov operator applying the Jacobian via the SPMD matvec.
 
-    What the executor knob routes GMRES through: the distributed
-    rank-by-rank SpMV (sequential or process-pool backend) instead of
-    the in-process ``A @ x``.  Both backends are bitwise-identical to
-    each other, so 'seq' is the oracle for 'proc' at the solver level.
+    What ``executor="seq"`` routes GMRES through: the distributed
+    rank-by-rank SpMV instead of the in-process ``A @ x``.
     """
 
-    def __init__(self, matrix, layout: SPMDLayout, executor,
+    def __init__(self, matrix, layout: SPMDLayout,
                  recorder=NULL_RECORDER) -> None:
         super().__init__(self._apply, matrix.shape[0])
         self.matrix = matrix
         self.layout = layout
-        self.executor = executor
         self.recorder = recorder
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return distributed_matvec(self.matrix, self.layout, x,
-                                  executor=self.executor,
                                   recorder=self.recorder)
 
 
@@ -133,10 +129,10 @@ class NKSSolver:
 
     Warm injection (the solver-service seam): ``labels`` skips the
     partitioner, ``layout`` additionally skips the SPMD layout build
-    (and brings its gather cache and any attached worker pool along),
-    and ``preconditioner`` injects a previously-harvested
-    :class:`AdditiveSchwarz` whose refresh path reuses the symbolic
-    ILU (and, on the numpy tier, its schedules) numeric-only.  All
+    (and brings its gather cache along), and ``preconditioner``
+    injects a previously-harvested :class:`AdditiveSchwarz` whose
+    refresh path reuses the symbolic ILU (and, on the numpy tier, its
+    schedules) numeric-only.  All
     three must come from a solve over the same mesh topology and
     compatible config — the structures assert sparsity compatibility
     at use time.
@@ -152,8 +148,7 @@ class NKSSolver:
         self.config = config or SolverConfig()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         # The engine knob rides the discretisation so the residual,
-        # assembly and SPMD rank kernels (which fork after this point)
-        # all see the same tier.
+        # assembly and SPMD rank kernels all see the same tier.
         self.disc.engine = self.config.engine
         if layout is not None:
             self._labels = np.asarray(layout.labels, dtype=np.int64)
@@ -168,9 +163,9 @@ class NKSSolver:
             preconditioner.recorder = self.recorder
         self._ws = KrylovWorkspace()     # Krylov arrays, reused every step
         self._steps_since_refresh = 0
-        # SPMD execution (config.executor 'seq'/'proc'): the Krylov
-        # matvec — and the residual while it is first-order — run on
-        # the distributed rank-local kernels over the partition.
+        # SPMD execution (config.executor 'seq'): the Krylov matvec —
+        # and the residual while it is first-order — run on the
+        # distributed rank-local kernels over the partition.
         if self.config.executor == "local":
             self._layout = None
         elif layout is not None:
@@ -227,39 +222,8 @@ class NKSSolver:
         controller = SERController(cfg.ptc, recorder=rec)
         report = SolveReport(converged=False)
         self._steps_since_refresh = cfg.jacobian_lag  # force initial refresh
+        spmd = self._layout is not None
 
-        pool = None
-        own_pool = False
-        if cfg.executor == "proc":
-            # Reuse a live pool already attached to the layout (the
-            # warm-service case: persistent workers across requests);
-            # otherwise create one for this solve only.  Only pools
-            # created here are closed here.
-            attached = self._layout.pool
-            if (attached is not None and not attached.closed
-                    and not attached.broken):
-                pool = attached
-            else:
-                from repro.parallel.procpool import ProcPool
-                pool = ProcPool(self._layout, self.disc,
-                                nworkers=cfg.nworkers)
-                own_pool = True
-        spmd_exec = pool if pool is not None \
-            else ("seq" if cfg.executor == "seq" else None)
-        try:
-            report = self._solve_loop(q, controller, report, cfg, rec,
-                                      spmd_exec, verbose, monitor)
-            if pool is not None:
-                # Merge the workers' telemetry shards (the phase spans
-                # they clocked in their own processes) into ``rec``.
-                pool.collect(rec)
-        finally:
-            if pool is not None and own_pool:
-                pool.close()
-        return report
-
-    def _solve_loop(self, q, controller, report, cfg, rec, spmd_exec,
-                    verbose, monitor) -> SolveReport:
         for step in range(1, cfg.max_steps + 1):
             # With order switching active, the controller dictates the
             # discretisation order for this step (paper Sec. 2.4.1:
@@ -267,16 +231,13 @@ class NKSSolver:
             order = (controller.second_order
                      if cfg.ptc.switch_order_drop is not None else None)
             use2 = self.disc.second_order if order is None else order
-            if spmd_exec is not None and not use2:
+            if spmd and not use2:
                 # First-order residuals decompose exactly over the
                 # partition (the SPMD kernels are first-order), so
-                # they run on the configured backend bitwise-
-                # identically to the in-process evaluation.  Per-rank
-                # flux spans and wait accounting come from the
-                # distributed path itself (inside the workers for
-                # 'proc', merged when the pool is collected).
+                # they run rank by rank bitwise-identically to the
+                # in-process evaluation.  Per-rank flux spans and wait
+                # accounting come from the distributed path itself.
                 f = distributed_residual(self.disc, self._layout, q,
-                                         executor=spmd_exec,
                                          recorder=rec)
             else:
                 with rec.span("flux"):
@@ -317,9 +278,8 @@ class NKSSolver:
                                                      second_order=order)
                 op = OperatorFromCallable(_booked_as_flux(fd.matvec, rec),
                                           fd.shape[0])
-            elif spmd_exec is not None:
-                op = _SPMDOperator(self._jac, self._layout, spmd_exec,
-                                   recorder=rec)
+            elif spmd:
+                op = _SPMDOperator(self._jac, self._layout, recorder=rec)
             else:
                 op = OperatorFromMatrix(self._jac)
             # The Krylov basis works at the policy's storage precision:

@@ -6,10 +6,10 @@ Usage::
     python -m repro.experiments table3      # run one (prints its table)
     python -m repro.experiments all         # run everything (slow)
 
-Measured experiments take the executor knobs::
+Measured experiments run for real on this host::
 
-    python -m repro.experiments table3-measured --executor proc --workers 2
-    python -m repro.experiments table5-measured --smoke
+    python -m repro.experiments table3-measured      # seq SPMD solves
+    python -m repro.experiments table5-measured --workers 2 --smoke
 
 ``--smoke`` shrinks any experiment to its CI-sized variant (fewer
 processor counts, smaller mesh, fewer steps).  Benchmark-grade runs
@@ -42,12 +42,11 @@ def _table1(a):
 
 def _table3_measured(a):
     # Quickstart-sized: one real solve per processor count on the SPMD
-    # kernels; --executor proc runs them in worker processes.
+    # kernels.
     procs = (2, 4) if a.smoke else (2, 4, 8)
     steps = 2 if a.smoke else 3
-    yield run_table3_measured(procs=procs, size="small", max_steps=steps,
-                              executor=a.executor,
-                              nworkers=a.workers).to_table()
+    yield run_table3_measured(procs=procs, size="small",
+                              max_steps=steps).to_table()
 
 
 def _table5_measured(a):
@@ -55,6 +54,13 @@ def _table5_measured(a):
     sweeps = 2 if a.smoke else 5
     yield run_table5_measured(node_counts=nodes, size="small",
                               sweeps=sweeps, nworkers=a.workers)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _fig5(a):
@@ -88,14 +94,9 @@ def main(argv: list[str] | None = None) -> int:
                              "(one of the registered names, or 'all')")
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized variant (smaller counts/steps)")
-    parser.add_argument("--executor", choices=("seq", "proc"),
-                        default="seq",
-                        help="SPMD backend for measured experiments: "
-                             "in-process rank loop or shared-memory "
-                             "worker processes")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes for --executor proc "
-                             "(default 2)")
+    parser.add_argument("--workers", type=_positive_int, default=2,
+                        help="worker processes of table5-measured's "
+                             "process pool (default 2)")
     args = parser.parse_args(argv)
 
     if args.experiment is None or (args.experiment != "all"

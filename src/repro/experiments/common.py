@@ -75,15 +75,14 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
                          target_reduction: float = 1e-10, seed: int = 0,
                          engine: str = "numpy", policy="fp64",
                          executor: str = "local",
-                         nworkers: int | None = None,
                          recorder=NULL_RECORDER):
     """One NKS run with a p-way preconditioner partition.
 
     ``max_steps`` is deliberately small and ``target_reduction``
     unreachable: scalability experiments compare a *fixed* number of
     pseudo-timesteps across partition counts, so iteration counts are
-    directly comparable.  ``executor``/``nworkers`` pick the SPMD
-    backend and ``recorder`` instruments the solve (the measured
+    directly comparable.  ``executor="seq"`` runs the solve on the
+    SPMD rank loop and ``recorder`` instruments it (the measured
     Table 3).
     """
     cfg = SolverConfig(
@@ -103,7 +102,6 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
         engine=engine,
         policy=policy,
         executor=executor,
-        nworkers=nworkers,
     )
     solver = NKSSolver(prob.disc, cfg, recorder=recorder)
     report = solver.solve(prob.initial.flat())

@@ -170,25 +170,18 @@ class MeasuredScalabilityResult:
 def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
                         max_steps: int = 4, fill_level: int = 1,
                         seed: int = 0, prob: FlowProblem | None = None,
-                        trace_dir=None, executor: str = "seq",
-                        nworkers: int | None = None
-                        ) -> MeasuredScalabilityResult:
+                        trace_dir=None) -> MeasuredScalabilityResult:
     """Measured-mode Table 3: telemetry instead of the machine model.
 
     For each processor count, one real p-block solve is recorded:
     assembled and first-order, so every residual and every Krylov
-    matvec runs on the rank-local SPMD kernels.  Its own linear
-    iteration count supplies eta_alg; its per-rank phase times supply
-    eta_impl and the percentage columns (``%red`` is the solve's
-    ``orthogonalization`` span — where the Krylov reductions happen).
-    With ``trace_dir`` set, one validated trace JSON per processor
-    count is dumped there (``trace_p{p}.json``) for CI diffing.
-
-    ``executor="proc"`` runs the rank kernels concurrently in
-    ``nworkers`` worker processes over shared memory; the per-rank
-    spans are then *measured inside the workers* (real concurrency,
-    real waits) rather than recorded from the in-process rank loop.
-    Iteration counts and traffic are identical either way.
+    matvec runs on the rank-local SPMD kernels (``executor="seq"``).
+    Its own linear iteration count supplies eta_alg; its per-rank phase
+    times supply eta_impl and the percentage columns (``%red`` is the
+    solve's ``orthogonalization`` span — where the Krylov reductions
+    happen).  With ``trace_dir`` set, one validated trace JSON per
+    processor count is dumped there (``trace_p{p}.json``) for CI
+    diffing.
     """
     if prob is None:
         prob = default_wing(size, seed=seed)
@@ -204,8 +197,7 @@ def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
         rec = TraceRecorder()
         _, report = solve_with_partition(
             prob, p, fill_level=fill_level, max_steps=max_steps, seed=seed,
-            matrix_free=False, executor=executor, nworkers=nworkers,
-            recorder=rec)
+            matrix_free=False, executor="seq", recorder=rec)
         its = report.total_linear_iterations
         result.traces[p] = rec
         runs.append((p, its, rec))
@@ -215,9 +207,7 @@ def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
             write_trace(out, rec, meta={
                 "experiment": "table3_measured", "nprocs": p,
                 "problem": prob.name, "linear_its": its,
-                "max_steps": max_steps, "fill_level": fill_level,
-                "executor": executor,
-                "nworkers": nworkers if nworkers is not None else 0})
+                "max_steps": max_steps, "fill_level": fill_level})
     result.rows = measured_rows(runs)
     return result
 

@@ -13,12 +13,14 @@ halo geometry; the per-edge flux cost model supplies the times.
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import numpy as np
 
 from repro.experiments.common import ExperimentResult, default_wing
 from repro.parallel.hybrid import hybrid_flux_times
+from repro.parallel.procpool import ProcPool
 from repro.parallel.spmd import SPMDLayout, distributed_residual
 from repro.partition.kway import kway_partition
 from repro.perfmodel.machines import ASCI_RED_PPRO, MachineSpec
@@ -60,15 +62,12 @@ def run_table5(*, node_counts=(4, 8, 16, 32), size: str = "medium",
 
 
 def _flux_wall(disc, labels: np.ndarray, q: np.ndarray, sweeps: int,
-               *, executor: str = "seq",
-               nworkers: int | None = None) -> float:
-    """Best-of-``sweeps`` wall seconds of one distributed flux phase."""
+               *, nworkers: int | None = None) -> float:
+    """Best-of-``sweeps`` wall seconds of one distributed flux phase:
+    the seq rank loop, or a ``nworkers``-process pool when given."""
     layout = SPMDLayout.build(disc.mesh.edges, labels)
-    pool = None
-    if executor == "proc":
-        from repro.parallel.procpool import ProcPool
-        pool = ProcPool(layout, disc, nworkers=nworkers)
-    try:
+    with (contextlib.nullcontext("seq") if nworkers is None
+          else ProcPool(layout, disc, nworkers=nworkers)) as executor:
         best = float("inf")
         distributed_residual(disc, layout, q, executor=executor)  # warm-up
         for _ in range(sweeps):
@@ -76,9 +75,6 @@ def _flux_wall(disc, labels: np.ndarray, q: np.ndarray, sweeps: int,
             distributed_residual(disc, layout, q, executor=executor)
             best = min(best, time.perf_counter() - t0)
         return best
-    finally:
-        if pool is not None:
-            pool.close()
 
 
 def run_table5_measured(*, node_counts=(2, 4), size: str = "small",
@@ -113,10 +109,8 @@ def run_table5_measured(*, node_counts=(2, 4), size: str = "small",
         l1 = kway_partition(graph, nodes, seed=seed)
         l2 = kway_partition(graph, 2 * nodes, seed=seed)
         t_1p = _flux_wall(disc, l1, q, sweeps)
-        t_2t = _flux_wall(disc, l1, q, sweeps, executor="proc",
-                          nworkers=nworkers)
-        t_2p = _flux_wall(disc, l2, q, sweeps, executor="proc",
-                          nworkers=nworkers)
+        t_2t = _flux_wall(disc, l1, q, sweeps, nworkers=nworkers)
+        t_2p = _flux_wall(disc, l2, q, sweeps, nworkers=nworkers)
         result.rows.append([nodes, round(t_1p, 5), round(t_2t, 5),
                             round(t_2p, 5), round(t_2t / t_2p, 3)])
     result.notes.append(

@@ -1,13 +1,15 @@
-"""Process-parallel SPMD executor over POSIX shared memory.
+"""Process-parallel SPMD residual and matvec over POSIX shared memory.
 
 The paper's parallel numbers come from ranks that really run
 concurrently; :mod:`repro.parallel.spmd` replays them rank by rank in
-one process.  This module is the genuinely concurrent backend: a
-persistent pool of forked worker processes, each owning a fixed subset
-of the layout's ranks, executing the *same* rank-local kernels
+one process.  This module is the concurrent instrument beside it: a
+pool of forked worker processes, each owning a fixed subset of the
+layout's ranks, executing the *same* rank-local kernels
 (:func:`~repro.parallel.spmd.rank_residual` /
 :func:`~repro.parallel.spmd.rank_matvec`) over one zero-copy
-``multiprocessing.shared_memory`` arena.
+``multiprocessing.shared_memory`` arena.  It is not a solver executor:
+``table5-measured`` and the benchmark's ``parallel.proc_*`` rows call
+it directly, as ``executor=pool`` of the distributed kernels.
 
 Execution protocol (per operation)::
 
@@ -19,9 +21,7 @@ Execution protocol (per operation)::
              sequential exchange's), then run the rank kernels,
              write owned output rows, and post DONE(w)
     ---------------------- drain DONE(w), with timeout --------------
-    main: read the output rows    (one extra GO/DONE round when
-                                   telemetry is on: workers account
-                                   waits from the filled times table)
+    main: read the output rows
 
 The coordinator owns the global vector, so it scatters the owned rows
 itself before posting GO — every ghost source is then already visible
@@ -35,16 +35,10 @@ waits untimed for each acknowledgment — a dead sleeper hangs it).
 
 Bitwise contract: every value a worker reads is an exact copy of what
 the sequential executor reads, and the compute is the identical shared
-kernel, so ``executor="proc"`` results equal ``executor="seq"`` bit
-for bit (asserted by tests/test_parallel_procpool.py).
-
-Telemetry: each worker owns a strict
-:class:`~repro.telemetry.recorder.TraceRecorder`; per-rank
-``ghost_exchange`` / ``flux`` / ``matvec`` spans are measured *inside*
-the worker with its own clock, per-rank implicit-sync waits are
-computed from a shared times table in a trailing accounting round,
-and :meth:`ProcPool.collect` merges the per-process shards
-(``TraceRecorder.merge_dict``) into the coordinating recorder.
+kernel, so pool results equal ``executor="seq"`` results bit for bit
+(asserted by tests/test_parallel_procpool.py).  Timing is the
+caller's: the distributed kernels book one coordinator-side span per
+pool call.  The workers keep no clock.
 
 Speed: rank inputs/outputs cross process boundaries as shared-memory
 rows (no pickling), and each worker caches the per-rank static data —
@@ -68,11 +62,6 @@ import numpy as np
 
 from repro.parallel.spmd import (GhostExchange, SPMDLayout, rank_matvec,
                                  rank_matvec_structs, rank_residual)
-from repro.sanitize.header import check_header_echo, mask_of, track_slots
-from repro.sanitize.writes import WriteSanitizer
-from repro.sanitize.writes import enabled as _sanitize_enabled
-from repro.telemetry.recorder import NULL_RECORDER, NullRecorder, \
-    TraceRecorder
 
 __all__ = ["ProcPool", "ProcPoolError"]
 
@@ -85,25 +74,18 @@ class ProcPoolError(RuntimeError):
 _H_OP = 0          # opcode of the current command
 _H_DTYPE = 1       # vector dtype code (index into _DTYPES)
 _H_NCOMP = 2       # components per row of the current command
-_H_RECORD = 3      # 1 -> workers record telemetry for this command
-_H_ERR = 4         # set to 1 by any worker that raised
-_H_MAT_TOKEN = 5   # generation counter of the loaded matrix
-_H_MAT_NNZB = 6    # block count of the matrix being loaded
-_H_MAT_BS = 7      # block size of the matrix being loaded
-_H_MAT_DTYPE = 8   # data dtype code of the matrix being loaded
-_H_MAT_ENGINE = 9  # kernel tier of the matrix (0 numpy, 1 compiled)
-_H_SAN_ECHO = 15   # sanitize only: workers echo their read-slot mask
-_HDR_SLOTS = 16
-
-#: slot index -> name, for sanitizer diagnostics
-_SLOT_NAMES = {v: k for k, v in list(globals().items())
-               if k.startswith("_H_") and isinstance(v, int)}
+_H_ERR = 3         # set to 1 by any worker that raised
+_H_MAT_TOKEN = 4   # generation counter of the loaded matrix
+_H_MAT_NNZB = 5    # block count of the matrix being loaded
+_H_MAT_BS = 6      # block size of the matrix being loaded
+_H_MAT_DTYPE = 7   # data dtype code of the matrix being loaded
+_H_MAT_ENGINE = 8  # kernel tier of the matrix (0 numpy, 1 compiled)
+_HDR_SLOTS = 9
 
 _OP_SHUTDOWN = 0
 _OP_RESIDUAL = 1
 _OP_MATVEC = 2
 _OP_LOAD_MATRIX = 3
-_OP_COLLECT = 4
 
 _DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 _NAME_BYTES = 128   # shm segment name region (ASCII, zero-padded)
@@ -154,11 +136,11 @@ class ProcPool:
     Parameters
     ----------
     layout:
-        The :class:`~repro.parallel.spmd.SPMDLayout` to execute.  The
-        pool attaches itself as ``layout.pool`` so ``executor="proc"``
-        resolves to it; a pool already attached there is closed first.
+        The :class:`~repro.parallel.spmd.SPMDLayout` to execute; pass
+        the pool as ``executor=`` of the distributed kernels on it.
     disc:
         The discretisation whose rank-local residual the pool runs.
+        Workers fork with it as it is now, ``disc.engine`` included.
     nworkers:
         Worker process count; must be ``>= 1`` (raises
         :class:`ProcPoolError` otherwise), clamped to ``nranks`` —
@@ -190,11 +172,6 @@ class ProcPool:
         if int(nworkers) < 1:
             raise ProcPoolError(f"nworkers must be >= 1, got {nworkers!r}")
         self.nworkers = min(int(nworkers), layout.nranks)
-        # A layout holds at most one open pool: building a second one
-        # closes the first (live or broken) here, instead of orphaning
-        # its workers and segments to ``__del__`` at interpreter exit.
-        if layout.pool is not None:
-            layout.pool.close()
         self._timeout = float(timeout)
         self._owner_pid = os.getpid()
         self._closed = False
@@ -205,20 +182,6 @@ class ProcPool:
 
         self._precompute()
         self._create_arena()
-        self._san_hdr = None
-        if _sanitize_enabled():
-            # Partition verify: every vertex owned by exactly one rank
-            # (the runtime counterpart of the layout's write-disjointness
-            # contract — an overlap here is a race on the output rows).
-            san = WriteSanitizer("procpool owned-row partition")
-            for rd in layout.ranks:
-                san.claim_indices(("rank", rd.rank), rd.owned,
-                                  key="owned-rows")
-            san.require_cover(0, self.n, key="owned-rows")
-            # Header echo: record every slot the coordinator ever
-            # writes (installed after the arena zero-fill, so only
-            # protocol writes count); workers echo their read masks.
-            self._san_hdr = self._hdr = track_slots(self._hdr)
         # Crash-path segment guard: everything the pool creates is
         # registered here; the finalizer unlinks whatever close()
         # never got to (idempotent — close() invokes it too).
@@ -229,9 +192,6 @@ class ProcPool:
         ctx = mp.get_context("fork")
         # Per-worker GO/DONE pairs: each worker only ever touches its
         # own, so a fast worker cannot steal a slow one's release.
-        # Pool construction is coordinator work even when a service
-        # dispatch *thread* reaches it (threads share the coordinator's
-        # address space; nothing here crosses a fork boundary first).
         self._go = [ctx.Semaphore(0) for _ in range(self.nworkers)]
         self._done = [ctx.Semaphore(0) for _ in range(self.nworkers)]
         self._res_q = ctx.SimpleQueue()
@@ -242,12 +202,10 @@ class ProcPool:
                        for w in range(self.nworkers)]
         for p in self._procs:
             p.start()
-        layout.pool = self
 
     # -- setup (runs pre-fork; workers inherit it copy-on-write) -------
     def _precompute(self) -> None:
         layout = self.layout
-        nranks = layout.nranks
         # Rank-local row offsets into the shared locals region.
         sizes = np.array([rd.n_local for rd in layout.ranks], dtype=np.int64)
         self._row_off = np.concatenate(
@@ -257,12 +215,9 @@ class ProcPool:
         # each ghost's owned copy (owner offset + owned position), with
         # the same stale-layout validation the sequential exchange does.
         self._ghost_src: list[np.ndarray] = []
-        self._n_owners = np.zeros(nranks, dtype=np.int64)
         for rd in layout.ranks:
             src = np.empty(rd.ghosts.size, dtype=np.int64)
-            owners = np.unique(rd.ghost_owner)
-            self._n_owners[rd.rank] = owners.size
-            for owner in owners:
+            for owner in np.unique(rd.ghost_owner):
                 sel = rd.ghost_owner == owner
                 gids = rd.ghosts[sel]
                 own = layout.ranks[int(owner)].owned
@@ -277,7 +232,6 @@ class ProcPool:
                         f"which does not own them")
                 src[sel] = self._row_off[int(owner)] + pos
             self._ghost_src.append(src)
-        self.total_ghosts = int(sum(rd.ghosts.size for rd in layout.ranks))
         # Coordinator-side owned-row scatter: one fancy assignment
         # ``locals[dst] = vec[src]`` fills every rank's owned rows.
         self._owned_dst = np.concatenate(
@@ -295,8 +249,6 @@ class ProcPool:
         off = _align(off + _HDR_SLOTS * 8)
         self._off_name = off
         off = _align(off + _NAME_BYTES)
-        self._off_times = off
-        off = _align(off + 2 * self.layout.nranks * 8)
         self._off_out = off
         off = _align(off + self.n * rowbytes)
         self._off_locals = off
@@ -305,9 +257,6 @@ class ProcPool:
         self._hdr = np.ndarray(_HDR_SLOTS, dtype=np.int64,
                                buffer=self._shm.buf, offset=self._off_hdr)
         self._hdr[:] = 0
-        self._times = np.ndarray((2, self.layout.nranks), dtype=np.float64,
-                                 buffer=self._shm.buf,
-                                 offset=self._off_times)
 
     def _view2d(self, offset: int, rows: int, ncols: int,
                 dtype) -> np.ndarray:
@@ -354,33 +303,17 @@ class ProcPool:
                     f"worker sync timed out (dead workers: {what}); the "
                     f"pool is unusable, close() it")
 
-    def _run(self, op: int, *, dtype_code: int = 0, ncomp: int = 0,
-             record: bool = False) -> None:
+    def _run(self, op: int, *, dtype_code: int = 0, ncomp: int = 0) -> None:
         self._check_open()
         hdr = self._hdr
         hdr[_H_OP] = op
         hdr[_H_DTYPE] = dtype_code
         hdr[_H_NCOMP] = ncomp
-        hdr[_H_RECORD] = int(bool(record))
         hdr[_H_ERR] = 0
         self._post_go()                  # release workers into the op
         self._drain_done()               # wait for completion
-        if record and op in (_OP_RESIDUAL, _OP_MATVEC):
-            # Wait-accounting round: every rank's ghost/compute times
-            # are now in the shared table, so let the workers charge
-            # their ranks.  Membership is decided by the header alone
-            # (never by error state) so both sides always agree.
-            self._post_go()
-            self._drain_done()
-        if hdr[_H_ERR] and op != _OP_COLLECT:
+        if hdr[_H_ERR]:
             raise ProcPoolError(self._drain_errors())
-        if self._san_hdr is not None:
-            # Workers echoed the slots this op actually read; every one
-            # of them must have been written by the coordinator at some
-            # point (matrix descriptor slots persist across ops).
-            check_header_echo(
-                mask_of(self._san_hdr.writes, exclude=(_H_SAN_ECHO,)),
-                int(hdr[_H_SAN_ECHO]), _SLOT_NAMES)
 
     def _drain_errors(self) -> str:
         msgs = []
@@ -406,36 +339,27 @@ class ProcPool:
         locs[self._owned_dst] = v.reshape(self.n, ncomp)[self._owned_src]
         return code, v.dtype
 
-    def _recording(self, recorder=NULL_RECORDER) -> bool:
-        return not isinstance(recorder, NullRecorder)
-
     # -- public operations ---------------------------------------------
     def residual(self, qglobal: np.ndarray,
-                 exchange: GhostExchange | None = None,
-                 recorder=NULL_RECORDER) -> np.ndarray:
+                 exchange: GhostExchange | None = None) -> np.ndarray:
         """First-order residual; equals the seq executor bit for bit."""
-        rec = recorder if recorder is not None else NULL_RECORDER
         self._check_open()
         ncomp = self.ncomp
         code, dtype = self._scatter_locals(qglobal, ncomp)
-        self._run(_OP_RESIDUAL, dtype_code=code, ncomp=ncomp,
-                  record=self._recording(rec))
+        self._run(_OP_RESIDUAL, dtype_code=code, ncomp=ncomp)
         if exchange is not None:
             exchange.account_refresh(dtype.itemsize)
         return self._view2d(self._off_out, self.n, ncomp,
                             dtype).copy().ravel()
 
     def matvec(self, a, xglobal: np.ndarray,
-               exchange: GhostExchange | None = None,
-               recorder=NULL_RECORDER) -> np.ndarray:
+               exchange: GhostExchange | None = None) -> np.ndarray:
         """Distributed y = A x; equals the seq executor bit for bit."""
-        rec = recorder if recorder is not None else NULL_RECORDER
         self._check_open()
         self.set_matrix(a)
         bs = int(a.bs)
         code, dtype = self._scatter_locals(xglobal, bs)
-        self._run(_OP_MATVEC, dtype_code=code, ncomp=bs,
-                  record=self._recording(rec))
+        self._run(_OP_MATVEC, dtype_code=code, ncomp=bs)
         if exchange is not None:
             exchange.account_refresh(dtype.itemsize)
         return self._view2d(self._off_out, self.n, bs, dtype).copy().ravel()
@@ -496,22 +420,6 @@ class ProcPool:
             old.close()
             old.unlink()
 
-    def collect(self, recorder=NULL_RECORDER) -> None:
-        """Merge every worker's telemetry shard into ``recorder`` and
-        reset the workers' recorders."""
-        rec = recorder if recorder is not None else NULL_RECORDER
-        self._run(_OP_COLLECT)
-        errors = []
-        for _ in range(self.nworkers):
-            kind, wid, payload = self._res_q.get()
-            if kind == "error":
-                errors.append(f"[worker {wid}]\n{payload}")
-            else:
-                rec.merge_dict(payload)
-        if errors:
-            raise ProcPoolError("telemetry collection failed:\n"
-                                + "\n".join(errors))
-
     # -- shm name passing ----------------------------------------------
     def _set_name(self, name: str) -> None:
         raw = name.encode("ascii")
@@ -543,7 +451,7 @@ class ProcPool:
             pass
 
     def _release_views(self) -> None:
-        self._hdr = self._times = None
+        self._hdr = None
 
     def close(self) -> None:
         """Shut workers down, join them, and unlink every segment.
@@ -557,8 +465,6 @@ class ProcPool:
         if self._closed or os.getpid() != self._owner_pid:
             return
         self._closed = True
-        if self.layout.pool is self:
-            self.layout.pool = None
         if self._hdr is not None:
             self._hdr[_H_OP] = _OP_SHUTDOWN
             self._post_go()              # wake idle workers into exit
@@ -583,68 +489,32 @@ class ProcPool:
         ranks = self._worker_ranks[wid]
         go = self._go[wid]
         done = self._done[wid]
-        rec = TraceRecorder()
         state = {"token": 0, "cache": {}, "ws": {}, "engine": "numpy"}
-        hdr_raw = np.asarray(self._hdr)
-        tracker = None
-        if _sanitize_enabled():
-            # Fresh tracker in this process (the fork-inherited one
-            # holds the coordinator's write set): record which header
-            # slots this worker actually reads, echo the mask back.
-            tracker = self._hdr = track_slots(hdr_raw)
         try:
             while True:
                 go.acquire()
-                if tracker is not None:
-                    tracker.reads.clear()
                 op = int(self._hdr[_H_OP])
                 if op == _OP_SHUTDOWN:
                     break
-                record = bool(self._hdr[_H_RECORD])
-                phase = "flux" if op == _OP_RESIDUAL else "matvec"
                 try:
-                    if op == _OP_RESIDUAL:
-                        self._w_compute(ranks, rec, record, phase)
-                    elif op == _OP_MATVEC:
-                        self._w_compute(ranks, rec, record, phase,
-                                        mats=state)
+                    if op in (_OP_RESIDUAL, _OP_MATVEC):
+                        self._w_compute(ranks, op, state)
                     elif op == _OP_LOAD_MATRIX:
                         self._w_load_matrix(ranks, state)
-                    elif op == _OP_COLLECT:
-                        self._res_q.put(("shard", wid, rec.to_dict()))
-                        rec = TraceRecorder()
                     else:
                         raise ProcPoolError(f"unknown opcode {op}")
                 except BaseException:
                     self._hdr[_H_ERR] = 1
                     self._res_q.put(("error", wid,
                                      traceback.format_exc()))
-                if tracker is not None:
-                    hdr_raw[_H_SAN_ECHO] = mask_of(
-                        tracker.reads, exclude=(_H_SAN_ECHO,))
                 done.release()
-                if record and op in (_OP_RESIDUAL, _OP_MATVEC):
-                    # Wait-accounting round (same membership rule as
-                    # the coordinator: header fields only).
-                    go.acquire()
-                    try:
-                        self._w_account_waits(ranks, rec, phase)
-                    except BaseException:
-                        self._hdr[_H_ERR] = 1
-                        self._res_q.put(("error", wid,
-                                         traceback.format_exc()))
-                    if tracker is not None:
-                        hdr_raw[_H_SAN_ECHO] = mask_of(
-                            tracker.reads, exclude=(_H_SAN_ECHO,))
-                    done.release()
         finally:
             self._release_views()
 
-    def _w_compute(self, ranks, rec, record: bool, phase: str,
-                   mats=None) -> None:
+    def _w_compute(self, ranks, op: int, mats) -> None:
         """One bulk-synchronous residual/matvec: exchange, compute —
         the worker half of the protocol in the module doc (the
-        coordinator scattered the owned rows before barrier A)."""
+        coordinator scattered the owned rows before posting GO)."""
         layout = self.layout
         hdr = self._hdr
         dtype = _DTYPES[int(hdr[_H_DTYPE])]
@@ -653,38 +523,19 @@ class ProcPool:
         locs = self._view2d(self._off_locals, self.total_local, ncomp, dtype)
         row_off = self._row_off
         # Ghost gather: pure copies of the owners' owned rows — the
-        # barrier-based VecScatter.
+        # VecScatter.
         for r in ranks:
             rd = layout.ranks[r]
-            if rd.ghosts.size == 0:
-                self._times[0, r] = 0.0
-                continue
             lo = row_off[r]
-            if record:
-                with rec.span("ghost_exchange", rank=r) as sp:
-                    locs[lo + rd.n_owned: lo + rd.n_local] = \
-                        locs[self._ghost_src[r]]
-                nbytes = rd.ghosts.size * ncomp * dtype.itemsize
-                rec.count("messages", int(self._n_owners[r]), rank=r)
-                rec.count("bytes", nbytes, rank=r)
-                self._times[0, r] = sp.elapsed
-            else:
-                locs[lo + rd.n_owned: lo + rd.n_local] = \
-                    locs[self._ghost_src[r]]
+            locs[lo + rd.n_owned: lo + rd.n_local] = locs[self._ghost_src[r]]
         # Compute: the shared rank kernels over the rank-local rows.
         for r in ranks:
             rd = layout.ranks[r]
             loc = locs[row_off[r]: row_off[r] + rd.n_local]
-            if record:
-                with rec.span(phase, rank=r) as sp:
-                    rows = self._w_rank_kernel(phase, rd, loc, dtype, mats)
-                self._times[1, r] = sp.elapsed
-            else:
-                rows = self._w_rank_kernel(phase, rd, loc, dtype, mats)
-            out[rd.owned] = rows
+            out[rd.owned] = self._w_rank_kernel(op, rd, loc, dtype, mats)
 
-    def _w_rank_kernel(self, phase: str, rd, loc, dtype, mats):
-        if phase == "flux":
+    def _w_rank_kernel(self, op: int, rd, loc, dtype, mats):
+        if op == _OP_RESIDUAL:
             r_local = rank_residual(self.disc, rd, loc, dtype,
                                     edge_normals=self._normals[rd.rank])
             return r_local[: rd.n_owned]
@@ -738,22 +589,6 @@ class ProcPool:
             del indptr, indices, data, mat
         finally:
             seg.close()
-
-    def _w_account_waits(self, ranks, rec, phase: str) -> None:
-        """Wait-accounting round: every rank's ghost/compute
-        times are now in the shared table, so each worker charges its
-        own ranks ``max_r t_r - t_own`` (TraceRecorder.record_wait's
-        definition, computed across processes)."""
-        nranks = self.layout.nranks
-        tg = self._times[0, :nranks]
-        tc = self._times[1, :nranks]
-        gmax = float(tg.max())
-        cmax = float(tc.max())
-        for r in ranks:
-            if self.total_ghosts:
-                rec.add_wait_seconds("ghost_exchange", r,
-                                     gmax - float(tg[r]))
-            rec.add_wait_seconds(phase, r, cmax - float(tc[r]))
 
 
 class _MatView:

@@ -86,17 +86,13 @@ class RankLocalData:
 class SPMDLayout:
     """The full set of rank-local worlds for one partition.
 
-    ``pool`` is the attach point for a process-parallel executor
-    (:class:`repro.parallel.procpool.ProcPool`); the distributed
-    kernels resolve ``executor="proc"`` through it.  ``gather_cache``
-    holds the per-rank SpMV gather structures keyed by matrix pattern
-    (see :func:`gather_structs`); it is layout-owned so warm services
-    can seed it across solves.
+    ``gather_cache`` holds the per-rank SpMV gather structures keyed by
+    matrix pattern (see :func:`gather_structs`); it is layout-owned so
+    warm services can seed it across solves.
     """
 
     labels: np.ndarray
     ranks: list[RankLocalData] = field(default_factory=list)
-    pool: object | None = field(default=None, repr=False, compare=False)
     gather_cache: dict = field(default_factory=dict, repr=False,
                                compare=False)
 
@@ -241,8 +237,8 @@ def rank_residual(disc: EdgeFVDiscretization, rd: RankLocalData,
     The single rank-local kernel both executors run: the sequential
     loop below and each pool worker call exactly this function, so
     seq/proc bitwise identity is structural, not empirical.
-    ``edge_normals`` may be the pre-gathered per-rank normals (the proc
-    backend caches them per worker); values are identical either way.
+    ``edge_normals`` may be the pre-gathered per-rank normals (the pool
+    workers cache them); values are identical either way.
     """
     from repro.euler.fluxes import rusanov_flux, rusanov_model
 
@@ -388,25 +384,17 @@ def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
     return segment_sum(seg, prods, n_owned)
 
 
-def _resolve_pool(layout: SPMDLayout, executor):
+def _resolve_pool(executor):
     """Map the ``executor`` knob to a worker pool, or ``None`` for the
-    in-process rank loop: ``None``/"seq" run in-process, "proc" is the
-    pool attached to the layout, a
-    :class:`~repro.parallel.procpool.ProcPool` instance is itself."""
+    in-process rank loop: ``None``/"seq" run in-process, a
+    :class:`~repro.parallel.procpool.ProcPool` instance runs the call."""
     if executor is None or executor == "seq":
         return None
-    if executor == "proc":
-        if layout.pool is None:
-            raise ValueError(
-                "executor='proc' needs a worker pool: create "
-                "repro.parallel.ProcPool(layout, disc) (it attaches "
-                "itself to layout.pool) or pass the pool as executor=")
-        return layout.pool
     from repro.parallel.procpool import ProcPool    # imports this module
     if isinstance(executor, ProcPool):
         return executor
     raise ValueError(f"unknown executor {executor!r} "
-                     f"(expected 'seq', 'proc', or a ProcPool)")
+                     f"(expected 'seq' or a ProcPool instance)")
 
 
 def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
@@ -423,16 +411,19 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
     result dtype follows ``qglobal`` (float32 in, float32 out).
 
     ``executor`` selects who runs the rank kernels: ``"seq"`` replays
-    the ranks in-process (the loop below), ``"proc"`` (or a
-    :class:`~repro.parallel.procpool.ProcPool` instance) runs them in
-    the worker pool over shared memory — bitwise-identical, because
-    both run the same rank kernels on exact copies.
+    the ranks in-process (the loop below), a
+    :class:`~repro.parallel.procpool.ProcPool` built on ``layout`` runs
+    them in its worker processes over shared memory — bitwise-identical,
+    because both run the same rank kernels on exact copies.  A pool
+    call is one coordinator-side ``flux`` span; the seq loop books one
+    per rank plus the exchange and the waits.
     """
     ncomp = disc.ncomp
     rec = recorder if recorder is not None else NULL_RECORDER
-    pool = _resolve_pool(layout, executor)
+    pool = _resolve_pool(executor)
     if pool is not None:
-        r = pool.residual(qglobal, exchange=exchange, recorder=rec)
+        with rec.span("flux"):
+            r = pool.residual(qglobal, exchange=exchange)
     else:
         ex = exchange or GhostExchange(layout, ncomp, recorder=rec)
         local_q = _scatter_local_state(layout, qglobal, ncomp)
@@ -467,9 +458,10 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
     """
     bs = a.bs
     rec = recorder if recorder is not None else NULL_RECORDER
-    pool = _resolve_pool(layout, executor)
+    pool = _resolve_pool(executor)
     if pool is not None:
-        y = pool.matvec(a, xglobal, exchange=exchange, recorder=rec)
+        with rec.span("matvec"):
+            y = pool.matvec(a, xglobal, exchange=exchange)
     else:
         ex = exchange or GhostExchange(layout, bs, recorder=rec)
         local_x = _scatter_local_state(layout, xglobal, bs)

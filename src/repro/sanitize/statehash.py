@@ -1,7 +1,7 @@
 """Per-phase state-hash trails: diff runs to their first divergence.
 
-The end-to-end equivalence tests assert ``seq == proc`` bitwise at the
-end of a solve; when that assert trips, the interesting question is
+The equivalence tests assert ``seq == proc`` bitwise on whole
+results; when that assert trips, the interesting question is
 *which phase* diverged first — residual 17?  the matvec after it?
 This module answers it: each executor run records a
 :class:`HashTrail` of ``(phase, digest)`` steps (the instrumented
@@ -12,9 +12,9 @@ step and reports the first mismatch instead of a run-end boolean.
 Usage (sanitize flag on)::
 
     with capture("seq") as seq_trail:
-        run_solver(executor="seq")
+        distributed_residual(disc, layout, q, executor="seq")
     with capture("proc") as proc_trail:
-        run_solver(executor="proc")
+        distributed_residual(disc, layout, q, executor=pool)
     where = first_divergence(seq_trail, proc_trail)
     # None, or {"step": 17, "phase": "matvec", ...}
 
@@ -25,12 +25,17 @@ bit anywhere in a result changes the digest.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 
-from repro.sanitize.writes import enabled
+__all__ = ["HashTrail", "capture", "enabled", "first_divergence", "note",
+           "state_hash"]
 
-__all__ = ["HashTrail", "capture", "first_divergence", "note", "state_hash"]
+
+def enabled() -> bool:
+    """True when ``REPRO_SANITIZE`` asks for runtime checks."""
+    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 
 def state_hash(*arrays) -> str:

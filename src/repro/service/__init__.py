@@ -11,11 +11,10 @@ solves.  This package provides the three pieces that turn the one-shot
 * :mod:`repro.service.cache` — the namespaced structure cache with
   hit/miss/byte telemetry (partition, gather, ilu_symbolic);
 * :mod:`repro.service.warm` — harvest-after-solve / seed-before-solve
-  of warm solver state (layouts, gather structs, preconditioners,
-  worker pools);
+  of warm solver state (layouts, gather structs, preconditioners);
 * :mod:`repro.service.service` — the :class:`SolverService` itself:
   bounded admission queue, per-request deadlines, compatibility-keyed
-  batching onto persistent warm workers, per-request trace spans.
+  batching onto warm structures, per-request trace spans.
 """
 
 from repro.service.hashing import (array_hash, config_key, mesh_hash,

@@ -28,7 +28,7 @@ long-running service from accumulating every mesh it ever saw.
 
 Thread safety: all mutating operations take one internal lock; the
 values themselves are handed out by reference, so *exclusive use* of a
-mutable structure (a preconditioner, a layout with an attached pool)
+mutable structure (a preconditioner, a layout with its gather cache)
 is the caller's contract — the service serialises requests per
 compatibility key for exactly this reason.
 """

@@ -10,10 +10,9 @@ caches:
   depend on the *graph*, not the coordinates, so a jittered copy of a
   mesh (same wing, perturbed points) maps to the same topology key and
   hits every structural namespace.
-* ``mesh_hash(mesh)`` — topology **and** coordinates.  Edge normals,
-  worker-pool state (the discretisation is pickled into the forked
-  workers), and numeric factors depend on the geometry, so warm pools
-  are keyed by the full mesh hash.
+* ``mesh_hash(mesh)`` — topology **and** coordinates.  Edge normals
+  and numeric factors depend on the geometry, which is what tells a
+  jittered copy from its original.
 * ``pattern_hash(indptr, indices)`` — a matrix sparsity pattern.
 * ``config_key(obj)`` — a canonical sha1 over any dataclass tree
   (``SolverConfig`` and friends), so "compatible configuration" is a

@@ -1,4 +1,4 @@
-"""The long-running solver service: admission, batching, warm workers.
+"""The long-running solver service: admission, batching, warm structures.
 
 Request lifecycle::
 
@@ -21,14 +21,9 @@ Request lifecycle::
   one per-key lock, so the warm structures are seeded once and the
   followers pay only the numeric work.  The per-key lock is also the
   exclusive-use contract of the mutable warm structures.
-* **Warm pools** — with ``executor="proc"`` the service creates the
-  worker pool itself, attached to the request's layout, and keeps it
-  across requests keyed by the *full* mesh hash (forked workers hold
-  the geometry); the driver reuses an attached live pool and never
-  closes pools it did not create.  A crashed worker surfaces as
-  :class:`~repro.parallel.procpool.ProcPoolError`: the request is
-  quarantined as ``failed``, the broken pool and its warm context are
-  discarded, and the service keeps serving.
+* **Failures** — a solve that raises ends its request as ``failed``
+  with the exception on ``ticket.error``; the dispatcher goes on to the
+  next request.
 * **Telemetry** — every request gets its own
   :class:`~repro.telemetry.TraceRecorder`; the service books
   ``service_queue`` / ``service_seed`` / ``service_solve`` /
@@ -46,9 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import SolverConfig
-from repro.parallel.procpool import ProcPoolError
 from repro.service.cache import ServiceCache
-from repro.service.hashing import _digest_parts, mesh_hash
+from repro.service.hashing import _digest_parts
 from repro.service.warm import harvest_context, seed_solver, structure_keys
 from repro.telemetry.recorder import TraceRecorder
 
@@ -133,8 +127,6 @@ class ServiceStats:
     timeouts: int = 0
     batches: int = 0
     batched_requests: int = 0
-    pools_created: int = 0
-    pools_discarded: int = 0
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -154,27 +146,21 @@ class SolverService:
         this are rejected at submit.
     max_batch:
         Largest same-key group one dispatch drains.
-    max_pools:
-        Warm worker-pool bound (LRU of full-mesh keys); excess pools
-        are closed.
     cache:
         A :class:`~repro.service.cache.ServiceCache`; a private one is
         created when omitted.
     """
 
     def __init__(self, *, workers: int = 2, max_queue: int = 16,
-                 max_batch: int = 8, max_pools: int = 2,
+                 max_batch: int = 8,
                  cache: ServiceCache | None = None) -> None:
         self.cache = cache or ServiceCache()
         self.stats = ServiceStats()
         self.max_queue = int(max_queue)
         self.max_batch = max(1, int(max_batch))
-        self.max_pools = max(0, int(max_pools))
         self._queue: deque[SolveTicket] = deque()
         self._cv = threading.Condition()
         self._key_locks: dict[str, threading.Lock] = {}
-        self._warm_pools: dict[str, object] = {}   # pool_key -> layout
-        self._pool_order: deque[str] = deque()
         self._closing = False
         self._next_rid = 0
         self._threads = [
@@ -279,13 +265,11 @@ class SolverService:
         ticket.queue_wait_s = time.perf_counter() - ticket.submitted_at
         rec = TraceRecorder()
         rec.add_span_seconds("service_queue", ticket.queue_wait_s)
-        pool_key = None
         try:
             with rec.span("service_seed"):
                 ctx = seed_solver(self.cache, req.disc, req.config,
                                   recorder=rec)
                 ticket.seeded = dict(ctx.seeded)
-                pool_key = self._attach_pool(ctx, req)
             deadline = ticket.deadline_at()
 
             def monitor(record, state):
@@ -310,15 +294,6 @@ class SolverService:
                 else:
                     self.stats.completed += 1
             ticket._finish("timeout" if deadline_hit else "completed")
-        except ProcPoolError as err:
-            # Quarantine: record the failure on the ticket, drop the
-            # broken pool and its warm context, keep serving.
-            ticket.error = err
-            ticket.trace = rec.to_dict()
-            self._discard_pool(pool_key)
-            with self._cv:
-                self.stats.failed += 1
-            ticket._finish("failed")
         except Exception as err:      # noqa: BLE001 - ticket carries it
             ticket.error = err
             ticket.trace = rec.to_dict()
@@ -326,76 +301,12 @@ class SolverService:
                 self.stats.failed += 1
             ticket._finish("failed")
 
-    # -- warm pools -------------------------------------------------------
-    def _pool_key(self, req: SolveRequest) -> str:
-        cfg = req.config
-        return _digest_parts("pool", mesh_hash(req.disc.mesh),
-                             self.compat_key(req), str(cfg.nworkers),
-                             str(cfg.engine))
-
-    def _attach_pool(self, ctx, req: SolveRequest) -> str | None:
-        """For proc requests: reuse (or create) the persistent warm
-        pool for this mesh + config, attached to the solver's layout."""
-        if req.config.executor != "proc":
-            return None
-        key = self._pool_key(req)
-        with self._cv:
-            layout = self._warm_pools.get(key)
-        pool = getattr(layout, "pool", None) if layout is not None else None
-        if (layout is not None and pool is not None
-                and not pool.closed and not pool.broken):
-            # Adopt the pooled layout wholesale (its gather cache and
-            # workers are warm); the solver was built over the same
-            # labels, so the swap is transparent.
-            ctx.solver._layout = layout
-            return key
-        from repro.parallel.procpool import ProcPool
-        layout = ctx.solver._layout
-        # Layouts are cached by topology, pools by full mesh hash: a
-        # perturbed mesh arrives on a layout still carrying the other
-        # mesh's pool.  A layout holds one pool, so every entry that
-        # points at this layout is retired with the pool it names.
-        with self._cv:
-            for k in [k for k, lay in self._warm_pools.items()
-                      if k == key or lay is layout]:
-                self._discard_pool(k)
-        # attaches to layout.pool
-        ProcPool(layout, req.disc, nworkers=req.config.nworkers)
-        with self._cv:
-            self.stats.pools_created += 1
-            self._warm_pools[key] = layout
-            self._pool_order.append(key)
-            while len(self._pool_order) > self.max_pools:
-                old = self._pool_order.popleft()
-                if old != key:
-                    self._close_pool_entry(old)
-        return key
-
-    def _close_pool_entry(self, key: str) -> None:
-        layout = self._warm_pools.pop(key, None)
-        if layout is not None and layout.pool is not None:
-            try:
-                layout.pool.close()
-            finally:
-                self.stats.pools_discarded += 1
-
-    def _discard_pool(self, key: str | None) -> None:
-        if key is None:
-            return
-        with self._cv:
-            if key in self._warm_pools:
-                try:
-                    self._pool_order.remove(key)
-                except ValueError:
-                    pass
-                self._close_pool_entry(key)
-
     # -- lifecycle --------------------------------------------------------
     def close(self, *, drain: bool = True,
               timeout: float | None = None) -> None:
         """Stop the service: reject new submits, optionally drain the
         queue (``drain=False`` expires queued requests as ``timeout``),
-        join the dispatchers, close every warm pool."""
+        and join the dispatchers."""
         with self._cv:
             self._closing = True
             if not drain:
@@ -406,10 +317,6 @@ class SolverService:
             self._cv.notify_all()
         for t in self._threads:
             t.join(timeout)
-        with self._cv:
-            for key in list(self._warm_pools):
-                self._close_pool_entry(key)
-            self._pool_order.clear()
 
     def __enter__(self) -> "SolverService":
         return self

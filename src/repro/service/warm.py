@@ -14,14 +14,10 @@ numbers.
 
 Key discipline
 --------------
-* ``partition`` / ``gather`` / ``ilu_symbolic`` are keyed by mesh
-  **topology** (+ the config knobs that shape them), so a jittered
-  mesh — same wing graph, perturbed coordinates — hits all three
-  structural namespaces;
-* the worker pool (and the layout it is attached to) is keyed by the
-  full **mesh** hash, because the forked workers hold the
-  discretisation's geometry; a jittered mesh gets a fresh pool but
-  warm structures.
+``partition`` / ``gather`` / ``ilu_symbolic`` are keyed by mesh
+**topology** (+ the config knobs that shape them), so a jittered mesh
+— same wing graph, perturbed coordinates — hits all three structural
+namespaces.
 
 Exclusive use: a seeded preconditioner/layout is mutable shared state;
 callers must serialise requests that share a key (the service holds a
@@ -32,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.service.hashing import (_digest_parts, config_key, mesh_hash,
-                                   topology_hash)
+from repro.service.hashing import _digest_parts, config_key, topology_hash
 from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["WarmContext", "structure_keys", "seed_solver",
@@ -48,8 +43,6 @@ class WarmContext:
     solver: object                 # NKSSolver
     keys: dict                     # namespace -> cache key
     seeded: dict                   # namespace -> bool (hit at seed time)
-    mesh_key: str
-    topo_key: str
 
 
 def structure_keys(mesh, config) -> dict:
@@ -136,9 +129,7 @@ def seed_solver(cache, disc, config, *,
     solver = NKSSolver(disc, config,
                        recorder=recorder,
                        labels=labels, layout=layout, preconditioner=pc)
-    return WarmContext(solver=solver, keys=keys, seeded=seeded,
-                       mesh_key=mesh_hash(disc.mesh),
-                       topo_key=topology_hash(disc.mesh))
+    return WarmContext(solver=solver, keys=keys, seeded=seeded)
 
 
 def harvest_context(cache, ctx: WarmContext) -> None:

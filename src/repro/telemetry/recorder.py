@@ -146,11 +146,10 @@ class TraceRecorder:
                          self_seconds: float | None = None) -> None:
         """Account span time measured outside this recorder's clock.
 
-        The worker-pool executor measures phases with its workers' own
-        clocks (a span cannot cross a process boundary); this feeds the
-        externally-measured interval into the same accumulators
-        ``span()`` commits to.  ``self_seconds`` defaults to the full
-        interval (no nested spans).
+        The solver service measures a request's queue wait before the
+        request's recorder exists; this feeds that interval into the
+        same accumulators ``span()`` commits to.  ``self_seconds``
+        defaults to the full interval (no nested spans).
         """
         if self.strict and phase not in KNOWN_PHASES:
             raise ValueError(f"unknown phase name {phase!r}")
@@ -158,44 +157,6 @@ class TraceRecorder:
         cell[0] += float(seconds)
         cell[1] += float(seconds if self_seconds is None else self_seconds)
         cell[2] += int(calls)
-
-    def add_wait_seconds(self, phase: str, rank: int, seconds: float) -> None:
-        """Account externally-computed implicit-sync wait for one rank.
-
-        ``record_wait`` needs every rank's time in one place; a worker
-        process only owns some ranks, so it computes ``max_r t_r -
-        t_own`` itself (from the shared times table) and deposits the
-        per-rank wait here.
-        """
-        if self.strict and phase not in KNOWN_PHASES:
-            raise ValueError(f"unknown phase name {phase!r}")
-        key = (phase, int(rank))
-        self._waits[key] = self._waits.get(key, 0.0) + float(seconds)
-
-    def merge_dict(self, doc: dict) -> None:
-        """Merge a trace document (another recorder's ``to_dict()``).
-
-        The worker-pool executor records per-rank spans inside each
-        worker process; on collection the per-process shards are merged
-        into the coordinating recorder with this.  Span totals, self
-        times, call counts, waits, and counters all accumulate.
-        """
-        for phase, ranks in doc.get("phases", {}).items():
-            if self.strict and phase not in KNOWN_PHASES:
-                raise ValueError(f"unknown phase name {phase!r} in "
-                                 f"merged trace shard")
-            for rank, cell in ranks.items():
-                key = (phase, int(rank))
-                acc = self._spans.setdefault(key, [0.0, 0.0, 0])
-                acc[0] += float(cell.get("total_s", 0.0))
-                acc[1] += float(cell.get("self_s", 0.0))
-                acc[2] += int(cell.get("count", 0))
-                wait = float(cell.get("wait_s", 0.0))
-                if wait:
-                    self._waits[key] = self._waits.get(key, 0.0) + wait
-        for name, ranks in doc.get("counters", {}).items():
-            for rank, value in ranks.items():
-                self.count(name, value, rank=int(rank))
 
     # -- queries -------------------------------------------------------
     @property
@@ -320,12 +281,6 @@ class NullRecorder:
     def add_span_seconds(self, phase: str, seconds: float, rank: int = 0, *,
                          calls: int = 1,
                          self_seconds: float | None = None) -> None:
-        return None
-
-    def add_wait_seconds(self, phase: str, rank: int, seconds: float) -> None:
-        return None
-
-    def merge_dict(self, doc: dict) -> None:
         return None
 
 

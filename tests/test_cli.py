@@ -44,6 +44,21 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
 
+    def test_executor_flag_is_gone(self, capsys):
+        """``table3-measured`` runs on the seq rank loop only."""
+        with pytest.raises(SystemExit) as exc:
+            main(["table3-measured", "--executor", "proc"])
+        assert exc.value.code == 2
+        assert "--executor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_workers_must_be_a_positive_integer(self, capsys, workers):
+        """Rejected at parse time, before any mesh is built."""
+        with pytest.raises(SystemExit) as exc:
+            main(["table5-measured", "--smoke", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.experiments"],

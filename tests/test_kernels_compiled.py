@@ -1206,7 +1206,6 @@ def _solver_cfg(engine, executor="local", max_steps=3):
         krylov=KrylovConfig(rtol=0.0, max_iterations=6, restart=6),
         precond=PreconditionerConfig(nparts=2, fill_level=1),
         executor=executor,
-        nworkers=2 if executor == "proc" else None,
         engine=engine,
     )
 
@@ -1221,7 +1220,7 @@ def _run(prob, cfg):
 
 
 class TestTrajectoryEquivalence:
-    @pytest.mark.parametrize("executor", ["local", "seq", "proc"])
+    @pytest.mark.parametrize("executor", ["local", "seq"])
     def test_engines_agree(self, executor):
         prob = wing_problem(7, 5, 4)
         rep_np = _run(prob, _solver_cfg("numpy", executor))

@@ -1,4 +1,4 @@
-"""The process-pool SPMD backend: 'proc' must equal 'seq' bit for bit.
+"""The process-pool SPMD instrument: a pool must equal 'seq' bit for bit.
 
 The sequential rank loop is the oracle (itself validated against the
 global kernels in test_parallel_spmd.py); the worker pool runs the
@@ -6,8 +6,9 @@ global kernels in test_parallel_spmd.py); the worker pool runs the
 copy and equality is bitwise, not approximate — across dtypes,
 including float32 ghost payloads.
 
-Also covered: how the ``executor=`` knob resolves to a pool, matrix
-rebroadcast, worker-side telemetry shards, crash handling, and
+Also covered: how the ``executor=`` knob resolves to a pool (and that
+the solver has no pool executor), matrix rebroadcast, the
+coordinator-side spans of a pool call, crash handling, and
 shared-memory cleanup.
 """
 
@@ -25,8 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import PreconditionerConfig, SolverConfig
-from repro.core.driver import NKSSolver
+from repro.core.config import SolverConfig
 from repro.euler import wing_problem
 from repro.parallel import (GhostExchange, ProcPool, ProcPoolError,
                             SPMDLayout, distributed_matvec,
@@ -67,8 +67,7 @@ class TestBitwiseEquivalence:
         if f32:
             qq = qq.astype(np.float32)
         f_seq = distributed_residual(prob.disc, layout, qq, executor="seq")
-        f_proc = distributed_residual(prob.disc, layout, qq,
-                                      executor="proc")
+        f_proc = distributed_residual(prob.disc, layout, qq, executor=pool)
         assert f_proc.dtype == f_seq.dtype == qq.dtype
         assert np.array_equal(f_seq, f_proc)
 
@@ -82,7 +81,7 @@ class TestBitwiseEquivalence:
         if f32:
             x = x.astype(np.float32)
         y_seq = distributed_matvec(a, layout, x, executor="seq")
-        y_proc = distributed_matvec(a, layout, x, executor="proc")
+        y_proc = distributed_matvec(a, layout, x, executor=pool)
         assert y_proc.dtype == y_seq.dtype
         assert np.array_equal(y_seq, y_proc)
 
@@ -98,8 +97,7 @@ class TestBitwiseEquivalence:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(q.size)
         assert np.array_equal(distributed_matvec(a, layout, x, executor="seq"),
-                              distributed_matvec(a, layout, x,
-                                                 executor="proc"))
+                              distributed_matvec(a, layout, x, executor=pool))
         for rd in layout.ranks:
             flat, cols, seg = gather_structs(a, layout, rd)
             lx = rng.standard_normal((rd.n_local, a.bs))
@@ -113,43 +111,47 @@ class TestBitwiseEquivalence:
     def test_residual_matches_global_kernel(self, setup, pool):
         """proc == seq == the plain in-process first-order residual."""
         prob, _, layout, q = setup
-        f_proc = distributed_residual(prob.disc, layout, q,
-                                      executor="proc")
+        f_proc = distributed_residual(prob.disc, layout, q, executor=pool)
         assert np.array_equal(
             f_proc, prob.disc.residual(q, second_order=False))
 
     @pytest.mark.parametrize("how", ["attached", "instance"])
     def test_pool_resolution(self, setup, pool, how):
-        """``executor="proc"`` resolves through ``layout.pool``; a
-        ProcPool instance is the executor itself, attached or not."""
+        """A ProcPool instance is the executor itself, on the layout it
+        was built over ("attached") or on an equal layout built apart
+        from it ("instance")."""
         prob, labels, layout, q = setup
         a = prob.disc.assemble_jacobian(q)
-        if how == "attached":
-            assert layout.pool is pool
-            lay, executor = layout, "proc"
-        else:
-            lay = SPMDLayout.build(prob.mesh.edges, labels)
-            assert lay.pool is None
-            executor = pool
+        lay = layout if how == "attached" \
+            else SPMDLayout.build(prob.mesh.edges, labels)
         assert np.array_equal(
-            distributed_residual(prob.disc, lay, q, executor=executor),
+            distributed_residual(prob.disc, lay, q, executor=pool),
             distributed_residual(prob.disc, lay, q, executor="seq"))
         assert np.array_equal(
-            distributed_matvec(a, lay, q, executor=executor),
+            distributed_matvec(a, lay, q, executor=pool),
             distributed_matvec(a, lay, q, executor="seq"))
 
-    @pytest.mark.parametrize("executor, match", [
-        ("proc", "needs a worker pool"),
-        ("mpi", "unknown executor"),
-    ], ids=["no-pool", "unknown"])
-    def test_bad_executor_rejected(self, setup, executor, match):
+    @pytest.mark.parametrize("executor", ["proc", "mpi"],
+                             ids=["no-pool", "unknown"])
+    def test_bad_executor_rejected(self, setup, executor):
         prob, labels, _, q = setup
-        bare = SPMDLayout.build(prob.mesh.edges, labels)   # no pool
+        bare = SPMDLayout.build(prob.mesh.edges, labels)
         a = prob.disc.assemble_jacobian(q)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="unknown executor"):
             distributed_residual(prob.disc, bare, q, executor=executor)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="unknown executor"):
             distributed_matvec(a, bare, q, executor=executor)
+
+    def test_proc_string_rejected_beside_a_live_pool(self, setup, pool):
+        """There is no attach point: ``executor="proc"`` is an error
+        even on the layout a live pool was built over."""
+        prob, _, layout, q = setup
+        assert pool.layout is layout and not pool.closed
+        a = prob.disc.assemble_jacobian(q)
+        with pytest.raises(ValueError, match="'seq' or a ProcPool"):
+            distributed_residual(prob.disc, layout, q, executor="proc")
+        with pytest.raises(ValueError, match="'seq' or a ProcPool"):
+            distributed_matvec(a, layout, q, executor="proc")
 
 
 class TestMatrixRebroadcast:
@@ -158,62 +160,39 @@ class TestMatrixRebroadcast:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(q.size)
         a1 = prob.disc.assemble_jacobian(q)
-        y1 = distributed_matvec(a1, layout, x, executor="proc")
+        y1 = distributed_matvec(a1, layout, x, executor=pool)
         # New values, same pattern: the token must invalidate the
         # workers' cached gather copies.
         a2 = prob.disc.assemble_jacobian(
             q + 0.1 * rng.standard_normal(q.size))
         y2_seq = distributed_matvec(a2, layout, x, executor="seq")
-        y2 = distributed_matvec(a2, layout, x, executor="proc")
+        y2 = distributed_matvec(a2, layout, x, executor=pool)
         assert np.array_equal(y2, y2_seq)
         assert not np.array_equal(y1, y2)
         # Rebroadcasting the same object is a no-op (cached by token).
         assert np.array_equal(
-            distributed_matvec(a2, layout, x, executor="proc"), y2_seq)
+            distributed_matvec(a2, layout, x, executor=pool), y2_seq)
 
 
-class TestWorkerTelemetry:
-    def test_spans_recorded_inside_workers(self, setup):
-        prob, labels, layout, q = setup
-        with ProcPool(layout, prob.disc, nworkers=3) as p:
-            rec = TraceRecorder()
-            distributed_residual(prob.disc, layout, q, recorder=rec,
-                                 executor="proc")
-            a = prob.disc.assemble_jacobian(q)
-            distributed_matvec(a, layout, q, recorder=rec,
-                               executor="proc")
-            # Parent-side envelopes exist already; worker shards only
-            # arrive on collect().
-            assert rec.phase_calls("flux", rank=1) == 0
-            p.collect(rec)
-            # One per-rank flux/matvec span, clocked inside the worker.
-            for rd in layout.ranks:
-                assert rec.phase_calls("flux", rank=rd.rank) == 1
-                assert rec.phase_calls("matvec", rank=rd.rank) == 1
-                assert rec.phase_calls("ghost_exchange",
-                                       rank=rd.rank) == 2
-            # Implicit-sync waits: the slowest rank waits zero, the
-            # others wait the measured gap — all finite, at least one
-            # recorded per phase.
-            assert rec.wait_seconds("flux") >= 0.0
-            # Worker-side ghost traffic counters match the plan: one
-            # recorded exchange per op (residual + matvec).
-            ex = GhostExchange(layout, prob.disc.ncomp)
-            assert rec.counter("messages") == 2 * ex.pair_count
-            assert rec.counter("bytes") == 2 * ex.ghost_rows * \
-                prob.disc.ncomp * 8
-            # collect() resets the shards: a second collect adds nothing.
-            before = rec.phase_calls("flux", rank=0)
-            p.collect(rec)
-            assert rec.phase_calls("flux", rank=0) == before
-
-    def test_null_recorder_records_nothing(self, setup):
+class TestPoolCallSpans:
+    def test_one_coordinator_span_per_call(self, setup, pool):
+        """A recorder passed with a pool books each call as one span on
+        the coordinator (rank 0), with the pool's ghost traffic on the
+        exchange: the workers keep no clock, and nothing is silent."""
         prob, _, layout, q = setup
-        with ProcPool(layout, prob.disc, nworkers=2) as p:
-            distributed_residual(prob.disc, layout, q, executor="proc")
-            rec = TraceRecorder()
-            p.collect(rec)
-            assert rec.phases() == []
+        rec = TraceRecorder()
+        ex = GhostExchange(layout, prob.disc.ncomp)
+        a = prob.disc.assemble_jacobian(q)
+        for _ in range(2):
+            distributed_residual(prob.disc, layout, q, ex, recorder=rec,
+                                 executor=pool)
+        distributed_matvec(a, layout, q, ex, recorder=rec, executor=pool)
+        assert rec.phase_calls("flux") == rec.phase_calls("flux", 0) == 2
+        assert rec.phase_calls("matvec") == rec.phase_calls("matvec", 0) == 1
+        assert rec.phase_seconds("flux") > 0
+        assert rec.phase_seconds("matvec") > 0
+        assert rec.ranks() == [0]
+        assert ex.messages == 3 * ex.pair_count
 
 
 class TestExchangeProcMode:
@@ -237,9 +216,9 @@ class TestLifecycle:
         prob, _labels, layout, q = setup
         with ProcPool(layout, prob.disc, nworkers=2) as p:
             name = p.shm_name
-            distributed_residual(prob.disc, layout, q, executor="proc")
+            distributed_residual(prob.disc, layout, q, executor=p)
             a = prob.disc.assemble_jacobian(q)
-            distributed_matvec(a, layout, q, executor="proc")
+            distributed_matvec(a, layout, q, executor=p)
             mat_name = p.mat_shm_name
             assert mat_name is not None
         assert p.closed
@@ -254,10 +233,10 @@ class TestLifecycle:
         p.close()                      # idempotent
         with pytest.raises(ProcPoolError, match="closed"):
             p.residual(q)
-        with pytest.raises(ValueError):
-            # layout.pool was detached by close(): executor="proc"
-            # without a live pool must be rejected, not deadlock.
-            distributed_residual(prob.disc, layout, q, executor="proc")
+        with pytest.raises(ProcPoolError, match="closed"):
+            # A closed pool passed as the executor is rejected, not a
+            # deadlock waiting on workers that have exited.
+            distributed_residual(prob.disc, layout, q, executor=p)
 
     def test_worker_crash_raises_and_close_is_clean(self, setup):
         prob, _labels, layout, q = setup
@@ -273,47 +252,23 @@ class TestLifecycle:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
         # The layout is reusable afterwards with a fresh pool.
-        with ProcPool(layout, prob.disc, nworkers=2):
-            f = distributed_residual(prob.disc, layout, q,
-                                     executor="proc")
+        with ProcPool(layout, prob.disc, nworkers=2) as fresh:
+            f = distributed_residual(prob.disc, layout, q, executor=fresh)
         assert np.array_equal(
             f, distributed_residual(prob.disc, layout, q, executor="seq"))
 
 
-class TestDriverIntegration:
-    def test_solver_proc_bitwise_equals_seq(self):
-        prob = wing_problem(8, 6, 5)
-        q0 = prob.initial.flat()
+class TestNoSolverExecutor:
+    """The pool is an instrument, not a solver executor: the solver
+    config has no ``"proc"`` value and no worker count."""
 
-        def run(executor, nworkers=None):
-            cfg = SolverConfig(max_steps=3,
-                               precond=PreconditionerConfig(nparts=4),
-                               executor=executor, nworkers=nworkers)
-            return NKSSolver(prob.disc, cfg).solve(q0)
+    def test_proc_executor_rejected(self):
+        with pytest.raises(ValueError, match="'local' or 'seq'"):
+            SolverConfig(executor="proc")
 
-        r_seq = run("seq")
-        r_proc = run("proc", nworkers=2)
-        assert np.array_equal(r_seq.final_state, r_proc.final_state)
-        assert ([s.fnorm for s in r_seq.steps]
-                == [s.fnorm for s in r_proc.steps])
-        assert (r_seq.total_linear_iterations
-                == r_proc.total_linear_iterations)
-
-    def test_solver_recorder_gets_worker_spans(self):
-        """An instrumented proc-executor solve surfaces the phase spans
-        clocked inside the worker processes, per rank."""
-        prob = wing_problem(8, 6, 5)
-        rec = TraceRecorder()
-        cfg = SolverConfig(max_steps=3,
-                           precond=PreconditionerConfig(nparts=4),
-                           executor="proc", nworkers=2)
-        NKSSolver(prob.disc, cfg, recorder=rec).solve(prob.initial.flat())
-        # The Krylov matvecs and their ghost exchanges run in the pool
-        # (the second-order residual stays in-process), so their spans
-        # carry every SPMD rank, clocked by the owning worker.
-        for phase in ("matvec", "ghost_exchange"):
-            assert rec.phase_seconds(phase) > 0.0
-            assert rec.ranks(phase) == [0, 1, 2, 3]
+    def test_nworkers_field_is_gone(self):
+        with pytest.raises(TypeError):
+            SolverConfig(nworkers=2)
 
 
 class TestEdgeCases:

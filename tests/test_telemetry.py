@@ -130,8 +130,8 @@ class TestCountersAndWaits:
         assert rec.ranks() == [0, 1, 2]
 
 
-class TestShardMerging:
-    """The worker-side API: externally clocked spans/waits + merge."""
+class TestExternalSpans:
+    """Span time clocked outside the recorder (the service queue wait)."""
 
     def test_add_span_seconds_accumulates(self):
         rec = TraceRecorder()
@@ -144,44 +144,6 @@ class TestShardMerging:
         with pytest.raises(ValueError):
             rec.add_span_seconds("not_a_phase", 1.0)
 
-    def test_add_wait_seconds_accumulates(self):
-        rec = TraceRecorder()
-        rec.add_wait_seconds("flux", 1, 0.125)
-        rec.add_wait_seconds("flux", 1, 0.25)
-        assert rec.wait_seconds("flux", rank=1) == pytest.approx(0.375)
-        with pytest.raises(ValueError):
-            rec.add_wait_seconds("not_a_phase", 0, 1.0)
-
-    def test_merge_dict_combines_shards(self):
-        shard = TraceRecorder()
-        with shard.span("flux", rank=3):
-            _spin()
-        shard.add_wait_seconds("flux", 3, 0.5)
-        shard.count("messages", 7, rank=3)
-
-        rec = TraceRecorder()
-        rec.add_span_seconds("flux", 1.0, rank=3)
-        rec.merge_dict(shard.to_dict())
-        assert rec.phase_calls("flux", rank=3) == 2
-        assert rec.phase_seconds("flux", rank=3) == pytest.approx(
-            1.0 + shard.phase_seconds("flux", rank=3))
-        assert rec.wait_seconds("flux", rank=3) == pytest.approx(0.5)
-        assert rec.counter("messages", rank=3) == 7
-
-    def test_merge_dict_rejects_unknown_phase(self):
-        rec = TraceRecorder()
-        bad = {"phases": {"warp_drive": {"0": {"total_s": 1.0,
-                                               "self_s": 1.0,
-                                               "count": 1}}},
-               "waits": {}, "counters": {}}
-        with pytest.raises(ValueError):
-            rec.merge_dict(bad)
-
-    def test_null_recorder_shard_api_noop(self):
-        NULL_RECORDER.add_span_seconds("flux", 1.0)
-        NULL_RECORDER.add_wait_seconds("flux", 0, 1.0)
-        NULL_RECORDER.merge_dict({"phases": {}, "waits": {},
-                                  "counters": {}})
 
 
 class TestNullRecorder:
@@ -342,17 +304,6 @@ class TestMeasuredTable3:
         # to_table() renders without error and carries every row.
         table = result.to_table()
         assert len(table.rows) == 2
-
-    def test_executors_agree_on_algorithm_and_traffic(self):
-        """seq and proc record the same solve: identical iteration
-        counts, message counts and payload per iteration."""
-        from repro.experiments import run_table3_measured
-
-        kw = dict(procs=(2, 4), size="small", max_steps=2)
-        seq = run_table3_measured(executor="seq", **kw).rows
-        proc = run_table3_measured(executor="proc", nworkers=2, **kw).rows
-        assert [(r.its, r.messages, r.mb_per_it) for r in seq] \
-            == [(r.its, r.messages, r.mb_per_it) for r in proc]
 
     def test_measured_wall_sums_phase_walls(self):
         rec = TraceRecorder()
