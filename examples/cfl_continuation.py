@@ -11,7 +11,7 @@ Run:  python examples/cfl_continuation.py
 
 import numpy as np
 
-from repro.experiments.fig5 import run_fig5
+from repro.experiments.fig5 import histories, run_fig5
 
 
 def ascii_curve(residuals: np.ndarray, width: int = 60,
@@ -28,12 +28,12 @@ def ascii_curve(residuals: np.ndarray, width: int = 60,
 
 
 def main() -> None:
-    result, histories = run_fig5()
+    result = run_fig5()
     print(result.table())
-    for h in histories:
-        print(f"\nCFL0 = {h.cfl0:g}  "
-              f"({h.steps_to_target} steps to 1e-6 reduction)")
-        print("\n".join(ascii_curve(h.residuals)))
+    steps = dict(zip(result.column("CFL0"), result.column("Steps to 1e-6")))
+    for cfl0, residuals in histories(result).items():
+        print(f"\nCFL0 = {cfl0:g}  ({steps[cfl0]} steps to 1e-6 reduction)")
+        print("\n".join(ascii_curve(np.array(residuals))))
     print("\nNote the induction plateau of CFL0=1 — the paper bypasses it "
           "with an\naggressive initial CFL whenever the flow is smooth "
           "(Sec. 2.4.1).")

@@ -8,7 +8,7 @@ The grouping follows the paper's own taxonomy:
 * Newton parameters -> Jacobian/preconditioner refresh frequency
   (``jacobian_lag``);
 * Krylov parameters -> :class:`KrylovConfig`: forcing tolerance,
-  restart dimension, iteration cap, orthogonalisation;
+  restart dimension, iteration cap;
 * Schwarz parameters -> :class:`PreconditionerConfig`: subdomain
   count, overlap, fill level, (R)ASM variant;
 * subproblem parameters -> fill level (above) and the factor storage
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.precond.asm import ASMVariant
-from repro.solvers.gmres import Orthogonalization
 from repro.solvers.ptc import PTCConfig
 from repro.sparse.precision import PrecisionPolicy
 
@@ -34,10 +33,6 @@ class KrylovConfig:
     rtol: float = 1e-2               # inexact-Newton forcing (paper: 0.001-0.01)
     restart: int = 20                # GMRES(m); paper uses 10-30
     max_iterations: int = 40         # total linear its per Newton (10-80)
-    orthogonalization: Orthogonalization = Orthogonalization.MGS
-
-    def __post_init__(self) -> None:
-        self.orthogonalization = Orthogonalization(self.orthogonalization)
 
 
 @dataclass

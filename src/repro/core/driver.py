@@ -294,7 +294,6 @@ class NKSSolver:
                             rtol=cfg.krylov.rtol,
                             restart=cfg.krylov.restart,
                             maxiter=cfg.krylov.max_iterations,
-                            orthog=cfg.krylov.orthogonalization,
                             workspace=self._ws,
                             recorder=rec)
             rec.count("newton_steps", 1)

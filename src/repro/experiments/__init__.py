@@ -1,20 +1,23 @@
 """Experiment harnesses: one module per paper table/figure.
 
-Each module exposes a ``run_*`` function that regenerates its table or
-figure (as structured rows/series) on scaled-down workloads, plus the
-assertions-worthy *shape claims* the reproduction makes.  The
-``benchmarks/`` tree wraps these in pytest-benchmark entry points; the
-``examples/`` scripts reuse them interactively.  See DESIGN.md Sec. 4
-for the experiment index and EXPERIMENTS.md for recorded results.
+Each artefact has exactly one definition: a ``run_*`` function whose
+defaults regenerate its table or figure (as structured rows) on
+scaled-down workloads, and a ``check_*`` beside it that raises
+:class:`ClaimError` when one of the paper's *shape claims* fails on a
+result.  ``python -m repro.experiments NAME`` prints the committed
+``benchmarks/results/NAME.txt`` and runs the check; the ``examples/``
+scripts reuse the harnesses interactively.  See DESIGN.md Sec. 4 for
+the experiment index and EXPERIMENTS.md for recorded results.
 """
 
 from repro.experiments.common import (
     ExperimentResult,
+    ClaimError,
     scaled_hierarchy,
     default_wing,
     measured_linear_iterations,
 )
-from repro.experiments.table1 import run_table1, Table1Row
+from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import (run_table3, run_fig1,
                                       run_table3_measured,
@@ -30,10 +33,11 @@ from repro.experiments.eqbounds import run_eq_bounds
 
 __all__ = [
     "ExperimentResult",
+    "ClaimError",
     "scaled_hierarchy",
     "default_wing",
     "measured_linear_iterations",
-    "run_table1", "Table1Row",
+    "run_table1",
     "run_table2",
     "run_table3", "run_fig1", "run_table3_measured",
     "ScalabilityResult", "MeasuredScalabilityResult",

@@ -1,20 +1,24 @@
-"""Regenerate paper tables/figures from the command line.
+"""Regenerate the paper's tables and figures from the command line.
 
 Usage::
 
     python -m repro.experiments             # list experiments
-    python -m repro.experiments table3      # run one (prints its table)
-    python -m repro.experiments all         # run everything (slow)
+    python -m repro.experiments table3      # print one, check its claims
+    python -m repro.experiments all         # every experiment (slow)
 
-Measured experiments run for real on this host::
+A name's stdout is exactly the committed ``benchmarks/results/NAME.txt``
+(``python -m repro.experiments fig4 > benchmarks/results/fig4.txt``
+regenerates it) and its run time goes to stderr.  The artefact's
+``check_*`` runs next; a broken shape claim is named on stderr and the
+exit code is 1.  The measured experiments time real kernels on the
+host running them and have no committed file and no check::
 
     python -m repro.experiments table3-measured      # seq SPMD solves
     python -m repro.experiments table5-measured --workers 2 --smoke
 
-``--smoke`` shrinks any experiment to its CI-sized variant (fewer
-processor counts, smaller mesh, fewer steps).  Benchmark-grade runs
-with shape assertions live in ``benchmarks/``; this entry point is the
-quick interactive path.
+``--smoke`` is the CI-sized variant of table1 and fig3 (mesh and R10000
+caches shrunk 16x together) and of the measured experiments (fewer
+counts, steps and sweeps); every other name ignores it.
 """
 
 from __future__ import annotations
@@ -23,21 +27,23 @@ import argparse
 import sys
 import time
 
-from repro.experiments import (run_eq_bounds, run_fig1, run_fig2, run_fig3,
-                               run_fig4, run_fig5, run_table1, run_table2,
-                               run_table3, run_table3_measured, run_table4,
-                               run_table5, run_table5_measured)
+from repro.experiments import (ablations, eqbounds, fig2, fig3, fig4, fig5,
+                               table1, table2, table3, table4, table5)
+from repro.experiments.common import ClaimError
 
-# A modelled artefact is its ``run_*`` function's defaults, here and in
-# ``benchmarks/bench_*.py`` alike.  One split is deliberate: table1 and
-# fig3 run the paper's full-size mesh against the unscaled R10000 here,
-# while table1's timed wrapper and fig3's ``--smoke`` shrink the mesh
-# and the caches 16x together.
+# The CI-sized Table 1 / Fig. 3: a 16x smaller mesh against 16x smaller
+# caches keeps the cache-to-working-set ratio, hence the miss behaviour.
+_SMOKE_LAYOUT = dict(dims=(16, 10, 8), cache_scale=16)
 
 
 def _table1(a):
-    for comp in (False, True):
-        yield run_table1(compressible=comp)
+    kw = _SMOKE_LAYOUT if a.smoke else {}
+    return [table1.run_table1(compressible=comp, **kw)
+            for comp in (False, True)]
+
+
+def _fig3(a):
+    return [fig3.run_fig3(**(_SMOKE_LAYOUT if a.smoke else {}))]
 
 
 def _table3_measured(a):
@@ -45,15 +51,20 @@ def _table3_measured(a):
     # kernels.
     procs = (2, 4) if a.smoke else (2, 4, 8)
     steps = 2 if a.smoke else 3
-    yield run_table3_measured(procs=procs, size="small",
-                              max_steps=steps).to_table()
+    return [table3.run_table3_measured(procs=procs, size="small",
+                                       max_steps=steps).to_table()]
 
 
 def _table5_measured(a):
     nodes = (2,) if a.smoke else (2, 4)
     sweeps = 2 if a.smoke else 5
-    yield run_table5_measured(node_counts=nodes, size="small",
-                              sweeps=sweeps, nworkers=a.workers)
+    return [table5.run_table5_measured(node_counts=nodes, size="small",
+                                       sweeps=sweeps, nworkers=a.workers)]
+
+
+def _default(run):
+    """The artefact as its ``run_*`` defaults define it."""
+    return lambda a: [run()]
 
 
 def _positive_int(text: str) -> int:
@@ -63,25 +74,33 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _fig5(a):
-    result, _histories = run_fig5()
-    yield result
-
-
+#: name -> (run, check).  ``run(args)`` returns the artefact's tables in
+#: print order; ``check(result)`` raises ClaimError on a table that
+#: breaks a paper claim (None for the measured wall-clock experiments).
 EXPERIMENTS = {
-    "table1": _table1,
-    "table2": lambda a: [run_table2()],
-    "table3": lambda a: [run_table3().to_table()],
-    "table3-measured": _table3_measured,
-    "table4": lambda a: [run_table4()],
-    "table5": lambda a: [run_table5()],
-    "table5-measured": _table5_measured,
-    "fig1": lambda a: [run_fig1()],
-    "fig2": lambda a: [run_fig2()],
-    "fig3": lambda a: [run_fig3()],
-    "fig4": lambda a: [run_fig4()],
-    "fig5": _fig5,
-    "eqbounds": lambda a: [run_eq_bounds()],
+    "table1": (_table1, table1.check_table1),
+    "table2": (_default(table2.run_table2), table2.check_table2),
+    "table3": (lambda a: [table3.run_table3().to_table()],
+               table3.check_table3),
+    "table3-measured": (_table3_measured, None),
+    "table4": (_default(table4.run_table4), table4.check_table4),
+    "table5": (_default(table5.run_table5), table5.check_table5),
+    "table5-measured": (_table5_measured, None),
+    "fig1": (_default(table3.run_fig1), table3.check_fig1),
+    "fig2": (_default(fig2.run_fig2), fig2.check_fig2),
+    "fig3": (_fig3, fig3.check_fig3),
+    "fig4": (_default(fig4.run_fig4), fig4.check_fig4),
+    "fig5": (_default(fig5.run_fig5), fig5.check_fig5),
+    "eqbounds": (_default(eqbounds.run_eq_bounds), eqbounds.check_eq_bounds),
+    "ablation-orderings": (_default(ablations.run_edge_orderings),
+                           ablations.check_edge_orderings),
+    "ablation-imbalance": (_default(ablations.run_imbalance),
+                           ablations.check_imbalance),
+    "ablation-matrix-free": (_default(ablations.run_matrix_free),
+                             ablations.check_matrix_free),
+    "ablation-jacobian-lag": (_default(ablations.run_jacobian_lag),
+                              ablations.check_jacobian_lag),
+    "ablation-rasm": (_default(ablations.run_rasm), ablations.check_rasm),
 }
 
 
@@ -115,13 +134,22 @@ def main(argv: list[str] | None = None) -> int:
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
-    for name in names:
+    failed = False
+    for i, name in enumerate(names):
+        run, check = EXPERIMENTS[name]
         t0 = time.perf_counter()
-        for result in EXPERIMENTS[name](args):
-            print(result.table())
+        results = run(args)
+        if i:
             print()
-        print(f"[{name}: {time.perf_counter() - t0:.1f}s]\n")
-    return 0
+        print("\n\n".join(r.table() for r in results), flush=True)
+        for result in results if check is not None else ():
+            try:
+                check(result)
+            except ClaimError as exc:
+                print(f"{name}: claim failed: {exc}", file=sys.stderr)
+                failed = True
+        print(f"[{name}: {time.perf_counter() - t0:.1f}s]", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -16,8 +16,20 @@ from repro.perfmodel.machines import MachineSpec
 from repro.solvers.ptc import PTCConfig
 from repro.telemetry.recorder import NULL_RECORDER
 
-__all__ = ["ExperimentResult", "scaled_hierarchy", "default_wing",
-           "measured_linear_iterations", "solve_with_partition"]
+__all__ = ["ExperimentResult", "ClaimError", "claim", "scaled_hierarchy",
+           "default_wing", "measured_linear_iterations",
+           "solve_with_partition"]
+
+
+class ClaimError(AssertionError):
+    """A regenerated artefact breaks one of the paper's shape claims."""
+
+
+def claim(holds: bool, what: str) -> None:
+    """Raise :class:`ClaimError` naming ``what`` unless it holds (unlike
+    ``assert``, a check survives ``python -O``)."""
+    if not holds:
+        raise ClaimError(what)
 
 
 @dataclass
@@ -40,15 +52,13 @@ class ExperimentResult:
         return [r[i] for r in self.rows]
 
 
-def scaled_hierarchy(machine: MachineSpec, factor: float,
-                     engine: str = "fast") -> MemoryHierarchy:
+def scaled_hierarchy(machine: MachineSpec, factor: float) -> MemoryHierarchy:
     """A fresh memory hierarchy with the machine's caches scaled down by
     ``factor`` (meshes are scaled down by roughly the same factor, so
     the cache-to-working-set ratio — which controls miss behaviour —
-    is preserved).  ``factor=1`` uses the real geometry; ``engine``
-    picks the trace simulator (fast vectorised vs reference oracle)."""
+    is preserved).  ``factor=1`` uses the real geometry."""
     m = machine if factor == 1 else machine.scaled_caches(factor)
-    return MemoryHierarchy(m.l1, m.l2, m.tlb, engine=engine)
+    return MemoryHierarchy(m.l1, m.l2, m.tlb)
 
 
 def default_wing(size: str = "small", **kw) -> FlowProblem:

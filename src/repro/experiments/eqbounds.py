@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, claim
 from repro.memory.cache import CacheConfig, simulate_trace
 from repro.memory.trace import TraceLayout,  _bases
 from repro.perfmodel.spmv_model import conflict_miss_bound
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["run_eq_bounds", "banded_matrix", "x_gather_trace",
-           "storage_roundoff_bound"]
+__all__ = ["run_eq_bounds", "check_eq_bounds", "banded_matrix",
+           "x_gather_trace", "storage_roundoff_bound"]
 
 
 def storage_roundoff_bound(abs_ax: np.ndarray, row_nnz: np.ndarray | int,
@@ -75,7 +75,7 @@ def x_gather_trace(a: CSRMatrix, layout: TraceLayout | None = None
 def run_eq_bounds(*, n: int = 4096, nnz_per_row: int = 12,
                   cache: CacheConfig | None = None,
                   bandwidths=(256, 512, 1024, 2048, 4096),
-                  seed: int = 0, engine: str = "fast") -> ExperimentResult:
+                  seed: int = 0) -> ExperimentResult:
     """Sweep the gather span beta across the cache capacity."""
     cache = cache or CacheConfig("L", 8 * 1024, 32, 2)   # 1024 words
     result = ExperimentResult(
@@ -87,9 +87,20 @@ def run_eq_bounds(*, n: int = 4096, nnz_per_row: int = 12,
     for beta in bandwidths:
         a = banded_matrix(n, beta, nnz_per_row, seed=seed)
         trace = x_gather_trace(a)
-        c = simulate_trace(trace, cache, engine=engine)
+        c = simulate_trace(trace, cache)
         compulsory = int(np.unique(trace // cache.line_bytes).size)
         bound = conflict_miss_bound(n, beta, cache)
         ok = c.misses <= bound + compulsory
         result.rows.append([beta, c.misses, compulsory, int(bound), ok])
     return result
+
+
+def check_eq_bounds(result: ExperimentResult) -> None:
+    sim, comp = result.column("Simulated x misses"), result.column("Compulsory")
+    claim(all(result.column("Bound + compulsory >= sim")), "the bound holds")
+    for b, s, c, bd in zip(result.column("beta (words)"), sim, comp,
+                           result.column("Eq. bound")):
+        # compulsory misses only inside the cache, conflicts past it
+        claim(s == c if bd == 0 else s > c, f"the knee sits at beta={b}")
+    conflict = [s - c for s, c in zip(sim, comp)]
+    claim(conflict == sorted(conflict), "conflicts grow with the span")

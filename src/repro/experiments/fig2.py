@@ -11,7 +11,9 @@ machine's parameter sheet.
 
 from __future__ import annotations
 
-from repro.experiments.common import (ExperimentResult, default_wing,
+from collections import defaultdict
+
+from repro.experiments.common import (ExperimentResult, claim, default_wing,
                                       measured_linear_iterations)
 from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
@@ -21,7 +23,7 @@ from repro.experiments.table3 import _total_flops
 from repro.perfmodel.machines import (ASCI_RED_PPRO, BLUE_PACIFIC_604E,
                                       CRAY_T3E_600)
 
-__all__ = ["run_fig2"]
+__all__ = ["run_fig2", "check_fig2"]
 
 _MACHINES = (ASCI_RED_PPRO, BLUE_PACIFIC_604E, CRAY_T3E_600)
 
@@ -66,3 +68,24 @@ def run_fig2(*, procs=(2, 4, 8, 16), size: str = "medium",
     result.notes.append("'ideal' columns are the dashed perfect-scaling "
                         "lines of the paper's figure")
     return result
+
+
+def check_fig2(result: ExperimentResult) -> None:
+    series = defaultdict(list)
+    for machine, p, gflops, t, _, _ in result.rows:
+        series[machine].append((p, gflops, t))
+    claim(len(series) == 3, "three machines")
+    for machine, pts in series.items():
+        ps, gf, ts = zip(*pts)
+        claim(all(b > a for a, b in zip(gf, gf[1:])),
+              f"{machine}: flop rate grows")
+        claim(all(b < a for a, b in zip(ts, ts[1:]))
+              and ts[-1] > ts[0] / (ps[-1] / ps[0]),
+              f"{machine}: time falls, sub-linearly")
+    # per processor, the T3E's faster processor and network make it the
+    # quickest; Blue Pacific's weak memory system the slowest
+    at8 = {m: dict((p, t) for p, _, t in pts)[8]
+           for m, pts in series.items()}
+    t3e = [v for k, v in at8.items() if "T3E" in k][0]
+    blue = [v for k, v in at8.items() if "Blue" in k][0]
+    claim(t3e < blue, "the T3E beats Blue Pacific at 8 procs")

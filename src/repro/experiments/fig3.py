@@ -14,13 +14,13 @@ interlacing and blocking toggled.
 from __future__ import annotations
 
 from repro.euler.problems import wing_problem
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, claim
 from repro.memory.counters import hierarchy_counters
 from repro.memory.trace import flux_loop_trace, spmv_bsr_trace, spmv_csr_trace
 from repro.perfmodel.machines import ORIGIN2000_R10K
 from repro.sparse.layouts import field_split_csr_from_bsr
 
-__all__ = ["run_fig3"]
+__all__ = ["run_fig3", "check_fig3"]
 
 # (label, reorder, interlace, block)
 _CONFIGS = [
@@ -34,14 +34,14 @@ _CONFIGS = [
 
 
 def run_fig3(*, dims=(42, 27, 20), cache_scale: float = 1.0,
-             seed: int = 0, engine: str = "fast") -> ExperimentResult:
+             seed: int = 0) -> ExperimentResult:
     """Regenerate the Fig. 3 counter bars (TLB log-scale, L2 linear).
 
     The defaults run the full-size mesh — ``(42, 27, 20)`` is 22,680
     vertices, matching the paper's 22,677-vertex M6 mesh — against the
     *unscaled* R10000 geometry, which the fast engine makes routine
-    (~15M references per configuration).  Pass smaller ``dims`` with a
-    matching ``cache_scale`` for smoke runs.
+    (~15M references per configuration).  The CLI's ``--smoke`` passes
+    smaller ``dims`` with a matching ``cache_scale``.
     """
     machine = ORIGIN2000_R10K
     if cache_scale != 1:
@@ -65,7 +65,22 @@ def run_fig3(*, dims=(42, 27, 20), cache_scale: float = 1.0,
         flux = flux_loop_trace(prob.mesh.edges, prob.mesh.num_vertices,
                                prob.disc.ncomp, interlaced=interlace)
         c = hierarchy_counters([flux, spmv], machine.l1, machine.l2,
-                               machine.tlb, engine=engine)
+                               machine.tlb)
         result.rows.append([label, c.accesses, c.tlb_misses, c.l1_misses,
                             c.l2_misses])
     return result
+
+
+def check_fig3(result: ExperimentResult) -> None:
+    tlb = {r[0]: r[2] for r in result.rows}
+    l2 = {r[0]: r[4] for r in result.rows}
+    worst, best = "NOER noninterlaced", "reordered interlaced+blocked"
+    # paper: ~2 orders of magnitude on the R10000 counters
+    claim(tlb[worst] > 30 * tlb[best]
+          and tlb["NOER interlaced"] > 5 * tlb["reordered interlaced"],
+          "reordering cuts TLB misses by orders of magnitude")
+    # paper: ~3.5x
+    claim(l2[worst] > 2.5 * l2[best], "L2 misses drop several-fold")
+    claim(tlb["NOER interlaced"] < tlb[worst]
+          and l2["NOER interlaced"] < l2[worst],
+          "interlacing alone already helps both counters")

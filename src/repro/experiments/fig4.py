@@ -14,7 +14,9 @@ count, per partitioner.
 
 from __future__ import annotations
 
-from repro.experiments.common import (ExperimentResult, default_wing,
+from collections import defaultdict
+
+from repro.experiments.common import (ExperimentResult, claim, default_wing,
                                       measured_linear_iterations)
 from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
@@ -25,7 +27,7 @@ from repro.partition.kway import kway_partition
 from repro.partition.metrics import partition_quality
 from repro.perfmodel.machines import CRAY_T3E_600, MachineSpec
 
-__all__ = ["run_fig4"]
+__all__ = ["run_fig4", "check_fig4"]
 
 
 def run_fig4(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
@@ -43,7 +45,6 @@ def run_fig4(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
     for name, partition in (("k-metis-like", kway_partition),
                             ("p-metis-like", pmetis_partition)):
         base_time = None
-        base_p = None
         for p in procs:
             labels = partition(graph, p, seed=seed)
             its, _ = measured_linear_iterations(
@@ -55,7 +56,7 @@ def run_fig4(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
             tl = simulate_solve(works, plan, machine, net,
                                 linear_its_per_step=its, refresh_every=2)
             if base_time is None:
-                base_time, base_p = tl.total_wall, p
+                base_time = tl.total_wall
             q = partition_quality(graph, labels)
             result.rows.append([
                 name, p, sum(its), round(tl.total_wall, 3),
@@ -65,3 +66,20 @@ def run_fig4(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
     result.notes.append(
         f"speedups relative to each partitioner's own {procs[0]}-proc run")
     return result
+
+
+def check_fig4(result: ExperimentResult) -> None:
+    series = defaultdict(dict)
+    for name, p, its, _, spd, imb, _, _ in result.rows:
+        series[name][p] = dict(its=its, speedup=spd, imb=imb)
+    k, pm = series["k-metis-like"], series["p-metis-like"]
+    pmax = max(k)
+    claim(all(v["imb"] <= 1.04 for v in pm.values()), "p-metis balances")
+    # the paper's punchline: at the largest subdomain count the k-way
+    # partitions converge faster, hence speed up better, despite the
+    # worse balance
+    claim(k[pmax]["its"] <= pm[pmax]["its"]
+          and k[pmax]["speedup"] >= pm[pmax]["speedup"] * 0.98,
+          f"k-way wins at {pmax} procs")
+    for s in (k, pm):
+        claim(s[max(s)]["its"] >= s[min(s)]["its"], "its grow with P")

@@ -6,18 +6,11 @@ execution times improve by up to 5.7x.  We regenerate the table with
 the memory-centric time model: exact address traces of the flux loop
 and the SpMV under each layout, run through the (scaled) R10000 cache
 and TLB simulators, converted to seconds with the miss-penalty model.
-A measured column (wall time of the real numpy SpMV kernel under each
-matrix layout) is reported alongside as a sanity signal.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.experiments.common import ExperimentResult, scaled_hierarchy
+from repro.experiments.common import ExperimentResult, claim, scaled_hierarchy
 from repro.euler.problems import wing_problem
 from repro.memory.trace import flux_loop_trace, spmv_bsr_trace, spmv_csr_trace
 from repro.mesh.orderings import EdgeOrdering, VertexOrdering
@@ -25,7 +18,7 @@ from repro.perfmodel.machines import ORIGIN2000_R10K
 from repro.perfmodel.time_model import kernel_time_from_counters
 from repro.sparse.layouts import field_split_csr_from_bsr
 
-__all__ = ["run_table1", "Table1Row", "PAPER_TABLE1"]
+__all__ = ["run_table1", "check_table1", "PAPER_TABLE1"]
 
 # The paper's published rows: (interlace, block, reorder) -> ratio.
 PAPER_TABLE1 = {
@@ -39,25 +32,10 @@ PAPER_TABLE1 = {
 }
 
 
-@dataclass
-class Table1Row:
-    interlace: bool
-    block: bool
-    reorder: bool
-    predicted_time: float      # modelled seconds per step on the R10000
-    measured_spmv: float       # real numpy SpMV wall seconds (host)
-    ratio: float = 0.0         # baseline predicted / this predicted
-
-    def flags(self) -> str:
-        return "".join(c if f else "." for c, f in
-                       zip("IBR", (self.interlace, self.block, self.reorder)))
-
-
-def _config_times(compressible: bool, interlace: bool, block: bool,
-                  reorder: bool, dims, cache_scale: float,
-                  linear_its_per_step: int, seed: int,
-                  engine: str = "fast"):
-    """Predicted step time + measured SpMV time for one configuration."""
+def _predicted_time(compressible: bool, interlace: bool, block: bool,
+                    reorder: bool, dims, cache_scale: float,
+                    linear_its_per_step: int, seed: int) -> float:
+    """Modelled seconds per step of one configuration on the R10000."""
     vo = VertexOrdering.RCM if reorder else VertexOrdering.RANDOM
     eo = EdgeOrdering.SORTED if reorder else EdgeOrdering.COLORED
     prob = wing_problem(*dims, compressible=compressible,
@@ -68,56 +46,38 @@ def _config_times(compressible: bool, interlace: bool, block: bool,
 
     jac = disc.assemble_jacobian(prob.initial.flat())
     if block:
-        a = jac
-        spmv_trace = spmv_bsr_trace(a)
-        measured_mat = a
+        spmv_trace = spmv_bsr_trace(jac)
     elif interlace:
-        a = jac.to_csr()
-        spmv_trace = spmv_csr_trace(a)
-        measured_mat = a
+        spmv_trace = spmv_csr_trace(jac.to_csr())
     else:
-        a = field_split_csr_from_bsr(jac)
-        spmv_trace = spmv_csr_trace(a)
-        measured_mat = a
+        spmv_trace = spmv_csr_trace(field_split_csr_from_bsr(jac))
 
     flux_trace = flux_loop_trace(mesh.edges, mesh.num_vertices, ncomp,
                                  interlaced=interlace)
 
     machine = ORIGIN2000_R10K
-    hier = scaled_hierarchy(machine, cache_scale, engine=engine)
+    hier = scaled_hierarchy(machine, cache_scale)
     hier.run(flux_trace)
-    flux_counters = hier.counters
     flux_pred = kernel_time_from_counters(
-        flux_counters, disc.residual_flops(), machine).total
+        hier.counters, disc.residual_flops(), machine).total
 
-    hier2 = scaled_hierarchy(machine, cache_scale, engine=engine)
+    hier2 = scaled_hierarchy(machine, cache_scale)
     hier2.run(spmv_trace)
     nnz_scalar = jac.nnzb * ncomp * ncomp
     spmv_pred = kernel_time_from_counters(
         hier2.counters, 2 * nnz_scalar, machine).total
 
-    predicted = flux_pred + linear_its_per_step * spmv_pred
-
-    # Measured: wall time of the real numpy SpMV kernel (host machine).
-    x = np.ones(measured_mat.shape[1])
-    measured_mat @ x  # warm up
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(5):
-            measured_mat @ x
-        best = min(best, (time.perf_counter() - t0) / 5)
-    return predicted, best
+    return flux_pred + linear_its_per_step * spmv_pred
 
 
 def run_table1(*, dims=(42, 27, 20), cache_scale: float = 1.0,
                linear_its_per_step: int = 5, compressible: bool = False,
-               seed: int = 0, engine: str = "fast") -> ExperimentResult:
+               seed: int = 0) -> ExperimentResult:
     """Regenerate Table 1 (one flow model per call).
 
     The defaults run the full-size 22,680-vertex mesh (the paper uses
     22,677) against the unscaled R10000 — practical since the fast
-    trace engine.  For smoke runs pass smaller ``dims`` with a
+    trace engine.  The CLI's ``--smoke`` passes smaller ``dims`` with a
     ``cache_scale`` that shrinks the caches/TLB in proportion to the
     mesh-size reduction, preserving miss behaviour.
     """
@@ -125,24 +85,34 @@ def run_table1(*, dims=(42, 27, 20), cache_scale: float = 1.0,
         name=("Table 1 (compressible)" if compressible
               else "Table 1 (incompressible)"),
         headers=["Interlace", "Block", "Reorder", "Pred time/step (s)",
-                 "Ratio", "Paper ratio", "Measured SpMV (s)"],
+                 "Ratio", "Paper ratio"],
     )
-    rows: list[Table1Row] = []
-    for (i, b, r), paper in PAPER_TABLE1.items():
-        pred, meas = _config_times(compressible, i, b, r, dims,
-                                   cache_scale, linear_its_per_step, seed,
-                                   engine)
-        rows.append(Table1Row(i, b, r, pred, meas))
-    base = rows[0].predicted_time
-    for row, ((i, b, r), paper) in zip(rows, PAPER_TABLE1.items()):
-        row.ratio = base / row.predicted_time
+    times = [_predicted_time(compressible, i, b, r, dims, cache_scale,
+                             linear_its_per_step, seed)
+             for i, b, r in PAPER_TABLE1]
+    for t, ((i, b, r), paper) in zip(times, PAPER_TABLE1.items()):
         result.rows.append([
             "x" if i else "", "x" if b else "", "x" if r else "",
-            round(row.predicted_time, 4), round(row.ratio, 2),
+            round(t, 4), round(times[0] / t, 2),
             paper[1 if compressible else 0],
-            round(row.measured_spmv, 6),
         ])
     result.notes.append(
         f"mesh dims {dims}, R10000 caches scaled by {cache_scale}x, "
         f"{linear_its_per_step} linear its/step assumed")
     return result
+
+
+def check_table1(result: ExperimentResult) -> None:
+    """The paper's shape claims on one flow model's table."""
+    base, i, ib, ir, ibr = ((False, False, False), (True, False, False),
+                            (True, True, False), (True, False, True),
+                            (True, True, True))
+    ratios = dict(zip(PAPER_TABLE1, result.column("Ratio")))
+    claim(ratios[base] == 1, "the baseline is normalised")
+    for key, ratio in ratios.items():
+        claim(key == base or ratio > 1.2, f"{key} beats the baseline")
+    # monotone along the paper's enhancement chain
+    claim(ratios[i] < ratios[ib] * 1.05 and ratios[ir] < ratios[ibr]
+          and ratios[i] < ratios[ir], "enhancements compound")
+    # paper: 4.96 (incompressible), 5.71 (compressible)
+    claim(3.0 < ratios[ibr] < 12.0, "the full stack is several-fold")

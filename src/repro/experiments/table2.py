@@ -15,7 +15,7 @@ same lever the hardware pulls).
 
 from __future__ import annotations
 
-from repro.experiments.common import (ExperimentResult, default_wing,
+from repro.experiments.common import (ExperimentResult, claim, default_wing,
                                       measured_linear_iterations)
 from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
@@ -23,7 +23,7 @@ from repro.parallel.scatter import build_exchange_plan
 from repro.parallel.simulate import simulate_solve
 from repro.perfmodel.machines import ORIGIN2000_R10K, MachineSpec
 
-__all__ = ["run_table2", "PAPER_TABLE2"]
+__all__ = ["run_table2", "check_table2", "PAPER_TABLE2"]
 
 # Paper Table 2: procs -> (linear_double, linear_single, overall_double,
 #                          overall_single) seconds on the Origin 2000.
@@ -81,3 +81,14 @@ def run_table2(*, procs=(4, 8, 16), size: str = "medium",
         "iteration counts are measured from real runs under each precision "
         "tier; times are Origin 2000 model values")
     return result
+
+
+def check_table2(result: ExperimentResult) -> None:
+    claim(all(1.6 < r < 2.1 for r in result.column("Tri ratio")),
+          "fp32 factors run the triangular solves almost twice as fast")
+    claim(all(r > 1.1 for r in result.column("Lin ratio")),
+          "the linear phase improves")
+    claim(all(1.0 < r < 1.6 for r in result.column("Ovl ratio")),
+          "the overall time improves, less so")
+    claim(result.column("Its fp64") == result.column("Its fp32-precond")
+          == result.column("Its fp32"), "iteration counts are unchanged")

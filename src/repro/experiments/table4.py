@@ -15,7 +15,7 @@ work/communication surcharge.
 from __future__ import annotations
 
 
-from repro.experiments.common import (ExperimentResult, default_wing,
+from repro.experiments.common import (ExperimentResult, claim, default_wing,
                                       solve_with_partition)
 from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
@@ -23,7 +23,7 @@ from repro.parallel.scatter import build_exchange_plan
 from repro.parallel.simulate import simulate_solve
 from repro.perfmodel.machines import ASCI_RED_PPRO, MachineSpec
 
-__all__ = ["run_table4", "PAPER_TABLE4"]
+__all__ = ["run_table4", "check_table4", "PAPER_TABLE4"]
 
 # Paper Table 4: (fill, procs) -> [(time, its) for overlap 0, 1, 2].
 PAPER_TABLE4 = {
@@ -93,3 +93,29 @@ def run_table4(*, procs=(4, 8), fills=(0, 1, 2), overlaps=(0, 1, 2),
     result.notes.append("iterations measured from real (R)ASM runs; times "
                         "from the ASCI Red model with measured fill ratios")
     return result
+
+
+def check_table4(result: ExperimentResult) -> None:
+    cells = {(fill, p, ovl): (its, t)
+             for fill, p, ovl, its, t, _, _ in result.rows}
+    procs = sorted({k[1] for k in cells})
+    fills = sorted({k[0] for k in cells})
+    for k in fills:
+        for p in procs:
+            claim(cells[(k, p, 1)][0] <= cells[(k, p, 0)][0]
+                  and cells[(k, p, 2)][0] <= cells[(k, p, 1)][0] + 2,
+                  f"overlap reduces iterations at ILU({k}), {p} procs")
+    for p in procs:
+        for ovl in (0, 1, 2):
+            claim(cells[(2, p, ovl)][0] <= cells[(0, p, ovl)][0],
+                  f"fill reduces iterations at overlap {ovl}, {p} procs")
+    # the paper's central trade-off: the extra work per iteration
+    # outweighs the iteration savings
+    for p in procs:
+        best = min(t for (k, pp, o), (_, t) in cells.items() if pp == p)
+        claim(cells[(2, p, 2)][1] > best,
+              f"ILU(2), overlap 2 is not the fastest at {p} procs")
+    for k in fills:
+        for ovl in (0, 1, 2):
+            claim(cells[(k, procs[-1], ovl)][1] < cells[(k, procs[0], ovl)][1],
+                  f"more processors are faster at ILU({k}), overlap {ovl}")

@@ -18,14 +18,15 @@ import time
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, default_wing
+from repro.experiments.common import ExperimentResult, claim, default_wing
 from repro.parallel.hybrid import hybrid_flux_times
 from repro.parallel.procpool import ProcPool
 from repro.parallel.spmd import SPMDLayout, distributed_residual
 from repro.partition.kway import kway_partition
 from repro.perfmodel.machines import ASCI_RED_PPRO, MachineSpec
 
-__all__ = ["run_table5", "run_table5_measured", "PAPER_TABLE5"]
+__all__ = ["run_table5", "check_table5", "run_table5_measured",
+           "PAPER_TABLE5"]
 
 # Paper Table 5: nodes -> (hybrid 1 thr, hybrid 2 thr, mpi 1 proc,
 #                          mpi 2 proc) flux-phase seconds.
@@ -59,6 +60,18 @@ def run_table5(*, node_counts=(4, 8, 16, 32), size: str = "medium",
     result.notes.append("'1 thread' and '1 proc' coincide by construction "
                         "(same N-way partition on one CPU)")
     return result
+
+
+def check_table5(result: ExperimentResult) -> None:
+    t1, t2 = result.column("1 thread(s)"), result.column("2 threads(s)")
+    m2, rel = result.column("2 procs(s)"), result.column("hybrid/mpi2")
+    for a, b, c in zip(t1, t2, m2):
+        claim(b < a and c < a, "both dual-CPU modes beat one CPU per node")
+        claim(b >= a / 2 * 0.99, "the thread split is not better than 2x")
+    # paper: MPI-2 wins or ties at 256 nodes, loses at 2560/3072 as the
+    # halo redundancy grows
+    claim(rel[-1] < rel[0], "the hybrid advantage grows with node count")
+    claim(t2[-1] <= m2[-1] * 1.05, "threads competitive at the most nodes")
 
 
 def _flux_wall(disc, labels: np.ndarray, q: np.ndarray, sweeps: int,

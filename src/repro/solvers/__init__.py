@@ -1,7 +1,7 @@
 """Nonlinear and linear solvers: the NKS ("Newton-Krylov-Schwarz") stack.
 
-* :mod:`repro.solvers.gmres` — restarted GMRES with selectable
-  orthogonalisation, right preconditioning (so residual norms are true
+* :mod:`repro.solvers.gmres` — restarted GMRES with modified
+  Gram-Schmidt, right preconditioning (so residual norms are true
   residuals), and full iteration accounting.
 * :mod:`repro.solvers.ptc` — pseudo-transient continuation with the
   switched evolution/relaxation (SER) CFL law of Van Leer & Mulder,
@@ -9,7 +9,7 @@
 """
 
 from repro.solvers.krylov_base import LinearOperator, as_operator, OperatorFromMatrix
-from repro.solvers.gmres import gmres, GMRESResult, Orthogonalization
+from repro.solvers.gmres import gmres, GMRESResult
 from repro.solvers.workspace import KrylovWorkspace, solve_dtype
 from repro.solvers._reference import gmres_ref
 from repro.solvers.ptc import SERController, PTCConfig
@@ -23,7 +23,6 @@ __all__ = [
     "KrylovWorkspace",
     "solve_dtype",
     "GMRESResult",
-    "Orthogonalization",
     "SERController",
     "PTCConfig",
 ]

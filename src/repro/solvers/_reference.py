@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.solvers.gmres import GMRESResult, Orthogonalization
+from repro.solvers.gmres import GMRESResult
 from repro.solvers.krylov_base import as_operator
 
 __all__ = ["gmres_ref"]
@@ -25,13 +25,10 @@ class _IdentityPC:
 
 def gmres_ref(a, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
               rtol: float = 1e-5, atol: float = 1e-50, restart: int = 20,
-              maxiter: int = 200,
-              orthog: Orthogonalization | str = Orthogonalization.MGS
-              ) -> GMRESResult:
+              maxiter: int = 200) -> GMRESResult:
     """Solve ``a x = b`` with the pre-workspace restarted GMRES."""
     op = as_operator(a, n=b.size)
     pc = M if M is not None else _IdentityPC()
-    orthog = Orthogonalization(orthog)
     n = b.size
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
 
@@ -71,16 +68,9 @@ def gmres_ref(a, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
             pc_applies += 1
             w = op.matvec(z)
             matvecs += 1
-            if orthog is Orthogonalization.MGS:
-                for j in range(k + 1):
-                    H[j, k] = float(V[j] @ w)
-                    w -= H[j, k] * V[j]
-            else:  # classical Gram-Schmidt with one reorthogonalisation
-                h = V[: k + 1] @ w
-                w = w - V[: k + 1].T @ h
-                h2 = V[: k + 1] @ w
-                w = w - V[: k + 1].T @ h2
-                H[: k + 1, k] = h + h2
+            for j in range(k + 1):
+                H[j, k] = float(V[j] @ w)
+                w -= H[j, k] * V[j]
             hnext = float(np.linalg.norm(w))
             H[k + 1, k] = hnext
             # Apply accumulated Givens rotations to the new column.

@@ -2,10 +2,13 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.__main__ import EXPERIMENTS, main
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 class TestCLI:
@@ -19,17 +22,36 @@ class TestCLI:
         assert "all" in err
 
     def test_registry_complete(self):
-        """Every paper table/figure has a CLI entry."""
+        """Every paper table/figure and ablation has a CLI entry."""
         expected = {"table1", "table2", "table3", "table3-measured",
                     "table4", "table5", "table5-measured", "fig1", "fig2",
-                    "fig3", "fig4", "fig5", "eqbounds"}
+                    "fig3", "fig4", "fig5", "eqbounds",
+                    "ablation-orderings", "ablation-imbalance",
+                    "ablation-matrix-free", "ablation-jacobian-lag",
+                    "ablation-rasm"}
         assert expected == set(EXPERIMENTS)
 
     def test_run_one(self, capsys):
+        """stdout is the committed artefact byte for byte; the run time
+        goes to stderr."""
         assert main(["eqbounds"]) == 0
-        out = capsys.readouterr().out
-        assert "Eq. 1/2" in out
-        assert "[eqbounds:" in out
+        captured = capsys.readouterr()
+        assert captured.out == (RESULTS / "eqbounds.txt").read_text()
+        assert "[eqbounds:" in captured.err
+
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        run, check = EXPERIMENTS["eqbounds"]
+
+        def run_reversed(args):
+            """Conflict misses made to fall with the gather span."""
+            (result,) = run(args)
+            rows = result.rows
+            rows[3][1], rows[4][1] = rows[4][1], rows[3][1]
+            return [result]
+
+        monkeypatch.setitem(EXPERIMENTS, "eqbounds", (run_reversed, check))
+        assert main(["eqbounds"]) == 1
+        assert "eqbounds: claim failed" in capsys.readouterr().err
 
     def test_bad_name_rejected(self, capsys):
         assert main(["tableX"]) == 2

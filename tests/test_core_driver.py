@@ -215,7 +215,7 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             SolverConfig(threads=2)
 
-    def test_krylov_enum_coercion(self):
-        cfg = KrylovConfig(orthogonalization="cgs")
-        from repro.solvers.gmres import Orthogonalization
-        assert cfg.orthogonalization is Orthogonalization.CGS
+    def test_orthogonalization_knob_is_gone(self):
+        # Modified Gram-Schmidt is the only GMRES orthogonalisation.
+        with pytest.raises(TypeError):
+            KrylovConfig(orthogonalization="mgs")

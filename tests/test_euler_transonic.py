@@ -76,7 +76,6 @@ class TestTransonicSolve:
         """The SER controller must have switched first -> second order
         during the solve (residual drop crosses the threshold)."""
         from repro.solvers.ptc import SERController
-        prob = transonic_bump_problem(13, 4, 7, limiter="minmod")
         cfg = PTCConfig(cfl0=2.0, exponent=0.75, switch_order_drop=1e-2,
                         first_order_exponent=1.5)
         c = SERController(cfg)

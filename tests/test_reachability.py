@@ -97,8 +97,6 @@ UNSET_FIELDS = {
     "cfl_max": "numerical guard, one value by design",
     "cfl_min": "numerical guard, one value by design",
     "absolute_tol": "numerical guard, one value by design",
-    "orthogonalization": "reached as gmres(orthog=) by "
-                         "bench_ablation_kernels.py",
 }
 
 

@@ -1,4 +1,4 @@
-"""GMRES: convergence, restarts, orthogonalisation, preconditioning."""
+"""GMRES: convergence, restarts, preconditioning."""
 
 import numpy as np
 import pytest
@@ -97,22 +97,12 @@ class TestRestart:
             its[m] = gmres(a, b, rtol=1e-8, restart=m, maxiter=1000).iterations
         assert its[5] >= its[60]
 
-
-class TestOrthogonalization:
-    @pytest.mark.parametrize("orth", ["mgs", "cgs"])
-    def test_both_converge_same_count(self, orth, rng):
+    def test_mgs_solution_satisfies_system(self, rng):
         a = spd_like(50, 10)
         b = rng.random(50)
-        res = gmres(a, b, rtol=1e-10, orthog=orth)
+        res = gmres(a, b, rtol=1e-10)
         assert res.converged
         assert np.allclose(a @ res.x, b, atol=1e-7)
-
-    def test_mgs_cgs_agree(self, rng):
-        a = spd_like(50, 11)
-        b = rng.random(50)
-        x1 = gmres(a, b, rtol=1e-11, orthog="mgs").x
-        x2 = gmres(a, b, rtol=1e-11, orthog="cgs").x
-        assert np.allclose(x1, x2, atol=1e-7)
 
 
 class TestPreconditioning:
