@@ -87,6 +87,17 @@ def _factor(a: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray(a)
 
 
+def _column_major(blocks: np.ndarray) -> np.ndarray | None:
+    """Block factor storage as the C trisolves read it: the C-contiguous
+    buffer of its blocks, each column-major.  A compiled factor's
+    ``[r, c]`` blocks are transposed views of such a buffer and go in
+    place; a row-major factor (a numpy-tier one, or one built by hand)
+    is copied on each call."""
+    if blocks.ndim != 3:
+        return None
+    return _factor(blocks.transpose(0, 2, 1))
+
+
 def _i64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
@@ -224,7 +235,7 @@ def lower_solve_bsr(indptr, indices, data, x, bs, engine) -> bool:
     backend = backend_for(engine)
     if backend is None or not 1 <= bs <= MAX_BS:
         return False
-    data = _factor(np.asarray(data))
+    data = _column_major(np.asarray(data))
     indptr, indices = _i64(indptr), _i64(indices)
     if not _trisolve_ok(indptr, indices, data, x, (bs, bs)):
         return False
@@ -236,8 +247,8 @@ def upper_solve_bsr(indptr, indices, data, inv_diag, x, bs, engine) -> bool:
     backend = backend_for(engine)
     if backend is None or not 1 <= bs <= MAX_BS:
         return False
-    data = _factor(np.asarray(data))
-    inv_diag = _factor(np.asarray(inv_diag))
+    data = _column_major(np.asarray(data))
+    inv_diag = _column_major(np.asarray(inv_diag))
     indptr, indices = _i64(indptr), _i64(indices)
     if inv_diag is None or not _trisolve_ok(indptr, indices, data, x,
                                             (bs, bs), inv_diag):

@@ -12,7 +12,8 @@ backend-initialisation failure is quarantined with its exception
 (type, message, traceback tail) in :func:`capability_report`, the
 first ``compiled`` -> ``numpy`` fallback caused by a quarantined
 backend emits a ``RuntimeWarning``, and ``python -m repro.kernels``
-prints the full report.
+prints the full report, including the x86-64 level the library was
+built for on this CPU.
 
 Set ``REPRO_KERNELS_DISABLE=1`` to force the numpy resolution even
 when a backend is available (the CI fallback leg, A/B debugging).
@@ -178,12 +179,26 @@ def mark_unavailable(backend: str) -> None:
         }
 
 
+def _bound_isa() -> str | None:
+    """The x86-64 level the loaded library was built for
+    (``"x86-64-v4"``, ``"x86-64-v3"`` or ``"default"``), which this
+    builds if it has to; None on the numpy tier."""
+    if resolve_engine("compiled") != "c":
+        return None
+    from repro.kernels import backend_for
+    backend = backend_for("compiled")
+    return None if backend is None else backend.isa
+
+
 def capability_report() -> dict:
-    """Full capability state: probes, resolution, quarantine reasons."""
+    """Full capability state: probes, resolution, the library's ISA
+    level, quarantine reasons."""
+    isa = _bound_isa()   # first: a failed build is in the rest
     return {
         "disabled": disabled(),
         "available": list(available_backends()),
         "resolved": resolve_engine("compiled"),
+        "isa": isa,
         "broken": sorted(_BROKEN),
         "quarantine": {name: dict(rec)
                        for name, rec in sorted(_QUARANTINE.items())},

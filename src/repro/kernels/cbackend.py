@@ -17,9 +17,24 @@ the equivalence contract is provable, not hoped for:
   before it reads or writes through it — an edge's endpoints, a
   column, a row pointer, a segment id, a block slot — and reports the
   first offending edge or row, so a bad index never leaves a buffer;
-* the block triangular solves run their loop with the block size a
-  compile-time constant for bs 4 and 5 (the Euler Jacobians), in the
-  generic loop's order;
+* the block ILU numeric writes L, U and the pivot inverses with every
+  block **column-major** (the factor's ``(nnz, bs, bs)`` arrays are
+  transposed views of those buffers, so every reader sees the same
+  ``[r, c]`` blocks), and the block triangular solves read them in
+  place;
+* those three kernels work on whole block columns in gcc vector types:
+  the ILU keeps its working row as column-major blocks padded to 4
+  lanes (bs <= 4) or a multiple of 8 (bs > 4), holds the multiplier's
+  columns in registers across the U-row loop and broadcasts U's
+  entries; a block solve runs across the block's rows, four at a time.
+  Each entry is still 0.0 plus its products in ascending ``j``, the
+  order of the row-major loops they replaced, so the factors and
+  solves are bitwise theirs;
+* the library is compiled for the widest x86-64 level the CPU offers
+  (``-march=x86-64-v4`` or ``-v3``, :func:`_host_isa`; the compiler's
+  default elsewhere), named by ``CBackend.isa``; every level computes
+  the same bits (``tests/test_kernels_isa.py`` builds one library per
+  level and compares them);
 * float32-storage trisolves widen each loaded value to float64 before
   any arithmetic, exactly like the oracle's ``astype(np.float64)``
   (the paper's Table 2: f32 storage, f64 arithmetic);
@@ -31,12 +46,17 @@ the equivalence contract is provable, not hoped for:
 
 The library is compiled once with :data:`COMPILE_ARGS` into a cache
 directory, under a module name hashed from the source *and* those
-flags, and imported from there afterwards; a failed build degrades to
-numpy via the capability layer.  ``-ffp-contract=off`` forbids FMA
-contraction, which would change rounding and break the bitwise claims;
-``-fvect-cost-model=dynamic`` lets gcc vectorise the runtime-sized
-bs x bs block loops, which it does without reassociating any
-floating-point sum, so every bitwise claim holds under it.
+flags, and imported from there afterwards; the ``-march`` is one of the
+flags, so CPUs of different levels sharing a cache each build and load
+their own library.  A failed build degrades to numpy via the capability
+layer.  ``-ffp-contract=off`` forbids FMA contraction, which would
+change rounding and break the bitwise claims (x86-64-v3 and v4 have
+FMA).  ``-fvect-cost-model=dynamic`` lets gcc auto-vectorise the
+remaining elementwise loops — the trisolves' accumulator set-up and
+update, index resets — none of which reassociates a sum; gcc does not
+vectorise the block-product nests of a runtime block size (a
+complicated access pattern), which is why the three block kernels
+spell their vectors out.
 """
 
 from __future__ import annotations
@@ -162,6 +182,17 @@ long long muscl_rusanov_scatter_comp(long long ne, long long n,
 
 _SOURCE = r"""
 #include <math.h>
+#include <string.h>
+
+/* gcc vector types: an operation on them is lane by lane, each lane the
+ * IEEE operation of its scalar twin.  The u types load and store at any
+ * alignment.  Vectors are only ever passed through pointers. */
+typedef double v4d __attribute__((vector_size(32)));
+typedef double v8d __attribute__((vector_size(64)));
+typedef float v4f __attribute__((vector_size(16)));
+typedef v4d v4du __attribute__((aligned(8)));
+typedef v8d v8du __attribute__((aligned(8)));
+typedef v4f v4fu __attribute__((aligned(4)));
 
 /* Every edge kernel checks both endpoints of an edge against [0, n)
  * before it touches anything for that edge, and returns the index of
@@ -357,13 +388,46 @@ UPPER_CSR(upper_solve_csr_f32, float)
 
 #define MAX_BS 32
 
-/* Block triangular solves.  Each is one loop body, NAME_n, that its
- * entry point NAME calls with bs = 5 and bs = 4 as constants (the Euler
- * Jacobians' block sizes, as block_submul does) and with the runtime bs
- * otherwise: forced inline, the constant lets the compiler keep a row
- * of x in registers and unroll the block, with the loop order and
- * arithmetic of the generic call. */
+/* Block triangular solves on column-major blocks: entry (r, c) of
+ * block t is data[t*bs*bs + c*bs + r], the layout ilu_numeric_f64
+ * writes.  A block product runs across the block's rows, four at a time
+ * with a scalar tail (the 4-lane chunks are vectors), and each row's
+ * column sum starts at 0.0 and adds c = 0..bs-1 in order.  Each entry
+ * point calls its loop body, NAME_n, with bs = 5 and bs = 4 as
+ * constants (the Euler Jacobians) and with the runtime bs otherwise:
+ * forced inline, the constant unrolls the block, with the loop order
+ * and arithmetic of the generic call.  The _f32 loads are widened to
+ * double before any arithmetic. */
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
+/* unrolls a loop whose trip count is a constant block size */
+#define UNROLL _Pragma("GCC unroll 8")
+
+#define LOAD4_double(p) (*(const v4du *)(p))
+#define LOAD4_float(p) __builtin_convertvector(*(const v4fu *)(p), v4d)
+
+/* out OP blk xj for one bs x bs column-major block (OP: = or +=). */
+#define BLOCK_GEMV(NAME, DTYPE, OP)                                     \
+ALWAYS_INLINE void NAME(long long bs, const DTYPE *blk,                 \
+    const double *xj, double *out)                                      \
+{                                                                       \
+    long long r = 0;                                                    \
+    for (; r + 4 <= bs; r += 4) {                                       \
+        v4d p = {0.0, 0.0, 0.0, 0.0};                                   \
+        UNROLL for (long long c = 0; c < bs; ++c)                       \
+            p += LOAD4_##DTYPE(blk + c * bs + r) * xj[c];               \
+        *(v4du *)(out + r) OP p;                                        \
+    }                                                                   \
+    for (; r < bs; ++r) {                                               \
+        double p = 0.0;                                                 \
+        UNROLL for (long long c = 0; c < bs; ++c)                       \
+            p += (double)blk[c * bs + r] * xj[c];                       \
+        out[r] OP p;                                                    \
+    }                                                                   \
+}
+BLOCK_GEMV(gemv_add_double, double, +=)
+BLOCK_GEMV(gemv_add_float, float, +=)
+BLOCK_GEMV(gemv_set_double, double, =)
+BLOCK_GEMV(gemv_set_float, float, =)
 
 #define LOWER_BSR(NAME, DTYPE)                                          \
 ALWAYS_INLINE long long NAME##_n(long long n, long long bs,             \
@@ -380,14 +444,8 @@ ALWAYS_INLINE long long NAME##_n(long long n, long long bs,             \
         for (long long t = lo; t < hi; ++t) {                           \
             if (!IN_RANGE(indices[t], n))                               \
                 return i;                                               \
-            const DTYPE *blk = data + t * bs * bs;                      \
-            const double *xj = x + indices[t] * bs;                     \
-            for (long long r = 0; r < bs; ++r) {                        \
-                double p = 0.0;                                         \
-                for (long long c = 0; c < bs; ++c)                      \
-                    p += (double)blk[r * bs + c] * xj[c];               \
-                acc[r] += p;                                            \
-            }                                                           \
+            gemv_add_##DTYPE(bs, data + t * bs * bs,                    \
+                             x + indices[t] * bs, acc);                 \
         }                                                               \
         for (long long r = 0; r < bs; ++r)                              \
             x[i * bs + r] -= acc[r];                                    \
@@ -423,24 +481,12 @@ ALWAYS_INLINE long long NAME##_n(long long n, long long bs,             \
         for (long long t = lo; t < hi; ++t) {                           \
             if (!IN_RANGE(indices[t], n))                               \
                 return i;                                               \
-            const DTYPE *blk = data + t * bs * bs;                      \
-            const double *xj = x + indices[t] * bs;                     \
-            for (long long r = 0; r < bs; ++r) {                        \
-                double p = 0.0;                                         \
-                for (long long c = 0; c < bs; ++c)                      \
-                    p += (double)blk[r * bs + c] * xj[c];               \
-                acc[r] += p;                                            \
-            }                                                           \
+            gemv_add_##DTYPE(bs, data + t * bs * bs,                    \
+                             x + indices[t] * bs, acc);                 \
         }                                                               \
         for (long long r = 0; r < bs; ++r)                              \
             rhs[r] = x[i * bs + r] - acc[r];                            \
-        const DTYPE *inv = inv_diag + i * bs * bs;                      \
-        for (long long r = 0; r < bs; ++r) {                            \
-            double p = 0.0;                                             \
-            for (long long c = 0; c < bs; ++c)                          \
-                p += (double)inv[r * bs + c] * rhs[c];                  \
-            x[i * bs + r] = p;                                          \
-        }                                                               \
+        gemv_set_##DTYPE(bs, inv_diag + i * bs * bs, rhs, x + i * bs);  \
     }                                                                   \
     return -1;                                                          \
 }                                                                       \
@@ -534,118 +580,124 @@ long long ilu_symbolic_i64(long long n, long long fill,
     return ILU_OK;
 }
 
-/* w -= a b on bs x bs blocks.  Each entry's j-sum is sequential; the
- * loops run j outside c so the c loop is elementwise and vectorises
- * without reassociating anything.  The wrappers below hand the
- * compiler the two block sizes of the Euler Jacobians (4 and 5) as
- * constants, so those loops are fully known at compile time. */
-static inline void block_submul_n(double *w, const double *a,
-    const double *b, long long bs)
-{
-    double acc[MAX_BS];
-    for (long long r = 0; r < bs; ++r) {
-        for (long long c = 0; c < bs; ++c)
-            acc[c] = 0.0;
-        for (long long j = 0; j < bs; ++j) {
-            double arj = a[r * bs + j];
-            for (long long c = 0; c < bs; ++c)
-                acc[c] += arj * b[j * bs + c];
-        }
-        for (long long c = 0; c < bs; ++c)
-            w[r * bs + c] -= acc[c];
-    }
-}
+/* ---- block ILU numeric at the vector width -------------------------
+ * The working row holds each block column-major, its columns padded to
+ * ld lanes (4 for bs <= 4, a multiple of 8 above) that stay zero past
+ * bs; L, U and the pivot inverses leave it column-major and unpadded,
+ * the layout the block trisolves read.  Every entry is the sum the
+ * row-major loop formed — 0.0, then j ascending — so the factors are
+ * bitwise the same at every ISA level. */
 
-static inline void block_submul(double *w, const double *a,
-    const double *b, long long bs)
-{
-    if (bs == 5)
-        block_submul_n(w, a, b, 5);
-    else if (bs == 4)
-        block_submul_n(w, a, b, 4);
-    else
-        block_submul_n(w, a, b, bs);
+/* One multiplier of row i: l = w_t d_k^-1, its bs columns of nv
+ * vectors each held in registers while it is stored over w_t and then
+ * subtracted, w_p -= l u_ks, from every block p of the row whose column
+ * is that of block s of U's row k (pos[col] >= 0).  inv and U's blocks
+ * are column-major and unpadded; an entry of them is broadcast. */
+#define ILU_ELIMINATE(NAME, VT, VTU, MAXV)                              \
+ALWAYS_INLINE void NAME(long long bs, long long nv, double *lik,        \
+    const double *inv, const double *u_data, const long long *u_indices,\
+    long long s0, long long s1, const long long *pos, double *w)        \
+{                                                                       \
+    const long long lanes = (long long)(sizeof(VT) / sizeof(double));   \
+    const long long ld = nv * lanes, stride = bs * ld;                  \
+    VT m[MAXV];                                                         \
+    UNROLL for (long long c = 0; c < bs; ++c)                           \
+        for (long long v = 0; v < nv; ++v) {                            \
+            VT acc = {0};                                               \
+            UNROLL for (long long j = 0; j < bs; ++j)                   \
+                acc += *(const VTU *)(lik + j * ld + v * lanes)         \
+                       * inv[c * bs + j];                               \
+            m[c * nv + v] = acc;                                        \
+        }                                                               \
+    UNROLL for (long long c = 0; c < bs; ++c)                           \
+        for (long long v = 0; v < nv; ++v)                              \
+            *(VTU *)(lik + c * ld + v * lanes) = m[c * nv + v];         \
+    for (long long s = s0; s < s1; ++s) {                               \
+        long long p = pos[u_indices[s]];                                \
+        if (p < 0)                                                      \
+            continue;                                                   \
+        const double *u = u_data + s * bs * bs;                         \
+        double *wp = w + p * stride;                                    \
+        UNROLL for (long long c = 0; c < bs; ++c)                       \
+            for (long long v = 0; v < nv; ++v) {                        \
+                VT acc = {0};                                           \
+                UNROLL for (long long j = 0; j < bs; ++j)               \
+                    acc += m[j * nv + v] * u[c * bs + j];               \
+                *(VTU *)(wp + c * ld + v * lanes) -= acc;               \
+            }                                                           \
+    }                                                                   \
 }
-
-/* a <- a b on bs x bs blocks (the multiplier times a pivot inverse). */
-static inline void block_mul_right(double *a, const double *b, long long bs)
-{
-    double row[MAX_BS];
-    for (long long r = 0; r < bs; ++r) {
-        for (long long c = 0; c < bs; ++c)
-            row[c] = 0.0;
-        for (long long j = 0; j < bs; ++j) {
-            double arj = a[r * bs + j];
-            for (long long c = 0; c < bs; ++c)
-                row[c] += arj * b[j * bs + c];
-        }
-        for (long long c = 0; c < bs; ++c)
-            a[r * bs + c] = row[c];
-    }
-}
+ILU_ELIMINATE(ilu_eliminate_v4, v4d, v4du, 4)
+ILU_ELIMINATE(ilu_eliminate_v8, v8d, v8du, MAX_BS * MAX_BS / 8)
 
 /* inv <- d^-1 by Gauss-Jordan elimination with partial pivoting; d is
- * overwritten.  Returns 0 when a pivot column is exactly zero (the
- * block is singular, where np.linalg.inv raises). */
-static int block_inverse(double *d, double *inv, long long bs)
+ * column-major with leading dimension ld and is overwritten, inv is
+ * column-major bs x bs.  Returns 0 when a pivot column is exactly zero
+ * (the block is singular, where np.linalg.inv raises). */
+static int block_inverse(double *d, long long ld, double *inv, long long bs)
 {
-    for (long long r = 0; r < bs; ++r)
-        for (long long c = 0; c < bs; ++c)
-            inv[r * bs + c] = r == c ? 1.0 : 0.0;
+#define D(r, c) d[(c) * ld + (r)]
+#define INV(r, c) inv[(c) * bs + (r)]
+    for (long long c = 0; c < bs; ++c)
+        for (long long r = 0; r < bs; ++r)
+            INV(r, c) = r == c ? 1.0 : 0.0;
     for (long long c = 0; c < bs; ++c) {
         long long piv = c;
         for (long long r = c + 1; r < bs; ++r)
-            if (fabs(d[r * bs + c]) > fabs(d[piv * bs + c]))
+            if (fabs(D(r, c)) > fabs(D(piv, c)))
                 piv = r;
-        if (d[piv * bs + c] == 0.0)
+        if (D(piv, c) == 0.0)
             return 0;
         if (piv != c)
             for (long long j = 0; j < bs; ++j) {
-                double t = d[c * bs + j];
-                d[c * bs + j] = d[piv * bs + j];
-                d[piv * bs + j] = t;
-                t = inv[c * bs + j];
-                inv[c * bs + j] = inv[piv * bs + j];
-                inv[piv * bs + j] = t;
+                double t = D(c, j);
+                D(c, j) = D(piv, j);
+                D(piv, j) = t;
+                t = INV(c, j);
+                INV(c, j) = INV(piv, j);
+                INV(piv, j) = t;
             }
-        double p = d[c * bs + c];
+        double p = D(c, c);
         for (long long j = 0; j < bs; ++j) {
-            d[c * bs + j] /= p;
-            inv[c * bs + j] /= p;
+            D(c, j) /= p;
+            INV(c, j) /= p;
         }
         for (long long r = 0; r < bs; ++r) {
-            double f = d[r * bs + c];
+            double f = D(r, c);
             if (r == c || f == 0.0)
                 continue;
             for (long long j = 0; j < bs; ++j) {
-                d[r * bs + j] -= f * d[c * bs + j];
-                inv[r * bs + j] -= f * inv[c * bs + j];
+                D(r, j) -= f * D(c, j);
+                INV(r, j) -= f * INV(c, j);
             }
         }
     }
     return 1;
+#undef D
+#undef INV
 }
 
 /* Numeric ILU(k) on a fixed pattern, the IKJ row loop of ilu_csr_ref /
  * ilu_bsr_ref.  Row i is assembled in w, laid out [L | diagonal | U]
- * like the reference's working row, through the position map pos
- * (column -> w slot, -1 elsewhere; arrives all -1 and is restored).
- * A's values are assigned to their slots (entries outside the pattern
- * are dropped), then each lower entry k, in ascending order, becomes
- * the multiplier l = w_k / d_k (bs = 1: divided by the raw pivot,
- * bitwise the scalar reference) or w_k d_k^-1 (bs > 1), and row k's U
- * part is subtracted, l u_kj, wherever row i's pattern has column j.
- * Returns ILU_OK, ILU_BAD_COLUMN for a column of A outside [0, n)
- * (checked before it is used), or the row whose pivot is zero /
- * singular.  For bs = 1 inv_diag holds the raw pivots until the end. */
-long long ilu_numeric_f64(long long n, long long bs,
+ * like the reference's working row, ld lanes a block column, through
+ * the position map pos (column -> w slot, -1 elsewhere; arrives all -1
+ * and is restored).  A's row-major values are assigned to their slots
+ * (entries outside the pattern are dropped), then each lower entry k,
+ * in ascending order, becomes the multiplier l = w_k / d_k (bs = 1:
+ * divided by the raw pivot, bitwise the scalar reference) or w_k d_k^-1
+ * (bs > 1), and row k's U part is subtracted, l u_kj, wherever row i's
+ * pattern has column j.  Returns ILU_OK, ILU_BAD_COLUMN for a column of
+ * A outside [0, n) (checked before it is used), or the row whose pivot
+ * is zero / singular.  For bs = 1 inv_diag holds the raw pivots until
+ * the end. */
+ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
     const long long *l_indptr, const long long *l_indices,
     const long long *u_indptr, const long long *u_indices,
     const long long *a_indptr, const long long *a_indices,
     const double *a_data, double *l_data, double *u_data,
     double *inv_diag, long long *pos, double *w)
 {
-    long long bsq = bs * bs;
+    long long bsq = bs * bs, stride = bs * ld;
     long long status = ILU_OK;
     for (long long i = 0; i < n && status == ILU_OK; ++i) {
         long long ls = l_indptr[i], nl = l_indptr[i + 1] - ls;
@@ -655,8 +707,7 @@ long long ilu_numeric_f64(long long n, long long bs,
         pos[i] = nl;
         for (long long t = 0; t < nu; ++t)
             pos[u_indices[us + t]] = nl + 1 + t;
-        for (long long t = 0; t < (nl + 1 + nu) * bsq; ++t)
-            w[t] = 0.0;
+        memset(w, 0, (size_t)((nl + 1 + nu) * stride) * sizeof *w);
         for (long long t = a_indptr[i]; t < a_indptr[i + 1]; ++t) {
             long long c = a_indices[t];
             if ((unsigned long long)c >= (unsigned long long)n) {
@@ -665,40 +716,49 @@ long long ilu_numeric_f64(long long n, long long bs,
             }
             long long p = pos[c];
             if (p >= 0)
-                for (long long e = 0; e < bsq; ++e)
-                    w[p * bsq + e] = a_data[t * bsq + e];
+                for (long long r = 0; r < bs; ++r)
+                    for (long long j = 0; j < bs; ++j)
+                        w[p * stride + j * ld + r] = a_data[t * bsq + r * bs + j];
         }
         for (long long t = 0; t < nl && status == ILU_OK; ++t) {
             long long k = l_indices[ls + t];
-            double *lik = w + t * bsq;
-            if (bs == 1)
+            double *lik = w + t * stride;
+            if (bs == 1) {
                 lik[0] = lik[0] / inv_diag[k];
-            else
-                block_mul_right(lik, inv_diag + k * bsq, bs);
-            for (long long s = u_indptr[k]; s < u_indptr[k + 1]; ++s) {
-                long long p = pos[u_indices[s]];
-                if (p < 0)
-                    continue;
-                if (bs == 1)
-                    w[p] -= lik[0] * u_data[s];
-                else
-                    block_submul(w + p * bsq, lik, u_data + s * bsq, bs);
+                for (long long s = u_indptr[k]; s < u_indptr[k + 1]; ++s) {
+                    long long p = pos[u_indices[s]];
+                    if (p >= 0)
+                        w[p] -= lik[0] * u_data[s];
+                }
+            } else if (ld == 4) {
+                ilu_eliminate_v4(bs, 1, lik, inv_diag + k * bsq, u_data,
+                                 u_indices, u_indptr[k], u_indptr[k + 1],
+                                 pos, w);
+            } else {
+                ilu_eliminate_v8(bs, ld / 8, lik, inv_diag + k * bsq, u_data,
+                                 u_indices, u_indptr[k], u_indptr[k + 1],
+                                 pos, w);
             }
         }
         if (status == ILU_OK) {
-            double *d = w + nl * bsq;
+            double *d = w + nl * stride;
             if (bs == 1) {
                 if (d[0] == 0.0)
                     status = i;
                 inv_diag[i] = d[0];
-            } else if (!block_inverse(d, inv_diag + i * bsq, bs)) {
+            } else if (!block_inverse(d, ld, inv_diag + i * bsq, bs)) {
                 status = i;
             }
         }
-        for (long long e = 0; e < nl * bsq; ++e)
-            l_data[ls * bsq + e] = w[e];
-        for (long long e = 0; e < nu * bsq; ++e)
-            u_data[us * bsq + e] = w[(nl + 1) * bsq + e];
+        for (long long t = 0; t < nl; ++t)
+            for (long long c = 0; c < bs; ++c)
+                memcpy(l_data + (ls + t) * bsq + c * bs,
+                       w + t * stride + c * ld, (size_t)bs * sizeof *w);
+        for (long long t = 0; t < nu; ++t)
+            for (long long c = 0; c < bs; ++c)
+                memcpy(u_data + (us + t) * bsq + c * bs,
+                       w + (nl + 1 + t) * stride + c * ld,
+                       (size_t)bs * sizeof *w);
         for (long long t = 0; t < nl; ++t)
             pos[l_indices[ls + t]] = -1;
         pos[i] = -1;
@@ -709,6 +769,32 @@ long long ilu_numeric_f64(long long n, long long bs,
         for (long long i = 0; i < n; ++i)
             inv_diag[i] = 1.0 / inv_diag[i];
     return status;
+}
+
+/* w holds the widest row at the widest padding: width * bs * ld
+ * doubles, ld a multiple of 8 lanes for bs > 1.  The Euler Jacobians'
+ * block sizes run with bs a constant. */
+long long ilu_numeric_f64(long long n, long long bs,
+    const long long *l_indptr, const long long *l_indices,
+    const long long *u_indptr, const long long *u_indices,
+    const long long *a_indptr, const long long *a_indices,
+    const double *a_data, double *l_data, double *u_data,
+    double *inv_diag, long long *pos, double *w)
+{
+#define ILU_ROWS(BS, LD)                                                \
+    ilu_rows(n, BS, LD, l_indptr, l_indices, u_indptr, u_indices,       \
+             a_indptr, a_indices, a_data, l_data, u_data, inv_diag,     \
+             pos, w)
+    if (bs == 5)
+        return ILU_ROWS(5, 8);
+    if (bs == 4)
+        return ILU_ROWS(4, 4);
+    if (bs == 1)
+        return ILU_ROWS(1, 1);
+    if (bs < 4)
+        return ILU_ROWS(bs, 4);
+    return ILU_ROWS(bs, (bs + 7) / 8 * 8);
+#undef ILU_ROWS
 }
 
 /* ---- Rusanov face flux, once per family -------------------------
@@ -1026,9 +1112,41 @@ MUSCL_RUSANOV_SCATTER(muscl_rusanov_scatter_comp, 5, rusanov_face_comp)
 #: Block-size cap of the stack buffers in the BSR C kernels.
 MAX_BS = 32
 
-#: Flags of the one build (``load_cbackend``); the CI warning check
-#: compiles the source with these too.
-COMPILE_ARGS = ("-O2", "-ffp-contract=off", "-fvect-cost-model=dynamic")
+#: x86-64 levels the library can be built for, widest first, each with
+#: every CPU feature it needs (psABI level table, spelt as Linux's
+#: /proc/cpuinfo spells them: ``abm`` is LZCNT); x86-64-v2 is in v3.
+_V3 = frozenset({"cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2",
+                 "ssse3", "avx", "avx2", "bmi1", "bmi2", "f16c", "fma",
+                 "abm", "movbe", "xsave"})
+_X86_LEVELS = (("x86-64-v4", _V3 | {"avx512f", "avx512bw", "avx512cd",
+                                    "avx512dq", "avx512vl"}),
+               ("x86-64-v3", _V3))
+
+
+def _host_isa(cpuinfo: str = "/proc/cpuinfo") -> str | None:
+    """The widest level of :data:`_X86_LEVELS` whose features this CPU
+    and kernel offer, from the ``flags`` line of Linux's ``cpuinfo``;
+    None off x86-64 Linux or below x86-64-v3 (the compiler's default
+    then stands)."""
+    try:
+        with open(cpuinfo) as f:
+            flags = next((line for line in f if line.startswith("flags")),
+                         None)
+    except OSError:
+        return None
+    if flags is None:
+        return None
+    have = set(flags.partition(":")[2].split())
+    return next((name for name, need in _X86_LEVELS if need <= have), None)
+
+
+#: Flags every build shares.
+BASE_ARGS = ("-O2", "-ffp-contract=off", "-fvect-cost-model=dynamic")
+
+#: Flags of the solver's build (``load_cbackend``): the shared ones and
+#: the host's level; the CI warning check compiles the source with these.
+_HOST_ISA = _host_isa()
+COMPILE_ARGS = BASE_ARGS + ((f"-march={_HOST_ISA}",) if _HOST_ISA else ())
 
 #: Status codes of the ILU kernels (the ``ILU_*`` enum of the C source):
 #: success, an A column outside ``[0, n)``; a status >= 0 is the row
@@ -1069,9 +1187,12 @@ class CBackend:
 
     name = "c"
 
-    def __init__(self, ffi, lib) -> None:
+    def __init__(self, ffi, lib, isa: str = "default") -> None:
         self._ffi = ffi
         self._lib = lib
+        #: the level the library was built for: the ``-march`` of its
+        #: flags (``"x86-64-v4"``, ``"x86-64-v3"``) or ``"default"``
+        self.isa = isa
 
     # -- pointer helpers ------------------------------------------------
     def _pd(self, a):
@@ -1205,12 +1326,18 @@ class CBackend:
         inv_diag = np.empty((n,) + blk, dtype=np.float64)
         width = int((np.diff(l_iptr) + np.diff(u_iptr)).max(initial=0)) + 1
         pos = np.full(n, -1, dtype=np.int64)
-        w = np.empty(width * bs * bs, dtype=np.float64)
+        # the working row: block columns padded to a multiple of 8 lanes
+        lanes = -(-bs // 8) * 8 if blk else 1
+        w = np.empty(width * bs * lanes, dtype=np.float64)
         status = self._lib.ilu_numeric_f64(
             n, bs, self._pi(l_iptr), self._pi(l_idx), self._pi(u_iptr),
             self._pi(u_idx), self._pi(indptr), self._pi(indices),
             self._pd(data), self._pdw(l_data), self._pdw(u_data),
             self._pdw(inv_diag), self._piw(pos), self._pdw(w))
+        if blk:
+            # C wrote each block column-major: the [r, c] views
+            return status, *(a.transpose(0, 2, 1)
+                             for a in (l_data, u_data, inv_diag))
         return status, l_data, u_data, inv_diag
 
     # -- first-order Jacobian: flux Jacobians + slot scatter -----------
@@ -1268,20 +1395,25 @@ class CBackend:
         return None if bad >= 0 else (out_a, out_b)
 
 
-def load_cbackend() -> CBackend | None:
+def load_cbackend(flags=COMPILE_ARGS) -> CBackend | None:
     """Build (once) or import the compiled library; None on failure.
 
-    The extension name carries a hash of the C source and of
-    :data:`COMPILE_ARGS` (:func:`_module_name`), so editing the kernels
-    or the flags automatically invalidates stale cached builds.
+    The extension name carries a hash of the C source and of the
+    compile ``flags`` (:func:`_module_name`), so editing the kernels or
+    the flags automatically invalidates stale cached builds, and builds
+    for different ``-march`` levels live side by side in one cache.
+    The solver's library is the one built with :data:`COMPILE_ARGS`,
+    or with :data:`BASE_ARGS` where the compiler rejects its ``-march``.
     """
-    modname = _module_name()
+    modname = _module_name(flags)
+    isa = next((f.split("=", 1)[1] for f in reversed(flags)
+                if f.startswith("-march=")), "default")
     cachedir = _cache_dir()
     if cachedir not in sys.path:
         sys.path.insert(0, cachedir)
     try:
         mod = importlib.import_module(modname)
-        return CBackend(mod.ffi, mod.lib)
+        return CBackend(mod.ffi, mod.lib, isa)
     except ImportError:
         pass
     try:
@@ -1290,12 +1422,15 @@ def load_cbackend() -> CBackend | None:
         builder = cffi.FFI()
         builder.cdef(_CDEF)
         builder.set_source(modname, _SOURCE,
-                           extra_compile_args=list(COMPILE_ARGS))
+                           extra_compile_args=list(flags))
         builder.compile(tmpdir=cachedir, verbose=False)
         importlib.invalidate_caches()
         mod = importlib.import_module(modname)
-        return CBackend(mod.ffi, mod.lib)
+        return CBackend(mod.ffi, mod.lib, isa)
     except Exception as exc:
+        if flags == COMPILE_ARGS != BASE_ARGS:
+            # a compiler older than the level names (gcc 11, clang 12)
+            return load_cbackend(BASE_ARGS)
         # Broken toolchain / failed build: quarantine with the reason
         # so capability_report can explain the numpy fallback.
         from repro.kernels import capability

@@ -545,7 +545,13 @@ def ilu_csr_ref(a: CSRMatrix, fill_level: int = 0,
 class ILUFactorBSR:
     """Numeric block ILU factor; the structural-blocking analogue of
     :class:`ILUFactorCSR` (blocks are eliminated as units with dense
-    block inverses, PETSc BAIJ-style)."""
+    block inverses, PETSc BAIJ-style).
+
+    The block arrays are indexed ``[slot, r, c]`` whatever their memory
+    order.  A compiled factor's are transposed views of the
+    column-major buffers the C numeric wrote, which the C trisolves
+    read in place; :meth:`astype_storage` keeps that order (``astype``
+    copies in order ``'K'``)."""
 
     pattern: ILUPattern
     bs: int
@@ -587,9 +593,12 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0,
     """Numeric block ILU(k) of a BSR matrix.
 
     ``engine="compiled"`` runs the C row loop of :func:`ilu_bsr_ref`
-    (bs x bs products and the pivot-block inverse inline, ULP-bounded)
-    and builds no schedule.  The numpy tier follows the plan of
-    :func:`ilu_csr` with scalars replaced by ``bs x bs`` blocks:
+    (bs x bs products and the pivot-block inverse inline, ULP-bounded;
+    the blocks come back column-major) and builds no schedule; where it
+    declines but a backend is loaded, the numpy numeric's blocks are
+    stored column-major too.
+    The numpy tier follows the plan of :func:`ilu_csr` with scalars
+    replaced by ``bs x bs`` blocks:
     divisions become GEMMs against the pivot-block inverses
     (``np.matmul`` over stacked blocks) and diagonal inversions are
     batched per dependency level.
@@ -623,6 +632,10 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0,
                     w[off_d + st.check_rows])
         out = (w[:off_d].copy(), w[off_u:].copy(), inv_diag)
         levels = (sched.l_solve, sched.u_solve)
+        if _kernels.backend_for(engine) is not None:
+            # the compiled trisolves' column-major blocks, made once
+            out = tuple(np.ascontiguousarray(x.transpose(0, 2, 1))
+                        .transpose(0, 2, 1) for x in out)
     factor = ILUFactorBSR(pattern, bs, *out, engine=engine,
                           solve_levels=levels)
     if np.dtype(storage_dtype) != np.float64:

@@ -22,6 +22,7 @@ degradation tests pin that behaviour explicitly.
 
 import json
 import os
+from dataclasses import replace
 import subprocess
 import sys
 import warnings
@@ -149,6 +150,28 @@ class TestBuildCache:
         from repro.kernels import cbackend
         assert "-ffp-contract=off" in cbackend.COMPILE_ARGS
 
+    @pytest.mark.parametrize("extra, want", [
+        ("avx512f avx512bw avx512cd avx512dq avx512vl", "x86-64-v4"),
+        ("avx512f", "x86-64-v3"), ("", "x86-64-v3")])
+    def test_host_isa_reads_the_cpu_flags(self, tmp_path, extra, want):
+        from repro.kernels import cbackend
+        v3 = " ".join(sorted(cbackend._V3))
+        info = tmp_path / "cpuinfo"
+        info.write_text(f"processor\t: 0\nflags\t\t: fpu {v3} {extra}\n")
+        assert cbackend._host_isa(str(info)) == want
+        info.write_text(f"flags\t\t: fpu {v3.replace('avx2', '')}\n")
+        assert cbackend._host_isa(str(info)) is None
+        assert cbackend._host_isa(str(tmp_path / "missing")) is None
+
+    @needs_backend
+    def test_a_rejected_march_falls_back_to_the_portable_build(
+            self, monkeypatch):
+        from repro.kernels import cbackend
+        bogus = cbackend.BASE_ARGS + ("-march=no-such-level",)
+        monkeypatch.setattr(cbackend, "COMPILE_ARGS", bogus)
+        backend = cbackend.load_cbackend(bogus)
+        assert backend is not None and backend.isa == "default"
+
 
 class TestQuarantine:
     """Silent degradation is gone: broken backends carry their reason."""
@@ -214,8 +237,10 @@ class TestQuarantine:
         assert proc.returncode == 0
         assert proc.stderr == ""
         rep = json.loads(proc.stdout)
-        assert set(rep) == {"disabled", "available", "resolved",
+        assert set(rep) == {"disabled", "available", "resolved", "isa",
                             "broken", "quarantine"}
+        assert (rep["isa"] in ("x86-64-v4", "x86-64-v3", "default")
+                if rep["resolved"] == "c" else rep["isa"] is None)
 
 
 class TestDispatchGuards:
@@ -815,8 +840,9 @@ def _sequential_upper(indptr, indices, data, inv_diag, b, bs):
 
 class TestBlockTrisolves:
     """Block size 4 and 5 run constant-size copies of the trisolve
-    loop, any other size the generic loop (3 and 6 here): every size
-    is normwise the numpy oracle and bitwise the sequential loop."""
+    loop, any other size the generic loop (3, 6, 9 and 12 here: a
+    vector tail, none, more than one vector of rows): every size is
+    normwise the numpy oracle and bitwise the sequential loop."""
 
     @staticmethod
     def _triangle(n, bs, dtype, upper, seed):
@@ -836,7 +862,7 @@ class TestBlockTrisolves:
         return indptr, indices, data, inv
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("bs", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("bs", [2, 3, 4, 5, 6, 9, 12])
     def test_lower_and_upper(self, bs, dtype):
         n = 30
         b = np.random.default_rng(bs).standard_normal(n * bs)
@@ -856,6 +882,72 @@ class TestBlockTrisolves:
                                   _sequential_lower(li, lx, ld, b, bs))
             assert np.array_equal(upper[1],
                                   _sequential_upper(ui, ux, ud, inv, b, bs))
+
+
+class TestColumnMajorFactors:
+    """A compiled block factor keeps ``[r, c]`` blocks that are
+    transposed views of the column-major buffers C wrote (or, where the
+    C numeric declined, that ``ilu_bsr`` stored so), and the C
+    trisolves read those buffers in place; a row-major factor handed to
+    the same dispatchers is solved through a column-major copy."""
+
+    @staticmethod
+    def _spy(monkeypatch, backend):
+        """Record the factor arrays each C block solve receives."""
+        seen = []
+        for name in ("lower_solve_bsr", "upper_solve_bsr"):
+            def spy(*args, _call=getattr(backend, name), _name=name):
+                seen.append((_name, args[2:-2]))
+                return _call(*args)
+            monkeypatch.setattr(backend, name, spy)
+        return seen
+
+    @needs_backend
+    @pytest.mark.parametrize("storage", [np.float64, np.float32])
+    def test_compiled_factor_is_read_in_place(self, wing, monkeypatch,
+                                              storage):
+        jac = wing[2]
+        fac = ilu_bsr(jac, 1, engine="compiled", storage_dtype=storage)
+        blocks = (fac.l_data, fac.u_data, fac.inv_diag)
+        assert all(m.transpose(0, 2, 1).flags.c_contiguous for m in blocks)
+        seen = self._spy(monkeypatch, kernels.backend_for("compiled"))
+        b = np.random.default_rng(5).standard_normal(jac.shape[0])
+        x = fac.solve(b)
+        assert [name for name, _ in seen] == ["lower_solve_bsr",
+                                              "upper_solve_bsr"]
+        passed = seen[0][1] + seen[1][1]
+        assert all(np.shares_memory(p, m) for p, m in zip(passed, blocks))
+        assert fac.solve_levels is None
+
+        seen.clear()
+        rows = replace(fac, **{name: np.ascontiguousarray(m) for name, m in
+                               zip(("l_data", "u_data", "inv_diag"), blocks)})
+        assert np.array_equal(rows.solve(b), x)
+        assert [name for name, _ in seen] == ["lower_solve_bsr",
+                                              "upper_solve_bsr"]
+        passed = seen[0][1] + seen[1][1]
+        for p, m in zip(passed, (rows.l_data, rows.u_data, rows.inv_diag)):
+            assert p.flags.c_contiguous and not np.shares_memory(p, m)
+            assert np.array_equal(p, m.transpose(0, 2, 1))
+        assert rows.solve_levels is None
+
+    @needs_backend
+    def test_numpy_numeric_of_a_compiled_factor_is_column_major(
+            self, wing, monkeypatch):
+        import repro.sparse.ilu as ilu_mod
+        jac = wing[2]
+        want = ilu_bsr(jac, 1, engine="compiled")
+        monkeypatch.setattr(ilu_mod._kernels, "ilu_numeric",
+                            lambda *args: None)
+        fac = ilu_bsr(jac, 1, engine="compiled")
+        blocks = (fac.l_data, fac.u_data, fac.inv_diag)
+        assert all(m.transpose(0, 2, 1).flags.c_contiguous for m in blocks)
+        seen = self._spy(monkeypatch, kernels.backend_for("compiled"))
+        b = np.random.default_rng(6).standard_normal(jac.shape[0])
+        x = fac.solve(b)
+        passed = seen[0][1] + seen[1][1]
+        assert all(np.shares_memory(p, m) for p, m in zip(passed, blocks))
+        assert_norm_close(x, want.solve(b))
 
 
 LIMITERS = ("none", "van_albada", "minmod")

@@ -1,0 +1,93 @@
+"""Every x86-64 level the C library can be built for computes the same
+bits.
+
+The solver's library is compiled for the widest level this CPU offers
+(``-march=x86-64-v4`` or ``-v3``, else the compiler's default).  Here
+the source is built once per level the CPU runs — into the shared
+kernel cache, where the flags key each build — and every build must
+give the same L, U and pivot inverses and the same two block solves,
+bit for bit, on drawn diagonally dominant block matrices: the level
+changes only the speed.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import kernels
+from repro.kernels import capability, cbackend
+from repro.sparse.bsr import BSRMatrix
+from repro.sparse.ilu import ilu_symbolic
+
+#: the levels above the compiler's default, narrowest first
+LEVELS = ("x86-64-v3", "x86-64-v4")
+
+
+@pytest.fixture(scope="module")
+def builds():
+    """``{isa: backend}``: the compiler's default and every level up to
+    the one the solver's library was built for."""
+    if capability.resolve_engine("compiled") != "c":
+        pytest.skip("no compiled backend (cffi + cc)")
+    bound = kernels.backend_for("compiled")
+    if bound.isa not in LEVELS:
+        pytest.skip(f"this CPU runs only the {bound.isa} build")
+    out = {}
+    for isa in ("default",) + LEVELS[:LEVELS.index(bound.isa) + 1]:
+        flags = cbackend.BASE_ARGS + (() if isa == "default"
+                                      else (f"-march={isa}",))
+        backend = cbackend.load_cbackend(flags)
+        assert backend is not None and backend.isa == isa
+        out[isa] = backend
+    return out
+
+
+def _dominant(nb, bs, density, seed):
+    """A random block sparsity with the diagonal, whose diagonal blocks
+    outweigh the rest of their row."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((nb, nb)) < density
+    np.fill_diagonal(mask, True)
+    rows, cols = np.nonzero(mask)
+    blocks = rng.standard_normal((rows.size, bs, bs))
+    blocks[rows == cols] += bs * (mask.sum(axis=1).max() + 1) * np.eye(bs)
+    indptr = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nb), out=indptr[1:])
+    return BSRMatrix(indptr=indptr, indices=cols, data=blocks, nbcols=nb)
+
+
+def _factor_and_solve(backend, a, pattern, dtype, b):
+    """The bytes of L, U, the pivot inverses and both block solves of
+    ``b`` on factors stored as ``dtype``."""
+    i64 = [np.ascontiguousarray(v, dtype=np.int64) for v in (
+        pattern.l_indptr, pattern.l_indices, pattern.u_indptr,
+        pattern.u_indices, a.indptr, a.indices)]
+    status, *factors = backend.ilu_numeric(pattern.n, *i64, a.data)
+    assert status == cbackend.ILU_OK
+    l_cm, u_cm, inv_cm = (f.transpose(0, 2, 1).astype(dtype)
+                          for f in factors)
+    x = b.copy()
+    assert backend.lower_solve_bsr(i64[0], i64[1], l_cm, x, a.bs)
+    y = x.copy()
+    assert backend.upper_solve_bsr(i64[2], i64[3], u_cm, inv_cm, y, a.bs)
+    return [np.ascontiguousarray(v).tobytes() for v in (*factors, x, y)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(bs=st.sampled_from((2, 3, 4, 5, 6, 9, 12)), f32=st.booleans(),
+       nb=st.integers(2, 24), density=st.floats(0.1, 0.5),
+       fill=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_every_level_computes_the_same_bits(builds, bs, f32, nb, density,
+                                            fill, seed):
+    a = _dominant(nb, bs, density, seed)
+    pattern = ilu_symbolic(a.indptr, a.indices, fill)
+    b = np.random.default_rng(seed).standard_normal(nb * bs)
+    dtype = np.float32 if f32 else np.float64
+    got = {isa: _factor_and_solve(backend, a, pattern, dtype, b)
+           for isa, backend in builds.items()}
+    want = got.pop("default")
+    for isa, out in got.items():
+        for what, g, w in zip(("L", "U", "inv_diag", "lower", "upper"),
+                              out, want):
+            assert g == w, f"{isa} differs from default in {what}"

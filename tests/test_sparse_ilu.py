@@ -309,8 +309,8 @@ class TestCompiledNumeric:
         for name in ("l_data", "u_data", "inv_diag"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    @settings(deadline=None, max_examples=25)
-    @given(st.integers(2, 16), st.sampled_from([2, 3, 4, 5, 7]),
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 16), st.sampled_from([2, 3, 4, 5, 7, 9, 12, 17]),
            st.floats(0.1, 0.5), st.integers(0, 3), st.integers(0, 10_000))
     def test_bsr_normwise_row_loop(self, nb, bs, density, k, seed):
         a = random_bsr(nb, bs, density, seed)
