@@ -38,22 +38,25 @@ from repro.telemetry.recorder import NULL_RECORDER
 __all__ = ["NKSSolver", "SolveReport", "StepRecord"]
 
 
-class _SPMDOperator(OperatorFromCallable):
+class _SPMDOperator(OperatorFromMatrix):
     """Krylov operator applying the Jacobian via the SPMD matvec.
 
     What ``executor="seq"`` routes GMRES through: the distributed
-    rank-by-rank SpMV instead of the in-process ``A @ x``.
+    rank-by-rank SpMV instead of the in-process ``A @ x``.  It holds no
+    reference to itself (no bound method stored on the instance), so a
+    finished step's operator and Jacobian are freed by reference
+    counting, not left for the cyclic collector.
     """
 
     def __init__(self, matrix, layout: SPMDLayout,
                  recorder=NULL_RECORDER) -> None:
-        super().__init__(self._apply, matrix.shape[0])
-        self.matrix = matrix
+        super().__init__(matrix)
         self.layout = layout
         self.recorder = recorder
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        return distributed_matvec(self.matrix, self.layout, x,
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        self.nmatvecs += 1
+        return distributed_matvec(self._a, self.layout, x,
                                   recorder=self.recorder)
 
 

@@ -41,9 +41,11 @@ caller's: the distributed kernels book one coordinator-side span per
 pool call.  The workers keep no clock.
 
 Speed: rank inputs/outputs cross process boundaries as shared-memory
-rows (no pickling), and each worker caches the per-rank static data —
-gathered edge normals, ghost source rows, and per-matrix gather
-structures with contiguous block copies — so the per-call cost is the
+rows (no pickling), and each worker keeps the per-rank static data —
+the layout's scatter plan (the same one the seq executor applies:
+owned-row scatter, ghost sources, boundary rows), gathered edge
+normals, and per-matrix gather structures with contiguous block
+copies — so the per-call cost is the
 kernel itself plus ~0.2 ms of synchronisation latency.  On a single
 core the caching is the whole win; on multi-core hardware rank
 compute overlaps across workers as in the real code.
@@ -205,42 +207,16 @@ class ProcPool:
 
     # -- setup (runs pre-fork; workers inherit it copy-on-write) -------
     def _precompute(self) -> None:
-        layout = self.layout
-        # Rank-local row offsets into the shared locals region.
-        sizes = np.array([rd.n_local for rd in layout.ranks], dtype=np.int64)
-        self._row_off = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(sizes)])
-        self.total_local = int(self._row_off[-1])
-        # Ghost sources: for each rank, the locals-region row holding
-        # each ghost's owned copy (owner offset + owned position), with
-        # the same stale-layout validation the sequential exchange does.
-        self._ghost_src: list[np.ndarray] = []
-        for rd in layout.ranks:
-            src = np.empty(rd.ghosts.size, dtype=np.int64)
-            for owner in np.unique(rd.ghost_owner):
-                sel = rd.ghost_owner == owner
-                gids = rd.ghosts[sel]
-                own = layout.ranks[int(owner)].owned
-                pos = np.searchsorted(own, gids)
-                ok = ((pos < own.size)
-                      & (own[np.minimum(pos, own.size - 1)] == gids)) \
-                    if own.size else np.zeros(gids.shape, dtype=bool)
-                if not ok.all():
-                    raise ValueError(
-                        f"stale SPMD layout: rank {rd.rank} expects ghosts "
-                        f"{gids[~ok].tolist()} from rank {int(owner)}, "
-                        f"which does not own them")
-                src[sel] = self._row_off[int(owner)] + pos
-            self._ghost_src.append(src)
-        # Coordinator-side owned-row scatter: one fancy assignment
-        # ``locals[dst] = vec[src]`` fills every rank's owned rows.
-        self._owned_dst = np.concatenate(
-            [self._row_off[rd.rank] + np.arange(rd.n_owned, dtype=np.int64)
-             for rd in layout.ranks])
-        self._owned_src = np.concatenate([rd.owned for rd in layout.ranks])
-        # Per-rank gathered edge normals (read-only, inherited by fork).
+        # The layout's scatter plan (built and ownership-checked here if
+        # no seq call built it yet) lays out the shared locals region
+        # and drives both halves of the exchange.  The boundary rows
+        # and per-rank edge normals of the pool's disc are read now, so
+        # the workers inherit them.
+        plan = self.layout.plan
+        self.total_local = plan.total_rows
+        plan.boundary(self.disc.bc)
         self._normals = [self.disc.dual.edge_normals[rd.edge_ids]
-                         for rd in layout.ranks]
+                         for rd in self.layout.ranks]
 
     def _create_arena(self) -> None:
         rowbytes = self.ncomp * 8            # capacity sized for float64
@@ -336,7 +312,7 @@ class ProcPool:
                              f"{self.n} x {ncomp}")
         locs = self._view2d(self._off_locals, self.total_local, ncomp,
                             v.dtype)
-        locs[self._owned_dst] = v.reshape(self.n, ncomp)[self._owned_src]
+        self.layout.plan.distribute(v, ncomp, out=locs)
         return code, v.dtype
 
     # -- public operations ---------------------------------------------
@@ -521,22 +497,21 @@ class ProcPool:
         ncomp = int(hdr[_H_NCOMP])
         out = self._view2d(self._off_out, self.n, ncomp, dtype)
         locs = self._view2d(self._off_locals, self.total_local, ncomp, dtype)
-        row_off = self._row_off
+        plan = layout.plan
         # Ghost gather: pure copies of the owners' owned rows — the
-        # VecScatter.
+        # VecScatter, through the same plan as the seq exchange.
         for r in ranks:
-            rd = layout.ranks[r]
-            lo = row_off[r]
-            locs[lo + rd.n_owned: lo + rd.n_local] = locs[self._ghost_src[r]]
+            plan.refresh_rank(locs, r)
         # Compute: the shared rank kernels over the rank-local rows.
         for r in ranks:
             rd = layout.ranks[r]
-            loc = locs[row_off[r]: row_off[r] + rd.n_local]
-            out[rd.owned] = self._w_rank_kernel(op, rd, loc, dtype, mats)
+            out[rd.owned] = self._w_rank_kernel(op, rd, plan.local(locs, r),
+                                                dtype, mats)
 
     def _w_rank_kernel(self, op: int, rd, loc, dtype, mats):
         if op == _OP_RESIDUAL:
-            r_local = rank_residual(self.disc, rd, loc, dtype,
+            r_local = rank_residual(self.disc, self.layout, rd.rank, loc,
+                                    dtype,
                                     edge_normals=self._normals[rd.rank])
             return r_local[: rd.n_owned]
         if mats["token"] != int(self._hdr[_H_MAT_TOKEN]):

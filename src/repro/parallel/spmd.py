@@ -9,6 +9,12 @@ against the sequential kernels validates the exchange plans and the
 halo bookkeeping with real data — the correctness side of the Table 3
 machinery.
 
+As PETSc does with ``VecScatterCreate``, the scatter is planned once
+per layout — :class:`ScatterPlan`: built on first use, ownership
+checked once, the exchange's message and byte counts taken from it —
+and applied on every call by both executors, the in-process rank loop
+and :class:`~repro.parallel.procpool.ProcPool`.
+
 This is a deterministic simulation of the MPI program, executed rank
 by rank in one process (the environment has no MPI); the data each
 rank touches is restricted to its local arrays, so any bookkeeping
@@ -46,7 +52,7 @@ from repro.sparse.bsr import BSRMatrix
 from repro.sparse.segsum import concat_ranges, segment_sum
 from repro.telemetry.recorder import NULL_RECORDER
 
-__all__ = ["RankLocalData", "SPMDLayout", "GhostExchange",
+__all__ = ["RankLocalData", "SPMDLayout", "ScatterPlan", "GhostExchange",
            "distributed_residual", "distributed_matvec",
            "rank_residual", "rank_matvec", "rank_matvec_structs",
            "gather_structs"]
@@ -87,18 +93,28 @@ class SPMDLayout:
     """The full set of rank-local worlds for one partition.
 
     ``gather_cache`` holds the per-rank SpMV gather structures keyed by
-    matrix pattern (see :func:`gather_structs`); it is layout-owned so
-    warm services can seed it across solves.
+    matrix pattern (see :func:`gather_structs`) and :attr:`plan` is the
+    layout's :class:`ScatterPlan`, built on first use; both are
+    layout-owned so warm services can seed them across solves.
     """
 
     labels: np.ndarray
     ranks: list[RankLocalData] = field(default_factory=list)
     gather_cache: dict = field(default_factory=dict, repr=False,
                                compare=False)
+    _plan: "ScatterPlan | None" = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     @property
     def nranks(self) -> int:
         return len(self.ranks)
+
+    @property
+    def plan(self) -> "ScatterPlan":
+        """The scatter plan, built and ownership-checked on first use."""
+        if self._plan is None:
+            self._plan = ScatterPlan(self)
+        return self._plan
 
     @classmethod
     def build(cls, edges: np.ndarray, labels: np.ndarray) -> "SPMDLayout":
@@ -125,10 +141,138 @@ class SPMDLayout:
         return layout
 
 
-class GhostExchange:
-    """The scatter: refresh every rank's ghost values from the owners.
+class ScatterPlan:
+    """The VecScatter of one layout: built once, applied on every call.
 
-    Executed pairwise so message counts and payloads are observable.
+    All ranks' local rows live in one flat buffer, rank after rank and
+    owned rows before ghosts, so rank ``r`` is the view
+    ``buf[row_off[r]:row_off[r + 1]]`` (:meth:`local`).  ``home[v]``
+    is the buffer row of vertex ``v``'s owned copy: distributing a
+    global vector is one scatter (:meth:`distribute`).  ``ghost_src[r]``
+    lists the owned rows that rank ``r``'s ghosts copy: its refresh is
+    one gather (:meth:`refresh_rank`).  Both executors run these same
+    two steps, the sequential loop in-process and each pool worker on
+    its ranks.
+
+    Building the plan checks, once, that every vertex has exactly one
+    owner and that every ghost is owned by the rank its
+    ``ghost_owner`` names; a stale layout raises :class:`ValueError`
+    here rather than gathering wrong rows.  The exchange's message and
+    byte counts are the plan's too: ``pairs[r]`` distinct owners send
+    to rank ``r``, ``ghost_src[r].size`` ghost copies.
+
+    The plan also holds what the rank residual indexes with: each
+    rank's edge endpoints as contiguous arrays, and each rank's owned
+    boundary rows (:meth:`boundary`).  Geometry is never kept: one
+    layout serves every mesh of its topology, so the edge and boundary
+    normals are read from the discretisation on each call.
+    """
+
+    def __init__(self, layout: SPMDLayout) -> None:
+        ranks = layout.ranks
+        n = int(layout.labels.size)
+        owned = np.concatenate([rd.owned for rd in ranks]) if ranks \
+            else np.zeros(0, dtype=np.int64)
+        bad = np.flatnonzero(np.bincount(owned, minlength=n) != 1)
+        if bad.size:
+            raise ValueError(f"stale SPMD layout: vertices {bad.tolist()} "
+                             f"do not have exactly one owner")
+        self.row_off = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(
+            [rd.n_local for rd in ranks], dtype=np.int64)])
+        self.total_rows = int(self.row_off[-1])
+        # (first row, first ghost row, end row) of each rank, as ints.
+        self.bounds = [(int(lo), int(lo) + rd.n_owned, int(lo) + rd.n_local)
+                       for lo, rd in zip(self.row_off, ranks)]
+        self.owner = np.empty(n, dtype=np.int64)
+        self.home = np.empty(n, dtype=np.int64)
+        for rd, (lo, glo, _) in zip(ranks, self.bounds):
+            self.owner[rd.owned] = rd.rank
+            self.home[rd.owned] = np.arange(lo, glo, dtype=np.int64)
+        self.ghost_src: list[np.ndarray] = []
+        self.pairs: list[int] = []
+        for rd in ranks:
+            wrong = self.owner[rd.ghosts] != rd.ghost_owner
+            if wrong.any():
+                claimed = int(rd.ghost_owner[wrong][0])
+                missing = rd.ghosts[wrong & (rd.ghost_owner == claimed)]
+                raise ValueError(
+                    f"stale SPMD layout: rank {rd.rank} expects ghosts "
+                    f"{missing.tolist()} from rank {claimed}, which does "
+                    f"not own them")
+            self.ghost_src.append(self.home[rd.ghosts])
+            self.pairs.append(int(np.unique(rd.ghost_owner).size))
+        # One refresh: its messages, and the ghost copies it moves.
+        self.pair_count = sum(self.pairs)
+        self.ghost_rows = sum(int(src.size) for src in self.ghost_src)
+        self.receivers = [rd.rank for rd in ranks if rd.ghosts.size]
+        self.e0 = [np.ascontiguousarray(rd.local_edges[:, 0]) for rd in ranks]
+        self.e1 = [np.ascontiguousarray(rd.local_edges[:, 1]) for rd in ranks]
+        self._boundary = None     # (bc.vertices, bc.kinds, per-rank rows)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the index arrays the plan holds."""
+        arrays = [self.row_off, self.owner, self.home,
+                  *self.ghost_src, *self.e0, *self.e1]
+        if self._boundary is not None:
+            verts, kinds, rows = self._boundary
+            arrays += [verts, kinds, *(a for rank in rows for a in rank)]
+        return sum(a.nbytes for a in arrays)
+
+    def distribute(self, vec: np.ndarray, ncomp: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Every rank's owned rows of the global ``vec``, in one
+        scatter into the flat buffer (``out``, or a new one of
+        ``vec``'s dtype).  The ghost rows are the refresh's to fill."""
+        v = vec.reshape(-1, ncomp)
+        if out is None:
+            out = np.empty((self.total_rows, ncomp), dtype=v.dtype)
+        out[self.home] = v
+        return out
+
+    def refresh_rank(self, buf: np.ndarray, r: int) -> None:
+        """Copy rank ``r``'s ghost rows from their owners' rows."""
+        _, glo, hi = self.bounds[r]
+        buf[glo:hi] = buf[self.ghost_src[r]]
+
+    def local(self, buf: np.ndarray, r: int) -> np.ndarray:
+        """Rank ``r``'s local rows of the flat buffer (a view)."""
+        lo, _, hi = self.bounds[r]
+        return buf[lo:hi]
+
+    def boundary(self, bc) -> list[tuple]:
+        """Each rank's owned boundary vertices under ``bc``, as
+        ``(wall_rows, wall_idx, far_rows, far_idx)``: local rows and the
+        matching positions in ``bc.vertices``, in ``bc.vertices`` order.
+
+        Which vertices carry a boundary area, and which of those are
+        wall, follows the coordinates, so the rows are kept for the
+        identity of ``bc.vertices`` / ``bc.kinds`` (as
+        :func:`gather_structs` keys a matrix pattern) and rebuilt, a
+        pass over the boundary, for any other pair.
+        """
+        ent = self._boundary
+        if ent is not None and ent[0] is bc.vertices and ent[1] is bc.kinds:
+            return ent[2]
+        owner = self.owner[bc.vertices]
+        local_row = self.home[bc.vertices] - self.row_off[owner]
+        wall = bc.kinds == bc.WALL
+        rows = []
+        for r in range(len(self.bounds)):
+            mine = owner == r
+            widx = np.flatnonzero(mine & wall)
+            fidx = np.flatnonzero(mine & ~wall)
+            rows.append((local_row[widx], widx, local_row[fidx], fidx))
+        self._boundary = (bc.vertices, bc.kinds, rows)
+        return rows
+
+
+class GhostExchange:
+    """The scatter: refresh every rank's ghost rows from the owners,
+    through the layout's :class:`ScatterPlan`.
+
+    Executed rank by rank, so each receiving rank's refresh is a
+    ``ghost_exchange`` span and the max-over-ranks wait is recorded.
     Accounting convention (matching
     :class:`repro.parallel.scatter.GhostExchangePlan`): messages and
     bytes are counted once, in the *receive* direction — one message
@@ -137,6 +281,8 @@ class GhostExchange:
     received (``GhostExchangePlan.recv_bytes``).  The send-side view is
     the same traffic attributed to the owning ranks
     (``GhostExchangePlan.send_bytes``); it is not double-counted here.
+    Both counts are taken from the plan, so the proc backend books the
+    same numbers (:meth:`account_refresh`) without seeing the data.
     ``messages`` and ``bytes_moved`` accumulate across calls.
     """
 
@@ -151,103 +297,64 @@ class GhostExchange:
     @property
     def pair_count(self) -> int:
         """Number of (receiver, owner) pairs one refresh touches."""
-        return sum(int(np.unique(rd.ghost_owner).size)
-                   for rd in self.layout.ranks)
+        return self.layout.plan.pair_count
 
     @property
     def ghost_rows(self) -> int:
         """Total ghost copies received by one refresh."""
-        return sum(int(rd.ghosts.size) for rd in self.layout.ranks)
+        return self.layout.plan.ghost_rows
 
     def account_refresh(self, itemsize: int) -> None:
         """Book one refresh executed elsewhere (the proc backend moves
-        the payloads inside the worker processes; the counts are a
-        property of the layout, so the coordinator can account them
-        without seeing the data)."""
+        the payloads inside the worker processes)."""
         self.messages += self.pair_count
         self.bytes_moved += self.ghost_rows * self.ncomp * int(itemsize)
 
-    def refresh(self, local_q: list[np.ndarray]) -> None:
-        """Update the ghost tail of each rank's local state in place.
+    def refresh(self, buf: np.ndarray) -> None:
+        """Fill the ghost rows of the flat buffer ``buf`` in place.
 
-        ``local_q[r]`` has shape (n_local_r, ncomp): owned rows first.
-        Raises :class:`ValueError` if any ghost id is not actually
-        present in its owner's ``owned`` array — ``np.searchsorted``
-        on a stale layout would otherwise silently pick a wrong row.
+        ``buf`` is a :meth:`ScatterPlan.distribute` buffer of shape
+        ``(plan.total_rows, ncomp)``: every rank's owned rows are
+        current, its ghost rows are about to be overwritten.
         """
-        layout = self.layout
+        plan = self.layout.plan
         rec = self.recorder
-        per_rank_s = [0.0] * layout.nranks
-        # Owner-side lookup: global id -> (rank, owned position).
-        for r, rd in enumerate(layout.ranks):
-            if rd.ghosts.size == 0:
-                continue
+        rowbytes = buf.shape[1] * buf.itemsize
+        per_rank_s = [0.0] * len(plan.bounds)
+        for r in plan.receivers:
             with rec.span("ghost_exchange", rank=r) as sp:
-                for owner in np.unique(rd.ghost_owner):
-                    sel = rd.ghost_owner == owner
-                    gids = rd.ghosts[sel]
-                    src = layout.ranks[int(owner)]
-                    pos = np.searchsorted(src.owned, gids)
-                    if src.owned.size == 0:
-                        found = np.zeros(gids.shape, dtype=bool)
-                    else:
-                        found = ((pos < src.owned.size)
-                                 & (src.owned[np.minimum(
-                                     pos, src.owned.size - 1)] == gids))
-                    if not found.all():
-                        missing = gids[~found]
-                        raise ValueError(
-                            f"stale SPMD layout: rank {r} expects ghosts "
-                            f"{missing.tolist()} from rank {int(owner)}, "
-                            f"which does not own them")
-                    payload = local_q[int(owner)][pos]          # owned rows
-                    local_q[r][rd.n_owned + np.where(sel)[0]] = payload
-                    self.messages += 1
-                    self.bytes_moved += payload.size * payload.itemsize
-                    rec.count("messages", 1, rank=r)
-                    rec.count("bytes", payload.size * payload.itemsize,
-                              rank=r)
+                plan.refresh_rank(buf, r)
+                rec.count("messages", plan.pairs[r], rank=r)
+                rec.count("bytes", plan.ghost_src[r].size * rowbytes,
+                          rank=r)
             per_rank_s[r] = sp.elapsed
-        if self.messages:
+        self.messages += plan.pair_count
+        self.bytes_moved += plan.ghost_rows * rowbytes
+        if plan.receivers:
             rec.record_wait("ghost_exchange", per_rank_s)
 
 
-def _scatter_local_state(layout: SPMDLayout, qglobal: np.ndarray,
-                         ncomp: int) -> list[np.ndarray]:
-    """Initial distribution: each rank receives only its owned rows
-    (ghost rows start as garbage and must come from an exchange).
-
-    Local arrays take ``qglobal``'s dtype — a bare ``np.full`` would
-    default to float64 and silently promote float32 state.
-    """
-    q = qglobal.reshape(-1, ncomp)
-    out = []
-    for rd in layout.ranks:
-        local = np.full((rd.n_local, ncomp), np.nan, dtype=q.dtype)
-        local[: rd.n_owned] = q[rd.owned]
-        out.append(local)
-    return out
-
-
-def rank_residual(disc: EdgeFVDiscretization, rd: RankLocalData,
+def rank_residual(disc: EdgeFVDiscretization, layout: SPMDLayout, r: int,
                   local_q_r: np.ndarray, out_dtype,
                   edge_normals: np.ndarray | None = None) -> np.ndarray:
-    """One rank's first-order residual on its local rows.
+    """Rank ``r``'s first-order residual on its local rows.
 
     The single rank-local kernel both executors run: the sequential
     loop below and each pool worker call exactly this function, so
-    seq/proc bitwise identity is structural, not empirical.
-    ``edge_normals`` may be the pre-gathered per-rank normals (the pool
+    seq/proc bitwise identity is structural, not empirical.  Edge
+    endpoints and owned boundary rows come from the layout's
+    :class:`ScatterPlan`; the normals from ``disc`` on each call, or
+    ``edge_normals``, the rank's pre-gathered edge normals (the pool
     workers cache them); values are identical either way.
     """
     from repro.euler.fluxes import rusanov_flux, rusanov_model
 
-    ncomp = disc.ncomp
-    if rd.local_edges.size == 0:
-        r_local = np.zeros((rd.n_local, ncomp), dtype=out_dtype)
+    rd = layout.ranks[r]
+    plan = layout.plan
+    e0, e1 = plan.e0[r], plan.e1[r]
+    if e0.size == 0:
+        r_local = np.zeros((rd.n_local, disc.ncomp), dtype=out_dtype)
     else:
-        e0 = rd.local_edges[:, 0]
-        e1 = rd.local_edges[:, 1]
         s = (disc.dual.edge_normals[rd.edge_ids]
              if edge_normals is None else edge_normals)
         engine = getattr(disc, "engine", "numpy")
@@ -276,21 +383,15 @@ def rank_residual(disc: EdgeFVDiscretization, rd: RankLocalData,
         r_local = acc[0] - acc[1]
     # Boundary closures on owned boundary vertices.
     bc = disc.bc
-    bmask = np.isin(bc.vertices, rd.owned, assume_unique=False)
-    if bmask.any():
-        bv = bc.vertices[bmask]
-        lpos = np.searchsorted(rd.owned, bv)
-        qb = local_q_r[lpos]
-        kinds = bc.kinds[bmask]
-        normals = bc.normals[bmask]
-        wall = kinds == bc.WALL
-        if wall.any():
-            r_local[lpos[wall]] += disc._wall_flux(qb[wall], normals[wall])
-        far = ~wall
-        if far.any():
-            qe = np.broadcast_to(disc.farfield_state, qb[far].shape)
-            r_local[lpos[far]] += rusanov_flux(
-                qb[far], qe, normals[far], disc._flux, disc._wavespeed)
+    wall_rows, wall_idx, far_rows, far_idx = plan.boundary(bc)[r]
+    if wall_rows.size:
+        r_local[wall_rows] += disc._wall_flux(local_q_r[wall_rows],
+                                              bc.normals[wall_idx])
+    if far_rows.size:
+        qb = local_q_r[far_rows]
+        qe = np.broadcast_to(disc.farfield_state, qb.shape)
+        r_local[far_rows] += rusanov_flux(
+            qb, qe, bc.normals[far_idx], disc._flux, disc._wavespeed)
     return r_local
 
 
@@ -425,16 +526,18 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
         with rec.span("flux"):
             r = pool.residual(qglobal, exchange=exchange)
     else:
+        plan = layout.plan
         ex = exchange or GhostExchange(layout, ncomp, recorder=rec)
-        local_q = _scatter_local_state(layout, qglobal, ncomp)
-        ex.refresh(local_q)
-        out = np.zeros((disc.mesh.num_vertices, ncomp),
-                       dtype=qglobal.dtype)
+        buf = plan.distribute(qglobal, ncomp)
+        ex.refresh(buf)
+        # Every vertex has one owner (the plan checked), so every row
+        # of ``out`` is written below.
+        out = np.empty((disc.mesh.num_vertices, ncomp), dtype=buf.dtype)
         per_rank_s = [0.0] * layout.nranks
         for rd in layout.ranks:
             with rec.span("flux", rank=rd.rank) as sp:
-                r_local = rank_residual(disc, rd, local_q[rd.rank],
-                                        out.dtype)
+                r_local = rank_residual(disc, layout, rd.rank,
+                                        plan.local(buf, rd.rank), out.dtype)
                 out[rd.owned] = r_local[: rd.n_owned]
             per_rank_s[rd.rank] = sp.elapsed
         rec.record_wait("flux", per_rank_s)
@@ -463,10 +566,11 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
         with rec.span("matvec"):
             y = pool.matvec(a, xglobal, exchange=exchange)
     else:
+        plan = layout.plan
         ex = exchange or GhostExchange(layout, bs, recorder=rec)
-        local_x = _scatter_local_state(layout, xglobal, bs)
-        ex.refresh(local_x)
-        out = np.zeros((a.nbrows, bs), dtype=xglobal.dtype)
+        buf = plan.distribute(xglobal, bs)
+        ex.refresh(buf)
+        out = np.empty((a.nbrows, bs), dtype=buf.dtype)
         per_rank_s = [0.0] * layout.nranks
         for rd in layout.ranks:
             with rec.span("matvec", rank=rd.rank) as sp:
@@ -476,8 +580,9 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
                 # the blocks are read in place through its slots.
                 flat, cols, seg = gather_structs(a, layout, rd)
                 out[rd.owned] = rank_matvec(a.data, cols, seg,
-                                            local_x[rd.rank], rd.n_owned,
-                                            engine=a.engine, flat=flat)
+                                            plan.local(buf, rd.rank),
+                                            rd.n_owned, engine=a.engine,
+                                            flat=flat)
             per_rank_s[rd.rank] = sp.elapsed
         rec.record_wait("matvec", per_rank_s)
         y = out.ravel()

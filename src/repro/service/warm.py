@@ -1,8 +1,8 @@
 """Harvest-after-solve / seed-before-solve of warm solver structures.
 
 The service never *predicts* what a solve will build; it harvests what
-a finished solve actually built — the partition labels, the layout's
-SpMV gather structures, and the preconditioner (whose subdomains carry
+a finished solve actually built — the partition labels, the layout
+with its scatter plan and SpMV gather structures, and the preconditioner (whose subdomains carry
 their slot maps into the Jacobian, the symbolic ILU patterns and, on
 the numpy tier, their elimination and level schedules) — and seeds
 the next compatible request with them.  The structures validate
@@ -60,8 +60,8 @@ def structure_keys(mesh, config) -> dict:
     pc_key = _digest_parts(
         "precond", part_key,
         config_key((pc_cfg, config.policy, config.engine)))
-    # The gather namespace stores the whole SPMDLayout (rank worlds +
-    # gather-struct cache).  It is keyed like the preconditioner — not
+    # The gather namespace stores the whole SPMDLayout (rank worlds,
+    # scatter plan, gather-struct cache).  It is keyed like the preconditioner — not
     # just the partition — so requests that could run concurrently
     # (different compat keys) never share one mutable layout object.
     gather_key = _digest_parts("gather", pc_key)
@@ -70,7 +70,9 @@ def structure_keys(mesh, config) -> dict:
 
 
 def _layout_nbytes(layout) -> int:
-    total = 0
+    """Resident bytes of a layout: its rank worlds, the SpMV gather
+    structs and the scatter plan's index arrays."""
+    total = layout.plan.nbytes
     for rd in layout.ranks:
         total += (rd.owned.nbytes + rd.ghosts.nbytes + rd.edge_ids.nbytes
                   + rd.local_edges.nbytes + rd.ghost_owner.nbytes)

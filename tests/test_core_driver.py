@@ -1,5 +1,6 @@
 """Integration tests: the full ΨNKS solve loop."""
 
+import gc
 import time
 
 import numpy as np
@@ -219,3 +220,53 @@ class TestConfigValidation:
         # Modified Gram-Schmidt is the only GMRES orthogonalisation.
         with pytest.raises(TypeError):
             KrylovConfig(orthogonalization="mgs")
+
+
+def _cyclic_garbage(fn) -> list:
+    """Run ``fn`` with the cyclic collector off, then return what a
+    collection finds unreachable (``DEBUG_SAVEALL`` keeps it)."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+class TestNoReferenceCycles:
+    """A finished pseudo-timestep's Jacobian is freed by reference
+    counting: nothing on the seq path (Krylov operator, layout, plan)
+    holds it in a cycle that only a generation-2 collection frees."""
+
+    CFG = dict(executor="seq", max_steps=4,
+               precond=PreconditionerConfig(nparts=4))
+
+    @staticmethod
+    def _pinned(garbage) -> list[str]:
+        from repro.core.driver import _SPMDOperator
+        from repro.sparse.bsr import BSRMatrix
+        return [type(o).__name__ for o in garbage
+                if isinstance(o, (BSRMatrix, _SPMDOperator))]
+
+    def test_seq_solve(self):
+        def solve():
+            prob = wing_problem(7, 5, 4)
+            NKSSolver(prob.disc, SolverConfig(**self.CFG)) \
+                .solve(prob.initial.flat())
+        assert self._pinned(_cyclic_garbage(solve)) == []
+
+    def test_service_request(self):
+        from repro.service import SolveRequest, SolverService
+
+        def request():
+            prob = wing_problem(7, 5, 4)
+            with SolverService(workers=1) as svc:
+                svc.submit(SolveRequest(
+                    prob.disc, prob.initial.flat(),
+                    SolverConfig(**self.CFG))).result(timeout=300)
+        assert self._pinned(_cyclic_garbage(request)) == []

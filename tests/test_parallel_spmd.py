@@ -6,7 +6,7 @@ the sequential kernels bit for bit, and the observed communication
 matches the cost model's GhostExchangePlan.
 """
 
-import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.euler import wing_problem
+from repro.euler.boundary import classify_box_boundary
+from repro.mesh.dualmesh import compute_dual_metrics
 from repro.parallel import (GhostExchange, SPMDLayout, build_exchange_plan,
                             distributed_matvec, distributed_residual)
 from repro.parallel.spmd import gather_structs
@@ -154,9 +156,11 @@ class TestExchangeAccounting:
 
     def test_stale_layout_raises(self, setup):
         """A ghost attributed to a rank that does not own it must be a
-        hard error, not a silently-wrong searchsorted gather."""
-        prob, _, layout, q = setup
-        bad = copy.deepcopy(layout)
+        hard error, not a silently-wrong gather.  The check runs when
+        the scatter plan is built, so corrupt a fresh layout before any
+        plan exists."""
+        prob, labels, _, q = setup
+        bad = SPMDLayout.build(prob.mesh.edges, labels)
         rd = bad.ranks[0]
         nranks = len(bad.ranks)
         rd.ghost_owner[0] = (rd.ghost_owner[0] + 1) % nranks
@@ -165,14 +169,46 @@ class TestExchangeAccounting:
 
     def test_exchange_overwrites_stale_ghosts(self, setup):
         prob, _, layout, q = setup
-        local = [np.full((rd.n_local, 4), np.nan) for rd in layout.ranks]
+        plan = layout.plan
+        buf = np.full((plan.total_rows, 4), np.nan)
         qr = q.reshape(-1, 4)
-        for rd, lq in zip(layout.ranks, local):
-            lq[: rd.n_owned] = qr[rd.owned]
-        GhostExchange(layout, 4).refresh(local)
-        for rd, lq in zip(layout.ranks, local):
-            assert not np.isnan(lq).any()
+        for rd in layout.ranks:
+            plan.local(buf, rd.rank)[: rd.n_owned] = qr[rd.owned]
+        GhostExchange(layout, 4).refresh(buf)
+        assert not np.isnan(buf).any()
+        for rd in layout.ranks:
+            lq = plan.local(buf, rd.rank)
             assert np.array_equal(lq[rd.n_owned:], qr[rd.ghosts])
+
+
+class TestGeometryNotCached:
+    def test_one_layout_serves_a_mesh_with_other_normals(self, setup):
+        """The service hands one layout to every mesh of a topology (A
+        and A'): a mesh whose coordinates moved *before* its
+        discretisation was built has other dual normals and boundary
+        kinds, and the distributed residual must follow them through
+        the very layout, and plan, that served A."""
+        prob, labels, _, q = setup
+        layout = SPMDLayout.build(prob.mesh.edges, labels)
+        r_a = distributed_residual(prob.disc, layout, q)    # builds the plan
+        assert layout._plan is not None
+        rng = np.random.default_rng(7)
+        mesh = dataclasses.replace(
+            prob.mesh, coords=prob.mesh.coords
+            + 1e-3 * rng.standard_normal(prob.mesh.coords.shape))
+        dual = compute_dual_metrics(mesh)
+        bc = classify_box_boundary(mesh, dual,
+                                   wall_region=((0.2, 0.8), (0.2, 0.8)))
+        disc = type(prob.disc)(mesh, bc, dual, farfield=prob.initial,
+                               second_order=False)
+        assert not np.array_equal(dual.edge_normals,
+                                  prob.disc.dual.edge_normals)
+        r = distributed_residual(disc, layout, q)
+        assert np.array_equal(r, disc.residual(q, second_order=False))
+        assert not np.array_equal(r, r_a)
+        # ... and back to A: nothing of A' stuck to the layout either.
+        assert np.array_equal(distributed_residual(prob.disc, layout, q),
+                              r_a)
 
 
 class TestDtypePreservation:

@@ -119,6 +119,35 @@ class TestWarmSeeding:
             assert all(p._schedule is not None for p in patterns)
             assert stored > index_bytes
 
+    def test_gather_entry_counts_the_scatter_plan(self):
+        """The ``gather`` entry is the whole layout, so its bytes are
+        the rank worlds, the gather structs and every index array of
+        the scatter plan (the boundary rows included: a first-order
+        solve runs the distributed residual)."""
+        cache = ServiceCache()
+        prob = make_prob()
+        prob.disc.second_order = False
+        ctx = seed_solver(cache, prob.disc, small_cfg())
+        ctx.solver.solve(prob.initial.flat())
+        harvest_context(cache, ctx)
+        layout = ctx.solver._layout
+        worlds = sum(rd.owned.nbytes + rd.ghosts.nbytes + rd.edge_ids.nbytes
+                     + rd.local_edges.nbytes + rd.ghost_owner.nbytes
+                     for rd in layout.ranks)
+        structs = sum(indptr.nbytes + indices.nbytes
+                      + sum(a.nbytes for a in arrays)
+                      for indptr, indices, arrays
+                      in layout.gather_cache.values())
+        plan = layout.plan
+        verts, kinds, rows = plan._boundary
+        plan_bytes = sum(a.nbytes for a in (
+            plan.row_off, plan.owner, plan.home, *plan.ghost_src,
+            *plan.e0, *plan.e1, verts, kinds,
+            *(a for rank in rows for a in rank)))
+        assert structs > 0 and plan_bytes > 0
+        assert cache.stats()["gather"].bytes_stored == \
+            worlds + structs + plan_bytes
+
     def test_cold_then_warm_bitwise_identical(self):
         cache = ServiceCache()
         cfg = small_cfg()
