@@ -84,86 +84,108 @@ class EdgeFVDiscretization:
         Interior dual faces get the configured numerical flux between
         edge states (first-order: nodal; second-order:
         MUSCL-reconstructed); boundary vertices get wall or farfield
-        closures.
+        closures.  The first-order residual is
+        :meth:`first_order_residual` over the whole mesh.
         """
         self.nresidual_evals += 1
         use2 = self.second_order if second_order is None else second_order
         q = qflat.reshape(self.mesh.num_vertices, self.ncomp)
-        e0 = self.mesh.edges[:, 0]
-        e1 = self.mesh.edges[:, 1]
+        e0, e1 = self.mesh.edge_endpoints()
         s = self.dual.edge_normals
-        n = self.mesh.num_vertices
+        index = (self.mesh.edge_scatter_index(0, self.ncomp),
+                 self.mesh.edge_scatter_index(1, self.ncomp))
+        if not use2:
+            return self.first_order_residual(q, e0, e1, s, self.bc.row_sets(),
+                                             index).ravel()
+        grad = green_gauss_gradients(self.mesh, self.dual, q,
+                                     engine=self.engine)
         model = rusanov_model(self) if self.engine != "numpy" else None
-        r = None
-        if use2:
-            grad = green_gauss_gradients(self.mesh, self.dual, q,
-                                         engine=self.engine)
-            if model is not None:
-                # Second pass of the compiled second-order residual:
-                # reconstruction, limiter, Rusanov flux and scatter in
-                # one loop over the edges, no edge state in between.
-                # Geometry is read now, never memoised: callers may
-                # move mesh.coords in place.  Normwise against the
-                # numpy composition below, like the first-order kernel.
-                fused = _kernels.muscl_rusanov_scatter(
-                    *self.mesh.edge_endpoints(), q, grad, self.mesh.coords,
-                    s, self.limiter.value, model[0], model[1], self.engine)
-                if fused is not None:
-                    r = fused[0] - fused[1]
-            if r is None:
-                ql, qr = reconstruct_edge_states(self.mesh, self.dual, q,
-                                                 grad, self.limiter)
+        fused = None
+        if model is not None:
+            # Second pass of the compiled second-order residual:
+            # reconstruction, limiter, Rusanov flux and scatter in
+            # one loop over the edges, no edge state in between.
+            # Geometry is read now, never memoised: callers may
+            # move mesh.coords in place.  Normwise against the
+            # numpy composition below, like the first-order kernel.
+            fused = _kernels.muscl_rusanov_scatter(
+                e0, e1, q, grad, self.mesh.coords,
+                s, self.limiter.value, model[0], model[1], self.engine)
+        if fused is not None:
+            r = fused[0] - fused[1]
         else:
-            ql, qr = q[e0], q[e1]
-        if r is None and model is not None:
-            # End-to-end compiled interior leg: Rusanov arithmetic
-            # and the scatter run in one pass over the edges (the
-            # previous compiled leg only fused the scatter, leaving
-            # the flux math in numpy).  The numpy path below stays
-            # the oracle; equivalence is normwise (the compiled
-            # kernel's sequential dots re-associate the einsum
-            # reductions).  Exact-type gated by rusanov_model, so
-            # overridden fluxes (Roe) never reach it.
+            ql, qr = reconstruct_edge_states(self.mesh, self.dual, q,
+                                             grad, self.limiter)
+            r = self._interior_residual(ql, qr, e0, e1, s,
+                                        self.mesh.num_vertices, index)
+        self._add_boundary_residual(q, r)
+        return r.ravel()
+
+    def first_order_residual(self, q: np.ndarray, e0: np.ndarray,
+                             e1: np.ndarray, s: np.ndarray, rows: tuple,
+                             index: tuple | None = None) -> np.ndarray:
+        """First-order residual rows ``(len(q), ncomp)`` of the state
+        rows ``q``: the numerical flux over the edges ``(e0, e1)``
+        (rows of ``q``) with dual-face normals ``s``, then the boundary
+        closure on the row sets ``rows``
+        (:meth:`BoundaryCondition.row_sets`).
+
+        The global :meth:`residual` runs it over the whole mesh and
+        boundary, and each SPMD rank over its local rows and edges and
+        its owned boundary vertices
+        (:func:`repro.parallel.spmd.rank_residual`), so every executor
+        runs the one flux loop.  ``index`` is an optional pair of
+        cached :func:`~repro.sparse.segsum.flat_segment_index` arrays
+        for ``e0`` / ``e1``.
+        """
+        r = self._interior_residual(q[e0], q[e1], e0, e1, s, len(q), index)
+        self._add_boundary_residual(q, r, rows)
+        return r
+
+    def _interior_residual(self, ql, qr, e0, e1, s, n, index):
+        """Net edge flux of each row: the numerical flux between the
+        edge states ``ql`` / ``qr``, added to row ``e0`` and
+        subtracted from row ``e1``.
+
+        On the compiled tier, when :func:`rusanov_model` allows, the
+        Rusanov arithmetic and the scatter run in one C pass over the
+        edges.  The numpy composition below is the oracle; equivalence
+        is normwise (the compiled kernel's sequential dots re-associate
+        the einsum reductions).  Any other flux (Roe), and any input
+        the kernel declines (float32 states), runs
+        :meth:`_numerical_flux` and two ``segment_sum`` scatters.
+        """
+        model = rusanov_model(self) if self.engine != "numpy" else None
+        if model is not None:
             fused = _kernels.rusanov_scatter(e0, e1, ql, qr, s, n,
                                              model[0], model[1],
                                              self.engine)
             if fused is not None:
-                r = fused[0] - fused[1]
-        if r is None:
-            f = self._numerical_flux(ql, qr, s)
-            scat = (_kernels.edge_scatter2(e0, e1, f, f, n, self.engine)
-                    if self.engine != "numpy" else None)
-            if scat is not None:
-                r = scat[0] - scat[1]
-            else:
-                r = (segment_sum(e0, f, n,
-                                 self.mesh.edge_scatter_index(0, self.ncomp))
-                     - segment_sum(e1, f, n,
-                                   self.mesh.edge_scatter_index(1, self.ncomp)))
-        self._add_boundary_residual(q, r)
-        return r.ravel()
+                return fused[0] - fused[1]
+        f = self._numerical_flux(ql, qr, s)
+        i0, i1 = (None, None) if index is None else index
+        return segment_sum(e0, f, n, i0) - segment_sum(e1, f, n, i1)
 
-    def _add_boundary_residual(self, q: np.ndarray, r: np.ndarray) -> None:
+    def _add_boundary_residual(self, q: np.ndarray, r: np.ndarray,
+                               rows: tuple | None = None) -> None:
+        """Add the boundary fluxes to the residual rows ``r``: the wall
+        flux on the wall rows and the numerical flux against the
+        frozen freestream on the far-field rows of ``rows``
+        (:meth:`BoundaryCondition.row_sets`, the whole boundary by
+        default).  Each row appears once in a row set, so plain
+        fancy-indexed adds are exact."""
         bc = self.bc
-        if bc.vertices.size == 0:
-            return
-        qb = q[bc.vertices]
-        # Walls.
-        # bc.vertices is unique (one entry per boundary vertex), so the
-        # masked subsets are too and plain fancy-indexed adds are exact.
-        wm = bc.wall_mask
-        if wm.any():
-            fw = self._wall_flux(qb[wm], bc.normals[wm])
-            r[bc.vertices[wm]] += fw
-        # Farfield: Rusanov against the frozen freestream.
-        fm = bc.farfield_mask
-        if fm.any():
+        wall_rows, wall_idx, far_rows, far_idx = (
+            bc.row_sets() if rows is None else rows)
+        if wall_rows.size:
+            r[wall_rows] += self._wall_flux(q[wall_rows],
+                                            bc.normals[wall_idx])
+        if far_rows.size:
             if self.farfield_state is None:
                 raise RuntimeError("farfield_state is not set")
-            qi = qb[fm]
+            qi = q[far_rows]
             qe = np.broadcast_to(self.farfield_state, qi.shape)
-            ff = self._numerical_flux(qi, qe, bc.normals[fm])
-            r[bc.vertices[fm]] += ff
+            r[far_rows] += self._numerical_flux(qi, qe, bc.normals[far_idx])
 
     # -- first-order analytical Jacobian -----------------------------------
     def assemble_jacobian(self, qflat: np.ndarray) -> BSRMatrix:
@@ -228,23 +250,21 @@ class EdgeFVDiscretization:
                          nbcols=n, engine=self.engine)
 
     def _add_boundary_jacobian(self, q: np.ndarray, diag: np.ndarray) -> None:
+        """The boundary closure's diagonal blocks, on the row sets the
+        residual's closure reads (:meth:`BoundaryCondition.row_sets`)."""
         bc = self.bc
-        if bc.vertices.size == 0:
-            return
-        qb = q[bc.vertices]
-        wm = bc.wall_mask
-        if wm.any():
-            jw = self._wall_flux_jacobian(qb[wm], bc.normals[wm])
-            diag[bc.vertices[wm]] += jw
-        fm = bc.farfield_mask
-        if fm.any():
+        wall_rows, wall_idx, far_rows, far_idx = bc.row_sets()
+        if wall_rows.size:
+            diag[wall_rows] += self._wall_flux_jacobian(q[wall_rows],
+                                                        bc.normals[wall_idx])
+        if far_rows.size:
             # the left Jacobian of the Rusanov flux against the frozen
             # freestream (the freestream side's own Jacobian is unused)
-            qi = qb[fm]
+            qi = q[far_rows]
             qe = np.broadcast_to(self.farfield_state, qi.shape)
-            nf = bc.normals[fm]
+            nf = bc.normals[far_idx]
             lam = np.maximum(self._wavespeed(qi, nf), self._wavespeed(qe, nf))
-            diag[bc.vertices[fm]] += rusanov_half_jacobian(
+            diag[far_rows] += rusanov_half_jacobian(
                 self._flux_jacobian(qi, nf), lam)
 
     # -- pseudo-transient scaling ------------------------------------------
@@ -260,14 +280,8 @@ class EdgeFVDiscretization:
         s = self.dual.edge_normals
         lam = np.maximum(self._wavespeed(q[e0], s), self._wavespeed(q[e1], s))
         n = self.mesh.num_vertices
-        scat = (_kernels.edge_scatter2(e0, e1, lam, lam, n, self.engine)
-                if self.engine != "numpy" else None)
-        if scat is not None:
-            acc = scat[0] + scat[1]
-        else:
-            acc = (segment_sum(e0, lam, n, self.mesh.edge_scatter_index(0, 1))
-                   + segment_sum(e1, lam, n,
-                                 self.mesh.edge_scatter_index(1, 1)))
+        acc = (segment_sum(e0, lam, n, self.mesh.edge_scatter_index(0, 1))
+               + segment_sum(e1, lam, n, self.mesh.edge_scatter_index(1, 1)))
         return self._shift_from_edge_sums(q, acc, cfl)
 
     def _shift_from_edge_sums(self, q: np.ndarray, acc: np.ndarray,

@@ -38,7 +38,7 @@ from repro.kernels import capability
 from repro.kernels.capability import resolve_engine
 from repro.kernels.cbackend import ILU_OK
 
-__all__ = ["backend_for", "resolve_engine", "edge_scatter2", "spmv_csr",
+__all__ = ["backend_for", "resolve_engine", "spmv_csr",
            "spmv_bsr", "gather_spmv_bsr", "lower_solve_csr",
            "upper_solve_csr", "lower_solve_bsr", "upper_solve_bsr",
            "rusanov_jacobian_scatter", "rusanov_scatter", "green_gauss",
@@ -106,27 +106,8 @@ def _i64(a: np.ndarray) -> np.ndarray:
 # dispatchers — None/False means "run the numpy oracle instead"
 # ----------------------------------------------------------------------
 
-def edge_scatter2(e0, e1, wa, wb, n, engine):
-    """Fused pair of edge scatters: ``(sum_{e0==i} wa, sum_{e1==i} wb)``.
-
-    Bitwise equal to the ``segment_sum`` pair it replaces; the caller
-    combines the two accumulators (residual: a - b, timestep: a + b).
-    """
-    backend = backend_for(engine)
-    if backend is None:
-        return None
-    wa = _f64(np.asarray(wa))
-    wb = _f64(np.asarray(wb))
-    if wa is None or wb is None or wa.shape != wb.shape:
-        return None
-    e0, e1 = _i64(e0), _i64(e1)
-    if not e0.shape == e1.shape == wa.shape[:1]:
-        return None
-    return backend.edge_scatter2(e0, e1, wa, wb, int(n))
-
-
-def spmv_csr(indptr, indices, data, x, engine, rows=None):
-    """Scalar CSR SpMV (full or row subset); bitwise vs the oracle."""
+def spmv_csr(indptr, indices, data, x, engine):
+    """Scalar CSR SpMV; bitwise vs the oracle."""
     backend = backend_for(engine)
     if backend is None:
         return None
@@ -135,9 +116,7 @@ def spmv_csr(indptr, indices, data, x, engine, rows=None):
     indptr, indices = _i64(indptr), _i64(indices)
     if data is None or x is None or data.shape != indices.shape:
         return None
-    if rows is None:
-        return backend.spmv_csr(indptr, indices, data, x)
-    return backend.spmv_csr_rows(indptr, indices, data, x, _i64(rows))
+    return backend.spmv_csr(indptr, indices, data, x)
 
 
 def _blocks_ok(data, nnzb, x) -> bool:

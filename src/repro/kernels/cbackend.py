@@ -74,9 +74,7 @@ __all__ = ["load_cbackend", "CBackend"]
 
 #: Compiled symbol -> dotted path of the numpy oracle it must match.
 __oracles__ = {
-    "edge_scatter2": "repro.sparse.segsum.segment_sum",
     "spmv_csr": "repro.sparse.spmv.spmv_csr",
-    "spmv_csr_rows": "repro.sparse.spmv.spmv_csr",
     "spmv_bsr": "repro.sparse.bsr.BSRMatrix.matvec",
     "gather_spmv_bsr": "repro.parallel.spmd.rank_matvec",
     "lower_solve_csr": "repro.sparse.trisolve.lower_solve_csr",
@@ -95,16 +93,9 @@ __oracles__ = {
 __fallback__ = "pure numpy via repro.kernels dispatch (returns None)"
 
 _CDEF = """
-long long edge_scatter2_f64(long long ne, long long n, long long ncomp,
-    const long long *e0, const long long *e1,
-    const double *wa, const double *wb, double *out_a, double *out_b);
 long long spmv_csr_f64(long long nrows, long long ncols, long long nnz,
     const long long *indptr, const long long *indices, const double *data,
     const double *x, double *y);
-long long spmv_csr_rows_f64(long long nsel, long long nrows,
-    long long ncols, long long nnz, const long long *rows,
-    const long long *indptr, const long long *indices,
-    const double *data, const double *x, double *y);
 long long spmv_bsr_f64(long long nbrows, long long bs, long long nbcols,
     long long nnzb, const long long *indptr, const long long *indices,
     const double *data, const double *x, double *y);
@@ -202,29 +193,6 @@ typedef v4f v4fu __attribute__((aligned(4)));
 #define IN_RANGE(k, n) ((unsigned long long)(k) < (unsigned long long)(n))
 #define ENDPOINTS_IN_RANGE(i, j, n) (IN_RANGE(i, n) && IN_RANGE(j, n))
 
-/* Fused two-target edge scatter.  For each accumulator the additions
- * land in edge order m = 0..ne-1, the exact order np.bincount uses,
- * so each output array is bitwise-identical to one segment_sum. */
-long long edge_scatter2_f64(long long ne, long long n, long long ncomp,
-    const long long *e0, const long long *e1,
-    const double *wa, const double *wb, double *out_a, double *out_b)
-{
-    for (long long m = 0; m < ne; ++m) {
-        long long i = e0[m], j = e1[m];
-        if (!ENDPOINTS_IN_RANGE(i, j, n))
-            return m;
-        const double *am = wa + m * ncomp;
-        const double *bm = wb + m * ncomp;
-        double *pa = out_a + i * ncomp;
-        double *pb = out_b + j * ncomp;
-        for (long long c = 0; c < ncomp; ++c) {
-            pa[c] += am[c];
-            pb[c] += bm[c];
-        }
-    }
-    return -1;
-}
-
 /* Every matrix kernel checks each index before it dereferences it —
  * a row's pointer pair against [0, nnz], a column, a segment id or a
  * slot against its own extent — and returns the first offending row
@@ -262,19 +230,6 @@ long long spmv_csr_f64(long long nrows, long long ncols, long long nnz,
     for (long long i = 0; i < nrows; ++i)
         if (!csr_row_dot(i, ncols, nnz, indptr, indices, data, x, y + i))
             return i;
-    return -1;
-}
-
-long long spmv_csr_rows_f64(long long nsel, long long nrows,
-    long long ncols, long long nnz, const long long *rows,
-    const long long *indptr, const long long *indices,
-    const double *data, const double *x, double *y)
-{
-    for (long long k = 0; k < nsel; ++k)
-        if (!IN_RANGE(rows[k], nrows)
-            || !csr_row_dot(rows[k], ncols, nnz, indptr, indices, data, x,
-                            y + k))
-            return k;
     return -1;
 }
 
@@ -952,9 +907,10 @@ static inline double flux_jacobian_comp(const double *q, const double *s,
  * jl = (A(q_i) + lam I) / 2 and jr = (A(q_j) - lam I) / 2 — the
  * off-diagonal entries take lam * 0 as the oracle's eye product does —
  * then jr into block ij_slots[m] and -jl into ji_slots[m] of data, jl
- * into acc_a[i] and jr into acc_b[j] in edge order (edge_scatter2's
- * order), and lam into lam_a[i] and lam_b[j] the same way (the edge
- * sums of timestep_shift).  Endpoints are checked against [0, n) and
+ * into acc_a[i] and jr into acc_b[j] in edge order (np.bincount's,
+ * so each accumulator is bitwise one segment_sum), and lam into
+ * lam_a[i] and lam_b[j] the same way (the edge sums of
+ * timestep_shift).  Endpoints are checked against [0, n) and
  * slots against [0, nnzb) before anything is written for an edge. */
 #define RUSANOV_JACOBIAN(NAME, NC, JAC)                                 \
 long long NAME(long long ne, long long n, long long nnzb,               \
@@ -1211,15 +1167,6 @@ class CBackend:
         return self._ffi.from_buffer("long long[]", a, require_writable=True)
 
     # -- kernels --------------------------------------------------------
-    def edge_scatter2(self, e0, e1, wa, wb, n):
-        trailing = int(np.prod(wa.shape[1:])) if wa.ndim > 1 else 1
-        out_a = np.zeros((n,) + wa.shape[1:], dtype=np.float64)
-        out_b = np.zeros((n,) + wb.shape[1:], dtype=np.float64)
-        bad = self._lib.edge_scatter2_f64(
-            wa.shape[0], n, trailing, self._pi(e0), self._pi(e1),
-            self._pd(wa), self._pd(wb), self._pdw(out_a), self._pdw(out_b))
-        return None if bad >= 0 else (out_a, out_b)
-
     # The matrix kernels return the first row (block) with an index out
     # of range, or -1: the SpMVs then drop their partial output and
     # return None, the in-place trisolves return False.
@@ -1228,14 +1175,6 @@ class CBackend:
         bad = self._lib.spmv_csr_f64(
             y.size, x.size, indices.size, self._pi(indptr), self._pi(indices),
             self._pd(data), self._pd(x), self._pdw(y))
-        return None if bad >= 0 else y
-
-    def spmv_csr_rows(self, indptr, indices, data, x, rows):
-        y = np.empty(rows.size, dtype=np.float64)
-        bad = self._lib.spmv_csr_rows_f64(
-            rows.size, indptr.size - 1, x.size, indices.size, self._pi(rows),
-            self._pi(indptr), self._pi(indices), self._pd(data),
-            self._pd(x), self._pdw(y))
         return None if bad >= 0 else y
 
     def spmv_bsr(self, indptr, indices, data, x, nbrows):

@@ -506,12 +506,11 @@ class ProcPool:
         for r in ranks:
             rd = layout.ranks[r]
             out[rd.owned] = self._w_rank_kernel(op, rd, plan.local(locs, r),
-                                                dtype, mats)
+                                                mats)
 
-    def _w_rank_kernel(self, op: int, rd, loc, dtype, mats):
+    def _w_rank_kernel(self, op: int, rd, loc, mats):
         if op == _OP_RESIDUAL:
             r_local = rank_residual(self.disc, self.layout, rd.rank, loc,
-                                    dtype,
                                     edge_normals=self._normals[rd.rank])
             return r_local[: rd.n_owned]
         if mats["token"] != int(self._hdr[_H_MAT_TOKEN]):

@@ -7,7 +7,10 @@ a :class:`GhostExchange` step refreshes the ghosts (the VecScatter).
 Running the flux loop and SpMV this way and comparing owned rows
 against the sequential kernels validates the exchange plans and the
 halo bookkeeping with real data — the correctness side of the Table 3
-machinery.
+machinery.  As in PETSc-FUN3D, a rank runs the one flux loop on its
+local mesh: :func:`rank_residual` calls the discretisation's own
+first-order residual on the rank's rows, so the sequential kernel is
+the one-rank case rather than a second implementation.
 
 As PETSc does with ``VecScatterCreate``, the scatter is planned once
 per layout — :class:`ScatterPlan`: built on first use, ownership
@@ -243,7 +246,9 @@ class ScatterPlan:
     def boundary(self, bc) -> list[tuple]:
         """Each rank's owned boundary vertices under ``bc``, as
         ``(wall_rows, wall_idx, far_rows, far_idx)``: local rows and the
-        matching positions in ``bc.vertices``, in ``bc.vertices`` order.
+        matching positions in ``bc.vertices``, in ``bc.vertices`` order
+        — :meth:`BoundaryCondition.row_sets` kept to the rank's owned
+        vertices.
 
         Which vertices carry a boundary area, and which of those are
         wall, follows the coordinates, so the rows are kept for the
@@ -256,13 +261,8 @@ class ScatterPlan:
             return ent[2]
         owner = self.owner[bc.vertices]
         local_row = self.home[bc.vertices] - self.row_off[owner]
-        wall = bc.kinds == bc.WALL
-        rows = []
-        for r in range(len(self.bounds)):
-            mine = owner == r
-            widx = np.flatnonzero(mine & wall)
-            fidx = np.flatnonzero(mine & ~wall)
-            rows.append((local_row[widx], widx, local_row[fidx], fidx))
+        rows = [bc.row_sets(keep=owner == r, rows=local_row)
+                for r in range(len(self.bounds))]
         self._boundary = (bc.vertices, bc.kinds, rows)
         return rows
 
@@ -335,64 +335,26 @@ class GhostExchange:
 
 
 def rank_residual(disc: EdgeFVDiscretization, layout: SPMDLayout, r: int,
-                  local_q_r: np.ndarray, out_dtype,
+                  local_q_r: np.ndarray,
                   edge_normals: np.ndarray | None = None) -> np.ndarray:
     """Rank ``r``'s first-order residual on its local rows.
 
-    The single rank-local kernel both executors run: the sequential
-    loop below and each pool worker call exactly this function, so
-    seq/proc bitwise identity is structural, not empirical.  Edge
-    endpoints and owned boundary rows come from the layout's
-    :class:`ScatterPlan`; the normals from ``disc`` on each call, or
-    ``edge_normals``, the rank's pre-gathered edge normals (the pool
-    workers cache them); values are identical either way.
+    The discretisation's own
+    :meth:`~repro.euler.discretization.EdgeFVDiscretization.first_order_residual`
+    over the rank's local world: its edges and owned boundary rows
+    from the layout's :class:`ScatterPlan`, its normals from ``disc``
+    on each call, or ``edge_normals``, the rank's pre-gathered edge
+    normals (the pool workers cache them); values are identical either
+    way.  Both executors, the sequential loop below and each pool
+    worker, call exactly this function, so seq/proc bitwise identity
+    is structural, and both run the global residual's flux loop.
     """
-    from repro.euler.fluxes import rusanov_flux, rusanov_model
-
     rd = layout.ranks[r]
     plan = layout.plan
-    e0, e1 = plan.e0[r], plan.e1[r]
-    if e0.size == 0:
-        r_local = np.zeros((rd.n_local, disc.ncomp), dtype=out_dtype)
-    else:
-        s = (disc.dual.edge_normals[rd.edge_ids]
-             if edge_normals is None else edge_normals)
-        engine = getattr(disc, "engine", "numpy")
-
-        compiled_f64 = (engine != "numpy"
-                        and np.dtype(out_dtype) == np.float64)
-        model = rusanov_model(disc) if compiled_f64 else None
-        ql = local_q_r[e0]
-        qr = local_q_r[e1]
-        acc = None      # per-vertex flux sums over (e0, e1) endpoints
-        if model is not None:
-            # End-to-end compiled interior leg: flux arithmetic and
-            # scatter in one pass.  Same normwise contract as the numpy
-            # flux + compiled scatter; both executors share this
-            # kernel, so seq == proc is preserved structurally.
-            acc = _kernels.rusanov_scatter(e0, e1, ql, qr, s, rd.n_local,
-                                           model[0], model[1], engine)
-        if acc is None:
-            f = rusanov_flux(ql, qr, s, disc._flux, disc._wavespeed)
-            if compiled_f64:
-                acc = _kernels.edge_scatter2(e0, e1, f, f, rd.n_local,
-                                             engine)
-            if acc is None:
-                acc = (segment_sum(e0, f, rd.n_local),
-                       segment_sum(e1, f, rd.n_local))
-        r_local = acc[0] - acc[1]
-    # Boundary closures on owned boundary vertices.
-    bc = disc.bc
-    wall_rows, wall_idx, far_rows, far_idx = plan.boundary(bc)[r]
-    if wall_rows.size:
-        r_local[wall_rows] += disc._wall_flux(local_q_r[wall_rows],
-                                              bc.normals[wall_idx])
-    if far_rows.size:
-        qb = local_q_r[far_rows]
-        qe = np.broadcast_to(disc.farfield_state, qb.shape)
-        r_local[far_rows] += rusanov_flux(
-            qb, qe, bc.normals[far_idx], disc._flux, disc._wavespeed)
-    return r_local
+    s = (disc.dual.edge_normals[rd.edge_ids]
+         if edge_normals is None else edge_normals)
+    return disc.first_order_residual(local_q_r, plan.e0[r], plan.e1[r], s,
+                                     plan.boundary(disc.bc)[r])
 
 
 def rank_matvec_structs(a: BSRMatrix, rd: RankLocalData):
@@ -537,7 +499,7 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
         for rd in layout.ranks:
             with rec.span("flux", rank=rd.rank) as sp:
                 r_local = rank_residual(disc, layout, rd.rank,
-                                        plan.local(buf, rd.rank), out.dtype)
+                                        plan.local(buf, rd.rank))
                 out[rd.owned] = r_local[: rd.n_owned]
             per_rank_s[rd.rank] = sp.elapsed
         rec.record_wait("flux", per_rank_s)

@@ -114,18 +114,10 @@ def level_schedule(indptr: np.ndarray, indices: np.ndarray,
     return levels
 
 
-def _row_dot(indptr, indices, data, x, rows, engine="numpy"):
-    """sum_j data[i,j] * x[j] for each i in rows, vectorised.
-
-    With ``engine="compiled"`` the per-row dots run in the compiled
-    SpMV-subset kernel (bitwise identical: ``segment_sum`` over a
-    sorted ``out_row`` accumulates each row's products sequentially in
-    storage order, exactly like the compiled row loop).
-    """
-    if engine != "numpy":
-        y = _kernels.spmv_csr(indptr, indices, data, x, engine, rows=rows)
-        if y is not None:
-            return y
+def _row_dot(indptr, indices, data, x, rows):
+    """sum_j data[i,j] * x[j] for each i in rows, vectorised
+    (``segment_sum`` over a sorted ``out_row`` accumulates each row's
+    products sequentially in storage order)."""
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     total = int(counts.sum())

@@ -222,6 +222,23 @@ class TestConfigValidation:
             KrylovConfig(orthogonalization="mgs")
 
 
+class TestExecutors:
+    def test_seq_equals_local_under_roe(self):
+        """``executor="seq"`` runs the discretisation's own residual on
+        every rank, so a Roe solve takes the same steps to the same
+        bits as ``"local"`` (it used to run a Rusanov residual)."""
+        states = []
+        for executor in ("local", "seq"):
+            prob = wing_problem(9, 6, 5, compressible=True,
+                                second_order=False)
+            prob.disc.flux_scheme = "roe"
+            cfg = SolverConfig(executor=executor, max_steps=3,
+                               precond=PreconditionerConfig(nparts=4))
+            states.append(NKSSolver(prob.disc, cfg)
+                          .solve(prob.initial.flat()).final_state)
+        assert np.array_equal(states[0], states[1])
+
+
 def _cyclic_garbage(fn) -> list:
     """Run ``fn`` with the cyclic collector off, then return what a
     collection finds unreachable (``DEBUG_SAVEALL`` keeps it)."""

@@ -2,8 +2,7 @@
 
 Equivalence comes in two strengths, and each test pins the right one:
 
-* **bitwise** — the scatter and scalar-CSR kernels (edge_scatter2,
-  spmv_csr, scalar ILU and CSR trisolve in both f64 and f32 factor
+* **bitwise** — the scalar-CSR kernels (spmv_csr, scalar ILU and CSR trisolve in both f64 and f32 factor
   storage, the first-order Jacobian assembly) accumulate in exactly the
   oracle's order (``np.bincount`` sums sequentially in occurrence
   order, and so do the compiled loops), so ``np.array_equal`` must
@@ -248,13 +247,17 @@ class TestDispatchGuards:
 
     def test_bare_machine_dispatch_returns_none(self, bare_machine):
         e = np.array([0, 1], dtype=np.int64)
-        w = np.ones((2, 3))
-        assert kernels.edge_scatter2(e, e, w, w, 2, "compiled") is None
+        w = np.ones((2, 4))
+        s = np.ones((2, 3))
+        assert kernels.rusanov_scatter(e, e, w, w, s, 2, "incompressible",
+                                       10.0, "compiled") is None
 
     def test_f32_weights_refused(self):
         e = np.array([0, 1], dtype=np.int64)
-        w = np.ones((2, 3), dtype=np.float32)
-        assert kernels.edge_scatter2(e, e, w, w, 2, "compiled") is None
+        w = np.ones((2, 4), dtype=np.float32)
+        s = np.ones((2, 3))
+        assert kernels.rusanov_scatter(e, e, w, w, s, 2, "incompressible",
+                                       10.0, "compiled") is None
 
     def test_f32_spmv_data_refused(self):
         indptr = np.array([0, 1], dtype=np.int64)
@@ -283,8 +286,7 @@ class TestDispatchGuards:
 
 
     @pytest.mark.parametrize("bad", ["past_end", "negative"])
-    @pytest.mark.parametrize("kernel", ["edge_scatter2", "rusanov_scatter",
-                                        "green_gauss",
+    @pytest.mark.parametrize("kernel", ["rusanov_scatter", "green_gauss",
                                         "muscl_rusanov_scatter"])
     def test_out_of_range_endpoint_declines(self, kernel, bad):
         """An endpoint outside [0, n) must reach the user as the numpy
@@ -315,10 +317,6 @@ class TestDispatchGuards:
             return segment_sum(e0, f, n) - segment_sum(e1, f, n)
 
         dispatch, oracle, symbol, args, out_shape = {
-            "edge_scatter2": (
-                lambda: kernels.edge_scatter2(e0, e1, w, w, n, "compiled"),
-                lambda: scatter_oracle(w),
-                "edge_scatter2_f64", (n, ncomp, e0, e1, w, w), (n, ncomp)),
             "rusanov_scatter": (
                 lambda: kernels.rusanov_scatter(
                     e0, e1, w, w, s, n, "incompressible", 10.0, "compiled"),
@@ -736,7 +734,7 @@ class TestIndexGuards:
         ``seg`` or ``flat``)."""
         rng = np.random.default_rng(89)
         bs = 3
-        past_end = {"cols": 4, "seg": 2, "flat": 5, "rows": 2}
+        past_end = {"cols": 4, "seg": 2, "flat": 5}
         x = rng.standard_normal(4 * bs)
         indptr = np.array([0, 1, 99 if bad == "row_pointer" else 3])
         indices = np.array([0, 1, 4 if bad == "past_end" else
@@ -756,21 +754,14 @@ class TestIndexGuards:
                           rng.standard_normal((3, bs, bs)), x, y], [ybuf], 1
         ybuf, y = _guarded(np.zeros(2))
         args = [indptr, indices, rng.standard_normal(3), x[:4], y]
-        if kind == "spmv_csr_f64":
-            return kind, [2, 4, 3] + args, [ybuf], 1
-        rows = np.array([0, 1])                     # spmv_csr_rows_f64-rows
-        if bad in ("past_end", "negative"):
-            indices[2] = 2
-            rows[1] = past_end["rows"] if bad == "past_end" else -1
-        return "spmv_csr_rows_f64", [2, 2, 4, 3, rows] + args, [ybuf], 1
+        return kind, [2, 4, 3] + args, [ybuf], 1
 
     TRISOLVES = ([f"{side}_solve_csr_{p}" for side in ("lower", "upper")
                   for p in ("f64", "f32")]
                  + [f"{side}_solve_bsr_{p}:{bs}"
                     for side in ("lower", "upper") for bs in (2, 4, 5)
                     for p in ("f64", "f32")])
-    ROWWISE = TRISOLVES + ["spmv_csr_f64", "spmv_csr_rows_f64-rows",
-                           "spmv_bsr_f64"]
+    ROWWISE = TRISOLVES + ["spmv_csr_f64", "spmv_bsr_f64"]
     GATHERS = ["gather_spmv_bsr_f64-cols", "gather_spmv_bsr_f64-seg",
                "gather_spmv_bsr_f64-flat"]
 
@@ -1230,13 +1221,6 @@ class TestRowDotOracle:
             ref[k] = acc
         got = _row_dot(indptr, indices, data, x, rows)
         assert np.array_equal(got, ref)
-        got_c = _row_dot(indptr, indices, data, x, rows, engine="compiled")
-        if dtype is np.float64:
-            # f64 subset-SpMV is in the bitwise family.
-            assert np.array_equal(got_c, ref)
-        else:
-            # f32 data is refused by the dispatcher -> numpy path.
-            assert np.array_equal(got_c, ref)
 
     def test_row_dot_blocks_matches_sequential_loop(self):
         n, bs = 20, 3
@@ -1261,8 +1245,7 @@ class TestRowDotOracle:
         indices = np.empty(0, dtype=np.int64)
         data = np.empty(0)
         rows = np.arange(4, dtype=np.int64)
-        got = _row_dot(indptr, indices, data, np.ones(4), rows,
-                       engine="compiled")
+        got = _row_dot(indptr, indices, data, np.ones(4), rows)
         assert np.array_equal(got, np.zeros(4))
 
 
@@ -1278,11 +1261,13 @@ class TestBackendPresent:
     def test_dispatch_returns_result(self):
         e0 = np.array([0, 1, 1], dtype=np.int64)
         e1 = np.array([1, 2, 0], dtype=np.int64)
-        w = np.arange(6, dtype=np.float64).reshape(3, 2)
-        out = kernels.edge_scatter2(e0, e1, w, 2.0 * w, 3, "compiled")
+        w = 1.0 + np.arange(12, dtype=np.float64).reshape(3, 4)
+        s = np.ones((3, 3))
+        out = kernels.rusanov_scatter(e0, e1, w, 2.0 * w, s, 3,
+                                      "incompressible", 10.0, "compiled")
         assert out is not None
         a, b = out
-        assert a.shape == b.shape == (3, 2)
+        assert a.shape == b.shape == (3, 4)
 
 
 def _solver_cfg(engine, executor="local", max_steps=3):

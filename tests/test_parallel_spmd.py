@@ -7,6 +7,7 @@ matches the cost model's GhostExchangePlan.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -30,6 +31,20 @@ def setup():
     layout = SPMDLayout.build(prob.mesh.edges, labels)
     rng = np.random.default_rng(0)
     q = prob.initial.flat() + 0.05 * rng.standard_normal(
+        prob.disc.num_unknowns)
+    return prob, labels, layout, q
+
+
+@functools.cache
+def _compressible(flux_scheme):
+    """A first-order compressible wing under ``flux_scheme``, with a
+    4-part k-way layout and a perturbed state."""
+    prob = wing_problem(9, 6, 5, compressible=True, second_order=False)
+    prob.disc.flux_scheme = flux_scheme
+    labels = kway_partition(prob.mesh.vertex_graph(), 4, seed=0)
+    layout = SPMDLayout.build(prob.mesh.edges, labels)
+    rng = np.random.default_rng(0)
+    q = prob.initial.flat() + 0.01 * rng.standard_normal(
         prob.disc.num_unknowns)
     return prob, labels, layout, q
 
@@ -85,8 +100,15 @@ class TestLayout:
 
 
 class TestDistributedKernels:
-    def test_residual_exact(self, setup):
-        prob, _, layout, q = setup
+    @pytest.mark.parametrize("engine", ["numpy", "compiled"])
+    @pytest.mark.parametrize("flow", ["incompressible", "rusanov", "roe"])
+    def test_residual_exact(self, setup, monkeypatch, flow, engine):
+        """Every rank runs the discretisation's own first-order residual,
+        so the distributed residual is the global one bit for bit, for
+        every interface flux (Roe included) and on both kernel tiers."""
+        prob, _, layout, q = (setup if flow == "incompressible"
+                              else _compressible(flow))
+        monkeypatch.setattr(prob.disc, "engine", engine)
         r_dist = distributed_residual(prob.disc, layout, q)
         r_seq = prob.disc.residual(q, second_order=False)
         assert np.array_equal(r_dist, r_seq)   # bitwise
