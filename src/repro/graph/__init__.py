@@ -11,7 +11,6 @@ from repro.graph.traversal import (
     bfs_levels,
     bfs_order,
     connected_components,
-    component_sizes,
     pseudo_peripheral_node,
 )
 from repro.graph.rcm import rcm_ordering, cuthill_mckee, bandwidth, profile as envelope_profile
@@ -24,7 +23,6 @@ __all__ = [
     "bfs_levels",
     "bfs_order",
     "connected_components",
-    "component_sizes",
     "pseudo_peripheral_node",
     "rcm_ordering",
     "cuthill_mckee",

@@ -16,7 +16,6 @@ __all__ = [
     "bfs_levels",
     "bfs_order",
     "connected_components",
-    "component_sizes",
     "pseudo_peripheral_node",
     "expand_overlap",
 ]
@@ -101,26 +100,40 @@ def bfs_order(graph: Graph, root: int, tie_break: np.ndarray | None = None) -> n
     return order[:tail]
 
 
-def connected_components(graph: Graph) -> np.ndarray:
-    """Label each vertex with its component id (0-based, by discovery)."""
+def connected_components(graph: Graph,
+                         labels: np.ndarray | None = None) -> np.ndarray:
+    """Label each vertex with its component id, numbered in the order of
+    each component's smallest vertex (0-based).
+
+    Given ``labels``, the components are those of the label-induced
+    subgraphs, all parts at once: two vertices share an id iff they
+    have the same label *and* are connected within it.  Min-label
+    hooking over the intra-part edges with pointer jumping: each tree
+    root hooks onto the smallest root across its crossing edges, so the
+    last root standing is the component's smallest vertex.
+    """
     n = graph.num_vertices
-    comp = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for seed in range(n):
-        if comp[seed] >= 0:
-            continue
-        level = bfs_levels(graph, [seed])
-        # Restrict to vertices not yet assigned: bfs_levels explores the
-        # whole component of `seed`, which is disjoint from previous ones.
-        members = np.where((level >= 0) & (comp < 0))[0]
-        comp[members] = next_id
-        next_id += 1
-    return comp
-
-
-def component_sizes(graph: Graph) -> np.ndarray:
-    comp = connected_components(graph)
-    return np.bincount(comp)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    dst = graph.adjncy
+    keep = src < dst
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        keep &= labels[src] == labels[dst]
+    src, dst = src[keep], dst[keep]
+    parent = np.arange(n, dtype=np.int64)
+    while True:
+        ru, rv = parent[src], parent[dst]
+        cross = ru != rv  # an edge inside one tree stays inside it
+        if not cross.any():
+            break
+        src, dst, ru, rv = src[cross], dst[cross], ru[cross], rv[cross]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        # Jump pointers until every tree is a star again.
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
+    root = parent == np.arange(n, dtype=np.int64)
+    return (np.cumsum(root) - 1)[parent]
 
 
 def pseudo_peripheral_node(graph: Graph, start: int = 0) -> int:

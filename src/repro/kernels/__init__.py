@@ -128,12 +128,16 @@ def _blocks_ok(data, nnzb, x) -> bool:
 
 
 def spmv_bsr(indptr, indices, data, x, nbrows, engine):
-    """Block SpMV; ULP-bounded vs the einsum/segment-sum oracle."""
+    """Block SpMV on float64 blocks; ULP-bounded vs the
+    einsum/segment-sum oracle.  A float32 ``x`` (an fp32 Krylov vector)
+    is widened to float64 first — exactly, as the oracle's einsum
+    widens it — and the result is float64; float32 blocks decline."""
     backend = backend_for(engine)
     if backend is None:
         return None
     data = _f64(np.asarray(data))
-    x = _f64(np.asarray(x))
+    x = np.asarray(x)
+    x = _f64(x.astype(np.float64) if x.dtype == np.float32 else x)
     indptr, indices = _i64(indptr), _i64(indices)
     if data is None or x is None or not _blocks_ok(data, indices.size, x):
         return None

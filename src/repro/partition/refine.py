@@ -7,7 +7,9 @@ constraint (gains go slightly stale within a pass — the standard bulk
 trade-off, corrected by later passes).  A separate rebalancing phase
 moves least-loss vertices out of overweight parts, and
 ``repair_contiguity`` reassigns disconnected fragments (the k-MeTiS
-behaviour; the strict-balance p-MeTiS-style pipeline skips it).
+behaviour; the strict-balance p-MeTiS-style pipeline skips it) with
+array reductions over ``connected_components``' labels.  Only the move
+loops visit vertices one by one: their order decides the partition.
 """
 
 from __future__ import annotations
@@ -15,8 +17,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
+from repro.graph.traversal import connected_components
 
-__all__ = ["fm_refine", "repair_contiguity", "label_components"]
+__all__ = ["fm_refine", "repair_contiguity"]
+
+
+def _starts(s: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in ``s``."""
+    first = np.ones(s.size, dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    return first
+
+
+def _keyed_sums(key: np.ndarray, w: np.ndarray):
+    """Sum ``w`` over equal ``key``s: ``(keys, sums)`` in ascending key
+    order, each sum taken in occurrence order."""
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    start = np.flatnonzero(_starts(skey))
+    return skey[start], np.add.reduceat(w[order].astype(np.float64), start)
 
 
 def _vertex_part_weights(graph: Graph, labels: np.ndarray, nparts: int):
@@ -28,12 +47,16 @@ def _vertex_part_weights(graph: Graph, labels: np.ndarray, nparts: int):
     n = graph.num_vertices
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
     key = src * np.int64(nparts) + labels[graph.adjncy]
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    w = graph.ewgt[order].astype(np.float64)
-    uniq, start = np.unique(skey, return_index=True)
-    wsum = np.add.reduceat(w, start) if w.size else w
-    return (uniq // nparts).astype(np.int64), (uniq % nparts).astype(np.int64), wsum
+    uniq, wsum = _keyed_sums(key, graph.ewgt)
+    return uniq // nparts, uniq % nparts, wsum
+
+
+def _first_max(group: np.ndarray, value: np.ndarray):
+    """Per group, the index of its largest ``value``, the first one on a
+    tie: ``(groups, indices)``, groups ascending."""
+    order = np.lexsort((-value, group))
+    first = _starts(group[order])
+    return group[order[first]], order[first]
 
 
 def fm_refine(graph: Graph, labels: np.ndarray, nparts: int,
@@ -143,35 +166,6 @@ def _rebalance(graph: Graph, labels: np.ndarray, part_w: np.ndarray,
             return
 
 
-def label_components(graph: Graph, labels: np.ndarray) -> np.ndarray:
-    """Connected components of the label-induced subgraphs, all parts at
-    once, via union-find over intra-part edges.
-
-    Returns a component id per vertex; two vertices share an id iff
-    they are in the same part *and* connected within it.
-    """
-    n = graph.num_vertices
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
-    intra = (labels[src] == labels[graph.adjncy]) & (src < graph.adjncy)
-    for a, b in zip(src[intra].tolist(), graph.adjncy[intra].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    roots = np.array([find(int(v)) for v in range(n)], dtype=np.int64)
-    _, comp = np.unique(roots, return_inverse=True)
-    return comp.astype(np.int64)
-
-
 def repair_contiguity(graph: Graph, labels: np.ndarray, nparts: int) -> np.ndarray:
     """Reassign disconnected fragments to their best adjacent part.
 
@@ -179,13 +173,15 @@ def repair_contiguity(graph: Graph, labels: np.ndarray, nparts: int) -> np.ndarr
     other fragment goes to the neighbouring part it shares the most
     edge weight with.  This is the contiguity enforcement that
     distinguishes the k-MeTiS-style pipeline from the strict-balance
-    one (which tolerates fragments to keep perfect balance).
+    one (which tolerates fragments to keep perfect balance).  Ties go
+    to the lowest component id (components are numbered by their
+    smallest vertex) and to the lowest part.
     """
     labels = np.asarray(labels, dtype=np.int64).copy()
     n = graph.num_vertices
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
     for _ in range(4):  # fragment reassignment may cascade
-        comp = label_components(graph, labels)
+        comp = connected_components(graph, labels)
         ncomp = int(comp.max()) + 1 if n else 0
         comp_w = np.bincount(comp, weights=graph.vwgt.astype(float),
                              minlength=ncomp)
@@ -193,15 +189,9 @@ def repair_contiguity(graph: Graph, labels: np.ndarray, nparts: int) -> np.ndarr
         comp_part[comp] = labels  # all vertices of a comp share a label
         # Heaviest component of each part survives.
         keep = np.zeros(nparts, dtype=np.int64)
-        best_w = np.full(nparts, -1.0)
-        for c in range(ncomp):
-            p = comp_part[c]
-            if comp_w[c] > best_w[p]:
-                best_w[p] = comp_w[c]
-                keep[p] = c
+        parts, heaviest = _first_max(comp_part, comp_w)
+        keep[parts] = heaviest
         fragment = np.ones(ncomp, dtype=bool)
-        fragment[keep[comp_part[keep] >= -1]] = True  # placeholder, fixed below
-        fragment[:] = True
         fragment[keep] = False
         frag_of_vertex = fragment[comp]
         if not frag_of_vertex.any():
@@ -211,20 +201,11 @@ def repair_contiguity(graph: Graph, labels: np.ndarray, nparts: int) -> np.ndarr
         if not cross.any():
             break
         fkey = comp[src[cross]] * np.int64(nparts) + labels[graph.adjncy[cross]]
-        order = np.argsort(fkey, kind="stable")
-        skey = fkey[order]
-        w = graph.ewgt[cross][order].astype(np.float64)
-        uniq, start = np.unique(skey, return_index=True)
-        wsum = np.add.reduceat(w, start)
-        fcomp = (uniq // nparts).astype(np.int64)
-        fpart = (uniq % nparts).astype(np.int64)
+        uniq, wsum = _keyed_sums(fkey, graph.ewgt[cross])
         # Best target part per fragment.
         target = np.full(ncomp, -1, dtype=np.int64)
-        bw = np.full(ncomp, -1.0)
-        for c, p, ww in zip(fcomp.tolist(), fpart.tolist(), wsum.tolist()):
-            if ww > bw[c]:
-                bw[c] = ww
-                target[c] = p
+        fcomp, best = _first_max(uniq // nparts, wsum)
+        target[fcomp] = uniq[best] % nparts
         movable = frag_of_vertex & (target[comp] >= 0)
         if not movable.any():
             break

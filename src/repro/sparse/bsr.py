@@ -97,7 +97,9 @@ class BSRMatrix:
 
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """y = A @ x with x interlaced (block-contiguous)."""
+        """y = A @ x with x interlaced (block-contiguous); a float32 ``x``
+        on float64 blocks takes the compiled kernel too, widened exactly
+        as the einsum oracle below widens it."""
         bs = self.bs
         if self.engine != "numpy":
             y = _kernels.spmv_bsr(self.indptr, self.indices, self.data,

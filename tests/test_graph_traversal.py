@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (bfs_levels, bfs_order, connected_components,
-                         component_sizes, graph_from_edges,
-                         pseudo_peripheral_node)
+                         graph_from_edges, pseudo_peripheral_node)
 from repro.graph.adjacency import Graph
 from repro.graph.traversal import expand_overlap
 
@@ -117,13 +116,73 @@ class TestComponents:
         assert set(comp[3:]) == {1}
 
     def test_component_sizes(self):
-        sizes = component_sizes(_two_triangles())
+        sizes = np.bincount(connected_components(_two_triangles()))
         assert sizes.tolist() == [3, 3]
 
     def test_isolated_vertices_are_components(self):
         g = graph_from_edges(4, [[0, 1]])
         comp = connected_components(g)
         assert len(set(comp.tolist())) == 3
+
+    def test_labels_split_components(self):
+        """Given labels, an edge between two parts joins nothing."""
+        g = _path_graph(6)
+        comp = connected_components(g, np.array([0, 0, 1, 0, 0, 1]))
+        assert comp.tolist() == [0, 0, 1, 2, 2, 3]
+
+
+def _zigzag_path(n):
+    """A path visiting 0, n-1, 1, n-2, ...: every vertex's path
+    neighbours lie at the far end of the numbering."""
+    lo, hi = np.arange(n), np.arange(n - 1, -1, -1)
+    visit = np.stack([lo, hi], axis=1).ravel()[:n]
+    return graph_from_edges(n, np.stack([visit[:-1], visit[1:]], axis=1))
+
+
+def _scipy_components(graph, labels):
+    """scipy's labelling of the label-induced subgraph, renumbered in
+    smallest-vertex order."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components as sp_components
+    n = graph.num_vertices
+    src = np.repeat(np.arange(n), np.diff(graph.xadj))
+    dst = graph.adjncy
+    intra = labels[src] == labels[dst]
+    a = sp.csr_matrix((np.ones(int(intra.sum())), (src[intra], dst[intra])),
+                      shape=(n, n))
+    _, comp = sp_components(a, directed=False)
+    _, first = np.unique(comp, return_index=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[comp]
+
+
+class TestComponentsOracle:
+    """The hooking labeller against scipy on the label-induced subgraph:
+    the same grouping, with ids in smallest-vertex order."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1),
+           st.integers(1, 5), st.sampled_from(["random", "zigzag"]))
+    def test_matches_scipy(self, n, seed, nlabels, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "zigzag":
+            g = _zigzag_path(n)
+        else:
+            e = rng.integers(0, n, (int(rng.integers(0, 3 * n + 1)), 2))
+            g = graph_from_edges(n, e[e[:, 0] != e[:, 1]])
+        labels = rng.integers(0, nlabels, n)
+        assert np.array_equal(connected_components(g, labels),
+                              _scipy_components(g, labels))
+        assert np.array_equal(connected_components(g),
+                              _scipy_components(g, np.zeros(n, np.int64)))
+
+    def test_long_zigzag_path(self):
+        g = _zigzag_path(20_000)
+        assert not connected_components(g).any()
+        labels = np.random.default_rng(3).integers(0, 3, g.num_vertices)
+        assert np.array_equal(connected_components(g, labels),
+                              _scipy_components(g, labels))
 
 
 class TestPeripheral:

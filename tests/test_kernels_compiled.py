@@ -474,6 +474,44 @@ class TestNormwiseKernels:
         assert_norm_close(got, ref)
 
 
+class TestFloat32Vectors:
+    """An fp32 Krylov vector (the fp32 policy's GMRES restart ``b - A
+    x``) on float64 blocks: widening it is exact, so the compiled SpMV
+    of ``x`` is the compiled SpMV of ``x.astype(float64)`` bit for bit,
+    and the einsum oracle widens the same way (CI runs the class on the
+    numpy tier too)."""
+
+    @staticmethod
+    def _x32(jac, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(jac.shape[1]).astype(np.float32)
+
+    def test_dispatcher_widens_exactly(self, wing):
+        _, _, jac = wing
+        x = self._x32(jac, 19)
+        got = kernels.spmv_bsr(jac.indptr, jac.indices, jac.data, x,
+                               jac.nbrows, "compiled")
+        want = kernels.spmv_bsr(jac.indptr, jac.indices, jac.data,
+                                x.astype(np.float64), jac.nbrows,
+                                "compiled")
+        if want is None:
+            assert got is None
+            return
+        assert got.dtype == np.float64
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_matvec_matches_the_oracle(self, wing):
+        _, _, jac = wing
+        x = self._x32(jac, 23)
+        jc = jac.copy()
+        jc.engine = "compiled"
+        got, ref = jc.matvec(x), jac.matvec(x)
+        assert got.dtype == ref.dtype == np.float64
+        assert_norm_close(got, ref)
+        assert np.array_equal(_bits(ref), _bits(jac.matvec(
+            x.astype(np.float64))))
+
+
 def _bits(a):
     """The raw bit patterns, so that -0.0 and +0.0 differ."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)

@@ -1,16 +1,18 @@
 """Partitioners: invariants and the k-MeTiS vs p-MeTiS phenomenology."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import graph_from_edges
+from repro.graph import connected_components, graph_from_edges
 from repro.partition import (bisect_level_set, coarsen_graph, edge_cut,
                              fm_refine, heavy_edge_matching, kway_partition,
                              load_imbalance, partition_quality,
                              pmetis_partition, subdomain_components)
-from repro.partition.refine import label_components, repair_contiguity
+from repro.partition.refine import repair_contiguity
 
 
 def _check_cover(labels, n, nparts):
@@ -140,9 +142,9 @@ class TestRefine:
         refined = fm_refine(medium_graph, labels, 4, strict_balance=True)
         assert load_imbalance(refined) <= before + 1e-9
 
-    def test_label_components_consistent(self, medium_graph):
+    def test_connected_components_consistent(self, medium_graph):
         labels = pmetis_partition(medium_graph, 8, seed=0)
-        comp = label_components(medium_graph, labels)
+        comp = connected_components(medium_graph, labels)
         # Same component -> same label.
         for c in np.unique(comp):
             assert np.unique(labels[comp == c]).size == 1
@@ -156,6 +158,24 @@ class TestRefine:
         healed = repair_contiguity(medium_graph, labels, 3)
         comps = subdomain_components(medium_graph, healed)
         assert np.maximum(comps - 1, 0).sum() == 0
+
+
+class TestPinnedLabels:
+    """``kway_partition``'s labels on the benchmark meshes, pinned by
+    sha1: the quickstart wing (819 vertices) and the 8,400-vertex wing.
+    A change of any refinement or contiguity tie-break moves them."""
+
+    @pytest.mark.parametrize("dims,nparts,sha1", [
+        ((13, 9, 7), 4, "713d96a52fa770d9a596fb6d8bb1b8f398cd1d81"),
+        ((30, 20, 14), 4, "eb7b2a51674ed76b416ecf5c85920013f6ad91af"),
+        ((30, 20, 14), 8, "6184d738e24b0effb02facd1e25cdf8db84432b5"),
+    ])
+    def test_kway_labels(self, dims, nparts, sha1):
+        from repro import wing_problem
+        graph = wing_problem(*dims).mesh.vertex_graph()
+        labels = kway_partition(graph, nparts, seed=0)
+        assert labels.dtype == np.int64
+        assert hashlib.sha1(labels.tobytes()).hexdigest() == sha1
 
 
 @settings(deadline=None, max_examples=10)
