@@ -275,10 +275,10 @@ class NKSSolver:
             # --- linear solve -------------------------------------------
             if cfg.matrix_free:
                 shift = self.disc.timestep_shift(q, cfl)
-                # Building the operator costs its base residual.
-                with rec.span("flux"):
-                    fd = self.disc.jacobian_operator(q, shift=shift,
-                                                     second_order=order)
+                # The step's residual f is the operator's base R(q):
+                # same state, same order.
+                fd = self.disc.jacobian_operator(q, shift=shift,
+                                                 second_order=order, base=f)
                 op = OperatorFromCallable(_booked_as_flux(fd.matvec, rec),
                                           fd.shape[0])
             elif spmd:

@@ -173,16 +173,27 @@ class EdgeFVDiscretization:
         frozen freestream on the far-field rows of ``rows``
         (:meth:`BoundaryCondition.row_sets`, the whole boundary by
         default).  Each row appears once in a row set, so plain
-        fancy-indexed adds are exact."""
+        fancy-indexed adds are exact.
+
+        On the compiled tier, when :func:`rusanov_model` allows, both
+        closures are one C pass over the row sets
+        (:func:`repro.kernels.boundary_closure`), bitwise the numpy
+        path below; a Roe far-field flux, and any input the kernel
+        declines, runs the numpy path."""
         bc = self.bc
-        wall_rows, wall_idx, far_rows, far_idx = (
-            bc.row_sets() if rows is None else rows)
+        rows = bc.row_sets() if rows is None else rows
+        wall_rows, wall_idx, far_rows, far_idx = rows
+        if far_rows.size and self.farfield_state is None:
+            raise RuntimeError("farfield_state is not set")
+        model = rusanov_model(self) if self.engine != "numpy" else None
+        if model is not None and _kernels.boundary_closure(
+                q, r, rows, bc.normals, self.farfield_state, *model,
+                self.engine):
+            return
         if wall_rows.size:
             r[wall_rows] += self._wall_flux(q[wall_rows],
                                             bc.normals[wall_idx])
         if far_rows.size:
-            if self.farfield_state is None:
-                raise RuntimeError("farfield_state is not set")
             qi = q[far_rows]
             qe = np.broadcast_to(self.farfield_state, qi.shape)
             r[far_rows] += self._numerical_flux(qi, qe, bc.normals[far_idx])
@@ -297,17 +308,24 @@ class EdgeFVDiscretization:
     def jacobian_operator(self, qflat: np.ndarray, *,
                           shift: np.ndarray | None = None,
                           second_order: bool | None = None,
-                          fd_eps: float | None = None) -> OperatorFromCallable:
+                          fd_eps: float | None = None,
+                          base: np.ndarray | None = None
+                          ) -> OperatorFromCallable:
         """Matrix-free J(q) v by one-sided finite differences.
 
         This is the paper's "matrix-free implementation": the true
         (second-order) Jacobian is never assembled; only its action is
         sampled, while the assembled first-order matrix serves as the
         preconditioner.  ``shift`` adds the PTC diagonal (per vertex,
-        broadcast over components).
+        broadcast over components).  ``base`` is R(q) at this order
+        when the caller has it (the driver's step residual); otherwise
+        the operator evaluates it.
         """
-        base = self.residual(qflat, second_order=second_order)
+        if base is None:
+            base = self.residual(qflat, second_order=second_order)
         qnorm = float(np.linalg.norm(qflat))
+        if shift is not None:
+            shift = np.repeat(shift, self.ncomp)
 
         def matvec(v: np.ndarray) -> np.ndarray:
             vnorm = float(np.linalg.norm(v))
@@ -318,7 +336,7 @@ class EdgeFVDiscretization:
             jv = (self.residual(qflat + eps * v, second_order=second_order)
                   - base) / eps
             if shift is not None:
-                jv = jv + (np.repeat(shift, self.ncomp) * v)
+                jv = jv + (shift * v)
             return jv
 
         return OperatorFromCallable(matvec, self.num_unknowns)

@@ -12,8 +12,9 @@ executors, exactly like ``memory.fastsim``'s ``engine=``.
 Contract:
 
 * the numpy implementation is always retained and is the oracle —
-  scatter/CSR kernels, the Green-Gauss gradients and the Jacobian
-  assembly match it **bitwise**, block kernels and the fused flux
+  scatter/CSR kernels, the Green-Gauss gradients, the Jacobian
+  assembly and the boundary closure match it **bitwise**, block
+  kernels and the fused flux
   kernels within a few **ULP** (``np.einsum`` uses SIMD pairwise
   summation the compiled loops do not replicate portably);
 * every kernel checks each index it dereferences — edge endpoints,
@@ -28,6 +29,9 @@ Contract:
 Every dispatcher takes the *engine knob* (``"numpy"``/``"compiled"``)
 and resolves it per call through :mod:`repro.kernels.capability`, so
 tests can monkeypatch the capability layer to fake a bare machine.
+:func:`trisolver` is the exception: an ILU factor checks its operands
+once and keeps the result, so it takes the backend its caller resolved
+(an Additive Schwarz apply resolves it once for all its subdomains).
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from repro.kernels.capability import resolve_engine
 from repro.kernels.cbackend import ILU_OK
 
 __all__ = ["backend_for", "resolve_engine", "spmv_csr",
-           "spmv_bsr", "gather_spmv_bsr", "lower_solve_csr",
-           "upper_solve_csr", "lower_solve_bsr", "upper_solve_bsr",
-           "rusanov_jacobian_scatter", "rusanov_scatter", "green_gauss",
+           "spmv_bsr", "gather_spmv_bsr", "trisolver",
+           "rusanov_jacobian_scatter", "boundary_closure",
+           "rusanov_scatter", "green_gauss",
            "muscl_rusanov_scatter", "ilu_symbolic", "ilu_numeric"]
 
 #: Block-size cap of the compiled BSR kernels (C stack buffers).
@@ -91,8 +95,7 @@ def _column_major(blocks: np.ndarray) -> np.ndarray | None:
     """Block factor storage as the C trisolves read it: the C-contiguous
     buffer of its blocks, each column-major.  A compiled factor's
     ``[r, c]`` blocks are transposed views of such a buffer and go in
-    place; a row-major factor (a numpy-tier one, or one built by hand)
-    is copied on each call."""
+    place; a row-major factor is copied."""
     if blocks.ndim != 3:
         return None
     return _factor(blocks.transpose(0, 2, 1))
@@ -164,80 +167,45 @@ def gather_spmv_bsr(data, cols, seg, x, n_owned, engine, flat=None):
     return backend.gather_spmv_bsr(data, cols, seg, x, int(n_owned), flat)
 
 
-def _trisolve_ok(indptr, indices, data, x, blk, inv_diag=None) -> bool:
-    """Factor arrays a C trisolve can take: float32/64 values of shape
-    ``blk`` (``()`` scalar, ``(bs, bs)``), one per index, and a float64
-    ``x`` (and ``inv_diag``) sized to the rows."""
-    n = indptr.size - 1
-    width = blk[0] if blk else 1
-    return (data is not None and data.shape == indices.shape + blk
-            and x.dtype == np.float64 and x.flags.c_contiguous
-            and x.size == n * width
-            and (inv_diag is None
-                 or (inv_diag.dtype == data.dtype
-                     and inv_diag.shape == (n,) + blk)))
+def trisolver(indptr, indices, data, inv_diag, bs, backend):
+    """One triangle of an ILU factor, its operands checked once for the
+    C solves: a callable ``solve(x) -> bool``, or None for the numpy
+    batches of :mod:`repro.sparse.trisolve` (the oracles).
 
+    ``inv_diag`` None is a unit lower triangle, solved rows 0..n-1;
+    otherwise an upper one with the reciprocal diagonal (the diagonal
+    blocks' inverses), solved rows n-1..0 — natural order, a
+    topological order of any strictly triangular pattern.  ``bs`` None
+    means scalar entries, **bitwise** the level batches; an int ``bs``
+    means ``(bs, bs)`` blocks, ULP-bounded against their einsum and read
+    column-major: a compiled factor's ``[r, c]`` blocks are transposed
+    views of such buffers and go in place, a row-major factor (a
+    numpy-tier one, or one built by hand) is copied once, here.  Values
+    are float32 or float64 (widened before any arithmetic), ``inv_diag``
+    of the same dtype, the pattern int64.
 
-def lower_solve_csr(indptr, indices, data, x, engine) -> bool:
-    """In-place unit-lower solve on float64 ``x``, rows in natural order
-    (a topological order of any strictly lower pattern); bitwise vs the
-    level-batched oracle.
-
-    Returns True when the compiled path solved every row (``x`` now
-    holds the solution), False when the caller must run the numpy
-    levels loop — on an index out of range after the rows before it
-    were solved in place.
+    ``solve(x)`` checks only ``x`` — float64, C-contiguous, sized to
+    the rows — and solves it in place: True when every row is solved;
+    False outside that contract, or on an index out of range after the
+    rows before it were solved (the caller starts again from its
+    right-hand side).
     """
-    backend = backend_for(engine)
-    if backend is None:
-        return False
-    data = _factor(np.asarray(data))
+    if backend is None or (bs is not None and not 1 <= bs <= MAX_BS):
+        return None
+    bs = None if bs is None else int(bs)
+    blk = () if bs is None else (bs, bs)
+    values = _factor if bs is None else _column_major
+    data = values(np.asarray(data))
     indptr, indices = _i64(indptr), _i64(indices)
-    if not _trisolve_ok(indptr, indices, data, x, ()):
-        return False
-    return backend.lower_solve_csr(indptr, indices, data, x)
-
-
-def upper_solve_csr(indptr, indices, data, inv_diag, x, engine) -> bool:
-    """In-place upper solve (reciprocal diagonal), rows n-1 down to 0;
-    bitwise vs the oracle."""
-    backend = backend_for(engine)
-    if backend is None:
-        return False
-    data = _factor(np.asarray(data))
-    inv_diag = _factor(np.asarray(inv_diag))
-    indptr, indices = _i64(indptr), _i64(indices)
-    if inv_diag is None or not _trisolve_ok(indptr, indices, data, x, (),
-                                            inv_diag):
-        return False
-    return backend.upper_solve_csr(indptr, indices, data, inv_diag, x)
-
-
-def lower_solve_bsr(indptr, indices, data, x, bs, engine) -> bool:
-    """In-place block lower solve; ULP-bounded vs the einsum oracle."""
-    backend = backend_for(engine)
-    if backend is None or not 1 <= bs <= MAX_BS:
-        return False
-    data = _column_major(np.asarray(data))
-    indptr, indices = _i64(indptr), _i64(indices)
-    if not _trisolve_ok(indptr, indices, data, x, (bs, bs)):
-        return False
-    return backend.lower_solve_bsr(indptr, indices, data, x, int(bs))
-
-
-def upper_solve_bsr(indptr, indices, data, inv_diag, x, bs, engine) -> bool:
-    """In-place block upper solve; ULP-bounded vs the einsum oracle."""
-    backend = backend_for(engine)
-    if backend is None or not 1 <= bs <= MAX_BS:
-        return False
-    data = _column_major(np.asarray(data))
-    inv_diag = _column_major(np.asarray(inv_diag))
-    indptr, indices = _i64(indptr), _i64(indices)
-    if inv_diag is None or not _trisolve_ok(indptr, indices, data, x,
-                                            (bs, bs), inv_diag):
-        return False
-    return backend.upper_solve_bsr(indptr, indices, data, inv_diag, x,
-                                   int(bs))
+    if data is None or data.shape != indices.shape + blk:
+        return None
+    if inv_diag is None:
+        return backend.lower_solver(indptr, indices, data, bs)
+    inv_diag = values(np.asarray(inv_diag))
+    if (inv_diag is None or inv_diag.dtype != data.dtype
+            or inv_diag.shape != (indptr.size - 1,) + blk):
+        return None
+    return backend.upper_solver(indptr, indices, data, inv_diag, bs)
 
 
 def ilu_symbolic(indptr, indices, fill_level, engine):
@@ -341,6 +309,46 @@ def rusanov_scatter(e0, e1, ql, qr, s, n, model, param, engine):
         return None
     return backend.rusanov_scatter(e0, e1, ql, qr, s, int(n), model,
                                    float(param))
+
+
+def boundary_closure(q, r, rows, normals, qinf, model, param, engine) -> bool:
+    """Add the boundary closure of ``model`` to the residual rows ``r``
+    in place: the wall flux on the wall rows, the Rusanov flux against
+    the freestream ``qinf`` on the far-field rows.
+
+    ``rows`` is :meth:`~repro.euler.boundary.BoundaryCondition.row_sets`'
+    ``(wall_rows, wall_idx, far_rows, far_idx)``: rows of ``q`` / ``r``
+    and positions in ``normals``.  **Bitwise**
+    :meth:`repro.euler.discretization.EdgeFVDiscretization.
+    _add_boundary_residual`'s numpy path, signed zeros included.  True
+    when done; False, with ``r`` untouched, for the numpy path: no
+    backend, an input outside the contract (``r`` must be a float64
+    C-contiguous array shaped like ``q``) or a row or normal index out
+    of range.
+    """
+    backend = backend_for(engine)
+    if backend is None:
+        return False
+    ncomp = _RUSANOV_MODELS.get(model)
+    if ncomp is None or qinf is None:
+        return False
+    q = _f64(np.asarray(q))
+    normals = _f64(np.asarray(normals))
+    qinf = _f64(np.asarray(qinf))
+    if (q is None or normals is None or qinf is None
+            or q.ndim != 2 or q.shape[1] != ncomp or qinf.shape != (ncomp,)
+            or normals.ndim != 2 or normals.shape[1] != 3
+            or not isinstance(r, np.ndarray) or r.dtype != np.float64
+            or not r.flags.c_contiguous or not r.flags.writeable
+            or r.shape != q.shape):
+        return False
+    wall_rows, wall_idx, far_rows, far_idx = map(_i64, rows)
+    if not (wall_rows.ndim == 1 and wall_rows.shape == wall_idx.shape
+            and far_rows.ndim == 1 and far_rows.shape == far_idx.shape):
+        return False
+    return backend.boundary_closure(q, r, wall_rows, wall_idx, far_rows,
+                                    far_idx, normals, qinf, model,
+                                    float(param))
 
 
 def green_gauss(e0, e1, q, s, bnd, vol, engine):

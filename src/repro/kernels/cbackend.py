@@ -5,8 +5,9 @@ the equivalence contract is provable, not hoped for:
 
 * scatter/CSR kernels and the Green-Gauss gradient pass replicate
   ``np.bincount``'s per-target sequential accumulation order and are
-  **bitwise** identical; so is the first-order Jacobian assembly, which
-  also copies the lane order of ``np.einsum``'s length-3 dot products;
+  **bitwise** identical; so are the first-order Jacobian assembly and
+  the residual's boundary closure, which also copy the lane order of
+  ``np.einsum``'s length-3 dot products;
 * block (bs x bs) kernels keep the oracle's outer order (blocks in
   slot order) but sum the inner ``j`` contraction sequentially where
   ``np.einsum`` may use SIMD pairwise order, so they are **ULP-bounded**
@@ -21,7 +22,9 @@ the equivalence contract is provable, not hoped for:
   block **column-major** (the factor's ``(nnz, bs, bs)`` arrays are
   transposed views of those buffers, so every reader sees the same
   ``[r, c]`` blocks), and the block triangular solves read them in
-  place;
+  place; a triangle's pointers are made once (``lower_solver`` /
+  ``upper_solver`` return the solve of one triangle), so a factor's
+  solve converts only its right-hand side;
 * those three kernels work on whole block columns in gcc vector types:
   the ILU keeps its working row as column-major blocks padded to 4
   lanes (bs <= 4) or a multiple of 8 (bs > 4), holds the multiplier's
@@ -77,13 +80,13 @@ __oracles__ = {
     "spmv_csr": "repro.sparse.spmv.spmv_csr",
     "spmv_bsr": "repro.sparse.bsr.BSRMatrix.matvec",
     "gather_spmv_bsr": "repro.parallel.spmd.rank_matvec",
-    "lower_solve_csr": "repro.sparse.trisolve.lower_solve_csr",
-    "upper_solve_csr": "repro.sparse.trisolve.upper_solve_csr",
-    "lower_solve_bsr": "repro.sparse.trisolve.lower_solve_blocks",
-    "upper_solve_bsr": "repro.sparse.trisolve.upper_solve_blocks",
+    "lower_solver": "repro.sparse.trisolve.lower_solve_blocks",
+    "upper_solver": "repro.sparse.trisolve.upper_solve_blocks",
     "ilu_symbolic": "repro.sparse.ilu.ilu_symbolic_ref",
     "ilu_numeric": "repro.sparse.ilu.ilu_bsr_ref",
     "rusanov_jacobian_scatter": "repro.euler.fluxes.rusanov_flux_jacobians",
+    "boundary_closure": "repro.euler.discretization.EdgeFVDiscretization."
+                        "_add_boundary_residual",
     "rusanov_scatter": "repro.euler.fluxes.rusanov_flux",
     "green_gauss": "repro.euler.reconstruction.green_gauss_gradients",
     "muscl_rusanov_scatter":
@@ -149,6 +152,14 @@ long long rusanov_jacobian_scatter_comp(long long ne, long long n,
     const long long *ij_slots, const long long *ji_slots, const double *q,
     const double *s, double gamma, double *data, double *acc_a,
     double *acc_b, double *lam_a, double *lam_b);
+long long boundary_closure_inc(long long n, long long nb, long long nwall,
+    const long long *wall_rows, const long long *wall_idx, long long nfar,
+    const long long *far_rows, const long long *far_idx, const double *q,
+    const double *normals, const double *qinf, double beta, double *r);
+long long boundary_closure_comp(long long n, long long nb, long long nwall,
+    const long long *wall_rows, const long long *wall_idx, long long nfar,
+    const long long *far_rows, const long long *far_idx, const double *q,
+    const double *normals, const double *qinf, double gamma, double *r);
 long long rusanov_scatter_inc(long long ne, long long n,
     const long long *e0, const long long *e1, const double *ql,
     const double *qr, const double *s, double beta,
@@ -952,6 +963,102 @@ long long NAME(long long ne, long long n, long long nnzb,               \
 RUSANOV_JACOBIAN(rusanov_jacobian_scatter_inc, 4, flux_jacobian_inc)
 RUSANOV_JACOBIAN(rusanov_jacobian_scatter_comp, 5, flux_jacobian_comp)
 
+/* ---- boundary closure: wall flux + far-field Rusanov flux ---------
+ * Twin of EdgeFVDiscretization._add_boundary_residual, bitwise: the
+ * family's _wall_flux and rusanov_flux against the frozen freestream,
+ * each scalar the numpy expression in its order, with dot3_einsum and
+ * np_maximum where numpy calls einsum and maximum.  The flux functions
+ * return the wave speed of the same state. */
+static inline void wall_flux_inc(const double *q, const double *nv,
+    double beta, double *f)
+{
+    (void)beta;
+    f[0] = 0.0;
+    for (int c = 0; c < 3; ++c)
+        f[1 + c] = q[0] * nv[c];
+}
+
+static inline void wall_flux_comp(const double *q, const double *nv,
+    double gamma, double *f)
+{
+    double ke = 0.5 * dot3_einsum(q + 1, q + 1) / q[0];
+    double p = (gamma - 1.0) * (q[4] - ke);
+    f[0] = 0.0;
+    for (int c = 0; c < 3; ++c)
+        f[1 + c] = p * nv[c];
+    f[4] = 0.0;
+}
+
+static inline double flux_inc(const double *q, const double *s,
+    double beta, double *f)
+{
+    double un = dot3_einsum(q + 1, s);
+    f[0] = beta * un;
+    for (int c = 0; c < 3; ++c)
+        f[1 + c] = q[1 + c] * un + q[0] * s[c];
+    return fabs(un) + sqrt(un * un + beta * dot3_einsum(s, s));
+}
+
+static inline double flux_comp(const double *q, const double *s,
+    double gamma, double *f)
+{
+    double g1 = gamma - 1.0;
+    double rho = q[0];
+    double v[3] = {q[1] / rho, q[2] / rho, q[3] / rho};
+    double p = g1 * (q[4] - 0.5 * rho * dot3_einsum(v, v));
+    double un = dot3_einsum(v, s);
+    f[0] = rho * un;
+    for (int c = 0; c < 3; ++c)
+        f[1 + c] = q[1 + c] * un + p * s[c];
+    f[4] = (q[4] + p) * un;
+    double c2 = gamma * p / rho;
+    return fabs(un) + sqrt(np_maximum(c2, 0.0)) * sqrt(dot3_einsum(s, s));
+}
+
+/* Wall entry k adds the wall flux through normals[wall_idx[k]] to row
+ * wall_rows[k] of r, zeros included (a -0.0 entry becomes +0.0, as
+ * numpy's add makes it); far-field entry k then adds
+ * (F(q) + F(qinf)) / 2 - lam / 2 (qinf - q).  A row appears once in
+ * each set (BoundaryCondition.row_sets).  Every row is checked against
+ * [0, n) and every normal index against [0, nb) before anything is
+ * written: on a bad one r is untouched and the position of the first
+ * offending entry (the wall entries first) is returned. */
+#define BOUNDARY_CLOSURE(NAME, NC, WALL, FLUX)                          \
+long long NAME(long long n, long long nb, long long nwall,              \
+    const long long *wall_rows, const long long *wall_idx,              \
+    long long nfar, const long long *far_rows,                          \
+    const long long *far_idx, const double *q, const double *normals,   \
+    const double *qinf, double param, double *r)                        \
+{                                                                       \
+    for (long long k = 0; k < nwall; ++k)                               \
+        if (!IN_RANGE(wall_rows[k], n) || !IN_RANGE(wall_idx[k], nb))   \
+            return k;                                                   \
+    for (long long k = 0; k < nfar; ++k)                                \
+        if (!IN_RANGE(far_rows[k], n) || !IN_RANGE(far_idx[k], nb))     \
+            return nwall + k;                                           \
+    for (long long k = 0; k < nwall; ++k) {                             \
+        double f[NC];                                                   \
+        WALL(q + wall_rows[k] * NC, normals + wall_idx[k] * 3, param, f);\
+        double *rk = r + wall_rows[k] * NC;                             \
+        for (int c = 0; c < NC; ++c)                                    \
+            rk[c] += f[c];                                              \
+    }                                                                   \
+    for (long long k = 0; k < nfar; ++k) {                              \
+        const double *qi = q + far_rows[k] * NC;                        \
+        const double *sk = normals + far_idx[k] * 3;                    \
+        double fl[NC], fr[NC];                                          \
+        double lam = np_maximum(FLUX(qi, sk, param, fl),                \
+                                FLUX(qinf, sk, param, fr));             \
+        double *rk = r + far_rows[k] * NC;                              \
+        for (int c = 0; c < NC; ++c)                                    \
+            rk[c] += 0.5 * (fl[c] + fr[c])                              \
+                   - 0.5 * lam * (qinf[c] - qi[c]);                     \
+    }                                                                   \
+    return -1;                                                          \
+}
+BOUNDARY_CLOSURE(boundary_closure_inc, 4, wall_flux_inc, flux_inc)
+BOUNDARY_CLOSURE(boundary_closure_comp, 5, wall_flux_comp, flux_comp)
+
 /* ---- second-order residual, pass 1: Green-Gauss gradients ---------
  * Twin of repro.euler.reconstruction.green_gauss_gradients for any
  * ncomp.  Each edge adds (0.5 (q_i + q_j)) s into grad[i] and into
@@ -1202,27 +1309,33 @@ class CBackend:
             return getattr(self._lib, name + "_f32"), self._pf
         return getattr(self._lib, name + "_f64"), self._pd
 
-    def lower_solve_csr(self, indptr, indices, data, x):
-        fn, pd = self._factor_fn("lower_solve_csr", data)
-        return fn(indptr.size - 1, indices.size, self._pi(indptr),
-                  self._pi(indices), pd(data), self._pdw(x)) < 0
+    def lower_solver(self, indptr, indices, data, bs):
+        """:meth:`_solver` of the unit lower triangle."""
+        return self._solver("lower", bs, indptr, indices, data)
 
-    def upper_solve_csr(self, indptr, indices, data, inv_diag, x):
-        fn, pd = self._factor_fn("upper_solve_csr", data)
-        return fn(indptr.size - 1, indices.size, self._pi(indptr),
-                  self._pi(indices), pd(data), pd(inv_diag),
-                  self._pdw(x)) < 0
+    def upper_solver(self, indptr, indices, data, inv_diag, bs):
+        """:meth:`_solver` of the upper triangle."""
+        return self._solver("upper", bs, indptr, indices, data, inv_diag)
 
-    def lower_solve_bsr(self, indptr, indices, data, x, bs):
-        fn, pd = self._factor_fn("lower_solve_bsr", data)
-        return fn(indptr.size - 1, bs, indices.size, self._pi(indptr),
-                  self._pi(indices), pd(data), self._pdw(x)) < 0
+    def _solver(self, side, bs, indptr, indices, data, *inv_diag):
+        """``solve(x) -> bool``: the C solve of one triangle on these
+        operands (``bs`` None: scalar CSR), their pointers made once
+        here; each call checks ``x`` (float64, C-contiguous, sized to
+        the rows) and makes one C call, False on an index out of
+        range."""
+        kind = "csr" if bs is None else "bsr"
+        fn, pd = self._factor_fn(f"{side}_solve_{kind}", data)
+        n = indptr.size - 1
+        size = n * (bs or 1)
+        args = ((n,) + (() if bs is None else (bs,))
+                + (indices.size, self._pi(indptr), self._pi(indices),
+                   pd(data)) + tuple(pd(a) for a in inv_diag))
+        pdw = self._pdw
 
-    def upper_solve_bsr(self, indptr, indices, data, inv_diag, x, bs):
-        fn, pd = self._factor_fn("upper_solve_bsr", data)
-        return fn(indptr.size - 1, bs, indices.size, self._pi(indptr),
-                  self._pi(indices), pd(data), pd(inv_diag),
-                  self._pdw(x)) < 0
+        def solve(x):
+            return (x.dtype == np.float64 and x.flags.c_contiguous
+                    and x.size == size and fn(*args, pdw(x)) < 0)
+        return solve
 
     # -- ILU(k) ----------------------------------------------------------
     def ilu_symbolic(self, indptr, indices, fill_level):
@@ -1296,6 +1409,19 @@ class CBackend:
                  self._pd(s), param, self._pdw(data),
                  *map(self._pdw, (acc_a, acc_b, lam_a, lam_b)))
         return None if bad >= 0 else (data, acc_a - acc_b, lam_a + lam_b)
+
+    # -- boundary closure, in place on the residual rows -----------------
+    def boundary_closure(self, q, r, wall_rows, wall_idx, far_rows, far_idx,
+                         normals, qinf, model, param):
+        """True when the closure was added to ``r``; False (``r``
+        untouched) on a row or normal index out of range."""
+        fn = (self._lib.boundary_closure_inc if model == "incompressible"
+              else self._lib.boundary_closure_comp)
+        return fn(q.shape[0], normals.shape[0], wall_rows.size,
+                  self._pi(wall_rows), self._pi(wall_idx), far_rows.size,
+                  self._pi(far_rows), self._pi(far_idx), self._pd(q),
+                  self._pd(normals), self._pd(qinf), param,
+                  self._pdw(r)) < 0
 
     # -- fused Rusanov flux + scatter ----------------------------------
     def rusanov_scatter(self, e0, e1, ql, qr, s, n, model, param):

@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from repro import kernels as _kernels
 from repro.graph.adjacency import Graph, graph_from_csr
 from repro.graph.traversal import expand_overlap
 from repro.precond.subdomain import SubdomainSolver
@@ -148,29 +149,35 @@ class AdditiveSchwarz:
 
     # -- application ----------------------------------------------------
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """Apply M^{-1} r."""
+        """Apply M^{-1} r.
+
+        Each subdomain gathers its local vector with one ``take`` of its
+        flat element index, makes one ``factor.solve`` and adds the
+        owned (restricted) or all (standard) entries back with one flat
+        add; the kernel engine is resolved once per apply.
+        """
         if not self.subdomains:
             raise RuntimeError("setup() has not been called")
-        bs = self._bs
         rec = self.recorder
-        rb = np.asarray(r, dtype=np.float64).reshape(self._n, bs)
-        zb = np.zeros_like(rb)
+        rf = np.asarray(r, dtype=np.float64).reshape(self._n * self._bs)
+        z = np.zeros_like(rf)
         restricted = self.config.variant is ASMVariant.RESTRICTED
+        backend = _kernels.backend_for(self.config.engine)
         per_rank_s = [0.0] * len(self.subdomains)
         for s, sd in enumerate(self.subdomains):
             # Subdomain index = would-be MPI rank: per-subdomain spans
             # expose the triangular-solve load imbalance.
             with rec.span("trisolve", rank=s) as sp:
-                local = sd.local_solve(rb[sd.rows].ravel()).reshape(-1, bs)
+                local = sd.factor.solve(rf.take(sd.flat), backend)
+                # the flat indices are unique, so plain fancy-indexed
+                # adds are exact (and much faster than np.add.at)
                 if restricted:
-                    zb[sd.owned_rows] += local[sd.owned_local]
+                    z[sd.owned_flat] += local.take(sd.owned_local_flat)
                 else:
-                    # sd.rows is sorted unique, so a plain fancy-indexed
-                    # add is exact (and much faster than np.add.at).
-                    zb[sd.rows] += local
+                    z[sd.flat] += local
             per_rank_s[s] = sp.elapsed
         rec.record_wait("trisolve", per_rank_s)
-        return zb.ravel()
+        return z
 
     # -- accounting ------------------------------------------------------
     @property

@@ -52,32 +52,47 @@ def _cut(a: CSRMatrix | BSRMatrix, rows: np.ndarray, indptr, indices,
                      ncols=rows.size, engine=a.engine)
 
 
+def _elements(rows: np.ndarray, bs: int) -> np.ndarray:
+    """The flat element indices of the block rows ``rows``."""
+    if bs == 1:
+        return rows
+    return (rows[:, None] * bs + np.arange(bs, dtype=np.int64)).ravel()
+
+
 @dataclass
 class SubdomainSolver:
     """Factorised subdomain of an Additive Schwarz preconditioner.
 
     ``rows`` are the global (block-)row indices of the overlapped
     subdomain, sorted ascending; ``owned_local`` are the positions in
-    ``rows`` of the zero-overlap core and ``owned_rows`` the same rows
-    as global indices (used by restricted ASM and by the communication
-    accounting: the non-owned rows are exactly the matrix and vector
-    data that must be communicated from neighbours).
+    ``rows`` of the zero-overlap core (used by restricted ASM and by the
+    communication accounting: the non-owned rows are exactly the matrix
+    and vector data that must be communicated from neighbours).
 
     ``slots`` are the positions in ``a.data`` of the submatrix's
     entries, in submatrix order, beside its ``sub_indptr`` /
     ``sub_indices``: a refresh reads the new values through them
     instead of extracting the submatrix again.  None when ``a`` stores
     two entries at one position, and the refresh extracts.
+
+    ``flat`` and ``owned_flat`` are ``rows`` and the owned ones among
+    them as element indices of the global vector, and
+    ``owned_local_flat`` the owned elements' positions in the local
+    vector: the ``bs`` entries of a block row in order (the row arrays
+    themselves when ``bs`` is 1).  An apply gathers its local vector
+    with one ``take`` and scatters with one flat add.
     """
 
     rows: np.ndarray
     owned_local: np.ndarray
-    owned_rows: np.ndarray
     factor: ILUFactorCSR | ILUFactorBSR
     fill_level: int
     sub_indptr: np.ndarray
     sub_indices: np.ndarray
     slots: np.ndarray | None
+    flat: np.ndarray
+    owned_flat: np.ndarray
+    owned_local_flat: np.ndarray
 
     @classmethod
     def build(cls, a: CSRMatrix | BSRMatrix, rows: np.ndarray,
@@ -91,13 +106,17 @@ class SubdomainSolver:
         sub_indptr, sub_indices, slots = (_principal_slots(a, rows)
                                           or (None, None, None))
         sub = _cut(a, rows, sub_indptr, sub_indices, slots)
-        ilu = ilu_bsr if isinstance(a, BSRMatrix) else ilu_csr
+        bsr = isinstance(a, BSRMatrix)
+        ilu = ilu_bsr if bsr else ilu_csr
+        bs = a.bs if bsr else 1
         return cls(rows=rows, owned_local=owned_local,
-                   owned_rows=rows[owned_local],
                    factor=ilu(sub, fill_level, storage_dtype=storage_dtype,
                               engine=engine),
                    fill_level=fill_level, sub_indptr=sub_indptr,
-                   sub_indices=sub_indices, slots=slots)
+                   sub_indices=sub_indices, slots=slots,
+                   flat=_elements(rows, bs),
+                   owned_flat=_elements(rows[owned_local], bs),
+                   owned_local_flat=_elements(owned_local, bs))
 
     def submatrix(self, a: CSRMatrix | BSRMatrix) -> CSRMatrix | BSRMatrix:
         """This subdomain's submatrix of ``a``, which must have the
@@ -135,9 +154,9 @@ class SubdomainSolver:
     @property
     def map_nbytes(self) -> int:
         """Resident bytes of the index maps kept beside the factor."""
-        return sum(arr.nbytes for arr in (
-            self.rows, self.owned_local, self.owned_rows, self.sub_indptr,
-            self.sub_indices, self.slots) if arr is not None)
-
-    def local_solve(self, r_local: np.ndarray) -> np.ndarray:
-        return self.factor.solve(r_local)
+        maps = (self.rows, self.owned_local, self.sub_indptr,
+                self.sub_indices, self.slots, self.flat, self.owned_flat,
+                self.owned_local_flat)
+        # the flat indices of a scalar matrix are the row arrays
+        unique = {id(arr): arr for arr in maps if arr is not None}
+        return sum(arr.nbytes for arr in unique.values())

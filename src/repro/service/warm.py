@@ -84,7 +84,8 @@ def _layout_nbytes(layout) -> int:
 
 def _pattern_nbytes(pc) -> int:
     """Resident bytes of the subdomain index maps (rows, owned rows,
-    the slot map into the Jacobian and the submatrix pattern), of the
+    the apply's flat element indices, the slot map into the Jacobian
+    and the submatrix pattern), of the
     ILU patterns and of whatever schedules exist beside them: a
     numpy-tier pattern carries its elimination schedule (whose level
     lists its factor shares), a compiled-tier factor has level lists

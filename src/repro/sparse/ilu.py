@@ -34,6 +34,7 @@ created by eliminating column k in row i via u_kj gets level
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -388,6 +389,47 @@ def _solve_levels(factor) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return factor.solve_levels
 
 
+def _compiled_solves(factor, backend, bs):
+    """The factor's (L, U) C solves for ``backend``
+    (:func:`repro.kernels.trisolver`), their operands checked the first
+    time and kept while ``backend``, the pattern and the value arrays
+    are the same objects; None for the numpy batches."""
+    key = (backend, factor.pattern, factor.l_data, factor.u_data,
+           factor.inv_diag)
+    cached = factor._solves
+    if cached is None or not all(map(operator.is_, cached[0], key)):
+        p = factor.pattern
+        lower = _kernels.trisolver(p.l_indptr, p.l_indices, factor.l_data,
+                                   None, bs, backend)
+        upper = _kernels.trisolver(p.u_indptr, p.u_indices, factor.u_data,
+                                   factor.inv_diag, bs, backend)
+        cached = factor._solves = (
+            key, None if lower is None or upper is None else (lower, upper))
+    return cached[1]
+
+
+def _solve(factor, b, backend, bs, lower, upper_inplace):
+    """``U^{-1} L^{-1} b`` in float64: the two C solves on one copy of
+    ``b`` where ``backend`` (None resolves ``factor.engine`` now) serves
+    them, else — or when one declines — the numpy batches ``lower`` then
+    ``upper_inplace`` from ``b`` again, U in place on L's output."""
+    if backend is None:
+        backend = _kernels.backend_for(factor.engine)
+    solves = (_compiled_solves(factor, backend, bs)
+              if backend is not None else None)
+    if solves is not None:
+        x = np.array(b, dtype=np.float64)
+        if solves[0](x) and solves[1](x):
+            return x
+    p = factor.pattern
+    blk = () if bs is None else (bs,)
+    y = lower(p.l_indptr, p.l_indices, factor.l_data, b,
+              lambda: _solve_levels(factor)[0], *blk)
+    return upper_inplace(p.u_indptr, p.u_indices, factor.u_data,
+                         factor.inv_diag, y,
+                         lambda: _solve_levels(factor)[1], *blk)
+
+
 # ----------------------------------------------------------------------
 # Scalar numeric factorisation
 # ----------------------------------------------------------------------
@@ -409,6 +451,9 @@ class ILUFactorCSR:
     engine: str = "numpy"   # kernel tier for the triangular solves
     #: (L, U) levels of the numpy trisolve; None until it first runs
     solve_levels: tuple | None = field(default=None, repr=False)
+    #: (key, (L, U) C solves) of :func:`_compiled_solves`
+    _solves: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def storage_dtype(self) -> np.dtype:
@@ -420,17 +465,18 @@ class ILUFactorCSR:
         item = self.l_data.dtype.itemsize
         return (self.l_data.size + self.u_data.size + self.inv_diag.size) * item
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, backend=None) -> np.ndarray:
         """x = U^{-1} L^{-1} b, computed in float64; U is solved in
-        place on L's output, the one copy of ``b``."""
-        p = self.pattern
-        y = lower_solve_csr(p.l_indptr, p.l_indices, self.l_data, b,
-                            lambda: _solve_levels(self)[0],
-                            engine=self.engine)
-        return upper_solve_csr_inplace(p.u_indptr, p.u_indices, self.u_data,
-                                       self.inv_diag, y,
-                                       lambda: _solve_levels(self)[1],
-                                       engine=self.engine)
+        place on L's output, the one copy of ``b``.
+
+        ``backend`` is the kernel backend the caller resolved for
+        :attr:`engine` (an :class:`~repro.precond.asm.AdditiveSchwarz`
+        apply resolves it once for all its subdomains); None resolves
+        it here.  The compiled solves' operands are checked on the first
+        solve, after which a solve checks only ``b`` and makes two C
+        calls."""
+        return _solve(self, b, backend, None, lower_solve_csr,
+                      upper_solve_csr_inplace)
 
     def astype_storage(self, dtype) -> "ILUFactorCSR":
         return replace(self, l_data=self.l_data.astype(dtype),
@@ -561,6 +607,9 @@ class ILUFactorBSR:
     engine: str = "numpy"       # kernel tier for the triangular solves
     #: (L, U) levels of the numpy trisolve; None until it first runs
     solve_levels: tuple | None = field(default=None, repr=False)
+    #: (key, (L, U) C solves) of :func:`_compiled_solves`
+    _solves: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def storage_dtype(self) -> np.dtype:
@@ -571,15 +620,12 @@ class ILUFactorBSR:
         item = self.l_data.dtype.itemsize
         return (self.l_data.size + self.u_data.size + self.inv_diag.size) * item
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """As :meth:`ILUFactorCSR.solve`, block by block."""
-        p = self.pattern
-        y = lower_solve_blocks(p.l_indptr, p.l_indices, self.l_data, b,
-                               lambda: _solve_levels(self)[0], self.bs,
-                               engine=self.engine)
-        return upper_solve_blocks_inplace(
-            p.u_indptr, p.u_indices, self.u_data, self.inv_diag, y,
-            lambda: _solve_levels(self)[1], self.bs, engine=self.engine)
+    def solve(self, b: np.ndarray, backend=None) -> np.ndarray:
+        """As :meth:`ILUFactorCSR.solve`, block by block; a row-major
+        factor's blocks are copied column-major once, on the first
+        compiled solve."""
+        return _solve(self, b, backend, self.bs, lower_solve_blocks,
+                      upper_solve_blocks_inplace)
 
     def astype_storage(self, dtype) -> "ILUFactorBSR":
         return replace(self, l_data=self.l_data.astype(dtype),

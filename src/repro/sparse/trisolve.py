@@ -5,11 +5,13 @@ paper's Table 2 targets.  A row of L (or U) can be solved as soon as
 all rows it references are done; grouping rows into dependency
 *levels* lets each level be processed as one vectorised batch — the
 standard way to expose parallelism in sparse triangular solves, and
-the way we keep the Python implementation fast.  The compiled tier
-needs no levels: it walks rows in natural order (0..n-1 for L, n-1..0
-for U), which is a topological order of any triangular pattern, so the
-solvers below take ``levels`` either as the list or as a zero-argument
-callable that builds it, called only when the numpy batches run.
+the way we keep the Python implementation fast.  These batches are
+the oracles of the compiled solves an ILU factor makes
+(:func:`repro.kernels.trisolver`), which need no levels: they walk
+rows in natural order (0..n-1 for L, n-1..0 for U), a topological
+order of any triangular pattern.  So the solvers below take ``levels``
+either as the list or as a zero-argument callable that builds it,
+called only when the numpy batches run.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import hashlib
 
 import numpy as np
 
-from repro import kernels as _kernels
 from repro.sparse.segsum import concat_ranges, segment_sum
 
 __all__ = ["level_schedule", "level_schedule_ref", "lower_solve_csr",
@@ -138,51 +139,26 @@ def _rhs_copy(b) -> np.ndarray:
     return np.array(b, dtype=np.float64, copy=True)
 
 
-def lower_solve_csr(indptr, indices, data, b, levels,
-                    engine="numpy") -> np.ndarray:
-    """Solve L x = b with L unit lower triangular (strict part stored).
-
-    ``engine="compiled"`` runs the compiled row loop in natural order
-    (bitwise identical to the level-batched path); it degrades to the
-    numpy batches when no backend is available, or when the kernel
-    declines an index out of range (from ``b`` again: a declining
-    kernel has solved the rows before the bad one in place).
-    """
+def lower_solve_csr(indptr, indices, data, b, levels) -> np.ndarray:
+    """Solve L x = b with L unit lower triangular (strict part stored)."""
     x = _rhs_copy(b)
-    if engine != "numpy":
-        if _kernels.lower_solve_csr(indptr, indices, data, x, engine):
-            return x
-        x = _rhs_copy(b)
     for rows in _levels(levels):
         x[rows] -= _row_dot(indptr, indices, data, x, rows)
     return x
 
 
-def upper_solve_csr(indptr, indices, data, inv_diag, b, levels,
-                    engine="numpy") -> np.ndarray:
+def upper_solve_csr(indptr, indices, data, inv_diag, b, levels) -> np.ndarray:
     """Solve U x = b with U upper triangular; ``indices``/``data`` hold
     the strictly-upper part and ``inv_diag`` the reciprocal diagonal."""
-    x = _rhs_copy(b)
-    if engine != "numpy":
-        if _kernels.upper_solve_csr(indptr, indices, data, inv_diag, x,
-                                    engine):
-            return x
-        x = _rhs_copy(b)
-    return upper_solve_csr_inplace(indptr, indices, data, inv_diag, x,
-                                   levels)
+    return upper_solve_csr_inplace(indptr, indices, data, inv_diag,
+                                   _rhs_copy(b), levels)
 
 
-def upper_solve_csr_inplace(indptr, indices, data, inv_diag, x, levels,
-                            engine="numpy") -> np.ndarray:
+def upper_solve_csr_inplace(indptr, indices, data, inv_diag, x,
+                            levels) -> np.ndarray:
     """:func:`upper_solve_csr` overwriting the float64 vector ``x``
     with the solution (the ILU apply's second solve, on the first's
-    output).  If the compiled kernel declines an index out of range,
-    the numpy batches run on the rows it has already solved; building
-    the levels of such a pattern raises, so an ILU factor, whose levels
-    are built on demand, raises as its numpy tier does."""
-    if engine != "numpy" and _kernels.upper_solve_csr(
-            indptr, indices, data, inv_diag, x, engine):
-        return x
+    output)."""
     for rows in _levels(levels):
         x[rows] = (x[rows] - _row_dot(indptr, indices, data, x, rows)) \
             * inv_diag[rows].astype(np.float64, copy=False)
@@ -202,45 +178,26 @@ def _row_dot_blocks(indptr, indices, data, x, rows, bs):
     return segment_sum(out_row, prods, rows.size).astype(x.dtype, copy=False)
 
 
-def lower_solve_blocks(indptr, indices, data, b, levels, bs,
-                       engine="numpy") -> np.ndarray:
-    """Block variant of :func:`lower_solve_csr`; b has shape (nbrows*bs,).
-
-    The compiled path is ULP-bounded (not bitwise) against the numpy
-    batches: ``np.einsum`` sums block columns in SIMD pairwise order,
-    the compiled loop sequentially.
-    """
-    x = _rhs_copy(b)
-    if engine != "numpy":
-        if _kernels.lower_solve_bsr(indptr, indices, data, x, bs, engine):
-            return x
-        x = _rhs_copy(b)
-    x = x.reshape(-1, bs)
+def lower_solve_blocks(indptr, indices, data, b, levels,
+                       bs) -> np.ndarray:
+    """Block variant of :func:`lower_solve_csr`; b has shape (nbrows*bs,)."""
+    x = _rhs_copy(b).reshape(-1, bs)
     for rows in _levels(levels):
         x[rows] -= _row_dot_blocks(indptr, indices, data, x, rows, bs)
     return x.ravel()
 
 
-def upper_solve_blocks(indptr, indices, data, inv_diag, b, levels, bs,
-                       engine="numpy") -> np.ndarray:
+def upper_solve_blocks(indptr, indices, data, inv_diag, b, levels,
+                       bs) -> np.ndarray:
     """Block variant of :func:`upper_solve_csr`; ``inv_diag`` holds the
     (nbrows, bs, bs) inverses of the diagonal blocks."""
-    x = _rhs_copy(b)
-    if engine != "numpy":
-        if _kernels.upper_solve_bsr(indptr, indices, data, inv_diag, x, bs,
-                                    engine):
-            return x
-        x = _rhs_copy(b)
-    return upper_solve_blocks_inplace(indptr, indices, data, inv_diag, x,
-                                      levels, bs)
+    return upper_solve_blocks_inplace(indptr, indices, data, inv_diag,
+                                      _rhs_copy(b), levels, bs)
 
 
 def upper_solve_blocks_inplace(indptr, indices, data, inv_diag, x, levels,
-                               bs, engine="numpy") -> np.ndarray:
+                               bs) -> np.ndarray:
     """Block variant of :func:`upper_solve_csr_inplace`."""
-    if engine != "numpy" and _kernels.upper_solve_bsr(
-            indptr, indices, data, inv_diag, x, bs, engine):
-        return x
     xb = x.reshape(-1, bs)
     for rows in _levels(levels):
         rhs = xb[rows] - _row_dot_blocks(indptr, indices, data, xb, rows, bs)

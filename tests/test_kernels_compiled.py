@@ -37,6 +37,7 @@ from repro.core.config import (KrylovConfig, PreconditionerConfig,
 from repro.core.driver import NKSSolver
 from repro.euler import discretization, wing_problem
 from repro.euler.fluxes import (compressible_flux, compressible_wavespeed,
+                                flux_family,
                                 incompressible_flux,
                                 incompressible_wavespeed, rusanov_flux)
 from repro.euler.reconstruction import (green_gauss_gradients,
@@ -271,9 +272,8 @@ class TestDispatchGuards:
         indices = np.empty(0, dtype=np.int64)
         data = np.empty(0, dtype=np.float32)
         inv_diag = np.ones(1, dtype=np.float64)
-        x = np.ones(1)
-        assert kernels.upper_solve_csr(indptr, indices, data, inv_diag, x,
-                                       "compiled") is False
+        assert kernels.trisolver(indptr, indices, data, inv_diag, None,
+                                 kernels.backend_for("compiled")) is None
 
     def test_oversized_block_refused(self):
         nb, bs = 2, kernels.MAX_BS + 1
@@ -661,6 +661,149 @@ class TestJacobianAssembly:
             assert np.all(b[:guard] == 7.25) and np.all(b[-guard:] == 7.25)
 
 
+class TestBoundaryClosure:
+    """The C boundary closure (``kernels.boundary_closure``) against the
+    numpy closure of ``_add_boundary_residual``: bitwise, signed zeros
+    and NaN included, on the whole boundary and on one SPMD rank's
+    owned rows.  Every test also holds with ``REPRO_KERNELS_DISABLE=1``
+    (CI runs the class twice): the dispatcher declines and the numpy
+    closure is compared to itself."""
+
+    _PROBLEMS = {}
+
+    @classmethod
+    def _problem(cls, compressible):
+        """A 7 x 5 x 4 wing (110 boundary vertices, 6 of them wall) and
+        rank 2 of a 3-way layout (5 wall and 35 far-field rows).  The
+        box's boundary normals are nearly all axis-aligned, and with a
+        zero term every order of a length-3 dot gives the same bits, so
+        they are perturbed."""
+        if compressible not in cls._PROBLEMS:
+            prob = wing_problem(7, 5, 4, compressible=compressible)
+            bc = prob.disc.bc
+            bc.normals = bc.normals + 0.01 * np.random.default_rng(
+                37).standard_normal(bc.normals.shape)
+            labels = kway_partition(prob.mesh.vertex_graph(), 3, seed=0)
+            layout = SPMDLayout.build(prob.mesh.edges, labels)
+            cls._PROBLEMS[compressible] = prob, layout
+        return cls._PROBLEMS[compressible]
+
+    @staticmethod
+    def _states(prob, n, seed, rows=None):
+        """``n`` perturbed freestream rows with signed-zero velocity
+        components, a NaN in the first of the row sets ``rows``, and a
+        residual with -0.0 entries."""
+        rng = np.random.default_rng(seed)
+        nc = prob.disc.ncomp
+        q = prob.disc.farfield_state + 0.05 * rng.standard_normal((n, nc))
+        q[:, 1:4][rng.random((n, 3)) < 0.3] = -0.0
+        hit = np.concatenate([rows[0], rows[2]]) if rows else ()
+        if len(hit):
+            q[hit[0], 0] = np.nan
+        r = rng.standard_normal((n, nc))
+        r[rng.random((n, nc)) < 0.3] = -0.0
+        return q, r
+
+    @staticmethod
+    def _closure(disc, q, r, rows, engine):
+        disc.engine = engine
+        try:
+            out = r.copy()
+            disc._add_boundary_residual(q, out, rows)
+        finally:
+            disc.engine = "numpy"
+        return out
+
+    @pytest.mark.parametrize("subset", ["wall", "far", "both", "empty"])
+    @pytest.mark.parametrize("where", ["global", "rank"])
+    @pytest.mark.parametrize("compressible", [False, True])
+    def test_bitwise_the_numpy_closure(self, compressible, where, subset):
+        prob, layout = self._problem(compressible)
+        disc = prob.disc
+        if where == "global":
+            rows, n = disc.bc.row_sets(), prob.mesh.num_vertices
+        else:
+            rows, n = layout.plan.boundary(disc.bc)[2], layout.ranks[2].n_local
+        empty = np.zeros(0, dtype=np.int64)
+        keep = {"wall": (True, False), "far": (False, True),
+                "both": (True, True), "empty": (False, False)}[subset]
+        rows = (rows[:2] if keep[0] else (empty, empty)) \
+            + (rows[2:] if keep[1] else (empty, empty))
+        q, r = self._states(prob, n, 41 + n, rows)
+        ref = self._closure(disc, q, r, rows, "numpy")
+        assert np.isnan(ref).any() == (subset != "empty")
+        assert np.array_equal(_bits(self._closure(disc, q, r, rows,
+                                                  "compiled")), _bits(ref))
+        got = r.copy()
+        model = flux_family(disc)
+        assert kernels.boundary_closure(
+            q, got, rows, disc.bc.normals, disc.farfield_state, *model,
+            "compiled") is HAS_BACKEND
+        if HAS_BACKEND:
+            assert np.array_equal(_bits(got), _bits(ref))
+
+    def test_roe_disc_declines(self, monkeypatch):
+        """A Roe far-field flux is not the kernel's: the closure stays
+        on numpy."""
+        prob = wing_problem(7, 5, 4, compressible=True)
+        disc = prob.disc
+        disc.flux_scheme = "roe"
+        calls = []
+        monkeypatch.setattr(kernels, "boundary_closure",
+                            lambda *a: calls.append(a) or False)
+        q, r = self._states(prob, prob.mesh.num_vertices, 43)
+        rows = disc.bc.row_sets()
+        ref = self._closure(disc, q, r, rows, "numpy")
+        assert np.array_equal(_bits(self._closure(disc, q, r, rows,
+                                                  "compiled")), _bits(ref))
+        assert calls == []
+
+    @pytest.mark.parametrize("compressible", [False, True])
+    def test_out_of_range_row_declines(self, compressible):
+        """A row past the end: the dispatcher declines with ``r``
+        untouched and the numpy closure raises as before; the C symbol,
+        on buffers with guard words, names the entry (wall entries
+        first) and leaves the guards alone.  A negative normal index
+        declines too, and numpy wraps it as it always has."""
+        prob, _ = self._problem(compressible)
+        disc = prob.disc
+        n = prob.mesh.num_vertices
+        q, r = self._states(prob, n, 47)
+        wall_rows, wall_idx, far_rows, far_idx = (
+            a.copy() for a in disc.bc.row_sets())
+        far_rows[3] = n
+        rows = (wall_rows, wall_idx, far_rows, far_idx)
+        model = flux_family(disc)
+        out = r.copy()
+        assert kernels.boundary_closure(q, out, rows, disc.bc.normals,
+                                        disc.farfield_state, *model,
+                                        "compiled") is False
+        assert np.array_equal(_bits(out), _bits(r))
+        with pytest.raises(IndexError):
+            self._closure(disc, q, r, rows, "compiled")
+        far_rows[3], far_idx[5] = 0, -1
+        ref = self._closure(disc, q, r, rows, "numpy")
+        assert np.array_equal(_bits(self._closure(disc, q, r, rows,
+                                                  "compiled")), _bits(ref))
+        backend = kernels.backend_for("compiled")
+        if backend is None:
+            return
+        far_rows[3], far_idx[5] = n, 0
+        rbuf, rv = _guarded(r)
+        fn = (backend._lib.boundary_closure_comp if compressible
+              else backend._lib.boundary_closure_inc)
+        code = fn(n, disc.bc.normals.shape[0], wall_rows.size,
+                  *map(backend._pi, (wall_rows, wall_idx)), far_rows.size,
+                  *map(backend._pi, (far_rows, far_idx)),
+                  backend._pd(np.ascontiguousarray(q)),
+                  backend._pd(disc.bc.normals),
+                  backend._pd(disc.farfield_state), model[1],
+                  backend._pdw(rv))
+        assert code == wall_rows.size + 3
+        assert _guards_intact(rbuf)
+        assert np.array_equal(_bits(rv), _bits(r.ravel()))
+
+
 _TINY_WINGS = {}
 
 
@@ -708,32 +851,30 @@ class TestIndexGuards:
         indptr, indices = np.array([0, 0, 1]), np.array([7])
         data = np.ones((1, 4, 4), dtype=dtype)
         b = np.arange(8.0)
-        x = b.copy()
-        assert kernels.lower_solve_bsr(indptr, indices, data, x, 4,
-                                       "compiled") is False
+        solve = kernels.trisolver(indptr, indices, data, None, 4,
+                                  kernels.backend_for("compiled"))
+        assert solve is None if not HAS_BACKEND else solve(b.copy()) is False
         levels = [np.array([0]), np.array([1])]
         with pytest.raises(IndexError):
-            lower_solve_blocks(indptr, indices, data, b, levels, 4,
-                               engine="compiled")
+            lower_solve_blocks(indptr, indices, data, b, levels, 4)
 
-    def test_trisolve_decline_restarts_from_the_rhs(self, monkeypatch):
-        """A kernel that declines after solving rows in place: the
-        numpy fallback starts from ``b`` again, not from those rows."""
-        n, bs = 3, 2
-        indptr, indices = np.array([0, 0, 1, 2]), np.array([0, 1])
-        data = np.full((2, bs, bs), 0.5)
-        b = np.arange(n * bs, dtype=np.float64)
-        levels = level_schedule(indptr, indices)
-        ref = lower_solve_blocks(indptr, indices, data, b, levels, bs)
+    def test_trisolve_decline_restarts_from_the_rhs(self, wing,
+                                                    monkeypatch):
+        """A C solve that declines after solving rows in place: the
+        factor's numpy fallback starts from ``b`` again, not from those
+        rows."""
+        fac = ilu_bsr(wing[2], 0, engine="compiled")
+        b = np.random.default_rng(3).standard_normal(wing[2].shape[0])
+        ref = replace(fac, engine="numpy").solve(b)
 
-        def partial(indptr_, indices_, data_, x, bs_, engine):
-            x[:] = -1.0              # rows solved, then an index declined
-            return False
+        def partial(indptr, indices, data, inv_diag, bs, backend):
+            def solve(x):
+                x[:] = -1.0          # rows solved, then an index declined
+                return False
+            return solve
 
-        monkeypatch.setattr(kernels, "lower_solve_bsr", partial)
-        got = lower_solve_blocks(indptr, indices, data, b, levels, bs,
-                                 engine="compiled")
-        assert np.array_equal(got, ref)
+        monkeypatch.setattr(kernels, "trisolver", partial)
+        assert np.array_equal(fac.solve(b), ref)
 
     @staticmethod
     def _trisolve_case(kind, bad):
@@ -897,36 +1038,38 @@ class TestBlockTrisolves:
         b = np.random.default_rng(bs).standard_normal(n * bs)
         li, lx, ld, _ = self._triangle(n, bs, dtype, False, 97 + bs)
         ui, ux, ud, inv = self._triangle(n, bs, dtype, True, 101 + bs)
-        lower = [lower_solve_blocks(li, lx, ld, b, level_schedule(li, lx),
-                                    bs, engine=e)
-                 for e in ("numpy", "compiled")]
-        upper = [upper_solve_blocks(ui, ux, ud, inv, b,
-                                    level_schedule(ui, ux, reverse=True),
-                                    bs, engine=e)
-                 for e in ("numpy", "compiled")]
-        for ref, got in (lower, upper):
-            assert_norm_close(got, ref)
-        if HAS_BACKEND:
-            assert np.array_equal(lower[1],
-                                  _sequential_lower(li, lx, ld, b, bs))
-            assert np.array_equal(upper[1],
-                                  _sequential_upper(ui, ux, ud, inv, b, bs))
+        backend = kernels.backend_for("compiled")
+        solves = (kernels.trisolver(li, lx, ld, None, bs, backend),
+                  kernels.trisolver(ui, ux, ud, inv, bs, backend))
+        if not HAS_BACKEND:
+            assert solves == (None, None)
+            return
+        lower, upper = b.copy(), b.copy()
+        assert solves[0](lower) and solves[1](upper)
+        assert_norm_close(lower, lower_solve_blocks(
+            li, lx, ld, b, level_schedule(li, lx), bs))
+        assert_norm_close(upper, upper_solve_blocks(
+            ui, ux, ud, inv, b, level_schedule(ui, ux, reverse=True), bs))
+        assert np.array_equal(lower, _sequential_lower(li, lx, ld, b, bs))
+        assert np.array_equal(upper,
+                              _sequential_upper(ui, ux, ud, inv, b, bs))
 
 
 class TestColumnMajorFactors:
     """A compiled block factor keeps ``[r, c]`` blocks that are
     transposed views of the column-major buffers C wrote (or, where the
     C numeric declined, that ``ilu_bsr`` stored so), and the C
-    trisolves read those buffers in place; a row-major factor handed to
-    the same dispatchers is solved through a column-major copy."""
+    trisolves read those buffers in place; a row-major factor is solved
+    through a column-major copy, made once, on its first solve."""
 
     @staticmethod
     def _spy(monkeypatch, backend):
-        """Record the factor arrays each C block solve receives."""
+        """Record the factor arrays each C block solve is prepared
+        with."""
         seen = []
-        for name in ("lower_solve_bsr", "upper_solve_bsr"):
+        for name in ("lower_solver", "upper_solver"):
             def spy(*args, _call=getattr(backend, name), _name=name):
-                seen.append((_name, args[2:-2]))
+                seen.append((_name, args[2:-1]))
                 return _call(*args)
             monkeypatch.setattr(backend, name, spy)
         return seen
@@ -942,22 +1085,26 @@ class TestColumnMajorFactors:
         seen = self._spy(monkeypatch, kernels.backend_for("compiled"))
         b = np.random.default_rng(5).standard_normal(jac.shape[0])
         x = fac.solve(b)
-        assert [name for name, _ in seen] == ["lower_solve_bsr",
-                                              "upper_solve_bsr"]
+        assert [name for name, _ in seen] == ["lower_solver",
+                                              "upper_solver"]
         passed = seen[0][1] + seen[1][1]
         assert all(np.shares_memory(p, m) for p, m in zip(passed, blocks))
+        assert np.array_equal(fac.solve(b), x)
+        assert len(seen) == 2            # checked once, on the first solve
         assert fac.solve_levels is None
 
         seen.clear()
         rows = replace(fac, **{name: np.ascontiguousarray(m) for name, m in
                                zip(("l_data", "u_data", "inv_diag"), blocks)})
         assert np.array_equal(rows.solve(b), x)
-        assert [name for name, _ in seen] == ["lower_solve_bsr",
-                                              "upper_solve_bsr"]
+        assert [name for name, _ in seen] == ["lower_solver",
+                                              "upper_solver"]
         passed = seen[0][1] + seen[1][1]
         for p, m in zip(passed, (rows.l_data, rows.u_data, rows.inv_diag)):
             assert p.flags.c_contiguous and not np.shares_memory(p, m)
             assert np.array_equal(p, m.transpose(0, 2, 1))
+        assert np.array_equal(rows.solve(b), x)
+        assert len(seen) == 2            # the copy is made once
         assert rows.solve_levels is None
 
     @needs_backend

@@ -68,9 +68,9 @@ def _factor_and_solve(backend, a, pattern, dtype, b):
     l_cm, u_cm, inv_cm = (f.transpose(0, 2, 1).astype(dtype)
                           for f in factors)
     x = b.copy()
-    assert backend.lower_solve_bsr(i64[0], i64[1], l_cm, x, a.bs)
+    assert backend.lower_solver(i64[0], i64[1], l_cm, a.bs)(x)
     y = x.copy()
-    assert backend.upper_solve_bsr(i64[2], i64[3], u_cm, inv_cm, y, a.bs)
+    assert backend.upper_solver(i64[2], i64[3], u_cm, inv_cm, a.bs)(y)
     return [np.ascontiguousarray(v).tobytes() for v in (*factors, x, y)]
 
 

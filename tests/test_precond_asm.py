@@ -1,5 +1,7 @@
 """Additive Schwarz / block Jacobi preconditioners."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,125 @@ class TestRefresh:
         r = np.random.default_rng(9).standard_normal(a.shape[0])
         assert np.array_equal(pc.solve(r),
                               self._cold(labels, dup, "numpy").solve(r))
+
+
+def _reference_apply(pc, r, **change):
+    """The apply as a per-subdomain composition: 2-D row gathers and
+    row scatters around one solve of a fresh copy of each factor (with
+    the fields ``change``), whose operands are checked on that solve."""
+    bs = pc.subdomains[0].flat.size // pc.subdomains[0].rows.size
+    rb = np.asarray(r, dtype=np.float64).reshape(-1, bs)
+    zb = np.zeros_like(rb)
+    for sd in pc.subdomains:
+        local = replace(sd.factor, **change).solve(rb[sd.rows].ravel()).reshape(-1, bs)
+        if pc.config.variant == "rasm":
+            zb[sd.rows[sd.owned_local]] += local[sd.owned_local]
+        else:
+            zb[sd.rows] += local
+    return zb.ravel()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestPreparedApply:
+    """``AdditiveSchwarz.solve`` gathers with one ``take`` of each
+    subdomain's flat index, makes one ``factor.solve`` per subdomain —
+    whose operands were checked on its first solve — and scatters with
+    one flat add: bitwise the per-subdomain composition."""
+
+    @pytest.fixture(scope="class")
+    def wing(self):
+        prob = wing_problem(7, 5, 4)
+        rng = np.random.default_rng(11)
+        q = prob.initial.flat() + 0.02 * rng.standard_normal(
+            prob.disc.num_unknowns)
+        a = prob.disc.shifted_jacobian(q, 10.0)
+        labels = kway_partition(prob.mesh.vertex_graph(), 3, seed=0)
+        r = rng.standard_normal(a.shape[0])
+        r[::7] = -0.0
+        return a, labels, r
+
+    @staticmethod
+    def _pc(wing, variant="rasm", overlap=1, storage=np.float64,
+            csr=False, engine="compiled"):
+        a, labels, _ = wing
+        if csr:
+            a, labels = a.to_csr(), np.repeat(labels, a.bs)
+        return AdditiveSchwarz(labels, ASMConfig(
+            overlap=overlap, fill_level=1, variant=variant,
+            storage_dtype=storage, engine=engine)).setup(a)
+
+    @pytest.mark.parametrize("engine", ["numpy", "compiled"])
+    @pytest.mark.parametrize("csr", [False, True])
+    @pytest.mark.parametrize("storage", [np.float64, np.float32])
+    @pytest.mark.parametrize("overlap", [0, 1])
+    @pytest.mark.parametrize("variant", ["rasm", "asm"])
+    def test_bitwise_the_composition(self, wing, variant, overlap, storage,
+                                     csr, engine):
+        pc = self._pc(wing, variant, overlap, storage, csr, engine)
+        r = wing[2]
+        want = _bits(_reference_apply(pc, r))
+        assert np.array_equal(_bits(pc.solve(r)), want)
+        assert np.array_equal(_bits(pc.solve(r)), want)   # prepared
+
+    def test_row_major_factor(self, wing):
+        """A numpy-tier (row-major) block factor on the compiled engine
+        is solved through a column-major copy: the same bits."""
+        pc = self._pc(wing)
+        r = wing[2]
+        want = _bits(pc.solve(r))
+        for sd in pc.subdomains:
+            f = sd.factor
+            sd.factor = replace(f, l_data=np.ascontiguousarray(f.l_data),
+                                u_data=np.ascontiguousarray(f.u_data),
+                                inv_diag=np.ascontiguousarray(f.inv_diag))
+            assert not sd.factor.l_data.transpose(0, 2, 1).flags.c_contiguous
+        assert np.array_equal(_bits(_reference_apply(pc, r)), want)
+        assert np.array_equal(_bits(pc.solve(r)), want)
+
+    @pytest.mark.parametrize("csr", [False, True])
+    def test_one_factor_solve_per_subdomain(self, wing, csr, monkeypatch):
+        """The e2e shims time ``ILUFactor*.solve`` as ``sparse.trisolve``:
+        exactly one call per subdomain per apply, on its local vector."""
+        import repro.sparse.ilu as ilu_mod
+        pc = self._pc(wing, csr=csr)
+        cls = ilu_mod.ILUFactorCSR if csr else ilu_mod.ILUFactorBSR
+        calls = []
+        solve = cls.solve
+
+        def counted(factor, b, *args):
+            calls.append((factor, b.size))
+            return solve(factor, b, *args)
+
+        monkeypatch.setattr(cls, "solve", counted)
+        for _ in range(2):
+            pc.solve(wing[2])
+        assert calls == [(sd.factor, sd.flat.size)
+                         for sd in pc.subdomains] * 2
+
+    def test_kill_switch_takes_effect_at_the_next_apply(self, wing,
+                                                        monkeypatch):
+        """``REPRO_KERNELS_DISABLE=1`` set between two applies of one
+        instance sends the second down the numpy batches."""
+        from repro.kernels import capability
+        if not capability.available_backends():
+            pytest.skip("no compiled backend (cffi + cc)")
+        import repro.sparse.ilu as ilu_mod
+        pc = self._pc(wing)
+        r = wing[2]
+        numpy_tier = _bits(_reference_apply(pc, r, engine="numpy"))
+        batches = []
+        lower = ilu_mod.lower_solve_blocks
+
+        def spy(*args):
+            batches.append(args[3].size)
+            return lower(*args)
+
+        monkeypatch.setattr(ilu_mod, "lower_solve_blocks", spy)
+        pc.solve(r)
+        assert batches == []
+        monkeypatch.setenv("REPRO_KERNELS_DISABLE", "1")
+        assert np.array_equal(_bits(pc.solve(r)), numpy_tier)
+        assert batches == [sd.flat.size for sd in pc.subdomains]

@@ -93,7 +93,8 @@ class TestWarmSeeding:
         pattern and the ``ilu_symbolic`` entry counts it; a compiled
         solve with a backend builds none, so the entry is the patterns'
         and the subdomains' index arrays alone — the slot maps into the
-        Jacobian among them."""
+        Jacobian and the flat element indices of the apply among
+        them."""
         from repro import kernels
 
         cache = ServiceCache()
@@ -105,8 +106,10 @@ class TestWarmSeeding:
         patterns = [sd.factor.pattern for sd in subdomains]
         assert all(sd.slots is not None for sd in subdomains)
         maps = sum(sd.rows.nbytes + sd.owned_local.nbytes
-                   + sd.owned_rows.nbytes + sd.sub_indptr.nbytes
+                   + sd.sub_indptr.nbytes
                    + sd.sub_indices.nbytes + sd.slots.nbytes
+                   + sd.flat.nbytes + sd.owned_flat.nbytes
+                   + sd.owned_local_flat.nbytes
                    for sd in subdomains)
         index_bytes = maps + sum(p.l_indptr.nbytes + p.l_indices.nbytes
                                  + p.u_indptr.nbytes + p.u_indices.nbytes
