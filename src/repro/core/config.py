@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.precond.asm import ASMVariant
 from repro.solvers.ptc import PTCConfig
 from repro.sparse.precision import PrecisionPolicy
@@ -41,8 +39,7 @@ class PreconditionerConfig:
     overlap: int = 0                 # Schwarz overlap delta (Table 4: 0-2)
     fill_level: int = 1              # ILU(k) (Table 4: 0-2; best often 1)
     variant: ASMVariant = ASMVariant.RESTRICTED
-    partitioner: str = "kway"        # 'kway' | 'pmetis' | 'given'
-    labels: np.ndarray | None = None  # used when partitioner == 'given'
+    partitioner: str = "kway"        # 'kway' | 'pmetis'
 
     def __post_init__(self) -> None:
         self.variant = ASMVariant(self.variant)

@@ -187,10 +187,6 @@ class NKSSolver:
             return kway_partition(graph, cfg.nparts, seed=self.config.seed)
         if cfg.partitioner == "pmetis":
             return pmetis_partition(graph, cfg.nparts, seed=self.config.seed)
-        if cfg.partitioner == "given":
-            if cfg.labels is None:
-                raise ValueError("partitioner 'given' requires labels")
-            return np.asarray(cfg.labels, dtype=np.int64)
         raise ValueError(f"unknown partitioner {cfg.partitioner!r}")
 
     @property

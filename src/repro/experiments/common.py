@@ -91,8 +91,9 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
     ``max_steps`` is deliberately small and ``target_reduction``
     unreachable: scalability experiments compare a *fixed* number of
     pseudo-timesteps across partition counts, so iteration counts are
-    directly comparable.  ``executor="seq"`` runs the solve on the
-    SPMD rank loop and ``recorder`` instruments it (the measured
+    directly comparable.  ``labels``, a partition made elsewhere,
+    replaces the ``partitioner``'s.  ``executor="seq"`` runs the solve
+    on the SPMD rank loop and ``recorder`` instruments it (the measured
     Table 3).
     """
     cfg = SolverConfig(
@@ -106,14 +107,13 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
                             restart=krylov_restart),
         precond=PreconditionerConfig(
             nparts=nparts, fill_level=fill_level, overlap=overlap,
-            partitioner="given" if labels is not None else partitioner,
-            labels=labels),
+            partitioner=partitioner),
         seed=seed,
         engine=engine,
         policy=policy,
         executor=executor,
     )
-    solver = NKSSolver(prob.disc, cfg, recorder=recorder)
+    solver = NKSSolver(prob.disc, cfg, recorder=recorder, labels=labels)
     report = solver.solve(prob.initial.flat())
     return solver, report
 

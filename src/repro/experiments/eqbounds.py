@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import ExperimentResult, claim
-from repro.memory.cache import CacheConfig, simulate_trace
+from repro.memory.cache import CacheConfig
+from repro.memory.fastsim import simulate_trace
 from repro.memory.trace import TraceLayout,  _bases
 from repro.perfmodel.spmv_model import conflict_miss_bound
 from repro.sparse.csr import CSRMatrix

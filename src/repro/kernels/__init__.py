@@ -1,18 +1,19 @@
 """Compiled kernel tier: an optional C backend behind the oracles.
 
-The paper's hot paths — ILU set-up and triangular solves,
-flux-residual scatter, SpMV, first-order Jacobian assembly — are
+The paper's hot paths — block ILU set-up and triangular solves,
+flux-residual scatter, block SpMV, first-order Jacobian assembly — are
 kernels whose numpy formulations pay for gather/scatter index arrays
 and multi-pass temporaries.  This package provides compiled twins (a
 cffi-compiled C library) selected by the ``engine="compiled"`` knob —
 the default of :class:`repro.core.SolverConfig` — that the solver
 threads through the discretisation, preconditioners, and SPMD
-executors, exactly like ``memory.fastsim``'s ``engine=``.
+executors.  Only kernels a solve runs have a twin: the scalar (AIJ)
+matrices, Table 1's traced baseline, keep their numpy kernels alone.
 
 Contract:
 
 * the numpy implementation is always retained and is the oracle —
-  scatter/CSR kernels, the Green-Gauss gradients, the Jacobian
+  the scatter kernels, the Green-Gauss gradients, the Jacobian
   assembly and the boundary closure match it **bitwise**, block
   kernels and the fused flux
   kernels within a few **ULP** (``np.einsum`` uses SIMD pairwise
@@ -42,7 +43,7 @@ from repro.kernels import capability
 from repro.kernels.capability import resolve_engine
 from repro.kernels.cbackend import ILU_OK
 
-__all__ = ["backend_for", "resolve_engine", "spmv_csr",
+__all__ = ["backend_for", "resolve_engine",
            "spmv_bsr", "gather_spmv_bsr", "trisolver",
            "rusanov_jacobian_scatter", "boundary_closure",
            "rusanov_scatter", "green_gauss",
@@ -84,21 +85,22 @@ def _f64(a: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray(a)
 
 
-def _factor(a: np.ndarray) -> np.ndarray | None:
-    """Factor storage: float64 or float32 (Table 2's precision knob)."""
-    if a.dtype not in (np.float64, np.float32):
-        return None
-    return np.ascontiguousarray(a)
+def _vector(x) -> np.ndarray | None:
+    """A float64 vector operand; a float32 one (an fp32 Krylov vector)
+    is widened, which is exact."""
+    x = np.asarray(x)
+    return _f64(x.astype(np.float64) if x.dtype == np.float32 else x)
 
 
 def _column_major(blocks: np.ndarray) -> np.ndarray | None:
     """Block factor storage as the C trisolves read it: the C-contiguous
-    buffer of its blocks, each column-major.  A compiled factor's
-    ``[r, c]`` blocks are transposed views of such a buffer and go in
-    place; a row-major factor is copied."""
-    if blocks.ndim != 3:
+    buffer of its blocks, each column-major, float64 or float32 (Table
+    2's precision knob).  A compiled factor's ``[r, c]`` blocks are
+    transposed views of such a buffer and go in place; a row-major
+    factor is copied."""
+    if blocks.ndim != 3 or blocks.dtype not in (np.float64, np.float32):
         return None
-    return _factor(blocks.transpose(0, 2, 1))
+    return np.ascontiguousarray(blocks.transpose(0, 2, 1))
 
 
 def _i64(a: np.ndarray) -> np.ndarray:
@@ -108,19 +110,6 @@ def _i64(a: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # dispatchers — None/False means "run the numpy oracle instead"
 # ----------------------------------------------------------------------
-
-def spmv_csr(indptr, indices, data, x, engine):
-    """Scalar CSR SpMV; bitwise vs the oracle."""
-    backend = backend_for(engine)
-    if backend is None:
-        return None
-    data = _f64(np.asarray(data))
-    x = _f64(np.asarray(x))
-    indptr, indices = _i64(indptr), _i64(indices)
-    if data is None or x is None or data.shape != indices.shape:
-        return None
-    return backend.spmv_csr(indptr, indices, data, x)
-
 
 def _blocks_ok(data, nnzb, x) -> bool:
     """``data`` is ``nnzb`` square blocks the C stack buffers fit, and
@@ -139,8 +128,7 @@ def spmv_bsr(indptr, indices, data, x, nbrows, engine):
     if backend is None:
         return None
     data = _f64(np.asarray(data))
-    x = np.asarray(x)
-    x = _f64(x.astype(np.float64) if x.dtype == np.float32 else x)
+    x = _vector(x)
     indptr, indices = _i64(indptr), _i64(indices)
     if data is None or x is None or not _blocks_ok(data, indices.size, x):
         return None
@@ -150,12 +138,14 @@ def spmv_bsr(indptr, indices, data, x, nbrows, engine):
 def gather_spmv_bsr(data, cols, seg, x, n_owned, engine, flat=None):
     """The SPMD rank SpMV, ULP-bounded: ``y[seg[k]] += B_k x[cols[k]]``
     where block ``B_k`` is ``data[k]`` (pre-gathered rows) or, given
-    ``flat``, ``data[flat[k]]`` read in place from the whole matrix."""
+    ``flat``, ``data[flat[k]]`` read in place from the whole matrix.  A
+    float32 ``x`` is widened exactly, as in :func:`spmv_bsr`; the result
+    is float64."""
     backend = backend_for(engine)
     if backend is None:
         return None
     data = _f64(np.asarray(data))
-    x = _f64(np.asarray(x))
+    x = _vector(x)
     cols, seg = _i64(cols), _i64(seg)
     if flat is not None:
         flat = _i64(flat)
@@ -168,21 +158,19 @@ def gather_spmv_bsr(data, cols, seg, x, n_owned, engine, flat=None):
 
 
 def trisolver(indptr, indices, data, inv_diag, bs, backend):
-    """One triangle of an ILU factor, its operands checked once for the
-    C solves: a callable ``solve(x) -> bool``, or None for the numpy
+    """One triangle of a block ILU factor, its operands checked once for
+    the C solves: a callable ``solve(x) -> bool``, or None for the numpy
     batches of :mod:`repro.sparse.trisolve` (the oracles).
 
     ``inv_diag`` None is a unit lower triangle, solved rows 0..n-1;
-    otherwise an upper one with the reciprocal diagonal (the diagonal
-    blocks' inverses), solved rows n-1..0 — natural order, a
-    topological order of any strictly triangular pattern.  ``bs`` None
-    means scalar entries, **bitwise** the level batches; an int ``bs``
-    means ``(bs, bs)`` blocks, ULP-bounded against their einsum and read
-    column-major: a compiled factor's ``[r, c]`` blocks are transposed
-    views of such buffers and go in place, a row-major factor (a
-    numpy-tier one, or one built by hand) is copied once, here.  Values
-    are float32 or float64 (widened before any arithmetic), ``inv_diag``
-    of the same dtype, the pattern int64.
+    otherwise an upper one with the diagonal blocks' inverses, solved
+    rows n-1..0 — natural order, a topological order of any strictly
+    triangular pattern.  The ``(bs, bs)`` blocks are ULP-bounded against
+    their einsum and read column-major: a compiled factor's ``[r, c]``
+    blocks are transposed views of such buffers and go in place, a
+    row-major factor (a numpy-tier one, or one built by hand) is copied
+    once, here.  Values are float32 or float64 (widened before any
+    arithmetic), ``inv_diag`` of the same dtype, the pattern int64.
 
     ``solve(x)`` checks only ``x`` — float64, C-contiguous, sized to
     the rows — and solves it in place: True when every row is solved;
@@ -190,18 +178,17 @@ def trisolver(indptr, indices, data, inv_diag, bs, backend):
     rows before it were solved (the caller starts again from its
     right-hand side).
     """
-    if backend is None or (bs is not None and not 1 <= bs <= MAX_BS):
+    if backend is None or not 1 <= bs <= MAX_BS:
         return None
-    bs = None if bs is None else int(bs)
-    blk = () if bs is None else (bs, bs)
-    values = _factor if bs is None else _column_major
-    data = values(np.asarray(data))
+    bs = int(bs)
+    blk = (bs, bs)
+    data = _column_major(np.asarray(data))
     indptr, indices = _i64(indptr), _i64(indices)
     if data is None or data.shape != indices.shape + blk:
         return None
     if inv_diag is None:
         return backend.lower_solver(indptr, indices, data, bs)
-    inv_diag = values(np.asarray(inv_diag))
+    inv_diag = _column_major(np.asarray(inv_diag))
     if (inv_diag is None or inv_diag.dtype != data.dtype
             or inv_diag.shape != (indptr.size - 1,) + blk):
         return None
@@ -224,26 +211,22 @@ def ilu_symbolic(indptr, indices, fill_level, engine):
 
 
 def ilu_numeric(pattern, indptr, indices, data, engine):
-    """Numeric ILU of a CSR (``data`` of shape ``(nnz,)``) or BSR
-    (``(nnz, bs, bs)``) matrix on the symbolic ``pattern`` (an
-    :class:`~repro.sparse.ilu.ILUPattern`): ``(l_data, u_data,
-    inv_diag)`` in float64, the IKJ arithmetic of ``ilu_csr_ref`` /
-    ``ilu_bsr_ref`` — bitwise for scalars, ULP-bounded for blocks.
+    """Numeric ILU of a BSR matrix (``data`` of shape ``(nnz, bs, bs)``)
+    on the symbolic ``pattern`` (an :class:`~repro.sparse.ilu.
+    ILUPattern`): ``(l_data, u_data, inv_diag)`` in float64, the IKJ
+    arithmetic of ``ilu_bsr_ref``, ULP-bounded.
 
-    A zero scalar pivot raises ``ZeroDivisionError`` and a singular
-    pivot block ``np.linalg.LinAlgError``, naming the row, as the numpy
-    tier does.  None for the numpy path: no backend, a dtype or block
-    size outside the kernel's contract, or a column index outside
-    ``[0, n)`` (so the numpy path raises what it raises).
+    A singular pivot block raises ``np.linalg.LinAlgError``, naming the
+    row, as the numpy tier does.  None for the numpy path: no backend, a
+    dtype or block size outside the kernel's contract, or a column index
+    outside ``[0, n)`` (so the numpy path raises what it raises).
     """
     backend = backend_for(engine)
     if backend is None:
         return None
     data = _f64(np.asarray(data))
-    if data is None or data.ndim not in (1, 3):
-        return None
-    if data.ndim == 3 and (data.shape[1] != data.shape[2]
-                           or data.shape[1] > MAX_BS):
+    if (data is None or data.ndim != 3 or data.shape[1] != data.shape[2]
+            or data.shape[1] > MAX_BS):
         return None
     n = pattern.n
     indptr, indices = _i64(indptr), _i64(indices)
@@ -259,8 +242,6 @@ def ilu_numeric(pattern, indptr, indices, data, engine):
     status, l_data, u_data, inv_diag = backend.ilu_numeric(
         n, *tri, indptr, indices, data)
     if status >= 0:
-        if data.ndim == 1:
-            raise ZeroDivisionError(f"zero pivot in ILU at row {status}")
         raise np.linalg.LinAlgError(
             f"singular pivot block in block ILU at row {status}")
     if status != ILU_OK:

@@ -3,7 +3,7 @@
 Each C function mirrors its numpy oracle's accumulation structure so
 the equivalence contract is provable, not hoped for:
 
-* scatter/CSR kernels and the Green-Gauss gradient pass replicate
+* the scatter kernels and the Green-Gauss gradient pass replicate
   ``np.bincount``'s per-target sequential accumulation order and are
   **bitwise** identical; so are the first-order Jacobian assembly and
   the residual's boundary closure, which also copy the lane order of
@@ -42,10 +42,14 @@ the equivalence contract is provable, not hoped for:
   any arithmetic, exactly like the oracle's ``astype(np.float64)``
   (the paper's Table 2: f32 storage, f64 arithmetic);
 * the ILU(k) symbolic phase is integer-exact against its ``heapq``
-  oracle; the numeric phase is the reference IKJ row loop, bitwise for
-  scalar factors and ULP-bounded for blocks (sequential block products,
-  a Gauss-Jordan pivot inverse where the oracle calls LAPACK).  Both
-  check A's column indices against ``[0, n)`` and decline on a bad one.
+  oracle; the numeric phase is the reference IKJ row loop on blocks,
+  ULP-bounded (sequential block products, a Gauss-Jordan pivot inverse
+  where the oracle calls LAPACK).  Both check A's column indices
+  against ``[0, n)`` and decline on a bad one;
+* every matrix kernel is a block (BAIJ) kernel, as PETSc-FUN3D's
+  production kernels are: scalar (AIJ) storage is Table 1's baseline,
+  priced from memory traces, and no solver Jacobian is one, so the
+  numpy kernels of :mod:`repro.sparse` are its only tier.
 
 The library is compiled once with :data:`COMPILE_ARGS` into a cache
 directory, under a module name hashed from the source *and* those
@@ -77,7 +81,6 @@ __all__ = ["load_cbackend", "CBackend"]
 
 #: Compiled symbol -> dotted path of the numpy oracle it must match.
 __oracles__ = {
-    "spmv_csr": "repro.sparse.spmv.spmv_csr",
     "spmv_bsr": "repro.sparse.bsr.BSRMatrix.matvec",
     "gather_spmv_bsr": "repro.parallel.spmd.rank_matvec",
     "lower_solver": "repro.sparse.trisolve.lower_solve_blocks",
@@ -96,9 +99,6 @@ __oracles__ = {
 __fallback__ = "pure numpy via repro.kernels dispatch (returns None)"
 
 _CDEF = """
-long long spmv_csr_f64(long long nrows, long long ncols, long long nnz,
-    const long long *indptr, const long long *indices, const double *data,
-    const double *x, double *y);
 long long spmv_bsr_f64(long long nbrows, long long bs, long long nbcols,
     long long nnzb, const long long *indptr, const long long *indices,
     const double *data, const double *x, double *y);
@@ -106,18 +106,6 @@ long long gather_spmv_bsr_f64(long long nblocks, long long bs,
     long long ndata, long long nx, long long n_owned,
     const long long *flat, const long long *cols, const long long *seg,
     const double *data, const double *x, double *y);
-long long lower_solve_csr_f64(long long n, long long nnz,
-    const long long *indptr, const long long *indices, const double *data,
-    double *x);
-long long lower_solve_csr_f32(long long n, long long nnz,
-    const long long *indptr, const long long *indices, const float *data,
-    double *x);
-long long upper_solve_csr_f64(long long n, long long nnz,
-    const long long *indptr, const long long *indices, const double *data,
-    const double *inv_diag, double *x);
-long long upper_solve_csr_f32(long long n, long long nnz,
-    const long long *indptr, const long long *indices, const float *data,
-    const float *inv_diag, double *x);
 long long lower_solve_bsr_f64(long long n, long long bs, long long nnz,
     const long long *indptr, const long long *indices,
     const double *data, double *x);
@@ -215,35 +203,6 @@ typedef v4f v4fu __attribute__((aligned(4)));
     ((unsigned long long)(lo) <= (unsigned long long)(hi)               \
      && (unsigned long long)(hi) <= (unsigned long long)(nnz))
 
-/* Scalar CSR SpMV: per-row sequential accumulation in entry order ==
- * bincount order of the gather/segment-sum kernel (bitwise). */
-static inline long long csr_row_dot(long long i, long long ncols,
-    long long nnz, const long long *indptr, const long long *indices,
-    const double *data, const double *x, double *out)
-{
-    long long lo = indptr[i], hi = indptr[i + 1];
-    if (!ROW_IN_RANGE(lo, hi, nnz))
-        return 0;
-    double acc = 0.0;
-    for (long long t = lo; t < hi; ++t) {
-        if (!IN_RANGE(indices[t], ncols))
-            return 0;
-        acc += data[t] * x[indices[t]];
-    }
-    *out = acc;
-    return 1;
-}
-
-long long spmv_csr_f64(long long nrows, long long ncols, long long nnz,
-    const long long *indptr, const long long *indices, const double *data,
-    const double *x, double *y)
-{
-    for (long long i = 0; i < nrows; ++i)
-        if (!csr_row_dot(i, ncols, nnz, indptr, indices, data, x, y + i))
-            return i;
-    return -1;
-}
-
 /* Block SpMV: per-block partial gemv, blocks accumulated in slot
  * order (the bincount order); the inner j-sum is sequential where
  * einsum may pair, so this is ULP-bounded against the oracle. */
@@ -301,60 +260,15 @@ long long gather_spmv_bsr_f64(long long nblocks, long long bs,
     return -1;
 }
 
-/* Triangular solves, rows in natural order: 0..n-1 for L, n-1..0 for
- * U.  Every stored entry of a strictly lower (upper) row names an
- * earlier (later) row, so natural order is a topological order and the
- * sequential loop resolves dependencies exactly like the level-batched
- * oracle; per-row entry accumulation is in entry order (bincount order,
- * bitwise for CSR).  The _f32 variants widen every loaded factor value
- * to double before arithmetic — identical to the oracle's
- * astype(np.float64). */
-#define LOWER_CSR(NAME, DTYPE)                                          \
-long long NAME(long long n, long long nnz, const long long *indptr,     \
-    const long long *indices, const DTYPE *data, double *x)             \
-{                                                                       \
-    for (long long i = 0; i < n; ++i) {                                 \
-        long long lo = indptr[i], hi = indptr[i + 1];                   \
-        if (!ROW_IN_RANGE(lo, hi, nnz))                                 \
-            return i;                                                   \
-        double acc = 0.0;                                               \
-        for (long long t = lo; t < hi; ++t) {                           \
-            if (!IN_RANGE(indices[t], n))                               \
-                return i;                                               \
-            acc += (double)data[t] * x[indices[t]];                     \
-        }                                                               \
-        x[i] -= acc;                                                    \
-    }                                                                   \
-    return -1;                                                          \
-}
-LOWER_CSR(lower_solve_csr_f64, double)
-LOWER_CSR(lower_solve_csr_f32, float)
-
-#define UPPER_CSR(NAME, DTYPE)                                          \
-long long NAME(long long n, long long nnz, const long long *indptr,     \
-    const long long *indices, const DTYPE *data, const DTYPE *inv_diag, \
-    double *x)                                                          \
-{                                                                       \
-    for (long long i = n - 1; i >= 0; --i) {                            \
-        long long lo = indptr[i], hi = indptr[i + 1];                   \
-        if (!ROW_IN_RANGE(lo, hi, nnz))                                 \
-            return i;                                                   \
-        double acc = 0.0;                                               \
-        for (long long t = lo; t < hi; ++t) {                           \
-            if (!IN_RANGE(indices[t], n))                               \
-                return i;                                               \
-            acc += (double)data[t] * x[indices[t]];                     \
-        }                                                               \
-        x[i] = (x[i] - acc) * (double)inv_diag[i];                      \
-    }                                                                   \
-    return -1;                                                          \
-}
-UPPER_CSR(upper_solve_csr_f64, double)
-UPPER_CSR(upper_solve_csr_f32, float)
-
 #define MAX_BS 32
 
-/* Block triangular solves on column-major blocks: entry (r, c) of
+/* Triangular solves, rows in natural order: 0..n-1 for L, n-1..0 for
+ * U.  Every stored block of a strictly lower (upper) row names an
+ * earlier (later) row, so natural order is a topological order and the
+ * sequential loop resolves dependencies exactly like the level-batched
+ * oracle.
+ *
+ * Block triangular solves on column-major blocks: entry (r, c) of
  * block t is data[t*bs*bs + c*bs + r], the layout ilu_numeric_f64
  * writes.  A block product runs across the block's rows, four at a time
  * with a scalar tail (the 4-lane chunks are vectors), and each row's
@@ -643,19 +557,17 @@ static int block_inverse(double *d, long long ld, double *inv, long long bs)
 #undef INV
 }
 
-/* Numeric ILU(k) on a fixed pattern, the IKJ row loop of ilu_csr_ref /
+/* Numeric block ILU(k) on a fixed pattern, the IKJ row loop of
  * ilu_bsr_ref.  Row i is assembled in w, laid out [L | diagonal | U]
  * like the reference's working row, ld lanes a block column, through
  * the position map pos (column -> w slot, -1 elsewhere; arrives all -1
  * and is restored).  A's row-major values are assigned to their slots
  * (entries outside the pattern are dropped), then each lower entry k,
- * in ascending order, becomes the multiplier l = w_k / d_k (bs = 1:
- * divided by the raw pivot, bitwise the scalar reference) or w_k d_k^-1
- * (bs > 1), and row k's U part is subtracted, l u_kj, wherever row i's
- * pattern has column j.  Returns ILU_OK, ILU_BAD_COLUMN for a column of
- * A outside [0, n) (checked before it is used), or the row whose pivot
- * is zero / singular.  For bs = 1 inv_diag holds the raw pivots until
- * the end. */
+ * in ascending order, becomes the multiplier l = w_k d_k^-1, and row
+ * k's U part is subtracted, l u_kj, wherever row i's pattern has
+ * column j.  Returns ILU_OK, ILU_BAD_COLUMN for a column of A outside
+ * [0, n) (checked before it is used), or the row whose pivot block is
+ * singular. */
 ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
     const long long *l_indptr, const long long *l_indices,
     const long long *u_indptr, const long long *u_indices,
@@ -689,14 +601,7 @@ ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
         for (long long t = 0; t < nl && status == ILU_OK; ++t) {
             long long k = l_indices[ls + t];
             double *lik = w + t * stride;
-            if (bs == 1) {
-                lik[0] = lik[0] / inv_diag[k];
-                for (long long s = u_indptr[k]; s < u_indptr[k + 1]; ++s) {
-                    long long p = pos[u_indices[s]];
-                    if (p >= 0)
-                        w[p] -= lik[0] * u_data[s];
-                }
-            } else if (ld == 4) {
+            if (ld == 4) {
                 ilu_eliminate_v4(bs, 1, lik, inv_diag + k * bsq, u_data,
                                  u_indices, u_indptr[k], u_indptr[k + 1],
                                  pos, w);
@@ -706,16 +611,9 @@ ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
                                  pos, w);
             }
         }
-        if (status == ILU_OK) {
-            double *d = w + nl * stride;
-            if (bs == 1) {
-                if (d[0] == 0.0)
-                    status = i;
-                inv_diag[i] = d[0];
-            } else if (!block_inverse(d, ld, inv_diag + i * bsq, bs)) {
-                status = i;
-            }
-        }
+        if (status == ILU_OK
+            && !block_inverse(w + nl * stride, ld, inv_diag + i * bsq, bs))
+            status = i;
         for (long long t = 0; t < nl; ++t)
             for (long long c = 0; c < bs; ++c)
                 memcpy(l_data + (ls + t) * bsq + c * bs,
@@ -731,15 +629,12 @@ ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
         for (long long t = 0; t < nu; ++t)
             pos[u_indices[us + t]] = -1;
     }
-    if (status == ILU_OK && bs == 1)
-        for (long long i = 0; i < n; ++i)
-            inv_diag[i] = 1.0 / inv_diag[i];
     return status;
 }
 
 /* w holds the widest row at the widest padding: width * bs * ld
- * doubles, ld a multiple of 8 lanes for bs > 1.  The Euler Jacobians'
- * block sizes run with bs a constant. */
+ * doubles, ld bs rounded up to a multiple of 8 lanes.  The Euler
+ * Jacobians' block sizes run with bs a constant. */
 long long ilu_numeric_f64(long long n, long long bs,
     const long long *l_indptr, const long long *l_indices,
     const long long *u_indptr, const long long *u_indices,
@@ -755,9 +650,9 @@ long long ilu_numeric_f64(long long n, long long bs,
         return ILU_ROWS(5, 8);
     if (bs == 4)
         return ILU_ROWS(4, 4);
-    if (bs == 1)
-        return ILU_ROWS(1, 1);
-    if (bs < 4)
+    /* bs >= 1 spares gcc a false -Wmaybe-uninitialized on the
+     * multiplier's columns m[] */
+    if (bs >= 1 && bs < 4)
         return ILU_ROWS(bs, 4);
     return ILU_ROWS(bs, (bs + 7) / 8 * 8);
 #undef ILU_ROWS
@@ -1277,13 +1172,6 @@ class CBackend:
     # The matrix kernels return the first row (block) with an index out
     # of range, or -1: the SpMVs then drop their partial output and
     # return None, the in-place trisolves return False.
-    def spmv_csr(self, indptr, indices, data, x):
-        y = np.empty(indptr.size - 1, dtype=np.float64)
-        bad = self._lib.spmv_csr_f64(
-            y.size, x.size, indices.size, self._pi(indptr), self._pi(indices),
-            self._pd(data), self._pd(x), self._pdw(y))
-        return None if bad >= 0 else y
-
     def spmv_bsr(self, indptr, indices, data, x, nbrows):
         bs = data.shape[1]
         y = np.empty(nbrows * bs, dtype=np.float64)
@@ -1318,18 +1206,15 @@ class CBackend:
         return self._solver("upper", bs, indptr, indices, data, inv_diag)
 
     def _solver(self, side, bs, indptr, indices, data, *inv_diag):
-        """``solve(x) -> bool``: the C solve of one triangle on these
-        operands (``bs`` None: scalar CSR), their pointers made once
-        here; each call checks ``x`` (float64, C-contiguous, sized to
-        the rows) and makes one C call, False on an index out of
-        range."""
-        kind = "csr" if bs is None else "bsr"
-        fn, pd = self._factor_fn(f"{side}_solve_{kind}", data)
+        """``solve(x) -> bool``: the C solve of one block triangle on
+        these operands, their pointers made once here; each call checks
+        ``x`` (float64, C-contiguous, sized to the rows) and makes one C
+        call, False on an index out of range."""
+        fn, pd = self._factor_fn(f"{side}_solve_bsr", data)
         n = indptr.size - 1
-        size = n * (bs or 1)
-        args = ((n,) + (() if bs is None else (bs,))
-                + (indices.size, self._pi(indptr), self._pi(indices),
-                   pd(data)) + tuple(pd(a) for a in inv_diag))
+        size = n * bs
+        args = ((n, bs, indices.size, self._pi(indptr), self._pi(indices),
+                 pd(data)) + tuple(pd(a) for a in inv_diag))
         pdw = self._pdw
 
         def solve(x):
@@ -1367,30 +1252,26 @@ class CBackend:
 
     def ilu_numeric(self, n, l_iptr, l_idx, u_iptr, u_idx, indptr, indices,
                     data):
-        """``(status, l_data, u_data, inv_diag)`` of the numeric ILU of
-        ``data`` (``(nnz,)`` scalar or ``(nnz, bs, bs)`` blocks) on the
-        pattern's L / U structure; the arrays are only meaningful for
-        ``ILU_OK``."""
-        blk = data.shape[1:]
-        bs = blk[0] if blk else 1
+        """``(status, l_data, u_data, inv_diag)`` of the numeric block
+        ILU of ``data`` (``(nnz, bs, bs)``) on the pattern's L / U
+        structure; the arrays are only meaningful for ``ILU_OK``."""
+        bs = data.shape[1]
+        blk = (bs, bs)
         l_data = np.empty((l_idx.size,) + blk, dtype=np.float64)
         u_data = np.empty((u_idx.size,) + blk, dtype=np.float64)
         inv_diag = np.empty((n,) + blk, dtype=np.float64)
         width = int((np.diff(l_iptr) + np.diff(u_iptr)).max(initial=0)) + 1
         pos = np.full(n, -1, dtype=np.int64)
         # the working row: block columns padded to a multiple of 8 lanes
-        lanes = -(-bs // 8) * 8 if blk else 1
-        w = np.empty(width * bs * lanes, dtype=np.float64)
+        w = np.empty(width * bs * (-(-bs // 8) * 8), dtype=np.float64)
         status = self._lib.ilu_numeric_f64(
             n, bs, self._pi(l_iptr), self._pi(l_idx), self._pi(u_iptr),
             self._pi(u_idx), self._pi(indptr), self._pi(indices),
             self._pd(data), self._pdw(l_data), self._pdw(u_data),
             self._pdw(inv_diag), self._piw(pos), self._pdw(w))
-        if blk:
-            # C wrote each block column-major: the [r, c] views
-            return status, *(a.transpose(0, 2, 1)
-                             for a in (l_data, u_data, inv_diag))
-        return status, l_data, u_data, inv_diag
+        # C wrote each block column-major: the [r, c] views
+        return status, *(a.transpose(0, 2, 1)
+                         for a in (l_data, u_data, inv_diag))
 
     # -- first-order Jacobian: flux Jacobians + slot scatter -----------
     def rusanov_jacobian_scatter(self, e0, e1, ij_slots, ji_slots, q, s,

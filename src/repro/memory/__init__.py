@@ -10,11 +10,9 @@ models with the R10000's geometry.  Miss counts — and especially miss
 the simulation reproduces exactly.
 """
 
-from repro.memory.cache import (CacheConfig, CacheSim, make_cache_sim,
-                                simulate_trace)
-from repro.memory.fastsim import FastCacheSim, collapse_trace, \
-    fast_simulate_trace
-from repro.memory.tlb import TLBConfig, simulate_tlb, tlb_sim
+from repro.memory.cache import CacheConfig, CacheSim
+from repro.memory.fastsim import FastCacheSim, collapse_trace, simulate_trace
+from repro.memory.tlb import TLBConfig, tlb_sim
 from repro.memory.hierarchy import MemoryHierarchy, HierarchyCounters
 from repro.memory.counters import hierarchy_counters
 from repro.memory.trace import (
@@ -28,13 +26,10 @@ __all__ = [
     "CacheConfig",
     "CacheSim",
     "FastCacheSim",
-    "make_cache_sim",
     "simulate_trace",
-    "fast_simulate_trace",
     "collapse_trace",
     "TLBConfig",
     "tlb_sim",
-    "simulate_tlb",
     "MemoryHierarchy",
     "HierarchyCounters",
     "hierarchy_counters",

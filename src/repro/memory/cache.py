@@ -1,11 +1,13 @@
-"""Set-associative LRU cache simulator.
+"""Set-associative LRU cache simulator: the geometry, the counters and
+the per-reference oracle.
 
 One code path covers every structure we model: a direct-mapped cache
 (associativity 1), the R10000's 2-way L1/L2, and the TLB (a fully
 associative cache whose "line" is the page).  Sets are OrderedDicts so
-hit, insert, and LRU eviction are all O(1); the per-reference Python
-overhead is ~1 microsecond, fine for the multi-million-reference
-traces of the Fig. 3 experiments.
+hit, insert, and LRU eviction are all O(1), at ~1 microsecond of
+Python per reference.  :class:`CacheSim` is the oracle of the
+vectorised :class:`repro.memory.fastsim.FastCacheSim`, which every
+experiment runs; the tests construct it directly.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CacheConfig", "CacheSim", "simulate_trace", "CacheCounters",
-           "make_cache_sim"]
+__all__ = ["CacheConfig", "CacheSim", "CacheCounters"]
 
 
 @dataclass(frozen=True)
@@ -122,29 +123,3 @@ class CacheSim:
     @property
     def counters(self) -> CacheCounters:
         return CacheCounters(accesses=self.accesses, misses=self.misses)
-
-
-def make_cache_sim(config: CacheConfig, engine: str = "fast"):
-    """Build a simulator for ``config``.
-
-    ``engine="fast"`` returns the vectorised
-    :class:`repro.memory.fastsim.FastCacheSim` (bitwise-identical
-    counters, array-at-a-time); ``engine="ref"`` returns this module's
-    per-reference :class:`CacheSim` oracle.
-    """
-    if engine == "ref":
-        return CacheSim(config)
-    if engine == "fast":
-        # Imported lazily: fastsim depends on this module's dataclasses.
-        from repro.memory.fastsim import FastCacheSim
-        return FastCacheSim(config)
-    raise ValueError(f"unknown cache engine {engine!r} "
-                     "(expected 'fast' or 'ref')")
-
-
-def simulate_trace(addresses: np.ndarray, config: CacheConfig,
-                   engine: str = "fast") -> CacheCounters:
-    """One-shot simulation of a full trace through a cold cache."""
-    sim = make_cache_sim(config, engine)
-    sim.access(addresses)
-    return sim.counters

@@ -4,8 +4,8 @@ Fig. 3 and Table 1 both need the same thing: feed one or more kernel
 address traces (flux loop, then SpMV, matching the order of work in a
 Newton step) through a fresh R10000-style hierarchy and read the
 counter report.  This helper owns that plumbing so the experiment
-scripts stay declarative, and it is where the ``engine`` knob enters:
-the default fast engine makes full-mesh (unscaled) traces practical.
+scripts stay declarative; the vectorised simulator behind it makes
+full-mesh (unscaled) traces practical.
 """
 
 from __future__ import annotations
@@ -22,15 +22,14 @@ __all__ = ["hierarchy_counters"]
 
 
 def hierarchy_counters(traces: Iterable[np.ndarray], l1: CacheConfig,
-                       l2: CacheConfig, tlb: TLBConfig,
-                       engine: str = "fast") -> HierarchyCounters:
+                       l2: CacheConfig, tlb: TLBConfig) -> HierarchyCounters:
     """Run ``traces`` (in order) through a cold hierarchy.
 
     Cache and TLB state carries over from trace to trace — the second
     kernel of a step sees the lines the first left resident — exactly
     as :meth:`MemoryHierarchy.run` accumulates.
     """
-    hier = MemoryHierarchy(l1, l2, tlb, engine=engine)
+    hier = MemoryHierarchy(l1, l2, tlb)
     for trace in traces:
         hier.run(trace)
     return hier.counters

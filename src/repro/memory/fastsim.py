@@ -62,7 +62,7 @@ import numpy as np
 from repro.memory.cache import CacheConfig, CacheCounters
 from repro.sparse.segsum import concat_ranges
 
-__all__ = ["FastCacheSim", "fast_simulate_trace", "collapse_trace"]
+__all__ = ["FastCacheSim", "simulate_trace", "collapse_trace"]
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -355,8 +355,8 @@ class FastCacheSim:
         return CacheCounters(accesses=self.accesses, misses=self.misses)
 
 
-def fast_simulate_trace(addresses: np.ndarray,
-                        config: CacheConfig) -> CacheCounters:
+def simulate_trace(addresses: np.ndarray,
+                   config: CacheConfig) -> CacheCounters:
     """One-shot vectorised simulation of a full trace, cold cache."""
     sim = FastCacheSim(config)
     sim.access(addresses)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.memory.cache import CacheConfig, make_cache_sim
+from repro.memory.cache import CacheConfig
+from repro.memory.fastsim import FastCacheSim
 from repro.memory.tlb import TLBConfig, tlb_sim
 
 __all__ = ["HierarchyCounters", "MemoryHierarchy"]
@@ -47,20 +48,18 @@ class HierarchyCounters:
 class MemoryHierarchy:
     """A two-level cache plus TLB fed from one trace.
 
-    ``engine="fast"`` (default) runs every level through the
-    vectorised :mod:`repro.memory.fastsim` engine — including the
-    L1-miss-filtered L2 stream, whose filter mask is a vectorised
-    output; ``engine="ref"`` runs the per-reference
-    :class:`~repro.memory.cache.CacheSim` oracle.  Counters are
-    bitwise-identical between the two.
+    Every level runs the vectorised :mod:`repro.memory.fastsim`
+    simulator — including the L1-miss-filtered L2 stream, whose filter
+    mask is a vectorised output.  Its counters are bitwise those of the
+    per-reference :class:`~repro.memory.cache.CacheSim` oracle in each
+    level's place (``tests/test_memory_fastsim.py`` swaps them in).
     """
 
     def __init__(self, l1: CacheConfig, l2: CacheConfig,
-                 tlb: TLBConfig, engine: str = "fast") -> None:
-        self.engine = engine
-        self.l1 = make_cache_sim(l1, engine)
-        self.l2 = make_cache_sim(l2, engine)
-        self.tlb = tlb_sim(tlb, engine)
+                 tlb: TLBConfig) -> None:
+        self.l1 = FastCacheSim(l1)
+        self.l2 = FastCacheSim(l2)
+        self.tlb = tlb_sim(tlb)
 
     def run(self, addresses: np.ndarray) -> "MemoryHierarchy":
         """Feed a trace; counters accumulate across calls."""

@@ -3,7 +3,7 @@
 The R10000 TLB holds 64 entries of (typically) 16 KB pages; the paper
 found ~70% of the untuned code's time went to TLB miss service, and
 Fig. 3 shows edge reordering cutting TLB misses by two orders of
-magnitude.  Reusing :class:`CacheSim` with page-sized lines and full
+magnitude.  A cache simulator with page-sized lines and full
 associativity models exactly the event the R10000 counter counts.
 """
 
@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.memory.cache import CacheConfig
+from repro.memory.fastsim import FastCacheSim
 
-from repro.memory.cache import CacheConfig, CacheCounters, make_cache_sim
-
-__all__ = ["TLBConfig", "tlb_sim", "tlb_cache_config", "simulate_tlb"]
+__all__ = ["TLBConfig", "tlb_sim", "tlb_cache_config"]
 
 
 @dataclass(frozen=True)
@@ -40,18 +39,7 @@ def tlb_cache_config(cfg: TLBConfig) -> CacheConfig:
                        line_bytes=cfg.page_bytes, associativity=cfg.entries)
 
 
-def tlb_sim(cfg: TLBConfig, engine: str = "fast"):
-    """A fresh TLB simulator (a cache sim with one fully-associative set).
-
-    ``engine="fast"`` (default) is the vectorised stack-distance
-    engine; ``engine="ref"`` the per-reference :class:`CacheSim`
-    oracle.  Both produce identical counters.
-    """
-    return make_cache_sim(tlb_cache_config(cfg), engine)
-
-
-def simulate_tlb(addresses: np.ndarray, cfg: TLBConfig,
-                 engine: str = "fast") -> CacheCounters:
-    sim = tlb_sim(cfg, engine)
-    sim.access(addresses)
-    return sim.counters
+def tlb_sim(cfg: TLBConfig) -> FastCacheSim:
+    """A fresh TLB simulator: a cache sim with one fully-associative
+    set (its oracle is ``CacheSim(tlb_cache_config(cfg))``)."""
+    return FastCacheSim(tlb_cache_config(cfg))

@@ -60,9 +60,11 @@ def spmv_csr_trace(a: CSRMatrix, layout: TraceLayout | None = None) -> np.ndarra
     """Reference stream of ``y = A x`` for scalar CSR.
 
     Per row: the row pointer; per nonzero: column index, matrix value,
-    and the x gather; then the y store.  This is the loop whose
-    conflict misses the paper's Eqs. 1-2 bound: the x-gather addresses
-    span the matrix bandwidth.
+    and the x gather; then the y store — the row loop of a compiled
+    AIJ SpMV, which is how Table 1 prices the scalar baseline (no
+    solve here runs one: every solver Jacobian is BSR).  This is the
+    loop whose conflict misses the paper's Eqs. 1-2 bound: the x-gather
+    addresses span the matrix bandwidth.
     """
     lay = layout or TraceLayout()
     n = a.nrows

@@ -49,7 +49,7 @@ def _cut(a: CSRMatrix | BSRMatrix, rows: np.ndarray, indptr, indices,
         return BSRMatrix(indptr=indptr, indices=indices, data=data,
                          nbcols=rows.size, engine=a.engine)
     return CSRMatrix(indptr=indptr, indices=indices, data=data,
-                     ncols=rows.size, engine=a.engine)
+                     ncols=rows.size)
 
 
 def _elements(rows: np.ndarray, bs: int) -> np.ndarray:

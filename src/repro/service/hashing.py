@@ -80,9 +80,8 @@ def pattern_hash(indptr: np.ndarray, indices: np.ndarray) -> str:
 def canonical(obj) -> str:
     """Deterministic string form of a config-like object tree.
 
-    Handles dataclasses, enums, numpy dtypes/scalar types, ndarrays
-    (by content hash), and plain containers; anything else must have a
-    stable ``repr``.  Field order follows the dataclass definition, so
+    Handles dataclasses, enums, numpy dtypes/scalar types and plain
+    containers; anything else must have a stable ``repr``.  Field order follows the dataclass definition, so
     two equal configs canonicalise identically.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -92,8 +91,6 @@ def canonical(obj) -> str:
         return f"{type(obj).__name__}({fields})"
     if isinstance(obj, Enum):
         return f"{type(obj).__name__}.{obj.name}"
-    if isinstance(obj, np.ndarray):
-        return f"ndarray:{array_hash(obj)}"
     if isinstance(obj, np.dtype):
         return f"dtype:{obj.str}"
     if isinstance(obj, type):

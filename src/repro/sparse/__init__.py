@@ -1,11 +1,12 @@
 """From-scratch sparse linear algebra substrate.
 
 This package reimplements, in numpy, the pieces of PETSc that
-PETSc-FUN3D exercises: point CSR (AIJ) and block CSR (BAIJ) matrices,
-the sparse matrix-vector product in several kernel flavours, ILU(k)
-incomplete factorisation (scalar and block), level-scheduled sparse
-triangular solves, and reduced-precision factor storage (the paper's
-Table 2 memory-bandwidth optimisation).
+PETSc-FUN3D exercises: point CSR (AIJ) and block CSR (BAIJ) matrices
+with their sparse matrix-vector products, ILU(k) incomplete
+factorisation (scalar and block), level-scheduled sparse triangular
+solves, and reduced-precision factor storage (the paper's Table 2
+memory-bandwidth optimisation).  The block kernels have compiled twins
+in :mod:`repro.kernels`; the scalar ones are numpy only.
 
 scipy.sparse appears only in the test suite as an oracle.
 """
@@ -19,7 +20,6 @@ from repro.sparse.layouts import (
     interlaced_csr_from_bsr,
     field_split_csr_from_bsr,
 )
-from repro.sparse.spmv import spmv_csr, spmv_csr_ref
 from repro.sparse.ilu import (ilu_symbolic, ilu_symbolic_ref, ILUFactorCSR,
                               ILUFactorBSR, ilu_csr, ilu_bsr, ilu_csr_ref,
                               ilu_bsr_ref, EliminationSchedule,
@@ -35,8 +35,6 @@ __all__ = [
     "assemble_bsr",
     "interlaced_csr_from_bsr",
     "field_split_csr_from_bsr",
-    "spmv_csr",
-    "spmv_csr_ref",
     "ilu_symbolic",
     "ilu_symbolic_ref",
     "ilu_csr",

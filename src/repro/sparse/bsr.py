@@ -143,10 +143,8 @@ class BSRMatrix:
                                  indexing="ij")
         rows = (row_of[:, None, None] * bs + i_loc[None]).ravel()
         cols = (self.indices[:, None, None] * bs + j_loc[None]).ravel()
-        out = CSRMatrix.from_coo(rows, cols, self.data.ravel(),
-                                 (self.nbrows * bs, self.nbcols * bs))
-        out.engine = self.engine
-        return out
+        return CSRMatrix.from_coo(rows, cols, self.data.ravel(),
+                                  (self.nbrows * bs, self.nbcols * bs))
 
     def submatrix(self, brows: np.ndarray) -> "BSRMatrix":
         """Principal block submatrix on the given block-row set."""

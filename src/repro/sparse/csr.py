@@ -1,4 +1,10 @@
-"""Point CSR (PETSc "AIJ") matrix, implemented from scratch on numpy."""
+"""Point CSR (PETSc "AIJ") matrix, implemented from scratch on numpy.
+
+Scalar storage is the paper's Table 1 baseline: the experiments price
+it from the memory trace of its SpMV (:func:`repro.memory.trace.
+spmv_csr_trace`), and no solver Jacobian is one, so it has no compiled
+kernel; :meth:`CSRMatrix.matvec` is numpy only.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels as _kernels
 from repro.sparse.segsum import segment_sum
 
 __all__ = ["CSRMatrix"]
@@ -24,7 +29,6 @@ class CSRMatrix:
     indices: np.ndarray
     data: np.ndarray
     ncols: int
-    engine: str = "numpy"   # kernel tier for matvec (see repro.kernels)
 
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -102,11 +106,6 @@ class CSRMatrix:
         """y = A @ x via gather + segmented reduction (bincount handles
         empty rows, unlike reduceat)."""
         x = np.asarray(x)
-        if self.engine != "numpy":
-            y = _kernels.spmv_csr(self.indptr, self.indices, self.data, x,
-                                  self.engine)
-            if y is not None:
-                return y
         prods = self.data * x[self.indices]
         y = segment_sum(self.row_of, prods, self.nrows)
         return y.astype(np.result_type(self.data, x), copy=False)
@@ -133,7 +132,7 @@ class CSRMatrix:
         row_of = self.row_of
         return CSRMatrix(indptr=self.indptr, indices=self.indices,
                          data=self.data * np.asarray(s)[row_of],
-                         ncols=self.ncols, engine=self.engine)
+                         ncols=self.ncols)
 
     def add_diagonal(self, d: np.ndarray) -> "CSRMatrix":
         """Return A + diag(d); requires the diagonal already structurally
@@ -145,7 +144,7 @@ class CSRMatrix:
         data = self.data.copy()
         data[mask] += np.asarray(d)[row_of[mask]]
         return CSRMatrix(indptr=self.indptr, indices=self.indices,
-                         data=data, ncols=self.ncols, engine=self.engine)
+                         data=data, ncols=self.ncols)
 
     def permuted(self, perm: np.ndarray) -> "CSRMatrix":
         """Symmetric permutation P A P^T with new index i = old perm[i]."""
@@ -153,10 +152,8 @@ class CSRMatrix:
         inv = np.empty(perm.size, dtype=np.int64)
         inv[perm] = np.arange(perm.size, dtype=np.int64)
         row_of = self.row_of
-        out = CSRMatrix.from_coo(inv[row_of], inv[self.indices], self.data,
-                                 self.shape)
-        out.engine = self.engine
-        return out
+        return CSRMatrix.from_coo(inv[row_of], inv[self.indices], self.data,
+                                  self.shape)
 
     def submatrix(self, rows: np.ndarray) -> "CSRMatrix":
         """Principal submatrix on the given (sorted unique) index set."""
@@ -165,22 +162,18 @@ class CSRMatrix:
         local[rows] = np.arange(rows.size, dtype=np.int64)
         row_of = self.row_of
         keep = (local[row_of] >= 0) & (local[self.indices] >= 0)
-        out = CSRMatrix.from_coo(local[row_of[keep]],
-                                 local[self.indices[keep]],
-                                 self.data[keep],
-                                 (rows.size, rows.size))
-        out.engine = self.engine
-        return out
+        return CSRMatrix.from_coo(local[row_of[keep]],
+                                  local[self.indices[keep]],
+                                  self.data[keep],
+                                  (rows.size, rows.size))
 
     def astype(self, dtype) -> "CSRMatrix":
         return CSRMatrix(indptr=self.indptr, indices=self.indices,
-                         data=self.data.astype(dtype), ncols=self.ncols,
-                         engine=self.engine)
+                         data=self.data.astype(dtype), ncols=self.ncols)
 
     def copy(self) -> "CSRMatrix":
         return CSRMatrix(indptr=self.indptr.copy(), indices=self.indices.copy(),
-                         data=self.data.copy(), ncols=self.ncols,
-                         engine=self.engine)
+                         data=self.data.copy(), ncols=self.ncols)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

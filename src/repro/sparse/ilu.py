@@ -6,13 +6,16 @@ computes the level-of-fill pattern once per sparsity; the numeric
 phase refactors on that fixed pattern each time the Jacobian is
 refreshed — exactly PETSc's split.
 
-Both phases are compiled row loops where a C backend is available, as
-PETSc's are.  With ``engine="compiled"`` the symbolic phase is a C
-level-of-fill loop, integer-exact against the ``heapq`` loop kept as
-:func:`ilu_symbolic_ref` (which the numpy tier runs); the numeric
-phase is the reference IKJ row loop in C (:func:`repro.kernels.
-ilu_numeric`) and builds no schedule of any kind: the compiled
-triangular solves walk rows in natural order.
+Both phases of the block ILU are compiled row loops where a C backend
+is available, as PETSc's are.  With ``engine="compiled"`` the symbolic
+phase is a C level-of-fill loop, integer-exact against the ``heapq``
+loop kept as :func:`ilu_symbolic_ref` (which the numpy tier runs); the
+block numeric phase is the reference IKJ row loop in C
+(:func:`repro.kernels.ilu_numeric`) and builds no schedule of any
+kind: the compiled block triangular solves walk rows in natural order.
+The scalar (AIJ) factor shares the C symbolic phase and has no other
+compiled twin: no solver Jacobian is scalar, so :func:`ilu_csr` and
+:meth:`ILUFactorCSR.solve` always run the numpy tier below.
 
 On the numpy tier the numeric phase is *schedule driven*: the symbolic
 pattern is compiled once into an :class:`EliminationSchedule` —
@@ -389,8 +392,8 @@ def _solve_levels(factor) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return factor.solve_levels
 
 
-def _compiled_solves(factor, backend, bs):
-    """The factor's (L, U) C solves for ``backend``
+def _compiled_solves(factor, backend):
+    """The block factor's (L, U) C solves for ``backend``
     (:func:`repro.kernels.trisolver`), their operands checked the first
     time and kept while ``backend``, the pattern and the value arrays
     are the same objects; None for the numpy batches."""
@@ -400,34 +403,12 @@ def _compiled_solves(factor, backend, bs):
     if cached is None or not all(map(operator.is_, cached[0], key)):
         p = factor.pattern
         lower = _kernels.trisolver(p.l_indptr, p.l_indices, factor.l_data,
-                                   None, bs, backend)
+                                   None, factor.bs, backend)
         upper = _kernels.trisolver(p.u_indptr, p.u_indices, factor.u_data,
-                                   factor.inv_diag, bs, backend)
+                                   factor.inv_diag, factor.bs, backend)
         cached = factor._solves = (
             key, None if lower is None or upper is None else (lower, upper))
     return cached[1]
-
-
-def _solve(factor, b, backend, bs, lower, upper_inplace):
-    """``U^{-1} L^{-1} b`` in float64: the two C solves on one copy of
-    ``b`` where ``backend`` (None resolves ``factor.engine`` now) serves
-    them, else — or when one declines — the numpy batches ``lower`` then
-    ``upper_inplace`` from ``b`` again, U in place on L's output."""
-    if backend is None:
-        backend = _kernels.backend_for(factor.engine)
-    solves = (_compiled_solves(factor, backend, bs)
-              if backend is not None else None)
-    if solves is not None:
-        x = np.array(b, dtype=np.float64)
-        if solves[0](x) and solves[1](x):
-            return x
-    p = factor.pattern
-    blk = () if bs is None else (bs,)
-    y = lower(p.l_indptr, p.l_indices, factor.l_data, b,
-              lambda: _solve_levels(factor)[0], *blk)
-    return upper_inplace(p.u_indptr, p.u_indices, factor.u_data,
-                         factor.inv_diag, y,
-                         lambda: _solve_levels(factor)[1], *blk)
 
 
 # ----------------------------------------------------------------------
@@ -448,12 +429,9 @@ class ILUFactorCSR:
     l_data: np.ndarray
     u_data: np.ndarray
     inv_diag: np.ndarray
-    engine: str = "numpy"   # kernel tier for the triangular solves
+    engine: str = "numpy"   # the engine it was built with (refactors reuse it)
     #: (L, U) levels of the numpy trisolve; None until it first runs
     solve_levels: tuple | None = field(default=None, repr=False)
-    #: (key, (L, U) C solves) of :func:`_compiled_solves`
-    _solves: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
 
     @property
     def storage_dtype(self) -> np.dtype:
@@ -466,17 +444,16 @@ class ILUFactorCSR:
         return (self.l_data.size + self.u_data.size + self.inv_diag.size) * item
 
     def solve(self, b: np.ndarray, backend=None) -> np.ndarray:
-        """x = U^{-1} L^{-1} b, computed in float64; U is solved in
-        place on L's output, the one copy of ``b``.
-
-        ``backend`` is the kernel backend the caller resolved for
-        :attr:`engine` (an :class:`~repro.precond.asm.AdditiveSchwarz`
-        apply resolves it once for all its subdomains); None resolves
-        it here.  The compiled solves' operands are checked on the first
-        solve, after which a solve checks only ``b`` and makes two C
-        calls."""
-        return _solve(self, b, backend, None, lower_solve_csr,
-                      upper_solve_csr_inplace)
+        """x = U^{-1} L^{-1} b, computed in float64 by the numpy level
+        batches; U is solved in place on L's output, the one copy of
+        ``b``.  ``backend`` is accepted for the block factor's
+        signature and unused: no compiled scalar solve exists."""
+        p = self.pattern
+        y = lower_solve_csr(p.l_indptr, p.l_indices, self.l_data, b,
+                            lambda: _solve_levels(self)[0])
+        return upper_solve_csr_inplace(p.u_indptr, p.u_indices, self.u_data,
+                                       self.inv_diag, y,
+                                       lambda: _solve_levels(self)[1])
 
     def astype_storage(self, dtype) -> "ILUFactorCSR":
         return replace(self, l_data=self.l_data.astype(dtype),
@@ -487,40 +464,35 @@ class ILUFactorCSR:
 def ilu_csr(a: CSRMatrix, fill_level: int = 0,
             pattern: ILUPattern | None = None,
             storage_dtype=np.float64, engine: str = "numpy") -> ILUFactorCSR:
-    """Numeric ILU(k) of a scalar CSR matrix.
+    """Numeric ILU(k) of a scalar CSR matrix, bitwise :func:`ilu_csr_ref`.
 
-    ``engine="compiled"`` runs the C row loop, bitwise
-    :func:`ilu_csr_ref`, and builds no schedule.  The numpy tier (and
-    the compiled tier without a backend) is schedule driven: with a
-    reused ``pattern`` (the production path: one symbolic phase, many
-    Jacobian refreshes) the entire factorisation is batched numpy on
-    precompiled index arrays; no per-row Python work remains.
+    ``engine`` selects the symbolic phase (:func:`ilu_symbolic`); the
+    numeric phase is the numpy tier's on every engine, schedule driven:
+    with a reused ``pattern`` (one symbolic phase, many Jacobian
+    refreshes) the entire factorisation is batched numpy on precompiled
+    index arrays; no per-row Python work remains.
     """
     if pattern is None:
         pattern = ilu_symbolic(a.indptr, a.indices, fill_level, engine)
-    out = (_kernels.ilu_numeric(pattern, a.indptr, a.indices, a.data, engine)
-           if engine != "numpy" else None)
-    levels = None
-    if out is None:
-        sched = _schedule_for(pattern, a.indptr, a.indices)
-        off_d, off_u = sched.off_diag, sched.off_upper
-        w = np.zeros(sched.nnzl + sched.n + sched.nnzu, dtype=np.float64)
-        w[sched.a_dst] = a.data[sched.a_src]
-        _check_pivots(w, off_d, sched.pre_check)
-        # O(stages) sweep; the arithmetic stays fp64 (Table 2).
-        for st in sched.stages:
-            mult = w[st.lpos] / w[off_d + st.piv]
-            w[st.lpos] = mult
-            if st.dst.size:
-                # dst is unique within a stage, so the fancy-indexed
-                # subtract is an exact (unbuffered) scatter.
-                w[st.dst] -= mult[st.rep] * w[off_u + st.src]
-            # Rows finishing here are checked before any later stage can
-            # divide by their diagonal.
-            _check_pivots(w, off_d, st.check_rows)
-        out = (w[:off_d].copy(), w[off_u:].copy(), 1.0 / w[off_d:off_u])
-        levels = (sched.l_solve, sched.u_solve)
-    factor = ILUFactorCSR(pattern, *out, engine=engine, solve_levels=levels)
+    sched = _schedule_for(pattern, a.indptr, a.indices)
+    off_d, off_u = sched.off_diag, sched.off_upper
+    w = np.zeros(sched.nnzl + sched.n + sched.nnzu, dtype=np.float64)
+    w[sched.a_dst] = a.data[sched.a_src]
+    _check_pivots(w, off_d, sched.pre_check)
+    # O(stages) sweep; the arithmetic stays fp64 (Table 2).
+    for st in sched.stages:
+        mult = w[st.lpos] / w[off_d + st.piv]
+        w[st.lpos] = mult
+        if st.dst.size:
+            # dst is unique within a stage, so the fancy-indexed
+            # subtract is an exact (unbuffered) scatter.
+            w[st.dst] -= mult[st.rep] * w[off_u + st.src]
+        # Rows finishing here are checked before any later stage can
+        # divide by their diagonal.
+        _check_pivots(w, off_d, st.check_rows)
+    factor = ILUFactorCSR(pattern, w[:off_d].copy(), w[off_u:].copy(),
+                          1.0 / w[off_d:off_u], engine=engine,
+                          solve_levels=(sched.l_solve, sched.u_solve))
     if np.dtype(storage_dtype) != np.float64:
         factor = factor.astype_storage(storage_dtype)
     return factor
@@ -621,11 +593,32 @@ class ILUFactorBSR:
         return (self.l_data.size + self.u_data.size + self.inv_diag.size) * item
 
     def solve(self, b: np.ndarray, backend=None) -> np.ndarray:
-        """As :meth:`ILUFactorCSR.solve`, block by block; a row-major
-        factor's blocks are copied column-major once, on the first
-        compiled solve."""
-        return _solve(self, b, backend, self.bs, lower_solve_blocks,
-                      upper_solve_blocks_inplace)
+        """x = U^{-1} L^{-1} b, computed in float64: the two C solves on
+        one copy of ``b`` where ``backend`` serves them, else — or when
+        one declines — the numpy level batches from ``b`` again, U in
+        place on L's output.
+
+        ``backend`` is the kernel backend the caller resolved for
+        :attr:`engine` (an :class:`~repro.precond.asm.AdditiveSchwarz`
+        apply resolves it once for all its subdomains); None resolves
+        it here.  The compiled solves' operands are checked on the first
+        solve — a row-major factor's blocks are copied column-major
+        then, once — after which a solve checks only ``b`` and makes
+        two C calls."""
+        if backend is None:
+            backend = _kernels.backend_for(self.engine)
+        solves = (_compiled_solves(self, backend)
+                  if backend is not None else None)
+        if solves is not None:
+            x = np.array(b, dtype=np.float64)
+            if solves[0](x) and solves[1](x):
+                return x
+        p = self.pattern
+        y = lower_solve_blocks(p.l_indptr, p.l_indices, self.l_data, b,
+                               lambda: _solve_levels(self)[0], self.bs)
+        return upper_solve_blocks_inplace(
+            p.u_indptr, p.u_indices, self.u_data, self.inv_diag, y,
+            lambda: _solve_levels(self)[1], self.bs)
 
     def astype_storage(self, dtype) -> "ILUFactorBSR":
         return replace(self, l_data=self.l_data.astype(dtype),

@@ -187,9 +187,12 @@ class TestPreconditionerKnobs:
     def test_given_partition(self, wing):
         labels = np.zeros(wing.mesh.num_vertices, dtype=np.int64)
         labels[wing.mesh.num_vertices // 2:] = 1
-        rep = _solve(wing, precond=PreconditionerConfig(
-            nparts=2, partitioner="given", labels=labels))
-        assert rep.converged
+        cfg = SolverConfig(ptc=PTCConfig(cfl0=10.0), max_steps=30,
+                           target_reduction=1e-6, matrix_free=True,
+                           precond=PreconditionerConfig(nparts=2))
+        solver = NKSSolver(wing.disc, cfg, labels=labels)
+        assert np.array_equal(solver.partition_labels, labels)
+        assert solver.solve(wing.initial.flat()).converged
 
     def test_unknown_partitioner_raises(self, wing):
         with pytest.raises(ValueError):

@@ -2,16 +2,19 @@
 
 Equivalence comes in two strengths, and each test pins the right one:
 
-* **bitwise** — the scalar-CSR kernels (spmv_csr, scalar ILU and CSR trisolve in both f64 and f32 factor
-  storage, the first-order Jacobian assembly) accumulate in exactly the
-  oracle's order (``np.bincount`` sums sequentially in occurrence
-  order, and so do the compiled loops), so ``np.array_equal`` must
-  hold;
+* **bitwise** — the scatter kernels, the Green-Gauss gradients, the
+  first-order Jacobian assembly and the boundary closure accumulate in
+  exactly the oracle's order (``np.bincount`` sums sequentially in
+  occurrence order, and so do the compiled loops), so
+  ``np.array_equal`` must hold;
 * **normwise** — the block kernels (spmv_bsr, block ILU and block
   trisolve, the SPMD gather-SpMV) sum block columns sequentially where
   ``np.einsum`` uses SIMD pairwise order.  Raw ULP distance inflates
   on near-zero entries through cancellation, so the bound is relative
   to the result norm (machine-epsilon scale), not per-element.
+
+Scalar (CSR) matrices have no compiled kernel: on the compiled engine
+a scalar ILU shares only the C symbolic phase.
 
 On a machine without cffi+cc the dispatchers return
 None/False and every "compiled" path below collapses onto the oracle;
@@ -48,6 +51,7 @@ from repro.mesh.mesh import Mesh
 from repro.mesh.orderings import apply_orderings
 from repro.mesh.tetgen import box_mesh
 from repro.parallel import SPMDLayout, distributed_matvec
+from repro.parallel.spmd import rank_matvec_structs
 from repro.partition import kway_partition
 from repro.solvers.ptc import PTCConfig
 from repro.sparse.bsr import BSRMatrix
@@ -263,16 +267,17 @@ class TestDispatchGuards:
     def test_f32_spmv_data_refused(self):
         indptr = np.array([0, 1], dtype=np.int64)
         indices = np.array([0], dtype=np.int64)
-        data = np.ones(1, dtype=np.float32)
-        x = np.ones(1)
-        assert kernels.spmv_csr(indptr, indices, data, x, "compiled") is None
+        data = np.ones((1, 2, 2), dtype=np.float32)
+        x = np.ones(2)
+        assert kernels.spmv_bsr(indptr, indices, data, x, 1,
+                                "compiled") is None
 
     def test_mismatched_factor_dtypes_refused(self):
         indptr = np.array([0, 0], dtype=np.int64)
         indices = np.empty(0, dtype=np.int64)
-        data = np.empty(0, dtype=np.float32)
-        inv_diag = np.ones(1, dtype=np.float64)
-        assert kernels.trisolver(indptr, indices, data, inv_diag, None,
+        data = np.empty((0, 2, 2), dtype=np.float32)
+        inv_diag = np.ones((1, 2, 2), dtype=np.float64)
+        assert kernels.trisolver(indptr, indices, data, inv_diag, 2,
                                  kernels.backend_for("compiled")) is None
 
     def test_oversized_block_refused(self):
@@ -369,7 +374,8 @@ class TestDispatchGuards:
 
 
 class TestBitwiseKernels:
-    """The scatter/scalar-CSR family: compiled == numpy exactly."""
+    """The scatter family and the Jacobian assembly: compiled == numpy
+    exactly."""
 
     def test_jacobian_assembly(self, wing):
         prob, q, jac = wing
@@ -393,17 +399,11 @@ class TestBitwiseKernels:
             disc.engine = "numpy"
         assert np.array_equal(got.data, ref.data)
 
-    def test_spmv_csr(self, wing):
-        _, q, jac = wing
-        a = jac.to_csr()
-        ac = a.copy()
-        ac.engine = "compiled"
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(a.ncols)
-        assert np.array_equal(ac.matvec(x), a.matvec(x))
-
     @pytest.mark.parametrize("storage", [np.float64, np.float32])
     def test_ilu_trisolve_csr(self, wing, storage):
+        """The scalar factor shares only the C symbolic phase; its
+        numeric phase and solves are the numpy tier's on either
+        engine."""
         _, q, jac = wing
         a = jac.to_csr()
         ref = ilu_csr(a, fill_level=1, storage_dtype=storage)
@@ -476,8 +476,9 @@ class TestNormwiseKernels:
 
 class TestFloat32Vectors:
     """An fp32 Krylov vector (the fp32 policy's GMRES restart ``b - A
-    x``) on float64 blocks: widening it is exact, so the compiled SpMV
-    of ``x`` is the compiled SpMV of ``x.astype(float64)`` bit for bit,
+    x``, every matvec of a seq solve under it) on float64 blocks:
+    widening it is exact, so the compiled SpMV of ``x`` — global or one
+    rank's — is the compiled SpMV of ``x.astype(float64)`` bit for bit,
     and the einsum oracle widens the same way (CI runs the class on the
     numpy tier too)."""
 
@@ -498,6 +499,23 @@ class TestFloat32Vectors:
             assert got is None
             return
         assert got.dtype == np.float64
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_rank_dispatcher_widens_exactly(self, wing):
+        prob, _, jac = wing
+        layout = SPMDLayout.build(prob.mesh.edges, np.zeros(
+            prob.mesh.num_vertices, dtype=np.int64))
+        rd = layout.ranks[0]
+        flat, cols, seg = rank_matvec_structs(jac, rd)
+        x = self._x32(jac, 29)
+        got, want = (kernels.gather_spmv_bsr(jac.data, cols, seg, v,
+                                             rd.n_owned, "compiled",
+                                             flat=flat)
+                     for v in (x, x.astype(np.float64)))
+        if want is None:
+            assert got is None
+            return
+        assert got is not None and got.dtype == np.float64
         assert np.array_equal(_bits(got), _bits(want))
 
     def test_matvec_matches_the_oracle(self, wing):
@@ -882,9 +900,9 @@ class TestIndexGuards:
         trisolve symbol on 3 rows with one bad index: ``bad`` is a
         column ``"past_end"`` (3) or ``"negative"`` (-1), or a
         ``"row_pointer"`` past the entry count."""
-        name, _, bs = kind.partition(":")           # symbol[:bs]
-        bs = int(bs or 1)
-        blk = (bs, bs) if "bsr" in name else ()
+        name, _, bs = kind.partition(":")           # symbol:bs
+        bs = int(bs)
+        blk = (bs, bs)
         lower = name.startswith("lower")
         # L: row 2 holds (0, col); U: row 0 holds (1, col), solved last
         indptr = [0, 0, 1, 3] if lower else [0, 2, 3, 3]
@@ -898,8 +916,7 @@ class TestIndexGuards:
         rng = np.random.default_rng(83)
         data = rng.standard_normal((3,) + blk).astype(dtype)
         xbuf, x = _guarded(rng.standard_normal(3 * bs))
-        args = [3] + [bs] * ("bsr" in name) + [
-            3, np.array(indptr, dtype=np.int64),
+        args = [3, bs, 3, np.array(indptr, dtype=np.int64),
             np.array(indices, dtype=np.int64), data]
         if not lower:
             args.append(rng.standard_normal((3,) + blk).astype(dtype))
@@ -927,20 +944,14 @@ class TestIndexGuards:
             return "gather_spmv_bsr_f64", [
                 3, bs, 5, 4, 2, index["flat"], index["cols"], index["seg"],
                 rng.standard_normal((5, bs, bs)), x, y], [ybuf], 2
-        if kind == "spmv_bsr_f64":
-            ybuf, y = _guarded(np.zeros(2 * bs))
-            return kind, [2, bs, 4, 3, indptr, indices,
-                          rng.standard_normal((3, bs, bs)), x, y], [ybuf], 1
-        ybuf, y = _guarded(np.zeros(2))
-        args = [indptr, indices, rng.standard_normal(3), x[:4], y]
-        return kind, [2, 4, 3] + args, [ybuf], 1
+        ybuf, y = _guarded(np.zeros(2 * bs))
+        return kind, [2, bs, 4, 3, indptr, indices,
+                      rng.standard_normal((3, bs, bs)), x, y], [ybuf], 1
 
-    TRISOLVES = ([f"{side}_solve_csr_{p}" for side in ("lower", "upper")
-                  for p in ("f64", "f32")]
-                 + [f"{side}_solve_bsr_{p}:{bs}"
-                    for side in ("lower", "upper") for bs in (2, 4, 5)
-                    for p in ("f64", "f32")])
-    ROWWISE = TRISOLVES + ["spmv_csr_f64", "spmv_bsr_f64"]
+    TRISOLVES = [f"{side}_solve_bsr_{p}:{bs}"
+                 for side in ("lower", "upper") for bs in (2, 4, 5)
+                 for p in ("f64", "f32")]
+    ROWWISE = TRISOLVES + ["spmv_bsr_f64"]
     GATHERS = ["gather_spmv_bsr_f64-cols", "gather_spmv_bsr_f64-seg",
                "gather_spmv_bsr_f64-flat"]
 

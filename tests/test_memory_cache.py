@@ -5,14 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import CacheConfig,  simulate_trace
-from repro.memory.cache import make_cache_sim
-from repro.memory.tlb import TLBConfig, tlb_cache_config, tlb_sim
+from repro.memory import CacheConfig, CacheSim, FastCacheSim, simulate_trace
+from repro.memory.tlb import TLBConfig, tlb_cache_config
 
 # Every semantics test runs against both the per-reference oracle and
-# the vectorised fast engine (see tests/test_memory_fastsim.py for the
-# direct equivalence suite).
-ENGINES = ["ref", "fast"]
+# the vectorised simulator the experiments run (see
+# tests/test_memory_fastsim.py for the direct equivalence suite).
+SIMULATORS = {"ref": CacheSim, "fast": FastCacheSim}
+ENGINES = list(SIMULATORS)
+
+
+def make_sim(config, engine):
+    return SIMULATORS[engine](config)
+
+
+def simulate(addrs, config, engine):
+    sim = make_sim(config, engine)
+    sim.access(addrs)
+    return sim.counters
 
 
 def cfg(capacity=256, line=32, assoc=2, name="t"):
@@ -45,23 +55,21 @@ class TestSemantics:
     def test_compulsory_misses_only(self, engine):
         """Sequential walk over fresh memory: one miss per line."""
         addrs = np.arange(0, 64 * 32, 8)   # 64 lines of 32B, 8B steps
-        c = simulate_trace(addrs, cfg(capacity=4096, line=32, assoc=2),
-                           engine=engine)
+        c = simulate(addrs, cfg(capacity=4096, line=32, assoc=2), engine)
         assert c.misses == 64
         assert c.accesses == addrs.size
 
     def test_repeat_hits_when_fits(self, engine):
         addrs = np.tile(np.arange(0, 128, 8), 10)
-        c = simulate_trace(addrs, cfg(capacity=256, line=32, assoc=2),
-                           engine=engine)
+        c = simulate(addrs, cfg(capacity=256, line=32, assoc=2), engine)
         assert c.misses == 4   # 4 lines, compulsory only
 
     def test_capacity_thrash(self, engine):
         """Cyclic walk over 2x the capacity with LRU misses everything."""
         nlines = 16
         addrs = np.tile(np.arange(nlines) * 32, 5)
-        c = simulate_trace(addrs, cfg(capacity=nlines * 16, line=32,
-                                      assoc=nlines // 2), engine=engine)
+        c = simulate(addrs, cfg(capacity=nlines * 16, line=32,
+                                assoc=nlines // 2), engine)
         assert c.misses == c.accesses
 
     def test_conflict_misses_direct_mapped(self, engine):
@@ -70,16 +78,16 @@ class TestSemantics:
         capacity = 256
         a, b = 0, capacity        # same set in direct-mapped
         addrs = np.array([a, b] * 50)
-        dm = simulate_trace(addrs, cfg(capacity, 32, 1), engine=engine)
+        dm = simulate(addrs, cfg(capacity, 32, 1), engine)
         assert dm.misses == 100
-        sa = simulate_trace(addrs, cfg(capacity, 32, 2), engine=engine)
+        sa = simulate(addrs, cfg(capacity, 32, 2), engine)
         assert sa.misses == 2
 
     def test_lru_order(self, engine):
         """LRU evicts the least recently used, not the oldest insert."""
         line = 32
         c = cfg(capacity=2 * line, line=line, assoc=2)  # one set, 2 ways
-        sim = make_cache_sim(c, engine)
+        sim = make_sim(c, engine)
         A, B, C = 0, line * 7, line * 13   # map to the same (only) set
         sim.access(np.array([A, B, A, C]))  # C evicts B (A was refreshed)
         m = sim.misses
@@ -90,18 +98,18 @@ class TestSemantics:
 
     def test_miss_mask_filters_for_next_level(self, engine):
         addrs = np.array([0, 0, 32, 32, 64])
-        sim = make_cache_sim(cfg(capacity=4096, line=32, assoc=2), engine)
+        sim = make_sim(cfg(capacity=4096, line=32, assoc=2), engine)
         mask = sim.access(addrs, record_misses=True)
         assert mask.tolist() == [True, False, True, False, True]
 
     def test_reset(self, engine):
-        sim = make_cache_sim(cfg(), engine)
+        sim = make_sim(cfg(), engine)
         sim.access(np.arange(0, 1024, 32))
         sim.reset()
         assert sim.accesses == 0 and sim.misses == 0
 
     def test_counters_rates(self, engine):
-        c = simulate_trace(np.array([0, 0, 0, 0]), cfg(), engine=engine)
+        c = simulate(np.array([0, 0, 0, 0]), cfg(), engine)
         assert c.miss_rate == 0.25
         assert c.hits == 3
 
@@ -119,13 +127,13 @@ class TestTLB:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_page_locality_no_misses(self, engine):
-        t = tlb_sim(TLBConfig("tlb", 4, 4096), engine=engine)
+        t = make_sim(tlb_cache_config(TLBConfig("tlb", 4, 4096)), engine)
         t.access(np.arange(0, 4096, 8))   # one page
         assert t.misses == 1
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_page_thrash(self, engine):
-        t = tlb_sim(TLBConfig("tlb", 4, 4096), engine=engine)
+        t = make_sim(tlb_cache_config(TLBConfig("tlb", 4, 4096)), engine)
         pages = np.arange(8) * 4096        # 8 pages, 4 entries
         t.access(np.tile(pages, 3))
         assert t.misses == 24              # cyclic LRU thrash

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import repro.memory.fastsim as fastsim
 from repro.memory import CacheConfig, CacheSim, MemoryHierarchy
 from repro.memory.fastsim import (FastCacheSim, _prefix_smaller_counts,
-                                  collapse_trace, fast_simulate_trace)
-from repro.memory.tlb import TLBConfig, tlb_sim
+                                  collapse_trace, simulate_trace)
+from repro.memory.tlb import TLBConfig, tlb_cache_config, tlb_sim
 
 GEOMETRIES = [
     CacheConfig("dm", 1024, 32, 1),            # direct-mapped, 32 sets
@@ -65,8 +65,8 @@ def test_property_fully_associative_tlb(addr_list, entries_log2):
     entries = 1 << entries_log2
     tcfg = TLBConfig("tlb", entries, 256)
     addrs = np.array(addr_list, dtype=np.int64) * 64
-    ref = tlb_sim(tcfg, engine="ref")
-    fast = tlb_sim(tcfg, engine="fast")
+    ref = CacheSim(tlb_cache_config(tcfg))
+    fast = tlb_sim(tcfg)
     ref.access(addrs)
     fast.access(addrs)
     assert (ref.accesses, ref.misses) == (fast.accesses, fast.misses)
@@ -106,9 +106,9 @@ def test_chunked_batches_identical(monkeypatch):
     rng = np.random.default_rng(7)
     addrs = rng.integers(0, 1 << 16, size=5000) * 8
     tcfg = CacheConfig("fa", 32 * 64, 64, 32)
-    baseline = fast_simulate_trace(addrs, tcfg)
+    baseline = simulate_trace(addrs, tcfg)
     monkeypatch.setattr(fastsim, "_CHUNK", 128)
-    chunked = fast_simulate_trace(addrs, tcfg)
+    chunked = simulate_trace(addrs, tcfg)
     assert (chunked.accesses, chunked.misses) == \
         (baseline.accesses, baseline.misses)
     ref = CacheSim(tcfg)
@@ -145,7 +145,8 @@ def test_prefix_smaller_counts_vs_bruteforce():
 
 def test_hierarchy_engines_identical():
     """End-to-end: L1 + L1-miss-filtered L2 + TLB counters match
-    between the fast and oracle engines on a mixed trace."""
+    between the fast simulators and the oracle in their place on a
+    mixed trace."""
     from repro.perfmodel.machines import ORIGIN2000_R10K
 
     rng = np.random.default_rng(5)
@@ -155,8 +156,10 @@ def test_hierarchy_engines_identical():
     trace = np.concatenate([stream, scatter, stream])
     counters = {}
     for engine in ("ref", "fast"):
-        h = MemoryHierarchy(machine.l1, machine.l2, machine.tlb,
-                            engine=engine)
+        h = MemoryHierarchy(machine.l1, machine.l2, machine.tlb)
+        if engine == "ref":
+            h.l1, h.l2 = CacheSim(machine.l1), CacheSim(machine.l2)
+            h.tlb = CacheSim(tlb_cache_config(machine.tlb))
         h.run(trace)
         h.run(scatter)          # second batch exercises warm caches
         counters[engine] = h.counters.row()
@@ -177,19 +180,10 @@ def test_empty_and_degenerate_batches():
 
 
 @pytest.mark.parametrize("engine", ["ref", "fast"])
-def test_make_cache_sim_engines(engine):
-    from repro.memory.cache import make_cache_sim, simulate_trace
-
-    sim = make_cache_sim(GEOMETRIES[1], engine)
+def test_miss_mask_and_counters(engine):
+    sim = {"ref": CacheSim, "fast": FastCacheSim}[engine](GEOMETRIES[1])
     addrs = np.array([0, 0, 32, 32, 64], dtype=np.int64)
     mask = sim.access(addrs, record_misses=True)
     assert mask.tolist() == [True, False, True, False, True]
-    c = simulate_trace(addrs, GEOMETRIES[1], engine=engine)
+    c = simulate_trace(addrs, GEOMETRIES[1])
     assert (c.accesses, c.misses) == (5, 3)
-
-
-def test_unknown_engine_rejected():
-    from repro.memory.cache import make_cache_sim
-
-    with pytest.raises(ValueError):
-        make_cache_sim(GEOMETRIES[0], engine="magic")

@@ -27,7 +27,6 @@ ROOTS += sorted((REPO / "benchmarks" / "e2e").glob("*.py"))
 #: unreached on purpose, each with its reason
 ALLOWED = {
     "repro.solvers._reference": "R001 oracle, paired with tests",
-    "repro.sparse.spmv": "R001 oracle, paired with tests",
     "repro.lint.rules.*": "plugins: the manifest imports them for the "
                           "@rule side effect, which reads no name",
 }
