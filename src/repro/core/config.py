@@ -32,6 +32,12 @@ class KrylovConfig:
     restart: int = 20                # GMRES(m); paper uses 10-30
     max_iterations: int = 40         # total linear its per Newton (10-80)
 
+    def __post_init__(self) -> None:
+        if self.restart < 1:
+            raise ValueError("restart must be >= 1")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
+
 
 @dataclass
 class PreconditionerConfig:
@@ -39,7 +45,6 @@ class PreconditionerConfig:
     overlap: int = 0                 # Schwarz overlap delta (Table 4: 0-2)
     fill_level: int = 1              # ILU(k) (Table 4: 0-2; best often 1)
     variant: ASMVariant = ASMVariant.RESTRICTED
-    partitioner: str = "kway"        # 'kway' | 'pmetis'
 
     def __post_init__(self) -> None:
         self.variant = ASMVariant(self.variant)

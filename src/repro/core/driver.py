@@ -25,7 +25,6 @@ from repro.core.config import SolverConfig
 from repro.euler.discretization import EdgeFVDiscretization
 from repro.parallel.spmd import (SPMDLayout, distributed_matvec,
                                  distributed_residual)
-from repro.partition.bisect import pmetis_partition
 from repro.partition.kway import kway_partition
 from repro.precond.asm import AdditiveSchwarz, ASMConfig
 from repro.solvers.gmres import gmres
@@ -182,12 +181,8 @@ class NKSSolver:
         n = self.disc.mesh.num_vertices
         if cfg.nparts <= 1:
             return np.zeros(n, dtype=np.int64)
-        graph = self.disc.mesh.vertex_graph()
-        if cfg.partitioner == "kway":
-            return kway_partition(graph, cfg.nparts, seed=self.config.seed)
-        if cfg.partitioner == "pmetis":
-            return pmetis_partition(graph, cfg.nparts, seed=self.config.seed)
-        raise ValueError(f"unknown partitioner {cfg.partitioner!r}")
+        return kway_partition(self.disc.mesh.vertex_graph(), cfg.nparts,
+                              seed=self.config.seed)
 
     @property
     def partition_labels(self) -> np.ndarray:

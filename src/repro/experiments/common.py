@@ -73,7 +73,6 @@ def default_wing(size: str = "small", **kw) -> FlowProblem:
 
 
 def solve_with_partition(prob: FlowProblem, nparts: int, *,
-                         partitioner: str = "kway",
                          labels: np.ndarray | None = None,
                          fill_level: int = 1, overlap: int = 0,
                          max_steps: int = 8, cfl0: float = 10.0,
@@ -92,7 +91,7 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
     unreachable: scalability experiments compare a *fixed* number of
     pseudo-timesteps across partition counts, so iteration counts are
     directly comparable.  ``labels``, a partition made elsewhere,
-    replaces the ``partitioner``'s.  ``executor="seq"`` runs the solve
+    replaces the k-way one.  ``executor="seq"`` runs the solve
     on the SPMD rank loop and ``recorder`` instruments it (the measured
     Table 3).
     """
@@ -106,8 +105,7 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
                             max_iterations=krylov_maxiter,
                             restart=krylov_restart),
         precond=PreconditionerConfig(
-            nparts=nparts, fill_level=fill_level, overlap=overlap,
-            partitioner=partitioner),
+            nparts=nparts, fill_level=fill_level, overlap=overlap),
         seed=seed,
         engine=engine,
         policy=policy,

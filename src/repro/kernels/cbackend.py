@@ -68,8 +68,6 @@ spell their vectors out.
 
 from __future__ import annotations
 
-# lint: compiled (C twins of the numpy kernels; oracle map below)
-
 import hashlib
 import importlib
 import os
@@ -84,7 +82,7 @@ __oracles__ = {
     "spmv_bsr": "repro.sparse.bsr.BSRMatrix.matvec",
     "gather_spmv_bsr": "repro.parallel.spmd.rank_matvec",
     "lower_solver": "repro.sparse.trisolve.lower_solve_blocks",
-    "upper_solver": "repro.sparse.trisolve.upper_solve_blocks",
+    "upper_solver": "repro.sparse.trisolve.upper_solve_blocks_inplace",
     "ilu_symbolic": "repro.sparse.ilu.ilu_symbolic_ref",
     "ilu_numeric": "repro.sparse.ilu.ilu_bsr_ref",
     "rusanov_jacobian_scatter": "repro.euler.fluxes.rusanov_flux_jacobians",
@@ -96,7 +94,6 @@ __oracles__ = {
         "repro.euler.reconstruction.reconstruct_edge_states",
     "load_cbackend": "repro.kernels.capability.resolve_engine",
 }
-__fallback__ = "pure numpy via repro.kernels dispatch (returns None)"
 
 _CDEF = """
 long long spmv_bsr_f64(long long nbrows, long long bs, long long nbcols,

@@ -56,7 +56,7 @@ def structure_keys(mesh, config) -> dict:
     topo = topology_hash(mesh)
     pc_cfg = config.precond
     part_key = _digest_parts("partition", topo, str(pc_cfg.nparts),
-                             str(pc_cfg.partitioner), str(config.seed))
+                             str(config.seed))
     pc_key = _digest_parts(
         "precond", part_key,
         config_key((pc_cfg, config.policy, config.engine)))

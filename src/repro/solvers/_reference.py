@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.solvers.gmres import GMRESResult
+from repro.solvers.gmres import GMRESResult, _check_sizes
 from repro.solvers.krylov_base import as_operator
 
 __all__ = ["gmres_ref"]
@@ -27,6 +27,7 @@ def gmres_ref(a, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
               rtol: float = 1e-5, atol: float = 1e-50, restart: int = 20,
               maxiter: int = 200) -> GMRESResult:
     """Solve ``a x = b`` with the pre-workspace restarted GMRES."""
+    _check_sizes(restart, maxiter)
     op = as_operator(a, n=b.size)
     pc = M if M is not None else _IdentityPC()
     n = b.size

@@ -51,6 +51,15 @@ class _IdentityPC:
         return r
 
 
+def _check_sizes(restart: int, maxiter: int) -> None:
+    """Reject sizes no solve can run under (``restart=0`` would cycle
+    without ever taking an iteration)."""
+    if restart < 1:
+        raise ValueError(f"restart must be >= 1, got {restart}")
+    if maxiter < 0:
+        raise ValueError(f"maxiter must be >= 0, got {maxiter}")
+
+
 def gmres(a, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
           rtol: float = 1e-5, atol: float = 1e-50, restart: int = 20,
           maxiter: int = 200,
@@ -68,9 +77,9 @@ def gmres(a, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     rtol, atol:
         Stop when ``||r|| <= max(rtol * ||b||, atol)``.
     restart:
-        Krylov subspace dimension between restarts (GMRES(m)).
+        Krylov subspace dimension between restarts (GMRES(m)), >= 1.
     maxiter:
-        Cap on total inner iterations across all restarts.
+        Cap on total inner iterations across all restarts, >= 0.
     workspace:
         Preallocated arrays to (re)use; resized in place if they do not
         match ``(b.size, restart, dtype)``.  Passing the same workspace
@@ -86,6 +95,7 @@ def gmres(a, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     The working precision is taken from ``b``: a float32 right-hand
     side runs the basis, Hessenberg, and solution update in float32.
     """
+    _check_sizes(restart, maxiter)
     op = as_operator(a, n=b.size)
     rec = recorder if recorder is not None else NULL_RECORDER
     pc = M if M is not None else _IdentityPC()

@@ -23,8 +23,8 @@ import numpy as np
 from repro.sparse.segsum import concat_ranges, segment_sum
 
 __all__ = ["level_schedule", "level_schedule_ref", "lower_solve_csr",
-           "upper_solve_csr", "upper_solve_csr_inplace", "lower_solve_blocks",
-           "upper_solve_blocks", "upper_solve_blocks_inplace"]
+           "upper_solve_csr_inplace", "lower_solve_blocks",
+           "upper_solve_blocks_inplace"]
 
 
 def level_schedule_ref(indptr: np.ndarray, indices: np.ndarray,
@@ -147,18 +147,12 @@ def lower_solve_csr(indptr, indices, data, b, levels) -> np.ndarray:
     return x
 
 
-def upper_solve_csr(indptr, indices, data, inv_diag, b, levels) -> np.ndarray:
-    """Solve U x = b with U upper triangular; ``indices``/``data`` hold
-    the strictly-upper part and ``inv_diag`` the reciprocal diagonal."""
-    return upper_solve_csr_inplace(indptr, indices, data, inv_diag,
-                                   _rhs_copy(b), levels)
-
-
 def upper_solve_csr_inplace(indptr, indices, data, inv_diag, x,
                             levels) -> np.ndarray:
-    """:func:`upper_solve_csr` overwriting the float64 vector ``x``
-    with the solution (the ILU apply's second solve, on the first's
-    output)."""
+    """Solve U x = b with U upper triangular, overwriting the float64
+    vector ``x``, which holds b on entry (the ILU apply's second solve,
+    on the first's output); ``indices``/``data`` hold the strictly-upper
+    part and ``inv_diag`` the reciprocal diagonal."""
     for rows in _levels(levels):
         x[rows] = (x[rows] - _row_dot(indptr, indices, data, x, rows)) \
             * inv_diag[rows].astype(np.float64, copy=False)
@@ -187,17 +181,10 @@ def lower_solve_blocks(indptr, indices, data, b, levels,
     return x.ravel()
 
 
-def upper_solve_blocks(indptr, indices, data, inv_diag, b, levels,
-                       bs) -> np.ndarray:
-    """Block variant of :func:`upper_solve_csr`; ``inv_diag`` holds the
-    (nbrows, bs, bs) inverses of the diagonal blocks."""
-    return upper_solve_blocks_inplace(indptr, indices, data, inv_diag,
-                                      _rhs_copy(b), levels, bs)
-
-
 def upper_solve_blocks_inplace(indptr, indices, data, inv_diag, x, levels,
                                bs) -> np.ndarray:
-    """Block variant of :func:`upper_solve_csr_inplace`."""
+    """Block variant of :func:`upper_solve_csr_inplace`; ``inv_diag``
+    holds the (nbrows, bs, bs) inverses of the diagonal blocks."""
     xb = x.reshape(-1, bs)
     for rows in _levels(levels):
         rhs = xb[rows] - _row_dot_blocks(indptr, indices, data, xb, rows, bs)

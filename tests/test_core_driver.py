@@ -194,12 +194,6 @@ class TestPreconditionerKnobs:
         assert np.array_equal(solver.partition_labels, labels)
         assert solver.solve(wing.initial.flat()).converged
 
-    def test_unknown_partitioner_raises(self, wing):
-        with pytest.raises(ValueError):
-            NKSSolver(wing.disc, SolverConfig(
-                precond=PreconditionerConfig(nparts=2,
-                                             partitioner="magic")))
-
 
 class TestConfigValidation:
     def test_bad_max_steps(self):
@@ -223,6 +217,12 @@ class TestConfigValidation:
         # Modified Gram-Schmidt is the only GMRES orthogonalisation.
         with pytest.raises(TypeError):
             KrylovConfig(orthogonalization="mgs")
+
+    @pytest.mark.parametrize("bad", [{"restart": 0}, {"restart": -3},
+                                     {"max_iterations": -1}])
+    def test_bad_krylov_sizes(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            KrylovConfig(**bad)
 
 
 class TestExecutors:

@@ -58,7 +58,8 @@ from repro.sparse.bsr import BSRMatrix
 from repro.sparse.ilu import ilu_bsr, ilu_csr
 from repro.sparse.segsum import segment_sum
 from repro.sparse.trisolve import (_row_dot, _row_dot_blocks, level_schedule,
-                                   lower_solve_blocks, upper_solve_blocks)
+                                   lower_solve_blocks,
+                                   upper_solve_blocks_inplace)
 
 HAS_BACKEND = capability.available_backends() != ()
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -1059,8 +1060,9 @@ class TestBlockTrisolves:
         assert solves[0](lower) and solves[1](upper)
         assert_norm_close(lower, lower_solve_blocks(
             li, lx, ld, b, level_schedule(li, lx), bs))
-        assert_norm_close(upper, upper_solve_blocks(
-            ui, ux, ud, inv, b, level_schedule(ui, ux, reverse=True), bs))
+        assert_norm_close(upper, upper_solve_blocks_inplace(
+            ui, ux, ud, inv, b.copy(), level_schedule(ui, ux, reverse=True),
+            bs))
         assert np.array_equal(lower, _sequential_lower(li, lx, ld, b, bs))
         assert np.array_equal(upper,
                               _sequential_upper(ui, ux, ud, inv, b, bs))

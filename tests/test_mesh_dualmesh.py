@@ -123,7 +123,7 @@ def test_property_dual_metrics_consistent(nx, ny, nz, jitter, seed):
 
 @pytest.mark.xfail(strict=True, reason=(
     "mesh/tetgen.py applies _fix_orientation after the jitter, so an "
-    "inverted tet is relabelled positive (ROADMAP 5(a)); the generator "
+    "inverted tet is relabelled positive (ROADMAP item 1); the generator "
     "fix re-baselines benchmarks/e2e and deletes this test"))
 def test_jitter_can_tangle_the_mesh():
     """What a valid generator would guarantee.  Today: hypothesis'

@@ -1,8 +1,8 @@
 """Nothing in ``src/`` without a caller.
 
 A module stays only if a paper artefact (``repro.experiments``), a tool
-(``lint``, ``kernels``, ``sanitize``, the service), an example or the
-benchmark of record imports it, directly or through other modules.  A
+(``kernels``, ``sanitize``, the service), an example or the benchmark
+of record imports it, directly or through other modules.  A
 name imported from a package is followed through the ``__init__``
 re-export to the module that defines it, so being re-exported is not
 being called.
@@ -19,16 +19,14 @@ MODULES = {".".join(p.relative_to(SRC).with_suffix("").parts)
            .removesuffix(".__init__"): p
            for p in (SRC / "repro").rglob("*.py")}
 ROOTS = [MODULES[m] for m in (
-    "repro.experiments.__main__", "repro.lint.__main__",
-    "repro.kernels.__main__", "repro.service", "repro.sanitize")]
+    "repro.experiments.__main__", "repro.kernels.__main__",
+    "repro.service", "repro.sanitize")]
 ROOTS += sorted((REPO / "examples").glob("*.py"))
 ROOTS += sorted((REPO / "benchmarks" / "e2e").glob("*.py"))
 
 #: unreached on purpose, each with its reason
 ALLOWED = {
-    "repro.solvers._reference": "R001 oracle, paired with tests",
-    "repro.lint.rules.*": "plugins: the manifest imports them for the "
-                          "@rule side effect, which reads no name",
+    "repro.solvers._reference": "gmres's oracle, paired with tests",
 }
 
 
@@ -152,18 +150,72 @@ def _attr_calls(path, owners):
             and node.func.value.id in owners}
 
 
+def _defs(tree):
+    """Names of the functions defined at the top of a parsed module or
+    in a class body."""
+    return {n.name for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _test_names(path):
+    """Every identifier a test module names: variables, attributes and
+    imported symbols."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+    return names
+
+
+def test_every_oracle_has_a_tested_twin():
+    """Every public ``NAME_ref`` oracle has its fast twin ``NAME`` in
+    the same package, and some test module names both: an oracle with
+    no twin is dead weight, and a pair no test names is an equivalence
+    claim nobody checks."""
+    package_defs = {}
+    for path in MODULES.values():
+        package_defs.setdefault(path.parent, set()).update(
+            _defs(ast.parse(path.read_text())))
+    twinless, pairs = set(), set()
+    for names in package_defs.values():
+        for ref in names:
+            if ref.endswith("_ref") and not ref.startswith("_"):
+                pair = (ref, ref.removesuffix("_ref"))
+                (pairs if pair[1] in names else twinless).add(pair)
+    assert twinless == set()
+    tested = [_test_names(p) for p in (REPO / "tests").glob("*.py")]
+    assert {pair for pair in pairs
+            if not any(set(pair) <= names for names in tested)} == set()
+    assert pairs, "no oracle found: the scan is broken"
+
+
 def test_every_compiled_kernel_is_reached():
-    """Each entry of the C backend's ``__oracles__`` map is a backend
-    method a ``repro.kernels`` dispatcher calls, and each dispatcher is
-    called from ``src/`` outside the kernels package: a kernel nothing
-    reaches is deleted with its oracle entry, not left compiled."""
+    """The C backend's public callables (``load_cbackend`` and the
+    public ``CBackend`` methods) are exactly the keys of its
+    ``__oracles__`` map, and each value resolves to the numpy oracle it
+    names.  Each kernel is a backend method a ``repro.kernels``
+    dispatcher calls, and each dispatcher is called from ``src/``
+    outside the kernels package: a kernel nothing reaches is deleted
+    with its oracle entry, not left compiled."""
+    from pkgutil import resolve_name
+
     from repro import kernels
-    from repro.kernels.cbackend import CBackend, __oracles__
+    from repro.kernels.cbackend import __oracles__
 
     kdir = SRC / "repro" / "kernels"
-    methods = {n for n in vars(CBackend) if not n.startswith("_")}
+    tree = ast.parse((kdir / "cbackend.py").read_text())
+    methods = set().union(*(
+        _defs(cls) for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")))
+    public = {n for n in _defs(tree) | methods if not n.startswith("_")}
+    assert public == set(__oracles__)
+    for oracle in __oracles__.values():
+        resolve_name(oracle)
     kernel_names = set(__oracles__) - {"load_cbackend"}
-    assert kernel_names <= methods
     assert _attr_calls(kdir / "__init__.py", {"backend"}) >= kernel_names
     dispatchers = set(kernels.__all__) - {"backend_for", "resolve_engine"}
     called = set().union(*(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.solvers import gmres
+from repro.solvers._reference import gmres_ref
 from repro.solvers.krylov_base import (OperatorFromCallable,
                                        OperatorFromMatrix, as_operator)
 from repro.sparse import CSRMatrix, ilu_csr
@@ -96,6 +97,16 @@ class TestRestart:
         for m in (5, 60):
             its[m] = gmres(a, b, rtol=1e-8, restart=m, maxiter=1000).iterations
         assert its[5] >= its[60]
+
+    @pytest.mark.parametrize("solve", [gmres, gmres_ref])
+    @pytest.mark.parametrize("bad", [{"restart": 0}, {"restart": -3},
+                                     {"maxiter": -1}])
+    def test_unrunnable_sizes_raise(self, solve, bad):
+        """A restart below 1 (``restart=0`` would cycle without taking an
+        iteration) or a negative cap is a ``ValueError`` naming the
+        argument, from the kernel and its oracle alike."""
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            solve(np.eye(4), np.ones(4), **bad)
 
     def test_mgs_solution_satisfies_system(self, rng):
         a = spd_like(50, 10)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.sparse.trisolve import (level_schedule, level_schedule_ref,
                                    lower_solve_blocks, lower_solve_csr,
-                                   upper_solve_blocks, upper_solve_csr)
+                                   upper_solve_blocks_inplace,
+                                   upper_solve_csr_inplace)
 
 
 def random_lower(n, density, seed):
@@ -38,7 +39,7 @@ class TestLevelSchedule:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_wavefront_matches_ref_oracle(self, seed, reverse):
-        """The R001 contract pair: level_schedule vs its *_ref oracle."""
+        """The oracle pair: level_schedule vs its *_ref oracle."""
         l = random_lower(30, 0.25, seed)
         tri = l.T if reverse else l
         indptr, indices, _ = to_csr_parts(tri)
@@ -99,7 +100,8 @@ class TestScalarSolves:
         indptr, indices, data = to_csr_parts(u_strict)
         levels = level_schedule(indptr, indices, reverse=True)
         b = rng.random(n)
-        x = upper_solve_csr(indptr, indices, data, 1.0 / diag, b, levels)
+        x = upper_solve_csr_inplace(indptr, indices, data, 1.0 / diag,
+                                    b.copy(), levels)
         assert np.allclose((np.diag(diag) + u_strict) @ x, b)
 
 
@@ -138,8 +140,8 @@ class TestBlockSolves:
         inv_diag = np.linalg.inv(dblocks)
         levels = level_schedule(indptr, cols.astype(np.int64), reverse=True)
         b = rng.random(n * bs)
-        x = upper_solve_blocks(indptr, cols.astype(np.int64), data,
-                               inv_diag, b, levels, bs)
+        x = upper_solve_blocks_inplace(indptr, cols.astype(np.int64), data,
+                                       inv_diag, b.copy(), levels, bs)
         dense = np.zeros((n * bs, n * bs))
         for i in range(n):
             dense[bs*i:bs*i+bs, bs*i:bs*i+bs] = dblocks[i]
