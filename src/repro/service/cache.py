@@ -1,36 +1,27 @@
-"""Namespaced in-memory structure cache with hit/miss/byte telemetry.
+"""In-memory warm-structure cache with hit/miss/byte telemetry.
 
 One :class:`ServiceCache` instance backs a running
-:class:`~repro.service.service.SolverService`.  Namespaces mirror the
-setup structures the paper's Table 4/5 pipeline amortises:
-
-========================  ============================================
-namespace                 cached value
-========================  ============================================
-``partition``             per-vertex rank labels of a mesh topology
-``gather``                the SPMD layout with its per-rank SpMV
-                          gather structures (the sequential analogue
-                          of the proc workers' struct cache) riding
-                          ``SPMDLayout.gather_cache``
-``ilu_symbolic``          the subdomain symbolic ILU(k) patterns,
-                          with the elimination/level schedules of a
-                          numpy-tier solve riding them (via the
-                          harvested preconditioner; its refresh path
-                          makes reuse numeric-only)
-========================  ============================================
+:class:`~repro.service.service.SolverService`.  It holds one entry per
+compatibility key (:func:`repro.service.warm.warm_key`): everything a
+finished solve built — the partition labels, the SPMD layout with its
+per-rank SpMV gather structures, and the preconditioner with its
+symbolic ILU(k) patterns (and, on the numpy tier, the elimination and
+level schedules riding them).  These are the setup structures the
+paper's Table 4/5 pipeline amortises.
 
 The cache stores live objects, not serialised bytes — it is a warm
 in-process cache, the generalisation of the proc pool's sha1 matrix
 token, not a persistence layer.  ``nbytes`` records the approximate
 resident size of each entry so the byte telemetry means "working set
-retained", and an LRU bound (``max_entries`` per namespace) keeps a
-long-running service from accumulating every mesh it ever saw.
+retained", and an LRU bound (``max_entries``) keeps a long-running
+service from accumulating every mesh it ever saw.
 
 Thread safety: all mutating operations take one internal lock; the
 values themselves are handed out by reference, so *exclusive use* of a
 mutable structure (a preconditioner, a layout with its gather cache)
 is the caller's contract — the service serialises requests per
-compatibility key for exactly this reason.
+compatibility key, the same key the entry lives under, for exactly
+this reason.
 """
 
 from __future__ import annotations
@@ -41,12 +32,10 @@ from dataclasses import dataclass, field
 
 __all__ = ["CacheStats", "ServiceCache"]
 
-NAMESPACES = ("partition", "gather", "ilu_symbolic")
-
 
 @dataclass
 class CacheStats:
-    """Per-namespace counters."""
+    """Cache counters."""
 
     hits: int = 0
     misses: int = 0
@@ -76,30 +65,26 @@ class _Entry:
 
 @dataclass
 class ServiceCache:
-    """LRU structure cache, one ordered table + stats per namespace."""
+    """LRU structure cache: one ordered table and its stats.
+
+    ``max_entries=0`` caches nothing (every put is evicted at once).
+    """
 
     max_entries: int = 32
-    _tables: dict = field(default_factory=dict, repr=False)
-    _stats: dict = field(default_factory=dict, repr=False)
+    _table: OrderedDict = field(default_factory=OrderedDict, repr=False)
+    _stats: CacheStats = field(default_factory=CacheStats, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
 
     def __post_init__(self) -> None:
-        for ns in NAMESPACES:
-            self._tables[ns] = OrderedDict()
-            self._stats[ns] = CacheStats()
+        if self.max_entries < 0:
+            raise ValueError(
+                f"max_entries must be >= 0, got {self.max_entries}")
 
-    def _table(self, ns: str) -> OrderedDict:
-        if ns not in self._tables:
-            raise KeyError(f"unknown cache namespace {ns!r} "
-                           f"(expected one of {NAMESPACES})")
-        return self._tables[ns]
-
-    def get(self, ns: str, key: str):
+    def get(self, key):
         """Return the cached value or None; books a hit or a miss."""
         with self._lock:
-            table = self._table(ns)
-            st = self._stats[ns]
+            table, st = self._table, self._stats
             ent = table.get(key)
             if ent is None:
                 st.misses += 1
@@ -109,12 +94,11 @@ class ServiceCache:
             st.bytes_served += ent.nbytes
             return ent.value
 
-    def put(self, ns: str, key: str, value, nbytes: int = 0) -> None:
+    def put(self, key, value, nbytes: int = 0) -> None:
         """Insert/replace an entry; evicts least-recently-used past
         ``max_entries``."""
         with self._lock:
-            table = self._table(ns)
-            st = self._stats[ns]
+            table, st = self._table, self._stats
             old = table.pop(key, None)
             if old is not None:
                 st.bytes_stored -= old.nbytes
@@ -126,20 +110,10 @@ class ServiceCache:
                 st.evictions += 1
                 st.bytes_stored -= evicted.nbytes
 
-    def contains(self, ns: str, key: str) -> bool:
-        """Presence probe without touching the hit/miss counters."""
-        with self._lock:
-            return key in self._table(ns)
-
-    def stats(self) -> dict[str, CacheStats]:
-        with self._lock:
-            return dict(self._stats)
+    def stats(self) -> CacheStats:
+        return self._stats
 
     def stats_dict(self) -> dict:
-        return {ns: st.to_dict() for ns, st in self.stats().items()}
-
-    def clear(self) -> None:
+        """The counters under the cache's one name, ``warm``."""
         with self._lock:
-            for ns in NAMESPACES:
-                self._tables[ns].clear()
-                self._stats[ns].bytes_stored = 0
+            return {"warm": self._stats.to_dict()}

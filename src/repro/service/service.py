@@ -5,7 +5,7 @@ Request lifecycle::
     submit(SolveRequest) ──► bounded queue ──► dispatcher thread
         │ (reject when full)      │ (drop when deadline passed)
         ▼                         ▼
-    SolveTicket ◄── harvest ◄── solve ◄── seed (warm-cache probes)
+    SolveTicket ◄── harvest ◄── solve ◄── seed (warm-cache probe)
 
 * **Admission control** — the queue is bounded (``max_queue``); a
   submit against a full queue is rejected immediately (the ticket
@@ -15,12 +15,14 @@ Request lifecycle::
   the deadline every pseudo-timestep (the SNES-monitor idiom) and
   stops as ``timeout`` mid-solve.
 * **Batching** — requests are grouped by *compatibility key* (mesh
-  topology + the config knobs that shape reusable structures).  When a
-  dispatcher picks a request it also drains every queued request with
-  the same key (up to ``max_batch``) and runs them back-to-back under
-  one per-key lock, so the warm structures are seeded once and the
-  followers pay only the numeric work.  The per-key lock is also the
-  exclusive-use contract of the mutable warm structures.
+  topology + the config knobs that shape reusable structures, the
+  executor included), which is also the key of their warm cache
+  entry.  When a dispatcher picks a request it also drains every
+  queued request with the same key (up to ``max_batch``) and runs
+  them back-to-back under one per-key lock, so the warm structures
+  are seeded once and the followers pay only the numeric work.  The
+  per-key lock is also the exclusive-use contract of the mutable warm
+  structures.
 * **Failures** — a solve that raises ends its request as ``failed``
   with the exception on ``ticket.error``; the dispatcher goes on to the
   next request.
@@ -42,8 +44,7 @@ import numpy as np
 
 from repro.core.config import SolverConfig
 from repro.service.cache import ServiceCache
-from repro.service.hashing import _digest_parts
-from repro.service.warm import harvest_context, seed_solver, structure_keys
+from repro.service.warm import harvest_context, seed_solver, warm_key
 from repro.telemetry.recorder import TraceRecorder
 
 __all__ = ["SolveRequest", "SolveTicket", "ServiceStats", "SolverService"]
@@ -76,14 +77,14 @@ class SolveTicket:
     """
 
     def __init__(self, request: SolveRequest, rid: int,
-                 compat_key: str) -> None:
+                 compat_key: tuple) -> None:
         self.request = request
         self.rid = rid
         self.compat_key = compat_key
         self.status = "queued"
         self.report = None
         self.error: BaseException | None = None
-        self.seeded: dict = {}
+        self.seeded = False            # the warm entry was there
         self.trace: dict | None = None
         self.submitted_at = time.perf_counter()
         self.queue_wait_s = 0.0
@@ -160,7 +161,7 @@ class SolverService:
         self.max_batch = max(1, int(max_batch))
         self._queue: deque[SolveTicket] = deque()
         self._cv = threading.Condition()
-        self._key_locks: dict[str, threading.Lock] = {}
+        self._key_locks: dict[tuple, threading.Lock] = {}
         self._closing = False
         self._next_rid = 0
         self._threads = [
@@ -171,11 +172,9 @@ class SolverService:
             t.start()
 
     # -- submission -------------------------------------------------------
-    def compat_key(self, request: SolveRequest) -> str:
-        """Requests sharing this key share every warm structure."""
-        keys = structure_keys(request.disc.mesh, request.config)
-        return _digest_parts("compat", keys["ilu_symbolic"],
-                             str(request.config.executor))
+    def compat_key(self, request: SolveRequest) -> tuple:
+        """Requests sharing this key share one warm cache entry."""
+        return warm_key(request.disc.mesh, request.config)
 
     def submit(self, request: SolveRequest) -> SolveTicket:
         """Admit (or reject) one request; never blocks on the solve."""
@@ -245,7 +244,7 @@ class SolverService:
                     ticket.batched = i > 0
                     self._run_one(ticket)
 
-    def _key_lock(self, key: str) -> threading.Lock:
+    def _key_lock(self, key: tuple) -> threading.Lock:
         with self._cv:
             lock = self._key_locks.get(key)
             if lock is None:
@@ -269,7 +268,7 @@ class SolverService:
             with rec.span("service_seed"):
                 ctx = seed_solver(self.cache, req.disc, req.config,
                                   recorder=rec)
-                ticket.seeded = dict(ctx.seeded)
+                ticket.seeded = ctx.seeded
             deadline = ticket.deadline_at()
 
             def monitor(record, state):

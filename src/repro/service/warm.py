@@ -14,59 +14,68 @@ numbers.
 
 Key discipline
 --------------
-``partition`` / ``gather`` / ``ilu_symbolic`` are keyed by mesh
-**topology** (+ the config knobs that shape them), so a jittered mesh
-— same wing graph, perturbed coordinates — hits all three structural
-namespaces.
+One entry per :func:`warm_key`, which is also the service's
+compatibility key: the mesh **topology** plus every config knob that
+shapes a cached structure, the executor included.  A jittered mesh —
+same wing graph, perturbed coordinates — hits the entry; a request
+that changes any knob of the key builds its own.
 
 Exclusive use: a seeded preconditioner/layout is mutable shared state;
 callers must serialise requests that share a key (the service holds a
-per-key lock around seed -> solve -> harvest).
+per-key lock around seed -> solve -> harvest).  Because the lock and
+the entry share one key, two requests that run at the same time are
+never seeded with the same object.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
-from repro.service.hashing import _digest_parts, config_key, topology_hash
+import numpy as np
+
 from repro.telemetry.recorder import NULL_RECORDER
 
-__all__ = ["WarmContext", "structure_keys", "seed_solver",
+__all__ = ["WarmContext", "topology_hash", "warm_key", "seed_solver",
            "harvest_context"]
 
 
 @dataclass
 class WarmContext:
-    """What one seeded solve carries: the solver plus the cache keys
-    and per-namespace hit flags of the structures it was seeded with."""
+    """What one seeded solve carries: the solver, its cache key and
+    whether the key's entry was there at seed time."""
 
     solver: object                 # NKSSolver
-    keys: dict                     # namespace -> cache key
-    seeded: dict                   # namespace -> bool (hit at seed time)
+    key: tuple
+    seeded: bool
 
 
-def structure_keys(mesh, config) -> dict:
-    """Per-namespace cache keys for (mesh topology, solver config).
+def topology_hash(mesh) -> str:
+    """Connectivity-only key: vertex count + edges (no coordinates).
 
-    The partition key folds in only the knobs that shape the
-    partition; the preconditioner key folds in everything that shapes
-    the subdomain factors (overlap/fill/variant, the precision policy,
-    and the engine, which decides whether schedules ride them).
+    Partitions, SPMD layouts, gather structures and symbolic ILU all
+    depend on the *graph*, not the coordinates, so a jittered copy of
+    a mesh maps to the same key."""
+    edges = np.ascontiguousarray(mesh.edges)
+    h = hashlib.sha1(f"{int(mesh.num_vertices)}|{edges.dtype.str}|"
+                     f"{edges.shape}|".encode("ascii"))
+    h.update(edges.tobytes())
+    return h.hexdigest()
+
+
+def warm_key(mesh, config) -> tuple:
+    """The cache and compatibility key of (mesh topology, config).
+
+    It folds in every knob that shapes a cached structure: the
+    partition (``nparts``, ``seed``), the subdomain factors
+    (overlap/fill/variant, the precision policy, and the engine, which
+    decides whether schedules ride them) and the ``executor``, which
+    decides whether a layout exists at all.
     """
-    topo = topology_hash(mesh)
-    pc_cfg = config.precond
-    part_key = _digest_parts("partition", topo, str(pc_cfg.nparts),
-                             str(config.seed))
-    pc_key = _digest_parts(
-        "precond", part_key,
-        config_key((pc_cfg, config.policy, config.engine)))
-    # The gather namespace stores the whole SPMDLayout (rank worlds,
-    # scatter plan, gather-struct cache).  It is keyed like the preconditioner — not
-    # just the partition — so requests that could run concurrently
-    # (different compat keys) never share one mutable layout object.
-    gather_key = _digest_parts("gather", pc_key)
-    return {"partition": part_key, "gather": gather_key,
-            "ilu_symbolic": pc_key}
+    pc = config.precond
+    return (topology_hash(mesh), pc.nparts, pc.overlap, pc.fill_level,
+            pc.variant, config.policy, config.engine, config.seed,
+            config.executor)
 
 
 def _layout_nbytes(layout) -> int:
@@ -106,33 +115,24 @@ def _pattern_nbytes(pc) -> int:
 
 def seed_solver(cache, disc, config, *,
                 recorder=NULL_RECORDER) -> WarmContext:
-    """Build an :class:`~repro.core.driver.NKSSolver` seeded with every
-    compatible cached structure.
+    """Build an :class:`~repro.core.driver.NKSSolver` seeded with the
+    key's cached entry, if any.
 
-    Probes all three namespaces (each probe books a hit or a miss on
-    the cache): cached labels skip the partitioner, cached gather
-    structs pre-fill the layout's gather cache, and a harvested
-    preconditioner is injected so its refresh path reuses the symbolic
-    ILU (and, on the numpy tier, its schedules) numeric-only.
+    One probe books a hit or a miss on the cache.  On a hit the cached
+    labels skip the partitioner, the cached layout brings its gather
+    structs along, and the harvested preconditioner is injected so its
+    refresh path reuses the symbolic ILU (and, on the numpy tier, its
+    schedules) numeric-only.
     """
     from repro.core.driver import NKSSolver
 
-    keys = structure_keys(disc.mesh, config)
-    seeded = {}
-
-    labels = cache.get("partition", keys["partition"])
-    seeded["partition"] = labels is not None
-    layout = cache.get("gather", keys["gather"])
-    if config.executor == "local":
-        layout = None               # no SPMD layout in a local solve
-    seeded["gather"] = layout is not None
-    pc = cache.get("ilu_symbolic", keys["ilu_symbolic"])
-    seeded["ilu_symbolic"] = pc is not None
-
+    key = warm_key(disc.mesh, config)
+    entry = cache.get(key)
+    labels, layout, pc = entry if entry is not None else (None,) * 3
     solver = NKSSolver(disc, config,
                        recorder=recorder,
                        labels=labels, layout=layout, preconditioner=pc)
-    return WarmContext(solver=solver, keys=keys, seeded=seeded)
+    return WarmContext(solver=solver, key=key, seeded=entry is not None)
 
 
 def harvest_context(cache, ctx: WarmContext) -> None:
@@ -141,18 +141,15 @@ def harvest_context(cache, ctx: WarmContext) -> None:
     Idempotent per key: re-putting replaces the entry (the objects are
     usually the very ones a hit handed out).  On the numpy tier the
     :class:`EliminationSchedule` objects ride the subdomain patterns
-    inside the harvested preconditioner, so the ``ilu_symbolic`` entry
-    carries them and counts their bytes; a compiled-tier entry holds
-    the patterns and the subdomains' index maps alone.
+    inside the harvested preconditioner, so the entry carries them and
+    counts their bytes; a compiled-tier preconditioner brings the
+    patterns and the subdomains' index maps alone.
     """
     solver = ctx.solver
-    cache.put("partition", ctx.keys["partition"], solver._labels,
-              nbytes=solver._labels.nbytes)
-    layout = solver._layout
+    labels, layout, pc = solver._labels, solver._layout, solver._pc
+    nbytes = labels.nbytes
     if layout is not None:
-        cache.put("gather", ctx.keys["gather"], layout,
-                  nbytes=_layout_nbytes(layout))
-    pc = solver._pc
-    if pc is not None and pc.subdomains:
-        cache.put("ilu_symbolic", ctx.keys["ilu_symbolic"], pc,
-                  nbytes=_pattern_nbytes(pc))
+        nbytes += _layout_nbytes(layout)
+    if pc is not None:
+        nbytes += _pattern_nbytes(pc)
+    cache.put(ctx.key, (labels, layout, pc), nbytes=nbytes)

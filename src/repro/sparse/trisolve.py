@@ -16,8 +16,6 @@ called only when the numpy batches run.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from repro.sparse.segsum import concat_ranges, segment_sum
@@ -52,16 +50,9 @@ def level_schedule_ref(indptr: np.ndarray, indices: np.ndarray,
     return [g.astype(np.int64) for g in np.split(order, boundaries)]
 
 
-# Schedules keyed by a digest of the pattern; ILU reuses the same four
-# triangular patterns on every Jacobian refresh, so a handful of slots
-# suffices.  Entries are immutable-by-convention (callers only read).
-_LEVEL_MEMO: dict[tuple, list[np.ndarray]] = {}
-_LEVEL_MEMO_MAX = 16
-
-
 def level_schedule(indptr: np.ndarray, indices: np.ndarray,
                    reverse: bool = False) -> list[np.ndarray]:
-    """Dependency levels of a triangular pattern, vectorised + memoised.
+    """Dependency levels of a triangular pattern, vectorised.
 
     Same contract as :func:`level_schedule_ref` (the per-row oracle),
     computed by breadth-first Kahn wavefronts: all zero-indegree rows
@@ -69,19 +60,12 @@ def level_schedule(indptr: np.ndarray, indices: np.ndarray,
     of the current frontier in one segmented pass, and rows whose last
     dependency just resolved form the next level.  The wavefront order
     is dependency-driven, so the same code serves lower and upper
-    (``reverse=True``) patterns.  Results are memoised on a digest of
-    the pattern arrays — ILU refactorisations recompute values, never
-    structure, so repeated calls are dictionary lookups.
+    (``reverse=True``) patterns.  Callers keep the result: an ILU
+    factor on its ``solve_levels``, an elimination schedule on its
+    ``l_solve`` / ``u_solve``.
     """
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     indices = np.ascontiguousarray(indices, dtype=np.int64)
-    h = hashlib.sha1(indptr.tobytes())
-    h.update(indices.tobytes())
-    key = (bool(reverse), h.hexdigest())
-    cached = _LEVEL_MEMO.get(key)
-    if cached is not None:
-        return cached
-
     n = indptr.size - 1
     if n == 0:
         return [np.empty(0, dtype=np.int64)]
@@ -108,10 +92,6 @@ def level_schedule(indptr: np.ndarray, indices: np.ndarray,
         deg -= np.bincount(touched, minlength=n)
         cand = np.unique(touched)    # ascending, like the oracle's order
         frontier = cand[deg[cand] == 0]
-
-    if _LEVEL_MEMO_MAX and len(_LEVEL_MEMO) >= _LEVEL_MEMO_MAX:
-        _LEVEL_MEMO.pop(next(iter(_LEVEL_MEMO)))
-    _LEVEL_MEMO[key] = levels
     return levels
 
 

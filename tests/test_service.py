@@ -3,7 +3,8 @@
 The service's correctness contract is inherited — every solve runs
 the oracle-disciplined NKSSolver — so these tests focus on the
 service semantics: warm-seeded solves are bitwise-identical to cold
-ones, cache namespaces hit per structure, the bounded queue rejects,
+ones (also when requests of different keys run at the same time), one
+cache entry per compatibility key, the bounded queue rejects,
 deadlines expire requests, batching groups compatible requests, and
 a solve that raises fails its own request without stopping the
 service.
@@ -15,11 +16,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import PreconditionerConfig, SolverConfig
+from repro.core.driver import NKSSolver
 from repro.euler import wing_problem
 from repro.service import (ServiceCache, SolveRequest, SolverService,
-                           config_key, mesh_hash, pattern_hash,
-                           topology_hash)
-from repro.service.warm import harvest_context, seed_solver
+                           harvest_context, seed_solver)
+from repro.service.warm import _layout_nbytes, _pattern_nbytes, topology_hash
 
 
 def small_cfg(**kw):
@@ -39,35 +40,22 @@ def make_prob(jitter=0.0, size=(7, 5, 4)):
 
 
 class TestHashing:
-    def test_mesh_hash_sees_coords(self):
+    def test_topology_hash_ignores_coords(self):
         a, b = make_prob(), make_prob(jitter=1e-6)
         assert topology_hash(a.mesh) == topology_hash(b.mesh)
-        assert mesh_hash(a.mesh) != mesh_hash(b.mesh)
 
     def test_topology_hash_sees_edges(self):
         a, b = make_prob(), make_prob(size=(8, 5, 4))
         assert topology_hash(a.mesh) != topology_hash(b.mesh)
 
-    def test_config_key_stable_and_discriminating(self):
-        assert config_key(small_cfg()) == config_key(small_cfg())
-        assert config_key(small_cfg()) != config_key(
-            small_cfg(max_steps=5))
-
-    def test_pattern_hash(self):
-        prob = make_prob()
-        q = prob.initial.flat()
-        jac = prob.disc.shifted_jacobian(q, 10.0)
-        h = pattern_hash(jac.indptr, jac.indices)
-        assert h == pattern_hash(jac.indptr.copy(), jac.indices.copy())
-
 
 class TestServiceCache:
     def test_hit_miss_byte_accounting(self):
         cache = ServiceCache()
-        assert cache.get("partition", "k") is None
-        cache.put("partition", "k", np.arange(8), nbytes=64)
-        assert cache.get("partition", "k") is not None
-        st = cache.stats()["partition"]
+        assert cache.get("k") is None
+        cache.put("k", np.arange(8), nbytes=64)
+        assert cache.get("k") is not None
+        st = cache.stats()
         assert (st.hits, st.misses, st.puts) == (1, 1, 1)
         assert st.bytes_stored == 64 and st.bytes_served == 64
         assert st.hit_ratio == 0.5
@@ -75,22 +63,37 @@ class TestServiceCache:
     def test_lru_eviction(self):
         cache = ServiceCache(max_entries=2)
         for i in range(3):
-            cache.put("gather", f"k{i}", i, nbytes=10)
-        st = cache.stats()["gather"]
+            cache.put(f"k{i}", i, nbytes=10)
+        st = cache.stats()
         assert st.evictions == 1 and st.bytes_stored == 20
-        assert cache.get("gather", "k0") is None       # evicted
-        assert cache.get("gather", "k2") == 2
+        assert cache.get("k0") is None       # evicted
+        assert cache.get("k2") == 2
 
-    def test_unknown_namespace_rejected(self):
-        with pytest.raises(KeyError, match="namespace"):
-            ServiceCache().get("jacobians", "k")
+    def test_negative_max_entries_rejected(self):
+        with pytest.raises(ValueError, match="max_entries"):
+            ServiceCache(max_entries=-1)
+
+    def test_zero_max_entries_caches_nothing(self):
+        """``max_entries=0`` is valid: every request completes cold and
+        its entry is evicted at harvest."""
+        with SolverService(workers=1,
+                           cache=ServiceCache(max_entries=0)) as svc:
+            p = make_prob()
+            tickets = [svc.submit(SolveRequest(p.disc, p.initial.flat(),
+                                               small_cfg(max_steps=1)))
+                       for _ in range(2)]
+            for t in tickets:
+                assert t.result(timeout=300) is not None
+                assert t.status == "completed" and not t.seeded
+            st = svc.cache.stats()
+            assert (st.evictions, st.bytes_stored) == (2, 0)
 
 
 class TestWarmSeeding:
     @pytest.mark.parametrize("engine", ["numpy", "compiled"])
     def test_entry_bytes_count_schedules_where_they_exist(self, engine):
         """A numpy-tier solve leaves an elimination schedule on every
-        pattern and the ``ilu_symbolic`` entry counts it; a compiled
+        pattern and the warm entry counts it; a compiled
         solve with a backend builds none, so the entry is the patterns'
         and the subdomains' index arrays alone — the slot maps into the
         Jacobian and the flat element indices of the apply among
@@ -114,7 +117,8 @@ class TestWarmSeeding:
         index_bytes = maps + sum(p.l_indptr.nbytes + p.l_indices.nbytes
                                  + p.u_indptr.nbytes + p.u_indices.nbytes
                                  for p in patterns)
-        stored = cache.stats()["ilu_symbolic"].bytes_stored
+        stored = (cache.stats().bytes_stored - ctx.solver._labels.nbytes
+                  - _layout_nbytes(ctx.solver._layout))
         if engine == "compiled" and kernels.backend_for(engine) is not None:
             assert not any(hasattr(p, "_schedule") for p in patterns)
             assert stored == index_bytes
@@ -123,10 +127,10 @@ class TestWarmSeeding:
             assert stored > index_bytes
 
     def test_gather_entry_counts_the_scatter_plan(self):
-        """The ``gather`` entry is the whole layout, so its bytes are
-        the rank worlds, the gather structs and every index array of
-        the scatter plan (the boundary rows included: a first-order
-        solve runs the distributed residual)."""
+        """The entry holds the whole layout, so its bytes are the rank
+        worlds, the gather structs and every index array of the
+        scatter plan (the boundary rows included: a first-order solve
+        runs the distributed residual)."""
         cache = ServiceCache()
         prob = make_prob()
         prob.disc.second_order = False
@@ -148,27 +152,29 @@ class TestWarmSeeding:
             *plan.e0, *plan.e1, verts, kinds,
             *(a for rank in rows for a in rank)))
         assert structs > 0 and plan_bytes > 0
-        assert cache.stats()["gather"].bytes_stored == \
-            worlds + structs + plan_bytes
+        assert _layout_nbytes(layout) == worlds + structs + plan_bytes
+        assert cache.stats().bytes_stored == (
+            ctx.solver._labels.nbytes + _layout_nbytes(layout)
+            + _pattern_nbytes(ctx.solver._pc))
 
     def test_cold_then_warm_bitwise_identical(self):
         cache = ServiceCache()
         cfg = small_cfg()
         p1 = make_prob()
         ctx1 = seed_solver(cache, p1.disc, cfg)
-        assert not any(ctx1.seeded.values())
+        assert not ctx1.seeded
         rep1 = ctx1.solver.solve(p1.initial.flat())
         harvest_context(cache, ctx1)
-        assert set(ctx1.seeded) == set(cache.stats()) == {
-            "partition", "gather", "ilu_symbolic"}
+        assert list(cache.stats_dict()) == ["warm"]
 
         p2 = make_prob()
         ctx2 = seed_solver(cache, p2.disc, cfg)
-        assert all(ctx2.seeded.values())
+        assert ctx2.seeded
+        assert ctx2.solver._pc is ctx1.solver._pc
         rep2 = ctx2.solver.solve(p2.initial.flat())
         assert np.array_equal(rep1.final_state, rep2.final_state)
 
-    def test_jittered_mesh_hits_structural_namespaces(self):
+    def test_jittered_mesh_hits_the_entry(self):
         """Same topology, perturbed coordinates: partitions, gather
         structs, and the symbolic preconditioner all reuse."""
         cache = ServiceCache()
@@ -180,7 +186,7 @@ class TestWarmSeeding:
 
         p2 = make_prob(jitter=1e-8)
         ctx2 = seed_solver(cache, p2.disc, cfg)
-        assert all(ctx2.seeded.values())
+        assert ctx2.seeded
         rep2 = ctx2.solver.solve(p2.initial.flat())
         assert rep2.num_steps > 0
 
@@ -193,7 +199,61 @@ class TestWarmSeeding:
         ctx2 = seed_solver(
             cache, make_prob().disc,
             small_cfg(precond=PreconditionerConfig(nparts=3)))
-        assert not any(ctx2.seeded.values())
+        assert not ctx2.seeded
+
+    def test_executors_never_share_a_structure(self):
+        """Two configs that differ only in ``executor`` have different
+        compatibility keys, so the service may run them at the same
+        time: they must not be seeded with the same mutable
+        preconditioner or layout, even once both are cached."""
+        cfgs = [small_cfg(executor=e) for e in ("seq", "local")]
+        p = make_prob()
+        with SolverService(workers=1) as svc:
+            keys = {svc.compat_key(SolveRequest(p.disc, p.initial.flat(),
+                                                cfg)) for cfg in cfgs}
+        assert len(keys) == 2
+        cache = ServiceCache()
+        for _ in range(2):
+            ctxs = [seed_solver(cache, make_prob().disc, cfg)
+                    for cfg in cfgs]
+            for ctx in ctxs:
+                ctx.solver.solve(p.initial.flat())
+                harvest_context(cache, ctx)
+        seq, local = ctxs
+        assert seq.seeded and local.seeded
+        assert seq.solver._pc is not local.solver._pc
+        assert seq.solver._layout is not None
+        assert local.solver._layout is None
+
+
+class TestConcurrentKeys:
+    def test_concurrent_executors_match_cold_solves(self):
+        """Requests that differ only in ``executor`` have different keys,
+        so two dispatchers run them at the same time.  Each must solve
+        on its own warm structures: every final state is bitwise its
+        cold solve's."""
+        def prob(alpha):
+            return wing_problem(9, 6, 5, alpha_deg=alpha)
+
+        runs = [(alpha, executor) for alpha in (3.0, 5.0)
+                for executor in ("local", "seq")]
+        with SolverService(workers=2) as svc:
+            p = prob(3.0)
+            svc.submit(SolveRequest(p.disc, p.initial.flat(),
+                                    small_cfg())).result(timeout=300)
+            tickets = []
+            for alpha, executor in runs:
+                p = prob(alpha)
+                tickets.append(svc.submit(SolveRequest(
+                    p.disc, p.initial.flat(),
+                    small_cfg(executor=executor))))
+            warm = [t.result(timeout=300) for t in tickets]
+        for (alpha, executor), rep in zip(runs, warm):
+            p = prob(alpha)
+            cold = NKSSolver(p.disc, small_cfg(executor=executor)).solve(
+                p.initial.flat())
+            assert np.array_equal(rep.final_state, cold.final_state), \
+                (alpha, executor)
 
 
 class TestServiceLifecycle:
@@ -204,14 +264,13 @@ class TestServiceLifecycle:
             t1 = svc.submit(SolveRequest(p.disc, p.initial.flat(), cfg))
             rep1 = t1.result(timeout=300)
             assert t1.status == "completed"
-            assert not any(t1.seeded.values())
+            assert not t1.seeded
             p2 = make_prob()
             t2 = svc.submit(SolveRequest(p2.disc, p2.initial.flat(), cfg))
             rep2 = t2.result(timeout=300)
-            assert all(t2.seeded.values())
+            assert t2.seeded
             assert np.array_equal(rep1.final_state, rep2.final_state)
-            for ns, st in svc.cache.stats().items():
-                assert st.hits > 0, f"no warm hits in {ns}"
+            assert svc.cache.stats().hits == 1
 
     def test_request_trace_has_service_spans(self):
         with SolverService(workers=1) as svc:
