@@ -131,7 +131,7 @@ class NKSSolver:
 
     Warm injection (the solver-service seam): ``labels`` skips the
     partitioner, ``layout`` additionally skips the SPMD layout build
-    (and brings its gather cache along), and ``preconditioner``
+    (and brings its scatter plan along), and ``preconditioner``
     injects a previously-harvested :class:`AdditiveSchwarz` whose
     refresh path reuses the symbolic ILU (and, on the numpy tier, its
     schedules) numeric-only.  All

@@ -44,7 +44,7 @@ from repro.kernels.capability import resolve_engine
 from repro.kernels.cbackend import ILU_OK
 
 __all__ = ["backend_for", "resolve_engine",
-           "spmv_bsr", "gather_spmv_bsr", "trisolver",
+           "spmv_bsr", "gather_spmv_bsr", "seq_matvec_bsr", "trisolver",
            "rusanov_jacobian_scatter", "boundary_closure",
            "rusanov_scatter", "green_gauss",
            "muscl_rusanov_scatter", "ilu_symbolic", "ilu_numeric"]
@@ -111,26 +111,30 @@ def _i64(a: np.ndarray) -> np.ndarray:
 # dispatchers — None/False means "run the numpy oracle instead"
 # ----------------------------------------------------------------------
 
-def _blocks_ok(data, nnzb, x) -> bool:
+def _blocks_ok(data, nnzb, x, nrows=None) -> bool:
     """``data`` is ``nnzb`` square blocks the C stack buffers fit, and
-    ``x`` a whole number of block rows."""
-    return (data.ndim == 3 and data.shape[0] == nnzb
-            and 1 <= data.shape[1] == data.shape[2] <= MAX_BS
-            and x.size % data.shape[1] == 0)
+    ``x`` a whole number of block rows (``nrows`` of them, if given)."""
+    if not (data.ndim == 3 and data.shape[0] == nnzb
+            and 1 <= data.shape[1] == data.shape[2] <= MAX_BS):
+        return False
+    bs = data.shape[1]
+    return x.size % bs == 0 if nrows is None else x.size == nrows * bs
 
 
-def spmv_bsr(indptr, indices, data, x, nbrows, engine):
+def spmv_bsr(indptr, indices, data, x, nbrows, nbcols, engine):
     """Block SpMV on float64 blocks; ULP-bounded vs the
     einsum/segment-sum oracle.  A float32 ``x`` (an fp32 Krylov vector)
     is widened to float64 first — exactly, as the oracle's einsum
-    widens it — and the result is float64; float32 blocks decline."""
+    widens it — and the result is float64; float32 blocks, and an ``x``
+    of other than ``nbcols`` block rows, decline."""
     backend = backend_for(engine)
     if backend is None:
         return None
     data = _f64(np.asarray(data))
     x = _vector(x)
     indptr, indices = _i64(indptr), _i64(indices)
-    if data is None or x is None or not _blocks_ok(data, indices.size, x):
+    if (data is None or x is None
+            or not _blocks_ok(data, indices.size, x, int(nbcols))):
         return None
     return backend.spmv_bsr(indptr, indices, data, x, int(nbrows))
 
@@ -155,6 +159,42 @@ def gather_spmv_bsr(data, cols, seg, x, n_owned, engine, flat=None):
                               else data.shape[0], x)):
         return None
     return backend.gather_spmv_bsr(data, cols, seg, x, int(n_owned), flat)
+
+
+def seq_matvec_bsr(home, row_off, ghost_off, ghost_src, blk_off, flat, cols,
+                   seg, data, x, engine):
+    """The ``seq`` executor's whole matvec in one call, through a
+    :class:`~repro.parallel.spmd.ScatterPlan`'s arrays: distribute ``x``
+    into the flat buffer through ``home``, refresh every rank's ghost
+    rows (the last ``ghost_off[r + 1] - ghost_off[r]`` of rank ``r``'s
+    rows ``row_off[r] .. row_off[r + 1]``) from ``ghost_src``, then add
+    every rank's blocks ``blk_off[r] .. blk_off[r + 1]``:
+    ``y[seg[k]] += data[flat[k]] buf[cols[k]]``, with ``cols`` buffer
+    rows and ``seg`` global rows.
+
+    Returns ``(y, times)``: ``y`` float64 — bitwise the per-rank
+    :func:`gather_spmv_bsr` and the global :func:`spmv_bsr`, whose block
+    products it adds in the same order — and ``times`` of shape
+    ``(nranks, 2)``, each rank's refresh and matvec seconds.  A float32
+    ``x`` is widened exactly.  None for the numpy per-rank loop (the
+    oracle): no backend, an operand outside the contract, or an index
+    out of range.
+    """
+    backend = backend_for(engine)
+    if backend is None:
+        return None
+    data = _f64(np.asarray(data))
+    x = _vector(x)
+    home, row_off, ghost_off, ghost_src, blk_off, flat, cols, seg = map(
+        _i64, (home, row_off, ghost_off, ghost_src, blk_off, flat, cols, seg))
+    if (data is None or x is None
+            or not _blocks_ok(data, data.shape[0], x, home.size)
+            or row_off.ndim != 1 or row_off.size < 1 or row_off[0] != 0
+            or not row_off.shape == ghost_off.shape == blk_off.shape
+            or not flat.shape == cols.shape == seg.shape):
+        return None
+    return backend.seq_matvec_bsr(home, row_off, ghost_off, ghost_src,
+                                  blk_off, flat, cols, seg, data, x)
 
 
 def trisolver(indptr, indices, data, inv_diag, bs, backend):

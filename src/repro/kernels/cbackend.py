@@ -33,6 +33,13 @@ the equivalence contract is provable, not hoped for:
   Each entry is still 0.0 plus its products in ascending ``j``, the
   order of the row-major loops they replaced, so the factors and
   solves are bitwise theirs;
+* the global SpMV, the SPMD rank SpMV and the ``seq`` matvec share one
+  block loop, run with bs 4 and 5 as constants: each row's sum starts
+  at 0.0, adds its products in ascending ``c`` and goes into ``y``, so
+  the three are bitwise one another; the ``seq`` matvec is a whole
+  ``seq`` executor call — distribute, ghost refresh, every rank's
+  blocks — in one C call, which times each rank's refresh and blocks
+  (``CLOCK_MONOTONIC``) for the trace;
 * the library is compiled for the widest x86-64 level the CPU offers
   (``-march=x86-64-v4`` or ``-v3``, :func:`_host_isa`; the compiler's
   default elsewhere), named by ``CBackend.isa``; every level computes
@@ -81,6 +88,7 @@ __all__ = ["load_cbackend", "CBackend"]
 __oracles__ = {
     "spmv_bsr": "repro.sparse.bsr.BSRMatrix.matvec",
     "gather_spmv_bsr": "repro.parallel.spmd.rank_matvec",
+    "seq_matvec_bsr": "repro.parallel.spmd.distributed_matvec",
     "lower_solver": "repro.sparse.trisolve.lower_solve_blocks",
     "upper_solver": "repro.sparse.trisolve.upper_solve_blocks_inplace",
     "ilu_symbolic": "repro.sparse.ilu.ilu_symbolic_ref",
@@ -103,6 +111,13 @@ long long gather_spmv_bsr_f64(long long nblocks, long long bs,
     long long ndata, long long nx, long long n_owned,
     const long long *flat, const long long *cols, const long long *seg,
     const double *data, const double *x, double *y);
+long long seq_matvec_bsr_f64(long long nranks, long long bs, long long n,
+    long long nrows, long long nghost, long long nblocks, long long ndata,
+    const long long *home, const long long *row_off,
+    const long long *ghost_off, const long long *ghost_src,
+    const long long *blk_off, const long long *flat, const long long *cols,
+    const long long *seg, const double *data, const double *x, double *buf,
+    double *y, double *times);
 long long lower_solve_bsr_f64(long long n, long long bs, long long nnz,
     const long long *indptr, const long long *indices,
     const double *data, double *x);
@@ -168,8 +183,12 @@ long long muscl_rusanov_scatter_comp(long long ne, long long n,
 """
 
 _SOURCE = r"""
+#ifndef _POSIX_C_SOURCE
+#define _POSIX_C_SOURCE 199309L     /* clock_gettime under -std=c99 */
+#endif
 #include <math.h>
 #include <string.h>
+#include <time.h>
 
 /* gcc vector types: an operation on them is lane by lane, each lane the
  * IEEE operation of its scalar twin.  The u types load and store at any
@@ -200,33 +219,99 @@ typedef v4f v4fu __attribute__((aligned(4)));
     ((unsigned long long)(lo) <= (unsigned long long)(hi)               \
      && (unsigned long long)(hi) <= (unsigned long long)(nnz))
 
-/* Block SpMV: per-block partial gemv, blocks accumulated in slot
- * order (the bincount order); the inner j-sum is sequential where
- * einsum may pair, so this is ULP-bounded against the oracle. */
-long long spmv_bsr_f64(long long nbrows, long long bs, long long nbcols,
-    long long nnzb, const long long *indptr, const long long *indices,
-    const double *data, const double *x, double *y)
+/* Every function below that takes a block size calls its loop body,
+ * NAME_n, with bs = 5 and bs = 4 as constants (the Euler Jacobians) and
+ * with the runtime bs otherwise: forced inline, the constant unrolls the
+ * block, with the loop order and arithmetic of the generic call. */
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+/* unrolls a loop whose trip count is a constant block size */
+#define UNROLL _Pragma("GCC unroll 8")
+#define BS_DISPATCH(NAME, bs, ...)                                      \
+    ((bs) == 5 ? NAME##_n(5, __VA_ARGS__)                               \
+     : (bs) == 4 ? NAME##_n(4, __VA_ARGS__) : NAME##_n(bs, __VA_ARGS__))
+
+#define MAX_BS 32
+
+/* yi += blk xj for one bs x bs row-major block of the SpMVs: each row's
+ * sum starts at 0.0 and adds its c = 0..bs-1 products in order, then
+ * goes into yi.  Blocks are accumulated in slot order (the bincount
+ * order of the oracle); the inner sum is sequential where einsum may
+ * pair, so the SpMVs are ULP-bounded against it and bitwise one another:
+ * the global, the per-rank and the seq matvec add the same products in
+ * the same order.  The callers hold yi in a local array while
+ * consecutive blocks add into the same row, so the running sums stay in
+ * registers instead of making each block wait on the last one's store;
+ * the additions, and so the bits, are those of adding into y. */
+ALWAYS_INLINE void spmv_block(long long bs, const double *blk,
+    const double *xj, double *yi)
+{
+    UNROLL for (long long r = 0; r < bs; ++r) {
+        double p = 0.0;
+        UNROLL for (long long c = 0; c < bs; ++c)
+            p += blk[r * bs + c] * xj[c];
+        yi[r] += p;
+    }
+}
+
+ALWAYS_INLINE long long spmv_bsr_n(long long bs, long long nbrows,
+    long long nbcols, long long nnzb, const long long *indptr,
+    const long long *indices, const double *data, const double *x,
+    double *y)
 {
     for (long long i = 0; i < nbrows; ++i) {
         long long lo = indptr[i], hi = indptr[i + 1];
         if (!ROW_IN_RANGE(lo, hi, nnzb))
             return i;
-        double *yi = y + i * bs;
+        double acc[MAX_BS];
         for (long long r = 0; r < bs; ++r)
-            yi[r] = 0.0;
+            acc[r] = 0.0;
         for (long long t = lo; t < hi; ++t) {
             if (!IN_RANGE(indices[t], nbcols))
                 return i;
-            const double *blk = data + t * bs * bs;
-            const double *xj = x + indices[t] * bs;
-            for (long long r = 0; r < bs; ++r) {
-                double p = 0.0;
-                for (long long c = 0; c < bs; ++c)
-                    p += blk[r * bs + c] * xj[c];
-                yi[r] += p;
-            }
+            spmv_block(bs, data + t * bs * bs, x + indices[t] * bs, acc);
         }
+        for (long long r = 0; r < bs; ++r)
+            y[i * bs + r] = acc[r];
     }
+    return -1;
+}
+
+long long spmv_bsr_f64(long long nbrows, long long bs, long long nbcols,
+    long long nnzb, const long long *indptr, const long long *indices,
+    const double *data, const double *x, double *y)
+{
+    return BS_DISPATCH(spmv_bsr, bs, nbrows, nbcols, nnzb, indptr, indices,
+                       data, x, y);
+}
+
+/* y[seg[k]] += data[b] x[cols[k]] for blocks k0 <= k < k1, b = flat[k]
+ * (flat NULL: b = k); returns the first block with an index out of
+ * range, -1 when none. */
+ALWAYS_INLINE long long gather_spmv_bsr_n(long long bs, long long k0,
+    long long k1, long long ndata, long long nx, long long ny,
+    const long long *flat, const long long *cols, const long long *seg,
+    const double *data, const double *x, double *y)
+{
+    double acc[MAX_BS];
+    long long s = -1;              /* the row acc holds */
+    for (long long k = k0; k < k1; ++k) {
+        long long b = flat ? flat[k] : k;
+        if (!IN_RANGE(b, ndata) || !IN_RANGE(cols[k], nx)
+            || !IN_RANGE(seg[k], ny))
+            return k;
+        if (seg[k] != s) {
+            if (s >= 0)
+                for (long long r = 0; r < bs; ++r)
+                    y[s * bs + r] = acc[r];
+            s = seg[k];
+            for (long long r = 0; r < bs; ++r)
+                acc[r] = y[s * bs + r];
+        }
+        spmv_block(bs, data + b * bs * bs, x + cols[k] * bs, acc);
+    }
+    if (s >= 0)
+        for (long long r = 0; r < bs; ++r)
+            y[s * bs + r] = acc[r];
     return -1;
 }
 
@@ -239,25 +324,88 @@ long long gather_spmv_bsr_f64(long long nblocks, long long bs,
     const long long *flat, const long long *cols, const long long *seg,
     const double *data, const double *x, double *y)
 {
-    for (long long k = 0; k < nblocks; ++k) {
-        long long b = flat ? flat[k] : k;
-        if (!IN_RANGE(b, ndata) || !IN_RANGE(cols[k], nx)
-            || !IN_RANGE(seg[k], n_owned))
-            return k;
-        const double *blk = data + b * bs * bs;
-        const double *xj = x + cols[k] * bs;
-        double *yk = y + seg[k] * bs;
-        for (long long r = 0; r < bs; ++r) {
-            double p = 0.0;
+    return BS_DISPATCH(gather_spmv_bsr, bs, 0, nblocks, ndata, nx, n_owned,
+                       flat, cols, seg, data, x, y);
+}
+
+static double now_s(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+/* The seq executor's matvec, every rank in one call, through the
+ * scatter plan's flat buffer buf (nrows block rows: rank r's are
+ * row_off[r] .. row_off[r + 1], owned then ghosts):
+ *   1. distribute: buf[home[v]] = x[v] for the n global rows;
+ *   2. refresh: rank r's ghost rows, the last ghost_off[r + 1] -
+ *      ghost_off[r] of its rows, copy the buf rows ghost_src[ghost_off[r]
+ *      ..] (nghost in all);
+ *   3. matvec: y[seg[k]] += data[flat[k]] buf[cols[k]] for rank r's
+ *      blocks blk_off[r] .. blk_off[r + 1], of nblocks (cols: buf rows,
+ *      seg: global rows; y zeroed by the caller).
+ * times[2 r] and times[2 r + 1] receive rank r's refresh and matvec
+ * seconds.  Returns -1, or the first rank whose rows, ghost sources or
+ * blocks hold an index out of range (nranks: a home row). */
+ALWAYS_INLINE long long seq_matvec_bsr_n(long long bs, long long nranks,
+    long long n, long long nrows, long long nghost, long long nblocks,
+    long long ndata, const long long *home, const long long *row_off,
+    const long long *ghost_off, const long long *ghost_src,
+    const long long *blk_off,
+    const long long *flat, const long long *cols, const long long *seg,
+    const double *data, const double *x, double *buf, double *y,
+    double *times)
+{
+    for (long long v = 0; v < n; ++v) {
+        if (!IN_RANGE(home[v], nrows))
+            return nranks;
+        double *dst = buf + home[v] * bs;
+        const double *src = x + v * bs;
+        for (long long c = 0; c < bs; ++c)
+            dst[c] = src[c];
+    }
+    for (long long r = 0; r < nranks; ++r) {
+        double t0 = now_s();
+        long long g0 = ghost_off[r], g1 = ghost_off[r + 1];
+        long long hi = row_off[r + 1];
+        if (!ROW_IN_RANGE(row_off[r], hi, nrows)
+            || !ROW_IN_RANGE(g0, g1, nghost) || g1 - g0 > hi - row_off[r])
+            return r;
+        double *dst = buf + (hi - (g1 - g0)) * bs;
+        for (long long g = g0; g < g1; ++g, dst += bs) {
+            if (!IN_RANGE(ghost_src[g], nrows))
+                return r;
+            const double *src = buf + ghost_src[g] * bs;
             for (long long c = 0; c < bs; ++c)
-                p += blk[r * bs + c] * xj[c];
-            yk[r] += p;
+                dst[c] = src[c];
         }
+        times[2 * r] = now_s() - t0;
+    }
+    for (long long r = 0; r < nranks; ++r) {
+        double t0 = now_s();
+        if (!ROW_IN_RANGE(blk_off[r], blk_off[r + 1], nblocks)
+            || gather_spmv_bsr_n(bs, blk_off[r], blk_off[r + 1], ndata,
+                                 nrows, n, flat, cols, seg, data, buf,
+                                 y) >= 0)
+            return r;
+        times[2 * r + 1] = now_s() - t0;
     }
     return -1;
 }
 
-#define MAX_BS 32
+long long seq_matvec_bsr_f64(long long nranks, long long bs, long long n,
+    long long nrows, long long nghost, long long nblocks, long long ndata,
+    const long long *home, const long long *row_off,
+    const long long *ghost_off, const long long *ghost_src,
+    const long long *blk_off, const long long *flat, const long long *cols,
+    const long long *seg, const double *data, const double *x, double *buf,
+    double *y, double *times)
+{
+    return BS_DISPATCH(seq_matvec_bsr, bs, nranks, n, nrows, nghost,
+                       nblocks, ndata, home, row_off, ghost_off, ghost_src,
+                       blk_off, flat, cols, seg, data, x, buf, y, times);
+}
 
 /* Triangular solves, rows in natural order: 0..n-1 for L, n-1..0 for
  * U.  Every stored block of a strictly lower (upper) row names an
@@ -270,15 +418,8 @@ long long gather_spmv_bsr_f64(long long nblocks, long long bs,
  * writes.  A block product runs across the block's rows, four at a time
  * with a scalar tail (the 4-lane chunks are vectors), and each row's
  * column sum starts at 0.0 and adds c = 0..bs-1 in order.  Each entry
- * point calls its loop body, NAME_n, with bs = 5 and bs = 4 as
- * constants (the Euler Jacobians) and with the runtime bs otherwise:
- * forced inline, the constant unrolls the block, with the loop order
- * and arithmetic of the generic call.  The _f32 loads are widened to
- * double before any arithmetic. */
-#define ALWAYS_INLINE static inline __attribute__((always_inline))
-/* unrolls a loop whose trip count is a constant block size */
-#define UNROLL _Pragma("GCC unroll 8")
-
+ * point calls its NAME_n with bs = 5, 4 or the runtime bs, as the SpMVs
+ * do.  The _f32 loads are widened to double before any arithmetic. */
 #define LOAD4_double(p) (*(const v4du *)(p))
 #define LOAD4_float(p) __builtin_convertvector(*(const v4fu *)(p), v4d)
 
@@ -1186,6 +1327,25 @@ class CBackend:
             self._pi(cols), self._pi(seg), self._pd(data), self._pd(x),
             self._pdw(y))
         return None if bad >= 0 else y
+
+    def seq_matvec_bsr(self, home, row_off, ghost_off, ghost_src, blk_off,
+                       flat, cols, seg, data, x):
+        """``(y, times)``: the seq matvec of every rank in one C call,
+        through a flat buffer made here; ``times[r]`` is rank ``r``'s
+        ``(refresh, matvec)`` seconds."""
+        bs = data.shape[1]
+        nranks = row_off.size - 1
+        nrows = int(row_off[-1])
+        buf = np.empty(nrows * bs, dtype=np.float64)
+        y = np.zeros(home.size * bs, dtype=np.float64)
+        times = np.zeros((nranks, 2), dtype=np.float64)
+        bad = self._lib.seq_matvec_bsr_f64(
+            nranks, bs, home.size, nrows, ghost_src.size, cols.size,
+            data.shape[0], *map(self._pi, (home, row_off, ghost_off,
+                                           ghost_src, blk_off, flat, cols,
+                                           seg)),
+            self._pd(data), self._pd(x), *map(self._pdw, (buf, y, times)))
+        return None if bad >= 0 else (y, times)
 
     def _factor_fn(self, name, data):
         """The ``_f32`` or ``_f64`` symbol of ``name`` for the factor

@@ -44,7 +44,9 @@ modelled :mod:`repro.parallel.simulate` ledgers.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +60,7 @@ from repro.telemetry.recorder import NULL_RECORDER
 __all__ = ["RankLocalData", "SPMDLayout", "ScatterPlan", "GhostExchange",
            "distributed_residual", "distributed_matvec",
            "rank_residual", "rank_matvec", "rank_matvec_structs",
-           "gather_structs"]
+           "MatvecGather"]
 
 
 @dataclass
@@ -95,16 +97,13 @@ class RankLocalData:
 class SPMDLayout:
     """The full set of rank-local worlds for one partition.
 
-    ``gather_cache`` holds the per-rank SpMV gather structures keyed by
-    matrix pattern (see :func:`gather_structs`) and :attr:`plan` is the
-    layout's :class:`ScatterPlan`, built on first use; both are
-    layout-owned so warm services can seed them across solves.
+    :attr:`plan` is the layout's :class:`ScatterPlan`, built on first
+    use, with the SpMV gather structure of the last matrix pattern; it
+    is layout-owned so warm services can seed it across solves.
     """
 
     labels: np.ndarray
     ranks: list[RankLocalData] = field(default_factory=list)
-    gather_cache: dict = field(default_factory=dict, repr=False,
-                               compare=False)
     _plan: "ScatterPlan | None" = field(default=None, init=False,
                                         repr=False, compare=False)
 
@@ -144,6 +143,18 @@ class SPMDLayout:
         return layout
 
 
+class MatvecGather(NamedTuple):
+    """Every rank's owned blocks of one matrix pattern, rank after rank
+    (rank ``r``'s are ``blk_off[r]:blk_off[r + 1]``), each owned row's
+    blocks in slot order: block ``k`` is ``data[flat[k]]``, multiplies
+    flat-buffer row ``cols[k]`` and adds into global row ``seg[k]``."""
+
+    blk_off: np.ndarray
+    flat: np.ndarray
+    cols: np.ndarray
+    seg: np.ndarray
+
+
 class ScatterPlan:
     """The VecScatter of one layout: built once, applied on every call.
 
@@ -151,11 +162,13 @@ class ScatterPlan:
     owned rows before ghosts, so rank ``r`` is the view
     ``buf[row_off[r]:row_off[r + 1]]`` (:meth:`local`).  ``home[v]``
     is the buffer row of vertex ``v``'s owned copy: distributing a
-    global vector is one scatter (:meth:`distribute`).  ``ghost_src[r]``
-    lists the owned rows that rank ``r``'s ghosts copy: its refresh is
-    one gather (:meth:`refresh_rank`).  Both executors run these same
-    two steps, the sequential loop in-process and each pool worker on
-    its ranks.
+    global vector is one scatter (:meth:`distribute`).
+    ``ghost_src[ghost_off[r]:ghost_off[r + 1]]`` lists the owned rows
+    that rank ``r``'s ghosts copy: its refresh is one gather
+    (:meth:`refresh_rank`).  Both executors run these same two steps,
+    the sequential loop in-process and each pool worker on its ranks;
+    the compiled ``seq`` matvec runs them, and every rank's SpMV, in
+    one C call (:func:`distributed_matvec`).
 
     Building the plan checks, once, that every vertex has exactly one
     owner and that every ghost is owned by the rank its
@@ -166,9 +179,11 @@ class ScatterPlan:
 
     The plan also holds what the rank residual indexes with: each
     rank's edge endpoints as contiguous arrays, and each rank's owned
-    boundary rows (:meth:`boundary`).  Geometry is never kept: one
-    layout serves every mesh of its topology, so the edge and boundary
-    normals are read from the discretisation on each call.
+    boundary rows (:meth:`boundary`); and what the seq matvec indexes
+    with, the :class:`MatvecGather` of the last matrix pattern
+    (:meth:`gather`).  Geometry is never kept: one layout serves every
+    mesh of its topology, so the edge and boundary normals are read
+    from the discretisation on each call.
     """
 
     def __init__(self, layout: SPMDLayout) -> None:
@@ -191,7 +206,7 @@ class ScatterPlan:
         for rd, (lo, glo, _) in zip(ranks, self.bounds):
             self.owner[rd.owned] = rd.rank
             self.home[rd.owned] = np.arange(lo, glo, dtype=np.int64)
-        self.ghost_src: list[np.ndarray] = []
+        ghost_src: list[np.ndarray] = []
         self.pairs: list[int] = []
         for rd in ranks:
             wrong = self.owner[rd.ghosts] != rd.ghost_owner
@@ -202,24 +217,34 @@ class ScatterPlan:
                     f"stale SPMD layout: rank {rd.rank} expects ghosts "
                     f"{missing.tolist()} from rank {claimed}, which does "
                     f"not own them")
-            self.ghost_src.append(self.home[rd.ghosts])
+            ghost_src.append(self.home[rd.ghosts])
             self.pairs.append(int(np.unique(rd.ghost_owner).size))
+        self.ghost_src = np.concatenate(
+            [np.zeros(0, dtype=np.int64), *ghost_src])
+        self.ghost_off = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(
+            [src.size for src in ghost_src], dtype=np.int64)])
         # One refresh: its messages, and the ghost copies it moves.
         self.pair_count = sum(self.pairs)
-        self.ghost_rows = sum(int(src.size) for src in self.ghost_src)
+        self.ghost_rows = int(self.ghost_src.size)
         self.receivers = [rd.rank for rd in ranks if rd.ghosts.size]
         self.e0 = [np.ascontiguousarray(rd.local_edges[:, 0]) for rd in ranks]
         self.e1 = [np.ascontiguousarray(rd.local_edges[:, 1]) for rd in ranks]
+        self._ranks = ranks
         self._boundary = None     # (bc.vertices, bc.kinds, per-rank rows)
+        self._gather = None       # (indptr, indices, MatvecGather)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the index arrays the plan holds."""
-        arrays = [self.row_off, self.owner, self.home,
-                  *self.ghost_src, *self.e0, *self.e1]
+        """Bytes of the index arrays the plan holds, the gather
+        structure and the matrix pattern it is kept for included."""
+        arrays = [self.row_off, self.owner, self.home, self.ghost_src,
+                  self.ghost_off, *self.e0, *self.e1]
         if self._boundary is not None:
             verts, kinds, rows = self._boundary
             arrays += [verts, kinds, *(a for rank in rows for a in rank)]
+        if self._gather is not None:
+            indptr, indices, gather = self._gather
+            arrays += [indptr, indices, *gather]
         return sum(a.nbytes for a in arrays)
 
     def distribute(self, vec: np.ndarray, ncomp: int,
@@ -236,7 +261,8 @@ class ScatterPlan:
     def refresh_rank(self, buf: np.ndarray, r: int) -> None:
         """Copy rank ``r``'s ghost rows from their owners' rows."""
         _, glo, hi = self.bounds[r]
-        buf[glo:hi] = buf[self.ghost_src[r]]
+        buf[glo:hi] = buf[self.ghost_src[self.ghost_off[r]:
+                                         self.ghost_off[r + 1]]]
 
     def local(self, buf: np.ndarray, r: int) -> np.ndarray:
         """Rank ``r``'s local rows of the flat buffer (a view)."""
@@ -252,8 +278,8 @@ class ScatterPlan:
 
         Which vertices carry a boundary area, and which of those are
         wall, follows the coordinates, so the rows are kept for the
-        identity of ``bc.vertices`` / ``bc.kinds`` (as
-        :func:`gather_structs` keys a matrix pattern) and rebuilt, a
+        identity of ``bc.vertices`` / ``bc.kinds`` (as :meth:`gather`
+        keys a matrix pattern) and rebuilt, a
         pass over the boundary, for any other pair.
         """
         ent = self._boundary
@@ -265,6 +291,38 @@ class ScatterPlan:
                 for r in range(len(self.bounds))]
         self._boundary = (bc.vertices, bc.kinds, rows)
         return rows
+
+    def gather(self, a: BSRMatrix) -> MatvecGather:
+        """The :class:`MatvecGather` of ``a``'s pattern.
+
+        It depends only on the pattern (``indptr`` / ``indices``) and
+        the layout, so one is kept, for the last pattern, and reused
+        across matvecs and, through a warm service's layout, across
+        solves.  Validity is an identity hit on the pattern arrays, then
+        an ``np.array_equal`` fallback (the jittered-mesh path: equal
+        patterns, new arrays; O(nnz) compares are noise next to the
+        matvec); another pattern rebuilds it.
+        """
+        ent = self._gather
+        if ent is not None:
+            indptr, indices, gather = ent
+            if indptr is a.indptr and indices is a.indices:
+                return gather
+            if (indptr.shape == a.indptr.shape
+                    and indices.shape == a.indices.shape
+                    and np.array_equal(indptr, a.indptr)
+                    and np.array_equal(indices, a.indices)):
+                self._gather = (a.indptr, a.indices, gather)
+                return gather
+        parts = [(np.zeros(0, dtype=np.int64),) * 3]
+        for rd, (lo, _, _) in zip(self._ranks, self.bounds):
+            flat, cols, seg = rank_matvec_structs(a, rd)
+            parts.append((flat, cols + lo, rd.owned[seg]))
+        flat, cols, seg = (np.concatenate(p) for p in zip(*parts))
+        blk_off = np.cumsum([p[0].size for p in parts], dtype=np.int64)
+        gather = MatvecGather(blk_off, flat, cols, seg)
+        self._gather = (a.indptr, a.indices, gather)
+        return gather
 
 
 class GhostExchange:
@@ -281,9 +339,11 @@ class GhostExchange:
     received (``GhostExchangePlan.recv_bytes``).  The send-side view is
     the same traffic attributed to the owning ranks
     (``GhostExchangePlan.send_bytes``); it is not double-counted here.
-    Both counts are taken from the plan, so the proc backend books the
-    same numbers (:meth:`account_refresh`) without seeing the data.
-    ``messages`` and ``bytes_moved`` accumulate across calls.
+    Both counts are taken from the plan, so a refresh executed
+    elsewhere — in the pool's workers, or in the compiled seq matvec's
+    one C call — books the same numbers (:meth:`account_refresh`)
+    without this object seeing the data.  ``messages`` and
+    ``bytes_moved`` accumulate across calls.
     """
 
     def __init__(self, layout: SPMDLayout, ncomp: int, *,
@@ -304,34 +364,46 @@ class GhostExchange:
         """Total ghost copies received by one refresh."""
         return self.layout.plan.ghost_rows
 
-    def account_refresh(self, itemsize: int) -> None:
-        """Book one refresh executed elsewhere (the proc backend moves
-        the payloads inside the worker processes)."""
+    def account_refresh(self, itemsize: int, per_rank_s=None) -> None:
+        """Book one refresh of ``itemsize``-byte values executed
+        elsewhere: the proc backend moves the payloads inside the worker
+        processes, the compiled seq matvec inside its C call.  Given
+        ``per_rank_s``, each rank's measured refresh seconds, every
+        receiving rank also books a ``ghost_exchange`` span of its time,
+        its messages and bytes, and the max-over-ranks wait."""
         self.messages += self.pair_count
         self.bytes_moved += self.ghost_rows * self.ncomp * int(itemsize)
+        if per_rank_s is None:
+            return
+        plan = self.layout.plan
+        rec = self.recorder
+        rowbytes = self.ncomp * int(itemsize)
+        waits = [0.0] * len(plan.bounds)
+        for r in plan.receivers:
+            waits[r] = float(per_rank_s[r])
+            rec.add_span_seconds("ghost_exchange", waits[r], rank=r)
+            rec.count("messages", plan.pairs[r], rank=r)
+            rec.count("bytes", int(plan.ghost_off[r + 1] - plan.ghost_off[r])
+                      * rowbytes, rank=r)
+        if plan.receivers:
+            rec.record_wait("ghost_exchange", waits)
 
     def refresh(self, buf: np.ndarray) -> None:
         """Fill the ghost rows of the flat buffer ``buf`` in place.
 
         ``buf`` is a :meth:`ScatterPlan.distribute` buffer of shape
         ``(plan.total_rows, ncomp)``: every rank's owned rows are
-        current, its ghost rows are about to be overwritten.
+        current, its ghost rows are about to be overwritten.  Each
+        receiving rank's copy is timed and booked as
+        :meth:`account_refresh` books a refresh made elsewhere.
         """
         plan = self.layout.plan
-        rec = self.recorder
-        rowbytes = buf.shape[1] * buf.itemsize
         per_rank_s = [0.0] * len(plan.bounds)
         for r in plan.receivers:
-            with rec.span("ghost_exchange", rank=r) as sp:
-                plan.refresh_rank(buf, r)
-                rec.count("messages", plan.pairs[r], rank=r)
-                rec.count("bytes", plan.ghost_src[r].size * rowbytes,
-                          rank=r)
-            per_rank_s[r] = sp.elapsed
-        self.messages += plan.pair_count
-        self.bytes_moved += plan.ghost_rows * rowbytes
-        if plan.receivers:
-            rec.record_wait("ghost_exchange", per_rank_s)
+            t0 = time.perf_counter()
+            plan.refresh_rank(buf, r)
+            per_rank_s[r] = time.perf_counter() - t0
+        self.account_refresh(buf.itemsize, per_rank_s)
 
 
 def rank_residual(disc: EdgeFVDiscretization, layout: SPMDLayout, r: int,
@@ -377,35 +449,6 @@ def rank_matvec_structs(a: BSRMatrix, rd: RankLocalData):
     return flat, cols, seg
 
 
-def gather_structs(a, layout: SPMDLayout, rd: RankLocalData):
-    """Layout-cached :func:`rank_matvec_structs`.
-
-    The gather structure depends only on the matrix *pattern*
-    (``indptr``/``indices``) and the layout, so one copy per rank is
-    kept on ``layout.gather_cache`` and reused across matvecs — the
-    sequential analogue of the proc workers' per-matrix struct cache,
-    and the seam a warm solver service seeds across requests.
-    Validity is an object-identity fast path on the pattern arrays
-    with an ``np.array_equal`` fallback (O(nnz) compares are noise
-    next to the einsum matvec); a pattern change recomputes.
-    """
-    cache = layout.gather_cache
-    ent = cache.get(rd.rank)
-    if ent is not None:
-        indptr, indices, structs = ent
-        if indptr is a.indptr and indices is a.indices:
-            return structs
-        if (indptr.shape == a.indptr.shape
-                and indices.shape == a.indices.shape
-                and np.array_equal(indptr, a.indptr)
-                and np.array_equal(indices, a.indices)):
-            cache[rd.rank] = (a.indptr, a.indices, structs)
-            return structs
-    structs = rank_matvec_structs(a, rd)
-    cache[rd.rank] = (a.indptr, a.indices, structs)
-    return structs
-
-
 def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
                 local_x_r: np.ndarray, n_owned: int,
                 workspace: tuple | None = None,
@@ -419,8 +462,8 @@ def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
     workers), or — given ``flat``, the slots of
     :func:`rank_matvec_structs` — the whole matrix's ``data``, from
     which the compiled kernel reads each block in place and the numpy
-    path gathers ``data_rows[flat]`` (the ``seq`` loop).  The blocks,
-    and so the results, are the same either way.
+    path gathers ``data_rows[flat]`` (the numpy ``seq`` loop).  The
+    blocks, and so the results, are the same either way.
     ``workspace`` is an optional ``(gathered, prods)`` buffer pair that
     persistent proc workers reuse across calls — allocating these
     multi-MB temporaries fresh costs a page-fault sweep per matvec.
@@ -428,8 +471,8 @@ def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
     same values as the allocating forms, so results are bitwise
     identical either way (asserted by the proc-backend tests).
     ``engine="compiled"`` runs the gather + block-gemv + scatter as one
-    fused compiled pass (ULP-bounded vs the einsum path; both executors
-    pass the same engine, so seq/proc identity is preserved).
+    fused compiled pass (ULP-bounded vs the einsum path, bitwise the
+    compiled seq matvec's one call, so seq/proc identity is preserved).
     """
     if engine != "numpy":
         y = _kernels.gather_spmv_bsr(data_rows, cols, seg, local_x_r,
@@ -520,6 +563,13 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
     As in the Krylov solvers, the working precision follows the vector:
     the result and all rank-local arrays take ``xglobal``'s dtype.
     ``executor`` is as in :func:`distributed_residual`.
+
+    On the compiled tier the seq executor is one C call over every rank
+    (:func:`repro.kernels.seq_matvec_bsr`, through the plan's arrays and
+    its :class:`MatvecGather`), bitwise the per-rank compiled kernel;
+    each rank's ``ghost_exchange`` and ``matvec`` spans and waits are
+    booked from the times it returns.  The numpy tier runs the ranks one
+    by one, the oracle.
     """
     bs = a.bs
     rec = recorder if recorder is not None else NULL_RECORDER
@@ -527,24 +577,34 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
     if pool is not None:
         with rec.span("matvec"):
             y = pool.matvec(a, xglobal, exchange=exchange)
+        _sanitize_note("matvec", y)
+        return y
+    plan = layout.plan
+    ex = exchange or GhostExchange(layout, bs, recorder=rec)
+    gather = plan.gather(a)
+    x = np.asarray(xglobal)
+    res = _kernels.seq_matvec_bsr(plan.home, plan.row_off, plan.ghost_off,
+                                  plan.ghost_src, *gather, a.data, x,
+                                  a.engine)
+    if res is not None:
+        y, times = res
+        ex.account_refresh(x.dtype.itemsize, times[:, 0])
+        for r, t in enumerate(times[:, 1]):
+            rec.add_span_seconds("matvec", t, rank=r)
+        rec.record_wait("matvec", times[:, 1])
+        y = y.astype(x.dtype, copy=False)
     else:
-        plan = layout.plan
-        ex = exchange or GhostExchange(layout, bs, recorder=rec)
-        buf = plan.distribute(xglobal, bs)
+        buf = plan.distribute(x, bs)
         ex.refresh(buf)
         out = np.empty((a.nbrows, bs), dtype=buf.dtype)
         per_rank_s = [0.0] * layout.nranks
-        for rd in layout.ranks:
+        for rd, (lo, _, _) in zip(layout.ranks, plan.bounds):
+            k = slice(gather.blk_off[rd.rank], gather.blk_off[rd.rank + 1])
             with rec.span("matvec", rank=rd.rank) as sp:
-                # All owned block rows as one flat batch; the gather
-                # structure depends only on (pattern, layout), so it is
-                # served from the layout-level cache across calls, and
-                # the blocks are read in place through its slots.
-                flat, cols, seg = gather_structs(a, layout, rd)
-                out[rd.owned] = rank_matvec(a.data, cols, seg,
-                                            plan.local(buf, rd.rank),
-                                            rd.n_owned, engine=a.engine,
-                                            flat=flat)
+                out[rd.owned] = rank_matvec(
+                    a.data, gather.cols[k] - lo, plan.home[gather.seg[k]] - lo,
+                    plan.local(buf, rd.rank), rd.n_owned,
+                    flat=gather.flat[k])
             per_rank_s[rd.rank] = sp.elapsed
         rec.record_wait("matvec", per_rank_s)
         y = out.ravel()

@@ -10,7 +10,7 @@ solves.  This package provides the three pieces that turn the one-shot
 * :mod:`repro.service.warm` — the key (mesh topology + the config
   knobs that shape reusable structures) and harvest-after-solve /
   seed-before-solve of warm solver state (partition labels, layouts
-  with their gather structs, preconditioners);
+  with their scatter plans and gather structures, preconditioners);
 * :mod:`repro.service.service` — the :class:`SolverService` itself:
   bounded admission queue, per-request deadlines, compatibility-keyed
   batching onto warm structures, per-request trace spans.

@@ -4,7 +4,7 @@ One :class:`ServiceCache` instance backs a running
 :class:`~repro.service.service.SolverService`.  It holds one entry per
 compatibility key (:func:`repro.service.warm.warm_key`): everything a
 finished solve built — the partition labels, the SPMD layout with its
-per-rank SpMV gather structures, and the preconditioner with its
+scatter plan and SpMV gather structure, and the preconditioner with its
 symbolic ILU(k) patterns (and, on the numpy tier, the elimination and
 level schedules riding them).  These are the setup structures the
 paper's Table 4/5 pipeline amortises.
@@ -18,7 +18,7 @@ service from accumulating every mesh it ever saw.
 
 Thread safety: all mutating operations take one internal lock; the
 values themselves are handed out by reference, so *exclusive use* of a
-mutable structure (a preconditioner, a layout with its gather cache)
+mutable structure (a preconditioner, a layout with its scatter plan)
 is the caller's contract — the service serialises requests per
 compatibility key, the same key the entry lives under, for exactly
 this reason.

@@ -2,11 +2,12 @@
 
 The service never *predicts* what a solve will build; it harvests what
 a finished solve actually built — the partition labels, the layout
-with its scatter plan and SpMV gather structures, and the preconditioner (whose subdomains carry
-their slot maps into the Jacobian, the symbolic ILU patterns and, on
-the numpy tier, their elimination and level schedules) — and seeds
+with its scatter plan and SpMV gather structure, and the
+preconditioner (whose subdomains carry their slot maps into the
+Jacobian, the symbolic ILU patterns and, on the numpy tier, their
+elimination and level schedules) — and seeds
 the next compatible request with them.  The structures validate
-themselves at use time: the gather structs and the preconditioner
+themselves at use time: the gather structure and the preconditioner
 both compare the matrix's sparsity pattern with the one they were
 built on (object identity, then ``np.array_equal``) and rebuild on a
 mismatch, so a stale seed degrades to a recompute, never to wrong
@@ -79,15 +80,12 @@ def warm_key(mesh, config) -> tuple:
 
 
 def _layout_nbytes(layout) -> int:
-    """Resident bytes of a layout: its rank worlds, the SpMV gather
-    structs and the scatter plan's index arrays."""
+    """Resident bytes of a layout: its rank worlds and the scatter
+    plan's index arrays, the SpMV gather structure among them."""
     total = layout.plan.nbytes
     for rd in layout.ranks:
         total += (rd.owned.nbytes + rd.ghosts.nbytes + rd.edge_ids.nbytes
                   + rd.local_edges.nbytes + rd.ghost_owner.nbytes)
-    for indptr, indices, structs in layout.gather_cache.values():
-        total += indptr.nbytes + indices.nbytes
-        total += sum(arr.nbytes for arr in structs)
     return total
 
 
@@ -120,7 +118,7 @@ def seed_solver(cache, disc, config, *,
 
     One probe books a hit or a miss on the cache.  On a hit the cached
     labels skip the partitioner, the cached layout brings its gather
-    structs along, and the harvested preconditioner is injected so its
+    structure along, and the harvested preconditioner is injected so its
     refresh path reuses the symbolic ILU (and, on the numpy tier, its
     schedules) numeric-only.
     """

@@ -104,7 +104,7 @@ class BSRMatrix:
         if self.engine != "numpy":
             y = _kernels.spmv_bsr(self.indptr, self.indices, self.data,
                                   np.asarray(x).ravel(), self.nbrows,
-                                  self.engine)
+                                  self.nbcols, self.engine)
             if y is not None:
                 return y
         xb = np.asarray(x).reshape(self.nbcols, bs)

@@ -147,9 +147,12 @@ class TraceRecorder:
         """Account span time measured outside this recorder's clock.
 
         The solver service measures a request's queue wait before the
-        request's recorder exists; this feeds that interval into the
-        same accumulators ``span()`` commits to.  ``self_seconds``
-        defaults to the full interval (no nested spans).
+        request's recorder exists, and the compiled seq matvec times
+        each rank inside one C call; this feeds such an interval into
+        the same accumulators ``span()`` commits to.  ``self_seconds``
+        defaults to the full interval (no nested spans).  Inside an open
+        span the interval is that span's child time, as a nested
+        ``span()`` would be, so the parent's self time excludes it.
         """
         if self.strict and phase not in KNOWN_PHASES:
             raise ValueError(f"unknown phase name {phase!r}")
@@ -157,6 +160,8 @@ class TraceRecorder:
         cell[0] += float(seconds)
         cell[1] += float(seconds if self_seconds is None else self_seconds)
         cell[2] += int(calls)
+        if self._stack:
+            self._stack[-1]._child_s += float(seconds)
 
     # -- queries -------------------------------------------------------
     @property

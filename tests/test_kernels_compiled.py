@@ -270,7 +270,7 @@ class TestDispatchGuards:
         indices = np.array([0], dtype=np.int64)
         data = np.ones((1, 2, 2), dtype=np.float32)
         x = np.ones(2)
-        assert kernels.spmv_bsr(indptr, indices, data, x, 1,
+        assert kernels.spmv_bsr(indptr, indices, data, x, 1, 1,
                                 "compiled") is None
 
     def test_mismatched_factor_dtypes_refused(self):
@@ -287,7 +287,7 @@ class TestDispatchGuards:
         indices = np.array([0, 1], dtype=np.int64)
         data = np.ones((2, bs, bs))
         x = np.ones(nb * bs)
-        assert kernels.spmv_bsr(indptr, indices, data, x, nb,
+        assert kernels.spmv_bsr(indptr, indices, data, x, nb, nb,
                                 "compiled") is None
 
 
@@ -492,10 +492,10 @@ class TestFloat32Vectors:
         _, _, jac = wing
         x = self._x32(jac, 19)
         got = kernels.spmv_bsr(jac.indptr, jac.indices, jac.data, x,
-                               jac.nbrows, "compiled")
+                               jac.nbrows, jac.nbcols, "compiled")
         want = kernels.spmv_bsr(jac.indptr, jac.indices, jac.data,
                                 x.astype(np.float64), jac.nbrows,
-                                "compiled")
+                                jac.nbcols, "compiled")
         if want is None:
             assert got is None
             return
@@ -860,9 +860,22 @@ class TestIndexGuards:
         a = BSRMatrix(indptr=[0, 2, 3], indices=[0, 5, 1],
                       data=np.ones((3, 4, 4)), nbcols=2, engine="compiled")
         x = np.arange(8.0)
-        assert kernels.spmv_bsr(a.indptr, a.indices, a.data, x, 2,
+        assert kernels.spmv_bsr(a.indptr, a.indices, a.data, x, 2, 2,
                                 "compiled") is None
         with pytest.raises(IndexError):
+            a.matvec(x)
+
+    @pytest.mark.parametrize("size", [4, 12])
+    def test_spmv_bsr_wrong_length_x_raises_like_numpy(self, size):
+        """An ``x`` of whole block rows, but not ``nbcols`` of them: the
+        compiled SpMV declines (it would read past or short of ``x``)
+        and the matvec raises numpy's ``ValueError``."""
+        a = BSRMatrix(indptr=[0, 1, 2], indices=[0, 1],
+                      data=np.ones((2, 4, 4)), nbcols=2, engine="compiled")
+        x = np.arange(float(size))
+        assert kernels.spmv_bsr(a.indptr, a.indices, a.data, x, 2, 2,
+                                "compiled") is None
+        with pytest.raises(ValueError):
             a.matvec(x)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -982,6 +995,56 @@ class TestIndexGuards:
         assert all(_guards_intact(b) for b in bufs)
 
 
+    @staticmethod
+    def _seq_case(which, bad):
+        """``(args, guarded_buffers)`` of ``seq_matvec_bsr_f64`` on a
+        4-vertex path split over 2 ranks, with one bad index in rank 1's
+        part of ``which`` (``home``: vertex 0's row)."""
+        edges = np.array([[0, 1], [1, 2], [2, 3]])
+        layout = SPMDLayout.build(edges, np.array([0, 0, 1, 1]))
+        plan = layout.plan
+        bs = 3
+        pairs = np.concatenate([edges, edges[:, ::-1],
+                                np.repeat(np.arange(4), 2).reshape(-1, 2)])
+        rng = np.random.default_rng(97)
+        a = BSRMatrix.from_block_coo(
+            pairs[:, 0], pairs[:, 1],
+            rng.standard_normal((pairs.shape[0], bs, bs)), (4, 4))
+        g = plan.gather(a)
+        ints = {"home": plan.home.copy(), "ghost_src": plan.ghost_src.copy(),
+                "flat": g.flat.copy(), "cols": g.cols.copy(),
+                "seg": g.seg.copy()}
+        past_end = {"home": plan.total_rows, "ghost_src": plan.total_rows,
+                    "flat": a.nnzb, "cols": plan.total_rows, "seg": 4}
+        ints[which][0 if which == "home" else -1] = (
+            past_end[which] if bad == "past_end" else -1)
+        bufs = [_guarded(np.zeros(n)) for n in (plan.total_rows * bs,
+                                                4 * bs, 4)]
+        args = [2, bs, 4, plan.total_rows, plan.ghost_src.size, a.nnzb,
+                a.nnzb, ints["home"], plan.row_off, plan.ghost_off,
+                ints["ghost_src"], g.blk_off, ints["flat"], ints["cols"],
+                ints["seg"], a.data, rng.standard_normal(4 * bs),
+                *(view for _, view in bufs)]
+        return args, [buf for buf, _ in bufs]
+
+    @needs_backend
+    @pytest.mark.parametrize("which", ["home", "ghost_src", "flat", "cols",
+                                       "seg"])
+    @pytest.mark.parametrize("bad", ["past_end", "negative"])
+    def test_seq_matvec_names_the_rank_and_keeps_the_guards(self, which,
+                                                            bad):
+        """The seq matvec reports the rank whose ghost sources or blocks
+        hold the bad index (2, the rank count, for a home row)."""
+        args, bufs = self._seq_case(which, bad)
+        backend = kernels.backend_for("compiled")
+        ptrs = [backend._pi(a) if isinstance(a, np.ndarray)
+                and a.dtype == np.int64 else backend._pdw(a)
+                if isinstance(a, np.ndarray) else a for a in args]
+        assert backend._lib.seq_matvec_bsr_f64(*ptrs) == (
+            2 if which == "home" else 1)
+        assert all(_guards_intact(b) for b in bufs)
+
+
 def _sequential_lower(indptr, indices, data, b, bs):
     """The compiled block lower solve's loop in Python floats (IEEE
     double, no FMA): what every block size must compute bitwise."""
@@ -1066,6 +1129,73 @@ class TestBlockTrisolves:
         assert np.array_equal(lower, _sequential_lower(li, lx, ld, b, bs))
         assert np.array_equal(upper,
                               _sequential_upper(ui, ux, ud, inv, b, bs))
+
+
+def _sequential_spmv(indptr, indices, data, x):
+    """The compiled SpMVs' order in numpy: each block row's sum is 0.0
+    plus its column products in ascending ``c`` (one elementwise pass
+    per column), and the blocks go into ``y`` in slot order
+    (``np.add.at`` is unbuffered, so sequential per target)."""
+    bs = data.shape[1]
+    xb = np.asarray(x, dtype=np.float64).reshape(-1, bs)[indices]
+    p = np.zeros((indices.size, bs))
+    for c in range(bs):
+        p += data[:, :, c] * xb[:, c, None]
+    y = np.zeros((indptr.size - 1, bs))
+    np.add.at(y, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), p)
+    return y.ravel()
+
+
+@needs_backend
+class TestBlockSpMVs:
+    """Block size 4 and 5 run constant-size copies of the SpMV loops:
+    the global SpMV and the seq matvec (one C call over every rank)
+    compute the sequential-order recomputation bit for bit, an fp32
+    ``x`` widened exactly and the seq result rounded back to fp32."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(bs=st.sampled_from((4, 5)), f32=st.booleans(),
+           n=st.integers(2, 40), nparts=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equal_the_sequential_order(self, bs, f32, n, nparts, seed):
+        rng = np.random.default_rng(seed)
+        edges = np.unique(np.sort(rng.integers(0, n, (3 * n, 2)), 1),
+                          axis=0)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        pairs = np.concatenate([edges, edges[:, ::-1],
+                                np.repeat(np.arange(n), 2).reshape(-1, 2)])
+        a = BSRMatrix.from_block_coo(
+            pairs[:, 0], pairs[:, 1],
+            rng.standard_normal((pairs.shape[0], bs, bs)), (n, n))
+        a.engine = "compiled"
+        layout = SPMDLayout.build(edges, rng.integers(0, nparts, n))
+        x = rng.standard_normal(n * bs).astype(
+            np.float32 if f32 else np.float64)
+        want = _sequential_spmv(a.indptr, a.indices, a.data, x)
+        assert np.array_equal(a.matvec(x), want)
+        seq = distributed_matvec(a, layout, x)
+        assert seq.dtype == x.dtype
+        assert np.array_equal(seq, want.astype(x.dtype))
+
+    @settings(deadline=None, max_examples=30)
+    @given(bs=st.sampled_from((3, 4, 5)), nblocks=st.integers(1, 60),
+           n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_rank_spmv_in_any_segment_order(self, bs, nblocks, n, seed):
+        """The rank SpMV keeps a row's running sum in registers while
+        consecutive blocks add into it; blocks whose rows come back in
+        any order still add into ``y`` in block order."""
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((nblocks, bs, bs))
+        cols = rng.integers(0, n, nblocks)
+        seg = rng.integers(0, n, nblocks)
+        x = rng.standard_normal(n * bs)
+        p = np.zeros((nblocks, bs))
+        for c in range(bs):
+            p += data[:, :, c] * x.reshape(n, bs)[cols][:, c, None]
+        want = np.zeros((n, bs))
+        np.add.at(want, seg, p)
+        got = kernels.gather_spmv_bsr(data, cols, seg, x, n, "compiled")
+        assert np.array_equal(got, want)
 
 
 class TestColumnMajorFactors:

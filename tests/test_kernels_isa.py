@@ -5,9 +5,9 @@ The solver's library is compiled for the widest level this CPU offers
 (``-march=x86-64-v4`` or ``-v3``, else the compiler's default).  Here
 the source is built once per level the CPU runs — into the shared
 kernel cache, where the flags key each build — and every build must
-give the same L, U and pivot inverses and the same two block solves,
-bit for bit, on drawn diagonally dominant block matrices: the level
-changes only the speed.
+give the same L, U and pivot inverses, the same two block solves and
+the same three SpMVs (global, per rank, the whole seq matvec), bit for
+bit, on drawn block matrices: the level changes only the speed.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.kernels import capability, cbackend
+from repro.parallel.spmd import SPMDLayout
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.ilu import ilu_symbolic
 
@@ -91,3 +92,53 @@ def test_every_level_computes_the_same_bits(builds, bs, f32, nb, density,
         for what, g, w in zip(("L", "U", "inv_diag", "lower", "upper"),
                               out, want):
             assert g == w, f"{isa} differs from default in {what}"
+
+
+def _spmvs(backend, a, layout, x):
+    """The bytes of the global SpMV, every rank's SpMV and the seq
+    matvec of ``x`` (float64) through ``layout``; within one build the
+    three agree bit for bit."""
+    plan = layout.plan
+    gather = plan.gather(a)
+    whole = backend.spmv_bsr(a.indptr, a.indices, a.data, x, a.nbrows)
+    buf = plan.distribute(x, a.bs)
+    for r in plan.receivers:
+        plan.refresh_rank(buf, r)
+    ranks = np.empty_like(whole).reshape(-1, a.bs)
+    for rd, (lo, _, _) in zip(layout.ranks, plan.bounds):
+        k = slice(gather.blk_off[rd.rank], gather.blk_off[rd.rank + 1])
+        ranks[rd.owned] = backend.gather_spmv_bsr(
+            a.data, gather.cols[k] - lo, plan.home[gather.seg[k]] - lo,
+            np.ascontiguousarray(plan.local(buf, rd.rank)).ravel(),
+            rd.n_owned, gather.flat[k])
+    seq, _ = backend.seq_matvec_bsr(plan.home, plan.row_off, plan.ghost_off,
+                                    plan.ghost_src, *gather, a.data, x)
+    assert np.array_equal(ranks.ravel(), whole)
+    assert np.array_equal(seq, whole)
+    return whole.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(bs=st.sampled_from((1, 2, 3, 4, 5, 6, 9, 12)), f32=st.booleans(),
+       nb=st.integers(2, 24), density=st.floats(0.1, 0.5),
+       nparts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_every_level_computes_the_same_spmv_bits(builds, bs, f32, nb,
+                                                 density, nparts, seed):
+    """An fp32 ``x`` enters the kernels widened, as the dispatchers
+    widen it."""
+    a = _dominant(nb, bs, density, seed)
+    rng = np.random.default_rng(seed)
+    rows = a.row_of
+    off = rows != a.indices
+    edges = np.unique(np.sort(np.stack([rows[off], a.indices[off]], 1), 1),
+                      axis=0).reshape(-1, 2)
+    labels = rng.permutation(np.arange(nb) % nparts)
+    layout = SPMDLayout.build(edges, labels)
+    x = rng.standard_normal(nb * bs)
+    if f32:
+        x = x.astype(np.float32).astype(np.float64)
+    got = {isa: _spmvs(backend, a, layout, x)
+           for isa, backend in builds.items()}
+    want = got.pop("default")
+    for isa, out in got.items():
+        assert out == want, f"{isa} differs from default in the SpMVs"

@@ -31,7 +31,7 @@ from repro.euler import wing_problem
 from repro.parallel import (GhostExchange, ProcPool, ProcPoolError,
                             SPMDLayout, distributed_matvec,
                             distributed_residual)
-from repro.parallel.spmd import gather_structs, rank_matvec
+from repro.parallel.spmd import rank_matvec
 from repro.partition import kway_partition
 from repro.telemetry import TraceRecorder
 
@@ -86,11 +86,11 @@ class TestBitwiseEquivalence:
         assert np.array_equal(y_seq, y_proc)
 
     def test_compiled_matvec_reads_blocks_in_place(self, setup, pool):
-        """On the compiled tier the seq loop reads each owned block in
-        place through the cached slots and the workers read their
-        pre-gathered rows: the same kernel on the same blocks, so seq
-        == proc bitwise, and each rank equals the gathered-copy form
-        (on the numpy tier too)."""
+        """On the compiled tier the seq matvec reads each owned block in
+        place through the plan's gather structure and the workers read
+        their pre-gathered rows: the same block products in the same
+        order, so seq == proc bitwise, and each rank equals the
+        gathered-copy form (on the numpy tier too)."""
         prob, _, layout, q = setup
         a = prob.disc.assemble_jacobian(q)
         a.engine = "compiled"
@@ -98,8 +98,12 @@ class TestBitwiseEquivalence:
         x = rng.standard_normal(q.size)
         assert np.array_equal(distributed_matvec(a, layout, x, executor="seq"),
                               distributed_matvec(a, layout, x, executor=pool))
-        for rd in layout.ranks:
-            flat, cols, seg = gather_structs(a, layout, rd)
+        plan = layout.plan
+        gather = plan.gather(a)
+        for rd, (lo, _, _) in zip(layout.ranks, plan.bounds):
+            k = slice(gather.blk_off[rd.rank], gather.blk_off[rd.rank + 1])
+            flat, cols = gather.flat[k], gather.cols[k] - lo
+            seg = plan.home[gather.seg[k]] - lo
             lx = rng.standard_normal((rd.n_local, a.bs))
             for engine in ("compiled", "numpy"):
                 assert np.array_equal(

@@ -19,8 +19,8 @@ from repro.euler.boundary import classify_box_boundary
 from repro.mesh.dualmesh import compute_dual_metrics
 from repro.parallel import (GhostExchange, SPMDLayout, build_exchange_plan,
                             distributed_matvec, distributed_residual)
-from repro.parallel.spmd import gather_structs
 from repro.partition import kway_partition, pmetis_partition
+from repro.sparse.bsr import BSRMatrix
 from repro.telemetry import TraceRecorder
 
 
@@ -292,20 +292,22 @@ class TestInstrumentedIdentity:
 
 
 class TestGatherCache:
+    """The plan keeps one SpMV gather structure, for the last matrix
+    pattern: an identity hit, then an ``np.array_equal`` one."""
+
     def test_cache_hit_on_identity(self, setup):
         prob, _, layout, q = setup
-        layout.gather_cache.clear()
+        plan = layout.plan
+        plan._gather = None
         jac = prob.disc.shifted_jacobian(q, 10.0)
-        rd = layout.ranks[0]
-        s1 = gather_structs(jac, layout, rd)
-        s2 = gather_structs(jac, layout, rd)
-        assert s1 is s2
+        assert plan.gather(jac) is plan.gather(jac)
 
     def test_cache_hit_on_equal_pattern(self, setup):
         """A numerically-different matrix with the same sparsity reuses
-        the structs (the jittered-mesh warm path)."""
+        the structure, which is then kept for the new pattern arrays."""
         prob, _, layout, q = setup
-        layout.gather_cache.clear()
+        plan = layout.plan
+        plan._gather = None
         jac1 = prob.disc.shifted_jacobian(q, 10.0)
         jac2 = prob.disc.shifted_jacobian(q + 0.01, 5.0)
         # force distinct pattern objects (the discretization may share
@@ -313,15 +315,131 @@ class TestGatherCache:
         jac2.indptr = jac2.indptr.copy()
         jac2.indices = jac2.indices.copy()
         assert jac1.indptr is not jac2.indptr
-        rd = layout.ranks[0]
-        s1 = gather_structs(jac1, layout, rd)
-        s2 = gather_structs(jac2, layout, rd)
-        assert s1 is s2
+        g = plan.gather(jac1)
+        assert plan.gather(jac2) is g
+        assert plan._gather[0] is jac2.indptr
+        assert plan._gather[1] is jac2.indices
+
+    def test_jittered_mesh_hits(self, setup):
+        """The stream's A': the same wing with coordinates moved by 1e-8
+        is a new discretisation with new pattern arrays of equal values;
+        its Jacobian hits the structure the first mesh's built, and the
+        seq matvec through it equals the global SpMV bitwise."""
+        prob, _, layout, q = setup
+        plan = layout.plan
+        plan._gather = None
+        g = plan.gather(prob.disc.shifted_jacobian(q, 10.0))
+        rng = np.random.default_rng(5)
+        mesh = dataclasses.replace(
+            prob.mesh, coords=prob.mesh.coords
+            + 1e-8 * rng.standard_normal(prob.mesh.coords.shape))
+        dual = compute_dual_metrics(mesh)
+        disc = type(prob.disc)(mesh, prob.disc.bc, dual,
+                               farfield=prob.initial, second_order=False)
+        jac = disc.shifted_jacobian(q, 10.0)
+        jac.engine = "compiled"
+        assert plan.gather(jac) is g
+        x = rng.standard_normal(jac.shape[1])
+        assert np.array_equal(distributed_matvec(jac, layout, x),
+                              jac.matvec(x))
+
+    def test_other_pattern_rebuilds(self, setup):
+        prob, _, layout, q = setup
+        plan = layout.plan
+        jac = prob.disc.shifted_jacobian(q, 10.0)
+        g = plan.gather(jac)
+        keep = jac.row_of == jac.indices          # the diagonal only
+        diag = BSRMatrix(indptr=np.arange(jac.nbrows + 1),
+                         indices=jac.indices[keep], data=jac.data[keep],
+                         nbcols=jac.nbcols)
+        g2 = plan.gather(diag)
+        assert g2 is not g and g2.flat.size == diag.nnzb
+        assert np.array_equal(np.sort(g2.seg), np.arange(jac.nbrows))
+
+    def test_nbytes_counts_the_structure_and_its_pattern(self, setup):
+        prob, _, layout, q = setup
+        plan = layout.plan
+        plan._gather = None
+        before = plan.nbytes
+        jac = prob.disc.shifted_jacobian(q, 10.0)
+        g = plan.gather(jac)
+        assert plan.nbytes - before == (jac.indptr.nbytes + jac.indices.nbytes
+                                        + sum(a.nbytes for a in g))
 
     def test_cached_matvec_matches_uncached(self, setup):
         prob, _, layout, q = setup
-        layout.gather_cache.clear()
+        layout.plan._gather = None
         jac = prob.disc.shifted_jacobian(q, 10.0)
-        y1 = distributed_matvec(jac, layout, q)     # cold: fills cache
-        y2 = distributed_matvec(jac, layout, q)     # warm: cache hit
+        y1 = distributed_matvec(jac, layout, q)     # cold: builds it
+        y2 = distributed_matvec(jac, layout, q)     # warm: identity hit
         assert np.array_equal(y1, y2)
+
+
+class TestSeqMatvecTelemetry:
+    """The compiled seq matvec is one C call over every rank; the
+    recorder books from its times what the rank loop books (the numpy
+    tier, which CI runs this class on too, is that loop)."""
+
+    @pytest.fixture
+    def case(self, setup):
+        prob, _, layout, q = setup
+        jac = prob.disc.shifted_jacobian(q, 10.0)
+        jac.engine = "compiled"
+        x = np.random.default_rng(23).standard_normal(jac.shape[1])
+        return jac, layout, x
+
+    def test_one_span_per_rank_and_per_receiver(self, case):
+        jac, layout, x = case
+        rec = TraceRecorder()
+        distributed_matvec(jac, layout, x, recorder=rec)
+        plan = layout.plan
+        for r in range(layout.nranks):
+            assert rec.phase_calls("matvec", r) == 1
+            assert rec.phase_calls("ghost_exchange", r) == (
+                r in plan.receivers)
+        assert rec.phase_seconds("matvec") > 0
+        assert rec.wait_seconds("matvec") >= 0
+        assert rec.wait_seconds("ghost_exchange") >= 0
+
+    def test_counters_equal_the_plan(self, case):
+        jac, layout, x = case
+        plan = layout.plan
+        rec = TraceRecorder()
+        ex = GhostExchange(layout, jac.bs, recorder=rec)
+        distributed_matvec(jac, layout, x, ex, recorder=rec)
+        assert rec.counter("messages") == plan.pair_count == ex.messages
+        assert rec.counter("bytes") == plan.ghost_rows * jac.bs * 8 \
+            == ex.bytes_moved
+        for r in plan.receivers:
+            assert rec.counter("messages", r) == plan.pairs[r]
+
+    def test_a_passed_exchange_books_on_its_own_recorder(self, case):
+        jac, layout, x = case
+        rec, ex_rec = TraceRecorder(), TraceRecorder()
+        ex = GhostExchange(layout, jac.bs, recorder=ex_rec)
+        distributed_matvec(jac, layout, x, ex, recorder=rec)
+        distributed_matvec(jac, layout, x, ex, recorder=rec)
+        assert ex.messages == 2 * layout.plan.pair_count
+        assert ex_rec.phase_calls("ghost_exchange") == 2 * len(
+            layout.plan.receivers)
+        assert rec.phase_calls("ghost_exchange") == 0
+        assert rec.phase_calls("matvec") == 2 * layout.nranks
+
+    def test_self_times_sum_to_the_inclusive(self, case):
+        jac, layout, x = case
+        rec = TraceRecorder()
+        with rec.span("krylov") as sp:
+            distributed_matvec(jac, layout, x, recorder=rec)
+        total = sum(cell["self_s"]
+                    for ranks in rec.to_dict()["phases"].values()
+                    for cell in ranks.values())
+        assert total == pytest.approx(sp.elapsed, rel=1e-9)
+        assert rec.self_seconds("krylov") < sp.elapsed
+
+    def test_fp32_in_fp32_out_with_the_widened_bits(self, case):
+        jac, layout, x = case
+        x32 = x.astype(np.float32)
+        y = distributed_matvec(jac, layout, x32)
+        assert y.dtype == np.float32
+        assert np.array_equal(
+            y, jac.matvec(x32.astype(np.float64)).astype(np.float32))

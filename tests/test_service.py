@@ -128,9 +128,9 @@ class TestWarmSeeding:
 
     def test_gather_entry_counts_the_scatter_plan(self):
         """The entry holds the whole layout, so its bytes are the rank
-        worlds, the gather structs and every index array of the
-        scatter plan (the boundary rows included: a first-order solve
-        runs the distributed residual)."""
+        worlds and every index array of the scatter plan: the boundary
+        rows (a first-order solve runs the distributed residual) and
+        the SpMV gather structure with the pattern it is kept for."""
         cache = ServiceCache()
         prob = make_prob()
         prob.disc.second_order = False
@@ -141,18 +141,17 @@ class TestWarmSeeding:
         worlds = sum(rd.owned.nbytes + rd.ghosts.nbytes + rd.edge_ids.nbytes
                      + rd.local_edges.nbytes + rd.ghost_owner.nbytes
                      for rd in layout.ranks)
-        structs = sum(indptr.nbytes + indices.nbytes
-                      + sum(a.nbytes for a in arrays)
-                      for indptr, indices, arrays
-                      in layout.gather_cache.values())
         plan = layout.plan
+        indptr, indices, gather = plan._gather
+        structs = (indptr.nbytes + indices.nbytes
+                   + sum(a.nbytes for a in gather))
         verts, kinds, rows = plan._boundary
-        plan_bytes = sum(a.nbytes for a in (
-            plan.row_off, plan.owner, plan.home, *plan.ghost_src,
-            *plan.e0, *plan.e1, verts, kinds,
+        plan_bytes = structs + sum(a.nbytes for a in (
+            plan.row_off, plan.owner, plan.home, plan.ghost_src,
+            plan.ghost_off, *plan.e0, *plan.e1, verts, kinds,
             *(a for rank in rows for a in rank)))
         assert structs > 0 and plan_bytes > 0
-        assert _layout_nbytes(layout) == worlds + structs + plan_bytes
+        assert _layout_nbytes(layout) == worlds + plan_bytes
         assert cache.stats().bytes_stored == (
             ctx.solver._labels.nbytes + _layout_nbytes(layout)
             + _pattern_nbytes(ctx.solver._pc))

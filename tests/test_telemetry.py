@@ -144,6 +144,20 @@ class TestExternalSpans:
         with pytest.raises(ValueError):
             rec.add_span_seconds("not_a_phase", 1.0)
 
+    def test_booked_inside_an_open_span_is_its_child_time(self):
+        """Seconds booked inside an open span (the compiled seq matvec's
+        C-timed ranks) are that span's child time, as a nested span's
+        would be: the parent's self time is its inclusive time minus
+        what was booked, and the self times sum to the inclusive."""
+        rec = TraceRecorder()
+        with rec.span("krylov") as sp:
+            rec.add_span_seconds("matvec", 1e-4, rank=0)
+            rec.add_span_seconds("matvec", 2e-4, rank=1)
+        assert rec.self_seconds("krylov") == pytest.approx(
+            sp.elapsed - 3e-4, abs=1e-12)
+        assert rec.self_seconds("krylov") + rec.self_seconds(
+            "matvec") == pytest.approx(sp.elapsed, abs=1e-12)
+
 
 
 class TestNullRecorder:
