@@ -139,26 +139,20 @@ def spmv_bsr(indptr, indices, data, x, nbrows, nbcols, engine):
     return backend.spmv_bsr(indptr, indices, data, x, int(nbrows))
 
 
-def gather_spmv_bsr(data, cols, seg, x, n_owned, engine, flat=None):
-    """The SPMD rank SpMV, ULP-bounded: ``y[seg[k]] += B_k x[cols[k]]``
-    where block ``B_k`` is ``data[k]`` (pre-gathered rows) or, given
-    ``flat``, ``data[flat[k]]`` read in place from the whole matrix.  A
-    float32 ``x`` is widened exactly, as in :func:`spmv_bsr`; the result
-    is float64."""
+def gather_spmv_bsr(data, cols, seg, x, n_owned, engine):
+    """The SPMD rank SpMV on a rank's pre-gathered blocks, ULP-bounded:
+    ``y[seg[k]] += data[k] x[cols[k]]``.  A float32 ``x`` is widened
+    exactly, as in :func:`spmv_bsr`; the result is float64."""
     backend = backend_for(engine)
     if backend is None:
         return None
     data = _f64(np.asarray(data))
     x = _vector(x)
     cols, seg = _i64(cols), _i64(seg)
-    if flat is not None:
-        flat = _i64(flat)
     if (data is None or x is None or seg.shape != cols.shape
-            or (flat is not None and flat.shape != cols.shape)
-            or not _blocks_ok(data, cols.size if flat is None
-                              else data.shape[0], x)):
+            or not _blocks_ok(data, cols.size, x)):
         return None
-    return backend.gather_spmv_bsr(data, cols, seg, x, int(n_owned), flat)
+    return backend.gather_spmv_bsr(data, cols, seg, x, int(n_owned))
 
 
 def seq_matvec_bsr(home, row_off, ghost_off, ghost_src, blk_off, flat, cols,
@@ -167,10 +161,10 @@ def seq_matvec_bsr(home, row_off, ghost_off, ghost_src, blk_off, flat, cols,
     :class:`~repro.parallel.spmd.ScatterPlan`'s arrays: distribute ``x``
     into the flat buffer through ``home``, refresh every rank's ghost
     rows (the last ``ghost_off[r + 1] - ghost_off[r]`` of rank ``r``'s
-    rows ``row_off[r] .. row_off[r + 1]``) from ``ghost_src``, then add
-    every rank's blocks ``blk_off[r] .. blk_off[r + 1]``:
-    ``y[seg[k]] += data[flat[k]] buf[cols[k]]``, with ``cols`` buffer
-    rows and ``seg`` global rows.
+    rows ``row_off[r] .. row_off[r + 1]``) from ``ghost_src``, then run
+    every rank's blocks ``blk_off[r] .. blk_off[r + 1]`` as its
+    :func:`gather_spmv_bsr` on ``data[flat[k]]``, read in place, with
+    ``cols`` and ``seg`` the rank's own rows and owned rows.
 
     Returns ``(y, times)``: ``y`` float64 — bitwise the per-rank
     :func:`gather_spmv_bsr` and the global :func:`spmv_bsr`, whose block

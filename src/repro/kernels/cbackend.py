@@ -108,16 +108,15 @@ long long spmv_bsr_f64(long long nbrows, long long bs, long long nbcols,
     long long nnzb, const long long *indptr, const long long *indices,
     const double *data, const double *x, double *y);
 long long gather_spmv_bsr_f64(long long nblocks, long long bs,
-    long long ndata, long long nx, long long n_owned,
-    const long long *flat, const long long *cols, const long long *seg,
-    const double *data, const double *x, double *y);
+    long long nx, long long n_owned, const long long *cols,
+    const long long *seg, const double *data, const double *x, double *y);
 long long seq_matvec_bsr_f64(long long nranks, long long bs, long long n,
     long long nrows, long long nghost, long long nblocks, long long ndata,
     const long long *home, const long long *row_off,
     const long long *ghost_off, const long long *ghost_src,
     const long long *blk_off, const long long *flat, const long long *cols,
     const long long *seg, const double *data, const double *x, double *buf,
-    double *y, double *times);
+    double *ybuf, double *y, double *times);
 long long lower_solve_bsr_f64(long long n, long long bs, long long nnz,
     const long long *indptr, const long long *indices,
     const double *data, double *x);
@@ -285,8 +284,8 @@ long long spmv_bsr_f64(long long nbrows, long long bs, long long nbcols,
 }
 
 /* y[seg[k]] += data[b] x[cols[k]] for blocks k0 <= k < k1, b = flat[k]
- * (flat NULL: b = k); returns the first block with an index out of
- * range, -1 when none. */
+ * (flat NULL: b = k, the blocks pre-gathered); returns the first block
+ * with an index out of range, -1 when none. */
 ALWAYS_INLINE long long gather_spmv_bsr_n(long long bs, long long k0,
     long long k1, long long ndata, long long nx, long long ny,
     const long long *flat, const long long *cols, const long long *seg,
@@ -315,17 +314,15 @@ ALWAYS_INLINE long long gather_spmv_bsr_n(long long bs, long long k0,
     return -1;
 }
 
-/* The SPMD per-rank SpMV: explicit segment ids, blocks either
- * pre-gathered (flat NULL: block k is data[k]) or read in place from
- * the whole matrix (block k is data[flat[k]], one of ndata).  y must
- * be zeroed by the caller (length n_owned * bs). */
+/* The SPMD per-rank SpMV on a rank's pre-gathered blocks (block k is
+ * data[k]), with explicit segment ids.  y must be zeroed by the caller
+ * (length n_owned * bs). */
 long long gather_spmv_bsr_f64(long long nblocks, long long bs,
-    long long ndata, long long nx, long long n_owned,
-    const long long *flat, const long long *cols, const long long *seg,
-    const double *data, const double *x, double *y)
+    long long nx, long long n_owned, const long long *cols,
+    const long long *seg, const double *data, const double *x, double *y)
 {
-    return BS_DISPATCH(gather_spmv_bsr, bs, 0, nblocks, ndata, nx, n_owned,
-                       flat, cols, seg, data, x, y);
+    return BS_DISPATCH(gather_spmv_bsr, bs, 0, nblocks, nblocks, nx,
+                       n_owned, NULL, cols, seg, data, x, y);
 }
 
 static double now_s(void)
@@ -342,9 +339,10 @@ static double now_s(void)
  *   2. refresh: rank r's ghost rows, the last ghost_off[r + 1] -
  *      ghost_off[r] of its rows, copy the buf rows ghost_src[ghost_off[r]
  *      ..] (nghost in all);
- *   3. matvec: y[seg[k]] += data[flat[k]] buf[cols[k]] for rank r's
- *      blocks blk_off[r] .. blk_off[r + 1], of nblocks (cols: buf rows,
- *      seg: global rows; y zeroed by the caller).
+ *   3. matvec: rank r's blocks blk_off[r] .. blk_off[r + 1], of nblocks,
+ *      are its per-rank SpMV on its rows of buf, into its rows of ybuf
+ *      (zeroed by the caller): cols are rank rows, seg owned rows;
+ *   4. collect: y[v] = ybuf[home[v]].
  * times[2 r] and times[2 r + 1] receive rank r's refresh and matvec
  * seconds.  Returns -1, or the first rank whose rows, ghost sources or
  * blocks hold an index out of range (nranks: a home row). */
@@ -354,8 +352,8 @@ ALWAYS_INLINE long long seq_matvec_bsr_n(long long bs, long long nranks,
     const long long *ghost_off, const long long *ghost_src,
     const long long *blk_off,
     const long long *flat, const long long *cols, const long long *seg,
-    const double *data, const double *x, double *buf, double *y,
-    double *times)
+    const double *data, const double *x, double *buf, double *ybuf,
+    double *y, double *times)
 {
     for (long long v = 0; v < n; ++v) {
         if (!IN_RANGE(home[v], nrows))
@@ -384,12 +382,22 @@ ALWAYS_INLINE long long seq_matvec_bsr_n(long long bs, long long nranks,
     }
     for (long long r = 0; r < nranks; ++r) {
         double t0 = now_s();
+        long long lo = row_off[r];
+        long long n_owned = row_off[r + 1] - lo
+                            - (ghost_off[r + 1] - ghost_off[r]);
         if (!ROW_IN_RANGE(blk_off[r], blk_off[r + 1], nblocks)
             || gather_spmv_bsr_n(bs, blk_off[r], blk_off[r + 1], ndata,
-                                 nrows, n, flat, cols, seg, data, buf,
-                                 y) >= 0)
+                                 row_off[r + 1] - lo, n_owned, flat, cols,
+                                 seg, data, buf + lo * bs,
+                                 ybuf + lo * bs) >= 0)
             return r;
         times[2 * r + 1] = now_s() - t0;
+    }
+    for (long long v = 0; v < n; ++v) {
+        const double *src = ybuf + home[v] * bs;
+        double *dst = y + v * bs;
+        for (long long c = 0; c < bs; ++c)
+            dst[c] = src[c];
     }
     return -1;
 }
@@ -400,11 +408,12 @@ long long seq_matvec_bsr_f64(long long nranks, long long bs, long long n,
     const long long *ghost_off, const long long *ghost_src,
     const long long *blk_off, const long long *flat, const long long *cols,
     const long long *seg, const double *data, const double *x, double *buf,
-    double *y, double *times)
+    double *ybuf, double *y, double *times)
 {
     return BS_DISPATCH(seq_matvec_bsr, bs, nranks, n, nrows, nghost,
                        nblocks, ndata, home, row_off, ghost_off, ghost_src,
-                       blk_off, flat, cols, seg, data, x, buf, y, times);
+                       blk_off, flat, cols, seg, data, x, buf, ybuf, y,
+                       times);
 }
 
 /* Triangular solves, rows in natural order: 0..n-1 for L, n-1..0 for
@@ -1318,33 +1327,33 @@ class CBackend:
             self._pi(indices), self._pd(data), self._pd(x), self._pdw(y))
         return None if bad >= 0 else y
 
-    def gather_spmv_bsr(self, data, cols, seg, x, n_owned, flat):
+    def gather_spmv_bsr(self, data, cols, seg, x, n_owned):
         bs = data.shape[1]
         y = np.zeros((n_owned, bs), dtype=np.float64)
         bad = self._lib.gather_spmv_bsr_f64(
-            cols.size, bs, data.shape[0], x.size // bs, n_owned,
-            self._ffi.NULL if flat is None else self._pi(flat),
-            self._pi(cols), self._pi(seg), self._pd(data), self._pd(x),
-            self._pdw(y))
+            cols.size, bs, x.size // bs, n_owned, self._pi(cols),
+            self._pi(seg), self._pd(data), self._pd(x), self._pdw(y))
         return None if bad >= 0 else y
 
     def seq_matvec_bsr(self, home, row_off, ghost_off, ghost_src, blk_off,
                        flat, cols, seg, data, x):
         """``(y, times)``: the seq matvec of every rank in one C call,
-        through a flat buffer made here; ``times[r]`` is rank ``r``'s
+        through flat buffers made here; ``times[r]`` is rank ``r``'s
         ``(refresh, matvec)`` seconds."""
         bs = data.shape[1]
         nranks = row_off.size - 1
         nrows = int(row_off[-1])
         buf = np.empty(nrows * bs, dtype=np.float64)
-        y = np.zeros(home.size * bs, dtype=np.float64)
+        ybuf = np.zeros(nrows * bs, dtype=np.float64)
+        y = np.empty(home.size * bs, dtype=np.float64)
         times = np.zeros((nranks, 2), dtype=np.float64)
         bad = self._lib.seq_matvec_bsr_f64(
             nranks, bs, home.size, nrows, ghost_src.size, cols.size,
             data.shape[0], *map(self._pi, (home, row_off, ghost_off,
                                            ghost_src, blk_off, flat, cols,
                                            seg)),
-            self._pd(data), self._pd(x), *map(self._pdw, (buf, y, times)))
+            self._pd(data), self._pd(x),
+            *map(self._pdw, (buf, ybuf, y, times)))
         return None if bad >= 0 else (y, times)
 
     def _factor_fn(self, name, data):

@@ -144,15 +144,21 @@ class SPMDLayout:
 
 
 class MatvecGather(NamedTuple):
-    """Every rank's owned blocks of one matrix pattern, rank after rank
-    (rank ``r``'s are ``blk_off[r]:blk_off[r + 1]``), each owned row's
-    blocks in slot order: block ``k`` is ``data[flat[k]]``, multiplies
-    flat-buffer row ``cols[k]`` and adds into global row ``seg[k]``."""
+    """Every rank's :func:`rank_matvec_structs` of one matrix pattern,
+    rank after rank: rank ``r``'s blocks are ``blk_off[r]:blk_off[r +
+    1]``, each owned row's in slot order.  Block ``k`` is
+    ``data[flat[k]]``, multiplies the rank's local row ``cols[k]`` and
+    adds into its owned row ``seg[k]``."""
 
     blk_off: np.ndarray
     flat: np.ndarray
     cols: np.ndarray
     seg: np.ndarray
+
+    def rank(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rank ``r``'s ``(flat, cols, seg)``, as views."""
+        k = slice(self.blk_off[r], self.blk_off[r + 1])
+        return self.flat[k], self.cols[k], self.seg[k]
 
 
 class ScatterPlan:
@@ -175,7 +181,7 @@ class ScatterPlan:
     ``ghost_owner`` names; a stale layout raises :class:`ValueError`
     here rather than gathering wrong rows.  The exchange's message and
     byte counts are the plan's too: ``pairs[r]`` distinct owners send
-    to rank ``r``, ``ghost_src[r].size`` ghost copies.
+    to rank ``r``, ``ghost_off[r + 1] - ghost_off[r]`` ghost copies.
 
     The plan also holds what the rank residual indexes with: each
     rank's edge endpoints as contiguous arrays, and each rank's owned
@@ -315,9 +321,7 @@ class ScatterPlan:
                 self._gather = (a.indptr, a.indices, gather)
                 return gather
         parts = [(np.zeros(0, dtype=np.int64),) * 3]
-        for rd, (lo, _, _) in zip(self._ranks, self.bounds):
-            flat, cols, seg = rank_matvec_structs(a, rd)
-            parts.append((flat, cols + lo, rd.owned[seg]))
+        parts += [rank_matvec_structs(a, rd) for rd in self._ranks]
         flat, cols, seg = (np.concatenate(p) for p in zip(*parts))
         blk_off = np.cumsum([p[0].size for p in parts], dtype=np.int64)
         gather = MatvecGather(blk_off, flat, cols, seg)
@@ -452,18 +456,13 @@ def rank_matvec_structs(a: BSRMatrix, rd: RankLocalData):
 def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
                 local_x_r: np.ndarray, n_owned: int,
                 workspace: tuple | None = None,
-                engine: str = "numpy",
-                flat: np.ndarray | None = None) -> np.ndarray:
+                engine: str = "numpy") -> np.ndarray:
     """One rank's owned SpMV rows: block-gemv the gathered blocks and
-    segment-sum per owned row.  Shared by both executors (see
-    :func:`rank_residual`).
+    segment-sum per owned row.  Shared by the proc workers and the
+    numpy ``seq`` loop (see :func:`rank_residual`).
 
-    ``data_rows`` are the rank's blocks, pre-gathered (the proc
-    workers), or — given ``flat``, the slots of
-    :func:`rank_matvec_structs` — the whole matrix's ``data``, from
-    which the compiled kernel reads each block in place and the numpy
-    path gathers ``data_rows[flat]`` (the numpy ``seq`` loop).  The
-    blocks, and so the results, are the same either way.
+    ``data_rows`` are the rank's blocks, ``data[flat]`` for the
+    ``flat`` of :func:`rank_matvec_structs`.
     ``workspace`` is an optional ``(gathered, prods)`` buffer pair that
     persistent proc workers reuse across calls — allocating these
     multi-MB temporaries fresh costs a page-fault sweep per matvec.
@@ -476,11 +475,9 @@ def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,
     """
     if engine != "numpy":
         y = _kernels.gather_spmv_bsr(data_rows, cols, seg, local_x_r,
-                                     n_owned, engine, flat=flat)
+                                     n_owned, engine)
         if y is not None:
             return y
-    if flat is not None:
-        data_rows = data_rows[flat]
     if workspace is None:
         prods = np.einsum("kij,kj->ki", data_rows, local_x_r[cols])
     else:
@@ -598,13 +595,12 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
         ex.refresh(buf)
         out = np.empty((a.nbrows, bs), dtype=buf.dtype)
         per_rank_s = [0.0] * layout.nranks
-        for rd, (lo, _, _) in zip(layout.ranks, plan.bounds):
-            k = slice(gather.blk_off[rd.rank], gather.blk_off[rd.rank + 1])
+        for rd in layout.ranks:
+            flat, cols, seg = gather.rank(rd.rank)
             with rec.span("matvec", rank=rd.rank) as sp:
-                out[rd.owned] = rank_matvec(
-                    a.data, gather.cols[k] - lo, plan.home[gather.seg[k]] - lo,
-                    plan.local(buf, rd.rank), rd.n_owned,
-                    flat=gather.flat[k])
+                out[rd.owned] = rank_matvec(a.data[flat], cols, seg,
+                                            plan.local(buf, rd.rank),
+                                            rd.n_owned)
             per_rank_s[rd.rank] = sp.elapsed
         rec.record_wait("matvec", per_rank_s)
         y = out.ravel()

@@ -509,9 +509,8 @@ class TestFloat32Vectors:
         rd = layout.ranks[0]
         flat, cols, seg = rank_matvec_structs(jac, rd)
         x = self._x32(jac, 29)
-        got, want = (kernels.gather_spmv_bsr(jac.data, cols, seg, v,
-                                             rd.n_owned, "compiled",
-                                             flat=flat)
+        got, want = (kernels.gather_spmv_bsr(jac.data[flat], cols, seg, v,
+                                             rd.n_owned, "compiled")
                      for v in (x, x.astype(np.float64)))
         if want is None:
             assert got is None
@@ -940,24 +939,23 @@ class TestIndexGuards:
     def _spmv_case(kind, bad):
         """As :meth:`_trisolve_case` for the SpMV symbols: 2 output rows
         over 4 columns; the bad index sits in output row 1 (``-rows``:
-        the second row id; ``gather``: block 2 of 3, in ``cols``,
-        ``seg`` or ``flat``)."""
+        the second row id; ``gather``: block 2 of 3, in ``cols`` or
+        ``seg``)."""
         rng = np.random.default_rng(89)
         bs = 3
-        past_end = {"cols": 4, "seg": 2, "flat": 5}
+        past_end = {"cols": 4, "seg": 2}
         x = rng.standard_normal(4 * bs)
         indptr = np.array([0, 1, 99 if bad == "row_pointer" else 3])
         indices = np.array([0, 1, 4 if bad == "past_end" else
                             -1 if bad == "negative" else 2])
         if kind.startswith("gather"):
             which = kind.split("-")[1]
-            index = {"cols": np.array([0, 1, 2]), "seg": np.array([0, 1, 1]),
-                     "flat": np.array([4, 0, 2])}
+            index = {"cols": np.array([0, 1, 2]), "seg": np.array([0, 1, 1])}
             index[which][2] = past_end[which] if bad == "past_end" else -1
             ybuf, y = _guarded(np.zeros(2 * bs))
             return "gather_spmv_bsr_f64", [
-                3, bs, 5, 4, 2, index["flat"], index["cols"], index["seg"],
-                rng.standard_normal((5, bs, bs)), x, y], [ybuf], 2
+                3, bs, 4, 2, index["cols"], index["seg"],
+                rng.standard_normal((3, bs, bs)), x, y], [ybuf], 2
         ybuf, y = _guarded(np.zeros(2 * bs))
         return kind, [2, bs, 4, 3, indptr, indices,
                       rng.standard_normal((3, bs, bs)), x, y], [ybuf], 1
@@ -966,8 +964,7 @@ class TestIndexGuards:
                  for side in ("lower", "upper") for bs in (2, 4, 5)
                  for p in ("f64", "f32")]
     ROWWISE = TRISOLVES + ["spmv_bsr_f64"]
-    GATHERS = ["gather_spmv_bsr_f64-cols", "gather_spmv_bsr_f64-seg",
-               "gather_spmv_bsr_f64-flat"]
+    GATHERS = ["gather_spmv_bsr_f64-cols", "gather_spmv_bsr_f64-seg"]
 
     @needs_backend
     @pytest.mark.parametrize("kind, bad", [
@@ -999,7 +996,9 @@ class TestIndexGuards:
     def _seq_case(which, bad):
         """``(args, guarded_buffers)`` of ``seq_matvec_bsr_f64`` on a
         4-vertex path split over 2 ranks, with one bad index in rank 1's
-        part of ``which`` (``home``: vertex 0's row)."""
+        part of ``which`` (``home``: vertex 0's row).  Rank 1's ``cols``
+        end at its own rows and its ``seg`` at its owned rows, which are
+        inside the buffer and ``y``."""
         edges = np.array([[0, 1], [1, 2], [2, 3]])
         layout = SPMDLayout.build(edges, np.array([0, 0, 1, 1]))
         plan = layout.plan
@@ -1015,10 +1014,12 @@ class TestIndexGuards:
                 "flat": g.flat.copy(), "cols": g.cols.copy(),
                 "seg": g.seg.copy()}
         past_end = {"home": plan.total_rows, "ghost_src": plan.total_rows,
-                    "flat": a.nnzb, "cols": plan.total_rows, "seg": 4}
+                    "flat": a.nnzb, "cols": plan.row_off[2] - plan.row_off[1],
+                    "seg": layout.ranks[1].n_owned}
         ints[which][0 if which == "home" else -1] = (
             past_end[which] if bad == "past_end" else -1)
         bufs = [_guarded(np.zeros(n)) for n in (plan.total_rows * bs,
+                                                plan.total_rows * bs,
                                                 4 * bs, 4)]
         args = [2, bs, 4, plan.total_rows, plan.ghost_src.size, a.nnzb,
                 a.nnzb, ints["home"], plan.row_off, plan.ghost_off,

@@ -105,12 +105,12 @@ def _spmvs(backend, a, layout, x):
     for r in plan.receivers:
         plan.refresh_rank(buf, r)
     ranks = np.empty_like(whole).reshape(-1, a.bs)
-    for rd, (lo, _, _) in zip(layout.ranks, plan.bounds):
-        k = slice(gather.blk_off[rd.rank], gather.blk_off[rd.rank + 1])
+    for rd in layout.ranks:
+        flat, cols, seg = gather.rank(rd.rank)
         ranks[rd.owned] = backend.gather_spmv_bsr(
-            a.data, gather.cols[k] - lo, plan.home[gather.seg[k]] - lo,
+            a.data[flat], cols, seg,
             np.ascontiguousarray(plan.local(buf, rd.rank)).ravel(),
-            rd.n_owned, gather.flat[k])
+            rd.n_owned)
     seq, _ = backend.seq_matvec_bsr(plan.home, plan.row_off, plan.ghost_off,
                                     plan.ghost_src, *gather, a.data, x)
     assert np.array_equal(ranks.ravel(), whole)

@@ -354,7 +354,10 @@ class TestGatherCache:
                          nbcols=jac.nbcols)
         g2 = plan.gather(diag)
         assert g2 is not g and g2.flat.size == diag.nnzb
-        assert np.array_equal(np.sort(g2.seg), np.arange(jac.nbrows))
+        for rd in layout.ranks:
+            flat, cols, seg = g2.rank(rd.rank)
+            assert np.array_equal(seg, np.arange(rd.n_owned))
+            assert np.array_equal(cols, seg)
 
     def test_nbytes_counts_the_structure_and_its_pattern(self, setup):
         prob, _, layout, q = setup
