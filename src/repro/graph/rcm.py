@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.traversal import bfs_order, pseudo_peripheral_node
+from repro.graph.traversal import (bfs_queue, pseudo_peripheral_node,
+                                   sorted_adjacency)
 
 __all__ = ["cuthill_mckee", "rcm_ordering", "bandwidth", "profile"]
 
@@ -24,26 +25,19 @@ def cuthill_mckee(graph: Graph) -> np.ndarray:
     node of each unvisited component, in ascending seed order.
     """
     n = graph.num_vertices
-    perm = np.empty(n, dtype=np.int64)
+    adj = sorted_adjacency(graph)
     visited = np.zeros(n, dtype=bool)
-    filled = 0
-    for seed in range(n):
-        if visited[seed]:
-            continue
-        root = _component_peripheral(graph, seed, visited)
-        order = bfs_order(graph, root)
-        order = order[~visited[order]]
-        visited[order] = True
-        perm[filled : filled + order.size] = order
-        filled += order.size
-    assert filled == n
-    return perm
-
-
-def _component_peripheral(graph: Graph, seed: int, visited: np.ndarray) -> int:
-    # pseudo_peripheral_node explores only seed's component, which by
-    # construction contains no visited vertices yet.
-    return pseudo_peripheral_node(graph, seed)
+    parts = []
+    filled, seed = 0, 0
+    while filled < n:
+        # The smallest unvisited vertex: seeds only move forward.
+        seed += int(np.argmin(visited[seed:]))
+        # pseudo_peripheral_node explores only seed's component, which
+        # by construction contains no visited vertices yet.
+        root = pseudo_peripheral_node(graph, seed)
+        parts.append(bfs_queue(graph.xadj, adj, root, visited))
+        filled += parts[-1].size
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def rcm_ordering(graph: Graph) -> np.ndarray:

@@ -15,6 +15,8 @@ from repro.graph.adjacency import Graph
 __all__ = [
     "bfs_levels",
     "bfs_order",
+    "bfs_queue",
+    "sorted_adjacency",
     "connected_components",
     "pseudo_peripheral_node",
     "expand_overlap",
@@ -25,42 +27,50 @@ def bfs_levels(graph: Graph, roots) -> np.ndarray:
     """Vectorised multi-source BFS.
 
     Returns an int array ``level`` with ``level[v] = -1`` for vertices
-    unreachable from ``roots`` and the BFS distance otherwise.  The
-    frontier expansion is done with numpy set operations so large
-    graphs stay fast in pure Python.
+    unreachable from ``roots`` and the BFS distance otherwise.  Each
+    level is expanded in one gather over the frontier's adjacency rows;
+    the unlevelled neighbours, once each, are the next frontier.
     """
     n = graph.num_vertices
     level = np.full(n, -1, dtype=np.int64)
-    frontier = np.unique(np.atleast_1d(np.asarray(roots, dtype=np.int64)))
+    slot = np.empty(n, dtype=np.int64)
+    frontier = _first_occurrences(
+        np.atleast_1d(np.asarray(roots, dtype=np.int64)), slot)
     level[frontier] = 0
     depth = 0
     while frontier.size:
         depth += 1
-        # Gather all neighbours of the frontier in one shot.
-        starts = graph.xadj[frontier]
-        ends = graph.xadj[frontier + 1]
-        counts = ends - starts
-        if counts.sum() == 0:
-            break
-        idx = _ranges_concat(starts, counts)
-        nbrs = graph.adjncy[idx]
-        nbrs = np.unique(nbrs)
-        frontier = nbrs[level[nbrs] < 0]
+        nbrs = _gather_rows(graph.xadj, graph.adjncy, frontier)
+        frontier = _first_occurrences(nbrs[level[nbrs] < 0], slot)
         level[frontier] = depth
     return level
 
 
+def _first_occurrences(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """``ids`` with each repeat dropped, first occurrences in order.
+
+    ``slot`` is per-vertex int64 scratch of any content: each id's
+    smallest position lands in its slot, so the cost is linear in
+    ``ids`` whatever the graph's size.
+    """
+    pos = np.arange(ids.size, dtype=np.int64)
+    slot[ids] = ids.size
+    np.minimum.at(slot, ids, pos)
+    return ids[slot[ids] == pos]
+
+
+def _gather_rows(xadj: np.ndarray, adj: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """The adjacency rows of ``rows``, concatenated in that order."""
+    starts = xadj[rows]
+    return adj[_ranges_concat(starts, xadj[rows + 1] - starts)]
+
+
 def _ranges_concat(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ranges [starts[i], starts[i]+counts[i]) vectorised."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    offsets = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    out[offsets] = starts
-    out[offsets[1:]] -= starts[:-1] + counts[:-1] - 1
-    return np.cumsum(out)
+    offsets = np.cumsum(counts) - counts    # where each range lands
+    return (np.repeat(starts - offsets, counts)
+            + np.arange(int(counts.sum()), dtype=np.int64))
 
 
 def bfs_order(graph: Graph, root: int, tie_break: np.ndarray | None = None) -> np.ndarray:
@@ -70,34 +80,45 @@ def bfs_order(graph: Graph, root: int, tie_break: np.ndarray | None = None) -> n
     degree, the Cuthill-McKee rule).  Returns the visited vertices in
     order; unreachable vertices are absent.
     """
-    n = graph.num_vertices
+    adj = sorted_adjacency(graph, tie_break)
+    return bfs_queue(graph.xadj, adj, root,
+                     np.zeros(graph.num_vertices, dtype=bool))
+
+
+def sorted_adjacency(graph: Graph,
+                     tie_break: np.ndarray | None = None) -> np.ndarray:
+    """``graph.adjncy`` with every row sorted by ``(tie_break, id)``,
+    the order a BFS enqueues its fresh neighbours in (default
+    ``tie_break``: vertex degree)."""
     if tie_break is None:
         tie_break = graph.degrees()
-    xadj, nbr = graph.xadj, graph.adjncy
-    # Every adjacency row sorted once by (tie_break, id), the order its
-    # fresh neighbours are enqueued in; a repeated arc lands next to its
-    # twin, so one neighbour comparison drops it.
-    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(xadj))
-    adj = nbr[np.lexsort((nbr, tie_break[nbr], row))]
-    repeats = bool(np.any((adj[1:] == adj[:-1]) & (row[1:] == row[:-1])))
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    order[0] = root
+    nbr = graph.adjncy
+    row = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
+                    np.diff(graph.xadj))
+    return nbr[np.lexsort((nbr, tie_break[nbr], row))]
+
+
+def bfs_queue(xadj: np.ndarray, adj: np.ndarray, root: int,
+              visited: np.ndarray) -> np.ndarray:
+    """The FIFO queue of a BFS from ``root`` over the unvisited vertices,
+    one level at a time; marks what it visits in ``visited``.
+
+    The queue dequeues a level in order and each vertex enqueues its
+    fresh neighbours in row order, so the next level is the level's
+    rows, concatenated, without visited ids or repeats, each id at
+    its first occurrence: a repeated arc or a neighbour shared with an
+    earlier vertex of the level is the same repeat.
+    """
+    slot = np.empty(visited.size, dtype=np.int64)
+    frontier = np.array([root], dtype=np.int64)
     visited[root] = True
-    head, tail = 0, 1
-    while head < tail:
-        v = order[head]
-        head += 1
-        nbrs = adj[xadj[v]:xadj[v + 1]]
-        fresh = nbrs[~visited[nbrs]]
-        if fresh.size:
-            if repeats:
-                fresh = fresh[np.concatenate(([True],
-                                              fresh[1:] != fresh[:-1]))]
-            visited[fresh] = True
-            order[tail : tail + fresh.size] = fresh
-            tail += fresh.size
-    return order[:tail]
+    levels = [frontier]
+    while frontier.size:
+        nbrs = _gather_rows(xadj, adj, frontier)
+        frontier = _first_occurrences(nbrs[~visited[nbrs]], slot)
+        visited[frontier] = True
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 def connected_components(graph: Graph,

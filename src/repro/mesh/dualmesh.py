@@ -35,6 +35,10 @@ __all__ = ["DualMetrics", "compute_dual_metrics"]
 _EDGE_OPPOSITE = np.array(
     [[2, 3], [1, 3], [1, 2], [0, 3], [0, 2], [0, 1]], dtype=np.int64
 )
+#: local corners (a, b, c, d) of each local edge
+_EDGE_CORNERS = np.concatenate([TET_EDGE_LOCAL, _EDGE_OPPOSITE], axis=1)
+#: tets per chunk of the dual-face pass: a few hundred KiB per array
+_TET_CHUNK = 8192
 
 
 @dataclass
@@ -79,56 +83,60 @@ class DualMetrics:
 
 
 def compute_dual_metrics(mesh: Mesh) -> DualMetrics:
-    """Compute median-dual metrics for ``mesh`` (fully vectorised)."""
+    """Compute median-dual metrics for ``mesh``.
+
+    The tets are processed in chunks of ``_TET_CHUNK``, one local edge
+    at a time on ``(chunk, 3)`` corner arrays, so the working set is
+    bounded whatever the mesh size.  Every sum runs in tet-major,
+    local-edge-minor order, the order of a single whole-mesh scatter.
+    """
     p = mesh.coords
     tets = mesh.tets
     edges = mesh.edges
     n = mesh.num_vertices
+    nt = mesh.num_tets
 
     # --- dual volumes: each vertex gets 1/4 of every incident tet ------
     vols = mesh.tet_volumes()
     if np.any(vols <= 0):
         raise ValueError("mesh has non-positive tet volumes")
-    dual_volumes = np.zeros(n)
-    np.add.at(dual_volumes, tets.ravel(),
-              np.repeat(vols / 4.0, 4))
+    dual_volumes = np.bincount(tets.ravel(), weights=np.repeat(vols / 4.0, 4),
+                               minlength=n)
+    del vols
 
     # --- per-tet edge dual-face area vectors ---------------------------
-    # Geometry points, shaped (nt, 4, 3) for corners.
-    corners = p[tets]                      # (nt, 4, 3)
-    centroid = corners.mean(axis=1)        # (nt, 3)
-
-    a_loc = TET_EDGE_LOCAL[:, 0]           # (6,)
-    b_loc = TET_EDGE_LOCAL[:, 1]
-    c_loc = _EDGE_OPPOSITE[:, 0]
-    d_loc = _EDGE_OPPOSITE[:, 1]
-
-    A = corners[:, a_loc]                  # (nt, 6, 3)
-    B = corners[:, b_loc]
-    C = corners[:, c_loc]
-    D = corners[:, d_loc]
-
-    mid = 0.5 * (A + B)                    # edge midpoints
-    f1 = (A + B + C) / 3.0                 # centroid of face (a, b, c)
-    f2 = (A + B + D) / 3.0                 # centroid of face (a, b, d)
-    ct = centroid[:, None, :]              # (nt, 1, 3)
-
-    # Dual face = quad (mid, f1, ct, f2); its area vector is half the
-    # cross product of its diagonals (exact even for non-planar quads).
-    area = 0.5 * np.cross(ct - mid, f2 - f1)   # (nt, 6, 3)
-
-    # Orient each contribution from a toward b.
-    eab = B - A
-    sign = np.sign(np.einsum("teX,teX->te", area, eab))
-    sign[sign == 0] = 1.0
-    area *= sign[..., None]
-
-    # Scatter per-tet contributions onto global edges, respecting the
-    # global edge direction.
+    # Scattered onto global edges chunk by chunk, respecting the global
+    # edge direction.
     eidx, esign = tet_edge_indices(tets, edges, n)     # (nt, 6) each
     edge_normals = np.zeros((edges.shape[0], 3))
-    contrib = area * esign[..., None]
-    np.add.at(edge_normals, eidx.ravel(), contrib.reshape(-1, 3))
+    contrib = np.empty((3, min(nt, _TET_CHUNK), 6))
+    for t0 in range(0, nt, _TET_CHUNK):
+        t1 = min(t0 + _TET_CHUNK, nt)
+        corners = [p[tets[t0:t1, k]] for k in range(4)]    # (m, 3) each
+        # Tet centroid, summed in corner order as a mean over axis 1.
+        ct = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
+        out = contrib[:, : t1 - t0]
+        for e in range(6):
+            A, B, C, D = (corners[k] for k in _EDGE_CORNERS[e])
+            ab = A + B
+            mid = 0.5 * ab                     # edge midpoint
+            f1 = (ab + C) / 3.0                # centroid of face (a, b, c)
+            f2 = (ab + D) / 3.0                # centroid of face (a, b, d)
+            # Dual face = quad (mid, f1, ct, f2); its area vector is half
+            # the cross product of its diagonals (exact even for
+            # non-planar quads).
+            area = 0.5 * np.cross(ct - mid, f2 - f1)
+            # Orient the contribution from a toward b, then along the
+            # global edge.  The dot is the whole-mesh pass's einsum
+            # reduction over X, so near-zero dots get the same sign.
+            sign = np.sign(np.einsum("tX,tX->t", area, B - A))
+            sign[sign == 0] = 1.0
+            sign *= esign[t0:t1, e]
+            out[:, :, e] = (area * sign[:, None]).T
+        rows = eidx[t0:t1].ravel()
+        for k in range(3):
+            np.add.at(edge_normals[:, k], rows, out[k].ravel())
+    del eidx, esign, contrib    # before boundary_faces' own peak
 
     # --- boundary dual areas -------------------------------------------
     bfaces = boundary_faces(tets)
@@ -139,8 +147,11 @@ def compute_dual_metrics(mesh: Mesh) -> DualMetrics:
         vc = p[bfaces[:, 2]]
         face_area = 0.5 * np.cross(vb - va, vc - va)   # outward by winding
         third = face_area / 3.0
+        # Corner-major: every face's first corner, then second, third.
+        corner = bfaces.T.ravel()
         for k in range(3):
-            np.add.at(bnd_vertex_normals, bfaces[:, k], third)
+            bnd_vertex_normals[:, k] = np.bincount(
+                corner, weights=np.tile(third[:, k], 3), minlength=n)
 
     return DualMetrics(
         edge_normals=edge_normals,

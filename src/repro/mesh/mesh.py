@@ -115,8 +115,13 @@ class Mesh:
         """
         perm = np.asarray(perm, dtype=np.int64)
         n = self.num_vertices
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n, dtype=np.int64)
+        inv = np.full(n, -1, dtype=np.int64)
+        if perm.shape == (n,) and np.all((perm >= 0) & (perm < n)):
+            inv[perm] = np.arange(n, dtype=np.int64)
+        # A wrong length, an id out of range or a repeat leaves a slot
+        # of ``inv`` unwritten.
+        if np.any(inv < 0):
+            raise ValueError(f"perm is not a permutation of range({n})")
         edges = inv[self.edges]
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])

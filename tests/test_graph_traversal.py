@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (bfs_levels, bfs_order, connected_components,
-                         graph_from_edges, pseudo_peripheral_node)
+                         cuthill_mckee, graph_from_edges,
+                         pseudo_peripheral_node)
 from repro.graph.adjacency import Graph
 from repro.graph.traversal import expand_overlap
 
@@ -29,6 +30,14 @@ class TestBFS:
         g = _path_graph(5)
         lev = bfs_levels(g, [0, 4])
         assert lev.tolist() == [0, 1, 2, 1, 0]
+
+    def test_levels_isolated_root_among_roots(self):
+        """An isolated root's empty adjacency range used to shift the
+        next root's: roots [0, 1] left vertex 2 unreached, [0, 2]
+        raised IndexError."""
+        g = graph_from_edges(3, [[1, 2]])
+        assert bfs_levels(g, [0, 1]).tolist() == [0, 0, 1]
+        assert bfs_levels(g, [0, 2]).tolist() == [0, 1, 0]
 
     def test_levels_unreachable(self):
         g = _two_triangles()
@@ -102,6 +111,146 @@ class TestBFSOrderOracle:
         root = int(rng.integers(n))
         assert np.array_equal(bfs_order(g, root, tie_break),
                               bfs_order_per_vertex(g, root, tie_break))
+
+
+# ----------------------------------------------------------------------
+# The pre-level-synchronous formulations, kept as oracles: one
+# ``np.unique`` per BFS level, a Python loop dequeuing one vertex at a
+# time, and a Cuthill-McKee that scans every vertex for the next root.
+# ----------------------------------------------------------------------
+
+def bfs_levels_unique(graph, roots):
+    level = np.full(graph.num_vertices, -1, dtype=np.int64)
+    frontier = np.unique(np.atleast_1d(np.asarray(roots, dtype=np.int64)))
+    level[frontier] = 0
+    depth = 0
+    while frontier.size:
+        depth += 1
+        nbrs = np.concatenate([graph.neighbors(v) for v in frontier])
+        nbrs = np.unique(nbrs)
+        frontier = nbrs[level[nbrs] < 0]
+        level[frontier] = depth
+    return level
+
+
+def bfs_order_queue(graph, root, tie_break=None):
+    """One (tie_break, id) sort of the adjacency, then a FIFO queue
+    dequeuing a vertex per Python iteration."""
+    n = graph.num_vertices
+    if tie_break is None:
+        tie_break = graph.degrees()
+    xadj, nbr = graph.xadj, graph.adjncy
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(xadj))
+    adj = nbr[np.lexsort((nbr, tie_break[nbr], row))]
+    repeats = bool(np.any((adj[1:] == adj[:-1]) & (row[1:] == row[:-1])))
+    visited = np.zeros(n, dtype=bool)
+    order = np.empty(n, dtype=np.int64)
+    order[0] = root
+    visited[root] = True
+    head, tail = 0, 1
+    while head < tail:
+        v = order[head]
+        head += 1
+        nbrs = adj[xadj[v]:xadj[v + 1]]
+        fresh = nbrs[~visited[nbrs]]
+        if fresh.size:
+            if repeats:
+                fresh = fresh[np.concatenate(([True],
+                                              fresh[1:] != fresh[:-1]))]
+            visited[fresh] = True
+            order[tail : tail + fresh.size] = fresh
+            tail += fresh.size
+    return order[:tail]
+
+
+def pseudo_peripheral_unique(graph, start):
+    deg = graph.degrees()
+    level = bfs_levels_unique(graph, [start])
+    ecc = int(level.max())
+    while True:
+        deepest = np.where(level == ecc)[0]
+        u = int(deepest[np.argmin(deg[deepest])])
+        lvl_u = bfs_levels_unique(graph, [u])
+        if int(lvl_u.max()) <= ecc:
+            return u
+        level, ecc = lvl_u, int(lvl_u.max())
+
+
+def cuthill_mckee_scan(graph):
+    n = graph.num_vertices
+    perm = np.empty(n, dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    filled = 0
+    for seed in range(n):
+        if visited[seed]:
+            continue
+        order = bfs_order_queue(graph, pseudo_peripheral_unique(graph, seed))
+        order = order[~visited[order]]
+        visited[order] = True
+        perm[filled : filled + order.size] = order
+        filled += order.size
+    return perm
+
+
+@st.composite
+def _graphs(draw):
+    """Random graphs, often disconnected, some repeating arcs in every
+    nonempty row (a raw :class:`Graph` may)."""
+    n = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.integers(0, n, (int(rng.integers(0, 3 * n + 1)), 2))
+    g = graph_from_edges(n, e[e[:, 0] != e[:, 1]])
+    if draw(st.booleans()) and g.adjncy.size:
+        rows = [g.neighbors(v) for v in range(n)]
+        rows = [np.concatenate([r, r[rng.integers(0, r.size, r.size // 2
+                                                  + 1)]]) if r.size else r
+                for r in rows]
+        xadj = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([r.size for r in rows], out=xadj[1:])
+        g = Graph(xadj, np.concatenate(rows))
+    return g, rng
+
+
+class TestLevelSynchronousOracle:
+    """The level-synchronous traversals against the per-level ``unique``
+    and per-vertex queue formulations, bit for bit."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(_graphs())
+    def test_bfs_levels(self, drawn):
+        g, rng = drawn
+        roots = rng.integers(0, g.num_vertices, int(rng.integers(1, 4)))
+        assert np.array_equal(bfs_levels(g, roots),
+                              bfs_levels_unique(g, roots))
+
+    @settings(deadline=None, max_examples=80)
+    @given(_graphs(), st.sampled_from(["degree", "ties", "random"]))
+    def test_bfs_order(self, drawn, tie):
+        g, rng = drawn
+        n = g.num_vertices
+        tie_break = {"degree": None, "ties": rng.integers(0, 3, n),
+                     "random": rng.random(n)}[tie]
+        root = int(rng.integers(n))
+        got = bfs_order(g, root, tie_break)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, bfs_order_queue(g, root, tie_break))
+
+    @settings(deadline=None, max_examples=80)
+    @given(_graphs())
+    def test_cuthill_mckee(self, drawn):
+        g, _ = drawn
+        got = cuthill_mckee(g)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, cuthill_mckee_scan(g))
+
+    def test_cuthill_mckee_on_a_shuffled_mesh(self):
+        from repro.mesh import shuffle_vertices, wing_mesh
+        g = shuffle_vertices(wing_mesh(9, 7, 5), seed=4).vertex_graph()
+        assert np.array_equal(cuthill_mckee(g), cuthill_mckee_scan(g))
+
+    def test_empty_graph(self):
+        g = Graph(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert cuthill_mckee(g).tolist() == []
 
 
 class TestComponents:

@@ -1,12 +1,20 @@
 """Median-dual metrics: the conservation-critical geometric identities."""
 
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh import (Mesh, box_mesh, compute_dual_metrics,
-                        unit_cube_mesh, wing_mesh)
+from repro.mesh import (Mesh, apply_orderings, box_mesh, bump_mesh,
+                        compute_dual_metrics, edges_from_tets,
+                        shuffle_vertices, unit_cube_mesh, wing_mesh)
+from repro.mesh import dualmesh
+from repro.mesh.dualmesh import _EDGE_OPPOSITE, DualMetrics
+from repro.mesh.edges import (TET_EDGE_LOCAL, TET_FACE_LOCAL, boundary_faces,
+                              tet_edge_indices)
 
 
 class TestDualVolumes:
@@ -170,6 +178,26 @@ WING_ARRAY_SHA1 = {
         "bnd_faces": "02cf45d5e3902f3fb238da2f6358799660cd30ee",
         "bnd_vertex_normals": "ac60655a39d981547f7ea5c6120f2b6994f63d13",
     },
+    # The service stream's wings B and C, recorded before the chunked
+    # dual pass, the one-sort edge maps and the level-synchronous RCM.
+    (20, 13, 9): {
+        "coords": "98ccacbf477161e4a718103368c926f8df5afc45",
+        "tets": "0a86b7156da2ecfde1588a726e8e848515fc488e",
+        "edges": "5785451220976cc8fa6402aa5ae41b6fa14ffffd",
+        "edge_normals": "587dbef1a0d44632f469c8578b36f572818f91ae",
+        "dual_volumes": "08ca609d62580e3b0066be8b112b359c69709314",
+        "bnd_faces": "78827128ad81f02f88b44e163a7af030635a3aeb",
+        "bnd_vertex_normals": "0d9e73cacbb4e1d784973815c263a551a57036a9",
+    },
+    (18, 12, 8): {
+        "coords": "6ab1ddf2d8b85067a364a45385b203a82b06bb09",
+        "tets": "bd4bf9b6ff7f941d489dff5798a98ef59935c34f",
+        "edges": "6e4a8dd22dd1b098216f4d466db0b8f2fb85ebac",
+        "edge_normals": "56953bc4c05e8e37080250ece02d1a2dd93922c1",
+        "dual_volumes": "5c30629ed8d64e4443b89aa8957428389fa1cc10",
+        "bnd_faces": "f8d6d413b2ef7823166f60664cf90878cd8f4015",
+        "bnd_vertex_normals": "b2eba2ee51ce10f6b8a77281e5de1c389556e5a6",
+    },
 }
 
 
@@ -194,8 +222,198 @@ def test_boundary_faces_exact_for_large_vertex_ids():
     """The face count compares whole triples, so vertex ids far past
     any packed-key range give the same faces, shifted."""
     from repro import wing_problem
-    from repro.mesh.edges import boundary_faces
     tets = wing_problem(5, 4, 3).mesh.tets
-    shift = 2 ** 40
-    assert np.array_equal(boundary_faces(tets + shift),
-                          boundary_faces(tets) + shift)
+    for shift in (2 ** 40, 2 ** 62):
+        assert np.array_equal(boundary_faces(tets + shift),
+                              boundary_faces(tets) + shift)
+
+
+# ----------------------------------------------------------------------
+# The whole-mesh formulations the chunked dual pass and the one-sort
+# edge maps replaced, kept here as oracles: the rewrite gives the same
+# bits on every mesh, edge order and chunk size.
+# ----------------------------------------------------------------------
+
+def edges_from_tets_unique(tets, num_vertices):
+    """``np.unique`` over the packed keys of every tet edge."""
+    pairs = tets[:, TET_EDGE_LOCAL].reshape(-1, 2)
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    uniq = np.unique(lo * np.int64(num_vertices) + hi)
+    return np.stack([uniq // num_vertices, uniq % num_vertices], axis=1)
+
+
+def tet_edge_indices_searchsorted(tets, edges, num_vertices):
+    """Each tet edge's key looked up in the sorted edge keys at random."""
+    pairs = tets[:, TET_EDGE_LOCAL]
+    lo = np.minimum(pairs[..., 0], pairs[..., 1])
+    hi = np.maximum(pairs[..., 0], pairs[..., 1])
+    key = lo * np.int64(num_vertices) + hi
+    elo = np.minimum(edges[:, 0], edges[:, 1])
+    ehi = np.maximum(edges[:, 0], edges[:, 1])
+    ekey = elo * np.int64(num_vertices) + ehi
+    order = np.argsort(ekey)
+    pos = np.searchsorted(ekey[order], key)
+    idx = order[np.minimum(pos, ekey.size - 1)]
+    if not np.all(ekey[idx] == key):
+        raise ValueError("tets reference an edge not present in the edge list")
+    sign = np.where(pairs[..., 0] == edges[idx][..., 0], 1, -1).astype(np.int64)
+    return idx, sign
+
+
+def boundary_faces_rowsort(tets):
+    """Row-sorted face triples, lexsorted and compared a row at a time."""
+    faces = tets[:, TET_FACE_LOCAL].reshape(-1, 3)
+    key = np.sort(faces, axis=1)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    group = np.cumsum(new) - 1
+    single = np.empty(len(faces), dtype=bool)
+    single[order] = np.bincount(group)[group] == 1
+    return faces[single]
+
+
+def dual_metrics_whole_mesh(mesh):
+    """One ``(nt, 6, 3)`` pass over every tet and ``np.add.at`` scatters."""
+    p, tets, edges, n = mesh.coords, mesh.tets, mesh.edges, mesh.num_vertices
+    vols = mesh.tet_volumes()
+    if np.any(vols <= 0):
+        raise ValueError("mesh has non-positive tet volumes")
+    dual_volumes = np.zeros(n)
+    np.add.at(dual_volumes, tets.ravel(), np.repeat(vols / 4.0, 4))
+    corners = p[tets]
+    centroid = corners.mean(axis=1)
+    A = corners[:, TET_EDGE_LOCAL[:, 0]]
+    B = corners[:, TET_EDGE_LOCAL[:, 1]]
+    C = corners[:, _EDGE_OPPOSITE[:, 0]]
+    D = corners[:, _EDGE_OPPOSITE[:, 1]]
+    mid = 0.5 * (A + B)
+    f1 = (A + B + C) / 3.0
+    f2 = (A + B + D) / 3.0
+    area = 0.5 * np.cross(centroid[:, None, :] - mid, f2 - f1)
+    sign = np.sign(np.einsum("teX,teX->te", area, B - A))
+    sign[sign == 0] = 1.0
+    area *= sign[..., None]
+    eidx, esign = tet_edge_indices_searchsorted(tets, edges, n)
+    edge_normals = np.zeros((edges.shape[0], 3))
+    np.add.at(edge_normals, eidx.ravel(),
+              (area * esign[..., None]).reshape(-1, 3))
+    bfaces = boundary_faces_rowsort(tets)
+    bnd_vertex_normals = np.zeros((n, 3))
+    if bfaces.size:
+        va, vb, vc = (p[bfaces[:, k]] for k in range(3))
+        third = 0.5 * np.cross(vb - va, vc - va) / 3.0
+        for k in range(3):
+            np.add.at(bnd_vertex_normals, bfaces[:, k], third)
+    return DualMetrics(edge_normals, dual_volumes, bfaces, bnd_vertex_normals)
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+_GENERATORS = {"box": box_mesh, "wing": wing_mesh, "bump": bump_mesh}
+
+
+def _mesh(kind, dims, jitter, seed, shuffle, vertex, edge, reverse):
+    mesh = _GENERATORS[kind](*dims, jitter=jitter, seed=seed)
+    if shuffle:
+        mesh = shuffle_vertices(mesh, seed=seed)
+    mesh = apply_orderings(mesh, vertex, edge, seed=seed)
+    if reverse:
+        # Point about half the edges high to low.
+        flip = np.random.default_rng(seed).random(mesh.num_edges) < 0.5
+        mesh = mesh.with_edges(np.where(flip[:, None], mesh.edges[:, ::-1],
+                                        mesh.edges))
+    return mesh
+
+
+_meshes = st.builds(
+    _mesh, st.sampled_from(sorted(_GENERATORS)),
+    st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+    st.floats(0.0, 0.3), st.integers(0, 1000), st.booleans(),
+    st.sampled_from(["natural", "random", "rcm"]),
+    st.sampled_from(["sorted", "random", "colored"]), st.booleans())
+
+
+class TestWholeMeshOracle:
+    """Jittered box, wing and bump meshes, shuffled or not, under every
+    vertex ordering, with edges sorted, random or color-major (so they
+    arrive unsorted) and about half of them reversed or none, at chunk
+    sizes that split the tets unevenly: every array bitwise the
+    whole-mesh pass's."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(_meshes, st.sampled_from([1, 7, 64, dualmesh._TET_CHUNK]))
+    def test_dual_metrics_bitwise(self, mesh, chunk):
+        with patch.object(dualmesh, "_TET_CHUNK", chunk):
+            got = compute_dual_metrics(mesh)
+        want = dual_metrics_whole_mesh(mesh)
+        for name in ("edge_normals", "dual_volumes", "bnd_faces",
+                     "bnd_vertex_normals"):
+            assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+    @settings(deadline=None, max_examples=40)
+    @given(_meshes)
+    def test_edge_maps_bitwise(self, mesh):
+        tets, edges, n = mesh.tets, mesh.edges, mesh.num_vertices
+        assert _same_bits(edges_from_tets(tets, n),
+                          edges_from_tets_unique(tets, n))
+        for got, want in zip(tet_edge_indices(tets, edges, n),
+                             tet_edge_indices_searchsorted(tets, edges, n)):
+            assert _same_bits(got, want)
+        assert _same_bits(boundary_faces(tets), boundary_faces_rowsort(tets))
+
+    @settings(deadline=None, max_examples=20)
+    @given(_meshes, st.integers(0, 2**32 - 1))
+    def test_missing_edge_still_raises(self, mesh, pick):
+        """Whichever edge is dropped (the first, last or any key), both
+        formulations refuse the edge list."""
+        edges = np.delete(mesh.edges, pick % mesh.num_edges, axis=0)
+        for lookup in (tet_edge_indices, tet_edge_indices_searchsorted):
+            with pytest.raises(ValueError, match="not present"):
+                lookup(mesh.tets, edges, mesh.num_vertices)
+        with pytest.raises(ValueError, match="not present"):
+            compute_dual_metrics(mesh.with_edges(edges))
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_missing_extreme_key_raises(self, end):
+        m = box_mesh(3, 3, 3)
+        edges = np.delete(m.edges, np.arange(m.num_edges)[end], axis=0)
+        with pytest.raises(ValueError, match="not present"):
+            tet_edge_indices(m.tets, edges, m.num_vertices)
+
+
+def test_edges_from_tets_rejects_ids_past_num_vertices():
+    """Keys packed in base ``num_vertices`` collide when an id reaches
+    it: 27 vertex ids in base 10 gave 90 edges of the true 98."""
+    tets = box_mesh(3, 3, 3).tets
+    assert edges_from_tets(tets, 27).shape == (98, 2)
+    for n in (10, 26):
+        with pytest.raises(ValueError, match="lie in"):
+            edges_from_tets(tets, n)
+    with pytest.raises(ValueError, match="lie in"):
+        edges_from_tets(tets - 1, 27)
+
+
+def test_dual_metrics_peak_memory_is_linear():
+    """``compute_dual_metrics`` on the 8,400-vertex wing allocates at
+    most 25 MB at its peak, as ``tracemalloc`` counts numpy's buffers:
+    the whole-mesh pass peaked at 89 MB (84.6 MiB)."""
+    mesh = apply_orderings(wing_mesh(30, 20, 14), "rcm", "sorted")
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compute_dual_metrics(mesh)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 25e6, peak

@@ -103,6 +103,21 @@ class TestShuffle:
         s = shuffle_vertices(small_mesh, seed=3)
         assert np.all(s.edges[:, 0] < s.edges[:, 1])
 
+    @pytest.mark.parametrize("break_it", ["repeat", "negative", "too_big",
+                                          "short", "long"])
+    def test_permuted_rejects_a_non_permutation(self, break_it):
+        """A repeated entry used to build a mesh with a duplicated
+        vertex (26 distinct coordinate rows of 27) and no error."""
+        m = box_mesh(3, 3, 3)
+        perm = np.arange(27)
+        perm = {"repeat": np.where(perm == 5, 4, perm),
+                "negative": np.where(perm == 5, -1, perm),
+                "too_big": np.where(perm == 5, 27, perm),
+                "short": perm[:-1],
+                "long": np.append(perm, 0)}[break_it]
+        with pytest.raises(ValueError, match="not a permutation"):
+            m.permuted(perm)
+
 
 @settings(deadline=None, max_examples=10)
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5),
