@@ -47,6 +47,12 @@ class PreconditionerConfig:
     variant: ASMVariant = ASMVariant.RESTRICTED
 
     def __post_init__(self) -> None:
+        if self.nparts < 1:
+            raise ValueError("nparts must be >= 1")
+        if self.overlap < 0:
+            raise ValueError("overlap must be >= 0")
+        if self.fill_level < 0:
+            raise ValueError("fill_level must be >= 0")
         self.variant = ASMVariant(self.variant)
 
 

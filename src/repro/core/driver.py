@@ -179,7 +179,7 @@ class NKSSolver:
     def _build_labels(self) -> np.ndarray:
         cfg = self.config.precond
         n = self.disc.mesh.num_vertices
-        if cfg.nparts <= 1:
+        if cfg.nparts == 1:
             return np.zeros(n, dtype=np.int64)
         return kway_partition(self.disc.mesh.vertex_graph(), cfg.nparts,
                               seed=self.config.seed)

@@ -54,12 +54,6 @@ class FlowState:
     def copy(self) -> "FlowState":
         return FlowState(q=self.q.copy(), components=self.components)
 
-    @classmethod
-    def from_flat(cls, vec: np.ndarray, components: tuple[str, ...]) -> "FlowState":
-        ncomp = len(components)
-        return cls(q=np.asarray(vec, dtype=np.float64).reshape(-1, ncomp),
-                   components=components)
-
 
 def incompressible_freestream(num_vertices: int, *, speed: float = 1.0,
                               alpha_deg: float = 3.0,

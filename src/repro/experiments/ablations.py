@@ -16,7 +16,7 @@ from repro.experiments.common import (ExperimentResult, claim, default_wing,
                                       scaled_hierarchy)
 from repro.memory.trace import flux_loop_trace
 from repro.mesh import apply_orderings, shuffle_vertices, unit_cube_mesh
-from repro.parallel import (build_exchange_plan, build_rank_work,
+from repro.parallel import (SPMDLayout, build_rank_work,
                             network_from_machine, simulate_solve)
 from repro.partition import kway_partition, load_imbalance
 from repro.perfmodel.machines import ASCI_RED_PPRO, ORIGIN2000_R10K
@@ -95,9 +95,9 @@ def run_imbalance() -> ExperimentResult:
     )
     for frac in (0.0, 0.15, 0.3, 0.45):
         labels = _skew_partition(base, nparts, frac)
-        works = build_rank_work(g, labels, 4)
-        plan = build_exchange_plan(g, labels)
-        tl = simulate_solve(works, plan, machine, net,
+        layout = SPMDLayout.build(mesh.edges, labels)
+        tl = simulate_solve(build_rank_work(layout, 4), layout.plan,
+                            machine, net,
                             linear_its_per_step=[20] * 6)
         pct = tl.category_percent()
         result.rows.append([round(frac, 2),

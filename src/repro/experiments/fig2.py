@@ -17,8 +17,8 @@ from repro.experiments.common import (ExperimentResult, claim, default_wing,
                                       measured_linear_iterations)
 from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
-from repro.parallel.scatter import build_exchange_plan
 from repro.parallel.simulate import simulate_solve
+from repro.parallel.spmd import SPMDLayout
 from repro.experiments.table3 import _total_flops
 from repro.perfmodel.machines import (ASCI_RED_PPRO, BLUE_PACIFIC_604E,
                                       CRAY_T3E_600)
@@ -33,7 +33,6 @@ def run_fig2(*, procs=(2, 4, 8, 16), size: str = "medium",
              seed: int = 0) -> ExperimentResult:
     """Both Fig. 2 panels as one table (a row per machine x node count)."""
     prob = default_wing(size, seed=seed)
-    graph = prob.mesh.vertex_graph()
     result = ExperimentResult(
         name=f"Fig. 2 analogue ({prob.name})",
         headers=["Machine", "Procs", "Gflop/s", "Time(s)",
@@ -44,17 +43,16 @@ def run_fig2(*, procs=(2, 4, 8, 16), size: str = "medium",
     for p in procs:
         its, labels = measured_linear_iterations(
             prob, p, fill_level=fill_level, max_steps=max_steps, seed=seed)
-        measured[p] = (its, labels)
+        measured[p] = (its, SPMDLayout.build(prob.mesh.edges, labels))
 
     for machine in _MACHINES:
         net = network_from_machine(machine)
         base = None
         for p in procs:
-            its, labels = measured[p]
-            works = build_rank_work(graph, labels, prob.disc.ncomp,
+            its, layout = measured[p]
+            works = build_rank_work(layout, prob.disc.ncomp,
                                     fill_ratio=1.0 + fill_level)
-            plan = build_exchange_plan(graph, labels)
-            tl = simulate_solve(works, plan, machine, net,
+            tl = simulate_solve(works, layout.plan, machine, net,
                                 linear_its_per_step=its, refresh_every=2)
             gflops = _total_flops(works, its) / max(tl.total_wall, 1e-30) / 1e9
             if base is None:

@@ -20,8 +20,8 @@ from repro.experiments.common import (ExperimentResult, claim, default_wing,
                                       measured_linear_iterations)
 from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
-from repro.parallel.scatter import build_exchange_plan
 from repro.parallel.simulate import simulate_solve
+from repro.parallel.spmd import SPMDLayout
 from repro.partition.bisect import pmetis_partition
 from repro.partition.kway import kway_partition
 from repro.partition.metrics import partition_quality
@@ -50,10 +50,10 @@ def run_fig4(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
             its, _ = measured_linear_iterations(
                 prob, p, labels=labels, fill_level=fill_level,
                 max_steps=max_steps, seed=seed)
-            works = build_rank_work(graph, labels, prob.disc.ncomp,
+            layout = SPMDLayout.build(prob.mesh.edges, labels)
+            works = build_rank_work(layout, prob.disc.ncomp,
                                     fill_ratio=1.0 + fill_level)
-            plan = build_exchange_plan(graph, labels)
-            tl = simulate_solve(works, plan, machine, net,
+            tl = simulate_solve(works, layout.plan, machine, net,
                                 linear_its_per_step=its, refresh_every=2)
             if base_time is None:
                 base_time = tl.total_wall

@@ -19,8 +19,8 @@ from repro.experiments.common import (ExperimentResult, claim, default_wing,
                                       measured_linear_iterations)
 from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
-from repro.parallel.scatter import build_exchange_plan
 from repro.parallel.simulate import simulate_solve
+from repro.parallel.spmd import SPMDLayout
 from repro.perfmodel.machines import ORIGIN2000_R10K, MachineSpec
 
 __all__ = ["run_table2", "check_table2", "PAPER_TABLE2"]
@@ -40,7 +40,6 @@ def run_table2(*, procs=(4, 8, 16), size: str = "medium",
                fill_level: int = 1, seed: int = 0) -> ExperimentResult:
     """Regenerate Table 2 at scaled processor counts."""
     prob = default_wing(size, seed=seed)
-    graph = prob.mesh.vertex_graph()
     net = network_from_machine(machine)
     result = ExperimentResult(
         name=f"Table 2 analogue ({prob.name} on {machine.name})",
@@ -59,11 +58,11 @@ def run_table2(*, procs=(4, 8, 16), size: str = "medium",
             its, labels = measured_linear_iterations(
                 prob, p, fill_level=fill_level, policy=policy,
                 max_steps=max_steps, seed=seed)
-            works = build_rank_work(graph, labels, prob.disc.ncomp,
+            layout = SPMDLayout.build(prob.mesh.edges, labels)
+            works = build_rank_work(layout, prob.disc.ncomp,
                                     fill_ratio=1.0 + fill_level,
                                     precond_value_bytes=vbytes)
-            plan = build_exchange_plan(graph, labels)
-            tl = simulate_solve(works, plan, machine, net,
+            tl = simulate_solve(works, layout.plan, machine, net,
                                 linear_its_per_step=its, refresh_every=2)
             times[policy] = (tl.total_pcapply_wall, tl.total_linear_wall,
                              tl.total_wall)

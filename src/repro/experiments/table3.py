@@ -4,7 +4,8 @@ Hybrid measurement/model per DESIGN.md: the iteration growth with
 subdomain count is *measured* by really running the NKS solver with p
 preconditioner blocks; per-rank times, scatters, reductions, and
 implicit-synchronisation waits are *modelled* on the ASCI Red
-parameter sheet from the real partition's work/ghost volumes.
+parameter sheet from the real partition's SPMD layout — the owned and
+ghost volumes the executors run on.
 
 A second, fully **measured** mode (:func:`run_table3_measured`)
 replaces the machine model with telemetry: one real
@@ -34,12 +35,11 @@ from repro.experiments.common import (ExperimentResult, claim, default_wing,
 from repro.parallel.efficiency import EfficiencyRow, efficiency_decomposition
 from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
-from repro.parallel.scatter import build_exchange_plan
 from repro.parallel.simulate import ParallelTimeline, simulate_solve
+from repro.parallel.spmd import SPMDLayout
 from repro.perfmodel.machines import ASCI_RED_PPRO, MachineSpec
 from repro.telemetry.recorder import TraceRecorder
 from repro.telemetry.report import MeasuredRow, measured_rows
-from repro.telemetry.trace import write_trace
 
 __all__ = ["run_table3", "check_table3", "run_fig1", "check_fig1",
            "run_table3_measured",
@@ -168,8 +168,7 @@ class MeasuredScalabilityResult:
 
 def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
                         max_steps: int = 4, fill_level: int = 1,
-                        seed: int = 0,
-                        trace_dir=None) -> MeasuredScalabilityResult:
+                        seed: int = 0) -> MeasuredScalabilityResult:
     """Measured-mode Table 3: telemetry instead of the machine model.
 
     For each processor count, one real p-block solve is recorded:
@@ -178,9 +177,7 @@ def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
     Its own linear iteration count supplies eta_alg; its per-rank phase
     times supply eta_impl and the percentage columns (``%red`` is the
     solve's ``orthogonalization`` span — where the Krylov reductions
-    happen).  With ``trace_dir`` set, one validated trace JSON per
-    processor count is dumped there (``trace_p{p}.json``) for CI
-    diffing.
+    happen).  Each row's recorder is kept in ``result.traces``.
     """
     prob = default_wing(size, seed=seed)
     prob.disc.second_order = False      # the SPMD kernels are first-order
@@ -195,13 +192,6 @@ def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
         its = report.total_linear_iterations
         result.traces[p] = rec
         runs.append((p, its, rec))
-        if trace_dir is not None:
-            from pathlib import Path
-            out = Path(trace_dir) / f"trace_p{p}.json"
-            write_trace(out, rec, meta={
-                "experiment": "table3_measured", "nprocs": p,
-                "problem": prob.name, "linear_its": its,
-                "max_steps": max_steps, "fill_level": fill_level})
     result.rows = measured_rows(runs)
     return result
 
@@ -218,11 +208,10 @@ def run_table3(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
     for p in procs:
         its, labels = measured_linear_iterations(
             prob, p, fill_level=fill_level, max_steps=max_steps, seed=seed)
-        graph = prob.mesh.vertex_graph()
-        plan = build_exchange_plan(graph, labels)
-        works = build_rank_work(graph, labels, prob.disc.ncomp,
+        layout = SPMDLayout.build(prob.mesh.edges, labels)
+        works = build_rank_work(layout, prob.disc.ncomp,
                                 fill_ratio=1.0 + fill_level)
-        tl = simulate_solve(works, plan, machine, net,
+        tl = simulate_solve(works, layout.plan, machine, net,
                             linear_its_per_step=its, refresh_every=2)
         pt = ScalabilityPoint(nprocs=p, linear_its=sum(its), steps_its=its,
                               timeline=tl, labels=labels,

@@ -19,8 +19,8 @@ from repro.experiments.common import (ExperimentResult, claim, default_wing,
                                       solve_with_partition)
 from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
-from repro.parallel.scatter import build_exchange_plan
 from repro.parallel.simulate import simulate_solve
+from repro.parallel.spmd import SPMDLayout
 from repro.perfmodel.machines import ASCI_RED_PPRO, MachineSpec
 
 __all__ = ["run_table4", "check_table4", "PAPER_TABLE4"]
@@ -54,7 +54,6 @@ def run_table4(*, procs=(4, 8), fills=(0, 1, 2), overlaps=(0, 1, 2),
     effect at our reduced subdomain sizes.
     """
     prob = default_wing(size, seed=seed)
-    graph = prob.mesh.vertex_graph()
     net = network_from_machine(machine)
     result = ExperimentResult(
         name=f"Table 4 analogue ({prob.name} on {machine.name})",
@@ -74,17 +73,17 @@ def run_table4(*, procs=(4, 8), fills=(0, 1, 2), overlaps=(0, 1, 2),
                 pc = solver._pc
                 fill_ratio = pc.total_factor_nnz() / base_nnzb
                 ghost_frac = pc.overlap_fraction()
-                labels = solver.partition_labels
-                works = build_rank_work(
-                    graph, labels, prob.disc.ncomp, fill_ratio=fill_ratio)
+                layout = SPMDLayout.build(prob.mesh.edges,
+                                          solver.partition_labels)
+                works = build_rank_work(layout, prob.disc.ncomp,
+                                        fill_ratio=fill_ratio)
                 # Overlap surcharge: each rank redundantly factors and
                 # solves its ghost rows, and standard/restricted ASM
                 # moves the overlapped residual once per application.
                 for w in works:
                     w.owned_vertices = int(w.owned_vertices
                                            * (1 + ghost_frac))
-                plan = build_exchange_plan(graph, labels)
-                tl = simulate_solve(works, plan, machine, net,
+                tl = simulate_solve(works, layout.plan, machine, net,
                                     linear_its_per_step=its,
                                     refresh_every=2)
                 result.rows.append([

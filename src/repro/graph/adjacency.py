@@ -124,26 +124,6 @@ class Graph:
         )
         return sub, vertices
 
-    def permute(self, perm: np.ndarray) -> "Graph":
-        """Relabel vertices so that new vertex ``i`` is old ``perm[i]``."""
-        perm = np.asarray(perm, dtype=np.int64)
-        n = self.num_vertices
-        if perm.shape != (n,) or np.any(np.sort(perm) != np.arange(n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n, dtype=np.int64)
-        counts = np.diff(self.xadj)[perm]
-        xadj = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=xadj[1:])
-        adjncy = np.empty(self.adjncy.size, dtype=np.int64)
-        ewgt = np.empty(self.adjncy.size, dtype=np.int64)
-        for new_v in range(n):
-            old_v = perm[new_v]
-            s, e = self.xadj[old_v], self.xadj[old_v + 1]
-            adjncy[xadj[new_v] : xadj[new_v + 1]] = inv[self.adjncy[s:e]]
-            ewgt[xadj[new_v] : xadj[new_v + 1]] = self.ewgt[s:e]
-        return Graph(xadj=xadj, adjncy=adjncy, vwgt=self.vwgt[perm], ewgt=ewgt)
-
     def validate_symmetric(self) -> bool:
         """Check that every directed arc has its reverse (undirectedness)."""
         src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.xadj))

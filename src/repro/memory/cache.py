@@ -54,12 +54,6 @@ class CacheConfig:
         """Line size in double words (the paper's W_sc)."""
         return self.line_bytes // 8
 
-    def fully_associative(self) -> "CacheConfig":
-        return CacheConfig(name=self.name + "-fa",
-                           capacity_bytes=self.capacity_bytes,
-                           line_bytes=self.line_bytes,
-                           associativity=self.capacity_bytes // self.line_bytes)
-
 
 @dataclass
 class CacheCounters:

@@ -10,14 +10,19 @@ substitution (see DESIGN.md):
 * the *implementation* component — per-rank compute time, ghost-point
   scatters, global reductions, and the implicit-synchronisation waits
   caused by load imbalance — is **modelled**, from real partition data
-  (owned/ghost volumes per rank) through the machines' alpha-beta
-  network and STREAM parameters.
+  through the machines' alpha-beta network and STREAM parameters.
+
+One halo per partition: :class:`SPMDLayout` is the only code that turns
+a partition into owned / ghost / neighbour / edge sets.  The model
+prices that layout (:func:`build_rank_work`, and
+:func:`simulate_solve` on its ``ScatterPlan``), so the scatter it
+prices is the one :func:`distributed_residual` and
+:func:`distributed_matvec` execute and book.
 
 This mirrors the paper's own efficiency factorisation
 eta_overall = eta_alg x eta_impl.
 """
 
-from repro.parallel.scatter import GhostExchangePlan, build_exchange_plan
 from repro.parallel.rankwork import RankWork, build_rank_work
 from repro.parallel.netmodel import NetworkModel, network_from_machine
 from repro.parallel.simulate import (
@@ -36,8 +41,6 @@ from repro.parallel.spmd import (
 from repro.parallel.procpool import ProcPool, ProcPoolError
 
 __all__ = [
-    "GhostExchangePlan",
-    "build_exchange_plan",
     "RankWork",
     "build_rank_work",
     "NetworkModel",

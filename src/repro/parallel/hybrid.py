@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.adjacency import Graph
 from repro.parallel.rankwork import build_rank_work
+from repro.parallel.spmd import SPMDLayout
 from repro.perfmodel.machines import MachineSpec
 from repro.perfmodel.time_model import predict_kernel_time
 
@@ -49,24 +49,26 @@ def _max_flux_time(works, machine: MachineSpec, scale: float = 1.0) -> float:
                for w in works)
 
 
-def hybrid_flux_times(graph: Graph, labels_nodes: np.ndarray,
+def hybrid_flux_times(edges: np.ndarray, labels_nodes: np.ndarray,
                       labels_2x: np.ndarray, machine: MachineSpec, *,
                       ncomp: int = 4, flux_evals: int = 1,
                       thread_overhead: float = 0.08) -> HybridComparison:
     """Flux-phase wall times under the three execution models.
 
-    ``labels_nodes`` partitions into N subdomains (one per node),
-    ``labels_2x`` into 2N (one per processor).  ``thread_overhead`` is
-    the OpenMP redundant-array/merge cost as a fraction of the ideal
-    split (paper Sec. 2.5's 'some redundant work').
+    ``labels_nodes`` partitions the mesh (its ``edges``) into N
+    subdomains (one per node), ``labels_2x`` into 2N (one per
+    processor); each is priced on its SPMD layout.
+    ``thread_overhead`` is the OpenMP redundant-array/merge cost as a
+    fraction of the ideal split (paper Sec. 2.5's 'some redundant
+    work').
     """
     nnodes = int(labels_nodes.max()) + 1
     n2 = int(labels_2x.max()) + 1
     if n2 != 2 * nnodes:
         raise ValueError("labels_2x must have exactly twice the parts")
 
-    works_1 = build_rank_work(graph, labels_nodes, ncomp)
-    works_2 = build_rank_work(graph, labels_2x, ncomp)
+    works_1 = build_rank_work(SPMDLayout.build(edges, labels_nodes), ncomp)
+    works_2 = build_rank_work(SPMDLayout.build(edges, labels_2x), ncomp)
 
     # 1 process/node: one CPU does the whole subdomain.
     t1 = _max_flux_time(works_1, machine, flux_evals)

@@ -42,11 +42,6 @@ class NetworkModel:
         stages = int(np.ceil(np.log2(nranks)))
         return stages * (self.alpha + payload_bytes / self.beta)
 
-    def effective_bandwidth(self, payload_bytes: float,
-                            elapsed: float) -> float:
-        """The paper's 'application level effective bandwidth'."""
-        return payload_bytes / max(elapsed, 1e-30)
-
 
 def network_from_machine(machine: MachineSpec, *,
                          pack_efficiency: float = 0.03) -> NetworkModel:

@@ -1,6 +1,8 @@
-"""Per-rank operation counts derived from a partition.
+"""Per-rank operation counts derived from a partition's SPMD layout.
 
-Each rank's per-phase flop and byte counts follow from what it owns:
+Each rank's per-phase flop and byte counts follow from what it owns in
+:class:`~repro.parallel.spmd.SPMDLayout` — the same owned vertices and
+local edge sets the executors compute on:
 
 * **flux phase** — every edge with an owned endpoint (cut edges are
   computed on *both* sides: the halo redundancy that also drives the
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.adjacency import Graph
+from repro.parallel.spmd import SPMDLayout
 
 __all__ = ["RankWork", "build_rank_work"]
 
@@ -116,30 +118,22 @@ class RankWork:
                    * self.value_bytes)
 
 
-def build_rank_work(graph: Graph, labels: np.ndarray, ncomp: int, *,
+def build_rank_work(layout: SPMDLayout, ncomp: int, *,
                     fill_ratio: float = 2.0,
                     precond_value_bytes: int = 8) -> list[RankWork]:
-    """Per-rank work from a vertex partition of the mesh graph."""
-    labels = np.asarray(labels, dtype=np.int64)
-    nparts = int(labels.max()) + 1 if labels.size else 0
-    owned = np.bincount(labels, minlength=nparts)
-
-    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
-                    np.diff(graph.xadj))
-    dst = graph.adjncy
-    up = src < dst
-    a, b = labels[src[up]], labels[dst[up]]
-    same = a == b
-    interior = np.bincount(a[same], minlength=nparts)
-    halo = (np.bincount(a[~same], minlength=nparts)
-            + np.bincount(b[~same], minlength=nparts))
-
-    return [RankWork(rank=r,
-                     owned_vertices=int(owned[r]),
-                     local_edges=int(interior[r] + halo[r]),
-                     interior_edges=int(interior[r]),
-                     halo_edges=int(halo[r]),
-                     ncomp=ncomp,
-                     fill_ratio=fill_ratio,
-                     precond_value_bytes=precond_value_bytes)
-            for r in range(nparts)]
+    """Per-rank work of a partition, read from its SPMD layout: the
+    owned vertices and local edge sets the executors run on."""
+    works = []
+    for rd in layout.ranks:
+        local = int(rd.edge_ids.size)
+        interior = int(np.count_nonzero(
+            (rd.local_edges < rd.n_owned).all(axis=1)))
+        works.append(RankWork(rank=rd.rank,
+                              owned_vertices=rd.n_owned,
+                              local_edges=local,
+                              interior_edges=interior,
+                              halo_edges=local - interior,
+                              ncomp=ncomp,
+                              fill_ratio=fill_ratio,
+                              precond_value_bytes=precond_value_bytes))
+    return works

@@ -4,7 +4,9 @@ Replays an NKS solve (its per-step linear iteration counts come from a
 *real* sequential run with the same subdomain partition) on a modelled
 machine: per-rank phase times from the RankWork operation counts, bulk
 synchronous phases whose wall time is the per-rank max, scatters and
-allreduces from the alpha-beta network model.
+allreduces from the alpha-beta network model.  The scatter it prices
+is the layout's :class:`~repro.parallel.spmd.ScatterPlan`, the one the
+executors run (:func:`scatter_counts`).
 
 Per-rank ledgers are kept in four categories matching the paper's
 Table 3 columns: compute, ghost-point scatters, global reductions, and
@@ -20,11 +22,12 @@ import numpy as np
 
 from repro.parallel.netmodel import NetworkModel
 from repro.parallel.rankwork import RankWork
-from repro.parallel.scatter import GhostExchangePlan
+from repro.parallel.spmd import ScatterPlan
 from repro.perfmodel.machines import MachineSpec
 from repro.perfmodel.time_model import predict_kernel_time
 
-__all__ = ["StepTiming", "ParallelTimeline", "simulate_solve"]
+__all__ = ["StepTiming", "ParallelTimeline", "scatter_counts",
+           "simulate_solve"]
 
 
 @dataclass
@@ -101,7 +104,19 @@ def _phase(per_rank_times: np.ndarray, ledger_compute: np.ndarray,
     return wall
 
 
-def simulate_solve(works: list[RankWork], plan: GhostExchangePlan,
+def scatter_counts(plan: ScatterPlan) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """Per-rank ``(messages, received, sent)`` of one ghost refresh:
+    the distinct owners each rank hears from, the ghost copies it
+    receives, and the copies it sends as an owner (each ghost row's
+    source row lies in its owner's block of the flat buffer)."""
+    nranks = len(plan.bounds)
+    sender = np.searchsorted(plan.row_off, plan.ghost_src, side="right") - 1
+    return (np.asarray(plan.pairs, dtype=np.int64), np.diff(plan.ghost_off),
+            np.bincount(sender, minlength=nranks))
+
+
+def simulate_solve(works: list[RankWork], plan: ScatterPlan,
                    machine: MachineSpec, net: NetworkModel, *,
                    linear_its_per_step: list[int],
                    flux_evals_per_step: int = 2,
@@ -127,15 +142,18 @@ def simulate_solve(works: list[RankWork], plan: GhostExchangePlan,
         machine) for w in works])
     t_pcapply = np.array([predict_kernel_time(
         w.pcapply_flops, w.pcapply_traffic, machine) for w in works])
-    payload = (plan.send_bytes(ncomp) + plan.recv_bytes(ncomp)) / 2.0
-    t_scatter = np.array([net.scatter_time(int(plan.neighbors[r]),
-                                           float(payload[r]) * 2)
-                          for r in range(nranks)])
+    # One refresh moves fp64 rows; a rank's scatter time prices its
+    # messages and the rows it both sends and receives.
+    rowbytes = ncomp * 8
+    messages, received, sent = scatter_counts(plan)
+    t_scatter = np.array([net.scatter_time(
+        int(messages[r]), float((sent[r] + received[r]) * rowbytes))
+        for r in range(nranks)])
     t_reduce = net.allreduce_time(nranks)
 
     timeline = ParallelTimeline(
         nranks=nranks,
-        payload_per_linear_it=float(plan.total_bytes_per_exchange(ncomp)))
+        payload_per_linear_it=float(plan.ghost_rows * rowbytes))
 
     for step, nits in enumerate(linear_its_per_step):
         compute = np.zeros(nranks)

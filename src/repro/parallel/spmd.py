@@ -4,13 +4,17 @@ The other modules in this package *price* communication; this one
 *performs* it.  Each rank owns its labelled vertices, holds ghost
 copies of off-rank neighbours, and computes with purely local arrays;
 a :class:`GhostExchange` step refreshes the ghosts (the VecScatter).
-Running the flux loop and SpMV this way and comparing owned rows
-against the sequential kernels validates the exchange plans and the
-halo bookkeeping with real data — the correctness side of the Table 3
-machinery.  As in PETSc-FUN3D, a rank runs the one flux loop on its
-local mesh: :func:`rank_residual` calls the discretisation's own
-first-order residual on the rank's rows, so the sequential kernel is
-the one-rank case rather than a second implementation.
+:class:`SPMDLayout` is the program's one definition of a partition's
+owned / ghost / neighbour / edge sets: the performance model prices
+the same layout (:func:`repro.parallel.rankwork.build_rank_work`,
+:func:`repro.parallel.simulate.simulate_solve`).  Running the flux
+loop and SpMV this way and comparing owned rows against the sequential
+kernels validates that halo with real data — the correctness side of
+the Table 3 machinery.  As in PETSc-FUN3D, a rank runs the one flux
+loop on its local mesh: :func:`rank_residual` calls the
+discretisation's own first-order residual on the rank's rows, so the
+sequential kernel is the one-rank case rather than a second
+implementation.
 
 As PETSc does with ``VecScatterCreate``, the scatter is planned once
 per layout — :class:`ScatterPlan`: built on first use, ownership
@@ -335,18 +339,18 @@ class GhostExchange:
 
     Executed rank by rank, so each receiving rank's refresh is a
     ``ghost_exchange`` span and the max-over-ranks wait is recorded.
-    Accounting convention (matching
-    :class:`repro.parallel.scatter.GhostExchangePlan`): messages and
-    bytes are counted once, in the *receive* direction — one message
-    per (receiver, owner) pair per refresh (``GhostExchangePlan.
-    neighbors`` summed over ranks) and one payload per ghost copy
-    received (``GhostExchangePlan.recv_bytes``).  The send-side view is
-    the same traffic attributed to the owning ranks
-    (``GhostExchangePlan.send_bytes``); it is not double-counted here.
-    Both counts are taken from the plan, so a refresh executed
-    elsewhere — in the pool's workers, or in the compiled seq matvec's
-    one C call — books the same numbers (:meth:`account_refresh`)
-    without this object seeing the data.  ``messages`` and
+    Accounting convention: messages and bytes are counted once, in the
+    *receive* direction — one message per (receiver, owner) pair per
+    refresh (``plan.pairs[r]`` for rank ``r``) and one row payload per
+    ghost copy received (``ghost_off[r + 1] - ghost_off[r]`` rows).
+    The send side is the same traffic attributed to the owning ranks
+    and is not counted again; the performance model
+    (:func:`repro.parallel.simulate.scatter_counts`) reads both
+    directions from this plan, so the bytes it prices per refresh are
+    the bytes booked here.  Both counts are taken from the plan, so a
+    refresh executed elsewhere — in the pool's workers, or in the
+    compiled seq matvec's one C call — books the same numbers
+    (:meth:`account_refresh`) without this object seeing the data.  ``messages`` and
     ``bytes_moved`` accumulate across calls.
     """
 

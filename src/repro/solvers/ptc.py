@@ -60,7 +60,6 @@ class SERController:
     recorder: object = NULL_RECORDER
     cfl: float = field(init=False)
     second_order: bool = field(init=False)
-    history: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.cfl = self.config.cfl0
@@ -69,12 +68,12 @@ class SERController:
         self.second_order = self.config.switch_order_drop is None
 
     def update(self, fnorm: float) -> float:
-        """Record ``fnorm`` and return the CFL for the next step."""
+        """Take the residual norm ``fnorm``; return the CFL for the next
+        step."""
         if not np.isfinite(fnorm) or fnorm < 0:
             raise ValueError(f"bad residual norm {fnorm}")
         if self.fnorm0 is None:
             self.fnorm0 = max(fnorm, 1e-300)
-        self.history.append(fnorm)
         rec = self.recorder if self.recorder is not None else NULL_RECORDER
         rec.count("ser_updates", 1)
         cfg = self.config
@@ -88,10 +87,3 @@ class SERController:
         ratio = self.fnorm0 / max(fnorm, 1e-300)
         self.cfl = float(np.clip(cfg.cfl0 * ratio**p, cfg.cfl_min, cfg.cfl_max))
         return self.cfl
-
-    @property
-    def residual_reduction(self) -> float:
-        """||f|| / ||f0|| for the latest residual."""
-        if not self.history or self.fnorm0 is None:
-            return 1.0
-        return self.history[-1] / self.fnorm0

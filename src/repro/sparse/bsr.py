@@ -113,15 +113,6 @@ class BSRMatrix:
         yb = segment_sum(self.row_of, prods, self.nbrows)
         return yb.ravel().astype(np.result_type(self.data, x), copy=False)
 
-    def diag_blocks(self) -> np.ndarray:
-        """The (nbrows, bs, bs) diagonal blocks (zeros where absent)."""
-        out = np.zeros((self.nbrows, self.bs, self.bs),
-                       dtype=self.data.dtype)
-        row_of = self.row_of
-        mask = row_of == self.indices
-        out[row_of[mask]] = self.data[mask]
-        return out
-
     def add_block_diagonal(self, dblocks: np.ndarray) -> "BSRMatrix":
         """Return A + blockdiag(dblocks); diagonal blocks must exist."""
         row_of = self.row_of

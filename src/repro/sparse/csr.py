@@ -128,24 +128,6 @@ class CSRMatrix:
         return CSRMatrix.from_coo(self.indices, row_of, self.data,
                                   (self.ncols, self.nrows))
 
-    def scale_rows(self, s: np.ndarray) -> "CSRMatrix":
-        row_of = self.row_of
-        return CSRMatrix(indptr=self.indptr, indices=self.indices,
-                         data=self.data * np.asarray(s)[row_of],
-                         ncols=self.ncols)
-
-    def add_diagonal(self, d: np.ndarray) -> "CSRMatrix":
-        """Return A + diag(d); requires the diagonal already structurally
-        present (true for all our PDE Jacobians)."""
-        row_of = self.row_of
-        mask = row_of == self.indices
-        if int(mask.sum()) != min(self.shape):
-            raise ValueError("diagonal is not fully present structurally")
-        data = self.data.copy()
-        data[mask] += np.asarray(d)[row_of[mask]]
-        return CSRMatrix(indptr=self.indptr, indices=self.indices,
-                         data=data, ncols=self.ncols)
-
     def permuted(self, perm: np.ndarray) -> "CSRMatrix":
         """Symmetric permutation P A P^T with new index i = old perm[i]."""
         perm = np.asarray(perm, dtype=np.int64)

@@ -224,6 +224,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=next(iter(bad))):
             KrylovConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [{"nparts": 0}, {"nparts": -2},
+                                     {"overlap": -1}, {"fill_level": -1}])
+    def test_bad_preconditioner_sizes(self, bad):
+        # Rejected at construction: nparts <= 0 would otherwise solve as
+        # one subdomain, and a bad overlap / fill level would surface
+        # only at the first ASM set-up.
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            PreconditionerConfig(**bad)
+
 
 class TestExecutors:
     def test_seq_equals_local_under_roe(self):

@@ -77,22 +77,6 @@ class TestOperations:
         sub, _ = g.subgraph(np.array([1, 3, 5]))   # pairwise nonadjacent
         assert sub.num_edges == 0
 
-    def test_permute_roundtrip(self, small_graph, rng):
-        perm = rng.permutation(small_graph.num_vertices)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
-        back = small_graph.permute(perm).permute(inv)
-        assert np.array_equal(back.edge_list(), small_graph.edge_list())
-
-    def test_permute_preserves_degree_multiset(self, small_graph, rng):
-        perm = rng.permutation(small_graph.num_vertices)
-        g2 = small_graph.permute(perm)
-        assert sorted(g2.degrees()) == sorted(small_graph.degrees())
-
-    def test_permute_invalid(self, small_graph):
-        with pytest.raises(ValueError):
-            small_graph.permute(np.zeros(small_graph.num_vertices, dtype=int))
-
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 20), st.data())

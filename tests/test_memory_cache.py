@@ -44,11 +44,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             CacheConfig("x", 100, 32, 2)
 
-    def test_fully_associative(self):
-        fa = cfg(256, 32, 2).fully_associative()
-        assert fa.nsets == 1
-        assert fa.associativity == 8
-
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestSemantics:

@@ -1,46 +1,63 @@
-"""Parallel-execution models: plans, work, timeline, efficiency, hybrid."""
+"""Parallel-execution models: layouts priced, work, timeline,
+efficiency, hybrid."""
 
 import numpy as np
 import pytest
 
-from repro.parallel import (build_exchange_plan, build_rank_work,
+from repro.parallel import (SPMDLayout, build_rank_work,
                             efficiency_decomposition, hybrid_flux_times,
                             network_from_machine, simulate_solve)
 from repro.parallel.netmodel import NetworkModel
+from repro.parallel.simulate import scatter_counts
 from repro.partition import kway_partition
 from repro.perfmodel import ASCI_RED_PPRO
 
 
+def _layout(mesh, labels):
+    return SPMDLayout.build(mesh.edges, labels)
+
+
 @pytest.fixture(scope="module")
 def partitioned(medium_mesh):
-    g = medium_mesh.vertex_graph()
-    labels = kway_partition(g, 8, seed=0)
-    return g, labels
+    labels = kway_partition(medium_mesh.vertex_graph(), 8, seed=0)
+    return _layout(medium_mesh, labels), labels
 
 
 class TestExchangePlan:
-    def test_owned_covers_graph(self, partitioned):
-        g, labels = partitioned
-        plan = build_exchange_plan(g, labels)
-        assert plan.owned.sum() == g.num_vertices
+    """The scatter the model prices: the layout's ScatterPlan."""
 
-    def test_ghosts_are_cut_neighbors(self, partitioned):
-        g, labels = partitioned
-        plan = build_exchange_plan(g, labels)
-        assert np.all(plan.ghosts > 0)       # every part has a boundary
-        assert plan.cut_edges > 0
+    def test_owned_covers_graph(self, partitioned, medium_mesh):
+        layout, _ = partitioned
+        assert sum(rd.n_owned for rd in layout.ranks) == \
+            medium_mesh.num_vertices
+
+    def test_ghosts_are_cut_neighbors(self, partitioned, medium_mesh):
+        layout, labels = partitioned
+        g = medium_mesh.vertex_graph()
+        _, received, _ = scatter_counts(layout.plan)
+        assert np.all(received > 0)          # every part has a boundary
+        for rd in layout.ranks:
+            nbrs = np.unique(np.concatenate(
+                [g.neighbors(int(v)) for v in rd.owned]))
+            assert np.array_equal(rd.ghosts,
+                                  nbrs[labels[nbrs] != rd.rank])
 
     def test_sends_equal_ghost_copies(self, partitioned):
-        g, labels = partitioned
-        plan = build_exchange_plan(g, labels)
-        assert plan.sends.sum() == plan.ghosts.sum()
+        layout, labels = partitioned
+        _, received, sent = scatter_counts(layout.plan)
+        assert sent.sum() == received.sum() == layout.plan.ghost_rows
+        # Each owner sends one copy of a vertex per rank that ghosts it.
+        ghosts = np.concatenate([rd.ghosts for rd in layout.ranks])
+        assert np.array_equal(sent, np.bincount(labels[ghosts],
+                                                minlength=layout.nranks))
 
     def test_single_part_no_comm(self, medium_mesh):
-        g = medium_mesh.vertex_graph()
-        plan = build_exchange_plan(g, np.zeros(g.num_vertices, dtype=np.int64))
-        assert plan.ghosts.sum() == 0
-        assert plan.cut_edges == 0
-        assert plan.max_messages == 0
+        layout = _layout(medium_mesh,
+                         np.zeros(medium_mesh.num_vertices, dtype=np.int64))
+        messages, received, sent = scatter_counts(layout.plan)
+        assert received.sum() == sent.sum() == 0
+        assert messages.max(initial=0) == 0
+        assert build_rank_work(layout, 4)[0].halo_edges == 0
 
     def test_ghost_fraction_grows_with_parts(self, medium_mesh):
         """The paper's surface-to-volume law: more subdomains => a
@@ -48,21 +65,27 @@ class TestExchangePlan:
         g = medium_mesh.vertex_graph()
         fracs = []
         for p in (4, 32):
-            plan = build_exchange_plan(g, kway_partition(g, p, seed=0))
-            fracs.append(plan.ghost_fraction.mean())
+            layout = _layout(medium_mesh, kway_partition(g, p, seed=0))
+            fracs.append(np.mean([rd.ghosts.size / max(rd.n_owned, 1)
+                                  for rd in layout.ranks]))
         assert fracs[1] > fracs[0]
 
     def test_total_bytes_scale_with_ncomp(self, partitioned):
-        g, labels = partitioned
-        plan = build_exchange_plan(g, labels)
-        assert (plan.total_bytes_per_exchange(4)
-                == 2 * plan.total_bytes_per_exchange(2))
+        layout, _ = partitioned
+        machine = ASCI_RED_PPRO
+        net = network_from_machine(machine)
+        payload = [simulate_solve(build_rank_work(layout, ncomp),
+                                  layout.plan, machine, net,
+                                  linear_its_per_step=[1])
+                   .payload_per_linear_it for ncomp in (4, 2)]
+        assert payload[0] == 2 * payload[1] == \
+            layout.plan.ghost_rows * 4 * 8
 
 
 class TestRankWork:
     def test_edge_partition_identity(self, partitioned, medium_mesh):
-        g, labels = partitioned
-        works = build_rank_work(g, labels, 4)
+        layout, _ = partitioned
+        works = build_rank_work(layout, 4)
         total_interior = sum(w.interior_edges for w in works)
         total_halo = sum(w.halo_edges for w in works)
         # Each cut edge is counted once per side.
@@ -71,24 +94,24 @@ class TestRankWork:
                    for w in works)
 
     def test_flops_positive_and_scale(self, partitioned):
-        g, labels = partitioned
-        w4 = build_rank_work(g, labels, 4)
-        w5 = build_rank_work(g, labels, 5)
+        layout, _ = partitioned
+        w4 = build_rank_work(layout, 4)
+        w5 = build_rank_work(layout, 5)
         assert all(w.flux_flops > 0 for w in w4)
         assert w5[0].flux_flops > w4[0].flux_flops
         assert w5[0].spmv_flops > w4[0].spmv_flops
 
     def test_precond_precision_lever(self, partitioned):
-        g, labels = partitioned
-        w8 = build_rank_work(g, labels, 4, precond_value_bytes=8)
-        w4 = build_rank_work(g, labels, 4, precond_value_bytes=4)
+        layout, _ = partitioned
+        w8 = build_rank_work(layout, 4, precond_value_bytes=8)
+        w4 = build_rank_work(layout, 4, precond_value_bytes=4)
         assert w4[0].pcapply_traffic < w8[0].pcapply_traffic
         assert w4[0].pcapply_flops == w8[0].pcapply_flops
 
     def test_fill_ratio_lever(self, partitioned):
-        g, labels = partitioned
-        lo = build_rank_work(g, labels, 4, fill_ratio=1.0)
-        hi = build_rank_work(g, labels, 4, fill_ratio=3.0)
+        layout, _ = partitioned
+        lo = build_rank_work(layout, 4, fill_ratio=1.0)
+        hi = build_rank_work(layout, 4, fill_ratio=3.0)
         assert hi[0].pcapply_flops > lo[0].pcapply_flops
 
 
@@ -113,47 +136,50 @@ class TestNetworkModel:
 
 
 class TestSimulate:
-    def _run(self, g, labels, machine=ASCI_RED_PPRO, its=None):
-        plan = build_exchange_plan(g, labels)
-        works = build_rank_work(g, labels, 4)
+    def _run(self, mesh, labels, machine=ASCI_RED_PPRO, its=None):
+        layout = _layout(mesh, labels)
         net = network_from_machine(machine)
-        return simulate_solve(works, plan, machine, net,
+        return simulate_solve(build_rank_work(layout, 4), layout.plan,
+                              machine, net,
                               linear_its_per_step=its or [15] * 8)
 
     def test_wall_decreases_with_parts(self, medium_mesh):
         g = medium_mesh.vertex_graph()
-        walls = [self._run(g, kway_partition(g, p, seed=0)).total_wall
+        walls = [self._run(medium_mesh,
+                           kway_partition(g, p, seed=0)).total_wall
                  for p in (4, 16)]
         assert walls[1] < walls[0]
 
     def test_scatter_fraction_grows_with_parts(self, medium_mesh):
         """Table 3's scatter column: 3% -> 6% as P grows."""
         g = medium_mesh.vertex_graph()
-        pct = [self._run(g, kway_partition(g, p, seed=0)).category_percent()
+        pct = [self._run(medium_mesh,
+                         kway_partition(g, p, seed=0)).category_percent()
                for p in (4, 32)]
         assert pct[1]["scatter"] > pct[0]["scatter"]
 
     def test_imbalance_creates_implicit_sync(self, medium_mesh):
-        g = medium_mesh.vertex_graph()
-        n = g.num_vertices
+        n = medium_mesh.num_vertices
         balanced = np.repeat(np.arange(4), n // 4 + 1)[:n]
         skewed = np.zeros(n, dtype=np.int64)
         skewed[: n // 10] = 1
         skewed[n // 10: n // 5] = 2
         skewed[n // 5: n // 4] = 3
-        t_bal = self._run(g, balanced).category_totals()["implicit_sync"]
-        t_skew = self._run(g, skewed).category_totals()["implicit_sync"]
+        t_bal = self._run(medium_mesh,
+                          balanced).category_totals()["implicit_sync"]
+        t_skew = self._run(medium_mesh,
+                           skewed).category_totals()["implicit_sync"]
         assert t_skew > 2 * t_bal
 
-    def test_more_iterations_more_time(self, partitioned):
-        g, labels = partitioned
-        t1 = self._run(g, labels, its=[10] * 5).total_wall
-        t2 = self._run(g, labels, its=[30] * 5).total_wall
+    def test_more_iterations_more_time(self, partitioned, medium_mesh):
+        _, labels = partitioned
+        t1 = self._run(medium_mesh, labels, its=[10] * 5).total_wall
+        t2 = self._run(medium_mesh, labels, its=[30] * 5).total_wall
         assert t2 > t1
 
-    def test_effective_bandwidth_below_wire(self, partitioned):
-        g, labels = partitioned
-        tl = self._run(g, labels)
+    def test_effective_bandwidth_below_wire(self, partitioned, medium_mesh):
+        _, labels = partitioned
+        tl = self._run(medium_mesh, labels)
         eff = tl.effective_scatter_bw_per_rank()
         assert 0 < eff < ASCI_RED_PPRO.net_beta
 
@@ -189,7 +215,7 @@ class TestHybrid:
         nodes = 8
         l1 = kway_partition(g, nodes, seed=0)
         l2 = kway_partition(g, 2 * nodes, seed=0)
-        cmp = hybrid_flux_times(g, l1, l2, ASCI_RED_PPRO)
+        cmp = hybrid_flux_times(medium_mesh.edges, l1, l2, ASCI_RED_PPRO)
         # Both dual-processor modes beat single.
         assert cmp.t_hybrid_2 < cmp.t_mpi_1
         assert cmp.t_mpi_2 < cmp.t_mpi_1
@@ -201,4 +227,4 @@ class TestHybrid:
         g = medium_mesh.vertex_graph()
         l1 = kway_partition(g, 4, seed=0)
         with pytest.raises(ValueError):
-            hybrid_flux_times(g, l1, l1, ASCI_RED_PPRO)
+            hybrid_flux_times(medium_mesh.edges, l1, l1, ASCI_RED_PPRO)

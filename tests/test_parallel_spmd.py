@@ -2,8 +2,13 @@
 
 The strongest validation of the parallel layer: running the flux loop
 and SpMV with strictly rank-local data + ghost exchanges reproduces
-the sequential kernels bit for bit, and the observed communication
-matches the cost model's GhostExchangePlan.
+the sequential kernels bit for bit.  The layout is also the halo the
+performance model prices, so the scatter ``simulate_solve`` charges
+must be the messages and bytes the executors book
+(:class:`TestModelPricesExecution`, on the C seq matvec and, under
+``REPRO_KERNELS_DISABLE=1``, on the numpy rank loop), and its counts
+must match an independent pass over the graph's arcs (:func:`_arc_pass`,
+the model's own derivation before it read the layout).
 """
 
 import dataclasses
@@ -17,11 +22,44 @@ from hypothesis import strategies as st
 from repro.euler import wing_problem
 from repro.euler.boundary import classify_box_boundary
 from repro.mesh.dualmesh import compute_dual_metrics
-from repro.parallel import (GhostExchange, SPMDLayout, build_exchange_plan,
-                            distributed_matvec, distributed_residual)
+from repro.experiments.ablations import _skew_partition
+from repro.parallel import (GhostExchange, SPMDLayout, build_rank_work,
+                            distributed_matvec, distributed_residual,
+                            network_from_machine, simulate_solve)
+from repro.parallel.simulate import scatter_counts
 from repro.partition import kway_partition, pmetis_partition
 from repro.sparse.bsr import BSRMatrix
+from repro.perfmodel import ASCI_RED_PPRO
 from repro.telemetry import TraceRecorder
+
+
+def _arc_pass(graph, labels):
+    """Per-rank halo counts from the graph's arcs, vectorised: the
+    oracle for the layout.  Rank ``labels[u]`` ghosts ``v`` for every
+    cut arc ``u -> v``; its owner sends that copy; the distinct owners
+    a rank hears from are its messages; an edge is interior to its
+    rank when both ends share it and a halo edge of both ranks when
+    cut."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = graph.num_vertices
+    nparts = int(labels.max()) + 1
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    dst = graph.adjncy
+    cut = labels[src] != labels[dst]
+    pair = np.unique(labels[src[cut]] * np.int64(n) + dst[cut])
+    req, gv = pair // n, pair % n
+    nbr = np.unique(labels[src[cut]] * np.int64(nparts) + labels[dst[cut]])
+    up = src < dst
+    a, b = labels[src[up]], labels[dst[up]]
+    same = a == b
+    return dict(
+        ghosts=np.bincount(req, minlength=nparts),
+        sends=np.bincount(labels[gv], minlength=nparts),
+        neighbors=np.bincount(nbr // nparts, minlength=nparts),
+        cut_edges=int(cut.sum()) // 2,
+        interior=np.bincount(a[same], minlength=nparts),
+        halo=(np.bincount(a[~same], minlength=nparts)
+              + np.bincount(b[~same], minlength=nparts)))
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +96,9 @@ class TestLayout:
 
     def test_ghosts_match_plan(self, setup):
         prob, labels, layout, _ = setup
-        plan = build_exchange_plan(prob.mesh.vertex_graph(), labels)
+        oracle = _arc_pass(prob.mesh.vertex_graph(), labels)
         for rd in layout.ranks:
-            assert rd.ghosts.size == plan.ghosts[rd.rank]
+            assert rd.ghosts.size == oracle["ghosts"][rd.rank]
 
     def test_halo_edges_counted_twice(self, setup):
         prob, labels, layout, _ = setup
@@ -150,18 +188,18 @@ class TestDistributedKernels:
 class TestExchangeAccounting:
     def test_message_count_bounded_by_neighbor_pairs(self, setup):
         prob, labels, layout, q = setup
-        plan = build_exchange_plan(prob.mesh.vertex_graph(), labels)
+        oracle = _arc_pass(prob.mesh.vertex_graph(), labels)
         ex = GhostExchange(layout, 4)
         distributed_residual(prob.disc, layout, q, ex)
         # One message per (rank, neighbour) pair per refresh.
-        assert ex.messages == int(plan.neighbors.sum())
+        assert ex.messages == int(oracle["neighbors"].sum())
 
     def test_bytes_match_plan(self, setup):
         prob, labels, layout, q = setup
-        plan = build_exchange_plan(prob.mesh.vertex_graph(), labels)
+        oracle = _arc_pass(prob.mesh.vertex_graph(), labels)
         ex = GhostExchange(layout, 4)
         distributed_residual(prob.disc, layout, q, ex)
-        assert ex.bytes_moved == plan.ghosts.sum() * 4 * 8
+        assert ex.bytes_moved == oracle["ghosts"].sum() * 4 * 8
 
     def test_counters_mirror_recorder(self, setup):
         """GhostExchange totals and TraceRecorder counters agree."""
@@ -446,3 +484,56 @@ class TestSeqMatvecTelemetry:
         assert y.dtype == np.float32
         assert np.array_equal(
             y, jac.matvec(x32.astype(np.float64)).astype(np.float32))
+
+
+class TestModelPricesExecution:
+    """One halo per partition: the scatter the performance model prices
+    is the one the seq executor runs and books."""
+
+    @pytest.mark.parametrize("nparts", [2, 4, 6, 8])
+    def test_model_prices_what_the_executors_move(self, setup, nparts):
+        prob, _, _, q = setup
+        labels = kway_partition(prob.mesh.vertex_graph(), nparts, seed=0)
+        layout = SPMDLayout.build(prob.mesh.edges, labels)
+        ncomp = prob.disc.ncomp
+        tl = simulate_solve(build_rank_work(layout, ncomp), layout.plan,
+                            ASCI_RED_PPRO,
+                            network_from_machine(ASCI_RED_PPRO),
+                            linear_its_per_step=[1])
+        messages, received, _ = scatter_counts(layout.plan)
+        jac = prob.disc.shifted_jacobian(q, 10.0)
+        jac.engine = "compiled"   # the C seq call, or numpy when disabled
+        x = np.random.default_rng(nparts).standard_normal(jac.shape[1])
+        for run in (lambda rec: distributed_matvec(jac, layout, x,
+                                                   recorder=rec),
+                    lambda rec: distributed_residual(prob.disc, layout, q,
+                                                     recorder=rec)):
+            rec = TraceRecorder()
+            run(rec)
+            assert rec.counter("bytes") == tl.payload_per_linear_it
+            for r in range(nparts):
+                assert rec.counter("messages", r) == messages[r]
+                assert rec.counter("bytes", r) == received[r] * ncomp * 8
+
+    @pytest.mark.parametrize("labelling", ["kway", "pmetis", "skewed"])
+    def test_layout_counts_match_the_arc_pass(self, setup, labelling):
+        prob, _, _, _ = setup
+        graph = prob.mesh.vertex_graph()
+        if labelling == "pmetis":
+            labels = pmetis_partition(graph, 8, seed=0)
+        else:
+            labels = kway_partition(graph, 8, seed=0)
+            if labelling == "skewed":
+                labels = _skew_partition(labels, 8, 0.45)
+        oracle = _arc_pass(graph, labels)
+        layout = SPMDLayout.build(prob.mesh.edges, labels)
+        messages, received, sent = scatter_counts(layout.plan)
+        works = build_rank_work(layout, prob.disc.ncomp)
+        assert np.array_equal(received, oracle["ghosts"])
+        assert np.array_equal(sent, oracle["sends"])
+        assert np.array_equal(messages, oracle["neighbors"])
+        assert np.array_equal([w.interior_edges for w in works],
+                              oracle["interior"])
+        assert np.array_equal([w.halo_edges for w in works],
+                              oracle["halo"])
+        assert sum(w.halo_edges for w in works) // 2 == oracle["cut_edges"]

@@ -50,13 +50,6 @@ class TestEquivalence:
         ref = sp.bsr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
         assert np.allclose(m.to_csr().to_dense(), ref.toarray())
 
-    def test_diag_blocks(self):
-        m = random_bsr(5, 2, 0.4, 3)
-        dense = m.to_csr().to_dense()
-        dblocks = m.diag_blocks()
-        for i in range(5):
-            assert np.allclose(dblocks[i], dense[2*i:2*i+2, 2*i:2*i+2])
-
     def test_add_block_diagonal(self, rng):
         m = random_bsr(4, 3, 0.5, 4)
         shift = rng.standard_normal((4, 3, 3))

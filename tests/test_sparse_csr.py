@@ -75,23 +75,6 @@ class TestOps:
         a = random_sparse(12, 0.3, 5)
         assert np.allclose(CSRMatrix.from_dense(a).diagonal(), np.diag(a))
 
-    def test_add_diagonal(self, rng):
-        a = random_sparse(12, 0.3, 6)
-        d = rng.random(12)
-        m = CSRMatrix.from_dense(a).add_diagonal(d)
-        assert np.allclose(m.to_dense(), a + np.diag(d))
-
-    def test_add_diagonal_requires_structural_diag(self):
-        a = np.array([[0.0, 1.0], [1.0, 2.0]])
-        with pytest.raises(ValueError):
-            CSRMatrix.from_dense(a).add_diagonal(np.ones(2))
-
-    def test_scale_rows(self, rng):
-        a = random_sparse(10, 0.3, 7)
-        s = rng.random(10)
-        m = CSRMatrix.from_dense(a).scale_rows(s)
-        assert np.allclose(m.to_dense(), a * s[:, None])
-
     def test_permuted_symmetric(self, rng):
         a = random_sparse(14, 0.3, 8)
         perm = rng.permutation(14)

