@@ -12,6 +12,7 @@ Run:  python examples/partitioner_comparison.py
 
 from repro.core.reporting import format_table
 from repro.experiments.common import default_wing, measured_linear_iterations
+from repro.parallel import SPMDLayout
 from repro.partition import (kway_partition, partition_quality,
                              pmetis_partition)
 
@@ -26,7 +27,8 @@ def main() -> None:
         for name, fn in (("k-metis-like", kway_partition),
                          ("p-metis-like", pmetis_partition)):
             labels = fn(graph, p, seed=0)
-            q = partition_quality(graph, labels)
+            q = partition_quality(
+                graph, SPMDLayout.build(prob.mesh.edges, labels))
             its, _ = measured_linear_iterations(prob, p, labels=labels,
                                                 fill_level=0, max_steps=4)
             rows.append([p, name, round(q.imbalance, 3), q.edge_cut,

@@ -72,27 +72,16 @@ class BoundaryCondition:
     def num_wall(self) -> int:
         return int(self.wall_mask.sum())
 
-    def row_sets(self, keep: np.ndarray | None = None,
-                 rows: np.ndarray | None = None) -> tuple:
+    def row_sets(self) -> tuple:
         """The wall / far-field split, as the row sets the boundary
         closures read: ``(wall_rows, wall_idx, far_rows, far_idx)``.
 
         ``*_idx`` are positions in ``vertices`` (in ``vertices``
-        order), ``*_rows`` the rows they address: ``rows[idx]``, with
-        ``rows`` defaulting to ``vertices`` (a rank passes its local
-        row of each boundary vertex).  ``keep``, a mask over
-        ``vertices``, restricts both sets (a rank keeps its owned
-        vertices).
+        order), ``*_rows`` the vertices they address.
         """
-        wall = self.wall_mask
-        far = self.farfield_mask
-        if keep is not None:
-            wall &= keep
-            far &= keep
-        rows = self.vertices if rows is None else rows
-        widx = np.flatnonzero(wall)
-        fidx = np.flatnonzero(far)
-        return rows[widx], widx, rows[fidx], fidx
+        widx = np.flatnonzero(self.wall_mask)
+        fidx = np.flatnonzero(self.farfield_mask)
+        return self.vertices[widx], widx, self.vertices[fidx], fidx
 
     def permuted(self, inv: np.ndarray) -> "BoundaryCondition":
         """Relabel vertex indices through ``inv`` (old -> new)."""

@@ -57,7 +57,7 @@ def run_fig4(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
                                 linear_its_per_step=its, refresh_every=2)
             if base_time is None:
                 base_time = tl.total_wall
-            q = partition_quality(graph, labels)
+            q = partition_quality(graph, layout)
             result.rows.append([
                 name, p, sum(its), round(tl.total_wall, 3),
                 round(base_time / tl.total_wall * 1.0, 2),

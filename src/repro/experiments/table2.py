@@ -15,6 +15,8 @@ same lever the hardware pulls).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.experiments.common import (ExperimentResult, claim, default_wing,
                                       measured_linear_iterations)
 from repro.parallel.netmodel import network_from_machine
@@ -51,6 +53,7 @@ def run_table2(*, procs=(4, 8, 16), size: str = "medium",
     for p in procs:
         times = {}
         its_counts = {}
+        layout = None
         # fp32 stores the factors exactly like fp32-precond (same
         # modelled times); only its measured iteration count is new.
         for policy, vbytes in (("fp64", 8), ("fp32-precond", 4),
@@ -58,7 +61,12 @@ def run_table2(*, procs=(4, 8, 16), size: str = "medium",
             its, labels = measured_linear_iterations(
                 prob, p, fill_level=fill_level, policy=policy,
                 max_steps=max_steps, seed=seed)
-            layout = SPMDLayout.build(prob.mesh.edges, labels)
+            # Every policy partitions the same graph with the same seed:
+            # one partition, so one layout per processor count.
+            if layout is None:
+                layout = SPMDLayout.build(prob.mesh.edges, labels)
+            claim(np.array_equal(labels, layout.labels),
+                  f"every precision policy gets the same {p}-part labels")
             works = build_rank_work(layout, prob.disc.ncomp,
                                     fill_ratio=1.0 + fill_level,
                                     precond_value_bytes=vbytes)

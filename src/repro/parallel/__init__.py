@@ -13,11 +13,13 @@ substitution (see DESIGN.md):
   through the machines' alpha-beta network and STREAM parameters.
 
 One halo per partition: :class:`SPMDLayout` is the only code that turns
-a partition into owned / ghost / neighbour / edge sets.  The model
-prices that layout (:func:`build_rank_work`, and
-:func:`simulate_solve` on its ``ScatterPlan``), so the scatter it
-prices is the one :func:`distributed_residual` and
-:func:`distributed_matvec` execute and book.
+a partition into owned / ghost / neighbour / interface / edge sets, in
+one sort-based pass over all ranks.  The model prices that layout
+(:func:`build_rank_work`, and :func:`simulate_solve` on its
+``ScatterPlan``), so the scatter it prices is the one
+:func:`distributed_residual` and :func:`distributed_matvec` execute and
+book; :func:`repro.partition.partition_quality` reads its neighbour
+counts and interface from the same plan.
 
 This mirrors the paper's own efficiency factorisation
 eta_overall = eta_alg x eta_impl.

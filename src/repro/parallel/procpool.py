@@ -545,12 +545,11 @@ class ProcPool:
             off += _align(nnzb * 8)
             data = np.ndarray((nnzb, bs, bs), dtype=dtype,
                               buffer=seg.buf, offset=off)
-            mat = _MatView(indptr=indptr, indices=indices, data=data,
-                           nbrows=self.n)
+            gather = rank_matvec_structs(indptr, indices, self.layout.plan,
+                                         ranks)
             cache = {}
-            for r in ranks:
-                rd = self.layout.ranks[r]
-                flat, cols, seg_ids = rank_matvec_structs(mat, rd)
+            for i, r in enumerate(ranks):
+                flat, cols, seg_ids = gather.rank(i)
                 # Contiguous private copy: the per-call gather of the
                 # sequential leg (a.data[flat]), done once.
                 cache[r] = (np.ascontiguousarray(data[flat]), cols,
@@ -560,18 +559,6 @@ class ProcPool:
             state["engine"] = ("compiled" if int(hdr[_H_MAT_ENGINE])
                                else "numpy")
             state["token"] = int(hdr[_H_MAT_TOKEN])
-            del indptr, indices, data, mat
+            del indptr, indices, data
         finally:
             seg.close()
-
-
-class _MatView:
-    """Just enough of the BSRMatrix surface for rank_matvec_structs."""
-
-    __slots__ = ("indptr", "indices", "data", "nbrows")
-
-    def __init__(self, indptr, indices, data, nbrows) -> None:
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self.nbrows = nbrows

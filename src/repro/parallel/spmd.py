@@ -50,16 +50,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.euler.discretization import EdgeFVDiscretization
 from repro.sanitize.statehash import note as _sanitize_note
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.segsum import concat_ranges, segment_sum
 from repro.telemetry.recorder import NULL_RECORDER
+
+if TYPE_CHECKING:
+    from repro.euler.discretization import EdgeFVDiscretization
 
 __all__ = ["RankLocalData", "SPMDLayout", "ScatterPlan", "GhostExchange",
            "distributed_residual", "distributed_matvec",
@@ -71,10 +73,12 @@ __all__ = ["RankLocalData", "SPMDLayout", "ScatterPlan", "GhostExchange",
 class RankLocalData:
     """One rank's local index world.
 
-    ``local_vertices`` = owned then ghosts (global ids); all per-rank
-    arrays are indexed by local position.  ``edge_ids`` are the global
-    edges with at least one owned endpoint (halo edges appear on both
-    sharing ranks, recomputed redundantly — as in the real code).
+    Its local vertices are the owned ones, then the ghosts (global
+    ids); all per-rank arrays are indexed by local position.
+    ``edge_ids`` are the global edges with at least one owned endpoint
+    (halo edges appear on both sharing ranks, recomputed redundantly —
+    as in the real code).  Every array is a view into the layout's
+    flat arrays.
     """
 
     rank: int
@@ -85,16 +89,56 @@ class RankLocalData:
     ghost_owner: np.ndarray       # owning rank of each ghost
 
     @property
-    def local_vertices(self) -> np.ndarray:
-        return np.concatenate([self.owned, self.ghosts])
-
-    @property
     def n_owned(self) -> int:
         return int(self.owned.size)
 
     @property
     def n_local(self) -> int:
         return self.n_owned + int(self.ghosts.size)
+
+
+class _Flat(NamedTuple):
+    """Every rank's :class:`RankLocalData` arrays, rank after rank, cut
+    by ``p + 1`` offsets: rank ``r``'s owned vertices are
+    ``owned[own_off[r]:own_off[r + 1]]``, and so on."""
+
+    owned: np.ndarray
+    own_off: np.ndarray
+    ghosts: np.ndarray
+    ghost_owner: np.ndarray
+    ghost_off: np.ndarray
+    edge_ids: np.ndarray
+    local_edges: np.ndarray
+    edge_off: np.ndarray
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: the slice offsets of ``counts``."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _key_map(owner: np.ndarray, owned: np.ndarray, own_off: np.ndarray,
+             ghosts: np.ndarray, ghost_off: np.ndarray):
+    """The global -> rank-local map of a layout's flat arrays:
+    ``local(r, v)`` is vertex ``v[i]``'s local row on rank ``r[i]`` — an
+    owned vertex's position among the rank's owned vertices, a ghost's
+    after them (one binary search of the sorted ``rank·n + vertex``
+    ghost keys), ``-1`` for a vertex that is neither."""
+    n, own_cnt = int(owner.size), np.diff(own_off)
+    pos = np.empty(n, dtype=np.int64)
+    pos[owned] = np.arange(n) - np.repeat(own_off[:-1], own_cnt)
+    keys = np.append(np.repeat(np.arange(own_cnt.size), np.diff(ghost_off))
+                     * n + ghosts, np.iinfo(np.int64).max)
+
+    def local(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+        out = pos[v]
+        far = np.flatnonzero(owner[v] != r)
+        r, key = r[far], r[far] * n + v[far]
+        g = np.searchsorted(keys, key)
+        out[far] = np.where(keys[g] == key, own_cnt[r] + g - ghost_off[r], -1)
+        return out
+
+    return local
 
 
 @dataclass
@@ -108,6 +152,7 @@ class SPMDLayout:
 
     labels: np.ndarray
     ranks: list[RankLocalData] = field(default_factory=list)
+    _flat: _Flat | None = field(default=None, repr=False, compare=False)
     _plan: "ScatterPlan | None" = field(default=None, init=False,
                                         repr=False, compare=False)
 
@@ -124,44 +169,56 @@ class SPMDLayout:
 
     @classmethod
     def build(cls, edges: np.ndarray, labels: np.ndarray) -> "SPMDLayout":
+        """Every rank's world in one pass over all ranks: a stable sort
+        of the vertices by label (the owned sets), one sort of the
+        edge -> rank incidences by ``(rank, edge id)`` (the edge sets, a
+        cut edge on both its ranks), one ``np.unique`` of the
+        ``rank·n + vertex`` ghost keys (the ghost sets) and one
+        global -> local map (the local edges)."""
         labels = np.asarray(labels, dtype=np.int64)
-        edges = np.asarray(edges, dtype=np.int64)
-        nranks = int(labels.max()) + 1 if labels.size else 0
-        layout = cls(labels=labels)
-        la = labels[edges[:, 0]]
-        lb = labels[edges[:, 1]]
-        for r in range(nranks):
-            owned = np.where(labels == r)[0]
-            emask = (la == r) | (lb == r)
-            eids = np.where(emask)[0]
-            le = edges[eids]
-            ghosts = np.setdiff1d(np.unique(le), owned)
-            # Global -> local translation table.
-            lv = np.concatenate([owned, ghosts])
-            lut = np.full(labels.size, -1, dtype=np.int64)
-            lut[lv] = np.arange(lv.size, dtype=np.int64)
-            local_edges = lut[le]
-            layout.ranks.append(RankLocalData(
-                rank=r, owned=owned, ghosts=ghosts, edge_ids=eids,
-                local_edges=local_edges, ghost_owner=labels[ghosts]))
-        return layout
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        n, m = labels.size, len(edges)
+        p = int(labels.max()) + 1 if n else 0
+        owned = np.argsort(labels, kind="stable")
+        ends = labels[edges]
+        cut = np.flatnonzero(ends[:, 0] != ends[:, 1])
+        inc = np.sort(np.concatenate([ends[:, 0] * m + np.arange(m),
+                                      ends[cut, 1] * m + cut]))
+        inc_rank, edge_ids = np.divmod(inc, max(m, 1))
+        # The far end of a cut edge is a ghost of the near end's rank.
+        ghost_rank, ghosts = np.divmod(np.unique(np.concatenate([
+            ends[cut, 0] * n + edges[cut, 1],
+            ends[cut, 1] * n + edges[cut, 0]])), max(n, 1))
+        own_off, ghost_off, edge_off = (_offsets(np.bincount(x, minlength=p))
+                                        for x in (labels, ghost_rank, inc_rank))
+        local = _key_map(labels, owned, own_off, ghosts, ghost_off)
+        local_edges = local(np.repeat(inc_rank, 2),
+                            edges[edge_ids].ravel()).reshape(-1, 2)
+        flat = _Flat(owned, own_off, ghosts, labels[ghosts], ghost_off,
+                     edge_ids, local_edges, edge_off)
+        o, g, e = own_off.tolist(), ghost_off.tolist(), edge_off.tolist()
+        ranks = [RankLocalData(
+            r, owned[o[r]:o[r + 1]], ghosts[g[r]:g[r + 1]],
+            edge_ids[e[r]:e[r + 1]], local_edges[e[r]:e[r + 1]],
+            flat.ghost_owner[g[r]:g[r + 1]]) for r in range(p)]
+        return cls(labels=labels, ranks=ranks, _flat=flat)
 
 
 class MatvecGather(NamedTuple):
-    """Every rank's :func:`rank_matvec_structs` of one matrix pattern,
-    rank after rank: rank ``r``'s blocks are ``blk_off[r]:blk_off[r +
-    1]``, each owned row's in slot order.  Block ``k`` is
-    ``data[flat[k]]``, multiplies the rank's local row ``cols[k]`` and
-    adds into its owned row ``seg[k]``."""
+    """The :func:`rank_matvec_structs` of one matrix pattern, rank after
+    rank: the ``i``-th rank's blocks are ``blk_off[i]:blk_off[i + 1]``,
+    each owned row's in slot order.  Block ``k`` is ``data[flat[k]]``,
+    multiplies the rank's local row ``cols[k]`` and adds into its owned
+    row ``seg[k]``."""
 
     blk_off: np.ndarray
     flat: np.ndarray
     cols: np.ndarray
     seg: np.ndarray
 
-    def rank(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rank ``r``'s ``(flat, cols, seg)``, as views."""
-        k = slice(self.blk_off[r], self.blk_off[r + 1])
+    def rank(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``i``-th rank's ``(flat, cols, seg)``, as views."""
+        k = slice(self.blk_off[i], self.blk_off[i + 1])
         return self.flat[k], self.cols[k], self.seg[k]
 
 
@@ -186,6 +243,8 @@ class ScatterPlan:
     here rather than gathering wrong rows.  The exchange's message and
     byte counts are the plan's too: ``pairs[r]`` distinct owners send
     to rank ``r``, ``ghost_off[r + 1] - ghost_off[r]`` ghost copies.
+    Every array is read from the layout's flat arrays, all ranks at
+    once.
 
     The plan also holds what the rank residual indexes with: each
     rank's edge endpoints as contiguous arrays, and each rank's owned
@@ -197,49 +256,50 @@ class ScatterPlan:
     """
 
     def __init__(self, layout: SPMDLayout) -> None:
-        ranks = layout.ranks
+        f = layout._flat
         n = int(layout.labels.size)
-        owned = np.concatenate([rd.owned for rd in ranks]) if ranks \
-            else np.zeros(0, dtype=np.int64)
-        bad = np.flatnonzero(np.bincount(owned, minlength=n) != 1)
+        p = layout.nranks
+        bad = np.flatnonzero(np.bincount(f.owned, minlength=n) != 1)
         if bad.size:
             raise ValueError(f"stale SPMD layout: vertices {bad.tolist()} "
                              f"do not have exactly one owner")
-        self.row_off = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(
-            [rd.n_local for rd in ranks], dtype=np.int64)])
+        own_cnt = np.diff(f.own_off)
+        ghost_cnt = np.diff(f.ghost_off)
+        self.row_off = f.own_off + f.ghost_off
         self.total_rows = int(self.row_off[-1])
         # (first row, first ghost row, end row) of each rank, as ints.
-        self.bounds = [(int(lo), int(lo) + rd.n_owned, int(lo) + rd.n_local)
-                       for lo, rd in zip(self.row_off, ranks)]
+        self.bounds = list(zip(self.row_off[:-1].tolist(),
+                               (self.row_off[:-1] + own_cnt).tolist(),
+                               self.row_off[1:].tolist()))
         self.owner = np.empty(n, dtype=np.int64)
+        self.owner[f.owned] = np.repeat(np.arange(p, dtype=np.int64),
+                                        own_cnt)
         self.home = np.empty(n, dtype=np.int64)
-        for rd, (lo, glo, _) in zip(ranks, self.bounds):
-            self.owner[rd.owned] = rd.rank
-            self.home[rd.owned] = np.arange(lo, glo, dtype=np.int64)
-        ghost_src: list[np.ndarray] = []
-        self.pairs: list[int] = []
-        for rd in ranks:
-            wrong = self.owner[rd.ghosts] != rd.ghost_owner
-            if wrong.any():
-                claimed = int(rd.ghost_owner[wrong][0])
-                missing = rd.ghosts[wrong & (rd.ghost_owner == claimed)]
-                raise ValueError(
-                    f"stale SPMD layout: rank {rd.rank} expects ghosts "
-                    f"{missing.tolist()} from rank {claimed}, which does "
-                    f"not own them")
-            ghost_src.append(self.home[rd.ghosts])
-            self.pairs.append(int(np.unique(rd.ghost_owner).size))
-        self.ghost_src = np.concatenate(
-            [np.zeros(0, dtype=np.int64), *ghost_src])
-        self.ghost_off = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(
-            [src.size for src in ghost_src], dtype=np.int64)])
+        self.home[f.owned] = (np.arange(n, dtype=np.int64)
+                              + np.repeat(f.ghost_off[:-1], own_cnt))
+        wrong = np.flatnonzero(self.owner[f.ghosts] != f.ghost_owner)
+        if wrong.size:
+            r = int(np.searchsorted(f.ghost_off, wrong[0], side="right")) - 1
+            claimed = int(f.ghost_owner[wrong[0]])
+            mine = wrong[wrong < f.ghost_off[r + 1]]
+            missing = f.ghosts[mine[f.ghost_owner[mine] == claimed]]
+            raise ValueError(
+                f"stale SPMD layout: rank {r} expects ghosts "
+                f"{missing.tolist()} from rank {claimed}, which does "
+                f"not own them")
+        self.ghost_src = self.home[f.ghosts]
+        self.ghost_off = f.ghost_off
+        # The distinct (receiver, owner) pairs: one message each.
+        ghost_rank = np.repeat(np.arange(p, dtype=np.int64), ghost_cnt)
+        senders = np.unique(ghost_rank * p + f.ghost_owner) // max(p, 1)
+        self.pairs: list[int] = np.bincount(senders, minlength=p).tolist()
         # One refresh: its messages, and the ghost copies it moves.
         self.pair_count = sum(self.pairs)
         self.ghost_rows = int(self.ghost_src.size)
-        self.receivers = [rd.rank for rd in ranks if rd.ghosts.size]
-        self.e0 = [np.ascontiguousarray(rd.local_edges[:, 0]) for rd in ranks]
-        self.e1 = [np.ascontiguousarray(rd.local_edges[:, 1]) for rd in ranks]
-        self._ranks = ranks
+        self.receivers = np.flatnonzero(ghost_cnt).tolist()
+        self.e0, self.e1 = (np.split(np.ascontiguousarray(f.local_edges[:, k]),
+                                     f.edge_off[1:-1]) for k in (0, 1))
+        self._flat = f
         self._boundary = None     # (bc.vertices, bc.kinds, per-rank rows)
         self._gather = None       # (indptr, indices, MatvecGather)
 
@@ -283,8 +343,8 @@ class ScatterPlan:
         """Each rank's owned boundary vertices under ``bc``, as
         ``(wall_rows, wall_idx, far_rows, far_idx)``: local rows and the
         matching positions in ``bc.vertices``, in ``bc.vertices`` order
-        — :meth:`BoundaryCondition.row_sets` kept to the rank's owned
-        vertices.
+        — :meth:`BoundaryCondition.row_sets` split by owner, one stable
+        sort a set.
 
         Which vertices carry a boundary area, and which of those are
         wall, follows the coordinates, so the rows are kept for the
@@ -297,13 +357,23 @@ class ScatterPlan:
             return ent[2]
         owner = self.owner[bc.vertices]
         local_row = self.home[bc.vertices] - self.row_off[owner]
-        rows = [bc.row_sets(keep=owner == r, rows=local_row)
-                for r in range(len(self.bounds))]
+        p = len(self.bounds)
+
+        def by_rank(idx):
+            idx = idx[np.argsort(owner[idx], kind="stable")]
+            cut = _offsets(np.bincount(owner[idx], minlength=p)).tolist()
+            rows = local_row[idx]
+            return [(rows[lo:hi], idx[lo:hi])
+                    for lo, hi in zip(cut[:-1], cut[1:])]
+
+        _, wall_idx, _, far_idx = bc.row_sets()
+        rows = [(*w, *f) for w, f in zip(by_rank(wall_idx), by_rank(far_idx))]
         self._boundary = (bc.vertices, bc.kinds, rows)
         return rows
 
     def gather(self, a: BSRMatrix) -> MatvecGather:
-        """The :class:`MatvecGather` of ``a``'s pattern.
+        """The :class:`MatvecGather` of ``a``'s pattern, every rank's
+        :func:`rank_matvec_structs`.
 
         It depends only on the pattern (``indptr`` / ``indices``) and
         the layout, so one is kept, for the last pattern, and reused
@@ -324,11 +394,8 @@ class ScatterPlan:
                     and np.array_equal(indices, a.indices)):
                 self._gather = (a.indptr, a.indices, gather)
                 return gather
-        parts = [(np.zeros(0, dtype=np.int64),) * 3]
-        parts += [rank_matvec_structs(a, rd) for rd in self._ranks]
-        flat, cols, seg = (np.concatenate(p) for p in zip(*parts))
-        blk_off = np.cumsum([p[0].size for p in parts], dtype=np.int64)
-        gather = MatvecGather(blk_off, flat, cols, seg)
+        gather = rank_matvec_structs(a.indptr, a.indices, self,
+                                     range(len(self.bounds)))
         self._gather = (a.indptr, a.indices, gather)
         return gather
 
@@ -429,32 +496,40 @@ def rank_residual(disc: EdgeFVDiscretization, layout: SPMDLayout, r: int,
     worker, call exactly this function, so seq/proc bitwise identity
     is structural, and both run the global residual's flux loop.
     """
-    rd = layout.ranks[r]
     plan = layout.plan
-    s = (disc.dual.edge_normals[rd.edge_ids]
+    s = (disc.dual.edge_normals[layout.ranks[r].edge_ids]
          if edge_normals is None else edge_normals)
     return disc.first_order_residual(local_q_r, plan.e0[r], plan.e1[r], s,
                                      plan.boundary(disc.bc)[r])
 
 
-def rank_matvec_structs(a: BSRMatrix, rd: RankLocalData):
-    """Per-rank gather pattern of the distributed SpMV.
+def rank_matvec_structs(indptr: np.ndarray, indices: np.ndarray,
+                        plan: ScatterPlan, ranks) -> MatvecGather:
+    """The gather pattern of the distributed SpMV on ``ranks``, in
+    that order, in one pass over their owned rows.
 
-    Returns ``(flat, cols, seg)``: the flat block slots of the rank's
-    owned rows, their local column indices, and the owned-row segment
-    ids.  Depends only on the matrix *pattern* and the layout, so the
-    proc backend computes it once per matrix and reuses it every call.
+    For each rank: the flat block slots of its owned rows, their local
+    column indices (the layout's global -> local map) and the owned-row
+    segment ids.  Depends only on the matrix *pattern* (``indptr`` /
+    ``indices``) and the layout, so the seq executor keeps one for
+    every rank (:meth:`ScatterPlan.gather`) and each pool worker
+    computes one for its ranks once per matrix.
     """
-    lut = np.full(a.nbrows, -1, dtype=np.int64)
-    lut[rd.local_vertices] = np.arange(rd.n_local, dtype=np.int64)
-    starts = a.indptr[rd.owned]
-    counts = a.indptr[rd.owned + 1] - starts
+    f = plan._flat
+    ranks = np.asarray(ranks, dtype=np.int64)
+    own_cnt = f.own_off[ranks + 1] - f.own_off[ranks]
+    rows = f.owned[concat_ranges(f.own_off[ranks], own_cnt)]
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
     flat = concat_ranges(starts, counts)
-    cols = lut[a.indices[flat]]
+    local = _key_map(plan.owner, f.owned, f.own_off, f.ghosts, f.ghost_off)
+    block_rank = np.repeat(np.repeat(ranks, own_cnt), counts)
+    cols = local(block_rank, indices[flat])
     if np.any(cols < 0):
         raise ValueError("matrix couples beyond the ghost layer")
-    seg = np.repeat(np.arange(rd.owned.size, dtype=np.int64), counts)
-    return flat, cols, seg
+    seg = np.repeat(concat_ranges(np.zeros_like(ranks), own_cnt), counts)
+    blk_off = _offsets(counts)[_offsets(own_cnt)]
+    return MatvecGather(blk_off, flat, cols, seg)
 
 
 def rank_matvec(data_rows: np.ndarray, cols: np.ndarray, seg: np.ndarray,

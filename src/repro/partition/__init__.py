@@ -26,7 +26,6 @@ from repro.partition.metrics import (
     load_imbalance,
     subdomain_components,
     partition_quality,
-    interface_vertices,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "load_imbalance",
     "subdomain_components",
     "partition_quality",
-    "interface_vertices",
 ]

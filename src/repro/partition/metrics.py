@@ -5,19 +5,30 @@ turns on: load balance (idle time at implicit synchronisations), edge
 cut (ghost-point scatter volume), subdomain connectivity (number of
 neighbour subdomains = messages), and subdomain *connectedness*
 (disconnected pieces behave like extra preconditioner blocks).
+
+Cut weights and connectedness are properties of the graph and are read
+from it.  Neighbours and interface vertices are properties of the halo:
+:func:`partition_quality` reads them from the partition's
+:class:`~repro.parallel.spmd.SPMDLayout`, the only derivation of each
+rank's ghost and neighbour sets, so the messages it reports are the
+ones the executors send and the model prices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.graph.adjacency import Graph
 from repro.graph.traversal import connected_components
 
+if TYPE_CHECKING:
+    from repro.parallel.spmd import SPMDLayout
+
 __all__ = ["edge_cut", "load_imbalance", "subdomain_components",
-           "interface_vertices", "PartitionQuality", "partition_quality"]
+           "PartitionQuality", "partition_quality"]
 
 
 def edge_cut(graph: Graph, labels: np.ndarray) -> int:
@@ -59,30 +70,6 @@ def subdomain_components(graph: Graph, labels: np.ndarray) -> np.ndarray:
     return np.bincount(comp_part, minlength=int(labels.max()) + 1)
 
 
-def interface_vertices(graph: Graph, labels: np.ndarray) -> np.ndarray:
-    """Per part: number of owned vertices with a neighbour in another
-    part (the vertices whose values must be scattered each iteration)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    nparts = int(labels.max()) + 1
-    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
-                    np.diff(graph.xadj))
-    on_cut = labels[src] != labels[graph.adjncy]
-    boundary = np.unique(src[on_cut])
-    return np.bincount(labels[boundary], minlength=nparts)
-
-
-def subdomain_connectivity(graph: Graph, labels: np.ndarray) -> np.ndarray:
-    """Per part: number of distinct neighbouring parts (message count)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    nparts = int(labels.max()) + 1
-    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
-                    np.diff(graph.xadj))
-    cut = labels[src] != labels[graph.adjncy]
-    pairs = np.unique(np.stack([labels[src[cut]], labels[graph.adjncy[cut]]],
-                               axis=1), axis=0)
-    return np.bincount(pairs[:, 0], minlength=nparts)
-
-
 @dataclass
 class PartitionQuality:
     nparts: int
@@ -93,27 +80,21 @@ class PartitionQuality:
     mean_connectivity: float
     interface_total: int
 
-    def row(self) -> dict[str, float]:
-        return {
-            "nparts": self.nparts,
-            "edge_cut": self.edge_cut,
-            "imbalance": self.imbalance,
-            "max_components": self.max_components,
-            "extra_components": self.total_extra_components,
-            "mean_connectivity": self.mean_connectivity,
-            "interface_vertices": self.interface_total,
-        }
 
-
-def partition_quality(graph: Graph, labels: np.ndarray) -> PartitionQuality:
+def partition_quality(graph: Graph, layout: SPMDLayout) -> PartitionQuality:
+    """The quality of ``layout``'s partition of ``graph``: the cut and
+    the components from the graph, the mean neighbour count from the
+    scatter plan's ``pairs`` and the interface from the distinct owned
+    rows its ghosts copy."""
+    labels = layout.labels
+    plan = layout.plan
     comps = subdomain_components(graph, labels)
-    conn = subdomain_connectivity(graph, labels)
     return PartitionQuality(
-        nparts=int(np.asarray(labels).max()) + 1,
+        nparts=layout.nranks,
         edge_cut=edge_cut(graph, labels),
         imbalance=load_imbalance(labels, graph.vwgt),
         max_components=int(comps.max(initial=0)),
         total_extra_components=int(np.maximum(comps - 1, 0).sum()),
-        mean_connectivity=float(conn.mean()) if conn.size else 0.0,
-        interface_total=int(interface_vertices(graph, labels).sum()),
+        mean_connectivity=float(np.mean(plan.pairs)) if plan.pairs else 0.0,
+        interface_total=int(np.unique(plan.ghost_src).size),
     )

@@ -51,7 +51,6 @@ from repro.mesh.mesh import Mesh
 from repro.mesh.orderings import apply_orderings
 from repro.mesh.tetgen import box_mesh
 from repro.parallel import SPMDLayout, distributed_matvec
-from repro.parallel.spmd import rank_matvec_structs
 from repro.partition import kway_partition
 from repro.solvers.ptc import PTCConfig
 from repro.sparse.bsr import BSRMatrix
@@ -507,7 +506,7 @@ class TestFloat32Vectors:
         layout = SPMDLayout.build(prob.mesh.edges, np.zeros(
             prob.mesh.num_vertices, dtype=np.int64))
         rd = layout.ranks[0]
-        flat, cols, seg = rank_matvec_structs(jac, rd)
+        flat, cols, seg = layout.plan.gather(jac).rank(0)
         x = self._x32(jac, 29)
         got, want = (kernels.gather_spmv_bsr(jac.data[flat], cols, seg, v,
                                              rd.n_owned, "compiled")

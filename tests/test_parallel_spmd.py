@@ -7,8 +7,10 @@ performance model prices, so the scatter ``simulate_solve`` charges
 must be the messages and bytes the executors book
 (:class:`TestModelPricesExecution`, on the C seq matvec and, under
 ``REPRO_KERNELS_DISABLE=1``, on the numpy rank loop), and its counts
-must match an independent pass over the graph's arcs (:func:`_arc_pass`,
-the model's own derivation before it read the layout).
+must match an independent pass over the graph's arcs
+(:func:`tests.halo_oracle.arc_pass`, the model's own derivation before it
+read the layout).  The one-pass build itself must give the arrays the
+per-rank loop it replaced gives (:func:`_layout_loop`).
 """
 
 import dataclasses
@@ -29,37 +31,71 @@ from repro.parallel import (GhostExchange, SPMDLayout, build_rank_work,
 from repro.parallel.simulate import scatter_counts
 from repro.partition import kway_partition, pmetis_partition
 from repro.sparse.bsr import BSRMatrix
+from repro.sparse.segsum import concat_ranges
 from repro.perfmodel import ASCI_RED_PPRO
 from repro.telemetry import TraceRecorder
+from tests.halo_oracle import arc_pass
 
 
-def _arc_pass(graph, labels):
-    """Per-rank halo counts from the graph's arcs, vectorised: the
-    oracle for the layout.  Rank ``labels[u]`` ghosts ``v`` for every
-    cut arc ``u -> v``; its owner sends that copy; the distinct owners
-    a rank hears from are its messages; an edge is interior to its
-    rank when both ends share it and a halo edge of both ranks when
-    cut."""
+def _layout_loop(edges, labels, a):
+    """Every rank's arrays, the scatter plan's and the SpMV gather's of
+    ``a``'s pattern, by the per-rank scans the layout, plan and gather
+    once ran (a full-length lookup table a rank): the oracle for the
+    one-pass build."""
     labels = np.asarray(labels, dtype=np.int64)
-    n = graph.num_vertices
-    nparts = int(labels.max()) + 1
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
-    dst = graph.adjncy
-    cut = labels[src] != labels[dst]
-    pair = np.unique(labels[src[cut]] * np.int64(n) + dst[cut])
-    req, gv = pair // n, pair % n
-    nbr = np.unique(labels[src[cut]] * np.int64(nparts) + labels[dst[cut]])
-    up = src < dst
-    a, b = labels[src[up]], labels[dst[up]]
-    same = a == b
-    return dict(
-        ghosts=np.bincount(req, minlength=nparts),
-        sends=np.bincount(labels[gv], minlength=nparts),
-        neighbors=np.bincount(nbr // nparts, minlength=nparts),
-        cut_edges=int(cut.sum()) // 2,
-        interior=np.bincount(a[same], minlength=nparts),
-        halo=(np.bincount(a[~same], minlength=nparts)
-              + np.bincount(b[~same], minlength=nparts)))
+    edges = np.asarray(edges, dtype=np.int64)
+    n = labels.size
+    la, lb = labels[edges[:, 0]], labels[edges[:, 1]]
+    ranks, gather = [], []
+    for r in range(int(labels.max()) + 1):
+        owned = np.where(labels == r)[0]
+        eids = np.where((la == r) | (lb == r))[0]
+        le = edges[eids]
+        ghosts = np.setdiff1d(np.unique(le), owned)
+        lut = np.full(n, -1, dtype=np.int64)
+        lut[np.concatenate([owned, ghosts])] = np.arange(
+            owned.size + ghosts.size, dtype=np.int64)
+        ranks.append(dict(owned=owned, ghosts=ghosts, edge_ids=eids,
+                          local_edges=lut[le], ghost_owner=labels[ghosts]))
+        starts = a.indptr[owned]
+        counts = a.indptr[owned + 1] - starts
+        flat = concat_ranges(starts, counts)
+        gather.append((flat, lut[a.indices[flat]],
+                       np.repeat(np.arange(owned.size, dtype=np.int64),
+                                 counts)))
+    row_off = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(
+        [rd["owned"].size + rd["ghosts"].size for rd in ranks],
+        dtype=np.int64)])
+    owner = np.empty(n, dtype=np.int64)
+    home = np.empty(n, dtype=np.int64)
+    for r, rd in enumerate(ranks):
+        owner[rd["owned"]] = r
+        home[rd["owned"]] = np.arange(row_off[r], row_off[r]
+                                      + rd["owned"].size, dtype=np.int64)
+    ghost_off = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(
+        [rd["ghosts"].size for rd in ranks], dtype=np.int64)])
+    plan = dict(
+        row_off=row_off, owner=owner, home=home, ghost_off=ghost_off,
+        ghost_src=np.concatenate([np.zeros(0, dtype=np.int64)]
+                                 + [home[rd["ghosts"]] for rd in ranks]),
+        pairs=[int(np.unique(rd["ghost_owner"]).size) for rd in ranks])
+    parts = [(np.zeros(0, dtype=np.int64),) * 3] + gather
+    flat, cols, seg = (np.concatenate(p) for p in zip(*parts))
+    blk_off = np.cumsum([p[0].size for p in parts], dtype=np.int64)
+    return ranks, plan, (blk_off, flat, cols, seg)
+
+
+def _labelling(graph, labelling, p):
+    """``p``-part labels of ``graph``: k-way, p-MeTiS, k-way with an
+    empty rank inserted at ``p // 2``, or k-way skewed into rank 0."""
+    if labelling == "pmetis":
+        return pmetis_partition(graph, p, seed=0)
+    labels = kway_partition(graph, p, seed=0)
+    if labelling == "empty-rank":
+        return np.where(labels >= p // 2, labels + 1, labels)
+    if labelling == "skewed":
+        return _skew_partition(labels, p, 0.45)
+    return labels
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +132,7 @@ class TestLayout:
 
     def test_ghosts_match_plan(self, setup):
         prob, labels, layout, _ = setup
-        oracle = _arc_pass(prob.mesh.vertex_graph(), labels)
+        oracle = arc_pass(prob.mesh.vertex_graph(), labels)
         for rd in layout.ranks:
             assert rd.ghosts.size == oracle["ghosts"][rd.rank]
 
@@ -115,10 +151,10 @@ class TestLayout:
 
     @pytest.mark.parametrize("labelling", ["kway", "pmetis", "empty-rank"])
     def test_local_index_world_maps_back_to_global(self, setup, labelling):
-        """Every rank's local numbering, translated back through
-        ``local_vertices``, is the global mesh it was cut from, and
-        each rank owns exactly its label's vertices (so the owned sets
-        partition them)."""
+        """Every rank's local numbering, translated back through its
+        owned then ghost vertices, is the global mesh it was cut from,
+        and each rank owns exactly its label's vertices (so the owned
+        sets partition them)."""
         prob, labels, _, _ = setup
         edges = prob.mesh.edges
         if labelling == "pmetis":
@@ -129,12 +165,39 @@ class TestLayout:
         assert layout.nranks == int(labels.max()) + 1
         for rd in layout.ranks:
             assert rd.local_edges.shape == (rd.edge_ids.size, 2)
-            assert np.array_equal(rd.local_vertices[rd.local_edges],
+            local_vertices = np.concatenate([rd.owned, rd.ghosts])
+            assert np.array_equal(local_vertices[rd.local_edges],
                                   edges[rd.edge_ids])
             assert np.array_equal(rd.ghost_owner, labels[rd.ghosts])
             assert np.array_equal(rd.owned, np.flatnonzero(labels == rd.rank))
         if labelling == "empty-rank":
             assert layout.ranks[2].n_local == 0
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 64])
+    @pytest.mark.parametrize("labelling",
+                             ["kway", "pmetis", "empty-rank", "skewed"])
+    def test_one_pass_equals_the_rank_loop(self, setup, labelling, p):
+        """The one-pass build, the plan read from its flat arrays and
+        the key-map gather give every array the per-rank loop gives,
+        value and dtype."""
+        prob, _, _, q = setup
+        labels = _labelling(prob.mesh.vertex_graph(), labelling, p)
+        jac = prob.disc.assemble_jacobian(q)
+        ranks, plan, gather = _layout_loop(prob.mesh.edges, labels, jac)
+        layout = SPMDLayout.build(prob.mesh.edges, labels)
+
+        def same(got, want):
+            return got.dtype == want.dtype and np.array_equal(got, want)
+
+        assert layout.nranks == len(ranks)
+        for rd, want in zip(layout.ranks, ranks):
+            for name, arr in want.items():
+                assert same(getattr(rd, name), arr), (rd.rank, name)
+        for name, arr in plan.items():
+            got = getattr(layout.plan, name)
+            assert (got == arr if name == "pairs" else same(got, arr)), name
+        assert all(same(g, w) for g, w in zip(layout.plan.gather(jac),
+                                              gather))
 
 
 class TestDistributedKernels:
@@ -188,7 +251,7 @@ class TestDistributedKernels:
 class TestExchangeAccounting:
     def test_message_count_bounded_by_neighbor_pairs(self, setup):
         prob, labels, layout, q = setup
-        oracle = _arc_pass(prob.mesh.vertex_graph(), labels)
+        oracle = arc_pass(prob.mesh.vertex_graph(), labels)
         ex = GhostExchange(layout, 4)
         distributed_residual(prob.disc, layout, q, ex)
         # One message per (rank, neighbour) pair per refresh.
@@ -196,7 +259,7 @@ class TestExchangeAccounting:
 
     def test_bytes_match_plan(self, setup):
         prob, labels, layout, q = setup
-        oracle = _arc_pass(prob.mesh.vertex_graph(), labels)
+        oracle = arc_pass(prob.mesh.vertex_graph(), labels)
         ex = GhostExchange(layout, 4)
         distributed_residual(prob.disc, layout, q, ex)
         assert ex.bytes_moved == oracle["ghosts"].sum() * 4 * 8
@@ -525,7 +588,7 @@ class TestModelPricesExecution:
             labels = kway_partition(graph, 8, seed=0)
             if labelling == "skewed":
                 labels = _skew_partition(labels, 8, 0.45)
-        oracle = _arc_pass(graph, labels)
+        oracle = arc_pass(graph, labels)
         layout = SPMDLayout.build(prob.mesh.edges, labels)
         messages, received, sent = scatter_counts(layout.plan)
         works = build_rank_work(layout, prob.disc.ncomp)

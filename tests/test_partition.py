@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import connected_components, graph_from_edges
+from repro.parallel import SPMDLayout
 from repro.partition import (bisect_level_set, coarsen_graph, edge_cut,
                              fm_refine, heavy_edge_matching, kway_partition,
                              load_imbalance, partition_quality,
                              pmetis_partition, subdomain_components)
 from repro.partition.refine import repair_contiguity
+from tests.halo_oracle import arc_pass
 
 
 def _check_cover(labels, n, nparts):
@@ -110,22 +112,38 @@ class TestPMetis:
 class TestPhenomenology:
     """The structural contrast driving the paper's Fig. 4."""
 
-    def test_kway_connected_pmetis_balanced(self, medium_graph):
+    def test_kway_connected_pmetis_balanced(self, medium_mesh, medium_graph):
         p = 16
         kl = kway_partition(medium_graph, p, seed=1)
         pl = pmetis_partition(medium_graph, p, seed=1)
-        qk = partition_quality(medium_graph, kl)
-        qp = partition_quality(medium_graph, pl)
+        qk = partition_quality(medium_graph,
+                               SPMDLayout.build(medium_mesh.edges, kl))
+        qp = partition_quality(medium_graph,
+                               SPMDLayout.build(medium_mesh.edges, pl))
         # p-metis balances better ...
         assert qp.imbalance <= qk.imbalance + 1e-9
         # ... k-way fragments less (or equal).
         assert qk.total_extra_components <= qp.total_extra_components
 
-    def test_fragmentation_grows_with_parts(self, medium_graph):
-        xs = [partition_quality(
-            medium_graph, pmetis_partition(medium_graph, p, seed=3)
+    def test_fragmentation_grows_with_parts(self, medium_mesh, medium_graph):
+        xs = [partition_quality(medium_graph, SPMDLayout.build(
+            medium_mesh.edges, pmetis_partition(medium_graph, p, seed=3))
         ).total_extra_components for p in (4, 32)]
         assert xs[1] >= xs[0]
+
+    @pytest.mark.parametrize("partition", [kway_partition, pmetis_partition])
+    @pytest.mark.parametrize("p", [2, 16])
+    def test_halo_counts_match_the_arc_pass(self, medium_mesh, medium_graph,
+                                            partition, p):
+        """The neighbours and interface read from the layout are the
+        ones an independent pass over the graph's arcs counts."""
+        labels = partition(medium_graph, p, seed=1)
+        q = partition_quality(medium_graph,
+                              SPMDLayout.build(medium_mesh.edges, labels))
+        oracle = arc_pass(medium_graph, labels)
+        assert q.nparts == p
+        assert q.mean_connectivity == oracle["neighbors"].mean()
+        assert q.interface_total == oracle["interface"].sum()
 
 
 class TestRefine:
