@@ -22,9 +22,8 @@ Quickstart::
 from repro.core import (NKSSolver, SolverConfig, KrylovConfig,
                         PreconditionerConfig, SolveReport)
 from repro.euler import (IncompressibleEuler, CompressibleEuler,
-                         wing_problem, duct_problem,
-                         transonic_bump_problem, FlowProblem,
-                         integrate_wall_forces, pressure_coefficient)
+                         wing_problem, transonic_bump_problem, FlowProblem,
+                         integrate_wall_forces)
 from repro.mesh import (Mesh, box_mesh, wing_mesh, bump_mesh,
                         unit_cube_mesh, compute_dual_metrics,
                         apply_orderings)
@@ -40,8 +39,8 @@ __all__ = [
     "NKSSolver", "SolverConfig", "KrylovConfig", "PreconditionerConfig",
     "SolveReport",
     "IncompressibleEuler", "CompressibleEuler",
-    "wing_problem", "duct_problem", "transonic_bump_problem",
-    "FlowProblem", "integrate_wall_forces", "pressure_coefficient",
+    "wing_problem", "transonic_bump_problem",
+    "FlowProblem", "integrate_wall_forces",
     "Mesh", "box_mesh", "wing_mesh", "bump_mesh", "unit_cube_mesh",
     "compute_dual_metrics", "apply_orderings",
     "kway_partition", "pmetis_partition", "partition_quality",

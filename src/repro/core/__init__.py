@@ -9,7 +9,7 @@ Sec. 2.4 exposed in :class:`~repro.core.config.SolverConfig`.
 
 from repro.core.config import SolverConfig, PreconditionerConfig, KrylovConfig
 from repro.core.driver import NKSSolver, SolveReport, StepRecord
-from repro.core.reporting import format_table, format_markdown_table
+from repro.core.reporting import format_table
 
 __all__ = [
     "SolverConfig",
@@ -19,5 +19,4 @@ __all__ = [
     "SolveReport",
     "StepRecord",
     "format_table",
-    "format_markdown_table",
 ]

@@ -106,10 +106,6 @@ class SolveReport:
         return np.array([s.fnorm for s in self.steps])
 
     @property
-    def cfl_history(self) -> np.ndarray:
-        return np.array([s.cfl for s in self.steps])
-
-    @property
     def final_reduction(self) -> float:
         if not self.steps or self.fnorm0 == 0:
             return 1.0

@@ -1,4 +1,4 @@
-"""Plain-text and markdown table formatting for experiment output.
+"""Plain-text table formatting for experiment output.
 
 Every benchmark harness prints its paper table/figure through these so
 the regenerated rows are uniform and diffable against EXPERIMENTS.md.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "format_markdown_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def _cell(x) -> str:
@@ -35,20 +35,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
     for r in cells:
         out.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
     return "\n".join(out)
-
-
-def format_markdown_table(headers: Sequence[str],
-                          rows: Sequence[Sequence]) -> str:
-    lines = ["| " + " | ".join(str(h) for h in headers) + " |",
-             "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(_cell(c) for c in row) + " |")
-    return "\n".join(lines)
-
-
-def format_series(name: str, xs: Sequence, ys: Sequence,
-                  xlabel: str = "x", ylabel: str = "y") -> str:
-    """A named (x, y) series as two aligned columns — the text form of
-    one curve in a paper figure."""
-    rows = list(zip(xs, ys))
-    return format_table([xlabel, ylabel], rows, title=name)

@@ -25,14 +25,13 @@ from repro.euler.fluxes import (
     compressible_wavespeed,
     rusanov_flux,
 )
-from repro.euler.boundary import BoundaryCondition, BoundaryKind, classify_box_boundary
+from repro.euler.boundary import BoundaryCondition, classify_box_boundary
 from repro.euler.reconstruction import green_gauss_gradients, Limiter
 from repro.euler.incompressible import IncompressibleEuler
 from repro.euler.compressible import CompressibleEuler
-from repro.euler.forces import (WallForces, integrate_wall_forces,
-                                pressure_coefficient, wall_pressure)
-from repro.euler.problems import (wing_problem, duct_problem,
-                                  transonic_bump_problem, FlowProblem)
+from repro.euler.forces import WallForces, integrate_wall_forces, wall_pressure
+from repro.euler.problems import (wing_problem, transonic_bump_problem,
+                                  FlowProblem)
 
 __all__ = [
     "FlowState",
@@ -46,18 +45,15 @@ __all__ = [
     "compressible_wavespeed",
     "rusanov_flux",
     "BoundaryCondition",
-    "BoundaryKind",
     "classify_box_boundary",
     "green_gauss_gradients",
     "Limiter",
     "IncompressibleEuler",
     "CompressibleEuler",
     "wing_problem",
-    "duct_problem",
     "transonic_bump_problem",
     "FlowProblem",
     "WallForces",
     "integrate_wall_forces",
-    "pressure_coefficient",
     "wall_pressure",
 ]

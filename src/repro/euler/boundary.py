@@ -17,19 +17,13 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from repro.mesh.dualmesh import DualMetrics
 from repro.mesh.mesh import Mesh
 
-__all__ = ["BoundaryKind", "BoundaryCondition", "classify_box_boundary"]
-
-
-class BoundaryKind(str, Enum):
-    WALL = "wall"
-    FARFIELD = "farfield"
+__all__ = ["BoundaryCondition", "classify_box_boundary"]
 
 
 @dataclass
@@ -67,10 +61,6 @@ class BoundaryCondition:
     @property
     def farfield_mask(self) -> np.ndarray:
         return self.kinds == self.FARFIELD
-
-    @property
-    def num_wall(self) -> int:
-        return int(self.wall_mask.sum())
 
     def row_sets(self) -> tuple:
         """The wall / far-field split, as the row sets the boundary

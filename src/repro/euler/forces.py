@@ -20,8 +20,7 @@ from repro.euler.compressible import CompressibleEuler
 from repro.euler.discretization import EdgeFVDiscretization
 from repro.euler.incompressible import IncompressibleEuler
 
-__all__ = ["WallForces", "wall_pressure", "integrate_wall_forces",
-           "pressure_coefficient"]
+__all__ = ["WallForces", "wall_pressure", "integrate_wall_forces"]
 
 
 @dataclass
@@ -32,14 +31,6 @@ class WallForces:
     lift: float                  # component normal to the freestream
     drag: float                  # component along the freestream
     reference: float             # q_inf * S_ref used for coefficients
-
-    @property
-    def cl(self) -> float:
-        return self.lift / self.reference
-
-    @property
-    def cd(self) -> float:
-        return self.drag / self.reference
 
 
 def wall_pressure(disc: EdgeFVDiscretization, qflat: np.ndarray
@@ -127,10 +118,3 @@ def integrate_wall_forces(disc: EdgeFVDiscretization, qflat: np.ndarray, *,
                       lift=float(force @ up),
                       drag=float(force @ drag_dir),
                       reference=max(qdyn * s_ref, 1e-300))
-
-
-def pressure_coefficient(disc: EdgeFVDiscretization, qflat: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(wall vertices, Cp) with Cp = (p - p_inf) / q_inf."""
-    wall, p = wall_pressure(disc, qflat)
-    return wall, (p - _freestream_pressure(disc)) / _dynamic_pressure(disc)

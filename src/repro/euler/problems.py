@@ -3,9 +3,7 @@
 ``wing_problem`` is the stand-in for the paper's M6-wing cases: a
 graded "wing" mesh, a slip-wall patch on the floor (the planform), a
 farfield box, and a small angle of attack, in incompressible (4
-DOFs/vertex) or compressible (5 DOFs/vertex) form.  ``duct_problem``
-is an all-farfield box with uniform flow whose exact steady state is
-the freestream — the discrete-exactness test case.
+DOFs/vertex) or compressible (5 DOFs/vertex) form.
 """
 
 from __future__ import annotations
@@ -24,10 +22,9 @@ from repro.euler.state import (FlowState, compressible_freestream,
 from repro.mesh.dualmesh import compute_dual_metrics
 from repro.mesh.mesh import Mesh
 from repro.mesh.orderings import EdgeOrdering, VertexOrdering, apply_orderings
-from repro.mesh.tetgen import box_mesh, wing_mesh
+from repro.mesh.tetgen import wing_mesh
 
-__all__ = ["FlowProblem", "wing_problem", "duct_problem",
-           "transonic_bump_problem"]
+__all__ = ["FlowProblem", "wing_problem", "transonic_bump_problem"]
 
 
 @dataclass
@@ -72,27 +69,6 @@ def wing_problem(nx: int = 13, ny: int = 9, nz: int = 7, *,
                                    limiter=limiter)
         name = f"wing-incompressible-{n}v"
     return FlowProblem(mesh=mesh, disc=disc, initial=fs, name=name)
-
-
-def duct_problem(n: int = 5, *, compressible: bool = False,
-                 jitter: float = 0.25, second_order: bool = True,
-                 seed: int = 0) -> FlowProblem:
-    """All-farfield box with uniform flow: freestream is an exact
-    discrete steady state (used for convergence/consistency tests)."""
-    mesh = box_mesh(n, n, n, jitter=jitter, seed=seed, name=f"duct{n}")
-    dual = compute_dual_metrics(mesh)
-    bc = classify_box_boundary(mesh, dual, wall_region=None)
-    nv = mesh.num_vertices
-    if compressible:
-        fs = compressible_freestream(nv, mach=0.4, alpha_deg=0.0)
-        disc: EdgeFVDiscretization = CompressibleEuler(
-            mesh, bc, dual, farfield=fs, second_order=second_order)
-    else:
-        fs = incompressible_freestream(nv, alpha_deg=0.0)
-        disc = IncompressibleEuler(mesh, bc, dual, farfield=fs,
-                                   second_order=second_order)
-    return FlowProblem(mesh=mesh, disc=disc, initial=fs,
-                       name=f"duct-{'comp' if compressible else 'incomp'}-{nv}v")
 
 
 def transonic_bump_problem(nx: int = 17, ny: int = 5, nz: int = 9, *,

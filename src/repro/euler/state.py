@@ -2,8 +2,7 @@
 
 States are stored *interlaced* — ``q[vertex, component]`` with the
 components of one vertex contiguous — which is the paper's tuned
-layout (Sec. 2.1.1).  ``FlowState.noninterlaced()`` exposes the
-field-major copy used by the layout experiments.
+layout (Sec. 2.1.1).
 """
 
 from __future__ import annotations
@@ -42,14 +41,6 @@ class FlowState:
     def flat(self) -> np.ndarray:
         """The interlaced 1-D unknown vector (used by the solvers)."""
         return self.q.ravel()
-
-    def component(self, name: str) -> np.ndarray:
-        return self.q[:, self.components.index(name)]
-
-    def noninterlaced(self) -> np.ndarray:
-        """Field-major copy: all of component 0, then component 1, ...
-        (the vector-machine layout of the paper's baseline)."""
-        return np.ascontiguousarray(self.q.T)
 
     def copy(self) -> "FlowState":
         return FlowState(q=self.q.copy(), components=self.components)

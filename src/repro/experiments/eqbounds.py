@@ -20,31 +20,7 @@ from repro.perfmodel.spmv_model import conflict_miss_bound
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["run_eq_bounds", "check_eq_bounds", "banded_matrix",
-           "x_gather_trace", "storage_roundoff_bound"]
-
-
-def storage_roundoff_bound(abs_ax: np.ndarray, row_nnz: np.ndarray | int,
-                           storage_dtype,
-                           compute_dtype=np.float64) -> np.ndarray:
-    """Componentwise forward-error bound for ``y = A x`` when ``A`` is
-    *stored* at reduced precision but *computed* at full precision.
-
-    Rounding each stored entry perturbs it by at most
-    ``0.5 * eps_storage`` relatively, and the length-``row_nnz`` dot
-    product accumulates at most ``row_nnz * eps_compute`` relative
-    error (standard Higham-style bound, constants dropped), so
-
-        |y_tier - y_exact|  <=  (0.5 eps_s + row_nnz eps_c) (|A| |x|).
-
-    ``abs_ax`` is the exact-arithmetic ``|A| @ |x|`` per scalar row and
-    ``row_nnz`` the scalar nonzeros per row (array or scalar).  This is
-    the acceptance bound of every reduced-precision tier: fp32 storage
-    must land under it, which pins the error to the storage rounding
-    rather than any kernel defect.
-    """
-    eps_s = float(np.finfo(storage_dtype).eps)
-    eps_c = float(np.finfo(compute_dtype).eps)
-    return (0.5 * eps_s + np.asarray(row_nnz) * eps_c) * abs_ax
+           "x_gather_trace"]
 
 
 def banded_matrix(n: int, bandwidth: int, nnz_per_row: int,

@@ -80,9 +80,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.adjncy[self.xadj[v] : self.xadj[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self.xadj[v + 1] - self.xadj[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.xadj)
 
@@ -123,12 +120,6 @@ class Graph:
             ewgt=np.concatenate(ewgt) if ewgt else np.empty(0, dtype=np.int64),
         )
         return sub, vertices
-
-    def validate_symmetric(self) -> bool:
-        """Check that every directed arc has its reverse (undirectedness)."""
-        src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.xadj))
-        fwd = set(zip(src.tolist(), self.adjncy.tolist()))
-        return all((b, a) in fwd for (a, b) in fwd)
 
 
 def graph_from_edges(num_vertices: int, edges: np.ndarray,

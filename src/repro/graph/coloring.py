@@ -1,47 +1,17 @@
-"""Graph colorings.
+"""Edge coloring.
 
-Two colorings appear in the paper:
-
-* The *original* FUN3D edge coloring for vector machines — no two edges
-  in one color share a vertex (a proper edge coloring), so a whole
-  color class can be processed as one vector operation without
-  read-after-write hazards.  This is the cache-hostile "NOER" layout of
-  Fig. 3: consecutive edges in memory touch unrelated vertices.
-
-* Greedy vertex coloring, used by the hybrid OpenMP discussion
-  (Sec. 2.5) to build disjoint work sets for thread-parallel gathers.
+The *original* FUN3D edge coloring for vector machines: no two edges
+in one color share a vertex (a proper edge coloring), so a whole color
+class can be processed as one vector operation without read-after-write
+hazards.  This is the cache-hostile "NOER" layout of Fig. 3:
+consecutive edges in memory touch unrelated vertices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import Graph
-
-__all__ = ["greedy_coloring", "distance2_edge_coloring", "color_classes"]
-
-
-def greedy_coloring(graph: Graph, order: np.ndarray | None = None) -> np.ndarray:
-    """First-fit greedy vertex coloring.
-
-    Visits vertices in ``order`` (default: natural) and assigns the
-    smallest color unused by already-colored neighbours.  Uses at most
-    ``max_degree + 1`` colors.
-    """
-    n = graph.num_vertices
-    if order is None:
-        order = np.arange(n, dtype=np.int64)
-    colors = np.full(n, -1, dtype=np.int64)
-    max_deg = int(graph.degrees().max(initial=0))
-    scratch = np.zeros(max_deg + 2, dtype=bool)
-    for v in order:
-        nbrs = graph.neighbors(int(v))
-        used = colors[nbrs]
-        used = used[used >= 0]
-        scratch[: max_deg + 2] = False
-        scratch[used] = True
-        colors[v] = int(np.argmin(scratch))
-    return colors
+__all__ = ["distance2_edge_coloring", "color_classes"]
 
 
 def distance2_edge_coloring(edges: np.ndarray, num_vertices: int) -> np.ndarray:

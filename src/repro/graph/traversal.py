@@ -14,7 +14,6 @@ from repro.graph.adjacency import Graph
 
 __all__ = [
     "bfs_levels",
-    "bfs_order",
     "bfs_queue",
     "sorted_adjacency",
     "connected_components",
@@ -71,18 +70,6 @@ def _ranges_concat(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     offsets = np.cumsum(counts) - counts    # where each range lands
     return (np.repeat(starts - offsets, counts)
             + np.arange(int(counts.sum()), dtype=np.int64))
-
-
-def bfs_order(graph: Graph, root: int, tie_break: np.ndarray | None = None) -> np.ndarray:
-    """Sequential BFS visiting order from ``root`` within its component.
-
-    Neighbours are enqueued sorted by ``tie_break`` (default: vertex
-    degree, the Cuthill-McKee rule).  Returns the visited vertices in
-    order; unreachable vertices are absent.
-    """
-    adj = sorted_adjacency(graph, tie_break)
-    return bfs_queue(graph.xadj, adj, root,
-                     np.zeros(graph.num_vertices, dtype=bool))
 
 
 def sorted_adjacency(graph: Graph,

@@ -52,27 +52,12 @@ __all__ = ["backend_for", "resolve_engine",
 #: Block-size cap of the compiled BSR kernels (C stack buffers).
 MAX_BS = 32
 
-_BACKENDS: dict[str, object] = {}
-
 
 def backend_for(engine: str):
-    """The backend instance serving ``engine``, or None for numpy."""
-    name = capability.resolve_engine(engine)
-    if name == "numpy":
+    """The C backend serving ``engine``, or None for numpy."""
+    if capability.resolve_engine(engine) != "c":
         return None
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        from repro.kernels.cbackend import load_cbackend
-        backend = load_cbackend()
-        if backend is None:
-            # The build failed (broken toolchain) and load_cbackend
-            # quarantined the reason: mark the backend broken, then
-            # re-resolve without it.
-            capability.mark_unavailable(name)
-            return backend_for(engine)
-        # Per-process memo: a forked worker builds its own cffi handles.
-        _BACKENDS[name] = backend
-    return backend
+    return capability._backend()
 
 
 # ----------------------------------------------------------------------

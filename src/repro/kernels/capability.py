@@ -1,22 +1,24 @@
 """Capability probe for the compiled kernel tier.
 
 ``engine="compiled"`` is a *request*, not a requirement: this module
-decides at dispatch time whether the cffi-compiled C library or plain
-numpy will actually serve it.  The probe is import-guarded and cached,
-so environments without cffi or a C toolchain resolve ``"compiled"``
-to ``"numpy"`` and run the oracle tier unchanged; nothing in the repo
-ever hard-imports an optional dependency.
+decides at dispatch time whether the cffi-compiled C library (the one
+compiled backend) or plain numpy will actually serve it.  The library
+is loaded once per process and the outcome memoised: the loaded
+backend, or the record of why it could not be had.  Environments
+without cffi or a C toolchain resolve ``"compiled"`` to ``"numpy"``
+and run the oracle tier unchanged; nothing in the repo ever
+hard-imports an optional dependency.
 
-The degradation is no longer *silent*: every probe failure and every
-backend-initialisation failure is quarantined with its exception
-(type, message, traceback tail) in :func:`capability_report`, the
-first ``compiled`` -> ``numpy`` fallback caused by a quarantined
-backend emits a ``RuntimeWarning``, and ``python -m repro.kernels``
-prints the full report, including the x86-64 level the library was
-built for on this CPU.
+The degradation is not *silent*: the failure record (stage, exception
+type, message, traceback tail) is in :func:`capability_report`, the
+first ``compiled`` -> ``numpy`` fallback caused by a failure — as
+opposed to a machine that simply lacks cffi or a compiler — emits a
+``RuntimeWarning``, and ``python -m repro.kernels`` prints the report,
+including the x86-64 level the library was built for on this CPU.
 
 Set ``REPRO_KERNELS_DISABLE=1`` to force the numpy resolution even
-when a backend is available (the CI fallback leg, A/B debugging).
+when the backend is available (the CI fallback leg, A/B debugging); it
+is read on every call.
 """
 
 from __future__ import annotations
@@ -26,60 +28,19 @@ import shutil
 import traceback
 import warnings
 
-__all__ = ["probe_c", "available_backends", "resolve_engine",
-           "mark_unavailable", "record_quarantine", "broken_backends",
-           "capability_report", "invalidate"]
+__all__ = ["disabled", "resolve_engine", "capability_report",
+           "invalidate", "main"]
 
-ENGINES = ("numpy", "compiled")
-
-#: probe name -> cached bool result
-_PROBE_CACHE: dict[str, bool] = {}
-#: backends whose lazy initialisation failed (e.g. the C build broke)
-_BROKEN: set[str] = set()
-#: backend -> details of why it is out of service (probe or init stage)
-_QUARANTINE: dict[str, dict] = {}
-#: has the one-shot fallback warning fired yet
-_WARNED = False
-
-#: lines of formatted traceback kept in a quarantine record
+#: lines of formatted traceback kept in the failure record
 _TB_TAIL_LINES = 6
+#: exception types that mean "not installed": degrade quietly
+_BENIGN = ("ModuleNotFoundError", "FileNotFoundError")
 
-
-def record_quarantine(backend: str, stage: str, exc: BaseException) -> None:
-    """Attach the exception that took ``backend`` out of service.
-
-    ``stage`` names where it happened (``"probe"``, ``"build"``,
-    ``"init"``); the record keeps the exception type, message, and the
-    tail of the formatted traceback so ``capability_report`` / the CLI
-    can say *why* the solver is running the numpy tier.
-    """
-    tb = traceback.format_exception(type(exc), exc, exc.__traceback__)
-    tail = "".join(tb).rstrip().splitlines()[-_TB_TAIL_LINES:]
-    # Per-process record: each process probes its own toolchain.
-    _QUARANTINE[backend] = {
-        "stage": stage,
-        "exc_type": type(exc).__name__,
-        "message": str(exc),
-        "traceback_tail": tail,
-    }
-
-
-def probe_c() -> bool:
-    """True when cffi plus a C compiler are present."""
-    try:
-        import cffi  # noqa: F401
-    except Exception as exc:
-        # A plain ModuleNotFoundError is the expected "not installed"
-        # outcome; anything else is a broken install worth reporting.
-        # Both are recorded — the report distinguishes them by type.
-        record_quarantine("c", "probe", exc)
-        return False
-    if not any(shutil.which(cc) for cc in ("gcc", "cc", "clang")):
-        record_quarantine("c", "probe",
-                          FileNotFoundError("no C compiler on PATH "
-                                            "(tried gcc, cc, clang)"))
-        return False
-    return True
+#: this process's C backend: None until first asked for, then the
+#: loaded ``CBackend`` or the failure record (a dict)
+_memo = None
+#: has the one-shot fallback warning fired yet
+_warned = False
 
 
 def disabled() -> bool:
@@ -87,137 +48,92 @@ def disabled() -> bool:
     return os.environ.get("REPRO_KERNELS_DISABLE", "") not in ("", "0")
 
 
-def _cached(name: str, probe) -> bool:
-    hit = _PROBE_CACHE.get(name)
-    if hit is None:
-        # Per-process memo: a worker re-probes its own interpreter.
-        hit = _PROBE_CACHE[name] = bool(probe())
-    return hit
+def _failure(stage: str, exc: BaseException) -> dict:
+    """The record of what took the backend out of service, and where
+    (``"probe"`` or ``"build"``)."""
+    tb = traceback.format_exception(type(exc), exc, exc.__traceback__)
+    return {"stage": stage, "exc_type": type(exc).__name__,
+            "message": str(exc),
+            "traceback_tail": "".join(tb).rstrip().splitlines()[-_TB_TAIL_LINES:]}
 
 
-def available_backends() -> tuple[str, ...]:
-    """Usable compiled backends: ``("c",)`` or ``()``."""
-    if disabled():
-        return ()
-    if "c" not in _BROKEN and _cached("c", probe_c):
-        return ("c",)
-    return ()
+def _load():
+    """The C backend, or the failure record: cffi and a C compiler
+    must be present, then the library builds (or is found cached)."""
+    try:
+        import cffi  # noqa: F401
+    except Exception as exc:
+        # ModuleNotFoundError is "not installed"; anything else is a
+        # broken install worth reporting — the record keeps the type.
+        return _failure("probe", exc)
+    if not any(shutil.which(cc) for cc in ("gcc", "cc", "clang")):
+        return _failure("probe", FileNotFoundError(
+            "no C compiler on PATH (tried gcc, cc, clang)"))
+    from repro.kernels.cbackend import load_cbackend
+    try:
+        return load_cbackend()
+    except Exception as exc:
+        return _failure("build", exc)
+
+
+def _backend():
+    """The loaded C backend, or None when it cannot be had."""
+    global _memo
+    if _memo is None:
+        # Per-process memo: a forked worker inherits the parent's.
+        _memo = _load()
+    return None if isinstance(_memo, dict) else _memo
 
 
 def resolve_engine(engine: str = "compiled") -> str:
     """Map the engine knob to a concrete backend name.
 
     ``"numpy"`` resolves to itself; ``"compiled"`` resolves to ``"c"``
-    when that backend is usable and degrades to ``"numpy"`` otherwise.
-    The first degradation caused by a *quarantined* backend (one that
-    failed, as opposed to one that was never installed) warns once with
-    the recorded reason.
+    when the C backend loads and degrades to ``"numpy"`` otherwise.
+    The first degradation caused by a *failure* (as opposed to a
+    missing cffi or compiler) warns once with the recorded reason.
     """
+    global _warned
     if engine == "numpy":
         return "numpy"
     if engine != "compiled":
         raise ValueError(f"unknown engine {engine!r} "
-                         f"(expected one of {ENGINES})")
-    backends = available_backends()
-    if backends:
-        return backends[0]
-    _warn_fallback()
+                         "(expected one of ('numpy', 'compiled'))")
+    if disabled():
+        return "numpy"
+    if _backend() is not None:
+        return "c"
+    if not _warned and _memo["exc_type"] not in _BENIGN:
+        _warned = True      # once per process, by design
+        warnings.warn(
+            "engine='compiled' fell back to the numpy tier because the C "
+            f"backend failed — {_memo['exc_type']} at {_memo['stage']} "
+            f"({_memo['message']}). Run `python -m repro.kernels` for the "
+            "full report.", RuntimeWarning, stacklevel=2)
     return "numpy"
 
 
-def broken_backends() -> dict[str, dict]:
-    """Quarantined backends that *failed*, keyed by name.
-
-    A plain not-installed outcome (``ModuleNotFoundError`` from a
-    probe, ``FileNotFoundError`` for a missing compiler) is benign and
-    excluded; anything else — failed C build, import error inside an
-    installed cffi, an init marked broken — is a real failure that
-    callers refusing to degrade silently (a benchmark of the compiled
-    tier) should treat as fatal.
-    """
-    benign = ("ModuleNotFoundError", "FileNotFoundError")  # not installed
-    return {name: dict(rec) for name, rec in sorted(_QUARANTINE.items())
-            if name in _BROKEN or rec["exc_type"] not in benign}
-
-
-def _warn_fallback() -> None:
-    """Warn once when compiled -> numpy fallback hides a real failure.
-
-    A machine that simply lacks cffi or a compiler degrades quietly
-    (that is the documented contract); a backend that *broke* — failed
-    C build, import error inside an installed cffi — is surfaced.
-    """
-    # Warn once per process, by design.
-    global _WARNED
-    if _WARNED or disabled():
-        return
-    broken = broken_backends()
-    if not broken:
-        return
-    _WARNED = True
-    reasons = "; ".join(
-        f"{name}: {rec['exc_type']} at {rec['stage']} ({rec['message']})"
-        for name, rec in sorted(broken.items()))
-    warnings.warn(
-        "engine='compiled' fell back to the numpy tier because a "
-        f"backend failed — {reasons}. Run `python -m repro.kernels` "
-        "for the full report.",
-        RuntimeWarning, stacklevel=3)
-
-
-def mark_unavailable(backend: str) -> None:
-    """Record a backend whose initialisation failed so later resolves
-    skip it (a broken C toolchain should degrade, not raise again).
-    The quarantine record of the failure itself, if any, is kept."""
-    # Per-process: the process that saw the failure stops retrying.
-    _BROKEN.add(backend)
-    if backend not in _QUARANTINE:
-        _QUARANTINE[backend] = {
-            "stage": "init", "exc_type": None,
-            "message": "marked unavailable (no exception recorded)",
-            "traceback_tail": [],
-        }
-
-
-def _bound_isa() -> str | None:
-    """The x86-64 level the loaded library was built for
-    (``"x86-64-v4"``, ``"x86-64-v3"`` or ``"default"``), which this
-    builds if it has to; None on the numpy tier."""
-    if resolve_engine("compiled") != "c":
-        return None
-    from repro.kernels import backend_for
-    backend = backend_for("compiled")
-    return None if backend is None else backend.isa
-
-
 def capability_report() -> dict:
-    """Full capability state: probes, resolution, the library's ISA
-    level, quarantine reasons."""
-    isa = _bound_isa()   # first: a failed build is in the rest
+    """The resolution, the library's ISA level and the failure record
+    of the C backend, if it has one."""
+    resolved = resolve_engine("compiled")
     return {
         "disabled": disabled(),
-        "available": list(available_backends()),
-        "resolved": resolve_engine("compiled"),
-        "isa": isa,
-        "broken": sorted(_BROKEN),
-        "quarantine": {name: dict(rec)
-                       for name, rec in sorted(_QUARANTINE.items())},
+        "resolved": resolved,
+        "isa": _backend().isa if resolved == "c" else None,
+        "quarantine": {"c": dict(_memo)} if isinstance(_memo, dict) else {},
     }
 
 
 def invalidate() -> None:
-    """Drop cached probe results (tests that fake the environment)."""
-    global _WARNED
-    _PROBE_CACHE.clear()
-    _BROKEN.clear()
-    _QUARANTINE.clear()
-    _WARNED = False
+    """Forget the memo (tests that fake the environment)."""
+    global _memo, _warned
+    _memo, _warned = None, False
 
 
 def main() -> int:
     """``python -m repro.kernels``: print the report."""
     import json
 
-    report = capability_report()
-    print(json.dumps(report, indent=2))
+    print(json.dumps(capability_report(), indent=2))
     return 0

@@ -1507,8 +1507,9 @@ class CBackend:
         return None if bad >= 0 else (out_a, out_b)
 
 
-def load_cbackend(flags=COMPILE_ARGS) -> CBackend | None:
-    """Build (once) or import the compiled library; None on failure.
+def load_cbackend(flags=COMPILE_ARGS) -> CBackend:
+    """Build (once) or import the compiled library; a failed build
+    raises.
 
     The extension name carries a hash of the C source and of the
     compile ``flags`` (:func:`_module_name`), so editing the kernels or
@@ -1539,12 +1540,8 @@ def load_cbackend(flags=COMPILE_ARGS) -> CBackend | None:
         importlib.invalidate_caches()
         mod = importlib.import_module(modname)
         return CBackend(mod.ffi, mod.lib, isa)
-    except Exception as exc:
+    except Exception:
         if flags == COMPILE_ARGS != BASE_ARGS:
             # a compiler older than the level names (gcc 11, clang 12)
             return load_cbackend(BASE_ARGS)
-        # Broken toolchain / failed build: quarantine with the reason
-        # so capability_report can explain the numpy fallback.
-        from repro.kernels import capability
-        capability.record_quarantine("c", "build", exc)
-        return None
+        raise

@@ -11,7 +11,7 @@ the simulation reproduces exactly.
 """
 
 from repro.memory.cache import CacheConfig, CacheSim
-from repro.memory.fastsim import FastCacheSim, collapse_trace, simulate_trace
+from repro.memory.fastsim import FastCacheSim, simulate_trace
 from repro.memory.tlb import TLBConfig, tlb_sim
 from repro.memory.hierarchy import MemoryHierarchy, HierarchyCounters
 from repro.memory.counters import hierarchy_counters
@@ -27,7 +27,6 @@ __all__ = [
     "CacheSim",
     "FastCacheSim",
     "simulate_trace",
-    "collapse_trace",
     "TLBConfig",
     "tlb_sim",
     "MemoryHierarchy",

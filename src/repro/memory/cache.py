@@ -64,10 +64,6 @@ class CacheCounters:
     def hits(self) -> int:
         return self.accesses - self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / max(self.accesses, 1)
-
 
 class CacheSim:
     """Stateful simulator; feed byte addresses, read the counters."""

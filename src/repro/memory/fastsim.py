@@ -62,7 +62,7 @@ import numpy as np
 from repro.memory.cache import CacheConfig, CacheCounters
 from repro.sparse.segsum import concat_ranges
 
-__all__ = ["FastCacheSim", "simulate_trace", "collapse_trace"]
+__all__ = ["FastCacheSim", "simulate_trace"]
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -361,18 +361,3 @@ def simulate_trace(addresses: np.ndarray,
     sim = FastCacheSim(config)
     sim.access(addresses)
     return sim.counters
-
-
-def collapse_trace(addresses: np.ndarray, line_bytes: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Drop references that repeat the immediately preceding line.
-
-    Returns ``(collapsed_addresses, kept_positions)``.  Every dropped
-    reference re-touches its set's MRU line, so it hits in any LRU
-    cache whose line size divides ``line_bytes`` — miss counts are
-    invariant under this preprocessing (see the neutrality proof test).
-    """
-    addresses = np.asarray(addresses, dtype=np.int64)
-    keep = _adjacent_keep_mask(addresses // line_bytes)
-    kept = np.flatnonzero(keep)
-    return addresses[kept], kept

@@ -27,15 +27,6 @@ class HierarchyCounters:
     l2_misses: int
     tlb_misses: int
 
-    @property
-    def l1_miss_rate(self) -> float:
-        return self.l1_misses / max(self.accesses, 1)
-
-    @property
-    def l2_miss_rate(self) -> float:
-        """L2 misses per L2 access (i.e. per L1 miss)."""
-        return self.l2_misses / max(self.l1_misses, 1)
-
     def row(self) -> dict[str, int | float]:
         return {
             "accesses": self.accesses,

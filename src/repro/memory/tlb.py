@@ -28,11 +28,6 @@ class TLBConfig:
         """Total memory covered by a full TLB (its 'capacity')."""
         return self.entries * self.page_bytes
 
-    @property
-    def page_words(self) -> int:
-        """Page size in double words (the paper's W_mem analogue)."""
-        return self.page_bytes // 8
-
 
 def tlb_cache_config(cfg: TLBConfig) -> CacheConfig:
     return CacheConfig(name=cfg.name, capacity_bytes=cfg.reach_bytes,

@@ -72,15 +72,6 @@ class DualMetrics:
         mag = np.linalg.norm(self.bnd_vertex_normals, axis=1)
         return np.where(mag > 0)[0].astype(np.int64)
 
-    def closure_defect(self, edges: np.ndarray) -> np.ndarray:
-        """Per-vertex closed-surface defect (should be ~0); see module doc."""
-        n = self.dual_volumes.shape[0]
-        acc = np.zeros((n, 3))
-        np.add.at(acc, edges[:, 0], self.edge_normals)
-        np.add.at(acc, edges[:, 1], -self.edge_normals)
-        acc += self.bnd_vertex_normals
-        return np.linalg.norm(acc, axis=1)
-
 
 def compute_dual_metrics(mesh: Mesh) -> DualMetrics:
     """Compute median-dual metrics for ``mesh``.

@@ -3,7 +3,7 @@
 Given runs at several processor counts (iteration counts + execution
 times, relative to the smallest count as reference):
 
-* ``speedup(P)   = T_ref * P... `` — no: speedup = T_ref / T_P;
+* ``speedup      = T_ref / T_P`` — time at the reference count over time at P;
 * ``eta_overall  = speedup / (P / P_ref)`` — parallel efficiency;
 * ``eta_alg      = its_ref / its_P`` — degradation purely from the
   preconditioner weakening as subdomains multiply (measured, not

@@ -251,10 +251,6 @@ class ProcPool:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def broken(self) -> bool:
-        return self._broken
-
     # -- coordinator-side protocol -------------------------------------
     def _check_open(self) -> None:
         if self._closed:

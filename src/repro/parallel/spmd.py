@@ -92,10 +92,6 @@ class RankLocalData:
     def n_owned(self) -> int:
         return int(self.owned.size)
 
-    @property
-    def n_local(self) -> int:
-        return self.n_owned + int(self.ghosts.size)
-
 
 class _Flat(NamedTuple):
     """Every rank's :class:`RankLocalData` arrays, rank after rank, cut

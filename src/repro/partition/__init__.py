@@ -17,7 +17,7 @@ MeTiS itself is not used.
 """
 
 from repro.partition.kway import kway_partition
-from repro.partition.bisect import pmetis_partition, bisect_level_set
+from repro.partition.bisect import pmetis_partition
 from repro.partition.coarsen import heavy_edge_matching, coarsen_graph
 from repro.partition.refine import fm_refine
 from repro.partition.metrics import (
@@ -31,7 +31,6 @@ from repro.partition.metrics import (
 __all__ = [
     "kway_partition",
     "pmetis_partition",
-    "bisect_level_set",
     "heavy_edge_matching",
     "coarsen_graph",
     "fm_refine",

@@ -21,32 +21,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.traversal import bfs_levels, pseudo_peripheral_node
 from repro.partition.refine import fm_refine
 
-__all__ = ["bisect_level_set", "pmetis_partition"]
-
-
-def bisect_level_set(graph: Graph, seed: int = 0) -> np.ndarray:
-    """Split a graph into two halves of (near-)equal vertex weight.
-
-    Returns a boolean array: True = second half.  Vertices are ranked
-    by (BFS level from a pseudo-peripheral node, vertex id) and the
-    ranking is cut at the weight median.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    root = pseudo_peripheral_node(graph, start=seed % n)
-    level = bfs_levels(graph, [root])
-    # Unreachable vertices (disconnected input) go last.
-    level = np.where(level < 0, level.max() + 1, level)
-    order = np.lexsort((np.arange(n), level))
-    w = graph.vwgt[order].astype(np.float64)
-    csum = np.cumsum(w)
-    half = csum[-1] / 2.0
-    split = int(np.searchsorted(csum, half, side="left")) + 1
-    split = min(max(split, 1), n - 1) if n > 1 else 1
-    out = np.zeros(n, dtype=bool)
-    out[order[split:]] = True
-    return out
+__all__ = ["pmetis_partition"]
 
 
 def pmetis_partition(graph: Graph, nparts: int, *, seed: int = 0,

@@ -4,8 +4,7 @@
   (R10000/Origin 2000, Pentium Pro/ASCI Red, Alpha/T3E, PowerPC
   604e/Blue Pacific), with cache/TLB geometry, STREAM bandwidth, and
   network alpha-beta.
-* :mod:`stream` — a numpy STREAM-triad measurement of *this* machine
-  plus bandwidth-bound time models.
+* :mod:`stream` — a numpy STREAM measurement of *this* machine.
 * :mod:`spmv_model` — the paper's Eq. 1/Eq. 2 conflict-miss bounds and
   the memory-traffic SpMV performance bounds of reference [10].
 * :mod:`time_model` — kernel execution-time prediction from simulated
@@ -20,14 +19,8 @@ from repro.perfmodel.machines import (
     BLUE_PACIFIC_604E,
     MACHINES,
 )
-from repro.perfmodel.stream import measure_stream_triad, stream_time
-from repro.perfmodel.spmv_model import (
-    conflict_miss_bound,
-    tlb_miss_bound,
-    spmv_traffic_bytes,
-    spmv_bandwidth_mflops,
-    spmv_transfer_estimate,
-)
+from repro.perfmodel.stream import measure_stream_triad
+from repro.perfmodel.spmv_model import conflict_miss_bound, spmv_traffic_bytes
 from repro.perfmodel.time_model import (
     kernel_time_from_counters,
     bandwidth_time,
@@ -43,12 +36,8 @@ __all__ = [
     "BLUE_PACIFIC_604E",
     "MACHINES",
     "measure_stream_triad",
-    "stream_time",
     "conflict_miss_bound",
-    "tlb_miss_bound",
     "spmv_traffic_bytes",
-    "spmv_bandwidth_mflops",
-    "spmv_transfer_estimate",
     "kernel_time_from_counters",
     "bandwidth_time",
     "predict_kernel_time",

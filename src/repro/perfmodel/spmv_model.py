@@ -25,11 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.memory.cache import CacheConfig
-from repro.memory.tlb import TLBConfig
-from repro.perfmodel.machines import MachineSpec
 
-__all__ = ["conflict_miss_bound", "tlb_miss_bound", "spmv_traffic_bytes",
-           "spmv_bandwidth_mflops", "spmv_transfer_estimate", "SpMVTraffic"]
+__all__ = ["conflict_miss_bound", "spmv_traffic_bytes", "SpMVTraffic"]
 
 
 def conflict_miss_bound(n_rows: int, bandwidth_words: float,
@@ -46,22 +43,6 @@ def conflict_miss_bound(n_rows: int, bandwidth_words: float,
     if bandwidth_words < c:
         return 0.0
     return n_rows * np.ceil((bandwidth_words - c) / w)
-
-
-def tlb_miss_bound(n_rows: int, bandwidth_words: float,
-                   tlb: TLBConfig) -> float:
-    """TLB analogue of the conflict-miss bound.
-
-    The paper substitutes the PTE count for C_sc and the page size for
-    W_sc; we use the TLB *reach* in words as the capacity (the
-    dimensionally consistent reading) and the page size in words as
-    the line.
-    """
-    reach_words = tlb.reach_bytes // 8
-    w = tlb.page_words
-    if bandwidth_words < reach_words:
-        return 0.0
-    return n_rows * np.ceil((bandwidth_words - reach_words) / w)
 
 
 @dataclass
@@ -97,22 +78,3 @@ def spmv_traffic_bytes(n_rows: int, nnz: int, *, block_size: int = 1,
         vector = (nblocks * block_size + 2 * n_rows) * value_bytes
     return SpMVTraffic(matrix_bytes=matrix, index_bytes=index,
                        vector_bytes=vector)
-
-
-def spmv_bandwidth_mflops(n_rows: int, nnz: int, machine: MachineSpec, *,
-                          block_size: int = 1, value_bytes: int = 8,
-                          x_cached: bool = True) -> float:
-    """Achievable SpMV Mflop/s under the memory-bandwidth bound
-    (reference [10]'s 'realistic performance bound')."""
-    traffic = spmv_traffic_bytes(n_rows, nnz, block_size=block_size,
-                                 value_bytes=value_bytes, x_cached=x_cached)
-    t = traffic.total / machine.stream_bw
-    return 2.0 * nnz / t / 1e6
-
-
-def spmv_transfer_estimate(n_rows: int, nnz: int, *, block_size: int = 1,
-                           value_bytes: int = 8) -> float:
-    """Bytes per flop of SpMV (inverse arithmetic intensity)."""
-    traffic = spmv_traffic_bytes(n_rows, nnz, block_size=block_size,
-                                 value_bytes=value_bytes)
-    return traffic.total / (2.0 * nnz)

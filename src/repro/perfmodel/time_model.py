@@ -38,12 +38,6 @@ class KernelPrediction:
         return (max(self.flop_time, self.bandwidth_time)
                 + self.l1_penalty + self.l2_penalty + self.tlb_penalty)
 
-    @property
-    def bound(self) -> str:
-        """Which resource sets the throughput floor."""
-        return ("memory-bandwidth" if self.bandwidth_time >= self.flop_time
-                else "instruction-issue")
-
     def row(self) -> dict[str, float]:
         return {
             "flop_time": self.flop_time,

@@ -180,10 +180,6 @@ class AdditiveSchwarz:
         return z
 
     # -- accounting ------------------------------------------------------
-    @property
-    def num_subdomains(self) -> int:
-        return len(self.subdomains)
-
     def overlap_fraction(self) -> float:
         """Mean fraction of each subdomain's rows that are ghost rows —
         the extra memory/compute and the matrix-element communication
@@ -195,9 +191,6 @@ class AdditiveSchwarz:
 
     def total_factor_nnz(self) -> int:
         return sum(sd.factor_nnz for sd in self.subdomains)
-
-    def ghost_rows_total(self) -> int:
-        return sum(sd.num_ghost for sd in self.subdomains)
 
     def communication_phases(self) -> int:
         """Vector communication phases per application: RASM gathers the

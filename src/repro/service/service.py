@@ -93,10 +93,6 @@ class SolveTicket:
         self.batched = False           # ran as a follower in a batch
         self._done = threading.Event()
 
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
     def _finish(self, status: str) -> None:
         self.status = status
         self.total_s = time.perf_counter() - self.submitted_at

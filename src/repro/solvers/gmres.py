@@ -41,10 +41,6 @@ class GMRESResult:
     matvecs: int = 0
     precond_applies: int = 0
 
-    @property
-    def final_residual(self) -> float:
-        return self.residual_norms[-1] if self.residual_norms else float("nan")
-
 
 class _IdentityPC:
     def solve(self, r: np.ndarray) -> np.ndarray:

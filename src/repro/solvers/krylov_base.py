@@ -38,10 +38,6 @@ class OperatorFromMatrix:
     def shape(self) -> tuple[int, int]:
         return tuple(self._a.shape)  # type: ignore[return-value]
 
-    @property
-    def matrix(self):
-        return self._a
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         self.nmatvecs += 1
         return self._a @ x

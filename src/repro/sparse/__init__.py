@@ -17,7 +17,6 @@ from repro.sparse.layouts import (
     BlockStructure,
     block_structure_from_edges,
     assemble_bsr,
-    interlaced_csr_from_bsr,
     field_split_csr_from_bsr,
 )
 from repro.sparse.ilu import (ilu_symbolic, ilu_symbolic_ref, ILUFactorCSR,
@@ -33,7 +32,6 @@ __all__ = [
     "BlockStructure",
     "block_structure_from_edges",
     "assemble_bsr",
-    "interlaced_csr_from_bsr",
     "field_split_csr_from_bsr",
     "ilu_symbolic",
     "ilu_symbolic_ref",

@@ -90,12 +90,6 @@ class CSRMatrix:
         return cls(indptr=indptr, indices=ucols, data=summed, ncols=ncols)
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, tol: float = 0.0) -> "CSRMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        rows, cols = np.nonzero(np.abs(a) > tol)
-        return cls.from_coo(rows, cols, a[rows, cols], a.shape)
-
-    @classmethod
     def eye(cls, n: int, value: float = 1.0) -> "CSRMatrix":
         idx = np.arange(n, dtype=np.int64)
         return cls(indptr=np.arange(n + 1, dtype=np.int64), indices=idx,
@@ -109,19 +103,6 @@ class CSRMatrix:
         prods = self.data * x[self.indices]
         y = segment_sum(self.row_of, prods, self.nrows)
         return y.astype(np.result_type(self.data, x), copy=False)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.data.dtype)
-        row_of = self.row_of
-        out[row_of, self.indices] = self.data
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        d = np.zeros(min(self.shape), dtype=self.data.dtype)
-        row_of = self.row_of
-        mask = row_of == self.indices
-        d[row_of[mask]] = self.data[mask]
-        return d
 
     def transpose(self) -> "CSRMatrix":
         row_of = self.row_of

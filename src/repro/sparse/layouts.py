@@ -6,7 +6,8 @@ Jacobian can be stored three ways:
 * **BSR / interlaced + blocked** — unknowns of a vertex adjacent in
   memory, dense b-by-b blocks (PETSc BAIJ).  The paper's best layout.
 * **interlaced CSR** — same unknown ordering, but point-sparse storage
-  (PETSc AIJ on an interlaced ordering).  Interlacing without blocking.
+  (PETSc AIJ on an interlaced ordering, ``BSRMatrix.to_csr``).
+  Interlacing without blocking.
 * **field-split ("noninterlaced") CSR** — unknown ``f`` of all vertices
   first, then unknown ``f+1``...  This is the vector-machine layout;
   the bandwidth of the matrix becomes ~N (paper Sec. 2.1.1), which is
@@ -26,7 +27,6 @@ __all__ = [
     "BlockStructure",
     "block_structure_from_edges",
     "assemble_bsr",
-    "interlaced_csr_from_bsr",
     "field_split_csr_from_bsr",
     "field_split_permutation",
 ]
@@ -99,12 +99,6 @@ def assemble_bsr(structure: BlockStructure, bs: int,
     data[structure.edge_ji_slots] = off_ji
     return BSRMatrix(indptr=structure.indptr, indices=structure.indices,
                      data=data, nbcols=structure.num_vertices, engine=engine)
-
-
-def interlaced_csr_from_bsr(a: BSRMatrix) -> CSRMatrix:
-    """Point CSR in the interlaced unknown ordering (same numbers as BSR,
-    point-sparse storage — 'interlacing without blocking')."""
-    return a.to_csr()
 
 
 def field_split_permutation(num_vertices: int, bs: int) -> np.ndarray:

@@ -11,8 +11,9 @@ loop always runs fp64 (the nonlinear residual sets the answer's
 accuracy); the preconditioner factors may be stored fp32 — the paper's
 Table 2 configuration, ``"fp32-precond"`` — and the Krylov basis may
 additionally drop to fp32 (``"fp32"``), since both only steer the
-correction.  Each tier's storage roundoff is bounded by the
-``experiments.eqbounds`` machinery.
+correction.  Each tier's storage roundoff is bounded componentwise by
+``(0.5 eps_storage + row_nnz eps_compute) |A| |x|``, the bound
+``tests/test_sparse_precision.py`` checks (``tests/helpers.py``).
 """
 
 from __future__ import annotations

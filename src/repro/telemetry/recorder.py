@@ -164,11 +164,6 @@ class TraceRecorder:
             self._stack[-1]._child_s += float(seconds)
 
     # -- queries -------------------------------------------------------
-    @property
-    def depth(self) -> int:
-        """Current span nesting depth (0 when no span is open)."""
-        return len(self._stack)
-
     def phases(self) -> list[str]:
         keys = {p for p, _ in self._spans} | {p for p, _ in self._waits}
         return sorted(keys)

@@ -8,9 +8,10 @@ import pytest
 
 from repro.core import NKSSolver, SolverConfig
 from repro.core.config import KrylovConfig, PreconditionerConfig
-from repro.euler import duct_problem, wing_problem
+from repro.euler import wing_problem
 from repro.solvers.ptc import PTCConfig
 from repro.telemetry import TraceRecorder
+from tests.helpers import duct_problem
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,7 @@ class TestDiagnostics:
 
     def test_cfl_history_grows(self, wing):
         rep = _solve(wing)
-        cfl = rep.cfl_history
+        cfl = [s.cfl for s in rep.steps]
         assert cfl[0] == pytest.approx(10.0)
         assert cfl[-1] > cfl[0]
 
@@ -108,7 +109,7 @@ class TestDiagnostics:
         in_krylov = [0.0]       # the share spent under krylov > flux
 
         def timed_residual(*args, **kw):
-            nested = rec.depth >= 2
+            nested = len(rec._stack) >= 2
             t0 = time.perf_counter()
             try:
                 return inner(*args, **kw)

@@ -12,7 +12,7 @@ from repro.mesh import compute_dual_metrics
 class TestClassification:
     def test_all_farfield_without_region(self, small_mesh, small_dual):
         bc = classify_box_boundary(small_mesh, small_dual, wall_region=None)
-        assert bc.num_wall == 0
+        assert not bc.wall_mask.any()
         assert np.all(bc.farfield_mask)
 
     def test_wall_patch_on_floor(self, small_mesh, small_dual):
@@ -28,7 +28,7 @@ class TestClassification:
                                         wall_region=((0.0, 1.0), (0.0, 1.0)))
         bc_patch = classify_box_boundary(small_mesh, small_dual,
                                          wall_region=((0.3, 0.7), (0.3, 0.7)))
-        assert 0 < bc_patch.num_wall < bc_full.num_wall
+        assert 0 < bc_patch.wall_mask.sum() < bc_full.wall_mask.sum()
 
     def test_vertices_cover_boundary(self, small_mesh, small_dual):
         bc = classify_box_boundary(small_mesh, small_dual)

@@ -92,7 +92,7 @@ class TestRoeProperties:
 
 class TestRoeInSolver:
     def test_freestream_preserved(self):
-        from repro.euler import duct_problem
+        from tests.helpers import duct_problem
         prob = duct_problem(4, compressible=True)
         prob.disc.flux_scheme = "roe"
         r = prob.disc.residual(prob.initial.flat())

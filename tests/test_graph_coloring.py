@@ -1,34 +1,11 @@
-"""Vertex and edge coloring tests."""
+"""Edge coloring tests."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import distance2_edge_coloring, graph_from_edges, greedy_coloring
+from repro.graph import distance2_edge_coloring
 from repro.graph.coloring import color_classes
-
-
-class TestGreedyVertexColoring:
-    def test_proper(self, small_graph):
-        colors = greedy_coloring(small_graph)
-        edges = small_graph.edge_list()
-        assert np.all(colors[edges[:, 0]] != colors[edges[:, 1]])
-
-    def test_color_bound(self, small_graph):
-        colors = greedy_coloring(small_graph)
-        assert colors.max() <= small_graph.degrees().max()
-
-    def test_bipartite_path_two_colors(self):
-        n = 10
-        edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-        g = graph_from_edges(n, edges)
-        assert greedy_coloring(g).max() == 1
-
-    def test_custom_order(self, small_graph):
-        order = np.arange(small_graph.num_vertices)[::-1]
-        colors = greedy_coloring(small_graph, order=order)
-        edges = small_graph.edge_list()
-        assert np.all(colors[edges[:, 0]] != colors[edges[:, 1]])
 
 
 class TestEdgeColoring:

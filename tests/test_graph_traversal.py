@@ -4,11 +4,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (bfs_levels, bfs_order, connected_components,
-                         cuthill_mckee, graph_from_edges,
-                         pseudo_peripheral_node)
+from repro.graph import (bfs_levels, connected_components, cuthill_mckee,
+                         graph_from_edges, pseudo_peripheral_node)
 from repro.graph.adjacency import Graph
-from repro.graph.traversal import expand_overlap
+from repro.graph.traversal import bfs_queue, expand_overlap, sorted_adjacency
+
+
+def bfs_order(graph, root, tie_break=None):
+    """The BFS visiting order from ``root`` that Cuthill-McKee builds
+    from: neighbours enqueued by ``(tie_break, id)``, default degree."""
+    return bfs_queue(graph.xadj, sorted_adjacency(graph, tie_break), root,
+                     np.zeros(graph.num_vertices, dtype=bool))
 
 
 def _path_graph(n):

@@ -22,9 +22,11 @@ the equivalence assertions then hold trivially and the dedicated
 degradation tests pin that behaviour explicitly.
 """
 
+import importlib.util
 import json
 import os
 from dataclasses import replace
+import shutil
 import subprocess
 import sys
 import warnings
@@ -60,7 +62,9 @@ from repro.sparse.trisolve import (_row_dot, _row_dot_blocks, level_schedule,
                                    lower_solve_blocks,
                                    upper_solve_blocks_inplace)
 
-HAS_BACKEND = capability.available_backends() != ()
+HAS_BACKEND = capability.resolve_engine("compiled") == "c"
+HAS_TOOLCHAIN = (importlib.util.find_spec("cffi") is not None
+                 and any(shutil.which(cc) for cc in ("gcc", "cc", "clang")))
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 needs_backend = pytest.mark.skipif(
@@ -86,9 +90,9 @@ def wing():
 
 @pytest.fixture
 def bare_machine(monkeypatch):
-    """Fake a machine with no cffi / C toolchain."""
+    """Fake a machine with no cffi: importing it fails."""
     capability.invalidate()
-    monkeypatch.setattr(capability, "probe_c", lambda: False)
+    monkeypatch.setitem(sys.modules, "cffi", None)
     yield
     capability.invalidate()
 
@@ -103,24 +107,21 @@ class TestCapability:
 
     def test_disable_env_forces_numpy(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS_DISABLE", "1")
-        assert capability.available_backends() == ()
         assert capability.resolve_engine("compiled") == "numpy"
+        assert kernels.backend_for("compiled") is None
+
+    def test_disable_env_read_on_every_call(self, monkeypatch):
+        """The kill-switch is not memoised: flipping it between two
+        calls of one process flips the resolution."""
+        expect = capability.resolve_engine("compiled")
+        monkeypatch.setenv("REPRO_KERNELS_DISABLE", "1")
+        assert capability.resolve_engine("compiled") == "numpy"
+        monkeypatch.delenv("REPRO_KERNELS_DISABLE")
+        assert capability.resolve_engine("compiled") == expect
 
     def test_bare_machine_degrades_to_numpy(self, bare_machine):
-        assert capability.available_backends() == ()
         assert capability.resolve_engine("compiled") == "numpy"
-
-    def test_mark_unavailable_skips_backend(self):
-        capability.invalidate()
-        try:
-            for name in capability.available_backends():
-                capability.mark_unavailable(name)
-            with warnings.catch_warnings():
-                # Marking a working backend broken legitimately warns.
-                warnings.simplefilter("ignore", RuntimeWarning)
-                assert capability.resolve_engine("compiled") == "numpy"
-        finally:
-            capability.invalidate()
+        assert kernels.backend_for("compiled") is None
 
     def test_solver_config_validates_engine(self):
         with pytest.raises(ValueError, match="engine"):
@@ -131,9 +132,10 @@ class TestCapability:
 def broken_c_build(monkeypatch):
     """C toolchain present but the build fails."""
     from repro.kernels import cbackend
+    if not HAS_TOOLCHAIN:
+        pytest.skip("no C toolchain to break")
     capability.invalidate()
     monkeypatch.setattr(cbackend, "_SOURCE", "#error deliberately broken\n")
-    monkeypatch.setattr(kernels, "_BACKENDS", {})
     yield
     capability.invalidate()
 
@@ -181,13 +183,12 @@ class TestQuarantine:
     """Silent degradation is gone: broken backends carry their reason."""
 
     def test_broken_c_build_quarantined_and_warns(self, broken_c_build):
-        if not capability.probe_c():
-            pytest.skip("no C toolchain to break")
         with pytest.warns(RuntimeWarning, match="fell back to the numpy"):
             assert kernels.backend_for("compiled") is None
         rep = capability.capability_report()
         assert rep["resolved"] == "numpy"
-        assert "c" in rep["broken"]
+        assert rep["isa"] is None
+        assert set(rep["quarantine"]) == {"c"}
         q = rep["quarantine"]["c"]
         assert q["stage"] == "build"
         assert q["exc_type"] not in (None, "ModuleNotFoundError",
@@ -196,8 +197,6 @@ class TestQuarantine:
         assert q["traceback_tail"]
 
     def test_fallback_warns_only_once(self, broken_c_build):
-        if not capability.probe_c():
-            pytest.skip("no C toolchain to break")
         with pytest.warns(RuntimeWarning):
             kernels.backend_for("compiled")
         with warnings.catch_warnings():
@@ -209,7 +208,9 @@ class TestQuarantine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert capability.resolve_engine("compiled") == "numpy"
-        assert capability.capability_report()["broken"] == []
+            q = capability.capability_report()["quarantine"]["c"]
+        assert q["stage"] == "probe"
+        assert q["exc_type"] == "ModuleNotFoundError"
 
     def test_missing_compiler_recorded_as_benign(self, monkeypatch):
         capability.invalidate()
@@ -227,8 +228,7 @@ class TestQuarantine:
     def test_cli_prints_json_report(self, capsys):
         assert capability.main() == 0
         rep = json.loads(capsys.readouterr().out)
-        assert set(rep) >= {"disabled", "available", "resolved",
-                            "broken", "quarantine"}
+        assert set(rep) == {"disabled", "resolved", "isa", "quarantine"}
 
     def test_module_entry_point_runs_once(self):
         """``python -m repro.kernels`` reports from the one imported
@@ -241,8 +241,7 @@ class TestQuarantine:
         assert proc.returncode == 0
         assert proc.stderr == ""
         rep = json.loads(proc.stdout)
-        assert set(rep) == {"disabled", "available", "resolved", "isa",
-                            "broken", "quarantine"}
+        assert set(rep) == {"disabled", "resolved", "isa", "quarantine"}
         assert (rep["isa"] in ("x86-64-v4", "x86-64-v3", "default")
                 if rep["resolved"] == "c" else rep["isa"] is None)
 
@@ -740,7 +739,9 @@ class TestBoundaryClosure:
         if where == "global":
             rows, n = disc.bc.row_sets(), prob.mesh.num_vertices
         else:
-            rows, n = layout.plan.boundary(disc.bc)[2], layout.ranks[2].n_local
+            rank = layout.ranks[2]
+            rows = layout.plan.boundary(disc.bc)[2]
+            n = rank.n_owned + rank.ghosts.size
         empty = np.zeros(0, dtype=np.int64)
         keep = {"wall": (True, False), "far": (False, True),
                 "both": (True, True), "empty": (False, False)}[subset]

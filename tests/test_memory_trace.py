@@ -6,7 +6,7 @@ import pytest
 from repro.memory import (CacheConfig, MemoryHierarchy, TraceLayout,
                           flux_loop_trace, spmv_bsr_trace, spmv_csr_trace)
 from repro.memory.tlb import TLBConfig
-from repro.sparse import CSRMatrix
+from tests.helpers import csr_from_dense
 from tests.test_sparse_bsr import random_bsr
 
 
@@ -15,7 +15,7 @@ def csr(rng):
     a = rng.random((30, 30))
     a[a < 0.7] = 0
     a += np.eye(30)
-    return CSRMatrix.from_dense(a)
+    return csr_from_dense(a)
 
 
 class TestSpMVTrace:

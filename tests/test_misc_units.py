@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.driver import SolveReport, StepRecord
-from repro.core.reporting import (format_markdown_table, format_series,
-                                  format_table)
+from repro.core.reporting import format_table
 from repro.euler.state import (FlowState, compressible_freestream,
                                incompressible_freestream)
 from repro.parallel.netmodel import NetworkModel
@@ -30,16 +29,6 @@ class TestReporting:
         t = format_table(["v"], [[0.0], [1e-7], [123456.789], [3.5]])
         assert "0" in t and "1e-07" in t
 
-    def test_markdown_table(self):
-        md = format_markdown_table(["a", "b"], [[1, 2]])
-        lines = md.splitlines()
-        assert lines[0].startswith("|") and "---" in lines[1]
-        assert "| 1 | 2 |" == lines[2]
-
-    def test_series(self):
-        s = format_series("curve", [1, 2], [0.5, 0.25], "p", "t")
-        assert "curve" in s and "p" in s and "t" in s
-
 
 class TestFlowState:
     def test_interlaced_flat_roundtrip(self):
@@ -48,17 +37,6 @@ class TestFlowState:
         back = FlowState(q=fs.flat().reshape(-1, fs.ncomp),
                          components=fs.components)
         assert np.array_equal(back.q, fs.q)
-
-    def test_component_access(self):
-        fs = incompressible_freestream(4, speed=2.0, alpha_deg=0.0)
-        assert np.allclose(fs.component("u"), 2.0)
-        assert np.allclose(fs.component("p"), 0.0)
-
-    def test_noninterlaced_is_field_major(self):
-        fs = incompressible_freestream(3, alpha_deg=5.0)
-        fm = fs.noninterlaced()
-        assert fm.shape == (4, 3)
-        assert np.array_equal(fm[1], fs.component("u"))
 
     def test_alpha_rotates_velocity(self):
         fs = incompressible_freestream(1, alpha_deg=90.0)
@@ -149,7 +127,6 @@ class TestSolveReport:
     def test_histories(self):
         rep = self._report()
         assert rep.residual_history.tolist() == [1.0, 0.1]
-        assert rep.cfl_history.tolist() == [10, 100]
 
     def test_empty_report(self):
         rep = SolveReport(converged=False)

@@ -270,7 +270,8 @@ class TestLifecycle:
         victim.join()
         with pytest.raises(ProcPoolError, match="spmd-worker-0"):
             p.residual(q)
-        assert p.broken
+        with pytest.raises(ProcPoolError, match="broken"):
+            p.residual(q)              # the pool stays out of service
         p.close()                      # must not hang or raise
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)

@@ -171,7 +171,7 @@ class TestLayout:
             assert np.array_equal(rd.ghost_owner, labels[rd.ghosts])
             assert np.array_equal(rd.owned, np.flatnonzero(labels == rd.rank))
         if labelling == "empty-rank":
-            assert layout.ranks[2].n_local == 0
+            assert layout.ranks[2].n_owned == layout.ranks[2].ghosts.size == 0
 
     @pytest.mark.parametrize("p", [1, 2, 8, 64])
     @pytest.mark.parametrize("labelling",

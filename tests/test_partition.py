@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.graph import connected_components, graph_from_edges
 from repro.parallel import SPMDLayout
-from repro.partition import (bisect_level_set, coarsen_graph, edge_cut,
-                             fm_refine, heavy_edge_matching, kway_partition,
+from repro.partition import (coarsen_graph, edge_cut, fm_refine,
+                             heavy_edge_matching, kway_partition,
                              load_imbalance, partition_quality,
                              pmetis_partition, subdomain_components)
 from repro.partition.refine import repair_contiguity
@@ -97,11 +97,6 @@ class TestPMetis:
         for nparts in (2, 4, 8, 16):
             labels = pmetis_partition(medium_graph, nparts, seed=0)
             assert load_imbalance(labels) <= 1.03
-
-    def test_bisect_halves(self, medium_graph):
-        second = bisect_level_set(medium_graph, seed=0)
-        n = medium_graph.num_vertices
-        assert abs(int(second.sum()) - n // 2) <= 1
 
     def test_nonpow2_parts(self, medium_graph):
         labels = pmetis_partition(medium_graph, 6, seed=0)

@@ -18,13 +18,14 @@ from repro.sparse.bsr import BSRMatrix
 from repro.sparse.ilu import compile_elimination_schedule, ilu_bsr, \
     ilu_bsr_ref, ilu_symbolic
 from repro.sparse.trisolve import _row_dot
+from tests.helpers import csr_from_dense, csr_to_dense
 
 
 def random_csr(n, density, seed):
     rng = np.random.default_rng(seed)
     dense = (rng.random((n, n)) < density) * rng.standard_normal((n, n))
     np.fill_diagonal(dense, np.abs(np.diag(dense)) + n)
-    return CSRMatrix.from_dense(dense)
+    return csr_from_dense(dense)
 
 
 def random_bsr(nb, bs, density, seed):
@@ -93,7 +94,7 @@ def test_schedule_cached_on_pattern_and_reused():
 
 def test_schedule_zero_pivot_detected():
     dense = np.array([[2.0, 1.0], [4.0, 2.0]])   # row 2 pivot eliminates to 0
-    a = CSRMatrix.from_dense(dense)
+    a = csr_from_dense(dense)
     with pytest.raises(ZeroDivisionError):
         ilu_csr(a, 0)
 
@@ -183,7 +184,7 @@ def test_row_dot_preserves_dtype():
         rows = np.arange(0, 20, 2, dtype=np.int64)
         out = _row_dot(a.indptr, a.indices, a.data, x, rows)
         assert out.dtype == dt
-        dense = a.to_dense().astype(dt)
+        dense = csr_to_dense(a).astype(dt)
         assert np.allclose(out, dense[rows] @ x, atol=1e-5)
 
 
@@ -191,7 +192,7 @@ def test_spmv_loop_oracle_matches_under_fp32():
     a = random_csr(25, 0.3, seed=4)
     a32 = CSRMatrix(a.indptr, a.indices, a.data.astype(np.float32), a.ncols)
     x32 = np.random.default_rng(0).random(25).astype(np.float32)
-    y_loop = a32.to_dense() @ x32
+    y_loop = csr_to_dense(a32) @ x32
     y_vec = a32.matvec(x32)
     assert y_loop.dtype == np.float32
     assert y_vec.dtype == np.float32

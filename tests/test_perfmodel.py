@@ -1,5 +1,9 @@
 """Performance models: machines, miss bounds, SpMV bounds."""
 
+import time
+import tracemalloc
+from types import SimpleNamespace
+
 import pytest
 
 from repro.memory import CacheConfig
@@ -7,9 +11,7 @@ from repro.memory.hierarchy import HierarchyCounters
 from repro.perfmodel import (ASCI_RED_PPRO, CRAY_T3E_600,
                              MACHINES, ORIGIN2000_R10K, conflict_miss_bound,
                              kernel_time_from_counters, predict_kernel_time,
-                             spmv_bandwidth_mflops, spmv_traffic_bytes,
-                             spmv_transfer_estimate,
-                             stream_time, tlb_miss_bound)
+                             spmv_traffic_bytes, stream)
 from repro.perfmodel.stream import measure_stream_triad
 
 
@@ -64,12 +66,6 @@ class TestMissBounds:
         assert eq1 > 0
         assert eq2 == 0
 
-    def test_tlb_bound(self):
-        from repro.memory.tlb import TLBConfig
-        t = TLBConfig("t", 64, 16384)   # reach 1 MiB = 131072 words
-        assert tlb_miss_bound(1000, 100_000, t) == 0
-        assert tlb_miss_bound(1000, 200_000, t) > 0
-
     def test_linear_in_rows(self):
         c = CacheConfig("c", 8 * 1024, 32, 2)
         assert (conflict_miss_bound(2000, 4096, c)
@@ -91,9 +87,6 @@ class TestSpMVModel:
         tb = spmv_traffic_bytes(1000, 16000, block_size=4)
         assert tb.matrix_bytes == 16000 * 8
         assert tb.index_bytes == (1000 + 250 + 1) * 4
-        # Deep in the bandwidth-bound regime even with perfect reuse:
-        # under 0.25 flops per byte.
-        assert spmv_transfer_estimate(1000, 15000) > 4.0
 
     def test_blocking_reduces_traffic(self):
         t1 = spmv_traffic_bytes(1000, 16000, block_size=1)
@@ -112,26 +105,11 @@ class TestSpMVModel:
             else:
                 assert blocked.total < scalar.total
 
-    def test_blocking_raises_mflops(self):
-        m1 = spmv_bandwidth_mflops(90708, 90708 * 60, ORIGIN2000_R10K)
-        m4 = spmv_bandwidth_mflops(90708, 90708 * 60, ORIGIN2000_R10K,
-                                   block_size=4)
-        assert m4 > m1 * 1.2
-
-    def test_fp32_nearly_doubles_mflops(self):
+    def test_fp32_nearly_halves_traffic(self):
         """Table 2's mechanism in the model."""
-        m8 = spmv_bandwidth_mflops(10000, 150000, ORIGIN2000_R10K,
-                                   block_size=4, value_bytes=8)
-        m4 = spmv_bandwidth_mflops(10000, 150000, ORIGIN2000_R10K,
-                                   block_size=4, value_bytes=4)
-        assert 1.6 < m4 / m8 < 2.0
-
-    def test_far_below_peak(self):
-        """SpMV attains ~10% of peak on period machines — the memory
-        wall the paper is about."""
-        for m in MACHINES.values():
-            mflops = spmv_bandwidth_mflops(90708, 90708 * 60, m)
-            assert mflops < 0.25 * m.peak_flops / 1e6
+        t8 = spmv_traffic_bytes(10000, 150000, block_size=4, value_bytes=8)
+        t4 = spmv_traffic_bytes(10000, 150000, block_size=4, value_bytes=4)
+        assert 1.6 < t8.total / t4.total < 2.0
 
 
 class TestTimeModel:
@@ -141,7 +119,6 @@ class TestTimeModel:
         p = kernel_time_from_counters(c, flops=20_000, machine=ORIGIN2000_R10K)
         assert p.total > 0
         assert p.total >= max(p.flop_time, p.bandwidth_time)
-        assert p.bound in ("memory-bandwidth", "instruction-issue")
 
     def test_more_misses_cost_more(self):
         base = HierarchyCounters(10_000, 1000, 100, 10)
@@ -158,11 +135,6 @@ class TestTimeModel:
         assert predict_kernel_time(8, 300e6, ORIGIN2000_R10K) == \
             pytest.approx(1.0)
 
-    def test_stream_time(self):
-        assert stream_time(300e6, 300e6) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            stream_time(1.0, 0.0)
-
 
 class TestStreamMeasurement:
     def test_host_bandwidth_sane(self):
@@ -170,3 +142,25 @@ class TestStreamMeasurement:
         # Any machine this runs on moves > 100 MB/s and < 10 TB/s.
         assert 1e8 < res.triad < 1e13
         assert set(res) == {"copy", "scale", "add", "triad"}
+
+    def test_timed_kernels_allocate_nothing(self, monkeypatch):
+        """A timed repetition moves its operands and nothing else: a
+        temporary (``s * c``) would be allocated and first-touched
+        inside the timing and its traffic left uncounted."""
+        n = 200_000
+        growth = []
+
+        def clock():
+            current, peak = tracemalloc.get_traced_memory()
+            growth.append(peak - current)
+            tracemalloc.reset_peak()
+            return time.perf_counter()
+
+        monkeypatch.setattr(stream, "time", SimpleNamespace(perf_counter=clock))
+        tracemalloc.start()
+        try:
+            measure_stream_triad(n=n, repeats=1)
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == 8                 # four kernels, two reads each
+        assert max(growth[1::2]) < 8 * n        # less than one array

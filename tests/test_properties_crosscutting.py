@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.mesh import box_mesh, unit_cube_mesh
 from repro.partition import kway_partition, pmetis_partition
 from repro.solvers import gmres
-from repro.sparse import CSRMatrix, ilu_csr
+from repro.sparse import ilu_csr
+from tests.helpers import csr_from_dense
 
 
 def diag_dominant(n, density, seed):
@@ -25,7 +26,7 @@ def test_full_fill_ilu_is_direct_solver(n, density, seed):
     """ILU(n) == LU: solve error at machine precision for any
     diagonally dominant system."""
     a = diag_dominant(n, density, seed)
-    m = CSRMatrix.from_dense(a)
+    m = csr_from_dense(a)
     b = np.random.default_rng(seed).random(n)
     x = ilu_csr(m, n).solve(b)
     assert np.allclose(a @ x, b, atol=1e-8 * np.abs(b).max() + 1e-10)
@@ -56,7 +57,7 @@ def test_partitioners_deterministic(nparts, seed):
 def test_distributed_residual_any_partition(nparts, seed):
     """SPMD execution equals sequential for arbitrary valid labelings
     (even fragmented random ones)."""
-    from repro.euler import duct_problem
+    from tests.helpers import duct_problem
     from repro.parallel import SPMDLayout, distributed_residual
 
     prob = duct_problem(4, jitter=0.2, seed=1, second_order=False)

@@ -5,11 +5,13 @@ A module stays only if a paper artefact (``repro.experiments``), a tool
 of record imports it, directly or through other modules.  A
 name imported from a package is followed through the ``__init__``
 re-export to the module that defines it, so being re-exported is not
-being called.
+being called.  The same holds name by name: a public function, class
+or method stays only while code outside ``tests/`` uses it.
 """
 
 import ast
 import functools
+from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -24,10 +26,30 @@ ROOTS = [MODULES[m] for m in (
 ROOTS += sorted((REPO / "examples").glob("*.py"))
 ROOTS += sorted((REPO / "benchmarks" / "e2e").glob("*.py"))
 
-#: unreached on purpose, each with its reason
+#: unreached modules and unused names on purpose, each with its reason
 ALLOWED = {
     "repro.solvers._reference": "gmres's oracle, paired with tests",
+    "*_ref": "numpy oracles a test compares the fast twin against",
+    "repro.memory.cache.CacheSim": "the memory simulator's oracle",
+    "repro.sparse.bsr.BSRMatrix.add_block_diagonal":
+        "the oracle of the fused Jacobian shift",
+    "repro.kernels.capability.invalidate":
+        "test hook: forget the backend memo after faking the machine",
+    "repro.parallel.procpool.ProcPool.shm_name":
+        "test hook: the shm-leak tests look the segment up",
+    "repro.parallel.procpool.ProcPool.mat_shm_name":
+        "test hook: the shm-leak tests look the segment up",
+    "repro.parallel.procpool.ProcPool.closed":
+        "test hook: the shm-leak tests read it",
+    "repro.sanitize.statehash.capture":
+        "opt-in REPRO_SANITIZE API (DESIGN.md), read by hand",
+    "repro.sanitize.statehash.first_divergence":
+        "opt-in REPRO_SANITIZE API (DESIGN.md), read by hand",
 }
+
+
+def _allowed(name):
+    return any(fnmatch(name, pat) for pat in ALLOWED)
 
 
 @functools.cache
@@ -76,10 +98,94 @@ def _reached():
 
 def test_every_module_has_a_caller():
     unreached = set(MODULES) - _reached()
-    assert {m for m in unreached
-            if not any(fnmatch(m, pat) for pat in ALLOWED)} == set()
+    assert {m for m in unreached if not _allowed(m)} == set()
+
+
+def _uses(tree, aliases):
+    """How often each identifier is read in ``tree`` as a name and as an
+    attribute: ``(names, attributes)``; a name bound by ``from m import
+    x as y`` counts as ``x``."""
+    names, attributes = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[aliases.get(node.id, node.id)] += 1
+        elif isinstance(node, ast.Attribute):
+            attributes[node.attr] += 1
+    return names, attributes
+
+
+def _reads(uses, name, method):
+    """A method is reached only as an attribute (``obj.name``); a
+    function or class also by its bare name."""
+    names, attributes = uses
+    return attributes[name] + (0 if method else names[name])
+
+
+def _aliases(tree):
+    return {a.asname: a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.asname}
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+@functools.cache
+def _public_defs():
+    """``(dotted name, identifier, is a method, reads inside its own
+    body)`` for every public top-level function and class in
+    ``src/repro`` and every public method of those classes."""
+    out = []
+    for mod, path in MODULES.items():
+        if _allowed(mod):
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = _aliases(tree)
+        defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+        for node in tree.body:
+            if not (isinstance(node, defs) and _public(node.name)):
+                continue
+            out.append((f"{mod}.{node.name}", node.name, False,
+                        _reads(_uses(node, aliases), node.name, False)))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{mod}.{node.name}.{m.name}", m.name, True,
+                         _reads(_uses(m, aliases), m.name, True))
+                        for m in node.body
+                        if isinstance(m, defs[:2]) and _public(m.name)]
+    return out
+
+
+def _unused_names():
+    """Public names in ``src/repro`` that no code outside ``tests/``
+    reads, their own bodies aside.  Matching the bare identifier is
+    conservative: dead code that shares a name with live code passes,
+    and only a name reached through a ``getattr`` string can be flagged
+    while live."""
+    callers = [p for m, p in MODULES.items() if not _allowed(m)]
+    callers += sorted((REPO / "examples").glob("*.py"))
+    callers += sorted((REPO / "benchmarks" / "e2e").glob("*.py"))
+    names, attributes = Counter(), Counter()
+    for path in callers:
+        tree = ast.parse(path.read_text())
+        n, a = _uses(tree, _aliases(tree))
+        names += n
+        attributes += a
+    return {dotted for dotted, name, method, own in _public_defs()
+            if _reads((names, attributes), name, method) <= own}
+
+
+def test_every_public_name_has_a_caller():
+    """A function, class or method only its own tests call is not part
+    of the reproduction: it is deleted, moved into ``tests/``, or listed
+    in ``ALLOWED`` with the reason it stays."""
+    assert {n for n in _unused_names() if not _allowed(n)} == set()
+
+
+def test_allow_list_has_no_stale_entry():
+    unused = (set(MODULES) - _reached()) | _unused_names()
     stale = {pat for pat in ALLOWED
-             if not any(fnmatch(m, pat) for m in unreached)}
+             if not any(fnmatch(n, pat) for n in unused)}
     assert stale == set(), "allow-list entry no longer needed"
 
 

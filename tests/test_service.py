@@ -297,7 +297,7 @@ class TestServiceLifecycle:
             t2 = svc.submit(req)           # queued (1/1)
             t3 = svc.submit(req)           # rejected
             assert t3.status == "rejected"
-            assert t3.done and t3.report is None
+            assert t3.result(timeout=0) is None  # terminal, no report
         finally:
             klock.release()
         assert t1.result(timeout=300) is not None

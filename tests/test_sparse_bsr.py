@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparse import BSRMatrix
+from tests.helpers import csr_to_dense
 
 
 def random_bsr(nb, bs, density, seed):
@@ -48,13 +49,13 @@ class TestEquivalence:
         import scipy.sparse as sp
         m = random_bsr(5, 3, 0.5, 7)
         ref = sp.bsr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
-        assert np.allclose(m.to_csr().to_dense(), ref.toarray())
+        assert np.allclose(csr_to_dense(m.to_csr()), ref.toarray())
 
     def test_add_block_diagonal(self, rng):
         m = random_bsr(4, 3, 0.5, 4)
         shift = rng.standard_normal((4, 3, 3))
         m2 = m.add_block_diagonal(shift)
-        diff = m2.to_csr().to_dense() - m.to_csr().to_dense()
+        diff = csr_to_dense(m2.to_csr()) - csr_to_dense(m.to_csr())
         for i in range(4):
             assert np.allclose(diff[3*i:3*i+3, 3*i:3*i+3], shift[i])
 
@@ -62,17 +63,17 @@ class TestEquivalence:
         m = random_bsr(6, 2, 0.5, 5)
         rows = np.array([0, 2, 5])
         sub = m.submatrix(rows)
-        dense = m.to_csr().to_dense()
+        dense = csr_to_dense(m.to_csr())
         pt = np.concatenate([[2 * r, 2 * r + 1] for r in rows])
-        assert np.allclose(sub.to_csr().to_dense(), dense[np.ix_(pt, pt)])
+        assert np.allclose(csr_to_dense(sub.to_csr()), dense[np.ix_(pt, pt)])
 
     def test_permuted(self, rng):
         m = random_bsr(5, 2, 0.5, 6)
         perm = rng.permutation(5)
         p = m.permuted(perm)
-        dense = m.to_csr().to_dense()
+        dense = csr_to_dense(m.to_csr())
         pt = np.concatenate([[2 * r, 2 * r + 1] for r in perm])
-        assert np.allclose(p.to_csr().to_dense(), dense[np.ix_(pt, pt)])
+        assert np.allclose(csr_to_dense(p.to_csr()), dense[np.ix_(pt, pt)])
 
     def test_astype(self):
         m = random_bsr(4, 2, 0.5, 8)

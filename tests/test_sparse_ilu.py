@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.sparse import (CSRMatrix, ilu_bsr, ilu_bsr_ref, ilu_csr,
                           ilu_csr_ref, ilu_symbolic, ilu_symbolic_ref)
 from repro.sparse.bsr import BSRMatrix
+from tests.helpers import csr_from_dense
 
 
 def diag_dominant(n, density, seed):
@@ -24,7 +25,7 @@ def diag_dominant(n, density, seed):
 class TestSymbolic:
     def test_ilu0_pattern_is_input_pattern(self):
         a = diag_dominant(20, 0.2, 0)
-        m = CSRMatrix.from_dense(a)
+        m = csr_from_dense(a)
         pat = ilu_symbolic(m.indptr, m.indices, 0)
         assert pat.nnz == m.nnz
         assert np.all(pat.l_levels == 0)
@@ -32,14 +33,14 @@ class TestSymbolic:
 
     def test_fill_monotone_in_level(self):
         a = diag_dominant(25, 0.15, 1)
-        m = CSRMatrix.from_dense(a)
+        m = csr_from_dense(a)
         sizes = [ilu_symbolic(m.indptr, m.indices, k).nnz for k in range(4)]
         assert all(s2 >= s1 for s1, s2 in zip(sizes, sizes[1:]))
 
     def test_full_fill_matches_dense_lu_pattern(self):
         """With level n the pattern must contain the exact LU fill."""
         a = diag_dominant(12, 0.25, 2)
-        m = CSRMatrix.from_dense(a)
+        m = csr_from_dense(a)
         pat = ilu_symbolic(m.indptr, m.indices, 12)
         import scipy.linalg as sla
         p, l, u = sla.lu(a)
@@ -51,7 +52,7 @@ class TestSymbolic:
 
     def test_levels_bounded(self):
         a = diag_dominant(20, 0.2, 3)
-        m = CSRMatrix.from_dense(a)
+        m = csr_from_dense(a)
         pat = ilu_symbolic(m.indptr, m.indices, 2)
         assert pat.l_levels.max(initial=0) <= 2
         assert pat.u_levels.max(initial=0) <= 2
@@ -68,7 +69,7 @@ class TestSymbolic:
 class TestNumericCSR:
     def test_full_fill_equals_direct_solve(self, rng):
         a = diag_dominant(25, 0.2, 4)
-        m = CSRMatrix.from_dense(a)
+        m = csr_from_dense(a)
         f = ilu_csr(m, 25)
         b = rng.random(25)
         assert np.allclose(a @ f.solve(b), b, atol=1e-9)
@@ -76,7 +77,7 @@ class TestNumericCSR:
     def test_ilu0_product_matches_a_on_pattern(self):
         """The defining ILU(0) property: (L U)_ij = a_ij on the pattern."""
         a = diag_dominant(15, 0.25, 5)
-        m = CSRMatrix.from_dense(a)
+        m = csr_from_dense(a)
         f = ilu_csr(m, 0)
         n = 15
         L = np.eye(n)
@@ -94,7 +95,7 @@ class TestNumericCSR:
 
     def test_preconditioner_quality_improves_with_fill(self, rng):
         a = diag_dominant(40, 0.15, 6)
-        m = CSRMatrix.from_dense(a)
+        m = csr_from_dense(a)
         b = rng.random(40)
         errs = []
         for k in range(3):
@@ -111,7 +112,7 @@ class TestNumericCSR:
 
     def test_reuse_pattern(self, rng):
         a = diag_dominant(20, 0.2, 7)
-        m = CSRMatrix.from_dense(a)
+        m = csr_from_dense(a)
         pat = ilu_symbolic(m.indptr, m.indices, 1)
         f1 = ilu_csr(m, 1)
         f2 = ilu_csr(m, fill_level=99, pattern=pat)  # pattern wins
@@ -120,7 +121,7 @@ class TestNumericCSR:
 
     def test_fp32_storage_close_and_smaller(self, rng):
         a = diag_dominant(20, 0.2, 8)
-        m = CSRMatrix.from_dense(a)
+        m = csr_from_dense(a)
         f64 = ilu_csr(m, 1)
         f32 = ilu_csr(m, 1, storage_dtype=np.float32)
         b = rng.random(20)
@@ -167,7 +168,7 @@ class TestNumericBSR:
 
     def test_matches_scalar_ilu_when_bs1(self, rng):
         a = diag_dominant(18, 0.25, 9)
-        m = CSRMatrix.from_dense(a)
+        m = csr_from_dense(a)
         bsr1 = BSRMatrix(indptr=m.indptr, indices=m.indices,
                          data=m.data.reshape(-1, 1, 1), nbcols=18)
         b = rng.random(18)
@@ -256,7 +257,7 @@ class TestCompiledSymbolic:
             raise AssertionError("numpy tier reached the compiled kernel")
 
         monkeypatch.setattr(kernels, "ilu_symbolic", forbidden)
-        m = CSRMatrix.from_dense(diag_dominant(12, 0.3, 4))
+        m = csr_from_dense(diag_dominant(12, 0.3, 4))
         want = ilu_symbolic_ref(m.indptr, m.indices, 2)
         got = ilu_csr(m, 2).pattern
         for name in PATTERN_FIELDS:
@@ -302,7 +303,7 @@ class TestCompiledNumeric:
     def test_csr_bitwise_row_loop(self, n, density, k, seed):
         """The scalar C loop divides by the raw pivot and updates in the
         reference's order: bitwise ``ilu_csr_ref``."""
-        m = CSRMatrix.from_dense(diag_dominant(n, density, seed))
+        m = csr_from_dense(diag_dominant(n, density, seed))
         pat = ilu_symbolic(m.indptr, m.indices, k)
         got = ilu_csr(m, pattern=pat, engine="compiled")
         want = ilu_csr_ref(m, pattern=pat)
@@ -416,7 +417,7 @@ class TestTypedFailures:
         # row 2 eliminates to an exact zero pivot
         dense = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0],
                           [4.0, 0.0, 2.0]])
-        m = CSRMatrix.from_dense(dense)
+        m = csr_from_dense(dense)
         with pytest.raises(ZeroDivisionError, match="row 2"):
             ilu_csr(m, 0, engine=engine)
 

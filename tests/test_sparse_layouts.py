@@ -6,8 +6,9 @@ import pytest
 from repro.graph.rcm import bandwidth
 from repro.graph.adjacency import graph_from_csr
 from repro.sparse import (assemble_bsr, block_structure_from_edges,
-                          field_split_csr_from_bsr, interlaced_csr_from_bsr)
+                          field_split_csr_from_bsr)
 from repro.sparse.layouts import field_split_permutation
+from tests.helpers import csr_to_dense
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ class TestBlockStructure:
 
     def test_assembly_places_blocks(self, assembled, rng):
         mesh, a = assembled
-        dense = a.to_csr().to_dense()
+        dense = csr_to_dense(a.to_csr())
         e = mesh.edges[0]
         bs = a.bs
         blk = dense[bs*e[0]:bs*e[0]+bs, bs*e[1]:bs*e[1]+bs]
@@ -56,7 +57,7 @@ class TestFieldSplit:
 
     def test_spmv_equivalent_under_relabeling(self, assembled, rng):
         mesh, a = assembled
-        inter = interlaced_csr_from_bsr(a)
+        inter = a.to_csr()
         split = field_split_csr_from_bsr(a)
         perm = field_split_permutation(a.nbrows, a.bs)
         x = rng.random(a.shape[0])
@@ -68,7 +69,7 @@ class TestFieldSplit:
         """The paper's Eq. 1 premise: noninterlaced storage makes the
         matrix bandwidth comparable to N."""
         mesh, a = assembled
-        inter = interlaced_csr_from_bsr(a)
+        inter = a.to_csr()
         split = field_split_csr_from_bsr(a)
         g_int = graph_from_csr(inter.indptr, inter.indices)
         g_split = graph_from_csr(split.indptr, split.indices)
@@ -78,5 +79,5 @@ class TestFieldSplit:
 
     def test_same_nnz(self, assembled):
         mesh, a = assembled
-        assert (interlaced_csr_from_bsr(a).nnz
+        assert (a.to_csr().nnz
                 == field_split_csr_from_bsr(a).nnz)

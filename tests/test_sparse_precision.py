@@ -4,8 +4,7 @@
   than fp32 is rejected for the Krylov basis and for factor storage;
 * **fp32 storage accuracy** — storing values in fp32 rounds them once
   and every operation widens on load, so the SpMV error lands under
-  the Higham-style
-  :func:`~repro.experiments.eqbounds.storage_roundoff_bound` and the
+  the Higham-style :func:`tests.helpers.storage_roundoff_bound` and the
   ILU solve is perturbed by O(eps_fp32), which pins the error to the
   storage rounding rather than any kernel defect;
 * **traffic pricing** — the bandwidth model prices fp32 values at half
@@ -16,11 +15,11 @@ import numpy as np
 import pytest
 
 from repro.euler import wing_problem
-from repro.experiments.eqbounds import storage_roundoff_bound
 from repro.perfmodel.spmv_model import spmv_traffic_bytes
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.ilu import ilu_bsr, ilu_symbolic
 from repro.sparse.precision import _POLICIES, PrecisionPolicy
+from tests.helpers import storage_roundoff_bound
 
 
 @pytest.fixture(scope="module")

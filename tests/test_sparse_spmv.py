@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sparse import CSRMatrix
+from tests.helpers import csr_from_dense, csr_to_dense
 
 
 @pytest.fixture(scope="module")
@@ -11,13 +11,13 @@ def matrix(rng):
     a = rng.random((40, 40))
     a[a < 0.8] = 0.0
     a += np.eye(40) * 3
-    return CSRMatrix.from_dense(a)
+    return csr_from_dense(a)
 
 
 class TestKernels:
     def test_loop_matches_numpy(self, matrix, rng):
         x = rng.random(40)
-        assert np.allclose(matrix.to_dense() @ x, matrix.matvec(x))
+        assert np.allclose(csr_to_dense(matrix) @ x, matrix.matvec(x))
 
     def test_bsr_kernel(self, rng):
         from tests.test_sparse_bsr import random_bsr

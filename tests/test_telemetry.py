@@ -46,13 +46,13 @@ class TestSpans:
 
     def test_nesting_depth_and_calls(self):
         rec = TraceRecorder()
-        assert rec.depth == 0
+        assert len(rec._stack) == 0
         with rec.span("krylov"):
-            assert rec.depth == 1
+            assert len(rec._stack) == 1
             for _ in range(3):
                 with rec.span("matvec"):
-                    assert rec.depth == 2
-        assert rec.depth == 0
+                    assert len(rec._stack) == 2
+        assert len(rec._stack) == 0
         assert rec.phase_calls("matvec") == 3
         assert rec.phase_calls("krylov") == 1
 
@@ -61,7 +61,7 @@ class TestSpans:
         with pytest.raises(RuntimeError):
             with rec.span("flux"):
                 raise RuntimeError("kernel blew up")
-        assert rec.depth == 0                    # stack not corrupted
+        assert not rec._stack                    # stack not corrupted
         assert rec.phase_calls("flux") == 1      # interval still recorded
         with rec.span("flux"):                   # recorder still usable
             pass
