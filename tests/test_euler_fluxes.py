@@ -9,7 +9,8 @@ from repro.euler.fluxes import (compressible_flux, compressible_flux_jacobian,
                                 compressible_wavespeed, incompressible_flux,
                                 incompressible_flux_jacobian,
                                 incompressible_wavespeed, rusanov_flux,
-                                rusanov_flux_jacobians)
+                                rusanov_flux_jacobians,
+                                rusanov_half_jacobian)
 
 
 def fd_jacobian(flux, q, s, eps=1e-7, **kw):
@@ -127,6 +128,17 @@ class TestRusanov:
         lam = np.maximum(incompressible_wavespeed(ql, s[:10], beta=4.0),
                          incompressible_wavespeed(qr, s[:10], beta=4.0))
         assert np.allclose(diss, 0.5 * lam[:, None] * (qr - ql))
+
+    def test_half_jacobians_split_a_by_dissipation(self, states):
+        """With one state on both sides the left and right Jacobians
+        sum to A and differ by lambda I."""
+        q, _, s = states
+        a = incompressible_flux_jacobian(q, s, beta=4.0)
+        lam = incompressible_wavespeed(q, s, beta=4.0)
+        jl = rusanov_half_jacobian(a, lam)
+        jr = rusanov_half_jacobian(a, -lam)
+        assert np.allclose(jl + jr, a)
+        assert np.allclose(jl - jr, lam[:, None, None] * np.eye(4))
 
     def test_jacobians_match_fd_when_lambda_smooth(self):
         """Away from the max() switch, the frozen-lambda Jacobian is the

@@ -25,6 +25,14 @@ class TestEdgeColoring:
         # Greedy edge coloring uses at most 2*maxdeg - 1 colors.
         assert colors.max() + 1 <= 2 * max_deg - 1
 
+    def test_path_alternates_two_colors(self):
+        """A path's edges are a bipartite line graph: the greedy
+        coloring in path order alternates two colors."""
+        n = 10
+        edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        colors = distance2_edge_coloring(edges, n)
+        assert colors.tolist() == [e % 2 for e in range(n - 1)]
+
     def test_triangle_needs_three(self):
         colors = distance2_edge_coloring(np.array([[0, 1], [1, 2], [0, 2]]), 3)
         assert len(set(colors.tolist())) == 3

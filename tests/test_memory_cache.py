@@ -120,6 +120,14 @@ class TestTLB:
         t = TLBConfig("tlb", 64, 16384)
         assert t.reach_bytes == 1024 * 1024
 
+    def test_cache_view_line_is_page(self):
+        """A TLB simulates as a cache whose line is one page and whose
+        capacity is the reach."""
+        t = TLBConfig("tlb", 64, 16384)
+        cc = tlb_cache_config(t)
+        assert cc.line_bytes == t.page_bytes
+        assert cc.capacity_bytes == t.reach_bytes
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_page_locality_no_misses(self, engine):
         t = make_sim(tlb_cache_config(TLBConfig("tlb", 4, 4096)), engine)

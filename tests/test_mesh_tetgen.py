@@ -64,6 +64,24 @@ class TestBoxMesh:
         # boundary lowers the average.
         assert 8 < m.average_degree < 14
 
+    def test_summary_reports_counts(self):
+        m = unit_cube_mesh(4)
+        text = m.summary()
+        for count in (m.num_vertices, m.num_edges, m.num_tets):
+            assert f" {count} " in text
+        assert f"{m.average_degree:.2f}" in text
+
+    def test_edge_scatter_index_is_cached_flat_index(self):
+        """Component c of an edge's 4-vector at end 1 lands in slot
+        ``edges[e, 1] * 4 + c``; the array is built once per key."""
+        m = unit_cube_mesh(4)
+        idx = m.edge_scatter_index(1, 4)
+        assert idx.shape == (4 * m.num_edges,)
+        assert np.array_equal(idx.reshape(-1, 4),
+                              4 * m.edges[:, 1:2] + np.arange(4))
+        assert m.edge_scatter_index(1, 4) is idx
+        assert np.array_equal(m.edge_scatter_index(0, 1), m.edges[:, 0])
+
 
 class TestWingMesh:
     def test_valid(self, small_wing_mesh):

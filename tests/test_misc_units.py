@@ -10,6 +10,7 @@ from repro.euler.state import (FlowState, compressible_freestream,
                                incompressible_freestream)
 from repro.parallel.netmodel import NetworkModel
 from repro.parallel.rankwork import RankWork
+from repro.parallel.simulate import ParallelTimeline, StepTiming
 
 
 class TestReporting:
@@ -105,6 +106,49 @@ class TestRankWorkDetails:
         w2 = self._work(fill_ratio=2.0)
         assert w2.pcsetup_flops == pytest.approx(4 * w1.pcsetup_flops,
                                                  rel=0.01)
+
+    def test_sparse_phases_below_quarter_flop_per_byte(self):
+        """SpMV and the triangular solves stream their matrix: under
+        0.25 flops per byte, far left of every machine's ridge point."""
+        w = self._work()
+        assert w.spmv_flops / w.spmv_traffic < 0.25
+        assert w.pcapply_flops / w.pcapply_traffic < 0.25
+        assert w.krylov_vector_flops / w.krylov_vector_traffic < 0.25
+
+    def test_fp32_factor_storage_nearly_halves_pcapply_traffic(self):
+        """Table 2's lever: the same flops over half-width factor
+        values."""
+        w8 = self._work(precond_value_bytes=8)
+        w4 = self._work(precond_value_bytes=4)
+        assert w4.pcapply_flops == w8.pcapply_flops
+        assert w4.spmv_traffic == w8.spmv_traffic
+        assert 1.6 < w8.pcapply_traffic / w4.pcapply_traffic < 2.0
+
+    def test_flux_traffic_counts_edges_and_vertices(self):
+        w = self._work()
+        grown = self._work(local_edges=1400)
+        # 2 int32 endpoints + a 3-vector normal per edge
+        assert grown.flux_traffic - w.flux_traffic == 700 * (2 * 4 + 3 * 8)
+
+
+class TestParallelTimeline:
+    def test_totals_sum_the_steps(self):
+        steps = [StepTiming(wall=2.0, compute=1.0, scatter=0.5,
+                            reductions=0.25, implicit_sync=0.25,
+                            linear_its=10, wall_linear=1.5,
+                            wall_pcapply=0.5),
+                 StepTiming(wall=1.0, compute=0.5, scatter=0.25,
+                            reductions=0.125, implicit_sync=0.125,
+                            linear_its=5, wall_linear=0.75,
+                            wall_pcapply=0.25)]
+        tl = ParallelTimeline(nranks=4, steps=steps,
+                              payload_per_linear_it=100.0)
+        assert tl.total_wall == 3.0
+        assert tl.total_linear_its == 15
+        assert tl.total_linear_wall == 2.25
+        assert tl.total_pcapply_wall == 0.75
+        assert tl.total_payload == 1500.0
+        assert sum(tl.category_percent().values()) == pytest.approx(100.0)
 
 
 class TestSolveReport:

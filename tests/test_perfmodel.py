@@ -25,6 +25,12 @@ class TestMachines:
         assert ASCI_RED_PPRO.peak_flops == 333e6
         assert CRAY_T3E_600.peak_flops == 1200e6
 
+    def test_cycle_time(self):
+        assert ORIGIN2000_R10K.cycle_time == pytest.approx(4e-9)
+        for m in MACHINES.values():
+            assert m.peak_flops * m.cycle_time == \
+                pytest.approx(m.flops_per_cycle)
+
     def test_all_bandwidth_bound_for_spmv(self):
         """The paper-era fact: every machine's ridge point (peak flops
         per STREAM byte) is far above SpMV's ~0.15 flops/byte."""
@@ -104,6 +110,15 @@ class TestSpMVModel:
                 assert blocked.total == scalar.total
             else:
                 assert blocked.total < scalar.total
+
+    def test_uncached_x_costs_more(self):
+        """Charging every x gather to memory (the no-reuse regime)
+        moves only the vector term, and moves it up."""
+        hit = spmv_traffic_bytes(1000, 16000, block_size=4)
+        miss = spmv_traffic_bytes(1000, 16000, block_size=4, x_cached=False)
+        assert miss.matrix_bytes == hit.matrix_bytes
+        assert miss.index_bytes == hit.index_bytes
+        assert miss.vector_bytes > hit.vector_bytes
 
     def test_fp32_nearly_halves_traffic(self):
         """Table 2's mechanism in the model."""

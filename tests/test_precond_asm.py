@@ -76,6 +76,19 @@ class TestSetupStructure:
         g2 = AdditiveSchwarz(labels, ASMConfig(overlap=2)).setup(a)
         assert _ghost_rows(g2) > _ghost_rows(g1)
 
+    def test_factor_nnz_grows_with_overlap_and_fill(self, mesh_matrix):
+        mesh, a = mesh_matrix
+        labels = kway_partition(mesh.vertex_graph(), 4, seed=0)
+        pcs = {(delta, k): AdditiveSchwarz(
+                   labels, ASMConfig(overlap=delta, fill_level=k)).setup(a)
+               for delta, k in ((0, 0), (1, 0), (0, 1))}
+        for pc in pcs.values():
+            assert pc.total_factor_nnz() == sum(sd.factor_nnz
+                                                for sd in pc.subdomains)
+        nnz = {key: pc.total_factor_nnz() for key, pc in pcs.items()}
+        assert nnz[1, 0] > nnz[0, 0]
+        assert nnz[0, 1] > nnz[0, 0]
+
     def test_communication_phases(self, mesh_matrix):
         mesh, a = mesh_matrix
         labels = kway_partition(mesh.vertex_graph(), 2, seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sparse.segsum import flat_segment_index, segment_sum
 from tests.helpers import csr_from_dense, csr_to_dense
 
 
@@ -24,3 +25,17 @@ class TestKernels:
         m = random_bsr(6, 3, 0.5, 1)
         x = rng.random(18)
         assert np.allclose(m.matvec(x), m.to_csr() @ x)
+
+
+class TestSegmentSum:
+    def test_precomputed_flat_index_is_the_same_sum(self, rng):
+        """A cached flat index (the edge loops' fast path) adds exactly
+        what the default path adds."""
+        index = rng.integers(0, 7, 50)
+        w = rng.random((50, 3))
+        flat = flat_segment_index(index, 3)
+        expect = np.zeros((7, 3))
+        np.add.at(expect, index, w)
+        assert np.array_equal(segment_sum(index, w, 7, flat_index=flat),
+                              segment_sum(index, w, 7))
+        assert np.allclose(segment_sum(index, w, 7), expect)
