@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
+from repro.sparse.segsum import concat_ranges
 
 __all__ = [
     "bfs_levels",
@@ -62,14 +63,7 @@ def _gather_rows(xadj: np.ndarray, adj: np.ndarray,
                  rows: np.ndarray) -> np.ndarray:
     """The adjacency rows of ``rows``, concatenated in that order."""
     starts = xadj[rows]
-    return adj[_ranges_concat(starts, xadj[rows + 1] - starts)]
-
-
-def _ranges_concat(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ranges [starts[i], starts[i]+counts[i]) vectorised."""
-    offsets = np.cumsum(counts) - counts    # where each range lands
-    return (np.repeat(starts - offsets, counts)
-            + np.arange(int(counts.sum()), dtype=np.int64))
+    return adj[concat_ranges(starts, xadj[rows + 1] - starts)]
 
 
 def sorted_adjacency(graph: Graph,

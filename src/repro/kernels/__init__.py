@@ -9,6 +9,10 @@ the default of :class:`repro.core.SolverConfig` — that the solver
 threads through the discretisation, preconditioners, and SPMD
 executors.  Only kernels a solve runs have a twin: the scalar (AIJ)
 matrices, Table 1's traced baseline, keep their numpy kernels alone.
+Each function below is the whole Python side of its C kernel: it
+checks the operands, allocates the outputs, makes the C call through
+:class:`~repro.kernels.cbackend.CBackend` (the loaded library) and
+reads its status; :data:`__oracles__` names each one's numpy oracle.
 
 Contract:
 
@@ -41,7 +45,6 @@ import numpy as np
 
 from repro.kernels import capability
 from repro.kernels.capability import resolve_engine
-from repro.kernels.cbackend import ILU_OK
 
 __all__ = ["backend_for", "resolve_engine",
            "spmv_bsr", "gather_spmv_bsr", "seq_matvec_bsr", "trisolver",
@@ -49,8 +52,36 @@ __all__ = ["backend_for", "resolve_engine",
            "rusanov_scatter", "green_gauss",
            "muscl_rusanov_scatter", "ilu_symbolic", "ilu_numeric"]
 
-#: Block-size cap of the compiled BSR kernels (C stack buffers).
+#: Compiled kernel -> dotted path(s) of the numpy oracle it must match.
+__oracles__ = {
+    "spmv_bsr": "repro.sparse.bsr.BSRMatrix.matvec",
+    "gather_spmv_bsr": "repro.parallel.spmd.rank_matvec",
+    "seq_matvec_bsr": "repro.parallel.spmd.distributed_matvec",
+    "trisolver": ("repro.sparse.trisolve.lower_solve_blocks",
+                  "repro.sparse.trisolve.upper_solve_blocks_inplace"),
+    "ilu_symbolic": "repro.sparse.ilu.ilu_symbolic_ref",
+    "ilu_numeric": "repro.sparse.ilu.ilu_bsr_ref",
+    "rusanov_jacobian_scatter": "repro.euler.fluxes.rusanov_flux_jacobians",
+    "boundary_closure": "repro.euler.discretization.EdgeFVDiscretization."
+                        "_add_boundary_residual",
+    "rusanov_scatter": "repro.euler.fluxes.rusanov_flux",
+    "green_gauss": "repro.euler.reconstruction.green_gauss_gradients",
+    "muscl_rusanov_scatter":
+        "repro.euler.reconstruction.reconstruct_edge_states",
+}
+
+#: Block-size cap of the compiled BSR kernels (the C source's MAX_BS:
+#: its stack buffers).
 MAX_BS = 32
+
+#: Status codes of the ILU kernels (the ``ILU_*`` enum of the C source):
+#: success, an A column outside ``[0, n)``; a status >= 0 is the row
+#: whose pivot is zero or singular, any other an output buffer full.
+ILU_OK, ILU_BAD_COLUMN = -1, -2
+
+#: Flux families the edge kernels compile: model -> (ncomp, the suffix
+#: of its C symbols).
+_MODELS = {"incompressible": (4, "_inc"), "compressible": (5, "_comp")}
 
 
 def backend_for(engine: str):
@@ -93,7 +124,10 @@ def _i64(a: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# dispatchers — None/False means "run the numpy oracle instead"
+# kernels — None/False means "run the numpy oracle instead"; the C
+# matrix kernels return the first row (block, rank) with an index out
+# of range and the edge kernels the first such edge, else -1, and a
+# partial output is dropped
 # ----------------------------------------------------------------------
 
 def _blocks_ok(data, nnzb, x, nrows=None) -> bool:
@@ -121,7 +155,12 @@ def spmv_bsr(indptr, indices, data, x, nbrows, nbcols, engine):
     if (data is None or x is None
             or not _blocks_ok(data, indices.size, x, int(nbcols))):
         return None
-    return backend.spmv_bsr(indptr, indices, data, x, int(nbrows))
+    bs, nbrows, p = data.shape[1], int(nbrows), backend.ptr
+    y = np.empty(nbrows * bs)
+    bad = backend.lib.spmv_bsr_f64(
+        nbrows, bs, x.size // bs, data.shape[0], p(indptr), p(indices),
+        p(data), p(x), p(y, True))
+    return None if bad >= 0 else y
 
 
 def gather_spmv_bsr(data, cols, seg, x, n_owned, engine):
@@ -137,7 +176,12 @@ def gather_spmv_bsr(data, cols, seg, x, n_owned, engine):
     if (data is None or x is None or seg.shape != cols.shape
             or not _blocks_ok(data, cols.size, x)):
         return None
-    return backend.gather_spmv_bsr(data, cols, seg, x, int(n_owned))
+    bs, n_owned, p = data.shape[1], int(n_owned), backend.ptr
+    y = np.zeros((n_owned, bs))
+    bad = backend.lib.gather_spmv_bsr_f64(
+        cols.size, bs, x.size // bs, n_owned, p(cols), p(seg), p(data),
+        p(x), p(y, True))
+    return None if bad >= 0 else y
 
 
 def seq_matvec_bsr(home, row_off, ghost_off, ghost_src, blk_off, flat, cols,
@@ -172,8 +216,18 @@ def seq_matvec_bsr(home, row_off, ghost_off, ghost_src, blk_off, flat, cols,
             or not row_off.shape == ghost_off.shape == blk_off.shape
             or not flat.shape == cols.shape == seg.shape):
         return None
-    return backend.seq_matvec_bsr(home, row_off, ghost_off, ghost_src,
-                                  blk_off, flat, cols, seg, data, x)
+    bs, p = data.shape[1], backend.ptr
+    nranks, nrows = row_off.size - 1, int(row_off[-1])
+    # the flat buffer of every rank's rows and its products
+    buf, ybuf = np.empty(nrows * bs), np.zeros(nrows * bs)
+    y = np.empty(home.size * bs)
+    times = np.zeros((nranks, 2))
+    bad = backend.lib.seq_matvec_bsr_f64(
+        nranks, bs, home.size, nrows, ghost_src.size, cols.size,
+        data.shape[0], *map(p, (home, row_off, ghost_off, ghost_src,
+                                blk_off, flat, cols, seg, data, x)),
+        *(p(a, True) for a in (buf, ybuf, y, times)))
+    return None if bad >= 0 else (y, times)
 
 
 def trisolver(indptr, indices, data, inv_diag, bs, backend):
@@ -205,13 +259,24 @@ def trisolver(indptr, indices, data, inv_diag, bs, backend):
     indptr, indices = _i64(indptr), _i64(indices)
     if data is None or data.shape != indices.shape + blk:
         return None
+    n, p = indptr.size - 1, backend.ptr
+    args = (n, bs, indices.size, p(indptr), p(indices), p(data))
     if inv_diag is None:
-        return backend.lower_solver(indptr, indices, data, bs)
-    inv_diag = _column_major(np.asarray(inv_diag))
-    if (inv_diag is None or inv_diag.dtype != data.dtype
-            or inv_diag.shape != (indptr.size - 1,) + blk):
-        return None
-    return backend.upper_solver(indptr, indices, data, inv_diag, bs)
+        side = "lower"
+    else:
+        inv_diag = _column_major(np.asarray(inv_diag))
+        if (inv_diag is None or inv_diag.dtype != data.dtype
+                or inv_diag.shape != (n,) + blk):
+            return None
+        side, args = "upper", args + (p(inv_diag),)
+    prec = "f32" if data.dtype == np.float32 else "f64"
+    fn = getattr(backend.lib, f"{side}_solve_bsr_{prec}")
+    size = n * bs
+
+    def solve(x):
+        return (x.dtype == np.float64 and x.flags.c_contiguous
+                and x.size == size and fn(*args, p(x, True)) < 0)
+    return solve
 
 
 def ilu_symbolic(indptr, indices, fill_level, engine):
@@ -226,7 +291,27 @@ def ilu_symbolic(indptr, indices, fill_level, engine):
     indptr, indices = _i64(indptr), _i64(indices)
     if not _csr_structure_ok(indptr, indices.size):
         return None
-    return backend.ilu_symbolic(indptr, indices, int(fill_level))
+    n, fill_level, p = indptr.size - 1, int(fill_level), backend.ptr
+    # Output capacity starts at the ILU(0) size times fill_level + 1
+    # and doubles until the pattern fits: one or two builds a pattern.
+    cap = (indices.size + n) * (fill_level + 1)
+    while True:
+        l_ptr, u_ptr, nxt = (np.empty(n + 1, dtype=np.int64)
+                             for _ in range(3))
+        l_idx, l_lev, u_idx, u_lev = (np.empty(cap, dtype=np.int64)
+                                      for _ in range(4))
+        lev = np.full(n, -1, dtype=np.int64)
+        status = backend.lib.ilu_symbolic_i64(
+            n, fill_level, p(indptr), p(indices), cap, cap,
+            *(p(a, True) for a in (l_ptr, l_idx, l_lev, u_ptr, u_idx, u_lev,
+                                   lev, nxt)))
+        if status == ILU_OK:
+            nl, nu = int(l_ptr[-1]), int(u_ptr[-1])
+            return (l_ptr, l_idx[:nl].copy(), l_lev[:nl].copy(),
+                    u_ptr, u_idx[:nu].copy(), u_lev[:nu].copy())
+        if status == ILU_BAD_COLUMN:
+            return None
+        cap *= 2
 
 
 def ilu_numeric(pattern, indptr, indices, data, engine):
@@ -258,24 +343,30 @@ def ilu_numeric(pattern, indptr, indices, data, engine):
         if (ptr.size != n + 1 or not _csr_structure_ok(ptr, idx.size)
                 or (idx.size and (idx.min() < 0 or idx.max() >= n))):
             return None
-    status, l_data, u_data, inv_diag = backend.ilu_numeric(
-        n, *tri, indptr, indices, data)
+    l_iptr, l_idx, u_iptr, u_idx = tri
+    bs, p = data.shape[1], backend.ptr
+    factors = [np.empty((m, bs, bs)) for m in (l_idx.size, u_idx.size, n)]
+    width = int((np.diff(l_iptr) + np.diff(u_iptr)).max(initial=0)) + 1
+    pos = np.full(n, -1, dtype=np.int64)
+    # the working row: block columns padded to a multiple of 8 lanes
+    w = np.empty(width * bs * (-(-bs // 8) * 8))
+    status = backend.lib.ilu_numeric_f64(
+        n, bs, *map(p, (l_iptr, l_idx, u_iptr, u_idx, indptr, indices,
+                        data)),
+        *(p(a, True) for a in (*factors, pos, w)))
     if status >= 0:
         raise np.linalg.LinAlgError(
             f"singular pivot block in block ILU at row {status}")
     if status != ILU_OK:
         return None
-    return l_data, u_data, inv_diag
+    # C wrote each block column-major: the [r, c] views
+    return tuple(a.transpose(0, 2, 1) for a in factors)
 
 
 def _csr_structure_ok(indptr, nnz) -> bool:
     """Row pointers a C row loop can trust: 0 .. nnz, non-decreasing."""
     return (indptr.size >= 1 and indptr[0] == 0 and indptr[-1] == nnz
             and bool(np.all(indptr[1:] >= indptr[:-1])))
-
-
-#: Flux families the fused Rusanov kernel compiles (model id, ncomp).
-_RUSANOV_MODELS = {"incompressible": 4, "compressible": 5}
 
 
 def rusanov_scatter(e0, e1, ql, qr, s, n, model, param, engine):
@@ -294,9 +385,9 @@ def rusanov_scatter(e0, e1, ql, qr, s, n, model, param, engine):
     backend = backend_for(engine)
     if backend is None:
         return None
-    ncomp = _RUSANOV_MODELS.get(model)
-    if ncomp is None:
+    if model not in _MODELS:
         return None
+    ncomp, suffix = _MODELS[model]
     ql = _f64(np.asarray(ql))
     qr = _f64(np.asarray(qr))
     s = _f64(np.asarray(s))
@@ -307,8 +398,12 @@ def rusanov_scatter(e0, e1, ql, qr, s, n, model, param, engine):
     e0, e1 = _i64(e0), _i64(e1)
     if not e0.shape == e1.shape == ql.shape[:1] or s.shape != (e0.size, 3):
         return None
-    return backend.rusanov_scatter(e0, e1, ql, qr, s, int(n), model,
-                                   float(param))
+    n, p = int(n), backend.ptr
+    out_a, out_b = np.zeros((n, ncomp)), np.zeros((n, ncomp))
+    bad = getattr(backend.lib, "rusanov_scatter" + suffix)(
+        e0.size, n, *map(p, (e0, e1, ql, qr, s)), float(param),
+        p(out_a, True), p(out_b, True))
+    return None if bad >= 0 else (out_a, out_b)
 
 
 def boundary_closure(q, r, rows, normals, qinf, model, param, engine) -> bool:
@@ -329,9 +424,9 @@ def boundary_closure(q, r, rows, normals, qinf, model, param, engine) -> bool:
     backend = backend_for(engine)
     if backend is None:
         return False
-    ncomp = _RUSANOV_MODELS.get(model)
-    if ncomp is None or qinf is None:
+    if model not in _MODELS or qinf is None:
         return False
+    ncomp, suffix = _MODELS[model]
     q = _f64(np.asarray(q))
     normals = _f64(np.asarray(normals))
     qinf = _f64(np.asarray(qinf))
@@ -346,9 +441,11 @@ def boundary_closure(q, r, rows, normals, qinf, model, param, engine) -> bool:
     if not (wall_rows.ndim == 1 and wall_rows.shape == wall_idx.shape
             and far_rows.ndim == 1 and far_rows.shape == far_idx.shape):
         return False
-    return backend.boundary_closure(q, r, wall_rows, wall_idx, far_rows,
-                                    far_idx, normals, qinf, model,
-                                    float(param))
+    p = backend.ptr
+    return getattr(backend.lib, "boundary_closure" + suffix)(
+        q.shape[0], normals.shape[0], wall_rows.size, p(wall_rows),
+        p(wall_idx), far_rows.size, p(far_rows), p(far_idx),
+        *map(p, (q, normals, qinf)), float(param), p(r, True)) < 0
 
 
 def green_gauss(e0, e1, q, s, bnd, vol, engine):
@@ -376,7 +473,12 @@ def green_gauss(e0, e1, q, s, bnd, vol, engine):
     if (e0.shape != e1.shape or s.shape != (e0.size, 3)
             or bnd.shape != (n, 3) or vol.shape != (n,)):
         return None
-    return backend.green_gauss(e0, e1, q, s, bnd, vol)
+    ncomp, p = q.shape[1], backend.ptr
+    grad, acc_b = np.zeros((n, ncomp, 3)), np.zeros((n, ncomp, 3))
+    bad = backend.lib.green_gauss_f64(
+        e0.size, n, ncomp, *map(p, (e0, e1, q, s, bnd, vol)),
+        p(grad, True), p(acc_b, True))
+    return None if bad >= 0 else grad
 
 
 #: Limiter name (the values of
@@ -402,10 +504,10 @@ def muscl_rusanov_scatter(e0, e1, q, grad, coords, s, limiter, model,
     backend = backend_for(engine)
     if backend is None:
         return None
-    ncomp = _RUSANOV_MODELS.get(model)
     code = _LIMITERS.get(limiter)
-    if ncomp is None or code is None:
+    if model not in _MODELS or code is None:
         return None
+    ncomp, suffix = _MODELS[model]
     q = _f64(np.asarray(q))
     grad = _f64(np.asarray(grad))
     coords = _f64(np.asarray(coords))
@@ -418,8 +520,12 @@ def muscl_rusanov_scatter(e0, e1, q, grad, coords, s, limiter, model,
             or coords.shape != (n, 3) or e0.shape != e1.shape
             or s.shape != (e0.size, 3)):
         return None
-    return backend.muscl_rusanov_scatter(e0, e1, q, grad, coords, s, code,
-                                         model, float(param))
+    p = backend.ptr
+    out_a, out_b = np.zeros((n, ncomp)), np.zeros((n, ncomp))
+    bad = getattr(backend.lib, "muscl_rusanov_scatter" + suffix)(
+        e0.size, n, *map(p, (e0, e1, q, grad, coords, s)), code,
+        float(param), p(out_a, True), p(out_b, True))
+    return None if bad >= 0 else (out_a, out_b)
 
 
 def rusanov_jacobian_scatter(e0, e1, ij_slots, ji_slots, q, s, nnzb, model,
@@ -444,9 +550,9 @@ def rusanov_jacobian_scatter(e0, e1, ij_slots, ji_slots, q, s, nnzb, model,
     backend = backend_for(engine)
     if backend is None:
         return None
-    ncomp = _RUSANOV_MODELS.get(model)
-    if ncomp is None:
+    if model not in _MODELS:
         return None
+    ncomp, suffix = _MODELS[model]
     q = _f64(np.asarray(q))
     s = _f64(np.asarray(s))
     if q is None or s is None or q.ndim != 2 or q.shape[1] != ncomp:
@@ -456,5 +562,13 @@ def rusanov_jacobian_scatter(e0, e1, ij_slots, ji_slots, q, s, nnzb, model,
     if (not e0.shape == e1.shape == ij_slots.shape == ji_slots.shape
             or s.shape != (e0.size, 3)):
         return None
-    return backend.rusanov_jacobian_scatter(e0, e1, ij_slots, ji_slots, q, s,
-                                            int(nnzb), model, float(param))
+    n, nnzb, p = q.shape[0], int(nnzb), backend.ptr
+    blk = (ncomp, ncomp)
+    data = np.zeros((nnzb,) + blk)
+    acc_a, acc_b = np.zeros((n,) + blk), np.zeros((n,) + blk)
+    lam_a, lam_b = np.zeros(n), np.zeros(n)
+    bad = getattr(backend.lib, "rusanov_jacobian_scatter" + suffix)(
+        e0.size, n, nnzb, *map(p, (e0, e1, ij_slots, ji_slots, q, s)),
+        float(param), *(p(a, True) for a in (data, acc_a, acc_b, lam_a,
+                                             lam_b)))
+    return None if bad >= 0 else (data, acc_a - acc_b, lam_a + lam_b)

@@ -1,4 +1,6 @@
-"""cffi-compiled C backend for the hot kernels.
+"""cffi-compiled C backend for the hot kernels: the C source, its
+build, and :class:`CBackend`, the loaded library that the functions of
+:mod:`repro.kernels` call.
 
 Each C function mirrors its numpy oracle's accumulation structure so
 the equivalence contract is provable, not hoped for:
@@ -22,9 +24,9 @@ the equivalence contract is provable, not hoped for:
   block **column-major** (the factor's ``(nnz, bs, bs)`` arrays are
   transposed views of those buffers, so every reader sees the same
   ``[r, c]`` blocks), and the block triangular solves read them in
-  place; a triangle's pointers are made once (``lower_solver`` /
-  ``upper_solver`` return the solve of one triangle), so a factor's
-  solve converts only its right-hand side;
+  place; a triangle's pointers are made once
+  (:func:`repro.kernels.trisolver` returns the solve of one triangle),
+  so a factor's solve converts only its right-hand side;
 * those three kernels work on whole block columns in gcc vector types:
   the ILU keeps its working row as column-major blocks padded to 4
   lanes (bs <= 4) or a multiple of 8 (bs > 4), holds the multiplier's
@@ -83,25 +85,6 @@ import sys
 import numpy as np
 
 __all__ = ["load_cbackend", "CBackend"]
-
-#: Compiled symbol -> dotted path of the numpy oracle it must match.
-__oracles__ = {
-    "spmv_bsr": "repro.sparse.bsr.BSRMatrix.matvec",
-    "gather_spmv_bsr": "repro.parallel.spmd.rank_matvec",
-    "seq_matvec_bsr": "repro.parallel.spmd.distributed_matvec",
-    "lower_solver": "repro.sparse.trisolve.lower_solve_blocks",
-    "upper_solver": "repro.sparse.trisolve.upper_solve_blocks_inplace",
-    "ilu_symbolic": "repro.sparse.ilu.ilu_symbolic_ref",
-    "ilu_numeric": "repro.sparse.ilu.ilu_bsr_ref",
-    "rusanov_jacobian_scatter": "repro.euler.fluxes.rusanov_flux_jacobians",
-    "boundary_closure": "repro.euler.discretization.EdgeFVDiscretization."
-                        "_add_boundary_residual",
-    "rusanov_scatter": "repro.euler.fluxes.rusanov_flux",
-    "green_gauss": "repro.euler.reconstruction.green_gauss_gradients",
-    "muscl_rusanov_scatter":
-        "repro.euler.reconstruction.reconstruct_edge_states",
-    "load_cbackend": "repro.kernels.capability.resolve_engine",
-}
 
 _CDEF = """
 long long spmv_bsr_f64(long long nbrows, long long bs, long long nbcols,
@@ -1214,9 +1197,6 @@ MUSCL_RUSANOV_SCATTER(muscl_rusanov_scatter_inc, 4, rusanov_face_inc)
 MUSCL_RUSANOV_SCATTER(muscl_rusanov_scatter_comp, 5, rusanov_face_comp)
 """
 
-#: Block-size cap of the stack buffers in the BSR C kernels.
-MAX_BS = 32
-
 #: x86-64 levels the library can be built for, widest first, each with
 #: every CPU feature it needs (psABI level table, spelt as Linux's
 #: /proc/cpuinfo spells them: ``abm`` is LZCNT); x86-64-v2 is in v3.
@@ -1253,12 +1233,6 @@ BASE_ARGS = ("-O2", "-ffp-contract=off", "-fvect-cost-model=dynamic")
 _HOST_ISA = _host_isa()
 COMPILE_ARGS = BASE_ARGS + ((f"-march={_HOST_ISA}",) if _HOST_ISA else ())
 
-#: Status codes of the ILU kernels (the ``ILU_*`` enum of the C source):
-#: success, an A column outside ``[0, n)``; a status >= 0 is the row
-#: whose pivot is zero or singular, any other an output buffer full.
-ILU_OK, ILU_BAD_COLUMN = -1, -2
-
-
 def _module_name(flags=COMPILE_ARGS) -> str:
     """Extension name of a build: a digest of the C declarations, the C
     source and the compile flags, so a change to any of them builds
@@ -1279,232 +1253,29 @@ def _cache_dir() -> str:
     return path
 
 
-class CBackend:
-    """Thin zero-copy wrappers around the compiled library.
+#: The C element type of each dtype the kernels take.
+_CTYPES = {np.dtype(np.float64): "double[]", np.dtype(np.float32): "float[]",
+           np.dtype(np.int64): "long long[]"}
 
-    All methods expect the dispatch layer (:mod:`repro.kernels`) to
-    have validated dtypes and made the arrays C-contiguous; they only
-    translate numpy buffers to pointers and call C.  The edge kernels
-    return the first edge with an endpoint outside ``[0, n)``, or -1:
-    on an offending edge the partial outputs are dropped and the method
-    returns None (the dispatcher declines).
+
+class CBackend:
+    """The loaded library: its cffi ``ffi`` and ``lib``, and the ISA
+    level it was built for.  The kernels' Python side — operand checks,
+    output buffers, the C call and its status — is :mod:`repro.kernels`.
     """
 
-    name = "c"
-
     def __init__(self, ffi, lib, isa: str = "default") -> None:
-        self._ffi = ffi
-        self._lib = lib
+        self.ffi = ffi
+        self.lib = lib
         #: the level the library was built for: the ``-march`` of its
         #: flags (``"x86-64-v4"``, ``"x86-64-v3"``) or ``"default"``
         self.isa = isa
 
-    # -- pointer helpers ------------------------------------------------
-    def _pd(self, a):
-        return self._ffi.from_buffer("double[]", a)
-
-    def _pdw(self, a):
-        return self._ffi.from_buffer("double[]", a, require_writable=True)
-
-    def _pf(self, a):
-        return self._ffi.from_buffer("float[]", a)
-
-    def _pi(self, a):
-        return self._ffi.from_buffer("long long[]", a)
-
-    def _piw(self, a):
-        return self._ffi.from_buffer("long long[]", a, require_writable=True)
-
-    # -- kernels --------------------------------------------------------
-    # The matrix kernels return the first row (block) with an index out
-    # of range, or -1: the SpMVs then drop their partial output and
-    # return None, the in-place trisolves return False.
-    def spmv_bsr(self, indptr, indices, data, x, nbrows):
-        bs = data.shape[1]
-        y = np.empty(nbrows * bs, dtype=np.float64)
-        bad = self._lib.spmv_bsr_f64(
-            nbrows, bs, x.size // bs, data.shape[0], self._pi(indptr),
-            self._pi(indices), self._pd(data), self._pd(x), self._pdw(y))
-        return None if bad >= 0 else y
-
-    def gather_spmv_bsr(self, data, cols, seg, x, n_owned):
-        bs = data.shape[1]
-        y = np.zeros((n_owned, bs), dtype=np.float64)
-        bad = self._lib.gather_spmv_bsr_f64(
-            cols.size, bs, x.size // bs, n_owned, self._pi(cols),
-            self._pi(seg), self._pd(data), self._pd(x), self._pdw(y))
-        return None if bad >= 0 else y
-
-    def seq_matvec_bsr(self, home, row_off, ghost_off, ghost_src, blk_off,
-                       flat, cols, seg, data, x):
-        """``(y, times)``: the seq matvec of every rank in one C call,
-        through flat buffers made here; ``times[r]`` is rank ``r``'s
-        ``(refresh, matvec)`` seconds."""
-        bs = data.shape[1]
-        nranks = row_off.size - 1
-        nrows = int(row_off[-1])
-        buf = np.empty(nrows * bs, dtype=np.float64)
-        ybuf = np.zeros(nrows * bs, dtype=np.float64)
-        y = np.empty(home.size * bs, dtype=np.float64)
-        times = np.zeros((nranks, 2), dtype=np.float64)
-        bad = self._lib.seq_matvec_bsr_f64(
-            nranks, bs, home.size, nrows, ghost_src.size, cols.size,
-            data.shape[0], *map(self._pi, (home, row_off, ghost_off,
-                                           ghost_src, blk_off, flat, cols,
-                                           seg)),
-            self._pd(data), self._pd(x),
-            *map(self._pdw, (buf, ybuf, y, times)))
-        return None if bad >= 0 else (y, times)
-
-    def _factor_fn(self, name, data):
-        """The ``_f32`` or ``_f64`` symbol of ``name`` for the factor
-        dtype, with its pointer helper."""
-        if data.dtype == np.float32:
-            return getattr(self._lib, name + "_f32"), self._pf
-        return getattr(self._lib, name + "_f64"), self._pd
-
-    def lower_solver(self, indptr, indices, data, bs):
-        """:meth:`_solver` of the unit lower triangle."""
-        return self._solver("lower", bs, indptr, indices, data)
-
-    def upper_solver(self, indptr, indices, data, inv_diag, bs):
-        """:meth:`_solver` of the upper triangle."""
-        return self._solver("upper", bs, indptr, indices, data, inv_diag)
-
-    def _solver(self, side, bs, indptr, indices, data, *inv_diag):
-        """``solve(x) -> bool``: the C solve of one block triangle on
-        these operands, their pointers made once here; each call checks
-        ``x`` (float64, C-contiguous, sized to the rows) and makes one C
-        call, False on an index out of range."""
-        fn, pd = self._factor_fn(f"{side}_solve_bsr", data)
-        n = indptr.size - 1
-        size = n * bs
-        args = ((n, bs, indices.size, self._pi(indptr), self._pi(indices),
-                 pd(data)) + tuple(pd(a) for a in inv_diag))
-        pdw = self._pdw
-
-        def solve(x):
-            return (x.dtype == np.float64 and x.flags.c_contiguous
-                    and x.size == size and fn(*args, pdw(x)) < 0)
-        return solve
-
-    # -- ILU(k) ----------------------------------------------------------
-    def ilu_symbolic(self, indptr, indices, fill_level):
-        """The six pattern arrays ``(l_indptr, l_indices, l_levels,
-        u_indptr, u_indices, u_levels)``, or None for a column outside
-        ``[0, n)``.  Output capacity starts at the ILU(0) size times
-        ``fill_level + 1`` and doubles until the pattern fits."""
-        n = indptr.size - 1
-        cap = (indices.size + n) * (fill_level + 1)
-        # Capacity doubling: one or two builds per pattern.
-        while True:
-            l_ptr = np.empty(n + 1, dtype=np.int64)
-            u_ptr = np.empty(n + 1, dtype=np.int64)
-            l_idx, l_lev, u_idx, u_lev = (np.empty(cap, dtype=np.int64)
-                                          for _ in range(4))
-            lev = np.full(n, -1, dtype=np.int64)
-            nxt = np.empty(n + 1, dtype=np.int64)
-            status = self._lib.ilu_symbolic_i64(
-                n, fill_level, self._pi(indptr), self._pi(indices), cap, cap,
-                *map(self._piw, (l_ptr, l_idx, l_lev, u_ptr, u_idx, u_lev,
-                                 lev, nxt)))
-            if status == ILU_OK:
-                nl, nu = int(l_ptr[-1]), int(u_ptr[-1])
-                return (l_ptr, l_idx[:nl].copy(), l_lev[:nl].copy(),
-                        u_ptr, u_idx[:nu].copy(), u_lev[:nu].copy())
-            if status == ILU_BAD_COLUMN:
-                return None
-            cap *= 2
-
-    def ilu_numeric(self, n, l_iptr, l_idx, u_iptr, u_idx, indptr, indices,
-                    data):
-        """``(status, l_data, u_data, inv_diag)`` of the numeric block
-        ILU of ``data`` (``(nnz, bs, bs)``) on the pattern's L / U
-        structure; the arrays are only meaningful for ``ILU_OK``."""
-        bs = data.shape[1]
-        blk = (bs, bs)
-        l_data = np.empty((l_idx.size,) + blk, dtype=np.float64)
-        u_data = np.empty((u_idx.size,) + blk, dtype=np.float64)
-        inv_diag = np.empty((n,) + blk, dtype=np.float64)
-        width = int((np.diff(l_iptr) + np.diff(u_iptr)).max(initial=0)) + 1
-        pos = np.full(n, -1, dtype=np.int64)
-        # the working row: block columns padded to a multiple of 8 lanes
-        w = np.empty(width * bs * (-(-bs // 8) * 8), dtype=np.float64)
-        status = self._lib.ilu_numeric_f64(
-            n, bs, self._pi(l_iptr), self._pi(l_idx), self._pi(u_iptr),
-            self._pi(u_idx), self._pi(indptr), self._pi(indices),
-            self._pd(data), self._pdw(l_data), self._pdw(u_data),
-            self._pdw(inv_diag), self._piw(pos), self._pdw(w))
-        # C wrote each block column-major: the [r, c] views
-        return status, *(a.transpose(0, 2, 1)
-                         for a in (l_data, u_data, inv_diag))
-
-    # -- first-order Jacobian: flux Jacobians + slot scatter -----------
-    def rusanov_jacobian_scatter(self, e0, e1, ij_slots, ji_slots, q, s,
-                                 nnzb, model, param):
-        n, ncomp = q.shape
-        blk = (ncomp, ncomp)
-        data = np.zeros((nnzb,) + blk, dtype=np.float64)
-        acc_a, acc_b = (np.zeros((n,) + blk, dtype=np.float64)
-                        for _ in range(2))
-        lam_a, lam_b = (np.zeros(n, dtype=np.float64) for _ in range(2))
-        fn = (self._lib.rusanov_jacobian_scatter_inc
-              if model == "incompressible"
-              else self._lib.rusanov_jacobian_scatter_comp)
-        bad = fn(e0.size, n, nnzb, self._pi(e0), self._pi(e1),
-                 self._pi(ij_slots), self._pi(ji_slots), self._pd(q),
-                 self._pd(s), param, self._pdw(data),
-                 *map(self._pdw, (acc_a, acc_b, lam_a, lam_b)))
-        return None if bad >= 0 else (data, acc_a - acc_b, lam_a + lam_b)
-
-    # -- boundary closure, in place on the residual rows -----------------
-    def boundary_closure(self, q, r, wall_rows, wall_idx, far_rows, far_idx,
-                         normals, qinf, model, param):
-        """True when the closure was added to ``r``; False (``r``
-        untouched) on a row or normal index out of range."""
-        fn = (self._lib.boundary_closure_inc if model == "incompressible"
-              else self._lib.boundary_closure_comp)
-        return fn(q.shape[0], normals.shape[0], wall_rows.size,
-                  self._pi(wall_rows), self._pi(wall_idx), far_rows.size,
-                  self._pi(far_rows), self._pi(far_idx), self._pd(q),
-                  self._pd(normals), self._pd(qinf), param,
-                  self._pdw(r)) < 0
-
-    # -- fused Rusanov flux + scatter ----------------------------------
-    def rusanov_scatter(self, e0, e1, ql, qr, s, n, model, param):
-        ncomp = ql.shape[1]
-        out_a = np.zeros((n, ncomp), dtype=np.float64)
-        out_b = np.zeros((n, ncomp), dtype=np.float64)
-        fn = (self._lib.rusanov_scatter_inc if model == "incompressible"
-              else self._lib.rusanov_scatter_comp)
-        bad = fn(ql.shape[0], n, self._pi(e0), self._pi(e1), self._pd(ql),
-                 self._pd(qr), self._pd(s), param, self._pdw(out_a),
-                 self._pdw(out_b))
-        return None if bad >= 0 else (out_a, out_b)
-
-    # -- second-order residual: gradients, then MUSCL + flux + scatter --
-    def green_gauss(self, e0, e1, q, s, bnd, vol):
-        n, ncomp = q.shape
-        grad = np.zeros((n, ncomp, 3), dtype=np.float64)
-        acc_b = np.zeros((n, ncomp, 3), dtype=np.float64)
-        bad = self._lib.green_gauss_f64(
-            e0.size, n, ncomp, self._pi(e0), self._pi(e1), self._pd(q),
-            self._pd(s), self._pd(bnd), self._pd(vol), self._pdw(grad),
-            self._pdw(acc_b))
-        return None if bad >= 0 else grad
-
-    def muscl_rusanov_scatter(self, e0, e1, q, grad, coords, s, limiter,
-                              model, param):
-        n, ncomp = q.shape
-        out_a = np.zeros((n, ncomp), dtype=np.float64)
-        out_b = np.zeros((n, ncomp), dtype=np.float64)
-        fn = (self._lib.muscl_rusanov_scatter_inc
-              if model == "incompressible"
-              else self._lib.muscl_rusanov_scatter_comp)
-        bad = fn(e0.size, n, self._pi(e0), self._pi(e1), self._pd(q),
-                 self._pd(grad), self._pd(coords), self._pd(s), limiter,
-                 param, self._pdw(out_a), self._pdw(out_b))
-        return None if bad >= 0 else (out_a, out_b)
+    def ptr(self, a, out: bool = False):
+        """The C pointer to ``a``'s buffer (float64, float32 or int64,
+        C-contiguous); ``out`` for a buffer the kernel writes."""
+        return self.ffi.from_buffer(_CTYPES[a.dtype], a,
+                                    require_writable=out)
 
 
 def load_cbackend(flags=COMPILE_ARGS) -> CBackend:

@@ -14,7 +14,6 @@ from repro.memory.cache import CacheConfig, CacheSim
 from repro.memory.fastsim import FastCacheSim, simulate_trace
 from repro.memory.tlb import TLBConfig, tlb_sim
 from repro.memory.hierarchy import MemoryHierarchy, HierarchyCounters
-from repro.memory.counters import hierarchy_counters
 from repro.memory.trace import (
     TraceLayout,
     spmv_csr_trace,
@@ -31,7 +30,6 @@ __all__ = [
     "tlb_sim",
     "MemoryHierarchy",
     "HierarchyCounters",
-    "hierarchy_counters",
     "TraceLayout",
     "spmv_csr_trace",
     "spmv_bsr_trace",

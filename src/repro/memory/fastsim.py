@@ -60,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memory.cache import CacheConfig, CacheCounters
-from repro.sparse.segsum import concat_ranges
+from repro.sparse.segsum import concat_ranges, run_starts
 
 __all__ = ["FastCacheSim", "simulate_trace"]
 
@@ -77,15 +77,6 @@ _CHUNK = 1 << 16
 # ----------------------------------------------------------------------
 # core combinatorial kernels
 # ----------------------------------------------------------------------
-
-def _adjacent_keep_mask(x: np.ndarray) -> np.ndarray:
-    """True where ``x[i] != x[i-1]`` (first element always kept)."""
-    keep = np.empty(x.size, dtype=bool)
-    if x.size:
-        keep[0] = True
-        np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return keep
-
 
 def _stable_argsort(x: np.ndarray) -> np.ndarray:
     """Stable argsort, downcast to feed numpy's radix path fewer bytes.
@@ -199,7 +190,7 @@ def _lru_miss_positions(clines: np.ndarray, nsets: int, assoc: int
         pos = np.argsort(sets, kind="stable")
         clines = clines[pos]
         ss = sets[pos]
-        keep2 = _adjacent_keep_mask(clines)
+        keep2 = run_starts(clines)
         if not keep2.all():
             clines = clines[keep2]
             pos = pos[keep2]
@@ -308,7 +299,7 @@ class FastCacheSim:
         # Collapse consecutive same-line references (guaranteed hits)
         # before splicing in the warm stack, so all downstream passes
         # run on the smaller array.
-        keep = _adjacent_keep_mask(lines)
+        keep = run_starts(lines)
         npre = self._stack.size
         if npre and lines[0] == self._stack[-1]:
             keep[0] = False      # re-touch of that set's warm MRU line

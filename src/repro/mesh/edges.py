@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sparse.segsum import run_starts
+
 __all__ = ["edges_from_tets", "boundary_faces", "tet_edge_indices", "TET_EDGE_LOCAL"]
 
 # The 6 local edges of a tet (pairs of local vertex indices 0..3).
@@ -32,14 +34,6 @@ def _tet_edge_keys(tets: np.ndarray, num_vertices: int,
     return key.ravel(), fwd.ravel()
 
 
-def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """True at the first entry of each run of equal sorted keys."""
-    new = np.empty(sorted_keys.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-    return new
-
-
 def edges_from_tets(tets: np.ndarray, num_vertices: int) -> np.ndarray:
     """Unique undirected edges of a tet mesh, canonicalised and sorted.
 
@@ -53,7 +47,7 @@ def edges_from_tets(tets: np.ndarray, num_vertices: int) -> np.ndarray:
         raise ValueError(f"tet vertex ids must lie in [0, {num_vertices})")
     key = _tet_edge_keys(tets, num_vertices)[0]
     key.sort()
-    uniq = key[_run_starts(key)]
+    uniq = key[run_starts(key)]
     return np.stack([uniq // num_vertices, uniq % num_vertices], axis=1)
 
 
@@ -78,7 +72,7 @@ def tet_edge_indices(tets: np.ndarray, edges: np.ndarray,
     ekey = ekey[eorder]
     torder = np.argsort(key)
     key = key[torder]
-    new = _run_starts(key)
+    new = run_starts(key)
     distinct = key[new]
     del key
     pos = np.searchsorted(ekey, distinct)

@@ -62,7 +62,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.parallel.spmd import (GhostExchange, SPMDLayout, rank_matvec,
+from repro.parallel.spmd import (SPMDLayout, rank_matvec,
                                  rank_matvec_structs, rank_residual)
 
 __all__ = ["ProcPool", "ProcPoolError"]
@@ -312,28 +312,22 @@ class ProcPool:
         return code, v.dtype
 
     # -- public operations ---------------------------------------------
-    def residual(self, qglobal: np.ndarray,
-                 exchange: GhostExchange | None = None) -> np.ndarray:
+    def residual(self, qglobal: np.ndarray) -> np.ndarray:
         """First-order residual; equals the seq executor bit for bit."""
         self._check_open()
         ncomp = self.ncomp
         code, dtype = self._scatter_locals(qglobal, ncomp)
         self._run(_OP_RESIDUAL, dtype_code=code, ncomp=ncomp)
-        if exchange is not None:
-            exchange.account_refresh(dtype.itemsize)
         return self._view2d(self._off_out, self.n, ncomp,
                             dtype).copy().ravel()
 
-    def matvec(self, a, xglobal: np.ndarray,
-               exchange: GhostExchange | None = None) -> np.ndarray:
+    def matvec(self, a, xglobal: np.ndarray) -> np.ndarray:
         """Distributed y = A x; equals the seq executor bit for bit."""
         self._check_open()
         self.set_matrix(a)
         bs = int(a.bs)
         code, dtype = self._scatter_locals(xglobal, bs)
         self._run(_OP_MATVEC, dtype_code=code, ncomp=bs)
-        if exchange is not None:
-            exchange.account_refresh(dtype.itemsize)
         return self._view2d(self._off_out, self.n, bs, dtype).copy().ravel()
 
     def set_matrix(self, a) -> None:

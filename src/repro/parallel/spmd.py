@@ -57,7 +57,7 @@ import numpy as np
 from repro import kernels as _kernels
 from repro.sanitize.statehash import note as _sanitize_note
 from repro.sparse.bsr import BSRMatrix
-from repro.sparse.segsum import concat_ranges, segment_sum
+from repro.sparse.segsum import concat_ranges, run_starts, segment_sum
 from repro.telemetry.recorder import NULL_RECORDER
 
 if TYPE_CHECKING:
@@ -168,9 +168,9 @@ class SPMDLayout:
         """Every rank's world in one pass over all ranks: a stable sort
         of the vertices by label (the owned sets), one sort of the
         edge -> rank incidences by ``(rank, edge id)`` (the edge sets, a
-        cut edge on both its ranks), one ``np.unique`` of the
-        ``rank·n + vertex`` ghost keys (the ghost sets) and one
-        global -> local map (the local edges)."""
+        cut edge on both its ranks), one sort of the ``rank·n + vertex``
+        ghost keys, each kept once (the ghost sets), and one global ->
+        local map (the local edges)."""
         labels = np.asarray(labels, dtype=np.int64)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n, m = labels.size, len(edges)
@@ -182,9 +182,9 @@ class SPMDLayout:
                                       ends[cut, 1] * m + cut]))
         inc_rank, edge_ids = np.divmod(inc, max(m, 1))
         # The far end of a cut edge is a ghost of the near end's rank.
-        ghost_rank, ghosts = np.divmod(np.unique(np.concatenate([
-            ends[cut, 0] * n + edges[cut, 1],
-            ends[cut, 1] * n + edges[cut, 0]])), max(n, 1))
+        gkey = np.sort(np.concatenate([ends[cut, 0] * n + edges[cut, 1],
+                                       ends[cut, 1] * n + edges[cut, 0]]))
+        ghost_rank, ghosts = np.divmod(gkey[run_starts(gkey)], max(n, 1))
         own_off, ghost_off, edge_off = (_offsets(np.bincount(x, minlength=p))
                                         for x in (labels, ghost_rank, inc_rank))
         local = _key_map(labels, owned, own_off, ghosts, ghost_off)
@@ -287,7 +287,8 @@ class ScatterPlan:
         self.ghost_off = f.ghost_off
         # The distinct (receiver, owner) pairs: one message each.
         ghost_rank = np.repeat(np.arange(p, dtype=np.int64), ghost_cnt)
-        senders = np.unique(ghost_rank * p + f.ghost_owner) // max(p, 1)
+        pair = np.sort(ghost_rank * p + f.ghost_owner)
+        senders = pair[run_starts(pair)] // max(p, 1)
         self.pairs: list[int] = np.bincount(senders, minlength=p).tolist()
         # One refresh: its messages, and the ghost copies it moves.
         self.pair_count = sum(self.pairs)
@@ -413,16 +414,14 @@ class GhostExchange:
     the bytes booked here.  Both counts are taken from the plan, so a
     refresh executed elsewhere — in the pool's workers, or in the
     compiled seq matvec's one C call — books the same numbers
-    (:meth:`account_refresh`) without this object seeing the data.  ``messages`` and
-    ``bytes_moved`` accumulate across calls.
+    (:meth:`account_refresh`) without this object seeing the data.  The
+    recorder's ``messages`` / ``bytes`` counters are the one ledger.
     """
 
     def __init__(self, layout: SPMDLayout, ncomp: int, *,
                  recorder=NULL_RECORDER) -> None:
         self.layout = layout
         self.ncomp = ncomp
-        self.messages = 0
-        self.bytes_moved = 0
         self.recorder = recorder if recorder is not None else NULL_RECORDER
 
     @property
@@ -438,26 +437,25 @@ class GhostExchange:
     def account_refresh(self, itemsize: int, per_rank_s=None) -> None:
         """Book one refresh of ``itemsize``-byte values executed
         elsewhere: the proc backend moves the payloads inside the worker
-        processes, the compiled seq matvec inside its C call.  Given
-        ``per_rank_s``, each rank's measured refresh seconds, every
-        receiving rank also books a ``ghost_exchange`` span of its time,
-        its messages and bytes, and the max-over-ranks wait."""
-        self.messages += self.pair_count
-        self.bytes_moved += self.ghost_rows * self.ncomp * int(itemsize)
-        if per_rank_s is None:
-            return
+        processes, the compiled seq matvec inside its C call.  Every
+        receiving rank books its messages and bytes; given
+        ``per_rank_s``, each rank's measured refresh seconds, it also
+        books a ``ghost_exchange`` span of its time, and the
+        max-over-ranks wait is recorded."""
         plan = self.layout.plan
         rec = self.recorder
         rowbytes = self.ncomp * int(itemsize)
+        for r in plan.receivers:
+            rec.count("messages", plan.pairs[r], rank=r)
+            rec.count("bytes", int(plan.ghost_off[r + 1] - plan.ghost_off[r])
+                      * rowbytes, rank=r)
+        if per_rank_s is None or not plan.receivers:
+            return
         waits = [0.0] * len(plan.bounds)
         for r in plan.receivers:
             waits[r] = float(per_rank_s[r])
             rec.add_span_seconds("ghost_exchange", waits[r], rank=r)
-            rec.count("messages", plan.pairs[r], rank=r)
-            rec.count("bytes", int(plan.ghost_off[r + 1] - plan.ghost_off[r])
-                      * rowbytes, rank=r)
-        if plan.receivers:
-            rec.record_wait("ghost_exchange", waits)
+        rec.record_wait("ghost_exchange", waits)
 
     def refresh(self, buf: np.ndarray) -> None:
         """Fill the ghost rows of the flat buffer ``buf`` in place.
@@ -576,9 +574,7 @@ def _resolve_pool(executor):
 
 
 def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
-                         qglobal: np.ndarray,
-                         exchange: GhostExchange | None = None,
-                         *, recorder=NULL_RECORDER,
+                         qglobal: np.ndarray, *, recorder=NULL_RECORDER,
                          executor="seq") -> np.ndarray:
     """First-order residual computed rank by rank on local data.
 
@@ -593,18 +589,20 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
     :class:`~repro.parallel.procpool.ProcPool` built on ``layout`` runs
     them in its worker processes over shared memory — bitwise-identical,
     because both run the same rank kernels on exact copies.  A pool
-    call is one coordinator-side ``flux`` span; the seq loop books one
-    per rank plus the exchange and the waits.
+    call is one coordinator-side ``flux`` span and the exchange's
+    messages and bytes; the seq loop books a span per rank plus the
+    exchange's spans and the waits.
     """
     ncomp = disc.ncomp
     rec = recorder if recorder is not None else NULL_RECORDER
+    ex = GhostExchange(layout, ncomp, recorder=rec)
     pool = _resolve_pool(executor)
     if pool is not None:
         with rec.span("flux"):
-            r = pool.residual(qglobal, exchange=exchange)
+            r = pool.residual(qglobal)
+        ex.account_refresh(r.itemsize)
     else:
         plan = layout.plan
-        ex = exchange or GhostExchange(layout, ncomp, recorder=rec)
         buf = plan.distribute(qglobal, ncomp)
         ex.refresh(buf)
         # Every vertex has one owner (the plan checked), so every row
@@ -624,9 +622,7 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
 
 
 def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
-                       xglobal: np.ndarray,
-                       exchange: GhostExchange | None = None,
-                       *, recorder=NULL_RECORDER,
+                       xglobal: np.ndarray, *, recorder=NULL_RECORDER,
                        executor="seq") -> np.ndarray:
     """y = A x computed rank by rank: each rank holds its owned block
     rows (whose columns reach only owned + ghost vertices) and local x;
@@ -645,14 +641,15 @@ def distributed_matvec(a: BSRMatrix, layout: SPMDLayout,
     """
     bs = a.bs
     rec = recorder if recorder is not None else NULL_RECORDER
+    ex = GhostExchange(layout, bs, recorder=rec)
     pool = _resolve_pool(executor)
     if pool is not None:
         with rec.span("matvec"):
-            y = pool.matvec(a, xglobal, exchange=exchange)
+            y = pool.matvec(a, xglobal)
+        ex.account_refresh(y.itemsize)
         _sanitize_note("matvec", y)
         return y
     plan = layout.plan
-    ex = exchange or GhostExchange(layout, bs, recorder=rec)
     gather = plan.gather(a)
     x = np.asarray(xglobal)
     res = _kernels.seq_matvec_bsr(plan.home, plan.row_off, plan.ghost_off,

@@ -18,15 +18,9 @@ import numpy as np
 
 from repro.graph.adjacency import Graph
 from repro.graph.traversal import connected_components
+from repro.sparse.segsum import run_starts
 
 __all__ = ["fm_refine", "repair_contiguity"]
-
-
-def _starts(s: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of each run of equal values in ``s``."""
-    first = np.ones(s.size, dtype=bool)
-    first[1:] = s[1:] != s[:-1]
-    return first
 
 
 def _keyed_sums(key: np.ndarray, w: np.ndarray):
@@ -34,7 +28,7 @@ def _keyed_sums(key: np.ndarray, w: np.ndarray):
     order, each sum taken in occurrence order."""
     order = np.argsort(key, kind="stable")
     skey = key[order]
-    start = np.flatnonzero(_starts(skey))
+    start = np.flatnonzero(run_starts(skey))
     return skey[start], np.add.reduceat(w[order].astype(np.float64), start)
 
 
@@ -55,7 +49,7 @@ def _first_max(group: np.ndarray, value: np.ndarray):
     """Per group, the index of its largest ``value``, the first one on a
     tie: ``(groups, indices)``, groups ascending."""
     order = np.lexsort((-value, group))
-    first = _starts(group[order])
+    first = run_starts(group[order])
     return group[order[first]], order[first]
 
 

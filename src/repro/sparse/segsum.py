@@ -18,7 +18,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["segment_sum", "flat_segment_index", "concat_ranges"]
+__all__ = ["segment_sum", "flat_segment_index", "concat_ranges",
+           "run_starts"]
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """True at the first entry of each run of equal adjacent keys: on
+    sorted keys, the first occurrence of each distinct key (``keys[mask]``
+    is ``np.unique(keys)`` without its hashing or second sort)."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ threads through its hot paths (driver, Krylov solvers, Schwarz
 preconditioner, SPMD kernels) so an instrumented run *observes*
 
 * wall time per phase, per rank, with spans nesting like call frames
-  (inclusive and self time, built on :class:`repro.perf.timers.Timer`'s
-  clock);
+  (inclusive and self time, on :func:`time.perf_counter`: monotonic,
+  the highest resolution available);
 * counters — iterations, messages, bytes, reductions — per rank;
 * the max-over-ranks wait of each bulk-synchronous phase instance
   (``max_r t_r - t_own``), i.e. load imbalance as seen by the data,
@@ -26,13 +26,13 @@ arrays, only the clock.
 
 from __future__ import annotations
 
-from repro.perf.timers import Timer
+import time
 
 __all__ = ["KNOWN_PHASES", "TraceRecorder", "NullRecorder", "NULL_RECORDER"]
 
-#: The phase vocabulary.  Trace validation (and the CI smoke check)
-#: rejects any phase name outside this set, so a typo at a call site
-#: cannot silently split a phase's time into an orphan bucket.
+#: The phase vocabulary.  The recorder and trace validation (and the CI
+#: smoke check) reject any phase name outside this set, so a typo at a
+#: call site cannot silently split a phase's time into an orphan bucket.
 KNOWN_PHASES = frozenset({
     "flux",              # residual / flux evaluation
     "jacobian",          # first-order Jacobian assembly (+ PTC shift)
@@ -58,24 +58,23 @@ class _Span:
     same measurement (the SPMD rank loops use this for wait accounting).
     """
 
-    __slots__ = ("_rec", "phase", "rank", "_timer", "elapsed", "_child_s")
+    __slots__ = ("_rec", "phase", "rank", "_start", "elapsed", "_child_s")
 
     def __init__(self, rec: "TraceRecorder", phase: str, rank: int) -> None:
         self._rec = rec
         self.phase = phase
         self.rank = rank
-        self._timer = Timer()
+        self._start = 0.0
         self.elapsed = 0.0
         self._child_s = 0.0     # time spent in directly nested spans
 
     def __enter__(self) -> "_Span":
         self._rec._stack.append(self)
-        self._timer.__enter__()
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
-        self._timer.__exit__()
-        self.elapsed = self._timer.elapsed
+        self.elapsed = time.perf_counter() - self._start
         rec = self._rec
         # Pop unconditionally (exceptions included) so a raise inside a
         # span cannot corrupt the nesting of subsequent measurements.
@@ -88,15 +87,11 @@ class _Span:
 class TraceRecorder:
     """Accumulating per-(phase, rank) span times, counters, and waits.
 
-    Parameters
-    ----------
-    strict:
-        When True (default), ``span()`` raises :class:`ValueError` for
-        a phase name outside :data:`KNOWN_PHASES`.
+    ``span()``, ``record_wait()`` and ``add_span_seconds()`` raise
+    :class:`ValueError` for a phase name outside :data:`KNOWN_PHASES`.
     """
 
-    def __init__(self, *, strict: bool = True) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self._stack: list[_Span] = []
         # (phase, rank) -> [inclusive_s, self_s, calls]
         self._spans: dict[tuple[str, int], list] = {}
@@ -108,7 +103,7 @@ class TraceRecorder:
     # -- recording -----------------------------------------------------
     def span(self, phase: str, rank: int = 0) -> _Span:
         """Open a nestable span; use as ``with rec.span("flux"): ...``."""
-        if self.strict and phase not in KNOWN_PHASES:
+        if phase not in KNOWN_PHASES:
             raise ValueError(f"unknown phase name {phase!r} "
                              f"(known: {sorted(KNOWN_PHASES)})")
         return _Span(self, phase, int(rank))
@@ -131,7 +126,7 @@ class TraceRecorder:
         implicit-synchronisation wait charged to each rank is
         ``max_r t_r - t_own`` — the paper's load-imbalance category.
         """
-        if self.strict and phase not in KNOWN_PHASES:
+        if phase not in KNOWN_PHASES:
             raise ValueError(f"unknown phase name {phase!r}")
         ts = [float(t) for t in per_rank_seconds]
         if not ts:
@@ -154,7 +149,7 @@ class TraceRecorder:
         span the interval is that span's child time, as a nested
         ``span()`` would be, so the parent's self time excludes it.
         """
-        if self.strict and phase not in KNOWN_PHASES:
+        if phase not in KNOWN_PHASES:
             raise ValueError(f"unknown phase name {phase!r}")
         cell = self._spans.setdefault((phase, int(rank)), [0.0, 0.0, 0])
         cell[0] += float(seconds)
@@ -266,8 +261,6 @@ class NullRecorder:
     the tier-1 (uninstrumented) path costs one attribute lookup and a
     cached context manager per span — no allocation, no clock reads.
     """
-
-    strict = False
 
     def span(self, phase: str, rank: int = 0) -> _NullSpan:
         return _NULL_SPAN

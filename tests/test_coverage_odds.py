@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.memory import CacheConfig
-from repro.memory.counters import hierarchy_counters
 from repro.memory.hierarchy import HierarchyCounters, MemoryHierarchy
 from repro.memory.tlb import TLBConfig
 from repro.perfmodel import ORIGIN2000_R10K
@@ -30,21 +29,15 @@ class TestHierarchyCountersOfTraces:
         """A trace that fits in L1 run twice misses only the first
         time: the second kernel sees the lines the first left."""
         trace = np.arange(0, 512, 8)
-        once = hierarchy_counters([trace], self.L1, self.L2, self.TLB)
-        twice = hierarchy_counters([trace, trace], self.L1, self.L2,
-                                   self.TLB)
+
+        def hier():
+            return MemoryHierarchy(self.L1, self.L2, self.TLB)
+        once = hier().run(trace).counters
+        twice = hier().run(trace).run(trace).counters
         assert once.l1_misses == 512 // 32
         assert twice.accesses == 2 * once.accesses
         assert (twice.l1_misses, twice.l2_misses, twice.tlb_misses) == \
             (once.l1_misses, once.l2_misses, once.tlb_misses)
-
-    def test_matches_one_hierarchy_run_in_order(self, rng):
-        traces = [rng.integers(0, 1 << 16, 300) * 8 for _ in range(3)]
-        hier = MemoryHierarchy(self.L1, self.L2, self.TLB)
-        for t in traces:
-            hier.run(t)
-        assert hierarchy_counters(traces, self.L1, self.L2, self.TLB) == \
-            hier.counters
 
 
 class TestSparseEdgeCases:

@@ -361,12 +361,10 @@ class TestDispatchGuards:
             out[:] = 0.0
 
         def ptr(a):
-            if not isinstance(a, np.ndarray):
-                return a
-            return backend._pi(a) if a.dtype == np.int64 else backend._pd(a)
+            return backend.ptr(a) if isinstance(a, np.ndarray) else a
 
-        code = getattr(backend._lib, symbol)(
-            e0.size, *map(ptr, args), *map(backend._pdw, outs))
+        code = getattr(backend.lib, symbol)(
+            e0.size, *map(ptr, args), *(backend.ptr(o, True) for o in outs))
         assert code == last
         for b in bufs:
             assert np.all(b[:guard] == 7.25) and np.all(b[-guard:] == 7.25)
@@ -669,9 +667,9 @@ class TestJacobianAssembly:
         outs = [b[guard:-guard] for b in bufs]
         for out in outs:
             out[:] = 0.0
-        code = backend._lib.rusanov_jacobian_scatter_inc(
-            e0.size, n, nnzb, *map(backend._pi, (e0, e1, ij, ji)),
-            backend._pd(qq), backend._pd(s), 10.0, *map(backend._pdw, outs))
+        code = backend.lib.rusanov_jacobian_scatter_inc(
+            e0.size, n, nnzb, *map(backend.ptr, (e0, e1, ij, ji, qq, s)),
+            10.0, *(backend.ptr(o, True) for o in outs))
         assert code == last
         for b in bufs:
             assert np.all(b[:guard] == 7.25) and np.all(b[-guard:] == 7.25)
@@ -808,15 +806,14 @@ class TestBoundaryClosure:
             return
         far_rows[3], far_idx[5] = n, 0
         rbuf, rv = _guarded(r)
-        fn = (backend._lib.boundary_closure_comp if compressible
-              else backend._lib.boundary_closure_inc)
+        fn = (backend.lib.boundary_closure_comp if compressible
+              else backend.lib.boundary_closure_inc)
         code = fn(n, disc.bc.normals.shape[0], wall_rows.size,
-                  *map(backend._pi, (wall_rows, wall_idx)), far_rows.size,
-                  *map(backend._pi, (far_rows, far_idx)),
-                  backend._pd(np.ascontiguousarray(q)),
-                  backend._pd(disc.bc.normals),
-                  backend._pd(disc.farfield_state), model[1],
-                  backend._pdw(rv))
+                  *map(backend.ptr, (wall_rows, wall_idx)), far_rows.size,
+                  *map(backend.ptr, (far_rows, far_idx,
+                                     np.ascontiguousarray(q),
+                                     disc.bc.normals, disc.farfield_state)),
+                  model[1], backend.ptr(rv, True))
         assert code == wall_rows.size + 3
         assert _guards_intact(rbuf)
         assert np.array_equal(_bits(rv), _bits(r.ravel()))
@@ -983,12 +980,9 @@ class TestIndexGuards:
         def ptr(a):
             if not isinstance(a, np.ndarray):
                 return a
-            if a.dtype == np.int64:
-                return backend._pi(a)
-            return (backend._pf(a) if a.dtype == np.float32
-                    else backend._pdw(a))
+            return backend.ptr(a, out=a.dtype == np.float64)
 
-        assert getattr(backend._lib, name)(*map(ptr, args)) == row
+        assert getattr(backend.lib, name)(*map(ptr, args)) == row
         assert all(_guards_intact(b) for b in bufs)
 
 
@@ -1038,10 +1032,9 @@ class TestIndexGuards:
         hold the bad index (2, the rank count, for a home row)."""
         args, bufs = self._seq_case(which, bad)
         backend = kernels.backend_for("compiled")
-        ptrs = [backend._pi(a) if isinstance(a, np.ndarray)
-                and a.dtype == np.int64 else backend._pdw(a)
+        ptrs = [backend.ptr(a, out=a.dtype == np.float64)
                 if isinstance(a, np.ndarray) else a for a in args]
-        assert backend._lib.seq_matvec_bsr_f64(*ptrs) == (
+        assert backend.lib.seq_matvec_bsr_f64(*ptrs) == (
             2 if which == "home" else 1)
         assert all(_guards_intact(b) for b in bufs)
 
@@ -1208,14 +1201,15 @@ class TestColumnMajorFactors:
 
     @staticmethod
     def _spy(monkeypatch, backend):
-        """Record the factor arrays each C block solve is prepared
-        with."""
+        """Record the block arrays the C block solves get pointers to:
+        L's blocks, then U's and the pivot inverses."""
         seen = []
-        for name in ("lower_solver", "upper_solver"):
-            def spy(*args, _call=getattr(backend, name), _name=name):
-                seen.append((_name, args[2:-1]))
-                return _call(*args)
-            monkeypatch.setattr(backend, name, spy)
+
+        def spy(a, out=False, _ptr=backend.ptr):
+            if a.ndim == 3:
+                seen.append(a)
+            return _ptr(a, out)
+        monkeypatch.setattr(backend, "ptr", spy)
         return seen
 
     @needs_backend
@@ -1229,26 +1223,22 @@ class TestColumnMajorFactors:
         seen = self._spy(monkeypatch, kernels.backend_for("compiled"))
         b = np.random.default_rng(5).standard_normal(jac.shape[0])
         x = fac.solve(b)
-        assert [name for name, _ in seen] == ["lower_solver",
-                                              "upper_solver"]
-        passed = seen[0][1] + seen[1][1]
-        assert all(np.shares_memory(p, m) for p, m in zip(passed, blocks))
+        assert len(seen) == 3
+        assert all(np.shares_memory(p, m) for p, m in zip(seen, blocks))
         assert np.array_equal(fac.solve(b), x)
-        assert len(seen) == 2            # checked once, on the first solve
+        assert len(seen) == 3            # checked once, on the first solve
         assert fac.solve_levels is None
 
         seen.clear()
         rows = replace(fac, **{name: np.ascontiguousarray(m) for name, m in
                                zip(("l_data", "u_data", "inv_diag"), blocks)})
         assert np.array_equal(rows.solve(b), x)
-        assert [name for name, _ in seen] == ["lower_solver",
-                                              "upper_solver"]
-        passed = seen[0][1] + seen[1][1]
-        for p, m in zip(passed, (rows.l_data, rows.u_data, rows.inv_diag)):
+        assert len(seen) == 3
+        for p, m in zip(seen, (rows.l_data, rows.u_data, rows.inv_diag)):
             assert p.flags.c_contiguous and not np.shares_memory(p, m)
             assert np.array_equal(p, m.transpose(0, 2, 1))
         assert np.array_equal(rows.solve(b), x)
-        assert len(seen) == 2            # the copy is made once
+        assert len(seen) == 3            # the copy is made once
         assert rows.solve_levels is None
 
     @needs_backend
@@ -1265,8 +1255,8 @@ class TestColumnMajorFactors:
         seen = self._spy(monkeypatch, kernels.backend_for("compiled"))
         b = np.random.default_rng(6).standard_normal(jac.shape[0])
         x = fac.solve(b)
-        passed = seen[0][1] + seen[1][1]
-        assert all(np.shares_memory(p, m) for p, m in zip(passed, blocks))
+        assert len(seen) == 3
+        assert all(np.shares_memory(p, m) for p, m in zip(seen, blocks))
         assert_norm_close(x, want.solve(b))
 
 

@@ -7,8 +7,13 @@ the source is built once per level the CPU runs — into the shared
 kernel cache, where the flags key each build — and every build must
 give the same L, U and pivot inverses, the same two block solves and
 the same three SpMVs (global, per rank, the whole seq matvec), bit for
-bit, on drawn block matrices: the level changes only the speed.
+bit, on drawn block matrices: the level changes only the speed.  Each
+build is run through the ``repro.kernels`` functions, as the solver
+runs its own: the engine knob resolves to it while it is the
+capability memo, and ``trisolver`` takes it as its backend.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -58,20 +63,30 @@ def _dominant(nb, bs, density, seed):
     return BSRMatrix(indptr=indptr, indices=cols, data=blocks, nbcols=nb)
 
 
+@contextmanager
+def _serving(backend):
+    """``engine="compiled"`` resolves to ``backend`` inside the block."""
+    saved = capability._memo
+    capability._memo = backend
+    try:
+        yield
+    finally:
+        capability._memo = saved
+
+
 def _factor_and_solve(backend, a, pattern, dtype, b):
     """The bytes of L, U, the pivot inverses and both block solves of
     ``b`` on factors stored as ``dtype``."""
-    i64 = [np.ascontiguousarray(v, dtype=np.int64) for v in (
-        pattern.l_indptr, pattern.l_indices, pattern.u_indptr,
-        pattern.u_indices, a.indptr, a.indices)]
-    status, *factors = backend.ilu_numeric(pattern.n, *i64, a.data)
-    assert status == cbackend.ILU_OK
-    l_cm, u_cm, inv_cm = (f.transpose(0, 2, 1).astype(dtype)
-                          for f in factors)
+    with _serving(backend):
+        factors = kernels.ilu_numeric(pattern, a.indptr, a.indices, a.data,
+                                      "compiled")
+    l_data, u_data, inv_diag = (f.astype(dtype) for f in factors)
     x = b.copy()
-    assert backend.lower_solver(i64[0], i64[1], l_cm, a.bs)(x)
+    assert kernels.trisolver(pattern.l_indptr, pattern.l_indices, l_data,
+                             None, a.bs, backend)(x)
     y = x.copy()
-    assert backend.upper_solver(i64[2], i64[3], u_cm, inv_cm, a.bs)(y)
+    assert kernels.trisolver(pattern.u_indptr, pattern.u_indices, u_data,
+                             inv_diag, a.bs, backend)(y)
     return [np.ascontiguousarray(v).tobytes() for v in (*factors, x, y)]
 
 
@@ -100,19 +115,21 @@ def _spmvs(backend, a, layout, x):
     three agree bit for bit."""
     plan = layout.plan
     gather = plan.gather(a)
-    whole = backend.spmv_bsr(a.indptr, a.indices, a.data, x, a.nbrows)
-    buf = plan.distribute(x, a.bs)
-    for r in plan.receivers:
-        plan.refresh_rank(buf, r)
-    ranks = np.empty_like(whole).reshape(-1, a.bs)
-    for rd in layout.ranks:
-        flat, cols, seg = gather.rank(rd.rank)
-        ranks[rd.owned] = backend.gather_spmv_bsr(
-            a.data[flat], cols, seg,
-            np.ascontiguousarray(plan.local(buf, rd.rank)).ravel(),
-            rd.n_owned)
-    seq, _ = backend.seq_matvec_bsr(plan.home, plan.row_off, plan.ghost_off,
-                                    plan.ghost_src, *gather, a.data, x)
+    with _serving(backend):
+        whole = kernels.spmv_bsr(a.indptr, a.indices, a.data, x, a.nbrows,
+                                 a.nbcols, "compiled")
+        buf = plan.distribute(x, a.bs)
+        for r in plan.receivers:
+            plan.refresh_rank(buf, r)
+        ranks = np.empty_like(whole).reshape(-1, a.bs)
+        for rd in layout.ranks:
+            flat, cols, seg = gather.rank(rd.rank)
+            ranks[rd.owned] = kernels.gather_spmv_bsr(
+                a.data[flat], cols, seg, plan.local(buf, rd.rank).ravel(),
+                rd.n_owned, "compiled")
+        seq, _ = kernels.seq_matvec_bsr(
+            plan.home, plan.row_off, plan.ghost_off, plan.ghost_src,
+            *gather, a.data, x, "compiled")
     assert np.array_equal(ranks.ravel(), whole)
     assert np.array_equal(seq, whole)
     return whole.tobytes()

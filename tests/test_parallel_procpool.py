@@ -12,7 +12,6 @@ coordinator-side spans of a pool call, crash handling, and
 shared-memory cleanup.
 """
 
-import multiprocessing as mp
 import os
 import pathlib
 import signal
@@ -203,35 +202,54 @@ class TestPoolCallSpans:
     def test_one_coordinator_span_per_call(self, setup, pool):
         """A recorder passed with a pool books each call as one span on
         the coordinator (rank 0), with the pool's ghost traffic on the
-        exchange: the workers keep no clock, and nothing is silent."""
+        counters: the workers keep no clock, and nothing is silent."""
         prob, _, layout, q = setup
         rec = TraceRecorder()
-        ex = GhostExchange(layout, prob.disc.ncomp)
         a = prob.disc.assemble_jacobian(q)
         for _ in range(2):
-            distributed_residual(prob.disc, layout, q, ex, recorder=rec,
+            distributed_residual(prob.disc, layout, q, recorder=rec,
                                  executor=pool)
-        distributed_matvec(a, layout, q, ex, recorder=rec, executor=pool)
+        distributed_matvec(a, layout, q, recorder=rec, executor=pool)
         assert rec.phase_calls("flux") == rec.phase_calls("flux", 0) == 2
         assert rec.phase_calls("matvec") == rec.phase_calls("matvec", 0) == 1
         assert rec.phase_seconds("flux") > 0
         assert rec.phase_seconds("matvec") > 0
         assert rec.ranks() == [0]
-        assert ex.messages == 3 * ex.pair_count
+        assert rec.counter("messages") == 3 * layout.plan.pair_count
+
+    def test_a_pool_residual_books_the_plan_traffic(self, setup, pool):
+        """A pool residual books the messages and bytes of one refresh
+        on the recorder, per receiving rank as the seq executor does,
+        and no span but its own."""
+        prob, _, layout, q = setup
+        plan, ncomp = layout.plan, prob.disc.ncomp
+        rec, seq = TraceRecorder(), TraceRecorder()
+        distributed_residual(prob.disc, layout, q, recorder=rec,
+                             executor=pool)
+        distributed_residual(prob.disc, layout, q, recorder=seq)
+        assert rec.counter("messages") == plan.pair_count
+        assert rec.counter("bytes") == plan.ghost_rows * ncomp * 8
+        for r in range(layout.nranks):
+            for name in ("messages", "bytes"):
+                assert rec.counter(name, r) == seq.counter(name, r)
+        assert rec.phases() == ["flux"]
 
 
 class TestExchangeProcMode:
     def test_account_refresh_counts_plan_traffic(self, setup):
         prob, _, layout, _ = setup
-        ex = GhostExchange(layout, prob.disc.ncomp)
+        rec = TraceRecorder()
+        ex = GhostExchange(layout, prob.disc.ncomp, recorder=rec)
         ex.account_refresh(8)
-        assert ex.messages == ex.pair_count
-        assert ex.bytes_moved == ex.ghost_rows * prob.disc.ncomp * 8
+        assert rec.counter("messages") == ex.pair_count
+        assert rec.counter("bytes") == ex.ghost_rows * prob.disc.ncomp * 8
+        assert rec.phases() == []
         # Booked traffic equals what the seq refresh actually moves.
-        ex2 = GhostExchange(layout, prob.disc.ncomp)
+        rec2 = TraceRecorder()
+        ex2 = GhostExchange(layout, prob.disc.ncomp, recorder=rec2)
         ex2.refresh(np.zeros((layout.plan.total_rows, prob.disc.ncomp)))
-        assert (ex2.messages, ex2.bytes_moved) == \
-            (ex.messages, ex.bytes_moved)
+        for name in ("messages", "bytes"):
+            assert rec2.counter(name) == rec.counter(name)
 
 
 class TestLifecycle:

@@ -252,26 +252,22 @@ class TestExchangeAccounting:
     def test_message_count_bounded_by_neighbor_pairs(self, setup):
         prob, labels, layout, q = setup
         oracle = arc_pass(prob.mesh.vertex_graph(), labels)
-        ex = GhostExchange(layout, 4)
-        distributed_residual(prob.disc, layout, q, ex)
+        rec = TraceRecorder()
+        distributed_residual(prob.disc, layout, q, recorder=rec)
         # One message per (rank, neighbour) pair per refresh.
-        assert ex.messages == int(oracle["neighbors"].sum())
+        assert rec.counter("messages") == int(oracle["neighbors"].sum())
 
     def test_bytes_match_plan(self, setup):
         prob, labels, layout, q = setup
         oracle = arc_pass(prob.mesh.vertex_graph(), labels)
-        ex = GhostExchange(layout, 4)
-        distributed_residual(prob.disc, layout, q, ex)
-        assert ex.bytes_moved == oracle["ghosts"].sum() * 4 * 8
+        rec = TraceRecorder()
+        distributed_residual(prob.disc, layout, q, recorder=rec)
+        assert rec.counter("bytes") == oracle["ghosts"].sum() * 4 * 8
 
-    def test_counters_mirror_recorder(self, setup):
-        """GhostExchange totals and TraceRecorder counters agree."""
+    def test_one_span_per_receiving_rank(self, setup):
         prob, _, layout, q = setup
         rec = TraceRecorder()
-        ex = GhostExchange(layout, 4, recorder=rec)
-        distributed_residual(prob.disc, layout, q, ex, recorder=rec)
-        assert rec.counter("messages") == ex.messages
-        assert rec.counter("bytes") == ex.bytes_moved
+        distributed_residual(prob.disc, layout, q, recorder=rec)
         # One span per receiving rank per refresh (messages are finer:
         # one per (receiver, owner) pair).
         with_ghosts = sum(1 for rd in layout.ranks if rd.ghosts.size)
@@ -373,9 +369,7 @@ class TestInstrumentedIdentity:
         prob, _, layout, q = setup
         plain = distributed_residual(prob.disc, layout, q)
         rec = TraceRecorder()
-        traced = distributed_residual(prob.disc, layout, q,
-                                      GhostExchange(layout, 4, recorder=rec),
-                                      recorder=rec)
+        traced = distributed_residual(prob.disc, layout, q, recorder=rec)
         assert np.array_equal(plain, traced)     # bitwise
         assert rec.phase_seconds("flux") > 0
         assert rec.wait_seconds("flux") >= 0
@@ -509,25 +503,11 @@ class TestSeqMatvecTelemetry:
         jac, layout, x = case
         plan = layout.plan
         rec = TraceRecorder()
-        ex = GhostExchange(layout, jac.bs, recorder=rec)
-        distributed_matvec(jac, layout, x, ex, recorder=rec)
-        assert rec.counter("messages") == plan.pair_count == ex.messages
-        assert rec.counter("bytes") == plan.ghost_rows * jac.bs * 8 \
-            == ex.bytes_moved
+        distributed_matvec(jac, layout, x, recorder=rec)
+        assert rec.counter("messages") == plan.pair_count
+        assert rec.counter("bytes") == plan.ghost_rows * jac.bs * 8
         for r in plan.receivers:
             assert rec.counter("messages", r) == plan.pairs[r]
-
-    def test_a_passed_exchange_books_on_its_own_recorder(self, case):
-        jac, layout, x = case
-        rec, ex_rec = TraceRecorder(), TraceRecorder()
-        ex = GhostExchange(layout, jac.bs, recorder=ex_rec)
-        distributed_matvec(jac, layout, x, ex, recorder=rec)
-        distributed_matvec(jac, layout, x, ex, recorder=rec)
-        assert ex.messages == 2 * layout.plan.pair_count
-        assert ex_rec.phase_calls("ghost_exchange") == 2 * len(
-            layout.plan.receivers)
-        assert rec.phase_calls("ghost_exchange") == 0
-        assert rec.phase_calls("matvec") == 2 * layout.nranks
 
     def test_self_times_sum_to_the_inclusive(self, case):
         jac, layout, x = case

@@ -300,31 +300,29 @@ def test_every_oracle_has_a_tested_twin():
 
 
 def test_every_compiled_kernel_is_reached():
-    """The C backend's public callables (``load_cbackend`` and the
-    public ``CBackend`` methods) are exactly the keys of its
-    ``__oracles__`` map, and each value resolves to the numpy oracle it
-    names.  Each kernel is a backend method a ``repro.kernels``
-    dispatcher calls, and each dispatcher is called from ``src/``
+    """Each compiled kernel is one public ``repro.kernels`` function
+    (``backend_for`` and ``resolve_engine`` aside) that checks its
+    operands, calls C and reads the status.  Each is a key of the
+    package's ``__oracles__`` map, whose dotted paths resolve to the
+    numpy oracles it must match, and each is called from ``src/``
     outside the kernels package: a kernel nothing reaches is deleted
-    with its oracle entry, not left compiled."""
+    with its oracle entry, not left compiled.  ``CBackend`` is the
+    loaded library alone: ``ptr`` is its one public method."""
     from pkgutil import resolve_name
 
     from repro import kernels
-    from repro.kernels.cbackend import __oracles__
 
-    kdir = SRC / "repro" / "kernels"
-    tree = ast.parse((kdir / "cbackend.py").read_text())
-    methods = set().union(*(
-        _defs(cls) for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")))
-    public = {n for n in _defs(tree) | methods if not n.startswith("_")}
-    assert public == set(__oracles__)
-    for oracle in __oracles__.values():
-        resolve_name(oracle)
-    kernel_names = set(__oracles__) - {"load_cbackend"}
-    assert _attr_calls(kdir / "__init__.py", {"backend"}) >= kernel_names
     dispatchers = set(kernels.__all__) - {"backend_for", "resolve_engine"}
+    assert dispatchers == set(kernels.__oracles__)
+    for paths in kernels.__oracles__.values():
+        for oracle in (paths,) if isinstance(paths, str) else paths:
+            resolve_name(oracle)
+    kdir = SRC / "repro" / "kernels"
     called = set().union(*(
         _attr_calls(p, {"_kernels", "kernels"})
         for p in (SRC / "repro").rglob("*.py") if kdir not in p.parents))
     assert dispatchers - called == set()
+    tree = ast.parse((kdir / "cbackend.py").read_text())
+    methods = set().union(*(_defs(cls) for cls in tree.body
+                            if isinstance(cls, ast.ClassDef)))
+    assert {m for m in methods if not m.startswith("_")} == {"ptr"}

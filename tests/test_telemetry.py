@@ -73,10 +73,6 @@ class TestSpans:
             rec.span("fluxx")
         with pytest.raises(ValueError, match="unknown phase"):
             rec.record_wait("fluxx", [1.0])
-        lax = TraceRecorder(strict=False)
-        with lax.span("fluxx"):
-            pass
-        assert lax.phase_calls("fluxx") == 1
 
     def test_span_elapsed_exposed(self):
         rec = TraceRecorder()
