@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sparse.segsum import flat_segment_index, segment_sum
+from repro.sparse.segsum import flat_segment_index, run_starts, segment_sum
 from tests.helpers import csr_from_dense, csr_to_dense
 
 
@@ -39,3 +39,14 @@ class TestSegmentSum:
         assert np.array_equal(segment_sum(index, w, 7, flat_index=flat),
                               segment_sum(index, w, 7))
         assert np.allclose(segment_sum(index, w, 7), expect)
+
+
+class TestRunStarts:
+    def test_sorted_keys_keep_np_unique(self, rng):
+        """On sorted keys the run-start mask keeps exactly
+        ``np.unique``'s values, down to no keys and one key."""
+        keys = np.sort(rng.integers(0, 30, 200))
+        assert np.array_equal(keys[run_starts(keys)], np.unique(keys))
+        for keys in (np.empty(0, dtype=np.int64), np.array([7]),
+                     np.array([4, 4, 4])):
+            assert np.array_equal(keys[run_starts(keys)], np.unique(keys))
