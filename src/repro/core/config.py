@@ -63,7 +63,7 @@ class SolverConfig:
     precond: PreconditionerConfig = field(default_factory=PreconditionerConfig)
     max_steps: int = 60              # pseudo-timestep cap
     target_reduction: float = 1e-6   # stop at ||F|| / ||F0|| below this
-    absolute_tol: float = 1e-12      # ... or at ||F|| below this floor
+                                     # (or at ||F|| below 1e-12)
     jacobian_lag: int = 1            # refresh Jacobian/PC every k steps
     matrix_free: bool = False        # FD J*v operator (1st-order J still
                                      # assembled for the preconditioner)

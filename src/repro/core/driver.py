@@ -237,8 +237,7 @@ class NKSSolver:
                 report.fnorm0 = fnorm
             cfl = controller.update(fnorm)
 
-            if fnorm <= max(cfg.target_reduction * report.fnorm0,
-                            cfg.absolute_tol):
+            if fnorm <= max(cfg.target_reduction * report.fnorm0, 1e-12):
                 report.steps.append(StepRecord(step=step, fnorm=fnorm,
                                                cfl=cfl, linear_iterations=0,
                                                gmres_converged=True))

@@ -42,14 +42,13 @@ class EdgeFVDiscretization:
     def __init__(self, mesh: Mesh, bc: BoundaryCondition,
                  dual: DualMetrics | None = None, *,
                  second_order: bool = True,
-                 limiter: Limiter | str = Limiter.VAN_ALBADA,
-                 engine: str = "numpy") -> None:
+                 limiter: Limiter | str = Limiter.VAN_ALBADA) -> None:
         self.mesh = mesh
         self.dual = dual if dual is not None else compute_dual_metrics(mesh)
         self.bc = bc
         self.second_order = second_order
         self.limiter = Limiter(limiter)
-        self.engine = engine        # kernel tier for scatter/assembly
+        self.engine = "numpy"       # kernel tier: the driver sets its own
         self.structure: BlockStructure = block_structure_from_edges(
             mesh.num_vertices, mesh.edges)
         self.farfield_state: np.ndarray | None = None  # (ncomp,) set by subclass
@@ -308,7 +307,6 @@ class EdgeFVDiscretization:
     def jacobian_operator(self, qflat: np.ndarray, *,
                           shift: np.ndarray | None = None,
                           second_order: bool | None = None,
-                          fd_eps: float | None = None,
                           base: np.ndarray | None = None
                           ) -> OperatorFromCallable:
         """Matrix-free J(q) v by one-sided finite differences.
@@ -331,8 +329,7 @@ class EdgeFVDiscretization:
             vnorm = float(np.linalg.norm(v))
             if vnorm == 0.0:
                 return np.zeros_like(v)
-            eps = fd_eps if fd_eps is not None else \
-                np.sqrt(np.finfo(np.float64).eps) * (1.0 + qnorm) / vnorm
+            eps = np.sqrt(np.finfo(np.float64).eps) * (1.0 + qnorm) / vnorm
             jv = (self.residual(qflat + eps * v, second_order=second_order)
                   - base) / eps
             if shift is not None:

@@ -82,16 +82,16 @@ def _dynamic_pressure(disc: EdgeFVDiscretization) -> float:
     return 0.5 * float(rho * (v @ v))
 
 
-def integrate_wall_forces(disc: EdgeFVDiscretization, qflat: np.ndarray, *,
-                          lift_axis: np.ndarray | None = None,
-                          s_ref: float | None = None) -> WallForces:
+def integrate_wall_forces(disc: EdgeFVDiscretization, qflat: np.ndarray
+                          ) -> WallForces:
     """Integrate the (gauge-corrected) wall pressure force.
 
     The freestream pressure is subtracted before integration so the
     force is the aerodynamic perturbation force (a closed surface at
     uniform pressure carries none); drag is the component along the
-    freestream direction, lift the component along ``lift_axis``
-    projected normal to it (default: z).
+    freestream direction, lift the component along z projected normal
+    to it, and the reference force is the dynamic pressure on the
+    wetted wall area.
     """
     bc: BoundaryCondition = disc.bc
     wall, p = wall_pressure(disc, qflat)
@@ -103,16 +103,14 @@ def integrate_wall_forces(disc: EdgeFVDiscretization, qflat: np.ndarray, *,
     force = (dp[:, None] * normals).sum(axis=0)
 
     drag_dir = _freestream_direction(disc)
-    up = np.array([0.0, 0.0, 1.0]) if lift_axis is None \
-        else np.asarray(lift_axis, dtype=np.float64)
+    up = np.array([0.0, 0.0, 1.0])
     up = up - (up @ drag_dir) * drag_dir
     nup = np.linalg.norm(up)
     if nup < 1e-12:
         raise ValueError("lift axis is parallel to the freestream")
     up /= nup
 
-    if s_ref is None:
-        s_ref = float(np.linalg.norm(normals, axis=1).sum())
+    s_ref = float(np.linalg.norm(normals, axis=1).sum())
     qdyn = _dynamic_pressure(disc)
     return WallForces(force=force,
                       lift=float(force @ up),

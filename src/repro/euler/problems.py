@@ -72,35 +72,29 @@ def wing_problem(nx: int = 13, ny: int = 9, nz: int = 7, *,
 
 
 def transonic_bump_problem(nx: int = 17, ny: int = 5, nz: int = 9, *,
-                           mach: float = 0.84, height: float = 0.10,
-                           center: float = 0.5, width: float = 0.4,
-                           first_order_start: bool = True,
+                           mach: float = 0.84,
                            limiter: Limiter | str = Limiter.VAN_ALBADA,
-                           flux_scheme: str = "rusanov",
-                           seed: int = 0) -> FlowProblem:
+                           flux_scheme: str = "rusanov") -> FlowProblem:
     """Transonic channel-bump flow: the shocked workload of Sec. 2.4.1.
 
     Compressible flow at a near-critical Mach number over a cosine
     bump; above M ~ 0.7-0.8 a supersonic pocket forms over the bump and
     is closed by a shock on the lee side.  This is the flow regime for
     which the paper starts first-order, damps the SER exponent to 0.75,
-    and switches to second order only after the shock position settles.
+    and switches to second order only after the shock position settles:
+    the discretisation starts first order.
 
     The bump floor is a slip wall; all other boundaries are farfield
     (inflow/outflow are handled characteristically by the Rusanov
     farfield flux).
     """
-    from repro.mesh.tetgen import bump_mesh
+    from repro.mesh.tetgen import _bump_floor, bump_mesh
 
-    mesh = bump_mesh(nx, ny, nz, height=height, center=center, width=width,
-                     seed=seed)
+    mesh = bump_mesh(nx, ny, nz)
     dual = compute_dual_metrics(mesh)
     verts = dual.boundary_vertices
     c = mesh.coords[verts]
-    xi = (c[:, 0] - center) / (width / 2.0)
-    floor_z = np.where(np.abs(xi) < 1.0,
-                       height * np.cos(np.pi * xi / 2.0) ** 2, 0.0)
-    on_floor = np.abs(c[:, 2] - floor_z) < 1e-9
+    on_floor = np.abs(c[:, 2] - _bump_floor(c[:, 0])) < 1e-9
     kinds = np.full(verts.size, BoundaryCondition.FARFIELD, dtype=np.int64)
     kinds[on_floor] = BoundaryCondition.WALL
     bc = BoundaryCondition(vertices=verts,
@@ -108,7 +102,7 @@ def transonic_bump_problem(nx: int = 17, ny: int = 5, nz: int = 9, *,
                            kinds=kinds)
     fs = compressible_freestream(mesh.num_vertices, mach=mach, alpha_deg=0.0)
     disc = CompressibleEuler(mesh, bc, dual, farfield=fs,
-                             second_order=not first_order_start,
+                             second_order=False,
                              flux_scheme=flux_scheme, limiter=limiter)
     return FlowProblem(mesh=mesh, disc=disc, initial=fs,
                        name=f"bump-M{mach:g}-{mesh.num_vertices}v")

@@ -19,14 +19,16 @@ from repro.euler.fluxes import compressible_flux
 
 __all__ = ["roe_flux"]
 
+#: Harten's delta as a fraction of the Roe sound speed
+_ENTROPY_FIX = 0.1
+
 
 def roe_flux(ql: np.ndarray, qr: np.ndarray, s: np.ndarray, *,
-             gamma: float = 1.4, entropy_fix: float = 0.1) -> np.ndarray:
+             gamma: float = 1.4) -> np.ndarray:
     """Roe flux through faces with (non-unit) area vectors ``s``.
 
-    ``entropy_fix`` is Harten's delta as a fraction of the Roe sound
-    speed: acoustic eigenvalues below ``delta`` are floored by
-    ``(lam^2/delta + delta)/2``.
+    Acoustic eigenvalues below Harten's ``delta`` (``_ENTROPY_FIX`` of
+    the Roe sound speed) are floored by ``(lam^2/delta + delta)/2``.
     """
     ql = np.atleast_2d(ql)
     qr = np.atleast_2d(qr)
@@ -73,7 +75,7 @@ def roe_flux(ql: np.ndarray, qr: np.ndarray, s: np.ndarray, *,
     lam_minus = np.abs(un - a)
     lam_mid = np.abs(un)
     lam_plus = np.abs(un + a)
-    delta = entropy_fix * a
+    delta = _ENTROPY_FIX * a
     for lam in (lam_minus, lam_plus):
         small = lam < delta
         lam[small] = (lam[small] ** 2 / np.maximum(delta[small], 1e-300)

@@ -46,29 +46,25 @@ class FlowState:
         return FlowState(q=self.q.copy(), components=self.components)
 
 
-def incompressible_freestream(num_vertices: int, *, speed: float = 1.0,
-                              alpha_deg: float = 3.0,
-                              beta_deg: float = 0.0) -> FlowState:
+def incompressible_freestream(num_vertices: int, *,
+                              alpha_deg: float = 3.0) -> FlowState:
     """Uniform incompressible freestream (p, u, v, w).
 
-    ``alpha_deg`` is the angle of attack in the x-z plane and
-    ``beta_deg`` the sideslip in the x-y plane; the reference pressure
-    is zero (only gradients matter).
+    Unit speed at angle of attack ``alpha_deg`` in the x-z plane; the
+    reference pressure is zero (only gradients matter).
     """
     a = np.deg2rad(alpha_deg)
-    b = np.deg2rad(beta_deg)
-    vel = speed * np.array([np.cos(a) * np.cos(b),
-                            np.sin(b),
-                            np.sin(a) * np.cos(b)])
+    vel = np.array([np.cos(a), 0.0, np.sin(a)])
     q = np.zeros((num_vertices, 4))
     q[:, 1:4] = vel
     return FlowState(q=q, components=INCOMPRESSIBLE_COMPONENTS)
 
 
 def compressible_freestream(num_vertices: int, *, mach: float = 0.5,
-                            alpha_deg: float = 3.0, gamma: float = 1.4,
-                            rho: float = 1.0, pressure: float = 1.0) -> FlowState:
-    """Uniform compressible freestream in conservative variables."""
+                            alpha_deg: float = 3.0) -> FlowState:
+    """Uniform compressible freestream in conservative variables, at
+    unit density and pressure (gamma 1.4)."""
+    gamma, rho, pressure = 1.4, 1.0, 1.0
     c = np.sqrt(gamma * pressure / rho)
     speed = mach * c
     a = np.deg2rad(alpha_deg)

@@ -15,7 +15,7 @@ import numpy as np
 from repro.experiments.common import ExperimentResult, claim
 from repro.memory.cache import CacheConfig
 from repro.memory.fastsim import simulate_trace
-from repro.memory.trace import TraceLayout,  _bases
+from repro.memory.trace import _VALUE_BYTES, _bases
 from repro.perfmodel.spmv_model import conflict_miss_bound
 from repro.sparse.csr import CSRMatrix
 
@@ -41,12 +41,10 @@ def banded_matrix(n: int, bandwidth: int, nnz_per_row: int,
     return CSRMatrix.from_coo(np.array(rows), np.array(cols), vals, (n, n))
 
 
-def x_gather_trace(a: CSRMatrix, layout: TraceLayout | None = None
-                   ) -> np.ndarray:
+def x_gather_trace(a: CSRMatrix) -> np.ndarray:
     """Only the x-gather addresses of an SpMV (what Eqs. 1-2 bound)."""
-    lay = layout or TraceLayout()
-    (base_x,) = _bases([a.ncols * lay.value_bytes])
-    return base_x + lay.value_bytes * a.indices
+    (base_x,) = _bases([a.ncols * _VALUE_BYTES])
+    return base_x + _VALUE_BYTES * a.indices
 
 
 def run_eq_bounds(*, n: int = 4096, nnz_per_row: int = 12,

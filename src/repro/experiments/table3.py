@@ -80,7 +80,7 @@ class ScalabilityResult:
     problem_name: str
     machine: MachineSpec
     num_vertices: int = 0
-    points: list[ScalabilityPoint] = field(default_factory=list)
+    points: list[ScalabilityPoint] = field(default_factory=list, init=False)
     efficiency: list[EfficiencyRow] = field(default_factory=list)
 
     def to_table(self) -> ExperimentResult:
@@ -143,7 +143,8 @@ class MeasuredScalabilityResult:
     problem_name: str
     num_vertices: int = 0
     rows: list[MeasuredRow] = field(default_factory=list)
-    traces: dict = field(default_factory=dict)   # nprocs -> TraceRecorder
+    # nprocs -> TraceRecorder
+    traces: dict = field(default_factory=dict, init=False)
 
     def to_table(self) -> ExperimentResult:
         res = ExperimentResult(
@@ -167,8 +168,7 @@ class MeasuredScalabilityResult:
 
 
 def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
-                        max_steps: int = 4, fill_level: int = 1,
-                        seed: int = 0) -> MeasuredScalabilityResult:
+                        max_steps: int = 4) -> MeasuredScalabilityResult:
     """Measured-mode Table 3: telemetry instead of the machine model.
 
     For each processor count, one real p-block solve is recorded:
@@ -179,7 +179,7 @@ def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
     solve's ``orthogonalization`` span — where the Krylov reductions
     happen).  Each row's recorder is kept in ``result.traces``.
     """
-    prob = default_wing(size, seed=seed)
+    prob = default_wing(size)
     prob.disc.second_order = False      # the SPMD kernels are first-order
     runs = []
     result = MeasuredScalabilityResult(problem_name=prob.name,
@@ -187,8 +187,8 @@ def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
     for p in procs:
         rec = TraceRecorder()
         _, report = solve_with_partition(
-            prob, p, fill_level=fill_level, max_steps=max_steps, seed=seed,
-            matrix_free=False, executor="seq", recorder=rec)
+            prob, p, max_steps=max_steps, matrix_free=False, executor="seq",
+            recorder=rec)
         its = report.total_linear_iterations
         result.traces[p] = rec
         runs.append((p, its, rec))
@@ -197,17 +197,18 @@ def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
 
 
 def run_table3(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
-               machine: MachineSpec = ASCI_RED_PPRO, max_steps: int = 5,
-               fill_level: int = 1, seed: int = 0) -> ScalabilityResult:
-    """Regenerate the Table 3 analysis at scaled processor counts."""
-    prob = default_wing(size, seed=seed)
+               max_steps: int = 5) -> ScalabilityResult:
+    """Regenerate the Table 3 analysis at scaled processor counts: ILU(1)
+    subdomain solves on the ASCI Red model."""
+    prob = default_wing(size)
+    machine, fill_level = ASCI_RED_PPRO, 1
     net = network_from_machine(machine)
     result = ScalabilityResult(problem_name=prob.name, machine=machine,
                                num_vertices=prob.mesh.num_vertices)
     runs = []
     for p in procs:
         its, labels = measured_linear_iterations(
-            prob, p, fill_level=fill_level, max_steps=max_steps, seed=seed)
+            prob, p, fill_level=fill_level, max_steps=max_steps)
         layout = SPMDLayout.build(prob.mesh.edges, labels)
         works = build_rank_work(layout, prob.disc.ncomp,
                                 fill_ratio=1.0 + fill_level)

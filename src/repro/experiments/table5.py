@@ -91,7 +91,7 @@ def _flux_wall(disc, labels: np.ndarray, q: np.ndarray, sweeps: int,
 
 
 def run_table5_measured(*, node_counts=(2, 4), size: str = "small",
-                        seed: int = 0, sweeps: int = 5,
+                        sweeps: int = 5,
                         nworkers: int = 2) -> ExperimentResult:
     """Measured Table 5 analogue: wall-clock flux phases, no model.
 
@@ -108,7 +108,7 @@ def run_table5_measured(*, node_counts=(2, 4), size: str = "small",
       halo edges, which is exactly the effect Table 5 attributes the
       hybrid scheme's win to — here it is measured, not modelled).
     """
-    prob = default_wing(size, seed=seed)
+    prob = default_wing(size)
     graph = prob.mesh.vertex_graph()
     disc = prob.disc
     q = np.asarray(prob.initial.flat(), dtype=np.float64)
@@ -119,8 +119,8 @@ def run_table5_measured(*, node_counts=(2, 4), size: str = "small",
                  "hybrid/mpi2"],
     )
     for nodes in node_counts:
-        l1 = kway_partition(graph, nodes, seed=seed)
-        l2 = kway_partition(graph, 2 * nodes, seed=seed)
+        l1 = kway_partition(graph, nodes)
+        l2 = kway_partition(graph, 2 * nodes)
         t_1p = _flux_wall(disc, l1, q, sweeps)
         t_2t = _flux_wall(disc, l1, q, sweeps, nworkers=nworkers)
         t_2p = _flux_wall(disc, l2, q, sweeps, nworkers=nworkers)

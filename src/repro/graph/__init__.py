@@ -12,7 +12,7 @@ from repro.graph.traversal import (
     connected_components,
     pseudo_peripheral_node,
 )
-from repro.graph.rcm import rcm_ordering, cuthill_mckee, bandwidth, profile as envelope_profile
+from repro.graph.rcm import rcm_ordering, cuthill_mckee, bandwidth
 from repro.graph.coloring import distance2_edge_coloring
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "rcm_ordering",
     "cuthill_mckee",
     "bandwidth",
-    "envelope_profile",
     "distance2_edge_coloring",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sparse.segsum import segment_sum
+from repro.sparse.segsum import run_starts, segment_sum
 
 __all__ = ["Graph", "graph_from_edges", "graph_from_csr"]
 
@@ -143,7 +143,9 @@ def graph_from_edges(num_vertices: int, edges: np.ndarray,
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
     key = lo * np.int64(num_vertices) + hi
-    uniq, inverse = np.unique(key, return_inverse=True)
+    uniq = np.sort(key)
+    uniq = uniq[run_starts(uniq)]
+    inverse = np.searchsorted(uniq, key)
     # Weight accumulation as a segment sum: integer weights sum exactly
     # through bincount's float64 accumulator (well under 2**53).
     wsum = segment_sum(inverse, w, uniq.size)
@@ -162,8 +164,7 @@ def graph_from_edges(num_vertices: int, edges: np.ndarray,
     return Graph(xadj=xadj, adjncy=dst, vwgt=vwgt, ewgt=aw)
 
 
-def graph_from_csr(indptr: np.ndarray, indices: np.ndarray,
-                   vwgt: np.ndarray | None = None) -> Graph:
+def graph_from_csr(indptr: np.ndarray, indices: np.ndarray) -> Graph:
     """Build a graph from a symmetric CSR sparsity pattern, dropping the
     diagonal.  Used to derive the adjacency graph of a Jacobian."""
     indptr = np.asarray(indptr, dtype=np.int64)
@@ -173,4 +174,4 @@ def graph_from_csr(indptr: np.ndarray, indices: np.ndarray,
     mask = src != indices
     src, dst = src[mask], indices[mask]
     up = src < dst
-    return graph_from_edges(n, np.stack([src[up], dst[up]], axis=1), vwgt=vwgt)
+    return graph_from_edges(n, np.stack([src[up], dst[up]], axis=1))

@@ -1,4 +1,4 @@
-"""Reverse Cuthill-McKee ordering and envelope metrics.
+"""Reverse Cuthill-McKee ordering and the bandwidth it reduces.
 
 The paper (Sec. 2.1.3) uses RCM for vertex ordering because a
 bandwidth-reducing ordering turns the Jacobian into a narrow-band
@@ -15,7 +15,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.traversal import (bfs_queue, pseudo_peripheral_node,
                                    sorted_adjacency)
 
-__all__ = ["cuthill_mckee", "rcm_ordering", "bandwidth", "profile"]
+__all__ = ["cuthill_mckee", "rcm_ordering", "bandwidth"]
 
 
 def cuthill_mckee(graph: Graph) -> np.ndarray:
@@ -46,37 +46,10 @@ def rcm_ordering(graph: Graph) -> np.ndarray:
     return cuthill_mckee(graph)[::-1].copy()
 
 
-def bandwidth(graph: Graph, perm: np.ndarray | None = None) -> int:
-    """Matrix bandwidth ``max |i - j|`` over edges, under an optional
-    ordering ``perm`` (new -> old)."""
+def bandwidth(graph: Graph) -> int:
+    """Matrix bandwidth ``max |i - j|`` over edges."""
     edges = graph.edge_list()
     if edges.size == 0:
         return 0
-    if perm is not None:
-        inv = np.empty(graph.num_vertices, dtype=np.int64)
-        inv[np.asarray(perm, dtype=np.int64)] = np.arange(graph.num_vertices)
-        edges = inv[edges]
     return int(np.abs(edges[:, 0] - edges[:, 1]).max())
 
-
-def profile(graph: Graph, perm: np.ndarray | None = None) -> int:
-    """Envelope profile: sum over rows of (row index - min column index).
-
-    A finer locality metric than bandwidth; RCM is designed to shrink it.
-    """
-    n = graph.num_vertices
-    edges = graph.edge_list()
-    if edges.size == 0:
-        return 0
-    if perm is not None:
-        inv = np.empty(n, dtype=np.int64)
-        inv[np.asarray(perm, dtype=np.int64)] = np.arange(n)
-        edges = inv[edges]
-    rows = np.maximum(edges[:, 0], edges[:, 1])
-    cols = np.minimum(edges[:, 0], edges[:, 1])
-    first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    # Profile diagnostic; bincount has no equivalent for min.
-    np.minimum.at(first, rows, cols)
-    present = first < np.iinfo(np.int64).max
-    idx = np.arange(n, dtype=np.int64)
-    return int((idx[present] - first[present]).sum())

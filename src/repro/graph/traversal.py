@@ -66,17 +66,14 @@ def _gather_rows(xadj: np.ndarray, adj: np.ndarray,
     return adj[concat_ranges(starts, xadj[rows + 1] - starts)]
 
 
-def sorted_adjacency(graph: Graph,
-                     tie_break: np.ndarray | None = None) -> np.ndarray:
-    """``graph.adjncy`` with every row sorted by ``(tie_break, id)``,
-    the order a BFS enqueues its fresh neighbours in (default
-    ``tie_break``: vertex degree)."""
-    if tie_break is None:
-        tie_break = graph.degrees()
+def sorted_adjacency(graph: Graph) -> np.ndarray:
+    """``graph.adjncy`` with every row sorted by ``(degree, id)``, the
+    order a BFS enqueues its fresh neighbours in."""
+    degree = graph.degrees()
     nbr = graph.adjncy
     row = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
                     np.diff(graph.xadj))
-    return nbr[np.lexsort((nbr, tie_break[nbr], row))]
+    return nbr[np.lexsort((nbr, degree[nbr], row))]
 
 
 def bfs_queue(xadj: np.ndarray, adj: np.ndarray, root: int,

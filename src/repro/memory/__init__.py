@@ -15,7 +15,6 @@ from repro.memory.fastsim import FastCacheSim, simulate_trace
 from repro.memory.tlb import TLBConfig, tlb_sim
 from repro.memory.hierarchy import MemoryHierarchy, HierarchyCounters
 from repro.memory.trace import (
-    TraceLayout,
     spmv_csr_trace,
     spmv_bsr_trace,
     flux_loop_trace,
@@ -30,7 +29,6 @@ __all__ = [
     "tlb_sim",
     "MemoryHierarchy",
     "HierarchyCounters",
-    "TraceLayout",
     "spmv_csr_trace",
     "spmv_bsr_trace",
     "flux_loop_trace",

@@ -34,7 +34,7 @@ class Mesh:
     tets: np.ndarray
     edges: np.ndarray
     name: str = "mesh"
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.coords = np.ascontiguousarray(self.coords, dtype=np.float64)

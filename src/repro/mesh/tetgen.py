@@ -118,19 +118,20 @@ def unit_cube_mesh(n: int, *, jitter: float = 0.0, seed: int = 0) -> Mesh:
     return box_mesh(n, n, n, jitter=jitter, seed=seed, name=f"cube{n}")
 
 
-def wing_mesh(nx: int, ny: int, nz: int, *, jitter: float = 0.25,
-              seed: int = 0, stretch: float = 2.5) -> Mesh:
+def wing_mesh(nx: int, ny: int, nz: int, *, seed: int = 0) -> Mesh:
     """Wing-like graded mesh.
 
     Emulates the M6-wing grids' character: vertices cluster toward the
     wing surface (the z=0 wall over the mid-chord region) with a
-    ``tanh`` grading of strength ``stretch``, plus chordwise clustering
-    toward the leading edge (x=0.3).  Connectivity is identical to the
+    ``tanh`` grading of strength 2.5, plus chordwise clustering toward
+    the leading edge (x=0.3).  Interior vertices are jittered by 0.25 of
+    the grid spacing.  Connectivity is identical to the
     box mesh; only the geometry (hence dual volumes, edge areas, and
     the flow problem) is graded.
     """
-    mesh = box_mesh(nx, ny, nz, jitter=jitter, seed=seed,
+    mesh = box_mesh(nx, ny, nz, jitter=0.25, seed=seed,
                     name=f"wing{nx}x{ny}x{nz}")
+    stretch = 2.5
     c = mesh.coords.copy()
     # Cluster toward the wall z=0 (boundary-layer style grading):
     # spacing is smallest at z=0 and grows toward the farfield.
@@ -159,24 +160,27 @@ def shuffle_vertices(mesh: Mesh, seed: int = 0) -> Mesh:
     return mesh.permuted(perm, name=mesh.name + "+shuffled")
 
 
-def bump_mesh(nx: int, ny: int, nz: int, *, height: float = 0.12,
-              center: float = 0.5, width: float = 0.35,
-              jitter: float = 0.15, seed: int = 0) -> Mesh:
+def _bump_floor(x: np.ndarray) -> np.ndarray:
+    """Floor height of the bump channel at chordwise ``x``: ``0.1 *
+    cos^2`` over a window of width 0.4 around x = 0.5, else zero."""
+    xi = (x - 0.5) / (0.4 / 2.0)
+    return np.where(np.abs(xi) < 1.0, 0.10 * np.cos(np.pi * xi / 2.0) ** 2,
+                    0.0)
+
+
+def bump_mesh(nx: int, ny: int, nz: int) -> Mesh:
     """Channel with a cosine bump on the floor.
 
     The classic transonic test geometry: flow accelerates over the
     bump, and above a critical Mach number a shock forms on the lee
-    side.  The floor is raised by ``height * cos^2`` over a chordwise
-    window of ``width`` around ``center`` (spanwise uniform), with the
-    deformation decaying linearly to zero at the top wall so the mesh
-    stays valid.
+    side.  The floor is raised to ``_bump_floor`` (spanwise uniform),
+    with the deformation decaying linearly to zero at the top wall so
+    the mesh stays valid.  Interior vertices are jittered by 0.15 of
+    the grid spacing.
     """
-    mesh = box_mesh(nx, ny, nz, jitter=jitter, seed=seed,
+    mesh = box_mesh(nx, ny, nz, jitter=0.15,
                     name=f"bump{nx}x{ny}x{nz}")
     c = mesh.coords.copy()
-    xi = (c[:, 0] - center) / (width / 2.0)
-    profile = np.where(np.abs(xi) < 1.0,
-                       height * np.cos(np.pi * xi / 2.0) ** 2, 0.0)
-    c[:, 2] = c[:, 2] + profile * (1.0 - c[:, 2])
+    c[:, 2] = c[:, 2] + _bump_floor(c[:, 0]) * (1.0 - c[:, 2])
     tets = _fix_orientation(c, mesh.tets)
     return Mesh(coords=c, tets=tets, edges=mesh.edges, name=mesh.name)

@@ -43,24 +43,22 @@ class HybridComparison:
                 self.t_mpi_1, self.t_mpi_2]
 
 
-def _max_flux_time(works, machine: MachineSpec, scale: float = 1.0) -> float:
-    return max(predict_kernel_time(w.flux_flops * scale,
-                                   w.flux_traffic * scale, machine)
+def _max_flux_time(works, machine: MachineSpec) -> float:
+    return max(predict_kernel_time(w.flux_flops, w.flux_traffic, machine)
                for w in works)
 
 
 def hybrid_flux_times(edges: np.ndarray, labels_nodes: np.ndarray,
                       labels_2x: np.ndarray, machine: MachineSpec, *,
-                      ncomp: int = 4, flux_evals: int = 1,
-                      thread_overhead: float = 0.08) -> HybridComparison:
-    """Flux-phase wall times under the three execution models.
+                      ncomp: int = 4) -> HybridComparison:
+    """Flux-phase wall times of one flux evaluation under the three
+    execution models.
 
     ``labels_nodes`` partitions the mesh (its ``edges``) into N
     subdomains (one per node), ``labels_2x`` into 2N (one per
-    processor); each is priced on its SPMD layout.
-    ``thread_overhead`` is the OpenMP redundant-array/merge cost as a
-    fraction of the ideal split (paper Sec. 2.5's 'some redundant
-    work').
+    processor); each is priced on its SPMD layout.  The OpenMP
+    redundant-array/merge cost is 8% of the ideal split (paper Sec.
+    2.5's 'some redundant work').
     """
     nnodes = int(labels_nodes.max()) + 1
     n2 = int(labels_2x.max()) + 1
@@ -71,13 +69,13 @@ def hybrid_flux_times(edges: np.ndarray, labels_nodes: np.ndarray,
     works_2 = build_rank_work(SPMDLayout.build(edges, labels_2x), ncomp)
 
     # 1 process/node: one CPU does the whole subdomain.
-    t1 = _max_flux_time(works_1, machine, flux_evals)
+    t1 = _max_flux_time(works_1, machine)
     # 2 threads/node: the same subdomain split over 2 CPUs, with the
     # OpenMP merge overhead (the flux loop shares the node's memory,
     # and this phase is compute-bound, so the split is near-ideal).
-    t_hybrid = t1 / 2.0 * (1.0 + thread_overhead)
+    t_hybrid = t1 / 2.0 * (1.0 + 0.08)
     # 2 MPI processes/node: the 2N-way partition; each CPU computes its
     # own (smaller but halo-heavier) subdomain.
-    t2 = _max_flux_time(works_2, machine, flux_evals)
+    t2 = _max_flux_time(works_2, machine)
     return HybridComparison(nodes=nnodes, t_mpi_1=t1, t_hybrid_2=t_hybrid,
                             t_mpi_2=t2)

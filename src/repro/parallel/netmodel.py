@@ -8,8 +8,9 @@ Two communication primitives appear in the NKS inner loop:
   latency; this is why the paper's measured "application level
   effective bandwidth" (~4 MB/s/node) sits two orders below the
   hardware link bandwidth.  We model payload cost as
-  ``bytes / (pack_efficiency * stream_bw)`` capped by the wire.
-* **global reductions** — log2(P) latency-bound combining tree.
+  ``bytes / (0.03 * stream_bw)`` capped by the wire.
+* **global reductions** — log2(P) latency-bound combining tree of one
+  8-byte word.
 """
 
 from __future__ import annotations
@@ -35,24 +36,23 @@ class NetworkModel:
         eff = min(self.beta, self.pack_bw)
         return self.alpha * messages + payload_bytes / eff
 
-    def allreduce_time(self, nranks: int, payload_bytes: float = 8.0) -> float:
-        """Combining-tree allreduce: ceil(log2 P) latency stages."""
+    def allreduce_time(self, nranks: int) -> float:
+        """Combining-tree allreduce of one 8-byte word: ceil(log2 P)
+        latency stages."""
         if nranks <= 1:
             return 0.0
         stages = int(np.ceil(np.log2(nranks)))
-        return stages * (self.alpha + payload_bytes / self.beta)
+        return stages * (self.alpha + 8.0 / self.beta)
 
 
-def network_from_machine(machine: MachineSpec, *,
-                         pack_efficiency: float = 0.03) -> NetworkModel:
+def network_from_machine(machine: MachineSpec) -> NetworkModel:
     """Derive the network model from a machine sheet.
 
-    ``pack_efficiency`` is the fraction of STREAM bandwidth the
-    scatter's strided pack/unpack achieves end to end (gathers with
-    index loads, two copies, MPI overhead, contention).  The default
-    0.03 reproduces the order of magnitude of the paper's measured
+    The scatter's strided pack/unpack achieves 3% of STREAM bandwidth
+    end to end (gathers with index loads, two copies, MPI overhead,
+    contention): the order of magnitude of the paper's measured
     ~4 MB/s/node effective scatter bandwidth on ASCI Red
     (0.03 x 150 MB/s = 4.5 MB/s).
     """
     return NetworkModel(alpha=machine.net_alpha, beta=machine.net_beta,
-                        pack_bw=pack_efficiency * machine.stream_bw)
+                        pack_bw=0.03 * machine.stream_bw)

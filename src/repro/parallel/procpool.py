@@ -91,6 +91,7 @@ _OP_LOAD_MATRIX = 3
 
 _DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 _NAME_BYTES = 128   # shm segment name region (ASCII, zero-padded)
+_TIMEOUT = 60.0     # seconds to wait for the workers before declaring a death
 
 
 def _dtype_code(dtype) -> int:
@@ -150,9 +151,9 @@ class ProcPool:
         ``os.cpu_count()`` is allowed (the OS time-slices).  Ranks are
         dealt round-robin (worker ``w`` owns ranks
         ``w, w+nworkers, ...``).
-    timeout:
-        Seconds the coordinator waits for worker completion before
-        declaring the pool broken (a worker died mid-operation).
+
+    The coordinator waits ``_TIMEOUT`` seconds for worker completion
+    before declaring the pool broken (a worker died mid-operation).
 
     Use as a context manager; ``close()`` shuts the workers down and
     unlinks every shared-memory segment.  A ``weakref.finalize`` guard
@@ -161,8 +162,8 @@ class ProcPool:
     leaked.
     """
 
-    def __init__(self, layout: SPMDLayout, disc, nworkers: int | None = None,
-                 *, timeout: float = 60.0) -> None:
+    def __init__(self, layout: SPMDLayout, disc,
+                 nworkers: int | None = None) -> None:
         if layout.nranks == 0:
             raise ValueError("cannot pool an empty layout")
         self.layout = layout
@@ -174,7 +175,6 @@ class ProcPool:
         if int(nworkers) < 1:
             raise ProcPoolError(f"nworkers must be >= 1, got {nworkers!r}")
         self.nworkers = min(int(nworkers), layout.nranks)
-        self._timeout = float(timeout)
         self._owner_pid = os.getpid()
         self._closed = False
         self._broken = False
@@ -264,7 +264,7 @@ class ProcPool:
             sem.release()
 
     def _drain_done(self) -> None:
-        deadline = time.monotonic() + self._timeout
+        deadline = time.monotonic() + _TIMEOUT
         for sem in self._done:
             if not sem.acquire(timeout=max(0.0, deadline
                                            - time.monotonic())):

@@ -30,6 +30,8 @@ __all__ = ["RankWork", "build_rank_work"]
 # EdgeFVDiscretization.residual_flops's per-edge constant.
 _FLUX_FLOPS_PER_EDGE_COMP = 14
 _FLUX_FLOPS_PER_EDGE_BASE = 14
+_VALUE_BYTES = 8            # float64 states, Jacobian and vectors
+_INDEX_BYTES = 4
 
 
 @dataclass
@@ -43,8 +45,6 @@ class RankWork:
     halo_edges: int             # cut edges (computed redundantly)
     ncomp: int
     fill_ratio: float = 2.0     # ILU(k) nnz / A nnz
-    value_bytes: int = 8
-    index_bytes: int = 4
     precond_value_bytes: int = 8
 
     # -- flux phase ------------------------------------------------------
@@ -57,9 +57,9 @@ class RankWork:
     @property
     def flux_traffic(self) -> int:
         """Compulsory bytes: states + normals + residual in/out."""
-        per_edge = (2 * self.index_bytes            # endpoints
-                    + 3 * self.value_bytes)         # normal
-        per_vertex = 3 * self.ncomp * self.value_bytes  # q, r read+write
+        per_edge = (2 * _INDEX_BYTES            # endpoints
+                    + 3 * _VALUE_BYTES)         # normal
+        per_vertex = 3 * self.ncomp * _VALUE_BYTES  # q, r read+write
         return self.local_edges * per_edge + self.owned_vertices * per_vertex
 
     # -- Jacobian blocks owned by this rank --------------------------------
@@ -78,9 +78,9 @@ class RankWork:
 
     @property
     def spmv_traffic(self) -> int:
-        return (self.jacobian_scalar_nnz * self.value_bytes
-                + self.local_block_nnz * self.index_bytes
-                + 3 * self.owned_vertices * self.ncomp * self.value_bytes)
+        return (self.jacobian_scalar_nnz * _VALUE_BYTES
+                + self.local_block_nnz * _INDEX_BYTES
+                + 3 * self.owned_vertices * self.ncomp * _VALUE_BYTES)
 
     @property
     def pcapply_flops(self) -> int:
@@ -92,8 +92,8 @@ class RankWork:
         precision (the Table 2 lever) plus vector in/out."""
         return int(self.fill_ratio * self.jacobian_scalar_nnz
                    * self.precond_value_bytes
-                   + self.fill_ratio * self.local_block_nnz * self.index_bytes
-                   + 4 * self.owned_vertices * self.ncomp * self.value_bytes)
+                   + self.fill_ratio * self.local_block_nnz * _INDEX_BYTES
+                   + 4 * self.owned_vertices * self.ncomp * _VALUE_BYTES)
 
     @property
     def krylov_vector_flops(self) -> int:
@@ -103,7 +103,7 @@ class RankWork:
 
     @property
     def krylov_vector_traffic(self) -> int:
-        return 4 * 2 * self.owned_vertices * self.ncomp * self.value_bytes
+        return 4 * 2 * self.owned_vertices * self.ncomp * _VALUE_BYTES
 
     # -- preconditioner setup ------------------------------------------------
     @property
@@ -115,7 +115,7 @@ class RankWork:
     @property
     def pcsetup_traffic(self) -> int:
         return int(3 * self.fill_ratio * self.jacobian_scalar_nnz
-                   * self.value_bytes)
+                   * _VALUE_BYTES)
 
 
 def build_rank_work(layout: SPMDLayout, ncomp: int, *,

@@ -119,14 +119,13 @@ def scatter_counts(plan: ScatterPlan) -> tuple[np.ndarray, np.ndarray,
 def simulate_solve(works: list[RankWork], plan: ScatterPlan,
                    machine: MachineSpec, net: NetworkModel, *,
                    linear_its_per_step: list[int],
-                   flux_evals_per_step: int = 2,
-                   refresh_every: int = 1,
-                   reductions_per_linear_it: int = 2) -> ParallelTimeline:
+                   refresh_every: int = 1) -> ParallelTimeline:
     """Simulate a full solve; see module docstring.
 
     ``linear_its_per_step`` carries the algorithmic content (measured
     from a real run with this partition); everything else is the
-    machine model.
+    machine model: two residual evaluations per step, two reductions
+    per Krylov iteration.
     """
     nranks = len(works)
     ncomp = works[0].ncomp if works else 1
@@ -163,7 +162,7 @@ def simulate_solve(works: list[RankWork], plan: ScatterPlan,
         wall = 0.0
 
         # Residual evaluations (each needs fresh ghost states).
-        for _ in range(flux_evals_per_step):
+        for _ in range(2):
             scatter += t_scatter
             wall += float(t_scatter.max())
             wall += _phase(t_flux, compute, sync)
@@ -187,8 +186,8 @@ def simulate_solve(works: list[RankWork], plan: ScatterPlan,
             tp = _phase(t_pcapply, compute, sync)
             wall_linear += tp
             wall_pcapply += tp
-            reductions += reductions_per_linear_it * t_reduce
-            wall_linear += reductions_per_linear_it * t_reduce
+            reductions += 2 * t_reduce
+            wall_linear += 2 * t_reduce
         wall += wall_linear
 
         timeline.steps.append(StepTiming(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.adjacency import Graph, graph_from_edges
+from repro.sparse.segsum import run_starts
 
 __all__ = ["heavy_edge_matching", "coarsen_graph", "CoarseLevel"]
 
@@ -60,7 +61,9 @@ def coarsen_graph(graph: Graph, seed: int = 0) -> CoarseLevel:
     n = graph.num_vertices
     # Assign coarse ids: the lower-indexed partner of each pair names it.
     rep = np.minimum(np.arange(n, dtype=np.int64), match)
-    uniq, fine_to_coarse = np.unique(rep, return_inverse=True)
+    uniq = np.sort(rep)
+    uniq = uniq[run_starts(uniq)]
+    fine_to_coarse = np.searchsorted(uniq, rep)
     nc = uniq.size
     # Coarse vertex weights.
     cvwgt = np.zeros(nc, dtype=np.int64)

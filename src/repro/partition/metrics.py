@@ -40,12 +40,11 @@ def edge_cut(graph: Graph, labels: np.ndarray) -> int:
     return cut2 // 2
 
 
-def load_imbalance(labels: np.ndarray, vwgt: np.ndarray | None = None,
-                   nparts: int | None = None) -> float:
+def load_imbalance(labels: np.ndarray,
+                   vwgt: np.ndarray | None = None) -> float:
     """max part weight / mean part weight (1.0 = perfect balance)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if nparts is None:
-        nparts = int(labels.max()) + 1
+    nparts = int(labels.max()) + 1
     if vwgt is None:
         weights = np.bincount(labels, minlength=nparts).astype(np.float64)
     else:

@@ -17,18 +17,18 @@ import tempfile
 __all__ = ["atomic_write_json", "git_sha"]
 
 
-def git_sha(short: bool = True) -> str | None:
-    """The repository HEAD commit of the code being benched, so every
-    benchmark report is attributable to a commit.  Returns ``None``
-    when the tree is not a git checkout (an installed package, a
-    tarball CI job); report writers record the ``None`` rather than
-    omitting the key, so "unattributable" is visible in the report.
+def git_sha() -> str | None:
+    """The repository HEAD commit (short form) of the code being
+    benched, so every benchmark report is attributable to a commit.
+    Returns ``None`` when the tree is not a git checkout (an installed
+    package, a tarball CI job); report writers record the ``None``
+    rather than omitting the key, so "unattributable" is visible in
+    the report.
     """
-    cmd = ["git", "rev-parse", "--short", "HEAD"] if short \
-        else ["git", "rev-parse", "HEAD"]
     try:
         out = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=10,
+            ["git", "rev-parse", "--short", "HEAD"], capture_output=True,
+            text=True, timeout=10,
             cwd=pathlib.Path(__file__).resolve().parent)
     except (OSError, subprocess.TimeoutExpired):
         return None

@@ -59,22 +59,17 @@ class SpMVTraffic:
 
 
 def spmv_traffic_bytes(n_rows: int, nnz: int, *, block_size: int = 1,
-                       value_bytes: int = 8, index_bytes: int = 4,
-                       x_cached: bool = True) -> SpMVTraffic:
-    """Compulsory traffic of one SpMV.
+                       value_bytes: int = 8,
+                       index_bytes: int = 4) -> SpMVTraffic:
+    """Compulsory traffic of one SpMV, x read from memory once.
 
     With ``block_size`` b the matrix has ``nnz`` scalar entries in
     ``nnz / b^2`` blocks, so only one column index per block is read.
-    ``x_cached=False`` charges every x gather to memory (the
-    no-reuse / huge-bandwidth regime of the noninterlaced layout).
     """
     nblocks = nnz // (block_size * block_size) if block_size > 1 else nnz
     nbrows = n_rows // block_size if block_size > 1 else n_rows
     matrix = nnz * value_bytes
     index = nblocks * index_bytes + (nbrows + 1) * index_bytes
-    if x_cached:
-        vector = n_rows * value_bytes * 3       # x once, y read+write
-    else:
-        vector = (nblocks * block_size + 2 * n_rows) * value_bytes
+    vector = n_rows * value_bytes * 3           # x once, y read+write
     return SpMVTraffic(matrix_bytes=matrix, index_bytes=index,
                        vector_bytes=vector)

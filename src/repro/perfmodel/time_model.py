@@ -54,21 +54,17 @@ def bandwidth_time(traffic_bytes: float, machine: MachineSpec) -> float:
 
 
 def kernel_time_from_counters(counters: HierarchyCounters, flops: float,
-                              machine: MachineSpec,
-                              compulsory_bytes: float | None = None
-                              ) -> KernelPrediction:
+                              machine: MachineSpec) -> KernelPrediction:
     """Predict a kernel's time from its simulated hierarchy counters.
 
-    ``compulsory_bytes``: the kernel's minimum memory traffic; when
-    omitted, L2 misses x line size is used (every L2 miss moves one
-    line from memory).
+    The memory traffic is L2 misses x line size (every L2 miss moves
+    one line from memory).
     """
     cyc = machine.cycle_time
-    if compulsory_bytes is None:
-        compulsory_bytes = counters.l2_misses * machine.l2.line_bytes
+    traffic = counters.l2_misses * machine.l2.line_bytes
     return KernelPrediction(
         flop_time=flops / machine.peak_flops,
-        bandwidth_time=compulsory_bytes / machine.stream_bw,
+        bandwidth_time=traffic / machine.stream_bw,
         l1_penalty=counters.l1_misses * machine.l1_miss_cycles * cyc,
         l2_penalty=counters.l2_misses * machine.l2_miss_cycles * cyc,
         tlb_penalty=counters.tlb_misses * machine.tlb_miss_cycles * cyc,

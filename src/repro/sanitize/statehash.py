@@ -52,7 +52,7 @@ def state_hash(*arrays) -> str:
 class HashTrail:
     """An ordered record of ``(phase, digest)`` steps for one run."""
 
-    def __init__(self, name: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.steps: list[tuple[str, str]] = []
 

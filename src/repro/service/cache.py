@@ -71,10 +71,12 @@ class ServiceCache:
     """
 
     max_entries: int = 32
-    _table: OrderedDict = field(default_factory=OrderedDict, repr=False)
-    _stats: CacheStats = field(default_factory=CacheStats, repr=False)
+    _table: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                repr=False)
+    _stats: CacheStats = field(default_factory=CacheStats, init=False,
+                               repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False)
+                                  init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_entries < 0:

@@ -18,7 +18,7 @@ Request lifecycle::
   topology + the config knobs that shape reusable structures, the
   executor included), which is also the key of their warm cache
   entry.  When a dispatcher picks a request it also drains every
-  queued request with the same key (up to ``max_batch``) and runs
+  queued request with the same key (up to ``_MAX_BATCH``) and runs
   them back-to-back under one per-key lock, so the warm structures
   are seeded once and the followers pay only the numeric work.  The
   per-key lock is also the exclusive-use contract of the mutable warm
@@ -48,6 +48,8 @@ from repro.service.warm import harvest_context, seed_solver, warm_key
 from repro.telemetry.recorder import TraceRecorder
 
 __all__ = ["SolveRequest", "SolveTicket", "ServiceStats", "SolverService"]
+
+_MAX_BATCH = 8      # the largest same-key group one dispatch drains
 
 
 @dataclass
@@ -141,20 +143,16 @@ class SolverService:
     max_queue:
         Admission bound: queued (not yet dispatched) requests beyond
         this are rejected at submit.
-    max_batch:
-        Largest same-key group one dispatch drains.
     cache:
         A :class:`~repro.service.cache.ServiceCache`; a private one is
         created when omitted.
     """
 
     def __init__(self, *, workers: int = 2, max_queue: int = 16,
-                 max_batch: int = 8,
                  cache: ServiceCache | None = None) -> None:
         self.cache = cache or ServiceCache()
         self.stats = ServiceStats()
         self.max_queue = int(max_queue)
-        self.max_batch = max(1, int(max_batch))
         self._queue: deque[SolveTicket] = deque()
         self._cv = threading.Condition()
         self._key_locks: dict[tuple, threading.Lock] = {}
@@ -200,17 +198,16 @@ class SolverService:
             if self._expire_if_late(head):
                 continue
             batch = [head]
-            if len(batch) < self.max_batch:
-                rest = deque()
-                while self._queue and len(batch) < self.max_batch:
-                    t = self._queue.popleft()
-                    if self._expire_if_late(t):
-                        continue
-                    if t.compat_key == head.compat_key:
-                        batch.append(t)
-                    else:
-                        rest.append(t)
-                self._queue.extendleft(reversed(rest))
+            rest = deque()
+            while self._queue and len(batch) < _MAX_BATCH:
+                t = self._queue.popleft()
+                if self._expire_if_late(t):
+                    continue
+                if t.compat_key == head.compat_key:
+                    batch.append(t)
+                else:
+                    rest.append(t)
+            self._queue.extendleft(reversed(rest))
             return batch
 
     def _expire_if_late(self, ticket: SolveTicket) -> bool:
@@ -297,21 +294,14 @@ class SolverService:
             ticket._finish("failed")
 
     # -- lifecycle --------------------------------------------------------
-    def close(self, *, drain: bool = True,
-              timeout: float | None = None) -> None:
-        """Stop the service: reject new submits, optionally drain the
-        queue (``drain=False`` expires queued requests as ``timeout``),
-        and join the dispatchers."""
+    def close(self) -> None:
+        """Stop the service: reject new submits, drain the queue, and
+        join the dispatchers."""
         with self._cv:
             self._closing = True
-            if not drain:
-                while self._queue:
-                    t = self._queue.popleft()
-                    self.stats.timeouts += 1
-                    t._finish("timeout")
             self._cv.notify_all()
         for t in self._threads:
-            t.join(timeout)
+            t.join()
 
     def __enter__(self) -> "SolverService":
         return self

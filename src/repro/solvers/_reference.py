@@ -23,18 +23,17 @@ class _IdentityPC:
         return r
 
 
-def gmres_ref(a, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
-              rtol: float = 1e-5, atol: float = 1e-50, restart: int = 20,
-              maxiter: int = 200) -> GMRESResult:
+def gmres_ref(a, b: np.ndarray, *, M=None, rtol: float = 1e-5,
+              restart: int = 20, maxiter: int = 200) -> GMRESResult:
     """Solve ``a x = b`` with the pre-workspace restarted GMRES."""
     _check_sizes(restart, maxiter)
     op = as_operator(a, n=b.size)
     pc = M if M is not None else _IdentityPC()
     n = b.size
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(n)
 
     bnorm = float(np.linalg.norm(b))
-    target = max(rtol * bnorm, atol)
+    target = max(rtol * bnorm, 1e-50)
     matvecs = 0
     pc_applies = 0
     resnorms: list[float] = []

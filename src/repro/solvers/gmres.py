@@ -56,12 +56,12 @@ def _check_sizes(restart: int, maxiter: int) -> None:
         raise ValueError(f"maxiter must be >= 0, got {maxiter}")
 
 
-def gmres(a, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
-          rtol: float = 1e-5, atol: float = 1e-50, restart: int = 20,
+def gmres(a, b: np.ndarray, *, M=None, rtol: float = 1e-5, restart: int = 20,
           maxiter: int = 200,
           workspace: KrylovWorkspace | None = None,
           recorder=NULL_RECORDER) -> GMRESResult:
-    """Solve ``a x = b`` with restarted, right-preconditioned GMRES.
+    """Solve ``a x = b`` with restarted, right-preconditioned GMRES from
+    a zero initial guess.
 
     Parameters
     ----------
@@ -70,8 +70,8 @@ def gmres(a, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     M:
         Preconditioner with a ``solve(r)`` method approximating
         ``A^{-1} r``; identity if None.
-    rtol, atol:
-        Stop when ``||r|| <= max(rtol * ||b||, atol)``.
+    rtol:
+        Stop when ``||r|| <= max(rtol * ||b||, 1e-50)``.
     restart:
         Krylov subspace dimension between restarts (GMRES(m)), >= 1.
     maxiter:
@@ -99,11 +99,10 @@ def gmres(a, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     dtype = solve_dtype(b.dtype)
     ws = workspace if workspace is not None else KrylovWorkspace()
     ws.ensure(n, restart, dtype=dtype)
-    x = (np.zeros(n, dtype=dtype) if x0 is None
-         else np.array(x0, dtype=dtype))
+    x = np.zeros(n, dtype=dtype)
 
     bnorm = float(np.linalg.norm(b))
-    target = max(rtol * bnorm, atol)
+    target = max(rtol * bnorm, 1e-50)
     matvecs = 0
     pc_applies = 0
     resnorms: list[float] = []

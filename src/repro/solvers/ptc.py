@@ -21,6 +21,9 @@ from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["PTCConfig", "SERController"]
 
+_CFL_MAX = 1e5      # paper: CFL eventually reaches 1e5
+_CFL_MIN = 1e-2
+
 
 @dataclass
 class PTCConfig:
@@ -29,8 +32,6 @@ class PTCConfig:
 
     cfl0: float = 10.0            # initial CFL number N_CFL^0
     exponent: float = 1.0         # SER power p (paper: 0.75 - 1.5)
-    cfl_max: float = 1e5          # paper: CFL eventually reaches 1e5
-    cfl_min: float = 1e-2
     # Discretisation-order switching (paper: start first-order near
     # shocks, switch to second after 2-4 orders of residual reduction).
     switch_order_drop: float | None = None   # e.g. 1e-2 -> switch at 100x
@@ -39,8 +40,8 @@ class PTCConfig:
     def __post_init__(self) -> None:
         if self.cfl0 <= 0:
             raise ValueError("cfl0 must be positive")
-        if self.cfl_max < self.cfl0:
-            raise ValueError("cfl_max must be >= cfl0")
+        if self.cfl0 > _CFL_MAX:
+            raise ValueError(f"cfl0 must be <= {_CFL_MAX:g}")
 
 
 @dataclass
@@ -85,5 +86,5 @@ class SERController:
         if not self.second_order and cfg.first_order_exponent is not None:
             p = cfg.first_order_exponent
         ratio = self.fnorm0 / max(fnorm, 1e-300)
-        self.cfl = float(np.clip(cfg.cfl0 * ratio**p, cfg.cfl_min, cfg.cfl_max))
+        self.cfl = float(np.clip(cfg.cfl0 * ratio**p, _CFL_MIN, _CFL_MAX))
         return self.cfl

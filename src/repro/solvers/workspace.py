@@ -44,13 +44,10 @@ class KrylovWorkspace:
     assert that steady-state solves allocate nothing.
     """
 
-    def __init__(self, n: int | None = None, restart: int | None = None,
-                 dtype=np.float64) -> None:
+    def __init__(self) -> None:
         self.allocations = 0
         self._key: tuple | None = None
         self.V = self.H = self.cs = self.sn = self.g = None
-        if n is not None and restart is not None:
-            self.ensure(n, restart, dtype=dtype)
 
     # ------------------------------------------------------------------
     def ensure(self, n: int, restart: int,

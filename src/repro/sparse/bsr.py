@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import kernels as _kernels
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.segsum import segment_sum
+from repro.sparse.segsum import run_starts, segment_sum
 
 __all__ = ["BSRMatrix"]
 
@@ -83,10 +83,11 @@ class BSRMatrix:
         key = brows * np.int64(nbcols) + bcols
         order = np.argsort(key, kind="stable")
         key, blocks = key[order], blocks[order]
-        uniq, start = np.unique(key, return_index=True)
+        start = np.flatnonzero(run_starts(key))
+        uniq = key[start]
         # Sum duplicates groupwise.
-        summed = np.add.reduceat(blocks.reshape(blocks.shape[0], -1), start,
-                                 axis=0).reshape(-1, bs, bs)
+        summed = np.add.reduceat(blocks.reshape(blocks.shape[0], bs * bs),
+                                 start, axis=0).reshape(-1, bs, bs)
         urows = (uniq // nbcols).astype(np.int64)
         ucols = (uniq % nbcols).astype(np.int64)
         indptr = np.zeros(nbrows + 1, dtype=np.int64)

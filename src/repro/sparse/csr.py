@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sparse.segsum import segment_sum
+from repro.sparse.segsum import run_starts, segment_sum
 
 __all__ = ["CSRMatrix"]
 
@@ -79,8 +79,9 @@ class CSRMatrix:
         key = rows * np.int64(ncols) + cols
         order = np.argsort(key, kind="stable")
         key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
-        uniq, start = np.unique(key, return_index=True)
-        summed = np.add.reduceat(vals, start) if vals.size else vals
+        start = np.flatnonzero(run_starts(key))
+        uniq = key[start]
+        summed = np.add.reduceat(vals, start)
         urows = (uniq // ncols).astype(np.int64)
         ucols = (uniq % ncols).astype(np.int64)
         indptr = np.zeros(nrows + 1, dtype=np.int64)
@@ -88,12 +89,6 @@ class CSRMatrix:
         np.add.at(indptr, urows + 1, 1)
         np.cumsum(indptr, out=indptr)
         return cls(indptr=indptr, indices=ucols, data=summed, ncols=ncols)
-
-    @classmethod
-    def eye(cls, n: int, value: float = 1.0) -> "CSRMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(indptr=np.arange(n + 1, dtype=np.int64), indices=idx,
-                   data=np.full(n, value, dtype=np.float64), ncols=n)
 
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:

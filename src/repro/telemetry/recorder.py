@@ -136,25 +136,24 @@ class TraceRecorder:
             key = (phase, r)
             self._waits[key] = self._waits.get(key, 0.0) + (tmax - t)
 
-    def add_span_seconds(self, phase: str, seconds: float, rank: int = 0, *,
-                         calls: int = 1,
-                         self_seconds: float | None = None) -> None:
-        """Account span time measured outside this recorder's clock.
+    def add_span_seconds(self, phase: str, seconds: float,
+                         rank: int = 0) -> None:
+        """Account one span measured outside this recorder's clock.
 
         The solver service measures a request's queue wait before the
         request's recorder exists, and the compiled seq matvec times
         each rank inside one C call; this feeds such an interval into
-        the same accumulators ``span()`` commits to.  ``self_seconds``
-        defaults to the full interval (no nested spans).  Inside an open
-        span the interval is that span's child time, as a nested
-        ``span()`` would be, so the parent's self time excludes it.
+        the same accumulators ``span()`` commits to, as one call with no
+        nested spans.  Inside an open span the interval is that span's
+        child time, as a nested ``span()`` would be, so the parent's
+        self time excludes it.
         """
         if phase not in KNOWN_PHASES:
             raise ValueError(f"unknown phase name {phase!r}")
         cell = self._spans.setdefault((phase, int(rank)), [0.0, 0.0, 0])
         cell[0] += float(seconds)
-        cell[1] += float(seconds if self_seconds is None else self_seconds)
-        cell[2] += int(calls)
+        cell[1] += float(seconds)
+        cell[2] += 1
         if self._stack:
             self._stack[-1]._child_s += float(seconds)
 
@@ -179,20 +178,22 @@ class TraceRecorder:
         """Inclusive span seconds (summed over ranks when rank=None)."""
         return self._sum(self._spans, phase, rank, 0)
 
-    def self_seconds(self, phase: str, rank: int | None = None) -> float:
-        """Exclusive seconds: span time minus directly nested spans."""
-        return self._sum(self._spans, phase, rank, 1)
+    def self_seconds(self, phase: str) -> float:
+        """Exclusive seconds: span time minus directly nested spans,
+        summed over ranks."""
+        return self._sum(self._spans, phase, None, 1)
 
-    def phase_calls(self, phase: str, rank: int | None = None) -> int:
-        return int(self._sum(self._spans, phase, rank, 2))
+    def phase_calls(self, phase: str) -> int:
+        return int(self._sum(self._spans, phase, None, 2))
 
     def wait_seconds(self, phase: str, rank: int | None = None) -> float:
         return self._sum(self._waits, phase, rank)
 
-    def counter(self, name: str, rank: int | None = None) -> float:
+    def counter(self, name: str) -> float:
+        """Counter ``name`` summed over ranks (``to_dict`` has each)."""
         total = 0.0
-        for (n, r), v in self._counters.items():
-            if n == name and (rank is None or r == rank):
+        for (n, _), v in self._counters.items():
+            if n == name:
                 total += v
         return total
 
@@ -271,9 +272,8 @@ class NullRecorder:
     def record_wait(self, phase: str, per_rank_seconds) -> None:
         return None
 
-    def add_span_seconds(self, phase: str, seconds: float, rank: int = 0, *,
-                         calls: int = 1,
-                         self_seconds: float | None = None) -> None:
+    def add_span_seconds(self, phase: str, seconds: float,
+                         rank: int = 0) -> None:
         return None
 
 

@@ -55,13 +55,13 @@ class MeasuredRow:
     messages: int = 0
 
 
-def measured_wall(rec: TraceRecorder, phases=SPMD_PHASES) -> float:
+def measured_wall(rec: TraceRecorder) -> float:
     """Wall seconds of an instrumented run: sum of bulk-phase walls."""
-    return sum(rec.phase_wall(p) for p in phases)
+    return sum(rec.phase_wall(p) for p in SPMD_PHASES)
 
 
-def measured_rows(runs: list[tuple[int, int, TraceRecorder]],
-                  phases=SPMD_PHASES) -> list[MeasuredRow]:
+def measured_rows(runs: list[tuple[int, int, TraceRecorder]]
+                  ) -> list[MeasuredRow]:
     """Decompose efficiency from instrumented runs.
 
     ``runs`` holds (nprocs, recorded linear iterations, trace) tuples
@@ -73,12 +73,12 @@ def measured_rows(runs: list[tuple[int, int, TraceRecorder]],
 
     runs = sorted(runs)
     eff = efficiency_decomposition(
-        [(p, its, measured_wall(rec, phases)) for p, its, rec in runs])
+        [(p, its, measured_wall(rec)) for p, its, rec in runs])
     out = []
     for (p, its, rec), row in zip(runs, eff):
         wall = max(row.time, 1e-30)
-        pct = {ph: 100.0 * rec.phase_wall(ph) / wall for ph in phases}
-        wait = sum(rec.wait_seconds(ph) for ph in phases)
+        pct = {ph: 100.0 * rec.phase_wall(ph) / wall for ph in SPMD_PHASES}
+        wait = sum(rec.wait_seconds(ph) for ph in SPMD_PHASES)
         nits = max(its, 1)
         out.append(MeasuredRow(
             nprocs=p, its=its, time=row.time, speedup=row.speedup,

@@ -1,13 +1,15 @@
 """Test-side fixtures and tolerances that no artefact, example or
 benchmark needs: a problem with a known exact solution, the dual
 mesh's closure defect, the roundoff bound of reduced-precision
-storage, and dense <-> CSR conversion."""
+storage, dense <-> CSR conversion, and a graph's envelope profile
+under an ordering."""
 
 import numpy as np
 
 from repro.euler import (CompressibleEuler, FlowProblem, IncompressibleEuler,
                          classify_box_boundary, compressible_freestream,
                          incompressible_freestream)
+from repro.graph import graph_from_edges
 from repro.mesh import box_mesh, compute_dual_metrics
 from repro.sparse import CSRMatrix
 
@@ -75,3 +77,26 @@ def csr_to_dense(m):
     out = np.zeros(m.shape, dtype=m.data.dtype)
     out[m.row_of, m.indices] = m.data
     return out
+
+
+def relabelled(graph, perm):
+    """``graph`` under the ordering ``perm`` (new -> old)."""
+    inv = np.empty(graph.num_vertices, dtype=np.int64)
+    inv[np.asarray(perm, dtype=np.int64)] = np.arange(graph.num_vertices)
+    return graph_from_edges(graph.num_vertices, inv[graph.edge_list()])
+
+
+def envelope_profile(graph):
+    """Envelope profile: sum over rows of (row index - min column index),
+    the finer locality metric RCM is designed to shrink."""
+    n = graph.num_vertices
+    edges = graph.edge_list()
+    if edges.size == 0:
+        return 0
+    rows = np.maximum(edges[:, 0], edges[:, 1])
+    cols = np.minimum(edges[:, 0], edges[:, 1])
+    first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(first, rows, cols)
+    present = first < np.iinfo(np.int64).max
+    idx = np.arange(n, dtype=np.int64)
+    return int((idx[present] - first[present]).sum())

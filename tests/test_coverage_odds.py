@@ -60,7 +60,7 @@ class TestSparseEdgeCases:
         assert vals.tolist() == [2.0, 3.0]
 
     def test_matmul_operator(self):
-        m = CSRMatrix.eye(3, 2.0)
+        m = csr_from_dense(2.0 * np.eye(3))
         assert np.allclose(m @ np.ones(3), 2.0)
 
 

@@ -43,10 +43,10 @@ class TestForces:
         with pytest.raises(ValueError):
             integrate_wall_forces(prob.disc, prob.initial.flat())
 
-    def test_lift_axis_validation(self, solved_wing):
-        prob, rep = solved_wing
-        fs_dir = prob.disc.farfield_state[1:4]
-        with pytest.raises(ValueError):
-            integrate_wall_forces(prob.disc, rep.final_state,
-                                  lift_axis=fs_dir)
+    def test_lift_axis_validation(self):
+        """Lift is along z: a freestream along z leaves it undefined."""
+        prob = wing_problem(6, 5, 4)
+        prob.disc.set_farfield(np.array([1.0, 0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="parallel"):
+            integrate_wall_forces(prob.disc, prob.initial.flat())
 

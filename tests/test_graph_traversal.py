@@ -12,8 +12,15 @@ from repro.graph.traversal import bfs_queue, expand_overlap, sorted_adjacency
 
 def bfs_order(graph, root, tie_break=None):
     """The BFS visiting order from ``root`` that Cuthill-McKee builds
-    from: neighbours enqueued by ``(tie_break, id)``, default degree."""
-    return bfs_queue(graph.xadj, sorted_adjacency(graph, tie_break), root,
+    from: neighbours enqueued by ``(tie_break, id)``, default degree
+    (``sorted_adjacency``)."""
+    if tie_break is None:
+        adj = sorted_adjacency(graph)
+    else:
+        nbr = graph.adjncy
+        row = np.repeat(np.arange(graph.num_vertices), np.diff(graph.xadj))
+        adj = nbr[np.lexsort((nbr, tie_break[nbr], row))]
+    return bfs_queue(graph.xadj, adj, root,
                      np.zeros(graph.num_vertices, dtype=bool))
 
 

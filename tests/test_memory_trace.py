@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.memory import (CacheConfig, MemoryHierarchy, TraceLayout,
-                          flux_loop_trace, spmv_bsr_trace, spmv_csr_trace)
+from repro.memory import (CacheConfig, MemoryHierarchy, flux_loop_trace,
+                          spmv_bsr_trace, spmv_csr_trace)
 from repro.memory.tlb import TLBConfig
 from tests.helpers import csr_from_dense
 from tests.test_sparse_bsr import random_bsr
@@ -40,8 +40,7 @@ class TestSpMVTrace:
         assert tb.size < ts.size
 
     def test_x_gather_addresses_reflect_columns(self, csr):
-        lay = TraceLayout()
-        tr = spmv_csr_trace(csr, lay)
+        tr = spmv_csr_trace(csr)
         # The x gathers are the 3rd element of each nonzero triplet;
         # their relative offsets reproduce the column indices.
         # Recover by looking at the most common region.
@@ -52,27 +51,40 @@ class TestSpMVTrace:
 
 
 class TestFluxTrace:
-    def test_length_interlaced_first_order(self, small_mesh):
-        tr = flux_loop_trace(small_mesh.edges, small_mesh.num_vertices, 4,
-                             second_order=False)
+    def test_length_interlaced(self, small_mesh):
+        tr = flux_loop_trace(small_mesh.edges, small_mesh.num_vertices, 4)
         ne = small_mesh.num_edges
-        per_edge = 2 + 4 + 4 + 3 + 4 * 4
+        # indices, q[a], q[b], normal, coords (3+3), gradients (12+12),
+        # residual read + write at both ends
+        per_edge = 2 + 4 + 4 + 3 + 6 + 24 + 4 * 4
         assert tr.size == ne * per_edge
 
-    def test_second_order_adds_gradient_reads(self, small_mesh):
-        t1 = flux_loop_trace(small_mesh.edges, small_mesh.num_vertices, 4,
-                             second_order=False)
-        t2 = flux_loop_trace(small_mesh.edges, small_mesh.num_vertices, 4,
-                             second_order=True)
-        # coords (3+3) + gradients (12+12) per edge.
-        assert t2.size == t1.size + 30 * small_mesh.num_edges
+    def test_gradient_and_coord_reads_follow_endpoints(self, small_mesh):
+        tr = flux_loop_trace(small_mesh.edges, small_mesh.num_vertices, 4)
+        ne = small_mesh.num_edges
+        rows = tr.reshape(ne, -1)
+        d = (small_mesh.edges[:, 0] - small_mesh.edges[:, 1])[:, None]
+        x_a, x_b = rows[:, 13:16], rows[:, 16:19]
+        g_a, g_b = rows[:, 19:31], rows[:, 31:43]
+        # coords are 3 values per vertex, gradients 4 x 3 per vertex,
+        # each block read contiguously.
+        assert np.array_equal(x_a - x_b, np.broadcast_to(8 * 3 * d, x_a.shape))
+        assert np.array_equal(g_a - g_b, np.broadcast_to(8 * 12 * d, g_a.shape))
+        assert np.all(np.diff(g_a, axis=1) == 8)
+        assert np.all(np.diff(x_b, axis=1) == 8)
 
-    def test_rw_flag(self, small_mesh):
-        t1 = flux_loop_trace(small_mesh.edges, small_mesh.num_vertices, 4,
-                             rw_residual=False)
-        t2 = flux_loop_trace(small_mesh.edges, small_mesh.num_vertices, 4,
-                             rw_residual=True)
-        assert t2.size == t1.size + 2 * 4 * small_mesh.num_edges
+    def test_residual_read_then_written(self, small_mesh):
+        tr = flux_loop_trace(small_mesh.edges, small_mesh.num_vertices, 4)
+        rows = tr.reshape(small_mesh.num_edges, -1)
+        q_a, q_b = rows[:, 2:6], rows[:, 6:10]
+        r = rows[:, -16:].reshape(-1, 4, 4)
+        # each endpoint's residual block is read and then written ...
+        assert np.array_equal(r[:, 0], r[:, 1])
+        assert np.array_equal(r[:, 2], r[:, 3])
+        # ... at the same vertex as the state block it was fluxed from
+        off = r[:, 0] - q_a
+        assert np.all(off == off[0, 0])
+        assert np.array_equal(r[:, 2] - q_b, off)
 
     def test_noninterlaced_spreads_pages(self, small_mesh):
         """Field-split layout touches ~ncomp x more pages per stencil."""

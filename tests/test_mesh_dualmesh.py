@@ -317,11 +317,11 @@ def _same_bits(a, b):
             == np.ascontiguousarray(b).tobytes())
 
 
-_GENERATORS = {"box": box_mesh, "wing": wing_mesh, "bump": bump_mesh}
-
-
 def _mesh(kind, dims, jitter, seed, shuffle, vertex, edge, reverse):
-    mesh = _GENERATORS[kind](*dims, jitter=jitter, seed=seed)
+    # the box takes any jitter; the wing and the bump jitter their own
+    mesh = {"box": lambda: box_mesh(*dims, jitter=jitter, seed=seed),
+            "wing": lambda: wing_mesh(*dims, seed=seed),
+            "bump": lambda: bump_mesh(*dims)}[kind]()
     if shuffle:
         mesh = shuffle_vertices(mesh, seed=seed)
     mesh = apply_orderings(mesh, vertex, edge, seed=seed)
@@ -334,7 +334,7 @@ def _mesh(kind, dims, jitter, seed, shuffle, vertex, edge, reverse):
 
 
 _meshes = st.builds(
-    _mesh, st.sampled_from(sorted(_GENERATORS)),
+    _mesh, st.sampled_from(["box", "bump", "wing"]),
     st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
     st.floats(0.0, 0.3), st.integers(0, 1000), st.booleans(),
     st.sampled_from(["natural", "random", "rcm"]),

@@ -88,19 +88,19 @@ class TestWingMesh:
         assert np.all(small_wing_mesh.tet_volumes() > 0)
 
     def test_graded_toward_wall(self):
-        m = wing_mesh(5, 5, 9, jitter=0.0)
-        z = np.unique(np.round(m.coords[:, 2], 12))
+        m = wing_mesh(5, 5, 9)
+        z = m.coords[::25, 2]            # the x = y = 0 edge: not jittered
         dz = np.diff(z)
         assert dz[0] < dz[-1]  # spacing grows away from the wall
 
     def test_same_connectivity_as_box(self):
-        w = wing_mesh(5, 4, 4, jitter=0.2, seed=3)
-        b = box_mesh(5, 4, 4, jitter=0.2, seed=3)
+        w = wing_mesh(5, 4, 4, seed=3)
+        b = box_mesh(5, 4, 4, jitter=0.25, seed=3)
         assert np.array_equal(w.edges, b.edges)
         assert np.array_equal(w.tets, b.tets)
 
     def test_domain_preserved(self):
-        m = wing_mesh(6, 6, 6, jitter=0.0)
+        m = wing_mesh(6, 6, 6)
         assert m.coords.min() >= -1e-12
         assert m.coords.max() <= 1 + 1e-12
 

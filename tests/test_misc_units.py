@@ -45,9 +45,8 @@ class TestFlowState:
         assert fs.q[0, 3] == pytest.approx(1.0)
 
     def test_speed_magnitude(self):
-        fs = incompressible_freestream(1, speed=3.0, alpha_deg=17.0,
-                                       beta_deg=9.0)
-        assert np.linalg.norm(fs.q[0, 1:4]) == pytest.approx(3.0)
+        fs = incompressible_freestream(1, alpha_deg=17.0)
+        assert np.linalg.norm(fs.q[0, 1:4]) == pytest.approx(1.0)
 
     def test_compressible_mach(self):
         fs = compressible_freestream(1, mach=0.5, alpha_deg=0.0)

@@ -129,7 +129,7 @@ class TestNetworkModel:
         assert t1024 == pytest.approx(t128 * 10 / 7)
 
     def test_from_machine_effective_bw_order(self):
-        """pack_efficiency default reproduces the paper's ~4 MB/s
+        """The 3% pack efficiency reproduces the paper's ~4 MB/s
         order of magnitude on ASCI Red."""
         net = network_from_machine(ASCI_RED_PPRO)
         assert 1e6 < net.pack_bw < 2e7

@@ -30,6 +30,7 @@ from repro.euler import wing_problem
 from repro.parallel import (GhostExchange, ProcPool, ProcPoolError,
                             SPMDLayout, distributed_matvec,
                             distributed_residual)
+from repro.parallel import procpool
 from repro.parallel.spmd import rank_matvec
 from repro.partition import kway_partition
 from repro.telemetry import TraceRecorder
@@ -210,8 +211,8 @@ class TestPoolCallSpans:
             distributed_residual(prob.disc, layout, q, recorder=rec,
                                  executor=pool)
         distributed_matvec(a, layout, q, recorder=rec, executor=pool)
-        assert rec.phase_calls("flux") == rec.phase_calls("flux", 0) == 2
-        assert rec.phase_calls("matvec") == rec.phase_calls("matvec", 0) == 1
+        assert rec.phase_calls("flux") == 2
+        assert rec.phase_calls("matvec") == 1
         assert rec.phase_seconds("flux") > 0
         assert rec.phase_seconds("matvec") > 0
         assert rec.ranks() == [0]
@@ -229,9 +230,9 @@ class TestPoolCallSpans:
         distributed_residual(prob.disc, layout, q, recorder=seq)
         assert rec.counter("messages") == plan.pair_count
         assert rec.counter("bytes") == plan.ghost_rows * ncomp * 8
-        for r in range(layout.nranks):
-            for name in ("messages", "bytes"):
-                assert rec.counter(name, r) == seq.counter(name, r)
+        for name in ("messages", "bytes"):
+            assert rec.to_dict()["counters"][name] \
+                == seq.to_dict()["counters"][name]
         assert rec.phases() == ["flux"]
 
 
@@ -279,9 +280,10 @@ class TestLifecycle:
             # deadlock waiting on workers that have exited.
             distributed_residual(prob.disc, layout, q, executor=p)
 
-    def test_worker_crash_raises_and_close_is_clean(self, setup):
+    def test_worker_crash_raises_and_close_is_clean(self, setup, monkeypatch):
         prob, _labels, layout, q = setup
-        p = ProcPool(layout, prob.disc, nworkers=2, timeout=2.0)
+        monkeypatch.setattr(procpool, "_TIMEOUT", 2.0)
+        p = ProcPool(layout, prob.disc, nworkers=2)
         name = p.shm_name
         victim = p._procs[0]
         victim.terminate()

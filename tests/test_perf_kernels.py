@@ -202,11 +202,15 @@ def test_spmv_loop_oracle_matches_under_fp32():
 # --- report attribution ----------------------------------------------
 
 def test_git_sha_attributes_this_checkout():
-    """In this repo the helper must resolve HEAD; the short form is a
+    """In this repo the helper must resolve HEAD; its short form is a
     prefix of the full one (the attribution key reports carry)."""
+    import subprocess
+
     from repro.perf import git_sha
 
-    short, full = git_sha(), git_sha(short=False)
+    short = git_sha()
+    full = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
+                          text=True).stdout.strip()
     assert short and full
     assert full.startswith(short)
     assert all(c in "0123456789abcdef" for c in full)

@@ -85,10 +85,6 @@ class TestSpMVModel:
         assert t.index_bytes == 15000 * 4 + 1001 * 4
         assert t.vector_bytes == 3 * 1000 * 8      # x once, y read+write
         assert t.total == t.matrix_bytes + t.index_bytes + t.vector_bytes
-        # No reuse: every x gather goes to memory, so never less traffic.
-        worst = spmv_traffic_bytes(1000, 15000, x_cached=False)
-        assert worst.vector_bytes == (15000 + 2 * 1000) * 8
-        assert t.total <= worst.total
         # BSR: one column index per block, one row pointer per block row.
         tb = spmv_traffic_bytes(1000, 16000, block_size=4)
         assert tb.matrix_bytes == 16000 * 8
@@ -111,14 +107,14 @@ class TestSpMVModel:
             else:
                 assert blocked.total < scalar.total
 
-    def test_uncached_x_costs_more(self):
-        """Charging every x gather to memory (the no-reuse regime)
-        moves only the vector term, and moves it up."""
-        hit = spmv_traffic_bytes(1000, 16000, block_size=4)
-        miss = spmv_traffic_bytes(1000, 16000, block_size=4, x_cached=False)
-        assert miss.matrix_bytes == hit.matrix_bytes
-        assert miss.index_bytes == hit.index_bytes
-        assert miss.vector_bytes > hit.vector_bytes
+    def test_vector_term_reads_x_once(self):
+        """x is charged once and y read + written: the vector term
+        depends on the row count and value width only."""
+        for nnz, bs in ((15000, 1), (16000, 4), (25000, 5)):
+            for vb in (8, 4):
+                t = spmv_traffic_bytes(1000, nnz, block_size=bs,
+                                       value_bytes=vb)
+                assert t.vector_bytes == 3 * 1000 * vb
 
     def test_fp32_nearly_halves_traffic(self):
         """Table 2's mechanism in the model."""

@@ -10,6 +10,7 @@ a solve that raises fails its own request without stopping the
 service.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -351,6 +352,29 @@ class TestServiceLifecycle:
         assert svc.stats.batched_requests >= 1
         assert any(t.batched for t in followers)
         svc.close()
+
+    def test_close_drains_queued_requests(self):
+        svc = SolverService(workers=1)
+        p = make_prob()
+        req = SolveRequest(p.disc, p.initial.flat(), small_cfg())
+        klock = svc._key_lock(svc.compat_key(req))
+        klock.acquire()
+        try:
+            head = svc.submit(req)             # holds the dispatcher
+            time.sleep(0.1)
+            queued = svc.submit(req)
+            closer = threading.Thread(target=svc.close)
+            closer.start()
+            time.sleep(0.05)
+            assert svc.submit(req).status == "rejected"
+        finally:
+            klock.release()
+        closer.join(timeout=300)
+        assert not closer.is_alive()
+        # close() ran the queued request instead of expiring it
+        assert head.status == queued.status == "completed"
+        assert queued.report is not None
+        assert svc.stats.timeouts == 0
 
     def test_close_unblocks_workers(self):
         svc = SolverService(workers=2)

@@ -24,10 +24,10 @@ class TestSERController:
         assert c.cfl == pytest.approx(5.0 * 100**0.75)
 
     def test_cfl_capped(self):
-        c = SERController(PTCConfig(cfl0=10.0, cfl_max=1e4))
+        c = SERController(PTCConfig(cfl0=10.0))
         c.update(1.0)
         c.update(1e-12)
-        assert c.cfl == 1e4
+        assert c.cfl == 1e5
 
     def test_cfl_can_shrink_on_residual_growth(self):
         c = SERController(PTCConfig(cfl0=10.0))
@@ -36,10 +36,10 @@ class TestSERController:
         assert c.cfl < 10.0
 
     def test_cfl_floor(self):
-        c = SERController(PTCConfig(cfl0=10.0, cfl_min=1.0))
+        c = SERController(PTCConfig(cfl0=10.0))
         c.update(1.0)
         c.update(1e9)
-        assert c.cfl == 1.0
+        assert c.cfl == 1e-2
 
     def test_order_switching(self):
         cfg = PTCConfig(cfl0=1.0, switch_order_drop=1e-2,
@@ -69,14 +69,13 @@ class TestSERController:
         with pytest.raises(ValueError):
             PTCConfig(cfl0=-1)
         with pytest.raises(ValueError):
-            PTCConfig(cfl0=10, cfl_max=5)
+            PTCConfig(cfl0=1e6)
 
     @settings(deadline=None, max_examples=30)
     @given(st.floats(0.1, 100), st.floats(0.25, 1.5),
            st.lists(st.floats(1e-12, 1e3), min_size=1, max_size=20))
     def test_property_cfl_always_in_bounds(self, cfl0, p, norms):
-        cfg = PTCConfig(cfl0=cfl0, exponent=p, cfl_max=1e6, cfl_min=1e-3)
-        c = SERController(cfg)
+        c = SERController(PTCConfig(cfl0=cfl0, exponent=p))
         for f in norms:
             cfl = c.update(f)
-            assert cfg.cfl_min <= cfl <= cfg.cfl_max
+            assert 1e-2 <= cfl <= 1e5

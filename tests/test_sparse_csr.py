@@ -38,10 +38,6 @@ class TestConstruction:
             cols, _ = m.row(i)
             assert np.all(np.diff(cols) > 0)
 
-    def test_eye(self):
-        m = CSRMatrix.eye(4, 2.5)
-        assert np.allclose(csr_to_dense(m), 2.5 * np.eye(4))
-
     def test_inconsistent_rejected(self):
         with pytest.raises(ValueError):
             CSRMatrix(indptr=np.array([0, 2]), indices=np.array([0]),
