@@ -26,7 +26,7 @@ def main() -> None:
     for p in (4, 16, 32):
         for name, fn in (("k-metis-like", kway_partition),
                          ("p-metis-like", pmetis_partition)):
-            labels = fn(graph, p, seed=0)
+            labels = fn(graph, p)
             q = partition_quality(
                 graph, SPMDLayout.build(prob.mesh.edges, labels))
             its, _ = measured_linear_iterations(prob, p, labels=labels,

@@ -20,7 +20,7 @@ from repro.solvers.ptc import PTCConfig
 def main() -> None:
     # Roe flux-difference splitting (FUN3D's production scheme): at
     # this Mach it resolves the supersonic pocket Rusanov smears away.
-    prob = transonic_bump_problem(17, 4, 8, mach=0.84, limiter="minmod",
+    prob = transonic_bump_problem(ny=4, nz=8, limiter="minmod",
                                   flux_scheme="roe")
     print(prob.mesh.summary())
     print("freestream Mach 0.84, cosine bump (10% height) on the floor\n")

@@ -8,7 +8,7 @@ The grouping follows the paper's own taxonomy:
 * Newton parameters -> Jacobian/preconditioner refresh frequency
   (``jacobian_lag``);
 * Krylov parameters -> :class:`KrylovConfig`: forcing tolerance,
-  restart dimension, iteration cap;
+  iteration cap, and the restart dimension, a constant;
 * Schwarz parameters -> :class:`PreconditionerConfig`: subdomain
   count, overlap, fill level, (R)ASM variant;
 * subproblem parameters -> fill level (above) and the factor storage
@@ -18,6 +18,7 @@ The grouping follows the paper's own taxonomy:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.precond.asm import ASMVariant
 from repro.solvers.ptc import PTCConfig
@@ -29,12 +30,10 @@ __all__ = ["KrylovConfig", "PreconditionerConfig", "SolverConfig"]
 @dataclass
 class KrylovConfig:
     rtol: float = 1e-2               # inexact-Newton forcing (paper: 0.001-0.01)
-    restart: int = 20                # GMRES(m); paper uses 10-30
+    restart: ClassVar[int] = 20      # GMRES(m); paper uses 10-30
     max_iterations: int = 40         # total linear its per Newton (10-80)
 
     def __post_init__(self) -> None:
-        if self.restart < 1:
-            raise ValueError("restart must be >= 1")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
 

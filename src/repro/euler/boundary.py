@@ -25,6 +25,9 @@ from repro.mesh.mesh import Mesh
 
 __all__ = ["BoundaryCondition", "classify_box_boundary"]
 
+#: (x, y) extents of the wall patch on a box mesh's z=0 face
+_WALL_REGION = ((0.2, 0.8), (0.2, 0.8))
+
 
 @dataclass
 class BoundaryCondition:
@@ -79,25 +82,17 @@ class BoundaryCondition:
                                  normals=self.normals, kinds=self.kinds)
 
 
-def classify_box_boundary(mesh: Mesh, dual: DualMetrics, *,
-                          wall_region: tuple[tuple[float, float],
-                                             tuple[float, float]] | None
-                          = ((0.2, 0.8), (0.2, 0.8))) -> BoundaryCondition:
-    """Classify a box mesh's boundary: a rectangular patch of the z=0
-    face is the (wing-like) wall; everything else is farfield.
-
-    ``wall_region`` gives the (x, y) extents of the wall patch; None
-    makes the whole boundary farfield (the uniform-flow test case).
-    """
+def classify_box_boundary(mesh: Mesh, dual: DualMetrics) -> BoundaryCondition:
+    """Classify a box mesh's boundary: the ``_WALL_REGION`` patch of the
+    z=0 face is the (wing-like) wall; everything else is farfield."""
     verts = dual.boundary_vertices
     normals = dual.bnd_vertex_normals[verts]
     kinds = np.full(verts.size, BoundaryCondition.FARFIELD, dtype=np.int64)
-    if wall_region is not None:
-        c = mesh.coords[verts]
-        (x0, x1), (y0, y1) = wall_region
-        zmin = mesh.coords[:, 2].min()
-        on_floor = np.abs(c[:, 2] - zmin) < 1e-9
-        in_patch = ((c[:, 0] >= x0) & (c[:, 0] <= x1)
-                    & (c[:, 1] >= y0) & (c[:, 1] <= y1))
-        kinds[on_floor & in_patch] = BoundaryCondition.WALL
+    c = mesh.coords[verts]
+    (x0, x1), (y0, y1) = _WALL_REGION
+    zmin = mesh.coords[:, 2].min()
+    on_floor = np.abs(c[:, 2] - zmin) < 1e-9
+    in_patch = ((c[:, 0] >= x0) & (c[:, 0] <= x1)
+                & (c[:, 1] >= y0) & (c[:, 1] <= y1))
+    kinds[on_floor & in_patch] = BoundaryCondition.WALL
     return BoundaryCondition(vertices=verts, normals=normals, kinds=kinds)

@@ -6,7 +6,8 @@ import numpy as np
 
 from repro.euler.boundary import BoundaryCondition
 from repro.euler.discretization import EdgeFVDiscretization
-from repro.euler.fluxes import (compressible_flux, compressible_flux_jacobian,
+from repro.euler.fluxes import (GAMMA, compressible_flux,
+                                compressible_flux_jacobian,
                                 compressible_wavespeed)
 from repro.euler.reconstruction import Limiter
 from repro.euler.state import COMPRESSIBLE_COMPONENTS, FlowState
@@ -26,16 +27,16 @@ class CompressibleEuler(EdgeFVDiscretization):
 
     ncomp = 5
     components = COMPRESSIBLE_COMPONENTS
+    gamma = GAMMA
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition,
-                 dual: DualMetrics | None = None, *, gamma: float = 1.4,
+                 dual: DualMetrics | None = None, *,
                  farfield: FlowState | np.ndarray | None = None,
                  second_order: bool = True,
                  flux_scheme: str = "rusanov",
                  limiter: Limiter | str = Limiter.VAN_ALBADA) -> None:
         super().__init__(mesh, bc, dual, second_order=second_order,
                          limiter=limiter)
-        self.gamma = float(gamma)
         if flux_scheme not in ("rusanov", "roe"):
             raise ValueError(f"unknown flux scheme {flux_scheme!r}")
         self.flux_scheme = flux_scheme
@@ -45,7 +46,7 @@ class CompressibleEuler(EdgeFVDiscretization):
     def _numerical_flux(self, ql, qr, s):
         if self.flux_scheme == "roe":
             from repro.euler.roe import roe_flux
-            return roe_flux(ql, qr, s, gamma=self.gamma)
+            return roe_flux(ql, qr, s)
         return super()._numerical_flux(ql, qr, s)
 
     def set_farfield(self, state: FlowState | np.ndarray) -> None:
@@ -56,13 +57,13 @@ class CompressibleEuler(EdgeFVDiscretization):
 
     # -- flux family -------------------------------------------------------
     def _flux(self, q, s):
-        return compressible_flux(q, s, gamma=self.gamma)
+        return compressible_flux(q, s)
 
     def _flux_jacobian(self, q, s):
-        return compressible_flux_jacobian(q, s, gamma=self.gamma)
+        return compressible_flux_jacobian(q, s)
 
     def _wavespeed(self, q, s):
-        return compressible_wavespeed(q, s, gamma=self.gamma)
+        return compressible_wavespeed(q, s)
 
     def _pressure(self, q):
         rho = q[:, 0]

@@ -73,19 +73,23 @@ def incompressible_wavespeed(q: np.ndarray, s: np.ndarray,
 # Compressible, q = (rho, rho u, rho v, rho w, E)
 # ----------------------------------------------------------------------
 
-def _compressible_primitives(q: np.ndarray, gamma: float):
+#: ratio of specific heats (air), the one value every compressible
+#: flux, the Roe flux and the freestream use
+GAMMA = 1.4
+
+
+def _compressible_primitives(q: np.ndarray):
     rho = q[:, 0]
     vel = q[:, 1:4] / rho[:, None]
     ke = 0.5 * rho * np.einsum("ij,ij->i", vel, vel)
-    p = (gamma - 1.0) * (q[:, 4] - ke)
+    p = (GAMMA - 1.0) * (q[:, 4] - ke)
     return rho, vel, p
 
 
-def compressible_flux(q: np.ndarray, s: np.ndarray,
-                      gamma: float = 1.4) -> np.ndarray:
+def compressible_flux(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     q = np.atleast_2d(q)
     s = np.atleast_2d(s)
-    rho, vel, p = _compressible_primitives(q, gamma)
+    rho, vel, p = _compressible_primitives(q)
     un = np.einsum("ij,ij->i", vel, s)
     f = np.empty_like(q)
     f[:, 0] = rho * un
@@ -94,18 +98,17 @@ def compressible_flux(q: np.ndarray, s: np.ndarray,
     return f
 
 
-def compressible_flux_jacobian(q: np.ndarray, s: np.ndarray,
-                               gamma: float = 1.4) -> np.ndarray:
+def compressible_flux_jacobian(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Exact Jacobian dF/dq of the compressible Euler flux, (m, 5, 5)."""
     q = np.atleast_2d(q)
     s = np.atleast_2d(s)
     m = q.shape[0]
-    rho, vel, p = _compressible_primitives(q, gamma)
+    rho, vel, p = _compressible_primitives(q)
     un = np.einsum("ij,ij->i", vel, s)
     v2 = np.einsum("ij,ij->i", vel, vel)
-    phi = 0.5 * (gamma - 1.0) * v2
+    phi = 0.5 * (GAMMA - 1.0) * v2
     H = (q[:, 4] + p) / rho            # total enthalpy
-    g1 = gamma - 1.0
+    g1 = GAMMA - 1.0
 
     a = np.zeros((m, 5, 5))
     a[:, 0, 1:4] = s
@@ -119,18 +122,17 @@ def compressible_flux_jacobian(q: np.ndarray, s: np.ndarray,
     # Energy row.
     a[:, 4, 0] = (phi - H) * un
     a[:, 4, 1:4] = H[:, None] * s - g1 * vel * un[:, None]
-    a[:, 4, 4] = gamma * un
+    a[:, 4, 4] = GAMMA * un
     return a
 
 
-def compressible_wavespeed(q: np.ndarray, s: np.ndarray,
-                           gamma: float = 1.4) -> np.ndarray:
+def compressible_wavespeed(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     q = np.atleast_2d(q)
     s = np.atleast_2d(s)
-    rho, vel, p = _compressible_primitives(q, gamma)
+    rho, vel, p = _compressible_primitives(q)
     un = np.einsum("ij,ij->i", vel, s)
     smag = np.sqrt(np.einsum("ij,ij->i", s, s))
-    c = np.sqrt(np.maximum(gamma * p / rho, 0.0))
+    c = np.sqrt(np.maximum(GAMMA * p / rho, 0.0))
     return np.abs(un) + c * smag
 
 

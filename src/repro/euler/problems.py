@@ -26,6 +26,9 @@ from repro.mesh.tetgen import wing_mesh
 
 __all__ = ["FlowProblem", "wing_problem", "transonic_bump_problem"]
 
+#: the bump channel's streamwise vertex count and freestream Mach number
+_BUMP_NX, _BUMP_MACH = 17, 0.84
+
 
 @dataclass
 class FlowProblem:
@@ -53,8 +56,7 @@ def wing_problem(nx: int = 13, ny: int = 9, nz: int = 7, *,
     mesh = wing_mesh(nx, ny, nz, seed=seed)
     mesh = apply_orderings(mesh, vertex_ordering, edge_ordering, seed=seed)
     dual = compute_dual_metrics(mesh)
-    bc = classify_box_boundary(mesh, dual,
-                               wall_region=((0.2, 0.8), (0.2, 0.8)))
+    bc = classify_box_boundary(mesh, dual)
     n = mesh.num_vertices
     if compressible:
         fs = compressible_freestream(n, mach=mach, alpha_deg=alpha_deg)
@@ -71,15 +73,15 @@ def wing_problem(nx: int = 13, ny: int = 9, nz: int = 7, *,
     return FlowProblem(mesh=mesh, disc=disc, initial=fs, name=name)
 
 
-def transonic_bump_problem(nx: int = 17, ny: int = 5, nz: int = 9, *,
-                           mach: float = 0.84,
+def transonic_bump_problem(*, ny: int = 5, nz: int = 9,
                            limiter: Limiter | str = Limiter.VAN_ALBADA,
                            flux_scheme: str = "rusanov") -> FlowProblem:
     """Transonic channel-bump flow: the shocked workload of Sec. 2.4.1.
 
-    Compressible flow at a near-critical Mach number over a cosine
-    bump; above M ~ 0.7-0.8 a supersonic pocket forms over the bump and
-    is closed by a shock on the lee side.  This is the flow regime for
+    Compressible flow at a near-critical Mach number (0.84) over a
+    cosine bump ``_BUMP_NX`` vertices long; above M ~ 0.7-0.8 a
+    supersonic pocket forms over the bump and is closed by a shock on
+    the lee side.  This is the flow regime for
     which the paper starts first-order, damps the SER exponent to 0.75,
     and switches to second order only after the shock position settles:
     the discretisation starts first order.
@@ -90,7 +92,7 @@ def transonic_bump_problem(nx: int = 17, ny: int = 5, nz: int = 9, *,
     """
     from repro.mesh.tetgen import _bump_floor, bump_mesh
 
-    mesh = bump_mesh(nx, ny, nz)
+    mesh = bump_mesh(_BUMP_NX, ny, nz)
     dual = compute_dual_metrics(mesh)
     verts = dual.boundary_vertices
     c = mesh.coords[verts]
@@ -100,9 +102,10 @@ def transonic_bump_problem(nx: int = 17, ny: int = 5, nz: int = 9, *,
     bc = BoundaryCondition(vertices=verts,
                            normals=dual.bnd_vertex_normals[verts],
                            kinds=kinds)
-    fs = compressible_freestream(mesh.num_vertices, mach=mach, alpha_deg=0.0)
+    fs = compressible_freestream(mesh.num_vertices, mach=_BUMP_MACH,
+                                 alpha_deg=0.0)
     disc = CompressibleEuler(mesh, bc, dual, farfield=fs,
                              second_order=False,
                              flux_scheme=flux_scheme, limiter=limiter)
     return FlowProblem(mesh=mesh, disc=disc, initial=fs,
-                       name=f"bump-M{mach:g}-{mesh.num_vertices}v")
+                       name=f"bump-M{_BUMP_MACH:g}-{mesh.num_vertices}v")

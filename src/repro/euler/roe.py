@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.euler.fluxes import compressible_flux
+from repro.euler.fluxes import GAMMA, compressible_flux
 
 __all__ = ["roe_flux"]
 
@@ -23,8 +23,7 @@ __all__ = ["roe_flux"]
 _ENTROPY_FIX = 0.1
 
 
-def roe_flux(ql: np.ndarray, qr: np.ndarray, s: np.ndarray, *,
-             gamma: float = 1.4) -> np.ndarray:
+def roe_flux(ql: np.ndarray, qr: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Roe flux through faces with (non-unit) area vectors ``s``.
 
     Acoustic eigenvalues below Harten's ``delta`` (``_ENTROPY_FIX`` of
@@ -36,7 +35,7 @@ def roe_flux(ql: np.ndarray, qr: np.ndarray, s: np.ndarray, *,
     smag = np.sqrt(np.einsum("ij,ij->i", s, s))
     n = s / np.maximum(smag, 1e-300)[:, None]
 
-    g1 = gamma - 1.0
+    g1 = GAMMA - 1.0
 
     def primitives(q):
         rho = q[:, 0]
@@ -113,6 +112,6 @@ def roe_flux(ql: np.ndarray, qr: np.ndarray, s: np.ndarray, *,
     rshear[:, 4] = np.einsum("ij,ij->i", u, shear)
     diss += coef * rshear
 
-    fl = compressible_flux(ql, s, gamma=gamma)
-    fr = compressible_flux(qr, s, gamma=gamma)
+    fl = compressible_flux(ql, s)
+    fr = compressible_flux(qr, s)
     return 0.5 * (fl + fr) - 0.5 * smag[:, None] * diss

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.euler.fluxes import GAMMA
+
 __all__ = ["FlowState", "incompressible_freestream", "compressible_freestream",
            "INCOMPRESSIBLE_COMPONENTS", "COMPRESSIBLE_COMPONENTS"]
 
@@ -63,13 +65,13 @@ def incompressible_freestream(num_vertices: int, *,
 def compressible_freestream(num_vertices: int, *, mach: float = 0.5,
                             alpha_deg: float = 3.0) -> FlowState:
     """Uniform compressible freestream in conservative variables, at
-    unit density and pressure (gamma 1.4)."""
-    gamma, rho, pressure = 1.4, 1.0, 1.0
-    c = np.sqrt(gamma * pressure / rho)
+    unit density and pressure."""
+    rho, pressure = 1.0, 1.0
+    c = np.sqrt(GAMMA * pressure / rho)
     speed = mach * c
     a = np.deg2rad(alpha_deg)
     vel = speed * np.array([np.cos(a), 0.0, np.sin(a)])
-    E = pressure / (gamma - 1.0) + 0.5 * rho * speed**2
+    E = pressure / (GAMMA - 1.0) + 0.5 * rho * speed**2
     q = np.zeros((num_vertices, 5))
     q[:, 0] = rho
     q[:, 1:4] = rho * vel

@@ -51,15 +51,15 @@ def _table3_measured(a):
     # kernels.
     procs = (2, 4) if a.smoke else (2, 4, 8)
     steps = 2 if a.smoke else 3
-    return [table3.run_table3_measured(procs=procs, size="small",
+    return [table3.run_table3_measured(procs=procs,
                                        max_steps=steps).to_table()]
 
 
 def _table5_measured(a):
     nodes = (2,) if a.smoke else (2, 4)
     sweeps = 2 if a.smoke else 5
-    return [table5.run_table5_measured(node_counts=nodes, size="small",
-                                       sweeps=sweeps, nworkers=a.workers)]
+    return [table5.run_table5_measured(node_counts=nodes, sweeps=sweeps,
+                                       nworkers=a.workers)]
 
 
 def _default(run):

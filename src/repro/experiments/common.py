@@ -61,7 +61,7 @@ def scaled_hierarchy(machine: MachineSpec, factor: float) -> MemoryHierarchy:
     return MemoryHierarchy(m.l1, m.l2, m.tlb)
 
 
-def default_wing(size: str = "small", **kw) -> FlowProblem:
+def default_wing(size: str = "small") -> FlowProblem:
     """The standard scaled M6 stand-ins used across experiments."""
     dims = {
         "tiny": (7, 5, 4),       # 140 vertices   (unit tests)
@@ -69,25 +69,22 @@ def default_wing(size: str = "small", **kw) -> FlowProblem:
         "medium": (16, 10, 8),   # 1280 vertices  (scalability benches)
         "large": (22, 14, 10),   # 3080 vertices  (layout benches)
     }[size]
-    return wing_problem(*dims, **kw)
+    return wing_problem(*dims)
 
 
 def solve_with_partition(prob: FlowProblem, nparts: int, *,
                          labels: np.ndarray | None = None,
                          fill_level: int = 1, overlap: int = 0,
                          max_steps: int = 8, cfl0: float = 10.0,
-                         jacobian_lag: int = 2,
                          krylov_rtol: float = 1e-2,
                          krylov_maxiter: int = 40,
-                         krylov_restart: int = 20,
-                         matrix_free: bool = True,
-                         target_reduction: float = 1e-10, seed: int = 0,
-                         engine: str = "numpy", policy="fp64",
+                         matrix_free: bool = True, policy="fp64",
                          executor: str = "local",
                          recorder=NULL_RECORDER):
-    """One NKS run with a p-way preconditioner partition.
+    """One NKS run with a p-way preconditioner partition, on the numpy
+    tier like every solve behind a paper artefact.
 
-    ``max_steps`` is deliberately small and ``target_reduction``
+    ``max_steps`` is deliberately small and the target reduction (1e-10)
     unreachable: scalability experiments compare a *fixed* number of
     pseudo-timesteps across partition counts, so iteration counts are
     directly comparable.  ``labels``, a partition made elsewhere,
@@ -98,16 +95,14 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
     cfg = SolverConfig(
         ptc=PTCConfig(cfl0=cfl0),
         max_steps=max_steps,
-        target_reduction=target_reduction,
+        target_reduction=1e-10,
         matrix_free=matrix_free,
-        jacobian_lag=jacobian_lag,
+        jacobian_lag=2,
         krylov=KrylovConfig(rtol=krylov_rtol,
-                            max_iterations=krylov_maxiter,
-                            restart=krylov_restart),
+                            max_iterations=krylov_maxiter),
         precond=PreconditionerConfig(
             nparts=nparts, fill_level=fill_level, overlap=overlap),
-        seed=seed,
-        engine=engine,
+        engine="numpy",
         policy=policy,
         executor=executor,
     )

@@ -23,10 +23,9 @@ __all__ = ["run_eq_bounds", "check_eq_bounds", "banded_matrix",
            "x_gather_trace"]
 
 
-def banded_matrix(n: int, bandwidth: int, nnz_per_row: int,
-                  seed: int = 0) -> CSRMatrix:
+def banded_matrix(n: int, bandwidth: int, nnz_per_row: int) -> CSRMatrix:
     """Random matrix whose row gathers span exactly ``bandwidth``."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     rows = []
     cols = []
     for i in range(n):
@@ -47,12 +46,11 @@ def x_gather_trace(a: CSRMatrix) -> np.ndarray:
     return base_x + _VALUE_BYTES * a.indices
 
 
-def run_eq_bounds(*, n: int = 4096, nnz_per_row: int = 12,
-                  cache: CacheConfig | None = None,
-                  bandwidths=(256, 512, 1024, 2048, 4096),
-                  seed: int = 0) -> ExperimentResult:
-    """Sweep the gather span beta across the cache capacity."""
-    cache = cache or CacheConfig("L", 8 * 1024, 32, 2)   # 1024 words
+def run_eq_bounds(*, n: int = 4096,
+                  bandwidths=(256, 512, 1024, 2048, 4096)) -> ExperimentResult:
+    """Sweep the gather span beta of 12-entry rows across the capacity
+    of a 1024-word, 2-way cache."""
+    cache = CacheConfig("L", 8 * 1024, 32, 2)
     result = ExperimentResult(
         name=f"Eq. 1/2 bound validation (C={cache.capacity_words} words, "
              f"W={cache.line_words} words)",
@@ -60,7 +58,7 @@ def run_eq_bounds(*, n: int = 4096, nnz_per_row: int = 12,
                  "Eq. bound", "Bound + compulsory >= sim"],
     )
     for beta in bandwidths:
-        a = banded_matrix(n, beta, nnz_per_row, seed=seed)
+        a = banded_matrix(n, beta, 12)
         trace = x_gather_trace(a)
         c = simulate_trace(trace, cache)
         compulsory = int(np.unique(trace // cache.line_bytes).size)

@@ -28,11 +28,11 @@ __all__ = ["run_fig2", "check_fig2"]
 _MACHINES = (ASCI_RED_PPRO, BLUE_PACIFIC_604E, CRAY_T3E_600)
 
 
-def run_fig2(*, procs=(2, 4, 8, 16), size: str = "medium",
-             max_steps: int = 4, fill_level: int = 1,
-             seed: int = 0) -> ExperimentResult:
-    """Both Fig. 2 panels as one table (a row per machine x node count)."""
-    prob = default_wing(size, seed=seed)
+def run_fig2() -> ExperimentResult:
+    """Both Fig. 2 panels as one table (a row per machine x node count):
+    ILU(1) subdomain solves on 2 to 16 processors."""
+    prob = default_wing("medium")
+    procs, fill_level = (2, 4, 8, 16), 1
     result = ExperimentResult(
         name=f"Fig. 2 analogue ({prob.name})",
         headers=["Machine", "Procs", "Gflop/s", "Time(s)",
@@ -42,7 +42,7 @@ def run_fig2(*, procs=(2, 4, 8, 16), size: str = "medium",
     measured = {}
     for p in procs:
         its, labels = measured_linear_iterations(
-            prob, p, fill_level=fill_level, max_steps=max_steps, seed=seed)
+            prob, p, fill_level=fill_level, max_steps=4)
         measured[p] = (its, SPMDLayout.build(prob.mesh.edges, labels))
 
     for machine in _MACHINES:

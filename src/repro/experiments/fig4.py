@@ -25,16 +25,16 @@ from repro.parallel.spmd import SPMDLayout
 from repro.partition.bisect import pmetis_partition
 from repro.partition.kway import kway_partition
 from repro.partition.metrics import partition_quality
-from repro.perfmodel.machines import CRAY_T3E_600, MachineSpec
+from repro.perfmodel.machines import CRAY_T3E_600
 
 __all__ = ["run_fig4", "check_fig4"]
 
 
-def run_fig4(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
-             machine: MachineSpec = CRAY_T3E_600, max_steps: int = 4,
-             fill_level: int = 0, seed: int = 0) -> ExperimentResult:
-    """Regenerate the Fig. 4 speedup comparison."""
-    prob = default_wing(size, seed=seed)
+def run_fig4() -> ExperimentResult:
+    """Regenerate the Fig. 4 speedup comparison: ILU(0) subdomain solves
+    on 2 to 32 processors of the T3E model."""
+    prob = default_wing("medium")
+    procs, machine, fill_level = (2, 4, 8, 16, 32), CRAY_T3E_600, 0
     graph = prob.mesh.vertex_graph()
     net = network_from_machine(machine)
     result = ExperimentResult(
@@ -46,10 +46,9 @@ def run_fig4(*, procs=(2, 4, 8, 16, 32), size: str = "medium",
                             ("p-metis-like", pmetis_partition)):
         base_time = None
         for p in procs:
-            labels = partition(graph, p, seed=seed)
+            labels = partition(graph, p)
             its, _ = measured_linear_iterations(
-                prob, p, labels=labels, fill_level=fill_level,
-                max_steps=max_steps, seed=seed)
+                prob, p, labels=labels, fill_level=fill_level, max_steps=4)
             layout = SPMDLayout.build(prob.mesh.edges, labels)
             works = build_rank_work(layout, prob.disc.ncomp,
                                     fill_ratio=1.0 + fill_level)

@@ -23,7 +23,7 @@ from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
 from repro.parallel.simulate import simulate_solve
 from repro.parallel.spmd import SPMDLayout
-from repro.perfmodel.machines import ORIGIN2000_R10K, MachineSpec
+from repro.perfmodel.machines import ORIGIN2000_R10K
 
 __all__ = ["run_table2", "check_table2", "PAPER_TABLE2"]
 
@@ -37,11 +37,11 @@ PAPER_TABLE2 = {
 }
 
 
-def run_table2(*, procs=(4, 8, 16), size: str = "medium",
-               machine: MachineSpec = ORIGIN2000_R10K, max_steps: int = 4,
-               fill_level: int = 1, seed: int = 0) -> ExperimentResult:
-    """Regenerate Table 2 at scaled processor counts."""
-    prob = default_wing(size, seed=seed)
+def run_table2() -> ExperimentResult:
+    """Regenerate Table 2 at scaled processor counts: ILU(1) subdomain
+    solves on the Origin 2000 model."""
+    prob = default_wing("medium")
+    machine, fill_level = ORIGIN2000_R10K, 1
     net = network_from_machine(machine)
     result = ExperimentResult(
         name=f"Table 2 analogue ({prob.name} on {machine.name})",
@@ -50,7 +50,7 @@ def run_table2(*, procs=(4, 8, 16), size: str = "medium",
                  "Overall dbl(s)", "Overall sgl(s)", "Ovl ratio",
                  "Its fp64", "Its fp32-precond", "Its fp32"],
     )
-    for p in procs:
+    for p in (4, 8, 16):
         times = {}
         its_counts = {}
         layout = None
@@ -59,8 +59,7 @@ def run_table2(*, procs=(4, 8, 16), size: str = "medium",
         for policy, vbytes in (("fp64", 8), ("fp32-precond", 4),
                                ("fp32", 4)):
             its, labels = measured_linear_iterations(
-                prob, p, fill_level=fill_level, policy=policy,
-                max_steps=max_steps, seed=seed)
+                prob, p, fill_level=fill_level, policy=policy, max_steps=4)
             # Every policy partitions the same graph with the same seed:
             # one partition, so one layout per processor count.
             if layout is None:

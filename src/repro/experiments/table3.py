@@ -167,19 +167,20 @@ class MeasuredScalabilityResult:
         return res
 
 
-def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
+def run_table3_measured(*, procs=(2, 4, 8, 16),
                         max_steps: int = 4) -> MeasuredScalabilityResult:
     """Measured-mode Table 3: telemetry instead of the machine model.
 
-    For each processor count, one real p-block solve is recorded:
-    assembled and first-order, so every residual and every Krylov
-    matvec runs on the rank-local SPMD kernels (``executor="seq"``).
+    For each processor count, one real p-block solve of the small wing
+    is recorded: assembled and first-order, so every residual and every
+    Krylov matvec runs on the rank-local SPMD kernels
+    (``executor="seq"``).
     Its own linear iteration count supplies eta_alg; its per-rank phase
     times supply eta_impl and the percentage columns (``%red`` is the
     solve's ``orthogonalization`` span — where the Krylov reductions
     happen).  Each row's recorder is kept in ``result.traces``.
     """
-    prob = default_wing(size)
+    prob = default_wing("small")
     prob.disc.second_order = False      # the SPMD kernels are first-order
     runs = []
     result = MeasuredScalabilityResult(problem_name=prob.name,

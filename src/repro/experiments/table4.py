@@ -21,7 +21,7 @@ from repro.parallel.netmodel import network_from_machine
 from repro.parallel.rankwork import build_rank_work
 from repro.parallel.simulate import simulate_solve
 from repro.parallel.spmd import SPMDLayout
-from repro.perfmodel.machines import ASCI_RED_PPRO, MachineSpec
+from repro.perfmodel.machines import ASCI_RED_PPRO
 
 __all__ = ["run_table4", "check_table4", "PAPER_TABLE4"]
 
@@ -39,13 +39,11 @@ PAPER_TABLE4 = {
 }
 
 
-def run_table4(*, procs=(4, 8), fills=(0, 1, 2), overlaps=(0, 1, 2),
-               size: str = "medium", machine: MachineSpec = ASCI_RED_PPRO,
-               max_steps: int = 3, cfl0: float = 1000.0,
-               krylov_rtol: float = 1e-4, seed: int = 0) -> ExperimentResult:
-    """Regenerate Table 4 at scaled processor counts.
+def run_table4() -> ExperimentResult:
+    """Regenerate Table 4 at scaled processor counts: ILU(0..2) x overlap
+    0..2 on 4 and 8 subdomains, priced on the ASCI Red model.
 
-    Every cell is a real solve (fixed pseudo-steps) whose iteration
+    Every cell is a real solve (three pseudo-steps) whose iteration
     count and *measured* ILU fill ratio parameterise the machine model.
     The runs use the assembled (defect-correction) operator and a tight
     forcing tolerance so the linear iteration counts reflect
@@ -53,7 +51,8 @@ def run_table4(*, procs=(4, 8), fills=(0, 1, 2), overlaps=(0, 1, 2),
     matrix-free FD noise and loose forcing would mask the fill/overlap
     effect at our reduced subdomain sizes.
     """
-    prob = default_wing(size, seed=seed)
+    prob = default_wing("medium")
+    machine = ASCI_RED_PPRO
     net = network_from_machine(machine)
     result = ExperimentResult(
         name=f"Table 4 analogue ({prob.name} on {machine.name})",
@@ -61,14 +60,13 @@ def run_table4(*, procs=(4, 8), fills=(0, 1, 2), overlaps=(0, 1, 2),
                  "Ghost frac"],
     )
     base_nnzb = prob.mesh.num_vertices + 2 * prob.mesh.num_edges
-    for k in fills:
-        for p in procs:
-            for delta in overlaps:
+    for k in (0, 1, 2):
+        for p in (4, 8):
+            for delta in (0, 1, 2):
                 solver, report = solve_with_partition(
-                    prob, p, fill_level=k, overlap=delta,
-                    max_steps=max_steps, cfl0=cfl0,
-                    krylov_rtol=krylov_rtol, krylov_maxiter=300,
-                    matrix_free=False, seed=seed)
+                    prob, p, fill_level=k, overlap=delta, max_steps=3,
+                    cfl0=1000.0, krylov_rtol=1e-4, krylov_maxiter=300,
+                    matrix_free=False)
                 its = [s.linear_iterations for s in report.steps]
                 pc = solver._pc
                 fill_ratio = pc.total_factor_nnz() / base_nnzb

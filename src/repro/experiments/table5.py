@@ -23,7 +23,7 @@ from repro.parallel.hybrid import hybrid_flux_times
 from repro.parallel.procpool import ProcPool
 from repro.parallel.spmd import SPMDLayout, distributed_residual
 from repro.partition.kway import kway_partition
-from repro.perfmodel.machines import ASCI_RED_PPRO, MachineSpec
+from repro.perfmodel.machines import ASCI_RED_PPRO
 
 __all__ = ["run_table5", "check_table5", "run_table5_measured",
            "PAPER_TABLE5"]
@@ -37,11 +37,11 @@ PAPER_TABLE5 = {
 }
 
 
-def run_table5(*, node_counts=(4, 8, 16, 32), size: str = "medium",
-               machine: MachineSpec = ASCI_RED_PPRO,
-               seed: int = 0) -> ExperimentResult:
-    """Regenerate Table 5 at scaled node counts."""
-    prob = default_wing(size, seed=seed)
+def run_table5(*, node_counts=(4, 8, 16, 32),
+               size: str = "medium") -> ExperimentResult:
+    """Regenerate Table 5 at scaled node counts on the ASCI Red model."""
+    prob = default_wing(size)
+    machine = ASCI_RED_PPRO
     graph = prob.mesh.vertex_graph()
     result = ExperimentResult(
         name=f"Table 5 analogue ({prob.name} on {machine.name})",
@@ -49,8 +49,8 @@ def run_table5(*, node_counts=(4, 8, 16, 32), size: str = "medium",
                  "2 procs(s)", "hybrid/mpi2"],
     )
     for nodes in node_counts:
-        l1 = kway_partition(graph, nodes, seed=seed)
-        l2 = kway_partition(graph, 2 * nodes, seed=seed)
+        l1 = kway_partition(graph, nodes)
+        l2 = kway_partition(graph, 2 * nodes)
         cmp = hybrid_flux_times(prob.mesh.edges, l1, l2, machine,
                                 ncomp=prob.disc.ncomp)
         result.rows.append([
@@ -90,10 +90,10 @@ def _flux_wall(disc, labels: np.ndarray, q: np.ndarray, sweeps: int,
         return best
 
 
-def run_table5_measured(*, node_counts=(2, 4), size: str = "small",
-                        sweeps: int = 5,
+def run_table5_measured(*, node_counts=(2, 4), sweeps: int = 5,
                         nworkers: int = 2) -> ExperimentResult:
-    """Measured Table 5 analogue: wall-clock flux phases, no model.
+    """Measured Table 5 analogue on the small wing: wall-clock flux
+    phases, no model.
 
     The paper's three ways to use a node's second CPU, executed for
     real on the process-pool backend and *timed*:
@@ -108,7 +108,7 @@ def run_table5_measured(*, node_counts=(2, 4), size: str = "small",
       halo edges, which is exactly the effect Table 5 attributes the
       hybrid scheme's win to — here it is measured, not modelled).
     """
-    prob = default_wing(size)
+    prob = default_wing("small")
     graph = prob.mesh.vertex_graph()
     disc = prob.disc
     q = np.asarray(prob.initial.flat(), dtype=np.float64)

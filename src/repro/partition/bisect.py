@@ -24,9 +24,9 @@ from repro.partition.refine import fm_refine
 __all__ = ["pmetis_partition"]
 
 
-def pmetis_partition(graph: Graph, nparts: int, *, seed: int = 0,
-                     refine: bool = True) -> np.ndarray:
-    """Recursive strict-balance bisection into ``nparts`` parts.
+def pmetis_partition(graph: Graph, nparts: int) -> np.ndarray:
+    """Recursive strict-balance bisection into ``nparts`` parts, then
+    strict-balance FM refinement.
 
     Non-power-of-two part counts are handled by splitting weight
     proportionally (a ``k = a + b`` split cuts at a/(a+b) of the
@@ -38,8 +38,8 @@ def pmetis_partition(graph: Graph, nparts: int, *, seed: int = 0,
     if nparts > n:
         raise ValueError("more parts than vertices")
     labels = np.zeros(n, dtype=np.int64)
-    _recurse(graph, np.arange(n, dtype=np.int64), nparts, 0, labels, seed)
-    if refine and nparts > 1:
+    _recurse(graph, np.arange(n, dtype=np.int64), nparts, 0, labels, 0)
+    if nparts > 1:
         labels = fm_refine(graph, labels, nparts, strict_balance=True,
                            max_passes=4)
     return labels

@@ -96,10 +96,10 @@ def grow_regions(graph: Graph, nparts: int, seed: int = 0) -> np.ndarray:
     return labels
 
 
-def kway_partition(graph: Graph, nparts: int, *, seed: int = 0,
-                   balance_tol: float = 1.06, coarsen_to: int | None = None,
-                   refine_passes: int = 6) -> np.ndarray:
-    """Multilevel k-way partition; returns a label per vertex."""
+def kway_partition(graph: Graph, nparts: int, *, seed: int = 0) -> np.ndarray:
+    """Multilevel k-way partition; returns a label per vertex.
+    Coarsening stops at ``max(20 * nparts, 200)`` vertices and every
+    level gets six FM passes."""
     if nparts < 1:
         raise ValueError("nparts must be >= 1")
     n = graph.num_vertices
@@ -107,8 +107,7 @@ def kway_partition(graph: Graph, nparts: int, *, seed: int = 0,
         return np.zeros(n, dtype=np.int64)
     if nparts > n:
         raise ValueError("more parts than vertices")
-    if coarsen_to is None:
-        coarsen_to = max(20 * nparts, 200)
+    coarsen_to = max(20 * nparts, 200)
 
     # --- coarsen ---------------------------------------------------
     levels: list[CoarseLevel] = []
@@ -125,8 +124,7 @@ def kway_partition(graph: Graph, nparts: int, *, seed: int = 0,
 
     # --- initial partition on the coarsest graph --------------------
     labels = grow_regions(g, nparts, seed=seed)
-    labels = fm_refine(g, labels, nparts, balance_tol=balance_tol,
-                       max_passes=refine_passes)
+    labels = fm_refine(g, labels, nparts, max_passes=6)
 
     # --- uncoarsen + refine -----------------------------------------
     # Level i coarsened parent graph: `graph` for i == 0, else the
@@ -134,14 +132,12 @@ def kway_partition(graph: Graph, nparts: int, *, seed: int = 0,
     for i in range(len(levels) - 1, -1, -1):
         labels = labels[levels[i].fine_to_coarse]
         parent = graph if i == 0 else levels[i - 1].graph
-        labels = fm_refine(parent, labels, nparts,
-                           balance_tol=balance_tol, max_passes=refine_passes)
+        labels = fm_refine(parent, labels, nparts, max_passes=6)
     # k-MeTiS-style contiguity enforcement, alternated with balance
     # touch-ups (fragment reassignment can overload a part, and
     # rebalancing can in turn strand a fragment).
     for _ in range(3):
         labels = repair_contiguity(graph, labels, nparts)
-        labels = fm_refine(graph, labels, nparts, balance_tol=balance_tol,
-                           max_passes=2)
+        labels = fm_refine(graph, labels, nparts, max_passes=2)
     labels = repair_contiguity(graph, labels, nparts)
     return labels

@@ -103,9 +103,8 @@ class SolveTicket:
     def wait(self, timeout: float | None = None) -> bool:
         return self._done.wait(timeout)
 
-    def result(self, timeout: float | None = None):
-        if not self._done.wait(timeout):
-            raise TimeoutError(f"request {self.rid} still {self.status}")
+    def result(self):
+        self._done.wait()
         if self.status == "failed" and self.error is not None:
             raise self.error
         return self.report

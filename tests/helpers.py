@@ -1,14 +1,17 @@
 """Test-side fixtures and tolerances that no artefact, example or
-benchmark needs: a problem with a known exact solution, the dual
+benchmark needs: a problem with a known exact solution and its
+all-farfield boundary, the tests' small transonic bump, the dual
 mesh's closure defect, the roundoff bound of reduced-precision
 storage, dense <-> CSR conversion, and a graph's envelope profile
 under an ordering."""
 
 import numpy as np
+import pytest
 
-from repro.euler import (CompressibleEuler, FlowProblem, IncompressibleEuler,
-                         classify_box_boundary, compressible_freestream,
-                         incompressible_freestream)
+from repro.euler import (BoundaryCondition, CompressibleEuler, FlowProblem,
+                         IncompressibleEuler, classify_box_boundary,
+                         compressible_freestream, incompressible_freestream,
+                         problems, transonic_bump_problem)
 from repro.graph import graph_from_edges
 from repro.mesh import box_mesh, compute_dual_metrics
 from repro.sparse import CSRMatrix
@@ -20,7 +23,7 @@ def duct_problem(n=5, *, compressible=False, jitter=0.25, second_order=True,
     discrete steady state (the discrete-exactness test case)."""
     mesh = box_mesh(n, n, n, jitter=jitter, seed=seed, name=f"duct{n}")
     dual = compute_dual_metrics(mesh)
-    bc = classify_box_boundary(mesh, dual, wall_region=None)
+    bc = farfield_boundary(mesh, dual)
     nv = mesh.num_vertices
     if compressible:
         fs = compressible_freestream(nv, mach=0.4, alpha_deg=0.0)
@@ -32,6 +35,21 @@ def duct_problem(n=5, *, compressible=False, jitter=0.25, second_order=True,
                                    second_order=second_order)
     return FlowProblem(mesh=mesh, disc=disc, initial=fs,
                        name=f"duct-{'comp' if compressible else 'incomp'}-{nv}v")
+
+
+def farfield_boundary(mesh, dual):
+    """A box mesh's boundary with the wall patch farfield too: the
+    uniform-flow test case."""
+    bc = classify_box_boundary(mesh, dual)
+    return BoundaryCondition(bc.vertices, bc.normals, np.full_like(
+        bc.kinds, BoundaryCondition.FARFIELD))
+
+
+def small_bump(**kw):
+    """The transonic bump at the tests' 13 x 4 x 7 vertices."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "_BUMP_NX", 13)
+        return transonic_bump_problem(ny=4, nz=7, **kw)
 
 
 def closure_defect(dual, edges):

@@ -3,31 +3,36 @@
 import numpy as np
 import pytest
 
-from repro.euler import (BoundaryCondition, classify_box_boundary,
+from repro.euler import (BoundaryCondition, boundary, classify_box_boundary,
                          incompressible_freestream, wing_problem)
 from repro.euler.incompressible import IncompressibleEuler
 from repro.mesh import compute_dual_metrics
+from tests.helpers import farfield_boundary
+
+_FLOOR = ((0.0, 1.0), (0.0, 1.0))      # the whole z=0 face
 
 
 class TestClassification:
-    def test_all_farfield_without_region(self, small_mesh, small_dual):
-        bc = classify_box_boundary(small_mesh, small_dual, wall_region=None)
+    def test_all_farfield_without_region(self, small_mesh, small_dual,
+                                         monkeypatch):
+        # a patch off the unit cube: no floor vertex falls in it
+        monkeypatch.setattr(boundary, "_WALL_REGION", ((2.0, 3.0), (2.0, 3.0)))
+        bc = classify_box_boundary(small_mesh, small_dual)
         assert not bc.wall_mask.any()
         assert np.all(bc.farfield_mask)
 
-    def test_wall_patch_on_floor(self, small_mesh, small_dual):
-        bc = classify_box_boundary(small_mesh, small_dual,
-                                   wall_region=((0.0, 1.0), (0.0, 1.0)))
+    def test_wall_patch_on_floor(self, small_mesh, small_dual, monkeypatch):
+        monkeypatch.setattr(boundary, "_WALL_REGION", _FLOOR)
+        bc = classify_box_boundary(small_mesh, small_dual)
         walls = bc.vertices[bc.wall_mask]
         assert walls.size > 0
         assert np.all(np.abs(small_mesh.coords[walls, 2]
                              - small_mesh.coords[:, 2].min()) < 1e-9)
 
-    def test_patch_restricts_wall(self, small_mesh, small_dual):
-        bc_full = classify_box_boundary(small_mesh, small_dual,
-                                        wall_region=((0.0, 1.0), (0.0, 1.0)))
-        bc_patch = classify_box_boundary(small_mesh, small_dual,
-                                         wall_region=((0.3, 0.7), (0.3, 0.7)))
+    def test_patch_restricts_wall(self, small_mesh, small_dual, monkeypatch):
+        bc_patch = classify_box_boundary(small_mesh, small_dual)
+        monkeypatch.setattr(boundary, "_WALL_REGION", _FLOOR)
+        bc_full = classify_box_boundary(small_mesh, small_dual)
         assert 0 < bc_patch.wall_mask.sum() < bc_full.wall_mask.sum()
 
     def test_vertices_cover_boundary(self, small_mesh, small_dual):
@@ -89,7 +94,7 @@ class TestFarfieldBC:
     def test_farfield_absorbs_freestream(self, small_mesh, small_dual):
         """At the freestream state the farfield flux is the plain
         analytic flux (no dissipation term)."""
-        bc = classify_box_boundary(small_mesh, small_dual, wall_region=None)
+        bc = farfield_boundary(small_mesh, small_dual)
         fs = incompressible_freestream(small_mesh.num_vertices)
         disc = IncompressibleEuler(small_mesh, bc, small_dual, farfield=fs)
         q = fs.q
@@ -101,7 +106,7 @@ class TestFarfieldBC:
         assert np.allclose(r, acc)
 
     def test_missing_farfield_state_raises(self, small_mesh, small_dual):
-        bc = classify_box_boundary(small_mesh, small_dual, wall_region=None)
+        bc = farfield_boundary(small_mesh, small_dual)
         disc = IncompressibleEuler(small_mesh, bc, small_dual)
         with pytest.raises(RuntimeError):
             disc.residual(np.zeros(disc.num_unknowns))
@@ -110,7 +115,7 @@ class TestFarfieldBC:
         """Relabelling vertices + relabelling the BC commutes with the
         residual evaluation."""
         from repro.mesh import compute_dual_metrics
-        bc = classify_box_boundary(small_mesh, small_dual, wall_region=None)
+        bc = farfield_boundary(small_mesh, small_dual)
         fs = incompressible_freestream(small_mesh.num_vertices)
         disc = IncompressibleEuler(small_mesh, bc, small_dual, farfield=fs,
                                    second_order=False)
@@ -122,7 +127,7 @@ class TestFarfieldBC:
         inv[perm] = np.arange(perm.size)
         mesh2 = small_mesh.permuted(perm)
         dual2 = compute_dual_metrics(mesh2)
-        bc2 = classify_box_boundary(mesh2, dual2, wall_region=None)
+        bc2 = farfield_boundary(mesh2, dual2)
         disc2 = IncompressibleEuler(mesh2, bc2, dual2, farfield=fs,
                                     second_order=False)
         q2 = q.reshape(-1, 4)[perm]

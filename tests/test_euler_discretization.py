@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.euler import (IncompressibleEuler,
-                         classify_box_boundary,
-                         incompressible_freestream, wing_problem)
+from repro.euler import (IncompressibleEuler, incompressible_freestream,
+                         wing_problem)
 from repro.euler.reconstruction import (Limiter, green_gauss_gradients,
                                         reconstruct_edge_states)
-from tests.helpers import csr_to_dense, duct_problem
+from tests.helpers import csr_to_dense, duct_problem, farfield_boundary
 
 class TestFreestreamPreservation:
     """Uniform flow is an exact steady state on an all-farfield box."""
@@ -26,7 +25,7 @@ class TestConservation:
     def test_interior_fluxes_telescope(self, small_mesh, small_dual, rng):
         """Summing the residual over all vertices leaves only boundary
         fluxes: interior Rusanov fluxes cancel pairwise."""
-        bc = classify_box_boundary(small_mesh, small_dual, wall_region=None)
+        bc = farfield_boundary(small_mesh, small_dual)
         fs = incompressible_freestream(small_mesh.num_vertices)
         disc = IncompressibleEuler(small_mesh, bc, small_dual, farfield=fs,
                                    second_order=False)

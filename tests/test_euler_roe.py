@@ -114,7 +114,7 @@ class TestRoeInSolver:
         genuinely supersonic pocket at this resolution; Rusanov's
         dissipation suppresses it.  Both converge."""
         from repro.core import NKSSolver, SolverConfig
-        from repro.euler import transonic_bump_problem
+        from tests.helpers import small_bump
         from repro.solvers.ptc import PTCConfig
         cfg = SolverConfig(
             ptc=PTCConfig(cfl0=2.0, exponent=0.75, switch_order_drop=1e-2,
@@ -123,8 +123,7 @@ class TestRoeInSolver:
             jacobian_lag=2)
         mmax = {}
         for scheme in ("rusanov", "roe"):
-            prob = transonic_bump_problem(13, 4, 7, limiter="minmod",
-                                          flux_scheme=scheme)
+            prob = small_bump(limiter="minmod", flux_scheme=scheme)
             rep = NKSSolver(prob.disc, cfg).solve(prob.initial.flat())
             assert rep.converged, scheme
             q = rep.final_state.reshape(-1, 5)

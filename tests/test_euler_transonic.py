@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from repro.core import NKSSolver, SolverConfig
-from repro.euler import transonic_bump_problem
 from repro.solvers.ptc import PTCConfig
+from tests.helpers import small_bump
 
 
 @pytest.fixture(scope="module")
 def bump_solution():
     """One converged transonic solve shared across assertions."""
-    prob = transonic_bump_problem(13, 4, 7, mach=0.84, limiter="minmod")
+    prob = small_bump(limiter="minmod")
     cfg = SolverConfig(
         ptc=PTCConfig(cfl0=2.0, exponent=0.75, switch_order_drop=1e-2,
                       first_order_exponent=1.5),
@@ -101,7 +101,7 @@ class TestLimiterRobustness:
             jacobian_lag=2)
         out = {}
         for limiter in ("minmod", "van_albada"):
-            prob = transonic_bump_problem(13, 4, 7, limiter=limiter)
+            prob = small_bump(limiter=limiter)
             rep = NKSSolver(prob.disc, cfg).solve(prob.initial.flat())
             out[limiter] = (rep.residual_history / rep.fnorm0).min()
         assert out["minmod"] < 1e-5

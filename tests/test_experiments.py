@@ -123,10 +123,8 @@ class TestEqBounds:
         assert all(r.column("Bound + compulsory >= sim"))
 
     def test_knee_location(self):
-        from repro.memory.cache import CacheConfig
-        cache = CacheConfig("c", 8 * 1024, 32, 2)     # 1024 words
-        r = run_eq_bounds(n=1024, cache=cache,
-                          bandwidths=(512, 4096))
+        # the sweep's cache holds 1024 words
+        r = run_eq_bounds(n=1024, bandwidths=(512, 4096))
         bounds = r.column("Eq. bound")
         assert bounds[0] == 0 and bounds[1] > 0
 

@@ -41,8 +41,8 @@ from repro.core.config import (KrylovConfig, PreconditionerConfig,
                                SolverConfig)
 from repro.core.driver import NKSSolver
 from repro.euler import discretization, wing_problem
-from repro.euler.fluxes import (compressible_flux, compressible_wavespeed,
-                                flux_family,
+from repro.euler.fluxes import (GAMMA, compressible_flux,
+                                compressible_wavespeed, flux_family,
                                 incompressible_flux,
                                 incompressible_wavespeed, rusanov_flux)
 from repro.euler.reconstruction import (green_gauss_gradients,
@@ -1263,19 +1263,20 @@ class TestColumnMajorFactors:
 LIMITERS = ("none", "van_albada", "minmod")
 
 #: flux family -> (flux, wavespeed, parameter keyword, a dyadic
-#: freestream state): what the fused kernel's numpy composition needs
+#: freestream state): what the fused kernel's numpy composition needs;
+#: the compressible flux takes no keyword, its parameter is ``GAMMA``
 FAMILIES = {
     "incompressible": (incompressible_flux, incompressible_wavespeed,
                        {"beta": 10.0}, [0.25, 1.0, 0.125, 0.0625]),
     "compressible": (compressible_flux, compressible_wavespeed,
-                     {"gamma": 1.4}, [1.0, 0.5, 0.125, 0.0625, 2.5]),
+                     {}, [1.0, 0.5, 0.125, 0.0625, 2.5]),
 }
 
 
 def _fused(mesh, dual, q, grad, limiter, family):
     """``muscl_rusanov_scatter`` as ``residual`` calls it; None when
     the dispatcher declines."""
-    (param,) = FAMILIES[family][2].values()
+    param = FAMILIES[family][2].get("beta", GAMMA)
     out = kernels.muscl_rusanov_scatter(
         *mesh.edge_endpoints(), q, grad, mesh.coords, dual.edge_normals,
         limiter, family, param, "compiled")
@@ -1599,7 +1600,7 @@ def _solver_cfg(engine, executor="local", max_steps=3):
         target_reduction=1e-300,
         matrix_free=True,
         jacobian_lag=2,
-        krylov=KrylovConfig(rtol=0.0, max_iterations=6, restart=6),
+        krylov=KrylovConfig(rtol=0.0, max_iterations=6),
         precond=PreconditionerConfig(nparts=2, fill_level=1),
         executor=executor,
         engine=engine,

@@ -89,7 +89,7 @@ def _labelling(graph, labelling, p):
     """``p``-part labels of ``graph``: k-way, p-MeTiS, k-way with an
     empty rank inserted at ``p // 2``, or k-way skewed into rank 0."""
     if labelling == "pmetis":
-        return pmetis_partition(graph, p, seed=0)
+        return pmetis_partition(graph, p)
     labels = kway_partition(graph, p, seed=0)
     if labelling == "empty-rank":
         return np.where(labels >= p // 2, labels + 1, labels)
@@ -158,7 +158,7 @@ class TestLayout:
         prob, labels, _, _ = setup
         edges = prob.mesh.edges
         if labelling == "pmetis":
-            labels = pmetis_partition(prob.mesh.vertex_graph(), 4, seed=0)
+            labels = pmetis_partition(prob.mesh.vertex_graph(), 4)
         elif labelling == "empty-rank":
             labels = np.where(labels >= 2, labels + 1, labels)  # no rank 2
         layout = SPMDLayout.build(edges, labels)
@@ -218,7 +218,7 @@ class TestDistributedKernels:
         """Partition-independence: any valid partition reproduces the
         sequential result."""
         prob, _, _, q = setup
-        labels = pmetis_partition(prob.mesh.vertex_graph(), 5, seed=1)
+        labels = pmetis_partition(prob.mesh.vertex_graph(), 5)
         layout = SPMDLayout.build(prob.mesh.edges, labels)
         r_dist = distributed_residual(prob.disc, layout, q)
         r_seq = prob.disc.residual(q, second_order=False)
@@ -316,8 +316,7 @@ class TestGeometryNotCached:
             prob.mesh, coords=prob.mesh.coords
             + 1e-3 * rng.standard_normal(prob.mesh.coords.shape))
         dual = compute_dual_metrics(mesh)
-        bc = classify_box_boundary(mesh, dual,
-                                   wall_region=((0.2, 0.8), (0.2, 0.8)))
+        bc = classify_box_boundary(mesh, dual)
         disc = type(prob.disc)(mesh, bc, dual, farfield=prob.initial,
                                second_order=False)
         assert not np.array_equal(dual.edge_normals,
@@ -567,7 +566,7 @@ class TestModelPricesExecution:
         prob, _, _, _ = setup
         graph = prob.mesh.vertex_graph()
         if labelling == "pmetis":
-            labels = pmetis_partition(graph, 8, seed=0)
+            labels = pmetis_partition(graph, 8)
         else:
             labels = kway_partition(graph, 8, seed=0)
             if labelling == "skewed":

@@ -1,5 +1,6 @@
 """Partitioners: invariants and the k-MeTiS vs p-MeTiS phenomenology."""
 
+import functools
 import hashlib
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.partition import (coarsen_graph, edge_cut, fm_refine,
                              heavy_edge_matching, kway_partition,
                              load_imbalance, partition_quality,
                              pmetis_partition, subdomain_components)
+from repro.partition import bisect, refine
 from repro.partition.refine import repair_contiguity
 from tests.halo_oracle import arc_pass
 
@@ -67,7 +69,7 @@ class TestKway:
         assert np.all(labels == 0)
 
     def test_balance_tolerance_met(self, medium_graph):
-        labels = kway_partition(medium_graph, 8, seed=1, balance_tol=1.08)
+        labels = kway_partition(medium_graph, 8, seed=1)
         assert load_imbalance(labels) <= 1.15
 
     def test_mostly_connected_subdomains(self, medium_graph):
@@ -90,16 +92,16 @@ class TestKway:
 class TestPMetis:
     @pytest.mark.parametrize("nparts", [2, 3, 8])
     def test_valid_partition(self, medium_graph, nparts):
-        labels = pmetis_partition(medium_graph, nparts, seed=0)
+        labels = pmetis_partition(medium_graph, nparts)
         _check_cover(labels, medium_graph.num_vertices, nparts)
 
     def test_near_perfect_balance(self, medium_graph):
         for nparts in (2, 4, 8, 16):
-            labels = pmetis_partition(medium_graph, nparts, seed=0)
+            labels = pmetis_partition(medium_graph, nparts)
             assert load_imbalance(labels) <= 1.03
 
     def test_nonpow2_parts(self, medium_graph):
-        labels = pmetis_partition(medium_graph, 6, seed=0)
+        labels = pmetis_partition(medium_graph, 6)
         _check_cover(labels, medium_graph.num_vertices, 6)
         assert load_imbalance(labels) <= 1.05
 
@@ -110,7 +112,7 @@ class TestPhenomenology:
     def test_kway_connected_pmetis_balanced(self, medium_mesh, medium_graph):
         p = 16
         kl = kway_partition(medium_graph, p, seed=1)
-        pl = pmetis_partition(medium_graph, p, seed=1)
+        pl = pmetis_partition(medium_graph, p)
         qk = partition_quality(medium_graph,
                                SPMDLayout.build(medium_mesh.edges, kl))
         qp = partition_quality(medium_graph,
@@ -122,17 +124,20 @@ class TestPhenomenology:
 
     def test_fragmentation_grows_with_parts(self, medium_mesh, medium_graph):
         xs = [partition_quality(medium_graph, SPMDLayout.build(
-            medium_mesh.edges, pmetis_partition(medium_graph, p, seed=3))
+            medium_mesh.edges, pmetis_partition(medium_graph, p))
         ).total_extra_components for p in (4, 32)]
         assert xs[1] >= xs[0]
 
-    @pytest.mark.parametrize("partition", [kway_partition, pmetis_partition])
-    @pytest.mark.parametrize("p", [2, 16])
+    @pytest.mark.parametrize("partition, p", [
+        (functools.partial(kway_partition, seed=1), 2),
+        (functools.partial(kway_partition, seed=1), 16),
+        # p-MeTiS has one partition per count: two no other test here uses
+        (pmetis_partition, 5), (pmetis_partition, 12)])
     def test_halo_counts_match_the_arc_pass(self, medium_mesh, medium_graph,
                                             partition, p):
         """The neighbours and interface read from the layout are the
         ones an independent pass over the graph's arcs counts."""
-        labels = partition(medium_graph, p, seed=1)
+        labels = partition(medium_graph, p)
         q = partition_quality(medium_graph,
                               SPMDLayout.build(medium_mesh.edges, labels))
         oracle = arc_pass(medium_graph, labels)
@@ -142,21 +147,25 @@ class TestPhenomenology:
 
 
 class TestRefine:
-    def test_refine_never_worsens_cut_much(self, medium_graph):
+    def test_refine_never_worsens_cut_much(self, medium_graph, monkeypatch):
+        monkeypatch.setattr(refine, "_BALANCE_TOL", 1.3)
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 4, medium_graph.num_vertices)
-        refined = fm_refine(medium_graph, labels, 4, balance_tol=1.3)
+        refined = fm_refine(medium_graph, labels, 4)
         assert (edge_cut(medium_graph, refined)
                 <= edge_cut(medium_graph, labels))
 
-    def test_strict_balance_preserved(self, medium_graph):
-        labels = pmetis_partition(medium_graph, 4, seed=0, refine=False)
+    def test_strict_balance_preserved(self, medium_graph, monkeypatch):
+        # the bisection alone: pmetis_partition's own refinement skipped
+        monkeypatch.setattr(bisect, "fm_refine", lambda g, labels, *a, **k:
+                            labels)
+        labels = pmetis_partition(medium_graph, 4)
         before = load_imbalance(labels)
         refined = fm_refine(medium_graph, labels, 4, strict_balance=True)
         assert load_imbalance(refined) <= before + 1e-9
 
     def test_connected_components_consistent(self, medium_graph):
-        labels = pmetis_partition(medium_graph, 8, seed=0)
+        labels = pmetis_partition(medium_graph, 8)
         comp = connected_components(medium_graph, labels)
         # Same component -> same label.
         for c in np.unique(comp):
@@ -196,7 +205,8 @@ class TestPinnedLabels:
 def test_property_partitions_cover(nparts, seed):
     from repro.mesh import unit_cube_mesh
     g = unit_cube_mesh(5, jitter=0.2, seed=seed % 3).vertex_graph()
-    for fn in (kway_partition, pmetis_partition):
-        labels = fn(g, nparts, seed=seed)
+    for fn in (functools.partial(kway_partition, seed=seed),
+               pmetis_partition):
+        labels = fn(g, nparts)
         assert labels.shape == (g.num_vertices,)
         assert set(np.unique(labels)) == set(range(nparts))

@@ -55,15 +55,27 @@ ALLOWED = {
         "the CLI's argv: a shell passes sys.argv, the CLI tests a list",
     "repro.service.service.SolveRequest.deadline_s":
         "the service's documented admission contract (ROADMAP item 7(c))",
-    "repro.experiments.table3.run_table3.size":
-        "artefact sweep size: tier-1 shrinks the mesh",
-    "repro.experiments.table3.run_table3.max_steps":
-        "artefact sweep size: tier-1 shrinks the solve",
 }
+ALLOWED |= dict.fromkeys([f"repro.experiments.{k}" for k in (
+    "table3.run_table3.size", "table3.run_table3.max_steps",
+    "table5.run_table5.size", "table5.run_table5.node_counts",
+    "fig5.run_fig5.size", "fig5.run_fig5.max_steps",
+    "fig5.run_fig5.cfl0_values",
+    "eqbounds.run_eq_bounds.n", "eqbounds.run_eq_bounds.bandwidths")],
+    "artefact sweep size: tier-1 shrinks the mesh, the solve or the sweep")
 
 
-def _allowed(name):
-    return any(fnmatch(name, pat) for pat in ALLOWED)
+def _matches(name, pat, knob=False):
+    """A knob ``<callable>.<parameter>`` matches part by part, so
+    ``*_ref`` names only oracle defs and ``*_ref.*`` their parameters."""
+    if knob:
+        return "." in pat and all(map(fnmatch, name.rsplit(".", 1),
+                                      pat.rsplit(".", 1)))
+    return fnmatch(name, pat)
+
+
+def _allowed(name, knob=False):
+    return any(_matches(name, pat, knob) for pat in ALLOWED)
 
 
 @functools.cache
@@ -173,6 +185,13 @@ def _tree(path):
     return ast.parse(path.read_text())
 
 
+def _sources():
+    """``(module, tree)`` of every module of ``src/repro`` outside
+    ``ALLOWED``."""
+    return tuple((m, _tree(p)) for m, p in MODULES.items()
+                 if not _allowed(m))
+
+
 @functools.cache
 def _callers():
     """``(module or None, path, tree)`` of every file whose code counts
@@ -197,10 +216,7 @@ def _public_defs():
     inside its own body)`` for every public top-level function and class
     in ``src/repro`` and every public method of those classes."""
     out = []
-    for mod, path in MODULES.items():
-        if _allowed(mod):
-            continue
-        tree = _tree(path)
+    for mod, tree in _sources():
         aliases, foreign = _aliases(tree), _foreign(tree)
         defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
         for node in tree.body:
@@ -262,20 +278,19 @@ def _decorators(node):
 
 
 def _signature(fn, bound):
-    """``(positional names, {name: has a default})`` of a function,
-    without the bound ``self`` / ``cls``."""
+    """``(positional names, {name: default expression or None})`` of a
+    function, without the bound ``self`` / ``cls``."""
     a = fn.args
     names = [p.arg for p in a.posonlyargs + a.args][1 if bound else 0:]
-    first_default = len(names) - len(a.defaults)
-    params = {n: i >= first_default for i, n in enumerate(names)}
-    params |= {p.arg: d is not None for p, d in zip(a.kwonlyargs,
-                                                    a.kw_defaults)}
+    defaults = [None] * (len(names) - len(a.defaults)) + a.defaults
+    params = dict(zip(names, defaults))
+    params |= {p.arg: d for p, d in zip(a.kwonlyargs, a.kw_defaults)}
     return names, params
 
 
 def _fields(cls):
-    """``{name: has a default}`` of a dataclass's or named tuple's
-    ``init=True`` fields, in order."""
+    """``{name: default expression or None}`` of a dataclass's or named
+    tuple's ``init=True`` fields, in order."""
     out = {}
     for node in cls.body:
         if not (isinstance(node, ast.AnnAssign)
@@ -288,7 +303,7 @@ def _fields(cls):
                 and any(k.arg == "init" and isinstance(k.value, ast.Constant)
                         and k.value.value is False for k in value.keywords)):
             continue
-        out[node.target.id] = value is not None
+        out[node.target.id] = value
     return out
 
 
@@ -296,53 +311,46 @@ class _Callable:
     """One callable a call site can reach by name: a function, a method,
     or a class (its ``__init__`` or its dataclass fields)."""
 
-    def __init__(self, dotted, ident, kind, module, public):
-        self.dotted, self.ident, self.kind = dotted, ident, kind
-        self.module, self.public = module, public
+    def __init__(self, dotted, kind, module, public):
+        self.dotted, self.kind, self.module = dotted, kind, module
+        self.ident, self.public = dotted.rsplit(".", 1)[1], public
         self.positional = []    # parameter names in call order
         self.owner = {}         # parameter name -> dotted owner
-        self.default = {}       # parameter name -> has a default
+        self.default = {}       # parameter name -> default or None
         self.fields = False     # a dataclass: its fields are knobs too
+        self.splat = False      # takes ``**kw``: other keywords land there
 
     def key(self, name):
         return f"{self.owner[name]}.{name}"
 
 
 @functools.cache
-def _callables():
-    """Every top-level function, method and class of ``src/repro``
-    outside ``ALLOWED``, and ``{id(FunctionDef): owner dotted name}`` of
-    the functions whose parameters are knobs."""
+def _callables(sources):
+    """Every top-level function, method and class of ``sources``, and
+    ``{id(FunctionDef): owner dotted name}`` of the functions whose
+    parameters are knobs."""
     out, owners, classes = [], {}, {}
-    for mod, path in MODULES.items():
-        if _allowed(mod):
-            continue
-        for node in _tree(path).body:
-            dotted = f"{mod}.{node.name}" if hasattr(node, "name") else ""
+
+    def record(mod, dotted, kind, public, fn, bound=False):
+        rec = _Callable(dotted, kind, mod, public)
+        rec.positional, rec.default = _signature(fn, bound)
+        rec.owner = dict.fromkeys(rec.default, dotted)
+        rec.splat = fn.args.kwarg is not None
+        owners[id(fn)] = dotted
+        out.append(rec)
+
+    for mod, tree in sources:
+        for node in tree.body:
             if isinstance(node, _FUNCS):
-                rec = _Callable(dotted, node.name, "function", mod,
-                                _public(node.name))
-                names, params = _signature(node, False)
-                rec.positional = names
-                rec.owner = dict.fromkeys(params, dotted)
-                rec.default = params
-                owners[id(node)] = dotted
-                out.append(rec)
+                record(mod, f"{mod}.{node.name}", "function",
+                       _public(node.name), node)
             elif isinstance(node, ast.ClassDef):
                 classes.setdefault(node.name, []).append((mod, node))
                 for m in node.body:
-                    if not isinstance(m, _FUNCS) or m.name == "__init__":
-                        continue
-                    static = "staticmethod" in _decorators(m)
-                    rec = _Callable(f"{dotted}.{m.name}", m.name, "method",
-                                    mod, _public(node.name)
-                                    and _public(m.name))
-                    names, params = _signature(m, not static)
-                    rec.positional = names
-                    rec.owner = dict.fromkeys(params, rec.dotted)
-                    rec.default = params
-                    owners[id(m)] = rec.dotted
-                    out.append(rec)
+                    if isinstance(m, _FUNCS) and m.name != "__init__":
+                        record(mod, f"{mod}.{node.name}.{m.name}", "method",
+                               _public(node.name) and _public(m.name), m,
+                               "staticmethod" not in _decorators(m))
 
     def init(mod, node):
         """``(positional, owner, default)`` of calling class ``node``."""
@@ -370,7 +378,7 @@ def _callables():
 
     for group in classes.values():
         for mod, node in group:
-            rec = _Callable(f"{mod}.{node.name}", node.name, "class", mod,
+            rec = _Callable(f"{mod}.{node.name}", "class", mod,
                             _public(node.name))
             rec.positional, rec.owner, rec.default, rec.fields = init(
                 mod, node)
@@ -378,15 +386,25 @@ def _callables():
     return out, owners
 
 
-def _knobs():
+def _knobs(sources=None):
     """``{knob: public}`` over every defaulted parameter and field,
     named ``<module>.<callable>.<parameter>``."""
     out = {}
-    for rec in _callables()[0]:
-        for name, has_default in rec.default.items():
-            if has_default and rec.owner[name] == rec.dotted:
+    for rec in _callables(sources or _sources())[0]:
+        for name, default in rec.default.items():
+            if default is not None and rec.owner[name] == rec.dotted:
                 out[rec.key(name)] = rec.public
     return out
+
+
+def _literal(node):
+    """``(type, value)`` of a literal expression, else ``node`` itself,
+    which equals no other."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return node
+    return type(value), value
 
 
 class _Setters(ast.NodeVisitor):
@@ -395,51 +413,36 @@ class _Setters(ast.NodeVisitor):
     that is set if the source is."""
 
     def __init__(self, file_module, path, tree, index, owners):
-        self.file_module, self.path, self.tree = file_module, path, tree
+        self.file_module, self.tree = file_module, tree
+        self.bench = file_module is None and "benchmarks" in path.parts
         self.index, self.owners = index, owners
         self.aliases, self.foreign = _aliases(tree), _foreign(tree)
         self.set, self.edges = set(), set()
         self.scopes, self.classes = [], []    # enclosing defs / ClassDefs
-        self.simple = {}                       # f = g, for f in (g, h)
-        self.skip = set()                      # nodes that are no value
+        self.simple = {}        # f = g, for f in (g, h), for _, f in ((_, g),)
         for node in ast.walk(tree):
-            self._mark(node)
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                self.alias(node.targets[0], [node.value])
+            elif isinstance(node, ast.For):
+                self.alias(node.target, getattr(node.iter, "elts", []))
 
-    def _mark(self, node):
-        def alias(target, value):
-            ident = _last(target)
-            values = [value.body, value.orelse] if isinstance(
-                value, ast.IfExp) else list(getattr(value, "elts", [value]))
-            if ident and all(isinstance(v, (ast.Name, ast.Attribute))
-                             for v in values):
-                self.simple.setdefault(ident, []).extend(values)
-                self.skip.update(id(v) for v in values)
+    def alias(self, target, values):
+        """Records ``target`` as naming each of ``values`` when all are
+        names or attributes; a tuple target takes the values' columns."""
+        if isinstance(target, ast.Tuple):
+            rows = [v.elts for v in values if isinstance(v, ast.Tuple)
+                    and len(v.elts) == len(target.elts)]
+            if len(rows) == len(values):
+                for t, column in zip(target.elts, zip(*rows)):
+                    self.alias(t, column)
+            return
+        values = [w for v in values for w in (
+            (v.body, v.orelse) if isinstance(v, ast.IfExp) else (v,))]
+        if values and all(isinstance(v, (ast.Name, ast.Attribute))
+                          for v in values):
+            self.simple.setdefault(_last(target), []).extend(values)
 
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            if isinstance(node.value, (ast.Name, ast.Attribute, ast.IfExp)):
-                alias(node.targets[0], node.value)
-        elif isinstance(node, ast.For) and isinstance(
-                node.iter, (ast.Tuple, ast.List)):
-            alias(node.target, node.iter)
-        elif isinstance(node, ast.Call):
-            self.skip.add(id(node.func))
-            if getattr(node.func, "id", None) in ("isinstance", "issubclass"):
-                self.skip.update(id(n) for a in node.args
-                                 for n in ast.walk(a))
-            self.skip.update(id(k.value) for k in node.keywords
-                             if k.arg == "default_factory")
-        elif isinstance(node, ast.Attribute):
-            self.skip.add(id(node.value))
-        elif isinstance(node, ast.ExceptHandler) and node.type:
-            self.skip.update(id(n) for n in ast.walk(node.type))
-        elif isinstance(node, ast.ClassDef):
-            self.skip.update(id(n) for b in node.bases for n in ast.walk(b))
-        annotations = [getattr(node, "annotation", None),
-                       getattr(node, "returns", None)]
-        self.skip.update(id(n) for a in annotations if a
-                         for n in ast.walk(a))
-
-    def resolve(self, expr, seen=(), follow=True):
+    def resolve(self, expr, seen=()):
         """The callables ``expr`` can name; a call also reaches those its
         simple aliases name."""
         out = []
@@ -455,44 +458,42 @@ class _Setters(ast.NodeVisitor):
                 return []
             out = list(self.index.get(expr.attr, ()))
         ident = _last(expr)
-        for value in self.simple.get(ident, ()) if follow else ():
+        for value in self.simple.get(ident, ()):
             if id(value) not in seen:
                 out += self.resolve(value, seen + (id(value),))
         return out
 
-    def everything(self, rec):
-        self.set.update(rec.key(n) for n in rec.owner)
-
     def source(self, name, value, keyword):
         """Where the value of argument ``name`` comes from: None when it
-        is set here, else the knob (or ``*.name``) it forwards."""
-        if self.file_module is None and "benchmarks" in self.path.parts:
-            return None                # whatever the benchmark passes
-        if isinstance(value, ast.Name) and value.id == name:
+        is set here, else the knob (or ``*.name``) it forwards: ``x=y``
+        forwards an enclosing def's parameter ``y``."""
+        if isinstance(value, ast.Name):
             for fn, params in reversed(self.scopes):
-                if name in params:
-                    owner = self.owners.get(id(fn))
-                    return f"{owner}.{name}" if owner and params[name] \
-                        else None
+                if value.id in params:
+                    owner, y = self.owners.get(id(fn)), value.id
+                    return f"{owner}.{y}" if owner and params[y] is not None else None
             return None
-        if keyword and isinstance(value, ast.Attribute) and \
-                value.attr == name:
+        if keyword and isinstance(value, ast.Attribute) and value.attr == name:
             return f"*.{name}"
         return None
 
     def bind(self, rec, name, value, keyword):
-        if name not in rec.owner:
-            return
-        src = self.source(name, value, keyword)
-        if src is None:
-            self.set.add(rec.key(name))
+        if name in rec.owner:
+            key, default = rec.key(name), rec.default[name]
+        elif keyword and rec.splat:         # lands in the callee's ``**kw``
+            key, default = f"{rec.dotted}.**{name}", None
         else:
-            self.edges.add((src, rec.key(name)))
+            return
+        src = None if self.bench else self.source(name, value, keyword)
+        if src is not None:
+            self.edges.add((src, key))
+        elif self.bench or _literal(value) != _literal(default):
+            self.set.add(key)
 
     def visit_FunctionDef(self, node):
         _, params = _signature(node, False)
         a = node.args
-        params |= {p.arg: False for p in (a.vararg, a.kwarg) if p}
+        params |= {p.arg: None for p in (a.vararg, a.kwarg) if p}
         self.scopes.append((node, params))
         self.generic_visit(node)
         self.scopes.pop()
@@ -500,7 +501,7 @@ class _Setters(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Lambda(self, node):
-        self.scopes.append((node, {p.arg: False for p in ast.walk(node.args)
+        self.scopes.append((node, {p.arg: None for p in ast.walk(node.args)
                                    if isinstance(p, ast.arg)}))
         self.generic_visit(node)
         self.scopes.pop()
@@ -512,16 +513,9 @@ class _Setters(ast.NodeVisitor):
 
     def visit_Call(self, node):
         func, args = node.func, list(node.args)
-        if _last(func) == "replace" and \
-                _root(func) in ("replace", "dataclasses"):
-            fielded = [r for rs in self.index.values() for r in rs
-                       if r.fields]
-            for kw in node.keywords:
-                for rec in fielded:
-                    if kw.arg is None:
-                        self.everything(rec)
-                    else:
-                        self.bind(rec, kw.arg, kw.value, True)
+        if _last(func) == "replace" and _root(func) in ("replace", "dataclasses"):
+            self.call([r for rs in self.index.values() for r in rs
+                       if r.fields], [], node.keywords)
         elif isinstance(func, ast.Attribute) and func.attr == "__init__":
             if isinstance(func.value, ast.Call):       # super().__init__
                 bases = self.classes[-1].bases if self.classes else ()
@@ -546,60 +540,65 @@ class _Setters(ast.NodeVisitor):
                 if r.kind == "class"]
 
     def call(self, callees, args, keywords):
+        """``**kw`` handing on the enclosing def's own ``**kw`` forwards
+        each keyword like ``x=x``; any other splat sets every knob."""
+        fn = self.scopes[-1][0] if self.scopes else None
+        owner, star = self.owners.get(id(fn)), getattr(fn and fn.args.kwarg, "arg", 0)
+        fwd = [k for k in keywords if k.arg is None and owner and getattr(k.value, "id", 1) == star]
         splat = any(isinstance(a, ast.Starred) for a in args) or any(
-            k.arg is None for k in keywords)
+            k.arg is None for k in keywords if k not in fwd)
         for rec in callees:
-            if splat:
-                self.everything(rec)
+            if splat:                       # ``.**``: all of its ``**kw`` too
+                self.set.update([rec.key(n) for n in rec.owner] + [f"{rec.dotted}.**"])
                 continue
             for name, value in zip(rec.positional, args):
                 self.bind(rec, name, value, False)
             for kw in keywords:
-                self.bind(rec, kw.arg, kw.value, True)
-
-    def visit_Name(self, node):
-        if isinstance(node.ctx, ast.Load) and id(node) not in self.skip:
-            for rec in self.resolve(node, follow=False):
-                self.everything(rec)
+                if kw in fwd:
+                    self.edges |= {(f"{owner}.**{n}", rec.key(n))
+                                   for n in rec.owner}
+                else:
+                    self.bind(rec, kw.arg, kw.value, True)
 
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Store):
-            for recs in self.index.values():
-                for rec in recs:
-                    if rec.fields and node.attr in rec.owner:
-                        self.set.add(rec.key(node.attr))
-        elif id(node) not in self.skip:
-            for rec in self.resolve(node, follow=False):
-                self.everything(rec)
+            self.set.update(rec.key(node.attr) for recs in self.index.values()
+                            for rec in recs
+                            if rec.fields and node.attr in rec.owner)
         self.generic_visit(node)
 
 
 @functools.cache
-def _unset_knobs():
-    """Public knobs no file outside ``tests/`` sets: a keyword, a
-    positional argument at its index, a ``*`` / ``**`` splat, a call
-    through a simple alias, ``dataclasses.replace``, an attribute store
-    (fields), or the callable passed as a value.  A forwarded
-    ``x=x`` is set only when the caller's own ``x`` is, and ``x=cfg.x``
-    only when some parameter or field named ``x`` is."""
-    recs, owners = _callables()
+def _unset_knobs(sources=None, callers=None):
+    """Public knobs of ``sources`` that no file of ``callers`` (by
+    default ``src/repro`` and everything outside ``tests/``) sets: a
+    keyword, a positional argument at its index, a ``*`` / ``**``
+    splat, a call through a simple alias, ``dataclasses.replace`` or an
+    attribute store (fields).  A literal equal to the knob's literal
+    default sets nothing, except from the benchmark of record.  A
+    forwarded ``x=y`` is set only when the caller's own parameter ``y``
+    is, a forwarded ``**kw`` only where a call of the caller passes ``x``, and
+    ``x=cfg.x`` only when some parameter or field named ``x`` is."""
+    recs, owners = _callables(sources or _sources())
     index = {}
     for rec in recs:
         index.setdefault(rec.ident, []).append(rec)
     done, edges = set(), set()
-    for file_module, path, tree in _callers():
+    for file_module, path, tree in callers or _callers():
         setters = _Setters(file_module, path, tree, index, owners)
         setters.visit(tree)
         done |= setters.set
         edges |= setters.edges
-    knobs = _knobs()
+    knobs = _knobs(sources)
     # ``x=cfg.x`` hands on what a parameter or field ``x`` holds: set
     # once a required one exists or a knob ``x`` is set
-    carried = {n for rec in recs for n, d in rec.default.items() if not d}
+    carried = {n for rec in recs for n, d in rec.default.items()
+               if d is None}
     while True:
         carried |= {k.rsplit(".", 1)[1] for k in done if k in knobs}
         new = {d for s, d in edges if d not in done and (
-            s in done or s.startswith("*.") and s[2:] in carried)}
+            s in done or s.startswith("*.") and s[2:] in carried
+            or "**" in s and s[:s.index("**") + 2] in done)}
         if not new:
             break
         done |= new
@@ -611,13 +610,14 @@ def test_every_knob_has_a_setter():
     outside ``tests/`` sets it.  One only tests turn is a fork nobody
     runs (``SolverConfig.threads``, deleted in PR 20): its default is a
     constant, and the branch only another value reached goes with it."""
-    assert {k for k in _unset_knobs() if not _allowed(k)} == set()
+    assert {k for k in _unset_knobs() if not _allowed(k, True)} == set()
 
 
 def test_allow_list_has_no_stale_entry():
-    unused = (set(MODULES) - _reached()) | _unused_names() | _unset_knobs()
+    unused = [(n, False) for n in (set(MODULES) - _reached())
+              | _unused_names()] + [(k, True) for k in _unset_knobs()]
     stale = {pat for pat in ALLOWED
-             if not any(fnmatch(n, pat) for n in unused)}
+             if not any(_matches(n, pat, knob) for n, knob in unused)}
     assert stale == set(), "allow-list entry no longer needed"
 
 

@@ -31,6 +31,13 @@ def small_cfg(**kw):
     return SolverConfig(**kw)
 
 
+def _result(ticket):
+    """The ticket's report; a request not done in 300 s fails the test
+    instead of hanging it."""
+    assert ticket.wait(300)
+    return ticket.result()
+
+
 def make_prob(jitter=0.0, size=(7, 5, 4)):
     prob = wing_problem(*size)
     if jitter:
@@ -84,7 +91,7 @@ class TestServiceCache:
                                                small_cfg(max_steps=1)))
                        for _ in range(2)]
             for t in tickets:
-                assert t.result(timeout=300) is not None
+                assert _result(t) is not None
                 assert t.status == "completed" and not t.seeded
             st = svc.cache.stats()
             assert (st.evictions, st.bytes_stored) == (2, 0)
@@ -239,15 +246,15 @@ class TestConcurrentKeys:
                 for executor in ("local", "seq")]
         with SolverService(workers=2) as svc:
             p = prob(3.0)
-            svc.submit(SolveRequest(p.disc, p.initial.flat(),
-                                    small_cfg())).result(timeout=300)
+            _result(svc.submit(SolveRequest(p.disc, p.initial.flat(),
+                                            small_cfg())))
             tickets = []
             for alpha, executor in runs:
                 p = prob(alpha)
                 tickets.append(svc.submit(SolveRequest(
                     p.disc, p.initial.flat(),
                     small_cfg(executor=executor))))
-            warm = [t.result(timeout=300) for t in tickets]
+            warm = [_result(t) for t in tickets]
         for (alpha, executor), rep in zip(runs, warm):
             p = prob(alpha)
             cold = NKSSolver(p.disc, small_cfg(executor=executor)).solve(
@@ -262,12 +269,12 @@ class TestServiceLifecycle:
             cfg = small_cfg()
             p = make_prob()
             t1 = svc.submit(SolveRequest(p.disc, p.initial.flat(), cfg))
-            rep1 = t1.result(timeout=300)
+            rep1 = _result(t1)
             assert t1.status == "completed"
             assert not t1.seeded
             p2 = make_prob()
             t2 = svc.submit(SolveRequest(p2.disc, p2.initial.flat(), cfg))
-            rep2 = t2.result(timeout=300)
+            rep2 = _result(t2)
             assert t2.seeded
             assert np.array_equal(rep1.final_state, rep2.final_state)
             assert svc.cache.stats().hits == 1
@@ -277,7 +284,7 @@ class TestServiceLifecycle:
             p = make_prob()
             t = svc.submit(SolveRequest(p.disc, p.initial.flat(),
                                         small_cfg()))
-            t.result(timeout=300)
+            _result(t)
             phases = set(t.trace["phases"])
             assert {"service_queue", "service_seed", "service_solve",
                     "service_harvest"} <= phases
@@ -298,11 +305,12 @@ class TestServiceLifecycle:
             t2 = svc.submit(req)           # queued (1/1)
             t3 = svc.submit(req)           # rejected
             assert t3.status == "rejected"
-            assert t3.result(timeout=0) is None  # terminal, no report
+            assert t3.wait(0)            # terminal at once ...
+            assert t3.result() is None   # ... with no report
         finally:
             klock.release()
-        assert t1.result(timeout=300) is not None
-        assert t2.result(timeout=300) is not None
+        assert _result(t1) is not None
+        assert _result(t2) is not None
         assert svc.stats.rejected == 1
         svc.close()
 
@@ -322,7 +330,7 @@ class TestServiceLifecycle:
             time.sleep(0.1)                    # let the deadline pass
         finally:
             klock.release()
-        t1.result(timeout=300)
+        _result(t1)
         t2.wait(timeout=300)
         assert t2.status == "timeout"
         assert t2.report is None
@@ -345,7 +353,7 @@ class TestServiceLifecycle:
         finally:
             klock.release()
         for t in [head, *followers]:
-            assert t.result(timeout=300) is not None
+            assert _result(t) is not None
         # head ran alone (already dispatched); the two queued
         # same-key requests were drained as one batch
         assert svc.stats.batches >= 1
@@ -393,12 +401,12 @@ class TestFailedRequest:
             bad = np.full_like(p.initial.flat(), np.nan)
             t1 = svc.submit(SolveRequest(p.disc, bad, small_cfg()))
             with pytest.raises(ValueError, match="bad residual norm"):
-                t1.result(timeout=300)
+                _result(t1)
             assert t1.status == "failed"
             assert isinstance(t1.error, ValueError)
             assert svc.stats.failed == 1
             t2 = svc.submit(SolveRequest(p.disc, p.initial.flat(),
                                          small_cfg()))
-            assert t2.result(timeout=300) is not None
+            assert _result(t2) is not None
             assert t2.status == "completed"
             assert svc.stats.completed == 1

@@ -287,8 +287,7 @@ class TestMeasuredTable3:
     def test_eta_identity_and_trace_dump(self, tmp_path):
         from repro.experiments import run_table3_measured
 
-        result = run_table3_measured(procs=(2, 4), size="small",
-                                     max_steps=2)
+        result = run_table3_measured(procs=(2, 4), max_steps=2)
         assert len(result.rows) == 2
         for row in result.rows:
             assert row.time > 0
