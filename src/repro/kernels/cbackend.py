@@ -16,6 +16,14 @@ the equivalence contract is provable, not hoped for:
   rather than bitwise; so are the two fused flux kernels (first-order
   Rusanov + scatter, second-order MUSCL + Rusanov + scatter), whose
   length-3 dot products are sequential;
+* the two flux kernels run over blocks of ``EDGE_BLOCK`` (64) edges:
+  check the block's endpoints, gather its states into struct-of-arrays
+  stack buffers (the second-order kernel reconstructs them there, one
+  lane loop per limiter, each limiter a select rather than a branch),
+  evaluate the face flux lane by lane and scatter in edge order.  A
+  lane is one edge's scalar expression, so the lane loops run at the
+  vector width and still compute the per-edge loop's bits at every ISA
+  level;
 * every kernel checks each index against the extent it addresses
   before it reads or writes through it — an edge's endpoints, a
   column, a row pointer, a segment id, a block slot — and reports the
@@ -67,9 +75,13 @@ flags, so CPUs of different levels sharing a cache each build and load
 their own library.  A failed build degrades to numpy via the capability
 layer.  ``-ffp-contract=off`` forbids FMA contraction, which would
 change rounding and break the bitwise claims (x86-64-v3 and v4 have
-FMA).  ``-fvect-cost-model=dynamic`` lets gcc auto-vectorise the
-remaining elementwise loops — the trisolves' accumulator set-up and
-update, index resets — none of which reassociates a sum; gcc does not
+FMA).  ``-fno-math-errno`` lets ``sqrt`` vectorise: it is correctly
+rounded either way, so the flag changes no bit, but without it gcc
+keeps every ``sqrt`` scalar (to set ``errno``), and the flux kernels'
+face loops with it.  ``-fvect-cost-model=dynamic`` lets gcc
+auto-vectorise the flux kernels' lane loops and the remaining
+elementwise loops — the trisolves' accumulator set-up and update,
+index resets — none of which reassociates a sum; gcc does not
 vectorise the block-product nests of a runtime block size (a
 complicated access pattern), which is why the three block kernels
 spell their vectors out.
@@ -514,7 +526,8 @@ UPPER_BSR(upper_solve_bsr_f64, double)
 UPPER_BSR(upper_solve_bsr_f32, float)
 
 /* ---- ILU(k): symbolic and numeric factorisation --------------------
- * Status codes shared with CBackend (the ILU_* constants there). */
+ * Status codes shared with repro.kernels (its ILU_OK and
+ * ILU_BAD_COLUMN constants). */
 enum { ILU_OK = -1, ILU_BAD_COLUMN = -2, ILU_L_FULL = -3, ILU_U_FULL = -4 };
 
 /* Level-of-fill symbolic phase, row by row: the twin of
@@ -788,82 +801,144 @@ long long ilu_numeric_f64(long long n, long long bs,
 #undef ILU_ROWS
 }
 
-/* ---- Rusanov face flux, once per family -------------------------
- * F = (F(l)+F(r))/2 - lam/2 (r-l), lam = max wavespeed.  Scalar
- * operation order mirrors the numpy expressions in repro.euler.fluxes
- * statement for statement; -ffp-contract=off forbids FMA, so
- * differences vs the oracle come only from SIMD pairing of the
- * length-3 dot products (ULP-level).  Both the first-order scatter and
- * the fused second-order kernel below call these, so the two orders
- * share one flux expression. */
-static inline void rusanov_face_inc(const double *l, const double *r,
-    const double *sm, double beta, double *f)
+/* ---- Rusanov face flux over a block of edges ----------------------
+ * The two flux kernels work on blocks of EDGE_BLOCK edges: the block's
+ * endpoints are checked, its states gathered into struct-of-arrays
+ * stack buffers (component c of the block's edge k at [c][k]), the
+ * face flux is evaluated lane by lane and the block is scattered in
+ * edge order.  Every lane is one edge's scalar expression, so gcc may
+ * run the lane loops at the vector width without changing a bit:
+ * -ffp-contract=off forbids FMA and nothing is reassociated.
+ * -fno-math-errno lets sqrt vectorise (it is correctly rounded either
+ * way); the max wavespeed is a select, which vectorises as a blend. */
+#define EDGE_BLOCK 64
+typedef double lanes_t[EDGE_BLOCK];
+
+/* F = (F(l)+F(r))/2 - lam/2 (r-l), lam = max wavespeed, for the nb
+ * edges of a block whose area vectors start at s.  Scalar operation
+ * order mirrors the numpy expressions in repro.euler.fluxes statement
+ * for statement; differences vs the oracle come only from SIMD pairing
+ * of the length-3 dot products (ULP-level).  Both the first-order
+ * scatter and the fused second-order kernel below call these, so the
+ * two orders share one flux expression. */
+static inline void rusanov_face_inc(int nb, lanes_t *restrict l,
+    lanes_t *restrict r, const double *restrict s, double beta,
+    lanes_t *restrict f)
 {
-    double unl = l[1] * sm[0] + l[2] * sm[1] + l[3] * sm[2];
-    double unr = r[1] * sm[0] + r[2] * sm[1] + r[3] * sm[2];
-    double s2 = sm[0] * sm[0] + sm[1] * sm[1] + sm[2] * sm[2];
-    double wsl = fabs(unl) + sqrt(unl * unl + beta * s2);
-    double wsr = fabs(unr) + sqrt(unr * unr + beta * s2);
-    double lam = wsl >= wsr ? wsl : wsr;
-    f[0] = 0.5 * (beta * unl + beta * unr)
-         - 0.5 * lam * (r[0] - l[0]);
-    for (int c = 0; c < 3; ++c)
-        f[1 + c] = 0.5 * ((l[1 + c] * unl + l[0] * sm[c])
-                        + (r[1 + c] * unr + r[0] * sm[c]))
-                 - 0.5 * lam * (r[1 + c] - l[1 + c]);
+    for (int k = 0; k < nb; ++k) {
+        double s0 = s[k * 3], s1 = s[k * 3 + 1], s2 = s[k * 3 + 2];
+        double unl = l[1][k] * s0 + l[2][k] * s1 + l[3][k] * s2;
+        double unr = r[1][k] * s0 + r[2][k] * s1 + r[3][k] * s2;
+        double ss = s0 * s0 + s1 * s1 + s2 * s2;
+        double wsl = fabs(unl) + sqrt(unl * unl + beta * ss);
+        double wsr = fabs(unr) + sqrt(unr * unr + beta * ss);
+        double lam = wsl >= wsr ? wsl : wsr;
+        f[0][k] = 0.5 * (beta * unl + beta * unr)
+                - 0.5 * lam * (r[0][k] - l[0][k]);
+        f[1][k] = 0.5 * ((l[1][k] * unl + l[0][k] * s0)
+                       + (r[1][k] * unr + r[0][k] * s0))
+                - 0.5 * lam * (r[1][k] - l[1][k]);
+        f[2][k] = 0.5 * ((l[2][k] * unl + l[0][k] * s1)
+                       + (r[2][k] * unr + r[0][k] * s1))
+                - 0.5 * lam * (r[2][k] - l[2][k]);
+        f[3][k] = 0.5 * ((l[3][k] * unl + l[0][k] * s2)
+                       + (r[3][k] * unr + r[0][k] * s2))
+                - 0.5 * lam * (r[3][k] - l[3][k]);
+    }
 }
 
-static inline void rusanov_face_comp(const double *l, const double *r,
-    const double *sm, double gamma, double *f)
+static inline void rusanov_face_comp(int nb, lanes_t *restrict l,
+    lanes_t *restrict r, const double *restrict s, double gamma,
+    lanes_t *restrict f)
 {
     double g1 = gamma - 1.0;
-    double rhol = l[0], rhor = r[0];
-    double vl0 = l[1] / rhol, vl1 = l[2] / rhol, vl2 = l[3] / rhol;
-    double vr0 = r[1] / rhor, vr1 = r[2] / rhor, vr2 = r[3] / rhor;
-    double kel = 0.5 * rhol * (vl0 * vl0 + vl1 * vl1 + vl2 * vl2);
-    double ker = 0.5 * rhor * (vr0 * vr0 + vr1 * vr1 + vr2 * vr2);
-    double pl = g1 * (l[4] - kel);
-    double pr = g1 * (r[4] - ker);
-    double unl = vl0 * sm[0] + vl1 * sm[1] + vl2 * sm[2];
-    double unr = vr0 * sm[0] + vr1 * sm[1] + vr2 * sm[2];
-    double smag = sqrt(sm[0] * sm[0] + sm[1] * sm[1] + sm[2] * sm[2]);
-    double al2 = gamma * pl / rhol;
-    double ar2 = gamma * pr / rhor;
-    double cl = sqrt(al2 > 0.0 ? al2 : 0.0);
-    double cr = sqrt(ar2 > 0.0 ? ar2 : 0.0);
-    double wsl = fabs(unl) + cl * smag;
-    double wsr = fabs(unr) + cr * smag;
-    double lam = wsl >= wsr ? wsl : wsr;
-    f[0] = 0.5 * (rhol * unl + rhor * unr)
-         - 0.5 * lam * (r[0] - l[0]);
-    for (int c = 0; c < 3; ++c)
-        f[1 + c] = 0.5 * ((l[1 + c] * unl + pl * sm[c])
-                        + (r[1 + c] * unr + pr * sm[c]))
-                 - 0.5 * lam * (r[1 + c] - l[1 + c]);
-    f[4] = 0.5 * ((l[4] + pl) * unl + (r[4] + pr) * unr)
-         - 0.5 * lam * (r[4] - l[4]);
+    for (int k = 0; k < nb; ++k) {
+        double s0 = s[k * 3], s1 = s[k * 3 + 1], s2 = s[k * 3 + 2];
+        double rhol = l[0][k], rhor = r[0][k];
+        double vl0 = l[1][k] / rhol, vl1 = l[2][k] / rhol;
+        double vl2 = l[3][k] / rhol;
+        double vr0 = r[1][k] / rhor, vr1 = r[2][k] / rhor;
+        double vr2 = r[3][k] / rhor;
+        double kel = 0.5 * rhol * (vl0 * vl0 + vl1 * vl1 + vl2 * vl2);
+        double ker = 0.5 * rhor * (vr0 * vr0 + vr1 * vr1 + vr2 * vr2);
+        double pl = g1 * (l[4][k] - kel);
+        double pr = g1 * (r[4][k] - ker);
+        double unl = vl0 * s0 + vl1 * s1 + vl2 * s2;
+        double unr = vr0 * s0 + vr1 * s1 + vr2 * s2;
+        double smag = sqrt(s0 * s0 + s1 * s1 + s2 * s2);
+        double al2 = gamma * pl / rhol;
+        double ar2 = gamma * pr / rhor;
+        double cl = sqrt(al2 > 0.0 ? al2 : 0.0);
+        double cr = sqrt(ar2 > 0.0 ? ar2 : 0.0);
+        double wsl = fabs(unl) + cl * smag;
+        double wsr = fabs(unr) + cr * smag;
+        double lam = wsl >= wsr ? wsl : wsr;
+        f[0][k] = 0.5 * (rhol * unl + rhor * unr)
+                - 0.5 * lam * (r[0][k] - l[0][k]);
+        f[1][k] = 0.5 * ((l[1][k] * unl + pl * s0)
+                       + (r[1][k] * unr + pr * s0))
+                - 0.5 * lam * (r[1][k] - l[1][k]);
+        f[2][k] = 0.5 * ((l[2][k] * unl + pl * s1)
+                       + (r[2][k] * unr + pr * s1))
+                - 0.5 * lam * (r[2][k] - l[2][k]);
+        f[3][k] = 0.5 * ((l[3][k] * unl + pl * s2)
+                       + (r[3][k] * unr + pr * s2))
+                - 0.5 * lam * (r[3][k] - l[3][k]);
+        f[4][k] = 0.5 * ((l[4][k] + pl) * unl + (r[4][k] + pr) * unr)
+                - 0.5 * lam * (r[4][k] - l[4][k]);
+    }
 }
 
+/* The block [m0, m0 + nb): the index of its first edge with an
+ * endpoint outside [0, n), -1 when there is none. */
+static inline long long block_bad_edge(long long m0, int nb,
+    const long long *e0, const long long *e1, long long n)
+{
+    for (int k = 0; k < nb; ++k)
+        if (!ENDPOINTS_IN_RANGE(e0[m0 + k], e1[m0 + k], n))
+            return m0 + k;
+    return -1;
+}
+
+/* The block's face fluxes f into both endpoint accumulators, in edge
+ * order (the bincount order). */
+static inline void block_scatter(long long m0, int nb, int nc,
+    const long long *e0, const long long *e1, lanes_t *f,
+    double *out_a, double *out_b)
+{
+    for (int k = 0; k < nb; ++k) {
+        double *pa = out_a + e0[m0 + k] * nc;
+        double *pb = out_b + e1[m0 + k] * nc;
+        for (int c = 0; c < nc; ++c) {
+            pa[c] += f[c][k];
+            pb[c] += f[c][k];
+        }
+    }
+}
+
+#define BLOCK_SIZE(m0, ne)                                              \
+    ((int)((ne) - (m0) < EDGE_BLOCK ? (ne) - (m0) : EDGE_BLOCK))
+
 /* ---- fused Rusanov flux + two-target edge scatter -----------------
- * The face flux of precomputed edge states, accumulated into both
- * endpoint accumulators in edge order (the bincount order). */
+ * The face flux of precomputed edge states, block by block. */
 #define RUSANOV_SCATTER(NAME, NC, FACE)                                 \
 long long NAME(long long ne, long long n, const long long *e0,          \
     const long long *e1, const double *ql, const double *qr,            \
     const double *s, double param, double *out_a, double *out_b)        \
 {                                                                       \
-    for (long long m = 0; m < ne; ++m) {                                \
-        long long i = e0[m], j = e1[m];                                 \
-        if (!ENDPOINTS_IN_RANGE(i, j, n))                               \
-            return m;                                                   \
-        double f[NC];                                                   \
-        FACE(ql + m * NC, qr + m * NC, s + m * 3, param, f);            \
-        double *pa = out_a + i * NC;                                    \
-        double *pb = out_b + j * NC;                                    \
-        for (int c = 0; c < NC; ++c) {                                  \
-            pa[c] += f[c];                                              \
-            pb[c] += f[c];                                              \
-        }                                                               \
+    for (long long m0 = 0; m0 < ne; m0 += EDGE_BLOCK) {                 \
+        int nb = BLOCK_SIZE(m0, ne);                                    \
+        long long bad = block_bad_edge(m0, nb, e0, e1, n);              \
+        if (bad >= 0)                                                   \
+            return bad;                                                 \
+        lanes_t l[NC], r[NC], f[NC];                                    \
+        for (int k = 0; k < nb; ++k)                                    \
+            for (int c = 0; c < NC; ++c) {                              \
+                l[c][k] = ql[(m0 + k) * NC + c];                        \
+                r[c][k] = qr[(m0 + k) * NC + c];                        \
+            }                                                           \
+        FACE(nb, l, r, s + m0 * 3, param, f);                           \
+        block_scatter(m0, nb, NC, e0, e1, f, out_a, out_b);             \
     }                                                                   \
     return -1;                                                          \
 }
@@ -1129,30 +1204,54 @@ long long green_gauss_f64(long long ne, long long n, long long ncomp,
 }
 
 /* ---- second-order residual, pass 2: MUSCL + Rusanov + scatter -----
- * One loop per edge: dx from the vertex coordinates, the central and
- * the two one-sided slopes, the limiter, the face flux and the
- * two-target scatter, with no per-edge array in between.  The limited
- * half-slope copies the scalar expression order of
- * reconstruct_edge_states, _van_albada and _minmod; the gradient dot
- * products are sequential where einsum may pair, so the result is
- * ULP-bounded against the numpy composition, like rusanov_scatter. */
+ * One loop over blocks of edges: per block, dx from the vertex
+ * coordinates and the central and two one-sided slopes (gathered per
+ * edge), the limited states (one lane loop per limiter), the face flux
+ * and the two-target scatter, with no per-edge array in between.  The
+ * limited half-slope copies the scalar expression order of
+ * reconstruct_edge_states, _van_albada and _minmod, as a select on
+ * sl * dq > 0 rather than a branch, so its lane loop vectorises; the
+ * gradient dot products are sequential where einsum may pair, so the
+ * result is ULP-bounded against the numpy composition, like
+ * rusanov_scatter. */
 /* the codes of repro.kernels._LIMITERS */
 enum { LIMITER_NONE = 0, LIMITER_VAN_ALBADA = 1, LIMITER_MINMOD = 2 };
 
-static inline double muscl_half_slope(double sl, double dq, int limiter)
+static inline double half_slope_none(double sl, double dq)
+{
+    return 0.5 * (sl + dq) * 0.5;
+}
+
+static inline double half_slope_van_albada(double sl, double dq)
 {
     const double eps = 1e-12;
-    if (limiter == LIMITER_NONE)
-        return 0.5 * (sl + dq) * 0.5;
-    if (!(sl * dq > 0.0))
-        return 0.0;
-    if (limiter == LIMITER_VAN_ALBADA) {
-        double num = (sl * sl + eps) * dq + (dq * dq + eps) * sl;
-        double den = sl * sl + dq * dq + 2 * eps;
-        return 0.5 * (num / den);
-    }
-    return 0.5 * (fabs(sl) < fabs(dq) ? sl : dq);
+    double num = (sl * sl + eps) * dq + (dq * dq + eps) * sl;
+    double den = sl * sl + dq * dq + 2 * eps;
+    return sl * dq > 0.0 ? 0.5 * (num / den) : 0.0;
 }
+
+static inline double half_slope_minmod(double sl, double dq)
+{
+    return sl * dq > 0.0 ? 0.5 * (fabs(sl) < fabs(dq) ? sl : dq) : 0.0;
+}
+
+/* l = qi + half(sl, dq), r = qj - half(sr, dq) with dq = qj - qi, for
+ * the nb lanes of nc components. */
+#define MUSCL_STATES(NAME, HALF)                                        \
+static inline void NAME(int nb, int nc, lanes_t *restrict qi,           \
+    lanes_t *restrict qj, lanes_t *restrict sl, lanes_t *restrict sr,   \
+    lanes_t *restrict l, lanes_t *restrict r)                           \
+{                                                                       \
+    for (int c = 0; c < nc; ++c)                                        \
+        for (int k = 0; k < nb; ++k) {                                  \
+            double dq = qj[c][k] - qi[c][k];                            \
+            l[c][k] = qi[c][k] + HALF(sl[c][k], dq);                    \
+            r[c][k] = qj[c][k] - HALF(sr[c][k], dq);                    \
+        }                                                               \
+}
+MUSCL_STATES(muscl_states_none, half_slope_none)
+MUSCL_STATES(muscl_states_van_albada, half_slope_van_albada)
+MUSCL_STATES(muscl_states_minmod, half_slope_minmod)
 
 #define MUSCL_RUSANOV_SCATTER(NAME, NC, FACE)                           \
 long long NAME(long long ne, long long n, const long long *e0,          \
@@ -1160,36 +1259,42 @@ long long NAME(long long ne, long long n, const long long *e0,          \
     const double *coords, const double *s, int limiter, double param,   \
     double *out_a, double *out_b)                                       \
 {                                                                       \
-    for (long long m = 0; m < ne; ++m) {                                \
-        long long i = e0[m], j = e1[m];                                 \
-        if (!ENDPOINTS_IN_RANGE(i, j, n))                               \
-            return m;                                                   \
-        const double *xi = coords + i * 3;                              \
-        const double *xj = coords + j * 3;                              \
-        double dx0 = xj[0] - xi[0];                                     \
-        double dx1 = xj[1] - xi[1];                                     \
-        double dx2 = xj[2] - xi[2];                                     \
-        const double *qi = q + i * NC;                                  \
-        const double *qj = q + j * NC;                                  \
-        const double *gi = grad + i * (NC * 3);                         \
-        const double *gj = grad + j * (NC * 3);                         \
-        double l[NC], r[NC], f[NC];                                     \
-        for (int c = 0; c < NC; ++c) {                                  \
-            double dq = qj[c] - qi[c];                                  \
-            double gl = gi[c * 3] * dx0 + gi[c * 3 + 1] * dx1           \
-                      + gi[c * 3 + 2] * dx2;                            \
-            double gr = gj[c * 3] * dx0 + gj[c * 3 + 1] * dx1           \
-                      + gj[c * 3 + 2] * dx2;                            \
-            l[c] = qi[c] + muscl_half_slope(2.0 * gl - dq, dq, limiter);\
-            r[c] = qj[c] - muscl_half_slope(2.0 * gr - dq, dq, limiter);\
+    for (long long m0 = 0; m0 < ne; m0 += EDGE_BLOCK) {                 \
+        int nb = BLOCK_SIZE(m0, ne);                                    \
+        long long bad = block_bad_edge(m0, nb, e0, e1, n);              \
+        if (bad >= 0)                                                   \
+            return bad;                                                 \
+        lanes_t qi[NC], qj[NC], sl[NC], sr[NC], l[NC], r[NC], f[NC];    \
+        for (int k = 0; k < nb; ++k) {                                  \
+            long long i = e0[m0 + k], j = e1[m0 + k];                   \
+            const double *xi = coords + i * 3;                          \
+            const double *xj = coords + j * 3;                          \
+            double dx0 = xj[0] - xi[0];                                 \
+            double dx1 = xj[1] - xi[1];                                 \
+            double dx2 = xj[2] - xi[2];                                 \
+            const double *gi = grad + i * (NC * 3);                     \
+            const double *gj = grad + j * (NC * 3);                     \
+            for (int c = 0; c < NC; ++c) {                              \
+                double a = q[i * NC + c], b = q[j * NC + c];            \
+                double dq = b - a;                                      \
+                double gl = gi[c * 3] * dx0 + gi[c * 3 + 1] * dx1       \
+                          + gi[c * 3 + 2] * dx2;                        \
+                double gr = gj[c * 3] * dx0 + gj[c * 3 + 1] * dx1       \
+                          + gj[c * 3 + 2] * dx2;                        \
+                qi[c][k] = a;                                           \
+                qj[c][k] = b;                                           \
+                sl[c][k] = 2.0 * gl - dq;                               \
+                sr[c][k] = 2.0 * gr - dq;                               \
+            }                                                           \
         }                                                               \
-        FACE(l, r, s + m * 3, param, f);                                \
-        double *pa = out_a + i * NC;                                    \
-        double *pb = out_b + j * NC;                                    \
-        for (int c = 0; c < NC; ++c) {                                  \
-            pa[c] += f[c];                                              \
-            pb[c] += f[c];                                              \
-        }                                                               \
+        if (limiter == LIMITER_NONE)                                    \
+            muscl_states_none(nb, NC, qi, qj, sl, sr, l, r);            \
+        else if (limiter == LIMITER_VAN_ALBADA)                         \
+            muscl_states_van_albada(nb, NC, qi, qj, sl, sr, l, r);      \
+        else                                                            \
+            muscl_states_minmod(nb, NC, qi, qj, sl, sr, l, r);          \
+        FACE(nb, l, r, s + m0 * 3, param, f);                           \
+        block_scatter(m0, nb, NC, e0, e1, f, out_a, out_b);             \
     }                                                                   \
     return -1;                                                          \
 }
@@ -1226,7 +1331,8 @@ def _host_isa(cpuinfo: str = "/proc/cpuinfo") -> str | None:
 
 
 #: Flags every build shares.
-BASE_ARGS = ("-O2", "-ffp-contract=off", "-fvect-cost-model=dynamic")
+BASE_ARGS = ("-O2", "-ffp-contract=off", "-fno-math-errno",
+             "-fvect-cost-model=dynamic")
 
 #: Flags of the solver's build (``load_cbackend``): the shared ones and
 #: the host's level; the CI warning check compiles the source with these.

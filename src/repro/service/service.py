@@ -72,10 +72,10 @@ class SolveTicket:
     """Handle to one submitted request.
 
     ``status`` moves ``queued -> running -> completed`` (or
-    ``rejected`` / ``timeout`` / ``failed``).  :meth:`result` blocks
-    until terminal and returns the :class:`SolveReport` (or raises the
-    recorded error for ``failed``; returns ``None`` for ``timeout`` /
-    ``rejected``).
+    ``rejected`` / ``timeout`` / ``failed``).  :meth:`wait` blocks
+    until terminal; then ``report`` holds the :class:`SolveReport` of a
+    ``completed`` request and ``error`` what a ``failed`` one raised
+    (both ``None`` for ``timeout`` / ``rejected``).
     """
 
     def __init__(self, request: SolveRequest, rid: int,
@@ -102,12 +102,6 @@ class SolveTicket:
 
     def wait(self, timeout: float | None = None) -> bool:
         return self._done.wait(timeout)
-
-    def result(self):
-        self._done.wait()
-        if self.status == "failed" and self.error is not None:
-            raise self.error
-        return self.report
 
     def deadline_at(self) -> float | None:
         d = self.request.deadline_s

@@ -312,5 +312,7 @@ class TestNoReferenceCycles:
                 ticket = svc.submit(SolveRequest(
                     prob.disc, prob.initial.flat(), SolverConfig(**self.CFG)))
                 assert ticket.wait(300)
-                ticket.result()
+                if ticket.error is not None:
+                    raise ticket.error
+                assert ticket.report is not None
         assert self._pinned(_cyclic_garbage(request)) == []

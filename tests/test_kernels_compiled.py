@@ -25,6 +25,7 @@ degradation tests pin that behaviour explicitly.
 import importlib.util
 import json
 import os
+import re
 from dataclasses import replace
 import shutil
 import subprocess
@@ -47,7 +48,7 @@ from repro.euler.fluxes import (GAMMA, compressible_flux,
                                 incompressible_wavespeed, rusanov_flux)
 from repro.euler.reconstruction import (green_gauss_gradients,
                                         reconstruct_edge_states)
-from repro.kernels import capability
+from repro.kernels import capability, cbackend
 from repro.mesh.dualmesh import DualMetrics, compute_dual_metrics
 from repro.mesh.mesh import Mesh
 from repro.mesh.orderings import apply_orderings
@@ -69,6 +70,10 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 needs_backend = pytest.mark.skipif(
     not HAS_BACKEND, reason="no compiled backend (cffi+cc) available")
+
+#: edges per block of the C flux kernels (the C source's EDGE_BLOCK)
+EDGE_BLOCK = int(re.search(r"#define EDGE_BLOCK (\d+)",
+                           cbackend._SOURCE).group(1))
 
 
 def assert_norm_close(got, ref):
@@ -297,77 +302,87 @@ class TestDispatchGuards:
         oracle's exception, never as a write outside a buffer: the
         dispatcher declines, the oracle raises, and the C symbol, run
         on buffers with guard words either side, leaves the guards
-        alone and names the offending edge."""
-        n, ncomp, last = 4, 4, 2
-        e0 = np.array([0, 1, 2], dtype=np.int64)
-        e1 = np.array([1, 2, 3], dtype=np.int64)
-        if bad == "past_end":
-            e0[last] = n
-        else:
-            e1[last] = -1
-        rng = np.random.default_rng(41)
-        q = 1.0 + 0.1 * rng.standard_normal((n, ncomp))
-        w = rng.standard_normal((e0.size, ncomp))
-        s = rng.standard_normal((e0.size, 3))
-        grad = rng.standard_normal((n, ncomp, 3))
-        mesh = Mesh(coords=rng.standard_normal((n, 3)),
-                    tets=np.array([[0, 1, 2, 3]]),
-                    edges=np.stack([e0, e1], axis=1))
-        dual = DualMetrics(edge_normals=s, dual_volumes=np.ones(n),
-                           bnd_faces=np.empty((0, 3), dtype=np.int64),
-                           bnd_vertex_normals=np.zeros((n, 3)))
+        alone and names the offending edge.  The bad edge is the last
+        of three, then one in the second block of the blocked flux
+        kernels, with a whole block scattered before it and in-range
+        edges after it."""
+        for ne, last in ((3, 2), (2 * EDGE_BLOCK + 3, EDGE_BLOCK + 5)):
+            _assert_bad_endpoint_declines(kernel, bad, ne, last)
 
-        def scatter_oracle(f):
-            return segment_sum(e0, f, n) - segment_sum(e1, f, n)
 
-        dispatch, oracle, symbol, args, out_shape = {
-            "rusanov_scatter": (
-                lambda: kernels.rusanov_scatter(
-                    e0, e1, w, w, s, n, "incompressible", 10.0, "compiled"),
-                lambda: scatter_oracle(rusanov_flux(
-                    w, w, s, incompressible_flux, incompressible_wavespeed)),
-                "rusanov_scatter_inc", (n, e0, e1, w, w, s, 10.0),
-                (n, ncomp)),
-            "green_gauss": (
-                lambda: kernels.green_gauss(
-                    e0, e1, q, s, dual.bnd_vertex_normals,
-                    dual.dual_volumes, "compiled"),
-                lambda: green_gauss_gradients(mesh, dual, q,
-                                              engine="compiled"),
-                "green_gauss_f64",
-                (n, ncomp, e0, e1, q, s, dual.bnd_vertex_normals,
-                 dual.dual_volumes), (n, ncomp, 3)),
-            "muscl_rusanov_scatter": (
-                lambda: kernels.muscl_rusanov_scatter(
-                    e0, e1, q, grad, mesh.coords, s, "none",
-                    "incompressible", 10.0, "compiled"),
-                lambda: scatter_oracle(rusanov_flux(
-                    *reconstruct_edge_states(mesh, dual, q, grad, "none"),
-                    s, incompressible_flux, incompressible_wavespeed)),
-                "muscl_rusanov_scatter_inc",
-                (n, e0, e1, q, grad, mesh.coords, s, 0, 10.0), (n, ncomp)),
-        }[kernel]
-        assert dispatch() is None
-        with pytest.raises((ValueError, IndexError)):
-            oracle()
+def _assert_bad_endpoint_declines(kernel, bad, ne, last):
+    """``ne`` edges over the 4 vertices of one tet, every endpoint in
+    range but one of edge ``last``."""
+    n, ncomp = 4, 4
+    e0 = np.arange(ne, dtype=np.int64) % (n - 1)
+    e1 = e0 + 1
+    if bad == "past_end":
+        e0[last] = n
+    else:
+        e1[last] = -1
+    rng = np.random.default_rng(41)
+    q = 1.0 + 0.1 * rng.standard_normal((n, ncomp))
+    w = rng.standard_normal((e0.size, ncomp))
+    s = rng.standard_normal((e0.size, 3))
+    grad = rng.standard_normal((n, ncomp, 3))
+    mesh = Mesh(coords=rng.standard_normal((n, 3)),
+                tets=np.array([[0, 1, 2, 3]]),
+                edges=np.stack([e0, e1], axis=1))
+    dual = DualMetrics(edge_normals=s, dual_volumes=np.ones(n),
+                       bnd_faces=np.empty((0, 3), dtype=np.int64),
+                       bnd_vertex_normals=np.zeros((n, 3)))
 
-        backend = kernels.backend_for("compiled")
-        if backend is None:
-            return
-        guard, size = 16, int(np.prod(out_shape))
-        bufs = [np.full(size + 2 * guard, 7.25) for _ in range(2)]
-        outs = [b[guard:guard + size] for b in bufs]
-        for out in outs:
-            out[:] = 0.0
+    def scatter_oracle(f):
+        return segment_sum(e0, f, n) - segment_sum(e1, f, n)
 
-        def ptr(a):
-            return backend.ptr(a) if isinstance(a, np.ndarray) else a
+    dispatch, oracle, symbol, args, out_shape = {
+        "rusanov_scatter": (
+            lambda: kernels.rusanov_scatter(
+                e0, e1, w, w, s, n, "incompressible", 10.0, "compiled"),
+            lambda: scatter_oracle(rusanov_flux(
+                w, w, s, incompressible_flux, incompressible_wavespeed)),
+            "rusanov_scatter_inc", (n, e0, e1, w, w, s, 10.0),
+            (n, ncomp)),
+        "green_gauss": (
+            lambda: kernels.green_gauss(
+                e0, e1, q, s, dual.bnd_vertex_normals,
+                dual.dual_volumes, "compiled"),
+            lambda: green_gauss_gradients(mesh, dual, q,
+                                          engine="compiled"),
+            "green_gauss_f64",
+            (n, ncomp, e0, e1, q, s, dual.bnd_vertex_normals,
+             dual.dual_volumes), (n, ncomp, 3)),
+        "muscl_rusanov_scatter": (
+            lambda: kernels.muscl_rusanov_scatter(
+                e0, e1, q, grad, mesh.coords, s, "none",
+                "incompressible", 10.0, "compiled"),
+            lambda: scatter_oracle(rusanov_flux(
+                *reconstruct_edge_states(mesh, dual, q, grad, "none"),
+                s, incompressible_flux, incompressible_wavespeed)),
+            "muscl_rusanov_scatter_inc",
+            (n, e0, e1, q, grad, mesh.coords, s, 0, 10.0), (n, ncomp)),
+    }[kernel]
+    assert dispatch() is None
+    with pytest.raises((ValueError, IndexError)):
+        oracle()
 
-        code = getattr(backend.lib, symbol)(
-            e0.size, *map(ptr, args), *(backend.ptr(o, True) for o in outs))
-        assert code == last
-        for b in bufs:
-            assert np.all(b[:guard] == 7.25) and np.all(b[-guard:] == 7.25)
+    backend = kernels.backend_for("compiled")
+    if backend is None:
+        return
+    guard, size = 16, int(np.prod(out_shape))
+    bufs = [np.full(size + 2 * guard, 7.25) for _ in range(2)]
+    outs = [b[guard:guard + size] for b in bufs]
+    for out in outs:
+        out[:] = 0.0
+
+    def ptr(a):
+        return backend.ptr(a) if isinstance(a, np.ndarray) else a
+
+    code = getattr(backend.lib, symbol)(
+        e0.size, *map(ptr, args), *(backend.ptr(o, True) for o in outs))
+    assert code == last
+    for b in bufs:
+        assert np.all(b[:guard] == 7.25) and np.all(b[-guard:] == 7.25)
 
 
 class TestBitwiseKernels:
@@ -1399,6 +1414,37 @@ class TestSecondOrderKernels:
         assert np.any(agree & (np.abs(sl) < np.abs(dq)))
         assert np.any(agree & (np.abs(sl) > np.abs(dq)))
         self._assert_fused_within_bound(mesh, dual, q, grad, limiter, family)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("limiter", LIMITERS)
+    @pytest.mark.parametrize("ne", [0, 1, EDGE_BLOCK - 1, EDGE_BLOCK,
+                                    EDGE_BLOCK + 1, 3 * EDGE_BLOCK + 17])
+    def test_flux_kernels_on_every_block_tail(self, ne, limiter, family):
+        """Edge counts around the C flux kernels' block: none, one, a
+        block short of full, a full block, one past it and a ragged
+        tail; ``ne`` edges drawn from the kinked box, so every limiter
+        branch is in play.  Both blocked kernels, the fused pass and
+        the first-order scatter of the numpy edge states, stay within
+        the bound of their numpy composition."""
+        mesh, dual, q, grad = _kinked_case(family)
+        pick = np.random.default_rng(ne).permutation(len(mesh.edges))[:ne]
+        mesh = Mesh(coords=mesh.coords, tets=mesh.tets,
+                    edges=mesh.edges[pick])
+        dual = replace(dual, edge_normals=dual.edge_normals[pick])
+        self._assert_fused_within_bound(mesh, dual, q, grad, limiter, family)
+        flux, wavespeed, kw, _ = FAMILIES[family]
+        ql, qr = reconstruct_edge_states(mesh, dual, q, grad, limiter)
+        f = rusanov_flux(ql, qr, dual.edge_normals, flux, wavespeed, **kw)
+        e0, e1 = mesh.edge_endpoints()
+        n = mesh.num_vertices
+        ref = segment_sum(e0, f, n) - segment_sum(e1, f, n)
+        got = kernels.rusanov_scatter(e0, e1, ql, qr, dual.edge_normals, n,
+                                      family, kw.get("beta", GAMMA),
+                                      "compiled")
+        assert (got is None) == (not HAS_BACKEND)
+        if got is not None:
+            assert (np.linalg.norm(got[0] - got[1] - ref)
+                    <= self.BOUND * np.linalg.norm(ref))
 
     # -- (c) declines run exactly the numpy tier -------------------------
     @staticmethod

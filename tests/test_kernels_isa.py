@@ -7,10 +7,13 @@ the source is built once per level the CPU runs — into the shared
 kernel cache, where the flags key each build — and every build must
 give the same L, U and pivot inverses, the same two block solves and
 the same three SpMVs (global, per rank, the whole seq matvec), bit for
-bit, on drawn block matrices: the level changes only the speed.  Each
-build is run through the ``repro.kernels`` functions, as the solver
-runs its own: the engine knob resolves to it while it is the
-capability memo, and ``trisolver`` takes it as its backend.
+bit, on drawn block matrices, and the same residual passes — the
+Green-Gauss gradients, the first-order Rusanov scatter and the fused
+second-order pass, every limiter and both flux families — on drawn
+box meshes: the level changes only the speed.  Each build is run
+through the ``repro.kernels`` functions, as the solver runs its own:
+the engine knob resolves to it while it is the capability memo, and
+``trisolver`` takes it as its backend.
 """
 
 from contextlib import contextmanager
@@ -21,7 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.euler.fluxes import GAMMA
+from repro.euler.reconstruction import reconstruct_edge_states
 from repro.kernels import capability, cbackend
+from repro.mesh.dualmesh import compute_dual_metrics
+from repro.mesh.tetgen import box_mesh
 from repro.parallel.spmd import SPMDLayout
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.ilu import ilu_symbolic
@@ -159,3 +166,53 @@ def test_every_level_computes_the_same_spmv_bits(builds, bs, f32, nb,
     want = got.pop("default")
     for isa, out in got.items():
         assert out == want, f"{isa} differs from default in the SpMVs"
+
+
+#: flux family -> (its parameter, a freestream state)
+FAMILIES = {"incompressible": (10.0, [0.25, 1.0, 0.125, 0.0625]),
+            "compressible": (GAMMA, [1.0, 0.5, 0.125, 0.0625, 2.5])}
+
+
+def _residual_passes(backend, mesh, dual, q, limiter, family):
+    """The bytes of the gradient pass, the first-order scatter of the
+    (numpy) reconstructed edge states and the fused second-order pass
+    of ``q``."""
+    param = FAMILIES[family][0]
+    e0, e1 = mesh.edge_endpoints()
+    s, n = dual.edge_normals, mesh.num_vertices
+    with _serving(backend):
+        grad = kernels.green_gauss(e0, e1, q, s, dual.bnd_vertex_normals,
+                                   dual.dual_volumes, "compiled")
+        ql, qr = reconstruct_edge_states(mesh, dual, q, grad, limiter)
+        first = kernels.rusanov_scatter(e0, e1, ql, qr, s, n, family,
+                                        param, "compiled")
+        second = kernels.muscl_rusanov_scatter(
+            e0, e1, q, grad, mesh.coords, s, limiter, family, param,
+            "compiled")
+    return [a.tobytes() for a in (grad, *first, *second)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("limiter", ("none", "van_albada", "minmod"))
+@settings(deadline=None, max_examples=8)
+@given(nx=st.integers(2, 6), ny=st.integers(2, 6), nz=st.integers(2, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_level_computes_the_same_residual_bits(builds, limiter,
+                                                     family, nx, ny, nz,
+                                                     seed):
+    """A noisy state on a jittered box: slopes of either sign and
+    size, so every limiter takes both sides of its select, and edge
+    counts from a part of one block of the flux kernels to several."""
+    mesh = box_mesh(nx, ny, nz, jitter=0.2, seed=seed % 2**16)
+    dual = compute_dual_metrics(mesh)
+    base = np.array(FAMILIES[family][1])
+    rng = np.random.default_rng(seed)
+    q = base + 0.03 * rng.standard_normal((mesh.num_vertices, base.size))
+    got = {isa: _residual_passes(backend, mesh, dual, q, limiter, family)
+           for isa, backend in builds.items()}
+    want = got.pop("default")
+    for isa, out in got.items():
+        for what, g, w in zip(("gradients", "first-order a",
+                               "first-order b", "second-order a",
+                               "second-order b"), out, want):
+            assert g == w, f"{isa} differs from default in the {what}"

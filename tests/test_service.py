@@ -32,10 +32,12 @@ def small_cfg(**kw):
 
 
 def _result(ticket):
-    """The ticket's report; a request not done in 300 s fails the test
-    instead of hanging it."""
+    """The ticket's report, or what its failed solve raised; a request
+    not done in 300 s fails the test instead of hanging it."""
     assert ticket.wait(300)
-    return ticket.result()
+    if ticket.error is not None:
+        raise ticket.error
+    return ticket.report
 
 
 def make_prob(jitter=0.0, size=(7, 5, 4)):
@@ -306,7 +308,8 @@ class TestServiceLifecycle:
             t3 = svc.submit(req)           # rejected
             assert t3.status == "rejected"
             assert t3.wait(0)            # terminal at once ...
-            assert t3.result() is None   # ... with no report
+            assert t3.report is None     # ... with no report
+            assert t3.error is None
         finally:
             klock.release()
         assert _result(t1) is not None
