@@ -314,16 +314,24 @@ def ilu_symbolic(indptr, indices, fill_level, engine):
         cap *= 2
 
 
-def ilu_numeric(pattern, indptr, indices, data, engine):
+def ilu_numeric(pattern, indptr, indices, data, engine, out=None):
     """Numeric ILU of a BSR matrix (``data`` of shape ``(nnz, bs, bs)``)
     on the symbolic ``pattern`` (an :class:`~repro.sparse.ilu.
     ILUPattern`): ``(l_data, u_data, inv_diag)`` in float64, the IKJ
     arithmetic of ``ilu_bsr_ref``, ULP-bounded.
 
+    ``out`` is a previous factor's ``(l_data, u_data, inv_diag)``.
+    Where they are ``[slot, r, c]`` views of C-contiguous float64
+    buffers of column-major blocks — a compiled fp64 factor's storage —
+    the kernel writes into them and returns them as given, so a
+    Jacobian refresh allocates no second factor; otherwise (fp32 or
+    row-major storage) it returns fresh arrays, as without ``out``.
+
     A singular pivot block raises ``np.linalg.LinAlgError``, naming the
-    row, as the numpy tier does.  None for the numpy path: no backend, a
-    dtype or block size outside the kernel's contract, or a column index
-    outside ``[0, n)`` (so the numpy path raises what it raises).
+    row, as the numpy tier does; an ``out`` written in place is then
+    partly new.  None for the numpy path: no backend, a dtype or block
+    size outside the kernel's contract, or a column index outside
+    ``[0, n)`` (so the numpy path raises what it raises).
     """
     backend = backend_for(engine)
     if backend is None:
@@ -345,7 +353,12 @@ def ilu_numeric(pattern, indptr, indices, data, engine):
             return None
     l_iptr, l_idx, u_iptr, u_idx = tri
     bs, p = data.shape[1], backend.ptr
-    factors = [np.empty((m, bs, bs)) for m in (l_idx.size, u_idx.size, n)]
+    shapes = [(m, bs, bs) for m in (l_idx.size, u_idx.size, n)]
+    bufs = [x.transpose(0, 2, 1) for x in out or ()]
+    in_place = bool(bufs) and all(
+        b.shape == shape and b.dtype == np.float64 and b.flags.c_contiguous
+        and b.flags.writeable for b, shape in zip(bufs, shapes))
+    factors = bufs if in_place else [np.empty(shape) for shape in shapes]
     width = int((np.diff(l_iptr) + np.diff(u_iptr)).max(initial=0)) + 1
     pos = np.full(n, -1, dtype=np.int64)
     # the working row: block columns padded to a multiple of 8 lanes
@@ -359,6 +372,8 @@ def ilu_numeric(pattern, indptr, indices, data, engine):
             f"singular pivot block in block ILU at row {status}")
     if status != ILU_OK:
         return None
+    if in_place:
+        return tuple(out)
     # C wrote each block column-major: the [r, c] views
     return tuple(a.transpose(0, 2, 1) for a in factors)
 

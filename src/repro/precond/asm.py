@@ -97,43 +97,59 @@ class AdditiveSchwarz:
         Calling ``setup`` again on the same instance with a matrix of
         the previous sparsity (the Newton-refresh case) reuses the
         partition, overlap expansion, slot maps and symbolic ILU and
-        redoes only the numeric factorisation.  A matrix of any other
-        sparsity is set up cold, exactly as a fresh instance would.
+        redoes only the numeric factorisation, into the factors' own
+        arrays: a ``sd.factor`` held across the call is not a snapshot.
+        A matrix of any other sparsity is set up cold, exactly as a
+        fresh instance would.
+
+        A set-up that raises (a singular or zero pivot) leaves no
+        subdomain behind, half-written or stale: ``solve`` raises until
+        the next ``setup``, which is cold.
         """
         with self.recorder.span("precond_setup"):
-            if isinstance(a, BSRMatrix):
-                nbrows = a.nbrows
-                self._bs = a.bs
-            else:
-                nbrows = a.nrows
-                self._bs = 1
-            if nbrows != self._n:
-                raise ValueError("label count does not match matrix rows")
-            if self.subdomains and self._same_pattern(a):
-                # Refresh path (same sparsity, new Jacobian values): keep
-                # the subdomain index sets, slot maps and symbolic ILU
-                # patterns — and with them, on the numpy tier, the
-                # elimination schedules — and redo only the numeric
-                # factorisation.
-                self.subdomains = [sd.refactor(a) for sd in self.subdomains]
-                return self
-            graph = self._graph
-            if graph is None:
-                graph = graph_from_csr(a.indptr, a.indices)
-            nparts = int(self.labels.max()) + 1 if self.labels.size else 0
-            self.subdomains = []
-            for s in range(nparts):
-                core = np.where(self.labels == s)[0]
-                if core.size == 0:
-                    continue
-                rows = expand_overlap(graph, core, self.config.overlap)
-                owned = np.isin(rows, core, assume_unique=True)
-                self.subdomains.append(SubdomainSolver.build(
-                    a, rows, owned, self.config.fill_level,
-                    storage_dtype=self.config.storage_dtype,
-                    engine=self.config.engine))
-            self._pattern = (type(a), self._bs, a.indptr, a.indices)
+            try:
+                self._setup(a)
+            except BaseException:
+                self.subdomains, self._pattern = [], None
+                raise
         return self
+
+    def _setup(self, a: CSRMatrix | BSRMatrix) -> None:
+        if isinstance(a, BSRMatrix):
+            nbrows = a.nbrows
+            self._bs = a.bs
+        else:
+            nbrows = a.nrows
+            self._bs = 1
+        if nbrows != self._n:
+            raise ValueError("label count does not match matrix rows")
+        if self.subdomains and self._same_pattern(a):
+            # Refresh path (same sparsity, new Jacobian values): keep
+            # the subdomain index sets, slot maps and symbolic ILU
+            # patterns — and with them, on the numpy tier, the
+            # elimination schedules — and redo only the numeric
+            # factorisation, one subdomain at a time into its own
+            # factor: at most one subdomain's transient fp64 result is
+            # alive beside the factor set.
+            for sd in self.subdomains:
+                sd.refactor(a)
+            return
+        graph = self._graph
+        if graph is None:
+            graph = graph_from_csr(a.indptr, a.indices)
+        nparts = int(self.labels.max()) + 1 if self.labels.size else 0
+        self.subdomains = []
+        for s in range(nparts):
+            core = np.where(self.labels == s)[0]
+            if core.size == 0:
+                continue
+            rows = expand_overlap(graph, core, self.config.overlap)
+            owned = np.isin(rows, core, assume_unique=True)
+            self.subdomains.append(SubdomainSolver.build(
+                a, rows, owned, self.config.fill_level,
+                storage_dtype=self.config.storage_dtype,
+                engine=self.config.engine))
+        self._pattern = (type(a), self._bs, a.indptr, a.indices)
 
     def _same_pattern(self, a: CSRMatrix | BSRMatrix) -> bool:
         """Whether ``a`` has the sparsity the subdomains were cut from:

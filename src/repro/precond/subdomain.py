@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class SubdomainSolver:
     rows: np.ndarray
     owned_local: np.ndarray
     factor: ILUFactorCSR | ILUFactorBSR
-    fill_level: int
     sub_indptr: np.ndarray
     sub_indices: np.ndarray
     slots: np.ndarray | None
@@ -112,7 +111,7 @@ class SubdomainSolver:
         return cls(rows=rows, owned_local=owned_local,
                    factor=ilu(sub, fill_level, storage_dtype=storage_dtype,
                               engine=engine),
-                   fill_level=fill_level, sub_indptr=sub_indptr,
+                   sub_indptr=sub_indptr,
                    sub_indices=sub_indices, slots=slots,
                    flat=_elements(rows, bs),
                    owned_flat=_elements(rows[owned_local], bs),
@@ -124,15 +123,13 @@ class SubdomainSolver:
         return _cut(a, self.rows, self.sub_indptr, self.sub_indices,
                     self.slots)
 
-    def refactor(self, a: CSRMatrix | BSRMatrix) -> "SubdomainSolver":
+    def refactor(self, a: CSRMatrix | BSRMatrix) -> None:
         """Numeric-only refactorisation for a matrix with the sparsity
         the subdomain was built on: reuses its rows, slot map and
-        symbolic pattern."""
+        symbolic pattern, and overwrites :attr:`factor`'s arrays in
+        place (an exception leaves them partly new)."""
         ilu = ilu_bsr if isinstance(a, BSRMatrix) else ilu_csr
-        return replace(self, factor=ilu(
-            self.submatrix(a), self.fill_level, pattern=self.factor.pattern,
-            storage_dtype=self.factor.storage_dtype,
-            engine=self.factor.engine))
+        self.factor = ilu(self.submatrix(a), into=self.factor)
 
     @property
     def num_rows(self) -> int:

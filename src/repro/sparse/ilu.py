@@ -4,7 +4,9 @@ This is the subdomain solver of the paper's Schwarz preconditioner
 (Table 4 sweeps the fill level k from 0 to 2).  The symbolic phase
 computes the level-of-fill pattern once per sparsity; the numeric
 phase refactors on that fixed pattern each time the Jacobian is
-refreshed — exactly PETSc's split.
+refreshed — exactly PETSc's split — and, given the previous factor
+(``into=``), writes into the storage it already owns, as PETSc's
+``SAME_NONZERO_PATTERN`` refactorisation does.
 
 Both phases of the block ILU are compiled row loops where a C backend
 is available, as PETSc's are.  With ``engine="compiled"`` the symbolic
@@ -411,6 +413,17 @@ def _compiled_solves(factor, backend):
     return cached[1]
 
 
+def _refill(into, out):
+    """Write a refresh's float64 ``(l_data, u_data, inv_diag)`` into the
+    previous factor ``into``'s own arrays, cast to its storage dtype as
+    a cold set-up's ``astype`` casts (bitwise); arrays the C numeric
+    already wrote in place are skipped.  Returns ``into``."""
+    for dst, src in zip((into.l_data, into.u_data, into.inv_diag), out):
+        if dst is not src:
+            np.copyto(dst, src)
+    return into
+
+
 # ----------------------------------------------------------------------
 # Scalar numeric factorisation
 # ----------------------------------------------------------------------
@@ -461,19 +474,26 @@ class ILUFactorCSR:
                        inv_diag=self.inv_diag.astype(dtype))
 
 
-def ilu_csr(a: CSRMatrix, fill_level: int = 0,
-            pattern: ILUPattern | None = None,
-            storage_dtype=np.float64, engine: str = "numpy") -> ILUFactorCSR:
+def ilu_csr(a: CSRMatrix, fill_level: int = 0, storage_dtype=np.float64,
+            engine: str = "numpy",
+            into: ILUFactorCSR | None = None) -> ILUFactorCSR:
     """Numeric ILU(k) of a scalar CSR matrix, bitwise :func:`ilu_csr_ref`.
 
     ``engine`` selects the symbolic phase (:func:`ilu_symbolic`); the
     numeric phase is the numpy tier's on every engine, schedule driven:
-    with a reused ``pattern`` (one symbolic phase, many Jacobian
-    refreshes) the entire factorisation is batched numpy on precompiled
-    index arrays; no per-row Python work remains.
+    with a reused pattern (one symbolic phase, many Jacobian refreshes)
+    the entire factorisation is batched numpy on precompiled index
+    arrays; no per-row Python work remains.
+
+    ``into`` is the previous factor of a matrix with ``a``'s sparsity
+    (a Jacobian refresh): its pattern, storage dtype and engine stand
+    for ``fill_level``, ``storage_dtype`` and ``engine``, and the new
+    values overwrite its arrays, so the refresh holds no second factor
+    set.  ``into`` itself is returned — bitwise a cold factorisation of
+    ``a`` — and an exception leaves it partly new.
     """
-    if pattern is None:
-        pattern = ilu_symbolic(a.indptr, a.indices, fill_level, engine)
+    pattern = (into.pattern if into is not None
+               else ilu_symbolic(a.indptr, a.indices, fill_level, engine))
     sched = _schedule_for(pattern, a.indptr, a.indices)
     off_d, off_u = sched.off_diag, sched.off_upper
     w = np.zeros(sched.nnzl + sched.n + sched.nnzu, dtype=np.float64)
@@ -490,6 +510,8 @@ def ilu_csr(a: CSRMatrix, fill_level: int = 0,
         # Rows finishing here are checked before any later stage can
         # divide by their diagonal.
         _check_pivots(w, off_d, st.check_rows)
+    if into is not None:
+        return _refill(into, (w[:off_d], w[off_u:], 1.0 / w[off_d:off_u]))
     factor = ILUFactorCSR(pattern, w[:off_d].copy(), w[off_u:].copy(),
                           1.0 / w[off_d:off_u], engine=engine,
                           solve_levels=(sched.l_solve, sched.u_solve))
@@ -626,9 +648,9 @@ class ILUFactorBSR:
                        inv_diag=self.inv_diag.astype(dtype))
 
 
-def ilu_bsr(a: BSRMatrix, fill_level: int = 0,
-            pattern: ILUPattern | None = None,
-            storage_dtype=np.float64, engine: str = "numpy") -> ILUFactorBSR:
+def ilu_bsr(a: BSRMatrix, fill_level: int = 0, storage_dtype=np.float64,
+            engine: str = "numpy",
+            into: ILUFactorBSR | None = None) -> ILUFactorBSR:
     """Numeric block ILU(k) of a BSR matrix.
 
     ``engine="compiled"`` runs the C row loop of :func:`ilu_bsr_ref`
@@ -641,11 +663,26 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0,
     divisions become GEMMs against the pivot-block inverses
     (``np.matmul`` over stacked blocks) and diagonal inversions are
     batched per dependency level.
+
+    ``into`` refreshes a previous factor in place, as in
+    :func:`ilu_csr`: the C numeric writes straight into an fp64
+    factor's column-major buffers; an fp32 factor (or a row-major one)
+    receives the one float64 result cast into its arrays.
     """
-    if pattern is None:
+    arrays = None
+    if into is None:
         pattern = ilu_symbolic(a.indptr, a.indices, fill_level, engine)
+    else:
+        pattern, engine = into.pattern, into.engine
+        arrays = (into.l_data, into.u_data, into.inv_diag)
+        # C solves prepared on a row-major factor read a column-major
+        # copy (repro.kernels.trisolver), which the refresh would leave
+        # stale; a column-major factor's read its arrays in place
+        if not all(x.transpose(0, 2, 1).flags.c_contiguous for x in arrays):
+            into._solves = None
     bs = a.bs
-    out = (_kernels.ilu_numeric(pattern, a.indptr, a.indices, a.data, engine)
+    out = (_kernels.ilu_numeric(pattern, a.indptr, a.indices, a.data,
+                                engine, out=arrays)
            if engine != "numpy" else None)
     levels = None
     if out is None:
@@ -669,12 +706,16 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0,
             if st.check_rows.size:
                 inv_diag[st.check_rows] = np.linalg.inv(
                     w[off_d + st.check_rows])
-        out = (w[:off_d].copy(), w[off_u:].copy(), inv_diag)
+        out = (w[:off_d], w[off_u:], inv_diag)
         levels = (sched.l_solve, sched.u_solve)
-        if _kernels.backend_for(engine) is not None:
-            # the compiled trisolves' column-major blocks, made once
-            out = tuple(np.ascontiguousarray(x.transpose(0, 2, 1))
-                        .transpose(0, 2, 1) for x in out)
+        if into is None:
+            out = (out[0].copy(), out[1].copy(), inv_diag)
+            if _kernels.backend_for(engine) is not None:
+                # the compiled trisolves' column-major blocks, made once
+                out = tuple(np.ascontiguousarray(x.transpose(0, 2, 1))
+                            .transpose(0, 2, 1) for x in out)
+    if into is not None:
+        return _refill(into, out)
     factor = ILUFactorBSR(pattern, bs, *out, engine=engine,
                           solve_levels=levels)
     if np.dtype(storage_dtype) != np.float64:

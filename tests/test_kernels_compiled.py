@@ -1263,10 +1263,14 @@ class TestColumnMajorFactors:
         jac = wing[2]
         want = ilu_bsr(jac, 1, engine="compiled")
         monkeypatch.setattr(ilu_mod._kernels, "ilu_numeric",
-                            lambda *args: None)
+                            lambda *args, **kwargs: None)
         fac = ilu_bsr(jac, 1, engine="compiled")
         blocks = (fac.l_data, fac.u_data, fac.inv_diag)
         assert all(m.transpose(0, 2, 1).flags.c_contiguous for m in blocks)
+        # a refresh of it runs the numpy numeric too, into its storage
+        cold = [m.copy() for m in blocks]
+        assert ilu_bsr(jac, into=fac) is fac
+        assert all(np.array_equal(m, c) for m, c in zip(blocks, cold))
         seen = self._spy(monkeypatch, kernels.backend_for("compiled"))
         b = np.random.default_rng(6).standard_normal(jac.shape[0])
         x = fac.solve(b)
@@ -1712,7 +1716,8 @@ class TestTrajectoryEquivalence:
         per-step iteration count.  The numeric ILU factors come from the
         numpy schedule on both tiers here, so the pin sees the residual
         and the trisolves alone."""
-        monkeypatch.setattr(kernels, "ilu_numeric", lambda *args: None)
+        monkeypatch.setattr(kernels, "ilu_numeric",
+                            lambda *args, **kwargs: None)
         self._second_order_unlimited(atol=1e-13)
 
     def test_engines_agree_with_compiled_factors(self):

@@ -58,8 +58,7 @@ def test_ilu_csr_matches_row_loop_bitwise(n, density, fill, seed):
     """The batched CSR factorisation applies the *same* update sequence
     per row as the reference, so the factors agree bitwise."""
     a = random_csr(n, density, seed)
-    pat = ilu_symbolic(a.indptr, a.indices, fill)
-    new, ref = ilu_csr(a, pattern=pat), ilu_csr_ref(a, pattern=pat)
+    new, ref = ilu_csr(a, fill), ilu_csr_ref(a, fill)
     assert np.array_equal(new.l_data, ref.l_data)
     assert np.array_equal(new.u_data, ref.u_data)
     assert np.array_equal(new.inv_diag, ref.inv_diag)
@@ -72,8 +71,7 @@ def test_ilu_bsr_matches_row_loop(nb, bs, density, fill, seed):
     """Block factors agree to reassociation tolerance (np.matmul in the
     batched path vs per-block dot in the loop)."""
     a = random_bsr(nb, bs, density, seed)
-    pat = ilu_symbolic(a.indptr, a.indices, fill)
-    new, ref = ilu_bsr(a, pattern=pat), ilu_bsr_ref(a, pattern=pat)
+    new, ref = ilu_bsr(a, fill), ilu_bsr_ref(a, fill)
     assert np.allclose(new.l_data, ref.l_data, rtol=1e-12, atol=1e-13)
     assert np.allclose(new.u_data, ref.u_data, rtol=1e-12, atol=1e-13)
     assert np.allclose(new.inv_diag, ref.inv_diag, rtol=1e-12, atol=1e-13)
@@ -81,14 +79,14 @@ def test_ilu_bsr_matches_row_loop(nb, bs, density, fill, seed):
 
 def test_schedule_cached_on_pattern_and_reused():
     a = random_csr(30, 0.2, seed=3)
-    pat = ilu_symbolic(a.indptr, a.indices, 1)
-    ilu_csr(a, pattern=pat)
+    factor = ilu_csr(a, 1)
+    pat = factor.pattern
     sched = pat._schedule
     assert sched is not None
-    ilu_csr(a, pattern=pat)
+    ilu_csr(a, into=factor)
     assert pat._schedule is sched          # no recompilation
     b = random_csr(30, 0.2, seed=3)        # same sparsity, new arrays
-    ilu_csr(b, pattern=pat)
+    ilu_csr(b, into=factor)
     assert pat._schedule is sched
 
 

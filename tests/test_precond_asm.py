@@ -1,5 +1,6 @@
 """Additive Schwarz / block Jacobi preconditioners."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -200,10 +201,25 @@ def _grown(a: BSRMatrix, i: int, j: int) -> BSRMatrix:
     return out
 
 
+def _factor_arrays(factor):
+    return factor.l_data, factor.u_data, factor.inv_diag
+
+
+def _two_jacobians(prob, q, labels, csr=False):
+    """Two Jacobians of one sparsity, new values (and the labels of
+    their rows); ``csr`` as scalar matrices."""
+    a1 = prob.disc.shifted_jacobian(q, 10.0)
+    a2 = prob.disc.shifted_jacobian(1.01 * q, 20.0)
+    if csr:
+        return a1.to_csr(), a2.to_csr(), np.repeat(labels, prob.disc.ncomp)
+    return a1, a2, labels
+
+
 class TestRefresh:
     """A second ``setup`` is numeric-only for the sparsity the
     subdomains were cut from — reading the new values through their
-    slot maps — and a cold set-up for any other."""
+    slot maps and writing the factors in place — and a cold set-up for
+    any other."""
 
     @pytest.fixture(scope="class")
     def wing(self):
@@ -215,9 +231,10 @@ class TestRefresh:
         return prob, q, labels
 
     @staticmethod
-    def _cold(labels, a, engine):
+    def _cold(labels, a, engine, storage=np.float64, overlap=1):
         return AdditiveSchwarz(labels, ASMConfig(
-            overlap=1, fill_level=1, engine=engine)).setup(a)
+            overlap=overlap, fill_level=1, storage_dtype=storage,
+            engine=engine)).setup(a)
 
     @staticmethod
     def _far_pair(prob, labels):
@@ -228,18 +245,101 @@ class TestRefresh:
         dist = bfs_levels(g, int(part[0]))
         return int(part[0]), int(part[np.argmax(dist[part])])
 
+    @pytest.mark.parametrize("csr", [False, True])
+    @pytest.mark.parametrize("storage", [np.float64, np.float32])
     @pytest.mark.parametrize("engine", ["numpy", "compiled"])
-    def test_new_values_refresh_bitwise_a_cold_setup(self, wing, engine):
+    def test_new_values_refresh_bitwise_a_cold_setup(self, wing, engine,
+                                                     storage, csr):
+        """The refresh writes each factor's own arrays — same objects,
+        same memory, same layout, the prepared C solves kept — with
+        bitwise the values of a cold set-up."""
         prob, q, labels = wing
-        a1 = prob.disc.shifted_jacobian(q, 10.0)
-        a2 = prob.disc.shifted_jacobian(1.01 * q, 20.0)
-        pc = self._cold(labels, a1, engine)
-        patterns = [sd.factor.pattern for sd in pc.subdomains]
-        pc.setup(a2)
-        assert [sd.factor.pattern for sd in pc.subdomains] == patterns
+        a1, a2, labels = _two_jacobians(prob, q, labels, csr)
+        pc = self._cold(labels, a1, engine, storage)
         r = np.random.default_rng(5).standard_normal(a2.shape[0])
+        pc.solve(r)                          # prepares the C solves
+        before = [(sd.factor, sd.factor.pattern, _factor_arrays(sd.factor),
+                   getattr(sd.factor, "_solves", None))
+                  for sd in pc.subdomains]
+        pc.setup(a2)
+        z = pc.solve(r)
+        cold = self._cold(labels, a2, engine, storage)
+        for sd, want, (factor, pattern, arrays, solves) in zip(
+                pc.subdomains, cold.subdomains, before, strict=True):
+            assert sd.factor is factor and sd.factor.pattern is pattern
+            assert getattr(sd.factor, "_solves", None) is solves
+            for got, old, ref in zip(_factor_arrays(sd.factor), arrays,
+                                     _factor_arrays(want.factor)):
+                assert got is old and np.shares_memory(got, old)
+                assert got.dtype == ref.dtype and got.strides == ref.strides
+                assert np.array_equal(got, ref)
+        assert np.array_equal(z, cold.solve(r))
+
+    def test_row_major_factor_refresh_drops_its_solve_copies(self, wing):
+        """The C solves of a row-major factor read column-major copies
+        of it (``kernels.trisolver``): a refresh in place must not leave
+        an apply reading the old values."""
+        prob, q, labels = wing
+        a1, a2, labels = _two_jacobians(prob, q, labels)
+        pc = self._cold(labels, a1, "compiled")
+        for sd in pc.subdomains:
+            sd.factor = replace(sd.factor, **{
+                name: np.ascontiguousarray(getattr(sd.factor, name))
+                for name in ("l_data", "u_data", "inv_diag")})
+        r = np.random.default_rng(6).standard_normal(a2.shape[0])
+        pc.solve(r)                          # copies made here
+        pc.setup(a2)
+        assert np.array_equal(pc.solve(r),
+                              self._cold(labels, a2, "compiled").solve(r))
+
+    @pytest.mark.parametrize("csr", [False, True])
+    @pytest.mark.parametrize("engine", ["numpy", "compiled"])
+    def test_failed_refresh_leaves_no_factor(self, wing, engine, csr):
+        """A zero row that only the last subdomain holds fails its pivot
+        after the others were refreshed in place: the instance is left
+        empty, not half new, and its next set-up is a cold one."""
+        prob, q, labels = wing
+        a1, a2, labels = _two_jacobians(prob, q, labels, csr)
+        pc = self._cold(labels, a1, engine)
+        others = np.concatenate([sd.rows for sd in pc.subdomains[:-1]])
+        row = np.setdiff1d(pc.subdomains[-1].rows, others)[0]
+        bad = replace(a2, data=a2.data.copy())
+        bad.data[a2.indptr[row]:a2.indptr[row + 1]] = 0.0
+        with pytest.raises((np.linalg.LinAlgError, ZeroDivisionError)):
+            pc.setup(bad)
+        assert not pc.subdomains and pc._pattern is None
+        r = np.random.default_rng(8).standard_normal(a2.shape[0])
+        with pytest.raises(RuntimeError, match="setup"):
+            pc.solve(r)
+        pc.setup(a2)
         assert np.array_equal(pc.solve(r),
                               self._cold(labels, a2, engine).solve(r))
+
+    @pytest.fixture(scope="class")
+    def eight_parts(self):
+        """The 819-vertex wing's two Jacobians and eight parts."""
+        prob = wing_problem(13, 9, 7)
+        labels = kway_partition(prob.mesh.vertex_graph(), 8, seed=0)
+        return _two_jacobians(prob, prob.initial.flat(), labels)
+
+    @pytest.mark.parametrize("storage", [np.float64, np.float32])
+    @pytest.mark.parametrize("engine", ["numpy", "compiled"])
+    def test_refresh_allocates_no_second_factor_set(self, eight_parts,
+                                                    engine, storage):
+        """Eight subdomains: a refresh traces at most one subdomain's
+        float64 numeric and its working arrays, under 0.8 x the factor
+        set (measured 0.10-0.65); holding a second set, as a rebuilt
+        subdomain list does, traces >= 1.06 x."""
+        a1, a2, labels = eight_parts
+        pc = self._cold(labels, a1, engine, storage, overlap=0)
+        total = sum(sd.factor.factor_bytes for sd in pc.subdomains)
+        tracemalloc.start()
+        try:
+            pc.setup(a2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * total, (peak, total)
 
     @pytest.mark.parametrize("csr", [False, True])
     @pytest.mark.parametrize("engine", ["numpy", "compiled"])

@@ -113,11 +113,12 @@ class TestNumericCSR:
     def test_reuse_pattern(self, rng):
         a = diag_dominant(20, 0.2, 7)
         m = csr_from_dense(a)
-        pat = ilu_symbolic(m.indptr, m.indices, 1)
         f1 = ilu_csr(m, 1)
-        f2 = ilu_csr(m, fill_level=99, pattern=pat)  # pattern wins
+        pat = f1.pattern
+        f2 = ilu_csr(m, fill_level=99, into=f1)  # the factor's pattern wins
+        assert f2 is f1 and f2.pattern is pat
         b = rng.random(20)
-        assert np.allclose(f1.solve(b), f2.solve(b))
+        assert np.array_equal(ilu_csr(m, 1).solve(b), f2.solve(b))
 
     def test_fp32_storage_close_and_smaller(self, rng):
         a = diag_dominant(20, 0.2, 8)
@@ -304,9 +305,8 @@ class TestCompiledNumeric:
         """The scalar C loop divides by the raw pivot and updates in the
         reference's order: bitwise ``ilu_csr_ref``."""
         m = csr_from_dense(diag_dominant(n, density, seed))
-        pat = ilu_symbolic(m.indptr, m.indices, k)
-        got = ilu_csr(m, pattern=pat, engine="compiled")
-        want = ilu_csr_ref(m, pattern=pat)
+        got = ilu_csr(m, k, engine="compiled")
+        want = ilu_csr_ref(m, k)
         for name in ("l_data", "u_data", "inv_diag"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
@@ -315,9 +315,8 @@ class TestCompiledNumeric:
            st.floats(0.1, 0.5), st.integers(0, 3), st.integers(0, 10_000))
     def test_bsr_normwise_row_loop(self, nb, bs, density, k, seed):
         a = random_bsr(nb, bs, density, seed)
-        pat = ilu_symbolic(a.indptr, a.indices, k)
-        got = ilu_bsr(a, pattern=pat, engine="compiled")
-        want = ilu_bsr_ref(a, pattern=pat)
+        got = ilu_bsr(a, k, engine="compiled")
+        want = ilu_bsr_ref(a, k)
         for name in ("l_data", "u_data", "inv_diag"):
             assert normwise_eps(getattr(got, name),
                                 getattr(want, name)) <= FACTOR_EPS, name
@@ -440,16 +439,17 @@ class TestTypedFailures:
         a = random_bsr(6, 2, 0.4, 9)
         if layout == "csr":
             a = a.to_csr()
-        pat = ilu_symbolic(a.indptr, a.indices, 1)
+        ilu = ilu_csr if layout == "csr" else ilu_bsr
+        good = ilu(a, 1, engine=engine)
+        pat = good.pattern
         n = pat.n
         a.indices = a.indices.copy()
         a.indices[a.indptr[3]] = -1 if bad == -1 else n
         if engine == "compiled":
             assert kernels.ilu_numeric(pat, a.indptr, a.indices, a.data,
                                        "compiled") is None
-        ilu = ilu_csr if layout == "csr" else ilu_bsr
         with pytest.raises(IndexError):
-            ilu(a, pattern=pat, engine=engine)
+            ilu(a, into=good)
 
 
 class TestNoScheduleOnCompiledPath:

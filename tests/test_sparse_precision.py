@@ -17,7 +17,7 @@ import pytest
 from repro.euler import wing_problem
 from repro.perfmodel.spmv_model import spmv_traffic_bytes
 from repro.sparse.bsr import BSRMatrix
-from repro.sparse.ilu import ilu_bsr, ilu_symbolic
+from repro.sparse.ilu import ilu_bsr
 from repro.sparse.precision import _POLICIES, PrecisionPolicy
 from tests.helpers import storage_roundoff_bound
 
@@ -30,8 +30,7 @@ def wing():
     q = prob.initial.flat() + 0.02 * rng.standard_normal(
         prob.disc.num_unknowns)
     jac = prob.disc.shifted_jacobian(q, cfl=10.0)
-    pat = ilu_symbolic(jac.indptr, jac.indices, 1)
-    factor = ilu_bsr(jac, pattern=pat)
+    factor = ilu_bsr(jac, 1)
     x = rng.standard_normal(jac.shape[1])
     b = rng.standard_normal(jac.shape[0])
     return jac, factor, x, b
