@@ -246,10 +246,11 @@ class NKSSolver:
 
             # --- Jacobian + preconditioner refresh ---------------------
             if self._steps_since_refresh >= cfg.jacobian_lag or self._pc is None:
-                # The previous Jacobian (and the operator wrapping it)
-                # is dead from here: drop it before the next one and
-                # the preconditioner refresh allocate.
-                self._jac = op = None
+                # The previous Jacobian is dead from here: drop every
+                # reference to it (the attribute, the loop's own name
+                # and the operator wrapping it) before the next one
+                # and the preconditioner refresh allocate.
+                self._jac = op = jac = None
                 with rec.span("jacobian"):
                     jac = self.disc.shifted_jacobian(q, cfl)
                 # Keep the preconditioner instance across refreshes: the

@@ -314,24 +314,32 @@ def ilu_symbolic(indptr, indices, fill_level, engine):
         cap *= 2
 
 
-def ilu_numeric(pattern, indptr, indices, data, engine, out=None):
+def ilu_numeric(pattern, indptr, indices, data, engine, out=None,
+                slots=None):
     """Numeric ILU of a BSR matrix (``data`` of shape ``(nnz, bs, bs)``)
     on the symbolic ``pattern`` (an :class:`~repro.sparse.ilu.
     ILUPattern`): ``(l_data, u_data, inv_diag)`` in float64, the IKJ
     arithmetic of ``ilu_bsr_ref``, ULP-bounded.
 
+    ``slots`` (one per entry of ``indices``) makes entry ``t`` the block
+    ``data[slots[t]]``: a principal submatrix of a larger matrix, read
+    through its slot map without being extracted.
+
     ``out`` is a previous factor's ``(l_data, u_data, inv_diag)``.
-    Where they are ``[slot, r, c]`` views of C-contiguous float64
-    buffers of column-major blocks — a compiled fp64 factor's storage —
-    the kernel writes into them and returns them as given, so a
-    Jacobian refresh allocates no second factor; otherwise (fp32 or
-    row-major storage) it returns fresh arrays, as without ``out``.
+    Where they are ``[slot, r, c]`` views of C-contiguous float64 or
+    float32 buffers of column-major blocks — a compiled factor's
+    storage — the kernel writes into them and returns them as given,
+    so a Jacobian refresh allocates no second factor; float32 storage
+    receives each value rounded as ``astype`` rounds the float64
+    factor, with U and the pivot inverses kept in one float64 scratch
+    while later rows read them.  Otherwise (row-major storage) it
+    returns fresh float64 arrays, as without ``out``.
 
     A singular pivot block raises ``np.linalg.LinAlgError``, naming the
     row, as the numpy tier does; an ``out`` written in place is then
     partly new.  None for the numpy path: no backend, a dtype or block
-    size outside the kernel's contract, or a column index outside
-    ``[0, n)`` (so the numpy path raises what it raises).
+    size outside the kernel's contract, or a column index or slot out
+    of range (so the numpy path raises what it raises).
     """
     backend = backend_for(engine)
     if backend is None:
@@ -342,7 +350,10 @@ def ilu_numeric(pattern, indptr, indices, data, engine, out=None):
         return None
     n = pattern.n
     indptr, indices = _i64(indptr), _i64(indices)
-    if (indptr.size != n + 1 or data.shape[0] != indices.size
+    slots = None if slots is None else _i64(slots)
+    # one block (or one slot, checked in C) per entry
+    entries = data if slots is None else slots
+    if (indptr.size != n + 1 or entries.shape[0] != indices.size
             or not _csr_structure_ok(indptr, indices.size)):
         return None
     tri = [_i64(a) for a in (pattern.l_indptr, pattern.l_indices,
@@ -355,18 +366,27 @@ def ilu_numeric(pattern, indptr, indices, data, engine, out=None):
     bs, p = data.shape[1], backend.ptr
     shapes = [(m, bs, bs) for m in (l_idx.size, u_idx.size, n)]
     bufs = [x.transpose(0, 2, 1) for x in out or ()]
-    in_place = bool(bufs) and all(
-        b.shape == shape and b.dtype == np.float64 and b.flags.c_contiguous
+    dtype = bufs[0].dtype if bufs else None
+    in_place = dtype in (np.float64, np.float32) and all(
+        b.shape == shape and b.dtype == dtype and b.flags.c_contiguous
         and b.flags.writeable for b, shape in zip(bufs, shapes))
     factors = bufs if in_place else [np.empty(shape) for shape in shapes]
     width = int((np.diff(l_iptr) + np.diff(u_iptr)).max(initial=0)) + 1
     pos = np.full(n, -1, dtype=np.int64)
     # the working row: block columns padded to a multiple of 8 lanes
     w = np.empty(width * bs * (-(-bs // 8) * 8))
-    status = backend.lib.ilu_numeric_f64(
-        n, bs, *map(p, (l_iptr, l_idx, u_iptr, u_idx, indptr, indices,
-                        data)),
-        *(p(a, True) for a in (*factors, pos, w)))
+    args = (n, bs, *map(p, (l_iptr, l_idx, u_iptr, u_idx, indptr, indices)),
+            backend.ffi.NULL if slots is None else p(slots), data.shape[0],
+            p(data), *(p(a, True) for a in factors))
+    if factors[0].dtype == np.float32:
+        # U's rows and the pivot inverses in float64 while later rows
+        # read them: (nnzu + n) blocks
+        scratch = np.empty((u_idx.size + n) * bs * bs)
+        status = backend.lib.ilu_numeric_f32(
+            *args, p(scratch, True), p(pos, True), p(w, True))
+    else:
+        status = backend.lib.ilu_numeric_f64(*args, p(pos, True),
+                                             p(w, True))
     if status >= 0:
         raise np.linalg.LinAlgError(
             f"singular pivot block in block ILU at row {status}")
@@ -586,4 +606,9 @@ def rusanov_jacobian_scatter(e0, e1, ij_slots, ji_slots, q, s, nnzb, model,
         e0.size, n, nnzb, *map(p, (e0, e1, ij_slots, ji_slots, q, s)),
         float(param), *(p(a, True) for a in (data, acc_a, acc_b, lam_a,
                                              lam_b)))
-    return None if bad >= 0 else (data, acc_a - acc_b, lam_a + lam_b)
+    if bad >= 0:
+        return None
+    # in place: the same operations, no third (n, ncomp, ncomp) array
+    np.subtract(acc_a, acc_b, out=acc_a)
+    np.add(lam_a, lam_b, out=lam_a)
+    return data, acc_a, lam_a

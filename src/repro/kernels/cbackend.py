@@ -34,7 +34,11 @@ the equivalence contract is provable, not hoped for:
   ``[r, c]`` blocks), and the block triangular solves read them in
   place; a triangle's pointers are made once
   (:func:`repro.kernels.trisolver` returns the solve of one triangle),
-  so a factor's solve converts only its right-hand side;
+  so a factor's solve converts only its right-hand side.  The numeric
+  reads A's blocks through a slot map where it is given (a subdomain's
+  submatrix, inside the global Jacobian) and stores an fp32 factor
+  value by value, each rounded as the fp64 factor's cast rounds it,
+  keeping U and the pivot inverses in one fp64 scratch;
 * those three kernels work on whole block columns in gcc vector types:
   the ILU keeps its working row as column-major blocks padded to 4
   lanes (bs <= 4) or a multiple of 8 (bs > 4), holds the multiplier's
@@ -134,8 +138,16 @@ long long ilu_numeric_f64(long long n, long long bs,
     const long long *l_indptr, const long long *l_indices,
     const long long *u_indptr, const long long *u_indices,
     const long long *a_indptr, const long long *a_indices,
+    const long long *a_slots, long long a_nblocks,
     const double *a_data, double *l_data, double *u_data,
     double *inv_diag, long long *pos, double *w);
+long long ilu_numeric_f32(long long n, long long bs,
+    const long long *l_indptr, const long long *l_indices,
+    const long long *u_indptr, const long long *u_indices,
+    const long long *a_indptr, const long long *a_indices,
+    const long long *a_slots, long long a_nblocks,
+    const double *a_data, float *l_data, float *u_data,
+    float *inv_diag, double *scratch, long long *pos, double *w);
 long long rusanov_jacobian_scatter_inc(long long ne, long long n,
     long long nnzb, const long long *e0, const long long *e1,
     const long long *ij_slots, const long long *ji_slots, const double *q,
@@ -527,8 +539,9 @@ UPPER_BSR(upper_solve_bsr_f32, float)
 
 /* ---- ILU(k): symbolic and numeric factorisation --------------------
  * Status codes shared with repro.kernels (its ILU_OK and
- * ILU_BAD_COLUMN constants). */
-enum { ILU_OK = -1, ILU_BAD_COLUMN = -2, ILU_L_FULL = -3, ILU_U_FULL = -4 };
+ * ILU_BAD_COLUMN constants; it declines on the others). */
+enum { ILU_OK = -1, ILU_BAD_COLUMN = -2, ILU_L_FULL = -3, ILU_U_FULL = -4,
+       ILU_BAD_SLOT = -5 };
 
 /* Level-of-fill symbolic phase, row by row: the twin of
  * ilu_symbolic_ref's heapq loop.  The working row is a sorted linked
@@ -708,15 +721,26 @@ static int block_inverse(double *d, long long ld, double *inv, long long bs)
  * (entries outside the pattern are dropped), then each lower entry k,
  * in ascending order, becomes the multiplier l = w_k d_k^-1, and row
  * k's U part is subtracted, l u_kj, wherever row i's pattern has
- * column j.  Returns ILU_OK, ILU_BAD_COLUMN for a column of A outside
- * [0, n) (checked before it is used), or the row whose pivot block is
- * singular. */
+ * column j.
+ *
+ * A's entry t is block a_slots[t] of a_data (block t when a_slots is
+ * NULL), so a principal submatrix is read through its slot map in
+ * place.  With l32 set the factor is stored in float32, each value
+ * rounded as it is stored, as a cast of the float64 factor rounds it:
+ * L goes straight to l32 (no later row reads it), while U's rows and
+ * the pivot inverses, which later rows read, are kept in float64 in
+ * u_data / inv_diag and cast to u32 / inv32.  Returns ILU_OK,
+ * ILU_BAD_COLUMN for a column of A outside [0, n) or ILU_BAD_SLOT for
+ * a slot outside [0, a_nblocks) (both checked before they are used),
+ * or the row whose pivot block is singular. */
 ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
     const long long *l_indptr, const long long *l_indices,
     const long long *u_indptr, const long long *u_indices,
     const long long *a_indptr, const long long *a_indices,
+    const long long *a_slots, long long a_nblocks,
     const double *a_data, double *l_data, double *u_data,
-    double *inv_diag, long long *pos, double *w)
+    double *inv_diag, float *l32, float *u32, float *inv32,
+    long long *pos, double *w)
 {
     long long bsq = bs * bs, stride = bs * ld;
     long long status = ILU_OK;
@@ -730,16 +754,20 @@ ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
             pos[u_indices[us + t]] = nl + 1 + t;
         memset(w, 0, (size_t)((nl + 1 + nu) * stride) * sizeof *w);
         for (long long t = a_indptr[i]; t < a_indptr[i + 1]; ++t) {
-            long long c = a_indices[t];
+            long long c = a_indices[t], b = a_slots ? a_slots[t] : t;
             if ((unsigned long long)c >= (unsigned long long)n) {
                 status = ILU_BAD_COLUMN;
+                break;
+            }
+            if ((unsigned long long)b >= (unsigned long long)a_nblocks) {
+                status = ILU_BAD_SLOT;
                 break;
             }
             long long p = pos[c];
             if (p >= 0)
                 for (long long r = 0; r < bs; ++r)
                     for (long long j = 0; j < bs; ++j)
-                        w[p * stride + j * ld + r] = a_data[t * bsq + r * bs + j];
+                        w[p * stride + j * ld + r] = a_data[b * bsq + r * bs + j];
         }
         for (long long t = 0; t < nl && status == ILU_OK; ++t) {
             long long k = l_indices[ls + t];
@@ -757,15 +785,27 @@ ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
         if (status == ILU_OK
             && !block_inverse(w + nl * stride, ld, inv_diag + i * bsq, bs))
             status = i;
+        if (inv32)
+            for (long long e = 0; e < bsq; ++e)
+                inv32[i * bsq + e] = (float)inv_diag[i * bsq + e];
         for (long long t = 0; t < nl; ++t)
-            for (long long c = 0; c < bs; ++c)
-                memcpy(l_data + (ls + t) * bsq + c * bs,
-                       w + t * stride + c * ld, (size_t)bs * sizeof *w);
+            for (long long c = 0; c < bs; ++c) {
+                const double *src = w + t * stride + c * ld;
+                if (l32)
+                    for (long long r = 0; r < bs; ++r)
+                        l32[(ls + t) * bsq + c * bs + r] = (float)src[r];
+                else
+                    memcpy(l_data + (ls + t) * bsq + c * bs, src,
+                           (size_t)bs * sizeof *w);
+            }
         for (long long t = 0; t < nu; ++t)
             for (long long c = 0; c < bs; ++c)
                 memcpy(u_data + (us + t) * bsq + c * bs,
                        w + (nl + 1 + t) * stride + c * ld,
                        (size_t)bs * sizeof *w);
+        if (u32)
+            for (long long e = us * bsq; e < (us + nu) * bsq; ++e)
+                u32[e] = (float)u_data[e];
         for (long long t = 0; t < nl; ++t)
             pos[l_indices[ls + t]] = -1;
         pos[i] = -1;
@@ -775,20 +815,22 @@ ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
     return status;
 }
 
-/* w holds the widest row at the widest padding: width * bs * ld
- * doubles, ld bs rounded up to a multiple of 8 lanes.  The Euler
- * Jacobians' block sizes run with bs a constant. */
-long long ilu_numeric_f64(long long n, long long bs,
+/* ilu_rows with bs and ld constants for the Euler Jacobians' block
+ * sizes; w holds the widest row at the widest padding: width * bs * ld
+ * doubles, ld bs rounded up to a multiple of 8 lanes. */
+ALWAYS_INLINE long long ilu_numeric(long long n, long long bs,
     const long long *l_indptr, const long long *l_indices,
     const long long *u_indptr, const long long *u_indices,
     const long long *a_indptr, const long long *a_indices,
+    const long long *a_slots, long long a_nblocks,
     const double *a_data, double *l_data, double *u_data,
-    double *inv_diag, long long *pos, double *w)
+    double *inv_diag, float *l32, float *u32, float *inv32,
+    long long *pos, double *w)
 {
 #define ILU_ROWS(BS, LD)                                                \
     ilu_rows(n, BS, LD, l_indptr, l_indices, u_indptr, u_indices,       \
-             a_indptr, a_indices, a_data, l_data, u_data, inv_diag,     \
-             pos, w)
+             a_indptr, a_indices, a_slots, a_nblocks, a_data, l_data,   \
+             u_data, inv_diag, l32, u32, inv32, pos, w)
     if (bs == 5)
         return ILU_ROWS(5, 8);
     if (bs == 4)
@@ -799,6 +841,35 @@ long long ilu_numeric_f64(long long n, long long bs,
         return ILU_ROWS(bs, 4);
     return ILU_ROWS(bs, (bs + 7) / 8 * 8);
 #undef ILU_ROWS
+}
+
+long long ilu_numeric_f64(long long n, long long bs,
+    const long long *l_indptr, const long long *l_indices,
+    const long long *u_indptr, const long long *u_indices,
+    const long long *a_indptr, const long long *a_indices,
+    const long long *a_slots, long long a_nblocks,
+    const double *a_data, double *l_data, double *u_data,
+    double *inv_diag, long long *pos, double *w)
+{
+    return ilu_numeric(n, bs, l_indptr, l_indices, u_indptr, u_indices,
+                       a_indptr, a_indices, a_slots, a_nblocks, a_data,
+                       l_data, u_data, inv_diag, NULL, NULL, NULL, pos, w);
+}
+
+/* float32 storage: scratch holds U's float64 blocks, then the pivot
+ * inverses', (u_indptr[n] + n) * bs * bs doubles. */
+long long ilu_numeric_f32(long long n, long long bs,
+    const long long *l_indptr, const long long *l_indices,
+    const long long *u_indptr, const long long *u_indices,
+    const long long *a_indptr, const long long *a_indices,
+    const long long *a_slots, long long a_nblocks,
+    const double *a_data, float *l_data, float *u_data,
+    float *inv_diag, double *scratch, long long *pos, double *w)
+{
+    return ilu_numeric(n, bs, l_indptr, l_indices, u_indptr, u_indices,
+                       a_indptr, a_indices, a_slots, a_nblocks, a_data,
+                       NULL, scratch, scratch + u_indptr[n] * bs * bs,
+                       l_data, u_data, inv_diag, pos, w);
 }
 
 /* ---- Rusanov face flux over a block of edges ----------------------

@@ -36,20 +36,32 @@ def _principal_slots(a: CSRMatrix | BSRMatrix, rows: np.ndarray):
     return indptr, key % n, keep[order]
 
 
-def _cut(a: CSRMatrix | BSRMatrix, rows: np.ndarray, indptr, indices,
-         slots) -> CSRMatrix | BSRMatrix:
-    """The principal submatrix of ``a`` on ``rows`` from its
+def _cut(a: CSRMatrix, rows: np.ndarray, indptr, indices,
+         slots) -> CSRMatrix:
+    """The principal submatrix of the scalar ``a`` on ``rows`` from its
     :func:`_principal_slots`: the entries read through ``slots`` — in
     float64, as the extraction converts them — bitwise
     ``a.submatrix(rows)``, which runs when ``slots`` is None."""
     if slots is None:
         return a.submatrix(rows)
-    data = np.asarray(a.data[slots], dtype=np.float64)
-    if isinstance(a, BSRMatrix):
-        return BSRMatrix(indptr=indptr, indices=indices, data=data,
-                         nbcols=rows.size, engine=a.engine)
-    return CSRMatrix(indptr=indptr, indices=indices, data=data,
+    return CSRMatrix(indptr=indptr, indices=indices,
+                     data=np.asarray(a.data[slots], dtype=np.float64),
                      ncols=rows.size)
+
+
+def _factor(a: CSRMatrix | BSRMatrix, rows: np.ndarray, indptr, indices,
+            slots, **kw) -> ILUFactorCSR | ILUFactorBSR:
+    """ILU of the principal submatrix of ``a`` on ``rows`` (``kw`` as
+    :func:`~repro.sparse.ilu.ilu_bsr` takes them): a block submatrix is
+    read through its slot map in place, a scalar one is cut first
+    (:func:`_cut`), and either is extracted where ``slots`` is None.
+    The factor functions are this module's globals, looked up at call
+    time, so a wrapper installed on the module sees every call."""
+    if not isinstance(a, BSRMatrix):
+        return ilu_csr(_cut(a, rows, indptr, indices, slots), **kw)
+    if slots is None:
+        return ilu_bsr(a.submatrix(rows), **kw)
+    return ilu_bsr(a, slots=(indptr, indices, slots), **kw)
 
 
 def _elements(rows: np.ndarray, bs: int) -> np.ndarray:
@@ -71,9 +83,10 @@ class SubdomainSolver:
 
     ``slots`` are the positions in ``a.data`` of the submatrix's
     entries, in submatrix order, beside its ``sub_indptr`` /
-    ``sub_indices``: a refresh reads the new values through them
-    instead of extracting the submatrix again.  None when ``a`` stores
-    two entries at one position, and the refresh extracts.
+    ``sub_indices``: the factorisation, cold or refresh, reads the
+    values through them instead of extracting the submatrix — a block
+    matrix's in place, with no copy.  None when ``a`` stores two
+    entries at one position, and every factorisation extracts.
 
     ``flat`` and ``owned_flat`` are ``rows`` and the owned ones among
     them as element indices of the global vector, and
@@ -98,38 +111,33 @@ class SubdomainSolver:
               owned: np.ndarray, fill_level: int,
               storage_dtype=np.float64,
               engine: str = "numpy") -> "SubdomainSolver":
-        """Cut the overlapped submatrix of ``a`` on ``rows`` (``owned``
-        flags the core rows) and factor it, symbolic phase included."""
+        """Factor the overlapped submatrix of ``a`` on ``rows``
+        (``owned`` flags the core rows), symbolic phase included, read
+        through its slot map (:func:`_factor`)."""
         rows = np.asarray(rows, dtype=np.int64)
         owned_local = np.flatnonzero(owned)
         sub_indptr, sub_indices, slots = (_principal_slots(a, rows)
                                           or (None, None, None))
-        sub = _cut(a, rows, sub_indptr, sub_indices, slots)
-        bsr = isinstance(a, BSRMatrix)
-        ilu = ilu_bsr if bsr else ilu_csr
-        bs = a.bs if bsr else 1
+        bs = a.bs if isinstance(a, BSRMatrix) else 1
         return cls(rows=rows, owned_local=owned_local,
-                   factor=ilu(sub, fill_level, storage_dtype=storage_dtype,
-                              engine=engine),
+                   factor=_factor(a, rows, sub_indptr, sub_indices, slots,
+                                  fill_level=fill_level,
+                                  storage_dtype=storage_dtype,
+                                  engine=engine),
                    sub_indptr=sub_indptr,
                    sub_indices=sub_indices, slots=slots,
                    flat=_elements(rows, bs),
                    owned_flat=_elements(rows[owned_local], bs),
                    owned_local_flat=_elements(owned_local, bs))
 
-    def submatrix(self, a: CSRMatrix | BSRMatrix) -> CSRMatrix | BSRMatrix:
-        """This subdomain's submatrix of ``a``, which must have the
-        sparsity the subdomain was built on (see :func:`_cut`)."""
-        return _cut(a, self.rows, self.sub_indptr, self.sub_indices,
-                    self.slots)
-
     def refactor(self, a: CSRMatrix | BSRMatrix) -> None:
         """Numeric-only refactorisation for a matrix with the sparsity
         the subdomain was built on: reuses its rows, slot map and
         symbolic pattern, and overwrites :attr:`factor`'s arrays in
         place (an exception leaves them partly new)."""
-        ilu = ilu_bsr if isinstance(a, BSRMatrix) else ilu_csr
-        self.factor = ilu(self.submatrix(a), into=self.factor)
+        self.factor = _factor(a, self.rows, self.sub_indptr,
+                              self.sub_indices, self.slots,
+                              into=self.factor)
 
     @property
     def num_rows(self) -> int:

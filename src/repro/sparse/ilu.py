@@ -15,6 +15,10 @@ loop kept as :func:`ilu_symbolic_ref` (which the numpy tier runs); the
 block numeric phase is the reference IKJ row loop in C
 (:func:`repro.kernels.ilu_numeric`) and builds no schedule of any
 kind: the compiled block triangular solves walk rows in natural order.
+It writes the arrays the factor keeps, at their storage precision
+(fp32 values rounded as they are stored, bitwise the fp64 factor's
+``astype``), and reads a principal submatrix through its slot map
+(``slots=``) instead of a copy of it.
 The scalar (AIJ) factor shares the C symbolic phase and has no other
 compiled twin: no solver Jacobian is scalar, so :func:`ilu_csr` and
 :meth:`ILUFactorCSR.solve` always run the numpy tier below.
@@ -414,10 +418,11 @@ def _compiled_solves(factor, backend):
 
 
 def _refill(into, out):
-    """Write a refresh's float64 ``(l_data, u_data, inv_diag)`` into the
-    previous factor ``into``'s own arrays, cast to its storage dtype as
-    a cold set-up's ``astype`` casts (bitwise); arrays the C numeric
-    already wrote in place are skipped.  Returns ``into``."""
+    """Write the numpy numeric's float64 ``(l_data, u_data, inv_diag)``
+    (or the C numeric's fresh ones, for a row-major factor) into the
+    factor ``into``'s own arrays, cast to its storage dtype as
+    ``astype`` casts (bitwise); arrays the C numeric already wrote in
+    place are skipped.  Returns ``into``."""
     for dst, src in zip((into.l_data, into.u_data, into.inv_diag), out):
         if dst is not src:
             np.copyto(dst, src)
@@ -650,47 +655,66 @@ class ILUFactorBSR:
 
 def ilu_bsr(a: BSRMatrix, fill_level: int = 0, storage_dtype=np.float64,
             engine: str = "numpy",
-            into: ILUFactorBSR | None = None) -> ILUFactorBSR:
+            into: ILUFactorBSR | None = None,
+            slots: tuple | None = None) -> ILUFactorBSR:
     """Numeric block ILU(k) of a BSR matrix.
 
     ``engine="compiled"`` runs the C row loop of :func:`ilu_bsr_ref`
-    (bs x bs products and the pivot-block inverse inline, ULP-bounded;
-    the blocks come back column-major) and builds no schedule; where it
+    (bs x bs products and the pivot-block inverse inline, ULP-bounded)
+    into column-major blocks allocated at the storage precision, each
+    value rounded as it is stored, and builds no schedule; where it
     declines but a backend is loaded, the numpy numeric's blocks are
-    stored column-major too.
+    cast into that storage.
     The numpy tier follows the plan of :func:`ilu_csr` with scalars
     replaced by ``bs x bs`` blocks:
     divisions become GEMMs against the pivot-block inverses
     (``np.matmul`` over stacked blocks) and diagonal inversions are
     batched per dependency level.
 
+    ``slots`` is ``(indptr, indices, slots)`` of a principal submatrix
+    of ``a`` (:func:`repro.precond.subdomain._principal_slots`): that
+    submatrix is factored, its entry ``t`` read as ``a.data[slots[t]]``
+    in place, bitwise the factor of the extracted submatrix.
+
     ``into`` refreshes a previous factor in place, as in
-    :func:`ilu_csr`: the C numeric writes straight into an fp64
-    factor's column-major buffers; an fp32 factor (or a row-major one)
+    :func:`ilu_csr`: the C numeric writes straight into a compiled
+    factor's column-major buffers, fp64 or fp32; a row-major factor
     receives the one float64 result cast into its arrays.
     """
-    arrays = None
+    indptr, indices, data = a.indptr, a.indices, a.data
+    if slots is not None:
+        indptr, indices, slots = slots
+    bs = a.bs
     if into is None:
-        pattern = ilu_symbolic(a.indptr, a.indices, fill_level, engine)
+        pattern = ilu_symbolic(indptr, indices, fill_level, engine)
+        if _kernels.backend_for(engine) is not None:
+            # the compiled trisolves' column-major blocks, allocated
+            # once at the storage precision for the numeric to fill
+            into = ILUFactorBSR(pattern, bs, *(
+                np.empty((m, bs, bs), dtype=storage_dtype).transpose(0, 2, 1)
+                for m in (pattern.l_indices.size, pattern.u_indices.size,
+                          pattern.n)), engine=engine)
     else:
         pattern, engine = into.pattern, into.engine
+    arrays = None
+    if into is not None:
         arrays = (into.l_data, into.u_data, into.inv_diag)
         # C solves prepared on a row-major factor read a column-major
         # copy (repro.kernels.trisolver), which the refresh would leave
         # stale; a column-major factor's read its arrays in place
         if not all(x.transpose(0, 2, 1).flags.c_contiguous for x in arrays):
             into._solves = None
-    bs = a.bs
-    out = (_kernels.ilu_numeric(pattern, a.indptr, a.indices, a.data,
-                                engine, out=arrays)
+    out = (_kernels.ilu_numeric(pattern, indptr, indices, data, engine,
+                                out=arrays, slots=slots)
            if engine != "numpy" else None)
     levels = None
     if out is None:
-        sched = _schedule_for(pattern, a.indptr, a.indices)
+        sched = _schedule_for(pattern, indptr, indices)
         off_d, off_u = sched.off_diag, sched.off_upper
         w = np.zeros((sched.nnzl + sched.n + sched.nnzu, bs, bs),
                      dtype=np.float64)
-        w[sched.a_dst] = a.data[sched.a_src]
+        w[sched.a_dst] = data[sched.a_src if slots is None
+                              else slots[sched.a_src]]
         inv_diag = np.empty((sched.n, bs, bs), dtype=np.float64)
         if sched.pre_check.size:
             inv_diag[sched.pre_check] = np.linalg.inv(
@@ -710,10 +734,6 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0, storage_dtype=np.float64,
         levels = (sched.l_solve, sched.u_solve)
         if into is None:
             out = (out[0].copy(), out[1].copy(), inv_diag)
-            if _kernels.backend_for(engine) is not None:
-                # the compiled trisolves' column-major blocks, made once
-                out = tuple(np.ascontiguousarray(x.transpose(0, 2, 1))
-                            .transpose(0, 2, 1) for x in out)
     if into is not None:
         return _refill(into, out)
     factor = ILUFactorBSR(pattern, bs, *out, engine=engine,

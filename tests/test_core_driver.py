@@ -2,6 +2,7 @@
 
 import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -316,3 +317,31 @@ class TestNoReferenceCycles:
                     raise ticket.error
                 assert ticket.report is not None
         assert self._pinned(_cyclic_garbage(request)) == []
+
+
+class TestPreviousJacobianFreed:
+    """A refresh drops every reference to the previous Jacobian — the
+    solver's attribute, the loop's own name and the Krylov operator —
+    before it assembles the next, so two are never alive at once."""
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    @pytest.mark.parametrize("executor", ["local", "seq"])
+    def test_previous_jacobian_is_dead_at_each_assembly(self, executor,
+                                                        matrix_free):
+        prob = wing_problem(7, 5, 4, compressible=True, second_order=False)
+        assemble = prob.disc.shifted_jacobian
+        previous, alive = [], []
+
+        def shifted_jacobian(q, cfl):
+            alive.append(sum(ref() is not None for ref in previous))
+            jac = assemble(q, cfl)
+            previous.append(weakref.ref(jac))
+            return jac
+
+        prob.disc.shifted_jacobian = shifted_jacobian
+        NKSSolver(prob.disc, SolverConfig(
+            jacobian_lag=1, max_steps=4, matrix_free=matrix_free,
+            executor=executor, precond=PreconditionerConfig(nparts=2))) \
+            .solve(prob.initial.flat())
+        assert len(alive) >= 2
+        assert alive == [0] * len(alive)

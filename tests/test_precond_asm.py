@@ -298,9 +298,18 @@ class TestRefresh:
         """A zero row that only the last subdomain holds fails its pivot
         after the others were refreshed in place: the instance is left
         empty, not half new, and its next set-up is a cold one."""
+        self._fail_a_refresh(wing, engine, csr, np.float64)
+
+    @pytest.mark.parametrize("engine", ["numpy", "compiled"])
+    def test_failed_fp32_refresh_leaves_no_factor(self, wing, engine):
+        """The same with fp32 factors, which the C numeric fills
+        through its float64 scratch."""
+        self._fail_a_refresh(wing, engine, False, np.float32)
+
+    def _fail_a_refresh(self, wing, engine, csr, storage):
         prob, q, labels = wing
         a1, a2, labels = _two_jacobians(prob, q, labels, csr)
-        pc = self._cold(labels, a1, engine)
+        pc = self._cold(labels, a1, engine, storage)
         others = np.concatenate([sd.rows for sd in pc.subdomains[:-1]])
         row = np.setdiff1d(pc.subdomains[-1].rows, others)[0]
         bad = replace(a2, data=a2.data.copy())
@@ -313,7 +322,8 @@ class TestRefresh:
             pc.solve(r)
         pc.setup(a2)
         assert np.array_equal(pc.solve(r),
-                              self._cold(labels, a2, engine).solve(r))
+                              self._cold(labels, a2, engine,
+                                         storage).solve(r))
 
     @pytest.fixture(scope="class")
     def eight_parts(self):
@@ -368,10 +378,10 @@ class TestRefresh:
             a, labels = a.to_csr(), np.repeat(labels, prob.disc.ncomp)
         for sd in self._cold(labels, a, "numpy").subdomains:
             assert sd.slots is not None
-            got, ref = sd.submatrix(a), a.submatrix(sd.rows)
-            assert np.array_equal(got.indptr, ref.indptr)
-            assert np.array_equal(got.indices, ref.indices)
-            assert np.array_equal(got.data, ref.data)
+            ref = a.submatrix(sd.rows)
+            assert np.array_equal(sd.sub_indptr, ref.indptr)
+            assert np.array_equal(sd.sub_indices, ref.indices)
+            assert np.array_equal(a.data[sd.slots], ref.data)
 
     def test_duplicate_entries_fall_back_to_extraction(self, wing):
         """``submatrix`` sums blocks stored twice; a slot map cannot, so
@@ -389,6 +399,35 @@ class TestRefresh:
         r = np.random.default_rng(9).standard_normal(a.shape[0])
         assert np.array_equal(pc.solve(r),
                               self._cold(labels, dup, "numpy").solve(r))
+
+
+    @pytest.mark.parametrize("storage", [np.float64, np.float32])
+    def test_duplicate_entries_extract_on_the_compiled_tier(self, wing,
+                                                            storage):
+        """Without a slot map the compiled numeric factors the extracted
+        submatrix, cold and on a refresh in place."""
+        prob, q, labels = wing
+        a = prob.disc.shifted_jacobian(q, 10.0)
+        k = a.indptr[1]
+        dup = BSRMatrix(
+            indptr=np.concatenate([[0], a.indptr[1:] + 1]),
+            indices=np.insert(a.indices, k, a.indices[0]),
+            data=np.insert(a.data, k, a.data[0], axis=0), nbcols=a.nbcols)
+        pc = self._cold(labels, dup, "compiled", storage)
+        assert any(sd.slots is None for sd in pc.subdomains)
+        before = [_factor_arrays(sd.factor) for sd in pc.subdomains]
+        pc.setup(dup)
+        for sd, arrays in zip(pc.subdomains, before, strict=True):
+            assert all(map(np.shares_memory, _factor_arrays(sd.factor),
+                           arrays))
+        # the same matrix stored once: its block 0 is the sum, 2 x,
+        # and its subdomains read it through their slot maps
+        summed = replace(a, data=a.data.copy())
+        summed.data[0] *= 2.0
+        want = self._cold(labels, summed, "compiled", storage)
+        assert all(sd.slots is not None for sd in want.subdomains)
+        r = np.random.default_rng(9).standard_normal(a.shape[0])
+        assert np.array_equal(pc.solve(r), want.solve(r))
 
 
 def _reference_apply(pc, r, **change):

@@ -321,12 +321,85 @@ class TestCompiledNumeric:
             assert normwise_eps(getattr(got, name),
                                 getattr(want, name)) <= FACTOR_EPS, name
 
-    def test_fp32_storage_is_the_cast_fp64_factor(self):
-        a = random_bsr(12, 5, 0.3, 1)
-        f64 = ilu_bsr(a, 2, engine="compiled")
-        f32 = ilu_bsr(a, 2, engine="compiled", storage_dtype=np.float32)
-        assert f32.storage_dtype == np.float32
-        assert np.array_equal(f32.u_data, f64.u_data.astype(np.float32))
+
+def _same_bytes(got, want):
+    """Same dtype, same memory layout, same bytes."""
+    return (got.dtype == want.dtype and got.strides == want.strides
+            and np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(want).tobytes())
+
+
+def _factor_arrays(f):
+    return f.l_data, f.u_data, f.inv_diag
+
+
+class TestDirectStorage:
+    """The block numeric writes the factor it keeps: fp32 storage is
+    filled value by value, and a principal submatrix is read through
+    its slot map — each bitwise the two-step path it replaces."""
+
+    @staticmethod
+    def _pair(bs):
+        a1 = random_bsr(18, bs, 0.3, bs)
+        a2 = replace(a1, data=a1.data * (1.0 + 0.1 * np.random.default_rng(
+            bs).standard_normal(a1.data.shape)))
+        return a1, a2
+
+    @pytest.mark.parametrize("bs", [3, 4, 5])
+    @pytest.mark.parametrize("engine", ["numpy", "compiled"])
+    def test_fp32_factor_is_the_cast_fp64_factor(self, engine, bs):
+        """Cold and refreshed in place: every array has the bytes and
+        layout of the fp64 factor's ``astype``."""
+        a1, a2 = self._pair(bs)
+        f32 = ilu_bsr(a1, 2, storage_dtype=np.float32, engine=engine)
+        for a in (a1, a2):
+            if a is a2:
+                arrays = _factor_arrays(f32)
+                assert ilu_bsr(a2, into=f32) is f32
+                assert all(map(np.shares_memory, _factor_arrays(f32),
+                               arrays))
+            want = ilu_bsr(a, 2, engine=engine)
+            for got, ref in zip(_factor_arrays(f32), _factor_arrays(want)):
+                assert _same_bytes(got, ref.astype(np.float32))
+
+    @pytest.mark.parametrize("storage", [np.float64, np.float32])
+    @pytest.mark.parametrize("engine", ["numpy", "compiled"])
+    def test_slot_gathered_factor_is_the_extracted_one(self, engine,
+                                                       storage):
+        """A principal submatrix factored through its slots, cold and
+        refreshed in place, is bitwise the factor of the extracted
+        submatrix."""
+        from repro.precond.subdomain import _principal_slots
+        a1, a2 = self._pair(5)
+        rows = np.flatnonzero(np.arange(a1.nbrows) % 3 != 1)
+        cut = _principal_slots(a1, rows)
+        got = ilu_bsr(a1, 2, storage, engine, slots=cut)
+        for a in (a1, a2):
+            if a is a2:
+                assert ilu_bsr(a2, into=got, slots=cut) is got
+            want = ilu_bsr(a.submatrix(rows), 2, storage, engine)
+            for x, y in zip(_factor_arrays(got), _factor_arrays(want)):
+                assert _same_bytes(x, y)
+
+    @pytest.mark.parametrize("bad", [-1, "past_end"])
+    def test_slot_out_of_range_declines(self, bad):
+        """A slot outside A's blocks makes the C kernel decline (it
+        checks each before it reads through it), and the numpy path
+        reads it as numpy indexes: one past the end raises."""
+        from repro import kernels
+        from repro.precond.subdomain import _principal_slots
+        a = random_bsr(12, 4, 0.3, 2)
+        rows = np.arange(1, a.nbrows)
+        indptr, indices, slots = _principal_slots(a, rows)
+        good = ilu_bsr(a, 1, engine="compiled",
+                       slots=(indptr, indices, slots))
+        slots = slots.copy()
+        slots[indptr[3]] = -1 if bad == -1 else a.nnzb
+        assert kernels.ilu_numeric(good.pattern, indptr, indices, a.data,
+                                   "compiled", slots=slots) is None
+        if bad == "past_end":
+            with pytest.raises(IndexError):
+                ilu_bsr(a, into=good, slots=(indptr, indices, slots))
 
 
 def _level_order_solve(factor, b):
