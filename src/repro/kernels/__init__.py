@@ -76,7 +76,8 @@ MAX_BS = 32
 
 #: Status codes of the ILU kernels (the ``ILU_*`` enum of the C source):
 #: success, an A column outside ``[0, n)``; a status >= 0 is the row
-#: whose pivot is zero or singular, any other an output buffer full.
+#: whose pivot is zero or singular, ``ILU_BAD_SLOT`` (-5) a slot outside
+#: A's blocks, any other an output buffer full.
 ILU_OK, ILU_BAD_COLUMN = -1, -2
 
 #: Flux families the edge kernels compile: model -> (ncomp, the suffix
@@ -318,7 +319,8 @@ def ilu_numeric(pattern, indptr, indices, data, engine, out=None,
                 slots=None):
     """Numeric ILU of a BSR matrix (``data`` of shape ``(nnz, bs, bs)``)
     on the symbolic ``pattern`` (an :class:`~repro.sparse.ilu.
-    ILUPattern`): ``(l_data, u_data, inv_diag)`` in float64, the IKJ
+    ILUPattern`): ``(l_data, u_data, inv_diag)`` in float64, or in
+    ``out``'s own storage dtype where it writes them in place, the IKJ
     arithmetic of ``ilu_bsr_ref``, ULP-bounded.
 
     ``slots`` (one per entry of ``indices``) makes entry ``t`` the block

@@ -731,8 +731,10 @@ static int block_inverse(double *d, long long ld, double *inv, long long bs)
  * the pivot inverses, which later rows read, are kept in float64 in
  * u_data / inv_diag and cast to u32 / inv32.  Returns ILU_OK,
  * ILU_BAD_COLUMN for a column of A outside [0, n) or ILU_BAD_SLOT for
- * a slot outside [0, a_nblocks) (both checked before they are used),
- * or the row whose pivot block is singular. */
+ * a slot outside [0, a_nblocks) (both checked before they are used;
+ * the call then returns at once, storing nothing of that row and
+ * leaving its marks in pos), or the row whose pivot block is
+ * singular. */
 ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
     const long long *l_indptr, const long long *l_indices,
     const long long *u_indptr, const long long *u_indices,
@@ -769,7 +771,9 @@ ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
                     for (long long j = 0; j < bs; ++j)
                         w[p * stride + j * ld + r] = a_data[b * bsq + r * bs + j];
         }
-        for (long long t = 0; t < nl && status == ILU_OK; ++t) {
+        if (status != ILU_OK)
+            break;
+        for (long long t = 0; t < nl; ++t) {
             long long k = l_indices[ls + t];
             double *lik = w + t * stride;
             if (ld == 4) {
@@ -782,8 +786,7 @@ ALWAYS_INLINE long long ilu_rows(long long n, long long bs, long long ld,
                                  pos, w);
             }
         }
-        if (status == ILU_OK
-            && !block_inverse(w + nl * stride, ld, inv_diag + i * bsq, bs))
+        if (!block_inverse(w + nl * stride, ld, inv_diag + i * bsq, bs))
             status = i;
         if (inv32)
             for (long long e = 0; e < bsq; ++e)

@@ -659,12 +659,14 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0, storage_dtype=np.float64,
             slots: tuple | None = None) -> ILUFactorBSR:
     """Numeric block ILU(k) of a BSR matrix.
 
+    A cold call allocates the factor at the storage precision and
+    fills it; a refresh (``into``) fills the factor it is given.
     ``engine="compiled"`` runs the C row loop of :func:`ilu_bsr_ref`
     (bs x bs products and the pivot-block inverse inline, ULP-bounded)
-    into column-major blocks allocated at the storage precision, each
-    value rounded as it is stored, and builds no schedule; where it
-    declines but a backend is loaded, the numpy numeric's blocks are
-    cast into that storage.
+    into column-major blocks, each value rounded as it is stored, and
+    builds no schedule; where it declines, or on the numpy tier, the
+    numpy numeric's float64 blocks are cast into the factor's arrays
+    as ``astype`` casts them (row-major where no backend is loaded).
     The numpy tier follows the plan of :func:`ilu_csr` with scalars
     replaced by ``bs x bs`` blocks:
     divisions become GEMMs against the pivot-block inverses
@@ -674,7 +676,9 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0, storage_dtype=np.float64,
     ``slots`` is ``(indptr, indices, slots)`` of a principal submatrix
     of ``a`` (:func:`repro.precond.subdomain._principal_slots`): that
     submatrix is factored, its entry ``t`` read as ``a.data[slots[t]]``
-    in place, bitwise the factor of the extracted submatrix.
+    in place, bitwise the factor of the extracted submatrix.  A slot
+    outside ``[0, a.nnzb)`` raises ``IndexError`` (on the numpy path;
+    the C numeric declines it first).
 
     ``into`` refreshes a previous factor in place, as in
     :func:`ilu_csr`: the C numeric writes straight into a compiled
@@ -685,36 +689,41 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0, storage_dtype=np.float64,
     if slots is not None:
         indptr, indices, slots = slots
     bs = a.bs
-    if into is None:
+    cold = into is None
+    if cold:
         pattern = ilu_symbolic(indptr, indices, fill_level, engine)
-        if _kernels.backend_for(engine) is not None:
-            # the compiled trisolves' column-major blocks, allocated
-            # once at the storage precision for the numeric to fill
-            into = ILUFactorBSR(pattern, bs, *(
-                np.empty((m, bs, bs), dtype=storage_dtype).transpose(0, 2, 1)
-                for m in (pattern.l_indices.size, pattern.u_indices.size,
-                          pattern.n)), engine=engine)
+        # allocated once at the storage precision for the numeric to
+        # fill: column-major blocks where the compiled trisolves read
+        order = ((0, 2, 1) if _kernels.backend_for(engine) is not None
+                 else (0, 1, 2))
+        into = ILUFactorBSR(pattern, bs, *(
+            np.empty((m, bs, bs), dtype=storage_dtype).transpose(order)
+            for m in (pattern.l_indices.size, pattern.u_indices.size,
+                      pattern.n)), engine=engine)
     else:
         pattern, engine = into.pattern, into.engine
-    arrays = None
-    if into is not None:
-        arrays = (into.l_data, into.u_data, into.inv_diag)
-        # C solves prepared on a row-major factor read a column-major
-        # copy (repro.kernels.trisolver), which the refresh would leave
-        # stale; a column-major factor's read its arrays in place
-        if not all(x.transpose(0, 2, 1).flags.c_contiguous for x in arrays):
-            into._solves = None
+    arrays = (into.l_data, into.u_data, into.inv_diag)
+    # C solves prepared on a row-major factor read a column-major copy
+    # (repro.kernels.trisolver), which the refresh would leave stale; a
+    # column-major factor's read its arrays in place
+    if not all(x.transpose(0, 2, 1).flags.c_contiguous for x in arrays):
+        into._solves = None
     out = (_kernels.ilu_numeric(pattern, indptr, indices, data, engine,
                                 out=arrays, slots=slots)
            if engine != "numpy" else None)
-    levels = None
     if out is None:
         sched = _schedule_for(pattern, indptr, indices)
         off_d, off_u = sched.off_diag, sched.off_upper
         w = np.zeros((sched.nnzl + sched.n + sched.nnzu, bs, bs),
                      dtype=np.float64)
-        w[sched.a_dst] = data[sched.a_src if slots is None
-                              else slots[sched.a_src]]
+        if slots is None:
+            w[sched.a_dst] = data[sched.a_src]
+        else:
+            src = slots[sched.a_src]
+            if src.size and src.min() < 0:
+                # numpy indexing would wrap it round to A's last blocks
+                raise IndexError(f"slot {src.min()} outside A's blocks")
+            w[sched.a_dst] = data[src]
         inv_diag = np.empty((sched.n, bs, bs), dtype=np.float64)
         if sched.pre_check.size:
             inv_diag[sched.pre_check] = np.linalg.inv(
@@ -731,16 +740,9 @@ def ilu_bsr(a: BSRMatrix, fill_level: int = 0, storage_dtype=np.float64,
                 inv_diag[st.check_rows] = np.linalg.inv(
                     w[off_d + st.check_rows])
         out = (w[:off_d], w[off_u:], inv_diag)
-        levels = (sched.l_solve, sched.u_solve)
-        if into is None:
-            out = (out[0].copy(), out[1].copy(), inv_diag)
-    if into is not None:
-        return _refill(into, out)
-    factor = ILUFactorBSR(pattern, bs, *out, engine=engine,
-                          solve_levels=levels)
-    if np.dtype(storage_dtype) != np.float64:
-        factor = factor.astype_storage(storage_dtype)
-    return factor
+        if cold:
+            into.solve_levels = (sched.l_solve, sched.u_solve)
+    return _refill(into, out)
 
 
 def ilu_bsr_ref(a: BSRMatrix, fill_level: int = 0,

@@ -321,6 +321,13 @@ class TestCompiledNumeric:
             assert normwise_eps(getattr(got, name),
                                 getattr(want, name)) <= FACTOR_EPS, name
 
+    def test_fp32_storage_is_the_cast_fp64_factor(self):
+        a = random_bsr(12, 5, 0.3, 1)
+        f64 = ilu_bsr(a, 2, engine="compiled")
+        f32 = ilu_bsr(a, 2, engine="compiled", storage_dtype=np.float32)
+        assert f32.storage_dtype == np.float32
+        assert np.array_equal(f32.u_data, f64.u_data.astype(np.float32))
+
 
 def _same_bytes(got, want):
     """Same dtype, same memory layout, same bytes."""
@@ -385,7 +392,8 @@ class TestDirectStorage:
     def test_slot_out_of_range_declines(self, bad):
         """A slot outside A's blocks makes the C kernel decline (it
         checks each before it reads through it), and the numpy path
-        reads it as numpy indexes: one past the end raises."""
+        raises ``IndexError``: a negative slot too, which numpy
+        indexing alone would wrap round to A's last blocks."""
         from repro import kernels
         from repro.precond.subdomain import _principal_slots
         a = random_bsr(12, 4, 0.3, 2)
@@ -397,9 +405,8 @@ class TestDirectStorage:
         slots[indptr[3]] = -1 if bad == -1 else a.nnzb
         assert kernels.ilu_numeric(good.pattern, indptr, indices, a.data,
                                    "compiled", slots=slots) is None
-        if bad == "past_end":
-            with pytest.raises(IndexError):
-                ilu_bsr(a, into=good, slots=(indptr, indices, slots))
+        with pytest.raises(IndexError):
+            ilu_bsr(a, into=good, slots=(indptr, indices, slots))
 
 
 def _level_order_solve(factor, b):
