@@ -178,7 +178,8 @@ class NKSSolver:
         if cfg.nparts == 1:
             return np.zeros(n, dtype=np.int64)
         return kway_partition(self.disc.mesh.vertex_graph(), cfg.nparts,
-                              seed=self.config.seed)
+                              seed=self.config.seed,
+                              engine=self.config.engine)
 
     @property
     def partition_labels(self) -> np.ndarray:

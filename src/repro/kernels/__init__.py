@@ -3,12 +3,16 @@
 The paper's hot paths — block ILU set-up and triangular solves,
 flux-residual scatter, block SpMV, first-order Jacobian assembly — are
 kernels whose numpy formulations pay for gather/scatter index arrays
-and multi-pass temporaries.  This package provides compiled twins (a
-cffi-compiled C library) selected by the ``engine="compiled"`` knob —
-the default of :class:`repro.core.SolverConfig` — that the solver
-threads through the discretisation, preconditioners, and SPMD
-executors.  Only kernels a solve runs have a twin: the scalar (AIJ)
-matrices, Table 1's traced baseline, keep their numpy kernels alone.
+and multi-pass temporaries; the k-way partitioner that every solver
+runs in its constructor pays for Python loops over vertices (its
+heavy-edge matching, contraction, FM refinement and contiguity repair
+are twinned here; its region growing stays numpy).  This package
+provides compiled twins (a cffi-compiled C library) selected by the
+``engine="compiled"`` knob — the default of
+:class:`repro.core.SolverConfig` — that the solver threads through the
+partitioner, the discretisation, preconditioners, and SPMD executors.
+Only kernels a solve runs have a twin: the scalar (AIJ) matrices,
+Table 1's traced baseline, keep their numpy kernels alone.
 Each function below is the whole Python side of its C kernel: it
 checks the operands, allocates the outputs, makes the C call through
 :class:`~repro.kernels.cbackend.CBackend` (the loaded library) and
@@ -18,7 +22,8 @@ Contract:
 
 * the numpy implementation is always retained and is the oracle —
   the scatter kernels, the Green-Gauss gradients, the Jacobian
-  assembly and the boundary closure match it **bitwise**, block
+  assembly and the boundary closure match it **bitwise**, the
+  partitioner's phases label for label, block
   kernels and the fused flux
   kernels within a few **ULP** (``np.einsum`` uses SIMD pairwise
   summation the compiled loops do not replicate portably);
@@ -50,7 +55,9 @@ __all__ = ["backend_for", "resolve_engine",
            "spmv_bsr", "gather_spmv_bsr", "seq_matvec_bsr", "trisolver",
            "rusanov_jacobian_scatter", "boundary_closure",
            "rusanov_scatter", "green_gauss",
-           "muscl_rusanov_scatter", "ilu_symbolic", "ilu_numeric"]
+           "muscl_rusanov_scatter", "ilu_symbolic", "ilu_numeric",
+           "heavy_edge_matching", "contract_graph", "fm_refine",
+           "repair_contiguity"]
 
 #: Compiled kernel -> dotted path(s) of the numpy oracle it must match.
 __oracles__ = {
@@ -68,6 +75,10 @@ __oracles__ = {
     "green_gauss": "repro.euler.reconstruction.green_gauss_gradients",
     "muscl_rusanov_scatter":
         "repro.euler.reconstruction.reconstruct_edge_states",
+    "heavy_edge_matching": "repro.partition.coarsen.heavy_edge_matching_ref",
+    "contract_graph": "repro.partition.coarsen.contract_graph_ref",
+    "fm_refine": "repro.partition.refine.fm_refine_ref",
+    "repair_contiguity": "repro.partition.refine.repair_contiguity_ref",
 }
 
 #: Block-size cap of the compiled BSR kernels (the C source's MAX_BS:
@@ -614,3 +625,120 @@ def rusanov_jacobian_scatter(e0, e1, ij_slots, ji_slots, q, s, nnzb, model,
     np.subtract(acc_a, acc_b, out=acc_a)
     np.add(lam_a, lam_b, out=lam_a)
     return data, acc_a, lam_a
+
+
+# ----------------------------------------------------------------------
+# the multilevel k-way partitioner: each phase bitwise its numpy twin in
+# repro.partition, a label per vertex; None, with nothing changed, on an
+# adjacency entry, label or partner out of range
+# ----------------------------------------------------------------------
+
+def _graph_ok(xadj, adjncy, vwgt, ewgt) -> bool:
+    """A CSR graph a C row loop can trust, one weight per vertex and one
+    per adjacency entry."""
+    return (_csr_structure_ok(xadj, adjncy.size)
+            and vwgt.shape == (xadj.size - 1,)
+            and ewgt.shape == adjncy.shape)
+
+
+def heavy_edge_matching(xadj, adjncy, ewgt, order, engine):
+    """Heavy-edge matching in the visit ``order`` (a permutation of the
+    vertices, drawn by the caller): ``match`` with ``match[v]`` the
+    partner of ``v``, or ``v``.  Each unmatched vertex takes its
+    unmatched neighbour of heaviest edge, the first in its adjacency on
+    a tie, as ``np.argmax`` does.  None for the numpy path."""
+    backend = backend_for(engine)
+    if backend is None:
+        return None
+    xadj, adjncy, ewgt, order = map(_i64, (xadj, adjncy, ewgt, order))
+    n, p = xadj.size - 1, backend.ptr
+    if not (_csr_structure_ok(xadj, adjncy.size)
+            and ewgt.shape == adjncy.shape and order.shape == (n,)):
+        return None
+    match = np.empty(n, dtype=np.int64)
+    bad = backend.lib.hem_match_i64(n, p(xadj), p(adjncy), p(ewgt),
+                                    p(order), p(match, True))
+    return None if bad >= 0 else match
+
+
+def contract_graph(xadj, adjncy, vwgt, ewgt, match, engine):
+    """The coarse graph of a matching: ``(fine_to_coarse, xadj, adjncy,
+    vwgt, ewgt)``, coarse vertices numbered by their lower fine vertex
+    and each coarse row ascending, with vertex and edge weights summed
+    as :func:`repro.graph.graph_from_edges` merges them.  None for the
+    numpy path."""
+    backend = backend_for(engine)
+    if backend is None:
+        return None
+    xadj, adjncy, vwgt, ewgt, match = map(
+        _i64, (xadj, adjncy, vwgt, ewgt, match))
+    n, m, p = xadj.size - 1, adjncy.size, backend.ptr
+    if not _graph_ok(xadj, adjncy, vwgt, ewgt) or match.shape != (n,):
+        return None
+    f2c, nc = np.empty(n, dtype=np.int64), np.empty(1, dtype=np.int64)
+    cxadj, cvwgt = (np.empty(k, dtype=np.int64) for k in (n + 1, n))
+    cadjncy, cewgt = (np.empty(m, dtype=np.int64) for _ in range(2))
+    work = np.empty(5 * n + 2 + 2 * m, dtype=np.int64)
+    bad = backend.lib.contract_i64(
+        n, *map(p, (xadj, adjncy, vwgt, ewgt, match)),
+        *(p(a, True) for a in (f2c, nc, cxadj, cadjncy, cvwgt, cewgt, work)))
+    if bad >= 0:
+        return None
+    nc = int(nc[0])
+    nnz = int(cxadj[nc])
+    return (f2c, cxadj[:nc + 1].copy(), cadjncy[:nnz].copy(),
+            cvwgt[:nc].copy(), cewgt[:nnz].copy())
+
+
+def fm_refine(xadj, adjncy, vwgt, ewgt, labels, nparts, max_passes,
+              strict_balance, cap, engine):
+    """FM refinement of ``labels`` into ``nparts`` parts, up to
+    ``max_passes`` passes under the part-weight bound ``cap`` (or, with
+    ``strict_balance``, only into lighter parts), then, unless strict,
+    the rebalance: the new labels, bitwise
+    :func:`repro.partition.refine.fm_refine_ref`'s (a pass's moves go in
+    descending gain order, vertex then part ascending on a tie, and the
+    rebalance's in ascending loss order likewise).  None for the numpy
+    path."""
+    backend = backend_for(engine)
+    if backend is None:
+        return None
+    xadj, adjncy, vwgt, ewgt = map(_i64, (xadj, adjncy, vwgt, ewgt))
+    labels = np.array(labels, dtype=np.int64)
+    n, nparts, p = xadj.size - 1, int(nparts), backend.ptr
+    if (not _graph_ok(xadj, adjncy, vwgt, ewgt) or labels.shape != (n,)
+            or nparts < 1):
+        return None
+    c = max(adjncy.size, 1)     # candidates: at most one per arc
+    part_w, acc = np.empty(nparts), np.empty(nparts)
+    stamp, touched = (np.empty(nparts, dtype=np.int64) for _ in range(2))
+    cand, key = np.empty(4 * c, dtype=np.int64), np.empty(c)
+    seen = np.empty(n, dtype=np.int64)
+    bad = backend.lib.fm_refine_i64(
+        n, nparts, *map(p, (xadj, adjncy, vwgt, ewgt)), int(max_passes),
+        int(bool(strict_balance)), float(cap),
+        *(p(a, True) for a in (labels, part_w, stamp, touched, acc, cand,
+                               key, seen)))
+    return None if bad >= 0 else labels
+
+
+def repair_contiguity(xadj, adjncy, vwgt, ewgt, labels, nparts, engine):
+    """Contiguity repair of ``labels``: the new labels, bitwise
+    :func:`repro.partition.refine.repair_contiguity_ref`'s (components
+    numbered by their smallest vertex, ties to the lowest component and
+    the lowest part).  None for the numpy path."""
+    backend = backend_for(engine)
+    if backend is None:
+        return None
+    xadj, adjncy, vwgt, ewgt = map(_i64, (xadj, adjncy, vwgt, ewgt))
+    labels = np.array(labels, dtype=np.int64)
+    n, nparts, p = xadj.size - 1, int(nparts), backend.ptr
+    if (not _graph_ok(xadj, adjncy, vwgt, ewgt) or labels.shape != (n,)
+            or nparts < 1):
+        return None
+    work = np.empty(5 * n + 1 + 3 * nparts, dtype=np.int64)
+    dwork = np.empty(n + 2 * nparts)
+    bad = backend.lib.repair_contiguity_i64(
+        n, nparts, *map(p, (xadj, adjncy, vwgt, ewgt)), p(labels, True),
+        p(work, True), p(dwork, True))
+    return None if bad >= 0 else labels

@@ -67,6 +67,13 @@ the equivalence contract is provable, not hoped for:
   ULP-bounded (sequential block products, a Gauss-Jordan pivot inverse
   where the oracle calls LAPACK).  Both check A's column indices
   against ``[0, n)`` and decline on a bad one;
+* the k-way partitioner's matching, contraction, FM refinement and
+  contiguity repair reproduce their numpy phases label for label: the
+  random visit order comes from numpy, every tie goes where the numpy
+  phase sends it (``np.argmax``'s first maximum, a stable sort's
+  candidate order, the lowest component and part), and integer weights
+  sum exactly in doubles; the buffers, scratch included, are the
+  caller's;
 * every matrix kernel is a block (BAIJ) kernel, as PETSc-FUN3D's
   production kernels are: scalar (AIJ) storage is Table 1's baseline,
   priced from memory traces, and no solver Jacobian is one, so the
@@ -186,6 +193,23 @@ long long muscl_rusanov_scatter_comp(long long ne, long long n,
     const long long *e0, const long long *e1, const double *q,
     const double *grad, const double *coords, const double *s,
     int limiter, double gamma, double *out_a, double *out_b);
+long long hem_match_i64(long long n, const long long *xadj,
+    const long long *adjncy, const long long *ewgt, const long long *order,
+    long long *match);
+long long contract_i64(long long n, const long long *xadj,
+    const long long *adjncy, const long long *vwgt, const long long *ewgt,
+    const long long *match, long long *f2c, long long *nc_out,
+    long long *cxadj, long long *cadjncy, long long *cvwgt,
+    long long *cewgt, long long *work);
+long long fm_refine_i64(long long n, long long nparts, const long long *xadj,
+    const long long *adjncy, const long long *vwgt, const long long *ewgt,
+    long long max_passes, long long strict, double cap, long long *labels,
+    double *part_w, long long *stamp, long long *touched, double *acc,
+    long long *cand, double *key, long long *seen);
+long long repair_contiguity_i64(long long n, long long nparts,
+    const long long *xadj, const long long *adjncy, const long long *vwgt,
+    const long long *ewgt, long long *labels, long long *work,
+    double *dwork);
 """
 
 _SOURCE = r"""
@@ -1374,6 +1398,467 @@ long long NAME(long long ne, long long n, const long long *e0,          \
 }
 MUSCL_RUSANOV_SCATTER(muscl_rusanov_scatter_inc, 4, rusanov_face_inc)
 MUSCL_RUSANOV_SCATTER(muscl_rusanov_scatter_comp, 5, rusanov_face_comp)
+
+/* ---- the multilevel k-way partitioner -----------------------------
+ * Twins of repro.partition's numpy phases, label for label: heavy-edge
+ * matching, contraction to the coarse CSR, FM refinement with its
+ * rebalance, and repair_contiguity.  The random draws stay in numpy (a
+ * level's visit order is an argument), and every tie is broken as the
+ * numpy phase breaks it: the first maximum in adjacency order
+ * (np.argmax), the lowest part, the lowest component id, and
+ * candidates in ascending (key, vertex, part) order, the order a
+ * stable argsort gives candidates listed by vertex, then part.  Weights
+ * are integers; where numpy sums them in float64 these sum in double,
+ * exact below 2**53 in any order.  The adjacency is symmetric, as
+ * Graph's contract has it.  Each kernel checks every adjacency entry,
+ * label and partner against its extent before it moves anything and
+ * returns the first offending vertex, else -1. */
+
+/* The first vertex with a neighbour outside [0, n), or a label outside
+ * [0, nparts) when labels is given; -1 when there is none. */
+static long long graph_bad_vertex(long long n, const long long *xadj,
+    const long long *adjncy, const long long *labels, long long nparts)
+{
+    for (long long v = 0; v < n; ++v) {
+        if (labels && !IN_RANGE(labels[v], nparts))
+            return v;
+        for (long long t = xadj[v]; t < xadj[v + 1]; ++t)
+            if (!IN_RANGE(adjncy[t], n))
+                return v;
+    }
+    return -1;
+}
+
+/* Heavy-edge matching: each vertex of order, unless matched already,
+ * takes its unmatched neighbour of heaviest edge, the first such in
+ * its adjacency, or itself. */
+long long hem_match_i64(long long n, const long long *xadj,
+    const long long *adjncy, const long long *ewgt, const long long *order,
+    long long *match)
+{
+    long long bad = graph_bad_vertex(n, xadj, adjncy, NULL, 0);
+    if (bad >= 0)
+        return bad;
+    for (long long k = 0; k < n; ++k) {
+        if (!IN_RANGE(order[k], n))
+            return k;
+        match[k] = -1;
+    }
+    for (long long k = 0; k < n; ++k) {
+        long long v = order[k];
+        if (match[v] >= 0)
+            continue;
+        long long u = -1, wu = 0;
+        for (long long t = xadj[v]; t < xadj[v + 1]; ++t) {
+            long long x = adjncy[t];
+            if (match[x] < 0 && (u < 0 || ewgt[t] > wu)) {
+                u = x;
+                wu = ewgt[t];
+            }
+        }
+        if (u < 0)
+            u = v;
+        match[v] = u;
+        match[u] = v;
+    }
+    return -1;
+}
+
+/* The coarse graph of a matching.  Coarse vertex c is the rank of
+ * min(v, match[v]) among those minima; its row lists each coarse
+ * neighbour once, ascending, weighted by the sum over the fine arcs
+ * from the lower coarse end (graph_from_edges' merge of the arcs with
+ * cs < cd, symmetrised).  cxadj holds n + 1 entries, cadjncy and cewgt
+ * one per fine arc; *nc receives the coarse vertex count.  work: 5 n +
+ * 2 + 2 m longs (m = xadj[n]). */
+long long contract_i64(long long n, const long long *xadj,
+    const long long *adjncy, const long long *vwgt, const long long *ewgt,
+    const long long *match, long long *f2c, long long *nc_out,
+    long long *cxadj, long long *cadjncy, long long *cvwgt,
+    long long *cewgt, long long *work)
+{
+    long long bad = graph_bad_vertex(n, xadj, adjncy, NULL, 0);
+    if (bad >= 0)
+        return bad;
+    long long m = xadj[n];
+    long long *id = work, *start = id + n, *members = start + n + 1;
+    long long *up_ptr = members + n, *acc = up_ptr + n + 1;
+    long long *up_adj = acc + n, *up_w = up_adj + m;
+    for (long long v = 0; v < n; ++v) {
+        if (!IN_RANGE(match[v], n))
+            return v;
+        id[v] = -1;
+    }
+    for (long long v = 0; v < n; ++v)
+        id[match[v] < v ? match[v] : v] = 0;
+    long long nc = 0;
+    for (long long v = 0; v < n; ++v)
+        if (id[v] == 0)
+            id[v] = nc++;
+    for (long long v = 0; v < n; ++v)
+        f2c[v] = id[match[v] < v ? match[v] : v];
+    *nc_out = nc;
+    /* members of each coarse vertex, ascending; coarse weights */
+    for (long long c = 0; c <= nc; ++c)
+        start[c] = 0;
+    for (long long c = 0; c < nc; ++c)
+        cvwgt[c] = 0;
+    for (long long v = 0; v < n; ++v) {
+        ++start[f2c[v] + 1];
+        cvwgt[f2c[v]] += vwgt[v];
+    }
+    for (long long c = 0; c < nc; ++c) {
+        start[c + 1] += start[c];
+        up_ptr[c] = start[c];
+    }
+    for (long long v = 0; v < n; ++v)
+        members[up_ptr[f2c[v]]++] = v;
+    /* each coarse row's neighbours above it, ascending, with weights;
+     * id is the stamp now: id[cd] == c once row c has met cd */
+    for (long long v = 0; v < n; ++v)
+        id[v] = -1;
+    long long nup = 0;
+    for (long long c = 0; c < nc; ++c) {
+        up_ptr[c] = nup;
+        for (long long k = start[c]; k < start[c + 1]; ++k) {
+            long long s = members[k];
+            for (long long t = xadj[s]; t < xadj[s + 1]; ++t) {
+                long long cd = f2c[adjncy[t]];
+                if (cd <= c)
+                    continue;
+                if (id[cd] != c) {
+                    id[cd] = c;
+                    acc[cd] = 0;
+                    /* insertion into the row's ascending list */
+                    long long q = nup++;
+                    for (; q > up_ptr[c] && up_adj[q - 1] > cd; --q)
+                        up_adj[q] = up_adj[q - 1];
+                    up_adj[q] = cd;
+                }
+                acc[cd] += ewgt[t];
+            }
+        }
+        for (long long k = up_ptr[c]; k < nup; ++k)
+            up_w[k] = acc[up_adj[k]];
+    }
+    up_ptr[nc] = nup;
+    /* symmetrise: row c is its neighbours below it (in ascending order
+     * of the rows that list c above them), then those above it */
+    for (long long c = 0; c <= nc; ++c)
+        cxadj[c] = 0;
+    for (long long k = 0; k < nup; ++k)
+        ++cxadj[up_adj[k] + 1];
+    for (long long c = 0; c < nc; ++c) {
+        cxadj[c + 1] += cxadj[c] + (up_ptr[c + 1] - up_ptr[c]);
+        start[c] = cxadj[c];
+    }
+    for (long long c = 0; c < nc; ++c) {
+        for (long long k = up_ptr[c]; k < up_ptr[c + 1]; ++k) {
+            cadjncy[start[c]] = up_adj[k];
+            cewgt[start[c]++] = up_w[k];
+        }
+        for (long long k = up_ptr[c]; k < up_ptr[c + 1]; ++k) {
+            long long d = up_adj[k];
+            cadjncy[start[d]] = c;
+            cewgt[start[d]++] = up_w[k];
+        }
+    }
+    return -1;
+}
+
+/* The edge weight from v to each part its neighbours hold, summed in
+ * adjacency order into acc; each such part once in touched, in order of
+ * first appearance.  stamp[p] == tick marks the parts met this visit. */
+static long long vertex_part_weights(long long v, const long long *xadj,
+    const long long *adjncy, const long long *ewgt, const long long *labels,
+    long long tick, long long *stamp, double *acc, long long *touched)
+{
+    long long nt = 0;
+    for (long long t = xadj[v]; t < xadj[v + 1]; ++t) {
+        long long p = labels[adjncy[t]];
+        if (stamp[p] != tick) {
+            stamp[p] = tick;
+            acc[p] = 0.0;
+            touched[nt++] = p;
+        }
+        acc[p] += (double)ewgt[t];
+    }
+    return nt;
+}
+
+/* Does candidate a come before b: ascending key, then vertex, then
+ * part (no two candidates share a vertex and a part). */
+static inline int cand_before(long long a, long long b, const double *key,
+    const long long *cv, const long long *cp)
+{
+    if (key[a] != key[b])
+        return key[a] < key[b];
+    if (cv[a] != cv[b])
+        return cv[a] < cv[b];
+    return cp[a] < cp[b];
+}
+
+/* idx = 0 .. count-1 in candidate order: a bottom-up merge sort through
+ * tmp (count longs); returns the array holding the result. */
+static long long *sort_candidates(long long count, const double *key,
+    const long long *cv, const long long *cp, long long *idx, long long *tmp)
+{
+    for (long long k = 0; k < count; ++k)
+        idx[k] = k;
+    for (long long width = 1; width < count; width *= 2) {
+        for (long long lo = 0; lo < count; lo += 2 * width) {
+            long long mid = lo + width < count ? lo + width : count;
+            long long hi = mid + width < count ? mid + width : count;
+            long long i = lo, j = mid, o = lo;
+            while (i < mid && j < hi)
+                tmp[o++] = cand_before(idx[j], idx[i], key, cv, cp)
+                    ? idx[j++] : idx[i++];
+            while (i < mid)
+                tmp[o++] = idx[i++];
+            while (j < hi)
+                tmp[o++] = idx[j++];
+        }
+        long long *swap = idx;
+        idx = tmp;
+        tmp = swap;
+    }
+    return idx;
+}
+
+/* Rebalance (fm_refine's _rebalance): up to 12 sweeps, each moving
+ * least-loss boundary vertices out of parts over cap while a move
+ * strictly lightens the heavier side. */
+static void rebalance(long long n, const long long *xadj,
+    const long long *adjncy, const long long *vwgt, const long long *ewgt,
+    long long nparts, double cap, long long *labels, double *part_w,
+    long long *tick, long long *stamp, double *acc, long long *touched,
+    long long *cv, long long *cp, double *key, long long *idx,
+    long long *tmp, long long *seen)
+{
+    for (long long v = 0; v < n; ++v)
+        seen[v] = -1;
+    for (long long sweep = 0; sweep < 12; ++sweep) {
+        int over = 0;
+        for (long long p = 0; p < nparts; ++p)
+            over |= part_w[p] > cap;
+        if (!over)
+            return;
+        long long count = 0;
+        for (long long v = 0; v < n; ++v) {
+            long long h = labels[v];
+            if (!(part_w[h] > cap))
+                continue;
+            long long nt = vertex_part_weights(v, xadj, adjncy, ewgt,
+                labels, ++*tick, stamp, acc, touched);
+            double internal = stamp[h] == *tick ? acc[h] : 0.0;
+            for (long long k = 0; k < nt; ++k) {
+                long long p = touched[k];
+                if (p == h)
+                    continue;
+                cv[count] = v;
+                cp[count] = p;
+                key[count++] = internal - acc[p];
+            }
+        }
+        if (count == 0)
+            return;
+        long long *order = sort_candidates(count, key, cv, cp, idx, tmp);
+        long long moved = 0;
+        for (long long k = 0; k < count; ++k) {
+            long long v = cv[order[k]], t = cp[order[k]];
+            if (seen[v] == sweep)
+                continue;
+            long long h = labels[v];
+            double w = (double)vwgt[v];
+            if (part_w[h] <= cap || part_w[t] + w >= part_w[h])
+                continue;
+            seen[v] = sweep;
+            part_w[h] -= w;
+            part_w[t] += w;
+            labels[v] = t;
+            ++moved;
+        }
+        if (moved == 0)
+            return;
+    }
+}
+
+/* FM refinement in place on labels.  Per pass, each vertex's best move
+ * (largest positive gain, the lowest part on a tie: the first of its
+ * candidates in the stable gain order) is taken in descending gain
+ * order, vertex ascending on a tie, under the balance rule: no part
+ * over cap, or with strict only into a part lighter than the source.
+ * Then, unless strict, the rebalance.  stamp, touched: nparts longs;
+ * part_w, acc: nparts doubles; cand: 4 c longs and key c doubles (c =
+ * the number of arcs, at least 1); seen: n longs. */
+long long fm_refine_i64(long long n, long long nparts, const long long *xadj,
+    const long long *adjncy, const long long *vwgt, const long long *ewgt,
+    long long max_passes, long long strict, double cap, long long *labels,
+    double *part_w, long long *stamp, long long *touched, double *acc,
+    long long *cand, double *key, long long *seen)
+{
+    long long bad = graph_bad_vertex(n, xadj, adjncy, labels, nparts);
+    if (bad >= 0)
+        return bad;
+    long long c = xadj[n] > 0 ? xadj[n] : 1;
+    long long *cv = cand, *cp = cv + c, *idx = cp + c, *tmp = idx + c;
+    long long tick = -1;
+    for (long long p = 0; p < nparts; ++p) {
+        part_w[p] = 0.0;
+        stamp[p] = -1;
+    }
+    for (long long v = 0; v < n; ++v)
+        part_w[labels[v]] += (double)vwgt[v];
+    for (long long pass = 0; pass < max_passes; ++pass) {
+        long long count = 0;
+        for (long long v = 0; v < n; ++v) {
+            long long h = labels[v];
+            long long nt = vertex_part_weights(v, xadj, adjncy, ewgt,
+                labels, ++tick, stamp, acc, touched);
+            double internal = stamp[h] == tick ? acc[h] : 0.0;
+            long long best = -1;
+            double gbest = 0.0;
+            for (long long k = 0; k < nt; ++k) {
+                long long p = touched[k];
+                double g = acc[p] - internal;
+                if (p != h && g > 0.0
+                    && (best < 0 || g > gbest || (g == gbest && p < best))) {
+                    best = p;
+                    gbest = g;
+                }
+            }
+            if (best >= 0) {
+                cv[count] = v;
+                cp[count] = best;
+                key[count++] = -gbest;
+            }
+        }
+        if (count == 0)
+            break;
+        long long *order = sort_candidates(count, key, cv, cp, idx, tmp);
+        long long moved = 0;
+        for (long long k = 0; k < count; ++k) {
+            long long v = cv[order[k]], t = cp[order[k]];
+            long long h = labels[v];
+            double w = (double)vwgt[v];
+            int ok = strict ? part_w[t] + w <= part_w[h]
+                            : part_w[t] + w <= cap;
+            if (ok && part_w[h] - w > 0.0) {
+                part_w[h] -= w;
+                part_w[t] += w;
+                labels[v] = t;
+                ++moved;
+            }
+        }
+        if (moved == 0)
+            break;
+    }
+    if (!strict)
+        rebalance(n, xadj, adjncy, vwgt, ewgt, nparts, cap, labels, part_w,
+                  &tick, stamp, acc, touched, cv, cp, key, idx, tmp, seen);
+    return -1;
+}
+
+/* repair_contiguity in place on labels: up to four rounds, each keeping
+ * the heaviest component of every part (the lowest id on a tie; a part
+ * with no vertex keeps component 0) and moving every other component,
+ * all at once, to the part it shares the most edge weight with (the
+ * lowest on a tie).  Components are numbered by their smallest vertex.
+ * work: 5 n + 1 + 3 nparts longs; dwork: n + 2 nparts doubles. */
+long long repair_contiguity_i64(long long n, long long nparts,
+    const long long *xadj, const long long *adjncy, const long long *vwgt,
+    const long long *ewgt, long long *labels, long long *work,
+    double *dwork)
+{
+    long long bad = graph_bad_vertex(n, xadj, adjncy, labels, nparts);
+    if (bad >= 0)
+        return bad;
+    long long *comp = work, *verts = comp + n, *cstart = verts + n;
+    long long *cpart = cstart + n + 1, *target = cpart + n;
+    long long *keep = target + n, *stamp = keep + nparts;
+    long long *touched = stamp + nparts;
+    double *comp_w = dwork, *best_w = comp_w + n, *acc = best_w + nparts;
+    long long tick = -1;
+    for (long long p = 0; p < nparts; ++p)
+        stamp[p] = -1;
+    for (int round = 0; round < 4; ++round) {
+        /* components of the label-induced subgraphs, breadth first */
+        for (long long v = 0; v < n; ++v)
+            comp[v] = -1;
+        long long ncomp = 0, head = 0;
+        for (long long v = 0; v < n; ++v) {
+            if (comp[v] >= 0)
+                continue;
+            cstart[ncomp] = head;
+            cpart[ncomp] = labels[v];
+            comp[v] = ncomp;
+            verts[head++] = v;
+            for (long long q = cstart[ncomp]; q < head; ++q) {
+                long long s = verts[q];
+                for (long long t = xadj[s]; t < xadj[s + 1]; ++t) {
+                    long long u = adjncy[t];
+                    if (comp[u] < 0 && labels[u] == labels[s]) {
+                        comp[u] = ncomp;
+                        verts[head++] = u;
+                    }
+                }
+            }
+            comp_w[ncomp++] = 0.0;
+        }
+        cstart[ncomp] = head;
+        for (long long v = 0; v < n; ++v)
+            comp_w[comp[v]] += (double)vwgt[v];
+        for (long long p = 0; p < nparts; ++p)
+            keep[p] = -1;
+        for (long long k = 0; k < ncomp; ++k) {
+            long long p = cpart[k];
+            if (keep[p] < 0 || comp_w[k] > best_w[p]) {
+                keep[p] = k;
+                best_w[p] = comp_w[k];
+            }
+        }
+        /* target[k]: -2 for a kept component, else its new part or -1 */
+        for (long long k = 0; k < ncomp; ++k)
+            target[k] = -1;
+        for (long long p = 0; p < nparts; ++p)
+            target[keep[p] < 0 ? 0 : keep[p]] = -2;
+        int fragments = 0, moves = 0;
+        for (long long k = 0; k < ncomp; ++k) {
+            if (target[k] == -2)
+                continue;
+            fragments = 1;
+            long long nt = 0;
+            ++tick;
+            for (long long q = cstart[k]; q < cstart[k + 1]; ++q) {
+                long long s = verts[q];
+                for (long long t = xadj[s]; t < xadj[s + 1]; ++t) {
+                    long long p = labels[adjncy[t]];
+                    if (p == cpart[k])
+                        continue;
+                    if (stamp[p] != tick) {
+                        stamp[p] = tick;
+                        acc[p] = 0.0;
+                        touched[nt++] = p;
+                    }
+                    acc[p] += (double)ewgt[t];
+                }
+            }
+            for (long long j = 0; j < nt; ++j) {
+                long long p = touched[j];
+                if (target[k] < 0 || acc[p] > acc[target[k]]
+                    || (acc[p] == acc[target[k]] && p < target[k]))
+                    target[k] = p;
+            }
+            moves |= target[k] >= 0;
+        }
+        if (!fragments || !moves)
+            break;
+        for (long long v = 0; v < n; ++v)
+            if (target[comp[v]] >= 0)
+                labels[v] = target[comp[v]];
+    }
+    return -1;
+}
 """
 
 #: x86-64 levels the library can be built for, widest first, each with

@@ -96,10 +96,14 @@ def grow_regions(graph: Graph, nparts: int, seed: int = 0) -> np.ndarray:
     return labels
 
 
-def kway_partition(graph: Graph, nparts: int, *, seed: int = 0) -> np.ndarray:
+def kway_partition(graph: Graph, nparts: int, *, seed: int = 0,
+                   engine: str = "numpy") -> np.ndarray:
     """Multilevel k-way partition; returns a label per vertex.
     Coarsening stops at ``max(20 * nparts, 200)`` vertices and every
-    level gets six FM passes."""
+    level gets six FM passes.  ``engine="compiled"`` runs the matching,
+    the contraction, the refinement and the contiguity repair in C,
+    label for label the numpy phases; :func:`grow_regions` stays numpy
+    on both engines."""
     if nparts < 1:
         raise ValueError("nparts must be >= 1")
     n = graph.num_vertices
@@ -114,7 +118,7 @@ def kway_partition(graph: Graph, nparts: int, *, seed: int = 0) -> np.ndarray:
     g = graph
     level_seed = seed
     while g.num_vertices > coarsen_to:
-        lvl = coarsen_graph(g, seed=level_seed)
+        lvl = coarsen_graph(g, seed=level_seed, engine=engine)
         level_seed += 1
         # Stop if coarsening stalls (matching found almost nothing).
         if lvl.graph.num_vertices > 0.95 * g.num_vertices:
@@ -124,7 +128,7 @@ def kway_partition(graph: Graph, nparts: int, *, seed: int = 0) -> np.ndarray:
 
     # --- initial partition on the coarsest graph --------------------
     labels = grow_regions(g, nparts, seed=seed)
-    labels = fm_refine(g, labels, nparts, max_passes=6)
+    labels = fm_refine(g, labels, nparts, max_passes=6, engine=engine)
 
     # --- uncoarsen + refine -----------------------------------------
     # Level i coarsened parent graph: `graph` for i == 0, else the
@@ -132,12 +136,14 @@ def kway_partition(graph: Graph, nparts: int, *, seed: int = 0) -> np.ndarray:
     for i in range(len(levels) - 1, -1, -1):
         labels = labels[levels[i].fine_to_coarse]
         parent = graph if i == 0 else levels[i - 1].graph
-        labels = fm_refine(parent, labels, nparts, max_passes=6)
+        labels = fm_refine(parent, labels, nparts, max_passes=6,
+                           engine=engine)
     # k-MeTiS-style contiguity enforcement, alternated with balance
     # touch-ups (fragment reassignment can overload a part, and
     # rebalancing can in turn strand a fragment).
     for _ in range(3):
-        labels = repair_contiguity(graph, labels, nparts)
-        labels = fm_refine(graph, labels, nparts, max_passes=2)
-    labels = repair_contiguity(graph, labels, nparts)
+        labels = repair_contiguity(graph, labels, nparts, engine=engine)
+        labels = fm_refine(graph, labels, nparts, max_passes=2,
+                           engine=engine)
+    labels = repair_contiguity(graph, labels, nparts, engine=engine)
     return labels

@@ -1,4 +1,4 @@
-"""Bulk Fiduccia-Mattheyses-style refinement, vectorised.
+"""Bulk Fiduccia-Mattheyses-style refinement and contiguity repair.
 
 Per pass, the gain of moving every boundary vertex to every adjacent
 part is computed in one sorted segmented reduction; positive-gain moves
@@ -8,19 +8,26 @@ trade-off, corrected by later passes).  A separate rebalancing phase
 moves least-loss vertices out of overweight parts, and
 ``repair_contiguity`` reassigns disconnected fragments (the k-MeTiS
 behaviour; the strict-balance p-MeTiS-style pipeline skips it) with
-array reductions over ``connected_components``' labels.  Only the move
-loops visit vertices one by one: their order decides the partition.
+array reductions over ``connected_components``' labels.
+
+``fm_refine`` and ``repair_contiguity`` run in C on the compiled engine
+(:func:`repro.kernels.fm_refine`, :func:`repro.kernels.repair_contiguity`),
+label for label the numpy phases here (the ``*_ref`` functions), whose
+move loops visit vertices one by one in Python: their order decides the
+partition, and the C loops keep it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.graph.adjacency import Graph
 from repro.graph.traversal import connected_components
 from repro.sparse.segsum import run_starts
 
-__all__ = ["fm_refine", "repair_contiguity"]
+__all__ = ["fm_refine", "fm_refine_ref", "repair_contiguity",
+           "repair_contiguity_ref"]
 
 #: max ``max_part_weight / mean_part_weight`` after a move (k-MeTiS
 #: uses ~1.03; k-way accepts a little more for connected parts)
@@ -59,7 +66,8 @@ def _first_max(group: np.ndarray, value: np.ndarray):
 
 def fm_refine(graph: Graph, labels: np.ndarray, nparts: int,
               max_passes: int = 8,
-              strict_balance: bool = False) -> np.ndarray:
+              strict_balance: bool = False,
+              engine: str = "numpy") -> np.ndarray:
     """Refine a k-way partition (returns a new label array); no move
     takes a part over ``_BALANCE_TOL`` times the mean weight.
 
@@ -68,12 +76,30 @@ def fm_refine(graph: Graph, labels: np.ndarray, nparts: int,
     strict_balance:
         p-MeTiS-style: moves are only allowed into strictly lighter
         parts, preserving (near-)perfect balance; no rebalance phase.
+    engine:
+        ``"compiled"`` refines in C, bitwise :func:`fm_refine_ref`.
     """
+    out = kernels.fm_refine(graph.xadj, graph.adjncy, graph.vwgt,
+                            graph.ewgt, labels, nparts, max_passes,
+                            strict_balance, _cap(graph, nparts), engine)
+    if out is not None:
+        return out
+    return fm_refine_ref(graph, labels, nparts, max_passes, strict_balance)
+
+
+def _cap(graph: Graph, nparts: int) -> float:
+    """The part-weight bound: ``_BALANCE_TOL`` times the mean."""
+    return _BALANCE_TOL * (graph.vwgt.astype(np.float64).sum() / nparts)
+
+
+def fm_refine_ref(graph: Graph, labels: np.ndarray, nparts: int,
+                  max_passes: int, strict_balance: bool) -> np.ndarray:
+    """The numpy refinement: ``max_passes`` bulk FM passes, then, unless
+    ``strict_balance``, the rebalance."""
     labels = np.asarray(labels, dtype=np.int64).copy()
     vwgt = graph.vwgt.astype(np.float64)
     part_w = np.bincount(labels, weights=vwgt, minlength=nparts)
-    mean_w = vwgt.sum() / nparts
-    cap = _BALANCE_TOL * mean_w
+    cap = _cap(graph, nparts)
 
     for _ in range(max_passes):
         v_ids, p_ids, wsum = _vertex_part_weights(graph, labels, nparts)
@@ -162,7 +188,8 @@ def _rebalance(graph: Graph, labels: np.ndarray, part_w: np.ndarray,
             return
 
 
-def repair_contiguity(graph: Graph, labels: np.ndarray, nparts: int) -> np.ndarray:
+def repair_contiguity(graph: Graph, labels: np.ndarray, nparts: int,
+                      engine: str = "numpy") -> np.ndarray:
     """Reassign disconnected fragments to their best adjacent part.
 
     For every part, only the heaviest connected component stays; each
@@ -171,8 +198,20 @@ def repair_contiguity(graph: Graph, labels: np.ndarray, nparts: int) -> np.ndarr
     distinguishes the k-MeTiS-style pipeline from the strict-balance
     one (which tolerates fragments to keep perfect balance).  Ties go
     to the lowest component id (components are numbered by their
-    smallest vertex) and to the lowest part.
+    smallest vertex) and to the lowest part.  ``engine="compiled"``
+    repairs in C, bitwise :func:`repair_contiguity_ref`.
     """
+    out = kernels.repair_contiguity(graph.xadj, graph.adjncy, graph.vwgt,
+                                    graph.ewgt, labels, nparts, engine)
+    if out is not None:
+        return out
+    return repair_contiguity_ref(graph, labels, nparts)
+
+
+def repair_contiguity_ref(graph: Graph, labels: np.ndarray,
+                          nparts: int) -> np.ndarray:
+    """The numpy repair: up to four rounds of component labelling and
+    keyed reductions."""
     labels = np.asarray(labels, dtype=np.int64).copy()
     n = graph.num_vertices
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))

@@ -10,10 +10,11 @@ the same three SpMVs (global, per rank, the whole seq matvec), bit for
 bit, on drawn block matrices, and the same residual passes — the
 Green-Gauss gradients, the first-order Rusanov scatter and the fused
 second-order pass, every limiter and both flux families — on drawn
-box meshes: the level changes only the speed.  Each build is run
-through the ``repro.kernels`` functions, as the solver runs its own:
-the engine knob resolves to it while it is the capability memo, and
-``trisolver`` takes it as its backend.
+box meshes, and the same k-way partition of a wing: the level changes
+only the speed.  Each build is run through the ``repro.kernels``
+functions, as the solver runs its own: the engine knob resolves to it
+while it is the capability memo, and ``trisolver`` takes it as its
+backend.
 """
 
 from contextlib import contextmanager
@@ -30,6 +31,7 @@ from repro.kernels import capability, cbackend
 from repro.mesh.dualmesh import compute_dual_metrics
 from repro.mesh.tetgen import box_mesh
 from repro.parallel.spmd import SPMDLayout
+from repro.partition import kway_partition
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.ilu import ilu_symbolic
 
@@ -216,3 +218,18 @@ def test_every_level_computes_the_same_residual_bits(builds, limiter,
                                "first-order b", "second-order a",
                                "second-order b"), out, want):
             assert g == w, f"{isa} differs from default in the {what}"
+
+
+@pytest.mark.parametrize("nparts", (2, 3, 8, 64))
+def test_every_level_gives_the_same_partition(builds, nparts):
+    """``kway_partition``'s C phases at every level: the medium wing's
+    labels equal the numpy partitioner's, seeds 0 and 1."""
+    from repro.experiments.common import default_wing
+    graph = default_wing("medium").mesh.vertex_graph()
+    for seed in (0, 1):
+        want = kway_partition(graph, nparts, seed=seed)
+        for isa, backend in builds.items():
+            with _serving(backend):
+                got = kway_partition(graph, nparts, seed=seed,
+                                     engine="compiled")
+            assert np.array_equal(got, want), f"{isa}, seed {seed}"
